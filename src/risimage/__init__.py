@@ -54,6 +54,7 @@ from .ris_synthesis import (
     realize_masks,
     singular_spectrum,
     spectral_rank,
+    synthesis_profiles,
     synthesize,
     tikhonov_inverse,
 )

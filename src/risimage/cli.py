@@ -30,6 +30,9 @@ from .targets import resolve_target, write_grid_image
 def _scene_from_args(args) -> SceneConfig:
     text = Path(args.scene).read_text()
     if args.set:
+        malformed = [item for item in args.set if "=" not in item]
+        if malformed:
+            raise MalformedConfig(f"--set expects KEY=VALUE, got {malformed[0]!r}")
         values = dict(item.split("=", 1) for item in args.set)
         lines = []
         for raw in text.splitlines():
@@ -160,8 +163,9 @@ def cmd_synthesize(args) -> int:
     fp = scene.fingerprint
     mask_design.save_mask_vectors(out_dir / "masks_ideal.bin", masks, fp, which="ideal")
     mask_design.save_mask_vectors(out_dir / "masks_realized.bin", masks, fp, which="realized")
-    ris_synthesis.save_profiles(out_dir / "profiles.bin", masks, fp)
-    ris_synthesis.write_synthesis_summary(out_dir / "synthesis.txt", inv, masks)
+    amplification = scene.config.amplification
+    ris_synthesis.save_profiles(out_dir / "profiles.bin", inv, masks, amplification, fp)
+    ris_synthesis.write_synthesis_summary(out_dir / "synthesis.txt", inv, masks, amplification)
     print(
         f"synthesized {masks.count} profiles (retained rank {inv.retained_rank}, "
         f"gamma {inv.gamma!r}) -> {out_dir}"
@@ -170,6 +174,8 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    if args.seed < 0:
+        raise MalformedConfig(f"seed must be >= 0, got {args.seed}")
     scene = validate_scene(_scene_from_args(args))
     grids = sample_grids(scene)
     target = resolve_target(args.target, scene)
@@ -251,9 +257,12 @@ def _plan_from_args(args, sweep: bool) -> ExperimentPlan:
 def _parse_sweep_list(raw: str | None, cast, fallback):
     if raw is None:
         return fallback
-    return tuple(
-        None if item.strip().lower() == "none" else cast(item) for item in raw.split(",")
-    )
+    try:
+        return tuple(
+            None if item.strip().lower() == "none" else cast(item) for item in raw.split(",")
+        )
+    except ValueError as exc:
+        raise MalformedConfig(f"bad sweep list {raw!r}: {exc}") from exc
 
 
 def _print_run(result) -> int:

@@ -9,6 +9,7 @@ over target rows so the matrix never needs to exist twice in memory.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -280,12 +281,29 @@ def assemble_kernel(scene: ValidatedScene, grids: SampleGrids, entry_cap: int = 
 # by row-major little-endian complex128 entries (re, im float64 pairs).
 
 
+def write_complex_file(path: str | Path, header: str, values: np.ndarray) -> None:
+    """Write an ASCII header line and little-endian complex128 body atomically.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path``: a reader sees the old file or the whole new one, never
+    a partial write.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header.encode("ascii"))
+            fh.write(np.ascontiguousarray(values, dtype="<c16").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_kernel(path: str | Path, kernel: KernelMatrix) -> None:
     m, n = kernel.entries.shape
     header = f"kind={kernel.kind} m={m} n={n} fingerprint={kernel.fingerprint}\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(kernel.entries, dtype="<c16").tobytes())
+    write_complex_file(path, header, kernel.entries)
 
 
 def load_kernel(path: str | Path, expected_fingerprint: str | None = None) -> KernelMatrix:
@@ -305,9 +323,8 @@ def load_kernel(path: str | Path, expected_fingerprint: str | None = None) -> Ke
         raise CacheMismatch(
             f"kernel cache fingerprint {fp} does not match the scene ({expected_fingerprint})"
         )
-    entries = np.frombuffer(body, dtype="<c16")
-    if entries.size != m * n:
-        raise CacheMismatch(f"kernel body holds {entries.size} entries, expected {m * n}")
-    entries = entries.reshape(m, n).astype(np.complex128)
+    if len(body) != 16 * m * n:
+        raise CacheMismatch(f"kernel body holds {len(body)} bytes, expected {16 * m * n}")
+    entries = np.frombuffer(body, dtype="<c16").reshape(m, n).astype(np.complex128)
     entries.setflags(write=False)
     return KernelMatrix(entries=entries, kind=kind, fingerprint=fp)

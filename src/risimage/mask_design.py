@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .em_core import write_complex_file
 from .errors import (
     CacheMismatch,
     DimensionMismatch,
@@ -37,9 +38,10 @@ class MaskSet:
     """Per-measurement mask vectors over the target samples.
 
     ``ideal`` holds the designed masks; ``realized`` (filled by the synthesis
-    stage) holds the masks the aperture actually produces, with the generating
-    coefficient vectors in ``profiles`` and the pre-normalisation solution
-    norms in ``solution_norms``.
+    stage) holds the masks the aperture actually produces, with the
+    pre-normalisation solution norms in ``solution_norms``. The generating
+    coefficient vectors are not kept: ``ris_synthesis.synthesis_profiles``
+    forms them from the inverse when they are exported.
     """
 
     kind: str  # KIND_MASK2D | KIND_MASK3D
@@ -47,7 +49,6 @@ class MaskSet:
     phase: np.ndarray | None = None  # (M,) common phase profile (2D only)
     ideal_amplitudes: np.ndarray | None = None  # (I, M) designed {0,1} pattern
     realized: np.ndarray | None = None  # (I, M) complex128
-    profiles: np.ndarray | None = None  # (I, N) complex128
     solution_norms: np.ndarray | None = None  # (I,)
 
     @property
@@ -211,7 +212,6 @@ def mask_covariance(masks: MaskSet, ref_index: int, use: str = "auto") -> np.nda
 def with_realization(
     masks: MaskSet,
     realized: np.ndarray,
-    profiles: np.ndarray | None = None,
     solution_norms: np.ndarray | None = None,
 ) -> MaskSet:
     """Copy of the set with realized vectors attached."""
@@ -221,9 +221,7 @@ def with_realization(
         )
     realized = np.asarray(realized, dtype=np.complex128)
     realized.setflags(write=False)
-    return replace(
-        masks, realized=realized, profiles=profiles, solution_norms=solution_norms
-    )
+    return replace(masks, realized=realized, solution_norms=solution_norms)
 
 
 # --- disk export ----------------------------------------------------------------
@@ -241,9 +239,7 @@ def save_mask_vectors(
         f"kind={masks.kind} count={masks.count} points={masks.points} "
         f"fingerprint={fingerprint}\n"
     )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(vectors, dtype="<c16").tobytes())
+    write_complex_file(path, header, vectors)
 
 
 def load_mask_vectors(path: str | Path) -> tuple[str, np.ndarray, str]:
@@ -258,9 +254,8 @@ def load_mask_vectors(path: str | Path) -> tuple[str, np.ndarray, str]:
         fp = meta["fingerprint"]
     except (KeyError, ValueError) as exc:
         raise CacheMismatch(f"unreadable mask header {header!r}") from exc
-    vectors = np.frombuffer(body, dtype="<c16")
-    if vectors.size != count * points:
-        raise CacheMismatch(f"mask body holds {vectors.size} values, expected {count * points}")
-    vectors = vectors.reshape(count, points).astype(np.complex128)
+    if len(body) != 16 * count * points:
+        raise CacheMismatch(f"mask body holds {len(body)} bytes, expected {16 * count * points}")
+    vectors = np.frombuffer(body, dtype="<c16").reshape(count, points).astype(np.complex128)
     vectors.setflags(write=False)
     return kind, vectors, fp

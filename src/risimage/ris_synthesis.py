@@ -1,9 +1,17 @@
 """Reflection-coefficient synthesis: truncated-SVD Tikhonov inversion + power scaling.
 
-The kernel SVD is computed once and reused across every mask of a measurement
-set; the regularized inverse maps each ideal mask to the coefficient vector
-that best reproduces it under the quadratic penalty, and each vector is then
-scaled onto the aperture power budget ||p||^2 = N * P_I.
+The kernel K = U Sigma V^H is decomposed once and reused across every mask of
+a measurement set; the regularized inverse maps each ideal mask b to the
+coefficient vector p = V Lambda U^H b that best reproduces it under the
+quadratic penalty, and each vector is then scaled onto the aperture power
+budget ||p||^2 = N * P_I.
+
+Only the target-side factors U and sigma are ever formed. A wide kernel
+K = R^H Q^H (QR of K^H) shares them with its square triangular factor R^H, so
+the SVD runs on that M x M factor; the realized mask K p = U diag(sigma
+lambda) U^H b and the norm ||p|| = ||Lambda U^H b|| then need neither V nor p.
+The coefficient profiles themselves come from :func:`synthesis_profiles` and
+are formed only when they are exported.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .em_core import KIND_Y3D, KIND_Z2D, KernelMatrix
+from .em_core import KIND_Y3D, KIND_Z2D, KernelMatrix, write_complex_file
 from .errors import DimensionMismatch, KindMismatch, SvdFailure, ZeroSolution
 from .mask_design import KIND_MASK2D, KIND_MASK3D, MaskSet, with_realization
 
@@ -31,11 +39,13 @@ class RegularizedInverse:
 
     ``inv_sigma`` holds sigma / (sigma^2 + gamma) for retained singular values
     and exactly zero for truncated ones; ``retained_rank`` counts the former.
+    The right singular vectors are never stored: ``kernel`` maps back to the
+    aperture side where a solution is needed.
     """
 
+    kernel: KernelMatrix
     u: np.ndarray  # (M, K)
     sigma: np.ndarray  # (K,)
-    vh: np.ndarray  # (K, N)
     inv_sigma: np.ndarray  # (K,)
     gamma: float
     threshold_factor: float
@@ -43,15 +53,34 @@ class RegularizedInverse:
     retained_rank: int
 
     def apply(self, rhs: np.ndarray) -> np.ndarray:
-        """Regularized solution V Lambda U^H rhs for one vector or a stack."""
+        """Regularized solution V Lambda U^H rhs for one vector or a stack.
+
+        Evaluated as K^H U diag(lambda / sigma) U^H rhs, which is the same
+        vector since K^H U = V Sigma; modes with sigma = 0 get weight zero.
+        """
         rhs = np.asarray(rhs, dtype=np.complex128)
         if rhs.shape[0] != self.u.shape[0]:
             raise DimensionMismatch(
                 f"right-hand side of length {rhs.shape[0]} does not match M={self.u.shape[0]}"
             )
-        weighted = self.inv_sigma[:, None] * (self.u.conj().T @ rhs.reshape(rhs.shape[0], -1))
-        solution = self.vh.conj().T @ weighted
+        weight = np.divide(
+            self.inv_sigma, self.sigma, out=np.zeros_like(self.sigma), where=self.sigma > 0.0
+        )
+        weighted = weight[:, None] * (self.u.conj().T @ rhs.reshape(rhs.shape[0], -1))
+        solution = self.kernel.entries.conj().T @ (self.u @ weighted)
         return solution[:, 0] if rhs.ndim == 1 else solution
+
+
+def _spectral_factor(entries: np.ndarray) -> np.ndarray:
+    """A matrix with the kernel's left singular vectors and singular values.
+
+    For a wide M x N kernel that is the M x M factor R^H of K^H = Q R, so the
+    SVD never touches an N-long dimension; otherwise the kernel itself.
+    """
+    m, n = entries.shape
+    if m < n:
+        return np.linalg.qr(entries.conj().T, mode="r").conj().T
+    return entries
 
 
 def tikhonov_inverse(
@@ -60,7 +89,7 @@ def tikhonov_inverse(
     threshold_factor: float = DEFAULT_THRESHOLD_FACTOR,
     truncation_mode: str = TRUNCATE_SIGMA_SQ,
 ) -> RegularizedInverse:
-    """SVD the kernel and build the regularized pseudo-inverse spectrum.
+    """SVD the kernel's square factor and build the regularized inverse spectrum.
 
     Modes whose singular value falls below the truncation threshold are zeroed
     outright; raising ``threshold_factor`` can only shrink the retained rank.
@@ -70,7 +99,7 @@ def tikhonov_inverse(
     if truncation_mode not in (TRUNCATE_SIGMA_SQ, TRUNCATE_SIGMA):
         raise ValueError(f"unknown truncation mode {truncation_mode!r}")
     try:
-        u, sigma, vh = np.linalg.svd(kernel.entries, full_matrices=False)
+        u, sigma, _ = np.linalg.svd(_spectral_factor(kernel.entries), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise SvdFailure(f"SVD did not converge on a {kernel.entries.shape} kernel") from exc
 
@@ -81,9 +110,9 @@ def tikhonov_inverse(
     inv_sigma = np.where(keep, sigma / (sigma**2 + gamma), 0.0)
     inv_sigma.setflags(write=False)
     return RegularizedInverse(
+        kernel=kernel,
         u=u,
         sigma=sigma,
-        vh=vh,
         inv_sigma=inv_sigma,
         gamma=gamma,
         threshold_factor=threshold_factor,
@@ -125,31 +154,51 @@ def synthesize(
     return RisProfile(values=values, solution_norm=norm, measurement_index=measurement_index)
 
 
+def _require_nonzero(norms: np.ndarray) -> None:
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ZeroSolution(f"mask {int(zero[0])} lies outside the retained kernel range")
+
+
 def realize_masks(
     kernel: KernelMatrix,
     inv: RegularizedInverse,
     masks: MaskSet,
     amplification: float,
 ) -> MaskSet:
-    """Synthesize one profile per ideal mask and record the masks they produce."""
+    """Record the masks that power-normalised synthesized profiles produce.
+
+    Works in the target-side range space: with c = U^H b per ideal mask b, the
+    solution norm is ||lambda c|| and the realized mask is
+    U diag(sigma lambda) c scaled onto the power budget.
+    """
     if _KERNEL_TO_MASK_KIND.get(kernel.kind) != masks.kind:
         raise KindMismatch(f"kernel kind {kernel.kind!r} cannot realize {masks.kind!r} masks")
     n_samples = kernel.entries.shape[1]
+    coeffs = inv.u.conj().T @ masks.ideal.T  # (K, I)
+    norms = np.linalg.norm(inv.inv_sigma[:, None] * coeffs, axis=0)
+    _require_nonzero(norms)
+    scale = np.sqrt(n_samples * amplification) / norms
+    realized = (inv.u @ ((inv.sigma * inv.inv_sigma)[:, None] * coeffs)) * scale[None, :]
+    return with_realization(masks, realized=realized.T, solution_norms=norms)
+
+
+def synthesis_profiles(inv: RegularizedInverse, masks: MaskSet, amplification: float) -> np.ndarray:
+    """Power-normalised coefficient vectors (I, N) realizing each ideal mask.
+
+    Each row has ||p||^2 = N * amplification; K p is the matching row of the
+    masks recorded by :func:`realize_masks`.
+    """
+    n_samples = inv.kernel.entries.shape[1]
     solutions = inv.apply(masks.ideal.T)  # (N, I)
     norms = np.linalg.norm(solutions, axis=0)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ZeroSolution(f"mask {int(zero[0])} lies outside the retained kernel range")
-    profiles = np.sqrt(n_samples * amplification) * solutions / norms[None, :]
-    realized = (kernel.entries @ profiles).T
-    return with_realization(
-        masks, realized=realized, profiles=profiles.T, solution_norms=norms
-    )
+    _require_nonzero(norms)
+    return (np.sqrt(n_samples * amplification) * solutions / norms[None, :]).T
 
 
 def singular_spectrum(kernel: KernelMatrix) -> np.ndarray:
     """Singular values of the kernel, descending."""
-    return np.linalg.svd(kernel.entries, compute_uv=False)
+    return np.linalg.svd(_spectral_factor(kernel.entries), compute_uv=False)
 
 
 def spectral_rank(sigma: np.ndarray, rel_threshold: float = 1e-3) -> int:
@@ -160,26 +209,44 @@ def spectral_rank(sigma: np.ndarray, rel_threshold: float = 1e-3) -> int:
     return int(np.count_nonzero(sigma > rel_threshold * sigma[0]))
 
 
-def save_profiles(path: str | Path, masks: MaskSet, fingerprint: str) -> None:
+def save_profiles(
+    path: str | Path,
+    inv: RegularizedInverse,
+    masks: MaskSet,
+    amplification: float,
+    fingerprint: str,
+) -> None:
     """Per-measurement coefficient vectors, same binary layout as mask exports."""
-    if masks.profiles is None:
-        raise ZeroSolution("mask set carries no synthesized profiles")
-    count, n = masks.profiles.shape
+    profiles = synthesis_profiles(inv, masks, amplification)
+    count, n = profiles.shape
     header = f"kind=profiles count={count} points={n} fingerprint={fingerprint}\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(masks.profiles, dtype="<c16").tobytes())
+    write_complex_file(path, header, profiles)
 
 
-def write_synthesis_summary(path: str | Path, inv: RegularizedInverse, masks: MaskSet) -> None:
-    """Human-readable record: retained rank, gamma, per-mask solution norms."""
+def write_synthesis_summary(
+    path: str | Path, inv: RegularizedInverse, masks: MaskSet, amplification: float
+) -> None:
+    """Human-readable record: retained rank, gamma, singular-value range, mask
+    fidelity, and per-mask solution norms.
+
+    ``realized_rel_err`` is ||realized * norm / sqrt(N * P_I) - ideal|| / ||ideal||
+    per mask: how far the unnormalised realized mask misses the ideal one.
+    """
+    retained = inv.sigma[inv.inv_sigma > 0.0]
     lines = [
         f"retained_rank = {inv.retained_rank}",
         f"gamma = {inv.gamma!r}",
         f"threshold_factor = {inv.threshold_factor!r}",
         f"truncation_mode = {inv.truncation_mode}",
+        f"sigma_max = {float(inv.sigma[0])!r}",
+        f"sigma_min_retained = {float(retained.min()) if retained.size else 0.0!r}",
     ]
-    if masks.solution_norms is not None:
+    if masks.solution_norms is not None:  # set together with ``realized``
+        budget = np.sqrt(inv.kernel.entries.shape[1] * amplification)
+        fitted = masks.realized * (masks.solution_norms / budget)[:, None]
+        rel_err = np.linalg.norm(fitted - masks.ideal, axis=1) / np.linalg.norm(masks.ideal, axis=1)
+        lines.append(f"realized_rel_err_mean = {float(rel_err.mean())!r}")
+        lines.append(f"realized_rel_err_max = {float(rel_err.max())!r}")
         lines.extend(
             f"solution_norm[{i}] = {norm!r}" for i, norm in enumerate(masks.solution_norms)
         )

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import em_core, mask_design, measurement, reconstruct, ris_synthesis
-from .errors import ImagingError, MalformedConfig
+from .errors import CacheMismatch, ImagingError, MalformedConfig
 from .mask_design import MaskSet
 from .measurement import TargetModel
 from .scene import (
@@ -81,6 +81,8 @@ class ExperimentPlan:
             raise MalformedConfig("snr_values must be nonempty")
         if self.workers < 1:
             raise MalformedConfig("workers must be >= 1")
+        if self.seed < 0:
+            raise MalformedConfig(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -135,17 +137,25 @@ class PipelineCache:
         return fp, self.scenes[fp], self.grids[fp]
 
     def kernel_for(self, fp: str, cache_dir: Path | None = None) -> em_core.KernelMatrix:
-        if fp not in self.kernels:
-            scene, grids = self.scenes[fp], self.grids[fp]
-            cache_file = cache_dir / f"kernel_{fp[:16]}.bin" if cache_dir else None
-            if cache_file is not None and cache_file.exists():
+        """The scene's kernel, from memory, the disk cache, or a fresh build.
+
+        A cache file that does not load (truncated, stale, or another scene's)
+        is rebuilt and rewritten rather than failing the point.
+        """
+        if fp in self.kernels:
+            return self.kernels[fp]
+        cache_file = cache_dir / f"kernel_{fp[:16]}.bin" if cache_dir else None
+        if cache_file is not None and cache_file.exists():
+            try:
                 self.kernels[fp] = em_core.load_kernel(cache_file, expected_fingerprint=fp)
-            else:
-                self.kernels[fp] = em_core.assemble_kernel(scene, grids)
-                self.kernel_builds += 1
-                if cache_file is not None:
-                    cache_file.parent.mkdir(parents=True, exist_ok=True)
-                    em_core.save_kernel(cache_file, self.kernels[fp])
+                return self.kernels[fp]
+            except CacheMismatch:
+                pass  # rebuilt and rewritten below
+        self.kernels[fp] = em_core.assemble_kernel(self.scenes[fp], self.grids[fp])
+        self.kernel_builds += 1
+        if cache_file is not None:
+            cache_file.parent.mkdir(parents=True, exist_ok=True)
+            em_core.save_kernel(cache_file, self.kernels[fp])
         return self.kernels[fp]
 
 
@@ -374,10 +384,13 @@ def _export_artifacts(run_dir: Path, cache: PipelineCache) -> None:
         mask_design.save_mask_vectors(
             artifact_dir / f"masks_realized_{stem}.bin", masks, fp, which="realized"
         )
-        ris_synthesis.save_profiles(artifact_dir / f"profiles_{stem}.bin", masks, fp)
         inv = cache.inverses[(fp,) + key[3:]]
+        amplification = cache.scenes[fp].config.amplification
+        ris_synthesis.save_profiles(
+            artifact_dir / f"profiles_{stem}.bin", inv, masks, amplification, fp
+        )
         ris_synthesis.write_synthesis_summary(
-            artifact_dir / f"synthesis_{stem}.txt", inv, masks
+            artifact_dir / f"synthesis_{stem}.txt", inv, masks, amplification
         )
 
 

@@ -304,7 +304,73 @@ output_dir = {tmp_path / 'plan_run'}
         assert "MalformedConfig" in capsys.readouterr().err
 
 
+class TestBadInput:
+    """Malformed command-line values exit with code 2 and a typed error."""
+
+    def test_set_without_equals(self, scene_file, capsys):
+        code = cli.main(["validate", "--scene", str(scene_file), "--set", "n_ris_x"])
+        assert code == 2
+        assert "MalformedConfig" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--i-sweep", "256,abc"), ("--snr-sweep", "10,loud"), ("--z-sweep", "0.1,far")]
+    )
+    def test_non_numeric_sweep_list(self, scene_file, tmp_path, capsys, flag, value):
+        code = cli.main(
+            ["sweep", "--scene", str(scene_file), flag, value, "--output", str(tmp_path / "s")]
+        )
+        assert code == 2
+        assert "MalformedConfig" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["run", "measure"])
+    def test_negative_seed(self, scene_file, tmp_path, capsys, verb):
+        code = cli.main(
+            [
+                verb,
+                "--scene",
+                str(scene_file),
+                "-I",
+                "128",
+                "--snr-db",
+                "20",
+                "--seed",
+                "-3",
+                "--output",
+                str(tmp_path / "neg"),
+            ]
+        )
+        assert code == 2
+        assert "MalformedConfig" in capsys.readouterr().err
+
+    def test_negative_seed_in_plan_file(self, scene_file, tmp_path, capsys):
+        plan_path = tmp_path / "plan.cfg"
+        plan_path.write_text(f"scene = {scene_file.name}\nseed = -1\noutput_dir = {tmp_path / 'p'}\n")
+        assert cli.main(["sweep", "--plan", str(plan_path)]) == 2
+        assert "MalformedConfig" in capsys.readouterr().err
+
+
 class TestRunnerInternals:
+    def test_truncated_kernel_cache_is_rebuilt(self, scene_file, tmp_path):
+        plan = rn.ExperimentPlan(
+            scene=sc.load_scene_config(scene_file),
+            target="block",
+            i_values=(128,),
+            snr_values=(None,),
+            keep_artifacts=True,
+            output_dir=str(tmp_path / "cache"),
+        )
+        assert rn.run_plan(plan).kernel_builds == 1
+        (cached,) = (tmp_path / "cache" / "kernels").glob("kernel_*.bin")
+        intact = cached.read_bytes()
+        cached.write_bytes(intact[: len(intact) // 2])
+
+        result = rn.run_plan(plan)
+        assert result.points[0].error is None
+        assert result.kernel_builds == 1
+        assert cached.read_bytes() == intact
+        assert not list((tmp_path / "cache").rglob("*.tmp"))
+        assert rn.run_plan(plan).kernel_builds == 0
+
     def test_kernel_reused_across_snr_points(self, scene_file, tmp_path):
         plan = rn.ExperimentPlan(
             scene=sc.load_scene_config(scene_file),

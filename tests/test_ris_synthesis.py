@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from risimage import em_core as em
 from risimage import mask_design as md
@@ -133,8 +134,9 @@ class TestRealizeMasks:
         masks = md.ideal_masks(scene, grids, 128)
         realized = rs.realize_masks(kernel, inv, masks, scene.config.amplification)
         assert realized.realized.shape == (128, scene.n_target)
-        assert realized.profiles.shape == (128, scene.n_ris)
-        norms = np.linalg.norm(realized.profiles, axis=1) ** 2
+        profiles = rs.synthesis_profiles(inv, realized, scene.config.amplification)
+        assert profiles.shape == (128, scene.n_ris)
+        norms = np.linalg.norm(profiles, axis=1) ** 2
         np.testing.assert_allclose(norms, scene.n_ris * scene.config.amplification, rtol=1e-12)
 
     def test_well_conditioned_kernel_reproduces_masks(self):
@@ -211,11 +213,87 @@ class TestSpectrum:
         inv = rs.tikhonov_inverse(kernel, 1e-12)
         masks = md.ideal_masks(scene, grids, 128)
         realized = rs.realize_masks(kernel, inv, masks, 1.0)
-        rs.save_profiles(tmp_path / "profiles.bin", realized, scene.fingerprint)
+        rs.save_profiles(tmp_path / "profiles.bin", inv, realized, 1.0, scene.fingerprint)
         kind, vectors, fp = md.load_mask_vectors(tmp_path / "profiles.bin")
         assert kind == "profiles"
-        np.testing.assert_array_equal(vectors, realized.profiles)
-        rs.write_synthesis_summary(tmp_path / "summary.txt", inv, realized)
+        np.testing.assert_array_equal(vectors, rs.synthesis_profiles(inv, realized, 1.0))
+        rs.write_synthesis_summary(tmp_path / "summary.txt", inv, realized, 1.0)
         text = (tmp_path / "summary.txt").read_text()
         assert f"retained_rank = {inv.retained_rank}" in text
         assert "solution_norm[0]" in text
+
+    def test_summary_reports_spectrum_and_fidelity(self, tmp_path):
+        rng = np.random.default_rng(8)
+        kernel = random_kernel(rng, 6, 10)
+        inv = rs.tikhonov_inverse(kernel, 1e-6)
+        ideal = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        realized = rs.realize_masks(kernel, inv, md.MaskSet(kind=md.KIND_MASK2D, ideal=ideal), 2.0)
+        rs.write_synthesis_summary(tmp_path / "summary.txt", inv, realized, 2.0)
+        values = dict(
+            line.split(" = ", 1) for line in (tmp_path / "summary.txt").read_text().splitlines()
+        )
+        assert float(values["sigma_max"]) == inv.sigma[0]
+        assert float(values["sigma_min_retained"]) == inv.sigma[inv.retained_rank - 1]
+        # a square random kernel with tiny gamma reproduces every mask closely
+        assert 0.0 <= float(values["realized_rel_err_mean"]) <= float(values["realized_rel_err_max"])
+        assert float(values["realized_rel_err_max"]) < 1e-3
+
+
+# Kernel shapes on both sides of the wide/tall switch and on it.
+kernel_shapes = st.one_of(
+    st.tuples(st.integers(2, 8), st.integers(9, 24)),  # M < N: square triangular factor
+    st.integers(2, 12).map(lambda m: (m, m)),  # M = N
+    st.tuples(st.integers(9, 24), st.integers(2, 8)),  # M > N: SVD of K itself
+)
+
+
+class TestTwoPathSynthesis:
+    """The U-only route against the full SVD and the explicit profiles."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=kernel_shapes, seed=st.integers(0, 2**16), gamma=st.sampled_from([1e-8, 1e-4, 1e-1]))
+    def test_u_only_route_matches_full_svd(self, shape, seed, gamma):
+        m, n = shape
+        rng = np.random.default_rng(seed)
+        kernel = random_kernel(rng, m, n)
+        inv = rs.tikhonov_inverse(kernel, gamma)
+
+        full_sigma = np.linalg.svd(kernel.entries, compute_uv=False)
+        np.testing.assert_allclose(inv.sigma, full_sigma, rtol=0, atol=1e-12 * full_sigma[0])
+        np.testing.assert_allclose(
+            rs.singular_spectrum(kernel), full_sigma, rtol=0, atol=1e-12 * full_sigma[0]
+        )
+        keep = full_sigma**2 >= rs.DEFAULT_THRESHOLD_FACTOR * gamma
+        assert inv.retained_rank == int(np.count_nonzero(keep))
+
+        ideal = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
+        realized = rs.realize_masks(
+            kernel, inv, md.MaskSet(kind=md.KIND_MASK2D, ideal=ideal), 1.5
+        )
+        profiles = rs.synthesis_profiles(inv, realized, 1.5)
+        explicit = (kernel.entries @ profiles.T).T
+        np.testing.assert_allclose(
+            realized.realized, explicit, rtol=0, atol=1e-10 * np.abs(explicit).max()
+        )
+        direct_norms = np.linalg.norm(inv.apply(ideal.T), axis=0)
+        np.testing.assert_allclose(realized.solution_norms, direct_norms, rtol=1e-12)
+
+    def test_desk_profiles_meet_power_budget(self):
+        scene = sc.validate_scene(desk_config(z_prime=0.125))
+        grids = sc.sample_grids(scene)
+        kernel = em.kernel_2d(scene, grids)
+        inv = rs.tikhonov_inverse(kernel, 1e-12)
+        masks = rs.realize_masks(kernel, inv, md.ideal_masks(scene, grids, 256), 1.0)
+        profiles = rs.synthesis_profiles(inv, masks, 1.0)
+        norms = np.linalg.norm(profiles, axis=1) ** 2
+        np.testing.assert_allclose(norms, scene.n_ris * 1.0, rtol=1e-12)
+
+    def test_zero_singular_values_get_zero_weight(self):
+        entries = np.zeros((3, 5), dtype=complex)
+        entries[0, 0] = 2.0
+        kernel = KernelMatrix(entries=entries, kind=em.KIND_Z2D, fingerprint="t")
+        inv = rs.tikhonov_inverse(kernel, 1e-6, threshold_factor=0.0)
+        assert inv.retained_rank == 1
+        solution = inv.apply(np.array([1.0, 1.0, 1.0], dtype=complex))
+        assert np.all(np.isfinite(solution))
+        np.testing.assert_allclose(solution, [2.0 / (4.0 + 1e-6), 0, 0, 0, 0], atol=1e-15)
