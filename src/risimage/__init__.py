@@ -29,7 +29,7 @@ from .mask_design import (
     mask_covariance,
 )
 from .measurement import (
-    MeasurementRecord,
+    Measurements,
     TargetModel,
     measure,
     noise_power_dbm,

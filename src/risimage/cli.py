@@ -15,7 +15,14 @@ from pathlib import Path
 
 from . import em_core, mask_design, measurement, reconstruct, ris_synthesis
 from .errors import ImagingError, MalformedConfig
-from .runner import ExperimentPlan, default_gamma, load_plan, run_plan
+from .runner import (
+    PLAN_MODES,
+    ExperimentPlan,
+    default_gamma,
+    load_plan,
+    run_plan,
+    write_estimate_images,
+)
 from .scene import (
     SceneConfig,
     aperture_half_sine,
@@ -24,7 +31,7 @@ from .scene import (
     sample_grids,
     validate_scene,
 )
-from .targets import resolve_target, write_grid_image
+from .targets import resolve_target
 
 
 def _scene_from_args(args) -> SceneConfig:
@@ -64,26 +71,18 @@ def _add_plan_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gamma", type=float, default=None, help="regularization weight")
     parser.add_argument("--threshold-factor", type=float, default=ris_synthesis.DEFAULT_THRESHOLD_FACTOR)
     parser.add_argument(
-        "--truncation-mode",
-        choices=[ris_synthesis.TRUNCATE_SIGMA_SQ, ris_synthesis.TRUNCATE_SIGMA],
-        default=ris_synthesis.TRUNCATE_SIGMA_SQ,
+        "--truncation-mode", choices=PLAN_MODES["truncation_mode"], default=ris_synthesis.TRUNCATE_SIGMA_SQ
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", default="runs/out", help="run directory")
     parser.add_argument(
-        "--calibration",
-        choices=[reconstruct.CALIBRATE_NONE, reconstruct.CALIBRATE_MAX1, reconstruct.CALIBRATE_LSQ],
-        default=reconstruct.CALIBRATE_MAX1,
+        "--calibration", choices=PLAN_MODES["calibration"], default=reconstruct.CALIBRATE_MAX1
     )
     parser.add_argument(
-        "--noise-mode",
-        choices=[measurement.NOISE_RELATIVE, measurement.NOISE_ABSOLUTE],
-        default=measurement.NOISE_RELATIVE,
+        "--noise-mode", choices=PLAN_MODES["noise_mode"], default=measurement.NOISE_RELATIVE
     )
     parser.add_argument(
-        "--phase-mode",
-        choices=[mask_design.PHASE_TAYLOR, mask_design.PHASE_EXACT],
-        default=mask_design.PHASE_TAYLOR,
+        "--phase-mode", choices=PLAN_MODES["phase_mode"], default=mask_design.PHASE_TAYLOR
     )
     parser.add_argument(
         "--ideal-masks",
@@ -101,6 +100,11 @@ def _default_measurements(scene) -> int:
     while count < n_points + 1:
         count *= 2
     return count
+
+
+def _ideal_masks(args, scene, grids) -> mask_design.MaskSet:
+    count = args.measurements or _default_measurements(scene.config)
+    return mask_design.ideal_masks(scene, grids, count, args.phase_mode)
 
 
 def cmd_validate(args) -> int:
@@ -136,38 +140,38 @@ def cmd_kernel(args) -> int:
 def cmd_masks(args) -> int:
     scene = validate_scene(_scene_from_args(args))
     grids = sample_grids(scene)
-    count = args.measurements or _default_measurements(scene.config)
-    masks = mask_design.ideal_masks(scene, grids, count, args.phase_mode)
+    masks = _ideal_masks(args, scene, grids)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    mask_design.save_mask_vectors(out, masks, scene.fingerprint, which="ideal")
+    mask_design.save_mask_vectors(out, masks, scene.fingerprint)
     print(f"designed {masks.count} ideal {masks.kind} masks over {masks.points} points -> {out}")
     return 0
 
 
-def _synthesized_masks(args, scene, grids):
-    count = args.measurements or _default_measurements(scene.config)
-    masks = mask_design.ideal_masks(scene, grids, count, args.phase_mode)
-    kernel = em_core.assemble_kernel(scene, grids)
+def _synthesized_masks(args, scene, grids, ideal):
     gamma = args.gamma if args.gamma is not None else default_gamma(scene.config.target_distance)
+    kernel = em_core.assemble_kernel(scene, grids)
     inv = ris_synthesis.tikhonov_inverse(kernel, gamma, args.threshold_factor, args.truncation_mode)
-    return ris_synthesis.realize_masks(kernel, inv, masks, scene.config.amplification), inv
+    return ris_synthesis.realize_masks(inv, ideal, scene.config.amplification), inv
 
 
 def cmd_synthesize(args) -> int:
     scene = validate_scene(_scene_from_args(args))
     grids = sample_grids(scene)
-    masks, inv = _synthesized_masks(args, scene, grids)
+    ideal = _ideal_masks(args, scene, grids)
+    realized, inv = _synthesized_masks(args, scene, grids, ideal)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     fp = scene.fingerprint
-    mask_design.save_mask_vectors(out_dir / "masks_ideal.bin", masks, fp, which="ideal")
-    mask_design.save_mask_vectors(out_dir / "masks_realized.bin", masks, fp, which="realized")
+    mask_design.save_mask_vectors(out_dir / "masks_ideal.bin", ideal, fp)
+    mask_design.save_mask_vectors(out_dir / "masks_realized.bin", realized, fp)
     amplification = scene.config.amplification
-    ris_synthesis.save_profiles(out_dir / "profiles.bin", inv, masks, amplification, fp)
-    ris_synthesis.write_synthesis_summary(out_dir / "synthesis.txt", inv, masks, amplification)
+    ris_synthesis.save_profiles(out_dir / "profiles.bin", inv, ideal, amplification, fp)
+    ris_synthesis.write_synthesis_summary(
+        out_dir / "synthesis.txt", inv, ideal, realized, amplification
+    )
     print(
-        f"synthesized {masks.count} profiles (retained rank {inv.retained_rank}, "
+        f"synthesized {realized.count} profiles (retained rank {inv.retained_rank}, "
         f"gamma {inv.gamma!r}) -> {out_dir}"
     )
     return 0
@@ -179,49 +183,40 @@ def cmd_measure(args) -> int:
     scene = validate_scene(_scene_from_args(args))
     grids = sample_grids(scene)
     target = resolve_target(args.target, scene)
-    if args.ideal_masks:
-        count = args.measurements or _default_measurements(scene.config)
-        masks = mask_design.ideal_masks(scene, grids, count, args.phase_mode)
-        use = "ideal"
-    else:
-        masks, _ = _synthesized_masks(args, scene, grids)
-        use = "realized"
-    records = measurement.measure(
-        scene, grids, masks, target, args.snr_db, args.seed, noise_mode=args.noise_mode, use=use
+    masks = _ideal_masks(args, scene, grids)
+    if not args.ideal_masks:
+        masks, _ = _synthesized_masks(args, scene, grids, masks)
+    meas = measurement.measure(
+        scene, grids, masks, target, args.snr_db, args.seed, noise_mode=args.noise_mode
     )
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    measurement.records_to_csv(out, records)
-    print(f"measured {len(records)} records (sigma2 {records[0].noise_variance!r}) -> {out}")
+    measurement.records_to_csv(out, meas)
+    print(f"measured {len(meas)} records (sigma2 {meas.noise_variance!r}) -> {out}")
     return 0
 
 
 def cmd_reconstruct(args) -> int:
     scene = validate_scene(_scene_from_args(args))
     grids = sample_grids(scene)
-    records = measurement.records_from_csv(args.records)
+    meas = measurement.records_from_csv(args.records)
     kind, vectors, fp = mask_design.load_mask_vectors(args.masks)
     if fp != scene.fingerprint:
         print(f"warning: mask export fingerprint {fp[:16]} does not match the scene", file=sys.stderr)
-    masks = mask_design.MaskSet(kind=kind, ideal=vectors)
+    masks = mask_design.MaskSet(kind=kind, vectors=vectors)
     if scene.is_3d:
-        result = reconstruct.reconstruct_3d(scene, records, masks, use="ideal")
+        result = reconstruct.reconstruct_3d(scene, meas, masks)
     else:
         psf_values = em_core.psf_vector(scene, grids.target_points)
-        result = reconstruct.reconstruct_2d(records, masks, psf_values, use="ideal")
+        result = reconstruct.reconstruct_2d(meas, masks, psf_values)
     scaled = result.estimate / grids.target_cell_measure
     truth = resolve_target(args.target, scene).values if args.target else None
     calibrated = reconstruct.calibrate_estimate(scaled, args.calibration, truth)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     cfg = scene.config
-    if scene.is_3d:
-        volume = calibrated.reshape(cfg.n_target_z, cfg.n_target_y, cfg.n_target_x)
-        for iz in range(cfg.n_target_z):
-            write_grid_image(out.with_name(f"{out.stem}_slice{iz}_re.pgm"), volume[iz].T.real)
-            write_grid_image(out.with_name(f"{out.stem}_slice{iz}_im.pgm"), volume[iz].T.imag)
-    else:
-        write_grid_image(out, calibrated.reshape(cfg.n_target_y, cfg.n_target_x).T)
+    grid_shape = (cfg.n_target_x, cfg.n_target_y) + ((cfg.n_target_z,) if scene.is_3d else ())
+    write_estimate_images(out, calibrated, grid_shape)
     if truth is not None:
         print(f"nmse = {reconstruct.nmse(truth, calibrated)!r}")
     print(f"estimate written -> {out}")

@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     KernelSizeError,
     KindMismatch,
+    MissingFile,
 )
 from .scene import PLANE_2D, VOLUME_3D, SampleGrids, ValidatedScene
 
@@ -277,8 +278,10 @@ def assemble_kernel(scene: ValidatedScene, grids: SampleGrids, entry_cap: int = 
 
 # --- disk cache ---------------------------------------------------------------
 #
-# One ASCII header line "kind=<kind> m=<M> n=<N> fingerprint=<hex>\n" followed
-# by row-major little-endian complex128 entries (re, im float64 pairs).
+# One ASCII header line of key=value pairs ("kind=<kind> m=<M> n=<N>
+# fingerprint=<hex>\n" for kernels) followed by row-major little-endian
+# complex128 entries (re, im float64 pairs). Mask and profile exports use the
+# same layout with ``count``/``points`` as the dimensions.
 
 
 def write_complex_file(path: str | Path, header: str, values: np.ndarray) -> None:
@@ -306,25 +309,40 @@ def save_kernel(path: str | Path, kernel: KernelMatrix) -> None:
     write_complex_file(path, header, kernel.entries)
 
 
-def load_kernel(path: str | Path, expected_fingerprint: str | None = None) -> KernelMatrix:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
-        body = fh.read()
+def read_complex_file(
+    path: str | Path, shape_keys: tuple[str, str]
+) -> tuple[str, str, np.ndarray]:
+    """Read a file written by :func:`write_complex_file`.
+
+    The header is ``key=value`` pairs that include ``kind``, ``fingerprint``
+    and the two integer dimensions named by ``shape_keys``; returns the kind,
+    the fingerprint and the read-only (rows, cols) complex128 body.
+    """
     try:
-        meta = dict(item.split("=", 1) for item in header.split())
-        kind = meta["kind"]
-        m, n = int(meta["m"]), int(meta["n"])
-        fp = meta["fingerprint"]
+        with open(path, "rb") as fh:
+            header = fh.readline()
+            body = fh.read()
+    except FileNotFoundError as exc:
+        raise MissingFile(f"no such file: {path}") from exc
+    try:
+        meta = dict(item.split("=", 1) for item in header.decode("ascii").split())
+        kind, fingerprint = meta["kind"], meta["fingerprint"]
+        rows, cols = (int(meta[key]) for key in shape_keys)
     except (KeyError, ValueError) as exc:
-        raise CacheMismatch(f"unreadable kernel header {header!r}") from exc
+        raise CacheMismatch(f"unreadable header {header!r} in {path}") from exc
+    if len(body) != 16 * rows * cols:
+        raise CacheMismatch(f"{path} body holds {len(body)} bytes, expected {16 * rows * cols}")
+    values = np.frombuffer(body, dtype="<c16").reshape(rows, cols).astype(np.complex128)
+    values.setflags(write=False)
+    return kind, fingerprint, values
+
+
+def load_kernel(path: str | Path, expected_fingerprint: str | None = None) -> KernelMatrix:
+    kind, fp, entries = read_complex_file(path, ("m", "n"))
     if kind not in (KIND_Z2D, KIND_Y3D):
         raise CacheMismatch(f"unknown kernel kind {kind!r}")
     if expected_fingerprint is not None and fp != expected_fingerprint:
         raise CacheMismatch(
             f"kernel cache fingerprint {fp} does not match the scene ({expected_fingerprint})"
         )
-    if len(body) != 16 * m * n:
-        raise CacheMismatch(f"kernel body holds {len(body)} bytes, expected {16 * m * n}")
-    entries = np.frombuffer(body, dtype="<c16").reshape(m, n).astype(np.complex128)
-    entries.setflags(write=False)
     return KernelMatrix(entries=entries, kind=kind, fingerprint=fp)

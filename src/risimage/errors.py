@@ -9,6 +9,10 @@ class MalformedConfig(ImagingError, ValueError):
     """A scene or plan file could not be parsed."""
 
 
+class MissingFile(ImagingError, FileNotFoundError):
+    """An input file named by the user does not exist."""
+
+
 class NonPositiveDimension(ImagingError, ValueError):
     """A length, wavelength, or power ratio that must be > 0 is not."""
 

@@ -10,14 +10,13 @@ covariance exactly (1/4) times the one-point indicator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .em_core import write_complex_file
+from .em_core import read_complex_file, write_complex_file
 from .errors import (
-    CacheMismatch,
     DimensionMismatch,
     EmptyMaskSet,
     InsufficientMeasurements,
@@ -37,57 +36,42 @@ PHASE_EXACT = "exact"
 class MaskSet:
     """Per-measurement mask vectors over the target samples.
 
-    ``ideal`` holds the designed masks; ``realized`` (filled by the synthesis
-    stage) holds the masks the aperture actually produces, with the
-    pre-normalisation solution norms in ``solution_norms``. The generating
+    ``vectors`` are the masks that get measured and correlated: the designed
+    masks from :func:`ideal_masks`, or the masks the aperture actually
+    produces once ``ris_synthesis.realize_masks`` has replaced them, with the
+    pre-normalisation solution norms in ``solution_norms``. ``amplitudes`` is
+    the designed {0,1} pattern of a set straight from :func:`ideal_masks`, and
+    None once ``vectors`` no longer follow it. The generating
     coefficient vectors are not kept: ``ris_synthesis.synthesis_profiles``
     forms them from the inverse when they are exported.
     """
 
     kind: str  # KIND_MASK2D | KIND_MASK3D
-    ideal: np.ndarray  # (I, M) complex128
+    vectors: np.ndarray  # (I, M) complex128
     phase: np.ndarray | None = None  # (M,) common phase profile (2D only)
-    ideal_amplitudes: np.ndarray | None = None  # (I, M) designed {0,1} pattern
-    realized: np.ndarray | None = None  # (I, M) complex128
+    amplitudes: np.ndarray | None = None  # (I, M) designed {0,1} pattern
     solution_norms: np.ndarray | None = None  # (I,)
 
     @property
     def count(self) -> int:
-        return self.ideal.shape[0]
+        return self.vectors.shape[0]
 
     @property
     def points(self) -> int:
-        return self.ideal.shape[1]
+        return self.vectors.shape[1]
 
-    def selected(self, use: str = "auto") -> np.ndarray:
-        """Pick the mask vectors a stage should work with.
-
-        ``auto`` prefers realized masks when present; measurement simulation
-        and reconstruction must use the same selection.
-        """
-        if use == "ideal":
-            return self.ideal
-        if use == "realized":
-            if self.realized is None:
-                raise EmptyMaskSet("no realized masks present")
-            return self.realized
-        if use == "auto":
-            return self.realized if self.realized is not None else self.ideal
-        raise ValueError(f"unknown mask selection {use!r}")
-
-    def amplitude_values(self, use: str = "auto") -> np.ndarray:
+    def amplitude_values(self) -> np.ndarray:
         """Values whose spread encodes the target: magnitudes for plane masks,
         the (possibly complex) coefficients themselves for volume masks.
 
         For designed plane masks the stored {0,1} pattern is returned directly
         so the quarter-delta covariance stays exact.
         """
-        vectors = self.selected(use)
         if self.kind != KIND_MASK2D:
-            return vectors
-        if vectors is self.ideal and self.ideal_amplitudes is not None:
-            return self.ideal_amplitudes
-        return np.abs(vectors)
+            return self.vectors
+        if self.amplitudes is not None:
+            return self.amplitudes
+        return np.abs(self.vectors)
 
 
 def hadamard(order: int) -> np.ndarray:
@@ -159,41 +143,27 @@ def design_phases_2d(
     )
 
 
-# Amplitude-pattern generators: (n_measurements, n_points) -> (I, M) array with
-# zero-mean, mutually orthogonal columns after the 2q-1 mapping. Hadamard is
-# the only shipped family; alternatives (Gaussian random, Fourier) can be
-# registered without touching the rest of the pipeline.
-AMPLITUDE_PATTERNS = {"hadamard": design_amplitudes}
-
-
 def ideal_masks(
     scene: ValidatedScene,
     grids: SampleGrids,
     n_measurements: int,
     phase_mode: str = PHASE_TAYLOR,
-    pattern: str = "hadamard",
 ) -> MaskSet:
     """Design the full ideal mask set for the scene's target kind."""
-    try:
-        generator = AMPLITUDE_PATTERNS[pattern]
-    except KeyError:
-        raise ValueError(
-            f"unknown amplitude pattern {pattern!r}; available: {sorted(AMPLITUDE_PATTERNS)}"
-        ) from None
-    amplitudes = generator(n_measurements, grids.target_points.shape[0])
+    amplitudes = design_amplitudes(n_measurements, grids.target_points.shape[0])
     amplitudes.setflags(write=False)
     if scene.is_3d:
-        ideal = amplitudes.astype(np.complex128)
+        vectors = amplitudes.astype(np.complex128)
         phase = None
     else:
         phase = design_phases_2d(scene, grids, phase_mode)
-        ideal = amplitudes * np.exp(1j * phase)[None, :]
-    ideal.setflags(write=False)
+        vectors = amplitudes * np.exp(1j * phase)[None, :]
+    vectors.setflags(write=False)
     kind = KIND_MASK3D if scene.is_3d else KIND_MASK2D
-    return MaskSet(kind=kind, ideal=ideal, phase=phase, ideal_amplitudes=amplitudes)
+    return MaskSet(kind=kind, vectors=vectors, phase=phase, amplitudes=amplitudes)
 
 
-def mask_covariance(masks: MaskSet, ref_index: int, use: str = "auto") -> np.ndarray:
+def mask_covariance(masks: MaskSet, ref_index: int) -> np.ndarray:
     """Empirical covariance of every mask point against a reference point.
 
     v_m = <u_i(m) u_i(m0)> - <u_i(m)> <u_i(m0)> over the measurement index,
@@ -202,60 +172,29 @@ def mask_covariance(masks: MaskSet, ref_index: int, use: str = "auto") -> np.nda
     """
     if masks.count == 0:
         raise EmptyMaskSet("mask set has no measurements")
-    u = masks.amplitude_values(use)
+    u = masks.amplitude_values()
     if not 0 <= ref_index < u.shape[1]:
         raise DimensionMismatch(f"reference index {ref_index} outside 0..{u.shape[1] - 1}")
     ref = u[:, ref_index]
     return (u * ref[:, None]).mean(axis=0) - u.mean(axis=0) * ref.mean()
 
 
-def with_realization(
-    masks: MaskSet,
-    realized: np.ndarray,
-    solution_norms: np.ndarray | None = None,
-) -> MaskSet:
-    """Copy of the set with realized vectors attached."""
-    if realized.shape != masks.ideal.shape:
-        raise DimensionMismatch(
-            f"realized shape {realized.shape} does not match ideal {masks.ideal.shape}"
-        )
-    realized = np.asarray(realized, dtype=np.complex128)
-    realized.setflags(write=False)
-    return replace(masks, realized=realized, solution_norms=solution_norms)
-
-
 # --- disk export ----------------------------------------------------------------
 #
-# One ASCII header line "kind=<kind> count=<I> points=<M> fingerprint=<hex>\n"
-# followed by the per-measurement vectors as little-endian complex128, one
-# vector set per file.
+# The ``em_core.write_complex_file`` layout with the header line
+# "kind=<kind> count=<I> points=<M> fingerprint=<hex>\n", one vector set per
+# file.
 
 
-def save_mask_vectors(
-    path: str | Path, masks: MaskSet, fingerprint: str, which: str = "ideal"
-) -> None:
-    vectors = masks.selected(which)
+def save_mask_vectors(path: str | Path, masks: MaskSet, fingerprint: str) -> None:
     header = (
         f"kind={masks.kind} count={masks.count} points={masks.points} "
         f"fingerprint={fingerprint}\n"
     )
-    write_complex_file(path, header, vectors)
+    write_complex_file(path, header, masks.vectors)
 
 
 def load_mask_vectors(path: str | Path) -> tuple[str, np.ndarray, str]:
     """Read one exported vector set; returns (kind, vectors, fingerprint)."""
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
-        body = fh.read()
-    try:
-        meta = dict(item.split("=", 1) for item in header.split())
-        kind = meta["kind"]
-        count, points = int(meta["count"]), int(meta["points"])
-        fp = meta["fingerprint"]
-    except (KeyError, ValueError) as exc:
-        raise CacheMismatch(f"unreadable mask header {header!r}") from exc
-    if len(body) != 16 * count * points:
-        raise CacheMismatch(f"mask body holds {len(body)} bytes, expected {16 * count * points}")
-    vectors = np.frombuffer(body, dtype="<c16").reshape(count, points).astype(np.complex128)
-    vectors.setflags(write=False)
+    kind, fp, vectors = read_complex_file(path, ("count", "points"))
     return kind, vectors, fp

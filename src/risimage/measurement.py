@@ -17,7 +17,7 @@ import numpy as np
 
 from .constants import VACUUM_PERMITTIVITY
 from .em_core import KIND_Y3D, KernelMatrix, psf_vector
-from .errors import DimensionMismatch, EmptySet, KindMismatch
+from .errors import DimensionMismatch, EmptySet, KindMismatch, MissingFile
 from .mask_design import KIND_MASK2D, MaskSet
 from .scene import PLANE_2D, VOLUME_3D, SampleGrids, ValidatedScene
 
@@ -71,19 +71,22 @@ def make_target_3d(contrast: np.ndarray, grid_shape: tuple[int, int, int]) -> Ta
 
 
 @dataclass(frozen=True)
-class MeasurementRecord:
-    """One simulated measurement.
+class Measurements:
+    """One simulated measurement set, one row per mask.
 
-    ``noisy`` is the detected magnitude for plane targets and the complex
-    field for volume targets; ``noiseless`` is always the complex field.
+    ``noisy`` holds detected magnitudes (float) for plane targets and complex
+    fields for volume targets; ``noiseless`` is always the complex field.
+    ``seeds`` are the per-row noise keys, and every row shares
+    ``noise_variance``.
     """
 
-    index: int
-    noiseless: complex
-    noisy: complex | float
+    noiseless: np.ndarray  # (I,) complex128
+    noisy: np.ndarray  # (I,) float64 or complex128
     noise_variance: float
-    snr_db: float | None
-    seed: int
+    seeds: np.ndarray  # (I,) int
+
+    def __len__(self) -> int:
+        return self.noisy.shape[0]
 
 
 def target_current_2d(realized_mask: np.ndarray, target: TargetModel) -> np.ndarray:
@@ -170,10 +173,9 @@ def noiseless_fields(
     grids: SampleGrids,
     masks: MaskSet,
     target: TargetModel,
-    use: str = "auto",
 ) -> np.ndarray:
     """Complex receiver field per measurement, without noise."""
-    vectors = masks.selected(use)
+    vectors = masks.vectors
     if vectors.shape[1] != target.n_points:
         raise DimensionMismatch(
             f"masks over {vectors.shape[1]} points do not match the {target.n_points}-point target"
@@ -197,17 +199,16 @@ def measure(
     snr_db: float | None,
     seed: int,
     noise_mode: str = NOISE_RELATIVE,
-    use: str = "auto",
     n0_dbm_per_hz: float = DEFAULT_N0_DBM_PER_HZ,
     bandwidth_hz: float = DEFAULT_BANDWIDTH_HZ,
-) -> list[MeasurementRecord]:
+) -> Measurements:
     """Simulate the full measurement set.
 
     ``snr_db=None`` disables noise. In ``relative`` mode the variance is set
     from the requested SNR against the simulated signal power; in ``absolute``
     mode it is the thermal power N0 * B. Deterministic under a fixed seed.
     """
-    fields = noiseless_fields(scene, grids, masks, target, use)
+    fields = noiseless_fields(scene, grids, masks, target)
     if snr_db is None:
         variance = 0.0
     elif noise_mode == NOISE_RELATIVE:
@@ -217,21 +218,19 @@ def measure(
     else:
         raise ValueError(f"unknown noise mode {noise_mode!r}")
 
-    magnitude_detector = masks.kind == KIND_MASK2D
-    records = []
-    for i, field in enumerate(fields):
-        noisy = complex(field) + (complex_noise(variance, seed, i) if variance > 0.0 else 0.0)
-        records.append(
-            MeasurementRecord(
-                index=i,
-                noiseless=complex(field),
-                noisy=float(abs(noisy)) if magnitude_detector else noisy,
-                noise_variance=float(variance),
-                snr_db=snr_db,
-                seed=seed ^ i,
-            )
-        )
-    return records
+    noise = np.zeros_like(fields)
+    if variance > 0.0:
+        noise[:] = [complex_noise(variance, seed, i) for i in range(fields.shape[0])]
+    noisy = fields + noise
+    if masks.kind == KIND_MASK2D:
+        # hypot matches Python's abs(complex) bit for bit; np.abs does not
+        noisy = np.hypot(noisy.real, noisy.imag)
+    return Measurements(
+        noiseless=fields,
+        noisy=noisy,
+        noise_variance=float(variance),
+        seeds=np.array([seed ^ i for i in range(fields.shape[0])]),
+    )
 
 
 # --- CSV export ------------------------------------------------------------------
@@ -239,49 +238,44 @@ def measure(
 _CSV_FIELDS = ["index", "re_noiseless", "im_noiseless", "value_noisy_or_re", "im_if_3d", "sigma2", "seed"]
 
 
-def records_to_csv(path: str | Path, records: list[MeasurementRecord]) -> None:
+def records_to_csv(path: str | Path, meas: Measurements) -> None:
     """RFC-4180 CSV; the noisy value is one column for magnitudes, two for fields."""
+    variance = repr(meas.noise_variance)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_FIELDS)
-        for rec in records:
-            if isinstance(rec.noisy, complex):
-                noisy_re, noisy_im = repr(rec.noisy.real), repr(rec.noisy.imag)
+        rows = zip(meas.noiseless.tolist(), meas.noisy.tolist(), meas.seeds.tolist())
+        for index, (noiseless, noisy, seed) in enumerate(rows):
+            if isinstance(noisy, complex):
+                noisy_re, noisy_im = repr(noisy.real), repr(noisy.imag)
             else:
-                noisy_re, noisy_im = repr(float(rec.noisy)), ""
+                noisy_re, noisy_im = repr(noisy), ""
             writer.writerow(
-                [
-                    rec.index,
-                    repr(rec.noiseless.real),
-                    repr(rec.noiseless.imag),
-                    noisy_re,
-                    noisy_im,
-                    repr(rec.noise_variance),
-                    rec.seed,
-                ]
+                [index, repr(noiseless.real), repr(noiseless.imag), noisy_re, noisy_im, variance, seed]
             )
 
 
-def records_from_csv(path: str | Path) -> list[MeasurementRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != _CSV_FIELDS:
-            raise EmptySet(f"unexpected measurement CSV header {reader.fieldnames!r}")
-        for row in reader:
-            noiseless = complex(float(row["re_noiseless"]), float(row["im_noiseless"]))
-            if row["im_if_3d"]:
-                noisy: complex | float = complex(float(row["value_noisy_or_re"]), float(row["im_if_3d"]))
-            else:
-                noisy = float(row["value_noisy_or_re"])
-            records.append(
-                MeasurementRecord(
-                    index=int(row["index"]),
-                    noiseless=noiseless,
-                    noisy=noisy,
-                    noise_variance=float(row["sigma2"]),
-                    snr_db=None,
-                    seed=int(row["seed"]),
-                )
-            )
-    return records
+def records_from_csv(path: str | Path) -> Measurements:
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames != _CSV_FIELDS:
+                raise EmptySet(f"unexpected measurement CSV header {reader.fieldnames!r}")
+            rows = list(reader)
+    except FileNotFoundError as exc:
+        raise MissingFile(f"no such measurement file: {path}") from exc
+    noisy = [
+        complex(float(row["value_noisy_or_re"]), float(row["im_if_3d"]))
+        if row["im_if_3d"]
+        else float(row["value_noisy_or_re"])
+        for row in rows
+    ]
+    return Measurements(
+        noiseless=np.array(
+            [complex(float(row["re_noiseless"]), float(row["im_noiseless"])) for row in rows],
+            dtype=np.complex128,
+        ),
+        noisy=np.array(noisy),
+        noise_variance=float(rows[0]["sigma2"]) if rows else 0.0,
+        seeds=np.array([int(row["seed"]) for row in rows]),
+    )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyMaskSet, KindMismatch, ZeroTruth
 from .mask_design import KIND_MASK2D, KIND_MASK3D, MaskSet
-from .measurement import MeasurementRecord
+from .measurement import Measurements
 from .scene import ValidatedScene
 
 CALIBRATE_NONE = "none"
@@ -28,16 +28,14 @@ _FLAG_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Estimated target grid plus quality metrics and run metadata."""
+    """Estimated target grid plus the mask variance and flags behind it."""
 
     estimate: np.ndarray  # (M,) float (plane) or complex (volume)
     c_values: np.ndarray  # (M,) empirical mask variance used
     flagged: np.ndarray  # (M,) bool, True where unreconstructable
-    nmse: float | None = None
-    metadata: dict | None = None
 
 
-def estimate_c(masks: MaskSet, use: str = "auto") -> np.ndarray:
+def estimate_c(masks: MaskSet) -> np.ndarray:
     """Empirical per-point mask variance: the diagonal of the mask covariance.
 
     Plain (unconjugated) products, as the correlation reconstruction demands;
@@ -45,11 +43,11 @@ def estimate_c(masks: MaskSet, use: str = "auto") -> np.ndarray:
     """
     if masks.count == 0:
         raise EmptyMaskSet("mask set has no measurements")
-    u = masks.amplitude_values(use)
+    u = masks.amplitude_values()
     return (u * u).mean(axis=0) - u.mean(axis=0) ** 2
 
 
-def zero_variance_flags(c_values: np.ndarray, masks: MaskSet | None = None, use: str = "auto") -> np.ndarray:
+def zero_variance_flags(c_values: np.ndarray, masks: MaskSet | None = None) -> np.ndarray:
     """True where the mask variance is (relatively) zero: point unreconstructable.
 
     The comparison scale is the mask second moment when the masks are given
@@ -58,21 +56,15 @@ def zero_variance_flags(c_values: np.ndarray, masks: MaskSet | None = None, use:
     magnitude = np.abs(np.asarray(c_values))
     scale = magnitude.max() if magnitude.size else 0.0
     if masks is not None and masks.count:
-        u = masks.amplitude_values(use)
+        u = masks.amplitude_values()
         scale = max(scale, float(np.mean(np.abs(u) ** 2, axis=0).max()))
     return magnitude <= _FLAG_RTOL * scale
 
 
-def _noisy_column(records: list[MeasurementRecord]) -> np.ndarray:
-    return np.asarray([rec.noisy for rec in records])
-
-
 def reconstruct_2d(
-    records: list[MeasurementRecord],
+    meas: Measurements,
     masks: MaskSet,
     psf_values: np.ndarray,
-    c_values: np.ndarray | None = None,
-    use: str = "auto",
 ) -> ReconstructionResult:
     """Recover a plane target's coverage map from detected magnitudes.
 
@@ -82,35 +74,32 @@ def reconstruct_2d(
     """
     if masks.kind != KIND_MASK2D:
         raise KindMismatch("reconstruct_2d needs plane masks")
-    if len(records) != masks.count:
-        raise DimensionMismatch(f"{len(records)} records for {masks.count} masks")
+    if len(meas) != masks.count:
+        raise DimensionMismatch(f"{len(meas)} measurements for {masks.count} masks")
     psf_values = np.asarray(psf_values)
     if psf_values.shape != (masks.points,):
         raise DimensionMismatch(
             f"PSF vector of shape {psf_values.shape} does not match M={masks.points}"
         )
-    amplitudes = masks.amplitude_values(use)
-    if c_values is None:
-        c_values = estimate_c(masks, use)
-    flagged = zero_variance_flags(c_values, masks, use)
+    amplitudes = masks.amplitude_values()
+    c_values = estimate_c(masks)
+    flagged = zero_variance_flags(c_values, masks)
 
-    detected = _noisy_column(records).astype(float)
+    detected = meas.noisy.astype(float)
     centred = detected - detected.mean()
     numerator = centred @ amplitudes
     estimate = np.zeros(masks.points)
     live = ~flagged
     estimate[live] = numerator[live] / (
-        len(records) * c_values[live].real * np.abs(psf_values[live])
+        len(meas) * c_values[live].real * np.abs(psf_values[live])
     )
-    return ReconstructionResult(estimate=estimate, c_values=np.asarray(c_values), flagged=flagged)
+    return ReconstructionResult(estimate=estimate, c_values=c_values, flagged=flagged)
 
 
 def reconstruct_3d(
     scene: ValidatedScene,
-    records: list[MeasurementRecord],
+    meas: Measurements,
     masks: MaskSet,
-    c_values: np.ndarray | None = None,
-    use: str = "auto",
 ) -> ReconstructionResult:
     """Recover a volume target's complex contrast from complex fields.
 
@@ -118,21 +107,20 @@ def reconstruct_3d(
     """
     if masks.kind != KIND_MASK3D:
         raise KindMismatch("reconstruct_3d needs volume masks")
-    if len(records) != masks.count:
-        raise DimensionMismatch(f"{len(records)} records for {masks.count} masks")
-    vectors = masks.amplitude_values(use)
-    if c_values is None:
-        c_values = estimate_c(masks, use)
-    flagged = zero_variance_flags(c_values, masks, use)
+    if len(meas) != masks.count:
+        raise DimensionMismatch(f"{len(meas)} measurements for {masks.count} masks")
+    vectors = masks.amplitude_values()
+    c_values = estimate_c(masks)
+    flagged = zero_variance_flags(c_values, masks)
 
-    fields = _noisy_column(records).astype(np.complex128)
+    fields = meas.noisy.astype(np.complex128)
     centred = fields - fields.mean()
     numerator = centred @ vectors
     estimate = np.zeros(masks.points, dtype=np.complex128)
     live = ~flagged
     k = scene.wavenumber
-    estimate[live] = numerator[live] / (len(records) * k**2 * c_values[live])
-    return ReconstructionResult(estimate=estimate, c_values=np.asarray(c_values), flagged=flagged)
+    estimate[live] = numerator[live] / (len(meas) * k**2 * c_values[live])
+    return ReconstructionResult(estimate=estimate, c_values=c_values, flagged=flagged)
 
 
 def nmse(truth: np.ndarray, estimate: np.ndarray, include: np.ndarray | None = None) -> float:

@@ -16,14 +16,20 @@ are formed only when they are exported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .em_core import KIND_Y3D, KIND_Z2D, KernelMatrix, write_complex_file
-from .errors import DimensionMismatch, KindMismatch, SvdFailure, ZeroSolution
-from .mask_design import KIND_MASK2D, KIND_MASK3D, MaskSet, with_realization
+from .errors import (
+    DimensionMismatch,
+    KindMismatch,
+    NonPositiveDimension,
+    SvdFailure,
+    ZeroSolution,
+)
+from .mask_design import KIND_MASK2D, KIND_MASK3D, MaskSet
 
 TRUNCATE_SIGMA_SQ = "sigma_sq"  # drop modes with sigma^2 < factor * gamma (default)
 TRUNCATE_SIGMA = "sigma"  # drop modes with sigma < factor * gamma (literal reading)
@@ -95,7 +101,7 @@ def tikhonov_inverse(
     outright; raising ``threshold_factor`` can only shrink the retained rank.
     """
     if not gamma > 0.0:
-        raise ValueError(f"regularization weight must be > 0, got {gamma!r}")
+        raise NonPositiveDimension(f"regularization weight must be > 0, got {gamma!r}")
     if truncation_mode not in (TRUNCATE_SIGMA_SQ, TRUNCATE_SIGMA):
         raise ValueError(f"unknown truncation mode {truncation_mode!r}")
     try:
@@ -160,37 +166,35 @@ def _require_nonzero(norms: np.ndarray) -> None:
         raise ZeroSolution(f"mask {int(zero[0])} lies outside the retained kernel range")
 
 
-def realize_masks(
-    kernel: KernelMatrix,
-    inv: RegularizedInverse,
-    masks: MaskSet,
-    amplification: float,
-) -> MaskSet:
-    """Record the masks that power-normalised synthesized profiles produce.
+def realize_masks(inv: RegularizedInverse, masks: MaskSet, amplification: float) -> MaskSet:
+    """The masks that power-normalised synthesized profiles produce.
 
     Works in the target-side range space: with c = U^H b per ideal mask b, the
     solution norm is ||lambda c|| and the realized mask is
-    U diag(sigma lambda) c scaled onto the power budget.
+    U diag(sigma lambda) c scaled onto the power budget. Returns a new set
+    whose ``vectors`` are the realized masks.
     """
-    if _KERNEL_TO_MASK_KIND.get(kernel.kind) != masks.kind:
-        raise KindMismatch(f"kernel kind {kernel.kind!r} cannot realize {masks.kind!r} masks")
-    n_samples = kernel.entries.shape[1]
-    coeffs = inv.u.conj().T @ masks.ideal.T  # (K, I)
+    kind = inv.kernel.kind
+    if _KERNEL_TO_MASK_KIND.get(kind) != masks.kind:
+        raise KindMismatch(f"kernel kind {kind!r} cannot realize {masks.kind!r} masks")
+    n_samples = inv.kernel.entries.shape[1]
+    coeffs = inv.u.conj().T @ masks.vectors.T  # (K, I)
     norms = np.linalg.norm(inv.inv_sigma[:, None] * coeffs, axis=0)
     _require_nonzero(norms)
     scale = np.sqrt(n_samples * amplification) / norms
-    realized = (inv.u @ ((inv.sigma * inv.inv_sigma)[:, None] * coeffs)) * scale[None, :]
-    return with_realization(masks, realized=realized.T, solution_norms=norms)
+    realized = ((inv.u @ ((inv.sigma * inv.inv_sigma)[:, None] * coeffs)) * scale[None, :]).T
+    realized.setflags(write=False)
+    return replace(masks, vectors=realized, amplitudes=None, solution_norms=norms)
 
 
 def synthesis_profiles(inv: RegularizedInverse, masks: MaskSet, amplification: float) -> np.ndarray:
-    """Power-normalised coefficient vectors (I, N) realizing each ideal mask.
+    """Power-normalised coefficient vectors (I, N) realizing each mask of ``masks``.
 
-    Each row has ||p||^2 = N * amplification; K p is the matching row of the
-    masks recorded by :func:`realize_masks`.
+    Each row has ||p||^2 = N * amplification; for the ideal set, K p is the
+    matching row of the masks returned by :func:`realize_masks`.
     """
     n_samples = inv.kernel.entries.shape[1]
-    solutions = inv.apply(masks.ideal.T)  # (N, I)
+    solutions = inv.apply(masks.vectors.T)  # (N, I)
     norms = np.linalg.norm(solutions, axis=0)
     _require_nonzero(norms)
     return (np.sqrt(n_samples * amplification) * solutions / norms[None, :]).T
@@ -216,7 +220,8 @@ def save_profiles(
     amplification: float,
     fingerprint: str,
 ) -> None:
-    """Per-measurement coefficient vectors, same binary layout as mask exports."""
+    """Per-measurement coefficient vectors realizing the ideal ``masks``, same
+    binary layout as mask exports."""
     profiles = synthesis_profiles(inv, masks, amplification)
     count, n = profiles.shape
     header = f"kind=profiles count={count} points={n} fingerprint={fingerprint}\n"
@@ -224,7 +229,11 @@ def save_profiles(
 
 
 def write_synthesis_summary(
-    path: str | Path, inv: RegularizedInverse, masks: MaskSet, amplification: float
+    path: str | Path,
+    inv: RegularizedInverse,
+    ideal: MaskSet,
+    realized: MaskSet,
+    amplification: float,
 ) -> None:
     """Human-readable record: retained rank, gamma, singular-value range, mask
     fidelity, and per-mask solution norms.
@@ -233,6 +242,9 @@ def write_synthesis_summary(
     per mask: how far the unnormalised realized mask misses the ideal one.
     """
     retained = inv.sigma[inv.inv_sigma > 0.0]
+    budget = np.sqrt(inv.kernel.entries.shape[1] * amplification)
+    fitted = realized.vectors * (realized.solution_norms / budget)[:, None]
+    rel_err = np.linalg.norm(fitted - ideal.vectors, axis=1) / np.linalg.norm(ideal.vectors, axis=1)
     lines = [
         f"retained_rank = {inv.retained_rank}",
         f"gamma = {inv.gamma!r}",
@@ -240,14 +252,8 @@ def write_synthesis_summary(
         f"truncation_mode = {inv.truncation_mode}",
         f"sigma_max = {float(inv.sigma[0])!r}",
         f"sigma_min_retained = {float(retained.min()) if retained.size else 0.0!r}",
+        f"realized_rel_err_mean = {float(rel_err.mean())!r}",
+        f"realized_rel_err_max = {float(rel_err.max())!r}",
     ]
-    if masks.solution_norms is not None:  # set together with ``realized``
-        budget = np.sqrt(inv.kernel.entries.shape[1] * amplification)
-        fitted = masks.realized * (masks.solution_norms / budget)[:, None]
-        rel_err = np.linalg.norm(fitted - masks.ideal, axis=1) / np.linalg.norm(masks.ideal, axis=1)
-        lines.append(f"realized_rel_err_mean = {float(rel_err.mean())!r}")
-        lines.append(f"realized_rel_err_max = {float(rel_err.max())!r}")
-        lines.extend(
-            f"solution_norm[{i}] = {norm!r}" for i, norm in enumerate(masks.solution_norms)
-        )
+    lines.extend(f"solution_norm[{i}] = {norm!r}" for i, norm in enumerate(realized.solution_norms))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -32,10 +32,18 @@ from .scene import (
     validate_scene,
     with_target_distance,
 )
-from .targets import resolve_target, write_grid_image
+from .targets import check_target_spec, resolve_target, write_grid_image
 
 METRICS_FIELDS = ["I", "snr_db", "z_prime", "gamma", "nmse", "retained_rank", "seed"]
 TIMINGS_FIELDS = ["I", "snr_db", "z_prime", "wall_ms"]
+
+# Allowed values of the plan's mode options.
+PLAN_MODES = {
+    "calibration": (reconstruct.CALIBRATE_NONE, reconstruct.CALIBRATE_MAX1, reconstruct.CALIBRATE_LSQ),
+    "noise_mode": (measurement.NOISE_RELATIVE, measurement.NOISE_ABSOLUTE),
+    "phase_mode": (mask_design.PHASE_TAYLOR, mask_design.PHASE_EXACT),
+    "truncation_mode": (ris_synthesis.TRUNCATE_SIGMA_SQ, ris_synthesis.TRUNCATE_SIGMA),
+}
 
 
 def default_gamma(z_prime: float) -> float:
@@ -83,6 +91,12 @@ class ExperimentPlan:
             raise MalformedConfig("workers must be >= 1")
         if self.seed < 0:
             raise MalformedConfig(f"seed must be >= 0, got {self.seed}")
+        check_target_spec(self.target)
+        if self.gamma is not None and not self.gamma > 0.0:
+            raise MalformedConfig(f"gamma must be > 0, got {self.gamma!r}")
+        for key, allowed in PLAN_MODES.items():
+            if getattr(self, key) not in allowed:
+                raise MalformedConfig(f"{key} must be one of {allowed}, got {getattr(self, key)!r}")
 
 
 @dataclass
@@ -177,7 +191,7 @@ def _prepare_point(plan: ExperimentPlan, cache: PipelineCache, point: PointResul
     masks = cache.ideal[mask_key]
 
     if plan.ideal_masks:
-        return scene, grids, target, masks, "ideal", None
+        return scene, grids, target, masks, None
 
     inv_key = (fp, point.gamma, plan.threshold_factor, plan.truncation_mode)
     if inv_key not in cache.inverses:
@@ -190,9 +204,9 @@ def _prepare_point(plan: ExperimentPlan, cache: PipelineCache, point: PointResul
     realized_key = mask_key + (point.gamma, plan.threshold_factor, plan.truncation_mode)
     if realized_key not in cache.realized:
         cache.realized[realized_key] = ris_synthesis.realize_masks(
-            cache.kernels[fp], inv, masks, scene.config.amplification
+            inv, masks, scene.config.amplification
         )
-    return scene, grids, target, cache.realized[realized_key], "realized", inv
+    return scene, grids, target, cache.realized[realized_key], inv
 
 
 def _execute_point(
@@ -203,10 +217,9 @@ def _execute_point(
     grids: SampleGrids,
     target: TargetModel,
     masks: MaskSet,
-    use: str,
     inv: ris_synthesis.RegularizedInverse | None,
 ) -> None:
-    records = measurement.measure(
+    meas = measurement.measure(
         scene,
         grids,
         masks,
@@ -214,16 +227,13 @@ def _execute_point(
         point.snr_db,
         point.seed,
         noise_mode=plan.noise_mode,
-        use=use,
         n0_dbm_per_hz=plan.n0_dbm_per_hz,
         bandwidth_hz=plan.bandwidth_hz,
     )
     if scene.is_3d:
-        result = reconstruct.reconstruct_3d(scene, records, masks, use=use)
+        result = reconstruct.reconstruct_3d(scene, meas, masks)
     else:
-        result = reconstruct.reconstruct_2d(
-            records, masks, cache.psf[scene.fingerprint], use=use
-        )
+        result = reconstruct.reconstruct_2d(meas, masks, cache.psf[scene.fingerprint])
     # Remove the known physical cell measure before any calibration.
     scaled = result.estimate / grids.target_cell_measure
     calibrated = reconstruct.calibrate_estimate(scaled, plan.calibration, target.values)
@@ -303,7 +313,9 @@ def run_plan(plan: ExperimentPlan) -> RunResult:
         (run_dir / "errors.log").write_text("\n".join(errors) + "\n")
     for point in points:
         if point.estimate is not None:
-            _write_estimate_images(run_dir, point)
+            write_estimate_images(
+                run_dir / f"estimate_{point.index:03d}.pgm", point.estimate, point.grid_shape
+            )
     if plan.keep_artifacts:
         _export_artifacts(run_dir, cache)
     return RunResult(run_dir=run_dir, points=points, kernel_builds=cache.kernel_builds)
@@ -356,41 +368,41 @@ def _write_timings(path: Path, points: list[PointResult]) -> None:
             )
 
 
-def _write_estimate_images(run_dir: Path, point: PointResult) -> None:
-    shape = point.grid_shape
-    stem = f"estimate_{point.index:03d}"
-    if len(shape) == 2:
-        grid = point.estimate.reshape(shape[1], shape[0]).T  # back to [ix, iy]
-        write_grid_image(run_dir / f"{stem}.pgm", grid)
+def write_estimate_images(path: Path, estimate: np.ndarray, grid_shape: tuple[int, ...]) -> None:
+    """Write a flat estimate as grey-level images.
+
+    A plane grid (nx, ny) goes to ``path`` itself; a volume (nx, ny, nz) goes
+    to ``<stem>_slice<iz>_re.pgm`` and ``_im.pgm`` beside it, one pair per slice.
+    """
+    if len(grid_shape) == 2:
+        nx, ny = grid_shape
+        write_grid_image(path, estimate.reshape(ny, nx).T)  # back to [ix, iy]
         return
-    nx, ny, nz = shape
-    volume = point.estimate.reshape(nz, ny, nx)
+    nx, ny, nz = grid_shape
+    volume = estimate.reshape(nz, ny, nx)
     for iz in range(nz):
         slice_grid = volume[iz].T  # [ix, iy]
-        write_grid_image(run_dir / f"{stem}_slice{iz}_re.pgm", slice_grid.real)
-        write_grid_image(run_dir / f"{stem}_slice{iz}_im.pgm", slice_grid.imag)
+        write_grid_image(path.with_name(f"{path.stem}_slice{iz}_re.pgm"), slice_grid.real)
+        write_grid_image(path.with_name(f"{path.stem}_slice{iz}_im.pgm"), slice_grid.imag)
 
 
 def _export_artifacts(run_dir: Path, cache: PipelineCache) -> None:
     artifact_dir = run_dir / "artifacts"
     artifact_dir.mkdir(exist_ok=True)
     for (fp, count, _phase), masks in cache.ideal.items():
-        mask_design.save_mask_vectors(
-            artifact_dir / f"masks_ideal_{fp[:16]}_I{count}.bin", masks, fp, which="ideal"
-        )
-    for key, masks in cache.realized.items():
+        mask_design.save_mask_vectors(artifact_dir / f"masks_ideal_{fp[:16]}_I{count}.bin", masks, fp)
+    for key, realized in cache.realized.items():
         fp, count = key[0], key[1]
         stem = f"{fp[:16]}_I{count}"
-        mask_design.save_mask_vectors(
-            artifact_dir / f"masks_realized_{stem}.bin", masks, fp, which="realized"
-        )
+        mask_design.save_mask_vectors(artifact_dir / f"masks_realized_{stem}.bin", realized, fp)
+        ideal = cache.ideal[key[:3]]
         inv = cache.inverses[(fp,) + key[3:]]
         amplification = cache.scenes[fp].config.amplification
         ris_synthesis.save_profiles(
-            artifact_dir / f"profiles_{stem}.bin", inv, masks, amplification, fp
+            artifact_dir / f"profiles_{stem}.bin", inv, ideal, amplification, fp
         )
         ris_synthesis.write_synthesis_summary(
-            artifact_dir / f"synthesis_{stem}.txt", inv, masks, amplification
+            artifact_dir / f"synthesis_{stem}.txt", inv, ideal, realized, amplification
         )
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedImage, MalformedVolume, SizeMismatch
+from .errors import MalformedImage, MalformedVolume, MissingFile, SizeMismatch
 from .measurement import TargetModel, contrast_from_materials, make_target_2d, make_target_3d
 from .scene import ValidatedScene
 
@@ -192,10 +192,17 @@ def builtin_target(name: str, scene: ValidatedScene) -> TargetModel:
     return make_target_3d(contrast, (cfg.n_target_x, cfg.n_target_y, cfg.n_target_z))
 
 
+def check_target_spec(spec: str) -> None:
+    """Raise :class:`MissingFile` unless ``spec`` is a built-in name or a file."""
+    if spec not in BUILTIN_NAMES and not Path(spec).is_file():
+        raise MissingFile(f"target {spec!r} is neither a built-in name {BUILTIN_NAMES} nor a file")
+
+
 def resolve_target(spec: str, scene: ValidatedScene) -> TargetModel:
     """Target from a built-in name or a file path (.pgm image or volume text)."""
     if spec in BUILTIN_NAMES:
         return builtin_target(spec, scene)
+    check_target_spec(spec)
     path = Path(spec)
     if scene.is_3d and path.suffix != ".pgm":
         return load_target_3d(path, scene)

@@ -82,16 +82,16 @@ class DeskPipeline:
             scene, grids = self.scene(z_prime)
             kernel, inverse = self.inverse(z_prime)
             masks = md.ideal_masks(scene, grids, count)
-            self.realized[key] = rs.realize_masks(kernel, inverse, masks, 1.0)
+            self.realized[key] = rs.realize_masks(inverse, masks, 1.0)
         return self.realized[key]
 
     def nmse(self, z_prime, count, snr_db, seed, target_name="block"):
         scene, grids = self.scene(z_prime)
         masks = self.synthesized(z_prime, count)
         target = tg.builtin_target(target_name, scene)
-        records = ms.measure(scene, grids, masks, target, snr_db, seed)
+        meas = ms.measure(scene, grids, masks, target, snr_db, seed)
         psf = em.psf_vector(scene, grids.target_points)
-        result = rc.reconstruct_2d(records, masks, psf)
+        result = rc.reconstruct_2d(meas, masks, psf)
         calibrated = rc.calibrate_estimate(
             result.estimate / grids.target_cell_measure, rc.CALIBRATE_LSQ, target.values
         )
@@ -272,8 +272,8 @@ def test_c05_ideal_mask_exact_recovery(tmp_path):
             if not values.any():
                 continue
             target = ms.make_target_2d(values, (n, n))
-            records = ms.measure(scene, grids, masks, target, None, 0, use="ideal")
-            result = rc.reconstruct_2d(records, masks, psf, use="ideal")
+            meas = ms.measure(scene, grids, masks, target, None, 0)
+            result = rc.reconstruct_2d(meas, masks, psf)
             calibrated = rc.calibrate_estimate(result.estimate, rc.CALIBRATE_MAX1)
             worst_2d = max(worst_2d, rc.nmse(values, calibrated))
 
@@ -317,8 +317,8 @@ def test_c05_ideal_mask_exact_recovery(tmp_path):
     double[[2, 7]] = [1.5 - 0.5j, 0.75 + 0.25j]
     for chi in (single, double):
         target = ms.make_target_3d(chi, (2, 2, 2))
-        records = ms.measure(scene3, grids3, masks3, target, None, 0, use="ideal")
-        result = rc.reconstruct_3d(scene3, records, masks3, use="ideal")
+        meas = ms.measure(scene3, grids3, masks3, target, None, 0)
+        result = rc.reconstruct_3d(scene3, meas, masks3)
         worst_3d = max(worst_3d, rc.nmse(chi, result.estimate / grids3.target_cell_measure))
 
     ok = worst_2d < 1e-6 and code == 0 and cli_nmse < 1e-6 and worst_3d < 1e-6
@@ -386,7 +386,7 @@ def test_c09_mask_scaling_invariance(desk):
     z_prime = DESK_Z_VALUES[0]
     scene, grids = desk.scene(z_prime)
     masks = desk.synthesized(z_prime, 256)
-    scaled = md.MaskSet(kind=masks.kind, ideal=masks.ideal, realized=3.7 * masks.realized)
+    scaled = md.MaskSet(kind=masks.kind, vectors=3.7 * masks.vectors)
     target = tg.builtin_target("block", scene)
     psf = em.psf_vector(scene, grids.target_points)
     records_base = ms.measure(scene, grids, masks, target, 20.0, seed=0)

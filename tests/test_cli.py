@@ -348,6 +348,66 @@ class TestBadInput:
         assert cli.main(["sweep", "--plan", str(plan_path)]) == 2
         assert "MalformedConfig" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "calibration = peak",
+            "noise_mode = loud",
+            "phase_mode = cubic",
+            "truncation_mode = soft",
+            "gamma = -1",
+        ],
+    )
+    def test_bad_plan_value(self, scene_file, tmp_path, capsys, entry):
+        plan_path = tmp_path / "plan.cfg"
+        plan_path.write_text(f"scene = {scene_file.name}\n{entry}\noutput_dir = {tmp_path / 'p'}\n")
+        assert cli.main(["sweep", "--plan", str(plan_path)]) == 2
+        assert "MalformedConfig" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb, error",
+        [("run", "MalformedConfig"), ("measure", "NonPositiveDimension"), ("synthesize", "NonPositiveDimension")],
+    )
+    def test_negative_gamma_flag(self, scene_file, tmp_path, capsys, verb, error):
+        code = cli.main(
+            [verb, "--scene", str(scene_file), "-I", "128", "--gamma", "-1", "--output", str(tmp_path / "g")]
+        )
+        assert code == 2
+        assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["run", "measure"])
+    def test_missing_target_file(self, scene_file, tmp_path, capsys, verb):
+        missing = tmp_path / "absent.pgm"
+        code = cli.main(
+            [verb, "--scene", str(scene_file), "-I", "128", "--target", str(missing), "--output", str(tmp_path / "t")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "MissingFile" in err and str(missing) in err
+
+    @pytest.mark.parametrize("flag", ["--records", "--masks"])
+    def test_missing_reconstruct_input(self, scene_file, tmp_path, capsys, flag):
+        common = ["--scene", str(scene_file), "-I", "128"]
+        inputs = {"--records": tmp_path / "records.csv", "--masks": tmp_path / "masks.bin"}
+        assert cli.main(["measure", *common, "--ideal-masks", "--output", str(inputs["--records"])]) == 0
+        assert cli.main(["masks", *common, "--output", str(inputs["--masks"])]) == 0
+        missing = inputs[flag] = tmp_path / "absent"
+        code = cli.main(
+            [
+                "reconstruct",
+                *common,
+                "--records",
+                str(inputs["--records"]),
+                "--masks",
+                str(inputs["--masks"]),
+                "--output",
+                str(tmp_path / "estimate.pgm"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "MissingFile" in err and str(missing) in err
+
 
 class TestRunnerInternals:
     def test_truncated_kernel_cache_is_rebuilt(self, scene_file, tmp_path):

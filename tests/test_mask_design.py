@@ -132,25 +132,20 @@ class TestIdealMasks:
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128)
         q = md.design_amplitudes(128, scene.n_target)
-        np.testing.assert_allclose(np.abs(masks.ideal), q, atol=1e-15)
+        np.testing.assert_allclose(np.abs(masks.vectors), q, atol=1e-15)
 
     def test_volume_masks_are_binary_real(self, volume_scene):
         scene, grids = volume_scene
         masks = md.ideal_masks(scene, grids, 16)
         assert masks.kind == md.KIND_MASK3D
-        np.testing.assert_array_equal(masks.ideal.imag, 0.0)
-        assert set(np.unique(masks.ideal.real)) == {0.0, 1.0}
+        np.testing.assert_array_equal(masks.vectors.imag, 0.0)
+        assert set(np.unique(masks.vectors.real)) == {0.0, 1.0}
 
     def test_deterministic(self, small_scene):
         scene, grids = small_scene
         a = md.ideal_masks(scene, grids, 128)
         b = md.ideal_masks(scene, grids, 128)
-        assert a.ideal.tobytes() == b.ideal.tobytes()
-
-    def test_unknown_pattern_family_rejected(self, small_scene):
-        scene, grids = small_scene
-        with pytest.raises(ValueError, match="hadamard"):
-            md.ideal_masks(scene, grids, 128, pattern="gaussian")
+        assert a.vectors.tobytes() == b.vectors.tobytes()
 
 
 class TestMaskCovariance:
@@ -164,19 +159,13 @@ class TestMaskCovariance:
             np.testing.assert_array_equal(cov, expected)
 
     def test_constant_masks_give_zero(self):
-        masks = md.MaskSet(kind=md.KIND_MASK2D, ideal=np.full((16, 5), 0.75 + 0.0j))
+        masks = md.MaskSet(kind=md.KIND_MASK2D, vectors=np.full((16, 5), 0.75 + 0.0j))
         np.testing.assert_array_equal(md.mask_covariance(masks, 2), np.zeros(5))
 
     def test_empty_set_rejected(self):
-        masks = md.MaskSet(kind=md.KIND_MASK2D, ideal=np.empty((0, 4), dtype=complex))
+        masks = md.MaskSet(kind=md.KIND_MASK2D, vectors=np.empty((0, 4), dtype=complex))
         with pytest.raises(EmptyMaskSet):
             md.mask_covariance(masks, 0)
-
-    def test_missing_realization_rejected(self, small_scene):
-        scene, grids = small_scene
-        masks = md.ideal_masks(scene, grids, 128)
-        with pytest.raises(EmptyMaskSet):
-            md.mask_covariance(masks, 0, use="realized")
 
 
 @settings(max_examples=20, deadline=None)
@@ -200,8 +189,8 @@ class TestMaskExport:
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128)
         path = tmp_path / "masks.bin"
-        md.save_mask_vectors(path, masks, scene.fingerprint, which="ideal")
+        md.save_mask_vectors(path, masks, scene.fingerprint)
         kind, vectors, fp = md.load_mask_vectors(path)
         assert kind == md.KIND_MASK2D
         assert fp == scene.fingerprint
-        np.testing.assert_array_equal(vectors, masks.ideal)
+        np.testing.assert_array_equal(vectors, masks.vectors)

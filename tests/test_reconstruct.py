@@ -1,5 +1,7 @@
 """Correlation reconstruction, NMSE, calibration, and their invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,10 +16,10 @@ from risimage.errors import DimensionMismatch, ZeroTruth
 from conftest import small_config
 
 
-def run_2d(scene, grids, masks, target, snr_db=None, seed=0, use="ideal"):
-    records = ms.measure(scene, grids, masks, target, snr_db, seed, use=use)
+def run_2d(scene, grids, masks, target, snr_db=None, seed=0):
+    meas = ms.measure(scene, grids, masks, target, snr_db, seed)
     psf = em.psf_vector(scene, grids.target_points)
-    return records, rc.reconstruct_2d(records, masks, psf, use=use)
+    return meas, rc.reconstruct_2d(meas, masks, psf)
 
 
 class TestEstimateC:
@@ -27,7 +29,7 @@ class TestEstimateC:
         np.testing.assert_array_equal(rc.estimate_c(masks), np.full(scene.n_target, 0.25))
 
     def test_constant_masks_flag_every_point(self):
-        masks = md.MaskSet(kind=md.KIND_MASK2D, ideal=np.full((16, 6), 0.75 + 0.0j))
+        masks = md.MaskSet(kind=md.KIND_MASK2D, vectors=np.full((16, 6), 0.75 + 0.0j))
         c = rc.estimate_c(masks)
         np.testing.assert_array_equal(c, 0.0)
         assert rc.zero_variance_flags(c, masks).all()
@@ -35,7 +37,7 @@ class TestEstimateC:
     def test_scaling_masks_scales_c_quadratically(self, small_scene):
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128)
-        scaled = md.MaskSet(kind=md.KIND_MASK2D, ideal=3.0 * masks.ideal)
+        scaled = md.MaskSet(kind=md.KIND_MASK2D, vectors=3.0 * masks.vectors)
         np.testing.assert_allclose(rc.estimate_c(scaled), 9.0 * rc.estimate_c(masks), rtol=1e-12)
 
 
@@ -56,12 +58,11 @@ class TestReconstruct2d:
     def test_equal_measurements_give_zero_grid(self, small_scene):
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128)
-        records = [
-            ms.MeasurementRecord(index=i, noiseless=1 + 0j, noisy=2.5, noise_variance=0.0, snr_db=None, seed=i)
-            for i in range(128)
-        ]
+        meas = ms.Measurements(
+            noiseless=np.full(128, 1 + 0j), noisy=np.full(128, 2.5), noise_variance=0.0, seeds=np.arange(128)
+        )
         psf = em.psf_vector(scene, grids.target_points)
-        result = rc.reconstruct_2d(records, masks, psf, use="ideal")
+        result = rc.reconstruct_2d(meas, masks, psf)
         np.testing.assert_array_equal(result.estimate, 0.0)
 
     def test_affine_in_measurement_scale(self, small_scene):
@@ -69,13 +70,10 @@ class TestReconstruct2d:
         masks = md.ideal_masks(scene, grids, 128, phase_mode=md.PHASE_EXACT)
         values = (np.arange(scene.n_target) % 3 == 0).astype(float)
         target = ms.make_target_2d(values, (8, 8))
-        records, base = run_2d(scene, grids, masks, target)
-        scaled_records = [
-            ms.MeasurementRecord(r.index, r.noiseless, 4.0 * r.noisy, r.noise_variance, r.snr_db, r.seed)
-            for r in records
-        ]
+        meas, base = run_2d(scene, grids, masks, target)
+        scaled_meas = dataclasses.replace(meas, noisy=4.0 * meas.noisy)
         psf = em.psf_vector(scene, grids.target_points)
-        scaled = rc.reconstruct_2d(scaled_records, masks, psf, use="ideal")
+        scaled = rc.reconstruct_2d(scaled_meas, masks, psf)
         np.testing.assert_allclose(scaled.estimate, 4.0 * base.estimate, rtol=1e-12)
 
     def test_mean_shift_invariance(self, small_scene):
@@ -83,13 +81,10 @@ class TestReconstruct2d:
         masks = md.ideal_masks(scene, grids, 128, phase_mode=md.PHASE_EXACT)
         values = (np.arange(scene.n_target) % 5 == 1).astype(float)
         target = ms.make_target_2d(values, (8, 8))
-        records, base = run_2d(scene, grids, masks, target)
-        shifted_records = [
-            ms.MeasurementRecord(r.index, r.noiseless, r.noisy + 11.0, r.noise_variance, r.snr_db, r.seed)
-            for r in records
-        ]
+        meas, base = run_2d(scene, grids, masks, target)
+        shifted_meas = dataclasses.replace(meas, noisy=meas.noisy + 11.0)
         psf = em.psf_vector(scene, grids.target_points)
-        shifted = rc.reconstruct_2d(shifted_records, masks, psf, use="ideal")
+        shifted = rc.reconstruct_2d(shifted_meas, masks, psf)
         np.testing.assert_allclose(shifted.estimate, base.estimate, atol=1e-12 * np.abs(base.estimate).max())
 
     def test_mask_rescaling_invariance(self, small_scene):
@@ -100,15 +95,15 @@ class TestReconstruct2d:
         from risimage import ris_synthesis as rs
 
         inv = rs.tikhonov_inverse(kernel, 1e-12)
-        masks = rs.realize_masks(kernel, inv, md.ideal_masks(scene, grids, 128), 1.0)
-        scaled = md.MaskSet(kind=masks.kind, ideal=masks.ideal, realized=3.7 * masks.realized)
+        masks = rs.realize_masks(inv, md.ideal_masks(scene, grids, 128), 1.0)
+        scaled = md.MaskSet(kind=masks.kind, vectors=3.7 * masks.vectors)
         values = (np.arange(scene.n_target) % 4 == 2).astype(float)
         target = ms.make_target_2d(values, (8, 8))
         psf = em.psf_vector(scene, grids.target_points)
-        rec_a = ms.measure(scene, grids, masks, target, 20.0, seed=3, use="realized")
-        rec_b = ms.measure(scene, grids, scaled, target, 20.0, seed=3, use="realized")
-        est_a = rc.reconstruct_2d(rec_a, masks, psf, use="realized").estimate
-        est_b = rc.reconstruct_2d(rec_b, scaled, psf, use="realized").estimate
+        rec_a = ms.measure(scene, grids, masks, target, 20.0, seed=3)
+        rec_b = ms.measure(scene, grids, scaled, target, 20.0, seed=3)
+        est_a = rc.reconstruct_2d(rec_a, masks, psf).estimate
+        est_b = rc.reconstruct_2d(rec_b, scaled, psf).estimate
         np.testing.assert_allclose(est_b, est_a, rtol=1e-12)
 
     def test_record_count_mismatch(self, small_scene):
@@ -116,7 +111,13 @@ class TestReconstruct2d:
         masks = md.ideal_masks(scene, grids, 128)
         psf = em.psf_vector(scene, grids.target_points)
         with pytest.raises(DimensionMismatch):
-            rc.reconstruct_2d([], masks, psf)
+            rc.reconstruct_2d(
+                ms.Measurements(
+                    noiseless=np.zeros(0, complex), noisy=np.zeros(0), noise_variance=0.0, seeds=np.zeros(0, int)
+                ),
+                masks,
+                psf,
+            )
 
 
 @settings(max_examples=15, deadline=None)
@@ -136,9 +137,9 @@ def test_arbitrary_binary_targets_recovered_exactly(data):
     )
     values = np.array(bits, dtype=float)
     target = ms.make_target_2d(values, (n, n))
-    records = ms.measure(scene, grids, masks, target, None, 0, use="ideal")
+    meas = ms.measure(scene, grids, masks, target, None, 0)
     psf = em.psf_vector(scene, grids.target_points)
-    result = rc.reconstruct_2d(records, masks, psf, use="ideal")
+    result = rc.reconstruct_2d(meas, masks, psf)
     calibrated = rc.calibrate_estimate(result.estimate, rc.CALIBRATE_MAX1)
     assert rc.nmse(values, calibrated) < 1e-6
 
@@ -150,8 +151,8 @@ class TestReconstruct3d:
         chi = np.zeros(scene.n_target, dtype=complex)
         chi[5] = 1.0
         target = ms.make_target_3d(chi, (2, 2, 2))
-        records = ms.measure(scene, grids, masks, target, None, 0, use="ideal")
-        result = rc.reconstruct_3d(scene, records, masks, use="ideal")
+        meas = ms.measure(scene, grids, masks, target, None, 0)
+        result = rc.reconstruct_3d(scene, meas, masks)
         np.testing.assert_allclose(
             result.estimate / grids.target_cell_measure, chi, atol=1e-10
         )
@@ -160,8 +161,8 @@ class TestReconstruct3d:
         scene, grids = volume_scene
         masks = md.ideal_masks(scene, grids, 16)
         target = ms.make_target_3d(np.zeros(scene.n_target, dtype=complex), (2, 2, 2))
-        records = ms.measure(scene, grids, masks, target, None, 0, use="ideal")
-        result = rc.reconstruct_3d(scene, records, masks, use="ideal")
+        meas = ms.measure(scene, grids, masks, target, None, 0)
+        result = rc.reconstruct_3d(scene, meas, masks)
         np.testing.assert_allclose(result.estimate, 0.0, atol=1e-20)
 
     def test_distorted_masks_self_compensate_at_the_occupied_voxel(self, volume_scene):
@@ -174,13 +175,13 @@ class TestReconstruct3d:
             rng.standard_normal((scene.n_target, scene.n_target))
             + 1j * rng.standard_normal((scene.n_target, scene.n_target))
         )
-        distorted = md.with_realization(masks, masks.ideal @ mixing.T)
+        distorted = md.MaskSet(kind=masks.kind, vectors=masks.vectors @ mixing.T)
         voxel = 5
         chi = np.zeros(scene.n_target, dtype=complex)
         chi[voxel] = 1.3 - 0.4j
         target = ms.make_target_3d(chi, (2, 2, 2))
-        records = ms.measure(scene, grids, distorted, target, None, 0, use="realized")
-        result = rc.reconstruct_3d(scene, records, distorted, use="realized")
+        meas = ms.measure(scene, grids, distorted, target, None, 0)
+        result = rc.reconstruct_3d(scene, meas, distorted)
         recovered = result.estimate / grids.target_cell_measure
         assert recovered[voxel] == pytest.approx(chi[voxel], rel=1e-10)
 
@@ -190,13 +191,10 @@ class TestReconstruct3d:
         chi = np.zeros(scene.n_target, dtype=complex)
         chi[[1, 6]] = [0.8, 0.3 - 0.2j]
         target = ms.make_target_3d(chi, (2, 2, 2))
-        records = ms.measure(scene, grids, masks, target, None, 0, use="ideal")
-        shifted = [
-            ms.MeasurementRecord(r.index, r.noiseless, r.noisy + (2.0 - 1.0j), r.noise_variance, r.snr_db, r.seed)
-            for r in records
-        ]
-        base = rc.reconstruct_3d(scene, records, masks, use="ideal")
-        moved = rc.reconstruct_3d(scene, shifted, masks, use="ideal")
+        meas = ms.measure(scene, grids, masks, target, None, 0)
+        shifted = dataclasses.replace(meas, noisy=meas.noisy + (2.0 - 1.0j))
+        base = rc.reconstruct_3d(scene, meas, masks)
+        moved = rc.reconstruct_3d(scene, shifted, masks)
         np.testing.assert_allclose(moved.estimate, base.estimate, atol=1e-12 * np.abs(base.estimate).max())
 
 

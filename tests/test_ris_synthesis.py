@@ -132,9 +132,9 @@ class TestRealizeMasks:
         kernel = em.kernel_2d(scene, grids)
         inv = rs.tikhonov_inverse(kernel, 1e-12)
         masks = md.ideal_masks(scene, grids, 128)
-        realized = rs.realize_masks(kernel, inv, masks, scene.config.amplification)
-        assert realized.realized.shape == (128, scene.n_target)
-        profiles = rs.synthesis_profiles(inv, realized, scene.config.amplification)
+        realized = rs.realize_masks(inv, masks, scene.config.amplification)
+        assert realized.vectors.shape == (128, scene.n_target)
+        profiles = rs.synthesis_profiles(inv, masks, scene.config.amplification)
         assert profiles.shape == (128, scene.n_ris)
         norms = np.linalg.norm(profiles, axis=1) ** 2
         np.testing.assert_allclose(norms, scene.n_ris * scene.config.amplification, rtol=1e-12)
@@ -147,18 +147,18 @@ class TestRealizeMasks:
         kernel = KernelMatrix(entries=entries, kind=em.KIND_Z2D, fingerprint="t")
         inv = rs.tikhonov_inverse(kernel, 1e-12)
         ideal = (rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16)))
-        masks = md.MaskSet(kind=md.KIND_MASK2D, ideal=ideal)
-        realized = rs.realize_masks(kernel, inv, masks, 1.0)
+        masks = md.MaskSet(kind=md.KIND_MASK2D, vectors=ideal)
+        realized = rs.realize_masks(inv, masks, 1.0)
         scale = np.sqrt(16.0) / realized.solution_norms
-        np.testing.assert_allclose(realized.realized, scale[:, None] * ideal, rtol=1e-6)
+        np.testing.assert_allclose(realized.vectors, scale[:, None] * ideal, rtol=1e-6)
 
     def test_kind_mismatch(self, small_scene):
         scene, grids = small_scene
         kernel = em.kernel_2d(scene, grids)
         inv = rs.tikhonov_inverse(kernel, 1e-12)
-        masks = md.MaskSet(kind=md.KIND_MASK3D, ideal=np.ones((4, scene.n_target), dtype=complex))
+        masks = md.MaskSet(kind=md.KIND_MASK3D, vectors=np.ones((4, scene.n_target), dtype=complex))
         with pytest.raises(KindMismatch):
-            rs.realize_masks(kernel, inv, masks, 1.0)
+            rs.realize_masks(inv, masks, 1.0)
 
     def test_first_mask_realizes_well_at_nearest_distance(self):
         scene = sc.validate_scene(desk_config(z_prime=0.125))
@@ -166,8 +166,8 @@ class TestRealizeMasks:
         kernel = em.kernel_2d(scene, grids)
         inv = rs.tikhonov_inverse(kernel, 1e-12)
         masks = md.ideal_masks(scene, grids, 1024)
-        realized = rs.realize_masks(kernel, inv, masks, 1.0)
-        corr = normalized_inner(np.abs(realized.realized[0]), masks.amplitude_values("ideal")[0])
+        realized = rs.realize_masks(inv, masks, 1.0)
+        corr = normalized_inner(np.abs(realized.vectors[0]), masks.amplitude_values()[0])
         assert corr > 0.9
 
     def test_realized_covariance_concentrates_within_resolution(self):
@@ -177,9 +177,9 @@ class TestRealizeMasks:
         grids = sc.sample_grids(scene)
         kernel = em.kernel_2d(scene, grids)
         inv = rs.tikhonov_inverse(kernel, 1e-12)
-        masks = rs.realize_masks(kernel, inv, md.ideal_masks(scene, grids, 1024), 1.0)
+        masks = rs.realize_masks(inv, md.ideal_masks(scene, grids, 1024), 1.0)
         centre = 8 * 16 + 8
-        cov = md.mask_covariance(masks, centre, use="realized")
+        cov = md.mask_covariance(masks, centre)
         dx, _ = sc.resolution(scene)
         offsets = grids.target_points[:, :2] - grids.target_points[centre, :2]
         far = np.linalg.norm(offsets, axis=1) > dx
@@ -193,10 +193,10 @@ class TestRealizeMasks:
             kernel = em.kernel_2d(scene, grids)
             inv = rs.tikhonov_inverse(kernel, 1e-12)
             masks = md.ideal_masks(scene, grids, 256)
-            realized = rs.realize_masks(kernel, inv, masks, 1.0)
-            ideal_amp = masks.amplitude_values("ideal")
+            realized = rs.realize_masks(inv, masks, 1.0)
+            ideal_amp = masks.amplitude_values()
             per_mask = [
-                normalized_inner(np.abs(realized.realized[i]), ideal_amp[i]) for i in range(64)
+                normalized_inner(np.abs(realized.vectors[i]), ideal_amp[i]) for i in range(64)
             ]
             correlations.append(float(np.mean(per_mask)))
         assert correlations[0] > correlations[1] > correlations[2]
@@ -212,12 +212,12 @@ class TestSpectrum:
         kernel = em.kernel_2d(scene, grids)
         inv = rs.tikhonov_inverse(kernel, 1e-12)
         masks = md.ideal_masks(scene, grids, 128)
-        realized = rs.realize_masks(kernel, inv, masks, 1.0)
-        rs.save_profiles(tmp_path / "profiles.bin", inv, realized, 1.0, scene.fingerprint)
+        realized = rs.realize_masks(inv, masks, 1.0)
+        rs.save_profiles(tmp_path / "profiles.bin", inv, masks, 1.0, scene.fingerprint)
         kind, vectors, fp = md.load_mask_vectors(tmp_path / "profiles.bin")
         assert kind == "profiles"
-        np.testing.assert_array_equal(vectors, rs.synthesis_profiles(inv, realized, 1.0))
-        rs.write_synthesis_summary(tmp_path / "summary.txt", inv, realized, 1.0)
+        np.testing.assert_array_equal(vectors, rs.synthesis_profiles(inv, masks, 1.0))
+        rs.write_synthesis_summary(tmp_path / "summary.txt", inv, masks, realized, 1.0)
         text = (tmp_path / "summary.txt").read_text()
         assert f"retained_rank = {inv.retained_rank}" in text
         assert "solution_norm[0]" in text
@@ -227,8 +227,9 @@ class TestSpectrum:
         kernel = random_kernel(rng, 6, 10)
         inv = rs.tikhonov_inverse(kernel, 1e-6)
         ideal = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        realized = rs.realize_masks(kernel, inv, md.MaskSet(kind=md.KIND_MASK2D, ideal=ideal), 2.0)
-        rs.write_synthesis_summary(tmp_path / "summary.txt", inv, realized, 2.0)
+        masks = md.MaskSet(kind=md.KIND_MASK2D, vectors=ideal)
+        realized = rs.realize_masks(inv, masks, 2.0)
+        rs.write_synthesis_summary(tmp_path / "summary.txt", inv, masks, realized, 2.0)
         values = dict(
             line.split(" = ", 1) for line in (tmp_path / "summary.txt").read_text().splitlines()
         )
@@ -267,13 +268,12 @@ class TestTwoPathSynthesis:
         assert inv.retained_rank == int(np.count_nonzero(keep))
 
         ideal = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
-        realized = rs.realize_masks(
-            kernel, inv, md.MaskSet(kind=md.KIND_MASK2D, ideal=ideal), 1.5
-        )
-        profiles = rs.synthesis_profiles(inv, realized, 1.5)
+        masks = md.MaskSet(kind=md.KIND_MASK2D, vectors=ideal)
+        realized = rs.realize_masks(inv, masks, 1.5)
+        profiles = rs.synthesis_profiles(inv, masks, 1.5)
         explicit = (kernel.entries @ profiles.T).T
         np.testing.assert_allclose(
-            realized.realized, explicit, rtol=0, atol=1e-10 * np.abs(explicit).max()
+            realized.vectors, explicit, rtol=0, atol=1e-10 * np.abs(explicit).max()
         )
         direct_norms = np.linalg.norm(inv.apply(ideal.T), axis=0)
         np.testing.assert_allclose(realized.solution_norms, direct_norms, rtol=1e-12)
@@ -283,7 +283,7 @@ class TestTwoPathSynthesis:
         grids = sc.sample_grids(scene)
         kernel = em.kernel_2d(scene, grids)
         inv = rs.tikhonov_inverse(kernel, 1e-12)
-        masks = rs.realize_masks(kernel, inv, md.ideal_masks(scene, grids, 256), 1.0)
+        masks = md.ideal_masks(scene, grids, 256)
         profiles = rs.synthesis_profiles(inv, masks, 1.0)
         norms = np.linalg.norm(profiles, axis=1) ** 2
         np.testing.assert_allclose(norms, scene.n_ris * 1.0, rtol=1e-12)
