@@ -43,6 +43,7 @@ from .reconstruct import (
     ReconstructionResult,
     calibrate_estimate,
     estimate_c,
+    mask_moments,
     nmse,
     reconstruct_2d,
     reconstruct_3d,

@@ -27,6 +27,7 @@ from .scene import (
     SceneConfig,
     aperture_half_sine,
     parse_scene_config,
+    read_config_text,
     resolution,
     sample_grids,
     validate_scene,
@@ -35,7 +36,7 @@ from .targets import resolve_target
 
 
 def _scene_from_args(args) -> SceneConfig:
-    text = Path(args.scene).read_text()
+    text = read_config_text(args.scene)
     if args.set:
         malformed = [item for item in args.set if "=" not in item]
         if malformed:
@@ -178,8 +179,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    if args.seed < 0:
-        raise MalformedConfig(f"seed must be >= 0, got {args.seed}")
+    measurement.check_seed(args.seed)
     scene = validate_scene(_scene_from_args(args))
     grids = sample_grids(scene)
     target = resolve_target(args.target, scene)

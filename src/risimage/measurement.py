@@ -1,9 +1,11 @@
 """Measurement chain: target scattering, receiver field, and thermal noise.
 
 Noise is circularly-symmetric complex Gaussian added to the complex receiver
-field before any magnitude detection, drawn from a counter-based generator
-with a per-measurement derived seed (seed XOR index) so execution order never
-changes results.
+field before any magnitude detection. One measurement set draws all of its
+noise from one counter-based Philox stream keyed by the seed, so row i
+depends only on (seed, i): results never depend on execution order, a
+smaller set is a prefix of a larger one, and distinct seeds give independent
+streams.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .constants import VACUUM_PERMITTIVITY
 from .em_core import KIND_Y3D, KernelMatrix, psf_vector
-from .errors import DimensionMismatch, EmptySet, KindMismatch, MissingFile
+from .errors import DimensionMismatch, EmptySet, KindMismatch, MalformedConfig, MissingFile
 from .mask_design import KIND_MASK2D, MaskSet
 from .scene import PLANE_2D, VOLUME_3D, SampleGrids, ValidatedScene
 
@@ -26,6 +28,8 @@ NOISE_ABSOLUTE = "absolute"  # variance = N0 * B regardless of the signal
 
 DEFAULT_N0_DBM_PER_HZ = -174.0
 DEFAULT_BANDWIDTH_HZ = 1.0e6
+
+SEED_LIMIT = 2**128  # Philox takes a 128-bit key
 
 
 @dataclass(frozen=True)
@@ -76,14 +80,13 @@ class Measurements:
 
     ``noisy`` holds detected magnitudes (float) for plane targets and complex
     fields for volume targets; ``noiseless`` is always the complex field.
-    ``seeds`` are the per-row noise keys, and every row shares
-    ``noise_variance``.
+    Every row shares ``noise_variance`` and the noise stream key ``seed``.
     """
 
     noiseless: np.ndarray  # (I,) complex128
     noisy: np.ndarray  # (I,) float64 or complex128
     noise_variance: float
-    seeds: np.ndarray  # (I,) int
+    seed: int
 
     def __len__(self) -> int:
         return self.noisy.shape[0]
@@ -157,15 +160,22 @@ def noise_power_dbm(n0_dbm_per_hz: float = DEFAULT_N0_DBM_PER_HZ, bandwidth_hz: 
     return n0_dbm_per_hz + 10.0 * math.log10(bandwidth_hz)
 
 
-def complex_noise(variance: float, seed: int, index: int) -> complex:
-    """Circularly-symmetric complex Gaussian draw for one measurement.
+def check_seed(seed: int, streams: int = 1) -> None:
+    """Reject seeds whose streams ``seed .. seed + streams - 1`` are not all Philox keys."""
+    if not 0 <= seed <= SEED_LIMIT - streams:
+        raise MalformedConfig(f"seed must be in 0..2**128-{streams}, got {seed}")
 
-    Counter-based generator keyed by seed XOR index: independent of execution
-    order, bit-reproducible, and exactly homogeneous in sqrt(variance).
+
+def complex_noise(variance: float, seed: int, count: int) -> np.ndarray:
+    """``count`` circularly-symmetric complex Gaussian draws, one per measurement.
+
+    One Philox stream keyed by the seed and consumed in order, so draw i
+    depends only on (seed, i); bit-reproducible and exactly homogeneous in
+    sqrt(variance).
     """
-    rng = np.random.Generator(np.random.Philox(seed ^ index))
-    re, im = rng.standard_normal(2)
-    return complex(math.sqrt(variance / 2.0) * (re + 1j * im))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    re, im = rng.standard_normal((count, 2)).T
+    return math.sqrt(variance / 2.0) * (re + 1j * im)
 
 
 def noiseless_fields(
@@ -218,9 +228,7 @@ def measure(
     else:
         raise ValueError(f"unknown noise mode {noise_mode!r}")
 
-    noise = np.zeros_like(fields)
-    if variance > 0.0:
-        noise[:] = [complex_noise(variance, seed, i) for i in range(fields.shape[0])]
+    noise = complex_noise(variance, seed, fields.shape[0]) if variance > 0.0 else 0.0
     noisy = fields + noise
     if masks.kind == KIND_MASK2D:
         # hypot matches Python's abs(complex) bit for bit; np.abs does not
@@ -229,7 +237,7 @@ def measure(
         noiseless=fields,
         noisy=noisy,
         noise_variance=float(variance),
-        seeds=np.array([seed ^ i for i in range(fields.shape[0])]),
+        seed=seed,
     )
 
 
@@ -239,19 +247,23 @@ _CSV_FIELDS = ["index", "re_noiseless", "im_noiseless", "value_noisy_or_re", "im
 
 
 def records_to_csv(path: str | Path, meas: Measurements) -> None:
-    """RFC-4180 CSV; the noisy value is one column for magnitudes, two for fields."""
+    """RFC-4180 CSV; the noisy value is one column for magnitudes, two for fields.
+
+    The ``sigma2`` and ``seed`` columns repeat the set-wide variance and
+    stream key on every row.
+    """
     variance = repr(meas.noise_variance)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_FIELDS)
-        rows = zip(meas.noiseless.tolist(), meas.noisy.tolist(), meas.seeds.tolist())
-        for index, (noiseless, noisy, seed) in enumerate(rows):
+        rows = zip(meas.noiseless.tolist(), meas.noisy.tolist())
+        for index, (noiseless, noisy) in enumerate(rows):
             if isinstance(noisy, complex):
                 noisy_re, noisy_im = repr(noisy.real), repr(noisy.imag)
             else:
                 noisy_re, noisy_im = repr(noisy), ""
             writer.writerow(
-                [index, repr(noiseless.real), repr(noiseless.imag), noisy_re, noisy_im, variance, seed]
+                [index, repr(noiseless.real), repr(noiseless.imag), noisy_re, noisy_im, variance, meas.seed]
             )
 
 
@@ -277,5 +289,5 @@ def records_from_csv(path: str | Path) -> Measurements:
         ),
         noisy=np.array(noisy),
         noise_variance=float(rows[0]["sigma2"]) if rows else 0.0,
-        seeds=np.array([int(row["seed"]) for row in rows]),
+        seed=int(rows[0]["seed"]) if rows else 0,
     )

@@ -35,29 +35,39 @@ class ReconstructionResult:
     flagged: np.ndarray  # (M,) bool, True where unreconstructable
 
 
-def estimate_c(masks: MaskSet) -> np.ndarray:
-    """Empirical per-point mask variance: the diagonal of the mask covariance.
+def mask_moments(masks: MaskSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mask amplitude values u, their per-point variance c and mean square magnitude.
 
-    Plain (unconjugated) products, as the correlation reconstruction demands;
-    complex-valued for distorted volume masks, exactly 1/4 for ideal ones.
+    c is the diagonal of the mask covariance, from plain (unconjugated)
+    products as the correlation reconstruction demands: complex-valued for
+    distorted volume masks, exactly 1/4 for ideal ones. One pass over the
+    (I, M) masks serves all three.
     """
     if masks.count == 0:
         raise EmptyMaskSet("mask set has no measurements")
     u = masks.amplitude_values()
-    return (u * u).mean(axis=0) - u.mean(axis=0) ** 2
+    square_mean = (u * u).mean(axis=0)
+    c_values = square_mean - u.mean(axis=0) ** 2
+    power = np.mean(np.abs(u) ** 2, axis=0) if np.iscomplexobj(u) else square_mean
+    return u, c_values, power
 
 
-def zero_variance_flags(c_values: np.ndarray, masks: MaskSet | None = None) -> np.ndarray:
+def estimate_c(masks: MaskSet) -> np.ndarray:
+    """Empirical per-point mask variance (see :func:`mask_moments`)."""
+    return mask_moments(masks)[1]
+
+
+def zero_variance_flags(c_values: np.ndarray, power: np.ndarray | None = None) -> np.ndarray:
     """True where the mask variance is (relatively) zero: point unreconstructable.
 
-    The comparison scale is the mask second moment when the masks are given
-    (so a constant mask set flags every point), else the largest variance.
+    The comparison scale is the largest mask mean square magnitude ``power``
+    from :func:`mask_moments` when given (so a constant mask set flags every
+    point), else the largest variance.
     """
     magnitude = np.abs(np.asarray(c_values))
     scale = magnitude.max() if magnitude.size else 0.0
-    if masks is not None and masks.count:
-        u = masks.amplitude_values()
-        scale = max(scale, float(np.mean(np.abs(u) ** 2, axis=0).max()))
+    if power is not None:
+        scale = max(scale, float(power.max()))
     return magnitude <= _FLAG_RTOL * scale
 
 
@@ -81,9 +91,8 @@ def reconstruct_2d(
         raise DimensionMismatch(
             f"PSF vector of shape {psf_values.shape} does not match M={masks.points}"
         )
-    amplitudes = masks.amplitude_values()
-    c_values = estimate_c(masks)
-    flagged = zero_variance_flags(c_values, masks)
+    amplitudes, c_values, power = mask_moments(masks)
+    flagged = zero_variance_flags(c_values, power)
 
     detected = meas.noisy.astype(float)
     centred = detected - detected.mean()
@@ -109,9 +118,8 @@ def reconstruct_3d(
         raise KindMismatch("reconstruct_3d needs volume masks")
     if len(meas) != masks.count:
         raise DimensionMismatch(f"{len(meas)} measurements for {masks.count} masks")
-    vectors = masks.amplitude_values()
-    c_values = estimate_c(masks)
-    flagged = zero_variance_flags(c_values, masks)
+    vectors, c_values, power = mask_moments(masks)
+    flagged = zero_variance_flags(c_values, power)
 
     fields = meas.noisy.astype(np.complex128)
     centred = fields - fields.mean()

@@ -28,6 +28,7 @@ from .scene import (
     ValidatedScene,
     load_scene_config,
     parse_key_values,
+    read_config_text,
     sample_grids,
     validate_scene,
     with_target_distance,
@@ -89,8 +90,9 @@ class ExperimentPlan:
             raise MalformedConfig("snr_values must be nonempty")
         if self.workers < 1:
             raise MalformedConfig("workers must be >= 1")
-        if self.seed < 0:
-            raise MalformedConfig(f"seed must be >= 0, got {self.seed}")
+        # every sweep point draws its noise from its own stream, seed + index
+        n_points = len(self.resolved_z_values()) * len(self.i_values) * len(self.snr_values)
+        measurement.check_seed(self.seed, streams=n_points)
         check_target_spec(self.target)
         if self.gamma is not None and not self.gamma > 0.0:
             raise MalformedConfig(f"gamma must be > 0, got {self.gamma!r}")
@@ -466,4 +468,4 @@ def parse_plan(text: str, base_dir: Path | None = None) -> ExperimentPlan:
 
 def load_plan(path: str | Path) -> ExperimentPlan:
     path = Path(path)
-    return parse_plan(path.read_text(), base_dir=path.parent)
+    return parse_plan(read_config_text(path), base_dir=path.parent)

@@ -19,6 +19,7 @@ from .constants import SPEED_OF_LIGHT
 from .errors import (
     FarFieldViolation,
     MalformedConfig,
+    MissingFile,
     NearFieldViolation,
     NonPositiveDimension,
 )
@@ -364,8 +365,16 @@ def parse_scene_config(text: str) -> SceneConfig:
     return SceneConfig(**kwargs)
 
 
+def read_config_text(path: str | Path) -> str:
+    """Text of a scene or plan file; a missing file raises :class:`MissingFile`."""
+    try:
+        return Path(path).read_text()
+    except FileNotFoundError as exc:
+        raise MissingFile(f"no such config file: {path}") from exc
+
+
 def load_scene_config(path: str | Path) -> SceneConfig:
-    return parse_scene_config(Path(path).read_text())
+    return parse_scene_config(read_config_text(path))
 
 
 def with_target_distance(cfg: SceneConfig, z_prime: float) -> SceneConfig:

@@ -385,6 +385,55 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "MissingFile" in err and str(missing) in err
 
+    def test_missing_scene_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.cfg"
+        assert cli.main(["validate", "--scene", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert "MissingFile" in err and str(missing) in err
+
+    def test_missing_plan_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.plan"
+        assert cli.main(["sweep", "--plan", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert "MissingFile" in err and str(missing) in err
+
+    def test_missing_scene_named_in_plan(self, tmp_path, capsys):
+        plan_path = tmp_path / "plan.cfg"
+        plan_path.write_text(f"scene = absent.cfg\noutput_dir = {tmp_path / 'p'}\n")
+        assert cli.main(["sweep", "--plan", str(plan_path)]) == 2
+        err = capsys.readouterr().err
+        assert "MissingFile" in err and "absent.cfg" in err
+
+    @pytest.mark.parametrize("verb", ["run", "measure"])
+    def test_seed_beyond_the_stream_key_range(self, scene_file, tmp_path, capsys, verb):
+        code = cli.main(
+            [
+                verb,
+                "--scene",
+                str(scene_file),
+                "-I",
+                "128",
+                "--snr-db",
+                "20",
+                "--seed",
+                str(2**128),
+                "--output",
+                str(tmp_path / "big"),
+            ]
+        )
+        assert code == 2
+        assert "MalformedConfig" in capsys.readouterr().err
+
+    def test_plan_seeds_beyond_the_stream_key_range(self, scene_file, tmp_path, capsys):
+        # the last point's seed, seed + 1, is one past the largest key
+        plan_path = tmp_path / "plan.cfg"
+        plan_path.write_text(
+            f"scene = {scene_file.name}\nsnr_values = 10, 20\nseed = {2**128 - 1}\n"
+            f"output_dir = {tmp_path / 'p'}\n"
+        )
+        assert cli.main(["sweep", "--plan", str(plan_path)]) == 2
+        assert "MalformedConfig" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--records", "--masks"])
     def test_missing_reconstruct_input(self, scene_file, tmp_path, capsys, flag):
         common = ["--scene", str(scene_file), "-I", "128"]

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from risimage import em_core as em
 from risimage import mask_design as md
 from risimage import measurement as ms
 from risimage import scene as sc
-from risimage.errors import EmptySet, KindMismatch
+from risimage.errors import EmptySet, KindMismatch, MalformedConfig
 
 
 def checker_target(scene):
@@ -137,7 +138,7 @@ class TestNoiseModel:
     def test_empirical_snr_matches_request(self):
         signal_power = 4.0
         variance = ms.noise_variance(np.full(1, 2.0 + 0j), 17.0)
-        draws = np.array([ms.complex_noise(variance, 123, i) for i in range(10_000)])
+        draws = ms.complex_noise(variance, 123, 10_000)
         empirical_db = 10.0 * math.log10(signal_power / np.mean(np.abs(draws) ** 2))
         assert empirical_db == pytest.approx(17.0, abs=0.1)
 
@@ -145,7 +146,43 @@ class TestNoiseModel:
         # doubling the amplitude doubles the draw exactly (same unit normals)
         a = ms.complex_noise(1.0, 9, 4)
         b = ms.complex_noise(4.0, 9, 4)
-        assert b == 2.0 * a
+        assert b.tolist() == (2.0 * a).tolist()
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=ms.SEED_LIMIT - 2048), offset=st.integers(1, 2047))
+    @example(seed=0, offset=1)
+    def test_distinct_seeds_share_no_draws(self, seed, offset):
+        # nearby seeds are the risky case: keys derived as seed XOR index
+        # would make seeds 0..I-1 permute one shared pool of I draws
+        a = ms.complex_noise(1.0, seed, 1024)
+        b = ms.complex_noise(1.0, seed + offset, 1024)
+        assert not set(a.tolist()) & set(b.tolist())
+
+    def test_shorter_set_is_a_prefix(self):
+        long = ms.complex_noise(2.5, 77, 1024)
+        short = ms.complex_noise(2.5, 77, 256)
+        assert short.tolist() == long[:256].tolist()
+
+    def test_one_generator_per_measurement_set(self, small_scene, monkeypatch):
+        scene, grids = small_scene
+        masks = md.ideal_masks(scene, grids, 1024)
+        built = []
+        philox = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            built.append((args, kwargs))
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        meas = ms.measure(scene, grids, masks, checker_target(scene), 20.0, seed=4)
+        assert len(meas) == 1024
+        assert built == [((), {"key": 4})]
+
+    def test_every_stream_key_must_fit_128_bits(self):
+        ms.check_seed(ms.SEED_LIMIT - 3, streams=3)
+        for seed, streams in ((-1, 1), (ms.SEED_LIMIT, 1), (ms.SEED_LIMIT - 2, 3)):
+            with pytest.raises(MalformedConfig):
+                ms.check_seed(seed, streams)
 
 
 class TestMeasure:
@@ -214,7 +251,7 @@ class TestMeasurementCsv:
         loaded = ms.records_from_csv(path)
         assert loaded.noisy.tolist() == meas.noisy.tolist()
         assert loaded.noiseless.tolist() == meas.noiseless.tolist()
-        assert loaded.seeds.tolist() == meas.seeds.tolist()
+        assert loaded.seed == meas.seed == 2
         assert loaded.noise_variance == meas.noise_variance
 
     def test_round_trip_3d(self, volume_scene, tmp_path):
