@@ -91,7 +91,6 @@ def _add_plan_options(parser: argparse.ArgumentParser) -> None:
         help="bypass synthesis and apply the ideal masks directly (oracle mode)",
     )
     parser.add_argument("--keep-artifacts", action="store_true")
-    parser.add_argument("--workers", type=int, default=1)
 
 
 def _default_measurements(scene) -> int:
@@ -245,7 +244,6 @@ def _plan_from_args(args, sweep: bool) -> ExperimentPlan:
         phase_mode=args.phase_mode,
         ideal_masks=args.ideal_masks,
         keep_artifacts=args.keep_artifacts,
-        workers=args.workers,
     )
 
 

@@ -31,7 +31,10 @@ KIND_Y3D = "Y_3d"
 
 # Complex128 entries; 2**26 entries is ~1 GiB. Raise deliberately for big runs.
 DEFAULT_ENTRY_CAP = 1 << 26
-_ROW_CHUNK = 256
+# Kernels are assembled in row blocks of about this many entries, so each
+# temporary stays near 512 KiB: a sweep that frees one distance's kernel before
+# building the next then reuses heap memory instead of faulting in fresh pages.
+_CHUNK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -111,8 +114,9 @@ def kernel_2d(
     cell = grids.ris_cell_area
 
     out = np.empty((targets.shape[0], ris.shape[0]), dtype=np.complex128)
-    for start in range(0, targets.shape[0], _ROW_CHUNK):
-        stop = min(start + _ROW_CHUNK, targets.shape[0])
+    step = max(1, _CHUNK_ENTRIES // ris.shape[0])
+    for start in range(0, targets.shape[0], step):
+        stop = min(start + step, targets.shape[0])
         diff = targets[start:stop, None, :] - ris[None, :, :]
         r = np.sqrt(np.einsum("mni,mni->mn", diff, diff))
         out[start:stop] = (
@@ -255,8 +259,9 @@ def kernel_3d(
     prefactor = -1j * FREE_SPACE_IMPEDANCE / (4.0 * math.pi * k) * grids.ris_cell_area
 
     out = np.empty((targets.shape[0], ris.shape[0]), dtype=np.complex128)
-    for start in range(0, targets.shape[0], _ROW_CHUNK):
-        stop = min(start + _ROW_CHUNK, targets.shape[0])
+    step = max(1, _CHUNK_ENTRIES // ris.shape[0])
+    for start in range(0, targets.shape[0], step):
+        stop = min(start + step, targets.shape[0])
         diff = targets[start:stop, None, :] - ris[None, :, :]
         r = np.sqrt(np.einsum("mni,mni->mn", diff, diff))
         t_xx, t_xy, t_xz = _e_out_factors(k, diff, r, targets[start:stop, 2:3])

@@ -73,6 +73,10 @@ class ZeroTruth(ImagingError, ValueError):
     """NMSE is undefined against an all-zero reference grid."""
 
 
+class MalformedRecords(ImagingError, ValueError):
+    """A measurement CSV file does not follow the records layout."""
+
+
 class MalformedImage(ImagingError, ValueError):
     """A target image file is not valid ASCII PGM (P2)."""
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .constants import VACUUM_PERMITTIVITY
 from .em_core import KIND_Y3D, KernelMatrix, psf_vector
-from .errors import DimensionMismatch, EmptySet, KindMismatch, MalformedConfig, MissingFile
+from .errors import DimensionMismatch, EmptySet, KindMismatch, MalformedConfig, MalformedRecords, MissingFile
 from .mask_design import KIND_MASK2D, MaskSet
 from .scene import PLANE_2D, VOLUME_3D, SampleGrids, ValidatedScene
 
@@ -272,22 +272,27 @@ def records_from_csv(path: str | Path) -> Measurements:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames != _CSV_FIELDS:
-                raise EmptySet(f"unexpected measurement CSV header {reader.fieldnames!r}")
+                raise MalformedRecords(f"{path}: unexpected measurement CSV header {reader.fieldnames!r}")
             rows = list(reader)
     except FileNotFoundError as exc:
         raise MissingFile(f"no such measurement file: {path}") from exc
-    noisy = [
-        complex(float(row["value_noisy_or_re"]), float(row["im_if_3d"]))
-        if row["im_if_3d"]
-        else float(row["value_noisy_or_re"])
-        for row in rows
-    ]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise MalformedRecords(f"{path}: not a measurement CSV file: {exc}") from exc
+    try:
+        noiseless = [complex(float(row["re_noiseless"]), float(row["im_noiseless"])) for row in rows]
+        noisy = [
+            complex(float(row["value_noisy_or_re"]), float(row["im_if_3d"]))
+            if row["im_if_3d"]
+            else float(row["value_noisy_or_re"])
+            for row in rows
+        ]
+        noise_variance = float(rows[0]["sigma2"]) if rows else 0.0
+        seed = int(rows[0]["seed"]) if rows else 0
+    except (ValueError, TypeError) as exc:  # a non-numeric cell, or None in a short row
+        raise MalformedRecords(f"{path}: unreadable measurement row: {exc}") from exc
     return Measurements(
-        noiseless=np.array(
-            [complex(float(row["re_noiseless"]), float(row["im_noiseless"])) for row in rows],
-            dtype=np.complex128,
-        ),
+        noiseless=np.array(noiseless, dtype=np.complex128),
         noisy=np.array(noisy),
-        noise_variance=float(rows[0]["sigma2"]) if rows else 0.0,
-        seed=int(rows[0]["seed"]) if rows else 0,
+        noise_variance=noise_variance,
+        seed=seed,
     )

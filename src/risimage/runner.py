@@ -1,9 +1,10 @@
 """Experiment orchestration: plans, sweeps, caching, and run-directory output.
 
 A plan expands into the Cartesian product of target distances, measurement
-counts, and SNR settings. Kernels, their SVDs, and synthesized mask sets are
-cached by scene fingerprint so sweep points differing only in noise reuse
-them. Everything derived from the plan seed is deterministic: re-running a
+counts, and SNR settings, run one point at a time in that nesting order: a
+distance builds its kernel and regularized inverse once, a mask count at it
+builds its mask set once, and the SNR points, which differ only in noise,
+reuse them. Everything derived from the plan seed is deterministic: re-running a
 plan reproduces the metrics CSV byte for byte (wall-clock timings therefore
 live in a separate file).
 """
@@ -12,8 +13,10 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +79,6 @@ class ExperimentPlan:
     phase_mode: str = mask_design.PHASE_TAYLOR
     ideal_masks: bool = False
     keep_artifacts: bool = False
-    workers: int = 1
     n0_dbm_per_hz: float = measurement.DEFAULT_N0_DBM_PER_HZ
     bandwidth_hz: float = measurement.DEFAULT_BANDWIDTH_HZ
 
@@ -88,8 +90,6 @@ class ExperimentPlan:
             raise MalformedConfig("i_values must be nonempty")
         if not self.snr_values:
             raise MalformedConfig("snr_values must be nonempty")
-        if self.workers < 1:
-            raise MalformedConfig("workers must be >= 1")
         # every sweep point draws its noise from its own stream, seed + index
         n_points = len(self.resolved_z_values()) * len(self.i_values) * len(self.snr_values)
         measurement.check_seed(self.seed, streams=n_points)
@@ -114,8 +114,6 @@ class PointResult:
     nmse: float | None = None
     retained_rank: int | None = None
     wall_ms: float = 0.0
-    estimate: np.ndarray | None = None
-    grid_shape: tuple[int, ...] | None = None
     error: str | None = None
 
 
@@ -126,123 +124,126 @@ class RunResult:
     kernel_builds: int
 
 
-class PipelineCache:
-    """Shared, fingerprint-keyed intermediates for one run.
+def _error_text(exc: ImagingError) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
-    Population happens sequentially; afterwards all entries are read-only and
-    safe to share across measure/reconstruct workers.
+
+def _load_or_build_kernel(
+    scene: ValidatedScene, grids: SampleGrids, cache_dir: Path | None
+) -> tuple[em_core.KernelMatrix, bool]:
+    """The scene's kernel from the disk cache or a fresh build, and whether it was built.
+
+    A cache file that does not load (truncated, stale, or another scene's)
+    is rebuilt and rewritten rather than failing the point.
     """
+    fp = scene.fingerprint
+    cache_file = cache_dir / f"kernel_{fp[:16]}.bin" if cache_dir else None
+    if cache_file is not None and cache_file.exists():
+        try:
+            return em_core.load_kernel(cache_file, expected_fingerprint=fp), False
+        except CacheMismatch:
+            pass  # rebuilt and rewritten below
+    kernel = em_core.assemble_kernel(scene, grids)
+    if cache_file is not None:
+        cache_file.parent.mkdir(parents=True, exist_ok=True)
+        em_core.save_kernel(cache_file, kernel)
+    return kernel, True
 
-    def __init__(self) -> None:
-        self.scenes: dict[str, ValidatedScene] = {}
-        self.grids: dict[str, SampleGrids] = {}
-        self.targets: dict[str, TargetModel] = {}
-        self.psf: dict[str, np.ndarray] = {}
-        self.kernels: dict[str, em_core.KernelMatrix] = {}
-        self.inverses: dict[tuple, ris_synthesis.RegularizedInverse] = {}
-        self.ideal: dict[tuple, MaskSet] = {}
-        self.realized: dict[tuple, MaskSet] = {}
-        self.kernel_builds = 0
 
-    def scene_for(self, cfg: SceneConfig) -> tuple[str, ValidatedScene, SampleGrids]:
-        scene = validate_scene(cfg)
+def _shared_builds(
+    plan: ExperimentPlan, result: RunResult
+) -> Iterator[tuple[list[PointResult], tuple | ImagingError]]:
+    """Build what each run of points at one distance and mask count shares.
+
+    Yields ``(group, shared)`` in plan order, where ``shared`` is
+    ``(scene, grids, target, psf, masks, inv)`` or the error that stopped one
+    of those builds. A distance's scene, grids, target and PSF are built once,
+    its kernel and regularized inverse once, at the first mask count that
+    needs them. Under ``keep_artifacts`` each mask set is exported as soon as
+    it is built.
+    """
+    cache_dir = result.run_dir / "kernels" if plan.keep_artifacts else None
+    artifact_dir = result.run_dir / "artifacts" if plan.keep_artifacts else None
+    for z_prime, at_distance in groupby(result.points, key=attrgetter("z_prime")):
+        at_distance = list(at_distance)
+        try:
+            scene = validate_scene(with_target_distance(plan.scene, z_prime))
+            grids = sample_grids(scene)
+            target = resolve_target(plan.target, scene)
+            psf = None if scene.is_3d else em_core.psf_vector(scene, grids.target_points)
+        except ImagingError as exc:
+            yield at_distance, exc
+            continue
         fp = scene.fingerprint
-        if fp not in self.scenes:
-            self.scenes[fp] = scene
-            self.grids[fp] = sample_grids(scene)
-        return fp, self.scenes[fp], self.grids[fp]
-
-    def kernel_for(self, fp: str, cache_dir: Path | None = None) -> em_core.KernelMatrix:
-        """The scene's kernel, from memory, the disk cache, or a fresh build.
-
-        A cache file that does not load (truncated, stale, or another scene's)
-        is rebuilt and rewritten rather than failing the point.
-        """
-        if fp in self.kernels:
-            return self.kernels[fp]
-        cache_file = cache_dir / f"kernel_{fp[:16]}.bin" if cache_dir else None
-        if cache_file is not None and cache_file.exists():
+        amplification = scene.config.amplification
+        inv = None
+        for count, group in groupby(at_distance, key=attrgetter("n_measurements")):
+            group = list(group)
+            stem = f"{fp[:16]}_I{count}"
             try:
-                self.kernels[fp] = em_core.load_kernel(cache_file, expected_fingerprint=fp)
-                return self.kernels[fp]
-            except CacheMismatch:
-                pass  # rebuilt and rewritten below
-        self.kernels[fp] = em_core.assemble_kernel(self.scenes[fp], self.grids[fp])
-        self.kernel_builds += 1
-        if cache_file is not None:
-            cache_file.parent.mkdir(parents=True, exist_ok=True)
-            em_core.save_kernel(cache_file, self.kernels[fp])
-        return self.kernels[fp]
+                masks = ideal = mask_design.ideal_masks(scene, grids, count, plan.phase_mode)
+                if artifact_dir is not None:
+                    mask_design.save_mask_vectors(artifact_dir / f"masks_ideal_{stem}.bin", ideal, fp)
+                if not plan.ideal_masks:
+                    if inv is None:
+                        kernel, built = _load_or_build_kernel(scene, grids, cache_dir)
+                        result.kernel_builds += built
+                        inv = ris_synthesis.tikhonov_inverse(
+                            kernel, group[0].gamma, plan.threshold_factor, plan.truncation_mode
+                        )
+                    masks = ris_synthesis.realize_masks(inv, ideal, amplification)
+                    if artifact_dir is not None:
+                        mask_design.save_mask_vectors(artifact_dir / f"masks_realized_{stem}.bin", masks, fp)
+                        ris_synthesis.save_profiles(
+                            artifact_dir / f"profiles_{stem}.bin", inv, ideal, amplification, fp
+                        )
+                        ris_synthesis.write_synthesis_summary(
+                            artifact_dir / f"synthesis_{stem}.txt", inv, ideal, masks, amplification
+                        )
+            except ImagingError as exc:
+                yield group, exc
+                continue
+            yield group, (scene, grids, target, psf, masks, inv)
 
 
-def _prepare_point(plan: ExperimentPlan, cache: PipelineCache, point: PointResult, cache_dir: Path | None):
-    """Populate every cache entry the point needs; returns the working pieces."""
-    cfg = with_target_distance(plan.scene, point.z_prime)
-    fp, scene, grids = cache.scene_for(cfg)
-    if fp not in cache.targets:
-        cache.targets[fp] = resolve_target(plan.target, scene)
-        if not scene.is_3d:
-            cache.psf[fp] = em_core.psf_vector(scene, grids.target_points)
-    target = cache.targets[fp]
-
-    mask_key = (fp, point.n_measurements, plan.phase_mode)
-    if mask_key not in cache.ideal:
-        cache.ideal[mask_key] = mask_design.ideal_masks(
-            scene, grids, point.n_measurements, plan.phase_mode
-        )
-    masks = cache.ideal[mask_key]
-
-    if plan.ideal_masks:
-        return scene, grids, target, masks, None
-
-    inv_key = (fp, point.gamma, plan.threshold_factor, plan.truncation_mode)
-    if inv_key not in cache.inverses:
-        kernel = cache.kernel_for(fp, cache_dir)
-        cache.inverses[inv_key] = ris_synthesis.tikhonov_inverse(
-            kernel, point.gamma, plan.threshold_factor, plan.truncation_mode
-        )
-    inv = cache.inverses[inv_key]
-
-    realized_key = mask_key + (point.gamma, plan.threshold_factor, plan.truncation_mode)
-    if realized_key not in cache.realized:
-        cache.realized[realized_key] = ris_synthesis.realize_masks(
-            inv, masks, scene.config.amplification
-        )
-    return scene, grids, target, cache.realized[realized_key], inv
-
-
-def _execute_point(
+def _score_point(
     plan: ExperimentPlan,
-    cache: PipelineCache,
     point: PointResult,
     scene: ValidatedScene,
     grids: SampleGrids,
     target: TargetModel,
+    psf: np.ndarray | None,
     masks: MaskSet,
     inv: ris_synthesis.RegularizedInverse | None,
 ) -> None:
-    meas = measurement.measure(
-        scene,
-        grids,
-        masks,
-        target,
-        point.snr_db,
-        point.seed,
-        noise_mode=plan.noise_mode,
-        n0_dbm_per_hz=plan.n0_dbm_per_hz,
-        bandwidth_hz=plan.bandwidth_hz,
-    )
-    if scene.is_3d:
-        result = reconstruct.reconstruct_3d(scene, meas, masks)
-    else:
-        result = reconstruct.reconstruct_2d(meas, masks, cache.psf[scene.fingerprint])
-    # Remove the known physical cell measure before any calibration.
-    scaled = result.estimate / grids.target_cell_measure
-    calibrated = reconstruct.calibrate_estimate(scaled, plan.calibration, target.values)
-    point.nmse = reconstruct.nmse(target.values, calibrated)
+    """Measure, reconstruct and score one point, then write its estimate images."""
+    try:
+        meas = measurement.measure(
+            scene,
+            grids,
+            masks,
+            target,
+            point.snr_db,
+            point.seed,
+            noise_mode=plan.noise_mode,
+            n0_dbm_per_hz=plan.n0_dbm_per_hz,
+            bandwidth_hz=plan.bandwidth_hz,
+        )
+        if scene.is_3d:
+            result = reconstruct.reconstruct_3d(scene, meas, masks)
+        else:
+            result = reconstruct.reconstruct_2d(meas, masks, psf)
+        # Remove the known physical cell measure before any calibration.
+        scaled = result.estimate / grids.target_cell_measure
+        calibrated = reconstruct.calibrate_estimate(scaled, plan.calibration, target.values)
+        point.nmse = reconstruct.nmse(target.values, calibrated)
+    except ImagingError as exc:
+        point.error = _error_text(exc)
+        return
     point.retained_rank = inv.retained_rank if inv is not None else None
-    point.estimate = calibrated
-    point.grid_shape = target.grid_shape
+    write_estimate_images(
+        Path(plan.output_dir) / f"estimate_{point.index:03d}.pgm", calibrated, target.grid_shape
+    )
 
 
 def plan_points(plan: ExperimentPlan) -> list[PointResult]:
@@ -267,7 +268,7 @@ def plan_points(plan: ExperimentPlan) -> list[PointResult]:
 
 
 def run_plan(plan: ExperimentPlan) -> RunResult:
-    """Execute every sweep point and write the run directory.
+    """Execute every sweep point in plan order and write the run directory.
 
     Contents: resolved config snapshot, metrics.csv (deterministic given the
     seed), timings.csv, one estimate image per point (per slice and component
@@ -277,50 +278,28 @@ def run_plan(plan: ExperimentPlan) -> RunResult:
     plan.validate()
     run_dir = Path(plan.output_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    cache_dir = run_dir / "kernels" if plan.keep_artifacts else None
     _write_snapshot(run_dir / "config_snapshot.txt", plan)
+    if plan.keep_artifacts:
+        (run_dir / "artifacts").mkdir(exist_ok=True)
 
-    cache = PipelineCache()
-    points = plan_points(plan)
-    prepared = {}
-    for point in points:
-        started = time.perf_counter()
-        try:
-            prepared[point.index] = _prepare_point(plan, cache, point, cache_dir)
-        except ImagingError as exc:
-            point.error = f"{type(exc).__name__}: {exc}"
-        point.wall_ms = (time.perf_counter() - started) * 1000.0
+    result = RunResult(run_dir=run_dir, points=plan_points(plan), kernel_builds=0)
+    started = time.perf_counter()
+    for group, shared in _shared_builds(plan, result):
+        for point in group:
+            if isinstance(shared, ImagingError):
+                point.error = _error_text(shared)
+            else:
+                _score_point(plan, point, *shared)
+            # a group's first point also waited for the builds its group shares
+            now = time.perf_counter()
+            point.wall_ms, started = (now - started) * 1000.0, now
 
-    def _measure_and_score(point: PointResult) -> None:
-        if point.error is not None:
-            return
-        started = time.perf_counter()
-        try:
-            _execute_point(plan, cache, point, *prepared[point.index])
-        except ImagingError as exc:
-            point.error = f"{type(exc).__name__}: {exc}"
-        point.wall_ms += (time.perf_counter() - started) * 1000.0
-
-    if plan.workers > 1:
-        with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            list(pool.map(_measure_and_score, points))
-    else:
-        for point in points:
-            _measure_and_score(point)
-    errors = [f"point {p.index}: {p.error}" for p in points if p.error is not None]
-
-    _write_metrics(run_dir / "metrics.csv", points)
-    _write_timings(run_dir / "timings.csv", points)
+    _write_metrics(run_dir / "metrics.csv", result.points)
+    _write_timings(run_dir / "timings.csv", result.points)
+    errors = [f"point {p.index}: {p.error}" for p in result.points if p.error is not None]
     if errors:
         (run_dir / "errors.log").write_text("\n".join(errors) + "\n")
-    for point in points:
-        if point.estimate is not None:
-            write_estimate_images(
-                run_dir / f"estimate_{point.index:03d}.pgm", point.estimate, point.grid_shape
-            )
-    if plan.keep_artifacts:
-        _export_artifacts(run_dir, cache)
-    return RunResult(run_dir=run_dir, points=points, kernel_builds=cache.kernel_builds)
+    return result
 
 
 def _write_snapshot(path: Path, plan: ExperimentPlan) -> None:
@@ -388,31 +367,11 @@ def write_estimate_images(path: Path, estimate: np.ndarray, grid_shape: tuple[in
         write_grid_image(path.with_name(f"{path.stem}_slice{iz}_im.pgm"), slice_grid.imag)
 
 
-def _export_artifacts(run_dir: Path, cache: PipelineCache) -> None:
-    artifact_dir = run_dir / "artifacts"
-    artifact_dir.mkdir(exist_ok=True)
-    for (fp, count, _phase), masks in cache.ideal.items():
-        mask_design.save_mask_vectors(artifact_dir / f"masks_ideal_{fp[:16]}_I{count}.bin", masks, fp)
-    for key, realized in cache.realized.items():
-        fp, count = key[0], key[1]
-        stem = f"{fp[:16]}_I{count}"
-        mask_design.save_mask_vectors(artifact_dir / f"masks_realized_{stem}.bin", realized, fp)
-        ideal = cache.ideal[key[:3]]
-        inv = cache.inverses[(fp,) + key[3:]]
-        amplification = cache.scenes[fp].config.amplification
-        ris_synthesis.save_profiles(
-            artifact_dir / f"profiles_{stem}.bin", inv, ideal, amplification, fp
-        )
-        ris_synthesis.write_synthesis_summary(
-            artifact_dir / f"synthesis_{stem}.txt", inv, ideal, realized, amplification
-        )
-
-
 # --- plan files --------------------------------------------------------------------
 
 _PLAN_BOOL_KEYS = {"ideal_masks", "keep_artifacts"}
 _PLAN_FLOAT_KEYS = {"gamma", "threshold_factor", "n0_dbm_per_hz", "bandwidth_hz"}
-_PLAN_INT_KEYS = {"seed", "workers"}
+_PLAN_INT_KEYS = {"seed"}
 _PLAN_STR_KEYS = {"target", "output_dir", "calibration", "noise_mode", "phase_mode", "truncation_mode"}
 
 
@@ -455,6 +414,10 @@ def parse_plan(text: str, base_dir: Path | None = None) -> ExperimentPlan:
             kwargs[key] = int(values.pop(key))
         for key in _PLAN_BOOL_KEYS & values.keys():
             kwargs[key] = _parse_bool(values.pop(key))
+        # Points run one after another; plan files written when they could
+        # run on a thread pool may still say "workers = 1".
+        if int(values.pop("workers", 1)) != 1:
+            raise MalformedConfig("workers must be 1: sweep points run one after another")
     except MalformedConfig:
         raise
     except ValueError as exc:

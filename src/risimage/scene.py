@@ -61,10 +61,7 @@ class SceneConfig:
 
 @dataclass(frozen=True)
 class ValidatedScene:
-    """A :class:`SceneConfig` that passed :func:`validate_scene`.
-
-    Immutable; safe to share read-only across parallel workers.
-    """
+    """A :class:`SceneConfig` that passed :func:`validate_scene`; immutable."""
 
     config: SceneConfig
 

@@ -123,7 +123,10 @@ def load_target_3d(path: str | Path, scene: ValidatedScene) -> TargetModel:
     Voxels are listed x-fastest, then y, then z. The contrast uses the angular
     frequency implied by the scene wavelength.
     """
-    tokens = Path(path).read_text().split()
+    try:
+        tokens = Path(path).read_text().split()
+    except UnicodeDecodeError as exc:
+        raise MalformedVolume(f"{path}: not a text volume file") from exc
     if len(tokens) < 3:
         raise MalformedVolume(f"{path}: missing 'nx ny nz' header")
     try:

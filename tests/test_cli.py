@@ -9,6 +9,7 @@ import pytest
 from risimage import cli
 from risimage import mask_design as md
 from risimage import measurement as ms
+from risimage import ris_synthesis as rs
 from risimage import runner as rn
 from risimage import scene as sc
 
@@ -457,6 +458,40 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "MissingFile" in err and str(missing) in err
 
+    @pytest.mark.parametrize("damage", ["non-numeric cell", "short row", "header"])
+    def test_malformed_records_file(self, scene_file, tmp_path, capsys, damage):
+        common = ["--scene", str(scene_file), "-I", "128"]
+        records, masks = tmp_path / "records.csv", tmp_path / "masks.bin"
+        assert cli.main(["measure", *common, "--ideal-masks", "--output", str(records)]) == 0
+        assert cli.main(["masks", *common, "--output", str(masks)]) == 0
+        header, first, *rest = records.read_text().splitlines()
+        cells = first.split(",")
+        if damage == "non-numeric cell":
+            first = ",".join([cells[0], "abc", *cells[2:]])
+        elif damage == "short row":
+            first = ",".join(cells[:3])
+        else:
+            header = header.replace("sigma2", "variance")
+        records.write_text("\n".join([header, first, *rest]) + "\n")
+        code = cli.main(
+            ["reconstruct", *common, "--records", str(records), "--masks", str(masks), "--output", str(tmp_path / "e.pgm")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "MalformedRecords" in err and str(records) in err
+
+    def test_undecodable_volume_target(self, tmp_path, capsys):
+        scene_path = tmp_path / "volume.cfg"
+        scene_path.write_text(TestVolumeVerbs.VOLUME_SCENE)
+        volume_path = tmp_path / "vol.bin"
+        volume_path.write_bytes(b"2 2 2\n\xff\xfe\x00\x81")
+        common = ["--scene", str(scene_path), "-I", "16", "--ideal-masks", "--target", str(volume_path)]
+        assert cli.main(["measure", *common, "--output", str(tmp_path / "records.csv")]) == 2
+        assert "MalformedVolume" in capsys.readouterr().err
+        # a sweep records it as the failed point's error
+        assert cli.main(["run", *common, "--output", str(tmp_path / "run")]) == 1
+        assert "ERROR MalformedVolume" in capsys.readouterr().out
+
 
 class TestRunnerInternals:
     def test_truncated_kernel_cache_is_rebuilt(self, scene_file, tmp_path):
@@ -509,21 +544,59 @@ class TestRunnerInternals:
         rows = read_metrics(tmp_path / "err")
         assert rows[0]["nmse"] == "" and rows[1]["nmse"] != ""
 
-    def test_worker_pool_matches_sequential(self, scene_file, tmp_path):
-        base = dict(
+    def test_workers_key_accepts_only_one(self, scene_file, tmp_path, capsys):
+        plan_path = tmp_path / "plan.cfg"
+        body = f"scene = {scene_file.name}\ni_values = 128\noutput_dir = {tmp_path / 'w'}\n"
+        plan_path.write_text(body + "workers = 1\n")
+        assert rn.load_plan(plan_path).i_values == (128,)
+        plan_path.write_text(body + "workers = 2\n")
+        assert cli.main(["sweep", "--plan", str(plan_path)]) == 2
+        assert "MalformedConfig" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", "--scene", str(scene_file), "--workers", "2"])
+        assert exit_info.value.code == 2
+
+    def test_unreachable_distance_fails_only_its_points(self, scene_file, tmp_path):
+        plan = rn.ExperimentPlan(
             scene=sc.load_scene_config(scene_file),
             target="block",
             i_values=(128,),
-            snr_values=(0.0, 10.0, 20.0, 30.0),
-            calibration="lsq",
-            seed=11,
+            snr_values=(None, 20.0),
+            z_values=(0.125, 50.0, 0.25),  # 50 m is beyond the 25 m Rayleigh distance
+            keep_artifacts=True,
+            output_dir=str(tmp_path / "far"),
         )
-        seq = rn.run_plan(rn.ExperimentPlan(**base, output_dir=str(tmp_path / "seq")))
-        par = rn.run_plan(rn.ExperimentPlan(**base, output_dir=str(tmp_path / "par"), workers=3))
-        assert (tmp_path / "seq" / "metrics.csv").read_bytes() == (
-            tmp_path / "par" / "metrics.csv"
-        ).read_bytes()
-        assert seq.kernel_builds == par.kernel_builds == 1
+        result = rn.run_plan(plan)
+        failed = [p.index for p in result.points if p.error is not None]
+        assert failed == [p.index for p in result.points if p.z_prime == 50.0] == [2, 3]
+        assert all(result.points[i].error.startswith("NearFieldViolation: ") for i in failed)
+        assert all(p.nmse is not None for p in result.points if p.error is None)
+        log = (tmp_path / "far" / "errors.log").read_text().splitlines()
+        assert [line.split(":")[0] for line in log] == ["point 2", "point 3"]
+        names = [p.name for p in (tmp_path / "far" / "artifacts").iterdir()]
+        for prefix in ("masks_ideal_", "masks_realized_", "profiles_", "synthesis_"):
+            assert sum(n.startswith(prefix) for n in names) == 2  # one per reachable distance
+        assert result.kernel_builds == 2
+
+    def test_shared_builds_once_per_distance_and_mask_count(self, scene_file, tmp_path, monkeypatch):
+        calls = {"ideal_masks": 0, "tikhonov_inverse": 0}
+        for module, name in ((md, "ideal_masks"), (rs, "tikhonov_inverse")):
+            def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        plan = rn.ExperimentPlan(
+            scene=sc.load_scene_config(scene_file),
+            target="block",
+            i_values=(128, 256),
+            snr_values=(None, 10.0, 20.0),
+            z_values=(0.125, 0.25),
+            output_dir=str(tmp_path / "shared"),
+        )
+        result = rn.run_plan(plan)
+        assert all(p.error is None for p in result.points)
+        assert calls == {"ideal_masks": 4, "tikhonov_inverse": 2}
 
     def test_gamma_defaults_follow_distance_bands(self):
         assert rn.default_gamma(2.5) == 1e-12

@@ -364,6 +364,16 @@ class TestKernel3d:
             assert abs(direct - contracted) / abs(direct) < 1e-10
 
 
+
+@pytest.mark.parametrize("fixture", ["small_scene", "volume_scene"])
+def test_kernel_independent_of_row_blocks(request, monkeypatch, fixture):
+    # kernels are assembled in row blocks; one row per block gives the same bits
+    scene, grids = request.getfixturevalue(fixture)
+    whole = em.assemble_kernel(scene, grids).entries
+    monkeypatch.setattr(em, "_CHUNK_ENTRIES", 1)
+    np.testing.assert_array_equal(em.assemble_kernel(scene, grids).entries, whole)
+
+
 class TestKernelCache:
     def test_round_trip(self, small_scene, tmp_path):
         scene, grids = small_scene

@@ -101,11 +101,14 @@ class TestReconstruct2d:
         values = (np.arange(scene.n_target) % 4 == 2).astype(float)
         target = ms.make_target_2d(values, (8, 8))
         psf = em.psf_vector(scene, grids.target_points)
-        rec_a = ms.measure(scene, grids, masks, target, 20.0, seed=3)
-        rec_b = ms.measure(scene, grids, scaled, target, 20.0, seed=3)
-        est_a = rc.reconstruct_2d(rec_a, masks, psf).estimate
-        est_b = rc.reconstruct_2d(rec_b, scaled, psf).estimate
-        np.testing.assert_allclose(est_b, est_a, rtol=1e-12)
+        # relative to the estimate's peak, as criterion 9: a per-pixel rtol
+        # fails on near-zero pixels for some seeds
+        for seed in range(40):
+            rec_a = ms.measure(scene, grids, masks, target, 20.0, seed=seed)
+            rec_b = ms.measure(scene, grids, scaled, target, 20.0, seed=seed)
+            est_a = rc.reconstruct_2d(rec_a, masks, psf).estimate
+            est_b = rc.reconstruct_2d(rec_b, scaled, psf).estimate
+            np.testing.assert_allclose(est_b, est_a, rtol=0, atol=1e-12 * np.abs(est_a).max())
 
     def test_record_count_mismatch(self, small_scene):
         scene, grids = small_scene
