@@ -6,17 +6,13 @@ measurements, and reconstruct the target by mask/measurement correlation.
 """
 
 from .em_core import (
-    GreenTensor,
     KernelMatrix,
     assemble_kernel,
-    e_out_components,
     green_tensor,
-    h_out_y,
     incident_current,
     kernel_2d,
     kernel_3d,
     load_kernel,
-    psf,
     psf_vector,
     save_kernel,
 )
@@ -35,14 +31,10 @@ from .measurement import (
     noise_power_dbm,
     noise_power_watts,
     noise_variance,
-    receiver_field_2d,
-    receiver_field_3d,
-    target_current_2d,
 )
 from .reconstruct import (
     ReconstructionResult,
     calibrate_estimate,
-    estimate_c,
     mask_moments,
     nmse,
     reconstruct_2d,
@@ -51,12 +43,8 @@ from .reconstruct import (
 )
 from .ris_synthesis import (
     RegularizedInverse,
-    RisProfile,
     realize_masks,
-    singular_spectrum,
-    spectral_rank,
     synthesis_profiles,
-    synthesize,
     tikhonov_inverse,
 )
 from .runner import ExperimentPlan, default_gamma, load_plan, run_plan

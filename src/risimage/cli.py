@@ -93,8 +93,11 @@ def _add_plan_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--keep-artifacts", action="store_true")
 
 
-def _default_measurements(scene) -> int:
-    # smallest usable Hadamard order that leaves no point on the all-ones column
+def _measurement_count(args, scene) -> int:
+    """``-I`` when given; else the smallest usable Hadamard order that leaves
+    no point on the all-ones column."""
+    if args.measurements is not None:
+        return args.measurements
     n_points = validate_scene(scene).n_target
     count = 4
     while count < n_points + 1:
@@ -103,8 +106,7 @@ def _default_measurements(scene) -> int:
 
 
 def _ideal_masks(args, scene, grids) -> mask_design.MaskSet:
-    count = args.measurements or _default_measurements(scene.config)
-    return mask_design.ideal_masks(scene, grids, count, args.phase_mode)
+    return mask_design.ideal_masks(scene, grids, _measurement_count(args, scene.config), args.phase_mode)
 
 
 def cmd_validate(args) -> int:
@@ -149,6 +151,7 @@ def cmd_masks(args) -> int:
 
 
 def _synthesized_masks(args, scene, grids, ideal):
+    ris_synthesis.check_threshold_factor(args.threshold_factor)
     gamma = args.gamma if args.gamma is not None else default_gamma(scene.config.target_distance)
     kernel = em_core.assemble_kernel(scene, grids)
     inv = ris_synthesis.tikhonov_inverse(kernel, gamma, args.threshold_factor, args.truncation_mode)
@@ -179,6 +182,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_measure(args) -> int:
     measurement.check_seed(args.seed)
+    measurement.check_snr(args.snr_db)
     scene = validate_scene(_scene_from_args(args))
     grids = sample_grids(scene)
     target = resolve_target(args.target, scene)
@@ -224,7 +228,7 @@ def cmd_reconstruct(args) -> int:
 
 def _plan_from_args(args, sweep: bool) -> ExperimentPlan:
     scene = _scene_from_args(args)
-    i_default = args.measurements or _default_measurements(scene)
+    i_default = _measurement_count(args, scene)
     snr_values = (args.snr_db,) if not sweep else _parse_sweep_list(args.snr_sweep, float, (args.snr_db,))
     i_values = (i_default,) if not sweep else _parse_sweep_list(args.i_sweep, int, (i_default,))
     z_values = () if not sweep else _parse_sweep_list(args.z_sweep, float, ())

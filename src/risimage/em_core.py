@@ -19,7 +19,6 @@ from .constants import FREE_SPACE_IMPEDANCE
 from .errors import (
     CacheMismatch,
     CoincidentPoints,
-    DimensionMismatch,
     KernelSizeError,
     KindMismatch,
     MissingFile,
@@ -54,33 +53,18 @@ class KernelMatrix:
         return self.entries.shape
 
 
-@dataclass(frozen=True)
-class GreenTensor:
-    """Free-space dyadic Green tensor evaluated for one observation/source pair."""
-
-    matrix: np.ndarray  # (3, 3) complex128, symmetric
-    observation: tuple[float, float, float]
-    source: tuple[float, float, float]
-
-
-def incident_current(scene: ValidatedScene, point) -> complex:
+def incident_current(scene: ValidatedScene, y: np.ndarray) -> np.ndarray:
     """Equivalent electric current density induced on the aperture sheet (A/m).
 
     Only the y-coordinate matters: the obliquely incident plane wave advances
     its phase along y. The x-directed density at (x, y, 0) is
-    (2 E0 / eta) cos(theta_in) exp(-j k sin(theta_in) y).
+    (2 E0 / eta) cos(theta_in) exp(-j k sin(theta_in) y), evaluated at every
+    ordinate of ``y``.
     """
-    point = np.asarray(point, dtype=float)
-    if point.ndim != 1 or point.size < 2:
-        raise DimensionMismatch(f"expected an (x, y[, z]) point, got shape {point.shape}")
-    return complex(_incident_current_at(scene, np.array([point[1]]))[0])
-
-
-def _incident_current_at(scene: ValidatedScene, y: np.ndarray) -> np.ndarray:
     cfg = scene.config
     k = scene.wavenumber
     amplitude = 2.0 * cfg.incident_amplitude / FREE_SPACE_IMPEDANCE * math.cos(cfg.incident_elevation)
-    return amplitude * np.exp(-1j * k * math.sin(cfg.incident_elevation) * y)
+    return amplitude * np.exp(-1j * k * math.sin(cfg.incident_elevation) * np.asarray(y, dtype=float))
 
 
 def _check_size(n_rows: int, n_cols: int, entry_cap: int) -> None:
@@ -110,7 +94,7 @@ def kernel_2d(
 
     k = scene.wavenumber
     z_prime = scene.config.target_distance
-    jx = _incident_current_at(scene, ris[:, 1])
+    jx = incident_current(scene, ris[:, 1])
     cell = grids.ris_cell_area
 
     out = np.empty((targets.shape[0], ris.shape[0]), dtype=np.complex128)
@@ -126,26 +110,12 @@ def kernel_2d(
     return KernelMatrix(entries=out, kind=KIND_Z2D, fingerprint=scene.fingerprint)
 
 
-def h_out_y(kernel: KernelMatrix, p: np.ndarray) -> np.ndarray:
-    """Field produced on the target samples by coefficient vector ``p``."""
-    p = np.asarray(p)
-    if p.shape != (kernel.entries.shape[1],):
-        raise DimensionMismatch(
-            f"coefficient vector of length {p.shape} does not match N={kernel.entries.shape[1]}"
-        )
-    return kernel.entries @ p
-
-
-def psf(scene: ValidatedScene, target_point) -> complex:
-    """Point spread function: propagation weight from a target point to the receiver.
+def psf_vector(scene: ValidatedScene, target_points: np.ndarray) -> np.ndarray:
+    """Point spread function: propagation weight from each target point to the receiver.
 
     K = k eta / (4 pi j) * exp(-jkR') / R', so |K| = k eta / (4 pi R') and
     arg K = -pi/2 - kR' (mod 2 pi).
     """
-    return complex(psf_vector(scene, np.asarray(target_point, dtype=float)[None, :])[0])
-
-
-def psf_vector(scene: ValidatedScene, target_points: np.ndarray) -> np.ndarray:
     receiver = np.asarray(scene.config.receiver_pos)
     diff = np.asarray(target_points, dtype=float) - receiver[None, :]
     r = np.sqrt(np.einsum("mi,mi->m", diff, diff))
@@ -155,83 +125,31 @@ def psf_vector(scene: ValidatedScene, target_points: np.ndarray) -> np.ndarray:
     return (k * FREE_SPACE_IMPEDANCE / (4.0 * math.pi * 1j)) * np.exp(-1j * k * r) / r
 
 
-def green_tensor(r_r, r_prime, k: float) -> GreenTensor:
-    """Free-space dyadic Green tensor between source ``r_prime`` and observation ``r_r``.
+def green_tensor(observation, sources: np.ndarray, k: float) -> np.ndarray:
+    """Free-space dyadic Green tensor (M, 3, 3) from each of M ``sources`` to ``observation``.
 
     Equals (I + grad grad / k^2) g with g = exp(-jkR') / (4 pi R'); in closed
     form, with Rhat the unit vector from source to observation,
 
     [(3/(kR')^2 + 3j/(kR') - 1) Rhat Rhat^T - (1/(kR')^2 + j/(kR') - 1) I] g.
+
+    Entry (a, b) with a <= b is evaluated as (radial Rhat_a) Rhat_b and mirrored
+    to (b, a), so each tensor is exactly symmetric.
     """
-    r_r = np.asarray(r_r, dtype=float)
-    r_prime = np.asarray(r_prime, dtype=float)
-    diff = r_r - r_prime
-    dist = float(np.linalg.norm(diff))
-    if dist == 0.0:
-        raise CoincidentPoints("Green tensor is singular at zero separation")
-    rhat = diff / dist
-    kr = k * dist
-    g = np.exp(-1j * kr) / (4.0 * math.pi * dist)
-    radial = 3.0 / kr**2 + 3j / kr - 1.0
-    transverse = 1.0 / kr**2 + 1j / kr - 1.0
-    matrix = (radial * np.outer(rhat, rhat) - transverse * np.eye(3)) * g
-    matrix.setflags(write=False)
-    return GreenTensor(matrix=matrix, observation=tuple(r_r), source=tuple(r_prime))
-
-
-def _green_x_row(receiver: np.ndarray, points: np.ndarray, k: float) -> np.ndarray:
-    """x-row (G_xx, G_xy, G_xz) of the Green tensor for many source points."""
-    diff = receiver[None, :] - points
+    diff = np.asarray(observation, dtype=float)[None, :] - np.asarray(sources, dtype=float)
     dist = np.sqrt(np.einsum("mi,mi->m", diff, diff))
     if np.any(dist == 0.0):
-        raise CoincidentPoints("receiver coincides with a target sample")
+        raise CoincidentPoints("Green tensor is singular at zero separation")
     rhat = diff / dist[:, None]
     kr = k * dist
     g = np.exp(-1j * kr) / (4.0 * math.pi * dist)
     radial = 3.0 / kr**2 + 3j / kr - 1.0
     transverse = 1.0 / kr**2 + 1j / kr - 1.0
-    row = radial[:, None] * rhat[:, 0:1] * rhat  # Rhat_x * Rhat_a
-    row[:, 0] -= transverse
-    return row * g[:, None]
-
-
-def _e_out_factors(k: float, diff: np.ndarray, r: np.ndarray, point_z: np.ndarray):
-    """Geometric integrand factors shared by the E-field components."""
-    kr = k * r
-    near = (3.0 + 3j * kr - kr**2) / r**5
-    t_xx = (-1.0 - 1j * kr + kr**2) / r**3 + near * diff[..., 0] ** 2
-    t_xy = near * diff[..., 1] * diff[..., 0]
-    t_xz = near * point_z * diff[..., 0]
-    return t_xx, t_xy, t_xz
-
-
-def e_out_components(
-    scene: ValidatedScene,
-    grids: SampleGrids,
-    p: np.ndarray,
-    target_point,
-) -> tuple[complex, complex, complex]:
-    """Electric field components radiated by the aperture at one target point.
-
-    Discretised with the aperture cell area as quadrature weight.
-    """
-    p = np.asarray(p)
-    ris = grids.ris_points
-    if p.shape != (ris.shape[0],):
-        raise DimensionMismatch(f"coefficient vector {p.shape} does not match N={ris.shape[0]}")
-    point = np.asarray(target_point, dtype=float)
-    diff = point[None, :] - ris
-    r = np.sqrt(np.einsum("ni,ni->n", diff, diff))
-    k = scene.wavenumber
-    t_xx, t_xy, t_xz = _e_out_factors(k, diff, r, point[2])
-    jx = _incident_current_at(scene, ris[:, 1])
-    prefactor = -1j * FREE_SPACE_IMPEDANCE / (4.0 * math.pi * k) * grids.ris_cell_area
-    common = jx * p * np.exp(-1j * k * r)
-    return (
-        complex(prefactor * np.sum(t_xx * common)),
-        complex(prefactor * np.sum(t_xy * common)),
-        complex(prefactor * np.sum(t_xz * common)),
-    )
+    tensor = (radial[:, None] * rhat)[:, :, None] * rhat[:, None, :]
+    a, b = np.triu_indices(3, 1)
+    tensor[:, b, a] = tensor[:, a, b]
+    tensor[:, range(3), range(3)] -= transverse[:, None]
+    return tensor * g[:, None, None]
 
 
 def kernel_3d(
@@ -253,9 +171,9 @@ def kernel_3d(
     _check_size(targets.shape[0], ris.shape[0], entry_cap)
 
     k = scene.wavenumber
-    jx = _incident_current_at(scene, ris[:, 1])
+    jx = incident_current(scene, ris[:, 1])
     receiver = np.asarray(scene.config.receiver_pos, dtype=float)
-    green_rows = _green_x_row(receiver, targets, k)
+    green_rows = green_tensor(receiver, targets, k)[:, 0]
     prefactor = -1j * FREE_SPACE_IMPEDANCE / (4.0 * math.pi * k) * grids.ris_cell_area
 
     out = np.empty((targets.shape[0], ris.shape[0]), dtype=np.complex128)
@@ -264,7 +182,12 @@ def kernel_3d(
         stop = min(start + step, targets.shape[0])
         diff = targets[start:stop, None, :] - ris[None, :, :]
         r = np.sqrt(np.einsum("mni,mni->mn", diff, diff))
-        t_xx, t_xy, t_xz = _e_out_factors(k, diff, r, targets[start:stop, 2:3])
+        # E-field integrand factors of the x-directed aperture current
+        kr = k * r
+        near = (3.0 + 3j * kr - kr**2) / r**5
+        t_xx = (-1.0 - 1j * kr + kr**2) / r**3 + near * diff[..., 0] ** 2
+        t_xy = near * diff[..., 1] * diff[..., 0]
+        t_xz = near * targets[start:stop, 2:3] * diff[..., 0]
         rows = green_rows[start:stop]
         bracket = (
             rows[:, 0:1] * t_xx + rows[:, 1:2] * t_xy + rows[:, 2:3] * t_xz

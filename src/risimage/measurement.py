@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import VACUUM_PERMITTIVITY
-from .em_core import KIND_Y3D, KernelMatrix, psf_vector
+from .em_core import psf_vector
 from .errors import DimensionMismatch, EmptySet, KindMismatch, MalformedConfig, MalformedRecords, MissingFile
 from .mask_design import KIND_MASK2D, MaskSet
 from .scene import PLANE_2D, VOLUME_3D, SampleGrids, ValidatedScene
@@ -92,56 +92,6 @@ class Measurements:
         return self.noisy.shape[0]
 
 
-def target_current_2d(realized_mask: np.ndarray, target: TargetModel) -> np.ndarray:
-    """Surface current density induced on a plane target by one mask field.
-
-    The coverage map scales the contribution at the receiver-integral stage,
-    not here; this is the (1 - reflection) conversion only, so a perfect
-    conductor doubles the field.
-    """
-    if target.kind != PLANE_2D:
-        raise KindMismatch("target currents are defined for plane targets")
-    return (1.0 - target.reflection_coeff) * np.asarray(realized_mask, dtype=np.complex128)
-
-
-def receiver_field_2d(
-    scene: ValidatedScene,
-    grids: SampleGrids,
-    current: np.ndarray,
-    target: TargetModel,
-) -> complex:
-    """x-polarised receiver field scattered by a plane target."""
-    if target.kind != PLANE_2D:
-        raise KindMismatch("expected a plane target")
-    current = np.asarray(current)
-    if current.shape != (target.n_points,):
-        raise DimensionMismatch(
-            f"current of shape {current.shape} does not match M={target.n_points}"
-        )
-    weights = psf_vector(scene, grids.target_points) * target.values * grids.target_cell_measure
-    return complex(current @ weights)
-
-
-def receiver_field_3d(
-    scene: ValidatedScene,
-    kernel: KernelMatrix,
-    p: np.ndarray,
-    target: TargetModel,
-) -> complex:
-    """Born-approximation receiver field scattered by a volume target."""
-    if target.kind != VOLUME_3D:
-        raise KindMismatch("expected a volume target")
-    if kernel.kind != KIND_Y3D:
-        raise KindMismatch("expected a volume kernel")
-    coefficients = kernel.entries @ np.asarray(p)
-    return _field_from_b(scene, coefficients, target)
-
-
-def _field_from_b(scene: ValidatedScene, coefficients: np.ndarray, target: TargetModel) -> complex:
-    k = scene.wavenumber
-    return complex(k**2 * scene.target_cell_measure * (target.values @ coefficients))
-
-
 def noise_variance(noiseless_fields: np.ndarray, snr_db: float) -> float:
     """Variance giving the requested receiver SNR against the mean signal power."""
     fields = np.asarray(noiseless_fields)
@@ -166,6 +116,12 @@ def check_seed(seed: int, streams: int = 1) -> None:
         raise MalformedConfig(f"seed must be in 0..2**128-{streams}, got {seed}")
 
 
+def check_snr(snr_db: float | None) -> None:
+    """Reject an SNR that is not a finite number of dB; ``None`` (noiseless) passes."""
+    if snr_db is not None and not math.isfinite(snr_db):
+        raise MalformedConfig(f"snr_db must be a finite number of dB or none, got {snr_db!r}")
+
+
 def complex_noise(variance: float, seed: int, count: int) -> np.ndarray:
     """``count`` circularly-symmetric complex Gaussian draws, one per measurement.
 
@@ -184,7 +140,14 @@ def noiseless_fields(
     masks: MaskSet,
     target: TargetModel,
 ) -> np.ndarray:
-    """Complex receiver field per measurement, without noise."""
+    """Complex receiver field per measurement (one per mask row), without noise.
+
+    Plane targets: a mask induces the surface current (1 - reflection) times
+    the mask, so a perfect conductor doubles the field, and the coverage map
+    and point spread function weight it on its way to the receiver. Volume
+    targets: the Born field k^2 times the voxel volume times the
+    contrast-weighted sum of the mask.
+    """
     vectors = masks.vectors
     if vectors.shape[1] != target.n_points:
         raise DimensionMismatch(

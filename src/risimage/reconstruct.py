@@ -52,11 +52,6 @@ def mask_moments(masks: MaskSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, c_values, power
 
 
-def estimate_c(masks: MaskSet) -> np.ndarray:
-    """Empirical per-point mask variance (see :func:`mask_moments`)."""
-    return mask_moments(masks)[1]
-
-
 def zero_variance_flags(c_values: np.ndarray, power: np.ndarray | None = None) -> np.ndarray:
     """True where the mask variance is (relatively) zero: point unreconstructable.
 
@@ -131,23 +126,15 @@ def reconstruct_3d(
     return ReconstructionResult(estimate=estimate, c_values=c_values, flagged=flagged)
 
 
-def nmse(truth: np.ndarray, estimate: np.ndarray, include: np.ndarray | None = None) -> float:
+def nmse(truth: np.ndarray, estimate: np.ndarray) -> float:
     """Normalised mean square error ||t - t_hat||^2 / ||t||^2 over flat grids.
 
-    By default unreconstructable points count as zeros in the estimate;
-    passing ``include`` (diagnostic use) restricts the comparison to the
-    selected points instead.
+    Unreconstructable points count as zeros in the estimate.
     """
     truth = np.asarray(truth).reshape(-1)
     estimate = np.asarray(estimate).reshape(-1)
     if truth.shape != estimate.shape:
         raise DimensionMismatch(f"truth {truth.shape} vs estimate {estimate.shape}")
-    if include is not None:
-        include = np.asarray(include, dtype=bool).reshape(-1)
-        if include.shape != truth.shape:
-            raise DimensionMismatch(f"include mask {include.shape} vs truth {truth.shape}")
-        truth = truth[include]
-        estimate = estimate[include]
     denominator = float(np.sum(np.abs(truth) ** 2))
     if denominator == 0.0:
         raise ZeroTruth("NMSE is undefined for an all-zero truth grid")

@@ -7,7 +7,7 @@ quadratic penalty, and each vector is then scaled onto the aperture power
 budget ||p||^2 = N * P_I.
 
 Only the target-side factors U and sigma are ever formed. A wide kernel
-K = R^H Q^H (QR of K^H) shares them with its square triangular factor R^H, so
+K = R^T Q^T (QR of K^T) shares them with its square triangular factor R^T, so
 the SVD runs on that M x M factor; the realized mask K p = U diag(sigma
 lambda) U^H b and the norm ||p|| = ||Lambda U^H b|| then need neither V nor p.
 The coefficient profiles themselves come from :func:`synthesis_profiles` and
@@ -25,6 +25,7 @@ from .em_core import KIND_Y3D, KIND_Z2D, KernelMatrix, write_complex_file
 from .errors import (
     DimensionMismatch,
     KindMismatch,
+    MalformedConfig,
     NonPositiveDimension,
     SvdFailure,
     ZeroSolution,
@@ -77,15 +78,23 @@ class RegularizedInverse:
         return solution[:, 0] if rhs.ndim == 1 else solution
 
 
+def check_threshold_factor(threshold_factor: float) -> None:
+    """Reject a truncation threshold factor that is NaN or negative."""
+    if not threshold_factor >= 0.0:
+        raise MalformedConfig(f"threshold_factor must be >= 0, got {threshold_factor!r}")
+
+
 def _spectral_factor(entries: np.ndarray) -> np.ndarray:
     """A matrix with the kernel's left singular vectors and singular values.
 
-    For a wide M x N kernel that is the M x M factor R^H of K^H = Q R, so the
-    SVD never touches an N-long dimension; otherwise the kernel itself.
+    For a wide M x N kernel that is the M x M factor R^T of K^T = Q R
+    (K K^H = R^T conj(R), as Q^H Q = I), so the SVD never touches an N-long
+    dimension; otherwise the kernel itself. ``entries.T`` is a view, so no
+    conjugated copy of the kernel is made.
     """
     m, n = entries.shape
     if m < n:
-        return np.linalg.qr(entries.conj().T, mode="r").conj().T
+        return np.linalg.qr(entries.T, mode="r").T
     return entries
 
 
@@ -127,39 +136,6 @@ def tikhonov_inverse(
     )
 
 
-@dataclass(frozen=True)
-class RisProfile:
-    """One power-normalised reflection-coefficient vector.
-
-    ``solution_norm`` records ||p~|| before normalisation; after it,
-    ||values||^2 equals n_samples * amplification exactly.
-    """
-
-    values: np.ndarray  # (N,) complex128
-    solution_norm: float
-    measurement_index: int | None = None
-
-
-def synthesize(
-    inv: RegularizedInverse,
-    ideal_mask: np.ndarray,
-    n_samples: int,
-    amplification: float,
-    measurement_index: int | None = None,
-) -> RisProfile:
-    """Coefficient vector realizing one mask, scaled to the power budget.
-
-    Positive rescaling of the mask leaves the result unchanged.
-    """
-    solution = inv.apply(np.asarray(ideal_mask))
-    norm = float(np.linalg.norm(solution))
-    if norm == 0.0:
-        raise ZeroSolution("mask lies outside the retained kernel range")
-    values = np.sqrt(n_samples * amplification) * solution / norm
-    values.setflags(write=False)
-    return RisProfile(values=values, solution_norm=norm, measurement_index=measurement_index)
-
-
 def _require_nonzero(norms: np.ndarray) -> None:
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
@@ -198,19 +174,6 @@ def synthesis_profiles(inv: RegularizedInverse, masks: MaskSet, amplification: f
     norms = np.linalg.norm(solutions, axis=0)
     _require_nonzero(norms)
     return (np.sqrt(n_samples * amplification) * solutions / norms[None, :]).T
-
-
-def singular_spectrum(kernel: KernelMatrix) -> np.ndarray:
-    """Singular values of the kernel, descending."""
-    return np.linalg.svd(_spectral_factor(kernel.entries), compute_uv=False)
-
-
-def spectral_rank(sigma: np.ndarray, rel_threshold: float = 1e-3) -> int:
-    """Number of singular values above ``rel_threshold`` times the largest."""
-    sigma = np.asarray(sigma)
-    if sigma.size == 0:
-        return 0
-    return int(np.count_nonzero(sigma > rel_threshold * sigma[0]))
 
 
 def save_profiles(

@@ -93,6 +93,9 @@ class ExperimentPlan:
         # every sweep point draws its noise from its own stream, seed + index
         n_points = len(self.resolved_z_values()) * len(self.i_values) * len(self.snr_values)
         measurement.check_seed(self.seed, streams=n_points)
+        for snr_db in self.snr_values:
+            measurement.check_snr(snr_db)
+        ris_synthesis.check_threshold_factor(self.threshold_factor)
         check_target_spec(self.target)
         if self.gamma is not None and not self.gamma > 0.0:
             raise MalformedConfig(f"gamma must be > 0, got {self.gamma!r}")

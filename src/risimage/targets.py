@@ -70,7 +70,7 @@ def write_pgm(path: str | Path, image: np.ndarray, maxval: int = 255, comment: s
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_grid_image(path: str | Path, grid: np.ndarray, comment_prefix: str = "") -> None:
+def write_grid_image(path: str | Path, grid: np.ndarray) -> None:
     """Map a real-valued (nx, ny) target grid linearly onto 0..255 grey levels.
 
     The min/max of the mapping are recorded in a comment so values stay
@@ -81,7 +81,7 @@ def write_grid_image(path: str | Path, grid: np.ndarray, comment_prefix: str = "
     span = high - low
     scaled = np.zeros_like(grid) if span == 0.0 else (grid - low) / span * 255.0
     image = np.rint(scaled.T[::-1, :]).astype(np.int64)  # (ny, nx), row 0 = top
-    write_pgm(path, image, comment=f"{comment_prefix}min={low!r} max={high!r}")
+    write_pgm(path, image, comment=f"min={low!r} max={high!r}")
 
 
 def _nearest_resample(image: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

@@ -1,11 +1,15 @@
 """Command-line verbs, plan files, run directories, and their determinism."""
 
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import risimage
 from risimage import cli
 from risimage import mask_design as md
 from risimage import measurement as ms
@@ -357,6 +361,8 @@ class TestBadInput:
             "phase_mode = cubic",
             "truncation_mode = soft",
             "gamma = -1",
+            "snr_values = nan, 10",
+            "threshold_factor = -1",
         ],
     )
     def test_bad_plan_value(self, scene_file, tmp_path, capsys, entry):
@@ -375,6 +381,34 @@ class TestBadInput:
         )
         assert code == 2
         assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb, value", [("run", "-inf"), ("measure", "nan")])
+    def test_non_finite_snr_flag(self, scene_file, tmp_path, capsys, verb, value):
+        code = cli.main(
+            [verb, "--scene", str(scene_file), "-I", "128", f"--snr-db={value}", "--output", str(tmp_path / "s")]
+        )
+        assert code == 2
+        assert "MalformedConfig" in capsys.readouterr().err
+
+    def test_non_finite_snr_sweep(self, scene_file, tmp_path, capsys):
+        code = cli.main(
+            ["sweep", "--scene", str(scene_file), "--snr-sweep", "nan,10", "--output", str(tmp_path / "s")]
+        )
+        assert code == 2
+        assert "MalformedConfig" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["run", "measure"])
+    def test_nan_threshold_factor_flag(self, scene_file, tmp_path, capsys, verb):
+        code = cli.main(
+            [verb, "--scene", str(scene_file), "-I", "128", "--threshold-factor", "nan", "--output", str(tmp_path / "t")]
+        )
+        assert code == 2
+        assert "MalformedConfig" in capsys.readouterr().err
+
+    def test_zero_measurement_count(self, scene_file, tmp_path, capsys):
+        code = cli.main(["masks", "--scene", str(scene_file), "-I", "0", "--output", str(tmp_path / "m.bin")])
+        assert code == 2
+        assert "UnsupportedOrder" in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb", ["run", "measure"])
     def test_missing_target_file(self, scene_file, tmp_path, capsys, verb):
@@ -655,3 +689,40 @@ class TestVolumeRun:
         assert result.points[0].error is None
         assert (tmp_path / "vol" / "estimate_000_slice0_re.pgm").exists()
         assert (tmp_path / "vol" / "estimate_000_slice1_im.pgm").exists()
+
+
+class TestBlasThreads:
+    """BLAS sums in a thread-count-dependent order, so only the last digits may move."""
+
+    @staticmethod
+    def sweep_metrics(scene_path, sweep_args, run_dir, threads):
+        env = dict(os.environ, PYTHONPATH=str(Path(risimage.__file__).parent.parent))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(threads)
+        command = [sys.executable, "-m", "risimage.cli", "sweep", "--scene", str(scene_path), *sweep_args]
+        done = subprocess.run(
+            [*command, "--output", str(run_dir)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        return read_metrics(run_dir)
+
+    @pytest.mark.parametrize(
+        "scene_text, sweep_args",
+        [
+            (SCENE_TEXT, ["--i-sweep", "128", "--snr-sweep", "none,20", "--z-sweep", "0.125,0.25"]),
+            (TestVolumeVerbs.VOLUME_SCENE, ["--i-sweep", "16", "--snr-sweep", "none,20", "--z-sweep", "0.125,0.15"]),
+        ],
+        ids=["plane", "volume"],
+    )
+    def test_one_and_two_threads_agree(self, tmp_path, scene_text, sweep_args):
+        scene_path = tmp_path / "scene.cfg"
+        scene_path.write_text(scene_text)
+        one, two = (
+            self.sweep_metrics(scene_path, sweep_args, tmp_path / f"threads{n}", n) for n in (1, 2)
+        )
+        assert len(one) == len(two) == 4
+        for row_one, row_two in zip(one, two):
+            assert row_one["nmse"], row_one
+            exact = ("I", "snr_db", "z_prime", "gamma", "retained_rank", "seed")
+            assert [row_one[key] for key in exact] == [row_two[key] for key in exact]
+            assert float(row_two["nmse"]) == pytest.approx(float(row_one["nmse"]), rel=1e-11, abs=0.0)

@@ -20,54 +20,65 @@ def checker_target(scene):
     return ms.make_target_2d(values, (nx, ny), scene.config.reflection_coeff)
 
 
+def plane_fields(scene, grids, masks, target):
+    """Noiseless receiver field of each plane mask row (an (M,) vector is one row)."""
+    vectors = np.atleast_2d(np.asarray(masks, dtype=complex))
+    return ms.noiseless_fields(scene, grids, md.MaskSet(kind=md.KIND_MASK2D, vectors=vectors), target)
+
+
 class TestTargetCurrent2d:
     def test_pec_doubles_the_field(self, small_scene):
-        scene, _ = small_scene
+        scene, grids = small_scene
         mask = np.arange(scene.n_target, dtype=complex)
-        target = ms.make_target_2d(np.ones(scene.n_target), (8, 8), reflection_coeff=-1.0)
-        np.testing.assert_array_equal(ms.target_current_2d(mask, target), 2.0 * mask)
+        pec = ms.make_target_2d(np.ones(scene.n_target), (8, 8), reflection_coeff=-1.0)
+        bare = ms.make_target_2d(np.ones(scene.n_target), (8, 8), reflection_coeff=0.0)
+        np.testing.assert_array_equal(
+            plane_fields(scene, grids, mask, pec), 2.0 * plane_fields(scene, grids, mask, bare)
+        )
 
     def test_unit_reflection_transmits_nothing(self, small_scene):
-        scene, _ = small_scene
+        scene, grids = small_scene
         mask = np.ones(scene.n_target, dtype=complex)
         target = ms.make_target_2d(np.ones(scene.n_target), (8, 8), reflection_coeff=1.0)
-        np.testing.assert_array_equal(ms.target_current_2d(mask, target), 0.0)
+        np.testing.assert_array_equal(plane_fields(scene, grids, mask, target), 0.0)
 
     def test_linear_in_the_mask(self, small_scene):
-        scene, _ = small_scene
+        scene, grids = small_scene
         rng = np.random.default_rng(0)
         m1 = rng.standard_normal(scene.n_target) + 1j * rng.standard_normal(scene.n_target)
         m2 = rng.standard_normal(scene.n_target) + 1j * rng.standard_normal(scene.n_target)
         target = ms.make_target_2d(np.ones(scene.n_target), (8, 8), reflection_coeff=-0.5 + 0.2j)
         np.testing.assert_allclose(
-            ms.target_current_2d(m1 + 2.0 * m2, target),
-            ms.target_current_2d(m1, target) + 2.0 * ms.target_current_2d(m2, target),
+            plane_fields(scene, grids, m1 + 2.0 * m2, target),
+            plane_fields(scene, grids, m1, target) + 2.0 * plane_fields(scene, grids, m2, target),
             rtol=1e-12,
         )
 
     def test_volume_target_rejected(self, small_scene):
-        scene, _ = small_scene
+        scene, grids = small_scene
         target = ms.make_target_3d(np.zeros(8, dtype=complex), (2, 2, 2))
         with pytest.raises(KindMismatch):
-            ms.target_current_2d(np.ones(8, dtype=complex), target)
+            plane_fields(scene, grids, np.ones(8, dtype=complex), target)
 
 
 class TestReceiverField2d:
     def test_empty_target_gives_zero(self, small_scene):
         scene, grids = small_scene
         target = ms.make_target_2d(np.zeros(scene.n_target), (8, 8))
-        current = np.ones(scene.n_target, dtype=complex)
-        assert ms.receiver_field_2d(scene, grids, current, target) == 0.0
+        mask = np.ones(scene.n_target, dtype=complex)
+        assert plane_fields(scene, grids, mask, target)[0] == 0.0
 
     def test_single_pixel_single_term(self, small_scene):
         scene, grids = small_scene
         values = np.zeros(scene.n_target)
         values[13] = 1.0
-        target = ms.make_target_2d(values, (8, 8))
+        # zero reflection: the induced current equals the mask
+        target = ms.make_target_2d(values, (8, 8), reflection_coeff=0.0)
         current = np.zeros(scene.n_target, dtype=complex)
         current[13] = 2.0 - 1.0j
-        expected = em.psf(scene, grids.target_points[13]) * current[13] * grids.target_cell_measure
-        assert ms.receiver_field_2d(scene, grids, current, target) == pytest.approx(expected)
+        psf = em.psf_vector(scene, grids.target_points[13:14])[0]
+        expected = psf * current[13] * grids.target_cell_measure
+        assert plane_fields(scene, grids, current, target)[0] == pytest.approx(expected)
 
     def test_exact_phase_condition_gives_constant_phase_sum(self, small_scene):
         # with the per-point exact phase profile the summands are all
@@ -76,34 +87,40 @@ class TestReceiverField2d:
         masks = md.ideal_masks(scene, grids, 128, phase_mode=md.PHASE_EXACT)
         target = ms.make_target_2d(np.ones(scene.n_target), (8, 8), reflection_coeff=-1.0)
         psf = em.psf_vector(scene, grids.target_points)
+        fields = ms.noiseless_fields(scene, grids, masks, target)
         for i in (0, 3, 17):
-            current = ms.target_current_2d(masks.vectors[i], target)
-            field = ms.receiver_field_2d(scene, grids, current, target)
+            current = 2.0 * masks.vectors[i]
             magnitude_sum = float(
                 np.sum(np.abs(psf) * np.abs(current)) * grids.target_cell_measure
             )
-            assert abs(field) == pytest.approx(magnitude_sum, rel=1e-9)
+            assert abs(fields[i]) == pytest.approx(magnitude_sum, rel=1e-9)
 
     def test_full_target_dominates_subtargets(self, small_scene):
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128, phase_mode=md.PHASE_EXACT)
         full = ms.make_target_2d(np.ones(scene.n_target), (8, 8))
         rng = np.random.default_rng(1)
-        current = ms.target_current_2d(masks.vectors[5], full)
-        full_field = abs(ms.receiver_field_2d(scene, grids, current, full))
+        mask = masks.vectors[5]
+        full_field = abs(plane_fields(scene, grids, mask, full)[0])
         for _ in range(5):
             values = (rng.random(scene.n_target) < 0.5).astype(float)
             sub = ms.make_target_2d(values, (8, 8))
-            assert abs(ms.receiver_field_2d(scene, grids, current, sub)) <= full_field + 1e-15
+            assert abs(plane_fields(scene, grids, mask, sub)[0]) <= full_field + 1e-15
 
 
 class TestReceiverField3d:
+    @staticmethod
+    def field(scene, grids, kernel, p, target):
+        """Born field of the one volume mask that coefficients ``p`` produce."""
+        masks = md.MaskSet(kind=md.KIND_MASK3D, vectors=(kernel.entries @ p)[None, :])
+        return ms.noiseless_fields(scene, grids, masks, target)[0]
+
     def test_air_scatters_nothing(self, volume_scene):
         scene, grids = volume_scene
         kernel = em.kernel_3d(scene, grids)
         target = ms.make_target_3d(np.zeros(scene.n_target, dtype=complex), (2, 2, 2))
         p = np.ones(scene.n_ris, dtype=complex)
-        assert ms.receiver_field_3d(scene, kernel, p, target) == 0.0
+        assert self.field(scene, grids, kernel, p, target) == 0.0
 
     def test_linear_in_contrast(self, volume_scene):
         scene, grids = volume_scene
@@ -111,8 +128,8 @@ class TestReceiverField3d:
         rng = np.random.default_rng(2)
         chi = rng.standard_normal(scene.n_target) + 1j * rng.standard_normal(scene.n_target)
         p = rng.standard_normal(scene.n_ris) + 1j * rng.standard_normal(scene.n_ris)
-        base = ms.receiver_field_3d(scene, kernel, p, ms.make_target_3d(chi, (2, 2, 2)))
-        scaled = ms.receiver_field_3d(scene, kernel, p, ms.make_target_3d(2.5 * chi, (2, 2, 2)))
+        base = self.field(scene, grids, kernel, p, ms.make_target_3d(chi, (2, 2, 2)))
+        scaled = self.field(scene, grids, kernel, p, ms.make_target_3d(2.5 * chi, (2, 2, 2)))
         assert scaled == pytest.approx(2.5 * base, rel=1e-12)
 
 
