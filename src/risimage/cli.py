@@ -131,12 +131,19 @@ def cmd_kernel(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     if out.exists() and not args.force:
         kernel = em_core.load_kernel(out, expected_fingerprint=scene.fingerprint)
-        print(f"cache hit: {out} ({kernel.kind} {kernel.shape[0]}x{kernel.shape[1]})")
+        kernel = em_core.with_mirror_symmetry(kernel, scene, grids)
+        print(f"cache hit: {out} ({_kernel_label(kernel)})")
         return 0
     kernel = em_core.assemble_kernel(scene, grids)
     em_core.save_kernel(out, kernel)
-    print(f"assembled {kernel.kind} kernel {kernel.shape[0]}x{kernel.shape[1]} -> {out}")
+    print(f"assembled {_kernel_label(kernel)} kernel -> {out}")
     return 0
+
+
+def _kernel_label(kernel: em_core.KernelMatrix) -> str:
+    """Kind and shape, marked when synthesis can split the kernel into mirror sectors."""
+    mirrored = ", mirror-symmetric" if kernel.symmetry is not None else ""
+    return f"{kernel.kind} {kernel.shape[0]}x{kernel.shape[1]}{mirrored}"
 
 
 def cmd_masks(args) -> int:

@@ -4,13 +4,18 @@ Sign convention: time-harmonic with outgoing waves carrying exp(-jkR)
 everywhere, including the scalar Green function g = exp(-jkR) / (4 pi R).
 All distances are computed in double precision; kernel assembly is chunked
 over target rows so the matrix never needs to exist twice in memory.
+
+A plane kernel carries its mirror structure (:class:`MirrorSymmetry`): both
+grids are centred on the origin and an entry depends on the aperture sample
+only through its distance to the pixel and the phase of J_x, so synthesis can
+split the kernel into the even/odd sectors of the x- and y-mirrors.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,16 +42,33 @@ _CHUNK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
+class MirrorSymmetry:
+    """Mirror structure of a plane kernel K = F diag(phase) times a real constant.
+
+    Both grids are cell-centred on the origin with flat index ``ix + nx * iy``,
+    and F(m, n) depends only on the distance from aperture sample n to pixel m,
+    so F is unchanged when the x-mirror (or the y-mirror) is applied to both
+    grids at once. ``phase`` is the unit phase ramp of J_x along y.
+    """
+
+    target_shape: tuple[int, int]  # (nx, ny)
+    aperture_shape: tuple[int, int]  # (Nx, Ny)
+    phase: np.ndarray  # (N,) complex128, |phase| = 1
+
+
+@dataclass(frozen=True)
 class KernelMatrix:
     """Discretised propagation operator from aperture samples to target samples.
 
     ``entries[m, n]`` maps the reflection coefficient at aperture sample n to
     the field quantity at target sample m. Read-only after assembly.
+    ``symmetry`` is set for plane kernels and None for anything else.
     """
 
     entries: np.ndarray  # (M, N) complex128
     kind: str  # KIND_Z2D | KIND_Y3D
     fingerprint: str
+    symmetry: MirrorSymmetry | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -62,9 +84,32 @@ def incident_current(scene: ValidatedScene, y: np.ndarray) -> np.ndarray:
     ordinate of ``y``.
     """
     cfg = scene.config
-    k = scene.wavenumber
     amplitude = 2.0 * cfg.incident_amplitude / FREE_SPACE_IMPEDANCE * math.cos(cfg.incident_elevation)
-    return amplitude * np.exp(-1j * k * math.sin(cfg.incident_elevation) * np.asarray(y, dtype=float))
+    return amplitude * _incident_phase(scene, y)
+
+
+def _incident_phase(scene: ValidatedScene, y: np.ndarray) -> np.ndarray:
+    k = scene.wavenumber
+    return np.exp(-1j * k * math.sin(scene.config.incident_elevation) * np.asarray(y, dtype=float))
+
+
+def with_mirror_symmetry(kernel: KernelMatrix, scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
+    """``kernel`` with the mirror structure of ``scene``'s plane kernel attached.
+
+    Volume kernels come back unchanged: the receiver Green row of each voxel
+    breaks the mirror symmetry.
+    """
+    if scene.is_3d:
+        return kernel
+    cfg = scene.config
+    phase = _incident_phase(scene, grids.ris_points[:, 1])
+    phase.setflags(write=False)
+    symmetry = MirrorSymmetry(
+        target_shape=(cfg.n_target_x, cfg.n_target_y),
+        aperture_shape=(cfg.n_ris_x, cfg.n_ris_y),
+        phase=phase,
+    )
+    return replace(kernel, symmetry=symmetry)
 
 
 def _check_size(n_rows: int, n_cols: int, entry_cap: int) -> None:
@@ -107,7 +152,8 @@ def kernel_2d(
             -(1.0 + 1j * k * r) / (4.0 * math.pi * r**3) * cell * z_prime * jx[None, :]
         ) * np.exp(-1j * k * r)
     out.setflags(write=False)
-    return KernelMatrix(entries=out, kind=KIND_Z2D, fingerprint=scene.fingerprint)
+    kernel = KernelMatrix(entries=out, kind=KIND_Z2D, fingerprint=scene.fingerprint)
+    return with_mirror_symmetry(kernel, scene, grids)
 
 
 def psf_vector(scene: ValidatedScene, target_points: np.ndarray) -> np.ndarray:

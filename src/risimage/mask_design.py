@@ -88,7 +88,8 @@ def hadamard(order: int) -> np.ndarray:
     return h
 
 
-def _check_measurement_count(n_measurements: int, n_points: int) -> None:
+def check_measurement_order(n_measurements: int) -> None:
+    """Reject a measurement count that is not a power of two >= 4."""
     if not (
         isinstance(n_measurements, int)
         and n_measurements >= 4
@@ -97,6 +98,10 @@ def _check_measurement_count(n_measurements: int, n_points: int) -> None:
         raise UnsupportedOrder(
             f"measurement count must be a power of two >= 4, got {n_measurements!r}"
         )
+
+
+def _check_measurement_count(n_measurements: int, n_points: int) -> None:
+    check_measurement_order(n_measurements)
     if n_measurements < n_points:
         raise InsufficientMeasurements(
             f"{n_measurements} measurements cannot encode {n_points} sample points"

@@ -116,6 +116,14 @@ def check_seed(seed: int, streams: int = 1) -> None:
         raise MalformedConfig(f"seed must be in 0..2**128-{streams}, got {seed}")
 
 
+def check_noise_settings(n0_dbm_per_hz: float, bandwidth_hz: float) -> None:
+    """Reject a non-finite noise density or a bandwidth that is not a finite number > 0."""
+    if not math.isfinite(n0_dbm_per_hz):
+        raise MalformedConfig(f"n0_dbm_per_hz must be a finite number of dBm/Hz, got {n0_dbm_per_hz!r}")
+    if not (math.isfinite(bandwidth_hz) and bandwidth_hz > 0.0):
+        raise MalformedConfig(f"bandwidth_hz must be a finite number > 0, got {bandwidth_hz!r}")
+
+
 def check_snr(snr_db: float | None) -> None:
     """Reject an SNR that is not a finite number of dB; ``None`` (noiseless) passes."""
     if snr_db is not None and not math.isfinite(snr_db):

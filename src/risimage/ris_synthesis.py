@@ -6,16 +6,32 @@ coefficient vector p = V Lambda U^H b that best reproduces it under the
 quadratic penalty, and each vector is then scaled onto the aperture power
 budget ||p||^2 = N * P_I.
 
-Only the target-side factors U and sigma are ever formed. A wide kernel
-K = R^T Q^T (QR of K^T) shares them with its square triangular factor R^T, so
-the SVD runs on that M x M factor; the realized mask K p = U diag(sigma
-lambda) U^H b and the norm ||p|| = ||Lambda U^H b|| then need neither V nor p.
-The coefficient profiles themselves come from :func:`synthesis_profiles` and
-are formed only when they are exported.
+The decomposition runs sector by sector. A plane kernel carries its mirror
+structure (``KernelMatrix.symmetry``): K = a F diag(phase) with a real, and F
+unchanged when the x-mirror or the y-mirror acts on both centred grids, so
+K K^H commutes with the target mirrors. In the orthonormal even/odd basis
+along x and along y (a mirror pair (i, n-1-i) gives (v_i +- v_{n-1-i}) /
+sqrt(2); an odd length's centre line joins the even part with weight 1), K is
+block diagonal with four sectors of about M/4 x N/4 (symmetry-adapted block
+diagonalisation). Each sector block is formed from a quarter of the target
+rows folded over the aperture, so the full kernel is never folded. Any other
+kernel, volume kernels included, is one identity sector holding K itself and
+goes through the same code.
+
+Only the target-side factors U and sigma of each block are ever formed. A
+wide block B = R^T Q^T (QR of B^T) shares them with its square triangular
+factor R^T, so the SVD runs on that factor. The realized mask
+K p = U diag(sigma lambda) U^H b and the norm ||p|| = ||Lambda U^H b|| then
+need neither V nor p, and only the retained columns of U enter them: each
+mask is folded into the sectors, goes through two small products per sector,
+and is unfolded. The coefficient profiles themselves come from
+:func:`synthesis_profiles` and are formed only when they are exported.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -40,41 +56,83 @@ DEFAULT_THRESHOLD_FACTOR = 1e-5
 _KERNEL_TO_MASK_KIND = {KIND_Z2D: KIND_MASK2D, KIND_Y3D: KIND_MASK3D}
 
 
+# Sector order of :func:`_sector_fold`: (x parity, y parity), 0 even and 1 odd.
+_PARITIES = ((0, 0), (1, 0), (0, 1), (1, 1))
+_HALF = math.sqrt(0.5)
+# Masks are realized in blocks of about this many entries (1 MiB).
+_CHUNK_ENTRIES = 1 << 16
+
+
+@dataclass(frozen=True)
+class Sector:
+    """One diagonal block of the kernel and its regularized spectrum.
+
+    ``u`` (rows, K) and ``sigma`` (K,) are the block's left singular vectors
+    and singular values, descending; ``inv_sigma`` holds sigma / (sigma^2 +
+    gamma) for retained values and exactly zero for truncated ones, which
+    come last since sigma descends. ``cols`` is the block's aperture width.
+    """
+
+    cols: int
+    u: np.ndarray
+    sigma: np.ndarray
+    inv_sigma: np.ndarray
+
+    @property
+    def retained(self) -> int:
+        return int(np.count_nonzero(self.inv_sigma))
+
+
 @dataclass(frozen=True)
 class RegularizedInverse:
     """Truncated-SVD Tikhonov pseudo-inverse of a propagation kernel.
 
-    ``inv_sigma`` holds sigma / (sigma^2 + gamma) for retained singular values
-    and exactly zero for truncated ones; ``retained_rank`` counts the former.
-    The right singular vectors are never stored: ``kernel`` maps back to the
-    aperture side where a solution is needed.
+    ``sectors`` follow :func:`_sector_fold` order for a kernel with mirror
+    structure and are one identity sector otherwise; ``retained_rank`` sums
+    their retained modes. The right singular vectors are never stored:
+    ``kernel`` maps back to the aperture side where a solution is needed.
     """
 
     kernel: KernelMatrix
-    u: np.ndarray  # (M, K)
-    sigma: np.ndarray  # (K,)
-    inv_sigma: np.ndarray  # (K,)
+    sectors: tuple[Sector, ...]
     gamma: float
     threshold_factor: float
     truncation_mode: str
     retained_rank: int
 
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        sigma = np.concatenate([s.sigma for s in self.sectors])
+        inv_sigma = np.concatenate([s.inv_sigma for s in self.sectors])
+        order = np.argsort(-sigma, kind="stable")
+        return sigma[order], inv_sigma[order]
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """Singular values of every sector, descending."""
+        return self._spectrum()[0]
+
+    @property
+    def inv_sigma(self) -> np.ndarray:
+        """Regularized weights aligned with :attr:`sigma`."""
+        return self._spectrum()[1]
+
     def apply(self, rhs: np.ndarray) -> np.ndarray:
         """Regularized solution V Lambda U^H rhs for one vector or a stack.
 
-        Evaluated as K^H U diag(lambda / sigma) U^H rhs, which is the same
-        vector since K^H U = V Sigma; modes with sigma = 0 get weight zero.
+        Evaluated as K^H U diag(lambda / sigma) U^H rhs over the retained
+        modes, which is the same vector since K^H U = V Sigma.
         """
         rhs = np.asarray(rhs, dtype=np.complex128)
-        if rhs.shape[0] != self.u.shape[0]:
-            raise DimensionMismatch(
-                f"right-hand side of length {rhs.shape[0]} does not match M={self.u.shape[0]}"
-            )
-        weight = np.divide(
-            self.inv_sigma, self.sigma, out=np.zeros_like(self.sigma), where=self.sigma > 0.0
+        m = self.kernel.entries.shape[0]
+        if rhs.shape[0] != m:
+            raise DimensionMismatch(f"right-hand side of length {rhs.shape[0]} does not match M={m}")
+        shape = _target_shape(self.kernel)
+        stack = np.ascontiguousarray(rhs.reshape(m, -1).T)  # (k, M)
+        projected = (
+            ((inv_sigma / sigma)[:, None] * (u.conj().T @ part.T)).T @ u.T
+            for (u, sigma, inv_sigma), part in zip(_folded_factors(self), _sector_fold(stack, shape))
         )
-        weighted = weight[:, None] * (self.u.conj().T @ rhs.reshape(rhs.shape[0], -1))
-        solution = self.kernel.entries.conj().T @ (self.u @ weighted)
+        solution = self.kernel.entries.conj().T @ _sector_unfold(projected, shape).T
         return solution[:, 0] if rhs.ndim == 1 else solution
 
 
@@ -84,13 +142,156 @@ def check_threshold_factor(threshold_factor: float) -> None:
         raise MalformedConfig(f"threshold_factor must be >= 0, got {threshold_factor!r}")
 
 
-def _spectral_factor(entries: np.ndarray) -> np.ndarray:
-    """A matrix with the kernel's left singular vectors and singular values.
+def _along(axis: int, index: slice) -> tuple:
+    """Index tuple applying ``index`` to the trailing ``axis`` (-1 or -2)."""
+    return (Ellipsis, index) + (slice(None),) * (-1 - axis)
 
-    For a wide M x N kernel that is the M x M factor R^T of K^T = Q R
-    (K K^H = R^T conj(R), as Q^H Q = I), so the SVD never touches an N-long
-    dimension; otherwise the kernel itself. ``entries.T`` is a view, so no
-    conjugated copy of the kernel is made.
+
+def _mirror_split(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalised even and odd parts under the mirror i -> n-1-i along ``axis``.
+
+    The pair (i, n-1-i), i < n // 2, gives v_i + v_{n-1-i} at even index i
+    and v_i - v_{n-1-i} at odd index i; an odd length's centre line is the
+    last even index. Both parts are new C-ordered arrays.
+    """
+    n = values.shape[axis]
+    h = n // 2
+    head = values[_along(axis, slice(0, h))]
+    tail = values[_along(axis, slice(n - h, n))][_along(axis, slice(None, None, -1))]
+    shape = list(values.shape)
+    shape[axis] = n - h
+    even = np.empty(shape, dtype=values.dtype)
+    shape[axis] = h
+    odd = np.empty(shape, dtype=values.dtype)
+    np.add(head, tail, out=even[_along(axis, slice(0, h))])
+    even[_along(axis, slice(h, None))] = values[_along(axis, slice(h, n - h))]
+    np.subtract(head, tail, out=odd)
+    return even, odd
+
+
+def _mirror_join(even: np.ndarray, odd: np.ndarray, axis: int) -> np.ndarray:
+    """Transpose of :func:`_mirror_split`: a new C-ordered array."""
+    h = odd.shape[axis]
+    n = even.shape[axis] + h
+    shape = list(even.shape)
+    shape[axis] = n
+    out = np.empty(shape, dtype=np.result_type(even, odd))
+    paired = even[_along(axis, slice(0, h))]
+    np.add(paired, odd, out=out[_along(axis, slice(0, h))])
+    tail = out[_along(axis, slice(n - h, n))][_along(axis, slice(None, None, -1))]
+    np.subtract(paired, odd, out=tail)
+    out[_along(axis, slice(h, n - h))] = even[_along(axis, slice(h, None))]
+    return out
+
+
+def _sector_fold(values: np.ndarray, shape: tuple[int, int] | None) -> Iterator[np.ndarray]:
+    """Split values (..., nx * ny) over a grid, x fastest, into its mirror sectors.
+
+    Yields one unnormalised (..., rows) array per sector in ``_PARITIES``
+    order, each flattened x fastest, and keeps no reference to the ones it
+    has yielded; :func:`_sector_norms` makes the split orthonormal. Without a
+    grid shape, yields ``values`` itself.
+    """
+    if shape is None:
+        yield values
+        return
+    nx, ny = shape
+    for half in _mirror_split(values.reshape(values.shape[:-1] + (ny, nx)), -2):
+        for part in _mirror_split(half, -1):
+            yield part.reshape(values.shape[:-1] + (-1,))
+
+
+def _sector_unfold(parts: Iterator[np.ndarray], shape: tuple[int, int] | None) -> np.ndarray:
+    """Transpose of :func:`_sector_fold`, drawing the sector arrays from ``parts``
+    in order as it needs them: a new C-ordered (..., nx * ny) array."""
+    if shape is None:
+        return next(parts)
+    nx, ny = shape
+
+    def y_line(y_rows: int) -> np.ndarray:
+        even, odd = next(parts), next(parts)
+        lead = even.shape[:-1]
+        even = even.reshape(lead + (y_rows, nx - nx // 2))
+        return _mirror_join(even, odd.reshape(lead + (y_rows, nx // 2)), -1)
+
+    grid = _mirror_join(y_line(ny - ny // 2), y_line(ny // 2), -2)
+    return grid.reshape(grid.shape[:-2] + (nx * ny,))
+
+
+def _pair_norms(n: int, parity: int) -> np.ndarray:
+    """Orthonormalising weight of one axis's even (0) or odd (1) part:
+    1/sqrt(2) per mirror pair, 1 for an odd length's centre line."""
+    h = n // 2
+    norms = np.full(n - h if parity == 0 else h, _HALF)
+    norms[h:] = 1.0
+    return norms
+
+
+def _sector_norms(shape: tuple[int, int] | None) -> list[np.ndarray | None]:
+    """Per-sector row weights w_s that make w_s * fold_s an orthonormal map.
+
+    The split of U^H b is then (w_s * U_s)^H fold_s(b) and its join
+    unfold_s(w_s * U_s z), so the weights act on the small factors, never on
+    the mask stack. None for the identity sector.
+    """
+    if shape is None:
+        return [None]
+    nx, ny = shape
+    return [np.outer(_pair_norms(ny, py), _pair_norms(nx, px)).ravel() for px, py in _PARITIES]
+
+
+def _target_shape(kernel: KernelMatrix) -> tuple[int, int] | None:
+    return kernel.symmetry.target_shape if kernel.symmetry is not None else None
+
+
+def _folded_factors(inv: RegularizedInverse) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per sector: the retained columns of U with the fold weights applied,
+    and that sector's retained singular values and regularized weights."""
+    for sector, norms in zip(inv.sectors, _sector_norms(_target_shape(inv.kernel))):
+        r = sector.retained
+        u = sector.u[:, :r] if norms is None else norms[:, None] * sector.u[:, :r]
+        yield u, sector.sigma[:r], sector.inv_sigma[:r]
+
+
+def _sector_blocks(kernel: KernelMatrix) -> list[np.ndarray]:
+    """The kernel's diagonal blocks, in :func:`_sector_fold` order.
+
+    Block s is Q_s^T K diag(conj phase) P_s for the sector's orthonormal
+    target and aperture bases Q_s and P_s; the phase factor drops out of the
+    left singular vectors and values. Since F is mirror-invariant, the
+    target-side fold of a row reduces to the weight 1 / w_s on its quadrant
+    row, so only the quarter of K with ix < nx - nx // 2 and
+    iy < ny - ny // 2 is read and folded over the aperture.
+    """
+    symmetry = kernel.symmetry
+    if symmetry is None:
+        return [kernel.entries]
+    nx, ny = symmetry.target_shape
+    ex, ey = nx - nx // 2, ny - ny // 2
+    n = kernel.entries.shape[1]
+    quadrant = kernel.entries.reshape(ny, nx, n)[:ey, :ex]
+    rows = (quadrant * symmetry.phase.conj()).reshape(ey * ex, n)
+    target_norms = _sector_norms(symmetry.target_shape)
+    aperture_norms = _sector_norms(symmetry.aperture_shape)
+    blocks = []
+    for (px, py), part, t_norms, a_norms in zip(
+        _PARITIES, _sector_fold(rows, symmetry.aperture_shape), target_norms, aperture_norms
+    ):
+        nrows_x = ex if px == 0 else nx - ex
+        nrows_y = ey if py == 0 else ny - ey
+        cols = part.shape[1]
+        picked = part.reshape(ey, ex, cols)[:nrows_y, :nrows_x].reshape(nrows_y * nrows_x, cols)
+        blocks.append(picked * (a_norms[None, :] / t_norms[:, None]))
+    return blocks
+
+
+def _spectral_factor(entries: np.ndarray) -> np.ndarray:
+    """A matrix with the block's left singular vectors and singular values.
+
+    For a wide M x N block that is the M x M factor R^T of B^T = Q R
+    (B B^H = R^T conj(R), as Q^H Q = I), so the SVD never touches an N-long
+    dimension; otherwise the block itself. ``entries.T`` is a view, so no
+    conjugated copy of the block is made.
     """
     m, n = entries.shape
     if m < n:
@@ -104,7 +305,7 @@ def tikhonov_inverse(
     threshold_factor: float = DEFAULT_THRESHOLD_FACTOR,
     truncation_mode: str = TRUNCATE_SIGMA_SQ,
 ) -> RegularizedInverse:
-    """SVD the kernel's square factor and build the regularized inverse spectrum.
+    """SVD each sector block's square factor and build the regularized inverse spectrum.
 
     Modes whose singular value falls below the truncation threshold are zeroed
     outright; raising ``threshold_factor`` can only shrink the retained rank.
@@ -113,26 +314,26 @@ def tikhonov_inverse(
         raise NonPositiveDimension(f"regularization weight must be > 0, got {gamma!r}")
     if truncation_mode not in (TRUNCATE_SIGMA_SQ, TRUNCATE_SIGMA):
         raise ValueError(f"unknown truncation mode {truncation_mode!r}")
-    try:
-        u, sigma, _ = np.linalg.svd(_spectral_factor(kernel.entries), full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise SvdFailure(f"SVD did not converge on a {kernel.entries.shape} kernel") from exc
-
-    if truncation_mode == TRUNCATE_SIGMA_SQ:
-        keep = sigma**2 >= threshold_factor * gamma
-    else:
-        keep = sigma >= threshold_factor * gamma
-    inv_sigma = np.where(keep, sigma / (sigma**2 + gamma), 0.0)
-    inv_sigma.setflags(write=False)
+    sectors = []
+    for block in _sector_blocks(kernel):
+        try:
+            u, sigma, _ = np.linalg.svd(_spectral_factor(block), full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise SvdFailure(f"SVD did not converge on a {block.shape} kernel block") from exc
+        if truncation_mode == TRUNCATE_SIGMA_SQ:
+            keep = sigma**2 >= threshold_factor * gamma
+        else:
+            keep = sigma >= threshold_factor * gamma
+        inv_sigma = np.where(keep, sigma / (sigma**2 + gamma), 0.0)
+        inv_sigma.setflags(write=False)
+        sectors.append(Sector(cols=block.shape[1], u=u, sigma=sigma, inv_sigma=inv_sigma))
     return RegularizedInverse(
         kernel=kernel,
-        u=u,
-        sigma=sigma,
-        inv_sigma=inv_sigma,
+        sectors=tuple(sectors),
         gamma=gamma,
         threshold_factor=threshold_factor,
         truncation_mode=truncation_mode,
-        retained_rank=int(np.count_nonzero(inv_sigma)),
+        retained_rank=sum(s.retained for s in sectors),
     )
 
 
@@ -145,20 +346,34 @@ def _require_nonzero(norms: np.ndarray) -> None:
 def realize_masks(inv: RegularizedInverse, masks: MaskSet, amplification: float) -> MaskSet:
     """The masks that power-normalised synthesized profiles produce.
 
-    Works in the target-side range space: with c = U^H b per ideal mask b, the
-    solution norm is ||lambda c|| and the realized mask is
-    U diag(sigma lambda) c scaled onto the power budget. Returns a new set
-    whose ``vectors`` are the realized masks.
+    Works in the target-side range space of each sector: with c = U^H b per
+    folded ideal mask b over the retained modes, the solution norm is
+    ||lambda c|| summed over sectors and the realized mask is the unfolded
+    U diag(sigma lambda) c, scaled onto the power budget. Masks go through
+    in blocks of about ``_CHUNK_ENTRIES`` entries, so the fold temporaries
+    stay small. Returns a new set whose ``vectors`` are the realized masks.
     """
     kind = inv.kernel.kind
     if _KERNEL_TO_MASK_KIND.get(kind) != masks.kind:
         raise KindMismatch(f"kernel kind {kind!r} cannot realize {masks.kind!r} masks")
-    n_samples = inv.kernel.entries.shape[1]
-    coeffs = inv.u.conj().T @ masks.vectors.T  # (K, I)
-    norms = np.linalg.norm(inv.inv_sigma[:, None] * coeffs, axis=0)
+    n_targets, n_samples = inv.kernel.entries.shape
+    shape = _target_shape(inv.kernel)
+    factors = list(_folded_factors(inv))
+    realized = np.empty((masks.count, n_targets), dtype=np.complex128)
+    norms = np.empty(masks.count)
+    step = max(1, _CHUNK_ENTRIES // n_targets)
+    for start in range(0, masks.count, step):
+        chunk = slice(start, start + step)
+        coeffs = []
+        norms_sq = 0.0
+        for (u, sigma, inv_sigma), part in zip(factors, _sector_fold(masks.vectors[chunk], shape)):
+            weighted = inv_sigma[:, None] * (u.conj().T @ part.T)  # (r, chunk)
+            norms_sq = norms_sq + np.einsum("ki,ki->i", weighted, weighted.conj()).real
+            coeffs.append((u, sigma[:, None] * weighted))
+        norms[chunk] = np.sqrt(norms_sq)
+        realized[chunk] = _sector_unfold((c.T @ u.T for u, c in coeffs), shape)
     _require_nonzero(norms)
-    scale = np.sqrt(n_samples * amplification) / norms
-    realized = ((inv.u @ ((inv.sigma * inv.inv_sigma)[:, None] * coeffs)) * scale[None, :]).T
+    realized *= (np.sqrt(n_samples * amplification) / norms)[:, None]
     realized.setflags(write=False)
     return replace(masks, vectors=realized, amplitudes=None, solution_norms=norms)
 
@@ -199,12 +414,14 @@ def write_synthesis_summary(
     amplification: float,
 ) -> None:
     """Human-readable record: retained rank, gamma, singular-value range, mask
-    fidelity, and per-mask solution norms.
+    fidelity, the size and retained rank of each sector block, and per-mask
+    solution norms.
 
     ``realized_rel_err`` is ||realized * norm / sqrt(N * P_I) - ideal|| / ||ideal||
     per mask: how far the unnormalised realized mask misses the ideal one.
     """
-    retained = inv.sigma[inv.inv_sigma > 0.0]
+    sigma, inv_sigma = inv.sigma, inv.inv_sigma
+    retained = sigma[inv_sigma > 0.0]
     budget = np.sqrt(inv.kernel.entries.shape[1] * amplification)
     fitted = realized.vectors * (realized.solution_norms / budget)[:, None]
     rel_err = np.linalg.norm(fitted - ideal.vectors, axis=1) / np.linalg.norm(ideal.vectors, axis=1)
@@ -213,10 +430,13 @@ def write_synthesis_summary(
         f"gamma = {inv.gamma!r}",
         f"threshold_factor = {inv.threshold_factor!r}",
         f"truncation_mode = {inv.truncation_mode}",
-        f"sigma_max = {float(inv.sigma[0])!r}",
+        f"sigma_max = {float(sigma[0])!r}",
         f"sigma_min_retained = {float(retained.min()) if retained.size else 0.0!r}",
         f"realized_rel_err_mean = {float(rel_err.mean())!r}",
         f"realized_rel_err_max = {float(rel_err.max())!r}",
     ]
+    lines.extend(
+        f"sector[{k}] = {s.u.shape[0]}x{s.cols} retained={s.retained}" for k, s in enumerate(inv.sectors)
+    )
     lines.extend(f"solution_norm[{i}] = {norm!r}" for i, norm in enumerate(realized.solution_norms))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -12,6 +12,7 @@ live in a separate file).
 from __future__ import annotations
 
 import csv
+import os
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
@@ -88,6 +89,8 @@ class ExperimentPlan:
     def validate(self) -> None:
         if not self.i_values:
             raise MalformedConfig("i_values must be nonempty")
+        for count in self.i_values:
+            mask_design.check_measurement_order(count)
         if not self.snr_values:
             raise MalformedConfig("snr_values must be nonempty")
         # every sweep point draws its noise from its own stream, seed + index
@@ -95,6 +98,7 @@ class ExperimentPlan:
         measurement.check_seed(self.seed, streams=n_points)
         for snr_db in self.snr_values:
             measurement.check_snr(snr_db)
+        measurement.check_noise_settings(self.n0_dbm_per_hz, self.bandwidth_hz)
         ris_synthesis.check_threshold_factor(self.threshold_factor)
         check_target_spec(self.target)
         if self.gamma is not None and not self.gamma > 0.0:
@@ -143,7 +147,8 @@ def _load_or_build_kernel(
     cache_file = cache_dir / f"kernel_{fp[:16]}.bin" if cache_dir else None
     if cache_file is not None and cache_file.exists():
         try:
-            return em_core.load_kernel(cache_file, expected_fingerprint=fp), False
+            kernel = em_core.load_kernel(cache_file, expected_fingerprint=fp)
+            return em_core.with_mirror_symmetry(kernel, scene, grids), False
         except CacheMismatch:
             pass  # rebuilt and rewritten below
     kernel = em_core.assemble_kernel(scene, grids)
@@ -305,7 +310,22 @@ def run_plan(plan: ExperimentPlan) -> RunResult:
     return result
 
 
+# Environment variables that set the BLAS thread count; summation order, and
+# so the last digits of metrics.csv, depend on it.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_name() -> str:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict mode
+        return "unknown"
+    return f"{blas['name']} {blas.get('version', '')}".strip()
+
+
 def _write_snapshot(path: Path, plan: ExperimentPlan) -> None:
+    """The resolved plan and scene, then the numpy version, BLAS build and BLAS
+    thread settings that the last digits of ``metrics.csv`` depend on."""
     lines = []
     for f in fields(plan.scene):
         lines.append(f"scene.{f.name} = {getattr(plan.scene, f.name)!r}")
@@ -313,6 +333,9 @@ def _write_snapshot(path: Path, plan: ExperimentPlan) -> None:
         if f.name == "scene":
             continue
         lines.append(f"plan.{f.name} = {getattr(plan, f.name)!r}")
+    lines.append(f"env.numpy = {np.__version__!r}")
+    lines.append(f"env.blas = {_blas_name()!r}")
+    lines.extend(f"env.{var} = {os.environ.get(var)!r}" for var in _BLAS_THREAD_VARS)
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -363,6 +363,9 @@ class TestBadInput:
             "gamma = -1",
             "snr_values = nan, 10",
             "threshold_factor = -1",
+            "bandwidth_hz = nan",
+            "bandwidth_hz = -1e6",
+            "n0_dbm_per_hz = nan",
         ],
     )
     def test_bad_plan_value(self, scene_file, tmp_path, capsys, entry):
@@ -404,6 +407,19 @@ class TestBadInput:
         )
         assert code == 2
         assert "MalformedConfig" in capsys.readouterr().err
+
+    def test_zero_measurement_count_on_run(self, scene_file, tmp_path, capsys):
+        code = cli.main(["run", "--scene", str(scene_file), "-I", "0", "--output", str(tmp_path / "r")])
+        assert code == 2
+        assert "UnsupportedOrder" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_measurement_count_not_a_power_of_two_in_plan(self, scene_file, tmp_path, capsys):
+        plan_path = tmp_path / "plan.cfg"
+        plan_path.write_text(f"scene = {scene_file.name}\ni_values = 6\noutput_dir = {tmp_path / 'p'}\n")
+        assert cli.main(["sweep", "--plan", str(plan_path)]) == 2
+        assert "UnsupportedOrder" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
 
     def test_zero_measurement_count(self, scene_file, tmp_path, capsys):
         code = cli.main(["masks", "--scene", str(scene_file), "-I", "0", "--output", str(tmp_path / "m.bin")])
@@ -632,6 +648,19 @@ class TestRunnerInternals:
         assert all(p.error is None for p in result.points)
         assert calls == {"ideal_masks": 4, "tikhonov_inverse": 2}
 
+    def test_snapshot_records_numpy_and_blas(self, scene_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        plan = rn.ExperimentPlan(
+            scene=sc.load_scene_config(scene_file), i_values=(128,), output_dir=str(tmp_path / "snap")
+        )
+        rn.run_plan(plan)
+        lines = (tmp_path / "snap" / "config_snapshot.txt").read_text().splitlines()
+        assert f"env.numpy = {np.__version__!r}" in lines
+        assert any(line.startswith("env.blas = '") for line in lines)
+        assert "env.OPENBLAS_NUM_THREADS = '1'" in lines
+        assert "env.MKL_NUM_THREADS = None" in lines
+
     def test_gamma_defaults_follow_distance_bands(self):
         assert rn.default_gamma(2.5) == 1e-12
         assert rn.default_gamma(4.0) == 1e-14
@@ -711,8 +740,13 @@ class TestBlasThreads:
         [
             (SCENE_TEXT, ["--i-sweep", "128", "--snr-sweep", "none,20", "--z-sweep", "0.125,0.25"]),
             (TestVolumeVerbs.VOLUME_SCENE, ["--i-sweep", "16", "--snr-sweep", "none,20", "--z-sweep", "0.125,0.15"]),
+            # odd sizes put a centre line into the even mirror sectors
+            (
+                SCENE_TEXT.replace("n_ris_x = 16", "n_ris_x = 15").replace("n_target_x = 8", "n_target_x = 7"),
+                ["--i-sweep", "128", "--snr-sweep", "none,20", "--z-sweep", "0.125,0.25"],
+            ),
         ],
-        ids=["plane", "volume"],
+        ids=["plane", "volume", "plane-odd"],
     )
     def test_one_and_two_threads_agree(self, tmp_path, scene_text, sweep_args):
         scene_path = tmp_path / "scene.cfg"

@@ -1,5 +1,7 @@
 """Tikhonov inversion, power normalisation, and mask realization quality."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,7 @@ from risimage import scene as sc
 from risimage.em_core import KernelMatrix
 from risimage.errors import DimensionMismatch, KindMismatch, ZeroSolution
 
-from conftest import desk_config, normalized_inner
+from conftest import desk_config, normalized_inner, volume_config
 
 
 def random_kernel(rng, m, n, kind=em.KIND_Z2D):
@@ -224,6 +226,16 @@ class TestSpectrum:
         assert f"retained_rank = {inv.retained_rank}" in text
         assert "solution_norm[0]" in text
 
+    def test_summary_lists_sector_sizes(self, small_scene, tmp_path):
+        scene, grids = small_scene
+        inv = rs.tikhonov_inverse(em.kernel_2d(scene, grids), 1e-12)
+        masks = md.ideal_masks(scene, grids, 128)
+        rs.write_synthesis_summary(tmp_path / "s.txt", inv, masks, rs.realize_masks(inv, masks, 1.0), 1.0)
+        lines = [line for line in (tmp_path / "s.txt").read_text().splitlines() if line.startswith("sector[")]
+        # an 8x8 target over a 16x16 aperture: four 4x4-pixel by 8x8-sample sectors
+        assert lines == [f"sector[{k}] = 16x64 retained={s.retained}" for k, s in enumerate(inv.sectors)]
+        assert sum(s.retained for s in inv.sectors) == inv.retained_rank
+
     def test_summary_reports_spectrum_and_fidelity(self, tmp_path):
         rng = np.random.default_rng(8)
         kernel = random_kernel(rng, 6, 10)
@@ -296,3 +308,68 @@ class TestTwoPathSynthesis:
         solution = inv.apply(np.array([1.0, 1.0, 1.0], dtype=complex))
         assert np.all(np.isfinite(solution))
         np.testing.assert_allclose(solution, [2.0 / (4.0 + 1e-6), 0, 0, 0, 0], atol=1e-15)
+
+
+class TestMirrorSectors:
+    """A plane kernel's four mirror sectors against the same entries as one identity sector."""
+
+    @pytest.mark.parametrize(
+        "target, aperture",
+        [((3, 4), (6, 7)), ((5, 5), (7, 7)), ((4, 4), (8, 8))],
+        ids=["mixed", "odd", "even"],
+    )
+    @pytest.mark.parametrize("elevation_deg", [0.0, 30.0])
+    def test_sectors_match_identity_sector(self, target, aperture, elevation_deg):
+        cfg = desk_config(
+            n_target_x=target[0],
+            n_target_y=target[1],
+            n_ris_x=aperture[0],
+            n_ris_y=aperture[1],
+            incident_elevation=math.radians(elevation_deg),
+        )
+        scene = sc.validate_scene(cfg)
+        grids = sc.sample_grids(scene)
+        kernel = em.kernel_2d(scene, grids)
+        bare = KernelMatrix(entries=kernel.entries, kind=kernel.kind, fingerprint=kernel.fingerprint)
+        sectors = rs.tikhonov_inverse(kernel, 1e-12)
+        identity = rs.tikhonov_inverse(bare, 1e-12)
+        assert (len(sectors.sectors), len(identity.sectors)) == (4, 1)
+        assert sum(s.u.shape[0] for s in sectors.sectors) == scene.n_target
+        assert sum(s.cols for s in sectors.sectors) == scene.n_ris
+
+        sigma_max = identity.sigma[0]
+        np.testing.assert_allclose(sectors.sigma, identity.sigma, rtol=0, atol=1e-12 * sigma_max)
+        assert sectors.retained_rank == identity.retained_rank
+
+        masks = md.ideal_masks(scene, grids, 64)
+        folded = rs.realize_masks(sectors, masks, 1.0)
+        dense = rs.realize_masks(identity, masks, 1.0)
+        scale = np.abs(dense.vectors).max()
+        np.testing.assert_allclose(folded.vectors, dense.vectors, rtol=0, atol=1e-10 * scale)
+        np.testing.assert_allclose(folded.solution_norms, dense.solution_norms, rtol=1e-12)
+        profiles = rs.synthesis_profiles(identity, masks, 1.0)
+        np.testing.assert_allclose(
+            rs.synthesis_profiles(sectors, masks, 1.0), profiles, rtol=0, atol=1e-12 * np.abs(profiles).max()
+        )
+
+    def test_cached_kernel_regains_its_symmetry(self, small_scene, tmp_path):
+        scene, grids = small_scene
+        kernel = em.kernel_2d(scene, grids)
+        em.save_kernel(tmp_path / "k.bin", kernel)
+        loaded = em.load_kernel(tmp_path / "k.bin")
+        assert loaded.symmetry is None
+        restored = em.with_mirror_symmetry(loaded, scene, grids)
+        assert restored.symmetry.target_shape == kernel.symmetry.target_shape == (8, 8)
+        assert restored.symmetry.aperture_shape == (16, 16)
+        np.testing.assert_array_equal(restored.symmetry.phase, kernel.symmetry.phase)
+
+    def test_volume_kernel_is_one_identity_sector(self):
+        scene = sc.validate_scene(volume_config())
+        grids = sc.sample_grids(scene)
+        kernel = em.kernel_3d(scene, grids)
+        assert kernel.symmetry is None
+        assert em.with_mirror_symmetry(kernel, scene, grids) is kernel
+        inv = rs.tikhonov_inverse(kernel, 1e-12)
+        assert len(inv.sectors) == 1
+        assert inv.sectors[0].u.shape[0] == scene.n_target
+        assert inv.sectors[0].cols == scene.n_ris
