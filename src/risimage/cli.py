@@ -25,6 +25,7 @@ from .runner import (
 )
 from .scene import (
     SceneConfig,
+    ValidatedScene,
     aperture_half_sine,
     parse_scene_config,
     read_config_text,
@@ -105,8 +106,18 @@ def _measurement_count(args, scene) -> int:
     return count
 
 
-def _ideal_masks(args, scene, grids) -> mask_design.MaskSet:
-    return mask_design.ideal_masks(scene, grids, _measurement_count(args, scene.config), args.phase_mode)
+def _step_plan(args) -> tuple[ExperimentPlan, ValidatedScene]:
+    """A step verb's options as a validated one-point plan, and its validated scene.
+
+    The plan rules of ``run`` apply to every verb that takes plan options.
+    """
+    plan = _plan_from_args(args, sweep=False)
+    plan.validate()
+    return plan, validate_scene(plan.scene)
+
+
+def _ideal_masks(plan: ExperimentPlan, scene, grids) -> mask_design.MaskSet:
+    return mask_design.ideal_masks(scene, grids, plan.i_values[0], plan.phase_mode)
 
 
 def cmd_validate(args) -> int:
@@ -130,8 +141,7 @@ def cmd_kernel(args) -> int:
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     if out.exists() and not args.force:
-        kernel = em_core.load_kernel(out, expected_fingerprint=scene.fingerprint)
-        kernel = em_core.with_mirror_symmetry(kernel, scene, grids)
+        kernel = em_core.load_kernel(out, scene, grids)
         print(f"cache hit: {out} ({_kernel_label(kernel)})")
         return 0
     kernel = em_core.assemble_kernel(scene, grids)
@@ -147,9 +157,9 @@ def _kernel_label(kernel: em_core.KernelMatrix) -> str:
 
 
 def cmd_masks(args) -> int:
-    scene = validate_scene(_scene_from_args(args))
+    plan, scene = _step_plan(args)
     grids = sample_grids(scene)
-    masks = _ideal_masks(args, scene, grids)
+    masks = _ideal_masks(plan, scene, grids)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     mask_design.save_mask_vectors(out, masks, scene.fingerprint)
@@ -157,19 +167,18 @@ def cmd_masks(args) -> int:
     return 0
 
 
-def _synthesized_masks(args, scene, grids, ideal):
-    ris_synthesis.check_threshold_factor(args.threshold_factor)
-    gamma = args.gamma if args.gamma is not None else default_gamma(scene.config.target_distance)
+def _synthesized_masks(plan: ExperimentPlan, scene, grids, ideal):
+    gamma = plan.gamma if plan.gamma is not None else default_gamma(scene.config.target_distance)
     kernel = em_core.assemble_kernel(scene, grids)
-    inv = ris_synthesis.tikhonov_inverse(kernel, gamma, args.threshold_factor, args.truncation_mode)
+    inv = ris_synthesis.tikhonov_inverse(kernel, gamma, plan.threshold_factor, plan.truncation_mode)
     return ris_synthesis.realize_masks(inv, ideal, scene.config.amplification), inv
 
 
 def cmd_synthesize(args) -> int:
-    scene = validate_scene(_scene_from_args(args))
+    plan, scene = _step_plan(args)
     grids = sample_grids(scene)
-    ideal = _ideal_masks(args, scene, grids)
-    realized, inv = _synthesized_masks(args, scene, grids, ideal)
+    ideal = _ideal_masks(plan, scene, grids)
+    realized, inv = _synthesized_masks(plan, scene, grids, ideal)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     fp = scene.fingerprint
@@ -188,14 +197,12 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    measurement.check_seed(args.seed)
-    measurement.check_snr(args.snr_db)
-    scene = validate_scene(_scene_from_args(args))
+    plan, scene = _step_plan(args)
     grids = sample_grids(scene)
     target = resolve_target(args.target, scene)
-    masks = _ideal_masks(args, scene, grids)
+    masks = _ideal_masks(plan, scene, grids)
     if not args.ideal_masks:
-        masks, _ = _synthesized_masks(args, scene, grids, masks)
+        masks, _ = _synthesized_masks(plan, scene, grids, masks)
     meas = measurement.measure(
         scene, grids, masks, target, args.snr_db, args.seed, noise_mode=args.noise_mode
     )
@@ -207,7 +214,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    scene = validate_scene(_scene_from_args(args))
+    _, scene = _step_plan(args)
     grids = sample_grids(scene)
     meas = measurement.records_from_csv(args.records)
     kind, vectors, fp = mask_design.load_mask_vectors(args.masks)

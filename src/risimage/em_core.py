@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +33,8 @@ from .scene import PLANE_2D, VOLUME_3D, SampleGrids, ValidatedScene
 KIND_Z2D = "Z_2d"
 KIND_Y3D = "Y_3d"
 
-# Complex128 entries; 2**26 entries is ~1 GiB. Raise deliberately for big runs.
-DEFAULT_ENTRY_CAP = 1 << 26
+# Complex128 entries; 2**26 entries is ~1 GiB. Checked before a kernel is allocated.
+ENTRY_CAP = 1 << 26
 # Kernels are assembled in row blocks of about this many entries, so each
 # temporary stays near 512 KiB: a sweep that frees one distance's kernel before
 # building the next then reuses heap memory instead of faulting in fresh pages.
@@ -93,67 +93,74 @@ def _incident_phase(scene: ValidatedScene, y: np.ndarray) -> np.ndarray:
     return np.exp(-1j * k * math.sin(scene.config.incident_elevation) * np.asarray(y, dtype=float))
 
 
-def with_mirror_symmetry(kernel: KernelMatrix, scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
-    """``kernel`` with the mirror structure of ``scene``'s plane kernel attached.
-
-    Volume kernels come back unchanged: the receiver Green row of each voxel
-    breaks the mirror symmetry.
-    """
+def _mirror_symmetry(scene: ValidatedScene, grids: SampleGrids) -> MirrorSymmetry | None:
+    """Mirror structure of ``scene``'s plane kernel; None for a volume kernel,
+    whose receiver Green row per voxel breaks the mirror symmetry."""
     if scene.is_3d:
-        return kernel
+        return None
     cfg = scene.config
     phase = _incident_phase(scene, grids.ris_points[:, 1])
     phase.setflags(write=False)
-    symmetry = MirrorSymmetry(
+    return MirrorSymmetry(
         target_shape=(cfg.n_target_x, cfg.n_target_y),
         aperture_shape=(cfg.n_ris_x, cfg.n_ris_y),
         phase=phase,
     )
-    return replace(kernel, symmetry=symmetry)
 
 
-def _check_size(n_rows: int, n_cols: int, entry_cap: int) -> None:
-    if n_rows * n_cols > entry_cap:
+def _assemble(scene: ValidatedScene, grids: SampleGrids, kind: str, block_entries) -> KernelMatrix:
+    """The row-block loop behind every kernel.
+
+    Checks that the scene's target suits ``kind`` and that the kernel fits
+    under :data:`ENTRY_CAP`, then fills the (M, N) matrix a block of target
+    rows at a time with ``block_entries(rows, diff, r, jx)``: ``diff`` holds
+    the offsets target - aperture of the rows in slice ``rows``, ``r`` their
+    lengths and ``jx`` the aperture current. Returns the read-only kernel,
+    with the mirror structure attached for a plane target.
+    """
+    target_kind = PLANE_2D if kind == KIND_Z2D else VOLUME_3D
+    if scene.config.target_kind != target_kind:
+        raise KindMismatch(f"a {kind} kernel needs target_kind={target_kind!r}")
+    ris = grids.ris_points
+    targets = grids.target_points
+    n_rows, n_cols = targets.shape[0], ris.shape[0]
+    if n_rows * n_cols > ENTRY_CAP:
         raise KernelSizeError(
             f"kernel of {n_rows} x {n_cols} = {n_rows * n_cols} entries exceeds the "
-            f"cap of {entry_cap}; raise entry_cap to allocate anyway"
+            f"cap of {ENTRY_CAP}; use coarser aperture or target grids"
         )
+    jx = incident_current(scene, ris[:, 1])
+
+    out = np.empty((n_rows, n_cols), dtype=np.complex128)
+    step = max(1, _CHUNK_ENTRIES // n_cols)
+    for start in range(0, n_rows, step):
+        rows = slice(start, min(start + step, n_rows))
+        diff = targets[rows, None, :] - ris[None, :, :]
+        r = np.sqrt(np.einsum("mni,mni->mn", diff, diff))
+        out[rows] = block_entries(rows, diff, r, jx)
+    out.setflags(write=False)
+    return KernelMatrix(
+        entries=out, kind=kind, fingerprint=scene.fingerprint, symmetry=_mirror_symmetry(scene, grids)
+    )
 
 
-def kernel_2d(
-    scene: ValidatedScene,
-    grids: SampleGrids,
-    entry_cap: int = DEFAULT_ENTRY_CAP,
-) -> KernelMatrix:
+def kernel_2d(scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
     """Assemble the plane-target kernel: target-plane tangential H per unit coefficient.
 
     Entry (m, n) is
     -(1 + jkR) / (4 pi R^3) * dx dy * z' * J_x(r_n) * exp(-jkR),
     with R the distance from aperture sample n to target pixel m.
     """
-    if scene.config.target_kind != PLANE_2D:
-        raise KindMismatch(f"kernel_2d needs target_kind={PLANE_2D!r}")
-    ris = grids.ris_points
-    targets = grids.target_points
-    _check_size(targets.shape[0], ris.shape[0], entry_cap)
-
     k = scene.wavenumber
     z_prime = scene.config.target_distance
-    jx = incident_current(scene, ris[:, 1])
     cell = grids.ris_cell_area
 
-    out = np.empty((targets.shape[0], ris.shape[0]), dtype=np.complex128)
-    step = max(1, _CHUNK_ENTRIES // ris.shape[0])
-    for start in range(0, targets.shape[0], step):
-        stop = min(start + step, targets.shape[0])
-        diff = targets[start:stop, None, :] - ris[None, :, :]
-        r = np.sqrt(np.einsum("mni,mni->mn", diff, diff))
-        out[start:stop] = (
+    def block_entries(rows, diff, r, jx):
+        return (
             -(1.0 + 1j * k * r) / (4.0 * math.pi * r**3) * cell * z_prime * jx[None, :]
         ) * np.exp(-1j * k * r)
-    out.setflags(write=False)
-    kernel = KernelMatrix(entries=out, kind=KIND_Z2D, fingerprint=scene.fingerprint)
-    return with_mirror_symmetry(kernel, scene, grids)
+
+    return _assemble(scene, grids, KIND_Z2D, block_entries)
 
 
 def psf_vector(scene: ValidatedScene, target_points: np.ndarray) -> np.ndarray:
@@ -198,11 +205,7 @@ def green_tensor(observation, sources: np.ndarray, k: float) -> np.ndarray:
     return tensor * g[:, None, None]
 
 
-def kernel_3d(
-    scene: ValidatedScene,
-    grids: SampleGrids,
-    entry_cap: int = DEFAULT_ENTRY_CAP,
-) -> KernelMatrix:
+def kernel_3d(scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
     """Assemble the volume-target kernel: receiver-weighted scattering coefficient.
 
     Entry (m, n) combines the three aperture E-field integrands at voxel m with
@@ -210,44 +213,30 @@ def kernel_3d(
     coefficient whose contrast-weighted sum (times k^2 and the voxel volume)
     is the received x-polarised field.
     """
-    if scene.config.target_kind != VOLUME_3D:
-        raise KindMismatch(f"kernel_3d needs target_kind={VOLUME_3D!r}")
-    ris = grids.ris_points
-    targets = grids.target_points
-    _check_size(targets.shape[0], ris.shape[0], entry_cap)
-
     k = scene.wavenumber
-    jx = incident_current(scene, ris[:, 1])
+    targets = grids.target_points
     receiver = np.asarray(scene.config.receiver_pos, dtype=float)
-    green_rows = green_tensor(receiver, targets, k)[:, 0]
     prefactor = -1j * FREE_SPACE_IMPEDANCE / (4.0 * math.pi * k) * grids.ris_cell_area
 
-    out = np.empty((targets.shape[0], ris.shape[0]), dtype=np.complex128)
-    step = max(1, _CHUNK_ENTRIES // ris.shape[0])
-    for start in range(0, targets.shape[0], step):
-        stop = min(start + step, targets.shape[0])
-        diff = targets[start:stop, None, :] - ris[None, :, :]
-        r = np.sqrt(np.einsum("mni,mni->mn", diff, diff))
+    def block_entries(rows, diff, r, jx):
         # E-field integrand factors of the x-directed aperture current
         kr = k * r
         near = (3.0 + 3j * kr - kr**2) / r**5
         t_xx = (-1.0 - 1j * kr + kr**2) / r**3 + near * diff[..., 0] ** 2
         t_xy = near * diff[..., 1] * diff[..., 0]
-        t_xz = near * targets[start:stop, 2:3] * diff[..., 0]
-        rows = green_rows[start:stop]
-        bracket = (
-            rows[:, 0:1] * t_xx + rows[:, 1:2] * t_xy + rows[:, 2:3] * t_xz
-        )
-        out[start:stop] = prefactor * jx[None, :] * np.exp(-1j * k * r) * bracket
-    out.setflags(write=False)
-    return KernelMatrix(entries=out, kind=KIND_Y3D, fingerprint=scene.fingerprint)
+        t_xz = near * targets[rows, 2:3] * diff[..., 0]
+        green = green_tensor(receiver, targets[rows], k)[:, 0]
+        bracket = green[:, 0:1] * t_xx + green[:, 1:2] * t_xy + green[:, 2:3] * t_xz
+        return prefactor * jx[None, :] * np.exp(-1j * k * r) * bracket
+
+    return _assemble(scene, grids, KIND_Y3D, block_entries)
 
 
-def assemble_kernel(scene: ValidatedScene, grids: SampleGrids, entry_cap: int = DEFAULT_ENTRY_CAP) -> KernelMatrix:
+def assemble_kernel(scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
     """Kernel of the kind matching the scene's target."""
     if scene.is_3d:
-        return kernel_3d(scene, grids, entry_cap)
-    return kernel_2d(scene, grids, entry_cap)
+        return kernel_3d(scene, grids)
+    return kernel_2d(scene, grids)
 
 
 # --- disk cache ---------------------------------------------------------------
@@ -311,12 +300,15 @@ def read_complex_file(
     return kind, fingerprint, values
 
 
-def load_kernel(path: str | Path, expected_fingerprint: str | None = None) -> KernelMatrix:
+def load_kernel(path: str | Path, scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
+    """Read ``scene``'s kernel from a file written by :func:`save_kernel`.
+
+    Raises :class:`CacheMismatch` for an unreadable or truncated file and for
+    another scene's kernel; a plane kernel comes back with its mirror structure.
+    """
     kind, fp, entries = read_complex_file(path, ("m", "n"))
     if kind not in (KIND_Z2D, KIND_Y3D):
         raise CacheMismatch(f"unknown kernel kind {kind!r}")
-    if expected_fingerprint is not None and fp != expected_fingerprint:
-        raise CacheMismatch(
-            f"kernel cache fingerprint {fp} does not match the scene ({expected_fingerprint})"
-        )
-    return KernelMatrix(entries=entries, kind=kind, fingerprint=fp)
+    if fp != scene.fingerprint:
+        raise CacheMismatch(f"kernel cache fingerprint {fp} does not match the scene ({scene.fingerprint})")
+    return KernelMatrix(entries=entries, kind=kind, fingerprint=fp, symmetry=_mirror_symmetry(scene, grids))

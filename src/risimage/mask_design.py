@@ -88,8 +88,10 @@ def hadamard(order: int) -> np.ndarray:
     return h
 
 
-def check_measurement_order(n_measurements: int) -> None:
-    """Reject a measurement count that is not a power of two >= 4."""
+def check_measurement_count(n_measurements: int, n_points: int) -> None:
+    """Reject a measurement count that is not a power of two >= 4
+    (:class:`UnsupportedOrder`) or that is below the ``n_points`` target
+    samples it must encode (:class:`InsufficientMeasurements`)."""
     if not (
         isinstance(n_measurements, int)
         and n_measurements >= 4
@@ -98,10 +100,6 @@ def check_measurement_order(n_measurements: int) -> None:
         raise UnsupportedOrder(
             f"measurement count must be a power of two >= 4, got {n_measurements!r}"
         )
-
-
-def _check_measurement_count(n_measurements: int, n_points: int) -> None:
-    check_measurement_order(n_measurements)
     if n_measurements < n_points:
         raise InsufficientMeasurements(
             f"{n_measurements} measurements cannot encode {n_points} sample points"
@@ -116,7 +114,7 @@ def design_amplitudes(n_measurements: int, n_points: int) -> np.ndarray:
     onto the all-ones column and is unreconstructable (flagged downstream).
     The empirical covariance over measurements is exactly (1/4) delta.
     """
-    _check_measurement_count(n_measurements, n_points)
+    check_measurement_count(n_measurements, n_points)
     h = hadamard(n_measurements)
     columns = [(m + 1) % n_measurements for m in range(n_points)]
     return (1.0 + h[:, columns].astype(np.float64)) / 2.0

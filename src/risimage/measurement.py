@@ -110,7 +110,7 @@ def noise_power_dbm(n0_dbm_per_hz: float = DEFAULT_N0_DBM_PER_HZ, bandwidth_hz: 
     return n0_dbm_per_hz + 10.0 * math.log10(bandwidth_hz)
 
 
-def check_seed(seed: int, streams: int = 1) -> None:
+def check_seed(seed: int, streams: int) -> None:
     """Reject seeds whose streams ``seed .. seed + streams - 1`` are not all Philox keys."""
     if not 0 <= seed <= SEED_LIMIT - streams:
         raise MalformedConfig(f"seed must be in 0..2**128-{streams}, got {seed}")

@@ -89,8 +89,10 @@ class ExperimentPlan:
     def validate(self) -> None:
         if not self.i_values:
             raise MalformedConfig("i_values must be nonempty")
+        # the sample count does not depend on z', so ideal_masks would apply
+        # this same rule at every point
         for count in self.i_values:
-            mask_design.check_measurement_order(count)
+            mask_design.check_measurement_count(count, self.scene.n_target)
         if not self.snr_values:
             raise MalformedConfig("snr_values must be nonempty")
         # every sweep point draws its noise from its own stream, seed + index
@@ -143,12 +145,10 @@ def _load_or_build_kernel(
     A cache file that does not load (truncated, stale, or another scene's)
     is rebuilt and rewritten rather than failing the point.
     """
-    fp = scene.fingerprint
-    cache_file = cache_dir / f"kernel_{fp[:16]}.bin" if cache_dir else None
+    cache_file = cache_dir / f"kernel_{scene.fingerprint[:16]}.bin" if cache_dir else None
     if cache_file is not None and cache_file.exists():
         try:
-            kernel = em_core.load_kernel(cache_file, expected_fingerprint=fp)
-            return em_core.with_mirror_symmetry(kernel, scene, grids), False
+            return em_core.load_kernel(cache_file, scene, grids), False
         except CacheMismatch:
             pass  # rebuilt and rewritten below
     kernel = em_core.assemble_kernel(scene, grids)
@@ -302,8 +302,19 @@ def run_plan(plan: ExperimentPlan) -> RunResult:
             now = time.perf_counter()
             point.wall_ms, started = (now - started) * 1000.0, now
 
-    _write_metrics(run_dir / "metrics.csv", result.points)
-    _write_timings(run_dir / "timings.csv", result.points)
+    _write_csv(
+        run_dir / "metrics.csv",
+        METRICS_FIELDS,
+        (
+            (p.n_measurements, p.snr_db, p.z_prime, p.gamma, p.nmse, p.retained_rank, p.seed)
+            for p in result.points
+        ),
+    )
+    _write_csv(
+        run_dir / "timings.csv",
+        TIMINGS_FIELDS,
+        ((p.n_measurements, p.snr_db, p.z_prime, f"{p.wall_ms:.3f}") for p in result.points),
+    )
     errors = [f"point {p.index}: {p.error}" for p in result.points if p.error is not None]
     if errors:
         (run_dir / "errors.log").write_text("\n".join(errors) + "\n")
@@ -347,32 +358,12 @@ def _csv_value(value) -> str:
     return str(value)
 
 
-def _write_metrics(path: Path, points: list[PointResult]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write ``header`` and then ``rows``, each cell through :func:`_csv_value`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(METRICS_FIELDS)
-        for p in points:
-            writer.writerow(
-                [
-                    p.n_measurements,
-                    _csv_value(p.snr_db),
-                    _csv_value(p.z_prime),
-                    _csv_value(p.gamma),
-                    _csv_value(p.nmse),
-                    _csv_value(p.retained_rank),
-                    p.seed,
-                ]
-            )
-
-
-def _write_timings(path: Path, points: list[PointResult]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TIMINGS_FIELDS)
-        for p in points:
-            writer.writerow(
-                [p.n_measurements, _csv_value(p.snr_db), _csv_value(p.z_prime), f"{p.wall_ms:.3f}"]
-            )
+        writer.writerow(header)
+        writer.writerows([_csv_value(value) for value in row] for row in rows)
 
 
 def write_estimate_images(path: Path, estimate: np.ndarray, grid_shape: tuple[int, ...]) -> None:

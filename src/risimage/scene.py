@@ -58,6 +58,12 @@ class SceneConfig:
     amplification: float = 1.0
     reflection_coeff: complex = -1.0 + 0.0j
 
+    @property
+    def n_target(self) -> int:
+        """Target sample count: pixels, times slices for a volume."""
+        n = self.n_target_x * self.n_target_y
+        return n * self.n_target_z if self.target_kind == VOLUME_3D else n
+
 
 @dataclass(frozen=True)
 class ValidatedScene:
@@ -79,9 +85,7 @@ class ValidatedScene:
 
     @property
     def n_target(self) -> int:
-        cfg = self.config
-        n = cfg.n_target_x * cfg.n_target_y
-        return n * cfg.n_target_z if cfg.target_kind == VOLUME_3D else n
+        return self.config.n_target
 
     @property
     def is_3d(self) -> bool:

@@ -17,6 +17,9 @@ from .scene import ValidatedScene
 
 BUILTIN_NAMES = ("block", "checkerboard", "letters-seu")
 
+# Grey levels of every image this package writes.
+PGM_MAXVAL = 255
+
 _SEU_ROWS = (
     ".####.#####.#...#",
     "#.....#.....#...#",
@@ -56,8 +59,8 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
     return pixels.reshape(height, width), maxval
 
 
-def write_pgm(path: str | Path, image: np.ndarray, maxval: int = 255, comment: str | None = None) -> None:
-    """Write an (rows, cols) integer array as ASCII PGM (P2)."""
+def write_pgm(path: str | Path, image: np.ndarray, comment: str | None = None) -> None:
+    """Write an (rows, cols) integer array in 0..PGM_MAXVAL as ASCII PGM (P2)."""
     image = np.asarray(image, dtype=np.int64)
     if image.ndim != 2:
         raise MalformedImage(f"expected a 2D image, got shape {image.shape}")
@@ -65,13 +68,13 @@ def write_pgm(path: str | Path, image: np.ndarray, maxval: int = 255, comment: s
     if comment:
         lines.append(f"# {comment}")
     lines.append(f"{image.shape[1]} {image.shape[0]}")
-    lines.append(str(maxval))
+    lines.append(str(PGM_MAXVAL))
     lines.extend(" ".join(str(v) for v in row) for row in image)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_grid_image(path: str | Path, grid: np.ndarray) -> None:
-    """Map a real-valued (nx, ny) target grid linearly onto 0..255 grey levels.
+    """Map a real-valued (nx, ny) target grid linearly onto 0..PGM_MAXVAL grey levels.
 
     The min/max of the mapping are recorded in a comment so values stay
     recoverable; the y axis is flipped into image rows.
@@ -79,7 +82,7 @@ def write_grid_image(path: str | Path, grid: np.ndarray) -> None:
     grid = np.asarray(grid, dtype=float)
     low, high = float(grid.min()), float(grid.max())
     span = high - low
-    scaled = np.zeros_like(grid) if span == 0.0 else (grid - low) / span * 255.0
+    scaled = np.zeros_like(grid) if span == 0.0 else (grid - low) / span * PGM_MAXVAL
     image = np.rint(scaled.T[::-1, :]).astype(np.int64)  # (ny, nx), row 0 = top
     write_pgm(path, image, comment=f"min={low!r} max={high!r}")
 
@@ -92,16 +95,11 @@ def _nearest_resample(image: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return image[np.ix_(row_index, col_index)]
 
 
-def load_target_2d(
-    path: str | Path,
-    scene: ValidatedScene,
-    resample: bool = True,
-    reflection_coeff: complex | None = None,
-) -> TargetModel:
+def load_target_2d(path: str | Path, scene: ValidatedScene, resample: bool = True) -> TargetModel:
     """Plane target from an ASCII PGM: binarise at half maxval, fit to the grid.
 
     Pixels at or above 0.5 * maxval become 1. With ``resample`` disabled the
-    image must match the grid exactly.
+    image must match the grid exactly. The reflection coefficient is the scene's.
     """
     image, maxval = read_pgm(path)
     shape = (scene.config.n_target_x, scene.config.n_target_y)
@@ -113,8 +111,7 @@ def load_target_2d(
         image = _nearest_resample(image, shape)
     binary = (image >= 0.5 * maxval).astype(float)
     values = binary[::-1, :].reshape(-1)  # rows flipped to y-up, x-fastest
-    gamma = scene.config.reflection_coeff if reflection_coeff is None else reflection_coeff
-    return make_target_2d(values, shape, gamma)
+    return make_target_2d(values, shape, scene.config.reflection_coeff)
 
 
 def load_target_3d(path: str | Path, scene: ValidatedScene) -> TargetModel:

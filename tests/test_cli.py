@@ -327,7 +327,7 @@ class TestBadInput:
         assert code == 2
         assert "MalformedConfig" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("verb", ["run", "measure"])
+    @pytest.mark.parametrize("verb", ["run", "measure", "masks"])
     def test_negative_seed(self, scene_file, tmp_path, capsys, verb):
         code = cli.main(
             [
@@ -374,16 +374,13 @@ class TestBadInput:
         assert cli.main(["sweep", "--plan", str(plan_path)]) == 2
         assert "MalformedConfig" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "verb, error",
-        [("run", "MalformedConfig"), ("measure", "NonPositiveDimension"), ("synthesize", "NonPositiveDimension")],
-    )
-    def test_negative_gamma_flag(self, scene_file, tmp_path, capsys, verb, error):
+    @pytest.mark.parametrize("verb", ["run", "measure", "synthesize"])
+    def test_negative_gamma_flag(self, scene_file, tmp_path, capsys, verb):
         code = cli.main(
             [verb, "--scene", str(scene_file), "-I", "128", "--gamma", "-1", "--output", str(tmp_path / "g")]
         )
         assert code == 2
-        assert error in capsys.readouterr().err
+        assert "MalformedConfig" in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb, value", [("run", "-inf"), ("measure", "nan")])
     def test_non_finite_snr_flag(self, scene_file, tmp_path, capsys, verb, value):
@@ -400,10 +397,10 @@ class TestBadInput:
         assert code == 2
         assert "MalformedConfig" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("verb", ["run", "measure"])
+    @pytest.mark.parametrize("verb", ["run", "measure", "measure --ideal-masks"])
     def test_nan_threshold_factor_flag(self, scene_file, tmp_path, capsys, verb):
         code = cli.main(
-            [verb, "--scene", str(scene_file), "-I", "128", "--threshold-factor", "nan", "--output", str(tmp_path / "t")]
+            [*verb.split(), "--scene", str(scene_file), "-I", "128", "--threshold-factor", "nan", "--output", str(tmp_path / "t")]
         )
         assert code == 2
         assert "MalformedConfig" in capsys.readouterr().err
@@ -412,6 +409,12 @@ class TestBadInput:
         code = cli.main(["run", "--scene", str(scene_file), "-I", "0", "--output", str(tmp_path / "r")])
         assert code == 2
         assert "UnsupportedOrder" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_measurement_count_below_the_target_samples(self, scene_file, tmp_path, capsys):
+        code = cli.main(["run", "--scene", str(scene_file), "-I", "32", "--output", str(tmp_path / "r")])
+        assert code == 2
+        assert "InsufficientMeasurements" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     def test_measurement_count_not_a_power_of_two_in_plan(self, scene_file, tmp_path, capsys):
@@ -565,6 +568,25 @@ class TestRunnerInternals:
         assert not list((tmp_path / "cache").rglob("*.tmp"))
         assert rn.run_plan(plan).kernel_builds == 0
 
+    def test_cached_plane_kernel_keeps_its_mirror_sectors(self, scene_file, tmp_path, monkeypatch):
+        sector_counts = []
+
+        def recorded(*args, _original=rs.tikhonov_inverse, **kwargs):
+            inv = _original(*args, **kwargs)
+            sector_counts.append(len(inv.sectors))
+            return inv
+
+        monkeypatch.setattr(rs, "tikhonov_inverse", recorded)
+        plan = rn.ExperimentPlan(
+            scene=sc.load_scene_config(scene_file),
+            i_values=(128,),
+            keep_artifacts=True,
+            output_dir=str(tmp_path / "cache"),
+        )
+        builds = [rn.run_plan(plan).kernel_builds for _ in range(2)]
+        assert builds == [1, 0]  # the second run loads the kernel from the cache
+        assert sector_counts == [4, 4]
+
     def test_kernel_reused_across_snr_points(self, scene_file, tmp_path):
         plan = rn.ExperimentPlan(
             scene=sc.load_scene_config(scene_file),
@@ -582,14 +604,15 @@ class TestRunnerInternals:
         plan = rn.ExperimentPlan(
             scene=sc.load_scene_config(scene_file),
             target="block",
-            i_values=(16, 128),  # 16 masks cannot encode 64 pixels
+            i_values=(128,),
             snr_values=(None,),
+            z_values=(50.0, 0.125),  # 50 m is beyond the 25 m Rayleigh distance
             ideal_masks=True,
             output_dir=str(tmp_path / "err"),
         )
         result = rn.run_plan(plan)
         errors = [p for p in result.points if p.error is not None]
-        assert len(errors) == 1 and "InsufficientMeasurements" in errors[0].error
+        assert len(errors) == 1 and "NearFieldViolation" in errors[0].error
         assert (tmp_path / "err" / "errors.log").exists()
         rows = read_metrics(tmp_path / "err")
         assert rows[0]["nmse"] == "" and rows[1]["nmse"] != ""

@@ -170,10 +170,11 @@ class TestKernel2d:
         assert em.kernel_2d(near, g_near).entries[centre_m, centre_n] == pytest.approx(z_near, rel=1e-12)
         assert abs(z_far) / abs(z_near) == pytest.approx(0.5, rel=0.05)
 
-    def test_sizing_cap_raises_before_allocation(self, small_scene):
+    def test_sizing_cap_raises_before_allocation(self, small_scene, monkeypatch):
         scene, grids = small_scene
+        monkeypatch.setattr(em, "ENTRY_CAP", 100)
         with pytest.raises(KernelSizeError):
-            em.kernel_2d(scene, grids, entry_cap=100)
+            em.kernel_2d(scene, grids)
 
     def test_kind_mismatch(self, volume_scene):
         scene, grids = volume_scene
@@ -325,7 +326,7 @@ class TestKernelCache:
         kernel = em.kernel_2d(scene, grids)
         path = tmp_path / "kernel.bin"
         em.save_kernel(path, kernel)
-        loaded = em.load_kernel(path, expected_fingerprint=scene.fingerprint)
+        loaded = em.load_kernel(path, scene, grids)
         assert loaded.kind == kernel.kind
         np.testing.assert_array_equal(loaded.entries, kernel.entries)
 
@@ -333,8 +334,9 @@ class TestKernelCache:
         scene, grids = small_scene
         path = tmp_path / "kernel.bin"
         em.save_kernel(path, em.kernel_2d(scene, grids))
+        other = sc.validate_scene(small_config(z_prime=0.25))
         with pytest.raises(CacheMismatch):
-            em.load_kernel(path, expected_fingerprint="different")
+            em.load_kernel(path, other, sc.sample_grids(other))
 
     def test_truncated_body_rejected(self, small_scene, tmp_path):
         scene, grids = small_scene
@@ -343,4 +345,4 @@ class TestKernelCache:
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(CacheMismatch):
-            em.load_kernel(path)
+            em.load_kernel(path, scene, grids)
