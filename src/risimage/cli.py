@@ -243,9 +243,12 @@ def cmd_reconstruct(args) -> int:
 def _plan_from_args(args, sweep: bool) -> ExperimentPlan:
     scene = _scene_from_args(args)
     i_default = _measurement_count(args, scene)
-    snr_values = (args.snr_db,) if not sweep else _parse_sweep_list(args.snr_sweep, float, (args.snr_db,))
-    i_values = (i_default,) if not sweep else _parse_sweep_list(args.i_sweep, int, (i_default,))
-    z_values = () if not sweep else _parse_sweep_list(args.z_sweep, float, ())
+    if sweep:
+        snr_values = _parse_sweep_list(args.snr_sweep, measurement.parse_snr, (args.snr_db,))
+        i_values = _parse_sweep_list(args.i_sweep, int, (i_default,))
+        z_values = _parse_sweep_list(args.z_sweep, float, ())
+    else:
+        snr_values, i_values, z_values = (args.snr_db,), (i_default,), ()
     return ExperimentPlan(
         scene=scene,
         target=args.target,
@@ -269,9 +272,7 @@ def _parse_sweep_list(raw: str | None, cast, fallback):
     if raw is None:
         return fallback
     try:
-        return tuple(
-            None if item.strip().lower() == "none" else cast(item) for item in raw.split(",")
-        )
+        return tuple(cast(item) for item in raw.split(","))
     except ValueError as exc:
         raise MalformedConfig(f"bad sweep list {raw!r}: {exc}") from exc
 

@@ -2,8 +2,11 @@
 
 Sign convention: time-harmonic with outgoing waves carrying exp(-jkR)
 everywhere, including the scalar Green function g = exp(-jkR) / (4 pi R).
-All distances are computed in double precision; kernel assembly is chunked
-over target rows so the matrix never needs to exist twice in memory.
+All distances are computed in double precision. A kernel entry depends on
+its aperture sample and target point only through their offset, times the
+aperture current, so assembly evaluates the entry formula once per distinct
+offset in each target slice and gathers the matrix from that table a block of
+target rows at a time; the matrix never needs to exist twice in memory.
 
 A plane kernel carries its mirror structure (:class:`MirrorSymmetry`): both
 grids are centred on the origin and an entry depends on the aperture sample
@@ -108,18 +111,37 @@ def _mirror_symmetry(scene: ValidatedScene, grids: SampleGrids) -> MirrorSymmetr
     )
 
 
-def _assemble(scene: ValidatedScene, grids: SampleGrids, kind: str, block_entries) -> KernelMatrix:
+def _axis_offsets(targets: np.ndarray, aperture: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct offsets ``targets[i] - aperture[j]`` along one axis, and the
+    (len(targets), len(aperture)) index of each pair's offset in them."""
+    values, index = np.unique(targets[:, None] - aperture[None, :], return_inverse=True)
+    return values, index.reshape(targets.size, aperture.size)
+
+
+def _assemble(
+    scene: ValidatedScene, grids: SampleGrids, kind: str, offset_tables, row_weights=None
+) -> KernelMatrix:
     """The row-block loop behind every kernel.
 
     Checks that the scene's target suits ``kind`` and that the kernel fits
-    under :data:`ENTRY_CAP`, then fills the (M, N) matrix a block of target
-    rows at a time with ``block_entries(rows, diff, r, jx)``: ``diff`` holds
-    the offsets target - aperture of the rows in slice ``rows``, ``r`` their
-    lengths and ``jx`` the aperture current. Returns the read-only kernel,
-    with the mirror structure attached for a plane target.
+    under :data:`ENTRY_CAP`. Per target slice at height z,
+    ``offset_tables(dx, dy, z, r)`` evaluates the entry formula on the
+    (Ky, Kx) table of distinct offsets (``dx`` (1, Kx), ``dy`` (Ky, 1), ``r``
+    their lengths) and returns T tables of that shape. The (M, N) matrix is
+    then filled a block of target rows at a time: entry (m, n) is J_x(n)
+    times the table entry at the offset of (m, n), or, with
+    ``row_weights(rows)`` giving a (len(rows), T) array, times the row's
+    weighted sum of the T table entries.
+
+    The distinct offsets are the floats target - aperture along x and along
+    y, so any pitches work: on commensurate grids they form a lattice much
+    smaller than the kernel, and on incommensurate ones a slice's table is
+    still no larger than that slice's kernel rows. Returns the read-only
+    kernel, with the mirror structure attached for a plane target.
     """
+    cfg = scene.config
     target_kind = PLANE_2D if kind == KIND_Z2D else VOLUME_3D
-    if scene.config.target_kind != target_kind:
+    if cfg.target_kind != target_kind:
         raise KindMismatch(f"a {kind} kernel needs target_kind={target_kind!r}")
     ris = grids.ris_points
     targets = grids.target_points
@@ -131,13 +153,35 @@ def _assemble(scene: ValidatedScene, grids: SampleGrids, kind: str, block_entrie
         )
     jx = incident_current(scene, ris[:, 1])
 
+    # 1-D coordinates of the x-fastest, then y, then z grids
+    nx, n_slice = cfg.n_target_x, cfg.n_target_x * cfg.n_target_y
+    n_ris_x = cfg.n_ris_x
+    dx, x_index = _axis_offsets(targets[:nx, 0], ris[:n_ris_x, 0])
+    dy, y_index = _axis_offsets(targets[:n_slice:nx, 1], ris[::n_ris_x, 1])
+    # flat table index of (target row, aperture column), split into its x and y parts
+    cols = np.arange(n_cols)
+    col_x = x_index[:, cols % n_ris_x]
+    col_y = y_index[:, cols // n_ris_x] * dx.size
+    dx, dy = dx[None, :], dy[:, None]
+    planar = dx**2 + dy**2
+
     out = np.empty((n_rows, n_cols), dtype=np.complex128)
     step = max(1, _CHUNK_ENTRIES // n_cols)
-    for start in range(0, n_rows, step):
-        rows = slice(start, min(start + step, n_rows))
-        diff = targets[rows, None, :] - ris[None, :, :]
-        r = np.sqrt(np.einsum("mni,mni->mn", diff, diff))
-        out[rows] = block_entries(rows, diff, r, jx)
+    for first in range(0, n_rows, n_slice):
+        z = targets[first, 2] - ris[0, 2]
+        tables = offset_tables(dx, dy, z, np.sqrt(planar + z**2)).reshape(-1, planar.size)
+        for start in range(0, n_slice, step):
+            stop = min(start + step, n_slice)
+            local = np.arange(start, stop)
+            rows = slice(first + start, first + stop)
+            index = col_y[local // nx] + col_x[local % nx]
+            block = tables[0].take(index)
+            if row_weights is not None:
+                weights = row_weights(rows)
+                block *= weights[:, :1]
+                for t in range(1, tables.shape[0]):
+                    block += weights[:, t : t + 1] * tables[t].take(index)
+            np.multiply(block, jx, out=out[rows])
     out.setflags(write=False)
     return KernelMatrix(
         entries=out, kind=kind, fingerprint=scene.fingerprint, symmetry=_mirror_symmetry(scene, grids)
@@ -155,12 +199,10 @@ def kernel_2d(scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
     z_prime = scene.config.target_distance
     cell = grids.ris_cell_area
 
-    def block_entries(rows, diff, r, jx):
-        return (
-            -(1.0 + 1j * k * r) / (4.0 * math.pi * r**3) * cell * z_prime * jx[None, :]
-        ) * np.exp(-1j * k * r)
+    def offset_tables(dx, dy, z, r):
+        return -(1.0 + 1j * k * r) / (4.0 * math.pi * r**3) * cell * z_prime * np.exp(-1j * k * r)
 
-    return _assemble(scene, grids, KIND_Z2D, block_entries)
+    return _assemble(scene, grids, KIND_Z2D, offset_tables)
 
 
 def psf_vector(scene: ValidatedScene, target_points: np.ndarray) -> np.ndarray:
@@ -218,18 +260,21 @@ def kernel_3d(scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
     receiver = np.asarray(scene.config.receiver_pos, dtype=float)
     prefactor = -1j * FREE_SPACE_IMPEDANCE / (4.0 * math.pi * k) * grids.ris_cell_area
 
-    def block_entries(rows, diff, r, jx):
+    def offset_tables(dx, dy, z, r):
         # E-field integrand factors of the x-directed aperture current
         kr = k * r
         near = (3.0 + 3j * kr - kr**2) / r**5
-        t_xx = (-1.0 - 1j * kr + kr**2) / r**3 + near * diff[..., 0] ** 2
-        t_xy = near * diff[..., 1] * diff[..., 0]
-        t_xz = near * targets[rows, 2:3] * diff[..., 0]
-        green = green_tensor(receiver, targets[rows], k)[:, 0]
-        bracket = green[:, 0:1] * t_xx + green[:, 1:2] * t_xy + green[:, 2:3] * t_xz
-        return prefactor * jx[None, :] * np.exp(-1j * k * r) * bracket
+        common = prefactor * np.exp(-1j * kr)
+        t_xx = common * ((-1.0 - 1j * kr + kr**2) / r**3 + near * dx**2)
+        t_xy = common * (near * dy * dx)
+        t_xz = common * (near * z * dx)
+        return np.stack([t_xx, t_xy, t_xz])
 
-    return _assemble(scene, grids, KIND_Y3D, block_entries)
+    def row_weights(rows):
+        # receiver Green-tensor x-row of each target row
+        return green_tensor(receiver, targets[rows], k)[:, 0]
+
+    return _assemble(scene, grids, KIND_Y3D, offset_tables, row_weights)
 
 
 def assemble_kernel(scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
@@ -282,20 +327,27 @@ def read_complex_file(
     the fingerprint and the read-only (rows, cols) complex128 body.
     """
     try:
-        with open(path, "rb") as fh:
-            header = fh.readline()
-            body = fh.read()
+        fh = open(path, "rb")
     except FileNotFoundError as exc:
         raise MissingFile(f"no such file: {path}") from exc
-    try:
-        meta = dict(item.split("=", 1) for item in header.decode("ascii").split())
-        kind, fingerprint = meta["kind"], meta["fingerprint"]
-        rows, cols = (int(meta[key]) for key in shape_keys)
-    except (KeyError, ValueError) as exc:
-        raise CacheMismatch(f"unreadable header {header!r} in {path}") from exc
-    if len(body) != 16 * rows * cols:
-        raise CacheMismatch(f"{path} body holds {len(body)} bytes, expected {16 * rows * cols}")
-    values = np.frombuffer(body, dtype="<c16").reshape(rows, cols).astype(np.complex128)
+    with fh:
+        header = fh.readline()
+        try:
+            meta = dict(item.split("=", 1) for item in header.decode("ascii").split())
+            kind, fingerprint = meta["kind"], meta["fingerprint"]
+            rows, cols = (int(meta[key]) for key in shape_keys)
+            if min(rows, cols) < 0:
+                raise ValueError("negative size")
+        except (KeyError, ValueError) as exc:
+            raise CacheMismatch(f"unreadable header {header!r} in {path}") from exc
+        # the body is read straight into the result: one copy in memory
+        body_bytes = os.fstat(fh.fileno()).st_size - len(header)
+        if body_bytes != 16 * rows * cols:
+            raise CacheMismatch(f"{path} body holds {body_bytes} bytes, expected {16 * rows * cols}")
+        values = np.empty((rows, cols), dtype="<c16")
+        if fh.readinto(values.reshape(-1).view(np.uint8)) != body_bytes:
+            raise CacheMismatch(f"{path} changed while it was read")
+    values = values.astype(np.complex128, copy=False)
     values.setflags(write=False)
     return kind, fingerprint, values
 

@@ -124,6 +124,11 @@ def check_noise_settings(n0_dbm_per_hz: float, bandwidth_hz: float) -> None:
         raise MalformedConfig(f"bandwidth_hz must be a finite number > 0, got {bandwidth_hz!r}")
 
 
+def parse_snr(text: str) -> float | None:
+    """One SNR in dB as written in a sweep list or plan; ``none`` is noiseless."""
+    return None if text.strip().lower() == "none" else float(text)
+
+
 def check_snr(snr_db: float | None) -> None:
     """Reject an SNR that is not a finite number of dB; ``None`` (noiseless) passes."""
     if snr_db is not None and not math.isfinite(snr_db):

@@ -30,6 +30,8 @@ from .scene import (
     SampleGrids,
     SceneConfig,
     ValidatedScene,
+    check_scene_dimensions,
+    check_target_distance,
     load_scene_config,
     parse_key_values,
     read_config_text,
@@ -87,6 +89,11 @@ class ExperimentPlan:
         return self.z_values if self.z_values else (self.scene.target_distance,)
 
     def validate(self) -> None:
+        """Reject every bad plan value before anything runs; the bounds that
+        depend on the target distance are checked per point."""
+        check_scene_dimensions(self.scene)
+        for z_prime in self.resolved_z_values():
+            check_target_distance(z_prime)
         if not self.i_values:
             raise MalformedConfig("i_values must be nonempty")
         # the sample count does not depend on z', so ideal_masks would apply
@@ -199,6 +206,7 @@ def _shared_builds(
                         inv = ris_synthesis.tikhonov_inverse(
                             kernel, group[0].gamma, plan.threshold_factor, plan.truncation_mode
                         )
+                        del kernel  # inv holds it; nothing else may while the next one is built
                     masks = ris_synthesis.realize_masks(inv, ideal, amplification)
                     if artifact_dir is not None:
                         mask_design.save_mask_vectors(artifact_dir / f"masks_realized_{stem}.bin", masks, fp)
@@ -301,6 +309,8 @@ def run_plan(plan: ExperimentPlan) -> RunResult:
             # a group's first point also waited for the builds its group shares
             now = time.perf_counter()
             point.wall_ms, started = (now - started) * 1000.0, now
+        # drop this group's kernel and masks before the next group is built
+        del shared
 
     _write_csv(
         run_dir / "metrics.csv",
@@ -419,10 +429,8 @@ def parse_plan(text: str, base_dir: Path | None = None) -> ExperimentPlan:
         if "i_values" in values:
             kwargs["i_values"] = tuple(int(v) for v in values.pop("i_values").split(","))
         if "snr_values" in values:
-            kwargs["snr_values"] = tuple(
-                None if v.strip().lower() == "none" else float(v)
-                for v in values.pop("snr_values").split(",")
-            )
+            snr_values = values.pop("snr_values").split(",")
+            kwargs["snr_values"] = tuple(measurement.parse_snr(v) for v in snr_values)
         if "z_values" in values:
             kwargs["z_values"] = tuple(float(v) for v in values.pop("z_values").split(","))
         for key in _PLAN_FLOAT_KEYS & values.keys():

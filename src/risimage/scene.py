@@ -146,17 +146,12 @@ class SampleGrids:
     target_cell_measure: float
 
 
-def validate_scene(cfg: SceneConfig) -> ValidatedScene:
-    """Check all geometric invariants and wrap the config.
+def check_scene_dimensions(cfg: SceneConfig) -> None:
+    """The checks of :func:`validate_scene` that hold at every target distance.
 
-    Raises
-    ------
-    NonPositiveDimension
-        For any non-positive length, wavelength, sample count, or power ratio.
-    NearFieldViolation
-        If the target is not strictly inside the aperture Rayleigh distance.
-    FarFieldViolation
-        If the receiver is not strictly beyond the target far-field bound.
+    Raises :class:`NonPositiveDimension` for a non-positive length other than
+    ``target_distance``, wavelength, power ratio, sample count or volume
+    depth, and :class:`MalformedConfig` for an unknown ``target_kind``.
     """
     positive_lengths = {
         "wavelength": cfg.wavelength,
@@ -164,7 +159,6 @@ def validate_scene(cfg: SceneConfig) -> ValidatedScene:
         "ris_len_y": cfg.ris_len_y,
         "target_len_x": cfg.target_len_x,
         "target_len_y": cfg.target_len_y,
-        "target_distance": cfg.target_distance,
         "amplification": cfg.amplification,
     }
     for name, value in positive_lengths.items():
@@ -187,6 +181,31 @@ def validate_scene(cfg: SceneConfig) -> ValidatedScene:
             raise NonPositiveDimension(f"{name} must be a positive integer, got {value!r}")
     if cfg.target_kind not in (PLANE_2D, VOLUME_3D):
         raise MalformedConfig(f"unknown target_kind {cfg.target_kind!r}")
+
+
+def check_target_distance(z_prime) -> None:
+    """A target distance must be a number > 0 (NaN and None are not)."""
+    if z_prime is None or not z_prime > 0.0:
+        raise NonPositiveDimension(f"target_distance must be > 0, got {z_prime!r}")
+
+
+def validate_scene(cfg: SceneConfig) -> ValidatedScene:
+    """Check all geometric invariants and wrap the config.
+
+    Runs :func:`check_scene_dimensions` and :func:`check_target_distance`,
+    then the bounds that depend on the target distance.
+
+    Raises
+    ------
+    NonPositiveDimension
+        For any non-positive length, wavelength, sample count, or power ratio.
+    NearFieldViolation
+        If the target is not strictly inside the aperture Rayleigh distance.
+    FarFieldViolation
+        If the receiver is not strictly beyond the target far-field bound.
+    """
+    check_scene_dimensions(cfg)
+    check_target_distance(cfg.target_distance)
 
     scene = ValidatedScene(cfg)
     far_face = cfg.target_distance + (cfg.target_depth if cfg.target_kind == VOLUME_3D else 0.0)

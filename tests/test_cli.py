@@ -4,13 +4,14 @@ import csv
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import risimage
-from risimage import cli
+from risimage import cli, em_core
 from risimage import mask_design as md
 from risimage import measurement as ms
 from risimage import ris_synthesis as rs
@@ -327,6 +328,39 @@ class TestBadInput:
         assert code == 2
         assert "MalformedConfig" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, error",
+        [
+            ("--z-sweep=none", "MalformedConfig"),
+            ("--i-sweep=none", "MalformedConfig"),
+            ("--z-sweep=nan", "NonPositiveDimension"),
+            ("--z-sweep=0", "NonPositiveDimension"),
+            ("--z-sweep=-0.1", "NonPositiveDimension"),
+        ],
+    )
+    def test_sweep_axis_without_a_usable_value(self, scene_file, tmp_path, capsys, option, error):
+        # 'none' is a noiseless SNR; no distance or mask count means it
+        code = cli.main(["sweep", "--scene", str(scene_file), option, "--output", str(tmp_path / "s")])
+        assert code == 2
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_non_positive_distance_in_plan(self, scene_file, tmp_path, capsys):
+        plan_path = tmp_path / "plan.cfg"
+        plan_path.write_text(f"scene = {scene_file.name}\nz_values = -0.1\noutput_dir = {tmp_path / 'p'}\n")
+        assert cli.main(["sweep", "--plan", str(plan_path)]) == 2
+        assert "NonPositiveDimension" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
+    def test_bad_scene_with_measurement_count(self, scene_file, tmp_path, capsys):
+        # -I skips the scene validation that choosing a default count does
+        code = cli.main(
+            ["run", "--scene", str(scene_file), "--set", "n_target_x=0", "-I", "128", "--output", str(tmp_path / "r")]
+        )
+        assert code == 2
+        assert "NonPositiveDimension" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("verb", ["run", "measure", "masks"])
     def test_negative_seed(self, scene_file, tmp_path, capsys, verb):
         code = cli.main(
@@ -586,6 +620,26 @@ class TestRunnerInternals:
         builds = [rn.run_plan(plan).kernel_builds for _ in range(2)]
         assert builds == [1, 0]  # the second run loads the kernel from the cache
         assert sector_counts == [4, 4]
+
+    def test_previous_kernel_is_freed_before_the_next_build(self, scene_file, tmp_path, monkeypatch):
+        # a sweep holds one distance's kernel at a time
+        built, alive_at_build = [], []
+
+        def recorded(*args, _original=em_core.assemble_kernel, **kwargs):
+            alive_at_build.append(sum(ref() is not None for ref in built))
+            kernel = _original(*args, **kwargs)
+            built.append(weakref.ref(kernel.entries))
+            return kernel
+
+        monkeypatch.setattr(em_core, "assemble_kernel", recorded)
+        plan = rn.ExperimentPlan(
+            scene=sc.load_scene_config(scene_file),
+            i_values=(128,),
+            z_values=(0.125, 0.15, 0.2),
+            output_dir=str(tmp_path / "sweep"),
+        )
+        assert all(p.error is None for p in rn.run_plan(plan).points)
+        assert alive_at_build == [0, 0, 0]
 
     def test_kernel_reused_across_snr_points(self, scene_file, tmp_path):
         plan = rn.ExperimentPlan(

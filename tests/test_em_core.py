@@ -16,7 +16,7 @@ from risimage.errors import (
     KindMismatch,
 )
 
-from conftest import small_config
+from conftest import desk_config, small_config, volume_config
 
 # Constants restated here so the oracles share nothing with the implementation.
 MU = 4.0 * math.pi * 1e-7
@@ -125,18 +125,86 @@ class TestIncidentCurrent:
         assert cmath.phase(value) == pytest.approx(-math.pi / 2.0)
 
 
+def assert_plane_entries_match_oracle(scene, grids, seed):
+    kernel = em.kernel_2d(scene, grids)
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        m = int(rng.integers(grids.target_points.shape[0]))
+        n = int(rng.integers(grids.ris_points.shape[0]))
+        expected = oracle_z_entry(
+            scene.config, grids.target_points[m], grids.ris_points[n], grids.ris_cell_area
+        )
+        assert kernel.entries[m, n] == pytest.approx(expected, rel=1e-12)
+
+
+def assert_volume_entries_match_oracle(scene, grids, seed):
+    kernel = em.kernel_3d(scene, grids)
+    rng = np.random.default_rng(seed)
+    receiver = scene.config.receiver_pos
+    for _ in range(100):
+        m = int(rng.integers(grids.target_points.shape[0]))
+        n = int(rng.integers(grids.ris_points.shape[0]))
+        expected = oracle_y_entry(
+            scene.config, receiver, grids.target_points[m], grids.ris_points[n], grids.ris_cell_area
+        )
+        assert kernel.entries[m, n] == pytest.approx(expected, rel=1e-12)
+
+
+def assert_two_path_consistency(scene, grids, seed):
+    # contrast-weighted receiver sum equals the Green-row contraction of
+    # the aperture field components, voxel by voxel
+    kernel = em.kernel_3d(scene, grids)
+    rng = np.random.default_rng(seed)
+    cfg = scene.config
+    k = scene.wavenumber
+    chi = np.zeros(scene.n_target, dtype=complex)
+    chi[[1, 6]] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    for _ in range(5):
+        p = rng.standard_normal(scene.n_ris) + 1j * rng.standard_normal(scene.n_ris)
+        direct = k**2 * np.sum(chi * (kernel.entries @ p)) * grids.target_cell_measure
+        contracted = 0.0
+        for m in np.flatnonzero(chi):
+            point = grids.target_points[m]
+            g_row = oracle_green_row(cfg, cfg.receiver_pos, point)
+            e_vec = oracle_e_field(cfg, grids.ris_points, grids.ris_cell_area, p, point)
+            contracted += chi[m] * sum(g * e for g, e in zip(g_row, e_vec))
+        contracted *= k**2 * grids.target_cell_measure
+        assert abs(direct - contracted) / abs(direct) < 1e-10
+
+
+# Target pitch 0.7x the aperture pitch (0.25 m over 16 samples): no two
+# target-aperture offsets along an axis coincide, so the offset tables are as
+# large as they get. The target grids are not square, so the x and y tables
+# differ in size.
+SKEWED_PITCH = 0.7 * 0.25 / 16
+
+
+@pytest.fixture(scope="module")
+def skewed_plane_scene():
+    scene = sc.validate_scene(
+        desk_config(
+            n_ris_x=16,
+            n_ris_y=16,
+            n_target_x=8,
+            n_target_y=5,
+            target_len_x=8 * SKEWED_PITCH,
+            target_len_y=5 * SKEWED_PITCH,
+        )
+    )
+    return scene, sc.sample_grids(scene)
+
+
+@pytest.fixture(scope="module")
+def skewed_volume_scene():
+    scene = sc.validate_scene(
+        volume_config(n_xy=3, n_target_y=2, target_len_x=3 * SKEWED_PITCH, target_len_y=2 * SKEWED_PITCH)
+    )
+    return scene, sc.sample_grids(scene)
+
+
 class TestKernel2d:
     def test_entries_match_scalar_oracle(self, small_scene):
-        scene, grids = small_scene
-        kernel = em.kernel_2d(scene, grids)
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            m = int(rng.integers(grids.target_points.shape[0]))
-            n = int(rng.integers(grids.ris_points.shape[0]))
-            expected = oracle_z_entry(
-                scene.config, grids.target_points[m], grids.ris_points[n], grids.ris_cell_area
-            )
-            assert kernel.entries[m, n] == pytest.approx(expected, rel=1e-12)
+        assert_plane_entries_match_oracle(*small_scene, seed=7)
 
     def test_entries_finite_and_nonzero(self, desk_scene):
         scene, grids = desk_scene
@@ -270,17 +338,7 @@ def _random_direction(rng):
 
 class TestKernel3d:
     def test_entries_match_scalar_oracle(self, volume_scene):
-        scene, grids = volume_scene
-        kernel = em.kernel_3d(scene, grids)
-        rng = np.random.default_rng(17)
-        receiver = scene.config.receiver_pos
-        for _ in range(100):
-            m = int(rng.integers(grids.target_points.shape[0]))
-            n = int(rng.integers(grids.ris_points.shape[0]))
-            expected = oracle_y_entry(
-                scene.config, receiver, grids.target_points[m], grids.ris_points[n], grids.ris_cell_area
-            )
-            assert kernel.entries[m, n] == pytest.approx(expected, rel=1e-12)
+        assert_volume_entries_match_oracle(*volume_scene, seed=17)
 
     def test_zero_coefficients_zero_field(self, volume_scene):
         scene, grids = volume_scene
@@ -288,30 +346,32 @@ class TestKernel3d:
         np.testing.assert_array_equal(kernel.entries @ np.zeros(scene.n_ris), 0.0)
 
     def test_two_path_consistency(self, volume_scene):
-        # contrast-weighted receiver sum equals the Green-row contraction of
-        # the aperture field components, voxel by voxel
-        scene, grids = volume_scene
-        kernel = em.kernel_3d(scene, grids)
-        rng = np.random.default_rng(23)
-        cfg = scene.config
-        k = scene.wavenumber
-        chi = np.zeros(scene.n_target, dtype=complex)
-        chi[[1, 6]] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        for _ in range(5):
-            p = rng.standard_normal(scene.n_ris) + 1j * rng.standard_normal(scene.n_ris)
-            direct = k**2 * np.sum(chi * (kernel.entries @ p)) * grids.target_cell_measure
-            contracted = 0.0
-            for m in np.flatnonzero(chi):
-                point = grids.target_points[m]
-                g_row = oracle_green_row(cfg, cfg.receiver_pos, point)
-                e_vec = oracle_e_field(cfg, grids.ris_points, grids.ris_cell_area, p, point)
-                contracted += chi[m] * sum(g * e for g, e in zip(g_row, e_vec))
-            contracted *= k**2 * grids.target_cell_measure
-            assert abs(direct - contracted) / abs(direct) < 1e-10
+        assert_two_path_consistency(*volume_scene, seed=23)
 
 
+class TestIncommensuratePitches:
+    """Kernels whose target pitch is no integer multiple of the aperture pitch."""
 
-@pytest.mark.parametrize("fixture", ["small_scene", "volume_scene"])
+    @pytest.mark.parametrize("fixture", ["skewed_plane_scene", "skewed_volume_scene"])
+    def test_every_offset_is_distinct(self, request, fixture):
+        scene, grids = request.getfixturevalue(fixture)
+        for axis in (0, 1):
+            offsets = np.unique(grids.target_points[:, axis])[:, None] - np.unique(grids.ris_points[:, axis])
+            assert np.unique(offsets).size == offsets.size
+
+    def test_plane_entries_match_scalar_oracle(self, skewed_plane_scene):
+        assert_plane_entries_match_oracle(*skewed_plane_scene, seed=31)
+
+    def test_volume_entries_match_scalar_oracle(self, skewed_volume_scene):
+        assert_volume_entries_match_oracle(*skewed_volume_scene, seed=37)
+
+    def test_volume_two_path_consistency(self, skewed_volume_scene):
+        assert_two_path_consistency(*skewed_volume_scene, seed=41)
+
+
+@pytest.mark.parametrize(
+    "fixture", ["small_scene", "volume_scene", "skewed_plane_scene", "skewed_volume_scene"]
+)
 def test_kernel_independent_of_row_blocks(request, monkeypatch, fixture):
     # kernels are assembled in row blocks; one row per block gives the same bits
     scene, grids = request.getfixturevalue(fixture)
@@ -337,6 +397,28 @@ class TestKernelCache:
         other = sc.validate_scene(small_config(z_prime=0.25))
         with pytest.raises(CacheMismatch):
             em.load_kernel(path, other, sc.sample_grids(other))
+
+    def test_overlong_body_rejected(self, small_scene, tmp_path):
+        scene, grids = small_scene
+        path = tmp_path / "kernel.bin"
+        em.save_kernel(path, em.kernel_2d(scene, grids))
+        path.write_bytes(path.read_bytes() + bytes(16))
+        with pytest.raises(CacheMismatch):
+            em.load_kernel(path, scene, grids)
+
+    def test_negative_sizes_in_header_rejected(self, small_scene, tmp_path):
+        scene, grids = small_scene
+        path = tmp_path / "kernel.bin"
+        path.write_bytes(f"kind=Z_2d m=-1 n=-4 fingerprint={scene.fingerprint}\n".encode() + bytes(64))
+        with pytest.raises(CacheMismatch):
+            em.load_kernel(path, scene, grids)
+
+    def test_loaded_entries_are_read_only(self, small_scene, tmp_path):
+        scene, grids = small_scene
+        path = tmp_path / "kernel.bin"
+        em.save_kernel(path, em.kernel_2d(scene, grids))
+        entries = em.load_kernel(path, scene, grids).entries
+        assert entries.dtype == np.complex128 and not entries.flags.writeable
 
     def test_truncated_body_rejected(self, small_scene, tmp_path):
         scene, grids = small_scene
