@@ -27,6 +27,7 @@ from .scene import (
     SceneConfig,
     ValidatedScene,
     aperture_half_sine,
+    check_scene_dimensions,
     parse_scene_config,
     read_config_text,
     resolution,
@@ -99,7 +100,8 @@ def _measurement_count(args, scene) -> int:
     no point on the all-ones column."""
     if args.measurements is not None:
         return args.measurements
-    n_points = validate_scene(scene).n_target
+    check_scene_dimensions(scene)
+    n_points = scene.n_target
     count = 4
     while count < n_points + 1:
         count *= 2

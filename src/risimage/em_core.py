@@ -297,14 +297,15 @@ def write_complex_file(path: str | Path, header: str, values: np.ndarray) -> Non
 
     The bytes go to a temporary file in the same directory, which then
     replaces ``path``: a reader sees the old file or the whole new one, never
-    a partial write.
+    a partial write. The body is written from the array's own buffer, so a
+    C-ordered little-endian complex128 ``values`` is not copied.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(header.encode("ascii"))
-            fh.write(np.ascontiguousarray(values, dtype="<c16").tobytes())
+            fh.write(np.ascontiguousarray(values, dtype="<c16").data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

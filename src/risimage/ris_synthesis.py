@@ -18,14 +18,16 @@ rows folded over the aperture, so the full kernel is never folded. Any other
 kernel, volume kernels included, is one identity sector holding K itself and
 goes through the same code.
 
-Only the target-side factors U and sigma of each block are ever formed. A
-wide block B = R^T Q^T (QR of B^T) shares them with its square triangular
-factor R^T, so the SVD runs on that factor. The realized mask
-K p = U diag(sigma lambda) U^H b and the norm ||p|| = ||Lambda U^H b|| then
-need neither V nor p, and only the retained columns of U enter them: each
-mask is folded into the sectors, goes through two small products per sector,
-and is unfolded. The coefficient profiles themselves come from
-:func:`synthesis_profiles` and are formed only when they are exported.
+Only the target-side factors U and sigma of each block are kept. A wide
+block B = R^T Q^T (QR of B^T) shares them with its square triangular factor
+R^T, so the SVD runs on that factor. Every mask then goes through one
+chunked loop: it is folded into the sectors and gives c_s = lambda_s U_s^H
+fold_s(b) over each sector's retained modes, whose norm ||c|| is the
+solution norm ||p||. The realized mask K p = U diag(sigma) c is unfolded on
+the target side. The coefficient profiles p, formed only by :meth:`apply`
+and when profiles are exported, are unfolded on the aperture side from
+V_s c_s, with V_s = B_s^H U_s / sigma_s built per sector from the kernel at
+that moment, so a profile is never formed through a dense K^H product.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ _KERNEL_TO_MASK_KIND = {KIND_Z2D: KIND_MASK2D, KIND_Y3D: KIND_MASK3D}
 # Sector order of :func:`_sector_fold`: (x parity, y parity), 0 even and 1 odd.
 _PARITIES = ((0, 0), (1, 0), (0, 1), (1, 1))
 _HALF = math.sqrt(0.5)
-# Masks are realized in blocks of about this many entries (1 MiB).
+# Masks go through the coefficient loop in blocks whose output holds about
+# this many entries (1 MiB).
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -119,21 +122,13 @@ class RegularizedInverse:
     def apply(self, rhs: np.ndarray) -> np.ndarray:
         """Regularized solution V Lambda U^H rhs for one vector or a stack.
 
-        Evaluated as K^H U diag(lambda / sigma) U^H rhs over the retained
-        modes, which is the same vector since K^H U = V Sigma.
+        Evaluated sector by sector as V_s c_s with c_s = lambda_s U_s^H rhs_s
+        over the retained modes and V_s = B_s^H U_s / sigma_s, unfolded on
+        the aperture side (:func:`_solutions`).
         """
         rhs = np.asarray(rhs, dtype=np.complex128)
-        m = self.kernel.entries.shape[0]
-        if rhs.shape[0] != m:
-            raise DimensionMismatch(f"right-hand side of length {rhs.shape[0]} does not match M={m}")
-        shape = _target_shape(self.kernel)
-        stack = np.ascontiguousarray(rhs.reshape(m, -1).T)  # (k, M)
-        projected = (
-            ((inv_sigma / sigma)[:, None] * (u.conj().T @ part.T)).T @ u.T
-            for (u, sigma, inv_sigma), part in zip(_folded_factors(self), _sector_fold(stack, shape))
-        )
-        solution = self.kernel.entries.conj().T @ _sector_unfold(projected, shape).T
-        return solution[:, 0] if rhs.ndim == 1 else solution
+        solution = _solutions(self, rhs.reshape(rhs.shape[0], -1).T)  # (k, N)
+        return solution[0] if rhs.ndim == 1 else solution.T
 
 
 def check_threshold_factor(threshold_factor: float) -> None:
@@ -337,21 +332,101 @@ def tikhonov_inverse(
     )
 
 
-def _require_nonzero(norms: np.ndarray) -> None:
+def _require_nonzero(norms: np.ndarray, first: int = 0) -> None:
+    """Reject a zero solution norm; ``first`` is the mask index of ``norms[0]``."""
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise ZeroSolution(f"mask {int(zero[0])} lies outside the retained kernel range")
+        raise ZeroSolution(f"mask {first + int(zero[0])} lies outside the retained kernel range")
+
+
+def _coefficient_blocks(
+    inv: RegularizedInverse, factors: list, vectors: np.ndarray, width: int
+) -> Iterator[tuple[slice, list[np.ndarray], np.ndarray]]:
+    """The one coefficient loop behind every solution and realized mask.
+
+    Takes the rows of ``vectors`` (I, M) in blocks whose output, ``width``
+    entries per row, holds about ``_CHUNK_ENTRIES`` entries. Per block it
+    folds the rows into the sectors and yields the block's slice, per sector
+    c_s = lambda_s (w_s U_s)^H fold_s(b) over the retained modes, an
+    (r_s, rows) array, and the solution norms ||c|| (rows,). ``factors`` is
+    ``list(_folded_factors(inv))``. Raises :class:`DimensionMismatch` unless
+    the rows have length M.
+    """
+    m = inv.kernel.entries.shape[0]
+    if vectors.shape[1] != m:
+        raise DimensionMismatch(f"vectors of length {vectors.shape[1]} do not match M={m}")
+    shape = _target_shape(inv.kernel)
+    step = max(1, _CHUNK_ENTRIES // width)
+    for start in range(0, len(vectors), step):
+        chunk = slice(start, start + step)
+        coeffs = []
+        norms_sq = 0.0
+        for (u, _, inv_sigma), part in zip(factors, _sector_fold(vectors[chunk], shape)):
+            weighted = inv_sigma[:, None] * (u.conj().T @ part.T)  # (r, chunk)
+            norms_sq = norms_sq + np.einsum("ki,ki->i", weighted, weighted.conj()).real
+            coeffs.append(weighted)
+        yield chunk, coeffs, np.sqrt(norms_sq)
+
+
+def _aperture_factors(inv: RegularizedInverse) -> list[np.ndarray]:
+    """Per sector the transpose of W_s = a_s * B_s^H U_s[:, :r_s] / sigma_s, (r_s, cols).
+
+    W_s is the sector's retained V_s with the aperture fold weights a_s
+    applied, so unfold_s(W_s c_s) is the sector's share of V Sigma^-1 c
+    before the J_x phase. For the identity sector it is K^H U / sigma,
+    formed without a conjugated copy of K.
+    """
+    symmetry = inv.kernel.symmetry
+    aperture_norms = _sector_norms(symmetry.aperture_shape if symmetry is not None else None)
+    factors = []
+    for sector, block, norms in zip(inv.sectors, _sector_blocks(inv.kernel), aperture_norms):
+        r = sector.retained
+        w_t = (sector.u[:, :r] / sector.sigma[:r]).conj().T @ block
+        np.conjugate(w_t, out=w_t)
+        if norms is not None:
+            w_t *= norms
+        factors.append(w_t)
+    return factors
+
+
+def _solutions(inv: RegularizedInverse, vectors: np.ndarray, budget: float | None = None) -> np.ndarray:
+    """Regularized solutions (I, N), C-ordered, for the rows of ``vectors`` (I, M).
+
+    The coefficients of :func:`_coefficient_blocks` are mapped back per
+    sector through :func:`_aperture_factors`, unfolded on the aperture side
+    and multiplied by the conjugate J_x phase, one block of rows at a time.
+    With a ``budget``, each row's coefficients are first scaled by
+    budget / ||c||, so every solution has norm ``budget``.
+    """
+    symmetry = inv.kernel.symmetry
+    aperture_shape = symmetry.aperture_shape if symmetry is not None else None
+    phase = symmetry.phase.conj() if symmetry is not None else None
+    n_samples = inv.kernel.entries.shape[1]
+    aperture = _aperture_factors(inv)
+    out = np.empty((len(vectors), n_samples), dtype=np.complex128)
+    for chunk, coeffs, norms in _coefficient_blocks(inv, list(_folded_factors(inv)), vectors, n_samples):
+        if budget is not None:
+            _require_nonzero(norms, chunk.start)
+            scale = budget / norms
+            for c in coeffs:
+                c *= scale
+        rows = _sector_unfold((c.T @ w_t for c, w_t in zip(coeffs, aperture)), aperture_shape)
+        if phase is None:
+            out[chunk] = rows
+        else:
+            np.multiply(rows, phase, out=out[chunk])
+    return out
 
 
 def realize_masks(inv: RegularizedInverse, masks: MaskSet, amplification: float) -> MaskSet:
     """The masks that power-normalised synthesized profiles produce.
 
-    Works in the target-side range space of each sector: with c = U^H b per
-    folded ideal mask b over the retained modes, the solution norm is
-    ||lambda c|| summed over sectors and the realized mask is the unfolded
-    U diag(sigma lambda) c, scaled onto the power budget. Masks go through
-    in blocks of about ``_CHUNK_ENTRIES`` entries, so the fold temporaries
-    stay small. Returns a new set whose ``vectors`` are the realized masks.
+    Works in the target-side range space of each sector: with the
+    coefficients c of :func:`_coefficient_blocks`, the solution norm is
+    ||c|| and the realized mask is the unfolded U diag(sigma) c, scaled onto
+    the power budget. Masks go through in blocks of about ``_CHUNK_ENTRIES``
+    entries, so the fold temporaries stay small. Returns a new set whose
+    ``vectors`` are the realized masks.
     """
     kind = inv.kernel.kind
     if _KERNEL_TO_MASK_KIND.get(kind) != masks.kind:
@@ -361,17 +436,10 @@ def realize_masks(inv: RegularizedInverse, masks: MaskSet, amplification: float)
     factors = list(_folded_factors(inv))
     realized = np.empty((masks.count, n_targets), dtype=np.complex128)
     norms = np.empty(masks.count)
-    step = max(1, _CHUNK_ENTRIES // n_targets)
-    for start in range(0, masks.count, step):
-        chunk = slice(start, start + step)
-        coeffs = []
-        norms_sq = 0.0
-        for (u, sigma, inv_sigma), part in zip(factors, _sector_fold(masks.vectors[chunk], shape)):
-            weighted = inv_sigma[:, None] * (u.conj().T @ part.T)  # (r, chunk)
-            norms_sq = norms_sq + np.einsum("ki,ki->i", weighted, weighted.conj()).real
-            coeffs.append((u, sigma[:, None] * weighted))
-        norms[chunk] = np.sqrt(norms_sq)
-        realized[chunk] = _sector_unfold((c.T @ u.T for u, c in coeffs), shape)
+    for chunk, coeffs, chunk_norms in _coefficient_blocks(inv, factors, masks.vectors, n_targets):
+        norms[chunk] = chunk_norms
+        parts = ((sigma[:, None] * c).T @ u.T for (u, sigma, _), c in zip(factors, coeffs))
+        realized[chunk] = _sector_unfold(parts, shape)
     _require_nonzero(norms)
     realized *= (np.sqrt(n_samples * amplification) / norms)[:, None]
     realized.setflags(write=False)
@@ -379,16 +447,13 @@ def realize_masks(inv: RegularizedInverse, masks: MaskSet, amplification: float)
 
 
 def synthesis_profiles(inv: RegularizedInverse, masks: MaskSet, amplification: float) -> np.ndarray:
-    """Power-normalised coefficient vectors (I, N) realizing each mask of ``masks``.
+    """Power-normalised coefficient vectors (I, N), C-ordered, realizing each mask of ``masks``.
 
     Each row has ||p||^2 = N * amplification; for the ideal set, K p is the
     matching row of the masks returned by :func:`realize_masks`.
     """
     n_samples = inv.kernel.entries.shape[1]
-    solutions = inv.apply(masks.vectors.T)  # (N, I)
-    norms = np.linalg.norm(solutions, axis=0)
-    _require_nonzero(norms)
-    return (np.sqrt(n_samples * amplification) * solutions / norms[None, :]).T
+    return _solutions(inv, masks.vectors, np.sqrt(n_samples * amplification))
 
 
 def save_profiles(

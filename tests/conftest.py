@@ -12,6 +12,7 @@ Smaller variants of the same scenes keep unit tests fast.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,3 +117,18 @@ def normalized_correlation(a: np.ndarray, b: np.ndarray) -> float:
 
 def normalized_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float((a @ b) / np.sqrt((a @ a) * (b @ b)))
+
+
+def peak_traced_bytes(fn):
+    """Run ``fn()``; return the peak bytes traced by ``tracemalloc`` meanwhile, and its result.
+
+    numpy reports its array buffers to ``tracemalloc``, so the peak counts
+    every temporary and the result itself.
+    """
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, result

@@ -305,6 +305,16 @@ output_dir = {tmp_path / 'plan_run'}
         assert rows[0]["snr_db"] == ""
         assert rows[1]["snr_db"] == "20.0"
 
+    def test_default_count_ignores_a_replaced_distance(self, scene_file, tmp_path):
+        # the scene's own distance lies beyond the Rayleigh distance, but the
+        # z-sweep replaces it; the default count for 64 pixels is 128
+        def sweep(name, *extra):
+            args = ["sweep", "--scene", str(scene_file), "--set", "target_distance=30", "--z-sweep", "0.125"]
+            assert cli.main(args + list(extra) + ["--seed", "2", "--output", str(tmp_path / name)]) == 0
+            return (tmp_path / name / "metrics.csv").read_bytes()
+
+        assert sweep("default") == sweep("explicit", "-I", "128")
+
     def test_sweep_needs_plan_or_scene(self, capsys):
         assert cli.main(["sweep", "--target", "block"]) == 2
         assert "MalformedConfig" in capsys.readouterr().err

@@ -420,6 +420,19 @@ class TestKernelCache:
         entries = em.load_kernel(path, scene, grids).entries
         assert entries.dtype == np.complex128 and not entries.flags.writeable
 
+    @pytest.mark.parametrize("dtype", ["<c16", ">c16"])
+    def test_non_contiguous_body_written_in_row_order(self, tmp_path, dtype):
+        rng = np.random.default_rng(9)
+        values = (rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))).astype(dtype).T
+        assert not values.flags.c_contiguous
+        header = "kind=t count=3 points=5 fingerprint=f\n"
+        em.write_complex_file(tmp_path / "v.bin", header, values)
+        body = (tmp_path / "v.bin").read_bytes()[len(header) :]
+        assert body == np.ascontiguousarray(values, dtype="<c16").tobytes()
+        kind, fingerprint, loaded = em.read_complex_file(tmp_path / "v.bin", ("count", "points"))
+        assert (kind, fingerprint) == ("t", "f")
+        np.testing.assert_array_equal(loaded, values)
+
     def test_truncated_body_rejected(self, small_scene, tmp_path):
         scene, grids = small_scene
         path = tmp_path / "kernel.bin"

@@ -13,7 +13,7 @@ from risimage import scene as sc
 from risimage.em_core import KernelMatrix
 from risimage.errors import DimensionMismatch, KindMismatch, ZeroSolution
 
-from conftest import desk_config, normalized_inner, volume_config
+from conftest import desk_config, normalized_inner, peak_traced_bytes, volume_config
 
 
 def random_kernel(rng, m, n, kind=em.KIND_Z2D):
@@ -310,6 +310,14 @@ class TestTwoPathSynthesis:
         np.testing.assert_allclose(solution, [2.0 / (4.0 + 1e-6), 0, 0, 0, 0], atol=1e-15)
 
 
+def dense_svd_solutions(kernel, masks, gamma):
+    """Oracle: K^H U diag(lambda / sigma) U^H b from one full SVD of the entries."""
+    u, sigma, _ = np.linalg.svd(kernel.entries, full_matrices=False)
+    keep = sigma**2 >= rs.DEFAULT_THRESHOLD_FACTOR * gamma
+    weights = np.where(keep, 1.0 / (sigma**2 + gamma), 0.0)
+    return kernel.entries.conj().T @ (u @ (weights[:, None] * (u.conj().T @ masks.vectors.T)))
+
+
 class TestMirrorSectors:
     """A plane kernel's four mirror sectors against the same entries as one identity sector."""
 
@@ -352,6 +360,34 @@ class TestMirrorSectors:
             rs.synthesis_profiles(sectors, masks, 1.0), profiles, rtol=0, atol=1e-12 * np.abs(profiles).max()
         )
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            desk_config(n_target_x=3, n_target_y=4, n_ris_x=6, n_ris_y=7),
+            desk_config(n_target_x=5, n_target_y=5, n_ris_x=7, n_ris_y=7),
+            desk_config(n_target_x=4, n_target_y=4, n_ris_x=8, n_ris_y=8),
+            volume_config(),
+        ],
+        ids=["mixed", "odd", "even", "volume"],
+    )
+    def test_solutions_match_dense_svd_oracle(self, cfg):
+        scene = sc.validate_scene(cfg)
+        grids = sc.sample_grids(scene)
+        kernel = em.assemble_kernel(scene, grids)
+        inv = rs.tikhonov_inverse(kernel, 1e-12)
+        masks = md.ideal_masks(scene, grids, 64)
+        expected = dense_svd_solutions(kernel, masks, 1e-12)  # (N, I)
+        solutions = inv.apply(masks.vectors.T)
+        np.testing.assert_allclose(solutions, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
+        norms = np.linalg.norm(solutions, axis=0)
+        realized = rs.realize_masks(inv, masks, 1.0)
+        np.testing.assert_allclose(norms, realized.solution_norms, rtol=1e-12)
+
+        expected = (np.sqrt(scene.n_ris) * expected / np.linalg.norm(expected, axis=0)).T
+        profiles = rs.synthesis_profiles(inv, masks, 1.0)
+        assert profiles.flags.c_contiguous
+        np.testing.assert_allclose(profiles, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
+
     def test_cached_kernel_regains_its_symmetry(self, small_scene, tmp_path):
         scene, grids = small_scene
         kernel = em.kernel_2d(scene, grids)
@@ -373,3 +409,29 @@ class TestMirrorSectors:
         assert len(inv.sectors) == 1
         assert inv.sectors[0].u.shape[0] == scene.n_target
         assert inv.sectors[0].cols == scene.n_ris
+
+
+@pytest.fixture(scope="module")
+def desk_synthesis(desk_scene):
+    """The desk scene's inverse at gamma 1e-12 and 1,024 ideal masks."""
+    scene, grids = desk_scene
+    inv = rs.tikhonov_inverse(em.kernel_2d(scene, grids), 1e-12)
+    return inv, md.ideal_masks(scene, grids, 1024)
+
+
+class TestPeakMemory:
+    """Temporaries of the coefficient loop stay a few MiB above the output."""
+
+    SLACK = 8 << 20
+
+    def test_profiles_need_little_beyond_their_output(self, desk_synthesis):
+        inv, masks = desk_synthesis
+        peak, profiles = peak_traced_bytes(lambda: rs.synthesis_profiles(inv, masks, 1.0))
+        assert profiles.shape == (1024, 1024)
+        assert peak <= profiles.nbytes + self.SLACK
+
+    def test_realize_needs_little_beyond_its_output(self, desk_synthesis):
+        inv, masks = desk_synthesis
+        peak, realized = peak_traced_bytes(lambda: rs.realize_masks(inv, masks, 1.0))
+        assert realized.vectors.shape == (1024, 256)
+        assert peak <= realized.vectors.nbytes + self.SLACK
