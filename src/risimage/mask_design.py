@@ -5,12 +5,21 @@ profile chosen so the target-to-receiver propagation phase cancels; for volume
 targets the masks are the real {0,1} patterns themselves. Amplitude patterns
 come from distinct Hadamard-matrix columns, which makes the empirical mask
 covariance exactly (1/4) times the one-point indicator.
+
+Point m takes column (m + 1) mod I (:func:`hadamard_columns`), so mask i at
+point m is (1 + H[i, (m + 1) mod I]) / 2 times the phase: every linear map of
+a designed set is a Walsh-Hadamard transform of a small matrix with one row
+per point. :func:`hadamard_transform` applies H_I as the Kronecker product
+H_a (x) H_b of two Sylvester matrices, two real matrix products with no
+butterfly loop; ``ris_synthesis`` realizes designed sets that way, without
+touching the (I, M) mask stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +50,9 @@ class MaskSet:
     produces once ``ris_synthesis.realize_masks`` has replaced them, with the
     pre-normalisation solution norms in ``solution_norms``. ``amplitudes`` is
     the designed {0,1} pattern of a set straight from :func:`ideal_masks`, and
-    None once ``vectors`` no longer follow it. The generating
+    None once ``vectors`` no longer follow it: synthesis reads a set that
+    carries it as the Hadamard design times ``phase``, not from ``vectors``,
+    so a set whose vectors change must drop it. The generating
     coefficient vectors are not kept: ``ris_synthesis.synthesis_profiles``
     forms them from the inverse when they are exported.
     """
@@ -88,6 +99,52 @@ def hadamard(order: int) -> np.ndarray:
     return h
 
 
+@lru_cache(maxsize=None)
+def _kronecker_factors(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """H_a and H_b, read-only float64, with H_order = H_a (x) H_b and
+    a = 2^floor(log2(order) / 2)."""
+    a = 1 << (order.bit_length() - 1) // 2
+    factors = hadamard(a).astype(np.float64), hadamard(order // a).astype(np.float64)
+    for factor in factors:
+        factor.setflags(write=False)
+    return factors
+
+
+def hadamard_transform(values: np.ndarray) -> np.ndarray:
+    """H_I @ values for a real or complex (I, ...) array, I a power of two >= 4.
+
+    Sylvester's construction gives H_I = H_a (x) H_b for any split I = a b
+    into powers of two; with a = 2^floor(log2(I) / 2) both factors are small,
+    so the product is one batched matrix product within the b-blocks and one
+    across them (Fino & Algazi, IEEE Trans. Comput. C-25, 1976), both real on
+    the float64 view of complex input. A column block of a larger array is
+    read in place. Returns a new C-ordered array of the input's shape and
+    dtype.
+    """
+    order = values.shape[0]
+    h_a, h_b = _kronecker_factors(order)
+    flat = values.reshape(order, -1)
+    if np.iscomplexobj(flat):
+        if flat.strides[1] != flat.itemsize:
+            flat = np.ascontiguousarray(flat)
+        flat = flat.view(np.float64)
+    inner = np.matmul(h_b, flat.reshape(len(h_a), len(h_b), -1))
+    product = (h_a @ inner.reshape(len(h_a), -1)).reshape(flat.shape)
+    return product.view(values.dtype).reshape(values.shape)
+
+
+def hadamard_columns(n_measurements: int, n_points: int) -> slice | np.ndarray:
+    """The Hadamard column of each point, (m + 1) mod I.
+
+    The all-ones column 0 carries no information, so point m takes column
+    m + 1: a slice, unless there are as many points as measurements and the
+    last point wraps onto column 0, which makes it an index array.
+    """
+    if n_points < n_measurements:
+        return slice(1, n_points + 1)
+    return np.arange(1, n_points + 1) % n_measurements
+
+
 def check_measurement_count(n_measurements: int, n_points: int) -> None:
     """Reject a measurement count that is not a power of two >= 4
     (:class:`UnsupportedOrder`) or that is below the ``n_points`` target
@@ -109,15 +166,15 @@ def check_measurement_count(n_measurements: int, n_points: int) -> None:
 def design_amplitudes(n_measurements: int, n_points: int) -> np.ndarray:
     """{0,1} amplitude pattern per measurement from distinct Hadamard columns.
 
-    Point m takes column m+1 (skipping the uninformative all-ones first
-    column); with exactly as many measurements as points the last point wraps
-    onto the all-ones column and is unreconstructable (flagged downstream).
-    The empirical covariance over measurements is exactly (1/4) delta.
+    Point m takes column (m + 1) mod I (:func:`hadamard_columns`), skipping
+    the uninformative all-ones first column; with exactly as many
+    measurements as points the last point wraps onto the all-ones column and
+    is unreconstructable (flagged downstream). The empirical covariance over
+    measurements is exactly (1/4) delta.
     """
     check_measurement_count(n_measurements, n_points)
-    h = hadamard(n_measurements)
-    columns = [(m + 1) % n_measurements for m in range(n_points)]
-    return (1.0 + h[:, columns].astype(np.float64)) / 2.0
+    picked = hadamard(n_measurements)[:, hadamard_columns(n_measurements, n_points)]
+    return (picked > 0).astype(np.float64)
 
 
 def design_phases_2d(

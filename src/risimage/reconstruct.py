@@ -108,11 +108,15 @@ def reconstruct_3d(
     """Recover a volume target's complex contrast from complex fields.
 
     estimate_m = sum_i (E_i - <E>) B_i(m) / (I k^2 c_m), plain products.
+    Raises :class:`DimensionMismatch` unless the masks cover the scene's
+    voxels.
     """
     if masks.kind != KIND_MASK3D:
         raise KindMismatch("reconstruct_3d needs volume masks")
     if len(meas) != masks.count:
         raise DimensionMismatch(f"{len(meas)} measurements for {masks.count} masks")
+    if masks.points != scene.n_target:
+        raise DimensionMismatch(f"masks over {masks.points} points for a scene of {scene.n_target} voxels")
     vectors, c_values, power = mask_moments(masks)
     flagged = zero_variance_flags(c_values, power)
 
@@ -148,7 +152,7 @@ def calibrate_estimate(
 
     ``none`` is the identity, ``max1`` divides by the peak value, ``lsq`` fits
     the single scalar minimising the squared error to the truth (test-only,
-    needs the truth grid).
+    needs a truth grid of the estimate's size, else :class:`DimensionMismatch`).
     """
     estimate = np.asarray(estimate)
     if mode == CALIBRATE_NONE:
@@ -159,7 +163,10 @@ def calibrate_estimate(
     if mode == CALIBRATE_LSQ:
         if truth is None:
             raise ValueError("lsq calibration needs the truth grid")
-        truth = np.asarray(truth).reshape(estimate.shape)
+        truth = np.asarray(truth)
+        if truth.size != estimate.size:
+            raise DimensionMismatch(f"truth of {truth.size} points vs estimate of {estimate.size}")
+        truth = truth.reshape(estimate.shape)
         power = np.vdot(estimate, estimate)
         if power == 0:
             return estimate.copy()

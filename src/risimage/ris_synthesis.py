@@ -20,14 +20,21 @@ goes through the same code.
 
 Only the target-side factors U and sigma of each block are kept. A wide
 block B = R^T Q^T (QR of B^T) shares them with its square triangular factor
-R^T, so the SVD runs on that factor. Every mask then goes through one
-chunked loop: it is folded into the sectors and gives c_s = lambda_s U_s^H
-fold_s(b) over each sector's retained modes, whose norm ||c|| is the
-solution norm ||p||. The realized mask K p = U diag(sigma) c is unfolded on
-the target side. The coefficient profiles p, formed only by :meth:`apply`
-and when profiles are exported, are unfolded on the aperture side from
-V_s c_s, with V_s = B_s^H U_s / sigma_s built per sector from the kernel at
-that moment, so a profile is never formed through a dense K^H product.
+R^T, so the SVD runs on that factor. Every mask b gives per sector
+c_s = lambda_s U_s^H fold_s(b) over the retained modes, whose norm ||c|| is
+the solution norm ||p||, by one of two routes chosen in one place. A
+designed set (Hadamard patterns times a common phase, see ``mask_design``)
+never touches its (I, M) mask stack: c_s is (lambda_s / 2) times the column
+sum plus the Walsh-Hadamard transform of one (M, r_s) matrix, U_s unfolded
+onto the grid by a signed row gather. Any other set, and the right-hand
+sides of :meth:`apply`, are folded into the sectors a block of rows at a
+time. Either way the coefficients are staged in the leading columns of the
+output, which each block of rows then overwrites with its result. The
+realized mask K p = U diag(sigma) c is unfolded on the target side. The
+coefficient profiles p, formed only by :meth:`apply` and when profiles are
+exported, are unfolded on the aperture side from V_s c_s, with
+V_s = B_s^H U_s / sigma_s built per sector from the kernel at that moment,
+so a profile is never formed through a dense K^H product.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +56,7 @@ from .errors import (
     SvdFailure,
     ZeroSolution,
 )
-from .mask_design import KIND_MASK2D, KIND_MASK3D, MaskSet
+from .mask_design import KIND_MASK2D, KIND_MASK3D, MaskSet, hadamard_columns, hadamard_transform
 
 TRUNCATE_SIGMA_SQ = "sigma_sq"  # drop modes with sigma^2 < factor * gamma (default)
 TRUNCATE_SIGMA = "sigma"  # drop modes with sigma < factor * gamma (literal reading)
@@ -235,17 +243,47 @@ def _sector_norms(shape: tuple[int, int] | None) -> list[np.ndarray | None]:
     return [np.outer(_pair_norms(ny, py), _pair_norms(nx, px)).ravel() for px, py in _PARITIES]
 
 
+def _sector_gathers(shape: tuple[int, int] | None) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """Per sector, the signed row gather that is the transpose of its fold.
+
+    Point m of the grid (x fastest) goes to row ``rows[m]`` of the sector
+    with weight ``signs[m]`` (0 where the sector leaves the point out), so a
+    sector array z (rows_s, ...) unfolds with the other sectors zero to
+    signs[:, None] * z[rows]. Read off :func:`_sector_unfold` of the row
+    numbers 1..rows_s. None for the identity sector.
+    """
+    if shape is None:
+        return [None]
+    sizes = [len(norms) for norms in _sector_norms(shape)]
+    gathers = []
+    for s in range(len(sizes)):
+        parts = (np.arange(1.0, n + 1) if k == s else np.zeros(n) for k, n in enumerate(sizes))
+        numbered = _sector_unfold(parts, shape)  # +-(row + 1), or 0
+        gathers.append((np.maximum(np.abs(numbered).astype(np.intp) - 1, 0), np.sign(numbered)))
+    return gathers
+
+
 def _target_shape(kernel: KernelMatrix) -> tuple[int, int] | None:
     return kernel.symmetry.target_shape if kernel.symmetry is not None else None
 
 
-def _folded_factors(inv: RegularizedInverse) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per sector: the retained columns of U with the fold weights applied,
-    and that sector's retained singular values and regularized weights."""
+class _Factor(NamedTuple):
+    """One sector's retained target-side factors."""
+
+    u: np.ndarray  # (rows, r) retained columns of U with the fold weights w_s applied
+    u_h: np.ndarray  # (r, rows) the conjugate transpose of ``u``, formed once
+    sigma: np.ndarray  # (r,) retained singular values
+    inv_sigma: np.ndarray  # (r,) their regularized weights lambda_s
+
+
+def _folded_factors(inv: RegularizedInverse) -> list[_Factor]:
+    """Per sector, the retained columns of U with the fold weights applied."""
+    factors = []
     for sector, norms in zip(inv.sectors, _sector_norms(_target_shape(inv.kernel))):
         r = sector.retained
         u = sector.u[:, :r] if norms is None else norms[:, None] * sector.u[:, :r]
-        yield u, sector.sigma[:r], sector.inv_sigma[:r]
+        factors.append(_Factor(u, u.conj().T, sector.sigma[:r], sector.inv_sigma[:r]))
+    return factors
 
 
 def _sector_blocks(kernel: KernelMatrix) -> list[np.ndarray]:
@@ -332,40 +370,135 @@ def tikhonov_inverse(
     )
 
 
-def _require_nonzero(norms: np.ndarray, first: int = 0) -> None:
-    """Reject a zero solution norm; ``first`` is the mask index of ``norms[0]``."""
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ZeroSolution(f"mask {first + int(zero[0])} lies outside the retained kernel range")
+def _fold_coefficients(
+    factors: list[_Factor], vectors: np.ndarray, shape: tuple[int, int] | None, out: np.ndarray
+) -> np.ndarray:
+    """Fold route: any (I, M) stack of vectors, one block of rows at a time.
 
-
-def _coefficient_blocks(
-    inv: RegularizedInverse, factors: list, vectors: np.ndarray, width: int
-) -> Iterator[tuple[slice, list[np.ndarray], np.ndarray]]:
-    """The one coefficient loop behind every solution and realized mask.
-
-    Takes the rows of ``vectors`` (I, M) in blocks whose output, ``width``
-    entries per row, holds about ``_CHUNK_ENTRIES`` entries. Per block it
-    folds the rows into the sectors and yields the block's slice, per sector
-    c_s = lambda_s (w_s U_s)^H fold_s(b) over the retained modes, an
-    (r_s, rows) array, and the solution norms ||c|| (rows,). ``factors`` is
-    ``list(_folded_factors(inv))``. Raises :class:`DimensionMismatch` unless
-    the rows have length M.
+    Per block of about ``_CHUNK_ENTRIES`` output entries it folds the rows
+    into the sectors and stages c_s = lambda_s (w_s U_s)^H fold_s(b) in the
+    block's rows of ``out``, sector after sector. Returns ||c|| per row.
     """
+    norms_sq = np.zeros(len(vectors))
+    step = max(1, _CHUNK_ENTRIES // out.shape[1])
+    for start in range(0, len(vectors), step):
+        chunk = slice(start, start + step)
+        offset = 0
+        for factor, part in zip(factors, _sector_fold(vectors[chunk], shape)):
+            weighted = factor.inv_sigma[:, None] * (factor.u_h @ part.T)  # (r, rows)
+            norms_sq[chunk] += np.einsum("ki,ki->i", weighted, weighted.conj()).real
+            out[chunk, offset : offset + len(weighted)] = weighted.T
+            offset += len(weighted)
+    return np.sqrt(norms_sq)
+
+
+def _hadamard_coefficients(
+    factors: list[_Factor], masks: MaskSet, shape: tuple[int, int] | None, out: np.ndarray
+) -> np.ndarray:
+    """Hadamard route: a designed set's coefficients without its mask stack.
+
+    Mask i is b_i[m] = (1 + H[i, col(m)]) / 2 e^{j phi_m} with col(m) =
+    (m + 1) mod I. With A_s = conj(unfold_s(w_s U_s)) e^{j phi}, an (M, r_s)
+    signed row gather (:func:`_sector_gathers`), that makes
+    c_s = (lambda_s / 2) (sum_m A_s[m] + H_I scatter(A_s)), where scatter
+    puts row m of A_s at row col(m). Row 0 of H_I is all ones, so with
+    T = H_I scatter((lambda_s / 2) A_s) the sum is T[0] and c_s[i] =
+    T[0] + T[i]. The scattered, weighted A of every sector is staged in
+    ``out``, transformed a block of columns at a time
+    (``mask_design.hadamard_transform``) and overwritten with c. Returns
+    ||c|| per mask.
+    """
+    count, points = masks.amplitudes.shape
+    phase = np.ones(points) if masks.phase is None else np.exp(1j * masks.phase)
+    total = sum(f.sigma.size for f in factors)
+    stage = out[:, :total]
+    if points < count:  # rows no point scatters to
+        stage[0] = 0.0
+        stage[points + 1 :] = 0.0
+    columns = hadamard_columns(count, points)
+    offset = 0
+    for factor, gather in zip(factors, _sector_gathers(shape)):
+        r = factor.sigma.size
+        if r == 0:
+            continue
+        weighted = factor.u_h.T * (0.5 * factor.inv_sigma)  # conj(w_s U_s) lambda_s / 2
+        if gather is None:
+            stage[columns, offset : offset + r] = weighted * phase[:, None]
+        else:
+            rows, signs = gather
+            stage[columns, offset : offset + r] = weighted[rows] * (signs * phase)[:, None]
+        offset += r
+    norms_sq = np.zeros(count)
+    step = max(1, _CHUNK_ENTRIES // count)
+    for start in range(0, total, step):
+        block = slice(start, start + step)
+        c = hadamard_transform(stage[:, block])
+        c += c[0].copy()
+        parts = c.view(np.float64)
+        norms_sq += np.einsum("ik,ik->i", parts, parts)
+        stage[:, block] = c
+    return np.sqrt(norms_sq)
+
+
+def _stage_coefficients(
+    inv: RegularizedInverse, factors: list[_Factor], masks: MaskSet | np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients c of every mask, staged in a new (I, width) array.
+
+    Per sector c_s = lambda_s (w_s U_s)^H fold_s(b) over the retained modes;
+    sector after sector they fill the leading sum r_s <= ``width`` columns,
+    and ||c|| is the solution norm. Returns that array and ||c|| per mask.
+    This is where the route is chosen: a designed set (one that carries
+    ``amplitudes``) takes :func:`_hadamard_coefficients`, any other set and a
+    plain (I, M) stack of right-hand sides :func:`_fold_coefficients`.
+    Raises :class:`DimensionMismatch` unless the masks have length M.
+    """
+    vectors = masks.vectors if isinstance(masks, MaskSet) else masks
     m = inv.kernel.entries.shape[0]
     if vectors.shape[1] != m:
         raise DimensionMismatch(f"vectors of length {vectors.shape[1]} do not match M={m}")
     shape = _target_shape(inv.kernel)
-    step = max(1, _CHUNK_ENTRIES // width)
-    for start in range(0, len(vectors), step):
+    out = np.empty((len(vectors), width), dtype=np.complex128)
+    if isinstance(masks, MaskSet) and masks.amplitudes is not None:
+        return out, _hadamard_coefficients(factors, masks, shape, out)
+    return out, _fold_coefficients(factors, vectors, shape, out)
+
+
+def _map_rows(
+    out: np.ndarray,
+    norms: np.ndarray,
+    right: list[np.ndarray],
+    shape: tuple[int, int] | None,
+    budget: float | None = None,
+    phase: np.ndarray | None = None,
+) -> None:
+    """Overwrite each row's staged coefficients with unfold(sum_s c_s right_s).
+
+    ``right`` holds one (r_s, width_s) matrix per sector, and ``shape`` is
+    the grid the sectors unfold onto. Runs one block of about
+    ``_CHUNK_ENTRIES`` output entries at a time, each block's coefficients
+    read before its rows are written. With a ``budget``, each block's
+    coefficients are first scaled in place by budget / ||c||, so no pass
+    over the output rescales it; with a ``phase``, the unfolded rows are
+    multiplied by it.
+    """
+    if budget is not None:
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            raise ZeroSolution(f"mask {int(zero[0])} lies outside the retained kernel range")
+        scale = (budget / norms)[:, None]
+    bounds = np.cumsum([0] + [len(r) for r in right])
+    step = max(1, _CHUNK_ENTRIES // out.shape[1])
+    for start in range(0, len(out), step):
         chunk = slice(start, start + step)
-        coeffs = []
-        norms_sq = 0.0
-        for (u, _, inv_sigma), part in zip(factors, _sector_fold(vectors[chunk], shape)):
-            weighted = inv_sigma[:, None] * (u.conj().T @ part.T)  # (r, chunk)
-            norms_sq = norms_sq + np.einsum("ki,ki->i", weighted, weighted.conj()).real
-            coeffs.append(weighted)
-        yield chunk, coeffs, np.sqrt(norms_sq)
+        c = out[chunk, : bounds[-1]]
+        if budget is not None:
+            c *= scale[chunk]
+        rows = _sector_unfold((c[:, lo:hi] @ r for lo, hi, r in zip(bounds, bounds[1:], right)), shape)
+        if phase is None:
+            out[chunk] = rows
+        else:
+            np.multiply(rows, phase, out=out[chunk])
 
 
 def _aperture_factors(inv: RegularizedInverse) -> list[np.ndarray]:
@@ -389,32 +522,22 @@ def _aperture_factors(inv: RegularizedInverse) -> list[np.ndarray]:
     return factors
 
 
-def _solutions(inv: RegularizedInverse, vectors: np.ndarray, budget: float | None = None) -> np.ndarray:
-    """Regularized solutions (I, N), C-ordered, for the rows of ``vectors`` (I, M).
+def _solutions(
+    inv: RegularizedInverse, masks: MaskSet | np.ndarray, budget: float | None = None
+) -> np.ndarray:
+    """Regularized solutions (I, N), C-ordered, for a mask set or the rows of an (I, M) array.
 
-    The coefficients of :func:`_coefficient_blocks` are mapped back per
+    The coefficients of :func:`_stage_coefficients` are mapped back per
     sector through :func:`_aperture_factors`, unfolded on the aperture side
-    and multiplied by the conjugate J_x phase, one block of rows at a time.
-    With a ``budget``, each row's coefficients are first scaled by
-    budget / ||c||, so every solution has norm ``budget``.
+    and multiplied by the conjugate J_x phase. With a ``budget``, every
+    solution is scaled to norm ``budget``.
     """
     symmetry = inv.kernel.symmetry
     aperture_shape = symmetry.aperture_shape if symmetry is not None else None
     phase = symmetry.phase.conj() if symmetry is not None else None
-    n_samples = inv.kernel.entries.shape[1]
     aperture = _aperture_factors(inv)
-    out = np.empty((len(vectors), n_samples), dtype=np.complex128)
-    for chunk, coeffs, norms in _coefficient_blocks(inv, list(_folded_factors(inv)), vectors, n_samples):
-        if budget is not None:
-            _require_nonzero(norms, chunk.start)
-            scale = budget / norms
-            for c in coeffs:
-                c *= scale
-        rows = _sector_unfold((c.T @ w_t for c, w_t in zip(coeffs, aperture)), aperture_shape)
-        if phase is None:
-            out[chunk] = rows
-        else:
-            np.multiply(rows, phase, out=out[chunk])
+    out, norms = _stage_coefficients(inv, _folded_factors(inv), masks, inv.kernel.entries.shape[1])
+    _map_rows(out, norms, aperture, aperture_shape, budget, phase)
     return out
 
 
@@ -422,26 +545,21 @@ def realize_masks(inv: RegularizedInverse, masks: MaskSet, amplification: float)
     """The masks that power-normalised synthesized profiles produce.
 
     Works in the target-side range space of each sector: with the
-    coefficients c of :func:`_coefficient_blocks`, the solution norm is
+    coefficients c of :func:`_stage_coefficients`, the solution norm is
     ||c|| and the realized mask is the unfolded U diag(sigma) c, scaled onto
-    the power budget. Masks go through in blocks of about ``_CHUNK_ENTRIES``
-    entries, so the fold temporaries stay small. Returns a new set whose
-    ``vectors`` are the realized masks.
+    the power budget. The coefficients are staged in the output's leading
+    columns, which each block of rows then overwrites, so the only other
+    memory is a block's temporaries. Returns a new set whose ``vectors`` are
+    the realized masks.
     """
     kind = inv.kernel.kind
     if _KERNEL_TO_MASK_KIND.get(kind) != masks.kind:
         raise KindMismatch(f"kernel kind {kind!r} cannot realize {masks.kind!r} masks")
     n_targets, n_samples = inv.kernel.entries.shape
-    shape = _target_shape(inv.kernel)
-    factors = list(_folded_factors(inv))
-    realized = np.empty((masks.count, n_targets), dtype=np.complex128)
-    norms = np.empty(masks.count)
-    for chunk, coeffs, chunk_norms in _coefficient_blocks(inv, factors, masks.vectors, n_targets):
-        norms[chunk] = chunk_norms
-        parts = ((sigma[:, None] * c).T @ u.T for (u, sigma, _), c in zip(factors, coeffs))
-        realized[chunk] = _sector_unfold(parts, shape)
-    _require_nonzero(norms)
-    realized *= (np.sqrt(n_samples * amplification) / norms)[:, None]
+    factors = _folded_factors(inv)
+    realized, norms = _stage_coefficients(inv, factors, masks, n_targets)
+    right = [(f.u * f.sigma).T for f in factors]
+    _map_rows(realized, norms, right, _target_shape(inv.kernel), np.sqrt(n_samples * amplification))
     realized.setflags(write=False)
     return replace(masks, vectors=realized, amplitudes=None, solution_norms=norms)
 
@@ -453,7 +571,7 @@ def synthesis_profiles(inv: RegularizedInverse, masks: MaskSet, amplification: f
     matching row of the masks returned by :func:`realize_masks`.
     """
     n_samples = inv.kernel.entries.shape[1]
-    return _solutions(inv, masks.vectors, np.sqrt(n_samples * amplification))
+    return _solutions(inv, masks, np.sqrt(n_samples * amplification))
 
 
 def save_profiles(

@@ -577,6 +577,37 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "MalformedRecords" in err and str(records) in err
 
+    @pytest.mark.parametrize("calibration", ["max1", "lsq"])
+    def test_volume_masks_for_another_depth(self, tmp_path, capsys, calibration):
+        # a 2x2x2 volume reconstructed from a mask export of a 2x2x4 one
+        scene_path = tmp_path / "volume.cfg"
+        scene_path.write_text(TestVolumeVerbs.VOLUME_SCENE)
+        volume_path = tmp_path / "target.txt"
+        volume_path.write_text("2 2 2\n" + "\n".join(["1.0 0.0"] * 8) + "\n")
+        common = ["--scene", str(scene_path), "-I", "16"]
+        records, masks = tmp_path / "records.csv", tmp_path / "masks.bin"
+        assert cli.main(["masks", *common, "--set", "n_target_z=4", "--output", str(masks)]) == 0
+        assert cli.main(["measure", *common, "--ideal-masks", "--target", str(volume_path), "--output", str(records)]) == 0
+        code = cli.main(
+            [
+                "reconstruct",
+                *common,
+                "--records",
+                str(records),
+                "--masks",
+                str(masks),
+                "--target",
+                str(volume_path),
+                "--calibration",
+                calibration,
+                "--output",
+                str(tmp_path / "estimate.pgm"),
+            ]
+        )
+        assert code == 2
+        assert "DimensionMismatch" in capsys.readouterr().err
+        assert not list(tmp_path.glob("estimate*"))
+
     def test_undecodable_volume_target(self, tmp_path, capsys):
         scene_path = tmp_path / "volume.cfg"
         scene_path.write_text(TestVolumeVerbs.VOLUME_SCENE)

@@ -33,7 +33,46 @@ class TestHadamard:
             md.hadamard(order)
 
 
+class TestHadamardTransform:
+    """The Kronecker-factored transform against the dense Sylvester matrix."""
+
+    @pytest.mark.parametrize("order", [4 << k for k in range(11)])
+    def test_matches_dense_product(self, order):
+        # integer-valued input keeps every sum exact, so both must agree bit for bit
+        rng = np.random.default_rng(order)
+        z = rng.integers(-9, 10, (order, 3)) + 1j * rng.integers(-9, 10, (order, 3))
+        h = md.hadamard(order)
+        dense = np.concatenate([h[rows : rows + 256].astype(np.float64) @ z for rows in range(0, order, 256)])
+        np.testing.assert_array_equal(md.hadamard_transform(z), dense)
+        np.testing.assert_array_equal(md.hadamard_transform(z.real), dense.real)
+        np.testing.assert_array_equal(md.hadamard_transform(z[:, 1]), dense[:, 1])
+
+    def test_column_block_read_in_place(self):
+        rng = np.random.default_rng(1)
+        wide = rng.standard_normal((64, 9)) + 1j * rng.standard_normal((64, 9))
+        block = wide[:, 2:6]
+        np.testing.assert_allclose(
+            md.hadamard_transform(block), md.hadamard(64) @ block, rtol=0, atol=1e-12 * np.abs(block).sum()
+        )
+        np.testing.assert_array_equal(
+            md.hadamard_transform(np.asfortranarray(block)), md.hadamard_transform(block)
+        )
+
+    @pytest.mark.parametrize("order", [2, 12])
+    def test_unsupported_orders(self, order):
+        with pytest.raises(UnsupportedOrder):
+            md.hadamard_transform(np.ones((order, 2)))
+
+
 class TestDesignAmplitudes:
+    @pytest.mark.parametrize("count,points", [(8, 4), (8, 8), (2048, 1024), (256, 256)])
+    def test_matches_the_column_formula(self, count, points):
+        # point m takes column (m + 1) mod I, the last one wrapping when I = M
+        h = md.hadamard(count).astype(np.float64)
+        columns = [(m + 1) % count for m in range(points)]
+        np.testing.assert_array_equal(md.design_amplitudes(count, points), (1.0 + h[:, columns]) / 2.0)
+        np.testing.assert_array_equal(np.arange(count)[md.hadamard_columns(count, points)], columns)
+
     def test_values_are_binary(self):
         q = md.design_amplitudes(16, 9)
         assert set(np.unique(q)) == {0.0, 1.0}

@@ -200,6 +200,15 @@ class TestReconstruct3d:
         moved = rc.reconstruct_3d(scene, shifted, masks)
         np.testing.assert_allclose(moved.estimate, base.estimate, atol=1e-12 * np.abs(base.estimate).max())
 
+    def test_masks_of_another_voxel_count_rejected(self, volume_scene):
+        scene, grids = volume_scene
+        masks = md.ideal_masks(scene, grids, 16)
+        target = ms.make_target_3d(np.ones(scene.n_target, dtype=complex), (2, 2, 2))
+        meas = ms.measure(scene, grids, masks, target, None, 0)
+        wider = md.MaskSet(kind=masks.kind, vectors=np.ones((16, 2 * scene.n_target), dtype=complex))
+        with pytest.raises(DimensionMismatch):
+            rc.reconstruct_3d(scene, meas, wider)
+
 
 class TestNmse:
     def test_perfect_estimate(self):
@@ -258,3 +267,7 @@ class TestCalibrate:
     def test_lsq_requires_truth(self):
         with pytest.raises(ValueError):
             rc.calibrate_estimate(np.ones(3), rc.CALIBRATE_LSQ)
+
+    def test_lsq_truth_of_another_size_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            rc.calibrate_estimate(np.ones(8), rc.CALIBRATE_LSQ, np.ones(16))

@@ -1,5 +1,6 @@
 """Tikhonov inversion, power normalisation, and mask realization quality."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -419,6 +420,62 @@ def desk_synthesis(desk_scene):
     return inv, md.ideal_masks(scene, grids, 1024)
 
 
+def minimal_count(points):
+    return 1 << max(2, (points - 1).bit_length())
+
+
+class TestHadamardRoute:
+    """Designed sets skip the mask stack; any other set is folded. Both give the same masks."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            desk_config(n_target_x=3, n_target_y=4, n_ris_x=6, n_ris_y=7),
+            desk_config(n_target_x=5, n_target_y=5, n_ris_x=7, n_ris_y=7),
+            desk_config(n_target_x=4, n_target_y=4, n_ris_x=8, n_ris_y=8),
+            desk_config(n_target_x=1, n_target_y=4, n_ris_x=1, n_ris_y=6),
+            volume_config(),
+        ],
+        ids=["mixed", "odd", "even", "line", "volume"],
+    )
+    @pytest.mark.parametrize("count", ["minimal", 1024])
+    def test_matches_fold_route(self, cfg, count):
+        # the even grid and the volume have a power-of-two sample count, so
+        # their minimal set wraps the last point onto the all-ones column
+        scene = sc.validate_scene(cfg)
+        grids = sc.sample_grids(scene)
+        inv = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12)
+        count = minimal_count(scene.n_target) if count == "minimal" else count
+        designed = md.ideal_masks(scene, grids, count)
+        folded = dataclasses.replace(designed, amplitudes=None)
+
+        fast, slow = rs.realize_masks(inv, designed, 1.5), rs.realize_masks(inv, folded, 1.5)
+        scale = np.abs(slow.vectors).max()
+        np.testing.assert_allclose(fast.vectors, slow.vectors, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(fast.solution_norms, slow.solution_norms, rtol=1e-12)
+        profiles = rs.synthesis_profiles(inv, folded, 1.5)
+        np.testing.assert_allclose(
+            rs.synthesis_profiles(inv, designed, 1.5), profiles, rtol=0, atol=1e-12 * np.abs(profiles).max()
+        )
+
+    def test_designed_sets_never_fold_the_mask_stack(self, desk_synthesis, monkeypatch):
+        inv, masks = desk_synthesis
+        target_shape = inv.kernel.symmetry.target_shape
+        folded_shapes = []
+        fold = rs._sector_fold
+
+        def recording_fold(values, shape):
+            folded_shapes.append(shape)
+            return fold(values, shape)
+
+        monkeypatch.setattr(rs, "_sector_fold", recording_fold)
+        rs.realize_masks(inv, masks, 1.0)
+        rs.synthesis_profiles(inv, masks, 1.0)
+        assert target_shape not in folded_shapes  # only kernel rows, over the aperture
+        rs.realize_masks(inv, dataclasses.replace(masks, amplitudes=None), 1.0)
+        assert target_shape in folded_shapes
+
+
 class TestPeakMemory:
     """Temporaries of the coefficient loop stay a few MiB above the output."""
 
@@ -435,3 +492,13 @@ class TestPeakMemory:
         peak, realized = peak_traced_bytes(lambda: rs.realize_masks(inv, masks, 1.0))
         assert realized.vectors.shape == (1024, 256)
         assert peak <= realized.vectors.nbytes + self.SLACK
+
+    def test_many_masks_need_no_coefficient_stack(self, desk_synthesis, desk_scene):
+        # at I = 4,096 an (I, sum r_s) coefficient array kept beside the
+        # output would alone exceed the slack (16 MiB at sum r_s = 256)
+        inv, _ = desk_synthesis
+        masks = md.ideal_masks(*desk_scene, 4096)
+        peak, realized = peak_traced_bytes(lambda: rs.realize_masks(inv, masks, 1.0))
+        assert peak <= realized.vectors.nbytes + self.SLACK
+        peak, profiles = peak_traced_bytes(lambda: rs.synthesis_profiles(inv, masks, 1.0))
+        assert peak <= profiles.nbytes + self.SLACK
