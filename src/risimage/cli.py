@@ -134,6 +134,9 @@ def cmd_validate(args) -> int:
     print(f"aperture_half_sine_y = {aperture_half_sine(cfg.ris_len_y, cfg.target_distance)!r}")
     print(f"resolution_x_m = {dx!r}")
     print(f"resolution_y_m = {dy!r}")
+    # a pitch below the resolution asks for masks finer than the aperture can form
+    print(f"target_pitch_over_resolution_x = {cfg.target_len_x / cfg.n_target_x / dx!r}")
+    print(f"target_pitch_over_resolution_y = {cfg.target_len_y / cfg.n_target_y / dy!r}")
     return 0
 
 
@@ -153,9 +156,16 @@ def cmd_kernel(args) -> int:
 
 
 def _kernel_label(kernel: em_core.KernelMatrix) -> str:
-    """Kind and shape, marked when synthesis can split the kernel into mirror sectors."""
-    mirrored = ", mirror-symmetric" if kernel.symmetry is not None else ""
-    return f"{kernel.kind} {kernel.shape[0]}x{kernel.shape[1]}{mirrored}"
+    """Kind and shape, marked when synthesis can split the kernel into mirror
+    sectors, and when it can split them further under the x <-> y swap."""
+    symmetry = kernel.symmetry
+    if symmetry is None:
+        marked = ""
+    elif symmetry.swap:
+        marked = ", mirror- and swap-symmetric"
+    else:
+        marked = ", mirror-symmetric"
+    return f"{kernel.kind} {kernel.shape[0]}x{kernel.shape[1]}{marked}"
 
 
 def cmd_masks(args) -> int:

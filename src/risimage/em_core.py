@@ -11,7 +11,9 @@ target rows at a time; the matrix never needs to exist twice in memory.
 A plane kernel carries its mirror structure (:class:`MirrorSymmetry`): both
 grids are centred on the origin and an entry depends on the aperture sample
 only through its distance to the pixel and the phase of J_x, so synthesis can
-split the kernel into the even/odd sectors of the x- and y-mirrors.
+split the kernel into the even/odd sectors of the x- and y-mirrors, and, when
+each grid has the same coordinates along x as along y, further under the
+swap of x and y.
 """
 
 from __future__ import annotations
@@ -51,12 +53,16 @@ class MirrorSymmetry:
     Both grids are cell-centred on the origin with flat index ``ix + nx * iy``,
     and F(m, n) depends only on the distance from aperture sample n to pixel m,
     so F is unchanged when the x-mirror (or the y-mirror) is applied to both
-    grids at once. ``phase`` is the unit phase ramp of J_x along y.
+    grids at once. ``phase`` is the unit phase ramp of J_x along y. ``swap``
+    is set when each grid's x coordinates are the same array as its y
+    coordinates: F is then also unchanged when x and y swap on both grids,
+    and the mirrors and the swap generate the dihedral group D4.
     """
 
     target_shape: tuple[int, int]  # (nx, ny)
     aperture_shape: tuple[int, int]  # (Nx, Ny)
     phase: np.ndarray  # (N,) complex128, |phase| = 1
+    swap: bool = False
 
 
 @dataclass(frozen=True)
@@ -96,18 +102,28 @@ def _incident_phase(scene: ValidatedScene, y: np.ndarray) -> np.ndarray:
     return np.exp(-1j * k * math.sin(scene.config.incident_elevation) * np.asarray(y, dtype=float))
 
 
+def _same_axes(points: np.ndarray, nx: int, n_slice: int) -> bool:
+    """Whether an x-fastest grid's x coordinates equal its y coordinates, value for value."""
+    return np.array_equal(points[:nx, 0], points[:n_slice:nx, 1])
+
+
 def _mirror_symmetry(scene: ValidatedScene, grids: SampleGrids) -> MirrorSymmetry | None:
     """Mirror structure of ``scene``'s plane kernel; None for a volume kernel,
-    whose receiver Green row per voxel breaks the mirror symmetry."""
+    whose receiver Green row per voxel breaks the mirror symmetry. The swap
+    is read off the grids themselves, not off the configuration."""
     if scene.is_3d:
         return None
     cfg = scene.config
     phase = _incident_phase(scene, grids.ris_points[:, 1])
     phase.setflags(write=False)
+    swap = _same_axes(grids.target_points, cfg.n_target_x, scene.n_target) and _same_axes(
+        grids.ris_points, cfg.n_ris_x, scene.n_ris
+    )
     return MirrorSymmetry(
         target_shape=(cfg.n_target_x, cfg.n_target_y),
         aperture_shape=(cfg.n_ris_x, cfg.n_ris_y),
         phase=phase,
+        swap=swap,
     )
 
 

@@ -11,8 +11,9 @@ point m is (1 + H[i, (m + 1) mod I]) / 2 times the phase: every linear map of
 a designed set is a Walsh-Hadamard transform of a small matrix with one row
 per point. :func:`hadamard_transform` applies H_I as the Kronecker product
 H_a (x) H_b of two Sylvester matrices, two real matrix products with no
-butterfly loop; ``ris_synthesis`` realizes designed sets that way, without
-touching the (I, M) mask stack.
+butterfly loop; ``ris_synthesis`` realizes designed sets that way, and a
+designed plane set builds its complex (I, M) mask stack only when its
+``vectors`` are read (:class:`MaskSet`).
 """
 
 from __future__ import annotations
@@ -41,6 +42,32 @@ PHASE_TAYLOR = "taylor"
 PHASE_EXACT = "exact"
 
 
+def _designed_stack(amplitudes: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """The designed plane masks amplitudes * e^{j phase}, a new read-only (I, M) array."""
+    stack = amplitudes * np.exp(1j * phase)[None, :]
+    stack.setflags(write=False)
+    return stack
+
+
+class _FormedOnRead:
+    """The ``vectors`` field of :class:`MaskSet` (a descriptor-typed field).
+
+    Reads return the stored (I, M) stack. A designed plane set stores none,
+    since synthesis reads its ``amplitudes`` and ``phase`` instead, so a read
+    forms amplitudes * e^{j phase} anew, read-only, and only the reader keeps
+    it. Its default is None; the stored value lives in ``_vectors``.
+    """
+
+    def __get__(self, masks, owner=None):
+        if masks is None:
+            return None
+        stored = masks.__dict__["_vectors"]
+        return _designed_stack(masks.amplitudes, masks.phase) if stored is None else stored
+
+    def __set__(self, masks, value):
+        masks.__dict__["_vectors"] = value  # the frozen set's own __init__ and replace() only
+
+
 @dataclass(frozen=True)
 class MaskSet:
     """Per-measurement mask vectors over the target samples.
@@ -52,24 +79,37 @@ class MaskSet:
     the designed {0,1} pattern of a set straight from :func:`ideal_masks`, and
     None once ``vectors`` no longer follow it: synthesis reads a set that
     carries it as the Hadamard design times ``phase``, not from ``vectors``,
-    so a set whose vectors change must drop it. The generating
-    coefficient vectors are not kept: ``ris_synthesis.synthesis_profiles``
-    forms them from the inverse when they are exported.
+    so a set whose vectors change must drop it. A designed plane set stores
+    no ``vectors``: each read forms amplitudes * e^{j phase}, so only
+    measuring it, its export and the synthesis summary ever build the
+    complex (I, M) stack, and ``replace(masks, vectors=masks.vectors)``
+    keeps one for repeated reads. The generating coefficient vectors are not
+    kept: ``ris_synthesis.synthesis_profiles`` forms them from the inverse
+    when they are exported.
     """
 
     kind: str  # KIND_MASK2D | KIND_MASK3D
-    vectors: np.ndarray  # (I, M) complex128
+    vectors: np.ndarray | None = _FormedOnRead()  # (I, M) complex128; None: formed on read
     phase: np.ndarray | None = None  # (M,) common phase profile (2D only)
     amplitudes: np.ndarray | None = None  # (I, M) designed {0,1} pattern
     solution_norms: np.ndarray | None = None  # (I,)
 
+    def __post_init__(self):
+        if self.__dict__["_vectors"] is None and (self.amplitudes is None or self.phase is None):
+            raise ValueError("a mask set needs vectors, or amplitudes and a phase to form them from")
+
     @property
     def count(self) -> int:
-        return self.vectors.shape[0]
+        return self._shape[0]
 
     @property
     def points(self) -> int:
-        return self.vectors.shape[1]
+        return self._shape[1]
+
+    @property
+    def _shape(self) -> tuple[int, int]:
+        stored = self.__dict__["_vectors"]
+        return (self.amplitudes if stored is None else stored).shape
 
     def amplitude_values(self) -> np.ndarray:
         """Values whose spread encodes the target: magnitudes for plane masks,
@@ -173,8 +213,15 @@ def design_amplitudes(n_measurements: int, n_points: int) -> np.ndarray:
     measurements is exactly (1/4) delta.
     """
     check_measurement_count(n_measurements, n_points)
-    picked = hadamard(n_measurements)[:, hadamard_columns(n_measurements, n_points)]
-    return (picked > 0).astype(np.float64)
+    h_a, h_b = _kronecker_factors(n_measurements)
+    columns = np.arange(n_measurements)[hadamard_columns(n_measurements, n_points)]
+    # H[i, j] = H_a[i // b, j // b] H_b[i % b, j % b] is +1 where the two factors agree,
+    # so H_I itself is never built. ``take`` keeps the result C-ordered, and BLAS sums
+    # in an order that depends on the layout.
+    a_part = np.take(h_a, columns // len(h_b), axis=1)
+    b_part = np.take(h_b, columns % len(h_b), axis=1)
+    agree = a_part[:, None, :] == b_part[None, :, :]
+    return agree.reshape(n_measurements, n_points).astype(np.float64)
 
 
 def design_phases_2d(
@@ -209,18 +256,20 @@ def ideal_masks(
     n_measurements: int,
     phase_mode: str = PHASE_TAYLOR,
 ) -> MaskSet:
-    """Design the full ideal mask set for the scene's target kind."""
+    """Design the full ideal mask set for the scene's target kind.
+
+    A plane set stores its amplitudes and phase profile and no ``vectors``
+    (:class:`MaskSet`); a volume set's vectors are its amplitudes as complex.
+    """
     amplitudes = design_amplitudes(n_measurements, grids.target_points.shape[0])
     amplitudes.setflags(write=False)
-    if scene.is_3d:
-        vectors = amplitudes.astype(np.complex128)
-        phase = None
-    else:
+    if not scene.is_3d:
         phase = design_phases_2d(scene, grids, phase_mode)
-        vectors = amplitudes * np.exp(1j * phase)[None, :]
+        phase.setflags(write=False)
+        return MaskSet(kind=KIND_MASK2D, phase=phase, amplitudes=amplitudes)
+    vectors = amplitudes.astype(np.complex128)
     vectors.setflags(write=False)
-    kind = KIND_MASK3D if scene.is_3d else KIND_MASK2D
-    return MaskSet(kind=kind, vectors=vectors, phase=phase, amplitudes=amplitudes)
+    return MaskSet(kind=KIND_MASK3D, vectors=vectors, amplitudes=amplitudes)
 
 
 def mask_covariance(masks: MaskSet, ref_index: int) -> np.ndarray:

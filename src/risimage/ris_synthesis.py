@@ -18,13 +18,26 @@ rows folded over the aperture, so the full kernel is never folded. Any other
 kernel, volume kernels included, is one identity sector holding K itself and
 goes through the same code.
 
+When each grid has the same coordinates along x as along y, F is also
+unchanged when x and y swap on both grids, and the mirrors and the swap
+generate the dihedral group D4 (Fassler & Stiefel, Group Theoretical Methods
+and Their Applications, 1992). The swap maps the even-even and the odd-odd
+sector onto itself, so each of those blocks splits again into a swap-
+symmetric and a swap-antisymmetric part (a swapped pair of quadrant points
+gives (e_p +- e_q) / sqrt(2), a diagonal point joins the symmetric part with
+weight 1), and it carries the (x-odd, y-even) block onto the (x-even, y-odd)
+one with its quadrants transposed. So five blocks are decomposed, the
+mixed-parity one once, and each part's U is put back together in its mirror
+sector's own row basis: everything after the decomposition sees the same
+four sectors either way.
+
 Only the target-side factors U and sigma of each block are kept. A wide
 block B = R^T Q^T (QR of B^T) shares them with its square triangular factor
 R^T, so the SVD runs on that factor. Every mask b gives per sector
 c_s = lambda_s U_s^H fold_s(b) over the retained modes, whose norm ||c|| is
 the solution norm ||p||, by one of two routes chosen in one place. A
 designed set (Hadamard patterns times a common phase, see ``mask_design``)
-never touches its (I, M) mask stack: c_s is (lambda_s / 2) times the column
+never builds its (I, M) mask stack: c_s is (lambda_s / 2) times the column
 sum plus the Walsh-Hadamard transform of one (M, r_s) matrix, U_s unfolded
 onto the grid by a signed row gather. Any other set, and the right-hand
 sides of :meth:`apply`, are folded into the sectors a block of rows at a
@@ -140,9 +153,10 @@ class RegularizedInverse:
 
 
 def check_threshold_factor(threshold_factor: float) -> None:
-    """Reject a truncation threshold factor that is NaN or negative."""
-    if not threshold_factor >= 0.0:
-        raise MalformedConfig(f"threshold_factor must be >= 0, got {threshold_factor!r}")
+    """Reject a truncation threshold factor that is not a finite number >= 0
+    (an infinite one would truncate every mode)."""
+    if not (math.isfinite(threshold_factor) and threshold_factor >= 0.0):
+        raise MalformedConfig(f"threshold_factor must be a finite number >= 0, got {threshold_factor!r}")
 
 
 def _along(axis: int, index: slice) -> tuple:
@@ -332,13 +346,98 @@ def _spectral_factor(entries: np.ndarray) -> np.ndarray:
     return entries
 
 
+def _left_svd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left singular vectors and singular values, descending, of one block."""
+    try:
+        u, sigma, _ = np.linalg.svd(_spectral_factor(block), full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise SvdFailure(f"SVD did not converge on a {block.shape} kernel block") from exc
+    return u, sigma
+
+
+def _swap_pairs(side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices iy * side + ix of a side x side quadrant under the swap ix <-> iy.
+
+    Returns the diagonal, then per swapped pair its point with ix < iy and
+    its partner, in the same order.
+    """
+    iy, ix = np.tril_indices(side, -1)
+    return np.arange(side) * (side + 1), iy * side + ix, ix * side + iy
+
+
+def _swap_split(block: np.ndarray, side: int, cols_side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Swap-symmetric and antisymmetric parts of a swap-invariant sector block.
+
+    The block's rows and columns are square quadrants of ``side`` and
+    ``cols_side`` points a side (:func:`_swap_pairs`). In the orthonormal
+    basis where a swapped pair (p, q) gives (e_p +- e_q) / sqrt(2) and a
+    diagonal point e_p joins the symmetric part with weight 1, the block is
+    diagonal with these two parts. As the block is unchanged when the swap
+    acts on both sides, each part reads only the diagonal rows and the rows
+    of one point per pair, weighted by sqrt(2).
+    """
+    rows_diag, rows_low, _ = _swap_pairs(side)
+    diag, low, up = _swap_pairs(cols_side)
+    rows = block[np.concatenate([rows_diag, rows_low])]
+    sym = np.empty((len(rows), cols_side + len(low)), dtype=block.dtype)
+    sym[:, :cols_side] = rows[:, diag]
+    np.add(rows[:, low], rows[:, up], out=sym[:, cols_side:])
+    sym[:side, cols_side:] *= _HALF
+    sym[side:, :cols_side] *= math.sqrt(2.0)
+    pairs = rows[side:]
+    return sym, pairs[:, low] - pairs[:, up]
+
+
+def _swap_sector(block: np.ndarray, side: int, cols_side: int) -> tuple[np.ndarray, np.ndarray]:
+    """U and sigma of a swap-invariant sector block from the SVDs of its two parts.
+
+    Each part's U is put back in the sector's own row basis (:func:`_swap_split`
+    read backwards), and the columns are sorted by sigma, descending and stably.
+    """
+    (u_sym, s_sym), (u_anti, s_anti) = (_left_svd(part) for part in _swap_split(block, side, cols_side))
+    diag, low, up = _swap_pairs(side)
+    k = s_sym.size
+    u = np.zeros((side * side, k + s_anti.size), dtype=np.result_type(u_sym, u_anti))
+    u[diag, :k] = u_sym[:side]
+    u[low, :k] = u[up, :k] = _HALF * u_sym[side:]
+    u[low, k:] = _HALF * u_anti
+    u[up, k:] = -u[low, k:]
+    sigma = np.concatenate([s_sym, s_anti])
+    order = np.argsort(-sigma, kind="stable")
+    return u[:, order], sigma[order]
+
+
+def _sector_spectra(kernel: KernelMatrix, blocks: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Left singular vectors and singular values, descending, of each of the
+    kernel's ``blocks`` (:func:`_sector_blocks`).
+
+    Under the swap, the even-even and odd-odd blocks split into their
+    symmetric and antisymmetric parts (:func:`_swap_sector`), and the swap
+    carries the (x-odd, y-even) block onto the (x-even, y-odd) one with the
+    row and column quadrants transposed: that sector takes the same sigma
+    and the same U with its rows transposed.
+    """
+    symmetry = kernel.symmetry
+    if symmetry is None or not symmetry.swap:
+        return [_left_svd(block) for block in blocks]
+    n, n_cols = symmetry.target_shape[0], symmetry.aperture_shape[0]
+    even, odd = n - n // 2, n // 2
+    ee = _swap_sector(blocks[0], even, n_cols - n_cols // 2)
+    u_oe, sigma_oe = _left_svd(blocks[1])
+    rank = sigma_oe.size
+    u_eo = u_oe.reshape(even, odd, rank).transpose(1, 0, 2).reshape(odd * even, rank)
+    oo = _swap_sector(blocks[3], odd, n_cols // 2)
+    return [ee, (u_oe, sigma_oe), (u_eo, sigma_oe), oo]
+
+
 def tikhonov_inverse(
     kernel: KernelMatrix,
     gamma: float,
     threshold_factor: float = DEFAULT_THRESHOLD_FACTOR,
     truncation_mode: str = TRUNCATE_SIGMA_SQ,
 ) -> RegularizedInverse:
-    """SVD each sector block's square factor and build the regularized inverse spectrum.
+    """Decompose each sector block (:func:`_sector_spectra`) and build the
+    regularized inverse spectrum.
 
     Modes whose singular value falls below the truncation threshold are zeroed
     outright; raising ``threshold_factor`` can only shrink the retained rank.
@@ -348,11 +447,8 @@ def tikhonov_inverse(
     if truncation_mode not in (TRUNCATE_SIGMA_SQ, TRUNCATE_SIGMA):
         raise ValueError(f"unknown truncation mode {truncation_mode!r}")
     sectors = []
-    for block in _sector_blocks(kernel):
-        try:
-            u, sigma, _ = np.linalg.svd(_spectral_factor(block), full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise SvdFailure(f"SVD did not converge on a {block.shape} kernel block") from exc
+    blocks = _sector_blocks(kernel)
+    for block, (u, sigma) in zip(blocks, _sector_spectra(kernel, blocks)):
         if truncation_mode == TRUNCATE_SIGMA_SQ:
             keep = sigma**2 >= threshold_factor * gamma
         else:
@@ -453,14 +549,15 @@ def _stage_coefficients(
     plain (I, M) stack of right-hand sides :func:`_fold_coefficients`.
     Raises :class:`DimensionMismatch` unless the masks have length M.
     """
-    vectors = masks.vectors if isinstance(masks, MaskSet) else masks
+    count, points = (masks.count, masks.points) if isinstance(masks, MaskSet) else masks.shape
     m = inv.kernel.entries.shape[0]
-    if vectors.shape[1] != m:
-        raise DimensionMismatch(f"vectors of length {vectors.shape[1]} do not match M={m}")
+    if points != m:
+        raise DimensionMismatch(f"vectors of length {points} do not match M={m}")
     shape = _target_shape(inv.kernel)
-    out = np.empty((len(vectors), width), dtype=np.complex128)
+    out = np.empty((count, width), dtype=np.complex128)
     if isinstance(masks, MaskSet) and masks.amplitudes is not None:
         return out, _hadamard_coefficients(factors, masks, shape, out)
+    vectors = masks.vectors if isinstance(masks, MaskSet) else masks
     return out, _fold_coefficients(factors, vectors, shape, out)
 
 
@@ -607,7 +704,8 @@ def write_synthesis_summary(
     retained = sigma[inv_sigma > 0.0]
     budget = np.sqrt(inv.kernel.entries.shape[1] * amplification)
     fitted = realized.vectors * (realized.solution_norms / budget)[:, None]
-    rel_err = np.linalg.norm(fitted - ideal.vectors, axis=1) / np.linalg.norm(ideal.vectors, axis=1)
+    ideal_vectors = ideal.vectors  # a designed plane set forms its stack on each read
+    rel_err = np.linalg.norm(fitted - ideal_vectors, axis=1) / np.linalg.norm(ideal_vectors, axis=1)
     lines = [
         f"retained_rank = {inv.retained_rank}",
         f"gamma = {inv.gamma!r}",

@@ -12,10 +12,11 @@ live in a separate file).
 from __future__ import annotations
 
 import csv
+import math
 import os
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -110,8 +111,9 @@ class ExperimentPlan:
         measurement.check_noise_settings(self.n0_dbm_per_hz, self.bandwidth_hz)
         ris_synthesis.check_threshold_factor(self.threshold_factor)
         check_target_spec(self.target)
-        if self.gamma is not None and not self.gamma > 0.0:
-            raise MalformedConfig(f"gamma must be > 0, got {self.gamma!r}")
+        # an infinite gamma zeroes every regularized weight, so no mask is realizable
+        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0.0):
+            raise MalformedConfig(f"gamma must be a finite number > 0, got {self.gamma!r}")
         for key, allowed in PLAN_MODES.items():
             if getattr(self, key) not in allowed:
                 raise MalformedConfig(f"{key} must be one of {allowed}, got {getattr(self, key)!r}")
@@ -175,7 +177,9 @@ def _shared_builds(
     of those builds. A distance's scene, grids, target and PSF are built once,
     its kernel and regularized inverse once, at the first mask count that
     needs them. Under ``keep_artifacts`` each mask set is exported as soon as
-    it is built.
+    it is built. A designed plane set holds no complex mask stack
+    (``MaskSet``); only an ``ideal_masks`` run, which measures it, forms one
+    per group.
     """
     cache_dir = result.run_dir / "kernels" if plan.keep_artifacts else None
     artifact_dir = result.run_dir / "artifacts" if plan.keep_artifacts else None
@@ -199,7 +203,10 @@ def _shared_builds(
                 masks = ideal = mask_design.ideal_masks(scene, grids, count, plan.phase_mode)
                 if artifact_dir is not None:
                     mask_design.save_mask_vectors(artifact_dir / f"masks_ideal_{stem}.bin", ideal, fp)
-                if not plan.ideal_masks:
+                if plan.ideal_masks:
+                    # every SNR point measures the designed stack: form it once
+                    masks = replace(ideal, vectors=ideal.vectors)
+                else:
                     if inv is None:
                         kernel, built = _load_or_build_kernel(scene, grids, cache_dir)
                         result.kernel_builds += built
@@ -219,6 +226,7 @@ def _shared_builds(
             except ImagingError as exc:
                 yield group, exc
                 continue
+            del ideal  # a realized set no longer needs the design while its points run
             yield group, (scene, grids, target, psf, masks, inv)
 
 

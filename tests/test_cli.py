@@ -1,6 +1,7 @@
 """Command-line verbs, plan files, run directories, and their determinism."""
 
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from risimage import measurement as ms
 from risimage import ris_synthesis as rs
 from risimage import runner as rn
 from risimage import scene as sc
+from risimage.targets import resolve_target
 
 SCENE_TEXT = """
 wavelength = 0.01
@@ -54,6 +56,17 @@ class TestValidateVerb:
         out = capsys.readouterr().out
         assert "scene valid" in out and "resolution_x_m" in out
 
+    def test_reports_the_target_pitch_over_the_resolution(self, scene_file, capsys):
+        # the desk target: 7.8 mm pixels against a 7.1 mm resolution at z' = 0.125
+        argv = ["validate", "--scene", str(scene_file), "--set", "n_target_x=16", "--set", "n_target_y=16"]
+        assert cli.main(argv) == 0
+        values = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines()[1:])
+        pitch = 0.125 / 16
+        for axis in "xy":
+            ratio = float(values[f"target_pitch_over_resolution_{axis}"])
+            assert ratio == pytest.approx(pitch / float(values[f"resolution_{axis}_m"]), rel=1e-12)
+            assert ratio == pytest.approx(1.105, abs=1e-3)
+
     def test_set_override_can_break_the_scene(self, scene_file, capsys):
         code = cli.main(["validate", "--scene", str(scene_file), "--set", "target_distance=30"])
         assert code == 2
@@ -67,6 +80,19 @@ class TestKernelVerb:
         assert "assembled" in capsys.readouterr().out
         assert cli.main(["kernel", "--scene", str(scene_file), "--output", str(out)]) == 0
         assert "cache hit" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "overrides, label",
+        [
+            ([], "Z_2d 64x256, mirror- and swap-symmetric kernel"),
+            (["--set", "target_len_y=0.1"], "Z_2d 64x256, mirror-symmetric kernel"),
+        ],
+        ids=["square", "oblong"],
+    )
+    def test_label_says_how_the_kernel_splits(self, scene_file, tmp_path, capsys, overrides, label):
+        out = tmp_path / "kernel.bin"
+        assert cli.main(["kernel", "--scene", str(scene_file), *overrides, "--output", str(out)]) == 0
+        assert label in capsys.readouterr().out
 
 
 class TestMasksVerb:
@@ -142,6 +168,36 @@ class TestMeasureReconstructVerbs:
         nmse_line = [l for l in out.splitlines() if l.startswith("nmse = ")]
         assert nmse_line and float(nmse_line[0].split("=")[1]) < 1e-6
         assert estimate_path.exists()
+
+    def test_ideal_masks_measure_like_the_stored_stack(self, scene_file, tmp_path):
+        # the designed stack formed on read gives the records of the C-ordered
+        # amplitudes * e^{j phase}, with the amplitudes read off H_I itself
+        records_path = tmp_path / "records.csv"
+        desk = ["--set", "n_target_x=16", "--set", "n_target_y=16", "--set", "n_ris_x=32", "--set", "n_ris_y=32"]
+        argv = ["measure", "--scene", str(scene_file), *desk, "-I", "1024", "--ideal-masks", "--snr-db", "20"]
+        assert cli.main([*argv, "--seed", "3", "--output", str(records_path)]) == 0
+        cfg = sc.load_scene_config(scene_file)
+        scene = sc.validate_scene(dataclasses.replace(cfg, n_target_x=16, n_target_y=16, n_ris_x=32, n_ris_y=32))
+        grids = sc.sample_grids(scene)
+        amplitudes = (md.hadamard(1024)[:, 1 : scene.n_target + 1] > 0).astype(np.float64)
+        phase = md.design_phases_2d(scene, grids)
+        stored = md.MaskSet(kind=md.KIND_MASK2D, vectors=amplitudes * np.exp(1j * phase)[None, :])
+        target = resolve_target("block", scene)
+        ms.records_to_csv(tmp_path / "expected.csv", ms.measure(scene, grids, stored, target, 20.0, 3))
+        assert records_path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    def test_ideal_masks_form_their_stack_once_per_group(self, scene_file, tmp_path, monkeypatch):
+        formed = []
+        form = md._designed_stack
+
+        def counting_form(amplitudes, phase):
+            formed.append(amplitudes.shape)
+            return form(amplitudes, phase)
+
+        monkeypatch.setattr(md, "_designed_stack", counting_form)
+        argv = ["sweep", "--scene", str(scene_file), "--ideal-masks", "--i-sweep", "128,256"]
+        assert cli.main([*argv, "--snr-sweep", "none,10,20", "--output", str(tmp_path / "s")]) == 0
+        assert formed == [(128, 64), (256, 64)]
 
 
 class TestSynthesizeVerb:
@@ -405,8 +461,10 @@ class TestBadInput:
             "phase_mode = cubic",
             "truncation_mode = soft",
             "gamma = -1",
+            "gamma = inf",
             "snr_values = nan, 10",
             "threshold_factor = -1",
+            "threshold_factor = inf",
             "bandwidth_hz = nan",
             "bandwidth_hz = -1e6",
             "n0_dbm_per_hz = nan",
@@ -417,6 +475,7 @@ class TestBadInput:
         plan_path.write_text(f"scene = {scene_file.name}\n{entry}\noutput_dir = {tmp_path / 'p'}\n")
         assert cli.main(["sweep", "--plan", str(plan_path)]) == 2
         assert "MalformedConfig" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
 
     @pytest.mark.parametrize("verb", ["run", "measure", "synthesize"])
     def test_negative_gamma_flag(self, scene_file, tmp_path, capsys, verb):
@@ -448,6 +507,14 @@ class TestBadInput:
         )
         assert code == 2
         assert "MalformedConfig" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--gamma", "--threshold-factor"])
+    def test_infinite_gamma_or_threshold_factor_flag(self, scene_file, tmp_path, capsys, flag):
+        # either one zeroes every regularized weight, so every point would fail
+        code = cli.main(["run", "--scene", str(scene_file), "-I", "128", flag, "inf", "--output", str(tmp_path / "r")])
+        assert code == 2
+        assert "MalformedConfig" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_zero_measurement_count_on_run(self, scene_file, tmp_path, capsys):
         code = cli.main(["run", "--scene", str(scene_file), "-I", "0", "--output", str(tmp_path / "r")])

@@ -70,7 +70,9 @@ class TestDesignAmplitudes:
         # point m takes column (m + 1) mod I, the last one wrapping when I = M
         h = md.hadamard(count).astype(np.float64)
         columns = [(m + 1) % count for m in range(points)]
-        np.testing.assert_array_equal(md.design_amplitudes(count, points), (1.0 + h[:, columns]) / 2.0)
+        amplitudes = md.design_amplitudes(count, points)
+        np.testing.assert_array_equal(amplitudes, (1.0 + h[:, columns]) / 2.0)
+        assert amplitudes.flags.c_contiguous  # BLAS sums in an order that depends on the layout
         np.testing.assert_array_equal(np.arange(count)[md.hadamard_columns(count, points)], columns)
 
     def test_values_are_binary(self):
@@ -233,3 +235,12 @@ class TestMaskExport:
         assert kind == md.KIND_MASK2D
         assert fp == scene.fingerprint
         np.testing.assert_array_equal(vectors, masks.vectors)
+
+    def test_designed_export_is_the_formed_stack(self, desk_scene, tmp_path):
+        # a designed plane set stores no stack; its export is amplitudes * e^{j phase}
+        scene, grids = desk_scene
+        masks = md.ideal_masks(scene, grids, 1024)
+        md.save_mask_vectors(tmp_path / "masks.bin", masks, scene.fingerprint)
+        stack = md.design_amplitudes(1024, scene.n_target) * np.exp(1j * md.design_phases_2d(scene, grids))[None, :]
+        header = f"kind=mask2d count=1024 points={scene.n_target} fingerprint={scene.fingerprint}\n"
+        assert (tmp_path / "masks.bin").read_bytes() == header.encode() + stack.astype("<c16").tobytes()

@@ -319,6 +319,19 @@ def dense_svd_solutions(kernel, masks, gamma):
     return kernel.entries.conj().T @ (u @ (weights[:, None] * (u.conj().T @ masks.vectors.T)))
 
 
+def record_svd_shapes(monkeypatch):
+    """Route ``np.linalg.svd`` through a recorder; returns the list of input shapes it fills."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return shapes
+
+
 class TestMirrorSectors:
     """A plane kernel's four mirror sectors against the same entries as one identity sector."""
 
@@ -388,6 +401,72 @@ class TestMirrorSectors:
         profiles = rs.synthesis_profiles(inv, masks, 1.0)
         assert profiles.flags.c_contiguous
         np.testing.assert_allclose(profiles, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            desk_config(n_target_x=4, n_target_y=4, n_ris_x=8, n_ris_y=8, target_len_y=0.1),
+            desk_config(n_target_x=4, n_target_y=4, n_ris_x=8, n_ris_y=8, ris_len_y=0.2),
+            desk_config(n_target_x=5, n_target_y=5, n_ris_x=7, n_ris_y=6),
+        ],
+        ids=["target-lengths-differ", "aperture-lengths-differ", "aperture-counts-differ"],
+    )
+    def test_grids_without_the_swap_keep_four_mirror_sectors(self, cfg, monkeypatch):
+        scene = sc.validate_scene(cfg)
+        grids = sc.sample_grids(scene)
+        kernel = em.kernel_2d(scene, grids)
+        assert not kernel.symmetry.swap
+        factors = record_svd_shapes(monkeypatch)
+        inv = rs.tikhonov_inverse(kernel, 1e-12)
+        assert len(factors) == len(inv.sectors) == 4
+
+        masks = md.ideal_masks(scene, grids, 64)
+        expected = dense_svd_solutions(kernel, masks, 1e-12)
+        np.testing.assert_allclose(
+            inv.apply(masks.vectors.T), expected, rtol=0, atol=1e-10 * np.abs(expected).max()
+        )
+        sigma = np.linalg.svd(kernel.entries, compute_uv=False)
+        np.testing.assert_allclose(inv.sigma, sigma, rtol=0, atol=1e-12 * sigma[0])
+
+    @pytest.mark.parametrize("n, n_ris", [(4, 8), (5, 7)], ids=["even", "odd"])
+    def test_square_scene_decomposes_the_five_d4_blocks(self, n, n_ris, monkeypatch):
+        scene = sc.validate_scene(desk_config(n_target_x=n, n_target_y=n, n_ris_x=n_ris, n_ris_y=n_ris))
+        kernel = em.kernel_2d(scene, sc.sample_grids(scene))
+        assert kernel.symmetry.swap
+        factors = record_svd_shapes(monkeypatch)
+        inv = rs.tikhonov_inverse(kernel, 1e-12)
+
+        even, odd = n - n // 2, n // 2
+        sym, anti = even * (even + 1) // 2, even * (even - 1) // 2
+        odd_sym, odd_anti = odd * (odd + 1) // 2, odd * (odd - 1) // 2
+        # every block is wide, so each factor is square in the block's target rows:
+        # even-even symmetric and antisymmetric, one of the two mixed sectors,
+        # odd-odd symmetric and antisymmetric
+        rows = [sym, anti, even * odd, odd_sym, odd_anti]
+        assert factors == [(r, r) for r in rows]
+        # the mirror sectors are put back together, one per parity pair
+        assert [s.u.shape[0] for s in inv.sectors] == [even * even, odd * even, even * odd, odd * odd]
+        for sector in inv.sectors:
+            gram = sector.u.conj().T @ sector.u
+            np.testing.assert_allclose(gram, np.eye(len(gram)), rtol=0, atol=1e-12)
+            assert np.all(np.diff(sector.sigma) <= 0.0)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            desk_config(z_prime=0.125),
+            desk_config(z_prime=0.25),
+            desk_config(n_ris_x=64, n_ris_y=64, n_target_x=32, n_target_y=32),
+        ],
+        ids=["desk-0.125", "desk-0.25", "plane-64"],
+    )
+    def test_retained_rank_matches_the_dense_oracle(self, cfg):
+        scene = sc.validate_scene(cfg)
+        kernel = em.kernel_2d(scene, sc.sample_grids(scene))
+        assert kernel.symmetry.swap
+        sigma = np.linalg.svd(kernel.entries, compute_uv=False)
+        dense_rank = int(np.count_nonzero(sigma**2 >= rs.DEFAULT_THRESHOLD_FACTOR * 1e-12))
+        assert rs.tikhonov_inverse(kernel, 1e-12).retained_rank == dense_rank
 
     def test_cached_kernel_regains_its_symmetry(self, small_scene, tmp_path):
         scene, grids = small_scene
@@ -492,6 +571,13 @@ class TestPeakMemory:
         peak, realized = peak_traced_bytes(lambda: rs.realize_masks(inv, masks, 1.0))
         assert realized.vectors.shape == (1024, 256)
         assert peak <= realized.vectors.nbytes + self.SLACK
+
+    def test_designed_plane_set_holds_no_complex_stack(self, desk_scene):
+        # the complex (I, M) stack alone would be 4 MiB at I = 1,024, M = 256
+        peak, masks = peak_traced_bytes(lambda: md.ideal_masks(*desk_scene, 1024))
+        assert masks.amplitudes.shape == (1024, 256)
+        assert peak <= masks.amplitudes.nbytes + (1 << 20)
+        assert (masks.count, masks.points) == (1024, 256)
 
     def test_many_masks_need_no_coefficient_stack(self, desk_synthesis, desk_scene):
         # at I = 4,096 an (I, sum r_s) coefficient array kept beside the
