@@ -7,13 +7,14 @@ come from distinct Hadamard-matrix columns, which makes the empirical mask
 covariance exactly (1/4) times the one-point indicator.
 
 Point m takes column (m + 1) mod I (:func:`hadamard_columns`), so mask i at
-point m is (1 + H[i, (m + 1) mod I]) / 2 times the phase: every linear map of
-a designed set is a Walsh-Hadamard transform of a small matrix with one row
-per point. :func:`hadamard_transform` applies H_I as the Kronecker product
-H_a (x) H_b of two Sylvester matrices, two real matrix products with no
-butterfly loop; ``ris_synthesis`` realizes designed sets that way, and a
-designed plane set builds its complex (I, M) mask stack only when its
-``vectors`` are read (:class:`MaskSet`).
+point m is (1 + H[i, (m + 1) mod I]) / 2 times the phase. This module is the
+one place that layout is read: :func:`project`, the one product of a mask set
+with a matrix, turns a designed set's product into a Walsh-Hadamard transform
+of a small matrix with one row per point, and :func:`hadamard_transform`
+applies H_I as the Kronecker product H_a (x) H_b of two Sylvester matrices,
+two real matrix products with no butterfly loop. A designed set, plane or
+volume, stores no (I, M) mask stack; it is formed only when its ``vectors``
+are read (:class:`MaskSet`).
 """
 
 from __future__ import annotations
@@ -42,9 +43,18 @@ PHASE_TAYLOR = "taylor"
 PHASE_EXACT = "exact"
 
 
-def _designed_stack(amplitudes: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """The designed plane masks amplitudes * e^{j phase}, a new read-only (I, M) array."""
-    stack = amplitudes * np.exp(1j * phase)[None, :]
+# Stored sets go through :func:`project` in blocks of rows, and designed sets
+# in blocks of columns, whose output holds about this many entries (1 MiB).
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _designed_stack(amplitudes: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
+    """The designed masks amplitudes * e^{j phase}, or the amplitudes as complex
+    without a phase: a new read-only (I, M) array."""
+    if phase is None:
+        stack = amplitudes.astype(np.complex128)
+    else:
+        stack = amplitudes * np.exp(1j * phase)[None, :]
     stack.setflags(write=False)
     return stack
 
@@ -52,10 +62,11 @@ def _designed_stack(amplitudes: np.ndarray, phase: np.ndarray) -> np.ndarray:
 class _FormedOnRead:
     """The ``vectors`` field of :class:`MaskSet` (a descriptor-typed field).
 
-    Reads return the stored (I, M) stack. A designed plane set stores none,
-    since synthesis reads its ``amplitudes`` and ``phase`` instead, so a read
-    forms amplitudes * e^{j phase} anew, read-only, and only the reader keeps
-    it. Its default is None; the stored value lives in ``_vectors``.
+    Reads return the stored (I, M) stack. A designed set stores none, since
+    :func:`project` reads its ``amplitudes`` and ``phase`` instead, so a read
+    forms the stack anew (:func:`_designed_stack`), read-only, and only the
+    reader keeps it. Its default is None; the stored value lives in
+    ``_vectors``.
     """
 
     def __get__(self, masks, owner=None):
@@ -77,15 +88,16 @@ class MaskSet:
     produces once ``ris_synthesis.realize_masks`` has replaced them, with the
     pre-normalisation solution norms in ``solution_norms``. ``amplitudes`` is
     the designed {0,1} pattern of a set straight from :func:`ideal_masks`, and
-    None once ``vectors`` no longer follow it: synthesis reads a set that
-    carries it as the Hadamard design times ``phase``, not from ``vectors``,
-    so a set whose vectors change must drop it. A designed plane set stores
-    no ``vectors``: each read forms amplitudes * e^{j phase}, so only
-    measuring it, its export and the synthesis summary ever build the
-    complex (I, M) stack, and ``replace(masks, vectors=masks.vectors)``
-    keeps one for repeated reads. The generating coefficient vectors are not
-    kept: ``ris_synthesis.synthesis_profiles`` forms them from the inverse
-    when they are exported.
+    None once ``vectors`` no longer follow it: :func:`project` reads a set
+    that carries it as the Hadamard design times ``phase`` (no phase for a
+    volume set), not from ``vectors``, so a set whose vectors change must
+    drop it. A designed set of either kind stores no ``vectors``: each read
+    forms them, so only measuring it, its export and the synthesis summary
+    ever build the complex (I, M) stack, and
+    ``replace(masks, vectors=masks.vectors)`` keeps one for repeated reads.
+    The generating coefficient vectors are not kept:
+    ``ris_synthesis.synthesis_profiles`` forms them from the inverse when
+    they are exported.
     """
 
     kind: str  # KIND_MASK2D | KIND_MASK3D
@@ -95,8 +107,8 @@ class MaskSet:
     solution_norms: np.ndarray | None = None  # (I,)
 
     def __post_init__(self):
-        if self.__dict__["_vectors"] is None and (self.amplitudes is None or self.phase is None):
-            raise ValueError("a mask set needs vectors, or amplitudes and a phase to form them from")
+        if self.__dict__["_vectors"] is None and self.amplitudes is None:
+            raise ValueError("a mask set needs vectors, or amplitudes to form them from")
 
     @property
     def count(self) -> int:
@@ -258,18 +270,56 @@ def ideal_masks(
 ) -> MaskSet:
     """Design the full ideal mask set for the scene's target kind.
 
-    A plane set stores its amplitudes and phase profile and no ``vectors``
-    (:class:`MaskSet`); a volume set's vectors are its amplitudes as complex.
+    The set stores its amplitudes, a plane set also its phase profile, and
+    no ``vectors`` (:class:`MaskSet`); a volume set's vectors are its
+    amplitudes as complex.
     """
     amplitudes = design_amplitudes(n_measurements, grids.target_points.shape[0])
     amplitudes.setflags(write=False)
+    phase = None
     if not scene.is_3d:
         phase = design_phases_2d(scene, grids, phase_mode)
         phase.setflags(write=False)
-        return MaskSet(kind=KIND_MASK2D, phase=phase, amplitudes=amplitudes)
-    vectors = amplitudes.astype(np.complex128)
-    vectors.setflags(write=False)
-    return MaskSet(kind=KIND_MASK3D, vectors=vectors, amplitudes=amplitudes)
+    return MaskSet(kind=KIND_MASK3D if scene.is_3d else KIND_MASK2D, phase=phase, amplitudes=amplitudes)
+
+
+def project(masks: MaskSet | np.ndarray, factors: list[np.ndarray], out: np.ndarray) -> None:
+    """Write vectors @ [F_1 ... F_k] into the leading sum r_k columns of ``out``.
+
+    ``masks`` is a mask set or a plain (I, M) array, each factor an (M, r_k)
+    matrix and ``out`` an (I, width >= sum r_k) array. A designed set (one
+    that carries ``amplitudes``) never forms its vectors: mask i is
+    (1 + H[i, col(m)]) / 2 e^{j phi_m} with col(m) = (m + 1) mod I, so with
+    T = H_I scatter(e^{j phi} F / 2), where scatter puts row m of F at row
+    col(m), row i of the product is T[0] + T[i] (row 0 of H_I is all ones).
+    The scattered factors are staged in ``out`` and transformed there a block
+    of columns at a time (:func:`hadamard_transform`), all factors in one
+    pass. Any other set is multiplied a block of rows at a time.
+    """
+    bounds = np.cumsum([0] + [f.shape[1] for f in factors])
+    stage = out[:, : bounds[-1]]
+    if not (isinstance(masks, MaskSet) and masks.amplitudes is not None):
+        vectors = masks.vectors if isinstance(masks, MaskSet) else masks
+        step = max(1, _CHUNK_ENTRIES // out.shape[1])
+        for start in range(0, len(vectors), step):
+            rows = vectors[start : start + step]
+            for lo, hi, factor in zip(bounds, bounds[1:], factors):
+                stage[start : start + step, lo:hi] = rows @ factor
+        return
+    count, points = masks.amplitudes.shape
+    half_phase = np.full(points, 0.5) if masks.phase is None else 0.5 * np.exp(1j * masks.phase)
+    if points < count:  # rows no point scatters to
+        stage[0] = 0.0
+        stage[points + 1 :] = 0.0
+    columns = hadamard_columns(count, points)
+    for lo, hi, factor in zip(bounds, bounds[1:], factors):
+        stage[columns, lo:hi] = factor * half_phase[:, None]
+    step = max(1, _CHUNK_ENTRIES // count)
+    for start in range(0, stage.shape[1], step):
+        block = slice(start, start + step)
+        transformed = hadamard_transform(stage[:, block])
+        transformed += transformed[0].copy()
+        stage[:, block] = transformed
 
 
 def mask_covariance(masks: MaskSet, ref_index: int) -> np.ndarray:

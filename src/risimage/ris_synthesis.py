@@ -35,19 +35,18 @@ Only the target-side factors U and sigma of each block are kept. A wide
 block B = R^T Q^T (QR of B^T) shares them with its square triangular factor
 R^T, so the SVD runs on that factor. Every mask b gives per sector
 c_s = lambda_s U_s^H fold_s(b) over the retained modes, whose norm ||c|| is
-the solution norm ||p||, by one of two routes chosen in one place. A
-designed set (Hadamard patterns times a common phase, see ``mask_design``)
-never builds its (I, M) mask stack: c_s is (lambda_s / 2) times the column
-sum plus the Walsh-Hadamard transform of one (M, r_s) matrix, U_s unfolded
-onto the grid by a signed row gather. Any other set, and the right-hand
-sides of :meth:`apply`, are folded into the sectors a block of rows at a
-time. Either way the coefficients are staged in the leading columns of the
-output, which each block of rows then overwrites with its result. The
-realized mask K p = U diag(sigma) c is unfolded on the target side. The
-coefficient profiles p, formed only by :meth:`apply` and when profiles are
-exported, are unfolded on the aperture side from V_s c_s, with
-V_s = B_s^H U_s / sigma_s built per sector from the kernel at that moment,
-so a profile is never formed through a dense K^H product.
+the solution norm ||p||. That is b @ A_s with A_s = conj(unfold_s(w_s U_s))
+lambda_s, the retained columns of U_s put onto the grid by a signed row
+gather, so the masks are never folded: one ``mask_design.project`` call
+forms b @ [A_1 ... A_k] for every mask into the leading columns of the
+output, whichever kind of set it is (a designed set never builds its (I, M)
+mask stack there). Each block of rows then takes its norms ||c|| and
+overwrites its coefficients with its result. The realized mask
+K p = U diag(sigma) c is unfolded on the target side. The coefficient
+profiles p, formed only by :meth:`apply` and when profiles are exported, are
+unfolded on the aperture side from V_s c_s, with V_s = B_s^H U_s / sigma_s
+built per sector from the kernel at that moment, so a profile is never
+formed through a dense K^H product.
 """
 
 from __future__ import annotations
@@ -61,15 +60,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .em_core import KIND_Y3D, KIND_Z2D, KernelMatrix, write_complex_file
-from .errors import (
-    DimensionMismatch,
-    KindMismatch,
-    MalformedConfig,
-    NonPositiveDimension,
-    SvdFailure,
-    ZeroSolution,
-)
-from .mask_design import KIND_MASK2D, KIND_MASK3D, MaskSet, hadamard_columns, hadamard_transform
+from .errors import DimensionMismatch, KindMismatch, MalformedConfig, SvdFailure, ZeroSolution
+from .mask_design import KIND_MASK2D, KIND_MASK3D, MaskSet, project
 
 TRUNCATE_SIGMA_SQ = "sigma_sq"  # drop modes with sigma^2 < factor * gamma (default)
 TRUNCATE_SIGMA = "sigma"  # drop modes with sigma < factor * gamma (literal reading)
@@ -82,7 +74,7 @@ _KERNEL_TO_MASK_KIND = {KIND_Z2D: KIND_MASK2D, KIND_Y3D: KIND_MASK3D}
 # Sector order of :func:`_sector_fold`: (x parity, y parity), 0 even and 1 odd.
 _PARITIES = ((0, 0), (1, 0), (0, 1), (1, 1))
 _HALF = math.sqrt(0.5)
-# Masks go through the coefficient loop in blocks whose output holds about
+# Coefficients are mapped back in blocks of rows whose output holds about
 # this many entries (1 MiB).
 _CHUNK_ENTRIES = 1 << 16
 
@@ -152,6 +144,13 @@ class RegularizedInverse:
         return solution[0] if rhs.ndim == 1 else solution.T
 
 
+def check_gamma(gamma: float) -> None:
+    """Reject a regularization weight that is not a finite number > 0 (an
+    infinite one zeroes every regularized weight, so no mask is realizable)."""
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise MalformedConfig(f"gamma must be a finite number > 0, got {gamma!r}")
+
+
 def check_threshold_factor(threshold_factor: float) -> None:
     """Reject a truncation threshold factor that is not a finite number >= 0
     (an infinite one would truncate every mode)."""
@@ -201,17 +200,13 @@ def _mirror_join(even: np.ndarray, odd: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _sector_fold(values: np.ndarray, shape: tuple[int, int] | None) -> Iterator[np.ndarray]:
+def _sector_fold(values: np.ndarray, shape: tuple[int, int]) -> Iterator[np.ndarray]:
     """Split values (..., nx * ny) over a grid, x fastest, into its mirror sectors.
 
     Yields one unnormalised (..., rows) array per sector in ``_PARITIES``
     order, each flattened x fastest, and keeps no reference to the ones it
-    has yielded; :func:`_sector_norms` makes the split orthonormal. Without a
-    grid shape, yields ``values`` itself.
+    has yielded; :func:`_sector_norms` makes the split orthonormal.
     """
-    if shape is None:
-        yield values
-        return
     nx, ny = shape
     for half in _mirror_split(values.reshape(values.shape[:-1] + (ny, nx)), -2):
         for part in _mirror_split(half, -1):
@@ -220,7 +215,8 @@ def _sector_fold(values: np.ndarray, shape: tuple[int, int] | None) -> Iterator[
 
 def _sector_unfold(parts: Iterator[np.ndarray], shape: tuple[int, int] | None) -> np.ndarray:
     """Transpose of :func:`_sector_fold`, drawing the sector arrays from ``parts``
-    in order as it needs them: a new C-ordered (..., nx * ny) array."""
+    in order as it needs them: a new C-ordered (..., nx * ny) array. Without
+    a grid shape, returns the one array of the identity sector."""
     if shape is None:
         return next(parts)
     nx, ny = shape
@@ -285,7 +281,6 @@ class _Factor(NamedTuple):
     """One sector's retained target-side factors."""
 
     u: np.ndarray  # (rows, r) retained columns of U with the fold weights w_s applied
-    u_h: np.ndarray  # (r, rows) the conjugate transpose of ``u``, formed once
     sigma: np.ndarray  # (r,) retained singular values
     inv_sigma: np.ndarray  # (r,) their regularized weights lambda_s
 
@@ -296,7 +291,7 @@ def _folded_factors(inv: RegularizedInverse) -> list[_Factor]:
     for sector, norms in zip(inv.sectors, _sector_norms(_target_shape(inv.kernel))):
         r = sector.retained
         u = sector.u[:, :r] if norms is None else norms[:, None] * sector.u[:, :r]
-        factors.append(_Factor(u, u.conj().T, sector.sigma[:r], sector.inv_sigma[:r]))
+        factors.append(_Factor(u, sector.sigma[:r], sector.inv_sigma[:r]))
     return factors
 
 
@@ -441,11 +436,14 @@ def tikhonov_inverse(
 
     Modes whose singular value falls below the truncation threshold are zeroed
     outright; raising ``threshold_factor`` can only shrink the retained rank.
+    Raises :class:`MalformedConfig` for a ``gamma`` (:func:`check_gamma`), a
+    ``threshold_factor`` (:func:`check_threshold_factor`) or a
+    ``truncation_mode`` out of range.
     """
-    if not gamma > 0.0:
-        raise NonPositiveDimension(f"regularization weight must be > 0, got {gamma!r}")
+    check_gamma(gamma)
+    check_threshold_factor(threshold_factor)
     if truncation_mode not in (TRUNCATE_SIGMA_SQ, TRUNCATE_SIGMA):
-        raise ValueError(f"unknown truncation mode {truncation_mode!r}")
+        raise MalformedConfig(f"unknown truncation mode {truncation_mode!r}")
     sectors = []
     blocks = _sector_blocks(kernel)
     for block, (u, sigma) in zip(blocks, _sector_spectra(kernel, blocks)):
@@ -466,136 +464,76 @@ def tikhonov_inverse(
     )
 
 
-def _fold_coefficients(
-    factors: list[_Factor], vectors: np.ndarray, shape: tuple[int, int] | None, out: np.ndarray
-) -> np.ndarray:
-    """Fold route: any (I, M) stack of vectors, one block of rows at a time.
-
-    Per block of about ``_CHUNK_ENTRIES`` output entries it folds the rows
-    into the sectors and stages c_s = lambda_s (w_s U_s)^H fold_s(b) in the
-    block's rows of ``out``, sector after sector. Returns ||c|| per row.
-    """
-    norms_sq = np.zeros(len(vectors))
-    step = max(1, _CHUNK_ENTRIES // out.shape[1])
-    for start in range(0, len(vectors), step):
-        chunk = slice(start, start + step)
-        offset = 0
-        for factor, part in zip(factors, _sector_fold(vectors[chunk], shape)):
-            weighted = factor.inv_sigma[:, None] * (factor.u_h @ part.T)  # (r, rows)
-            norms_sq[chunk] += np.einsum("ki,ki->i", weighted, weighted.conj()).real
-            out[chunk, offset : offset + len(weighted)] = weighted.T
-            offset += len(weighted)
-    return np.sqrt(norms_sq)
-
-
-def _hadamard_coefficients(
-    factors: list[_Factor], masks: MaskSet, shape: tuple[int, int] | None, out: np.ndarray
-) -> np.ndarray:
-    """Hadamard route: a designed set's coefficients without its mask stack.
-
-    Mask i is b_i[m] = (1 + H[i, col(m)]) / 2 e^{j phi_m} with col(m) =
-    (m + 1) mod I. With A_s = conj(unfold_s(w_s U_s)) e^{j phi}, an (M, r_s)
-    signed row gather (:func:`_sector_gathers`), that makes
-    c_s = (lambda_s / 2) (sum_m A_s[m] + H_I scatter(A_s)), where scatter
-    puts row m of A_s at row col(m). Row 0 of H_I is all ones, so with
-    T = H_I scatter((lambda_s / 2) A_s) the sum is T[0] and c_s[i] =
-    T[0] + T[i]. The scattered, weighted A of every sector is staged in
-    ``out``, transformed a block of columns at a time
-    (``mask_design.hadamard_transform``) and overwritten with c. Returns
-    ||c|| per mask.
-    """
-    count, points = masks.amplitudes.shape
-    phase = np.ones(points) if masks.phase is None else np.exp(1j * masks.phase)
-    total = sum(f.sigma.size for f in factors)
-    stage = out[:, :total]
-    if points < count:  # rows no point scatters to
-        stage[0] = 0.0
-        stage[points + 1 :] = 0.0
-    columns = hadamard_columns(count, points)
-    offset = 0
-    for factor, gather in zip(factors, _sector_gathers(shape)):
-        r = factor.sigma.size
-        if r == 0:
-            continue
-        weighted = factor.u_h.T * (0.5 * factor.inv_sigma)  # conj(w_s U_s) lambda_s / 2
-        if gather is None:
-            stage[columns, offset : offset + r] = weighted * phase[:, None]
-        else:
-            rows, signs = gather
-            stage[columns, offset : offset + r] = weighted[rows] * (signs * phase)[:, None]
-        offset += r
-    norms_sq = np.zeros(count)
-    step = max(1, _CHUNK_ENTRIES // count)
-    for start in range(0, total, step):
-        block = slice(start, start + step)
-        c = hadamard_transform(stage[:, block])
-        c += c[0].copy()
-        parts = c.view(np.float64)
-        norms_sq += np.einsum("ik,ik->i", parts, parts)
-        stage[:, block] = c
-    return np.sqrt(norms_sq)
-
-
 def _stage_coefficients(
     inv: RegularizedInverse, factors: list[_Factor], masks: MaskSet | np.ndarray, width: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """The coefficients c of every mask, staged in a new (I, width) array.
 
-    Per sector c_s = lambda_s (w_s U_s)^H fold_s(b) over the retained modes;
-    sector after sector they fill the leading sum r_s <= ``width`` columns,
-    and ||c|| is the solution norm. Returns that array and ||c|| per mask.
-    This is where the route is chosen: a designed set (one that carries
-    ``amplitudes``) takes :func:`_hadamard_coefficients`, any other set and a
-    plain (I, M) stack of right-hand sides :func:`_fold_coefficients`.
-    Raises :class:`DimensionMismatch` unless the masks have length M.
+    Per sector c_s = lambda_s (w_s U_s)^H fold_s(b) = b @ A_s over the
+    retained modes, with A_s = conj(w_s U_s) lambda_s gathered onto the grid
+    (:func:`_sector_gathers`); one ``mask_design.project`` call fills the
+    leading sum r_s <= ``width`` columns, sector after sector, for a mask
+    set or a plain (I, M) stack of right-hand sides. Raises
+    :class:`DimensionMismatch` unless the masks have length M.
     """
     count, points = (masks.count, masks.points) if isinstance(masks, MaskSet) else masks.shape
     m = inv.kernel.entries.shape[0]
     if points != m:
         raise DimensionMismatch(f"vectors of length {points} do not match M={m}")
-    shape = _target_shape(inv.kernel)
+    gathered = []
+    for factor, gather in zip(factors, _sector_gathers(_target_shape(inv.kernel))):
+        if factor.sigma.size == 0:  # a sector may have no rows to gather from
+            continue
+        weighted = factor.u.conj()
+        weighted *= factor.inv_sigma
+        if gather is not None:
+            rows, signs = gather
+            weighted = weighted[rows]
+            weighted *= signs[:, None]
+        gathered.append(weighted)
     out = np.empty((count, width), dtype=np.complex128)
-    if isinstance(masks, MaskSet) and masks.amplitudes is not None:
-        return out, _hadamard_coefficients(factors, masks, shape, out)
-    vectors = masks.vectors if isinstance(masks, MaskSet) else masks
-    return out, _fold_coefficients(factors, vectors, shape, out)
+    project(masks, gathered, out)
+    return out
 
 
 def _map_rows(
     out: np.ndarray,
-    norms: np.ndarray,
     right: list[np.ndarray],
     shape: tuple[int, int] | None,
     budget: float | None = None,
     phase: np.ndarray | None = None,
-) -> None:
+) -> np.ndarray:
     """Overwrite each row's staged coefficients with unfold(sum_s c_s right_s).
 
     ``right`` holds one (r_s, width_s) matrix per sector, and ``shape`` is
     the grid the sectors unfold onto. Runs one block of about
     ``_CHUNK_ENTRIES`` output entries at a time, each block's coefficients
-    read before its rows are written. With a ``budget``, each block's
+    read before its rows are written. Returns ||c|| per row, taken from each
+    block before it is overwritten. With a ``budget``, each block's
     coefficients are first scaled in place by budget / ||c||, so no pass
-    over the output rescales it; with a ``phase``, the unfolded rows are
+    over the output rescales it, and a zero ||c|| raises
+    :class:`ZeroSolution`; with a ``phase``, the unfolded rows are
     multiplied by it.
     """
-    if budget is not None:
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise ZeroSolution(f"mask {int(zero[0])} lies outside the retained kernel range")
-        scale = (budget / norms)[:, None]
     bounds = np.cumsum([0] + [len(r) for r in right])
+    norms = np.empty(len(out))
     step = max(1, _CHUNK_ENTRIES // out.shape[1])
     for start in range(0, len(out), step):
         chunk = slice(start, start + step)
         c = out[chunk, : bounds[-1]]
+        parts = c.view(np.float64)
+        norms[chunk] = np.sqrt(np.einsum("ik,ik->i", parts, parts))
         if budget is not None:
-            c *= scale[chunk]
+            zero = np.flatnonzero(norms[chunk] == 0.0)
+            if zero.size:
+                raise ZeroSolution(f"mask {start + int(zero[0])} lies outside the retained kernel range")
+            c *= (budget / norms[chunk])[:, None]
         rows = _sector_unfold((c[:, lo:hi] @ r for lo, hi, r in zip(bounds, bounds[1:], right)), shape)
         if phase is None:
             out[chunk] = rows
         else:
             np.multiply(rows, phase, out=out[chunk])
+    return norms
 
 
 def _aperture_factors(inv: RegularizedInverse) -> list[np.ndarray]:
@@ -633,8 +571,8 @@ def _solutions(
     aperture_shape = symmetry.aperture_shape if symmetry is not None else None
     phase = symmetry.phase.conj() if symmetry is not None else None
     aperture = _aperture_factors(inv)
-    out, norms = _stage_coefficients(inv, _folded_factors(inv), masks, inv.kernel.entries.shape[1])
-    _map_rows(out, norms, aperture, aperture_shape, budget, phase)
+    out = _stage_coefficients(inv, _folded_factors(inv), masks, inv.kernel.entries.shape[1])
+    _map_rows(out, aperture, aperture_shape, budget, phase)
     return out
 
 
@@ -654,9 +592,9 @@ def realize_masks(inv: RegularizedInverse, masks: MaskSet, amplification: float)
         raise KindMismatch(f"kernel kind {kind!r} cannot realize {masks.kind!r} masks")
     n_targets, n_samples = inv.kernel.entries.shape
     factors = _folded_factors(inv)
-    realized, norms = _stage_coefficients(inv, factors, masks, n_targets)
+    realized = _stage_coefficients(inv, factors, masks, n_targets)
     right = [(f.u * f.sigma).T for f in factors]
-    _map_rows(realized, norms, right, _target_shape(inv.kernel), np.sqrt(n_samples * amplification))
+    norms = _map_rows(realized, right, _target_shape(inv.kernel), np.sqrt(n_samples * amplification))
     realized.setflags(write=False)
     return replace(masks, vectors=realized, amplitudes=None, solution_norms=norms)
 
@@ -704,7 +642,7 @@ def write_synthesis_summary(
     retained = sigma[inv_sigma > 0.0]
     budget = np.sqrt(inv.kernel.entries.shape[1] * amplification)
     fitted = realized.vectors * (realized.solution_norms / budget)[:, None]
-    ideal_vectors = ideal.vectors  # a designed plane set forms its stack on each read
+    ideal_vectors = ideal.vectors  # a designed set forms its stack on each read
     rel_err = np.linalg.norm(fitted - ideal_vectors, axis=1) / np.linalg.norm(ideal_vectors, axis=1)
     lines = [
         f"retained_rank = {inv.retained_rank}",

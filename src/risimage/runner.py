@@ -12,7 +12,6 @@ live in a separate file).
 from __future__ import annotations
 
 import csv
-import math
 import os
 import time
 from collections.abc import Iterator
@@ -111,9 +110,8 @@ class ExperimentPlan:
         measurement.check_noise_settings(self.n0_dbm_per_hz, self.bandwidth_hz)
         ris_synthesis.check_threshold_factor(self.threshold_factor)
         check_target_spec(self.target)
-        # an infinite gamma zeroes every regularized weight, so no mask is realizable
-        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise MalformedConfig(f"gamma must be a finite number > 0, got {self.gamma!r}")
+        if self.gamma is not None:
+            ris_synthesis.check_gamma(self.gamma)
         for key, allowed in PLAN_MODES.items():
             if getattr(self, key) not in allowed:
                 raise MalformedConfig(f"{key} must be one of {allowed}, got {getattr(self, key)!r}")
@@ -177,7 +175,7 @@ def _shared_builds(
     of those builds. A distance's scene, grids, target and PSF are built once,
     its kernel and regularized inverse once, at the first mask count that
     needs them. Under ``keep_artifacts`` each mask set is exported as soon as
-    it is built. A designed plane set holds no complex mask stack
+    it is built. A designed set holds no complex mask stack
     (``MaskSet``); only an ``ideal_masks`` run, which measures it, forms one
     per group.
     """

@@ -179,6 +179,7 @@ class TestIdealMasks:
         scene, grids = volume_scene
         masks = md.ideal_masks(scene, grids, 16)
         assert masks.kind == md.KIND_MASK3D
+        assert masks.phase is None and masks.__dict__["_vectors"] is None  # formed on read
         np.testing.assert_array_equal(masks.vectors.imag, 0.0)
         assert set(np.unique(masks.vectors.real)) == {0.0, 1.0}
 
@@ -187,6 +188,59 @@ class TestIdealMasks:
         a = md.ideal_masks(scene, grids, 128)
         b = md.ideal_masks(scene, grids, 128)
         assert a.vectors.tobytes() == b.vectors.tobytes()
+
+
+class TestProject:
+    """``project`` forms vectors @ [F_1 ... F_k] for every kind of set."""
+
+    @staticmethod
+    def factors(points, ranks, seed=0):
+        rng = np.random.default_rng(seed)
+        return [rng.standard_normal((points, r)) + 1j * rng.standard_normal((points, r)) for r in ranks]
+
+    @staticmethod
+    def projected(masks, count, factors, extra=3):
+        # the trailing columns past sum r_k must come back untouched
+        width = sum(f.shape[1] for f in factors)
+        out = np.full((count, width + extra), 7.0 + 7.0j)
+        md.project(masks, factors, out)
+        np.testing.assert_array_equal(out[:, width:], 7.0 + 7.0j)
+        return out[:, :width]
+
+    @pytest.mark.parametrize(
+        "fixture, count",
+        [("small_scene", 128), ("small_scene", 64), ("volume_scene", 16), ("volume_scene", 8)],
+        ids=["plane", "plane-wrap", "volume", "volume-wrap"],
+    )
+    @pytest.mark.parametrize("chunk", [1 << 16, 64])
+    def test_matches_the_formed_stack(self, fixture, count, chunk, request, monkeypatch):
+        # with I = M the last point wraps onto the all-ones column 0; the
+        # small chunk splits both the row and the column blocks
+        monkeypatch.setattr(md, "_CHUNK_ENTRIES", chunk)
+        scene, grids = request.getfixturevalue(fixture)
+        masks = md.ideal_masks(scene, grids, count)
+        assert (masks.phase is None) == scene.is_3d
+        factors = self.factors(masks.points, [5, 0, 3, 9])
+        expected = masks.vectors @ np.concatenate(factors, axis=1)
+        stored = masks.vectors.copy()
+        for source in (masks, md.MaskSet(kind=masks.kind, vectors=stored), stored):
+            np.testing.assert_allclose(
+                self.projected(source, count, factors), expected, rtol=0, atol=1e-12 * np.abs(expected).max()
+            )
+
+    @pytest.mark.parametrize("fixture", ["small_scene", "volume_scene"])
+    def test_designed_sets_never_form_their_stack(self, fixture, request, monkeypatch):
+        scene, grids = request.getfixturevalue(fixture)
+        masks = md.ideal_masks(scene, grids, 128)
+        factors = self.factors(masks.points, [4, 2])
+        expected = masks.vectors @ np.concatenate(factors, axis=1)
+
+        def refuse(*_):
+            raise AssertionError("a designed set formed its (I, M) stack")
+
+        monkeypatch.setattr(md, "_designed_stack", refuse)
+        out = self.projected(masks, 128, factors)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
 class TestMaskCovariance:

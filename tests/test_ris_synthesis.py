@@ -12,7 +12,7 @@ from risimage import mask_design as md
 from risimage import ris_synthesis as rs
 from risimage import scene as sc
 from risimage.em_core import KernelMatrix
-from risimage.errors import DimensionMismatch, KindMismatch, ZeroSolution
+from risimage.errors import DimensionMismatch, KindMismatch, MalformedConfig, ZeroSolution
 
 from conftest import desk_config, normalized_inner, peak_traced_bytes, volume_config
 
@@ -76,6 +76,24 @@ class TestTikhonovInverse:
         with pytest.raises(ValueError):
             rs.tikhonov_inverse(kernel, gamma=0.0)
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan, -1.0])
+    def test_gamma_must_be_finite_and_positive(self, gamma):
+        # an infinite gamma would retain no mode, so every mask would fail later
+        kernel = KernelMatrix(entries=np.eye(3, dtype=complex), kind=em.KIND_Z2D, fingerprint="t")
+        with pytest.raises(MalformedConfig):
+            rs.tikhonov_inverse(kernel, gamma=gamma)
+
+    @pytest.mark.parametrize("threshold_factor", [math.nan, math.inf, -1.0])
+    def test_threshold_factor_is_checked(self, threshold_factor):
+        kernel = KernelMatrix(entries=np.eye(3, dtype=complex), kind=em.KIND_Z2D, fingerprint="t")
+        with pytest.raises(MalformedConfig):
+            rs.tikhonov_inverse(kernel, gamma=1e-6, threshold_factor=threshold_factor)
+
+    def test_unknown_truncation_mode(self):
+        kernel = KernelMatrix(entries=np.eye(3, dtype=complex), kind=em.KIND_Z2D, fingerprint="t")
+        with pytest.raises(MalformedConfig):
+            rs.tikhonov_inverse(kernel, gamma=1e-6, truncation_mode="sigma_cubed")
+
     def test_minimizer_property(self):
         # perturbing the solution in random directions increases the objective
         rng = np.random.default_rng(3)
@@ -126,6 +144,21 @@ class TestSynthesize:
         inv = rs.tikhonov_inverse(kernel, 1e-6)
         with pytest.raises(ZeroSolution):
             profile(inv, np.array([0.0, 1.0 + 0.0j]), 1.0)
+
+    def test_zero_solution_names_its_mask_past_the_first_block(self, monkeypatch):
+        # blocks of two rows: mask 5 is the second row of the third block
+        monkeypatch.setattr(rs, "_CHUNK_ENTRIES", 4)
+        kernel = KernelMatrix(
+            entries=np.diag([1.0, 0.0]).astype(complex), kind=em.KIND_Z2D, fingerprint="t"
+        )
+        inv = rs.tikhonov_inverse(kernel, 1e-6)
+        vectors = np.tile(np.array([1.0, 1.0 + 0.0j]), (8, 1))
+        vectors[5] = [0.0, 1.0]
+        masks = md.MaskSet(kind=md.KIND_MASK2D, vectors=vectors)
+        with pytest.raises(ZeroSolution, match="mask 5 "):
+            rs.synthesis_profiles(inv, masks, 1.0)
+        with pytest.raises(ZeroSolution, match="mask 5 "):
+            rs.realize_masks(inv, masks, 1.0)
 
     def test_wrong_length_rejected(self):
         rng = np.random.default_rng(6)
@@ -504,7 +537,7 @@ def minimal_count(points):
 
 
 class TestHadamardRoute:
-    """Designed sets skip the mask stack; any other set is folded. Both give the same masks."""
+    """Designed sets skip the mask stack; any other set is multiplied as stored. Both give the same masks."""
 
     @pytest.mark.parametrize(
         "cfg",
@@ -550,9 +583,10 @@ class TestHadamardRoute:
         monkeypatch.setattr(rs, "_sector_fold", recording_fold)
         rs.realize_masks(inv, masks, 1.0)
         rs.synthesis_profiles(inv, masks, 1.0)
+        stored = dataclasses.replace(masks, amplitudes=None)
+        rs.realize_masks(inv, stored, 1.0)
+        rs.synthesis_profiles(inv, stored, 1.0)
         assert target_shape not in folded_shapes  # only kernel rows, over the aperture
-        rs.realize_masks(inv, dataclasses.replace(masks, amplitudes=None), 1.0)
-        assert target_shape in folded_shapes
 
 
 class TestPeakMemory:
@@ -571,6 +605,15 @@ class TestPeakMemory:
         peak, realized = peak_traced_bytes(lambda: rs.realize_masks(inv, masks, 1.0))
         assert realized.vectors.shape == (1024, 256)
         assert peak <= realized.vectors.nbytes + self.SLACK
+
+    def test_stored_set_needs_little_beyond_its_output(self, desk_synthesis):
+        inv, masks = desk_synthesis
+        stored = dataclasses.replace(masks, amplitudes=None)  # forms the (1024, 256) stack once
+        peak, realized = peak_traced_bytes(lambda: rs.realize_masks(inv, stored, 1.0))
+        assert realized.vectors.shape == (1024, 256)
+        assert peak <= realized.vectors.nbytes + self.SLACK
+        peak, profiles = peak_traced_bytes(lambda: rs.synthesis_profiles(inv, stored, 1.0))
+        assert peak <= profiles.nbytes + self.SLACK
 
     def test_designed_plane_set_holds_no_complex_stack(self, desk_scene):
         # the complex (I, M) stack alone would be 4 MiB at I = 1,024, M = 256
