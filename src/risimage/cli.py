@@ -377,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ImagingError as exc:
+    except (ImagingError, OSError) as exc:  # OSError: an unusable path given by the user
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

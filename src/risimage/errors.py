@@ -14,7 +14,7 @@ class MissingFile(ImagingError, FileNotFoundError):
 
 
 class NonPositiveDimension(ImagingError, ValueError):
-    """A length, wavelength, or power ratio that must be > 0 is not."""
+    """A length, wavelength, or power ratio that must be a finite number > 0 is not."""
 
 
 class NearFieldViolation(ImagingError, ValueError):

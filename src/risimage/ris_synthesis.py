@@ -9,14 +9,17 @@ budget ||p||^2 = N * P_I.
 The decomposition runs sector by sector. A plane kernel carries its mirror
 structure (``KernelMatrix.symmetry``): K = a F diag(phase) with a real, and F
 unchanged when the x-mirror or the y-mirror acts on both centred grids, so
-K K^H commutes with the target mirrors. In the orthonormal even/odd basis
-along x and along y (a mirror pair (i, n-1-i) gives (v_i +- v_{n-1-i}) /
-sqrt(2); an odd length's centre line joins the even part with weight 1), K is
-block diagonal with four sectors of about M/4 x N/4 (symmetry-adapted block
-diagonalisation). Each sector block is formed from a quarter of the target
-rows folded over the aperture, so the full kernel is never folded. Any other
-kernel, volume kernels included, is one identity sector holding K itself and
-goes through the same code.
+K K^H commutes with the target mirrors. One mirror map folds and unfolds
+(:func:`_butterfly`): a pair (i, n-1-i) goes to v_i +- v_{n-1-i}, and an odd
+length's centre line is kept. The map is symmetric and squares to twice the
+identity, so with the weight 1/sqrt(2) per pair it is orthonormal and its own
+inverse. A grid folded along x and y keeps each axis's even part in its head
+and its odd part in its tail read backwards (:func:`_part`), and in that
+basis K is block diagonal with four sectors of about M/4 x N/4 (symmetry-
+adapted block diagonalisation). Each sector block is a weighted view of one
+quarter of the target rows folded over the aperture, so the full kernel is
+never folded. Any other kernel, volume kernels included, is one identity
+sector holding K itself and goes through the same code.
 
 When each grid has the same coordinates along x as along y, F is also
 unchanged when x and y swap on both grids, and the mirrors and the swap
@@ -71,7 +74,7 @@ DEFAULT_THRESHOLD_FACTOR = 1e-5
 _KERNEL_TO_MASK_KIND = {KIND_Z2D: KIND_MASK2D, KIND_Y3D: KIND_MASK3D}
 
 
-# Sector order of :func:`_sector_fold`: (x parity, y parity), 0 even and 1 odd.
+# Sector order: (x parity, y parity), 0 even and 1 odd.
 _PARITIES = ((0, 0), (1, 0), (0, 1), (1, 1))
 _HALF = math.sqrt(0.5)
 # Coefficients are mapped back in blocks of rows whose output holds about
@@ -103,7 +106,7 @@ class Sector:
 class RegularizedInverse:
     """Truncated-SVD Tikhonov pseudo-inverse of a propagation kernel.
 
-    ``sectors`` follow :func:`_sector_fold` order for a kernel with mirror
+    ``sectors`` follow ``_PARITIES`` order for a kernel with mirror
     structure and are one identity sector otherwise; ``retained_rank`` sums
     their retained modes. The right singular vectors are never stored:
     ``kernel`` maps back to the aperture side where a solution is needed.
@@ -163,81 +166,61 @@ def _along(axis: int, index: slice) -> tuple:
     return (Ellipsis, index) + (slice(None),) * (-1 - axis)
 
 
-def _mirror_split(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalised even and odd parts under the mirror i -> n-1-i along ``axis``.
-
-    The pair (i, n-1-i), i < n // 2, gives v_i + v_{n-1-i} at even index i
-    and v_i - v_{n-1-i} at odd index i; an odd length's centre line is the
-    last even index. Both parts are new C-ordered arrays.
-    """
-    n = values.shape[axis]
+def _part(n: int, parity: int) -> slice:
+    """Where a folded axis of length ``n`` keeps its even (0) or odd (1) part:
+    the head, an odd length's centre line last, or the tail read backwards.
+    Index i of either part belongs to the mirror pair (i, n-1-i)."""
     h = n // 2
-    head = values[_along(axis, slice(0, h))]
-    tail = values[_along(axis, slice(n - h, n))][_along(axis, slice(None, None, -1))]
-    shape = list(values.shape)
-    shape[axis] = n - h
-    even = np.empty(shape, dtype=values.dtype)
-    shape[axis] = h
-    odd = np.empty(shape, dtype=values.dtype)
-    np.add(head, tail, out=even[_along(axis, slice(0, h))])
-    even[_along(axis, slice(h, None))] = values[_along(axis, slice(h, n - h))]
-    np.subtract(head, tail, out=odd)
-    return even, odd
+    return slice(0, n - h) if parity == 0 else slice(n - 1, n - h - 1, -1)
 
 
-def _mirror_join(even: np.ndarray, odd: np.ndarray, axis: int) -> np.ndarray:
-    """Transpose of :func:`_mirror_split`: a new C-ordered array."""
-    h = odd.shape[axis]
-    n = even.shape[axis] + h
-    shape = list(even.shape)
-    shape[axis] = n
-    out = np.empty(shape, dtype=np.result_type(even, odd))
+def _butterfly(even: np.ndarray, odd: np.ndarray, axis: int, out: np.ndarray) -> None:
+    """The unnormalised mirror map along ``axis``, written into ``out``, which
+    must not overlap the inputs: even_i + odd_i at i and even_i - odd_i at
+    n-1-i for i < n // 2; an odd length's centre line copies the last even
+    index. It folds a grid (:func:`_fold`) and unfolds the parts alike."""
+    h, n = odd.shape[axis], out.shape[axis]
     paired = even[_along(axis, slice(0, h))]
     np.add(paired, odd, out=out[_along(axis, slice(0, h))])
-    tail = out[_along(axis, slice(n - h, n))][_along(axis, slice(None, None, -1))]
-    np.subtract(paired, odd, out=tail)
+    np.subtract(paired, odd, out=out[_along(axis, _part(n, 1))])
     out[_along(axis, slice(h, n - h))] = even[_along(axis, slice(h, None))]
-    return out
 
 
-def _sector_fold(values: np.ndarray, shape: tuple[int, int]) -> Iterator[np.ndarray]:
-    """Split values (..., nx * ny) over a grid, x fastest, into its mirror sectors.
-
-    Yields one unnormalised (..., rows) array per sector in ``_PARITIES``
-    order, each flattened x fastest, and keeps no reference to the ones it
-    has yielded; :func:`_sector_norms` makes the split orthonormal.
-    """
-    nx, ny = shape
-    for half in _mirror_split(values.reshape(values.shape[:-1] + (ny, nx)), -2):
-        for part in _mirror_split(half, -1):
-            yield part.reshape(values.shape[:-1] + (-1,))
+def _fold(values: np.ndarray, axis: int, out: np.ndarray) -> None:
+    """Mirror parts of ``values`` along ``axis``, written into ``out`` in the
+    folded layout of :func:`_part`: v_i + v_{n-1-i} at i, v_i - v_{n-1-i} at
+    n-1-i, the centre line unchanged."""
+    n = values.shape[axis]
+    _butterfly(values[_along(axis, _part(n, 0))], values[_along(axis, _part(n, 1))], axis, out)
 
 
-def _sector_unfold(parts: Iterator[np.ndarray], shape: tuple[int, int] | None) -> np.ndarray:
-    """Transpose of :func:`_sector_fold`, drawing the sector arrays from ``parts``
-    in order as it needs them: a new C-ordered (..., nx * ny) array. Without
-    a grid shape, returns the one array of the identity sector."""
+def _sector_unfold(parts: Iterator[np.ndarray], shape: tuple[int, int] | None, out: np.ndarray) -> None:
+    """Unfold the sector arrays (..., rows_s) drawn from ``parts`` in
+    ``_PARITIES`` order into ``out`` (..., nx * ny), x fastest: the
+    transpose of the folded sectors. Every part is drawn before ``out`` is
+    written. Without a grid shape, ``out`` takes the one array of the
+    identity sector."""
     if shape is None:
-        return next(parts)
+        out[...] = next(parts)
+        return
     nx, ny = shape
+    lead = out.shape[:-1]
 
     def y_line(y_rows: int) -> np.ndarray:
         even, odd = next(parts), next(parts)
-        lead = even.shape[:-1]
-        even = even.reshape(lead + (y_rows, nx - nx // 2))
-        return _mirror_join(even, odd.reshape(lead + (y_rows, nx // 2)), -1)
+        line = np.empty(lead + (y_rows, nx), dtype=out.dtype)
+        _butterfly(even.reshape(lead + (y_rows, nx - nx // 2)), odd.reshape(lead + (y_rows, nx // 2)), -1, line)
+        return line
 
-    grid = _mirror_join(y_line(ny - ny // 2), y_line(ny // 2), -2)
-    return grid.reshape(grid.shape[:-2] + (nx * ny,))
+    _butterfly(y_line(ny - ny // 2), y_line(ny // 2), -2, out.reshape(lead + (ny, nx)))
 
 
 def _pair_norms(n: int, parity: int) -> np.ndarray:
     """Orthonormalising weight of one axis's even (0) or odd (1) part:
     1/sqrt(2) per mirror pair, 1 for an odd length's centre line."""
-    h = n // 2
-    norms = np.full(n - h if parity == 0 else h, _HALF)
-    norms[h:] = 1.0
-    return norms
+    norms = np.full(n, _HALF)
+    norms[n // 2 : n - n // 2] = 1.0
+    return norms[_part(n, parity)]
 
 
 def _sector_norms(shape: tuple[int, int] | None) -> list[np.ndarray | None]:
@@ -268,7 +251,8 @@ def _sector_gathers(shape: tuple[int, int] | None) -> list[tuple[np.ndarray, np.
     gathers = []
     for s in range(len(sizes)):
         parts = (np.arange(1.0, n + 1) if k == s else np.zeros(n) for k, n in enumerate(sizes))
-        numbered = _sector_unfold(parts, shape)  # +-(row + 1), or 0
+        numbered = np.empty(sum(sizes))  # +-(row + 1), or 0
+        _sector_unfold(parts, shape, numbered)
         gathers.append((np.maximum(np.abs(numbered).astype(np.intp) - 1, 0), np.sign(numbered)))
     return gathers
 
@@ -296,34 +280,37 @@ def _folded_factors(inv: RegularizedInverse) -> list[_Factor]:
 
 
 def _sector_blocks(kernel: KernelMatrix) -> list[np.ndarray]:
-    """The kernel's diagonal blocks, in :func:`_sector_fold` order.
+    """The kernel's diagonal blocks, in ``_PARITIES`` order.
 
     Block s is Q_s^T K diag(conj phase) P_s for the sector's orthonormal
     target and aperture bases Q_s and P_s; the phase factor drops out of the
     left singular vectors and values. Since F is mirror-invariant, the
     target-side fold of a row reduces to the weight 1 / w_s on its quadrant
     row, so only the quarter of K with ix < nx - nx // 2 and
-    iy < ny - ny // 2 is read and folded over the aperture.
+    iy < ny - ny // 2 is read. Each of its rows is folded over the aperture
+    in place, along y and then x, and each block is a weighted copy of one
+    :func:`_part` view of the folded quadrant.
     """
     symmetry = kernel.symmetry
     if symmetry is None:
         return [kernel.entries]
-    nx, ny = symmetry.target_shape
+    (nx, ny), (ax, ay) = symmetry.target_shape, symmetry.aperture_shape
     ex, ey = nx - nx // 2, ny - ny // 2
-    n = kernel.entries.shape[1]
-    quadrant = kernel.entries.reshape(ny, nx, n)[:ey, :ex]
-    rows = (quadrant * symmetry.phase.conj()).reshape(ey * ex, n)
-    target_norms = _sector_norms(symmetry.target_shape)
-    aperture_norms = _sector_norms(symmetry.aperture_shape)
+    quadrant = kernel.entries.reshape(ny, nx, ay, ax)[:ey, :ex] * symmetry.phase.conj().reshape(ay, ax)
+    buffer = np.empty((ay, ax), dtype=quadrant.dtype)
+    for row in quadrant.reshape(ey * ex, ay, ax):
+        _fold(row, -2, buffer)
+        _fold(buffer, -1, row)
     blocks = []
-    for (px, py), part, t_norms, a_norms in zip(
-        _PARITIES, _sector_fold(rows, symmetry.aperture_shape), target_norms, aperture_norms
+    for (px, py), t_norms, a_norms in zip(
+        _PARITIES, _sector_norms(symmetry.target_shape), _sector_norms(symmetry.aperture_shape)
     ):
-        nrows_x = ex if px == 0 else nx - ex
-        nrows_y = ey if py == 0 else ny - ey
-        cols = part.shape[1]
-        picked = part.reshape(ey, ex, cols)[:nrows_y, :nrows_x].reshape(nrows_y * nrows_x, cols)
-        blocks.append(picked * (a_norms[None, :] / t_norms[:, None]))
+        rows_x, rows_y = (ex, nx - ex)[px], (ey, ny - ey)[py]
+        part = quadrant[:rows_y, :rows_x, _part(ay, py), _part(ax, px)]
+        weights = a_norms.reshape(part.shape[2:]) / t_norms.reshape(rows_y, rows_x, 1, 1)
+        block = np.empty((t_norms.size, a_norms.size), dtype=quadrant.dtype)
+        np.multiply(part, weights, out=block.reshape(part.shape))
+        blocks.append(block)
     return blocks
 
 
@@ -528,11 +515,10 @@ def _map_rows(
             if zero.size:
                 raise ZeroSolution(f"mask {start + int(zero[0])} lies outside the retained kernel range")
             c *= (budget / norms[chunk])[:, None]
-        rows = _sector_unfold((c[:, lo:hi] @ r for lo, hi, r in zip(bounds, bounds[1:], right)), shape)
-        if phase is None:
-            out[chunk] = rows
-        else:
-            np.multiply(rows, phase, out=out[chunk])
+        rows = out[chunk]
+        _sector_unfold((c[:, lo:hi] @ r for lo, hi, r in zip(bounds, bounds[1:], right)), shape, rows)
+        if phase is not None:
+            rows *= phase
     return norms
 
 

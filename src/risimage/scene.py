@@ -8,6 +8,7 @@ the target plane (or the near face of the target volume) lies parallel to it at
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import math
 from dataclasses import dataclass, fields, replace
@@ -149,9 +150,13 @@ class SampleGrids:
 def check_scene_dimensions(cfg: SceneConfig) -> None:
     """The checks of :func:`validate_scene` that hold at every target distance.
 
-    Raises :class:`NonPositiveDimension` for a non-positive length other than
-    ``target_distance``, wavelength, power ratio, sample count or volume
-    depth, and :class:`MalformedConfig` for an unknown ``target_kind``.
+    Raises :class:`NonPositiveDimension` for a length other than
+    ``target_distance``, wavelength, power ratio or volume depth that is not
+    a finite number > 0, or a sample count that is not a positive integer,
+    and :class:`MalformedConfig` for an unknown ``target_kind``, a receiver
+    coordinate or ``reflection_coeff`` that is not finite, an
+    ``incident_amplitude`` that is not finite and nonzero, or an
+    ``incident_elevation`` not strictly between -90 and 90 degrees.
     """
     positive_lengths = {
         "wavelength": cfg.wavelength,
@@ -162,8 +167,8 @@ def check_scene_dimensions(cfg: SceneConfig) -> None:
         "amplification": cfg.amplification,
     }
     for name, value in positive_lengths.items():
-        if not value > 0.0:
-            raise NonPositiveDimension(f"{name} must be > 0, got {value!r}")
+        if not 0.0 < value < math.inf:
+            raise NonPositiveDimension(f"{name} must be a finite number > 0, got {value!r}")
     counts = {
         "n_ris_x": cfg.n_ris_x,
         "n_ris_y": cfg.n_ris_y,
@@ -172,21 +177,33 @@ def check_scene_dimensions(cfg: SceneConfig) -> None:
     }
     if cfg.target_kind == VOLUME_3D:
         counts["n_target_z"] = cfg.n_target_z
-        if not cfg.target_depth > 0.0:
+        if not 0.0 < cfg.target_depth < math.inf:
             raise NonPositiveDimension(
-                f"target_depth must be > 0 for {VOLUME_3D}, got {cfg.target_depth!r}"
+                f"target_depth must be a finite number > 0 for {VOLUME_3D}, got {cfg.target_depth!r}"
             )
     for name, value in counts.items():
         if not (isinstance(value, int) and value > 0):
             raise NonPositiveDimension(f"{name} must be a positive integer, got {value!r}")
     if cfg.target_kind not in (PLANE_2D, VOLUME_3D):
         raise MalformedConfig(f"unknown target_kind {cfg.target_kind!r}")
+    if not all(map(math.isfinite, cfg.receiver_pos)):
+        raise MalformedConfig(f"receiver coordinates must be finite, got {cfg.receiver_pos!r}")
+    # a zero amplitude or a grazing incidence leaves no incident field to shape
+    if not (math.isfinite(cfg.incident_amplitude) and cfg.incident_amplitude != 0.0):
+        raise MalformedConfig(f"incident_amplitude must be finite and nonzero, got {cfg.incident_amplitude!r}")
+    if not abs(cfg.incident_elevation) < math.pi / 2:
+        raise MalformedConfig(
+            f"incident_elevation must lie strictly between -90 and 90 degrees, "
+            f"got {math.degrees(cfg.incident_elevation)!r}"
+        )
+    if not cmath.isfinite(cfg.reflection_coeff):
+        raise MalformedConfig(f"reflection_coeff must be finite, got {cfg.reflection_coeff!r}")
 
 
 def check_target_distance(z_prime) -> None:
-    """A target distance must be a number > 0 (NaN and None are not)."""
-    if z_prime is None or not z_prime > 0.0:
-        raise NonPositiveDimension(f"target_distance must be > 0, got {z_prime!r}")
+    """A target distance must be a finite number > 0 (NaN and None are not)."""
+    if z_prime is None or not 0.0 < z_prime < math.inf:
+        raise NonPositiveDimension(f"target_distance must be a finite number > 0, got {z_prime!r}")
 
 
 def validate_scene(cfg: SceneConfig) -> ValidatedScene:
@@ -198,7 +215,11 @@ def validate_scene(cfg: SceneConfig) -> ValidatedScene:
     Raises
     ------
     NonPositiveDimension
-        For any non-positive length, wavelength, sample count, or power ratio.
+        For any length, wavelength, sample count, or power ratio that is not
+        a finite number > 0.
+    MalformedConfig
+        For a bad receiver, incidence or reflection value
+        (:func:`check_scene_dimensions`).
     NearFieldViolation
         If the target is not strictly inside the aperture Rayleigh distance.
     FarFieldViolation

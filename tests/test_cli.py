@@ -427,6 +427,53 @@ class TestBadInput:
         assert "NonPositiveDimension" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "verb, entry, error",
+        [
+            ("run", "amplification=inf", "NonPositiveDimension"),
+            ("run", "reflection_coeff=nan", "MalformedConfig"),
+            ("run", "receiver_z=inf", "MalformedConfig"),
+            ("run", "incident_amplitude=0", "MalformedConfig"),
+            ("run", "incident_elevation=90", "MalformedConfig"),
+            ("run", "incident_elevation=nan", "MalformedConfig"),
+            ("run", "receiver_x=nan", "MalformedConfig"),
+            ("run", "wavelength=inf", "NonPositiveDimension"),
+            ("run", "target_distance=inf", "NonPositiveDimension"),
+            ("sweep", "amplification=inf", "NonPositiveDimension"),
+            ("validate", "amplification=inf", "NonPositiveDimension"),
+        ],
+    )
+    def test_non_finite_or_degenerate_scene_value(self, scene_file, tmp_path, capsys, verb, entry, error):
+        # each would otherwise run to a nan NMSE or fail at every point
+        argv = [verb, "--scene", str(scene_file), "--set", entry]
+        if verb != "validate":
+            argv += ["-I", "128", "--output", str(tmp_path / "r")]
+        assert cli.main(argv) == 2
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["run", "--scene", "{scene}", "-I", "128", "--output", "{file}"], "FileExistsError"),
+            (["masks", "--scene", "{scene}", "-I", "128", "--output", "{file}/m.bin"], "FileExistsError"),
+            (
+                ["reconstruct", "--scene", "{scene}", "-I", "128", "--records", "{dir}", "--masks", "{dir}/m.bin",
+                 "--output", "{dir}/e.pgm"],
+                "IsADirectoryError",
+            ),
+            (["validate", "--scene", "{dir}"], "IsADirectoryError"),
+        ],
+        ids=["run-output-file", "masks-under-file", "records-directory", "scene-directory"],
+    )
+    def test_unusable_path(self, scene_file, tmp_path, capsys, argv, error):
+        taken = tmp_path / "taken.txt"
+        taken.write_text("not a directory\n")
+        paths = {"scene": scene_file, "file": taken, "dir": tmp_path}
+        assert cli.main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {error}: ")
+
     @pytest.mark.parametrize("verb", ["run", "measure", "masks"])
     def test_negative_seed(self, scene_file, tmp_path, capsys, verb):
         code = cli.main(

@@ -14,6 +14,7 @@ from risimage.errors import (
     DimensionMismatch,
     KernelSizeError,
     KindMismatch,
+    MalformedConfig,
 )
 
 from conftest import desk_config, small_config, volume_config
@@ -114,8 +115,11 @@ class TestIncidentCurrent:
         assert value.imag == 0.0
 
     def test_grazing_incidence_vanishes(self):
-        scene = sc.validate_scene(small_config(incident_elevation=math.pi / 2.0))
-        assert abs(em.incident_current(scene, [0.2])[0]) < 1e-15
+        # validation rejects grazing incidence, as it leaves no field to shape
+        cfg = small_config(incident_elevation=math.pi / 2.0)
+        with pytest.raises(MalformedConfig):
+            sc.validate_scene(cfg)
+        assert abs(em.incident_current(sc.ValidatedScene(cfg), [0.2])[0]) < 1e-15
 
     def test_quarter_wave_path_phase(self, small_scene):
         scene, _ = small_scene

@@ -365,6 +365,19 @@ def record_svd_shapes(monkeypatch):
     return shapes
 
 
+def mirror_basis(n, parity):
+    """Orthonormal even (0) or odd (1) basis of length n, one column per part index:
+    (e_i +- e_{n-1-i}) / sqrt(2) per mirror pair, then e_centre for an odd length's even part."""
+    h = n // 2
+    basis = np.zeros((n, n - h if parity == 0 else h))
+    for i in range(h):
+        basis[i, i] = math.sqrt(0.5)
+        basis[n - 1 - i, i] = math.sqrt(0.5) if parity == 0 else -math.sqrt(0.5)
+    if parity == 0 and n % 2:
+        basis[h, h] = 1.0
+    return basis
+
+
 class TestMirrorSectors:
     """A plane kernel's four mirror sectors against the same entries as one identity sector."""
 
@@ -511,6 +524,45 @@ class TestMirrorSectors:
         np.testing.assert_array_equal(restored.symmetry.phase, kernel.symmetry.phase)
         assert len(rs.tikhonov_inverse(restored, 1e-12).sectors) == 4
 
+    @pytest.mark.parametrize(
+        "target, aperture",
+        [((3, 4), (6, 7)), ((5, 5), (7, 7)), ((4, 4), (8, 8)), ((1, 4), (1, 6))],
+        ids=["mixed", "odd", "even", "line"],
+    )
+    def test_blocks_match_the_dense_even_odd_bases(self, target, aperture):
+        scene = sc.validate_scene(
+            desk_config(n_target_x=target[0], n_target_y=target[1], n_ris_x=aperture[0], n_ris_y=aperture[1])
+        )
+        kernel = em.kernel_2d(scene, sc.sample_grids(scene))
+        blocks = rs._sector_blocks(kernel)
+        weighted = kernel.entries * kernel.symmetry.phase.conj()
+        for (px, py), block in zip(rs._PARITIES, blocks):
+            # flat index ix + nx * iy, x fastest, on both sides
+            q = np.kron(mirror_basis(target[1], py), mirror_basis(target[0], px))
+            p = np.kron(mirror_basis(aperture[1], py), mirror_basis(aperture[0], px))
+            expected = q.T @ weighted @ p
+            assert block.shape == expected.shape
+            np.testing.assert_allclose(block, expected, rtol=0, atol=1e-13 * np.abs(kernel.entries).max())
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_fold_twice_doubles_each_pair_and_keeps_the_centre(self, n, axis):
+        rng = np.random.default_rng(n)
+        shape = (3, n, 5) if axis == -2 else (3, 5, n)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        once, twice = np.empty_like(values), np.empty_like(values)
+        rs._fold(values, axis, once)
+        rs._fold(once, axis, twice)
+        v, once, twice = (np.moveaxis(a, axis, 0) for a in (values, once, twice))
+        h = n // 2
+        # the folded layout: v_i + v_{n-1-i} in the head, v_i - v_{n-1-i} in the tail read backwards
+        np.testing.assert_array_equal(once[rs._part(n, 0)][:h], v[:h] + v[::-1][:h])
+        np.testing.assert_array_equal(once[rs._part(n, 0)][h:], v[h : n - h])
+        np.testing.assert_array_equal(once[rs._part(n, 1)], v[:h] - v[::-1][:h])
+        expected = 2.0 * v
+        expected[h : n - h] = v[h : n - h]
+        np.testing.assert_allclose(twice, expected, rtol=0, atol=1e-15 * np.abs(expected).max())
+
     def test_volume_kernel_is_one_identity_sector(self, tmp_path):
         scene = sc.validate_scene(volume_config())
         grids = sc.sample_grids(scene)
@@ -572,21 +624,22 @@ class TestHadamardRoute:
 
     def test_designed_sets_never_fold_the_mask_stack(self, desk_synthesis, monkeypatch):
         inv, masks = desk_synthesis
-        target_shape = inv.kernel.symmetry.target_shape
-        folded_shapes = []
-        fold = rs._sector_fold
+        symmetry = inv.kernel.symmetry
+        folded_shapes = set()
+        fold = rs._fold
 
-        def recording_fold(values, shape):
-            folded_shapes.append(shape)
-            return fold(values, shape)
+        def recording_fold(values, axis, out):
+            folded_shapes.add(values.shape)
+            fold(values, axis, out)
 
-        monkeypatch.setattr(rs, "_sector_fold", recording_fold)
+        monkeypatch.setattr(rs, "_fold", recording_fold)
         rs.realize_masks(inv, masks, 1.0)
         rs.synthesis_profiles(inv, masks, 1.0)
         stored = dataclasses.replace(masks, amplitudes=None)
         rs.realize_masks(inv, stored, 1.0)
         rs.synthesis_profiles(inv, stored, 1.0)
-        assert target_shape not in folded_shapes  # only kernel rows, over the aperture
+        # only kernel rows, one (Ny, Nx) aperture grid at a time; never the target grid
+        assert folded_shapes == {symmetry.aperture_shape[::-1]} != {symmetry.target_shape[::-1]}
 
 
 class TestPeakMemory:
@@ -614,6 +667,18 @@ class TestPeakMemory:
         assert peak <= realized.vectors.nbytes + self.SLACK
         peak, profiles = peak_traced_bytes(lambda: rs.synthesis_profiles(inv, stored, 1.0))
         assert peak <= profiles.nbytes + self.SLACK
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [desk_config(), desk_config(n_target_x=15, n_target_y=15, n_ris_x=33, n_ris_y=33)],
+        ids=["desk", "odd-15-33"],
+    )
+    def test_sector_blocks_need_no_split_temporaries(self, cfg):
+        # beyond the blocks: one folded quadrant (about their size) and a block's weights
+        scene = sc.validate_scene(cfg)
+        kernel = em.kernel_2d(scene, sc.sample_grids(scene))
+        peak, blocks = peak_traced_bytes(lambda: rs._sector_blocks(kernel))
+        assert peak <= 2 * sum(block.nbytes for block in blocks) + (1 << 20)
 
     def test_designed_plane_set_holds_no_complex_stack(self, desk_scene):
         # the complex (I, M) stack alone would be 4 MiB at I = 1,024, M = 256
