@@ -18,8 +18,8 @@ from .errors import ImagingError, MalformedConfig
 from .runner import (
     PLAN_MODES,
     ExperimentPlan,
-    default_gamma,
     load_plan,
+    plan_points,
     run_plan,
     write_estimate_images,
 )
@@ -180,9 +180,10 @@ def cmd_masks(args) -> int:
 
 
 def _synthesized_masks(plan: ExperimentPlan, scene, grids, ideal):
-    gamma = plan.gamma if plan.gamma is not None else default_gamma(scene.config.target_distance)
+    gamma = plan_points(plan)[0].gamma  # the fallback run uses
     kernel = em_core.assemble_kernel(scene, grids)
     inv = ris_synthesis.tikhonov_inverse(kernel, gamma, plan.threshold_factor, plan.truncation_mode)
+    del kernel  # inv keeps its sector blocks, so the kernel ends here
     return ris_synthesis.realize_masks(inv, ideal, scene.config.amplification), inv
 
 
@@ -239,15 +240,14 @@ def cmd_reconstruct(args) -> int:
         psf_values = em_core.psf_vector(scene, grids.target_points)
         result = reconstruct.reconstruct_2d(meas, masks, psf_values)
     scaled = result.estimate / grids.target_cell_measure
-    truth = resolve_target(args.target, scene).values if args.target else None
+    truth = resolve_target(args.target, scene).values
     calibrated = reconstruct.calibrate_estimate(scaled, args.calibration, truth)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     cfg = scene.config
     grid_shape = (cfg.n_target_x, cfg.n_target_y) + ((cfg.n_target_z,) if scene.is_3d else ())
     write_estimate_images(out, calibrated, grid_shape)
-    if truth is not None:
-        print(f"nmse = {reconstruct.nmse(truth, calibrated)!r}")
+    print(f"nmse = {reconstruct.nmse(truth, calibrated)!r}")
     print(f"estimate written -> {out}")
     return 0
 

@@ -48,8 +48,9 @@ overwrites its coefficients with its result. The realized mask
 K p = U diag(sigma) c is unfolded on the target side. The coefficient
 profiles p, formed only by :meth:`apply` and when profiles are exported, are
 unfolded on the aperture side from V_s c_s, with V_s = B_s^H U_s / sigma_s
-built per sector from the kernel at that moment, so a profile is never
-formed through a dense K^H product.
+built per sector from the block the inverse keeps, so a profile is never
+formed through a dense K^H product. The blocks are formed once, at
+decomposition, and the inverse holds no reference to the kernel.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .em_core import KIND_Y3D, KIND_Z2D, KernelMatrix, write_complex_file
+from .em_core import KIND_Y3D, KIND_Z2D, KernelMatrix, MirrorSymmetry, write_complex_file
 from .errors import DimensionMismatch, KindMismatch, MalformedConfig, SvdFailure, ZeroSolution
 from .mask_design import KIND_MASK2D, KIND_MASK3D, MaskSet, project
 
@@ -86,13 +87,15 @@ _CHUNK_ENTRIES = 1 << 16
 class Sector:
     """One diagonal block of the kernel and its regularized spectrum.
 
-    ``u`` (rows, K) and ``sigma`` (K,) are the block's left singular vectors
-    and singular values, descending; ``inv_sigma`` holds sigma / (sigma^2 +
-    gamma) for retained values and exactly zero for truncated ones, which
-    come last since sigma descends. ``cols`` is the block's aperture width.
+    ``block`` (rows, cols) is the read-only block itself (:func:`_sector_blocks`),
+    which maps solutions back to the aperture side. ``u`` (rows, K) and
+    ``sigma`` (K,) are its left singular vectors and singular values,
+    descending; ``inv_sigma`` holds sigma / (sigma^2 + gamma) for retained
+    values and exactly zero for truncated ones, which come last since sigma
+    descends.
     """
 
-    cols: int
+    block: np.ndarray
     u: np.ndarray
     sigma: np.ndarray
     inv_sigma: np.ndarray
@@ -106,18 +109,26 @@ class Sector:
 class RegularizedInverse:
     """Truncated-SVD Tikhonov pseudo-inverse of a propagation kernel.
 
-    ``sectors`` follow ``_PARITIES`` order for a kernel with mirror
-    structure and are one identity sector otherwise; ``retained_rank`` sums
-    their retained modes. The right singular vectors are never stored:
-    ``kernel`` maps back to the aperture side where a solution is needed.
+    ``kind`` and ``symmetry`` are the kernel's; ``sectors`` follow
+    ``_PARITIES`` order for a kernel with mirror structure and are one
+    identity sector otherwise; ``retained_rank`` sums their retained modes.
+    The kernel itself is not kept, and neither are the right singular
+    vectors: each sector's block maps back to the aperture side where a
+    solution is needed.
     """
 
-    kernel: KernelMatrix
+    kind: str
+    symmetry: MirrorSymmetry | None
     sectors: tuple[Sector, ...]
     gamma: float
     threshold_factor: float
     truncation_mode: str
     retained_rank: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(M, N) of the kernel, summed over the sector blocks."""
+        return sum(s.block.shape[0] for s in self.sectors), sum(s.block.shape[1] for s in self.sectors)
 
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         sigma = np.concatenate([s.sigma for s in self.sectors])
@@ -257,8 +268,8 @@ def _sector_gathers(shape: tuple[int, int] | None) -> list[tuple[np.ndarray, np.
     return gathers
 
 
-def _target_shape(kernel: KernelMatrix) -> tuple[int, int] | None:
-    return kernel.symmetry.target_shape if kernel.symmetry is not None else None
+def _target_shape(inv: RegularizedInverse) -> tuple[int, int] | None:
+    return inv.symmetry.target_shape if inv.symmetry is not None else None
 
 
 class _Factor(NamedTuple):
@@ -272,7 +283,7 @@ class _Factor(NamedTuple):
 def _folded_factors(inv: RegularizedInverse) -> list[_Factor]:
     """Per sector, the retained columns of U with the fold weights applied."""
     factors = []
-    for sector, norms in zip(inv.sectors, _sector_norms(_target_shape(inv.kernel))):
+    for sector, norms in zip(inv.sectors, _sector_norms(_target_shape(inv))):
         r = sector.retained
         u = sector.u[:, :r] if norms is None else norms[:, None] * sector.u[:, :r]
         factors.append(_Factor(u, sector.sigma[:r], sector.inv_sigma[:r]))
@@ -287,30 +298,43 @@ def _sector_blocks(kernel: KernelMatrix) -> list[np.ndarray]:
     left singular vectors and values. Since F is mirror-invariant, the
     target-side fold of a row reduces to the weight 1 / w_s on its quadrant
     row, so only the quarter of K with ix < nx - nx // 2 and
-    iy < ny - ny // 2 is read. Each of its rows is folded over the aperture
-    in place, along y and then x, and each block is a weighted copy of one
-    :func:`_part` view of the folded quadrant.
+    iy < ny - ny // 2 is read. Each line of it (one iy) is multiplied by the
+    conjugate phase into one buffer and folded over the aperture, along y
+    and then x, and each block takes its rows of that line as a weighted
+    copy of one :func:`_part` view, so no copy of the quadrant is made.
+    Every block is read-only; the identity sector's is ``kernel.entries``
+    itself, or a view of it when the caller's entries are writable.
     """
     symmetry = kernel.symmetry
     if symmetry is None:
-        return [kernel.entries]
+        entries = kernel.entries
+        block = entries.view() if entries.flags.writeable else entries
+        block.setflags(write=False)
+        return [block]
     (nx, ny), (ax, ay) = symmetry.target_shape, symmetry.aperture_shape
     ex, ey = nx - nx // 2, ny - ny // 2
-    quadrant = kernel.entries.reshape(ny, nx, ay, ax)[:ey, :ex] * symmetry.phase.conj().reshape(ay, ax)
-    buffer = np.empty((ay, ax), dtype=quadrant.dtype)
-    for row in quadrant.reshape(ey * ex, ay, ax):
-        _fold(row, -2, buffer)
-        _fold(buffer, -1, row)
-    blocks = []
+    quadrant = kernel.entries.reshape(ny, nx, ay, ax)[:ey, :ex]
+    conj_phase = symmetry.phase.conj().reshape(ay, ax)
+    line, folded = (np.empty((ex, ay, ax), dtype=np.result_type(quadrant, conj_phase)) for _ in range(2))
+    blocks, parts = [], []
     for (px, py), t_norms, a_norms in zip(
         _PARITIES, _sector_norms(symmetry.target_shape), _sector_norms(symmetry.aperture_shape)
     ):
         rows_x, rows_y = (ex, nx - ex)[px], (ey, ny - ey)[py]
-        part = quadrant[:rows_y, :rows_x, _part(ay, py), _part(ax, px)]
-        weights = a_norms.reshape(part.shape[2:]) / t_norms.reshape(rows_y, rows_x, 1, 1)
-        block = np.empty((t_norms.size, a_norms.size), dtype=quadrant.dtype)
-        np.multiply(part, weights, out=block.reshape(part.shape))
-        blocks.append(block)
+        cols = (slice(0, rows_x), _part(ay, py), _part(ax, px))
+        a_weights = a_norms.reshape(line[cols].shape[1:])
+        blocks.append(np.empty((t_norms.size, a_norms.size), dtype=line.dtype))
+        rows = blocks[-1].reshape((rows_y, rows_x) + a_weights.shape)
+        parts.append((rows, cols, a_weights, t_norms.reshape(rows_y, rows_x, 1, 1)))
+    for iy in range(ey):
+        np.multiply(quadrant[iy], conj_phase, out=line)
+        _fold(line, -2, folded)
+        _fold(folded, -1, line)
+        for rows, cols, a_weights, t_weights in parts:
+            if iy < len(rows):
+                np.multiply(line[cols], a_weights / t_weights[iy], out=rows[iy])
+    for block in blocks:
+        block.setflags(write=False)
     return blocks
 
 
@@ -419,7 +443,7 @@ def tikhonov_inverse(
     truncation_mode: str = TRUNCATE_SIGMA_SQ,
 ) -> RegularizedInverse:
     """Decompose each sector block (:func:`_sector_spectra`) and build the
-    regularized inverse spectrum.
+    regularized inverse spectrum. The inverse keeps the blocks, not ``kernel``.
 
     Modes whose singular value falls below the truncation threshold are zeroed
     outright; raising ``threshold_factor`` can only shrink the retained rank.
@@ -440,9 +464,10 @@ def tikhonov_inverse(
             keep = sigma >= threshold_factor * gamma
         inv_sigma = np.where(keep, sigma / (sigma**2 + gamma), 0.0)
         inv_sigma.setflags(write=False)
-        sectors.append(Sector(cols=block.shape[1], u=u, sigma=sigma, inv_sigma=inv_sigma))
+        sectors.append(Sector(block=block, u=u, sigma=sigma, inv_sigma=inv_sigma))
     return RegularizedInverse(
-        kernel=kernel,
+        kind=kernel.kind,
+        symmetry=kernel.symmetry,
         sectors=tuple(sectors),
         gamma=gamma,
         threshold_factor=threshold_factor,
@@ -464,11 +489,11 @@ def _stage_coefficients(
     :class:`DimensionMismatch` unless the masks have length M.
     """
     count, points = (masks.count, masks.points) if isinstance(masks, MaskSet) else masks.shape
-    m = inv.kernel.entries.shape[0]
+    m = inv.shape[0]
     if points != m:
         raise DimensionMismatch(f"vectors of length {points} do not match M={m}")
     gathered = []
-    for factor, gather in zip(factors, _sector_gathers(_target_shape(inv.kernel))):
+    for factor, gather in zip(factors, _sector_gathers(_target_shape(inv))):
         if factor.sigma.size == 0:  # a sector may have no rows to gather from
             continue
         weighted = factor.u.conj()
@@ -530,12 +555,12 @@ def _aperture_factors(inv: RegularizedInverse) -> list[np.ndarray]:
     before the J_x phase. For the identity sector it is K^H U / sigma,
     formed without a conjugated copy of K.
     """
-    symmetry = inv.kernel.symmetry
+    symmetry = inv.symmetry
     aperture_norms = _sector_norms(symmetry.aperture_shape if symmetry is not None else None)
     factors = []
-    for sector, block, norms in zip(inv.sectors, _sector_blocks(inv.kernel), aperture_norms):
+    for sector, norms in zip(inv.sectors, aperture_norms):
         r = sector.retained
-        w_t = (sector.u[:, :r] / sector.sigma[:r]).conj().T @ block
+        w_t = (sector.u[:, :r] / sector.sigma[:r]).conj().T @ sector.block
         np.conjugate(w_t, out=w_t)
         if norms is not None:
             w_t *= norms
@@ -553,11 +578,11 @@ def _solutions(
     and multiplied by the conjugate J_x phase. With a ``budget``, every
     solution is scaled to norm ``budget``.
     """
-    symmetry = inv.kernel.symmetry
+    symmetry = inv.symmetry
     aperture_shape = symmetry.aperture_shape if symmetry is not None else None
     phase = symmetry.phase.conj() if symmetry is not None else None
     aperture = _aperture_factors(inv)
-    out = _stage_coefficients(inv, _folded_factors(inv), masks, inv.kernel.entries.shape[1])
+    out = _stage_coefficients(inv, _folded_factors(inv), masks, inv.shape[1])
     _map_rows(out, aperture, aperture_shape, budget, phase)
     return out
 
@@ -573,14 +598,13 @@ def realize_masks(inv: RegularizedInverse, masks: MaskSet, amplification: float)
     memory is a block's temporaries. Returns a new set whose ``vectors`` are
     the realized masks.
     """
-    kind = inv.kernel.kind
-    if _KERNEL_TO_MASK_KIND.get(kind) != masks.kind:
-        raise KindMismatch(f"kernel kind {kind!r} cannot realize {masks.kind!r} masks")
-    n_targets, n_samples = inv.kernel.entries.shape
+    if _KERNEL_TO_MASK_KIND.get(inv.kind) != masks.kind:
+        raise KindMismatch(f"kernel kind {inv.kind!r} cannot realize {masks.kind!r} masks")
+    n_targets, n_samples = inv.shape
     factors = _folded_factors(inv)
     realized = _stage_coefficients(inv, factors, masks, n_targets)
     right = [(f.u * f.sigma).T for f in factors]
-    norms = _map_rows(realized, right, _target_shape(inv.kernel), np.sqrt(n_samples * amplification))
+    norms = _map_rows(realized, right, _target_shape(inv), np.sqrt(n_samples * amplification))
     realized.setflags(write=False)
     return replace(masks, vectors=realized, amplitudes=None, solution_norms=norms)
 
@@ -591,7 +615,7 @@ def synthesis_profiles(inv: RegularizedInverse, masks: MaskSet, amplification: f
     Each row has ||p||^2 = N * amplification; for the ideal set, K p is the
     matching row of the masks returned by :func:`realize_masks`.
     """
-    n_samples = inv.kernel.entries.shape[1]
+    n_samples = inv.shape[1]
     return _solutions(inv, masks, np.sqrt(n_samples * amplification))
 
 
@@ -626,7 +650,7 @@ def write_synthesis_summary(
     """
     sigma, inv_sigma = inv.sigma, inv.inv_sigma
     retained = sigma[inv_sigma > 0.0]
-    budget = np.sqrt(inv.kernel.entries.shape[1] * amplification)
+    budget = np.sqrt(inv.shape[1] * amplification)
     fitted = realized.vectors * (realized.solution_norms / budget)[:, None]
     ideal_vectors = ideal.vectors  # a designed set forms its stack on each read
     rel_err = np.linalg.norm(fitted - ideal_vectors, axis=1) / np.linalg.norm(ideal_vectors, axis=1)
@@ -641,7 +665,8 @@ def write_synthesis_summary(
         f"realized_rel_err_max = {float(rel_err.max())!r}",
     ]
     lines.extend(
-        f"sector[{k}] = {s.u.shape[0]}x{s.cols} retained={s.retained}" for k, s in enumerate(inv.sectors)
+        f"sector[{k}] = {s.block.shape[0]}x{s.block.shape[1]} retained={s.retained}"
+        for k, s in enumerate(inv.sectors)
     )
     lines.extend(f"solution_norm[{i}] = {norm!r}" for i, norm in enumerate(realized.solution_norms))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -211,7 +211,7 @@ def _shared_builds(
                         inv = ris_synthesis.tikhonov_inverse(
                             kernel, group[0].gamma, plan.threshold_factor, plan.truncation_mode
                         )
-                        del kernel  # inv holds it; nothing else may while the next one is built
+                        del kernel  # inv keeps its sector blocks, so the kernel ends here
                     masks = ris_synthesis.realize_masks(inv, ideal, amplification)
                     if artifact_dir is not None:
                         mask_design.save_mask_vectors(artifact_dir / f"masks_realized_{stem}.bin", masks, fp)

@@ -796,6 +796,48 @@ class TestRunnerInternals:
         assert all(p.error is None for p in rn.run_plan(plan).points)
         assert alive_at_build == [0, 0, 0]
 
+    @staticmethod
+    def record_live_kernels(monkeypatch):
+        """Record, at each realize_masks and save_profiles call, how many assembled kernels are alive."""
+        built, alive = [], []
+
+        def assembled(*args, _original=em_core.assemble_kernel, **kwargs):
+            kernel = _original(*args, **kwargs)
+            built.append(weakref.ref(kernel.entries))
+            return kernel
+
+        def recording(name, original):
+            def call(*args, **kwargs):
+                alive.append((name, sum(ref() is not None for ref in built)))
+                return original(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(em_core, "assemble_kernel", assembled)
+        for name in ("realize_masks", "save_profiles"):
+            monkeypatch.setattr(rs, name, recording(name, getattr(rs, name)))
+        return alive
+
+    def test_kernel_is_freed_once_decomposed(self, scene_file, tmp_path, monkeypatch):
+        # the inverse keeps its sector blocks, so no kernel outlives tikhonov_inverse
+        alive = self.record_live_kernels(monkeypatch)
+        plan = rn.ExperimentPlan(
+            scene=sc.load_scene_config(scene_file),
+            i_values=(64, 128),
+            z_values=(0.125, 0.15),
+            keep_artifacts=True,
+            output_dir=str(tmp_path / "sweep"),
+        )
+        result = rn.run_plan(plan)
+        assert all(p.error is None for p in result.points) and result.kernel_builds == 2
+        assert alive == [("realize_masks", 0), ("save_profiles", 0)] * 4
+
+    def test_synthesize_verb_frees_the_kernel_once_decomposed(self, scene_file, tmp_path, monkeypatch):
+        alive = self.record_live_kernels(monkeypatch)
+        argv = ["synthesize", "--scene", str(scene_file), "-I", "128", "--output", str(tmp_path / "s")]
+        assert cli.main(argv) == 0
+        assert alive == [("realize_masks", 0), ("save_profiles", 0)]
+
     def test_kernel_reused_across_snr_points(self, scene_file, tmp_path):
         plan = rn.ExperimentPlan(
             scene=sc.load_scene_config(scene_file),

@@ -1,7 +1,10 @@
 """Tikhonov inversion, power normalisation, and mask realization quality."""
 
 import dataclasses
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -403,7 +406,7 @@ class TestMirrorSectors:
         identity = rs.tikhonov_inverse(bare, 1e-12)
         assert (len(sectors.sectors), len(identity.sectors)) == (4, 1)
         assert sum(s.u.shape[0] for s in sectors.sectors) == scene.n_target
-        assert sum(s.cols for s in sectors.sectors) == scene.n_ris
+        assert sum(s.block.shape[1] for s in sectors.sectors) == scene.n_ris
 
         sigma_max = identity.sigma[0]
         np.testing.assert_allclose(sectors.sigma, identity.sigma, rtol=0, atol=1e-12 * sigma_max)
@@ -573,7 +576,7 @@ class TestMirrorSectors:
         inv = rs.tikhonov_inverse(kernel, 1e-12)
         assert len(inv.sectors) == 1
         assert inv.sectors[0].u.shape[0] == scene.n_target
-        assert inv.sectors[0].cols == scene.n_ris
+        assert inv.sectors[0].block.shape[1] == scene.n_ris
 
 
 @pytest.fixture(scope="module")
@@ -624,7 +627,7 @@ class TestHadamardRoute:
 
     def test_designed_sets_never_fold_the_mask_stack(self, desk_synthesis, monkeypatch):
         inv, masks = desk_synthesis
-        symmetry = inv.kernel.symmetry
+        symmetry = inv.symmetry
         folded_shapes = set()
         fold = rs._fold
 
@@ -638,8 +641,68 @@ class TestHadamardRoute:
         stored = dataclasses.replace(masks, amplitudes=None)
         rs.realize_masks(inv, stored, 1.0)
         rs.synthesis_profiles(inv, stored, 1.0)
-        # only kernel rows, one (Ny, Nx) aperture grid at a time; never the target grid
-        assert folded_shapes == {symmetry.aperture_shape[::-1]} != {symmetry.target_shape[::-1]}
+        # the blocks were folded at decomposition; nothing of the target grid is ever folded
+        assert symmetry.target_shape[::-1] not in folded_shapes
+        assert folded_shapes <= {symmetry.aperture_shape[::-1]}
+
+
+class TestSelfContainedInverse:
+    """The inverse keeps its sector blocks, formed once, and never the kernel."""
+
+    def test_plane_kernel_is_released_after_decomposition(self, desk_scene):
+        scene, grids = desk_scene
+        kernel = em.kernel_2d(scene, grids)
+        entries = weakref.ref(kernel.entries)
+        inv = rs.tikhonov_inverse(kernel, 1e-12)
+        del kernel
+        gc.collect()
+        assert entries() is None
+        assert len(inv.sectors) == 4
+        assert not any(s.block.flags.writeable for s in inv.sectors)
+        assert inv.shape == (scene.n_target, scene.n_ris)
+
+    def test_volume_inverse_keeps_the_entries_as_its_block(self):
+        scene = sc.validate_scene(volume_config())
+        kernel = em.kernel_3d(scene, sc.sample_grids(scene))
+        (sector,) = rs.tikhonov_inverse(kernel, 1e-12).sectors
+        assert sector.block is kernel.entries
+
+    def test_writable_entries_stay_writable_to_their_owner(self):
+        entries = np.eye(3, dtype=complex)
+        inv = rs.tikhonov_inverse(KernelMatrix(entries=entries, kind=em.KIND_Z2D, fingerprint="t"), 1e-6)
+        (sector,) = inv.sectors
+        assert entries.flags.writeable and not sector.block.flags.writeable
+        assert np.shares_memory(sector.block, entries)
+
+    def test_blocks_are_formed_once_per_inverse(self, desk_scene, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(kernel, _original=rs._sector_blocks):
+            calls.append(kernel.shape)
+            return _original(kernel)
+
+        monkeypatch.setattr(rs, "_sector_blocks", counted)
+        scene, grids = desk_scene
+        inv = rs.tikhonov_inverse(em.kernel_2d(scene, grids), 1e-12)
+        masks = md.ideal_masks(scene, grids, 256)
+        realized = rs.realize_masks(inv, masks, 1.0)
+        rs.synthesis_profiles(inv, masks, 1.0)
+        inv.apply(masks.vectors[:3].T)
+        rs.write_synthesis_summary(tmp_path / "synthesis.txt", inv, masks, realized, 1.0)
+        assert calls == [(scene.n_target, scene.n_ris)]
+
+    def test_inverse_holds_only_its_blocks_and_u(self, desk_scene):
+        # the desk kernel alone (4 MiB) is four times its blocks and exceeds the slack
+        scene, grids = desk_scene
+        tracemalloc.start()
+        try:
+            inv = rs.tikhonov_inverse(em.kernel_2d(scene, grids), 1e-12)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        kept = sum(s.block.nbytes + s.u.nbytes for s in inv.sectors)
+        assert held <= kept + (1 << 20)
 
 
 class TestPeakMemory:
@@ -674,11 +737,12 @@ class TestPeakMemory:
         ids=["desk", "odd-15-33"],
     )
     def test_sector_blocks_need_no_split_temporaries(self, cfg):
-        # beyond the blocks: one folded quadrant (about their size) and a block's weights
+        # beyond the blocks: two buffers of one folded line and that line's weights,
+        # never a copy of the quadrant (about the blocks' size)
         scene = sc.validate_scene(cfg)
         kernel = em.kernel_2d(scene, sc.sample_grids(scene))
         peak, blocks = peak_traced_bytes(lambda: rs._sector_blocks(kernel))
-        assert peak <= 2 * sum(block.nbytes for block in blocks) + (1 << 20)
+        assert peak <= sum(block.nbytes for block in blocks) + (1 << 20)
 
     def test_designed_plane_set_holds_no_complex_stack(self, desk_scene):
         # the complex (I, M) stack alone would be 4 MiB at I = 1,024, M = 256
