@@ -31,6 +31,7 @@ from .measurement import (
     noise_power_dbm,
     noise_power_watts,
     noise_variance,
+    noiseless_fields,
 )
 from .reconstruct import (
     ReconstructionResult,

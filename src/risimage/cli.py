@@ -216,9 +216,8 @@ def cmd_measure(args) -> int:
     masks = _ideal_masks(plan, scene, grids)
     if not args.ideal_masks:
         masks, _ = _synthesized_masks(plan, scene, grids, masks)
-    meas = measurement.measure(
-        scene, grids, masks, target, args.snr_db, args.seed, noise_mode=args.noise_mode
-    )
+    fields = measurement.noiseless_fields(scene, grids, masks, target)
+    meas = measurement.measure(fields, masks.kind, args.snr_db, args.seed, noise_mode=args.noise_mode)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     measurement.records_to_csv(out, meas)

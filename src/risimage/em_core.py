@@ -13,7 +13,10 @@ grids are centred on the origin and an entry depends on the aperture sample
 only through its distance to the pixel and the phase of J_x, so synthesis can
 split the kernel into the even/odd sectors of the x- and y-mirrors, and, when
 each grid has the same coordinates along x as along y, further under the
-swap of x and y.
+swap of x and y. The same structure lets a plane kernel store only the
+phase-free rows of one mirror quadrant of its pixels, about a quarter of the
+matrix: every other row is a mirror image of one of them
+(:class:`KernelMatrix`).
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from .scene import PLANE_2D, VOLUME_3D, SampleGrids, ValidatedScene
 KIND_Z2D = "Z_2d"
 KIND_Y3D = "Y_3d"
 
-# Complex128 entries; 2**26 entries is ~1 GiB. Checked before a kernel is allocated.
+# Complex128 entries; 2**26 entries is ~1 GiB. Checked on the full M x N before a
+# kernel is allocated, though a plane kernel stores only about a quarter of them.
 ENTRY_CAP = 1 << 26
 # Kernels are assembled in row blocks of about this many entries, so each
 # temporary stays near 512 KiB: a sweep that frees one distance's kernel before
@@ -48,21 +52,30 @@ _CHUNK_ENTRIES = 1 << 15
 
 @dataclass(frozen=True)
 class MirrorSymmetry:
-    """Mirror structure of a plane kernel K = F diag(phase) times a real constant.
+    """Mirror structure of a plane kernel K = F diag(current), current = J_x.
 
     Both grids are cell-centred on the origin with flat index ``ix + nx * iy``,
     and F(m, n) depends only on the distance from aperture sample n to pixel m,
     so F is unchanged when the x-mirror (or the y-mirror) is applied to both
-    grids at once. ``phase`` is the unit phase ramp of J_x along y. ``swap``
-    is set when each grid's x coordinates are the same array as its y
-    coordinates: F is then also unchanged when x and y swap on both grids,
-    and the mirrors and the swap generate the dihedral group D4.
+    grids at once. ``current`` is J_x at each aperture sample, a real
+    constant times ``phase``, its unit phase ramp along y. ``swap`` is set
+    when each grid's x coordinates are the same array as its y coordinates:
+    F is then also unchanged when x and y swap on both grids, and the mirrors
+    and the swap generate the dihedral group D4.
     """
 
     target_shape: tuple[int, int]  # (nx, ny)
     aperture_shape: tuple[int, int]  # (Nx, Ny)
     phase: np.ndarray  # (N,) complex128, |phase| = 1
+    current: np.ndarray  # (N,) complex128 J_x
     swap: bool = False
+
+    @property
+    def quadrant_shape(self) -> tuple[int, int]:
+        """(ex, ey): the pixels with ix < ex and iy < ey are the mirror
+        quadrant, which holds one pixel of every mirror orbit."""
+        nx, ny = self.target_shape
+        return nx - nx // 2, ny - ny // 2
 
 
 @dataclass(frozen=True)
@@ -70,18 +83,45 @@ class KernelMatrix:
     """Discretised propagation operator from aperture samples to target samples.
 
     ``entries[m, n]`` maps the reflection coefficient at aperture sample n to
-    the field quantity at target sample m. Read-only after assembly.
-    ``symmetry`` is set for plane kernels and None for anything else.
+    the field quantity at target sample m. ``symmetry`` is set for plane
+    kernels and None for anything else, and says what ``stored`` holds:
+    without it, the (M, N) matrix itself; with it, only the rows of F
+    (:class:`MirrorSymmetry`) at the pixels of the mirror quadrant, quadrant
+    row ``ix + ex * iy``, and no J_x factor. Reading ``entries`` then forms
+    the full matrix anew: every row is a mirrored quadrant row (the x-mirror
+    reverses the aperture x order, the y-mirror the y order) times J_x, so
+    only the reader keeps it. Read-only after assembly.
     """
 
-    entries: np.ndarray  # (M, N) complex128
+    stored: np.ndarray  # (M, N) complex128, or (ex * ey, N) quadrant rows of F
     kind: str  # KIND_Z2D | KIND_Y3D
     fingerprint: str
     symmetry: MirrorSymmetry | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.entries.shape
+        """(M, N) of the full matrix, whatever is stored."""
+        if self.symmetry is None:
+            return self.stored.shape
+        nx, ny = self.symmetry.target_shape
+        return nx * ny, self.stored.shape[1]
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The (M, N) matrix: ``stored`` itself, or a new read-only array
+        formed from the quadrant rows of a plane kernel."""
+        if self.symmetry is None:
+            return self.stored
+        (nx, ny), (ax, ay) = self.symmetry.target_shape, self.symmetry.aperture_shape
+        ex, ey = self.symmetry.quadrant_shape
+        full = np.empty((ny, nx, ay, ax), dtype=np.complex128)
+        full[:ey, :ex] = self.stored.reshape(ey, ex, ay, ax)
+        full[:ey, ex:] = full[:ey, : nx - ex][:, ::-1, :, ::-1]
+        full[ey:] = full[: ny - ey][::-1, :, ::-1, :]
+        full = full.reshape(nx * ny, ax * ay)
+        full *= self.symmetry.current
+        full.setflags(write=False)
+        return full
 
 
 def incident_current(scene: ValidatedScene, y: np.ndarray) -> np.ndarray:
@@ -115,7 +155,9 @@ def _mirror_symmetry(scene: ValidatedScene, grids: SampleGrids) -> MirrorSymmetr
         return None
     cfg = scene.config
     phase = _incident_phase(scene, grids.ris_points[:, 1])
-    phase.setflags(write=False)
+    current = incident_current(scene, grids.ris_points[:, 1])
+    for values in (phase, current):
+        values.setflags(write=False)
     swap = _same_axes(grids.target_points, cfg.n_target_x, scene.n_target) and _same_axes(
         grids.ris_points, cfg.n_ris_x, scene.n_ris
     )
@@ -123,6 +165,7 @@ def _mirror_symmetry(scene: ValidatedScene, grids: SampleGrids) -> MirrorSymmetr
         target_shape=(cfg.n_target_x, cfg.n_target_y),
         aperture_shape=(cfg.n_ris_x, cfg.n_ris_y),
         phase=phase,
+        current=current,
         swap=swap,
     )
 
@@ -139,15 +182,16 @@ def _assemble(
 ) -> KernelMatrix:
     """The row-block loop behind every kernel.
 
-    Checks that the scene's target suits ``kind`` and that the kernel fits
-    under :data:`ENTRY_CAP`. Per target slice at height z,
+    Checks that the scene's target suits ``kind`` and that the full kernel
+    fits under :data:`ENTRY_CAP`. Per target slice at height z,
     ``offset_tables(dx, dy, z, r)`` evaluates the entry formula on the
     (Ky, Kx) table of distinct offsets (``dx`` (1, Kx), ``dy`` (Ky, 1), ``r``
-    their lengths) and returns T tables of that shape. The (M, N) matrix is
-    then filled a block of target rows at a time: entry (m, n) is J_x(n)
-    times the table entry at the offset of (m, n), or, with
-    ``row_weights(rows)`` giving a (len(rows), T) array, times the row's
-    weighted sum of the T table entries.
+    their lengths) and returns T tables of that shape. The stored rows are
+    then filled a block at a time: entry (m, n) is J_x(n) times the table
+    entry at the offset of (m, n), or, with ``row_weights(rows)`` giving a
+    (len(rows), T) array, times the row's weighted sum of the T table
+    entries. A plane kernel stores only the table entries of its mirror
+    quadrant's pixels, without J_x (:class:`KernelMatrix`).
 
     The distinct offsets are the floats target - aperture along x and along
     y, so any pitches work: on commensurate grids they form a lattice much
@@ -167,6 +211,7 @@ def _assemble(
             f"kernel of {n_rows} x {n_cols} = {n_rows * n_cols} entries exceeds the "
             f"cap of {ENTRY_CAP}; use coarser aperture or target grids"
         )
+    symmetry = _mirror_symmetry(scene, grids)
     jx = incident_current(scene, ris[:, 1])
 
     # 1-D coordinates of the x-fastest, then y, then z grids
@@ -181,27 +226,31 @@ def _assemble(
     dx, dy = dx[None, :], dy[:, None]
     planar = dx**2 + dy**2
 
-    out = np.empty((n_rows, n_cols), dtype=np.complex128)
+    # the pixels stored per slice: a quadrant of ex x ey, or all nx x ny
+    width, height = (nx, cfg.n_target_y) if symmetry is None else symmetry.quadrant_shape
+    n_stored = width * height
+    out = np.empty((n_rows // n_slice * n_stored, n_cols), dtype=np.complex128)
     step = max(1, _CHUNK_ENTRIES // n_cols)
-    for first in range(0, n_rows, n_slice):
-        z = targets[first, 2] - ris[0, 2]
+    for first in range(0, len(out), n_stored):
+        z = targets[first // n_stored * n_slice, 2] - ris[0, 2]
         tables = offset_tables(dx, dy, z, np.sqrt(planar + z**2)).reshape(-1, planar.size)
-        for start in range(0, n_slice, step):
-            stop = min(start + step, n_slice)
+        for start in range(0, n_stored, step):
+            stop = min(start + step, n_stored)
             local = np.arange(start, stop)
             rows = slice(first + start, first + stop)
-            index = col_y[local // nx] + col_x[local % nx]
+            index = col_y[local // width] + col_x[local % width]
             block = tables[0].take(index)
-            if row_weights is not None:
+            if row_weights is not None:  # a volume kernel, whose stored rows are its target rows
                 weights = row_weights(rows)
                 block *= weights[:, :1]
                 for t in range(1, tables.shape[0]):
                     block += weights[:, t : t + 1] * tables[t].take(index)
-            np.multiply(block, jx, out=out[rows])
+            if symmetry is None:
+                np.multiply(block, jx, out=out[rows])
+            else:
+                out[rows] = block
     out.setflags(write=False)
-    return KernelMatrix(
-        entries=out, kind=kind, fingerprint=scene.fingerprint, symmetry=_mirror_symmetry(scene, grids)
-    )
+    return KernelMatrix(stored=out, kind=kind, fingerprint=scene.fingerprint, symmetry=symmetry)
 
 
 def kernel_2d(scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
@@ -305,7 +354,9 @@ def assemble_kernel(scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
 # One ASCII header line of key=value pairs ("kind=<kind> m=<M> n=<N>
 # fingerprint=<hex>\n" for kernels) followed by row-major little-endian
 # complex128 entries (re, im float64 pairs). Mask and profile exports use the
-# same layout with ``count``/``points`` as the dimensions.
+# same layout with ``count``/``points`` as the dimensions. A kernel file's body
+# is what the kernel stores (``KernelMatrix.stored``), so a plane kernel's body
+# holds its quadrant rows while its header names the full (M, N).
 
 
 def write_complex_file(path: str | Path, header: str, values: np.ndarray) -> None:
@@ -329,19 +380,20 @@ def write_complex_file(path: str | Path, header: str, values: np.ndarray) -> Non
 
 
 def save_kernel(path: str | Path, kernel: KernelMatrix) -> None:
-    m, n = kernel.entries.shape
+    m, n = kernel.shape
     header = f"kind={kernel.kind} m={m} n={n} fingerprint={kernel.fingerprint}\n"
-    write_complex_file(path, header, kernel.entries)
+    write_complex_file(path, header, kernel.stored)
 
 
 def read_complex_file(
-    path: str | Path, shape_keys: tuple[str, str]
+    path: str | Path, shape_keys: tuple[str, str], body_rows: int | None = None
 ) -> tuple[str, str, np.ndarray]:
     """Read a file written by :func:`write_complex_file`.
 
     The header is ``key=value`` pairs that include ``kind``, ``fingerprint``
     and the two integer dimensions named by ``shape_keys``; returns the kind,
-    the fingerprint and the read-only (rows, cols) complex128 body.
+    the fingerprint and the read-only (rows, cols) complex128 body. The body
+    holds the header's rows, or ``body_rows`` rows when given.
     """
     try:
         fh = open(path, "rb")
@@ -357,6 +409,8 @@ def read_complex_file(
                 raise ValueError("negative size")
         except (KeyError, ValueError) as exc:
             raise CacheMismatch(f"unreadable header {header!r} in {path}") from exc
+        if body_rows is not None:
+            rows = body_rows
         # the body is read straight into the result: one copy in memory
         body_bytes = os.fstat(fh.fileno()).st_size - len(header)
         if body_bytes != 16 * rows * cols:
@@ -372,12 +426,16 @@ def read_complex_file(
 def load_kernel(path: str | Path, scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
     """Read ``scene``'s kernel from a file written by :func:`save_kernel`.
 
-    Raises :class:`CacheMismatch` for an unreadable or truncated file and for
-    another scene's kernel; a plane kernel comes back with its mirror structure.
+    Raises :class:`CacheMismatch` for an unreadable or truncated file, for
+    another scene's kernel, and for a plane kernel file whose body holds the
+    full matrix instead of the quadrant rows, which is rejected before its
+    body is read; a plane kernel comes back with its mirror structure.
     """
-    kind, fp, entries = read_complex_file(path, ("m", "n"))
+    symmetry = _mirror_symmetry(scene, grids)
+    stored_rows = scene.n_target if symmetry is None else math.prod(symmetry.quadrant_shape)
+    kind, fp, stored = read_complex_file(path, ("m", "n"), stored_rows)
     if kind not in (KIND_Z2D, KIND_Y3D):
         raise CacheMismatch(f"unknown kernel kind {kind!r}")
     if fp != scene.fingerprint:
         raise CacheMismatch(f"kernel cache fingerprint {fp} does not match the scene ({scene.fingerprint})")
-    return KernelMatrix(entries=entries, kind=kind, fingerprint=fp, symmetry=_mirror_symmetry(scene, grids))
+    return KernelMatrix(stored=stored, kind=kind, fingerprint=fp, symmetry=symmetry)

@@ -20,8 +20,9 @@ are read (:class:`MaskSet`).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,8 @@ PHASE_EXACT = "exact"
 
 
 # Stored sets go through :func:`project` in blocks of rows, and designed sets
-# in blocks of columns, whose output holds about this many entries (1 MiB).
+# in blocks of columns, whose output holds about this many entries (1 MiB);
+# mask moments are summed in blocks of rows of about this many entries.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -97,7 +99,8 @@ class MaskSet:
     ``replace(masks, vectors=masks.vectors)`` keeps one for repeated reads.
     The generating coefficient vectors are not kept:
     ``ris_synthesis.synthesis_profiles`` forms them from the inverse when
-    they are exported.
+    they are exported. ``moments`` are computed on first read and kept; a
+    set made by ``dataclasses.replace`` starts without them.
     """
 
     kind: str  # KIND_MASK2D | KIND_MASK3D
@@ -135,6 +138,45 @@ class MaskSet:
         if self.amplitudes is not None:
             return self.amplitudes
         return np.abs(self.vectors)
+
+    @cached_property
+    def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The amplitude values u (:meth:`amplitude_values`), their per-point
+        variance c = <u u> - <u>^2 and mean square magnitude <|u|^2>, which
+        every reconstruction from this set reads.
+
+        c is the diagonal of the mask covariance from plain (unconjugated)
+        products, as the correlation reconstruction demands: complex-valued
+        for distorted volume masks, exactly 1/4 for ideal ones. The squares
+        are summed a block of rows at a time, each block after the running
+        sum, so u * u never exists whole and the rows are added in the same
+        order as numpy's axis-0 sum of the whole array.
+        """
+        if self.count == 0:
+            raise EmptyMaskSet("mask set has no measurements")
+        u = self.amplitude_values()
+        square_mean = _row_mean(u, lambda block: block * block)
+        c_values = square_mean - u.mean(axis=0) ** 2
+        power = _row_mean(u, lambda block: np.abs(block) ** 2) if np.iscomplexobj(u) else square_mean
+        return u, c_values, power
+
+
+def _row_mean(u: np.ndarray, term) -> np.ndarray:
+    """The mean over the rows of ``term(u)``, formed a block of rows at a time.
+
+    Each block's terms follow the running sum in one array whose axis-0 sum
+    carries the total on, so the rows are added one after another, as numpy
+    sums axis 0 of a C-ordered (I, M) array: the result is bit for bit
+    ``term(u).mean(axis=0)``.
+    """
+    step = max(1, _CHUNK_ENTRIES // max(u.shape[1], 1))
+    total = None
+    for start in range(0, len(u), step):
+        terms = term(u[start : start + step])
+        if total is not None:
+            terms = np.concatenate([total[None], terms])
+        total = terms.sum(axis=0)
+    return total / len(u)
 
 
 def hadamard(order: int) -> np.ndarray:
@@ -283,12 +325,14 @@ def ideal_masks(
     return MaskSet(kind=KIND_MASK3D if scene.is_3d else KIND_MASK2D, phase=phase, amplitudes=amplitudes)
 
 
-def project(masks: MaskSet | np.ndarray, factors: list[np.ndarray], out: np.ndarray) -> None:
+def project(masks: MaskSet | np.ndarray, factors: Iterable[np.ndarray], out: np.ndarray) -> None:
     """Write vectors @ [F_1 ... F_k] into the leading sum r_k columns of ``out``.
 
     ``masks`` is a mask set or a plain (I, M) array, each factor an (M, r_k)
-    matrix and ``out`` an (I, width >= sum r_k) array. A designed set (one
-    that carries ``amplitudes``) never forms its vectors: mask i is
+    matrix and ``out`` an (I, width >= sum r_k) array. The factors are drawn
+    one at a time, and each is used up before the next is drawn, so a
+    generator need hold only one. A designed set (one that carries
+    ``amplitudes``) never forms its vectors: mask i is
     (1 + H[i, col(m)]) / 2 e^{j phi_m} with col(m) = (m + 1) mod I, so with
     T = H_I scatter(e^{j phi} F / 2), where scatter puts row m of F at row
     col(m), row i of the product is T[0] + T[i] (row 0 of H_I is all ones).
@@ -296,24 +340,31 @@ def project(masks: MaskSet | np.ndarray, factors: list[np.ndarray], out: np.ndar
     of columns at a time (:func:`hadamard_transform`), all factors in one
     pass. Any other set is multiplied a block of rows at a time.
     """
-    bounds = np.cumsum([0] + [f.shape[1] for f in factors])
-    stage = out[:, : bounds[-1]]
-    if not (isinstance(masks, MaskSet) and masks.amplitudes is not None):
+    designed = isinstance(masks, MaskSet) and masks.amplitudes is not None
+    if not designed:
         vectors = masks.vectors if isinstance(masks, MaskSet) else masks
         step = max(1, _CHUNK_ENTRIES // out.shape[1])
-        for start in range(0, len(vectors), step):
-            rows = vectors[start : start + step]
-            for lo, hi, factor in zip(bounds, bounds[1:], factors):
-                stage[start : start + step, lo:hi] = rows @ factor
+        lo = 0
+        for factor in factors:
+            hi = lo + factor.shape[1]
+            for start in range(0, len(vectors), step):
+                out[start : start + step, lo:hi] = vectors[start : start + step] @ factor
+            lo = hi
+            del factor  # freed before the next one is drawn
         return
     count, points = masks.amplitudes.shape
     half_phase = np.full(points, 0.5) if masks.phase is None else 0.5 * np.exp(1j * masks.phase)
+    columns = hadamard_columns(count, points)
+    lo = 0
+    for factor in factors:
+        hi = lo + factor.shape[1]
+        out[columns, lo:hi] = factor * half_phase[:, None]
+        lo = hi
+        del factor  # freed before the next one is drawn
+    stage = out[:, :lo]
     if points < count:  # rows no point scatters to
         stage[0] = 0.0
         stage[points + 1 :] = 0.0
-    columns = hadamard_columns(count, points)
-    for lo, hi, factor in zip(bounds, bounds[1:], factors):
-        stage[columns, lo:hi] = factor * half_phase[:, None]
     step = max(1, _CHUNK_ENTRIES // count)
     for start in range(0, stage.shape[1], step):
         block = slice(start, start + step)

@@ -159,7 +159,8 @@ def noiseless_fields(
     the mask, so a perfect conductor doubles the field, and the coverage map
     and point spread function weight it on its way to the receiver. Volume
     targets: the Born field k^2 times the voxel volume times the
-    contrast-weighted sum of the mask.
+    contrast-weighted sum of the mask. Returns a new read-only array, which
+    every measurement of the same set can share (:func:`measure`).
     """
     vectors = masks.vectors
     if vectors.shape[1] != target.n_points:
@@ -170,31 +171,35 @@ def noiseless_fields(
         if target.kind != PLANE_2D:
             raise KindMismatch("plane masks require a plane target")
         weights = psf_vector(scene, grids.target_points) * target.values * grids.target_cell_measure
-        return (1.0 - target.reflection_coeff) * (vectors @ weights)
-    if target.kind != VOLUME_3D:
-        raise KindMismatch("volume masks require a volume target")
-    k = scene.wavenumber
-    return k**2 * scene.target_cell_measure * (vectors @ target.values)
+        fields = (1.0 - target.reflection_coeff) * (vectors @ weights)
+    else:
+        if target.kind != VOLUME_3D:
+            raise KindMismatch("volume masks require a volume target")
+        k = scene.wavenumber
+        fields = k**2 * scene.target_cell_measure * (vectors @ target.values)
+    fields.setflags(write=False)
+    return fields
 
 
 def measure(
-    scene: ValidatedScene,
-    grids: SampleGrids,
-    masks: MaskSet,
-    target: TargetModel,
+    fields: np.ndarray,
+    mask_kind: str,
     snr_db: float | None,
     seed: int,
     noise_mode: str = NOISE_RELATIVE,
     n0_dbm_per_hz: float = DEFAULT_N0_DBM_PER_HZ,
     bandwidth_hz: float = DEFAULT_BANDWIDTH_HZ,
 ) -> Measurements:
-    """Simulate the full measurement set.
+    """Simulate the full measurement set from its noiseless ``fields``.
 
-    ``snr_db=None`` disables noise. In ``relative`` mode the variance is set
-    from the requested SNR against the simulated signal power; in ``absolute``
-    mode it is the thermal power N0 * B. Deterministic under a fixed seed.
+    ``fields`` come from :func:`noiseless_fields` of a set of ``mask_kind``
+    masks, and are computed once for every SNR and seed measured from that
+    set. Plane masks (``KIND_MASK2D``) detect the magnitude of each noisy
+    field; volume masks keep the complex field. ``snr_db=None`` disables
+    noise. In ``relative`` mode the variance is set from the requested SNR
+    against the simulated signal power; in ``absolute`` mode it is the
+    thermal power N0 * B. Deterministic under a fixed seed.
     """
-    fields = noiseless_fields(scene, grids, masks, target)
     if snr_db is None:
         variance = 0.0
     elif noise_mode == NOISE_RELATIVE:
@@ -206,7 +211,7 @@ def measure(
 
     noise = complex_noise(variance, seed, fields.shape[0]) if variance > 0.0 else 0.0
     noisy = fields + noise
-    if masks.kind == KIND_MASK2D:
+    if mask_kind == KIND_MASK2D:
         # hypot matches Python's abs(complex) bit for bit; np.abs does not
         noisy = np.hypot(noisy.real, noisy.imag)
     return Measurements(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyMaskSet, KindMismatch, ZeroTruth
+from .errors import DimensionMismatch, KindMismatch, ZeroTruth
 from .mask_design import KIND_MASK2D, KIND_MASK3D, MaskSet
 from .measurement import Measurements
 from .scene import ValidatedScene
@@ -36,20 +36,10 @@ class ReconstructionResult:
 
 
 def mask_moments(masks: MaskSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mask amplitude values u, their per-point variance c and mean square magnitude.
-
-    c is the diagonal of the mask covariance, from plain (unconjugated)
-    products as the correlation reconstruction demands: complex-valued for
-    distorted volume masks, exactly 1/4 for ideal ones. One pass over the
-    (I, M) masks serves all three.
-    """
-    if masks.count == 0:
-        raise EmptyMaskSet("mask set has no measurements")
-    u = masks.amplitude_values()
-    square_mean = (u * u).mean(axis=0)
-    c_values = square_mean - u.mean(axis=0) ** 2
-    power = np.mean(np.abs(u) ** 2, axis=0) if np.iscomplexobj(u) else square_mean
-    return u, c_values, power
+    """Mask amplitude values u, their per-point variance c and mean square
+    magnitude: the set's own :attr:`MaskSet.moments`, computed once per set
+    however many measurements are reconstructed from it."""
+    return masks.moments
 
 
 def zero_variance_flags(c_values: np.ndarray, power: np.ndarray | None = None) -> np.ndarray:

@@ -297,13 +297,13 @@ def _sector_blocks(kernel: KernelMatrix) -> list[np.ndarray]:
     target and aperture bases Q_s and P_s; the phase factor drops out of the
     left singular vectors and values. Since F is mirror-invariant, the
     target-side fold of a row reduces to the weight 1 / w_s on its quadrant
-    row, so only the quarter of K with ix < nx - nx // 2 and
-    iy < ny - ny // 2 is read. Each line of it (one iy) is multiplied by the
-    conjugate phase into one buffer and folded over the aperture, along y
-    and then x, and each block takes its rows of that line as a weighted
-    copy of one :func:`_part` view, so no copy of the quadrant is made.
-    Every block is read-only; the identity sector's is ``kernel.entries``
-    itself, or a view of it when the caller's entries are writable.
+    row, so only the quadrant rows the kernel stores are read. Each line of
+    them (one iy) is multiplied by J_x and then by the conjugate phase into
+    one buffer and folded over the aperture, along y and then x, and each
+    block takes its rows of that line as a weighted copy of one :func:`_part`
+    view, so no copy of the quadrant is made. Every block is read-only; the
+    identity sector's is ``kernel.entries`` itself, or a view of it when the
+    caller's entries are writable.
     """
     symmetry = kernel.symmetry
     if symmetry is None:
@@ -312,10 +312,11 @@ def _sector_blocks(kernel: KernelMatrix) -> list[np.ndarray]:
         block.setflags(write=False)
         return [block]
     (nx, ny), (ax, ay) = symmetry.target_shape, symmetry.aperture_shape
-    ex, ey = nx - nx // 2, ny - ny // 2
-    quadrant = kernel.entries.reshape(ny, nx, ay, ax)[:ey, :ex]
+    ex, ey = symmetry.quadrant_shape
+    quadrant = kernel.stored.reshape(ey, ex, ay, ax)
+    current = symmetry.current.reshape(ay, ax)
     conj_phase = symmetry.phase.conj().reshape(ay, ax)
-    line, folded = (np.empty((ex, ay, ax), dtype=np.result_type(quadrant, conj_phase)) for _ in range(2))
+    line, folded = (np.empty((ex, ay, ax), dtype=np.complex128) for _ in range(2))
     blocks, parts = [], []
     for (px, py), t_norms, a_norms in zip(
         _PARITIES, _sector_norms(symmetry.target_shape), _sector_norms(symmetry.aperture_shape)
@@ -327,7 +328,8 @@ def _sector_blocks(kernel: KernelMatrix) -> list[np.ndarray]:
         rows = blocks[-1].reshape((rows_y, rows_x) + a_weights.shape)
         parts.append((rows, cols, a_weights, t_norms.reshape(rows_y, rows_x, 1, 1)))
     for iy in range(ey):
-        np.multiply(quadrant[iy], conj_phase, out=line)
+        np.multiply(quadrant[iy], current, out=line)
+        line *= conj_phase
         _fold(line, -2, folded)
         _fold(folded, -1, line)
         for rows, cols, a_weights, t_weights in parts:
@@ -485,26 +487,29 @@ def _stage_coefficients(
     retained modes, with A_s = conj(w_s U_s) lambda_s gathered onto the grid
     (:func:`_sector_gathers`); one ``mask_design.project`` call fills the
     leading sum r_s <= ``width`` columns, sector after sector, for a mask
-    set or a plain (I, M) stack of right-hand sides. Raises
-    :class:`DimensionMismatch` unless the masks have length M.
+    set or a plain (I, M) stack of right-hand sides. The A_s are formed one
+    at a time as ``project`` draws them, so only one is alive at once.
+    Raises :class:`DimensionMismatch` unless the masks have length M.
     """
     count, points = (masks.count, masks.points) if isinstance(masks, MaskSet) else masks.shape
     m = inv.shape[0]
     if points != m:
         raise DimensionMismatch(f"vectors of length {points} do not match M={m}")
-    gathered = []
-    for factor, gather in zip(factors, _sector_gathers(_target_shape(inv))):
-        if factor.sigma.size == 0:  # a sector may have no rows to gather from
-            continue
-        weighted = factor.u.conj()
-        weighted *= factor.inv_sigma
-        if gather is not None:
-            rows, signs = gather
-            weighted = weighted[rows]
-            weighted *= signs[:, None]
-        gathered.append(weighted)
+
+    def gathered() -> Iterator[np.ndarray]:
+        for factor, gather in zip(factors, _sector_gathers(_target_shape(inv))):
+            if factor.sigma.size == 0:  # a sector may have no rows to gather from
+                continue
+            weighted = factor.u.conj()
+            weighted *= factor.inv_sigma
+            if gather is not None:
+                rows, signs = gather
+                weighted = weighted[rows]
+                weighted *= signs[:, None]
+            yield weighted
+
     out = np.empty((count, width), dtype=np.complex128)
-    project(masks, gathered, out)
+    project(masks, gathered(), out)
     return out
 
 

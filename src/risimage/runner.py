@@ -15,7 +15,7 @@ import csv
 import os
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -171,13 +171,13 @@ def _shared_builds(
     """Build what each run of points at one distance and mask count shares.
 
     Yields ``(group, shared)`` in plan order, where ``shared`` is
-    ``(scene, grids, target, psf, masks, inv)`` or the error that stopped one
-    of those builds. A distance's scene, grids, target and PSF are built once,
-    its kernel and regularized inverse once, at the first mask count that
-    needs them. Under ``keep_artifacts`` each mask set is exported as soon as
-    it is built. A designed set holds no complex mask stack
-    (``MaskSet``); only an ``ideal_masks`` run, which measures it, forms one
-    per group.
+    ``(scene, grids, target, psf, masks, inv, noiseless)`` or the error that
+    stopped one of those builds. A distance's scene, grids, target and PSF
+    are built once, its kernel and regularized inverse once, at the first
+    mask count that needs them. Each mask set's noiseless receiver fields are
+    computed once, for every SNR point measured from it; the set keeps its
+    own moments for reconstruction (``MaskSet.moments``). Under
+    ``keep_artifacts`` each mask set is exported as soon as it is built.
     """
     cache_dir = result.run_dir / "kernels" if plan.keep_artifacts else None
     artifact_dir = result.run_dir / "artifacts" if plan.keep_artifacts else None
@@ -201,10 +201,7 @@ def _shared_builds(
                 masks = ideal = mask_design.ideal_masks(scene, grids, count, plan.phase_mode)
                 if artifact_dir is not None:
                     mask_design.save_mask_vectors(artifact_dir / f"masks_ideal_{stem}.bin", ideal, fp)
-                if plan.ideal_masks:
-                    # every SNR point measures the designed stack: form it once
-                    masks = replace(ideal, vectors=ideal.vectors)
-                else:
+                if not plan.ideal_masks:
                     if inv is None:
                         kernel, built = _load_or_build_kernel(scene, grids, cache_dir)
                         result.kernel_builds += built
@@ -221,11 +218,12 @@ def _shared_builds(
                         ris_synthesis.write_synthesis_summary(
                             artifact_dir / f"synthesis_{stem}.txt", inv, ideal, masks, amplification
                         )
+                noiseless = measurement.noiseless_fields(scene, grids, masks, target)
             except ImagingError as exc:
                 yield group, exc
                 continue
             del ideal  # a realized set no longer needs the design while its points run
-            yield group, (scene, grids, target, psf, masks, inv)
+            yield group, (scene, grids, target, psf, masks, inv, noiseless)
 
 
 def _score_point(
@@ -237,14 +235,14 @@ def _score_point(
     psf: np.ndarray | None,
     masks: MaskSet,
     inv: ris_synthesis.RegularizedInverse | None,
+    noiseless: np.ndarray,
 ) -> None:
-    """Measure, reconstruct and score one point, then write its estimate images."""
+    """Measure ``masks``, whose ``noiseless`` receiver fields the group shares,
+    then reconstruct and score one point and write its estimate images."""
     try:
         meas = measurement.measure(
-            scene,
-            grids,
-            masks,
-            target,
+            noiseless,
+            masks.kind,
             point.snr_db,
             point.seed,
             noise_mode=plan.noise_mode,

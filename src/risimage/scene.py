@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -147,16 +148,33 @@ class SampleGrids:
     target_cell_measure: float
 
 
+# The kernels divide by R^3 (plane) and R^5 (volume), with R >= z'. Below this
+# distance z'^5 is not a normal double, and those terms overflow.
+MIN_TARGET_DISTANCE = sys.float_info.min**0.2
+
+
+def _finite(compute) -> float:
+    """``compute()``, or inf where Python's float ``**`` raises OverflowError
+    instead of returning inf."""
+    try:
+        return compute()
+    except OverflowError:
+        return math.inf
+
+
 def check_scene_dimensions(cfg: SceneConfig) -> None:
     """The checks of :func:`validate_scene` that hold at every target distance.
 
     Raises :class:`NonPositiveDimension` for a length other than
     ``target_distance``, wavelength, power ratio or volume depth that is not
-    a finite number > 0, or a sample count that is not a positive integer,
-    and :class:`MalformedConfig` for an unknown ``target_kind``, a receiver
-    coordinate or ``reflection_coeff`` that is not finite, an
-    ``incident_amplitude`` that is not finite and nonzero, or an
-    ``incident_elevation`` not strictly between -90 and 90 degrees.
+    a finite number > 0, a sample count that is not a positive integer, or a
+    derived Rayleigh distance, far-field bound or cell size that is not a
+    finite number > 0 (a cell too small for a double is zero), and
+    :class:`MalformedConfig` for an unknown ``target_kind``, a receiver
+    coordinate, the receiver's distance from the aperture centre or
+    ``reflection_coeff`` that is not finite, an ``incident_amplitude`` that
+    is not finite and nonzero, or an ``incident_elevation`` not strictly
+    between -90 and 90 degrees.
     """
     positive_lengths = {
         "wavelength": cfg.wavelength,
@@ -198,12 +216,26 @@ def check_scene_dimensions(cfg: SceneConfig) -> None:
         )
     if not cmath.isfinite(cfg.reflection_coeff):
         raise MalformedConfig(f"reflection_coeff must be finite, got {cfg.reflection_coeff!r}")
+    scene = ValidatedScene(cfg)
+    for name in ("rayleigh_distance", "receiver_far_field_bound", "ris_cell_area", "target_cell_measure"):
+        value = _finite(lambda: getattr(scene, name))
+        if not 0.0 < value < math.inf:
+            raise NonPositiveDimension(f"the derived {name} must be a finite number > 0, got {value!r}")
+    if not _finite(lambda: math.sqrt(sum(c**2 for c in cfg.receiver_pos))) < math.inf:
+        raise MalformedConfig(
+            f"the receiver's distance from the aperture centre must be finite, got {cfg.receiver_pos!r}"
+        )
 
 
 def check_target_distance(z_prime) -> None:
-    """A target distance must be a finite number > 0 (NaN and None are not)."""
+    """A target distance must be a finite number of at least
+    :data:`MIN_TARGET_DISTANCE` (NaN and None are not)."""
     if z_prime is None or not 0.0 < z_prime < math.inf:
         raise NonPositiveDimension(f"target_distance must be a finite number > 0, got {z_prime!r}")
+    if z_prime < MIN_TARGET_DISTANCE:
+        raise NonPositiveDimension(
+            f"target_distance must be at least {MIN_TARGET_DISTANCE!r} m for finite kernel entries, got {z_prime!r}"
+        )
 
 
 def validate_scene(cfg: SceneConfig) -> ValidatedScene:
@@ -235,6 +267,8 @@ def validate_scene(cfg: SceneConfig) -> ValidatedScene:
             f"target at {far_face} m is not inside the Rayleigh "
             f"distance {scene.rayleigh_distance} m"
         )
+    if not _finite(lambda: scene.receiver_target_distance) < math.inf:
+        raise MalformedConfig("the receiver's distance from the target centre must be finite")
     if not scene.receiver_target_distance > scene.receiver_far_field_bound:
         raise FarFieldViolation(
             f"receiver at {scene.receiver_target_distance} m from the target centre "

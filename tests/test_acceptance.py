@@ -89,7 +89,7 @@ class DeskPipeline:
         scene, grids = self.scene(z_prime)
         masks = self.synthesized(z_prime, count)
         target = tg.builtin_target(target_name, scene)
-        meas = ms.measure(scene, grids, masks, target, snr_db, seed)
+        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, snr_db, seed)
         psf = em.psf_vector(scene, grids.target_points)
         result = rc.reconstruct_2d(meas, masks, psf)
         calibrated = rc.calibrate_estimate(
@@ -140,7 +140,7 @@ def test_c02_tikhonov_matches_normal_equations():
         n = int(rng.integers(4, 33))
         entries = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / math.sqrt(n)
         entries.setflags(write=False)
-        kernel = em.KernelMatrix(entries=entries, kind=em.KIND_Z2D, fingerprint="oracle")
+        kernel = em.KernelMatrix(stored=entries, kind=em.KIND_Z2D, fingerprint="oracle")
         rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         for gamma in (1e-2, 1e-6):
             inverse = rs.tikhonov_inverse(kernel, gamma, threshold_factor=0.0)
@@ -274,7 +274,7 @@ def test_c05_ideal_mask_exact_recovery(tmp_path):
             if not values.any():
                 continue
             target = ms.make_target_2d(values, (n, n))
-            meas = ms.measure(scene, grids, masks, target, None, 0)
+            meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, None, 0)
             result = rc.reconstruct_2d(meas, masks, psf)
             calibrated = rc.calibrate_estimate(result.estimate, rc.CALIBRATE_MAX1)
             worst_2d = max(worst_2d, rc.nmse(values, calibrated))
@@ -319,7 +319,7 @@ def test_c05_ideal_mask_exact_recovery(tmp_path):
     double[[2, 7]] = [1.5 - 0.5j, 0.75 + 0.25j]
     for chi in (single, double):
         target = ms.make_target_3d(chi, (2, 2, 2))
-        meas = ms.measure(scene3, grids3, masks3, target, None, 0)
+        meas = ms.measure(ms.noiseless_fields(scene3, grids3, masks3, target), masks3.kind, None, 0)
         result = rc.reconstruct_3d(scene3, meas, masks3)
         worst_3d = max(worst_3d, rc.nmse(chi, result.estimate / grids3.target_cell_measure))
 
@@ -391,8 +391,8 @@ def test_c09_mask_scaling_invariance(desk):
     scaled = md.MaskSet(kind=masks.kind, vectors=3.7 * masks.vectors)
     target = tg.builtin_target("block", scene)
     psf = em.psf_vector(scene, grids.target_points)
-    records_base = ms.measure(scene, grids, masks, target, 20.0, seed=0)
-    records_scaled = ms.measure(scene, grids, scaled, target, 20.0, seed=0)
+    records_base = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, 20.0, seed=0)
+    records_scaled = ms.measure(ms.noiseless_fields(scene, grids, scaled, target), scaled.kind, 20.0, seed=0)
     estimate_base = rc.reconstruct_2d(records_base, masks, psf).estimate
     estimate_scaled = rc.reconstruct_2d(records_scaled, scaled, psf).estimate
     worst = float(np.max(np.abs(estimate_scaled - estimate_base) / np.abs(estimate_base).max()))

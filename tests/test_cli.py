@@ -81,6 +81,21 @@ class TestKernelVerb:
         assert cli.main(["kernel", "--scene", str(scene_file), "--output", str(out)]) == 0
         assert "cache hit" in capsys.readouterr().out
 
+    def test_full_size_plane_kernel_file_exits_2_unless_forced(self, scene_file, tmp_path, capsys):
+        # plane kernel files once held every row; such a file is stale, not a cache hit
+        scene = sc.validate_scene(sc.load_scene_config(scene_file))
+        grids = sc.sample_grids(scene)
+        out = tmp_path / "kernel.bin"
+        header = f"kind=Z_2d m={scene.n_target} n={scene.n_ris} fingerprint={scene.fingerprint}\n"
+        em_core.write_complex_file(out, header, em_core.kernel_2d(scene, grids).entries)
+        assert cli.main(["kernel", "--scene", str(scene_file), "--output", str(out)]) == 2
+        assert "CacheMismatch" in capsys.readouterr().err
+        assert cli.main(["kernel", "--scene", str(scene_file), "--output", str(out), "--force"]) == 0
+        assert "assembled" in capsys.readouterr().out
+        assert out.stat().st_size == len(header) + 16 * (scene.n_target // 4) * scene.n_ris
+        assert cli.main(["kernel", "--scene", str(scene_file), "--output", str(out)]) == 0
+        assert "cache hit" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "overrides, label",
         [
@@ -183,7 +198,8 @@ class TestMeasureReconstructVerbs:
         phase = md.design_phases_2d(scene, grids)
         stored = md.MaskSet(kind=md.KIND_MASK2D, vectors=amplitudes * np.exp(1j * phase)[None, :])
         target = resolve_target("block", scene)
-        ms.records_to_csv(tmp_path / "expected.csv", ms.measure(scene, grids, stored, target, 20.0, 3))
+        fields = ms.noiseless_fields(scene, grids, stored, target)
+        ms.records_to_csv(tmp_path / "expected.csv", ms.measure(fields, stored.kind, 20.0, 3))
         assert records_path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_ideal_masks_form_their_stack_once_per_group(self, scene_file, tmp_path, monkeypatch):
@@ -418,6 +434,14 @@ class TestBadInput:
         assert "NonPositiveDimension" in capsys.readouterr().err
         assert not (tmp_path / "p").exists()
 
+    def test_distance_too_small_for_the_kernel_in_plan(self, scene_file, tmp_path, capsys):
+        # 1e-300 is a positive distance, but its R^3 underflows and the kernel fills with inf
+        plan_path = tmp_path / "plan.cfg"
+        plan_path.write_text(f"scene = {scene_file.name}\nz_values = 1e-300\noutput_dir = {tmp_path / 'p'}\n")
+        assert cli.main(["sweep", "--plan", str(plan_path)]) == 2
+        assert "NonPositiveDimension" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
     def test_bad_scene_with_measurement_count(self, scene_file, tmp_path, capsys):
         # -I skips the scene validation that choosing a default count does
         code = cli.main(
@@ -439,6 +463,12 @@ class TestBadInput:
             ("run", "receiver_x=nan", "MalformedConfig"),
             ("run", "wavelength=inf", "NonPositiveDimension"),
             ("run", "target_distance=inf", "NonPositiveDimension"),
+            ("validate", "target_len_x=1e308", "NonPositiveDimension"),
+            ("run", "target_len_x=1e308", "NonPositiveDimension"),
+            ("validate", "receiver_y=1e308", "MalformedConfig"),
+            ("run", "receiver_y=1e308", "MalformedConfig"),
+            ("run", "target_len_y=5e-324", "NonPositiveDimension"),
+            ("validate", "target_distance=1e-300", "NonPositiveDimension"),
             ("sweep", "amplification=inf", "NonPositiveDimension"),
             ("validate", "amplification=inf", "NonPositiveDimension"),
         ],
@@ -757,6 +787,51 @@ class TestRunnerInternals:
         assert not list((tmp_path / "cache").rglob("*.tmp"))
         assert rn.run_plan(plan).kernel_builds == 0
 
+    def test_full_size_plane_kernel_cache_is_rebuilt(self, scene_file, tmp_path):
+        # a cache file written when plane kernels stored every row
+        plan = rn.ExperimentPlan(
+            scene=sc.load_scene_config(scene_file), i_values=(128,), output_dir=str(tmp_path / "fresh")
+        )
+        rn.run_plan(plan)
+        scene = sc.validate_scene(plan.scene)
+        cached = tmp_path / "cache" / "kernels" / f"kernel_{scene.fingerprint[:16]}.bin"
+        cached.parent.mkdir(parents=True)
+        header = f"kind=Z_2d m={scene.n_target} n={scene.n_ris} fingerprint={scene.fingerprint}\n"
+        em_core.write_complex_file(cached, header, em_core.kernel_2d(scene, sc.sample_grids(scene)).entries)
+        stale = dataclasses.replace(plan, keep_artifacts=True, output_dir=str(tmp_path / "cache"))
+
+        result = rn.run_plan(stale)
+        assert result.kernel_builds == 1 and result.points[0].error is None
+        assert cached.stat().st_size == len(header) + 16 * (scene.n_target // 4) * scene.n_ris
+        metrics = (tmp_path / "cache" / "metrics.csv").read_bytes()
+        assert metrics == (tmp_path / "fresh" / "metrics.csv").read_bytes()
+        assert rn.run_plan(stale).kernel_builds == 0
+
+    def test_moments_and_fields_once_per_mask_set(self, scene_file, tmp_path, monkeypatch):
+        # two distances x two mask counts x three SNR points: four mask sets
+        moments, fields = [], []
+
+        def counted_values(masks, _original=md.MaskSet.amplitude_values):
+            moments.append(masks.count)
+            return _original(masks)
+
+        def counted_fields(*args, _original=ms.noiseless_fields):
+            fields.append(args[2].count)
+            return _original(*args)
+
+        monkeypatch.setattr(md.MaskSet, "amplitude_values", counted_values)
+        monkeypatch.setattr(ms, "noiseless_fields", counted_fields)
+        plan = rn.ExperimentPlan(
+            scene=sc.load_scene_config(scene_file),
+            i_values=(64, 128),
+            snr_values=(None, 10.0, 20.0),
+            z_values=(0.125, 0.15),
+            output_dir=str(tmp_path / "sweep"),
+        )
+        result = rn.run_plan(plan)
+        assert all(p.error is None for p in result.points) and len(result.points) == 12
+        assert moments == fields == [64, 128, 64, 128]
+
     def test_cached_plane_kernel_keeps_its_mirror_sectors(self, scene_file, tmp_path, monkeypatch):
         sector_counts = []
 
@@ -783,7 +858,7 @@ class TestRunnerInternals:
         def recorded(*args, _original=em_core.assemble_kernel, **kwargs):
             alive_at_build.append(sum(ref() is not None for ref in built))
             kernel = _original(*args, **kwargs)
-            built.append(weakref.ref(kernel.entries))
+            built.append(weakref.ref(kernel.stored))
             return kernel
 
         monkeypatch.setattr(em_core, "assemble_kernel", recorded)
@@ -803,7 +878,7 @@ class TestRunnerInternals:
 
         def assembled(*args, _original=em_core.assemble_kernel, **kwargs):
             kernel = _original(*args, **kwargs)
-            built.append(weakref.ref(kernel.entries))
+            built.append(weakref.ref(kernel.stored))
             return kernel
 
         def recording(name, original):

@@ -445,3 +445,123 @@ class TestKernelCache:
         path.write_bytes(data[:-16])
         with pytest.raises(CacheMismatch):
             em.load_kernel(path, scene, grids)
+
+
+def oracle_plane_entries(scene, grids):
+    """Every entry of a plane kernel from its closed form, vectorised over the full (M, N) grid."""
+    cfg = scene.config
+    k = 2.0 * math.pi / cfg.wavelength
+    diff = grids.target_points[:, None, :] - grids.ris_points[None, :, :]
+    r = np.sqrt(np.einsum("mni,mni->mn", diff, diff))
+    jx = np.array([oracle_jx(cfg, y) for y in grids.ris_points[:, 1]])
+    return -(1.0 + 1j * k * r) / (4.0 * math.pi * r**3) * grids.ris_cell_area * cfg.target_distance * jx * np.exp(
+        -1j * k * r
+    )
+
+
+QUADRANT_GRIDS = pytest.mark.parametrize(
+    "target, aperture",
+    [((16, 16), (32, 32)), ((15, 15), (33, 33)), ((15, 16), (33, 32)), ((3, 4), (6, 7)), ((1, 4), (1, 6))],
+    ids=["desk", "odd-15-33", "mixed-15x16-33x32", "mixed-small", "line"],
+)
+
+
+def quadrant_scene(target, aperture):
+    cfg = desk_config(n_target_x=target[0], n_target_y=target[1], n_ris_x=aperture[0], n_ris_y=aperture[1])
+    scene = sc.validate_scene(cfg)
+    return scene, sc.sample_grids(scene)
+
+
+class TestStoredQuadrant:
+    """A plane kernel stores the phase-free rows of its mirror quadrant; ``entries`` forms the rest."""
+
+    @QUADRANT_GRIDS
+    def test_stores_about_a_quarter_of_the_entries(self, target, aperture):
+        scene, grids = quadrant_scene(target, aperture)
+        kernel = em.kernel_2d(scene, grids)
+        (nx, ny), n = target, scene.n_ris
+        quadrant_rows = (nx - nx // 2) * (ny - ny // 2)
+        assert kernel.stored.shape == (quadrant_rows, n)
+        assert kernel.stored.nbytes == 16 * quadrant_rows * n
+        assert kernel.shape == kernel.entries.shape == (scene.n_target, n)
+        if target == (16, 16):
+            assert kernel.stored.nbytes * 4 == kernel.entries.nbytes
+        assert not kernel.stored.flags.writeable and not kernel.entries.flags.writeable
+
+    @QUADRANT_GRIDS
+    def test_every_row_is_a_mirrored_quadrant_row_times_the_current(self, target, aperture):
+        scene, grids = quadrant_scene(target, aperture)
+        kernel = em.kernel_2d(scene, grids)
+        (nx, ny), (ax, ay) = target, aperture
+        ex, ey = nx - nx // 2, ny - ny // 2
+        current = em.incident_current(scene, grids.ris_points[:, 1]).reshape(ay, ax)
+        rows = kernel.stored.reshape(ey, ex, ay, ax)
+        entries = kernel.entries.reshape(ny, nx, ay, ax)
+        for iy in range(ny):
+            for ix in range(nx):
+                row = rows[min(iy, ny - 1 - iy), min(ix, nx - 1 - ix)]
+                if ix >= ex:
+                    row = row[:, ::-1]  # the x-mirror reverses the aperture's x order
+                if iy >= ey:
+                    row = row[::-1, :]
+                np.testing.assert_array_equal(entries[iy, ix], row * current)
+
+    @QUADRANT_GRIDS
+    def test_entries_match_the_closed_form(self, target, aperture):
+        scene, grids = quadrant_scene(target, aperture)
+        entries = em.kernel_2d(scene, grids).entries
+        expected = oracle_plane_entries(scene, grids)
+        np.testing.assert_allclose(entries, expected, rtol=1e-12, atol=0)
+
+    @QUADRANT_GRIDS
+    def test_entries_match_every_row_evaluated(self, target, aperture, monkeypatch):
+        # without its mirror structure the kernel evaluates and stores every row
+        scene, grids = quadrant_scene(target, aperture)
+        entries = em.kernel_2d(scene, grids).entries
+        monkeypatch.setattr(em, "_mirror_symmetry", lambda *_: None)
+        evaluated = em.kernel_2d(scene, grids).stored
+        (nx, ny), (ax, ay) = target, aperture
+        centres = (
+            grids.target_points[:nx, 0],
+            grids.target_points[: nx * ny : nx, 1],
+            grids.ris_points[:ax, 0],
+            grids.ris_points[::ax, 1],
+        )
+        if all(np.array_equal(c, -c[::-1]) for c in centres):
+            # the desk grids' cell centres are exactly antisymmetric: the same bits
+            np.testing.assert_array_equal(entries, evaluated)
+        else:
+            np.testing.assert_allclose(entries, evaluated, rtol=1e-13, atol=0)
+
+    @QUADRANT_GRIDS
+    def test_cache_round_trip_stores_the_quadrant(self, target, aperture, tmp_path):
+        scene, grids = quadrant_scene(target, aperture)
+        kernel = em.kernel_2d(scene, grids)
+        path = tmp_path / "kernel.bin"
+        em.save_kernel(path, kernel)
+        header = path.read_bytes().split(b"\n", 1)[0]
+        assert header == f"kind=Z_2d m={scene.n_target} n={scene.n_ris} fingerprint={scene.fingerprint}".encode()
+        assert path.stat().st_size == len(header) + 1 + kernel.stored.nbytes
+        loaded = em.load_kernel(path, scene, grids)
+        np.testing.assert_array_equal(loaded.stored, kernel.stored)
+        np.testing.assert_array_equal(loaded.entries, kernel.entries)
+        assert loaded.symmetry.target_shape == target
+
+    def test_full_size_file_is_rejected(self, small_scene, tmp_path):
+        # a file holding every row, as plane kernel files once did
+        scene, grids = small_scene
+        kernel = em.kernel_2d(scene, grids)
+        path = tmp_path / "kernel.bin"
+        header = f"kind=Z_2d m={scene.n_target} n={scene.n_ris} fingerprint={scene.fingerprint}\n"
+        em.write_complex_file(path, header, kernel.entries)
+        with pytest.raises(CacheMismatch, match="body holds"):
+            em.load_kernel(path, scene, grids)
+
+    def test_volume_kernel_stores_every_row(self, volume_scene, tmp_path):
+        scene, grids = volume_scene
+        kernel = em.kernel_3d(scene, grids)
+        assert kernel.symmetry is None
+        assert kernel.entries is kernel.stored
+        assert kernel.stored.shape == (scene.n_target, scene.n_ris)
+        em.save_kernel(tmp_path / "kernel.bin", kernel)
+        np.testing.assert_array_equal(em.load_kernel(tmp_path / "kernel.bin", scene, grids).entries, kernel.entries)

@@ -1,6 +1,7 @@
 """Hadamard amplitude patterns, phase profiles, and mask covariance."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -240,6 +241,31 @@ class TestProject:
 
         monkeypatch.setattr(md, "_designed_stack", refuse)
         out = self.projected(masks, 128, factors)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+
+    @pytest.mark.parametrize("fixture", ["small_scene", "volume_scene"])
+    @pytest.mark.parametrize("designed", [True, False], ids=["designed", "stored"])
+    def test_each_factor_is_used_up_before_the_next_is_drawn(self, fixture, designed, request):
+        scene, grids = request.getfixturevalue(fixture)
+        masks = md.ideal_masks(scene, grids, 128)
+        if not designed:
+            masks = md.MaskSet(kind=masks.kind, vectors=masks.vectors)
+        factors = self.factors(masks.points, [4, 2, 3])
+        drawn, alive_at_draw = [], []
+
+        def one_at_a_time():
+            for factor in factors:
+                alive_at_draw.append(sum(ref() is not None for ref in drawn))
+                copy = factor.copy()  # owned by the generator and the caller only
+                drawn.append(weakref.ref(copy))
+                yield copy
+                del copy
+
+        out = np.empty((128, 9), dtype=complex)
+        md.project(masks, one_at_a_time(), out)
+        assert alive_at_draw == [0, 0, 0]
+        expected = masks.vectors @ np.concatenate(factors, axis=1)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 

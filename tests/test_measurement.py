@@ -191,7 +191,8 @@ class TestNoiseModel:
             return philox(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "Philox", counting_philox)
-        meas = ms.measure(scene, grids, masks, checker_target(scene), 20.0, seed=4)
+        fields = ms.noiseless_fields(scene, grids, masks, checker_target(scene))
+        meas = ms.measure(fields, masks.kind, 20.0, seed=4)
         assert len(meas) == 1024
         assert built == [((), {"key": 4})]
 
@@ -207,8 +208,8 @@ class TestMeasure:
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128)
         target = checker_target(scene)
-        a = ms.measure(scene, grids, masks, target, 20.0, seed=5)
-        b = ms.measure(scene, grids, masks, target, 20.0, seed=5)
+        a = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, 20.0, seed=5)
+        b = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, 20.0, seed=5)
         assert a.noisy.tolist() == b.noisy.tolist()
         assert a.noiseless.tolist() == b.noiseless.tolist()
 
@@ -216,7 +217,7 @@ class TestMeasure:
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128)
         target = checker_target(scene)
-        meas = ms.measure(scene, grids, masks, target, 300.0, seed=0)
+        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, 300.0, seed=0)
         for noisy, noiseless in zip(meas.noisy.tolist(), meas.noiseless.tolist()):
             assert noisy == pytest.approx(abs(noiseless), rel=1e-10)
 
@@ -224,7 +225,7 @@ class TestMeasure:
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128)
         target = checker_target(scene)
-        meas = ms.measure(scene, grids, masks, target, None, seed=0)
+        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, None, seed=0)
         assert meas.noise_variance == 0.0
         # Python's abs of a complex is the detector reference, bit for bit
         pairs = zip(meas.noisy.tolist(), meas.noiseless.tolist())
@@ -236,8 +237,8 @@ class TestMeasure:
         masks = md.ideal_masks(scene, grids, 128)
         rotated = md.MaskSet(kind=masks.kind, vectors=masks.vectors * np.exp(0.7j))
         target = checker_target(scene)
-        a = ms.measure(scene, grids, masks, target, None, seed=0)
-        b = ms.measure(scene, grids, rotated, target, None, seed=0)
+        a = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, None, seed=0)
+        b = ms.measure(ms.noiseless_fields(scene, grids, rotated, target), rotated.kind, None, seed=0)
         np.testing.assert_allclose(a.noisy, b.noisy, rtol=1e-12)
 
     def test_volume_records_are_complex(self, volume_scene):
@@ -246,14 +247,15 @@ class TestMeasure:
         chi = np.zeros(scene.n_target, dtype=complex)
         chi[3] = 1.0
         target = ms.make_target_3d(chi, (2, 2, 2))
-        meas = ms.measure(scene, grids, masks, target, 20.0, seed=1)
+        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, 20.0, seed=1)
         assert all(isinstance(noisy, complex) for noisy in meas.noisy.tolist())
 
     def test_absolute_noise_mode_uses_thermal_power(self, small_scene):
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128)
         target = checker_target(scene)
-        meas = ms.measure(scene, grids, masks, target, 20.0, seed=0, noise_mode=ms.NOISE_ABSOLUTE)
+        fields = ms.noiseless_fields(scene, grids, masks, target)
+        meas = ms.measure(fields, masks.kind, 20.0, seed=0, noise_mode=ms.NOISE_ABSOLUTE)
         assert meas.noise_variance == pytest.approx(ms.noise_power_watts())
 
 
@@ -262,7 +264,7 @@ class TestMeasurementCsv:
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128)
         target = checker_target(scene)
-        meas = ms.measure(scene, grids, masks, target, 15.0, seed=2)
+        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, 15.0, seed=2)
         path = tmp_path / "records.csv"
         ms.records_to_csv(path, meas)
         loaded = ms.records_from_csv(path)
@@ -277,7 +279,7 @@ class TestMeasurementCsv:
         chi = np.zeros(scene.n_target, dtype=complex)
         chi[2] = 0.5 + 0.1j
         target = ms.make_target_3d(chi, (2, 2, 2))
-        meas = ms.measure(scene, grids, masks, target, 10.0, seed=3)
+        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, 10.0, seed=3)
         path = tmp_path / "records.csv"
         ms.records_to_csv(path, meas)
         loaded = ms.records_from_csv(path)
@@ -286,7 +288,8 @@ class TestMeasurementCsv:
     def test_rfc4180_line_endings(self, small_scene, tmp_path):
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128)
-        meas = ms.measure(scene, grids, masks, checker_target(scene), None, seed=0)
+        fields = ms.noiseless_fields(scene, grids, masks, checker_target(scene))
+        meas = ms.measure(fields, masks.kind, None, seed=0)
         path = tmp_path / "records.csv"
         ms.records_to_csv(path, meas)
         assert b"\r\n" in path.read_bytes()

@@ -10,14 +10,15 @@ from risimage import em_core as em
 from risimage import mask_design as md
 from risimage import measurement as ms
 from risimage import reconstruct as rc
+from risimage import ris_synthesis as rs
 from risimage import scene as sc
-from risimage.errors import DimensionMismatch, ZeroTruth
+from risimage.errors import DimensionMismatch, EmptyMaskSet, ZeroTruth
 
-from conftest import small_config
+from conftest import peak_traced_bytes, small_config
 
 
 def run_2d(scene, grids, masks, target, snr_db=None, seed=0):
-    meas = ms.measure(scene, grids, masks, target, snr_db, seed)
+    meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, snr_db, seed)
     psf = em.psf_vector(scene, grids.target_points)
     return meas, rc.reconstruct_2d(meas, masks, psf)
 
@@ -39,6 +40,69 @@ class TestEstimateC:
         masks = md.ideal_masks(scene, grids, 128)
         scaled = md.MaskSet(kind=md.KIND_MASK2D, vectors=3.0 * masks.vectors)
         np.testing.assert_allclose(rc.mask_moments(scaled)[1], 9.0 * rc.mask_moments(masks)[1], rtol=1e-12)
+
+
+class TestMaskMoments:
+    """A set computes its moments once, a block of rows at a time, with the bits of whole-array sums."""
+
+    @staticmethod
+    def whole_array_moments(u):
+        square_mean = (u * u).mean(axis=0)
+        c_values = square_mean - u.mean(axis=0) ** 2
+        power = np.mean(np.abs(u) ** 2, axis=0) if np.iscomplexobj(u) else square_mean
+        return c_values, power
+
+    @pytest.mark.parametrize("chunk", [1 << 16, 300, 37, 1])
+    @pytest.mark.parametrize("kind", [md.KIND_MASK2D, md.KIND_MASK3D])
+    def test_blocked_sums_keep_the_whole_array_bits(self, kind, chunk, monkeypatch):
+        monkeypatch.setattr(md, "_CHUNK_ENTRIES", chunk)
+        rng = np.random.default_rng(3)
+        vectors = rng.standard_normal((257, 37)) + 1j * rng.standard_normal((257, 37))
+        masks = md.MaskSet(kind=kind, vectors=vectors)
+        values, c_values, power = masks.moments
+        expected_c, expected_power = self.whole_array_moments(masks.amplitude_values())
+        np.testing.assert_array_equal(values, masks.amplitude_values())
+        np.testing.assert_array_equal(c_values, expected_c)
+        np.testing.assert_array_equal(power, expected_power)
+
+    def test_realized_masks_keep_the_whole_array_bits(self, small_scene):
+        scene, grids = small_scene
+        inv = rs.tikhonov_inverse(em.kernel_2d(scene, grids), 1e-12)
+        realized = rs.realize_masks(inv, md.ideal_masks(scene, grids, 1024), 1.0)
+        _, c_values, power = rc.mask_moments(realized)
+        expected_c, expected_power = self.whole_array_moments(np.abs(realized.vectors))
+        np.testing.assert_array_equal(c_values, expected_c)
+        np.testing.assert_array_equal(power, expected_power)
+
+    def test_computed_once_and_not_carried_by_a_copy(self):
+        masks = md.MaskSet(kind=md.KIND_MASK2D, vectors=np.arange(12.0).reshape(4, 3) + 0j)
+        first = rc.mask_moments(masks)
+        assert rc.mask_moments(masks) is first
+        scaled = dataclasses.replace(masks, vectors=3.0 * masks.vectors)
+        assert "moments" not in scaled.__dict__
+        np.testing.assert_allclose(rc.mask_moments(scaled)[1], 9.0 * first[1], rtol=1e-12)
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(EmptyMaskSet):
+            rc.mask_moments(md.MaskSet(kind=md.KIND_MASK2D, vectors=np.zeros((0, 4), dtype=complex)))
+
+    def test_plane_reconstruct_holds_only_the_magnitudes(self, desk_scene):
+        # the first reconstruct from a realized set keeps |u| (2 MiB at I = 1,024, M = 256)
+        # and sums its squares in blocks; later ones reuse the moments
+        scene, grids = desk_scene
+        inv = rs.tikhonov_inverse(em.kernel_2d(scene, grids), 1e-12)
+        realized = rs.realize_masks(inv, md.ideal_masks(scene, grids, 1024), 1.0)
+        values = np.zeros(scene.n_target)
+        values[::3] = 1.0
+        target = ms.make_target_2d(values, (16, 16))
+        meas = ms.measure(ms.noiseless_fields(scene, grids, realized, target), realized.kind, 20.0, 0)
+        psf = em.psf_vector(scene, grids.target_points)
+        magnitudes = realized.count * realized.points * 8
+        peak, first = peak_traced_bytes(lambda: rc.reconstruct_2d(meas, realized, psf))
+        assert peak <= magnitudes + (3 << 19)
+        peak, again = peak_traced_bytes(lambda: rc.reconstruct_2d(meas, realized, psf))
+        assert peak <= 1 << 18
+        np.testing.assert_array_equal(again.estimate, first.estimate)
 
 
 class TestReconstruct2d:
@@ -103,8 +167,8 @@ class TestReconstruct2d:
         # relative to the estimate's peak, as criterion 9: a per-pixel rtol
         # fails on near-zero pixels for some seeds
         for seed in range(40):
-            rec_a = ms.measure(scene, grids, masks, target, 20.0, seed=seed)
-            rec_b = ms.measure(scene, grids, scaled, target, 20.0, seed=seed)
+            rec_a = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, 20.0, seed=seed)
+            rec_b = ms.measure(ms.noiseless_fields(scene, grids, scaled, target), scaled.kind, 20.0, seed=seed)
             est_a = rc.reconstruct_2d(rec_a, masks, psf).estimate
             est_b = rc.reconstruct_2d(rec_b, scaled, psf).estimate
             np.testing.assert_allclose(est_b, est_a, rtol=0, atol=1e-12 * np.abs(est_a).max())
@@ -140,7 +204,7 @@ def test_arbitrary_binary_targets_recovered_exactly(data):
     )
     values = np.array(bits, dtype=float)
     target = ms.make_target_2d(values, (n, n))
-    meas = ms.measure(scene, grids, masks, target, None, 0)
+    meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, None, 0)
     psf = em.psf_vector(scene, grids.target_points)
     result = rc.reconstruct_2d(meas, masks, psf)
     calibrated = rc.calibrate_estimate(result.estimate, rc.CALIBRATE_MAX1)
@@ -154,7 +218,7 @@ class TestReconstruct3d:
         chi = np.zeros(scene.n_target, dtype=complex)
         chi[5] = 1.0
         target = ms.make_target_3d(chi, (2, 2, 2))
-        meas = ms.measure(scene, grids, masks, target, None, 0)
+        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, None, 0)
         result = rc.reconstruct_3d(scene, meas, masks)
         np.testing.assert_allclose(
             result.estimate / grids.target_cell_measure, chi, atol=1e-10
@@ -164,7 +228,7 @@ class TestReconstruct3d:
         scene, grids = volume_scene
         masks = md.ideal_masks(scene, grids, 16)
         target = ms.make_target_3d(np.zeros(scene.n_target, dtype=complex), (2, 2, 2))
-        meas = ms.measure(scene, grids, masks, target, None, 0)
+        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, None, 0)
         result = rc.reconstruct_3d(scene, meas, masks)
         np.testing.assert_allclose(result.estimate, 0.0, atol=1e-20)
 
@@ -183,7 +247,7 @@ class TestReconstruct3d:
         chi = np.zeros(scene.n_target, dtype=complex)
         chi[voxel] = 1.3 - 0.4j
         target = ms.make_target_3d(chi, (2, 2, 2))
-        meas = ms.measure(scene, grids, distorted, target, None, 0)
+        meas = ms.measure(ms.noiseless_fields(scene, grids, distorted, target), distorted.kind, None, 0)
         result = rc.reconstruct_3d(scene, meas, distorted)
         recovered = result.estimate / grids.target_cell_measure
         assert recovered[voxel] == pytest.approx(chi[voxel], rel=1e-10)
@@ -194,7 +258,7 @@ class TestReconstruct3d:
         chi = np.zeros(scene.n_target, dtype=complex)
         chi[[1, 6]] = [0.8, 0.3 - 0.2j]
         target = ms.make_target_3d(chi, (2, 2, 2))
-        meas = ms.measure(scene, grids, masks, target, None, 0)
+        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, None, 0)
         shifted = dataclasses.replace(meas, noisy=meas.noisy + (2.0 - 1.0j))
         base = rc.reconstruct_3d(scene, meas, masks)
         moved = rc.reconstruct_3d(scene, shifted, masks)
@@ -204,7 +268,7 @@ class TestReconstruct3d:
         scene, grids = volume_scene
         masks = md.ideal_masks(scene, grids, 16)
         target = ms.make_target_3d(np.ones(scene.n_target, dtype=complex), (2, 2, 2))
-        meas = ms.measure(scene, grids, masks, target, None, 0)
+        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, None, 0)
         wider = md.MaskSet(kind=masks.kind, vectors=np.ones((16, 2 * scene.n_target), dtype=complex))
         with pytest.raises(DimensionMismatch):
             rc.reconstruct_3d(scene, meas, wider)

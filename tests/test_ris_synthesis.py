@@ -23,19 +23,19 @@ from conftest import desk_config, normalized_inner, peak_traced_bytes, volume_co
 def random_kernel(rng, m, n, kind=em.KIND_Z2D):
     entries = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(n)
     entries.setflags(write=False)
-    return KernelMatrix(entries=entries, kind=kind, fingerprint="test")
+    return KernelMatrix(stored=entries, kind=kind, fingerprint="test")
 
 
 class TestTikhonovInverse:
     def test_unregularized_limit(self):
-        kernel = KernelMatrix(entries=np.eye(3, dtype=complex), kind=em.KIND_Z2D, fingerprint="t")
+        kernel = KernelMatrix(stored=np.eye(3, dtype=complex), kind=em.KIND_Z2D, fingerprint="t")
         inv = rs.tikhonov_inverse(kernel, gamma=1e-30)
         np.testing.assert_allclose(inv.inv_sigma, 1.0, rtol=1e-15)
 
     def test_closed_form_weight(self):
         # sigma = 1e-3, gamma = 1e-6: sigma / (sigma^2 + gamma) = 500
         kernel = KernelMatrix(
-            entries=np.diag([1e-3, 1e-3]).astype(complex), kind=em.KIND_Z2D, fingerprint="t"
+            stored=np.diag([1e-3, 1e-3]).astype(complex), kind=em.KIND_Z2D, fingerprint="t"
         )
         inv = rs.tikhonov_inverse(kernel, gamma=1e-6, threshold_factor=0.0)
         np.testing.assert_allclose(inv.inv_sigma, 500.0, rtol=1e-12)
@@ -52,7 +52,7 @@ class TestTikhonovInverse:
 
     def test_truncation_zeroes_small_modes(self):
         sigma = np.array([1.0, 1e-2, 1e-8])
-        kernel = KernelMatrix(entries=np.diag(sigma).astype(complex), kind=em.KIND_Z2D, fingerprint="t")
+        kernel = KernelMatrix(stored=np.diag(sigma).astype(complex), kind=em.KIND_Z2D, fingerprint="t")
         inv = rs.tikhonov_inverse(kernel, gamma=1e-6, threshold_factor=1e-5)
         # sigma^2 < 1e-5 * gamma = 1e-11 drops only the 1e-8 mode
         assert inv.retained_rank == 2
@@ -60,7 +60,7 @@ class TestTikhonovInverse:
 
     def test_literal_sigma_truncation_mode(self):
         sigma = np.array([1.0, 1e-2, 1e-8])
-        kernel = KernelMatrix(entries=np.diag(sigma).astype(complex), kind=em.KIND_Z2D, fingerprint="t")
+        kernel = KernelMatrix(stored=np.diag(sigma).astype(complex), kind=em.KIND_Z2D, fingerprint="t")
         inv = rs.tikhonov_inverse(kernel, gamma=1e-2, threshold_factor=1e-5, truncation_mode=rs.TRUNCATE_SIGMA)
         # sigma < 1e-5 * gamma = 1e-7 drops only the 1e-8 mode
         assert inv.retained_rank == 2
@@ -75,25 +75,25 @@ class TestTikhonovInverse:
         assert ranks == sorted(ranks, reverse=True)
 
     def test_gamma_must_be_positive(self):
-        kernel = KernelMatrix(entries=np.eye(2, dtype=complex), kind=em.KIND_Z2D, fingerprint="t")
+        kernel = KernelMatrix(stored=np.eye(2, dtype=complex), kind=em.KIND_Z2D, fingerprint="t")
         with pytest.raises(ValueError):
             rs.tikhonov_inverse(kernel, gamma=0.0)
 
     @pytest.mark.parametrize("gamma", [math.inf, math.nan, -1.0])
     def test_gamma_must_be_finite_and_positive(self, gamma):
         # an infinite gamma would retain no mode, so every mask would fail later
-        kernel = KernelMatrix(entries=np.eye(3, dtype=complex), kind=em.KIND_Z2D, fingerprint="t")
+        kernel = KernelMatrix(stored=np.eye(3, dtype=complex), kind=em.KIND_Z2D, fingerprint="t")
         with pytest.raises(MalformedConfig):
             rs.tikhonov_inverse(kernel, gamma=gamma)
 
     @pytest.mark.parametrize("threshold_factor", [math.nan, math.inf, -1.0])
     def test_threshold_factor_is_checked(self, threshold_factor):
-        kernel = KernelMatrix(entries=np.eye(3, dtype=complex), kind=em.KIND_Z2D, fingerprint="t")
+        kernel = KernelMatrix(stored=np.eye(3, dtype=complex), kind=em.KIND_Z2D, fingerprint="t")
         with pytest.raises(MalformedConfig):
             rs.tikhonov_inverse(kernel, gamma=1e-6, threshold_factor=threshold_factor)
 
     def test_unknown_truncation_mode(self):
-        kernel = KernelMatrix(entries=np.eye(3, dtype=complex), kind=em.KIND_Z2D, fingerprint="t")
+        kernel = KernelMatrix(stored=np.eye(3, dtype=complex), kind=em.KIND_Z2D, fingerprint="t")
         with pytest.raises(MalformedConfig):
             rs.tikhonov_inverse(kernel, gamma=1e-6, truncation_mode="sigma_cubed")
 
@@ -142,7 +142,7 @@ class TestSynthesize:
 
     def test_zero_solution_rejected(self):
         kernel = KernelMatrix(
-            entries=np.diag([1.0, 0.0]).astype(complex), kind=em.KIND_Z2D, fingerprint="t"
+            stored=np.diag([1.0, 0.0]).astype(complex), kind=em.KIND_Z2D, fingerprint="t"
         )
         inv = rs.tikhonov_inverse(kernel, 1e-6)
         with pytest.raises(ZeroSolution):
@@ -152,7 +152,7 @@ class TestSynthesize:
         # blocks of two rows: mask 5 is the second row of the third block
         monkeypatch.setattr(rs, "_CHUNK_ENTRIES", 4)
         kernel = KernelMatrix(
-            entries=np.diag([1.0, 0.0]).astype(complex), kind=em.KIND_Z2D, fingerprint="t"
+            stored=np.diag([1.0, 0.0]).astype(complex), kind=em.KIND_Z2D, fingerprint="t"
         )
         inv = rs.tikhonov_inverse(kernel, 1e-6)
         vectors = np.tile(np.array([1.0, 1.0 + 0.0j]), (8, 1))
@@ -189,7 +189,7 @@ class TestRealizeMasks:
         rng = np.random.default_rng(7)
         entries = (np.eye(16) + 1e-3 * rng.standard_normal((16, 16))).astype(complex)
         entries.setflags(write=False)
-        kernel = KernelMatrix(entries=entries, kind=em.KIND_Z2D, fingerprint="t")
+        kernel = KernelMatrix(stored=entries, kind=em.KIND_Z2D, fingerprint="t")
         inv = rs.tikhonov_inverse(kernel, 1e-12)
         ideal = (rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16)))
         masks = md.MaskSet(kind=md.KIND_MASK2D, vectors=ideal)
@@ -339,7 +339,7 @@ class TestTwoPathSynthesis:
     def test_zero_singular_values_get_zero_weight(self):
         entries = np.zeros((3, 5), dtype=complex)
         entries[0, 0] = 2.0
-        kernel = KernelMatrix(entries=entries, kind=em.KIND_Z2D, fingerprint="t")
+        kernel = KernelMatrix(stored=entries, kind=em.KIND_Z2D, fingerprint="t")
         inv = rs.tikhonov_inverse(kernel, 1e-6, threshold_factor=0.0)
         assert inv.retained_rank == 1
         solution = inv.apply(np.array([1.0, 1.0, 1.0], dtype=complex))
@@ -401,7 +401,7 @@ class TestMirrorSectors:
         scene = sc.validate_scene(cfg)
         grids = sc.sample_grids(scene)
         kernel = em.kernel_2d(scene, grids)
-        bare = KernelMatrix(entries=kernel.entries, kind=kernel.kind, fingerprint=kernel.fingerprint)
+        bare = KernelMatrix(stored=kernel.entries, kind=kernel.kind, fingerprint=kernel.fingerprint)
         sectors = rs.tikhonov_inverse(kernel, 1e-12)
         identity = rs.tikhonov_inverse(bare, 1e-12)
         assert (len(sectors.sectors), len(identity.sectors)) == (4, 1)
@@ -652,11 +652,11 @@ class TestSelfContainedInverse:
     def test_plane_kernel_is_released_after_decomposition(self, desk_scene):
         scene, grids = desk_scene
         kernel = em.kernel_2d(scene, grids)
-        entries = weakref.ref(kernel.entries)
+        stored = weakref.ref(kernel.stored)
         inv = rs.tikhonov_inverse(kernel, 1e-12)
         del kernel
         gc.collect()
-        assert entries() is None
+        assert stored() is None
         assert len(inv.sectors) == 4
         assert not any(s.block.flags.writeable for s in inv.sectors)
         assert inv.shape == (scene.n_target, scene.n_ris)
@@ -669,7 +669,7 @@ class TestSelfContainedInverse:
 
     def test_writable_entries_stay_writable_to_their_owner(self):
         entries = np.eye(3, dtype=complex)
-        inv = rs.tikhonov_inverse(KernelMatrix(entries=entries, kind=em.KIND_Z2D, fingerprint="t"), 1e-6)
+        inv = rs.tikhonov_inverse(KernelMatrix(stored=entries, kind=em.KIND_Z2D, fingerprint="t"), 1e-6)
         (sector,) = inv.sectors
         assert entries.flags.writeable and not sector.block.flags.writeable
         assert np.shares_memory(sector.block, entries)
