@@ -36,7 +36,6 @@ from .measurement import (
 from .reconstruct import (
     ReconstructionResult,
     calibrate_estimate,
-    mask_moments,
     nmse,
     reconstruct_2d,
     reconstruct_3d,

@@ -13,14 +13,16 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import em_core, mask_design, measurement, reconstruct, ris_synthesis
+from . import em_core, mask_design, measurement, ris_synthesis
 from .errors import ImagingError, MalformedConfig
 from .runner import (
     PLAN_MODES,
     ExperimentPlan,
+    export_synthesis,
     load_plan,
     plan_points,
     run_plan,
+    score,
     write_estimate_images,
 )
 from .scene import (
@@ -67,32 +69,34 @@ def _add_scene_options(parser: argparse.ArgumentParser, required: bool = True) -
     )
 
 
+# ExperimentPlan fields set by the plan option of the same name (--output sets
+# output_dir); an option left out is None and keeps the plan's default.
+_PLAN_FLAGS = (
+    "target", "gamma", "threshold_factor", "truncation_mode", "seed", "output_dir",
+    "calibration", "noise_mode", "phase_mode", "ideal_masks", "keep_artifacts",
+)
+
+
 def _add_plan_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--target", default="block", help="built-in name or target file")
-    parser.add_argument("-I", "--measurements", type=int, default=None, help="mask count")
-    parser.add_argument("--snr-db", type=float, default=None, help="receiver SNR (omit for noiseless)")
-    parser.add_argument("--gamma", type=float, default=None, help="regularization weight")
-    parser.add_argument("--threshold-factor", type=float, default=ris_synthesis.DEFAULT_THRESHOLD_FACTOR)
-    parser.add_argument(
-        "--truncation-mode", choices=PLAN_MODES["truncation_mode"], default=ris_synthesis.TRUNCATE_SIGMA_SQ
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--output", default="runs/out", help="run directory")
-    parser.add_argument(
-        "--calibration", choices=PLAN_MODES["calibration"], default=reconstruct.CALIBRATE_MAX1
-    )
-    parser.add_argument(
-        "--noise-mode", choices=PLAN_MODES["noise_mode"], default=measurement.NOISE_RELATIVE
-    )
-    parser.add_argument(
-        "--phase-mode", choices=PLAN_MODES["phase_mode"], default=mask_design.PHASE_TAYLOR
-    )
+    """Options whose defaults are the :class:`ExperimentPlan` defaults."""
+    parser.add_argument("--target", help="built-in name or target file")
+    parser.add_argument("-I", "--measurements", type=int, help="mask count")
+    parser.add_argument("--snr-db", type=float, help="receiver SNR (omit for noiseless)")
+    parser.add_argument("--gamma", type=float, help="regularization weight")
+    parser.add_argument("--threshold-factor", type=float)
+    parser.add_argument("--truncation-mode", choices=PLAN_MODES["truncation_mode"])
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--output", dest="output_dir", help="run directory or output file")
+    parser.add_argument("--calibration", choices=PLAN_MODES["calibration"])
+    parser.add_argument("--noise-mode", choices=PLAN_MODES["noise_mode"])
+    parser.add_argument("--phase-mode", choices=PLAN_MODES["phase_mode"])
     parser.add_argument(
         "--ideal-masks",
         action="store_true",
+        default=None,
         help="bypass synthesis and apply the ideal masks directly (oracle mode)",
     )
-    parser.add_argument("--keep-artifacts", action="store_true")
+    parser.add_argument("--keep-artifacts", action="store_true", default=None)
 
 
 def _measurement_count(args, scene) -> int:
@@ -172,7 +176,7 @@ def cmd_masks(args) -> int:
     plan, scene = _step_plan(args)
     grids = sample_grids(scene)
     masks = _ideal_masks(plan, scene, grids)
-    out = Path(args.output)
+    out = Path(plan.output_dir)
     out.parent.mkdir(parents=True, exist_ok=True)
     mask_design.save_mask_vectors(out, masks, scene.fingerprint)
     print(f"designed {masks.count} ideal {masks.kind} masks over {masks.points} points -> {out}")
@@ -192,16 +196,11 @@ def cmd_synthesize(args) -> int:
     grids = sample_grids(scene)
     ideal = _ideal_masks(plan, scene, grids)
     realized, inv = _synthesized_masks(plan, scene, grids, ideal)
-    out_dir = Path(args.output)
+    out_dir = Path(plan.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     fp = scene.fingerprint
     mask_design.save_mask_vectors(out_dir / "masks_ideal.bin", ideal, fp)
-    mask_design.save_mask_vectors(out_dir / "masks_realized.bin", realized, fp)
-    amplification = scene.config.amplification
-    ris_synthesis.save_profiles(out_dir / "profiles.bin", inv, ideal, amplification, fp)
-    ris_synthesis.write_synthesis_summary(
-        out_dir / "synthesis.txt", inv, ideal, realized, amplification
-    )
+    export_synthesis(out_dir, "", fp, inv, ideal, realized, scene.config.amplification)
     print(
         f"synthesized {realized.count} profiles (retained rank {inv.retained_rank}, "
         f"gamma {inv.gamma!r}) -> {out_dir}"
@@ -212,13 +211,13 @@ def cmd_synthesize(args) -> int:
 def cmd_measure(args) -> int:
     plan, scene = _step_plan(args)
     grids = sample_grids(scene)
-    target = resolve_target(args.target, scene)
+    target = resolve_target(plan.target, scene)
     masks = _ideal_masks(plan, scene, grids)
-    if not args.ideal_masks:
+    if not plan.ideal_masks:
         masks, _ = _synthesized_masks(plan, scene, grids, masks)
     fields = measurement.noiseless_fields(scene, grids, masks, target)
-    meas = measurement.measure(fields, masks.kind, args.snr_db, args.seed, noise_mode=args.noise_mode)
-    out = Path(args.output)
+    meas = measurement.measure(fields, masks.kind, plan.snr_values[0], plan.seed, noise_mode=plan.noise_mode)
+    out = Path(plan.output_dir)
     out.parent.mkdir(parents=True, exist_ok=True)
     measurement.records_to_csv(out, meas)
     print(f"measured {len(meas)} records (sigma2 {meas.noise_variance!r}) -> {out}")
@@ -226,27 +225,20 @@ def cmd_measure(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    _, scene = _step_plan(args)
+    plan, scene = _step_plan(args)
     grids = sample_grids(scene)
     meas = measurement.records_from_csv(args.records)
     kind, vectors, fp = mask_design.load_mask_vectors(args.masks)
     if fp != scene.fingerprint:
         print(f"warning: mask export fingerprint {fp[:16]} does not match the scene", file=sys.stderr)
     masks = mask_design.MaskSet(kind=kind, vectors=vectors)
-    if scene.is_3d:
-        result = reconstruct.reconstruct_3d(scene, meas, masks)
-    else:
-        psf_values = em_core.psf_vector(scene, grids.target_points)
-        result = reconstruct.reconstruct_2d(meas, masks, psf_values)
-    scaled = result.estimate / grids.target_cell_measure
-    truth = resolve_target(args.target, scene).values
-    calibrated = reconstruct.calibrate_estimate(scaled, args.calibration, truth)
-    out = Path(args.output)
+    psf = None if scene.is_3d else em_core.psf_vector(scene, grids.target_points)
+    target = resolve_target(plan.target, scene)
+    calibrated, error = score(scene, grids, psf, meas, masks, plan.calibration, target.values)
+    out = Path(plan.output_dir)
     out.parent.mkdir(parents=True, exist_ok=True)
-    cfg = scene.config
-    grid_shape = (cfg.n_target_x, cfg.n_target_y) + ((cfg.n_target_z,) if scene.is_3d else ())
-    write_estimate_images(out, calibrated, grid_shape)
-    print(f"nmse = {reconstruct.nmse(truth, calibrated)!r}")
+    write_estimate_images(out, calibrated, target.grid_shape)
+    print(f"nmse = {error!r}")
     print(f"estimate written -> {out}")
     return 0
 
@@ -260,23 +252,8 @@ def _plan_from_args(args, sweep: bool) -> ExperimentPlan:
         z_values = _parse_sweep_list(args.z_sweep, float, ())
     else:
         snr_values, i_values, z_values = (args.snr_db,), (i_default,), ()
-    return ExperimentPlan(
-        scene=scene,
-        target=args.target,
-        i_values=i_values,
-        snr_values=snr_values,
-        z_values=z_values,
-        gamma=args.gamma,
-        threshold_factor=args.threshold_factor,
-        truncation_mode=args.truncation_mode,
-        seed=args.seed,
-        output_dir=args.output,
-        calibration=args.calibration,
-        noise_mode=args.noise_mode,
-        phase_mode=args.phase_mode,
-        ideal_masks=args.ideal_masks,
-        keep_artifacts=args.keep_artifacts,
-    )
+    given = {name: getattr(args, name) for name in _PLAN_FLAGS if getattr(args, name) is not None}
+    return ExperimentPlan(scene=scene, i_values=i_values, snr_values=snr_values, z_values=z_values, **given)
 
 
 def _parse_sweep_list(raw: str | None, cast, fallback):
@@ -307,8 +284,8 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     if args.plan:
         plan = load_plan(args.plan)
-        if args.output != "runs/out":
-            plan = dataclasses.replace(plan, output_dir=args.output)
+        if args.output_dir is not None:
+            plan = dataclasses.replace(plan, output_dir=args.output_dir)
         return _print_run(run_plan(plan))
     if not args.scene:
         raise MalformedConfig("sweep needs either --plan or --scene")

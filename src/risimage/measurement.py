@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -130,9 +131,16 @@ def parse_snr(text: str) -> float | None:
 
 
 def check_snr(snr_db: float | None) -> None:
-    """Reject an SNR that is not a finite number of dB; ``None`` (noiseless) passes."""
-    if snr_db is not None and not math.isfinite(snr_db):
-        raise MalformedConfig(f"snr_db must be a finite number of dB or none, got {snr_db!r}")
+    """Reject an SNR whose power ratio 10^(snr_db/10) is not a finite normal
+    double (about -3076 to 3082 dB); ``None`` (noiseless) passes."""
+    if snr_db is None:
+        return
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not sys.float_info.min <= ratio < math.inf:  # also false for nan
+        raise MalformedConfig(f"snr_db must be none or give a finite normal power ratio, got {snr_db!r}")
 
 
 def complex_noise(variance: float, seed: int, count: int) -> np.ndarray:

@@ -35,25 +35,35 @@ class ReconstructionResult:
     flagged: np.ndarray  # (M,) bool, True where unreconstructable
 
 
-def mask_moments(masks: MaskSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mask amplitude values u, their per-point variance c and mean square
-    magnitude: the set's own :attr:`MaskSet.moments`, computed once per set
-    however many measurements are reconstructed from it."""
-    return masks.moments
-
-
-def zero_variance_flags(c_values: np.ndarray, power: np.ndarray | None = None) -> np.ndarray:
+def zero_variance_flags(c_values: np.ndarray, power: np.ndarray) -> np.ndarray:
     """True where the mask variance is (relatively) zero: point unreconstructable.
 
-    The comparison scale is the largest mask mean square magnitude ``power``
-    from :func:`mask_moments` when given (so a constant mask set flags every
-    point), else the largest variance.
+    The comparison scale is the largest of the variances and of the mask mean
+    square magnitudes ``power`` (:attr:`MaskSet.moments`), so a constant mask
+    set flags every point.
     """
     magnitude = np.abs(np.asarray(c_values))
     scale = magnitude.max() if magnitude.size else 0.0
-    if power is not None:
-        scale = max(scale, float(power.max()))
-    return magnitude <= _FLAG_RTOL * scale
+    return magnitude <= _FLAG_RTOL * max(scale, float(power.max()))
+
+
+def _correlate(
+    values: np.ndarray, masks: MaskSet, kind: str, scale: np.ndarray | float
+) -> ReconstructionResult:
+    """estimate_m = sum_i (v_i - <v>) u_i(m) / (I c_m scale_m) from the
+    ``kind`` masks' moments, zero where the mask variance is zero."""
+    if masks.kind != kind:
+        raise KindMismatch(f"expected {kind} masks, got {masks.kind}")
+    if len(values) != masks.count:
+        raise DimensionMismatch(f"{len(values)} measurements for {masks.count} masks")
+    vectors, c_values, power = masks.moments
+    flagged = zero_variance_flags(c_values, power)
+    numerator = (values - values.mean()) @ vectors
+    estimate = np.zeros(masks.points, dtype=numerator.dtype)
+    live = ~flagged
+    denominator = len(values) * c_values * scale
+    estimate[live] = numerator[live] / denominator[live]
+    return ReconstructionResult(estimate=estimate, c_values=c_values, flagged=flagged)
 
 
 def reconstruct_2d(
@@ -67,27 +77,12 @@ def reconstruct_2d(
     amplitudes. Invariant under adding a constant to every measurement and
     under positive rescaling of all masks (the scaling cancels against c).
     """
-    if masks.kind != KIND_MASK2D:
-        raise KindMismatch("reconstruct_2d needs plane masks")
-    if len(meas) != masks.count:
-        raise DimensionMismatch(f"{len(meas)} measurements for {masks.count} masks")
     psf_values = np.asarray(psf_values)
     if psf_values.shape != (masks.points,):
         raise DimensionMismatch(
             f"PSF vector of shape {psf_values.shape} does not match M={masks.points}"
         )
-    amplitudes, c_values, power = mask_moments(masks)
-    flagged = zero_variance_flags(c_values, power)
-
-    detected = meas.noisy.astype(float)
-    centred = detected - detected.mean()
-    numerator = centred @ amplitudes
-    estimate = np.zeros(masks.points)
-    live = ~flagged
-    estimate[live] = numerator[live] / (
-        len(meas) * c_values[live].real * np.abs(psf_values[live])
-    )
-    return ReconstructionResult(estimate=estimate, c_values=c_values, flagged=flagged)
+    return _correlate(meas.noisy.astype(float), masks, KIND_MASK2D, np.abs(psf_values))
 
 
 def reconstruct_3d(
@@ -97,27 +92,13 @@ def reconstruct_3d(
 ) -> ReconstructionResult:
     """Recover a volume target's complex contrast from complex fields.
 
-    estimate_m = sum_i (E_i - <E>) B_i(m) / (I k^2 c_m), plain products.
+    estimate_m = sum_i (E_i - <E>) B_i(m) / (I c_m k^2), plain products.
     Raises :class:`DimensionMismatch` unless the masks cover the scene's
     voxels.
     """
-    if masks.kind != KIND_MASK3D:
-        raise KindMismatch("reconstruct_3d needs volume masks")
-    if len(meas) != masks.count:
-        raise DimensionMismatch(f"{len(meas)} measurements for {masks.count} masks")
     if masks.points != scene.n_target:
         raise DimensionMismatch(f"masks over {masks.points} points for a scene of {scene.n_target} voxels")
-    vectors, c_values, power = mask_moments(masks)
-    flagged = zero_variance_flags(c_values, power)
-
-    fields = meas.noisy.astype(np.complex128)
-    centred = fields - fields.mean()
-    numerator = centred @ vectors
-    estimate = np.zeros(masks.points, dtype=np.complex128)
-    live = ~flagged
-    k = scene.wavenumber
-    estimate[live] = numerator[live] / (len(meas) * k**2 * c_values[live])
-    return ReconstructionResult(estimate=estimate, c_values=c_values, flagged=flagged)
+    return _correlate(meas.noisy.astype(np.complex128), masks, KIND_MASK3D, scene.wavenumber**2)
 
 
 def nmse(truth: np.ndarray, estimate: np.ndarray) -> float:

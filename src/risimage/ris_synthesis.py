@@ -56,6 +56,7 @@ decomposition, and the inverse holds no reference to the kernel.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -81,6 +82,8 @@ _HALF = math.sqrt(0.5)
 # Coefficients are mapped back in blocks of rows whose output holds about
 # this many entries (1 MiB).
 _CHUNK_ENTRIES = 1 << 16
+# sigma**2 overflows at and above this singular value.
+_SIGMA_LIMIT = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -451,7 +454,8 @@ def tikhonov_inverse(
     outright; raising ``threshold_factor`` can only shrink the retained rank.
     Raises :class:`MalformedConfig` for a ``gamma`` (:func:`check_gamma`), a
     ``threshold_factor`` (:func:`check_threshold_factor`) or a
-    ``truncation_mode`` out of range.
+    ``truncation_mode`` out of range, and :class:`SvdFailure` for a singular
+    value whose square overflows (a kernel scaled up by ``incident_amplitude``).
     """
     check_gamma(gamma)
     check_threshold_factor(threshold_factor)
@@ -460,6 +464,12 @@ def tikhonov_inverse(
     sectors = []
     blocks = _sector_blocks(kernel)
     for block, (u, sigma) in zip(blocks, _sector_spectra(kernel, blocks)):
+        largest = float(sigma.max(initial=0.0))
+        if largest >= _SIGMA_LIMIT:
+            raise SvdFailure(
+                f"kernel singular value {largest!r} is too large to square: the kernel "
+                f"scale (incident_amplitude) must keep every singular value below {_SIGMA_LIMIT!r}"
+            )
         if truncation_mode == TRUNCATE_SIGMA_SQ:
             keep = sigma**2 >= threshold_factor * gamma
         else:

@@ -211,19 +211,41 @@ def _shared_builds(
                         del kernel  # inv keeps its sector blocks, so the kernel ends here
                     masks = ris_synthesis.realize_masks(inv, ideal, amplification)
                     if artifact_dir is not None:
-                        mask_design.save_mask_vectors(artifact_dir / f"masks_realized_{stem}.bin", masks, fp)
-                        ris_synthesis.save_profiles(
-                            artifact_dir / f"profiles_{stem}.bin", inv, ideal, amplification, fp
-                        )
-                        ris_synthesis.write_synthesis_summary(
-                            artifact_dir / f"synthesis_{stem}.txt", inv, ideal, masks, amplification
-                        )
+                        export_synthesis(artifact_dir, f"_{stem}", fp, inv, ideal, masks, amplification)
                 noiseless = measurement.noiseless_fields(scene, grids, masks, target)
             except ImagingError as exc:
                 yield group, exc
                 continue
             del ideal  # a realized set no longer needs the design while its points run
             yield group, (scene, grids, target, psf, masks, inv, noiseless)
+
+
+def export_synthesis(
+    directory: Path, suffix: str, fp: str, inv, ideal: MaskSet, realized: MaskSet, amplification: float
+) -> None:
+    """Write one synthesized mask set to ``directory``: its realized masks,
+    coefficient profiles and synthesis summary, each file stem ending in ``suffix``."""
+    mask_design.save_mask_vectors(directory / f"masks_realized{suffix}.bin", realized, fp)
+    ris_synthesis.save_profiles(directory / f"profiles{suffix}.bin", inv, ideal, amplification, fp)
+    ris_synthesis.write_synthesis_summary(
+        directory / f"synthesis{suffix}.txt", inv, ideal, realized, amplification
+    )
+
+
+def score(
+    scene: ValidatedScene, grids: SampleGrids, psf, meas, masks: MaskSet, calibration: str, truth: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Reconstruct ``meas`` by the scene's kind (``psf`` is the plane PSF,
+    ``None`` for a volume), remove the cell measure, calibrate against
+    ``truth`` and return the calibrated estimate and its NMSE."""
+    if scene.is_3d:
+        result = reconstruct.reconstruct_3d(scene, meas, masks)
+    else:
+        result = reconstruct.reconstruct_2d(meas, masks, psf)
+    # Remove the known physical cell measure before any calibration.
+    scaled = result.estimate / grids.target_cell_measure
+    calibrated = reconstruct.calibrate_estimate(scaled, calibration, truth)
+    return calibrated, reconstruct.nmse(truth, calibrated)
 
 
 def _score_point(
@@ -249,14 +271,7 @@ def _score_point(
             n0_dbm_per_hz=plan.n0_dbm_per_hz,
             bandwidth_hz=plan.bandwidth_hz,
         )
-        if scene.is_3d:
-            result = reconstruct.reconstruct_3d(scene, meas, masks)
-        else:
-            result = reconstruct.reconstruct_2d(meas, masks, psf)
-        # Remove the known physical cell measure before any calibration.
-        scaled = result.estimate / grids.target_cell_measure
-        calibrated = reconstruct.calibrate_estimate(scaled, plan.calibration, target.values)
-        point.nmse = reconstruct.nmse(target.values, calibrated)
+        calibrated, point.nmse = score(scene, grids, psf, meas, masks, plan.calibration, target.values)
     except ImagingError as exc:
         point.error = _error_text(exc)
         return

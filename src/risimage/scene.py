@@ -8,7 +8,6 @@ the target plane (or the near face of the target volume) lies parallel to it at
 
 from __future__ import annotations
 
-import cmath
 import hashlib
 import math
 import sys
@@ -171,10 +170,10 @@ def check_scene_dimensions(cfg: SceneConfig) -> None:
     derived Rayleigh distance, far-field bound or cell size that is not a
     finite number > 0 (a cell too small for a double is zero), and
     :class:`MalformedConfig` for an unknown ``target_kind``, a receiver
-    coordinate, the receiver's distance from the aperture centre or
-    ``reflection_coeff`` that is not finite, an ``incident_amplitude`` that
-    is not finite and nonzero, or an ``incident_elevation`` not strictly
-    between -90 and 90 degrees.
+    coordinate or the receiver's distance from the aperture centre that is
+    not finite, a ``reflection_coeff`` that is not a number of magnitude at
+    most 1, an ``incident_amplitude`` that is not finite and nonzero, or an
+    ``incident_elevation`` not strictly between -90 and 90 degrees.
     """
     positive_lengths = {
         "wavelength": cfg.wavelength,
@@ -214,8 +213,9 @@ def check_scene_dimensions(cfg: SceneConfig) -> None:
             f"incident_elevation must lie strictly between -90 and 90 degrees, "
             f"got {math.degrees(cfg.incident_elevation)!r}"
         )
-    if not cmath.isfinite(cfg.reflection_coeff):
-        raise MalformedConfig(f"reflection_coeff must be finite, got {cfg.reflection_coeff!r}")
+    # a passive surface reflects no more than reaches it (the paper's conductors have -1)
+    if not abs(cfg.reflection_coeff) <= 1.0:
+        raise MalformedConfig(f"reflection_coeff must have magnitude at most 1, got {cfg.reflection_coeff!r}")
     scene = ValidatedScene(cfg)
     for name in ("rayleigh_distance", "receiver_far_field_bound", "ris_cell_area", "target_cell_measure"):
         value = _finite(lambda: getattr(scene, name))

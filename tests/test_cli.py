@@ -15,6 +15,7 @@ import risimage
 from risimage import cli, em_core
 from risimage import mask_design as md
 from risimage import measurement as ms
+from risimage import reconstruct as rc
 from risimage import ris_synthesis as rs
 from risimage import runner as rn
 from risimage import scene as sc
@@ -285,6 +286,63 @@ class TestVolumeVerbs:
         assert (tmp_path / "estimate_slice1_im.pgm").exists()
 
 
+class TestStepVerbParity:
+    """synthesize -> measure -> reconstruct is the run point, one step at a time."""
+
+    @pytest.mark.parametrize("volume", [False, True], ids=["plane", "volume"])
+    def test_steps_reproduce_the_run_point(self, tmp_path, capsys, volume):
+        scene_path = tmp_path / "scene.cfg"
+        scene_path.write_text(TestVolumeVerbs.VOLUME_SCENE if volume else SCENE_TEXT)
+        common = ["--scene", str(scene_path), "-I", "16" if volume else "128"]
+        noise = ["--snr-db", "20", "--seed", "3"]
+        assert cli.main(["run", *common, *noise, "--calibration", "lsq", "--output", str(tmp_path / "run")]) == 0
+        run_nmse = read_metrics(tmp_path / "run")[0]["nmse"]
+        capsys.readouterr()
+
+        records = tmp_path / "records.csv"
+        estimate = tmp_path / "steps" / "estimate_000.pgm"
+        assert cli.main(["synthesize", *common, "--output", str(tmp_path / "synth")]) == 0
+        assert cli.main(["measure", *common, *noise, "--output", str(records)]) == 0
+        capsys.readouterr()
+        masks = tmp_path / "synth" / "masks_realized.bin"
+        argv = ["reconstruct", *common, "--records", str(records), "--masks", str(masks), "--calibration", "lsq"]
+        assert cli.main([*argv, "--output", str(estimate)]) == 0
+        assert f"nmse = {run_nmse}" in capsys.readouterr().out.splitlines()
+
+        images = sorted(path.name for path in (tmp_path / "run").glob("estimate_*.pgm"))
+        assert len(images) == (4 if volume else 1)  # a volume: 2 slices, re and im
+        for name in images:
+            assert (tmp_path / "steps" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
+    def test_verbs_reach_the_stages_through_their_modules(self, scene_file, tmp_path, monkeypatch):
+        calls = []
+        for module, name in ((rc, "reconstruct_2d"), (rs, "save_profiles")):
+            original = getattr(module, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        common = ["--scene", str(scene_file), "-I", "128"]
+        assert cli.main(["run", *common, "--keep-artifacts", "--output", str(tmp_path / "run")]) == 0
+        assert sorted(calls) == ["reconstruct_2d", "save_profiles"]
+        calls.clear()
+        assert cli.main(["synthesize", *common, "--output", str(tmp_path / "synth")]) == 0
+        assert calls == ["save_profiles"]
+        calls.clear()
+        assert cli.main(["measure", *common, "--output", str(tmp_path / "records.csv")]) == 0
+        masks = str(tmp_path / "synth" / "masks_realized.bin")
+        argv = ["reconstruct", *common, "--records", str(tmp_path / "records.csv"), "--masks", masks]
+        assert cli.main([*argv, "--output", str(tmp_path / "estimate.pgm")]) == 0
+        assert calls == ["reconstruct_2d"]
+
+    def test_options_left_out_keep_the_plan_defaults(self, scene_file):
+        args = cli.build_parser().parse_args(["run", "--scene", str(scene_file), "-I", "128"])
+        plan = cli._plan_from_args(args, sweep=False)
+        assert plan == rn.ExperimentPlan(scene=plan.scene, i_values=(128,))
+
+
 class TestRunVerb:
     def test_ideal_bypass_reaches_oracle_accuracy(self, scene_file, tmp_path):
         run_dir = tmp_path / "run"
@@ -387,6 +445,16 @@ output_dir = {tmp_path / 'plan_run'}
 
         assert sweep("default") == sweep("explicit", "-I", "128")
 
+    @pytest.mark.parametrize("output", ["runs/out", "elsewhere"])
+    def test_output_flag_replaces_the_plan_directory(self, scene_file, tmp_path, monkeypatch, output):
+        # the flag's old default, runs/out, was taken for "not given"
+        monkeypatch.chdir(tmp_path)
+        plan_path = tmp_path / "plan.cfg"
+        plan_path.write_text(f"scene = {scene_file.name}\ni_values = 128\noutput_dir = {tmp_path / 'planned'}\n")
+        assert cli.main(["sweep", "--plan", str(plan_path), "--output", output]) == 0
+        assert len(read_metrics(tmp_path / output)) == 1
+        assert not (tmp_path / "planned").exists()
+
     def test_sweep_needs_plan_or_scene(self, capsys):
         assert cli.main(["sweep", "--target", "block"]) == 2
         assert "MalformedConfig" in capsys.readouterr().err
@@ -456,6 +524,8 @@ class TestBadInput:
         [
             ("run", "amplification=inf", "NonPositiveDimension"),
             ("run", "reflection_coeff=nan", "MalformedConfig"),
+            ("run", "reflection_coeff=1e308", "MalformedConfig"),
+            ("validate", "reflection_coeff=-1.5", "MalformedConfig"),
             ("run", "receiver_z=inf", "MalformedConfig"),
             ("run", "incident_amplitude=0", "MalformedConfig"),
             ("run", "incident_elevation=90", "MalformedConfig"),
@@ -540,6 +610,8 @@ class TestBadInput:
             "gamma = -1",
             "gamma = inf",
             "snr_values = nan, 10",
+            "snr_values = 1e300",
+            "snr_values = 10, -4000",
             "threshold_factor = -1",
             "threshold_factor = inf",
             "bandwidth_hz = nan",
@@ -569,6 +641,33 @@ class TestBadInput:
         )
         assert code == 2
         assert "MalformedConfig" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb, value", [("run", "1e300"), ("run", "-4000"), ("measure", "-4000"), ("sweep", "3100")]
+    )
+    def test_snr_power_ratio_out_of_range_flag(self, scene_file, tmp_path, capsys, verb, value):
+        # 10^(snr/10) overflows (a traceback) or is no normal double (a nan NMSE)
+        code = cli.main(
+            [verb, "--scene", str(scene_file), "-I", "128", f"--snr-db={value}", "--output", str(tmp_path / "s")]
+        )
+        assert code == 2
+        assert "MalformedConfig" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("value", ["3000", "-3000"])
+    def test_extreme_snr_in_range_still_runs(self, scene_file, tmp_path, value):
+        code = cli.main(
+            ["run", "--scene", str(scene_file), "-I", "128", f"--snr-db={value}", "--output", str(tmp_path / "s")]
+        )
+        assert code == 0
+        assert np.isfinite(float(read_metrics(tmp_path / "s")[0]["nmse"]))
+
+    def test_kernel_too_large_to_square_fails_every_point(self, scene_file, tmp_path, capsys):
+        # the kernel scales with the incident amplitude; its sigma**2 would overflow
+        argv = ["sweep", "--scene", str(scene_file), "--set", "incident_amplitude=1e300", "-I", "128"]
+        assert cli.main([*argv, "--snr-sweep", "none,20", "--output", str(tmp_path / "s")]) == 1
+        errors = (tmp_path / "s" / "errors.log").read_text().splitlines()
+        assert len(errors) == 2 and all("SvdFailure" in line and "incident_amplitude" in line for line in errors)
 
     def test_non_finite_snr_sweep(self, scene_file, tmp_path, capsys):
         code = cli.main(

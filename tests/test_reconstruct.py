@@ -27,11 +27,11 @@ class TestEstimateC:
     def test_ideal_masks_give_quarter(self, small_scene):
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128)
-        np.testing.assert_array_equal(rc.mask_moments(masks)[1], np.full(scene.n_target, 0.25))
+        np.testing.assert_array_equal(masks.moments[1], np.full(scene.n_target, 0.25))
 
     def test_constant_masks_flag_every_point(self):
         masks = md.MaskSet(kind=md.KIND_MASK2D, vectors=np.full((16, 6), 0.75 + 0.0j))
-        _, c, power = rc.mask_moments(masks)
+        _, c, power = masks.moments
         np.testing.assert_array_equal(c, 0.0)
         assert rc.zero_variance_flags(c, power).all()
 
@@ -39,7 +39,7 @@ class TestEstimateC:
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128)
         scaled = md.MaskSet(kind=md.KIND_MASK2D, vectors=3.0 * masks.vectors)
-        np.testing.assert_allclose(rc.mask_moments(scaled)[1], 9.0 * rc.mask_moments(masks)[1], rtol=1e-12)
+        np.testing.assert_allclose(scaled.moments[1], 9.0 * masks.moments[1], rtol=1e-12)
 
 
 class TestMaskMoments:
@@ -69,22 +69,22 @@ class TestMaskMoments:
         scene, grids = small_scene
         inv = rs.tikhonov_inverse(em.kernel_2d(scene, grids), 1e-12)
         realized = rs.realize_masks(inv, md.ideal_masks(scene, grids, 1024), 1.0)
-        _, c_values, power = rc.mask_moments(realized)
+        _, c_values, power = realized.moments
         expected_c, expected_power = self.whole_array_moments(np.abs(realized.vectors))
         np.testing.assert_array_equal(c_values, expected_c)
         np.testing.assert_array_equal(power, expected_power)
 
     def test_computed_once_and_not_carried_by_a_copy(self):
         masks = md.MaskSet(kind=md.KIND_MASK2D, vectors=np.arange(12.0).reshape(4, 3) + 0j)
-        first = rc.mask_moments(masks)
-        assert rc.mask_moments(masks) is first
+        first = masks.moments
+        assert masks.moments is first
         scaled = dataclasses.replace(masks, vectors=3.0 * masks.vectors)
         assert "moments" not in scaled.__dict__
-        np.testing.assert_allclose(rc.mask_moments(scaled)[1], 9.0 * first[1], rtol=1e-12)
+        np.testing.assert_allclose(scaled.moments[1], 9.0 * first[1], rtol=1e-12)
 
     def test_empty_set_rejected(self):
         with pytest.raises(EmptyMaskSet):
-            rc.mask_moments(md.MaskSet(kind=md.KIND_MASK2D, vectors=np.zeros((0, 4), dtype=complex)))
+            md.MaskSet(kind=md.KIND_MASK2D, vectors=np.zeros((0, 4), dtype=complex)).moments
 
     def test_plane_reconstruct_holds_only_the_magnitudes(self, desk_scene):
         # the first reconstruct from a realized set keeps |u| (2 MiB at I = 1,024, M = 256)

@@ -15,7 +15,7 @@ from risimage import mask_design as md
 from risimage import ris_synthesis as rs
 from risimage import scene as sc
 from risimage.em_core import KernelMatrix
-from risimage.errors import DimensionMismatch, KindMismatch, MalformedConfig, ZeroSolution
+from risimage.errors import DimensionMismatch, KindMismatch, MalformedConfig, SvdFailure, ZeroSolution
 
 from conftest import desk_config, normalized_inner, peak_traced_bytes, volume_config
 
@@ -96,6 +96,17 @@ class TestTikhonovInverse:
         kernel = KernelMatrix(stored=np.eye(3, dtype=complex), kind=em.KIND_Z2D, fingerprint="t")
         with pytest.raises(MalformedConfig):
             rs.tikhonov_inverse(kernel, gamma=1e-6, truncation_mode="sigma_cubed")
+
+    def test_singular_value_that_overflows_its_square_is_rejected(self):
+        # sigma**2 overflows above sqrt(float max) ~ 1.34e154; 1e155 is a kernel
+        # scaled by a huge incident amplitude
+        sigma = np.array([1e155, 1.0])
+        kernel = KernelMatrix(stored=np.diag(sigma).astype(complex), kind=em.KIND_Z2D, fingerprint="t")
+        with pytest.raises(SvdFailure, match="incident_amplitude"):
+            rs.tikhonov_inverse(kernel, gamma=1e-6)
+        # just below the limit still squares to a finite weight
+        kernel = KernelMatrix(stored=np.diag([1e154, 1.0]).astype(complex), kind=em.KIND_Z2D, fingerprint="t")
+        assert rs.tikhonov_inverse(kernel, gamma=1e-6).retained_rank == 2
 
     def test_minimizer_property(self):
         # perturbing the solution in random directions increases the objective
