@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from .constants import FREE_SPACE_IMPEDANCE
 from .errors import (
     CacheMismatch,
     CoincidentPoints,
+    DimensionMismatch,
     KernelSizeError,
     KindMismatch,
     MissingFile,
@@ -359,20 +361,42 @@ def assemble_kernel(scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
 # holds its quadrant rows while its header names the full (M, N).
 
 
-def write_complex_file(path: str | Path, header: str, values: np.ndarray) -> None:
+def write_complex_file(
+    path: str | Path,
+    header: str,
+    values: np.ndarray | Iterable[np.ndarray],
+    shape: tuple[int, int] | None = None,
+) -> None:
     """Write an ASCII header line and little-endian complex128 body atomically.
 
-    The bytes go to a temporary file in the same directory, which then
-    replaces ``path``: a reader sees the old file or the whole new one, never
-    a partial write. The body is written from the array's own buffer, so a
-    C-ordered little-endian complex128 ``values`` is not copied.
+    ``values`` is one array, or an iterable of (rows, cols) blocks of rows
+    whose rows add up to the (rows, cols) ``shape`` the header names, each
+    written before the next is drawn, so a stream can reuse one buffer. The
+    bytes go to a temporary file in the same directory, which then replaces
+    ``path``: a reader sees the old file or the whole new one, never a
+    partial write. If drawing a block raises, or the blocks do not add up to
+    ``shape`` (:class:`DimensionMismatch`), the temporary file is removed and
+    the old file stays. Each body is written from its array's own buffer, so
+    C-ordered little-endian complex128 values are not copied.
     """
     path = Path(path)
+    if isinstance(values, np.ndarray):
+        values, shape = (values,), values.shape
+    elif shape is None:
+        raise ValueError("a stream of blocks needs the shape its header names")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(header.encode("ascii"))
-            fh.write(np.ascontiguousarray(values, dtype="<c16").data)
+            rows = 0
+            for block in values:
+                rows += len(block)
+                if block.shape[1:] != shape[1:] or rows > shape[0]:
+                    raise DimensionMismatch(f"a {block.shape} block does not fit the {shape} body")
+                fh.write(np.ascontiguousarray(block, dtype="<c16").data)
+                del block  # freed before the next one is drawn
+            if rows != shape[0]:
+                raise DimensionMismatch(f"blocks of {rows} rows for the {shape[0]} rows of the header")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -73,6 +73,10 @@ class ZeroTruth(ImagingError, ValueError):
     """NMSE is undefined against an all-zero reference grid."""
 
 
+class NonFiniteScore(ImagingError, ArithmeticError):
+    """An NMSE overflowed: the estimate's error power is not a finite number."""
+
+
 class MalformedRecords(ImagingError, ValueError):
     """A measurement CSV file does not follow the records layout."""
 

@@ -13,16 +13,17 @@ with a matrix, turns a designed set's product into a Walsh-Hadamard transform
 of a small matrix with one row per point, and :func:`hadamard_transform`
 applies H_I as the Kronecker product H_a (x) H_b of two Sylvester matrices,
 two real matrix products with no butterfly loop. A designed set, plane or
-volume, stores no (I, M) mask stack; it is formed only when its ``vectors``
-are read (:class:`MaskSet`).
+volume, stores no (I, M) mask stack; it is formed when its ``vectors`` are
+read, or a block of rows at a time by :meth:`MaskSet.row_blocks`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -46,19 +47,22 @@ PHASE_EXACT = "exact"
 
 # Stored sets go through :func:`project` in blocks of rows, and designed sets
 # in blocks of columns, whose output holds about this many entries (1 MiB);
-# mask moments are summed in blocks of rows of about this many entries.
+# mask moments are summed in blocks of rows of about this many entries, and
+# :meth:`MaskSet.row_blocks` yields blocks of a quarter of it.
 _CHUNK_ENTRIES = 1 << 16
 
 
-def _designed_stack(amplitudes: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
-    """The designed masks amplitudes * e^{j phase}, or the amplitudes as complex
-    without a phase: a new read-only (I, M) array."""
-    if phase is None:
-        stack = amplitudes.astype(np.complex128)
-    else:
-        stack = amplitudes * np.exp(1j * phase)[None, :]
+def _designed_stack(amplitudes: np.ndarray, phasor: np.ndarray | None) -> np.ndarray:
+    """The designed masks amplitudes * e^{j phase}, from the (M,) ``phasor``
+    e^{j phase}, or the amplitudes as complex without one: a new read-only
+    array of the amplitudes' shape."""
+    stack = amplitudes.astype(np.complex128) if phasor is None else amplitudes * phasor
     stack.setflags(write=False)
     return stack
+
+
+def _phasor(phase: np.ndarray | None) -> np.ndarray | None:
+    return None if phase is None else np.exp(1j * phase)
 
 
 class _FormedOnRead:
@@ -75,7 +79,7 @@ class _FormedOnRead:
         if masks is None:
             return None
         stored = masks.__dict__["_vectors"]
-        return _designed_stack(masks.amplitudes, masks.phase) if stored is None else stored
+        return _designed_stack(masks.amplitudes, _phasor(masks.phase)) if stored is None else stored
 
     def __set__(self, masks, value):
         masks.__dict__["_vectors"] = value  # the frozen set's own __init__ and replace() only
@@ -94,9 +98,10 @@ class MaskSet:
     that carries it as the Hadamard design times ``phase`` (no phase for a
     volume set), not from ``vectors``, so a set whose vectors change must
     drop it. A designed set of either kind stores no ``vectors``: each read
-    forms them, so only measuring it, its export and the synthesis summary
-    ever build the complex (I, M) stack, and
-    ``replace(masks, vectors=masks.vectors)`` keeps one for repeated reads.
+    forms them, and ``replace(masks, vectors=masks.vectors)`` keeps one for
+    repeated reads. Measuring it, its export and the synthesis summary read
+    it through :meth:`row_blocks`, so none of them builds the complex (I, M)
+    stack whole.
     The generating coefficient vectors are not kept:
     ``ris_synthesis.synthesis_profiles`` forms them from the inverse when
     they are exported. ``moments`` are computed on first read and kept; a
@@ -138,6 +143,23 @@ class MaskSet:
         if self.amplitudes is not None:
             return self.amplitudes
         return np.abs(self.vectors)
+
+    def row_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """``vectors`` a block of rows at a time: (rows, vectors[rows]) with
+        blocks of about ``_CHUNK_ENTRIES / 4`` entries, as a reader may keep
+        a few block-sized temporaries.
+
+        A stored set yields views of its stack. A designed set forms each
+        block as amplitudes * e^{j phase} (:func:`_designed_stack`), the same
+        bits as the matching rows of ``vectors``, so its (I, M) stack never
+        exists whole.
+        """
+        stored = self.__dict__["_vectors"]
+        phasor = _phasor(self.phase) if stored is None else None
+        step = max(1, _CHUNK_ENTRIES // (4 * max(self.points, 1)))
+        for start in range(0, self.count, step):
+            rows = slice(start, start + step)
+            yield rows, _designed_stack(self.amplitudes[rows], phasor) if stored is None else stored[rows]
 
     @cached_property
     def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -397,11 +419,11 @@ def mask_covariance(masks: MaskSet, ref_index: int) -> np.ndarray:
 
 
 def save_mask_vectors(path: str | Path, masks: MaskSet, fingerprint: str) -> None:
-    header = (
-        f"kind={masks.kind} count={masks.count} points={masks.points} "
-        f"fingerprint={fingerprint}\n"
-    )
-    write_complex_file(path, header, masks.vectors)
+    """Export ``masks`` a block of rows at a time (:meth:`MaskSet.row_blocks`),
+    so a designed set's (I, M) stack is never formed whole."""
+    shape = (masks.count, masks.points)
+    header = f"kind={masks.kind} count={shape[0]} points={shape[1]} fingerprint={fingerprint}\n"
+    write_complex_file(path, header, map(itemgetter(1), masks.row_blocks()), shape)
 
 
 def load_mask_vectors(path: str | Path) -> tuple[str, np.ndarray, str]:

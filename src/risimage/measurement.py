@@ -170,21 +170,24 @@ def noiseless_fields(
     contrast-weighted sum of the mask. Returns a new read-only array, which
     every measurement of the same set can share (:func:`measure`).
     """
-    vectors = masks.vectors
-    if vectors.shape[1] != target.n_points:
+    if masks.points != target.n_points:
         raise DimensionMismatch(
-            f"masks over {vectors.shape[1]} points do not match the {target.n_points}-point target"
+            f"masks over {masks.points} points do not match the {target.n_points}-point target"
         )
     if masks.kind == KIND_MASK2D:
         if target.kind != PLANE_2D:
             raise KindMismatch("plane masks require a plane target")
         weights = psf_vector(scene, grids.target_points) * target.values * grids.target_cell_measure
-        fields = (1.0 - target.reflection_coeff) * (vectors @ weights)
+        factor = 1.0 - target.reflection_coeff
     else:
         if target.kind != VOLUME_3D:
             raise KindMismatch("volume masks require a volume target")
-        k = scene.wavenumber
-        fields = k**2 * scene.target_cell_measure * (vectors @ target.values)
+        weights = target.values
+        factor = scene.wavenumber**2 * scene.target_cell_measure
+    products = np.empty(masks.count, dtype=np.complex128)
+    for rows, block in masks.row_blocks():
+        products[rows] = block @ weights
+    fields = factor * products
     fields.setflags(write=False)
     return fields
 

@@ -9,11 +9,12 @@ unreconstructable and set to zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, KindMismatch, ZeroTruth
+from .errors import DimensionMismatch, KindMismatch, NonFiniteScore, ZeroTruth
 from .mask_design import KIND_MASK2D, KIND_MASK3D, MaskSet
 from .measurement import Measurements
 from .scene import ValidatedScene
@@ -104,16 +105,23 @@ def reconstruct_3d(
 def nmse(truth: np.ndarray, estimate: np.ndarray) -> float:
     """Normalised mean square error ||t - t_hat||^2 / ||t||^2 over flat grids.
 
-    Unreconstructable points count as zeros in the estimate.
+    Unreconstructable points count as zeros in the estimate. Raises
+    :class:`NonFiniteScore` when a sum overflows (an estimate scaled by
+    overwhelming noise and not calibrated) or the NMSE is otherwise not a
+    finite number.
     """
     truth = np.asarray(truth).reshape(-1)
     estimate = np.asarray(estimate).reshape(-1)
     if truth.shape != estimate.shape:
         raise DimensionMismatch(f"truth {truth.shape} vs estimate {estimate.shape}")
-    denominator = float(np.sum(np.abs(truth) ** 2))
-    if denominator == 0.0:
-        raise ZeroTruth("NMSE is undefined for an all-zero truth grid")
-    return float(np.sum(np.abs(truth - estimate) ** 2) / denominator)
+    with np.errstate(over="ignore", invalid="ignore"):
+        denominator = float(np.sum(np.abs(truth) ** 2))
+        if denominator == 0.0:
+            raise ZeroTruth("NMSE is undefined for an all-zero truth grid")
+        error = float(np.sum(np.abs(truth - estimate) ** 2) / denominator)
+    if not (math.isfinite(error) and math.isfinite(denominator)):
+        raise NonFiniteScore(f"NMSE is {error!r}: the squared error or the truth power overflows")
+    return error
 
 
 def calibrate_estimate(

@@ -43,14 +43,18 @@ lambda_s, the retained columns of U_s put onto the grid by a signed row
 gather, so the masks are never folded: one ``mask_design.project`` call
 forms b @ [A_1 ... A_k] for every mask into the leading columns of the
 output, whichever kind of set it is (a designed set never builds its (I, M)
-mask stack there). Each block of rows then takes its norms ||c|| and
-overwrites its coefficients with its result. The realized mask
-K p = U diag(sigma) c is unfolded on the target side. The coefficient
-profiles p, formed only by :meth:`apply` and when profiles are exported, are
-unfolded on the aperture side from V_s c_s, with V_s = B_s^H U_s / sigma_s
-built per sector from the block the inverse keeps, so a profile is never
-formed through a dense K^H product. The blocks are formed once, at
-decomposition, and the inverse holds no reference to the kernel.
+mask stack there). One loop (:func:`_map_rows`) then maps a block of rows
+at a time: it takes the block's norms ||c|| and overwrites its coefficients
+with its result. The realized mask K p = U diag(sigma) c is unfolded on the
+target side. The coefficient profiles p, formed only by :meth:`apply` and
+when profiles are exported, are unfolded on the aperture side from
+V_s c_s, with V_s = B_s^H U_s / sigma_s built per sector from the block the
+inverse keeps, so a profile is never formed through a dense K^H product.
+The export (:func:`save_profiles`) stages c alone, I x sum r_s, and the same
+loop maps each block of rows into one reused buffer that is written before
+the next block, so the (I, N) profiles never exist whole. The blocks are
+formed once, at decomposition, and the inverse holds no reference to the
+kernel.
 """
 
 from __future__ import annotations
@@ -524,46 +528,55 @@ def _stage_coefficients(
 
 
 def _map_rows(
-    out: np.ndarray,
+    staged: np.ndarray,
     right: list[np.ndarray],
     shape: tuple[int, int] | None,
-    budget: float | None = None,
     phase: np.ndarray | None = None,
-) -> np.ndarray:
-    """Overwrite each row's staged coefficients with unfold(sum_s c_s right_s).
+    budget: float | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Map each row's staged coefficients c to unfold(sum_s c_s right_s).
 
-    ``right`` holds one (r_s, width_s) matrix per sector, and ``shape`` is
-    the grid the sectors unfold onto. Runs one block of about
-    ``_CHUNK_ENTRIES`` output entries at a time, each block's coefficients
-    read before its rows are written. Returns ||c|| per row, taken from each
-    block before it is overwritten. With a ``budget``, each block's
-    coefficients are first scaled in place by budget / ||c||, so no pass
-    over the output rescales it, and a zero ||c|| raises
-    :class:`ZeroSolution`; with a ``phase``, the unfolded rows are
-    multiplied by it.
+    ``staged`` holds c in its leading sum r_s columns, ``right`` one
+    (r_s, width_s) matrix per sector, and ``shape`` is the grid the sectors
+    unfold onto. Runs one block of about ``_CHUNK_ENTRIES`` output entries
+    at a time and yields each block's ||c|| per row and its mapped rows.
+    A block's norms are taken and its coefficients read before its rows are
+    written: over its own rows of ``staged`` when that is as wide as the
+    output, and otherwise into one buffer that every block reuses, so each
+    block must then be consumed before the next is drawn. With a
+    ``budget``, each block's coefficients are first scaled in place by
+    budget / ||c||, so no pass over the output rescales it, and a zero
+    ||c|| raises :class:`ZeroSolution`; with a ``phase``, the unfolded rows
+    are multiplied by it.
     """
     bounds = np.cumsum([0] + [len(r) for r in right])
-    norms = np.empty(len(out))
-    step = max(1, _CHUNK_ENTRIES // out.shape[1])
-    for start in range(0, len(out), step):
-        chunk = slice(start, start + step)
-        c = out[chunk, : bounds[-1]]
+    width = sum(r.shape[1] for r in right)
+    step = max(1, _CHUNK_ENTRIES // width)
+    in_place = staged.shape[1] == width
+    buffer = None if in_place else np.empty((min(step, len(staged)), width), dtype=np.complex128)
+    for start in range(0, len(staged), step):
+        c = staged[start : start + step, : bounds[-1]]
         parts = c.view(np.float64)
-        norms[chunk] = np.sqrt(np.einsum("ik,ik->i", parts, parts))
+        norms = np.sqrt(np.einsum("ik,ik->i", parts, parts))
         if budget is not None:
-            zero = np.flatnonzero(norms[chunk] == 0.0)
+            zero = np.flatnonzero(norms == 0.0)
             if zero.size:
                 raise ZeroSolution(f"mask {start + int(zero[0])} lies outside the retained kernel range")
-            c *= (budget / norms[chunk])[:, None]
-        rows = out[chunk]
+            c *= (budget / norms)[:, None]
+        rows = staged[start : start + step] if buffer is None else buffer[: len(c)]
         _sector_unfold((c[:, lo:hi] @ r for lo, hi, r in zip(bounds, bounds[1:], right)), shape, rows)
         if phase is not None:
             rows *= phase
-    return norms
+        yield norms, rows
 
 
-def _aperture_factors(inv: RegularizedInverse) -> list[np.ndarray]:
-    """Per sector the transpose of W_s = a_s * B_s^H U_s[:, :r_s] / sigma_s, (r_s, cols).
+def _aperture_factors(
+    inv: RegularizedInverse,
+) -> tuple[list[np.ndarray], tuple[int, int] | None, np.ndarray | None]:
+    """What :func:`_map_rows` needs to map coefficients c onto solutions: per
+    sector the transpose of W_s = a_s * B_s^H U_s[:, :r_s] / sigma_s,
+    (r_s, cols), the aperture grid they unfold onto and the conjugate J_x
+    phase (None for the identity sector).
 
     W_s is the sector's retained V_s with the aperture fold weights a_s
     applied, so unfold_s(W_s c_s) is the sector's share of V Sigma^-1 c
@@ -571,16 +584,16 @@ def _aperture_factors(inv: RegularizedInverse) -> list[np.ndarray]:
     formed without a conjugated copy of K.
     """
     symmetry = inv.symmetry
-    aperture_norms = _sector_norms(symmetry.aperture_shape if symmetry is not None else None)
+    shape = symmetry.aperture_shape if symmetry is not None else None
     factors = []
-    for sector, norms in zip(inv.sectors, aperture_norms):
+    for sector, norms in zip(inv.sectors, _sector_norms(shape)):
         r = sector.retained
         w_t = (sector.u[:, :r] / sector.sigma[:r]).conj().T @ sector.block
         np.conjugate(w_t, out=w_t)
         if norms is not None:
             w_t *= norms
         factors.append(w_t)
-    return factors
+    return factors, shape, symmetry.phase.conj() if symmetry is not None else None
 
 
 def _solutions(
@@ -588,17 +601,15 @@ def _solutions(
 ) -> np.ndarray:
     """Regularized solutions (I, N), C-ordered, for a mask set or the rows of an (I, M) array.
 
-    The coefficients of :func:`_stage_coefficients` are mapped back per
-    sector through :func:`_aperture_factors`, unfolded on the aperture side
-    and multiplied by the conjugate J_x phase. With a ``budget``, every
-    solution is scaled to norm ``budget``.
+    The coefficients of :func:`_stage_coefficients` are staged in the
+    output's leading columns, and each block of rows is overwritten with its
+    solutions, mapped per sector through :func:`_aperture_factors`, unfolded
+    on the aperture side and multiplied by the conjugate J_x phase. With a
+    ``budget``, every solution is scaled to norm ``budget``.
     """
-    symmetry = inv.symmetry
-    aperture_shape = symmetry.aperture_shape if symmetry is not None else None
-    phase = symmetry.phase.conj() if symmetry is not None else None
-    aperture = _aperture_factors(inv)
     out = _stage_coefficients(inv, _folded_factors(inv), masks, inv.shape[1])
-    _map_rows(out, aperture, aperture_shape, budget, phase)
+    for _ in _map_rows(out, *_aperture_factors(inv), budget):
+        pass  # each block overwrites its own rows
     return out
 
 
@@ -619,7 +630,8 @@ def realize_masks(inv: RegularizedInverse, masks: MaskSet, amplification: float)
     factors = _folded_factors(inv)
     realized = _stage_coefficients(inv, factors, masks, n_targets)
     right = [(f.u * f.sigma).T for f in factors]
-    norms = _map_rows(realized, right, _target_shape(inv), np.sqrt(n_samples * amplification))
+    blocks = _map_rows(realized, right, _target_shape(inv), budget=np.sqrt(n_samples * amplification))
+    norms = np.concatenate([block_norms for block_norms, _ in blocks])
     realized.setflags(write=False)
     return replace(masks, vectors=realized, amplitudes=None, solution_norms=norms)
 
@@ -641,12 +653,21 @@ def save_profiles(
     amplification: float,
     fingerprint: str,
 ) -> None:
-    """Per-measurement coefficient vectors realizing the ideal ``masks``, same
-    binary layout as mask exports."""
-    profiles = synthesis_profiles(inv, masks, amplification)
-    count, n = profiles.shape
+    """Export the profiles of :func:`synthesis_profiles` for the ideal
+    ``masks``, same binary layout as mask exports, a block of rows at a time.
+
+    The coefficients c (I, sum r_s) are staged once (:func:`_stage_coefficients`),
+    and each block of rows is mapped into one reused buffer and written
+    before the next, so the (I, N) profiles never exist whole; the bytes are
+    those of the whole array. A failing block leaves any earlier file in
+    place (:func:`em_core.write_complex_file`).
+    """
+    count, n = masks.count, inv.shape[1]
+    staged = _stage_coefficients(inv, _folded_factors(inv), masks, inv.retained_rank)
+    budget = np.sqrt(n * amplification)
+    blocks = (rows for _, rows in _map_rows(staged, *_aperture_factors(inv), budget))
     header = f"kind=profiles count={count} points={n} fingerprint={fingerprint}\n"
-    write_complex_file(path, header, profiles)
+    write_complex_file(path, header, blocks, (count, n))
 
 
 def write_synthesis_summary(
@@ -665,10 +686,11 @@ def write_synthesis_summary(
     """
     sigma, inv_sigma = inv.sigma, inv.inv_sigma
     retained = sigma[inv_sigma > 0.0]
-    budget = np.sqrt(inv.shape[1] * amplification)
-    fitted = realized.vectors * (realized.solution_norms / budget)[:, None]
-    ideal_vectors = ideal.vectors  # a designed set forms its stack on each read
-    rel_err = np.linalg.norm(fitted - ideal_vectors, axis=1) / np.linalg.norm(ideal_vectors, axis=1)
+    scale = realized.solution_norms / np.sqrt(inv.shape[1] * amplification)
+    rel_err = np.empty(ideal.count)
+    for rows, ideal_rows in ideal.row_blocks():  # a designed set forms one block at a time
+        fitted = realized.vectors[rows] * scale[rows, None]
+        rel_err[rows] = np.linalg.norm(fitted - ideal_rows, axis=1) / np.linalg.norm(ideal_rows, axis=1)
     lines = [
         f"retained_rank = {inv.retained_rank}",
         f"gamma = {inv.gamma!r}",

@@ -2,9 +2,11 @@
 
 import csv
 import dataclasses
+import math
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -661,6 +663,18 @@ class TestBadInput:
         )
         assert code == 0
         assert np.isfinite(float(read_metrics(tmp_path / "s")[0]["nmse"]))
+
+    def test_nmse_overflow_fails_its_point(self, scene_file, tmp_path):
+        # uncalibrated, noise at -3070 dB scales the estimate until its squared error overflows
+        argv = ["run", "--scene", str(scene_file), "-I", "128", "--calibration", "none"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "--snr-db=-3070", "--output", str(tmp_path / "over")]) == 1
+            assert cli.main([*argv, "--snr-db=-3060", "--output", str(tmp_path / "near")]) == 0
+        errors = (tmp_path / "over" / "errors.log").read_text().splitlines()
+        assert len(errors) == 1 and "NonFiniteScore" in errors[0]
+        assert read_metrics(tmp_path / "over")[0]["nmse"] == ""
+        assert 1e306 < float(read_metrics(tmp_path / "near")[0]["nmse"]) < math.inf
 
     def test_kernel_too_large_to_square_fails_every_point(self, scene_file, tmp_path, capsys):
         # the kernel scales with the incident amplitude; its sigma**2 would overflow

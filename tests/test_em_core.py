@@ -447,6 +447,70 @@ class TestKernelCache:
             em.load_kernel(path, scene, grids)
 
 
+class TestStreamedWrite:
+    """``write_complex_file`` takes row blocks and stays atomic."""
+
+    HEADER = "kind=t count=6 points=3 fingerprint=f\n"
+
+    @staticmethod
+    def values():
+        rng = np.random.default_rng(11)
+        return rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+
+    def old_file(self, tmp_path):
+        path = tmp_path / "v.bin"
+        em.write_complex_file(path, self.HEADER, 2.0 * self.values())
+        return path, path.read_bytes()
+
+    @staticmethod
+    def assert_untouched(path, old):
+        assert path.read_bytes() == old
+        assert list(path.parent.glob(".*.tmp")) == []
+
+    def test_blocks_write_the_bytes_of_the_whole_array(self, tmp_path):
+        values = self.values()
+        buffer = np.empty((4, 3), dtype=complex)
+
+        def reused():  # each block overwrites the last one's buffer
+            for start in range(0, 6, 4):
+                rows = buffer[: len(values[start : start + 4])]
+                rows[...] = values[start : start + 4]
+                yield rows
+
+        em.write_complex_file(tmp_path / "a.bin", self.HEADER, values)
+        em.write_complex_file(tmp_path / "b.bin", self.HEADER, reused(), (6, 3))
+        assert (tmp_path / "b.bin").read_bytes() == (tmp_path / "a.bin").read_bytes()
+
+    def test_stream_needs_its_shape(self, tmp_path):
+        with pytest.raises(ValueError):
+            em.write_complex_file(tmp_path / "v.bin", self.HEADER, iter([self.values()]))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failing_stream_leaves_the_old_file(self, tmp_path):
+        path, old = self.old_file(tmp_path)
+        values = self.values()
+
+        def failing():
+            yield values[:2]
+            raise ZeroDivisionError("block 1")
+
+        with pytest.raises(ZeroDivisionError):
+            em.write_complex_file(path, self.HEADER, failing(), (6, 3))
+        self.assert_untouched(path, old)
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [[(2, 3), (2, 3)], [(4, 3), (4, 3)], [(2, 3), (1, 2)]],
+        ids=["too-few-rows", "too-many-rows", "wrong-width"],
+    )
+    def test_blocks_that_miss_the_header_leave_the_old_file(self, tmp_path, shapes):
+        path, old = self.old_file(tmp_path)
+        blocks = [self.values()[:rows, :cols] for rows, cols in shapes]
+        with pytest.raises(DimensionMismatch):
+            em.write_complex_file(path, self.HEADER, iter(blocks), (6, 3))
+        self.assert_untouched(path, old)
+
+
 def oracle_plane_entries(scene, grids):
     """Every entry of a plane kernel from its closed form, vectorised over the full (M, N) grid."""
     cfg = scene.config

@@ -133,6 +133,43 @@ class TestReceiverField3d:
         assert scaled == pytest.approx(2.5 * base, rel=1e-12)
 
 
+class TestFieldsInRowBlocks:
+    """Fields are read a block of mask rows at a time, bit for bit the whole-stack product."""
+
+    @pytest.mark.parametrize("fixture", ["desk_scene", "volume_scene"])
+    @pytest.mark.parametrize("designed", [True, False], ids=["designed", "stored"])
+    def test_fields_match_the_whole_stack(self, fixture, designed, request, monkeypatch):
+        scene, grids = request.getfixturevalue(fixture)
+        monkeypatch.setattr(md, "_CHUNK_ENTRIES", 4096)  # a few rows per block
+        masks = md.ideal_masks(scene, grids, 1024)
+        stack = masks.vectors
+        if not designed:
+            masks = md.MaskSet(kind=masks.kind, vectors=stack * np.exp(0.3j))
+            stack = masks.vectors
+        if scene.is_3d:
+            rng = np.random.default_rng(4)
+            target = ms.make_target_3d(rng.standard_normal(scene.n_target) + 0.1j, (2, 2, 2))
+            expected = scene.wavenumber**2 * scene.target_cell_measure * (stack @ target.values)
+        else:
+            target = checker_target(scene)
+            weights = em.psf_vector(scene, grids.target_points) * target.values * grids.target_cell_measure
+            expected = (1.0 - target.reflection_coeff) * (stack @ weights)
+        formed = []
+        form = md._designed_stack
+
+        def recording(amplitudes, phase):
+            formed.append(len(amplitudes))
+            return form(amplitudes, phase)
+
+        monkeypatch.setattr(md, "_designed_stack", recording)
+        fields = ms.noiseless_fields(scene, grids, masks, target)
+        assert fields.tobytes() == expected.tobytes()
+        if designed:  # several blocks, never the whole stack
+            assert sum(formed) == masks.count and max(formed) < masks.count
+        else:
+            assert formed == []
+
+
 class TestNoiseModel:
     def test_variance_from_snr(self):
         fields = np.array([1.0 + 0j, 0.0 + 1j, -1.0 + 0j, 0.0 - 1j])

@@ -1,6 +1,7 @@
 """Correlation reconstruction, NMSE, calibration, and their invariants."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from risimage import measurement as ms
 from risimage import reconstruct as rc
 from risimage import ris_synthesis as rs
 from risimage import scene as sc
-from risimage.errors import DimensionMismatch, EmptyMaskSet, ZeroTruth
+from risimage.errors import DimensionMismatch, EmptyMaskSet, NonFiniteScore, ZeroTruth
 
 from conftest import peak_traced_bytes, small_config
 
@@ -305,6 +306,18 @@ class TestNmse:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             rc.nmse(np.ones(3), np.ones(4))
+
+    @pytest.mark.parametrize("scale", [2e153, 1e160, np.inf], ids=["sum-overflows", "square-overflows", "inf"])
+    def test_non_finite_nmse_is_a_typed_error(self, scale):
+        estimate = scale * np.linspace(1.0, 2.0, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteScore):
+                rc.nmse(np.ones(64), estimate)
+
+    def test_largest_finite_nmse_keeps_its_formula(self):
+        truth, estimate = np.ones(64), 1e152 * np.linspace(1.0, 2.0, 64)
+        assert rc.nmse(truth, estimate) == float(np.sum(np.abs(truth - estimate) ** 2) / 64.0)
 
 
 class TestCalibrate:

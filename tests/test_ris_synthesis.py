@@ -716,6 +716,86 @@ class TestSelfContainedInverse:
         assert held <= kept + (1 << 20)
 
 
+STREAMED_SCENES = pytest.mark.parametrize(
+    "cfg",
+    [
+        desk_config(),
+        desk_config(0.25),
+        desk_config(n_target_x=15, n_target_y=15, n_ris_x=33, n_ris_y=33),
+        desk_config(n_target_x=15, n_target_y=16, n_ris_x=33, n_ris_y=32),
+        volume_config(),
+    ],
+    ids=["desk", "desk-0.25", "odd-15-33", "mixed-15x16-33x32", "volume"],
+)
+
+
+class TestStreamedExports:
+    """Exports written a block of rows at a time hold the bytes of the whole-array route."""
+
+    COUNT = 256
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        # a few rows per block on every scene: profiles, mask rows and coefficients alike
+        monkeypatch.setattr(rs, "_CHUNK_ENTRIES", 4096)
+        monkeypatch.setattr(md, "_CHUNK_ENTRIES", 4096)
+
+    @staticmethod
+    def synthesis(cfg):
+        scene = sc.validate_scene(cfg)
+        grids = sc.sample_grids(scene)
+        inv = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12)
+        return scene, inv, md.ideal_masks(scene, grids, TestStreamedExports.COUNT)
+
+    @staticmethod
+    def header(kind, count, points):
+        return f"kind={kind} count={count} points={points} fingerprint=f\n".encode()
+
+    @STREAMED_SCENES
+    def test_profiles_match_the_whole_array(self, cfg, small_blocks, tmp_path):
+        _, inv, masks = self.synthesis(cfg)
+        assert rs._CHUNK_ENTRIES // inv.shape[1] < masks.count // 4  # at least four blocks
+        rs.save_profiles(tmp_path / "p.bin", inv, masks, 1.5, "f")
+        profiles = rs.synthesis_profiles(inv, masks, 1.5)
+        expected = self.header("profiles", *profiles.shape) + profiles.astype("<c16").tobytes()
+        assert (tmp_path / "p.bin").read_bytes() == expected
+
+    @STREAMED_SCENES
+    def test_ideal_export_matches_the_designed_stack(self, cfg, small_blocks, tmp_path):
+        _, _, masks = self.synthesis(cfg)
+        md.save_mask_vectors(tmp_path / "m.bin", masks, "f")
+        stack = masks.vectors  # the whole stack, formed on read
+        expected = self.header(masks.kind, *stack.shape) + stack.astype("<c16").tobytes()
+        assert (tmp_path / "m.bin").read_bytes() == expected
+
+    @STREAMED_SCENES
+    def test_summary_matches_the_whole_array_formula(self, cfg, small_blocks, tmp_path):
+        _, inv, ideal = self.synthesis(cfg)
+        realized = rs.realize_masks(inv, ideal, 1.5)
+        rs.write_synthesis_summary(tmp_path / "s.txt", inv, ideal, realized, 1.5)
+        budget = np.sqrt(inv.shape[1] * 1.5)
+        fitted = realized.vectors * (realized.solution_norms / budget)[:, None]
+        rel_err = np.linalg.norm(fitted - ideal.vectors, axis=1) / np.linalg.norm(ideal.vectors, axis=1)
+        lines = (tmp_path / "s.txt").read_text().splitlines()
+        assert f"realized_rel_err_mean = {float(rel_err.mean())!r}" in lines
+        assert f"realized_rel_err_max = {float(rel_err.max())!r}" in lines
+
+    def test_zero_solution_mid_stream_leaves_the_old_file(self, monkeypatch, tmp_path):
+        # blocks of two rows: mask 5 fails the third block, after two were written
+        monkeypatch.setattr(rs, "_CHUNK_ENTRIES", 4)
+        kernel = KernelMatrix(stored=np.diag([1.0, 0.0]).astype(complex), kind=em.KIND_Z2D, fingerprint="t")
+        inv = rs.tikhonov_inverse(kernel, 1e-6)
+        vectors = np.tile(np.array([1.0, 1.0 + 0.0j]), (8, 1))
+        path = tmp_path / "profiles.bin"
+        rs.save_profiles(path, inv, md.MaskSet(kind=md.KIND_MASK2D, vectors=vectors), 1.0, "t")
+        old = path.read_bytes()
+        vectors[5] = [0.0, 1.0]
+        with pytest.raises(ZeroSolution, match="mask 5 "):
+            rs.save_profiles(path, inv, md.MaskSet(kind=md.KIND_MASK2D, vectors=vectors), 1.0, "t")
+        assert path.read_bytes() == old
+        assert list(tmp_path.glob(".*.tmp")) == []
+
+
 class TestPeakMemory:
     """Temporaries of the coefficient loop stay a few MiB above the output."""
 
@@ -761,6 +841,30 @@ class TestPeakMemory:
         assert masks.amplitudes.shape == (1024, 256)
         assert peak <= masks.amplitudes.nbytes + (1 << 20)
         assert (masks.count, masks.points) == (1024, 256)
+
+    def test_profile_export_holds_one_block_beside_the_coefficients(self, desk_synthesis, tmp_path):
+        # the whole (I, N) profile array alone is 16 MiB at I = N = 1,024; beyond the
+        # coefficients and the one reused block: the aperture factors (1 MiB here)
+        # and one block's unfold temporaries
+        inv, masks = desk_synthesis
+        peak, _ = peak_traced_bytes(lambda: rs.save_profiles(tmp_path / "p.bin", inv, masks, 1.0, "f"))
+        coefficients = masks.count * inv.retained_rank * 16
+        block = (rs._CHUNK_ENTRIES // inv.shape[1]) * inv.shape[1] * 16
+        assert peak <= coefficients + block + (3 << 20)
+
+    def test_designed_export_forms_one_block_at_a_time(self, desk_synthesis, tmp_path):
+        # the designed (I, M) stack alone is 4 MiB at I = 1,024, M = 256
+        _, masks = desk_synthesis
+        peak, _ = peak_traced_bytes(lambda: md.save_mask_vectors(tmp_path / "m.bin", masks, "f"))
+        assert peak <= 1 << 20
+
+    def test_summary_reads_the_designed_set_in_blocks(self, desk_synthesis, tmp_path):
+        # one designed stack (4 MiB) or one (I, M) temporary of the fidelity formula exceeds it
+        inv, masks = desk_synthesis
+        realized = rs.realize_masks(inv, masks, 1.0)
+        summary = tmp_path / "s.txt"
+        peak, _ = peak_traced_bytes(lambda: rs.write_synthesis_summary(summary, inv, masks, realized, 1.0))
+        assert peak <= 2 << 20
 
     def test_many_masks_need_no_coefficient_stack(self, desk_synthesis, desk_scene):
         # at I = 4,096 an (I, sum r_s) coefficient array kept beside the
