@@ -231,7 +231,7 @@ def cmd_reconstruct(args) -> int:
     kind, vectors, fp = mask_design.load_mask_vectors(args.masks)
     if fp != scene.fingerprint:
         print(f"warning: mask export fingerprint {fp[:16]} does not match the scene", file=sys.stderr)
-    masks = mask_design.MaskSet(kind=kind, vectors=vectors)
+    masks = mask_design.MaskSet(kind=kind, stored=vectors)
     psf = None if scene.is_3d else em_core.psf_vector(scene, grids.target_points)
     target = resolve_target(plan.target, scene)
     calibrated, error = score(scene, grids, psf, meas, masks, plan.calibration, target.values)

@@ -37,6 +37,7 @@ from .errors import (
     KernelSizeError,
     KindMismatch,
     MissingFile,
+    NonFiniteKernel,
 )
 from .scene import PLANE_2D, VOLUME_3D, SampleGrids, ValidatedScene
 
@@ -198,7 +199,8 @@ def _assemble(
     The distinct offsets are the floats target - aperture along x and along
     y, so any pitches work: on commensurate grids they form a lattice much
     smaller than the kernel, and on incommensurate ones a slice's table is
-    still no larger than that slice's kernel rows. Returns the read-only
+    still no larger than that slice's kernel rows. A table entry that is not
+    a finite number raises :class:`NonFiniteKernel`. Returns the read-only
     kernel, with the mirror structure attached for a plane target.
     """
     cfg = scene.config
@@ -235,7 +237,13 @@ def _assemble(
     step = max(1, _CHUNK_ENTRIES // n_cols)
     for first in range(0, len(out), n_stored):
         z = targets[first // n_stored * n_slice, 2] - ris[0, 2]
-        tables = offset_tables(dx, dy, z, np.sqrt(planar + z**2)).reshape(-1, planar.size)
+        with np.errstate(all="ignore"):  # an overflow leaves a non-finite entry, checked next
+            tables = offset_tables(dx, dy, z, np.sqrt(planar + z**2)).reshape(-1, planar.size)
+        if not np.isfinite(tables).all():
+            raise NonFiniteKernel(
+                f"kernel entries at wavelength {cfg.wavelength!r} m and {float(z)!r} m from the "
+                "aperture are not finite numbers"
+            )
         for start in range(0, n_stored, step):
             stop = min(start + step, n_stored)
             local = np.arange(start, stop)
@@ -305,8 +313,9 @@ def green_tensor(observation, sources: np.ndarray, k: float) -> np.ndarray:
     rhat = diff / dist[:, None]
     kr = k * dist
     g = np.exp(-1j * kr) / (4.0 * math.pi * dist)
-    radial = 3.0 / kr**2 + 3j / kr - 1.0
-    transverse = 1.0 / kr**2 + 1j / kr - 1.0
+    with np.errstate(over="ignore"):  # far enough away, 1 / kr**2 is its limit 0
+        radial = 3.0 / kr**2 + 3j / kr - 1.0
+        transverse = 1.0 / kr**2 + 1j / kr - 1.0
     tensor = (radial[:, None] * rhat)[:, :, None] * rhat[:, None, :]
     a, b = np.triu_indices(3, 1)
     tensor[:, b, a] = tensor[:, a, b]

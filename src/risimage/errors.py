@@ -33,6 +33,10 @@ class CoincidentPoints(ImagingError, ValueError):
     """Field evaluation requested at zero source/observation separation."""
 
 
+class NonFiniteKernel(ImagingError, ArithmeticError):
+    """Kernel entries overflow: the wavelength and distances give no finite kernel."""
+
+
 class KernelSizeError(ImagingError, MemoryError):
     """Kernel would exceed the configured entry cap; raised before allocation."""
 

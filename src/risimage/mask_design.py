@@ -13,8 +13,10 @@ with a matrix, turns a designed set's product into a Walsh-Hadamard transform
 of a small matrix with one row per point, and :func:`hadamard_transform`
 applies H_I as the Kronecker product H_a (x) H_b of two Sylvester matrices,
 two real matrix products with no butterfly loop. A designed set, plane or
-volume, stores no (I, M) mask stack; it is formed when its ``vectors`` are
-read, or a block of rows at a time by :meth:`MaskSet.row_blocks`.
+volume, is its design, the pair (I, M), and its phase profile: it stores no
+(I, M) array, and :func:`design_amplitudes` forms the rows of the pattern
+that a reader asks for, when its ``vectors`` are read or a block of rows at
+a time by :meth:`MaskSet.row_blocks`.
 """
 
 from __future__ import annotations
@@ -52,71 +54,41 @@ PHASE_EXACT = "exact"
 _CHUNK_ENTRIES = 1 << 16
 
 
-def _designed_stack(amplitudes: np.ndarray, phasor: np.ndarray | None) -> np.ndarray:
-    """The designed masks amplitudes * e^{j phase}, from the (M,) ``phasor``
-    e^{j phase}, or the amplitudes as complex without one: a new read-only
-    array of the amplitudes' shape."""
-    stack = amplitudes.astype(np.complex128) if phasor is None else amplitudes * phasor
-    stack.setflags(write=False)
-    return stack
-
-
-def _phasor(phase: np.ndarray | None) -> np.ndarray | None:
-    return None if phase is None else np.exp(1j * phase)
-
-
-class _FormedOnRead:
-    """The ``vectors`` field of :class:`MaskSet` (a descriptor-typed field).
-
-    Reads return the stored (I, M) stack. A designed set stores none, since
-    :func:`project` reads its ``amplitudes`` and ``phase`` instead, so a read
-    forms the stack anew (:func:`_designed_stack`), read-only, and only the
-    reader keeps it. Its default is None; the stored value lives in
-    ``_vectors``.
-    """
-
-    def __get__(self, masks, owner=None):
-        if masks is None:
-            return None
-        stored = masks.__dict__["_vectors"]
-        return _designed_stack(masks.amplitudes, _phasor(masks.phase)) if stored is None else stored
-
-    def __set__(self, masks, value):
-        masks.__dict__["_vectors"] = value  # the frozen set's own __init__ and replace() only
-
-
 @dataclass(frozen=True)
 class MaskSet:
     """Per-measurement mask vectors over the target samples.
 
-    ``vectors`` are the masks that get measured and correlated: the designed
-    masks from :func:`ideal_masks`, or the masks the aperture actually
-    produces once ``ris_synthesis.realize_masks`` has replaced them, with the
-    pre-normalisation solution norms in ``solution_norms``. ``amplitudes`` is
-    the designed {0,1} pattern of a set straight from :func:`ideal_masks`, and
-    None once ``vectors`` no longer follow it: :func:`project` reads a set
-    that carries it as the Hadamard design times ``phase`` (no phase for a
-    volume set), not from ``vectors``, so a set whose vectors change must
-    drop it. A designed set of either kind stores no ``vectors``: each read
-    forms them, and ``replace(masks, vectors=masks.vectors)`` keeps one for
-    repeated reads. Measuring it, its export and the synthesis summary read
-    it through :meth:`row_blocks`, so none of them builds the complex (I, M)
-    stack whole.
-    The generating coefficient vectors are not kept:
-    ``ris_synthesis.synthesis_profiles`` forms them from the inverse when
-    they are exported. ``moments`` are computed on first read and kept; a
-    set made by ``dataclasses.replace`` starts without them.
+    ``vectors`` are the masks that get measured and correlated, held in one
+    of two forms, exactly one of which is set. ``design`` is the (I, M) pair
+    of a set straight from :func:`ideal_masks`: mask i is the Hadamard
+    pattern row i of :func:`design_amplitudes` times e^{j ``phase``} (no
+    phase for a volume set), so the set stores no (I, M) array, and
+    :func:`project` reads it as a Hadamard transform. ``stored`` is the
+    (I, M) stack of any other set, such as the masks the aperture actually
+    produces once ``ris_synthesis.realize_masks`` has replaced the design,
+    with the pre-normalisation solution norms in ``solution_norms``.
+
+    Each read of a designed set's ``vectors`` forms its stack anew, and
+    ``MaskSet(kind, stored=masks.vectors)`` keeps one for repeated reads.
+    Measuring a designed set, its export and the synthesis summary form it a
+    block of rows at a time (:meth:`row_blocks`). The generating coefficient
+    vectors are not kept: ``ris_synthesis.synthesis_profiles`` forms them
+    from the inverse when they are exported. ``moments`` are computed on
+    first read and kept; a set made by ``dataclasses.replace`` starts
+    without them.
     """
 
     kind: str  # KIND_MASK2D | KIND_MASK3D
-    vectors: np.ndarray | None = _FormedOnRead()  # (I, M) complex128; None: formed on read
-    phase: np.ndarray | None = None  # (M,) common phase profile (2D only)
-    amplitudes: np.ndarray | None = None  # (I, M) designed {0,1} pattern
+    stored: np.ndarray | None = None  # (I, M) complex128
+    design: tuple[int, int] | None = None  # (I, M) of a Hadamard design
+    phase: np.ndarray | None = None  # (M,) common phase profile (designed plane sets)
     solution_norms: np.ndarray | None = None  # (I,)
 
     def __post_init__(self):
-        if self.__dict__["_vectors"] is None and self.amplitudes is None:
-            raise ValueError("a mask set needs vectors, or amplitudes to form them from")
+        if (self.stored is None) == (self.design is None):
+            raise ValueError("a mask set holds exactly one of stored vectors and a design")
+        if self.design is not None:
+            check_measurement_count(*self.design)
 
     @property
     def count(self) -> int:
@@ -128,55 +100,66 @@ class MaskSet:
 
     @property
     def _shape(self) -> tuple[int, int]:
-        stored = self.__dict__["_vectors"]
-        return (self.amplitudes if stored is None else stored).shape
+        return self.stored.shape if self.design is None else self.design
 
-    def amplitude_values(self) -> np.ndarray:
-        """Values whose spread encodes the target: magnitudes for plane masks,
-        the (possibly complex) coefficients themselves for volume masks.
+    @property
+    def vectors(self) -> np.ndarray:
+        """The (I, M) masks: ``stored``, or the designed stack formed anew,
+        which only the reader keeps."""
+        return self.stored if self.design is None else self._designed()
 
-        For designed plane masks the stored {0,1} pattern is returned directly
-        so the quarter-delta covariance stays exact.
-        """
-        if self.kind != KIND_MASK2D:
-            return self.vectors
-        if self.amplitudes is not None:
-            return self.amplitudes
-        return np.abs(self.vectors)
+    def _designed(self, rows: slice = slice(None)) -> np.ndarray:
+        """The designed masks at ``rows``, pattern * e^{j phase}, or the
+        pattern as complex without a phase: a new read-only array."""
+        pattern = design_amplitudes(*self.design, rows)
+        stack = pattern.astype(np.complex128) if self.phase is None else pattern * self._phasor
+        stack.setflags(write=False)
+        return stack
+
+    @cached_property
+    def _phasor(self) -> np.ndarray:
+        """e^{j phase}, formed on the first read and kept for every block."""
+        return np.exp(1j * self.phase)
 
     def row_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
         """``vectors`` a block of rows at a time: (rows, vectors[rows]) with
         blocks of about ``_CHUNK_ENTRIES / 4`` entries, as a reader may keep
         a few block-sized temporaries.
 
-        A stored set yields views of its stack. A designed set forms each
-        block as amplitudes * e^{j phase} (:func:`_designed_stack`), the same
-        bits as the matching rows of ``vectors``, so its (I, M) stack never
-        exists whole.
+        A stored set yields views of its stack. A designed set forms only
+        each block's rows of the pattern, times e^{j phase}, the same bits as
+        the matching rows of ``vectors``, so its (I, M) stack never exists
+        whole.
         """
-        stored = self.__dict__["_vectors"]
-        phasor = _phasor(self.phase) if stored is None else None
         step = max(1, _CHUNK_ENTRIES // (4 * max(self.points, 1)))
         for start in range(0, self.count, step):
             rows = slice(start, start + step)
-            yield rows, _designed_stack(self.amplitudes[rows], phasor) if stored is None else stored[rows]
+            yield rows, self.stored[rows] if self.design is None else self._designed(rows)
 
     @cached_property
     def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The amplitude values u (:meth:`amplitude_values`), their per-point
-        variance c = <u u> - <u>^2 and mean square magnitude <|u|^2>, which
-        every reconstruction from this set reads.
+        """The amplitude values u whose spread encodes the target, their
+        per-point variance c = <u u> - <u>^2 and mean square magnitude
+        <|u|^2>, which every reconstruction from this set reads.
 
-        c is the diagonal of the mask covariance from plain (unconjugated)
-        products, as the correlation reconstruction demands: complex-valued
-        for distorted volume masks, exactly 1/4 for ideal ones. The squares
-        are summed a block of rows at a time, each block after the running
-        sum, so u * u never exists whole and the rows are added in the same
-        order as numpy's axis-0 sum of the whole array.
+        u is the magnitude of a plane mask, or the designed {0,1} pattern
+        itself, so the quarter-delta covariance stays exact, and the
+        (possibly complex) coefficient of a volume mask. c is the diagonal of
+        the mask covariance from plain (unconjugated) products, as the
+        correlation reconstruction demands: complex-valued for distorted
+        volume masks, exactly 1/4 for ideal ones. The squares are summed a
+        block of rows at a time, each block after the running sum, so u * u
+        never exists whole and the rows are added in the same order as
+        numpy's axis-0 sum of the whole array.
         """
         if self.count == 0:
             raise EmptyMaskSet("mask set has no measurements")
-        u = self.amplitude_values()
+        if self.kind != KIND_MASK2D:
+            u = self.vectors
+        elif self.design is not None:
+            u = design_amplitudes(*self.design)
+        else:
+            u = np.abs(self.stored)
         square_mean = _row_mean(u, lambda block: block * block)
         c_values = square_mean - u.mean(axis=0) ** 2
         power = _row_mean(u, lambda block: np.abs(block) ** 2) if np.iscomplexobj(u) else square_mean
@@ -234,8 +217,8 @@ def hadamard_transform(values: np.ndarray) -> np.ndarray:
     so the product is one batched matrix product within the b-blocks and one
     across them (Fino & Algazi, IEEE Trans. Comput. C-25, 1976), both real on
     the float64 view of complex input. A column block of a larger array is
-    read in place. Returns a new C-ordered array of the input's shape and
-    dtype.
+    read in place, and a strided one is copied only for the first product.
+    Returns a new C-ordered array of the input's shape and dtype.
     """
     order = values.shape[0]
     h_a, h_b = _kronecker_factors(order)
@@ -244,8 +227,10 @@ def hadamard_transform(values: np.ndarray) -> np.ndarray:
         if flat.strides[1] != flat.itemsize:
             flat = np.ascontiguousarray(flat)
         flat = flat.view(np.float64)
+    shape = flat.shape
     inner = np.matmul(h_b, flat.reshape(len(h_a), len(h_b), -1))
-    product = (h_a @ inner.reshape(len(h_a), -1)).reshape(flat.shape)
+    del flat  # a strided input's copy is freed before the second product
+    product = (h_a @ inner.reshape(len(h_a), -1)).reshape(shape)
     return product.view(values.dtype).reshape(values.shape)
 
 
@@ -279,25 +264,23 @@ def check_measurement_count(n_measurements: int, n_points: int) -> None:
         )
 
 
-def design_amplitudes(n_measurements: int, n_points: int) -> np.ndarray:
-    """{0,1} amplitude pattern per measurement from distinct Hadamard columns.
+def design_amplitudes(n_measurements: int, n_points: int, rows: slice = slice(None)) -> np.ndarray:
+    """{0,1} amplitude pattern per measurement from distinct Hadamard columns,
+    (1 + H[i, (m + 1) mod I]) / 2, for the measurements i in ``rows``.
 
     Point m takes column (m + 1) mod I (:func:`hadamard_columns`), skipping
     the uninformative all-ones first column; with exactly as many
     measurements as points the last point wraps onto the all-ones column and
     is unreconstructable (flagged downstream). The empirical covariance over
-    measurements is exactly (1/4) delta.
+    all I measurements is exactly (1/4) delta. Only the rows asked for are
+    formed, a new C-ordered float64 array, since BLAS sums in an order that
+    depends on the layout.
     """
     check_measurement_count(n_measurements, n_points)
-    h_a, h_b = _kronecker_factors(n_measurements)
-    columns = np.arange(n_measurements)[hadamard_columns(n_measurements, n_points)]
-    # H[i, j] = H_a[i // b, j // b] H_b[i % b, j % b] is +1 where the two factors agree,
-    # so H_I itself is never built. ``take`` keeps the result C-ordered, and BLAS sums
-    # in an order that depends on the layout.
-    a_part = np.take(h_a, columns // len(h_b), axis=1)
-    b_part = np.take(h_b, columns % len(h_b), axis=1)
-    agree = a_part[:, None, :] == b_part[None, :, :]
-    return agree.reshape(n_measurements, n_points).astype(np.float64)
+    index = np.arange(n_measurements, dtype=np.int32)
+    # Sylvester's H[i, j] is (-1)^popcount(i & j), so H_I itself is never built
+    odd = np.bitwise_count(index[rows, None] & index[hadamard_columns(n_measurements, n_points)]) & 1
+    return (odd == 0).astype(np.float64)
 
 
 def design_phases_2d(
@@ -334,17 +317,16 @@ def ideal_masks(
 ) -> MaskSet:
     """Design the full ideal mask set for the scene's target kind.
 
-    The set stores its amplitudes, a plane set also its phase profile, and
-    no ``vectors`` (:class:`MaskSet`); a volume set's vectors are its
-    amplitudes as complex.
+    The set is its Hadamard design, the pair (I, M), and for a plane target
+    its phase profile: it stores no (I, M) array (:class:`MaskSet`). A volume
+    set's vectors are its amplitudes as complex.
     """
-    amplitudes = design_amplitudes(n_measurements, grids.target_points.shape[0])
-    amplitudes.setflags(write=False)
     phase = None
     if not scene.is_3d:
         phase = design_phases_2d(scene, grids, phase_mode)
         phase.setflags(write=False)
-    return MaskSet(kind=KIND_MASK3D if scene.is_3d else KIND_MASK2D, phase=phase, amplitudes=amplitudes)
+    design = (n_measurements, grids.target_points.shape[0])
+    return MaskSet(kind=KIND_MASK3D if scene.is_3d else KIND_MASK2D, design=design, phase=phase)
 
 
 def project(masks: MaskSet | np.ndarray, factors: Iterable[np.ndarray], out: np.ndarray) -> None:
@@ -353,8 +335,8 @@ def project(masks: MaskSet | np.ndarray, factors: Iterable[np.ndarray], out: np.
     ``masks`` is a mask set or a plain (I, M) array, each factor an (M, r_k)
     matrix and ``out`` an (I, width >= sum r_k) array. The factors are drawn
     one at a time, and each is used up before the next is drawn, so a
-    generator need hold only one. A designed set (one that carries
-    ``amplitudes``) never forms its vectors: mask i is
+    generator need hold only one. A designed set (one that carries a
+    ``design``) never forms its vectors: mask i is
     (1 + H[i, col(m)]) / 2 e^{j phi_m} with col(m) = (m + 1) mod I, so with
     T = H_I scatter(e^{j phi} F / 2), where scatter puts row m of F at row
     col(m), row i of the product is T[0] + T[i] (row 0 of H_I is all ones).
@@ -362,9 +344,8 @@ def project(masks: MaskSet | np.ndarray, factors: Iterable[np.ndarray], out: np.
     of columns at a time (:func:`hadamard_transform`), all factors in one
     pass. Any other set is multiplied a block of rows at a time.
     """
-    designed = isinstance(masks, MaskSet) and masks.amplitudes is not None
-    if not designed:
-        vectors = masks.vectors if isinstance(masks, MaskSet) else masks
+    if not (isinstance(masks, MaskSet) and masks.design is not None):
+        vectors = masks.stored if isinstance(masks, MaskSet) else masks
         step = max(1, _CHUNK_ENTRIES // out.shape[1])
         lo = 0
         for factor in factors:
@@ -374,7 +355,7 @@ def project(masks: MaskSet | np.ndarray, factors: Iterable[np.ndarray], out: np.
             lo = hi
             del factor  # freed before the next one is drawn
         return
-    count, points = masks.amplitudes.shape
+    count, points = masks.design
     half_phase = np.full(points, 0.5) if masks.phase is None else 0.5 * np.exp(1j * masks.phase)
     columns = hadamard_columns(count, points)
     lo = 0
@@ -393,18 +374,17 @@ def project(masks: MaskSet | np.ndarray, factors: Iterable[np.ndarray], out: np.
         transformed = hadamard_transform(stage[:, block])
         transformed += transformed[0].copy()
         stage[:, block] = transformed
+        del transformed  # freed before the next block is transformed
 
 
 def mask_covariance(masks: MaskSet, ref_index: int) -> np.ndarray:
     """Empirical covariance of every mask point against a reference point.
 
     v_m = <u_i(m) u_i(m0)> - <u_i(m)> <u_i(m0)> over the measurement index,
-    where u are the mask amplitude values. Ideal plane masks give exactly
-    (1/4) times the indicator of the reference point.
+    where u are the mask amplitude values (:attr:`MaskSet.moments`). Ideal
+    plane masks give exactly (1/4) times the indicator of the reference point.
     """
-    if masks.count == 0:
-        raise EmptyMaskSet("mask set has no measurements")
-    u = masks.amplitude_values()
+    u = masks.moments[0]
     if not 0 <= ref_index < u.shape[1]:
         raise DimensionMismatch(f"reference index {ref_index} outside 0..{u.shape[1] - 1}")
     ref = u[:, ref_index]

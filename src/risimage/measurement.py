@@ -184,9 +184,10 @@ def noiseless_fields(
             raise KindMismatch("volume masks require a volume target")
         weights = target.values
         factor = scene.wavenumber**2 * scene.target_cell_measure
-    products = np.empty(masks.count, dtype=np.complex128)
-    for rows, block in masks.row_blocks():
-        products[rows] = block @ weights
+    if masks.design is None:
+        products = masks.stored @ weights
+    else:  # formed a block of rows at a time, never whole
+        products = np.concatenate([block @ weights for _, block in masks.row_blocks()])
     fields = factor * products
     fields.setflags(write=False)
     return fields

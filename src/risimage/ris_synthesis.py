@@ -633,7 +633,7 @@ def realize_masks(inv: RegularizedInverse, masks: MaskSet, amplification: float)
     blocks = _map_rows(realized, right, _target_shape(inv), budget=np.sqrt(n_samples * amplification))
     norms = np.concatenate([block_norms for block_norms, _ in blocks])
     realized.setflags(write=False)
-    return replace(masks, vectors=realized, amplitudes=None, solution_norms=norms)
+    return replace(masks, stored=realized, design=None, phase=None, solution_norms=norms)
 
 
 def synthesis_profiles(inv: RegularizedInverse, masks: MaskSet, amplification: float) -> np.ndarray:

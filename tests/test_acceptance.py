@@ -388,7 +388,7 @@ def test_c09_mask_scaling_invariance(desk):
     z_prime = DESK_Z_VALUES[0]
     scene, grids = desk.scene(z_prime)
     masks = desk.synthesized(z_prime, 256)
-    scaled = md.MaskSet(kind=masks.kind, vectors=3.7 * masks.vectors)
+    scaled = md.MaskSet(kind=masks.kind, stored=3.7 * masks.vectors)
     target = tg.builtin_target("block", scene)
     psf = em.psf_vector(scene, grids.target_points)
     records_base = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, 20.0, seed=0)

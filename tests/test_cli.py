@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -199,7 +200,7 @@ class TestMeasureReconstructVerbs:
         grids = sc.sample_grids(scene)
         amplitudes = (md.hadamard(1024)[:, 1 : scene.n_target + 1] > 0).astype(np.float64)
         phase = md.design_phases_2d(scene, grids)
-        stored = md.MaskSet(kind=md.KIND_MASK2D, vectors=amplitudes * np.exp(1j * phase)[None, :])
+        stored = md.MaskSet(kind=md.KIND_MASK2D, stored=amplitudes * np.exp(1j * phase)[None, :])
         target = resolve_target("block", scene)
         fields = ms.noiseless_fields(scene, grids, stored, target)
         ms.records_to_csv(tmp_path / "expected.csv", ms.measure(fields, stored.kind, 20.0, 3))
@@ -207,13 +208,14 @@ class TestMeasureReconstructVerbs:
 
     def test_ideal_masks_form_their_stack_once_per_group(self, scene_file, tmp_path, monkeypatch):
         formed = []
-        form = md._designed_stack
+        form = md.MaskSet._designed
 
-        def counting_form(amplitudes, phase):
-            formed.append(amplitudes.shape)
-            return form(amplitudes, phase)
+        def counting_form(masks, rows=slice(None)):
+            stack = form(masks, rows)
+            formed.append(stack.shape)
+            return stack
 
-        monkeypatch.setattr(md, "_designed_stack", counting_form)
+        monkeypatch.setattr(md.MaskSet, "_designed", counting_form)
         argv = ["sweep", "--scene", str(scene_file), "--ideal-masks", "--i-sweep", "128,256"]
         assert cli.main([*argv, "--snr-sweep", "none,10,20", "--output", str(tmp_path / "s")]) == 0
         assert formed == [(128, 64), (256, 64)]
@@ -676,6 +678,40 @@ class TestBadInput:
         assert read_metrics(tmp_path / "over")[0]["nmse"] == ""
         assert 1e306 < float(read_metrics(tmp_path / "near")[0]["nmse"]) < math.inf
 
+    OVERFLOWING_VOLUME = ["--set", "wavelength=1e-154", "--set", "receiver_z=-1e153"]
+
+    def test_kernel_with_no_finite_entries(self, tmp_path, capsys):
+        # a valid scene whose offset tables overflow in kr**2
+        scene_path = tmp_path / "volume.cfg"
+        scene_path.write_text(TestVolumeVerbs.VOLUME_SCENE)
+        argv = ["kernel", "--scene", str(scene_path), *self.OVERFLOWING_VOLUME, "--output", str(tmp_path / "k.bin")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "NonFiniteKernel" in err and "wavelength 1e-154 m" in err
+        assert not (tmp_path / "k.bin").exists()
+
+    def test_non_finite_kernel_fails_its_point(self, tmp_path):
+        scene_path = tmp_path / "volume.cfg"
+        scene_path.write_text(TestVolumeVerbs.VOLUME_SCENE)
+        argv = ["run", "--scene", str(scene_path), *self.OVERFLOWING_VOLUME, "-I", "16"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "--output", str(tmp_path / "r")]) == 1
+        errors = (tmp_path / "r" / "errors.log").read_text().splitlines()
+        assert len(errors) == 1 and "NonFiniteKernel" in errors[0] and "wavelength 1e-154 m" in errors[0]
+
+    def test_far_receiver_at_a_tiny_wavelength_still_runs(self, tmp_path):
+        # the receiver's (k R')**2 overflows, and 1 / (k R')**2 takes its limit 0
+        scene_path = tmp_path / "volume.cfg"
+        scene_path.write_text(TestVolumeVerbs.VOLUME_SCENE)
+        argv = ["run", "--scene", str(scene_path), "--set", "wavelength=1e-150", "--set", "receiver_z=-1e149"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "-I", "16", "--output", str(tmp_path / "r")]) == 0
+        assert np.isfinite(float(read_metrics(tmp_path / "r")[0]["nmse"]))
+
     def test_kernel_too_large_to_square_fails_every_point(self, scene_file, tmp_path, capsys):
         # the kernel scales with the incident amplitude; its sigma**2 would overflow
         argv = ["sweep", "--scene", str(scene_file), "--set", "incident_amplitude=1e300", "-I", "128"]
@@ -924,7 +960,7 @@ class TestRunnerInternals:
         # two distances x two mask counts x three SNR points: four mask sets
         moments, fields = [], []
 
-        def counted_values(masks, _original=md.MaskSet.amplitude_values):
+        def counted_moments(masks, _original=md.MaskSet.moments.func):
             moments.append(masks.count)
             return _original(masks)
 
@@ -932,7 +968,9 @@ class TestRunnerInternals:
             fields.append(args[2].count)
             return _original(*args)
 
-        monkeypatch.setattr(md.MaskSet, "amplitude_values", counted_values)
+        counted = functools.cached_property(counted_moments)
+        counted.__set_name__(md.MaskSet, "moments")
+        monkeypatch.setattr(md.MaskSet, "moments", counted)
         monkeypatch.setattr(ms, "noiseless_fields", counted_fields)
         plan = rn.ExperimentPlan(
             scene=sc.load_scene_config(scene_file),

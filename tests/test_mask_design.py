@@ -12,7 +12,7 @@ from risimage import mask_design as md
 from risimage import scene as sc
 from risimage.errors import EmptyMaskSet, InsufficientMeasurements, KindMismatch, UnsupportedOrder
 
-from conftest import small_config
+from conftest import peak_traced_bytes, small_config
 
 
 class TestHadamard:
@@ -58,6 +58,13 @@ class TestHadamardTransform:
         np.testing.assert_array_equal(
             md.hadamard_transform(np.asfortranarray(block)), md.hadamard_transform(block)
         )
+
+    def test_strided_input_is_copied_only_for_the_first_product(self):
+        # a (1024, 64) complex block is 1 MiB: the two products need two such arrays, not three
+        rng = np.random.default_rng(2)
+        wide = rng.standard_normal((1024, 256)) + 1j * rng.standard_normal((1024, 256))
+        peak, result = peak_traced_bytes(lambda: md.hadamard_transform(wide[:, ::4]))
+        assert peak <= 2 * result.nbytes + (1 << 18)
 
     @pytest.mark.parametrize("order", [2, 12])
     def test_unsupported_orders(self, order):
@@ -180,7 +187,8 @@ class TestIdealMasks:
         scene, grids = volume_scene
         masks = md.ideal_masks(scene, grids, 16)
         assert masks.kind == md.KIND_MASK3D
-        assert masks.phase is None and masks.__dict__["_vectors"] is None  # formed on read
+        assert masks.phase is None and masks.stored is None  # formed on read
+        assert masks.design == (16, scene.n_target)
         np.testing.assert_array_equal(masks.vectors.imag, 0.0)
         assert set(np.unique(masks.vectors.real)) == {0.0, 1.0}
 
@@ -224,7 +232,7 @@ class TestProject:
         factors = self.factors(masks.points, [5, 0, 3, 9])
         expected = masks.vectors @ np.concatenate(factors, axis=1)
         stored = masks.vectors.copy()
-        for source in (masks, md.MaskSet(kind=masks.kind, vectors=stored), stored):
+        for source in (masks, md.MaskSet(kind=masks.kind, stored=stored), stored):
             np.testing.assert_allclose(
                 self.projected(source, count, factors), expected, rtol=0, atol=1e-12 * np.abs(expected).max()
             )
@@ -239,7 +247,8 @@ class TestProject:
         def refuse(*_):
             raise AssertionError("a designed set formed its (I, M) stack")
 
-        monkeypatch.setattr(md, "_designed_stack", refuse)
+        monkeypatch.setattr(md.MaskSet, "_designed", refuse)
+        monkeypatch.setattr(md, "design_amplitudes", refuse)
         out = self.projected(masks, 128, factors)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
@@ -250,7 +259,7 @@ class TestProject:
         scene, grids = request.getfixturevalue(fixture)
         masks = md.ideal_masks(scene, grids, 128)
         if not designed:
-            masks = md.MaskSet(kind=masks.kind, vectors=masks.vectors)
+            masks = md.MaskSet(kind=masks.kind, stored=masks.vectors)
         factors = self.factors(masks.points, [4, 2, 3])
         drawn, alive_at_draw = [], []
 
@@ -280,11 +289,11 @@ class TestMaskCovariance:
             np.testing.assert_array_equal(cov, expected)
 
     def test_constant_masks_give_zero(self):
-        masks = md.MaskSet(kind=md.KIND_MASK2D, vectors=np.full((16, 5), 0.75 + 0.0j))
+        masks = md.MaskSet(kind=md.KIND_MASK2D, stored=np.full((16, 5), 0.75 + 0.0j))
         np.testing.assert_array_equal(md.mask_covariance(masks, 2), np.zeros(5))
 
     def test_empty_set_rejected(self):
-        masks = md.MaskSet(kind=md.KIND_MASK2D, vectors=np.empty((0, 4), dtype=complex))
+        masks = md.MaskSet(kind=md.KIND_MASK2D, stored=np.empty((0, 4), dtype=complex))
         with pytest.raises(EmptyMaskSet):
             md.mask_covariance(masks, 0)
 

@@ -23,7 +23,7 @@ def checker_target(scene):
 def plane_fields(scene, grids, masks, target):
     """Noiseless receiver field of each plane mask row (an (M,) vector is one row)."""
     vectors = np.atleast_2d(np.asarray(masks, dtype=complex))
-    return ms.noiseless_fields(scene, grids, md.MaskSet(kind=md.KIND_MASK2D, vectors=vectors), target)
+    return ms.noiseless_fields(scene, grids, md.MaskSet(kind=md.KIND_MASK2D, stored=vectors), target)
 
 
 class TestTargetCurrent2d:
@@ -112,7 +112,7 @@ class TestReceiverField3d:
     @staticmethod
     def field(scene, grids, kernel, p, target):
         """Born field of the one volume mask that coefficients ``p`` produce."""
-        masks = md.MaskSet(kind=md.KIND_MASK3D, vectors=(kernel.entries @ p)[None, :])
+        masks = md.MaskSet(kind=md.KIND_MASK3D, stored=(kernel.entries @ p)[None, :])
         return ms.noiseless_fields(scene, grids, masks, target)[0]
 
     def test_air_scatters_nothing(self, volume_scene):
@@ -134,7 +134,8 @@ class TestReceiverField3d:
 
 
 class TestFieldsInRowBlocks:
-    """Fields are read a block of mask rows at a time, bit for bit the whole-stack product."""
+    """A designed set's fields are formed a block of mask rows at a time and a
+    stored set's in one product, bit for bit the whole-stack product."""
 
     @pytest.mark.parametrize("fixture", ["desk_scene", "volume_scene"])
     @pytest.mark.parametrize("designed", [True, False], ids=["designed", "stored"])
@@ -144,7 +145,7 @@ class TestFieldsInRowBlocks:
         masks = md.ideal_masks(scene, grids, 1024)
         stack = masks.vectors
         if not designed:
-            masks = md.MaskSet(kind=masks.kind, vectors=stack * np.exp(0.3j))
+            masks = md.MaskSet(kind=masks.kind, stored=stack * np.exp(0.3j))
             stack = masks.vectors
         if scene.is_3d:
             rng = np.random.default_rng(4)
@@ -155,13 +156,14 @@ class TestFieldsInRowBlocks:
             weights = em.psf_vector(scene, grids.target_points) * target.values * grids.target_cell_measure
             expected = (1.0 - target.reflection_coeff) * (stack @ weights)
         formed = []
-        form = md._designed_stack
+        form = md.MaskSet._designed
 
-        def recording(amplitudes, phase):
-            formed.append(len(amplitudes))
-            return form(amplitudes, phase)
+        def recording(masks, rows=slice(None)):
+            stack = form(masks, rows)
+            formed.append(len(stack))
+            return stack
 
-        monkeypatch.setattr(md, "_designed_stack", recording)
+        monkeypatch.setattr(md.MaskSet, "_designed", recording)
         fields = ms.noiseless_fields(scene, grids, masks, target)
         assert fields.tobytes() == expected.tobytes()
         if designed:  # several blocks, never the whole stack
@@ -272,7 +274,7 @@ class TestMeasure:
         # rotating every mask by a fixed phase leaves detected magnitudes alone
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128)
-        rotated = md.MaskSet(kind=masks.kind, vectors=masks.vectors * np.exp(0.7j))
+        rotated = md.MaskSet(kind=masks.kind, stored=masks.vectors * np.exp(0.7j))
         target = checker_target(scene)
         a = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, None, seed=0)
         b = ms.measure(ms.noiseless_fields(scene, grids, rotated, target), rotated.kind, None, seed=0)

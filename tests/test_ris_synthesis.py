@@ -129,7 +129,7 @@ class TestTikhonovInverse:
 
 def profile(inv, mask, amplification):
     """Power-normalised coefficient vector realizing one plane mask."""
-    masks = md.MaskSet(kind=md.KIND_MASK2D, vectors=np.asarray(mask)[None, :])
+    masks = md.MaskSet(kind=md.KIND_MASK2D, stored=np.asarray(mask)[None, :])
     return rs.synthesis_profiles(inv, masks, amplification)[0]
 
 
@@ -168,7 +168,7 @@ class TestSynthesize:
         inv = rs.tikhonov_inverse(kernel, 1e-6)
         vectors = np.tile(np.array([1.0, 1.0 + 0.0j]), (8, 1))
         vectors[5] = [0.0, 1.0]
-        masks = md.MaskSet(kind=md.KIND_MASK2D, vectors=vectors)
+        masks = md.MaskSet(kind=md.KIND_MASK2D, stored=vectors)
         with pytest.raises(ZeroSolution, match="mask 5 "):
             rs.synthesis_profiles(inv, masks, 1.0)
         with pytest.raises(ZeroSolution, match="mask 5 "):
@@ -203,7 +203,7 @@ class TestRealizeMasks:
         kernel = KernelMatrix(stored=entries, kind=em.KIND_Z2D, fingerprint="t")
         inv = rs.tikhonov_inverse(kernel, 1e-12)
         ideal = (rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16)))
-        masks = md.MaskSet(kind=md.KIND_MASK2D, vectors=ideal)
+        masks = md.MaskSet(kind=md.KIND_MASK2D, stored=ideal)
         realized = rs.realize_masks(inv, masks, 1.0)
         scale = np.sqrt(16.0) / realized.solution_norms
         np.testing.assert_allclose(realized.vectors, scale[:, None] * ideal, rtol=1e-6)
@@ -212,7 +212,7 @@ class TestRealizeMasks:
         scene, grids = small_scene
         kernel = em.kernel_2d(scene, grids)
         inv = rs.tikhonov_inverse(kernel, 1e-12)
-        masks = md.MaskSet(kind=md.KIND_MASK3D, vectors=np.ones((4, scene.n_target), dtype=complex))
+        masks = md.MaskSet(kind=md.KIND_MASK3D, stored=np.ones((4, scene.n_target), dtype=complex))
         with pytest.raises(KindMismatch):
             rs.realize_masks(inv, masks, 1.0)
 
@@ -223,7 +223,7 @@ class TestRealizeMasks:
         inv = rs.tikhonov_inverse(kernel, 1e-12)
         masks = md.ideal_masks(scene, grids, 1024)
         realized = rs.realize_masks(inv, masks, 1.0)
-        corr = normalized_inner(np.abs(realized.vectors[0]), masks.amplitude_values()[0])
+        corr = normalized_inner(np.abs(realized.vectors[0]), masks.moments[0][0])
         assert corr > 0.9
 
     def test_realized_covariance_concentrates_within_resolution(self):
@@ -250,7 +250,7 @@ class TestRealizeMasks:
             inv = rs.tikhonov_inverse(kernel, 1e-12)
             masks = md.ideal_masks(scene, grids, 256)
             realized = rs.realize_masks(inv, masks, 1.0)
-            ideal_amp = masks.amplitude_values()
+            ideal_amp = masks.moments[0]
             per_mask = [
                 normalized_inner(np.abs(realized.vectors[i]), ideal_amp[i]) for i in range(64)
             ]
@@ -289,7 +289,7 @@ class TestSpectrum:
         kernel = random_kernel(rng, 6, 10)
         inv = rs.tikhonov_inverse(kernel, 1e-6)
         ideal = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        masks = md.MaskSet(kind=md.KIND_MASK2D, vectors=ideal)
+        masks = md.MaskSet(kind=md.KIND_MASK2D, stored=ideal)
         realized = rs.realize_masks(inv, masks, 2.0)
         rs.write_synthesis_summary(tmp_path / "summary.txt", inv, masks, realized, 2.0)
         values = dict(
@@ -327,7 +327,7 @@ class TestTwoPathSynthesis:
         assert inv.retained_rank == int(np.count_nonzero(keep))
 
         ideal = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
-        masks = md.MaskSet(kind=md.KIND_MASK2D, vectors=ideal)
+        masks = md.MaskSet(kind=md.KIND_MASK2D, stored=ideal)
         realized = rs.realize_masks(inv, masks, 1.5)
         profiles = rs.synthesis_profiles(inv, masks, 1.5)
         explicit = (kernel.entries @ profiles.T).T
@@ -625,7 +625,7 @@ class TestHadamardRoute:
         inv = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12)
         count = minimal_count(scene.n_target) if count == "minimal" else count
         designed = md.ideal_masks(scene, grids, count)
-        folded = dataclasses.replace(designed, amplitudes=None)
+        folded = dataclasses.replace(designed, stored=designed.vectors, design=None)
 
         fast, slow = rs.realize_masks(inv, designed, 1.5), rs.realize_masks(inv, folded, 1.5)
         scale = np.abs(slow.vectors).max()
@@ -649,7 +649,7 @@ class TestHadamardRoute:
         monkeypatch.setattr(rs, "_fold", recording_fold)
         rs.realize_masks(inv, masks, 1.0)
         rs.synthesis_profiles(inv, masks, 1.0)
-        stored = dataclasses.replace(masks, amplitudes=None)
+        stored = dataclasses.replace(masks, stored=masks.vectors, design=None)
         rs.realize_masks(inv, stored, 1.0)
         rs.synthesis_profiles(inv, stored, 1.0)
         # the blocks were folded at decomposition; nothing of the target grid is ever folded
@@ -787,11 +787,11 @@ class TestStreamedExports:
         inv = rs.tikhonov_inverse(kernel, 1e-6)
         vectors = np.tile(np.array([1.0, 1.0 + 0.0j]), (8, 1))
         path = tmp_path / "profiles.bin"
-        rs.save_profiles(path, inv, md.MaskSet(kind=md.KIND_MASK2D, vectors=vectors), 1.0, "t")
+        rs.save_profiles(path, inv, md.MaskSet(kind=md.KIND_MASK2D, stored=vectors), 1.0, "t")
         old = path.read_bytes()
         vectors[5] = [0.0, 1.0]
         with pytest.raises(ZeroSolution, match="mask 5 "):
-            rs.save_profiles(path, inv, md.MaskSet(kind=md.KIND_MASK2D, vectors=vectors), 1.0, "t")
+            rs.save_profiles(path, inv, md.MaskSet(kind=md.KIND_MASK2D, stored=vectors), 1.0, "t")
         assert path.read_bytes() == old
         assert list(tmp_path.glob(".*.tmp")) == []
 
@@ -815,7 +815,7 @@ class TestPeakMemory:
 
     def test_stored_set_needs_little_beyond_its_output(self, desk_synthesis):
         inv, masks = desk_synthesis
-        stored = dataclasses.replace(masks, amplitudes=None)  # forms the (1024, 256) stack once
+        stored = dataclasses.replace(masks, stored=masks.vectors, design=None)  # forms the (1024, 256) stack once
         peak, realized = peak_traced_bytes(lambda: rs.realize_masks(inv, stored, 1.0))
         assert realized.vectors.shape == (1024, 256)
         assert peak <= realized.vectors.nbytes + self.SLACK
@@ -836,11 +836,13 @@ class TestPeakMemory:
         assert peak <= sum(block.nbytes for block in blocks) + (1 << 20)
 
     def test_designed_plane_set_holds_no_complex_stack(self, desk_scene):
-        # the complex (I, M) stack alone would be 4 MiB at I = 1,024, M = 256
+        # the {0,1} pattern alone would be 2 MiB at I = 1,024, M = 256, the complex stack 4 MiB
         peak, masks = peak_traced_bytes(lambda: md.ideal_masks(*desk_scene, 1024))
-        assert masks.amplitudes.shape == (1024, 256)
-        assert peak <= masks.amplitudes.nbytes + (1 << 20)
+        assert peak <= 256 << 10
+        assert masks.stored is None and masks.design == (1024, 256)
         assert (masks.count, masks.points) == (1024, 256)
+        held = [v for v in vars(masks).values() if isinstance(v, np.ndarray)]
+        assert [v.shape for v in held] == [(256,)]  # the phase profile only
 
     def test_profile_export_holds_one_block_beside_the_coefficients(self, desk_synthesis, tmp_path):
         # the whole (I, N) profile array alone is 16 MiB at I = N = 1,024; beyond the
@@ -851,6 +853,14 @@ class TestPeakMemory:
         coefficients = masks.count * inv.retained_rank * 16
         block = (rs._CHUNK_ENTRIES // inv.shape[1]) * inv.shape[1] * 16
         assert peak <= coefficients + block + (3 << 20)
+
+    def test_designed_coefficients_hold_two_blocks_beside_their_output(self, desk_synthesis):
+        # a block of columns is 1 MiB at I = 1,024: the transform's two products, while
+        # the previous block's result is already freed
+        inv, masks = desk_synthesis
+        factors = rs._folded_factors(inv)
+        peak, c = peak_traced_bytes(lambda: rs._stage_coefficients(inv, factors, masks, inv.retained_rank))
+        assert peak <= c.nbytes + (5 << 19)
 
     def test_designed_export_forms_one_block_at_a_time(self, desk_synthesis, tmp_path):
         # the designed (I, M) stack alone is 4 MiB at I = 1,024, M = 256
