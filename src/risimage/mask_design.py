@@ -278,9 +278,12 @@ def design_amplitudes(n_measurements: int, n_points: int, rows: slice = slice(No
     """
     check_measurement_count(n_measurements, n_points)
     index = np.arange(n_measurements, dtype=np.int32)
-    # Sylvester's H[i, j] is (-1)^popcount(i & j), so H_I itself is never built
-    odd = np.bitwise_count(index[rows, None] & index[hadamard_columns(n_measurements, n_points)]) & 1
-    return (odd == 0).astype(np.float64)
+    # Sylvester's H[i, j] is (-1)^popcount(i & j), so H_I itself is never built;
+    # folding the bits of i & j with xor leaves that parity in bit 0
+    bits = index[rows, None] & index[hadamard_columns(n_measurements, n_points)]
+    for shift in (16, 8, 4, 2, 1):
+        bits ^= bits >> shift
+    return (bits & 1 == 0).astype(np.float64)
 
 
 def design_phases_2d(
@@ -356,7 +359,7 @@ def project(masks: MaskSet | np.ndarray, factors: Iterable[np.ndarray], out: np.
             del factor  # freed before the next one is drawn
         return
     count, points = masks.design
-    half_phase = np.full(points, 0.5) if masks.phase is None else 0.5 * np.exp(1j * masks.phase)
+    half_phase = np.full(points, 0.5) if masks.phase is None else 0.5 * masks._phasor
     columns = hadamard_columns(count, points)
     lo = 0
     for factor in factors:

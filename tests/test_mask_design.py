@@ -83,6 +83,14 @@ class TestDesignAmplitudes:
         assert amplitudes.flags.c_contiguous  # BLAS sums in an order that depends on the layout
         np.testing.assert_array_equal(np.arange(count)[md.hadamard_columns(count, points)], columns)
 
+    def test_rows_need_no_numpy_2_call(self, monkeypatch):
+        # the package supports numpy 1.x, which has no ``bitwise_count``
+        whole = md.design_amplitudes(2048, 1024)
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        rows = md.design_amplitudes(2048, 1024, slice(100, 900))
+        np.testing.assert_array_equal(rows, whole[100:900])
+        assert rows.flags.c_contiguous and rows.dtype == np.float64
+
     def test_values_are_binary(self):
         q = md.design_amplitudes(16, 9)
         assert set(np.unique(q)) == {0.0, 1.0}
