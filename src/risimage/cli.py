@@ -183,19 +183,20 @@ def cmd_masks(args) -> int:
     return 0
 
 
-def _synthesized_masks(plan: ExperimentPlan, scene, grids, ideal):
+def _inverse(plan: ExperimentPlan, scene, grids) -> ris_synthesis.RegularizedInverse:
+    """The regularized inverse of the scene's kernel; it holds its sector
+    blocks, not the kernel, so the kernel ends here."""
     gamma = plan_points(plan)[0].gamma  # the fallback run uses
     kernel = em_core.assemble_kernel(scene, grids)
-    inv = ris_synthesis.tikhonov_inverse(kernel, gamma, plan.threshold_factor, plan.truncation_mode)
-    del kernel  # inv keeps its sector blocks, so the kernel ends here
-    return ris_synthesis.realize_masks(inv, ideal, scene.config.amplification), inv
+    return ris_synthesis.tikhonov_inverse(kernel, gamma, plan.threshold_factor, plan.truncation_mode)
 
 
 def cmd_synthesize(args) -> int:
     plan, scene = _step_plan(args)
     grids = sample_grids(scene)
     ideal = _ideal_masks(plan, scene, grids)
-    realized, inv = _synthesized_masks(plan, scene, grids, ideal)
+    inv = _inverse(plan, scene, grids)
+    realized = ris_synthesis.realize_masks(inv, ideal, scene.config.amplification)
     out_dir = Path(plan.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     fp = scene.fingerprint
@@ -213,8 +214,10 @@ def cmd_measure(args) -> int:
     grids = sample_grids(scene)
     target = resolve_target(plan.target, scene)
     masks = _ideal_masks(plan, scene, grids)
-    if not plan.ideal_masks:
-        masks, _ = _synthesized_masks(plan, scene, grids, masks)
+    if not plan.ideal_masks:  # no profile is exported, so the sector blocks go
+        inv = _inverse(plan, scene, grids).without_blocks()
+        masks = ris_synthesis.realize_masks(inv, masks, scene.config.amplification)
+        del inv  # U is freed before the fields are computed
     fields = measurement.noiseless_fields(scene, grids, masks, target)
     meas = measurement.measure(fields, masks.kind, plan.snr_values[0], plan.seed, noise_mode=plan.noise_mode)
     out = Path(plan.output_dir)

@@ -45,7 +45,8 @@ KIND_Z2D = "Z_2d"
 KIND_Y3D = "Y_3d"
 
 # Complex128 entries; 2**26 entries is ~1 GiB. Checked on the full M x N before a
-# kernel is allocated, though a plane kernel stores only about a quarter of them.
+# kernel is allocated, though a plane kernel stores only about a quarter of them,
+# and on I x M before any (I, M) mask array exists (mask_design).
 ENTRY_CAP = 1 << 26
 # Kernels are assembled in row blocks of about this many entries, so each
 # temporary stays near 512 KiB: a sweep that frees one distance's kernel before

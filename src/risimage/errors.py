@@ -41,6 +41,10 @@ class KernelSizeError(ImagingError, MemoryError):
     """Kernel would exceed the configured entry cap; raised before allocation."""
 
 
+class MaskSetSizeError(ImagingError, MemoryError):
+    """A mask set would exceed the entry cap; raised before allocation."""
+
+
 class CacheMismatch(ImagingError, ValueError):
     """A cached artifact does not belong to the requested scene."""
 

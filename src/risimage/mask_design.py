@@ -30,12 +30,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .em_core import read_complex_file, write_complex_file
+from .em_core import ENTRY_CAP, read_complex_file, write_complex_file
 from .errors import (
     DimensionMismatch,
     EmptyMaskSet,
     InsufficientMeasurements,
     KindMismatch,
+    MaskSetSizeError,
     UnsupportedOrder,
 )
 from .scene import PLANE_2D, SampleGrids, ValidatedScene
@@ -248,8 +249,10 @@ def hadamard_columns(n_measurements: int, n_points: int) -> slice | np.ndarray:
 
 def check_measurement_count(n_measurements: int, n_points: int) -> None:
     """Reject a measurement count that is not a power of two >= 4
-    (:class:`UnsupportedOrder`) or that is below the ``n_points`` target
-    samples it must encode (:class:`InsufficientMeasurements`)."""
+    (:class:`UnsupportedOrder`), that is below the ``n_points`` target
+    samples it must encode (:class:`InsufficientMeasurements`), or whose
+    (count, n_points) mask stack would hold more than ``em_core.ENTRY_CAP``
+    entries (:class:`MaskSetSizeError`)."""
     if not (
         isinstance(n_measurements, int)
         and n_measurements >= 4
@@ -261,6 +264,11 @@ def check_measurement_count(n_measurements: int, n_points: int) -> None:
     if n_measurements < n_points:
         raise InsufficientMeasurements(
             f"{n_measurements} measurements cannot encode {n_points} sample points"
+        )
+    if n_measurements * n_points > ENTRY_CAP:
+        raise MaskSetSizeError(
+            f"{n_measurements} masks over {n_points} points would hold {n_measurements * n_points} "
+            f"entries, above the cap of {ENTRY_CAP}; use fewer masks or a coarser target grid"
         )
 
 

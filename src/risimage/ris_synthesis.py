@@ -54,7 +54,10 @@ The export (:func:`save_profiles`) stages c alone, I x sum r_s, and the same
 loop maps each block of rows into one reused buffer that is written before
 the next block, so the (I, N) profiles never exist whole. The blocks are
 formed once, at decomposition, and the inverse holds no reference to the
-kernel.
+kernel. Realizing masks reads only U, sigma and lambda, so a caller that
+maps no solution back to the aperture drops the blocks
+(:meth:`RegularizedInverse.without_blocks`), which are about the kernel's
+size.
 """
 
 from __future__ import annotations
@@ -95,14 +98,15 @@ class Sector:
     """One diagonal block of the kernel and its regularized spectrum.
 
     ``block`` (rows, cols) is the read-only block itself (:func:`_sector_blocks`),
-    which maps solutions back to the aperture side. ``u`` (rows, K) and
+    which maps solutions back to the aperture side, or None once the inverse
+    has dropped it (:meth:`RegularizedInverse.without_blocks`). ``u`` (rows, K) and
     ``sigma`` (K,) are its left singular vectors and singular values,
     descending; ``inv_sigma`` holds sigma / (sigma^2 + gamma) for retained
     values and exactly zero for truncated ones, which come last since sigma
     descends.
     """
 
-    block: np.ndarray
+    block: np.ndarray | None
     u: np.ndarray
     sigma: np.ndarray
     inv_sigma: np.ndarray
@@ -116,26 +120,40 @@ class Sector:
 class RegularizedInverse:
     """Truncated-SVD Tikhonov pseudo-inverse of a propagation kernel.
 
-    ``kind`` and ``symmetry`` are the kernel's; ``sectors`` follow
-    ``_PARITIES`` order for a kernel with mirror structure and are one
+    ``kind``, ``symmetry`` and ``shape`` (M, N) are the kernel's; ``sectors``
+    follow ``_PARITIES`` order for a kernel with mirror structure and are one
     identity sector otherwise; ``retained_rank`` sums their retained modes.
     The kernel itself is not kept, and neither are the right singular
     vectors: each sector's block maps back to the aperture side where a
-    solution is needed.
+    solution is needed (:meth:`apply`, :func:`synthesis_profiles`,
+    :func:`save_profiles` and the sector lines of
+    :func:`write_synthesis_summary`). An inverse without its blocks
+    (:meth:`without_blocks`) still realizes masks, and those readers raise
+    ``ValueError`` on it.
     """
 
     kind: str
     symmetry: MirrorSymmetry | None
+    shape: tuple[int, int]
     sectors: tuple[Sector, ...]
     gamma: float
     threshold_factor: float
     truncation_mode: str
     retained_rank: int
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        """(M, N) of the kernel, summed over the sector blocks."""
-        return sum(s.block.shape[0] for s in self.sectors), sum(s.block.shape[1] for s in self.sectors)
+    def without_blocks(self) -> RegularizedInverse:
+        """The same inverse without its sector blocks: it realizes masks
+        alike, and holds only the target-side factors."""
+        return replace(self, sectors=tuple(replace(s, block=None) for s in self.sectors))
+
+    def _blocks(self) -> list[np.ndarray]:
+        """Every sector's block; ``ValueError`` if the inverse has dropped them."""
+        if any(s.block is None for s in self.sectors):
+            raise ValueError(
+                "this inverse is without its sector blocks (without_blocks), so it cannot map "
+                "solutions back to the aperture; use the inverse tikhonov_inverse returns"
+            )
+        return [s.block for s in self.sectors]
 
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         sigma = np.concatenate([s.sigma for s in self.sectors])
@@ -484,6 +502,7 @@ def tikhonov_inverse(
     return RegularizedInverse(
         kind=kernel.kind,
         symmetry=kernel.symmetry,
+        shape=kernel.shape,
         sectors=tuple(sectors),
         gamma=gamma,
         threshold_factor=threshold_factor,
@@ -586,9 +605,9 @@ def _aperture_factors(
     symmetry = inv.symmetry
     shape = symmetry.aperture_shape if symmetry is not None else None
     factors = []
-    for sector, norms in zip(inv.sectors, _sector_norms(shape)):
+    for sector, block, norms in zip(inv.sectors, inv._blocks(), _sector_norms(shape)):
         r = sector.retained
-        w_t = (sector.u[:, :r] / sector.sigma[:r]).conj().T @ sector.block
+        w_t = (sector.u[:, :r] / sector.sigma[:r]).conj().T @ block
         np.conjugate(w_t, out=w_t)
         if norms is not None:
             w_t *= norms
@@ -702,8 +721,8 @@ def write_synthesis_summary(
         f"realized_rel_err_max = {float(rel_err.max())!r}",
     ]
     lines.extend(
-        f"sector[{k}] = {s.block.shape[0]}x{s.block.shape[1]} retained={s.retained}"
-        for k, s in enumerate(inv.sectors)
+        f"sector[{k}] = {block.shape[0]}x{block.shape[1]} retained={s.retained}"
+        for k, (s, block) in enumerate(zip(inv.sectors, inv._blocks()))
     )
     lines.extend(f"solution_norm[{i}] = {norm!r}" for i, norm in enumerate(realized.solution_norms))
     Path(path).write_text("\n".join(lines) + "\n")

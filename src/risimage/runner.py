@@ -89,11 +89,16 @@ class ExperimentPlan:
         return self.z_values if self.z_values else (self.scene.target_distance,)
 
     def validate(self) -> None:
-        """Reject every bad plan value before anything runs; the bounds that
-        depend on the target distance are checked per point."""
-        check_scene_dimensions(self.scene)
-        for z_prime in self.resolved_z_values():
-            check_target_distance(z_prime)
+        """Reject every bad plan value before anything runs. Without
+        ``z_values`` the scene is validated whole at its own distance; with
+        them, the bounds that depend on the target distance are checked per
+        point, so a swept distance outside them fails only its own points."""
+        if self.z_values:
+            check_scene_dimensions(self.scene)
+            for z_prime in self.z_values:
+                check_target_distance(z_prime)
+        else:
+            validate_scene(self.scene)
         if not self.i_values:
             raise MalformedConfig("i_values must be nonempty")
         # the sample count does not depend on z', so ideal_masks would apply
@@ -177,7 +182,9 @@ def _shared_builds(
     mask count that needs them. Each mask set's noiseless receiver fields are
     computed once, for every SNR point measured from it; the set keeps its
     own moments for reconstruction (``MaskSet.moments``). Under
-    ``keep_artifacts`` each mask set is exported as soon as it is built.
+    ``keep_artifacts`` each mask set is exported as soon as it is built;
+    otherwise the inverse drops its sector blocks once it is built, since
+    realizing masks reads only its target-side factors.
     """
     cache_dir = result.run_dir / "kernels" if plan.keep_artifacts else None
     artifact_dir = result.run_dir / "artifacts" if plan.keep_artifacts else None
@@ -208,7 +215,9 @@ def _shared_builds(
                         inv = ris_synthesis.tikhonov_inverse(
                             kernel, group[0].gamma, plan.threshold_factor, plan.truncation_mode
                         )
-                        del kernel  # inv keeps its sector blocks, so the kernel ends here
+                        del kernel  # the inverse holds its sector blocks, not the kernel
+                        if artifact_dir is None:  # no profile maps back to the aperture
+                            inv = inv.without_blocks()
                     masks = ris_synthesis.realize_masks(inv, ideal, amplification)
                     if artifact_dir is not None:
                         export_synthesis(artifact_dir, f"_{stem}", fp, inv, ideal, masks, amplification)

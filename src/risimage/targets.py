@@ -62,8 +62,10 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
 def write_pgm(path: str | Path, image: np.ndarray, comment: str | None = None) -> None:
     """Write an (rows, cols) integer array in 0..PGM_MAXVAL as ASCII PGM (P2)."""
     image = np.asarray(image, dtype=np.int64)
-    if image.ndim != 2:
-        raise MalformedImage(f"expected a 2D image, got shape {image.shape}")
+    if image.ndim != 2 or image.size == 0:
+        raise MalformedImage(f"expected a nonempty 2D image, got shape {image.shape}")
+    if image.min() < 0 or image.max() > PGM_MAXVAL:  # read_pgm would reject the file
+        raise MalformedImage(f"pixel values outside 0..{PGM_MAXVAL}")
     lines = ["P2"]
     if comment:
         lines.append(f"# {comment}")

@@ -913,6 +913,34 @@ class TestBadInput:
         assert cli.main(["run", *common, "--output", str(tmp_path / "run")]) == 1
         assert "ERROR MalformedVolume" in capsys.readouterr().out
 
+    def test_scene_outside_the_near_field_exits_2_before_any_directory(self, scene_file, tmp_path, capsys):
+        # validate rejects the scene itself, so run and sweep do too
+        scene_argv = ["--scene", str(scene_file), "--set", "target_distance=30"]
+        assert cli.main(["validate", *scene_argv]) == 2
+        for verb in ("run", "sweep"):
+            out = tmp_path / verb
+            assert cli.main([verb, *scene_argv, "-I", "128", "--output", str(out)]) == 2
+            assert "NearFieldViolation" in capsys.readouterr().err
+            assert not out.exists()
+        # a swept distance outside the bound fails only its own points
+        out = tmp_path / "swept"
+        argv = ["sweep", "--scene", str(scene_file), "-I", "128", "--z-sweep", "30,0.125"]
+        assert cli.main([*argv, "--output", str(out)]) == 0
+        assert (out / "errors.log").read_text().startswith("point 0: NearFieldViolation: ")
+        assert [row["nmse"] != "" for row in read_metrics(out)] == [False, True]
+
+    def test_huge_mask_count_exits_2_before_any_mask_array(self, scene_file, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a mask set was built")
+
+        monkeypatch.setattr(md, "ideal_masks", unreachable)
+        monkeypatch.setattr(rs, "realize_masks", unreachable)
+        out = tmp_path / "huge"
+        argv = ["run", "--scene", str(scene_file), "-I", str(2**30), "--output", str(out)]
+        assert cli.main(argv) == 2
+        assert "MaskSetSizeError" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunnerInternals:
     def test_truncated_kernel_cache_is_rebuilt(self, scene_file, tmp_path):
@@ -1184,6 +1212,60 @@ class TestRunnerInternals:
         assert any(n.startswith("profiles_") for n in names)
         assert any(n.startswith("synthesis_") for n in names)
         assert list((tmp_path / "keep" / "kernels").glob("kernel_*.bin"))
+
+    @staticmethod
+    def record_inverses(monkeypatch) -> list:
+        """Record the inverse passed to each realize_masks call."""
+        inverses = []
+
+        def recorded(inv, *args, _original=rs.realize_masks, **kwargs):
+            inverses.append(inv)
+            return _original(inv, *args, **kwargs)
+
+        monkeypatch.setattr(rs, "realize_masks", recorded)
+        return inverses
+
+    def test_inverse_drops_its_blocks_when_nothing_is_exported(self, scene_file, tmp_path, monkeypatch):
+        inverses = self.record_inverses(monkeypatch)
+        plan = rn.ExperimentPlan(
+            scene=sc.load_scene_config(scene_file),
+            i_values=(64, 128),
+            z_values=(0.125, 0.15),
+            output_dir=str(tmp_path / "run"),
+        )
+        result = rn.run_plan(plan)
+        assert all(p.error is None for p in result.points)
+        assert len(inverses) == 4
+        assert all(s.block is None for inv in inverses for s in inv.sectors)
+        assert all(inv.shape == (64, 256) for inv in inverses)
+
+    def test_kept_artifacts_keep_the_blocks_and_the_profile_bytes(self, scene_file, tmp_path, monkeypatch):
+        inverses = self.record_inverses(monkeypatch)
+        cfg = sc.load_scene_config(scene_file)
+        plan = rn.ExperimentPlan(
+            scene=cfg, i_values=(128,), keep_artifacts=True, output_dir=str(tmp_path / "keep")
+        )
+        assert all(p.error is None for p in rn.run_plan(plan).points)
+        (inv,) = inverses
+        assert all(s.block is not None for s in inv.sectors)
+        # the same profiles, exported from a freshly built inverse
+        scene = sc.validate_scene(cfg)
+        grids = sc.sample_grids(scene)
+        gamma = rn.default_gamma(cfg.target_distance)
+        fresh = rs.tikhonov_inverse(em_core.assemble_kernel(scene, grids), gamma)
+        expected = tmp_path / "profiles.bin"
+        ideal = md.ideal_masks(scene, grids, 128)
+        rs.save_profiles(expected, fresh, ideal, cfg.amplification, scene.fingerprint)
+        (written,) = (tmp_path / "keep" / "artifacts").glob("profiles_*.bin")
+        assert written.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("verb, blocks", [("measure", False), ("synthesize", True)])
+    def test_only_the_synthesize_verb_keeps_the_blocks(self, scene_file, tmp_path, monkeypatch, verb, blocks):
+        inverses = self.record_inverses(monkeypatch)
+        argv = [verb, "--scene", str(scene_file), "-I", "128", "--output", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        (inv,) = inverses
+        assert [s.block is not None for s in inv.sectors] == [blocks] * 4
 
 
 class TestVolumeRun:

@@ -4,9 +4,10 @@ Each case takes a small valid scene (an 8x8 aperture over a 4x4 plane target,
 or over a 2x2x2 volume), overrides one or two of its keys and draws ``run``'s
 numeric flags, then runs ``validate`` and ``run`` through ``cli.main``. The
 invariant, whatever the input: nothing is raised (warnings are errors under
-the project's pytest settings); ``validate`` exits 0 or 2; a ``run`` that
-exits 0 scores every point with a finite NMSE, and one that exits 1 logs
-only ``ImagingError`` subclasses. Fixed seeds and a fixed example budget keep
+the project's pytest settings); ``validate`` exits 0 or 2, and when it exits
+2 so does ``run``, before making its run directory; a ``run`` that exits 0
+scores every point with a finite NMSE, and one that exits 1 logs only
+``ImagingError`` subclasses. Fixed seeds and a fixed example budget keep
 the cases the same on every run.
 """
 
@@ -122,10 +123,13 @@ def check_case(scene_text: str, scene_argv: list[str], flags: list[str]) -> None
     with tempfile.TemporaryDirectory() as tmp:
         scene = Path(tmp) / "scene.cfg"
         scene.write_text(scene_text)
-        assert invoke(["validate", "--scene", str(scene), *scene_argv]) in (0, 2)
+        valid = invoke(["validate", "--scene", str(scene), *scene_argv])
+        assert valid in (0, 2)
         out = Path(tmp) / "run"
         code = invoke(["run", "--scene", str(scene), *scene_argv, *flags, "--output", str(out)])
         assert code in (0, 1, 2)
+        if valid == 2:  # a scene that validate rejects is bad input to run as well
+            assert code == 2 and not out.exists()
         if code == 0:
             with open(out / "metrics.csv", newline="") as fh:
                 rows = list(csv.DictReader(fh))

@@ -10,7 +10,13 @@ from hypothesis import given, settings, strategies as st
 from risimage import em_core as em
 from risimage import mask_design as md
 from risimage import scene as sc
-from risimage.errors import EmptyMaskSet, InsufficientMeasurements, KindMismatch, UnsupportedOrder
+from risimage.errors import (
+    EmptyMaskSet,
+    InsufficientMeasurements,
+    KindMismatch,
+    MaskSetSizeError,
+    UnsupportedOrder,
+)
 
 from conftest import peak_traced_bytes, small_config
 
@@ -131,6 +137,12 @@ class TestDesignAmplitudes:
     def test_non_power_of_two_count(self):
         with pytest.raises(UnsupportedOrder):
             md.design_amplitudes(12, 4)
+
+    def test_mask_count_above_the_entry_cap(self):
+        md.check_measurement_count(em.ENTRY_CAP // 64, 64)  # exactly at the cap
+        for count, points in ((em.ENTRY_CAP // 32, 64), (2**40, 16), (2**30, 64)):
+            with pytest.raises(MaskSetSizeError, match="above the cap"):
+                md.check_measurement_count(count, points)
 
 
 class TestDesignPhases2d:

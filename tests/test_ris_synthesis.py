@@ -796,6 +796,48 @@ class TestStreamedExports:
         assert list(tmp_path.glob(".*.tmp")) == []
 
 
+class TestInverseWithoutBlocks:
+    """An inverse without its sector blocks realizes masks alike and maps nothing back to the aperture."""
+
+    @STREAMED_SCENES
+    def test_realizes_the_same_bits(self, cfg):
+        _, inv, masks = TestStreamedExports.synthesis(cfg)
+        bare = inv.without_blocks()
+        assert all(s.block is None for s in bare.sectors)
+        assert bare.shape == inv.shape and bare.retained_rank == inv.retained_rank
+        full, light = rs.realize_masks(inv, masks, 1.5), rs.realize_masks(bare, masks, 1.5)
+        assert light.vectors.tobytes() == full.vectors.tobytes()
+        assert light.solution_norms.tobytes() == full.solution_norms.tobytes()
+
+    def test_releases_the_blocks_and_copies_nothing_else(self, desk_scene):
+        scene, grids = desk_scene
+        inv = rs.tikhonov_inverse(em.kernel_2d(scene, grids), 1e-12)
+        blocks = [weakref.ref(s.block) for s in inv.sectors]
+        factors = [(s.u, s.sigma, s.inv_sigma) for s in inv.sectors]
+        inv = inv.without_blocks()
+        gc.collect()
+        assert all(ref() is None for ref in blocks)
+        assert all(
+            s.u is u and s.sigma is sigma and s.inv_sigma is inv_sigma
+            for s, (u, sigma, inv_sigma) in zip(inv.sectors, factors)
+        )
+
+    def test_aperture_readers_raise(self, desk_synthesis, tmp_path):
+        inv, masks = desk_synthesis
+        bare = inv.without_blocks()
+        realized = rs.realize_masks(bare, masks, 1.0)
+        calls = (
+            lambda: bare.apply(masks.vectors[0]),
+            lambda: rs.synthesis_profiles(bare, masks, 1.0),
+            lambda: rs.save_profiles(tmp_path / "p.bin", bare, masks, 1.0, "f"),
+            lambda: rs.write_synthesis_summary(tmp_path / "s.txt", bare, masks, realized, 1.0),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="without its sector blocks"):
+                call()
+        assert list(tmp_path.iterdir()) == []  # nothing was written
+
+
 class TestPeakMemory:
     """Temporaries of the coefficient loop stay a few MiB above the output."""
 

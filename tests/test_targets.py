@@ -36,6 +36,15 @@ class TestReadPgm:
         with pytest.raises(MalformedImage):
             tg.read_pgm(write(tmp_path / "img.pgm", text))
 
+    @pytest.mark.parametrize(
+        "image", [[[0, 300], [-5, 12]], [[0, 256]], [[-1, 0]], np.zeros((0, 3)), [1, 2]]
+    )
+    def test_write_rejects_what_read_would_reject(self, tmp_path, image):
+        path = tmp_path / "img.pgm"
+        with pytest.raises(MalformedImage):
+            tg.write_pgm(path, image)
+        assert not path.exists()
+
     def test_write_read_round_trip(self, tmp_path):
         image = np.arange(12).reshape(3, 4) * 20
         path = tmp_path / "img.pgm"
