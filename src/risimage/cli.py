@@ -32,6 +32,7 @@ from .scene import (
     check_scene_dimensions,
     parse_scene_config,
     read_config_text,
+    read_fields,
     resolution,
     sample_grids,
     validate_scene,
@@ -67,14 +68,6 @@ def _add_scene_options(parser: argparse.ArgumentParser, required: bool = True) -
         metavar="KEY=VALUE",
         help="override a scene config key (repeatable)",
     )
-
-
-# ExperimentPlan fields set by the plan option of the same name (--output sets
-# output_dir); an option left out is None and keeps the plan's default.
-_PLAN_FLAGS = (
-    "target", "gamma", "threshold_factor", "truncation_mode", "seed", "output_dir",
-    "calibration", "noise_mode", "phase_mode", "ideal_masks", "keep_artifacts",
-)
 
 
 def _add_plan_options(parser: argparse.ArgumentParser) -> None:
@@ -247,25 +240,21 @@ def cmd_reconstruct(args) -> int:
 
 
 def _plan_from_args(args, sweep: bool) -> ExperimentPlan:
+    """The plan the options describe. An option sets the plan field of its
+    name (``--output`` sets ``output_dir``), and one left out keeps the
+    field's default; a sweep reads its comma lists as a plan file does."""
     scene = _scene_from_args(args)
-    i_default = _measurement_count(args, scene)
+    kwargs = {"i_values": (_measurement_count(args, scene),), "snr_values": (args.snr_db,)}
+    options = vars(args)
+    kwargs.update(
+        (f.name, options[f.name])
+        for f in dataclasses.fields(ExperimentPlan)
+        if f.name != "scene" and options.get(f.name) is not None
+    )
     if sweep:
-        snr_values = _parse_sweep_list(args.snr_sweep, measurement.parse_snr, (args.snr_db,))
-        i_values = _parse_sweep_list(args.i_sweep, int, (i_default,))
-        z_values = _parse_sweep_list(args.z_sweep, float, ())
-    else:
-        snr_values, i_values, z_values = (args.snr_db,), (i_default,), ()
-    given = {name: getattr(args, name) for name in _PLAN_FLAGS if getattr(args, name) is not None}
-    return ExperimentPlan(scene=scene, i_values=i_values, snr_values=snr_values, z_values=z_values, **given)
-
-
-def _parse_sweep_list(raw: str | None, cast, fallback):
-    if raw is None:
-        return fallback
-    try:
-        return tuple(cast(item) for item in raw.split(","))
-    except ValueError as exc:
-        raise MalformedConfig(f"bad sweep list {raw!r}: {exc}") from exc
+        lists = {"snr_values": args.snr_sweep, "i_values": args.i_sweep, "z_values": args.z_sweep}
+        kwargs.update(read_fields(ExperimentPlan, {k: v for k, v in lists.items() if v is not None}, "sweep"))
+    return ExperimentPlan(scene=scene, **kwargs)
 
 
 def _print_run(result) -> int:
@@ -286,6 +275,14 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.plan:
+        # the plan file sets the scene, the plan and the sweep; only --output replaces one
+        ignored = [
+            f"--{name.replace('_', '-')}"
+            for name, value in vars(args).items()
+            if name not in ("command", "func", "plan", "output_dir") and value not in (None, [])
+        ]
+        if ignored:
+            raise MalformedConfig(f"sweep --plan would ignore {', '.join(ignored)}")
         plan = load_plan(args.plan)
         if args.output_dir is not None:
             plan = dataclasses.replace(plan, output_dir=args.output_dir)
@@ -340,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="plan-driven sweep over I / SNR / target distance")
-    p.add_argument("--plan", help="plan file (overrides the scene/sweep flags)")
+    p.add_argument("--plan", help="plan file (takes no scene, plan or sweep option but --output)")
     _add_scene_options(p, required=False)
     _add_plan_options(p)
     p.add_argument("--i-sweep", help="comma list of measurement counts")

@@ -125,11 +125,6 @@ def check_noise_settings(n0_dbm_per_hz: float, bandwidth_hz: float) -> None:
         raise MalformedConfig(f"bandwidth_hz must be a finite number > 0, got {bandwidth_hz!r}")
 
 
-def parse_snr(text: str) -> float | None:
-    """One SNR in dB as written in a sweep list or plan; ``none`` is noiseless."""
-    return None if text.strip().lower() == "none" else float(text)
-
-
 def check_snr(snr_db: float | None) -> None:
     """Reject an SNR whose power ratio 10^(snr_db/10) is not a finite normal
     double (about -3076 to 3082 dB); ``None`` (noiseless) passes."""

@@ -77,7 +77,11 @@ def reconstruct_2d(
     estimate_m = sum_i (|E_i| - <|E|>) u_i(m) / (I c_m |K_m|) with u the mask
     amplitudes. Invariant under adding a constant to every measurement and
     under positive rescaling of all masks (the scaling cancels against c).
+    Raises :class:`KindMismatch` for complex records, which a volume's
+    measurement keeps.
     """
+    if np.iscomplexobj(meas.noisy):
+        raise KindMismatch("plane reconstruction needs detected magnitudes, got complex fields")
     psf_values = np.asarray(psf_values)
     if psf_values.shape != (masks.points,):
         raise DimensionMismatch(
@@ -94,9 +98,12 @@ def reconstruct_3d(
     """Recover a volume target's complex contrast from complex fields.
 
     estimate_m = sum_i (E_i - <E>) B_i(m) / (I c_m k^2), plain products.
-    Raises :class:`DimensionMismatch` unless the masks cover the scene's
-    voxels.
+    Raises :class:`KindMismatch` for real records, which a plane's
+    measurement detects, and :class:`DimensionMismatch` unless the masks
+    cover the scene's voxels.
     """
+    if not np.iscomplexobj(meas.noisy):
+        raise KindMismatch("volume reconstruction needs complex fields, got detected magnitudes")
     if masks.points != scene.n_target:
         raise DimensionMismatch(f"masks over {masks.points} points for a scene of {scene.n_target} voxels")
     return _correlate(meas.noisy.astype(np.complex128), masks, KIND_MASK3D, scene.wavenumber**2)

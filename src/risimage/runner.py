@@ -35,6 +35,7 @@ from .scene import (
     load_scene_config,
     parse_key_values,
     read_config_text,
+    read_fields,
     sample_grids,
     validate_scene,
     with_target_distance,
@@ -65,7 +66,8 @@ def default_gamma(z_prime: float) -> float:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Everything one sweep needs: scene, target source, axes, and options."""
+    """Everything one sweep needs: scene, target source, axes, and options; a
+    plan file sets each field by its declared type (``scene.read_fields``)."""
 
     scene: SceneConfig
     target: str = "block"
@@ -424,25 +426,11 @@ def write_estimate_images(path: Path, estimate: np.ndarray, grid_shape: tuple[in
 
 # --- plan files --------------------------------------------------------------------
 
-_PLAN_BOOL_KEYS = {"ideal_masks", "keep_artifacts"}
-_PLAN_FLOAT_KEYS = {"gamma", "threshold_factor", "n0_dbm_per_hz", "bandwidth_hz"}
-_PLAN_INT_KEYS = {"seed"}
-_PLAN_STR_KEYS = {"target", "output_dir", "calibration", "noise_mode", "phase_mode", "truncation_mode"}
-
-
-def _parse_bool(value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise MalformedConfig(f"expected a boolean, got {value!r}")
-
-
 def parse_plan(text: str, base_dir: Path | None = None) -> ExperimentPlan:
     """Build an :class:`ExperimentPlan` from the flat key-value format.
 
-    ``scene`` names the scene config file (relative to the plan file); the
+    The keys are its field names (:func:`~risimage.scene.read_fields`), and
+    ``scene`` names the scene config file (relative to the plan file). The
     sweep axes are comma-separated lists, with ``none`` allowed in
     ``snr_values`` for noiseless points.
     """
@@ -452,34 +440,16 @@ def parse_plan(text: str, base_dir: Path | None = None) -> ExperimentPlan:
     scene_path = Path(values.pop("scene"))
     if base_dir is not None and not scene_path.is_absolute():
         scene_path = base_dir / scene_path
-    kwargs: dict = {"scene": load_scene_config(scene_path)}
+    scene = load_scene_config(scene_path)
+    # Points run one after another; plan files written when they could run
+    # on a thread pool may still say "workers = 1".
     try:
-        if "i_values" in values:
-            kwargs["i_values"] = tuple(int(v) for v in values.pop("i_values").split(","))
-        if "snr_values" in values:
-            snr_values = values.pop("snr_values").split(",")
-            kwargs["snr_values"] = tuple(measurement.parse_snr(v) for v in snr_values)
-        if "z_values" in values:
-            kwargs["z_values"] = tuple(float(v) for v in values.pop("z_values").split(","))
-        for key in _PLAN_FLOAT_KEYS & values.keys():
-            kwargs[key] = float(values.pop(key))
-        for key in _PLAN_INT_KEYS & values.keys():
-            kwargs[key] = int(values.pop(key))
-        for key in _PLAN_BOOL_KEYS & values.keys():
-            kwargs[key] = _parse_bool(values.pop(key))
-        # Points run one after another; plan files written when they could
-        # run on a thread pool may still say "workers = 1".
-        if int(values.pop("workers", 1)) != 1:
-            raise MalformedConfig("workers must be 1: sweep points run one after another")
-    except MalformedConfig:
-        raise
+        workers = int(values.pop("workers", "1"))
     except ValueError as exc:
-        raise MalformedConfig(f"bad plan value: {exc}") from exc
-    for key in _PLAN_STR_KEYS & values.keys():
-        kwargs[key] = values.pop(key)
-    if values:
-        raise MalformedConfig(f"unknown plan keys: {sorted(values)}")
-    return ExperimentPlan(**kwargs)
+        raise MalformedConfig(f"bad plan value for workers: {exc}") from exc
+    if workers != 1:
+        raise MalformedConfig("workers must be 1: sweep points run one after another")
+    return ExperimentPlan(scene=scene, **read_fields(ExperimentPlan, values, "plan"))
 
 
 def load_plan(path: str | Path) -> ExperimentPlan:

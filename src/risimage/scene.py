@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,8 @@ class SceneConfig:
     ``n_target_x * n_target_y`` pixels (times ``n_target_z`` slices over
     ``target_depth`` for volume targets) cover the target region.
     ``reflection_coeff`` is the surface reflection coefficient of a 2D
-    target (-1 for a perfect conductor) and is ignored for volumes.
+    target (-1 for a perfect conductor) and is ignored for volumes. A scene
+    file sets each field by its declared type (:func:`read_fields`).
     """
 
     wavelength: float
@@ -358,37 +359,36 @@ def fingerprint(cfg: SceneConfig) -> str:
 
 # --- declarative config file -------------------------------------------------
 #
-# Flat "key = value" lines, '#' comments. Keys match SceneConfig field names,
-# except the receiver which is given as receiver_x/receiver_y/receiver_z and
-# incident_elevation which is in DEGREES in the file.
+# Flat "key = value" lines, '#' comments. Keys are the field names of the
+# dataclass a file describes, each value read by the field's declared type.
 
-_FLOAT_KEYS = {
-    "wavelength",
-    "ris_len_x",
-    "ris_len_y",
-    "target_len_x",
-    "target_len_y",
-    "target_distance",
-    "target_depth",
-    "incident_amplitude",
-    "amplification",
-}
-_INT_KEYS = {"n_ris_x", "n_ris_y", "n_target_x", "n_target_y", "n_target_z"}
-_REQUIRED_KEYS = {
-    "wavelength",
-    "ris_len_x",
-    "ris_len_y",
-    "target_len_x",
-    "target_len_y",
-    "target_distance",
-    "incident_elevation",
-    "receiver_x",
-    "receiver_y",
-    "receiver_z",
-    "n_ris_x",
-    "n_ris_y",
-    "n_target_x",
-    "n_target_y",
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("true", "yes", "1"):
+        return True
+    if lowered in ("false", "no", "0"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def _comma_list(parse):
+    return lambda text: tuple(parse(item) for item in text.split(","))
+
+
+# The parser of each field type a file can set, keyed by the annotation string
+# that a dataclass records under ``from __future__ import annotations``.
+_FIELD_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "float | None": float,  # None is the default, so a file never writes it
+    "complex": lambda text: complex(text.replace(" ", "")),
+    "bool": _parse_bool,
+    "tuple[int, ...]": _comma_list(int),
+    "tuple[float, ...]": _comma_list(float),
+    # an SNR list, where "none" is a noiseless point
+    "tuple[float | None, ...]": _comma_list(lambda item: None if item.strip().lower() == "none" else float(item)),
 }
 
 
@@ -410,34 +410,45 @@ def parse_key_values(text: str) -> dict[str, str]:
     return values
 
 
+def read_fields(cls, values: dict[str, str], what: str) -> dict:
+    """Keyword arguments for dataclass ``cls`` from ``key = value`` texts.
+
+    Each key names a field of ``cls``, and its text is parsed by the field's
+    declared type. Raises :class:`MalformedConfig` naming the keys that no
+    field of a readable type has, or the first text that does not parse;
+    ``what`` names the source in the message.
+    """
+    parsers = {f.name: _FIELD_PARSERS[f.type] for f in fields(cls) if f.type in _FIELD_PARSERS}
+    unknown = values.keys() - parsers.keys()
+    if unknown:
+        raise MalformedConfig(f"unknown {what} keys: {sorted(unknown)}")
+    kwargs = {}
+    for key, text in values.items():
+        try:
+            kwargs[key] = parsers[key](text)
+        except ValueError as exc:
+            raise MalformedConfig(f"bad {what} value for {key}: {exc}") from exc
+    return kwargs
+
+
+_RECEIVER_KEYS = ("receiver_x", "receiver_y", "receiver_z")
+
+
 def parse_scene_config(text: str) -> SceneConfig:
-    """Build a :class:`SceneConfig` from the declarative key-value format."""
+    """Build a :class:`SceneConfig` from the declarative key-value format, where
+    the receiver is given as receiver_x/_y/_z and incident_elevation in degrees."""
     values = parse_key_values(text)
-    missing = _REQUIRED_KEYS - values.keys()
+    required = {f.name for f in fields(SceneConfig) if f.default is MISSING} - {"receiver_pos"}
+    missing = required.union(_RECEIVER_KEYS) - values.keys()
     if missing:
         raise MalformedConfig(f"missing scene keys: {sorted(missing)}")
-
-    kwargs: dict = {}
     try:
-        for key in _FLOAT_KEYS & values.keys():
-            kwargs[key] = float(values.pop(key))
-        for key in _INT_KEYS & values.keys():
-            kwargs[key] = int(values.pop(key))
-        kwargs["incident_elevation"] = math.radians(float(values.pop("incident_elevation")))
-        kwargs["receiver_pos"] = (
-            float(values.pop("receiver_x")),
-            float(values.pop("receiver_y")),
-            float(values.pop("receiver_z")),
-        )
-        if "reflection_coeff" in values:
-            kwargs["reflection_coeff"] = complex(values.pop("reflection_coeff").replace(" ", ""))
+        receiver_pos = tuple(float(values.pop(key)) for key in _RECEIVER_KEYS)
     except ValueError as exc:
-        raise MalformedConfig(f"bad scene value: {exc}") from exc
-    if "target_kind" in values:
-        kwargs["target_kind"] = values.pop("target_kind")
-    if values:
-        raise MalformedConfig(f"unknown scene keys: {sorted(values)}")
-    return SceneConfig(**kwargs)
+        raise MalformedConfig(f"bad scene value for the receiver: {exc}") from exc
+    kwargs = read_fields(SceneConfig, values, "scene")
+    kwargs["incident_elevation"] = math.radians(kwargs["incident_elevation"])
+    return SceneConfig(receiver_pos=receiver_pos, **kwargs)
 
 
 def read_config_text(path: str | Path) -> str:

@@ -201,11 +201,11 @@ def check_target_spec(spec: str) -> None:
 
 
 def resolve_target(spec: str, scene: ValidatedScene) -> TargetModel:
-    """Target from a built-in name or a file path (.pgm image or volume text)."""
+    """Target from a built-in name or a file path: a volume text file for a
+    volume scene, whatever its name, and a PGM image for a plane scene."""
     if spec in BUILTIN_NAMES:
         return builtin_target(spec, scene)
     check_target_spec(spec)
-    path = Path(spec)
-    if scene.is_3d and path.suffix != ".pgm":
-        return load_target_3d(path, scene)
-    return load_target_2d(path, scene)
+    if scene.is_3d:
+        return load_target_3d(Path(spec), scene)
+    return load_target_2d(Path(spec), scene)

@@ -22,7 +22,7 @@ from risimage import reconstruct as rc
 from risimage import ris_synthesis as rs
 from risimage import runner as rn
 from risimage import scene as sc
-from risimage.targets import resolve_target
+from risimage.targets import resolve_target, write_pgm
 
 SCENE_TEXT = """
 wavelength = 0.01
@@ -458,6 +458,31 @@ output_dir = {tmp_path / 'plan_run'}
         assert cli.main(["sweep", "--plan", str(plan_path), "--output", output]) == 0
         assert len(read_metrics(tmp_path / output)) == 1
         assert not (tmp_path / "planned").exists()
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--seed", "99"], ["--seed"]),
+            (
+                ["--seed", "99", "--gamma", "1e-3", "--i-sweep", "64", "--snr-sweep", "10"],
+                ["--seed", "--gamma", "--i-sweep", "--snr-sweep"],
+            ),
+            (
+                ["--scene", "{scene}", "--set", "n_ris_x=8", "-I", "128", "--ideal-masks", "--z-sweep", "0.25"],
+                ["--scene", "--set", "--measurements", "--ideal-masks", "--z-sweep"],
+            ),
+        ],
+        ids=["seed", "plan-and-sweep-options", "scene-options"],
+    )
+    def test_plan_takes_no_other_option_but_output(self, scene_file, tmp_path, capsys, extra, named):
+        plan_path = tmp_path / "plan.cfg"
+        plan_path.write_text(f"scene = {scene_file.name}\ni_values = 128\noutput_dir = {tmp_path / 'planned'}\n")
+        argv = ["sweep", "--plan", str(plan_path), *(arg.format(scene=scene_file) for arg in extra)]
+        assert cli.main([*argv, "--output", str(tmp_path / "given")]) == 2
+        err = capsys.readouterr().err
+        assert "MalformedConfig" in err and all(flag in err for flag in named)
+        assert cli.main(argv) == 2
+        assert not (tmp_path / "planned").exists() and not (tmp_path / "given").exists()
 
     def test_sweep_needs_plan_or_scene(self, capsys):
         assert cli.main(["sweep", "--target", "block"]) == 2
@@ -912,6 +937,36 @@ class TestBadInput:
         # a sweep records it as the failed point's error
         assert cli.main(["run", *common, "--output", str(tmp_path / "run")]) == 1
         assert "ERROR MalformedVolume" in capsys.readouterr().out
+
+    def test_image_target_on_a_volume_scene(self, tmp_path, capsys):
+        # a volume scene reads every target file as a volume, whatever its name
+        scene_path = tmp_path / "volume.cfg"
+        scene_path.write_text(TestVolumeVerbs.VOLUME_SCENE)
+        image_path = tmp_path / "image.pgm"
+        write_pgm(image_path, np.array([[0, 255], [255, 0]]))
+        common = ["--scene", str(scene_path), "-I", "16", "--target", str(image_path)]
+        assert cli.main(["measure", *common, "--output", str(tmp_path / "records.csv")]) == 2
+        assert "MalformedVolume" in capsys.readouterr().err
+        assert not (tmp_path / "records.csv").exists()
+        # a sweep records it as the failed point's error, before any kernel is built
+        assert cli.main(["run", *common, "--output", str(tmp_path / "run")]) == 1
+        out = capsys.readouterr().out
+        assert "ERROR MalformedVolume" in out and "(kernel builds: 0)" in out
+
+    @pytest.mark.parametrize("measured", ["volume", "plane"])
+    def test_records_of_the_other_kind(self, scene_file, tmp_path, capsys, measured):
+        # plane records are magnitudes and volume records complex fields
+        volume_path = tmp_path / "volume.cfg"
+        volume_path.write_text(TestVolumeVerbs.VOLUME_SCENE)
+        scenes = {"plane": ["--scene", str(scene_file), "-I", "128"], "volume": ["--scene", str(volume_path), "-I", "128"]}
+        other = scenes["plane" if measured == "volume" else "volume"]
+        records, masks = tmp_path / "records.csv", tmp_path / "masks.bin"
+        assert cli.main(["measure", *scenes[measured], "--ideal-masks", "--output", str(records)]) == 0
+        assert cli.main(["masks", *other, "--output", str(masks)]) == 0
+        argv = ["reconstruct", *other, "--records", str(records), "--masks", str(masks)]
+        assert cli.main([*argv, "--output", str(tmp_path / "estimate.pgm")]) == 2
+        assert "KindMismatch" in capsys.readouterr().err
+        assert not list(tmp_path.glob("estimate*"))
 
     def test_scene_outside_the_near_field_exits_2_before_any_directory(self, scene_file, tmp_path, capsys):
         # validate rejects the scene itself, so run and sweep do too

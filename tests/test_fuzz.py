@@ -1,17 +1,23 @@
-"""Seeded fuzzing of scene keys and ``run`` flags through the command line.
+"""Seeded fuzzing of scene keys, ``run`` flags and plan keys through the command line.
 
-Each case takes a small valid scene (an 8x8 aperture over a 4x4 plane target,
-or over a 2x2x2 volume), overrides one or two of its keys and draws ``run``'s
-numeric flags, then runs ``validate`` and ``run`` through ``cli.main``. The
-invariant, whatever the input: nothing is raised (warnings are errors under
-the project's pytest settings); ``validate`` exits 0 or 2, and when it exits
-2 so does ``run``, before making its run directory; a ``run`` that exits 0
-scores every point with a finite NMSE, and one that exits 1 logs only
-``ImagingError`` subclasses. Fixed seeds and a fixed example budget keep
-the cases the same on every run.
+Each scene case takes a small valid scene (an 8x8 aperture over a 4x4 plane
+target, or over a 2x2x2 volume), overrides one or two of its keys and draws
+``run``'s numeric flags, then runs ``validate`` and ``run`` through
+``cli.main``. Each plan case replaces one or two keys of a valid plan on the
+plane scene and runs ``sweep --plan``. The invariant, whatever the input:
+nothing is raised (warnings are errors under the project's pytest settings);
+``validate`` exits 0 or 2, and when it exits 2 so does ``run``, before making
+its run directory; a plan value that the field reader rejects makes ``sweep``
+exit 2 with ``MalformedConfig``; a run or sweep that exits 2 makes no run
+directory, one that exits 0 or 1 scores its points with finite NMSEs and logs
+each point without a score as an ``ImagingError`` subclass, and it exits 1
+only when no point is scored. Fixed seeds and a fixed example budget keep the
+cases the same on every run.
 """
 
+import contextlib
 import csv
+import io
 import math
 import tempfile
 from pathlib import Path
@@ -19,6 +25,8 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from risimage import cli, errors
+from risimage.runner import ExperimentPlan
+from risimage.scene import read_fields
 
 PLANE_SCENE = """
 wavelength = 0.01
@@ -119,6 +127,25 @@ def is_imaging_error(name: str) -> bool:
     return isinstance(kind, type) and issubclass(kind, errors.ImagingError)
 
 
+def check_outcome(code: int, out: Path) -> None:
+    """The exit code and run directory ``out`` of a ``run`` or ``sweep``."""
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert not out.exists()
+        return
+    with open(out / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    scores = [row["nmse"] for row in rows if row["nmse"]]
+    assert rows and all(math.isfinite(float(nmse)) for nmse in scores)
+    assert (code == 1) == (not scores)
+    errors_log = out / "errors.log"
+    lines = errors_log.read_text().splitlines() if errors_log.exists() else []
+    assert len(lines) == len(rows) - len(scores)
+    for line in lines:
+        _, error = line.split(": ", 1)
+        assert is_imaging_error(error.split(":", 1)[0]), line
+
+
 def check_case(scene_text: str, scene_argv: list[str], flags: list[str]) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         scene = Path(tmp) / "scene.cfg"
@@ -127,19 +154,46 @@ def check_case(scene_text: str, scene_argv: list[str], flags: list[str]) -> None
         assert valid in (0, 2)
         out = Path(tmp) / "run"
         code = invoke(["run", "--scene", str(scene), *scene_argv, *flags, "--output", str(out)])
-        assert code in (0, 1, 2)
         if valid == 2:  # a scene that validate rejects is bad input to run as well
-            assert code == 2 and not out.exists()
-        if code == 0:
-            with open(out / "metrics.csv", newline="") as fh:
-                rows = list(csv.DictReader(fh))
-            assert rows and all(math.isfinite(float(row["nmse"])) for row in rows)
-        elif code == 1:
-            lines = (out / "errors.log").read_text().splitlines()
-            assert lines
-            for line in lines:
-                _, error = line.split(": ", 1)
-                assert is_imaging_error(error.split(":", 1)[0]), line
+            assert code == 2
+        check_outcome(code, out)
+
+
+# A valid plan on the plane scene, and the keys a case replaces with numbers,
+# words or lists with an empty item.
+VALID_PLAN = {"target": "block", "i_values": "32", "snr_values": "none, 20", "seed": "3"}
+PLAN_KEYS = [
+    "i_values", "snr_values", "z_values", "gamma", "threshold_factor", "seed",
+    "ideal_masks", "keep_artifacts", "calibration", "n0_dbm_per_hz", "bandwidth_hz",
+]
+PLAN_WORDS = ["none", "None", "yes", "maybe", "true", "0", "32,", ",20", "32,,64", "none,", "20, none", "32, 64"]
+
+
+@st.composite
+def plan_entries(draw) -> dict[str, str]:
+    """Replacement texts for one or two distinct plan keys."""
+    keys = draw(st.lists(st.sampled_from(PLAN_KEYS), min_size=1, max_size=2, unique=True))
+    return {key: draw(NUMBERS | st.sampled_from(PLAN_WORDS)) for key in keys}
+
+
+def check_plan_case(entries: dict[str, str]) -> None:
+    try:
+        read_fields(ExperimentPlan, entries, "plan")
+        rejected = False
+    except errors.MalformedConfig:
+        rejected = True
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "scene.cfg").write_text(PLANE_SCENE)
+        out = Path(tmp) / "run"
+        plan = {**VALID_PLAN, **entries, "output_dir": str(out)}
+        plan_path = Path(tmp) / "plan.cfg"
+        plan_path.write_text("scene = scene.cfg\n" + "".join(f"{key} = {value}\n" for key, value in plan.items()))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = invoke(["sweep", "--plan", str(plan_path)])
+        if rejected:
+            assert code == 2 and "MalformedConfig" in stderr.getvalue()
+        check_outcome(code, out)
 
 
 FUZZ = settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -155,3 +209,9 @@ def test_plane_scene_inputs(scene_argv, flags):
 @given(scene_argv=overrides(), flags=run_flags())
 def test_volume_scene_inputs(scene_argv, flags):
     check_case(VOLUME_SCENE, scene_argv, flags)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(entries=plan_entries())
+def test_plan_file_inputs(entries):
+    check_plan_case(entries)

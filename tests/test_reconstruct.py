@@ -13,7 +13,7 @@ from risimage import measurement as ms
 from risimage import reconstruct as rc
 from risimage import ris_synthesis as rs
 from risimage import scene as sc
-from risimage.errors import DimensionMismatch, EmptyMaskSet, NonFiniteScore, ZeroTruth
+from risimage.errors import DimensionMismatch, EmptyMaskSet, KindMismatch, NonFiniteScore, ZeroTruth
 
 from conftest import peak_traced_bytes, small_config
 
@@ -175,6 +175,14 @@ class TestReconstruct2d:
             est_b = rc.reconstruct_2d(rec_b, scaled, psf).estimate
             np.testing.assert_allclose(est_b, est_a, rtol=0, atol=1e-12 * np.abs(est_a).max())
 
+    def test_complex_records_rejected(self, small_scene):
+        scene, grids = small_scene
+        masks = md.ideal_masks(scene, grids, 128)
+        fields = np.full(128, 1 + 1j)
+        meas = ms.Measurements(noiseless=fields, noisy=fields, noise_variance=0.0, seed=0)
+        with pytest.raises(KindMismatch):
+            rc.reconstruct_2d(meas, masks, em.psf_vector(scene, grids.target_points))
+
     def test_record_count_mismatch(self, small_scene):
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128)
@@ -265,6 +273,13 @@ class TestReconstruct3d:
         base = rc.reconstruct_3d(scene, meas, masks)
         moved = rc.reconstruct_3d(scene, shifted, masks)
         np.testing.assert_allclose(moved.estimate, base.estimate, atol=1e-12 * np.abs(base.estimate).max())
+
+    def test_real_records_rejected(self, volume_scene):
+        scene, grids = volume_scene
+        masks = md.ideal_masks(scene, grids, 16)
+        meas = ms.Measurements(noiseless=np.ones(16, complex), noisy=np.ones(16), noise_variance=0.0, seed=0)
+        with pytest.raises(KindMismatch):
+            rc.reconstruct_3d(scene, meas, masks)
 
     def test_masks_of_another_voxel_count_rejected(self, volume_scene):
         scene, grids = volume_scene

@@ -1,11 +1,13 @@
 """Scene validation, sampling grids, resolution bounds, config parsing."""
 
 import math
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from risimage import runner as rn
 from risimage import scene as sc
 from risimage.errors import (
     FarFieldViolation,
@@ -183,6 +185,156 @@ reflection_coeff = -1
     def test_duplicate_key_rejected(self):
         with pytest.raises(MalformedConfig):
             sc.parse_scene_config(self.GOOD + "\nwavelength = 0.02")
+
+
+class TestFieldReader:
+    """Scene and plan files are read through their dataclasses' field types."""
+
+    SCENE = """
+wavelength = 0.02
+ris_len_x = 0.5
+ris_len_y = 0.375
+target_len_x = 0.25
+target_len_y = 0.125
+target_distance = 0.25
+incident_elevation = 45
+receiver_x = 1.5
+receiver_y = -2.5
+receiver_z = -3
+n_ris_x = 12
+n_ris_y = 10
+n_target_x = 6
+n_target_y = 5
+n_target_z = 3
+target_depth = 0.0625
+target_kind = volume3d
+incident_amplitude = 2.5
+amplification = 0.75
+reflection_coeff = 0.5 - 0.25j
+"""
+
+    PLAN = """
+scene = scene.cfg
+target = checkerboard
+i_values = 128, 256
+snr_values = 10, None, -5.5
+z_values = 0.125,0.25
+gamma = 1e-10
+threshold_factor = 0.5
+truncation_mode = sigma
+seed = 42
+output_dir = runs/elsewhere
+calibration = lsq
+noise_mode = absolute
+phase_mode = exact
+ideal_masks = yes
+keep_artifacts = True
+n0_dbm_per_hz = -170
+bandwidth_hz = 2e6
+"""
+
+    @staticmethod
+    def assert_no_defaults(value):
+        for f in fields(value):
+            if f.default is not MISSING:
+                assert getattr(value, f.name) != f.default, f.name
+
+    def test_scene_sets_every_field(self):
+        cfg = sc.parse_scene_config(self.SCENE)
+        assert cfg == sc.SceneConfig(
+            wavelength=0.02,
+            ris_len_x=0.5,
+            ris_len_y=0.375,
+            target_len_x=0.25,
+            target_len_y=0.125,
+            target_distance=0.25,
+            incident_elevation=math.radians(45.0),
+            receiver_pos=(1.5, -2.5, -3.0),
+            n_ris_x=12,
+            n_ris_y=10,
+            n_target_x=6,
+            n_target_y=5,
+            n_target_z=3,
+            target_depth=0.0625,
+            target_kind=sc.VOLUME_3D,
+            incident_amplitude=2.5,
+            amplification=0.75,
+            reflection_coeff=0.5 - 0.25j,
+        )
+        assert all(type(cfg.receiver_pos[i]) is float for i in range(3))
+        assert type(cfg.n_ris_x) is int and type(cfg.reflection_coeff) is complex
+        self.assert_no_defaults(cfg)
+
+    def test_plan_sets_every_field(self, tmp_path):
+        (tmp_path / "scene.cfg").write_text(self.SCENE)
+        plan = rn.parse_plan(self.PLAN, base_dir=tmp_path)
+        assert plan == rn.ExperimentPlan(
+            scene=sc.parse_scene_config(self.SCENE),
+            target="checkerboard",
+            i_values=(128, 256),
+            snr_values=(10.0, None, -5.5),
+            z_values=(0.125, 0.25),
+            gamma=1e-10,
+            threshold_factor=0.5,
+            truncation_mode="sigma",
+            seed=42,
+            output_dir="runs/elsewhere",
+            calibration="lsq",
+            noise_mode="absolute",
+            phase_mode="exact",
+            ideal_masks=True,
+            keep_artifacts=True,
+            n0_dbm_per_hz=-170.0,
+            bandwidth_hz=2e6,
+        )
+        self.assert_no_defaults(plan)
+        plan.validate()
+
+    @pytest.mark.parametrize(
+        "cls, file_only",
+        [(sc.SceneConfig, {"receiver_pos"}), (rn.ExperimentPlan, {"scene"})],
+        ids=["scene", "plan"],
+    )
+    def test_every_settable_field_has_a_readable_type(self, cls, file_only):
+        # receiver_pos is read from receiver_x/_y/_z, and a plan's scene from its own file
+        for f in fields(cls):
+            if f.name not in file_only:
+                assert f.type in sc._FIELD_PARSERS, f"{cls.__name__}.{f.name}: {f.type}"
+
+    @pytest.mark.parametrize(
+        "entry, named",
+        [
+            ("ideal_masks = maybe", "ideal_masks"),
+            ("gamma = none", "gamma"),
+            ("i_values = none", "i_values"),
+            ("i_values = 64,", "i_values"),
+            ("snr_values = 10,,20", "snr_values"),
+            ("seed = 1.5", "seed"),
+            ("workers = x", "workers"),
+            ("workers = 2", "workers"),
+            ("scene_file = other.cfg", "scene_file"),
+        ],
+    )
+    def test_bad_plan_entry_names_its_key(self, tmp_path, entry, named):
+        (tmp_path / "scene.cfg").write_text(self.SCENE)
+        with pytest.raises(MalformedConfig, match=named):
+            rn.parse_plan(f"scene = scene.cfg\n{entry}\n", base_dir=tmp_path)
+
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            (("receiver_y = -2.5", ""), "receiver_y"),
+            (("n_ris_x = 12", ""), "n_ris_x"),
+            (("receiver_z = -3", "receiver_pos = 1, 2, 3"), "receiver_"),
+            (("target_kind = volume3d", "target_kind = volume3d\nn_target_w = 2"), "n_target_w"),
+            (("n_ris_x = 12", "n_ris_x = 12.0"), "n_ris_x"),
+            (("receiver_x = 1.5", "receiver_x = east"), "receiver"),
+            (("reflection_coeff = 0.5 - 0.25j", "reflection_coeff = j0.5"), "reflection_coeff"),
+        ],
+    )
+    def test_bad_scene_entry_names_its_key(self, change, named):
+        with pytest.raises(MalformedConfig, match=named):
+            sc.parse_scene_config(self.SCENE.replace(*change))
 
 
 class TestFingerprint:
