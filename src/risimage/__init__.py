@@ -26,6 +26,7 @@ from .mask_design import (
 )
 from .measurement import (
     Measurements,
+    ReceiverFields,
     TargetModel,
     measure,
     noise_power_dbm,

@@ -13,6 +13,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import em_core, mask_design, measurement, ris_synthesis
 from .errors import ImagingError, MalformedConfig
 from .runner import (
@@ -189,12 +191,11 @@ def cmd_synthesize(args) -> int:
     grids = sample_grids(scene)
     ideal = _ideal_masks(plan, scene, grids)
     inv = _inverse(plan, scene, grids)
-    realized = ris_synthesis.realize_masks(inv, ideal, scene.config.amplification)
     out_dir = Path(plan.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     fp = scene.fingerprint
+    realized = export_synthesis(out_dir, "", fp, inv, ideal, scene.config.amplification)
     mask_design.save_mask_vectors(out_dir / "masks_ideal.bin", ideal, fp)
-    export_synthesis(out_dir, "", fp, inv, ideal, realized, scene.config.amplification)
     print(
         f"synthesized {realized.count} profiles (retained rank {inv.retained_rank}, "
         f"gamma {inv.gamma!r}) -> {out_dir}"
@@ -207,11 +208,13 @@ def cmd_measure(args) -> int:
     grids = sample_grids(scene)
     target = resolve_target(plan.target, scene)
     masks = _ideal_masks(plan, scene, grids)
-    if not plan.ideal_masks:  # no profile is exported, so the sector blocks go
+    if plan.ideal_masks:
+        fields = measurement.noiseless_fields(scene, grids, masks, target)
+    else:  # fields come from the realization pass; no profile is exported, so the sector blocks go
         inv = _inverse(plan, scene, grids).without_blocks()
-        masks = ris_synthesis.realize_masks(inv, masks, scene.config.amplification)
-        del inv  # U is freed before the fields are computed
-    fields = measurement.noiseless_fields(scene, grids, masks, target)
+        receiver = measurement.ReceiverFields(scene, grids, masks, target)
+        ris_synthesis.realize_masks(inv, masks, scene.config.amplification, [receiver.add])
+        fields = receiver.fields()
     meas = measurement.measure(fields, masks.kind, plan.snr_values[0], plan.seed, noise_mode=plan.noise_mode)
     out = Path(plan.output_dir)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -227,6 +230,8 @@ def cmd_reconstruct(args) -> int:
     kind, vectors, fp = mask_design.load_mask_vectors(args.masks)
     if fp != scene.fingerprint:
         print(f"warning: mask export fingerprint {fp[:16]} does not match the scene", file=sys.stderr)
+    if kind == mask_design.KIND_MASK2D:  # a plane reconstruction reads only the mask magnitudes
+        vectors = np.abs(vectors)
     masks = mask_design.MaskSet(kind=kind, stored=vectors)
     psf = None if scene.is_3d else em_core.psf_vector(scene, grids.target_points)
     target = resolve_target(plan.target, scene)
@@ -242,7 +247,16 @@ def cmd_reconstruct(args) -> int:
 def _plan_from_args(args, sweep: bool) -> ExperimentPlan:
     """The plan the options describe. An option sets the plan field of its
     name (``--output`` sets ``output_dir``), and one left out keeps the
-    field's default; a sweep reads its comma lists as a plan file does."""
+    field's default; a sweep reads its comma lists as a plan file does, and
+    a list beside the single value it replaces is a :class:`MalformedConfig`."""
+    if sweep:
+        replaced = (
+            ("--snr-sweep", args.snr_sweep, "--snr-db", args.snr_db),
+            ("--i-sweep", args.i_sweep, "-I", args.measurements),
+        )
+        for listed, values, flag, value in replaced:
+            if values is not None and value is not None:
+                raise MalformedConfig(f"sweep {listed} would ignore {flag}")
     scene = _scene_from_args(args)
     kwargs = {"i_values": (_measurement_count(args, scene),), "snr_values": (args.snr_db,)}
     options = vars(args)

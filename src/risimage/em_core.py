@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -381,30 +382,49 @@ def write_complex_file(
 
     ``values`` is one array, or an iterable of (rows, cols) blocks of rows
     whose rows add up to the (rows, cols) ``shape`` the header names, each
-    written before the next is drawn, so a stream can reuse one buffer. The
-    bytes go to a temporary file in the same directory, which then replaces
-    ``path``: a reader sees the old file or the whole new one, never a
-    partial write. If drawing a block raises, or the blocks do not add up to
-    ``shape`` (:class:`DimensionMismatch`), the temporary file is removed and
-    the old file stays. Each body is written from its array's own buffer, so
-    C-ordered little-endian complex128 values are not copied.
+    written before the next is drawn, so a stream can reuse one buffer
+    (:func:`complex_file_writer`).
     """
-    path = Path(path)
     if isinstance(values, np.ndarray):
         values, shape = (values,), values.shape
     elif shape is None:
         raise ValueError("a stream of blocks needs the shape its header names")
+    with complex_file_writer(path, header, shape) as write:
+        for block in values:
+            write(block)
+            del block  # freed before the next one is drawn
+
+
+@contextmanager
+def complex_file_writer(
+    path: str | Path, header: str, shape: tuple[int, int]
+) -> Iterator[Callable[[np.ndarray], None]]:
+    """The :func:`write_complex_file` layout, its body handed over a block at a time.
+
+    The context gives ``write(block)``, which writes one (rows, cols) block
+    of rows before it returns, so a caller can reuse one buffer. The bytes go
+    to a temporary file in the same directory, which replaces ``path`` when
+    the context ends: a reader sees the old file or the whole new one, never
+    a partial write. If the context raises, or the blocks do not add up to
+    ``shape`` (:class:`DimensionMismatch`), the temporary file is removed and
+    the old file stays. Each block is written from its array's own buffer,
+    so C-ordered little-endian complex128 values are not copied.
+    """
+    path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    rows = 0
+
+    def write(block: np.ndarray) -> None:
+        nonlocal rows
+        rows += len(block)
+        if block.shape[1:] != shape[1:] or rows > shape[0]:
+            raise DimensionMismatch(f"a {block.shape} block does not fit the {shape} body")
+        fh.write(np.ascontiguousarray(block, dtype="<c16").data)
+
     try:
         with open(tmp, "wb") as fh:
             fh.write(header.encode("ascii"))
-            rows = 0
-            for block in values:
-                rows += len(block)
-                if block.shape[1:] != shape[1:] or rows > shape[0]:
-                    raise DimensionMismatch(f"a {block.shape} block does not fit the {shape} body")
-                fh.write(np.ascontiguousarray(block, dtype="<c16").data)
-                del block  # freed before the next one is drawn
+            yield write
             if rows != shape[0]:
                 raise DimensionMismatch(f"blocks of {rows} rows for the {shape[0]} rows of the header")
         os.replace(tmp, path)

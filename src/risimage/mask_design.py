@@ -25,12 +25,11 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .em_core import ENTRY_CAP, read_complex_file, write_complex_file
+from .em_core import ENTRY_CAP, complex_file_writer, read_complex_file
 from .errors import (
     DimensionMismatch,
     EmptyMaskSet,
@@ -65,22 +64,25 @@ class MaskSet:
     pattern row i of :func:`design_amplitudes` times e^{j ``phase``} (no
     phase for a volume set), so the set stores no (I, M) array, and
     :func:`project` reads it as a Hadamard transform. ``stored`` is the
-    (I, M) stack of any other set, such as the masks the aperture actually
-    produces once ``ris_synthesis.realize_masks`` has replaced the design,
-    with the pre-normalisation solution norms in ``solution_norms``.
+    (I, M) array of any other set: the complex masks, or in a plane set
+    only their magnitudes u (:attr:`magnitudes_only`), all that a plane
+    reconstruction reads. ``ris_synthesis.realize_masks`` leaves a plane
+    set so, with the pre-normalisation solution norms in
+    ``solution_norms``; the complex masks the aperture produces exist only
+    a block at a time, in its pass.
 
     Each read of a designed set's ``vectors`` forms its stack anew, and
     ``MaskSet(kind, stored=masks.vectors)`` keeps one for repeated reads.
-    Measuring a designed set, its export and the synthesis summary form it a
-    block of rows at a time (:meth:`row_blocks`). The generating coefficient
-    vectors are not kept: ``ris_synthesis.synthesis_profiles`` forms them
-    from the inverse when they are exported. ``moments`` are computed on
-    first read and kept; a set made by ``dataclasses.replace`` starts
-    without them.
+    Measuring a designed set, realizing it and exporting it form it a block
+    of rows at a time (:meth:`row_blocks`), or not at all (:func:`project`).
+    The generating coefficient vectors are not kept:
+    ``ris_synthesis.synthesis_profiles`` forms them from the inverse when
+    they are exported. ``moments`` are computed on first read and kept; a
+    set made by ``dataclasses.replace`` starts without them.
     """
 
     kind: str  # KIND_MASK2D | KIND_MASK3D
-    stored: np.ndarray | None = None  # (I, M) complex128
+    stored: np.ndarray | None = None  # (I, M) complex128, or float64 magnitudes of a plane set
     design: tuple[int, int] | None = None  # (I, M) of a Hadamard design
     phase: np.ndarray | None = None  # (M,) common phase profile (designed plane sets)
     solution_norms: np.ndarray | None = None  # (I,)
@@ -109,6 +111,17 @@ class MaskSet:
         which only the reader keeps."""
         return self.stored if self.design is None else self._designed()
 
+    @property
+    def magnitudes_only(self) -> bool:
+        """Whether this plane set stores only the magnitudes of its masks (a
+        real ``stored``): it can be reconstructed from, not measured."""
+        return self.kind == KIND_MASK2D and self.stored is not None and not np.iscomplexobj(self.stored)
+
+    def block(self, rows: slice) -> np.ndarray:
+        """``vectors[rows]``: a view of a stored set's rows, or only those
+        rows of a designed set, formed anew."""
+        return self.stored[rows] if self.design is None else self._designed(rows)
+
     def _designed(self, rows: slice = slice(None)) -> np.ndarray:
         """The designed masks at ``rows``, pattern * e^{j phase}, or the
         pattern as complex without a phase: a new read-only array."""
@@ -129,13 +142,13 @@ class MaskSet:
 
         A stored set yields views of its stack. A designed set forms only
         each block's rows of the pattern, times e^{j phase}, the same bits as
-        the matching rows of ``vectors``, so its (I, M) stack never exists
-        whole.
+        the matching rows of ``vectors`` (:meth:`block`), so its (I, M) stack
+        never exists whole.
         """
         step = max(1, _CHUNK_ENTRIES // (4 * max(self.points, 1)))
         for start in range(0, self.count, step):
             rows = slice(start, start + step)
-            yield rows, self.stored[rows] if self.design is None else self._designed(rows)
+            yield rows, self.block(rows)
 
     @cached_property
     def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -143,9 +156,11 @@ class MaskSet:
         per-point variance c = <u u> - <u>^2 and mean square magnitude
         <|u|^2>, which every reconstruction from this set reads.
 
-        u is the magnitude of a plane mask, or the designed {0,1} pattern
-        itself, so the quarter-delta covariance stays exact, and the
-        (possibly complex) coefficient of a volume mask. c is the diagonal of
+        u is the magnitude of a plane mask: the designed {0,1} pattern
+        itself, so the quarter-delta covariance stays exact, or the stored
+        magnitudes, read in place (a plane set that stores complex masks
+        raises :class:`KindMismatch`); and the (possibly complex)
+        coefficient of a volume mask. c is the diagonal of
         the mask covariance from plain (unconjugated) products, as the
         correlation reconstruction demands: complex-valued for distorted
         volume masks, exactly 1/4 for ideal ones. The squares are summed a
@@ -155,12 +170,15 @@ class MaskSet:
         """
         if self.count == 0:
             raise EmptyMaskSet("mask set has no measurements")
-        if self.kind != KIND_MASK2D:
+        if self.kind != KIND_MASK2D or self.magnitudes_only:
             u = self.vectors
         elif self.design is not None:
             u = design_amplitudes(*self.design)
         else:
-            u = np.abs(self.stored)
+            raise KindMismatch(
+                "a plane reconstruction reads mask magnitudes, and this set stores complex mask "
+                "values: reconstruct from MaskSet(kind, stored=np.abs(values))"
+            )
         square_mean = _row_mean(u, lambda block: block * block)
         c_values = square_mean - u.mean(axis=0) ** 2
         power = _row_mean(u, lambda block: np.abs(block) ** 2) if np.iscomplexobj(u) else square_mean
@@ -409,12 +427,19 @@ def mask_covariance(masks: MaskSet, ref_index: int) -> np.ndarray:
 # file.
 
 
+def mask_file_writer(path: str | Path, kind: str, shape: tuple[int, int], fingerprint: str):
+    """An export of ``kind`` masks of ``shape`` (I, M), written a block of rows
+    at a time through ``write(block)`` (:func:`em_core.complex_file_writer`)."""
+    header = f"kind={kind} count={shape[0]} points={shape[1]} fingerprint={fingerprint}\n"
+    return complex_file_writer(path, header, shape)
+
+
 def save_mask_vectors(path: str | Path, masks: MaskSet, fingerprint: str) -> None:
     """Export ``masks`` a block of rows at a time (:meth:`MaskSet.row_blocks`),
     so a designed set's (I, M) stack is never formed whole."""
-    shape = (masks.count, masks.points)
-    header = f"kind={masks.kind} count={shape[0]} points={shape[1]} fingerprint={fingerprint}\n"
-    write_complex_file(path, header, map(itemgetter(1), masks.row_blocks()), shape)
+    with mask_file_writer(path, masks.kind, (masks.count, masks.points), fingerprint) as write:
+        for _, block in masks.row_blocks():
+            write(block)
 
 
 def load_mask_vectors(path: str | Path) -> tuple[str, np.ndarray, str]:

@@ -150,42 +150,70 @@ def complex_noise(variance: float, seed: int, count: int) -> np.ndarray:
     return math.sqrt(variance / 2.0) * (re + 1j * im)
 
 
+class ReceiverFields:
+    """The noiseless receiver fields of one mask set, a block of rows at a time.
+
+    Plane targets: a mask induces the surface current (1 - reflection) times
+    the mask, so a perfect conductor doubles the field, and the coverage map
+    and point spread function weight it on its way to the receiver. Volume
+    targets: the Born field k^2 times the voxel volume times the
+    contrast-weighted sum of the mask. :meth:`add` takes the complex masks
+    of some rows (from :meth:`MaskSet.row_blocks`, or as a reader of
+    ``ris_synthesis.realize_masks``); :meth:`fields` returns them all.
+    Raises :class:`DimensionMismatch` or :class:`KindMismatch` for masks
+    that do not fit the target.
+    """
+
+    def __init__(self, scene: ValidatedScene, grids: SampleGrids, masks: MaskSet, target: TargetModel):
+        if masks.points != target.n_points:
+            raise DimensionMismatch(
+                f"masks over {masks.points} points do not match the {target.n_points}-point target"
+            )
+        if masks.kind == KIND_MASK2D:
+            if target.kind != PLANE_2D:
+                raise KindMismatch("plane masks require a plane target")
+            self.weights = psf_vector(scene, grids.target_points) * target.values * grids.target_cell_measure
+            self.factor = 1.0 - target.reflection_coeff
+        else:
+            if target.kind != VOLUME_3D:
+                raise KindMismatch("volume masks require a volume target")
+            self.weights = target.values
+            self.factor = scene.wavenumber**2 * scene.target_cell_measure
+        self._products = np.empty(masks.count, dtype=np.complex128)
+
+    def add(self, rows: slice, block: np.ndarray, _norms: np.ndarray | None = None) -> None:
+        """Take the masks ``block`` of the set's ``rows``."""
+        self._products[rows] = block @ self.weights
+
+    def fields(self) -> np.ndarray:
+        """Every row's field, a new read-only array, which every measurement
+        of the same set can share (:func:`measure`)."""
+        fields = self.factor * self._products
+        fields.setflags(write=False)
+        return fields
+
+
 def noiseless_fields(
     scene: ValidatedScene,
     grids: SampleGrids,
     masks: MaskSet,
     target: TargetModel,
 ) -> np.ndarray:
-    """Complex receiver field per measurement (one per mask row), without noise.
+    """Complex receiver field per mask row, without noise (:class:`ReceiverFields`).
 
-    Plane targets: a mask induces the surface current (1 - reflection) times
-    the mask, so a perfect conductor doubles the field, and the coverage map
-    and point spread function weight it on its way to the receiver. Volume
-    targets: the Born field k^2 times the voxel volume times the
-    contrast-weighted sum of the mask. Returns a new read-only array, which
-    every measurement of the same set can share (:func:`measure`).
+    A plane set that keeps only the magnitudes of its masks, as a realized
+    one does, raises :class:`KindMismatch`: its fields are taken in its
+    realization pass instead.
     """
-    if masks.points != target.n_points:
-        raise DimensionMismatch(
-            f"masks over {masks.points} points do not match the {target.n_points}-point target"
+    fields = ReceiverFields(scene, grids, masks, target)
+    if masks.magnitudes_only:
+        raise KindMismatch(
+            "this plane mask set keeps only the magnitudes of its masks, which give no receiver "
+            "field; a realized set's fields come from its realization (realize_masks readers)"
         )
-    if masks.kind == KIND_MASK2D:
-        if target.kind != PLANE_2D:
-            raise KindMismatch("plane masks require a plane target")
-        weights = psf_vector(scene, grids.target_points) * target.values * grids.target_cell_measure
-        factor = 1.0 - target.reflection_coeff
-    else:
-        if target.kind != VOLUME_3D:
-            raise KindMismatch("volume masks require a volume target")
-        weights = target.values
-        factor = scene.wavenumber**2 * scene.target_cell_measure
-    if masks.design is None:
-        products = masks.stored @ weights
-    else:  # formed a block of rows at a time, never whole
-        products = np.concatenate([block @ weights for _, block in masks.row_blocks()])
-    fields = factor * products
-    fields.setflags(write=False)
-    return fields
+    for rows, block in masks.row_blocks():
+        fields.add(rows, block)
+    return fields.fields()
 
 
 def measure(

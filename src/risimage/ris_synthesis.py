@@ -41,21 +41,25 @@ c_s = lambda_s U_s^H fold_s(b) over the retained modes, whose norm ||c|| is
 the solution norm ||p||. That is b @ A_s with A_s = conj(unfold_s(w_s U_s))
 lambda_s, the retained columns of U_s put onto the grid by a signed row
 gather, so the masks are never folded: one ``mask_design.project`` call
-forms b @ [A_1 ... A_k] for every mask into the leading columns of the
-output, whichever kind of set it is (a designed set never builds its (I, M)
+forms b @ [A_1 ... A_k] for every mask into the leading columns of an
+array, whichever kind of set it is (a designed set never builds its (I, M)
 mask stack there). One loop (:func:`_map_rows`) then maps a block of rows
-at a time: it takes the block's norms ||c|| and overwrites its coefficients
-with its result. The realized mask K p = U diag(sigma) c is unfolded on the
-target side. The coefficient profiles p, formed only by :meth:`apply` and
-when profiles are exported, are unfolded on the aperture side from
-V_s c_s, with V_s = B_s^H U_s / sigma_s built per sector from the block the
-inverse keeps, so a profile is never formed through a dense K^H product.
-The export (:func:`save_profiles`) stages c alone, I x sum r_s, and the same
-loop maps each block of rows into one reused buffer that is written before
-the next block, so the (I, N) profiles never exist whole. The blocks are
-formed once, at decomposition, and the inverse holds no reference to the
-kernel. Realizing masks reads only U, sigma and lambda, so a caller that
-maps no solution back to the aperture drops the blocks
+at a time: it takes the block's norms ||c|| and writes its result over its
+coefficients when the output is that array, or else into one reused
+buffer. The realized mask K p = U diag(sigma) c is unfolded on the target
+side. A realized plane set keeps only their magnitudes, and every other
+reader of the complex masks (receiver fields, the export, the summary's
+misfit) takes each block in that pass (:func:`realize_masks`), so they
+never exist whole. The coefficient profiles p, formed only by
+:meth:`apply` and when profiles are exported, are unfolded on the aperture
+side from V_s c_s, with V_s = B_s^H U_s / sigma_s built per sector from the
+block the inverse keeps, so a profile is never formed through a dense K^H
+product. The export (:func:`save_profiles`) stages c alone too, and each
+block of rows is written before the next is mapped into the buffer, so the
+(I, N) profiles never exist whole. The blocks are formed once, at
+decomposition, and the inverse holds no reference to the kernel. Realizing
+masks reads only U, sigma and lambda, so a caller that maps no solution
+back to the aperture drops the blocks
 (:meth:`RegularizedInverse.without_blocks`), which are about the kernel's
 size.
 """
@@ -64,7 +68,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -87,10 +91,17 @@ _KERNEL_TO_MASK_KIND = {KIND_Z2D: KIND_MASK2D, KIND_Y3D: KIND_MASK3D}
 _PARITIES = ((0, 0), (1, 0), (0, 1), (1, 1))
 _HALF = math.sqrt(0.5)
 # Coefficients are mapped back in blocks of rows whose output holds about
-# this many entries (1 MiB).
+# this many entries (1 MiB). Realized masks go in blocks of a sixteenth of
+# the set, so a block's temporaries stay small beside what the set keeps,
+# but of at least a quarter of that (256 KiB), as small products are slow.
 _CHUNK_ENTRIES = 1 << 16
+_REALIZE_BLOCKS = 16
 # sigma**2 overflows at and above this singular value.
 _SIGMA_LIMIT = math.sqrt(sys.float_info.max)
+
+# What :func:`realize_masks` hands each block of realized rows to:
+# reader(rows, block, norms).
+Reader = Callable[[slice, np.ndarray, np.ndarray], None]
 
 
 @dataclass(frozen=True)
@@ -552,13 +563,14 @@ def _map_rows(
     shape: tuple[int, int] | None,
     phase: np.ndarray | None = None,
     budget: float | None = None,
+    chunk: int = _CHUNK_ENTRIES,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Map each row's staged coefficients c to unfold(sum_s c_s right_s).
 
     ``staged`` holds c in its leading sum r_s columns, ``right`` one
     (r_s, width_s) matrix per sector, and ``shape`` is the grid the sectors
-    unfold onto. Runs one block of about ``_CHUNK_ENTRIES`` output entries
-    at a time and yields each block's ||c|| per row and its mapped rows.
+    unfold onto. Runs one block of about ``chunk`` output entries at a time
+    and yields each block's ||c|| per row and its mapped rows.
     A block's norms are taken and its coefficients read before its rows are
     written: over its own rows of ``staged`` when that is as wide as the
     output, and otherwise into one buffer that every block reuses, so each
@@ -570,7 +582,7 @@ def _map_rows(
     """
     bounds = np.cumsum([0] + [len(r) for r in right])
     width = sum(r.shape[1] for r in right)
-    step = max(1, _CHUNK_ENTRIES // width)
+    step = max(1, chunk // width)
     in_place = staged.shape[1] == width
     buffer = None if in_place else np.empty((min(step, len(staged)), width), dtype=np.complex128)
     for start in range(0, len(staged), step):
@@ -632,34 +644,69 @@ def _solutions(
     return out
 
 
-def realize_masks(inv: RegularizedInverse, masks: MaskSet, amplification: float) -> MaskSet:
+def realize_masks(
+    inv: RegularizedInverse, masks: MaskSet, amplification: float, readers: Iterable[Reader] = ()
+) -> MaskSet:
     """The masks that power-normalised synthesized profiles produce.
 
-    Works in the target-side range space of each sector: with the
-    coefficients c of :func:`_stage_coefficients`, the solution norm is
-    ||c|| and the realized mask is the unfolded U diag(sigma) c, scaled onto
-    the power budget. The coefficients are staged in the output's leading
-    columns, which each block of rows then overwrites, so the only other
-    memory is a block's temporaries. Returns a new set whose ``vectors`` are
-    the realized masks.
+    With the coefficients c of :func:`_stage_coefficients`, the solution
+    norm is ||c|| and the realized mask is the unfolded U diag(sigma) c,
+    scaled onto the power budget. :func:`_map_rows` realizes a block of rows
+    at a time and hands it to each of ``readers`` as ``reader(rows, block,
+    norms)``: the slice it covers, its complex masks (valid until the reader
+    returns) and their solution norms. A volume set keeps its complex masks,
+    written over c in the (I, M) output. A plane set keeps only their
+    magnitudes (``MaskSet.magnitudes_only``): c is staged alone, I x sum r_s,
+    and each block is mapped into one reused buffer, so its complex (I, M)
+    masks never exist whole. Returns the new set.
     """
     if _KERNEL_TO_MASK_KIND.get(inv.kind) != masks.kind:
         raise KindMismatch(f"kernel kind {inv.kind!r} cannot realize {masks.kind!r} masks")
     n_targets, n_samples = inv.shape
     factors = _folded_factors(inv)
-    realized = _stage_coefficients(inv, factors, masks, n_targets)
+    keeps_values = masks.kind == KIND_MASK3D
+    staged = _stage_coefficients(inv, factors, masks, n_targets if keeps_values else inv.retained_rank)
+    stored = staged if keeps_values else np.empty((masks.count, n_targets))
+    norms = np.empty(masks.count)
     right = [(f.u * f.sigma).T for f in factors]
-    blocks = _map_rows(realized, right, _target_shape(inv), budget=np.sqrt(n_samples * amplification))
-    norms = np.concatenate([block_norms for block_norms, _ in blocks])
-    realized.setflags(write=False)
-    return replace(masks, stored=realized, design=None, phase=None, solution_norms=norms)
+    del factors
+    chunk = min(_CHUNK_ENTRIES, max(_CHUNK_ENTRIES // 4, masks.count * n_targets // _REALIZE_BLOCKS))
+    blocks = _map_rows(staged, right, _target_shape(inv), budget=np.sqrt(n_samples * amplification), chunk=chunk)
+    start = 0
+    for block_norms, block in blocks:
+        rows = slice(start, start + len(block))
+        start = rows.stop
+        norms[rows] = block_norms
+        if not keeps_values:
+            np.abs(block, out=stored[rows])
+        for reader in readers:
+            reader(rows, block, block_norms)
+    stored.setflags(write=False)
+    return replace(masks, stored=stored, design=None, phase=None, solution_norms=norms)
+
+
+class RealizedMisfit:
+    """``values[i]`` = ||realized_i * norm_i / sqrt(N * P_I) - ideal_i|| / ||ideal_i||,
+    how far each unnormalised realized mask misses its ``ideal`` one, taken
+    by :meth:`add` as a reader of :func:`realize_masks`."""
+
+    def __init__(self, inv: RegularizedInverse, ideal: MaskSet, amplification: float):
+        self.ideal = ideal
+        self.budget = np.sqrt(inv.shape[1] * amplification)
+        self.values = np.empty(ideal.count)
+
+    def add(self, rows: slice, block: np.ndarray, norms: np.ndarray) -> None:
+        """Take the realized masks ``block`` of ``rows`` and their solution ``norms``."""
+        ideal_rows = self.ideal.block(rows)
+        fitted = block * (norms / self.budget)[:, None]
+        self.values[rows] = np.linalg.norm(fitted - ideal_rows, axis=1) / np.linalg.norm(ideal_rows, axis=1)
 
 
 def synthesis_profiles(inv: RegularizedInverse, masks: MaskSet, amplification: float) -> np.ndarray:
     """Power-normalised coefficient vectors (I, N), C-ordered, realizing each mask of ``masks``.
 
     Each row has ||p||^2 = N * amplification; for the ideal set, K p is the
-    matching row of the masks returned by :func:`realize_masks`.
+    matching realized mask that :func:`realize_masks` hands to its readers.
     """
     n_samples = inv.shape[1]
     return _solutions(inv, masks, np.sqrt(n_samples * amplification))
@@ -690,26 +737,18 @@ def save_profiles(
 
 
 def write_synthesis_summary(
-    path: str | Path,
-    inv: RegularizedInverse,
-    ideal: MaskSet,
-    realized: MaskSet,
-    amplification: float,
+    path: str | Path, inv: RegularizedInverse, realized: MaskSet, rel_err: np.ndarray
 ) -> None:
     """Human-readable record: retained rank, gamma, singular-value range, mask
     fidelity, the size and retained rank of each sector block, and per-mask
     solution norms.
 
-    ``realized_rel_err`` is ||realized * norm / sqrt(N * P_I) - ideal|| / ||ideal||
-    per mask: how far the unnormalised realized mask misses the ideal one.
+    ``realized_rel_err_mean`` and ``_max`` summarise ``rel_err``, the
+    misfits taken in the realization pass (:class:`RealizedMisfit`), so the
+    summary reads no mask.
     """
     sigma, inv_sigma = inv.sigma, inv.inv_sigma
     retained = sigma[inv_sigma > 0.0]
-    scale = realized.solution_norms / np.sqrt(inv.shape[1] * amplification)
-    rel_err = np.empty(ideal.count)
-    for rows, ideal_rows in ideal.row_blocks():  # a designed set forms one block at a time
-        fitted = realized.vectors[rows] * scale[rows, None]
-        rel_err[rows] = np.linalg.norm(fitted - ideal_rows, axis=1) / np.linalg.norm(ideal_rows, axis=1)
     lines = [
         f"retained_rank = {inv.retained_rank}",
         f"gamma = {inv.gamma!r}",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import os
 import time
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from itertools import groupby
 from operator import attrgetter
@@ -182,9 +182,10 @@ def _shared_builds(
     stopped one of those builds. A distance's scene, grids, target and PSF
     are built once, its kernel and regularized inverse once, at the first
     mask count that needs them. Each mask set's noiseless receiver fields are
-    computed once, for every SNR point measured from it; the set keeps its
-    own moments for reconstruction (``MaskSet.moments``). Under
-    ``keep_artifacts`` each mask set is exported as soon as it is built;
+    computed once, for every SNR point measured from it, a realized set's in
+    its realization pass; the set keeps its own moments for reconstruction
+    (``MaskSet.moments``). Under ``keep_artifacts`` each mask set is
+    exported as it is built (:func:`export_synthesis`);
     otherwise the inverse drops its sector blocks once it is built, since
     realizing masks reads only its target-side factors.
     """
@@ -210,7 +211,9 @@ def _shared_builds(
                 masks = ideal = mask_design.ideal_masks(scene, grids, count, plan.phase_mode)
                 if artifact_dir is not None:
                     mask_design.save_mask_vectors(artifact_dir / f"masks_ideal_{stem}.bin", ideal, fp)
-                if not plan.ideal_masks:
+                if plan.ideal_masks:
+                    noiseless = measurement.noiseless_fields(scene, grids, ideal, target)
+                else:
                     if inv is None:
                         kernel, built = _load_or_build_kernel(scene, grids, cache_dir)
                         result.kernel_builds += built
@@ -220,10 +223,14 @@ def _shared_builds(
                         del kernel  # the inverse holds its sector blocks, not the kernel
                         if artifact_dir is None:  # no profile maps back to the aperture
                             inv = inv.without_blocks()
-                    masks = ris_synthesis.realize_masks(inv, ideal, amplification)
-                    if artifact_dir is not None:
-                        export_synthesis(artifact_dir, f"_{stem}", fp, inv, ideal, masks, amplification)
-                noiseless = measurement.noiseless_fields(scene, grids, masks, target)
+                    receiver = measurement.ReceiverFields(scene, grids, ideal, target)
+                    if artifact_dir is None:
+                        masks = ris_synthesis.realize_masks(inv, ideal, amplification, [receiver.add])
+                    else:
+                        masks = export_synthesis(
+                            artifact_dir, f"_{stem}", fp, inv, ideal, amplification, [receiver.add]
+                        )
+                    noiseless = receiver.fields()
             except ImagingError as exc:
                 yield group, exc
                 continue
@@ -232,15 +239,21 @@ def _shared_builds(
 
 
 def export_synthesis(
-    directory: Path, suffix: str, fp: str, inv, ideal: MaskSet, realized: MaskSet, amplification: float
-) -> None:
-    """Write one synthesized mask set to ``directory``: its realized masks,
-    coefficient profiles and synthesis summary, each file stem ending in ``suffix``."""
-    mask_design.save_mask_vectors(directory / f"masks_realized{suffix}.bin", realized, fp)
+    directory: Path, suffix: str, fp: str, inv, ideal: MaskSet, amplification: float, readers: Iterable = ()
+) -> MaskSet:
+    """Realize ``ideal`` and write its realized masks, coefficient profiles
+    and synthesis summary to ``directory``, each file stem ending in
+    ``suffix``; the masks and the summary's misfit are readers of the
+    realization pass, beside ``readers``. Returns the realized set."""
+    misfit = ris_synthesis.RealizedMisfit(inv, ideal, amplification)
+    path = directory / f"masks_realized{suffix}.bin"
+    with mask_design.mask_file_writer(path, ideal.kind, (ideal.count, ideal.points), fp) as write:
+        realized = ris_synthesis.realize_masks(
+            inv, ideal, amplification, (*readers, misfit.add, lambda _rows, block, _norms: write(block))
+        )
     ris_synthesis.save_profiles(directory / f"profiles{suffix}.bin", inv, ideal, amplification, fp)
-    ris_synthesis.write_synthesis_summary(
-        directory / f"synthesis{suffix}.txt", inv, ideal, realized, amplification
-    )
+    ris_synthesis.write_synthesis_summary(directory / f"synthesis{suffix}.txt", inv, realized, misfit.values)
+    return realized
 
 
 def score(

@@ -17,6 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from risimage import ris_synthesis as rs
 from risimage import scene as sc
 
 DESK_RECEIVER = (5.0, 5.0, -1.25)
@@ -132,3 +133,19 @@ def peak_traced_bytes(fn):
     finally:
         tracemalloc.stop()
     return peak, result
+
+
+def realize_with_values(inv, masks, amplification, readers=()):
+    """``realize_masks`` of ``masks`` with ``readers``, and the complex realized
+    masks its pass hands to every reader, copied block by block into one
+    (I, M) array.
+
+    A realized plane set keeps only the magnitudes of its masks, so tests that
+    compare the complex masks read them here, as the fields and the export do.
+    """
+    values = np.empty((masks.count, masks.points), dtype=complex)
+
+    def keep(rows, block, _norms):
+        values[rows] = block
+
+    return rs.realize_masks(inv, masks, amplification, [*readers, keep]), values

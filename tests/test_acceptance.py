@@ -33,6 +33,7 @@ from conftest import (
     DESK_Z_VALUES,
     desk_config,
     desk_proportional_config,
+    realize_with_values,
     small_config,
     volume_config,
 )
@@ -54,7 +55,10 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 
 class DeskPipeline:
-    """Caches kernels, inverses, and synthesized mask sets per (z', I)."""
+    """Caches kernels, inverses, and synthesized mask sets per (z', I): the
+    realized set, which keeps only the magnitudes a plane reconstruction
+    reads, and the complex realized masks its realization pass gave, which
+    are measured."""
 
     def __init__(self):
         self.scenes = {}
@@ -82,14 +86,15 @@ class DeskPipeline:
             scene, grids = self.scene(z_prime)
             kernel, inverse = self.inverse(z_prime)
             masks = md.ideal_masks(scene, grids, count)
-            self.realized[key] = rs.realize_masks(inverse, masks, 1.0)
+            self.realized[key] = realize_with_values(inverse, masks, 1.0)
         return self.realized[key]
 
     def nmse(self, z_prime, count, snr_db, seed, target_name="block"):
         scene, grids = self.scene(z_prime)
-        masks = self.synthesized(z_prime, count)
+        masks, values = self.synthesized(z_prime, count)
         target = tg.builtin_target(target_name, scene)
-        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, snr_db, seed)
+        fields = ms.noiseless_fields(scene, grids, md.MaskSet(kind=masks.kind, stored=values), target)
+        meas = ms.measure(fields, masks.kind, snr_db, seed)
         psf = em.psf_vector(scene, grids.target_points)
         result = rc.reconstruct_2d(meas, masks, psf)
         calibrated = rc.calibrate_estimate(
@@ -387,14 +392,17 @@ def test_c08_singular_spectrum_staircase():
 def test_c09_mask_scaling_invariance(desk):
     z_prime = DESK_Z_VALUES[0]
     scene, grids = desk.scene(z_prime)
-    masks = desk.synthesized(z_prime, 256)
-    scaled = md.MaskSet(kind=masks.kind, stored=3.7 * masks.vectors)
+    masks, values = desk.synthesized(z_prime, 256)
+    # a plane set is measured from its complex masks and reconstructed from their magnitudes
+    measured = md.MaskSet(kind=masks.kind, stored=values)
+    scaled = md.MaskSet(kind=masks.kind, stored=3.7 * values)
     target = tg.builtin_target("block", scene)
     psf = em.psf_vector(scene, grids.target_points)
-    records_base = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, 20.0, seed=0)
+    records_base = ms.measure(ms.noiseless_fields(scene, grids, measured, target), masks.kind, 20.0, seed=0)
     records_scaled = ms.measure(ms.noiseless_fields(scene, grids, scaled, target), scaled.kind, 20.0, seed=0)
     estimate_base = rc.reconstruct_2d(records_base, masks, psf).estimate
-    estimate_scaled = rc.reconstruct_2d(records_scaled, scaled, psf).estimate
+    scaled_magnitudes = md.MaskSet(kind=masks.kind, stored=np.abs(scaled.vectors))
+    estimate_scaled = rc.reconstruct_2d(records_scaled, scaled_magnitudes, psf).estimate
     worst = float(np.max(np.abs(estimate_scaled - estimate_base) / np.abs(estimate_base).max()))
     report(
         "criterion 9: reconstruction invariant under mask rescaling by 3.7 (1e-12)",

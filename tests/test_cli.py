@@ -488,6 +488,28 @@ output_dir = {tmp_path / 'plan_run'}
         assert cli.main(["sweep", "--target", "block"]) == 2
         assert "MalformedConfig" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "single, listed",
+        [(["--snr-db", "20"], ["--snr-sweep", "5"]), (["-I", "128"], ["--i-sweep", "256"])],
+        ids=["snr", "count"],
+    )
+    def test_a_list_beside_the_value_it_replaces_exits_2(self, scene_file, tmp_path, capsys, single, listed):
+        argv = ["sweep", "--scene", str(scene_file), *single, *listed, "--output", str(tmp_path / "s")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "MalformedConfig" in err and f"sweep {listed[0]} would ignore {single[0]}" in err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize(
+        "listed, column, expected",
+        [(["--snr-sweep", "5,none"], "snr_db", ["5.0", ""]), (["--i-sweep", "128,256"], "I", ["128", "256"])],
+        ids=["snr", "count"],
+    )
+    def test_each_list_alone_sets_its_axis(self, scene_file, tmp_path, listed, column, expected):
+        out = tmp_path / "s"
+        assert cli.main(["sweep", "--scene", str(scene_file), *listed, "--output", str(out)]) == 0
+        assert [row[column] for row in read_metrics(out)] == expected
+
 
 class TestBadInput:
     """Malformed command-line values exit with code 2 and a typed error."""
@@ -1039,6 +1061,32 @@ class TestRunnerInternals:
         assert metrics == (tmp_path / "fresh" / "metrics.csv").read_bytes()
         assert rn.run_plan(stale).kernel_builds == 0
 
+    @pytest.mark.parametrize("keep_artifacts", [False, True], ids=["plain", "artifacts"])
+    def test_scored_plane_set_holds_only_its_magnitudes(self, scene_file, tmp_path, monkeypatch, keep_artifacts):
+        # the fields, the export and the summary read the realized masks in their
+        # realization pass, so the set every point scores holds no complex array
+        scored = []
+
+        def recorded(*args, _original=rn.score):
+            scored.append(args[4])
+            return _original(*args)
+
+        monkeypatch.setattr(rn, "score", recorded)
+        plan = rn.ExperimentPlan(
+            scene=sc.load_scene_config(scene_file),
+            i_values=(128,),
+            snr_values=(None, 20.0),
+            keep_artifacts=keep_artifacts,
+            output_dir=str(tmp_path / "run"),
+        )
+        assert all(p.error is None for p in rn.run_plan(plan).points)
+        assert len(scored) == 2 and scored[0] is scored[1]
+        masks = scored[0]
+        held = [v for v in vars(masks).values() if isinstance(v, np.ndarray)]
+        held += list(masks.moments)
+        assert masks.magnitudes_only and not any(np.iscomplexobj(v) for v in held)
+        assert np.shares_memory(masks.moments[0], masks.stored)
+
     def test_moments_and_fields_once_per_mask_set(self, scene_file, tmp_path, monkeypatch):
         # two distances x two mask counts x three SNR points: four mask sets
         moments, fields = [], []
@@ -1047,14 +1095,15 @@ class TestRunnerInternals:
             moments.append(masks.count)
             return _original(masks)
 
-        def counted_fields(*args, _original=ms.noiseless_fields):
-            fields.append(args[2].count)
-            return _original(*args)
+        def counted_fields(receiver, _original=ms.ReceiverFields.fields):
+            values = _original(receiver)
+            fields.append(len(values))
+            return values
 
         counted = functools.cached_property(counted_moments)
         counted.__set_name__(md.MaskSet, "moments")
         monkeypatch.setattr(md.MaskSet, "moments", counted)
-        monkeypatch.setattr(ms, "noiseless_fields", counted_fields)
+        monkeypatch.setattr(ms.ReceiverFields, "fields", counted_fields)
         plan = rn.ExperimentPlan(
             scene=sc.load_scene_config(scene_file),
             i_values=(64, 128),

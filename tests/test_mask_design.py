@@ -309,7 +309,7 @@ class TestMaskCovariance:
             np.testing.assert_array_equal(cov, expected)
 
     def test_constant_masks_give_zero(self):
-        masks = md.MaskSet(kind=md.KIND_MASK2D, stored=np.full((16, 5), 0.75 + 0.0j))
+        masks = md.MaskSet(kind=md.KIND_MASK2D, stored=np.full((16, 5), 0.75))
         np.testing.assert_array_equal(md.mask_covariance(masks, 2), np.zeros(5))
 
     def test_empty_set_rejected(self):

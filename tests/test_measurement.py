@@ -9,8 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 from risimage import em_core as em
 from risimage import mask_design as md
 from risimage import measurement as ms
+from risimage import ris_synthesis as rs
 from risimage import scene as sc
 from risimage.errors import EmptySet, KindMismatch, MalformedConfig
+
+from conftest import realize_with_values
 
 
 def checker_target(scene):
@@ -134,8 +137,8 @@ class TestReceiverField3d:
 
 
 class TestFieldsInRowBlocks:
-    """A designed set's fields are formed a block of mask rows at a time and a
-    stored set's in one product, bit for bit the whole-stack product."""
+    """Every set's fields are formed a block of mask rows at a time, bit for
+    bit the whole-stack product; a designed set never forms its stack."""
 
     @pytest.mark.parametrize("fixture", ["desk_scene", "volume_scene"])
     @pytest.mark.parametrize("designed", [True, False], ids=["designed", "stored"])
@@ -170,6 +173,32 @@ class TestFieldsInRowBlocks:
             assert sum(formed) == masks.count and max(formed) < masks.count
         else:
             assert formed == []
+
+
+class TestFieldsOfRealizedSets:
+    """A realized plane set keeps only magnitudes: its fields come from its realization pass."""
+
+    @pytest.mark.parametrize("fixture", ["small_scene", "volume_scene"])
+    def test_pass_fields_match_the_realized_stack(self, fixture, request):
+        scene, grids = request.getfixturevalue(fixture)
+        inv = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12)
+        ideal = md.ideal_masks(scene, grids, 128)
+        if scene.is_3d:
+            target = ms.make_target_3d(np.linspace(0.5, 1.0, scene.n_target) + 0.2j, (2, 2, 2))
+        else:
+            target = checker_target(scene)
+        receiver = ms.ReceiverFields(scene, grids, ideal, target)
+        realized, values = realize_with_values(inv, ideal, 1.0, [receiver.add])
+        stack = md.MaskSet(kind=ideal.kind, stored=values)
+        expected = ms.noiseless_fields(scene, grids, stack, target)
+        assert receiver.fields().tobytes() == expected.tobytes()
+        assert realized.magnitudes_only != scene.is_3d
+
+    def test_magnitudes_give_no_fields(self, small_scene):
+        scene, grids = small_scene
+        magnitudes = md.MaskSet(kind=md.KIND_MASK2D, stored=np.abs(md.ideal_masks(scene, grids, 128).vectors))
+        with pytest.raises(KindMismatch, match="only the magnitudes"):
+            ms.noiseless_fields(scene, grids, magnitudes, checker_target(scene))
 
 
 class TestNoiseModel:

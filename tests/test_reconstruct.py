@@ -15,7 +15,7 @@ from risimage import ris_synthesis as rs
 from risimage import scene as sc
 from risimage.errors import DimensionMismatch, EmptyMaskSet, KindMismatch, NonFiniteScore, ZeroTruth
 
-from conftest import peak_traced_bytes, small_config
+from conftest import peak_traced_bytes, realize_with_values, small_config
 
 
 def run_2d(scene, grids, masks, target, snr_db=None, seed=0):
@@ -31,7 +31,7 @@ class TestEstimateC:
         np.testing.assert_array_equal(masks.moments[1], np.full(scene.n_target, 0.25))
 
     def test_constant_masks_flag_every_point(self):
-        masks = md.MaskSet(kind=md.KIND_MASK2D, stored=np.full((16, 6), 0.75 + 0.0j))
+        masks = md.MaskSet(kind=md.KIND_MASK2D, stored=np.full((16, 6), 0.75))
         _, c, power = masks.moments
         np.testing.assert_array_equal(c, 0.0)
         assert rc.zero_variance_flags(c, power).all()
@@ -39,7 +39,7 @@ class TestEstimateC:
     def test_scaling_masks_scales_c_quadratically(self, small_scene):
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128)
-        scaled = md.MaskSet(kind=md.KIND_MASK2D, stored=3.0 * masks.vectors)
+        scaled = md.MaskSet(kind=md.KIND_MASK2D, stored=np.abs(3.0 * masks.vectors))
         np.testing.assert_allclose(scaled.moments[1], 9.0 * masks.moments[1], rtol=1e-12)
 
 
@@ -59,25 +59,29 @@ class TestMaskMoments:
         monkeypatch.setattr(md, "_CHUNK_ENTRIES", chunk)
         rng = np.random.default_rng(3)
         vectors = rng.standard_normal((257, 37)) + 1j * rng.standard_normal((257, 37))
-        masks = md.MaskSet(kind=kind, stored=vectors)
-        values, c_values, power = masks.moments
+        # a plane set keeps the magnitudes its reconstruction reads
         u = vectors if kind == md.KIND_MASK3D else np.abs(vectors)
+        masks = md.MaskSet(kind=kind, stored=u)
+        values, c_values, power = masks.moments
         expected_c, expected_power = self.whole_array_moments(u)
-        np.testing.assert_array_equal(values, u)
+        assert values is u
         np.testing.assert_array_equal(c_values, expected_c)
         np.testing.assert_array_equal(power, expected_power)
 
     def test_realized_masks_keep_the_whole_array_bits(self, small_scene):
+        # the realization pass keeps |realized| bit for bit, and the moments read it in place
         scene, grids = small_scene
         inv = rs.tikhonov_inverse(em.kernel_2d(scene, grids), 1e-12)
-        realized = rs.realize_masks(inv, md.ideal_masks(scene, grids, 1024), 1.0)
-        _, c_values, power = realized.moments
-        expected_c, expected_power = self.whole_array_moments(np.abs(realized.vectors))
+        realized, values = realize_with_values(inv, md.ideal_masks(scene, grids, 1024), 1.0)
+        u, c_values, power = realized.moments
+        np.testing.assert_array_equal(u, np.abs(values))
+        assert np.shares_memory(u, realized.stored)
+        expected_c, expected_power = self.whole_array_moments(np.abs(values))
         np.testing.assert_array_equal(c_values, expected_c)
         np.testing.assert_array_equal(power, expected_power)
 
     def test_computed_once_and_not_carried_by_a_copy(self):
-        masks = md.MaskSet(kind=md.KIND_MASK2D, stored=np.arange(12.0).reshape(4, 3) + 0j)
+        masks = md.MaskSet(kind=md.KIND_MASK2D, stored=np.arange(12.0).reshape(4, 3))
         first = masks.moments
         assert masks.moments is first
         scaled = dataclasses.replace(masks, stored=3.0 * masks.vectors)
@@ -88,20 +92,28 @@ class TestMaskMoments:
         with pytest.raises(EmptyMaskSet):
             md.MaskSet(kind=md.KIND_MASK2D, stored=np.zeros((0, 4), dtype=complex)).moments
 
+    def test_complex_plane_values_are_not_read_as_magnitudes(self):
+        masks = md.MaskSet(kind=md.KIND_MASK2D, stored=np.full((4, 3), 0.6 + 0.8j))
+        with pytest.raises(KindMismatch, match="magnitudes"):
+            masks.moments
+
     def test_plane_reconstruct_holds_only_the_magnitudes(self, desk_scene):
-        # the first reconstruct from a realized set keeps |u| (2 MiB at I = 1,024, M = 256)
-        # and sums its squares in blocks; later ones reuse the moments
+        # a realized plane set already is its magnitudes u (2 MiB at I = 1,024, M = 256):
+        # the first reconstruct reads them in place and sums their squares in blocks,
+        # and later ones reuse the moments
         scene, grids = desk_scene
         inv = rs.tikhonov_inverse(em.kernel_2d(scene, grids), 1e-12)
-        realized = rs.realize_masks(inv, md.ideal_masks(scene, grids, 1024), 1.0)
+        ideal = md.ideal_masks(scene, grids, 1024)
         values = np.zeros(scene.n_target)
         values[::3] = 1.0
         target = ms.make_target_2d(values, (16, 16))
-        meas = ms.measure(ms.noiseless_fields(scene, grids, realized, target), realized.kind, 20.0, 0)
+        receiver = ms.ReceiverFields(scene, grids, ideal, target)
+        realized = rs.realize_masks(inv, ideal, 1.0, [receiver.add])
+        meas = ms.measure(receiver.fields(), realized.kind, 20.0, 0)
         psf = em.psf_vector(scene, grids.target_points)
         magnitudes = realized.count * realized.points * 8
         peak, first = peak_traced_bytes(lambda: rc.reconstruct_2d(meas, realized, psf))
-        assert peak <= magnitudes + (3 << 19)
+        assert peak <= 3 << 19 < magnitudes
         peak, again = peak_traced_bytes(lambda: rc.reconstruct_2d(meas, realized, psf))
         assert peak <= 1 << 18
         np.testing.assert_array_equal(again.estimate, first.estimate)
@@ -161,18 +173,21 @@ class TestReconstruct2d:
         from risimage import ris_synthesis as rs
 
         inv = rs.tikhonov_inverse(kernel, 1e-12)
-        masks = rs.realize_masks(inv, md.ideal_masks(scene, grids, 128), 1.0)
-        scaled = md.MaskSet(kind=masks.kind, stored=3.7 * masks.vectors)
+        masks, realized = realize_with_values(inv, md.ideal_masks(scene, grids, 128), 1.0)
+        # a plane set is measured from its complex masks and reconstructed from their magnitudes
+        measured = md.MaskSet(kind=masks.kind, stored=realized)
+        scaled = md.MaskSet(kind=masks.kind, stored=3.7 * realized)
+        scaled_magnitudes = md.MaskSet(kind=masks.kind, stored=np.abs(scaled.vectors))
         values = (np.arange(scene.n_target) % 4 == 2).astype(float)
         target = ms.make_target_2d(values, (8, 8))
         psf = em.psf_vector(scene, grids.target_points)
         # relative to the estimate's peak, as criterion 9: a per-pixel rtol
         # fails on near-zero pixels for some seeds
         for seed in range(40):
-            rec_a = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, 20.0, seed=seed)
+            rec_a = ms.measure(ms.noiseless_fields(scene, grids, measured, target), masks.kind, 20.0, seed=seed)
             rec_b = ms.measure(ms.noiseless_fields(scene, grids, scaled, target), scaled.kind, 20.0, seed=seed)
             est_a = rc.reconstruct_2d(rec_a, masks, psf).estimate
-            est_b = rc.reconstruct_2d(rec_b, scaled, psf).estimate
+            est_b = rc.reconstruct_2d(rec_b, scaled_magnitudes, psf).estimate
             np.testing.assert_allclose(est_b, est_a, rtol=0, atol=1e-12 * np.abs(est_a).max())
 
     def test_complex_records_rejected(self, small_scene):

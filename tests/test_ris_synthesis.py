@@ -12,12 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from risimage import em_core as em
 from risimage import mask_design as md
+from risimage import measurement as ms
 from risimage import ris_synthesis as rs
+from risimage import runner as rn
 from risimage import scene as sc
 from risimage.em_core import KernelMatrix
 from risimage.errors import DimensionMismatch, KindMismatch, MalformedConfig, SvdFailure, ZeroSolution
 
-from conftest import desk_config, normalized_inner, peak_traced_bytes, volume_config
+from conftest import desk_config, normalized_inner, peak_traced_bytes, realize_with_values, volume_config
 
 
 def random_kernel(rng, m, n, kind=em.KIND_Z2D):
@@ -204,9 +206,10 @@ class TestRealizeMasks:
         inv = rs.tikhonov_inverse(kernel, 1e-12)
         ideal = (rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16)))
         masks = md.MaskSet(kind=md.KIND_MASK2D, stored=ideal)
-        realized = rs.realize_masks(inv, masks, 1.0)
+        realized, values = realize_with_values(inv, masks, 1.0)
         scale = np.sqrt(16.0) / realized.solution_norms
-        np.testing.assert_allclose(realized.vectors, scale[:, None] * ideal, rtol=1e-6)
+        np.testing.assert_allclose(values, scale[:, None] * ideal, rtol=1e-6)
+        np.testing.assert_array_equal(realized.vectors, np.abs(values))
 
     def test_kind_mismatch(self, small_scene):
         scene, grids = small_scene
@@ -264,12 +267,13 @@ class TestSpectrum:
         kernel = em.kernel_2d(scene, grids)
         inv = rs.tikhonov_inverse(kernel, 1e-12)
         masks = md.ideal_masks(scene, grids, 128)
-        realized = rs.realize_masks(inv, masks, 1.0)
+        misfit = rs.RealizedMisfit(inv, masks, 1.0)
+        realized = rs.realize_masks(inv, masks, 1.0, [misfit.add])
         rs.save_profiles(tmp_path / "profiles.bin", inv, masks, 1.0, scene.fingerprint)
         kind, vectors, fp = md.load_mask_vectors(tmp_path / "profiles.bin")
         assert kind == "profiles"
         np.testing.assert_array_equal(vectors, rs.synthesis_profiles(inv, masks, 1.0))
-        rs.write_synthesis_summary(tmp_path / "summary.txt", inv, masks, realized, 1.0)
+        rs.write_synthesis_summary(tmp_path / "summary.txt", inv, realized, misfit.values)
         text = (tmp_path / "summary.txt").read_text()
         assert f"retained_rank = {inv.retained_rank}" in text
         assert "solution_norm[0]" in text
@@ -278,7 +282,9 @@ class TestSpectrum:
         scene, grids = small_scene
         inv = rs.tikhonov_inverse(em.kernel_2d(scene, grids), 1e-12)
         masks = md.ideal_masks(scene, grids, 128)
-        rs.write_synthesis_summary(tmp_path / "s.txt", inv, masks, rs.realize_masks(inv, masks, 1.0), 1.0)
+        misfit = rs.RealizedMisfit(inv, masks, 1.0)
+        realized = rs.realize_masks(inv, masks, 1.0, [misfit.add])
+        rs.write_synthesis_summary(tmp_path / "s.txt", inv, realized, misfit.values)
         lines = [line for line in (tmp_path / "s.txt").read_text().splitlines() if line.startswith("sector[")]
         # an 8x8 target over a 16x16 aperture: four 4x4-pixel by 8x8-sample sectors
         assert lines == [f"sector[{k}] = 16x64 retained={s.retained}" for k, s in enumerate(inv.sectors)]
@@ -290,8 +296,9 @@ class TestSpectrum:
         inv = rs.tikhonov_inverse(kernel, 1e-6)
         ideal = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
         masks = md.MaskSet(kind=md.KIND_MASK2D, stored=ideal)
-        realized = rs.realize_masks(inv, masks, 2.0)
-        rs.write_synthesis_summary(tmp_path / "summary.txt", inv, masks, realized, 2.0)
+        misfit = rs.RealizedMisfit(inv, masks, 2.0)
+        realized = rs.realize_masks(inv, masks, 2.0, [misfit.add])
+        rs.write_synthesis_summary(tmp_path / "summary.txt", inv, realized, misfit.values)
         values = dict(
             line.split(" = ", 1) for line in (tmp_path / "summary.txt").read_text().splitlines()
         )
@@ -328,12 +335,10 @@ class TestTwoPathSynthesis:
 
         ideal = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
         masks = md.MaskSet(kind=md.KIND_MASK2D, stored=ideal)
-        realized = rs.realize_masks(inv, masks, 1.5)
+        realized, values = realize_with_values(inv, masks, 1.5)
         profiles = rs.synthesis_profiles(inv, masks, 1.5)
         explicit = (kernel.entries @ profiles.T).T
-        np.testing.assert_allclose(
-            realized.vectors, explicit, rtol=0, atol=1e-10 * np.abs(explicit).max()
-        )
+        np.testing.assert_allclose(values, explicit, rtol=0, atol=1e-10 * np.abs(explicit).max())
         direct_norms = np.linalg.norm(inv.apply(ideal.T), axis=0)
         np.testing.assert_allclose(realized.solution_norms, direct_norms, rtol=1e-12)
 
@@ -424,10 +429,10 @@ class TestMirrorSectors:
         assert sectors.retained_rank == identity.retained_rank
 
         masks = md.ideal_masks(scene, grids, 64)
-        folded = rs.realize_masks(sectors, masks, 1.0)
-        dense = rs.realize_masks(identity, masks, 1.0)
-        scale = np.abs(dense.vectors).max()
-        np.testing.assert_allclose(folded.vectors, dense.vectors, rtol=0, atol=1e-10 * scale)
+        folded, folded_values = realize_with_values(sectors, masks, 1.0)
+        dense, dense_values = realize_with_values(identity, masks, 1.0)
+        scale = np.abs(dense_values).max()
+        np.testing.assert_allclose(folded_values, dense_values, rtol=0, atol=1e-10 * scale)
         np.testing.assert_allclose(folded.solution_norms, dense.solution_norms, rtol=1e-12)
         profiles = rs.synthesis_profiles(identity, masks, 1.0)
         np.testing.assert_allclose(
@@ -627,9 +632,9 @@ class TestHadamardRoute:
         designed = md.ideal_masks(scene, grids, count)
         folded = dataclasses.replace(designed, stored=designed.vectors, design=None)
 
-        fast, slow = rs.realize_masks(inv, designed, 1.5), rs.realize_masks(inv, folded, 1.5)
-        scale = np.abs(slow.vectors).max()
-        np.testing.assert_allclose(fast.vectors, slow.vectors, rtol=0, atol=1e-12 * scale)
+        (fast, fast_values), (slow, slow_values) = (realize_with_values(inv, s, 1.5) for s in (designed, folded))
+        scale = np.abs(slow_values).max()
+        np.testing.assert_allclose(fast_values, slow_values, rtol=0, atol=1e-12 * scale)
         np.testing.assert_allclose(fast.solution_norms, slow.solution_norms, rtol=1e-12)
         profiles = rs.synthesis_profiles(inv, folded, 1.5)
         np.testing.assert_allclose(
@@ -696,10 +701,11 @@ class TestSelfContainedInverse:
         scene, grids = desk_scene
         inv = rs.tikhonov_inverse(em.kernel_2d(scene, grids), 1e-12)
         masks = md.ideal_masks(scene, grids, 256)
-        realized = rs.realize_masks(inv, masks, 1.0)
+        misfit = rs.RealizedMisfit(inv, masks, 1.0)
+        realized = rs.realize_masks(inv, masks, 1.0, [misfit.add])
         rs.synthesis_profiles(inv, masks, 1.0)
         inv.apply(masks.vectors[:3].T)
-        rs.write_synthesis_summary(tmp_path / "synthesis.txt", inv, masks, realized, 1.0)
+        rs.write_synthesis_summary(tmp_path / "synthesis.txt", inv, realized, misfit.values)
         assert calls == [(scene.n_target, scene.n_ris)]
 
     def test_inverse_holds_only_its_blocks_and_u(self, desk_scene):
@@ -771,10 +777,11 @@ class TestStreamedExports:
     @STREAMED_SCENES
     def test_summary_matches_the_whole_array_formula(self, cfg, small_blocks, tmp_path):
         _, inv, ideal = self.synthesis(cfg)
-        realized = rs.realize_masks(inv, ideal, 1.5)
-        rs.write_synthesis_summary(tmp_path / "s.txt", inv, ideal, realized, 1.5)
+        misfit = rs.RealizedMisfit(inv, ideal, 1.5)
+        realized, values = realize_with_values(inv, ideal, 1.5, [misfit.add])
+        rs.write_synthesis_summary(tmp_path / "s.txt", inv, realized, misfit.values)
         budget = np.sqrt(inv.shape[1] * 1.5)
-        fitted = realized.vectors * (realized.solution_norms / budget)[:, None]
+        fitted = values * (realized.solution_norms / budget)[:, None]
         rel_err = np.linalg.norm(fitted - ideal.vectors, axis=1) / np.linalg.norm(ideal.vectors, axis=1)
         lines = (tmp_path / "s.txt").read_text().splitlines()
         assert f"realized_rel_err_mean = {float(rel_err.mean())!r}" in lines
@@ -795,6 +802,21 @@ class TestStreamedExports:
         assert path.read_bytes() == old
         assert list(tmp_path.glob(".*.tmp")) == []
 
+    def test_zero_solution_mid_pass_leaves_the_old_realized_export(self, monkeypatch, tmp_path):
+        # the realized masks are written by a reader of the realization pass: a mask
+        # that fails its block after two blocks were written leaves the old file
+        monkeypatch.setattr(rs, "_CHUNK_ENTRIES", 4)
+        kernel = KernelMatrix(stored=np.diag([1.0, 0.0]).astype(complex), kind=em.KIND_Z2D, fingerprint="t")
+        inv = rs.tikhonov_inverse(kernel, 1e-6)
+        vectors = np.tile(np.array([1.0, 1.0 + 0.0j]), (8, 1))
+        rn.export_synthesis(tmp_path, "", "t", inv, md.MaskSet(kind=md.KIND_MASK2D, stored=vectors), 1.0)
+        old = (tmp_path / "masks_realized.bin").read_bytes()
+        vectors[5] = [0.0, 1.0]
+        with pytest.raises(ZeroSolution, match="mask 5 "):
+            rn.export_synthesis(tmp_path, "", "t", inv, md.MaskSet(kind=md.KIND_MASK2D, stored=vectors), 1.0)
+        assert (tmp_path / "masks_realized.bin").read_bytes() == old
+        assert list(tmp_path.glob(".*.tmp")) == []
+
 
 class TestInverseWithoutBlocks:
     """An inverse without its sector blocks realizes masks alike and maps nothing back to the aperture."""
@@ -805,7 +827,8 @@ class TestInverseWithoutBlocks:
         bare = inv.without_blocks()
         assert all(s.block is None for s in bare.sectors)
         assert bare.shape == inv.shape and bare.retained_rank == inv.retained_rank
-        full, light = rs.realize_masks(inv, masks, 1.5), rs.realize_masks(bare, masks, 1.5)
+        (full, full_values), (light, light_values) = (realize_with_values(i, masks, 1.5) for i in (inv, bare))
+        assert light_values.tobytes() == full_values.tobytes()
         assert light.vectors.tobytes() == full.vectors.tobytes()
         assert light.solution_norms.tobytes() == full.solution_norms.tobytes()
 
@@ -825,12 +848,13 @@ class TestInverseWithoutBlocks:
     def test_aperture_readers_raise(self, desk_synthesis, tmp_path):
         inv, masks = desk_synthesis
         bare = inv.without_blocks()
-        realized = rs.realize_masks(bare, masks, 1.0)
+        misfit = rs.RealizedMisfit(bare, masks, 1.0)
+        realized = rs.realize_masks(bare, masks, 1.0, [misfit.add])
         calls = (
             lambda: bare.apply(masks.vectors[0]),
             lambda: rs.synthesis_profiles(bare, masks, 1.0),
             lambda: rs.save_profiles(tmp_path / "p.bin", bare, masks, 1.0, "f"),
-            lambda: rs.write_synthesis_summary(tmp_path / "s.txt", bare, masks, realized, 1.0),
+            lambda: rs.write_synthesis_summary(tmp_path / "s.txt", bare, realized, misfit.values),
         )
         for call in calls:
             with pytest.raises(ValueError, match="without its sector blocks"):
@@ -911,19 +935,50 @@ class TestPeakMemory:
         assert peak <= 1 << 20
 
     def test_summary_reads_the_designed_set_in_blocks(self, desk_synthesis, tmp_path):
-        # one designed stack (4 MiB) or one (I, M) temporary of the fidelity formula exceeds it
+        # the misfit reads the designed set a block at a time in the realization pass:
+        # one designed stack (4 MiB) or one (I, M) temporary of the fidelity formula
+        # exceeds its share; the summary itself then reads no mask at all
         inv, masks = desk_synthesis
-        realized = rs.realize_masks(inv, masks, 1.0)
+        plain, _ = peak_traced_bytes(lambda: rs.realize_masks(inv, masks, 1.0))
+        misfit = rs.RealizedMisfit(inv, masks, 1.0)
+        peak, realized = peak_traced_bytes(lambda: rs.realize_masks(inv, masks, 1.0, [misfit.add]))
+        assert peak <= plain + (1 << 20)
         summary = tmp_path / "s.txt"
-        peak, _ = peak_traced_bytes(lambda: rs.write_synthesis_summary(summary, inv, masks, realized, 1.0))
-        assert peak <= 2 << 20
+        peak, _ = peak_traced_bytes(lambda: rs.write_synthesis_summary(summary, inv, realized, misfit.values))
+        assert peak <= 1 << 18
+
+    def test_realized_plane_set_never_holds_its_complex_stack(self):
+        # at desk scale and z' = 0.5 (sum r_s = 173 of M = 256), realizing a set with
+        # its fields and then reading its moments holds the magnitudes u (2 MiB), the
+        # staged coefficients (2.7 MiB) and a few of the pass's blocks: less than the
+        # complex (I, M) stack and u (6 MiB) that a realized plane set once held
+        scene = sc.validate_scene(desk_config(0.5))
+        grids = sc.sample_grids(scene)
+        inv = rs.tikhonov_inverse(em.kernel_2d(scene, grids), 1e-12)
+        ideal = md.ideal_masks(scene, grids, 1024)
+        target = ms.make_target_2d((np.arange(scene.n_target) % 3 == 0).astype(float), (16, 16))
+
+        def realize_fields_and_moments():
+            receiver = ms.ReceiverFields(scene, grids, ideal, target)
+            realized = rs.realize_masks(inv, ideal, 1.0, [receiver.add])
+            return realized, receiver.fields(), realized.moments
+
+        peak, (realized, _, (u, _, _)) = peak_traced_bytes(realize_fields_and_moments)
+        count, points = ideal.count, ideal.points
+        magnitudes, stack = count * points * 8, count * points * 16
+        coefficients = count * inv.retained_rank * 16
+        block = count * points // rs._REALIZE_BLOCKS * 16
+        assert peak <= magnitudes + coefficients + 5 * block < stack + magnitudes
+        assert u is realized.stored and not np.iscomplexobj(u)
 
     def test_many_masks_need_no_coefficient_stack(self, desk_synthesis, desk_scene):
-        # at I = 4,096 an (I, sum r_s) coefficient array kept beside the
-        # output would alone exceed the slack (16 MiB at sum r_s = 256)
+        # at I = 4,096 a realized plane set keeps its magnitudes (8 MiB) and stages
+        # its coefficients alone (16 MiB at sum r_s = 256); a complex (I, M) stack
+        # kept beside them would alone exceed the slack (16 MiB)
         inv, _ = desk_synthesis
         masks = md.ideal_masks(*desk_scene, 4096)
         peak, realized = peak_traced_bytes(lambda: rs.realize_masks(inv, masks, 1.0))
-        assert peak <= realized.vectors.nbytes + self.SLACK
+        coefficients = masks.count * inv.retained_rank * 16
+        assert peak <= coefficients + realized.stored.nbytes + self.SLACK
         peak, profiles = peak_traced_bytes(lambda: rs.synthesis_profiles(inv, masks, 1.0))
         assert peak <= profiles.nbytes + self.SLACK
