@@ -7,11 +7,13 @@ measurements, and reconstruct the target by mask/measurement correlation.
 
 from .em_core import (
     KernelMatrix,
+    KernelStream,
     assemble_kernel,
     green_tensor,
     incident_current,
     kernel_2d,
     kernel_3d,
+    kernel_stream,
     load_kernel,
     psf_vector,
     save_kernel,

@@ -179,10 +179,11 @@ def cmd_masks(args) -> int:
 
 
 def _inverse(plan: ExperimentPlan, scene, grids) -> ris_synthesis.RegularizedInverse:
-    """The regularized inverse of the scene's kernel; it holds its sector
-    blocks, not the kernel, so the kernel ends here."""
+    """The regularized inverse of the scene's kernel, decomposed from the
+    stream of its rows; it holds its sector blocks, so the kernel never
+    exists whole."""
     gamma = plan_points(plan)[0].gamma  # the fallback run uses
-    kernel = em_core.assemble_kernel(scene, grids)
+    kernel = em_core.kernel_stream(scene, grids)
     return ris_synthesis.tikhonov_inverse(kernel, gamma, plan.threshold_factor, plan.truncation_mode)
 
 

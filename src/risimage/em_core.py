@@ -6,7 +6,10 @@ All distances are computed in double precision. A kernel entry depends on
 its aperture sample and target point only through their offset, times the
 aperture current, so assembly evaluates the entry formula once per distinct
 offset in each target slice and gathers the matrix from that table a block of
-target rows at a time; the matrix never needs to exist twice in memory.
+target rows at a time. Those blocks are handed over as they are formed
+(:class:`KernelStream`): a reader that needs each row once, as the
+decomposition does, takes the stream, so the kernel never exists whole, and
+:func:`assemble_kernel` collects it into a :class:`KernelMatrix`.
 
 A plane kernel carries its mirror structure (:class:`MirrorSymmetry`): both
 grids are centred on the origin and an entry depends on the aperture sample
@@ -25,7 +28,7 @@ import math
 import os
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -182,17 +185,68 @@ def _axis_offsets(targets: np.ndarray, aperture: np.ndarray) -> tuple[np.ndarray
     return values, index.reshape(targets.size, aperture.size)
 
 
+def _stored_rows(symmetry: MirrorSymmetry | None, n_rows: int) -> int:
+    """Rows a kernel of ``n_rows`` target rows stores: all of them, or its
+    mirror quadrant's."""
+    return n_rows if symmetry is None else math.prod(symmetry.quadrant_shape)
+
+
+@dataclass(frozen=True)
+class KernelStream:
+    """A kernel's stored rows, handed over a block at a time as they are assembled.
+
+    ``blocks`` yields, in order, the rows that :attr:`KernelMatrix.stored`
+    holds, each block a new array, and can be drawn once; ``kind``,
+    ``fingerprint``, ``symmetry`` and ``shape`` (M, N) are the kernel's. A
+    reader that needs each row once, as ``ris_synthesis.tikhonov_inverse``
+    does, takes the stream itself, so the stored rows never exist whole;
+    :meth:`collect` assembles the :class:`KernelMatrix`.
+    """
+
+    kind: str
+    fingerprint: str
+    symmetry: MirrorSymmetry | None
+    shape: tuple[int, int]
+    blocks: Iterator[np.ndarray]
+
+    def collect(self) -> KernelMatrix:
+        """Draw every block into the read-only kernel."""
+        stored = np.empty((_stored_rows(self.symmetry, self.shape[0]), self.shape[1]), dtype=np.complex128)
+        filled = 0
+        for block in self.blocks:
+            stored[filled : filled + len(block)] = block
+            filled += len(block)
+        stored.setflags(write=False)
+        return KernelMatrix(stored=stored, kind=self.kind, fingerprint=self.fingerprint, symmetry=self.symmetry)
+
+    def saved_to(self, path: str | Path) -> KernelStream:
+        """The same stream, each block also written to ``path`` as it is
+        drawn, in the :func:`save_kernel` layout: the file replaces any old
+        one once the last block is drawn, and a stream left undrawn or failing
+        leaves the old file (:func:`complex_file_writer`)."""
+        body = (_stored_rows(self.symmetry, self.shape[0]), self.shape[1])
+
+        def written() -> Iterator[np.ndarray]:
+            with complex_file_writer(path, _kernel_header(self), body) as write:
+                for block in self.blocks:
+                    write(block)
+                    yield block
+
+        return replace(self, blocks=written())
+
+
 def _assemble(
     scene: ValidatedScene, grids: SampleGrids, kind: str, offset_tables, row_weights=None
-) -> KernelMatrix:
-    """The row-block loop behind every kernel.
+) -> KernelStream:
+    """The row-block loop behind every kernel, as a stream of its stored rows.
 
-    Checks that the scene's target suits ``kind`` and that the full kernel
-    fits under :data:`ENTRY_CAP`. Per target slice at height z,
+    Checks at once that the scene's target suits ``kind`` and that the full
+    kernel fits under :data:`ENTRY_CAP`; the rows are formed as the stream
+    is drawn. Per target slice at height z,
     ``offset_tables(dx, dy, z, r)`` evaluates the entry formula on the
     (Ky, Kx) table of distinct offsets (``dx`` (1, Kx), ``dy`` (Ky, 1), ``r``
     their lengths) and returns T tables of that shape. The stored rows are
-    then filled a block at a time: entry (m, n) is J_x(n) times the table
+    then formed a block at a time: entry (m, n) is J_x(n) times the table
     entry at the offset of (m, n), or, with ``row_weights(rows)`` giving a
     (len(rows), T) array, times the row's weighted sum of the T table
     entries. A plane kernel stores only the table entries of its mirror
@@ -202,8 +256,9 @@ def _assemble(
     y, so any pitches work: on commensurate grids they form a lattice much
     smaller than the kernel, and on incommensurate ones a slice's table is
     still no larger than that slice's kernel rows. A table entry that is not
-    a finite number raises :class:`NonFiniteKernel`. Returns the read-only
-    kernel, with the mirror structure attached for a plane target.
+    a finite number raises :class:`NonFiniteKernel` before any row of its
+    slice is handed over. The stream carries the mirror structure for a
+    plane target.
     """
     cfg = scene.config
     target_kind = PLANE_2D if kind == KIND_Z2D else VOLUME_3D
@@ -218,55 +273,55 @@ def _assemble(
             f"cap of {ENTRY_CAP}; use coarser aperture or target grids"
         )
     symmetry = _mirror_symmetry(scene, grids)
-    jx = incident_current(scene, ris[:, 1])
 
-    # 1-D coordinates of the x-fastest, then y, then z grids
-    nx, n_slice = cfg.n_target_x, cfg.n_target_x * cfg.n_target_y
-    n_ris_x = cfg.n_ris_x
-    dx, x_index = _axis_offsets(targets[:nx, 0], ris[:n_ris_x, 0])
-    dy, y_index = _axis_offsets(targets[:n_slice:nx, 1], ris[::n_ris_x, 1])
-    # flat table index of (target row, aperture column), split into its x and y parts
-    cols = np.arange(n_cols)
-    col_x = x_index[:, cols % n_ris_x]
-    col_y = y_index[:, cols // n_ris_x] * dx.size
-    dx, dy = dx[None, :], dy[:, None]
-    planar = dx**2 + dy**2
+    def blocks() -> Iterator[np.ndarray]:
+        jx = incident_current(scene, ris[:, 1])
+        # 1-D coordinates of the x-fastest, then y, then z grids
+        nx, n_slice = cfg.n_target_x, cfg.n_target_x * cfg.n_target_y
+        n_ris_x = cfg.n_ris_x
+        dx, x_index = _axis_offsets(targets[:nx, 0], ris[:n_ris_x, 0])
+        dy, y_index = _axis_offsets(targets[:n_slice:nx, 1], ris[::n_ris_x, 1])
+        # flat table index of (target row, aperture column), split into its x and y parts
+        cols = np.arange(n_cols)
+        col_x = x_index[:, cols % n_ris_x]
+        col_y = y_index[:, cols // n_ris_x] * dx.size
+        dx, dy = dx[None, :], dy[:, None]
+        planar = dx**2 + dy**2
 
-    # the pixels stored per slice: a quadrant of ex x ey, or all nx x ny
-    width, height = (nx, cfg.n_target_y) if symmetry is None else symmetry.quadrant_shape
-    n_stored = width * height
-    out = np.empty((n_rows // n_slice * n_stored, n_cols), dtype=np.complex128)
-    step = max(1, _CHUNK_ENTRIES // n_cols)
-    for first in range(0, len(out), n_stored):
-        z = targets[first // n_stored * n_slice, 2] - ris[0, 2]
-        with np.errstate(all="ignore"):  # an overflow leaves a non-finite entry, checked next
-            tables = offset_tables(dx, dy, z, np.sqrt(planar + z**2)).reshape(-1, planar.size)
-        if not np.isfinite(tables).all():
-            raise NonFiniteKernel(
-                f"kernel entries at wavelength {cfg.wavelength!r} m and {float(z)!r} m from the "
-                "aperture are not finite numbers"
-            )
-        for start in range(0, n_stored, step):
-            stop = min(start + step, n_stored)
-            local = np.arange(start, stop)
-            rows = slice(first + start, first + stop)
-            index = col_y[local // width] + col_x[local % width]
-            block = tables[0].take(index)
-            if row_weights is not None:  # a volume kernel, whose stored rows are its target rows
-                weights = row_weights(rows)
-                block *= weights[:, :1]
-                for t in range(1, tables.shape[0]):
-                    block += weights[:, t : t + 1] * tables[t].take(index)
-            if symmetry is None:
-                np.multiply(block, jx, out=out[rows])
-            else:
-                out[rows] = block
-    out.setflags(write=False)
-    return KernelMatrix(stored=out, kind=kind, fingerprint=scene.fingerprint, symmetry=symmetry)
+        # the pixels stored per slice: a quadrant of ex x ey, or all nx x ny
+        width, height = (nx, cfg.n_target_y) if symmetry is None else symmetry.quadrant_shape
+        n_stored = width * height
+        step = max(1, _CHUNK_ENTRIES // n_cols)
+        for first in range(0, n_rows // n_slice * n_stored, n_stored):
+            z = targets[first // n_stored * n_slice, 2] - ris[0, 2]
+            with np.errstate(all="ignore"):  # an overflow leaves a non-finite entry, checked next
+                tables = offset_tables(dx, dy, z, np.sqrt(planar + z**2)).reshape(-1, planar.size)
+            if not np.isfinite(tables).all():
+                raise NonFiniteKernel(
+                    f"kernel entries at wavelength {cfg.wavelength!r} m and {float(z)!r} m from the "
+                    "aperture are not finite numbers"
+                )
+            for start in range(0, n_stored, step):
+                stop = min(start + step, n_stored)
+                local = np.arange(start, stop)
+                index = col_y[local // width] + col_x[local % width]
+                block = tables[0].take(index)
+                if row_weights is not None:  # a volume kernel, whose stored rows are its target rows
+                    weights = row_weights(slice(first + start, first + stop))
+                    block *= weights[:, :1]
+                    for t in range(1, tables.shape[0]):
+                        block += weights[:, t : t + 1] * tables[t].take(index)
+                if symmetry is None:
+                    block *= jx
+                yield block
+
+    return KernelStream(
+        kind=kind, fingerprint=scene.fingerprint, symmetry=symmetry, shape=(n_rows, n_cols), blocks=blocks()
+    )
 
 
-def kernel_2d(scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
-    """Assemble the plane-target kernel: target-plane tangential H per unit coefficient.
+def _plane_rows(scene: ValidatedScene, grids: SampleGrids) -> KernelStream:
+    """The plane-target kernel: target-plane tangential H per unit coefficient.
 
     Entry (m, n) is
     -(1 + jkR) / (4 pi R^3) * dx dy * z' * J_x(r_n) * exp(-jkR),
@@ -280,6 +335,11 @@ def kernel_2d(scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
         return -(1.0 + 1j * k * r) / (4.0 * math.pi * r**3) * cell * z_prime * np.exp(-1j * k * r)
 
     return _assemble(scene, grids, KIND_Z2D, offset_tables)
+
+
+def kernel_2d(scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
+    """Assemble the plane-target kernel (:func:`_plane_rows`)."""
+    return _plane_rows(scene, grids).collect()
 
 
 def psf_vector(scene: ValidatedScene, target_points: np.ndarray) -> np.ndarray:
@@ -325,8 +385,8 @@ def green_tensor(observation, sources: np.ndarray, k: float) -> np.ndarray:
     return tensor * g[:, None, None]
 
 
-def kernel_3d(scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
-    """Assemble the volume-target kernel: receiver-weighted scattering coefficient.
+def _volume_rows(scene: ValidatedScene, grids: SampleGrids) -> KernelStream:
+    """The volume-target kernel: receiver-weighted scattering coefficient.
 
     Entry (m, n) combines the three aperture E-field integrands at voxel m with
     the receiver Green-tensor row, so that ``entries @ p`` gives the per-voxel
@@ -355,11 +415,20 @@ def kernel_3d(scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
     return _assemble(scene, grids, KIND_Y3D, offset_tables, row_weights)
 
 
+def kernel_3d(scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
+    """Assemble the volume-target kernel (:func:`_volume_rows`)."""
+    return _volume_rows(scene, grids).collect()
+
+
+def kernel_stream(scene: ValidatedScene, grids: SampleGrids) -> KernelStream:
+    """The stored rows of the kernel of the kind matching the scene's target,
+    as they are assembled (:class:`KernelStream`)."""
+    return _volume_rows(scene, grids) if scene.is_3d else _plane_rows(scene, grids)
+
+
 def assemble_kernel(scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
-    """Kernel of the kind matching the scene's target."""
-    if scene.is_3d:
-        return kernel_3d(scene, grids)
-    return kernel_2d(scene, grids)
+    """Kernel of the kind matching the scene's target, assembled whole."""
+    return kernel_stream(scene, grids).collect()
 
 
 # --- disk cache ---------------------------------------------------------------
@@ -433,10 +502,13 @@ def complex_file_writer(
         raise
 
 
-def save_kernel(path: str | Path, kernel: KernelMatrix) -> None:
+def _kernel_header(kernel: KernelMatrix | KernelStream) -> str:
     m, n = kernel.shape
-    header = f"kind={kernel.kind} m={m} n={n} fingerprint={kernel.fingerprint}\n"
-    write_complex_file(path, header, kernel.stored)
+    return f"kind={kernel.kind} m={m} n={n} fingerprint={kernel.fingerprint}\n"
+
+
+def save_kernel(path: str | Path, kernel: KernelMatrix) -> None:
+    write_complex_file(path, _kernel_header(kernel), kernel.stored)
 
 
 def read_complex_file(
@@ -486,8 +558,7 @@ def load_kernel(path: str | Path, scene: ValidatedScene, grids: SampleGrids) -> 
     body is read; a plane kernel comes back with its mirror structure.
     """
     symmetry = _mirror_symmetry(scene, grids)
-    stored_rows = scene.n_target if symmetry is None else math.prod(symmetry.quadrant_shape)
-    kind, fp, stored = read_complex_file(path, ("m", "n"), stored_rows)
+    kind, fp, stored = read_complex_file(path, ("m", "n"), _stored_rows(symmetry, scene.n_target))
     if kind not in (KIND_Z2D, KIND_Y3D):
         raise CacheMismatch(f"unknown kernel kind {kind!r}")
     if fp != scene.fingerprint:

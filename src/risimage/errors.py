@@ -37,6 +37,10 @@ class NonFiniteKernel(ImagingError, ArithmeticError):
     """Kernel entries overflow: the wavelength and distances give no finite kernel."""
 
 
+class WavenumberOverflow(ImagingError, ArithmeticError):
+    """The wavenumber's square overflows: the wavelength gives no finite Born field scale."""
+
+
 class KernelSizeError(ImagingError, MemoryError):
     """Kernel would exceed the configured entry cap; raised before allocation."""
 

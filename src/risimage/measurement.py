@@ -161,7 +161,8 @@ class ReceiverFields:
     of some rows (from :meth:`MaskSet.row_blocks`, or as a reader of
     ``ris_synthesis.realize_masks``); :meth:`fields` returns them all.
     Raises :class:`DimensionMismatch` or :class:`KindMismatch` for masks
-    that do not fit the target.
+    that do not fit the target, and :class:`WavenumberOverflow` for a volume
+    scene whose k^2 overflows.
     """
 
     def __init__(self, scene: ValidatedScene, grids: SampleGrids, masks: MaskSet, target: TargetModel):
@@ -178,10 +179,10 @@ class ReceiverFields:
             if target.kind != VOLUME_3D:
                 raise KindMismatch("volume masks require a volume target")
             self.weights = target.values
-            self.factor = scene.wavenumber**2 * scene.target_cell_measure
+            self.factor = scene.wavenumber_squared * scene.target_cell_measure
         self._products = np.empty(masks.count, dtype=np.complex128)
 
-    def add(self, rows: slice, block: np.ndarray, _norms: np.ndarray | None = None) -> None:
+    def add(self, rows: slice, block: np.ndarray, *_) -> None:
         """Take the masks ``block`` of the set's ``rows``."""
         self._products[rows] = block @ self.weights
 

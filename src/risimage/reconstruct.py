@@ -99,14 +99,15 @@ def reconstruct_3d(
 
     estimate_m = sum_i (E_i - <E>) B_i(m) / (I c_m k^2), plain products.
     Raises :class:`KindMismatch` for real records, which a plane's
-    measurement detects, and :class:`DimensionMismatch` unless the masks
-    cover the scene's voxels.
+    measurement detects, :class:`DimensionMismatch` unless the masks
+    cover the scene's voxels, and :class:`WavenumberOverflow` when the
+    scene's k^2 overflows.
     """
     if not np.iscomplexobj(meas.noisy):
         raise KindMismatch("volume reconstruction needs complex fields, got detected magnitudes")
     if masks.points != scene.n_target:
         raise DimensionMismatch(f"masks over {masks.points} points for a scene of {scene.n_target} voxels")
-    return _correlate(meas.noisy.astype(np.complex128), masks, KIND_MASK3D, scene.wavenumber**2)
+    return _correlate(meas.noisy.astype(np.complex128), masks, KIND_MASK3D, scene.wavenumber_squared)
 
 
 def nmse(truth: np.ndarray, estimate: np.ndarray) -> float:

@@ -43,21 +43,24 @@ lambda_s, the retained columns of U_s put onto the grid by a signed row
 gather, so the masks are never folded: one ``mask_design.project`` call
 forms b @ [A_1 ... A_k] for every mask into the leading columns of an
 array, whichever kind of set it is (a designed set never builds its (I, M)
-mask stack there). One loop (:func:`_map_rows`) then maps a block of rows
-at a time: it takes the block's norms ||c|| and writes its result over its
-coefficients when the output is that array, or else into one reused
-buffer. The realized mask K p = U diag(sigma) c is unfolded on the target
-side. A realized plane set keeps only their magnitudes, and every other
-reader of the complex masks (receiver fields, the export, the summary's
-misfit) takes each block in that pass (:func:`realize_masks`), so they
-never exist whole. The coefficient profiles p, formed only by
-:meth:`apply` and when profiles are exported, are unfolded on the aperture
+mask stack there). A block of rows at a time, c is then scaled onto the
+power budget by its norms ||c|| (:func:`_scaled_rows`) and mapped
+(:func:`_map_rows`). The realized mask K p = U diag(sigma) c is unfolded on
+the target side into one reused buffer, and every reader of the complex
+masks (receiver fields, the export, the summary's misfit) takes each block
+in that pass (:func:`realize_masks`), so they never exist whole. c is staged
+at the tail of the array whose head then takes what the set keeps, the
+magnitudes of a plane set or the masks of a volume set, so the two never
+exist side by side. The coefficient profiles p are unfolded on the aperture
 side from V_s c_s, with V_s = B_s^H U_s / sigma_s built per sector from the
 block the inverse keeps, so a profile is never formed through a dense K^H
-product. The export (:func:`save_profiles`) stages c alone too, and each
-block of rows is written before the next is mapped into the buffer, so the
-(I, N) profiles never exist whole. The blocks are formed once, at
-decomposition, and the inverse holds no reference to the kernel. Realizing
+product. :meth:`apply` and :func:`synthesis_profiles` form them whole; the
+export is one more reader of the realization pass (:func:`profile_writer`),
+which maps the budget-scaled c of each block, so it stages no c of its own
+and the (I, N) profiles never exist whole. The blocks are formed once, at
+decomposition, from the kernel's stored rows or from the stream of them as
+they are assembled (``em_core.KernelStream``), so a streamed kernel never
+exists whole, and the inverse holds no reference to the kernel. Realizing
 masks reads only U, sigma and lambda, so a caller that maps no solution
 back to the aperture drops the blocks
 (:meth:`RegularizedInverse.without_blocks`), which are about the kernel's
@@ -69,13 +72,14 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .em_core import KIND_Y3D, KIND_Z2D, KernelMatrix, MirrorSymmetry, write_complex_file
+from .em_core import KIND_Y3D, KIND_Z2D, KernelMatrix, KernelStream, MirrorSymmetry, complex_file_writer
 from .errors import DimensionMismatch, KindMismatch, MalformedConfig, SvdFailure, ZeroSolution
 from .mask_design import KIND_MASK2D, KIND_MASK3D, MaskSet, project
 
@@ -100,8 +104,8 @@ _REALIZE_BLOCKS = 16
 _SIGMA_LIMIT = math.sqrt(sys.float_info.max)
 
 # What :func:`realize_masks` hands each block of realized rows to:
-# reader(rows, block, norms).
-Reader = Callable[[slice, np.ndarray, np.ndarray], None]
+# reader(rows, block, norms, coefficients).
+Reader = Callable[[slice, np.ndarray, np.ndarray, np.ndarray], None]
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,7 @@ class RegularizedInverse:
     The kernel itself is not kept, and neither are the right singular
     vectors: each sector's block maps back to the aperture side where a
     solution is needed (:meth:`apply`, :func:`synthesis_profiles`,
-    :func:`save_profiles` and the sector lines of
+    :func:`profile_writer` and the sector lines of
     :func:`write_synthesis_summary`). An inverse without its blocks
     (:meth:`without_blocks`) still realizes masks, and those readers raise
     ``ValueError`` on it.
@@ -326,31 +330,31 @@ def _folded_factors(inv: RegularizedInverse) -> list[_Factor]:
     return factors
 
 
-def _sector_blocks(kernel: KernelMatrix) -> list[np.ndarray]:
+def _sector_blocks(kernel: KernelMatrix | KernelStream) -> list[np.ndarray]:
     """The kernel's diagonal blocks, in ``_PARITIES`` order.
 
     Block s is Q_s^T K diag(conj phase) P_s for the sector's orthonormal
     target and aperture bases Q_s and P_s; the phase factor drops out of the
     left singular vectors and values. Since F is mirror-invariant, the
     target-side fold of a row reduces to the weight 1 / w_s on its quadrant
-    row, so only the quadrant rows the kernel stores are read. Each line of
-    them (one iy) is multiplied by J_x and then by the conjugate phase into
-    one buffer and folded over the aperture, along y and then x, and each
-    block takes its rows of that line as a weighted copy of one :func:`_part`
-    view, so no copy of the quadrant is made. Every block is read-only; the
-    identity sector's is ``kernel.entries`` itself, or a view of it when the
-    caller's entries are writable.
+    row, so only the quadrant rows the kernel stores are read, in order, from
+    a stored kernel or a streamed one alike: each line of them (one iy) is
+    multiplied by J_x into one buffer as its rows arrive, then by the
+    conjugate phase, and folded over the aperture, along y and then x, and
+    each block takes its rows of that line as a weighted copy of one
+    :func:`_part` view. So no copy of the quadrant is made, and a streamed
+    kernel's rows are each dropped once their line is folded. Every block is
+    read-only; the identity sector's is the kernel's entries (collected from
+    a stream), or a view of them when the caller's entries are writable.
     """
     symmetry = kernel.symmetry
     if symmetry is None:
-        entries = kernel.entries
+        entries = (kernel.collect() if isinstance(kernel, KernelStream) else kernel).entries
         block = entries.view() if entries.flags.writeable else entries
         block.setflags(write=False)
         return [block]
     (nx, ny), (ax, ay) = symmetry.target_shape, symmetry.aperture_shape
     ex, ey = symmetry.quadrant_shape
-    quadrant = kernel.stored.reshape(ey, ex, ay, ax)
-    current = symmetry.current.reshape(ay, ax)
     conj_phase = symmetry.phase.conj().reshape(ay, ax)
     line, folded = (np.empty((ex, ay, ax), dtype=np.complex128) for _ in range(2))
     blocks, parts = [], []
@@ -363,8 +367,22 @@ def _sector_blocks(kernel: KernelMatrix) -> list[np.ndarray]:
         blocks.append(np.empty((t_norms.size, a_norms.size), dtype=line.dtype))
         rows = blocks[-1].reshape((rows_y, rows_x) + a_weights.shape)
         parts.append((rows, cols, a_weights, t_norms.reshape(rows_y, rows_x, 1, 1)))
-    for iy in range(ey):
-        np.multiply(quadrant[iy], current, out=line)
+
+    def lines() -> Iterator[int]:
+        """Fill ``line`` with each quadrant line times J_x; yield its iy."""
+        flat, iy, at = line.reshape(ex, ax * ay), 0, 0
+        for block in (kernel.blocks if isinstance(kernel, KernelStream) else (kernel.stored,)):
+            while len(block):
+                take, block = block[: ex - at], block[ex - at :]
+                np.multiply(take, symmetry.current, out=flat[at : at + len(take)])
+                at += len(take)
+                if at == ex:
+                    yield iy
+                    iy, at = iy + 1, 0
+        if (iy, at) != (ey, 0):
+            raise DimensionMismatch(f"{iy * ex + at} stored kernel rows for a {ex} x {ey} mirror quadrant")
+
+    for iy in lines():
         line *= conj_phase
         _fold(line, -2, folded)
         _fold(folded, -1, line)
@@ -451,7 +469,7 @@ def _swap_sector(block: np.ndarray, side: int, cols_side: int) -> tuple[np.ndarr
     return u[:, order], sigma[order]
 
 
-def _sector_spectra(kernel: KernelMatrix, blocks: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+def _sector_spectra(kernel: KernelMatrix | KernelStream, blocks: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Left singular vectors and singular values, descending, of each of the
     kernel's ``blocks`` (:func:`_sector_blocks`).
 
@@ -475,13 +493,16 @@ def _sector_spectra(kernel: KernelMatrix, blocks: list[np.ndarray]) -> list[tupl
 
 
 def tikhonov_inverse(
-    kernel: KernelMatrix,
+    kernel: KernelMatrix | KernelStream,
     gamma: float,
     threshold_factor: float = DEFAULT_THRESHOLD_FACTOR,
     truncation_mode: str = TRUNCATE_SIGMA_SQ,
 ) -> RegularizedInverse:
     """Decompose each sector block (:func:`_sector_spectra`) and build the
-    regularized inverse spectrum. The inverse keeps the blocks, not ``kernel``.
+    regularized inverse spectrum. The inverse keeps the blocks, not ``kernel``,
+    which may be a stream of its stored rows (:class:`em_core.KernelStream`):
+    the blocks are then formed as the rows are assembled, and the stream is
+    drawn to its end.
 
     Modes whose singular value falls below the truncation threshold are zeroed
     outright; raising ``threshold_factor`` can only shrink the retained rank.
@@ -523,19 +544,20 @@ def tikhonov_inverse(
 
 
 def _stage_coefficients(
-    inv: RegularizedInverse, factors: list[_Factor], masks: MaskSet | np.ndarray, width: int
-) -> np.ndarray:
-    """The coefficients c of every mask, staged in a new (I, width) array.
+    inv: RegularizedInverse, factors: list[_Factor], masks: MaskSet | np.ndarray, out: np.ndarray
+) -> None:
+    """Stage the coefficients c of every mask in the leading sum r_s columns
+    of ``out`` (I, width).
 
     Per sector c_s = lambda_s (w_s U_s)^H fold_s(b) = b @ A_s over the
     retained modes, with A_s = conj(w_s U_s) lambda_s gathered onto the grid
     (:func:`_sector_gathers`); one ``mask_design.project`` call fills the
-    leading sum r_s <= ``width`` columns, sector after sector, for a mask
-    set or a plain (I, M) stack of right-hand sides. The A_s are formed one
-    at a time as ``project`` draws them, so only one is alive at once.
-    Raises :class:`DimensionMismatch` unless the masks have length M.
+    columns sector after sector, for a mask set or a plain (I, M) stack of
+    right-hand sides. The A_s are formed one at a time as ``project`` draws
+    them, so only one is alive at once. Raises :class:`DimensionMismatch`
+    unless the masks have length M.
     """
-    count, points = (masks.count, masks.points) if isinstance(masks, MaskSet) else masks.shape
+    points = masks.points if isinstance(masks, MaskSet) else masks.shape[1]
     m = inv.shape[0]
     if points != m:
         raise DimensionMismatch(f"vectors of length {points} do not match M={m}")
@@ -552,41 +574,21 @@ def _stage_coefficients(
                 weighted *= signs[:, None]
             yield weighted
 
-    out = np.empty((count, width), dtype=np.complex128)
     project(masks, gathered(), out)
-    return out
 
 
-def _map_rows(
-    staged: np.ndarray,
-    right: list[np.ndarray],
-    shape: tuple[int, int] | None,
-    phase: np.ndarray | None = None,
-    budget: float | None = None,
-    chunk: int = _CHUNK_ENTRIES,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Map each row's staged coefficients c to unfold(sum_s c_s right_s).
+def _scaled_rows(
+    staged: np.ndarray, step: int, budget: float | None = None
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """The staged coefficients c (I, sum r_s) in blocks of ``step`` rows.
 
-    ``staged`` holds c in its leading sum r_s columns, ``right`` one
-    (r_s, width_s) matrix per sector, and ``shape`` is the grid the sectors
-    unfold onto. Runs one block of about ``chunk`` output entries at a time
-    and yields each block's ||c|| per row and its mapped rows.
-    A block's norms are taken and its coefficients read before its rows are
-    written: over its own rows of ``staged`` when that is as wide as the
-    output, and otherwise into one buffer that every block reuses, so each
-    block must then be consumed before the next is drawn. With a
-    ``budget``, each block's coefficients are first scaled in place by
-    budget / ||c||, so no pass over the output rescales it, and a zero
-    ||c|| raises :class:`ZeroSolution`; with a ``phase``, the unfolded rows
-    are multiplied by it.
+    Yields each block's rows, its norms ||c|| per row and its coefficients,
+    a view of ``staged``. With a ``budget``, they are first scaled in place
+    by budget / ||c||, so no pass over a mapped output rescales it, and a
+    zero ||c|| raises :class:`ZeroSolution`.
     """
-    bounds = np.cumsum([0] + [len(r) for r in right])
-    width = sum(r.shape[1] for r in right)
-    step = max(1, chunk // width)
-    in_place = staged.shape[1] == width
-    buffer = None if in_place else np.empty((min(step, len(staged)), width), dtype=np.complex128)
     for start in range(0, len(staged), step):
-        c = staged[start : start + step, : bounds[-1]]
+        c = staged[start : start + step]
         parts = c.view(np.float64)
         norms = np.sqrt(np.einsum("ik,ik->i", parts, parts))
         if budget is not None:
@@ -594,11 +596,23 @@ def _map_rows(
             if zero.size:
                 raise ZeroSolution(f"mask {start + int(zero[0])} lies outside the retained kernel range")
             c *= (budget / norms)[:, None]
-        rows = staged[start : start + step] if buffer is None else buffer[: len(c)]
-        _sector_unfold((c[:, lo:hi] @ r for lo, hi, r in zip(bounds, bounds[1:], right)), shape, rows)
-        if phase is not None:
-            rows *= phase
-        yield norms, rows
+        yield slice(start, start + len(c)), norms, c
+
+
+def _map_rows(
+    c: np.ndarray, right: list[np.ndarray], shape: tuple[int, int] | None, out: np.ndarray, phase=None
+) -> None:
+    """Write unfold(sum_s c_s right_s) of the coefficient rows ``c`` into ``out``.
+
+    ``right`` holds one (r_s, width_s) matrix per sector and ``shape`` is
+    the grid the sectors unfold onto; with a ``phase``, the unfolded rows
+    are multiplied by it. Every product is formed before ``out`` is written,
+    so ``out`` may hold ``c`` itself.
+    """
+    bounds = np.cumsum([0] + [len(r) for r in right])
+    _sector_unfold((c[:, lo:hi] @ r for lo, hi, r in zip(bounds, bounds[1:], right)), shape, out)
+    if phase is not None:
+        out *= phase
 
 
 def _aperture_factors(
@@ -638,9 +652,12 @@ def _solutions(
     on the aperture side and multiplied by the conjugate J_x phase. With a
     ``budget``, every solution is scaled to norm ``budget``.
     """
-    out = _stage_coefficients(inv, _folded_factors(inv), masks, inv.shape[1])
-    for _ in _map_rows(out, *_aperture_factors(inv), budget):
-        pass  # each block overwrites its own rows
+    n = inv.shape[1]
+    out = np.empty((masks.count if isinstance(masks, MaskSet) else len(masks), n), dtype=np.complex128)
+    _stage_coefficients(inv, _folded_factors(inv), masks, out)
+    right, shape, phase = _aperture_factors(inv)
+    for rows, _, c in _scaled_rows(out[:, : inv.retained_rank], max(1, _CHUNK_ENTRIES // n), budget):
+        _map_rows(c, right, shape, out[rows], phase)  # over the block's own coefficients
     return out
 
 
@@ -651,36 +668,48 @@ def realize_masks(
 
     With the coefficients c of :func:`_stage_coefficients`, the solution
     norm is ||c|| and the realized mask is the unfolded U diag(sigma) c,
-    scaled onto the power budget. :func:`_map_rows` realizes a block of rows
-    at a time and hands it to each of ``readers`` as ``reader(rows, block,
-    norms)``: the slice it covers, its complex masks (valid until the reader
-    returns) and their solution norms. A volume set keeps its complex masks,
-    written over c in the (I, M) output. A plane set keeps only their
-    magnitudes (``MaskSet.magnitudes_only``): c is staged alone, I x sum r_s,
-    and each block is mapped into one reused buffer, so its complex (I, M)
-    masks never exist whole. Returns the new set.
+    scaled onto the power budget. A block of rows at a time, c is scaled
+    onto the budget (:func:`_scaled_rows`) and mapped into one reused buffer
+    (:func:`_map_rows`), which goes to each of ``readers`` as
+    ``reader(rows, block, norms, coefficients)``: the slice it covers, its
+    complex masks, their solution norms and their budget-scaled c, valid
+    until the reader returns. So a set's complex masks never exist whole.
+
+    One array holds c and what the set keeps: c is staged at its tail, and
+    the kept rows are written from its head once the block's readers are
+    done, where they overlap only rows of c already read. A volume set keeps
+    its complex masks; a plane set only their magnitudes
+    (``MaskSet.magnitudes_only``), half a complex row each, so the array is
+    I x max(sum r_s, ceil(M / 2)) complex entries, not c beside the
+    magnitudes. Returns the new set.
     """
     if _KERNEL_TO_MASK_KIND.get(inv.kind) != masks.kind:
         raise KindMismatch(f"kernel kind {inv.kind!r} cannot realize {masks.kind!r} masks")
     n_targets, n_samples = inv.shape
-    factors = _folded_factors(inv)
+    count, rank = masks.count, inv.retained_rank
     keeps_values = masks.kind == KIND_MASK3D
-    staged = _stage_coefficients(inv, factors, masks, n_targets if keeps_values else inv.retained_rank)
-    stored = staged if keeps_values else np.empty((masks.count, n_targets))
-    norms = np.empty(masks.count)
+    held = np.empty(count * max(rank, n_targets if keeps_values else -(-n_targets // 2)), dtype=np.complex128)
+    staged = held[len(held) - count * rank :].reshape(count, rank)
+    stored = (held if keeps_values else held.view(np.float64))[: count * n_targets].reshape(count, n_targets)
+    factors = _folded_factors(inv)
+    _stage_coefficients(inv, factors, masks, staged)
     right = [(f.u * f.sigma).T for f in factors]
     del factors
-    chunk = min(_CHUNK_ENTRIES, max(_CHUNK_ENTRIES // 4, masks.count * n_targets // _REALIZE_BLOCKS))
-    blocks = _map_rows(staged, right, _target_shape(inv), budget=np.sqrt(n_samples * amplification), chunk=chunk)
-    start = 0
-    for block_norms, block in blocks:
-        rows = slice(start, start + len(block))
-        start = rows.stop
+    chunk = min(_CHUNK_ENTRIES, max(_CHUNK_ENTRIES // 4, count * n_targets // _REALIZE_BLOCKS))
+    step = max(1, chunk // n_targets)
+    buffer = np.empty((min(step, count), n_targets), dtype=np.complex128)
+    norms = np.empty(count)
+    for rows, block_norms, c in _scaled_rows(staged, step, np.sqrt(n_samples * amplification)):
+        block = buffer[: len(c)]
+        _map_rows(c, right, _target_shape(inv), block)
         norms[rows] = block_norms
-        if not keeps_values:
-            np.abs(block, out=stored[rows])
         for reader in readers:
-            reader(rows, block, block_norms)
+            reader(rows, block, block_norms, c)
+        # only now: these rows of the head overlap rows of c, but none not yet read
+        if keeps_values:
+            stored[rows] = block
+        else:
+            np.abs(block, out=stored[rows])
     stored.setflags(write=False)
     return replace(masks, stored=stored, design=None, phase=None, solution_norms=norms)
 
@@ -695,7 +724,7 @@ class RealizedMisfit:
         self.budget = np.sqrt(inv.shape[1] * amplification)
         self.values = np.empty(ideal.count)
 
-    def add(self, rows: slice, block: np.ndarray, norms: np.ndarray) -> None:
+    def add(self, rows: slice, block: np.ndarray, norms: np.ndarray, _coefficients: np.ndarray) -> None:
         """Take the realized masks ``block`` of ``rows`` and their solution ``norms``."""
         ideal_rows = self.ideal.block(rows)
         fitted = block * (norms / self.budget)[:, None]
@@ -712,6 +741,53 @@ def synthesis_profiles(inv: RegularizedInverse, masks: MaskSet, amplification: f
     return _solutions(inv, masks, np.sqrt(n_samples * amplification))
 
 
+@contextmanager
+def profile_writer(path: str | Path, inv: RegularizedInverse, count: int, fingerprint: str) -> Iterator[Reader]:
+    """A reader of :func:`realize_masks` that exports the ``count`` profiles
+    of its pass, in the binary layout of mask exports.
+
+    Each block's budget-scaled coefficients c are mapped onto the aperture
+    (:func:`_aperture_factors`) and written, in blocks of rows of about
+    ``_CHUNK_ENTRIES`` entries counted from the first row, as
+    :func:`synthesis_profiles` maps them, so the bytes are those of the whole
+    array; rows of c that do not fill such a block wait in a small buffer.
+    The (I, N) profiles never exist whole, and c is not staged again. The
+    file replaces ``path`` when the context ends; a pass that fails leaves
+    any earlier file in place (:func:`em_core.complex_file_writer`).
+    """
+    right, shape, phase = _aperture_factors(inv)
+    n = inv.shape[1]
+    step = min(max(1, _CHUNK_ENTRIES // n), count)
+    waiting = np.empty((step, inv.retained_rank), dtype=np.complex128)
+    profiles = np.empty((step, n), dtype=np.complex128)
+    filled = 0
+    header = f"kind=profiles count={count} points={n} fingerprint={fingerprint}\n"
+    with complex_file_writer(path, header, (count, n)) as write:
+
+        def flush(c: np.ndarray) -> None:
+            rows = profiles[: len(c)]
+            _map_rows(c, right, shape, rows, phase)
+            write(rows)
+
+        def add(_rows: slice, _block: np.ndarray, _norms: np.ndarray, c: np.ndarray) -> None:
+            nonlocal filled
+            while len(c):
+                if filled == 0 and len(c) >= step:  # a whole block, mapped where it is
+                    flush(c[:step])
+                    c = c[step:]
+                    continue
+                take = min(step - filled, len(c))
+                waiting[filled : filled + take] = c[:take]
+                filled, c = filled + take, c[take:]
+                if filled == step:
+                    flush(waiting)
+                    filled = 0
+
+        yield add
+        if filled:
+            flush(waiting[:filled])
+
+
 def save_profiles(
     path: str | Path,
     inv: RegularizedInverse,
@@ -720,20 +796,19 @@ def save_profiles(
     fingerprint: str,
 ) -> None:
     """Export the profiles of :func:`synthesis_profiles` for the ideal
-    ``masks``, same binary layout as mask exports, a block of rows at a time.
+    ``masks`` through :func:`profile_writer`, without realizing them.
 
-    The coefficients c (I, sum r_s) are staged once (:func:`_stage_coefficients`),
-    and each block of rows is mapped into one reused buffer and written
-    before the next, so the (I, N) profiles never exist whole; the bytes are
-    those of the whole array. A failing block leaves any earlier file in
-    place (:func:`em_core.write_complex_file`).
+    The coefficients c (I, sum r_s) are staged once
+    (:func:`_stage_coefficients`) and handed over a block of rows at a time,
+    so the (I, N) profiles never exist whole; the bytes are those of the
+    whole array. A failing block leaves any earlier file in place.
     """
-    count, n = masks.count, inv.shape[1]
-    staged = _stage_coefficients(inv, _folded_factors(inv), masks, inv.retained_rank)
-    budget = np.sqrt(n * amplification)
-    blocks = (rows for _, rows in _map_rows(staged, *_aperture_factors(inv), budget))
-    header = f"kind=profiles count={count} points={n} fingerprint={fingerprint}\n"
-    write_complex_file(path, header, blocks, (count, n))
+    n = inv.shape[1]
+    staged = np.empty((masks.count, inv.retained_rank), dtype=np.complex128)
+    _stage_coefficients(inv, _folded_factors(inv), masks, staged)
+    with profile_writer(path, inv, masks.count, fingerprint) as add:
+        for rows, norms, c in _scaled_rows(staged, max(1, _CHUNK_ENTRIES // n), np.sqrt(n * amplification)):
+            add(rows, None, norms, c)
 
 
 def write_synthesis_summary(

@@ -153,11 +153,14 @@ def _error_text(exc: ImagingError) -> str:
 
 def _load_or_build_kernel(
     scene: ValidatedScene, grids: SampleGrids, cache_dir: Path | None
-) -> tuple[em_core.KernelMatrix, bool]:
-    """The scene's kernel from the disk cache or a fresh build, and whether it was built.
+) -> tuple[em_core.KernelMatrix | em_core.KernelStream, bool]:
+    """The scene's kernel from the disk cache, or a fresh build, and whether it was built.
 
-    A cache file that does not load (truncated, stale, or another scene's)
-    is rebuilt and rewritten rather than failing the point.
+    A build is the stream of the kernel's stored rows, which the inverse
+    takes as they are assembled, so the kernel never exists whole; with a
+    cache directory, the stream writes its rows to the cache file as they are
+    drawn. A cache file that does not load (truncated, stale, or another
+    scene's) is rebuilt and rewritten rather than failing the point.
     """
     cache_file = cache_dir / f"kernel_{scene.fingerprint[:16]}.bin" if cache_dir else None
     if cache_file is not None and cache_file.exists():
@@ -165,10 +168,10 @@ def _load_or_build_kernel(
             return em_core.load_kernel(cache_file, scene, grids), False
         except CacheMismatch:
             pass  # rebuilt and rewritten below
-    kernel = em_core.assemble_kernel(scene, grids)
+    kernel = em_core.kernel_stream(scene, grids)
     if cache_file is not None:
         cache_file.parent.mkdir(parents=True, exist_ok=True)
-        em_core.save_kernel(cache_file, kernel)
+        kernel = kernel.saved_to(cache_file)
     return kernel, True
 
 
@@ -220,7 +223,7 @@ def _shared_builds(
                         inv = ris_synthesis.tikhonov_inverse(
                             kernel, group[0].gamma, plan.threshold_factor, plan.truncation_mode
                         )
-                        del kernel  # the inverse holds its sector blocks, not the kernel
+                        del kernel  # the inverse holds its sector blocks, not the kernel or its rows
                         if artifact_dir is None:  # no profile maps back to the aperture
                             inv = inv.without_blocks()
                     receiver = measurement.ReceiverFields(scene, grids, ideal, target)
@@ -243,15 +246,17 @@ def export_synthesis(
 ) -> MaskSet:
     """Realize ``ideal`` and write its realized masks, coefficient profiles
     and synthesis summary to ``directory``, each file stem ending in
-    ``suffix``; the masks and the summary's misfit are readers of the
-    realization pass, beside ``readers``. Returns the realized set."""
+    ``suffix``; the masks, the profiles and the summary's misfit are readers
+    of the realization pass, beside ``readers``. Returns the realized set."""
     misfit = ris_synthesis.RealizedMisfit(inv, ideal, amplification)
-    path = directory / f"masks_realized{suffix}.bin"
-    with mask_design.mask_file_writer(path, ideal.kind, (ideal.count, ideal.points), fp) as write:
+    masks_path, profiles_path = (directory / f"{stem}{suffix}.bin" for stem in ("masks_realized", "profiles"))
+    with (
+        mask_design.mask_file_writer(masks_path, ideal.kind, (ideal.count, ideal.points), fp) as write,
+        ris_synthesis.profile_writer(profiles_path, inv, ideal.count, fp) as profiles,
+    ):
         realized = ris_synthesis.realize_masks(
-            inv, ideal, amplification, (*readers, misfit.add, lambda _rows, block, _norms: write(block))
+            inv, ideal, amplification, (*readers, misfit.add, lambda _rows, block, *_: write(block), profiles)
         )
-    ris_synthesis.save_profiles(directory / f"profiles{suffix}.bin", inv, ideal, amplification, fp)
     ris_synthesis.write_synthesis_summary(directory / f"synthesis{suffix}.txt", inv, realized, misfit.values)
     return realized
 

@@ -23,6 +23,7 @@ from .errors import (
     MissingFile,
     NearFieldViolation,
     NonPositiveDimension,
+    WavenumberOverflow,
 )
 
 PLANE_2D = "plane2d"
@@ -76,6 +77,17 @@ class ValidatedScene:
     @property
     def wavenumber(self) -> float:
         return 2.0 * math.pi / self.config.wavelength
+
+    @property
+    def wavenumber_squared(self) -> float:
+        """k^2, the Born field scale; :class:`WavenumberOverflow` when a tiny
+        wavelength makes it too large for a float."""
+        try:
+            return self.wavenumber**2
+        except OverflowError as exc:
+            raise WavenumberOverflow(
+                f"the squared wavenumber at wavelength {self.config.wavelength!r} m is too large for a float"
+            ) from exc
 
     @property
     def angular_frequency(self) -> float:

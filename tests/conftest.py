@@ -145,7 +145,7 @@ def realize_with_values(inv, masks, amplification, readers=()):
     """
     values = np.empty((masks.count, masks.points), dtype=complex)
 
-    def keep(rows, block, _norms):
+    def keep(rows, block, *_):
         values[rows] = block
 
     return rs.realize_masks(inv, masks, amplification, [*readers, keep]), values

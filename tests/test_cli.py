@@ -234,6 +234,23 @@ class TestSynthesizeVerb:
         assert kind == "profiles" and vectors.shape == (128, 256)
 
 
+    @pytest.mark.parametrize("volume", [False, True], ids=["plane", "volume"])
+    def test_profiles_of_the_pass_are_the_whole_array_solutions(self, tmp_path, volume):
+        # the profiles are written by a reader of the realization pass, from the c it
+        # scaled there; they hold the bytes of the (I, N) solutions formed whole
+        scene_path = tmp_path / "scene.cfg"
+        scene_path.write_text(TestVolumeVerbs.VOLUME_SCENE if volume else SCENE_TEXT)
+        count = 16 if volume else 128
+        argv = ["synthesize", "--scene", str(scene_path), "-I", str(count), "--output", str(tmp_path / "s")]
+        assert cli.main(argv) == 0
+        scene = sc.validate_scene(sc.load_scene_config(scene_path))
+        grids = sc.sample_grids(scene)
+        inv = rs.tikhonov_inverse(em_core.assemble_kernel(scene, grids), rn.default_gamma(scene.config.target_distance))
+        profiles = rs.synthesis_profiles(inv, md.ideal_masks(scene, grids, count), scene.config.amplification)
+        header = f"kind=profiles count={count} points={scene.n_ris} fingerprint={scene.fingerprint}\n".encode()
+        assert (tmp_path / "s" / "profiles.bin").read_bytes() == header + profiles.astype("<c16").tobytes()
+
+
 class TestVolumeVerbs:
     VOLUME_SCENE = SCENE_TEXT.replace("n_target_x = 8", "n_target_x = 2").replace(
         "n_target_y = 8", "n_target_y = 2"
@@ -320,7 +337,7 @@ class TestStepVerbParity:
 
     def test_verbs_reach_the_stages_through_their_modules(self, scene_file, tmp_path, monkeypatch):
         calls = []
-        for module, name in ((rc, "reconstruct_2d"), (rs, "save_profiles")):
+        for module, name in ((rc, "reconstruct_2d"), (rs, "profile_writer")):
             original = getattr(module, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):
@@ -330,10 +347,10 @@ class TestStepVerbParity:
             monkeypatch.setattr(module, name, counting)
         common = ["--scene", str(scene_file), "-I", "128"]
         assert cli.main(["run", *common, "--keep-artifacts", "--output", str(tmp_path / "run")]) == 0
-        assert sorted(calls) == ["reconstruct_2d", "save_profiles"]
+        assert sorted(calls) == ["profile_writer", "reconstruct_2d"]
         calls.clear()
         assert cli.main(["synthesize", *common, "--output", str(tmp_path / "synth")]) == 0
-        assert calls == ["save_profiles"]
+        assert calls == ["profile_writer"]
         calls.clear()
         assert cli.main(["measure", *common, "--output", str(tmp_path / "records.csv")]) == 0
         masks = str(tmp_path / "synth" / "masks_realized.bin")
@@ -749,6 +766,43 @@ class TestBadInput:
         errors = (tmp_path / "r" / "errors.log").read_text().splitlines()
         assert len(errors) == 1 and "NonFiniteKernel" in errors[0] and "wavelength 1e-154 m" in errors[0]
 
+    def test_non_finite_kernel_leaves_no_cache_file(self, tmp_path):
+        # the kernel streams into the cache file as the inverse draws it, so a
+        # build that fails part way writes nothing
+        scene_path = tmp_path / "volume.cfg"
+        scene_path.write_text(TestVolumeVerbs.VOLUME_SCENE)
+        argv = ["run", "--scene", str(scene_path), *self.OVERFLOWING_VOLUME, "-I", "16", "--keep-artifacts"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "--output", str(tmp_path / "r")]) == 1
+        assert "NonFiniteKernel" in (tmp_path / "r" / "errors.log").read_text()
+        assert list((tmp_path / "r" / "kernels").iterdir()) == []
+
+    def test_overflowing_wavenumber_fails_its_ideal_point(self, tmp_path):
+        # ideal masks skip the kernel, so the Born field scale k**2 is the first to overflow
+        scene_path = tmp_path / "volume.cfg"
+        scene_path.write_text(TestVolumeVerbs.VOLUME_SCENE)
+        argv = ["run", "--scene", str(scene_path), *self.OVERFLOWING_VOLUME, "-I", "16", "--ideal-masks"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "--output", str(tmp_path / "r")]) == 1
+        errors = (tmp_path / "r" / "errors.log").read_text().splitlines()
+        assert len(errors) == 1 and "WavenumberOverflow" in errors[0] and "wavelength 1e-154 m" in errors[0]
+
+    def test_overflowing_wavenumber_exits_two_in_the_step_verbs(self, tmp_path, capsys):
+        scene_path = tmp_path / "volume.cfg"
+        scene_path.write_text(TestVolumeVerbs.VOLUME_SCENE)
+        common = ["--scene", str(scene_path), *self.OVERFLOWING_VOLUME, "-I", "16"]
+        records = tmp_path / "records.csv"
+        assert cli.main(["measure", *common, "--ideal-masks", "--output", str(records)]) == 2
+        assert "WavenumberOverflow" in capsys.readouterr().err and not records.exists()
+        # records of a finite field, reconstructed at the same wavelength
+        ms.records_to_csv(records, ms.measure(np.full(16, 1.0 + 1.0j), md.KIND_MASK3D, None, 0))
+        assert cli.main(["masks", *common, "--output", str(tmp_path / "masks.bin")]) == 0
+        argv = ["reconstruct", *common, "--records", str(records), "--masks", str(tmp_path / "masks.bin")]
+        assert cli.main([*argv, "--output", str(tmp_path / "estimate.pgm")]) == 2
+        assert "WavenumberOverflow" in capsys.readouterr().err
+
     def test_far_receiver_at_a_tiny_wavelength_still_runs(self, tmp_path):
         # the receiver's (k R')**2 overflows, and 1 / (k R')**2 takes its limit 0
         scene_path = tmp_path / "volume.cfg"
@@ -1134,17 +1188,35 @@ class TestRunnerInternals:
         assert builds == [1, 0]  # the second run loads the kernel from the cache
         assert sector_counts == [4, 4]
 
+    @staticmethod
+    def record_kernel_rows(monkeypatch):
+        """Wrap ``em_core.kernel_stream`` so every stored row block it hands over is
+        recorded by a weak reference; returns the list of those references."""
+        drawn = []
+
+        def streamed(*args, _original=em_core.kernel_stream, **kwargs):
+            stream = _original(*args, **kwargs)
+
+            def blocks():
+                for block in stream.blocks:
+                    drawn.append(weakref.ref(block))
+                    yield block
+
+            return dataclasses.replace(stream, blocks=blocks())
+
+        monkeypatch.setattr(em_core, "kernel_stream", streamed)
+        return drawn
+
     def test_previous_kernel_is_freed_before_the_next_build(self, scene_file, tmp_path, monkeypatch):
-        # a sweep holds one distance's kernel at a time
-        built, alive_at_build = [], []
+        # a sweep holds no row of one distance's kernel when it builds the next
+        drawn = self.record_kernel_rows(monkeypatch)
+        alive_at_build = []
 
-        def recorded(*args, _original=em_core.assemble_kernel, **kwargs):
-            alive_at_build.append(sum(ref() is not None for ref in built))
-            kernel = _original(*args, **kwargs)
-            built.append(weakref.ref(kernel.stored))
-            return kernel
+        def recorded(*args, _original=em_core.kernel_stream, **kwargs):
+            alive_at_build.append(sum(ref() is not None for ref in drawn))
+            return _original(*args, **kwargs)
 
-        monkeypatch.setattr(em_core, "assemble_kernel", recorded)
+        monkeypatch.setattr(em_core, "kernel_stream", recorded)
         plan = rn.ExperimentPlan(
             scene=sc.load_scene_config(scene_file),
             i_values=(128,),
@@ -1152,33 +1224,29 @@ class TestRunnerInternals:
             output_dir=str(tmp_path / "sweep"),
         )
         assert all(p.error is None for p in rn.run_plan(plan).points)
-        assert alive_at_build == [0, 0, 0]
+        assert alive_at_build == [0, 0, 0] and drawn
 
-    @staticmethod
-    def record_live_kernels(monkeypatch):
-        """Record, at each realize_masks and save_profiles call, how many assembled kernels are alive."""
-        built, alive = [], []
-
-        def assembled(*args, _original=em_core.assemble_kernel, **kwargs):
-            kernel = _original(*args, **kwargs)
-            built.append(weakref.ref(kernel.stored))
-            return kernel
+    @classmethod
+    def record_live_kernel_rows(cls, monkeypatch):
+        """Record, at each realize_masks and profile_writer call, how many streamed kernel rows are alive."""
+        drawn, alive = cls.record_kernel_rows(monkeypatch), []
 
         def recording(name, original):
             def call(*args, **kwargs):
-                alive.append((name, sum(ref() is not None for ref in built)))
+                alive.append((name, sum(ref() is not None for ref in drawn)))
                 return original(*args, **kwargs)
 
             return call
 
-        monkeypatch.setattr(em_core, "assemble_kernel", assembled)
-        for name in ("realize_masks", "save_profiles"):
+        for name in ("realize_masks", "profile_writer"):
             monkeypatch.setattr(rs, name, recording(name, getattr(rs, name)))
-        return alive
+        return drawn, alive
 
     def test_kernel_is_freed_once_decomposed(self, scene_file, tmp_path, monkeypatch):
-        # the inverse keeps its sector blocks, so no kernel outlives tikhonov_inverse
-        alive = self.record_live_kernels(monkeypatch)
+        # the inverse is decomposed from the stream of the kernel's rows and keeps its
+        # sector blocks, so no kernel row outlives tikhonov_inverse; each set's profiles
+        # are written once, in its realization pass
+        drawn, alive = self.record_live_kernel_rows(monkeypatch)
         plan = rn.ExperimentPlan(
             scene=sc.load_scene_config(scene_file),
             i_values=(64, 128),
@@ -1188,13 +1256,14 @@ class TestRunnerInternals:
         )
         result = rn.run_plan(plan)
         assert all(p.error is None for p in result.points) and result.kernel_builds == 2
-        assert alive == [("realize_masks", 0), ("save_profiles", 0)] * 4
+        assert drawn and alive == [("profile_writer", 0), ("realize_masks", 0)] * 4
+        assert len(list((tmp_path / "sweep" / "artifacts").glob("profiles_*.bin"))) == 4
 
     def test_synthesize_verb_frees_the_kernel_once_decomposed(self, scene_file, tmp_path, monkeypatch):
-        alive = self.record_live_kernels(monkeypatch)
+        drawn, alive = self.record_live_kernel_rows(monkeypatch)
         argv = ["synthesize", "--scene", str(scene_file), "-I", "128", "--output", str(tmp_path / "s")]
         assert cli.main(argv) == 0
-        assert alive == [("realize_masks", 0), ("save_profiles", 0)]
+        assert drawn and alive == [("profile_writer", 0), ("realize_masks", 0)]
 
     def test_kernel_reused_across_snr_points(self, scene_file, tmp_path):
         plan = rn.ExperimentPlan(

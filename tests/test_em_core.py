@@ -15,6 +15,7 @@ from risimage.errors import (
     KernelSizeError,
     KindMismatch,
     MalformedConfig,
+    NonFiniteKernel,
 )
 
 from conftest import desk_config, small_config, volume_config
@@ -509,6 +510,72 @@ class TestStreamedWrite:
         with pytest.raises(DimensionMismatch):
             em.write_complex_file(path, self.HEADER, iter(blocks), (6, 3))
         self.assert_untouched(path, old)
+
+
+STREAM_SCENES = pytest.mark.parametrize(
+    "cfg",
+    [desk_config(), desk_config(n_target_x=15, n_target_y=15, n_ris_x=33, n_ris_y=33), volume_config()],
+    ids=["desk", "odd-15-33", "volume"],
+)
+
+
+def stream_scene(cfg):
+    scene = sc.validate_scene(cfg)
+    return scene, sc.sample_grids(scene)
+
+
+class TestKernelStream:
+    """A kernel's stored rows, handed over a block at a time as they are assembled."""
+
+    @STREAM_SCENES
+    def test_blocks_are_the_stored_rows(self, cfg):
+        scene, grids = stream_scene(cfg)
+        kernel = em.assemble_kernel(scene, grids)
+        stream = em.kernel_stream(scene, grids)
+        assert (stream.kind, stream.fingerprint, stream.shape) == (kernel.kind, kernel.fingerprint, kernel.shape)
+        assert (stream.symmetry is None) == (kernel.symmetry is None)
+        blocks = list(stream.blocks)
+        assert len(blocks) > 1 and all(block.shape[1] == scene.n_ris for block in blocks)
+        assert np.concatenate(blocks).tobytes() == kernel.stored.tobytes()
+        assert list(stream.blocks) == []  # drawn once
+
+    def test_kind_and_size_are_checked_before_any_row(self, small_scene, monkeypatch):
+        scene, grids = small_scene
+        with pytest.raises(KindMismatch):
+            em._volume_rows(scene, grids)
+        monkeypatch.setattr(em, "ENTRY_CAP", scene.n_target * scene.n_ris - 1)
+        with pytest.raises(KernelSizeError):
+            em.kernel_stream(scene, grids)
+
+    def test_non_finite_entries_raise_before_their_rows(self):
+        # a valid scene whose offset tables overflow in kr**2
+        scene, grids = stream_scene(volume_config(wavelength=1e-154, receiver_pos=(5.0, 5.0, -1e153)))
+        stream = em.kernel_stream(scene, grids)
+        with pytest.raises(NonFiniteKernel, match="wavelength 1e-154 m"):
+            next(stream.blocks)
+
+    @STREAM_SCENES
+    def test_saved_stream_writes_the_kernel_file_once_drawn(self, cfg, tmp_path):
+        scene, grids = stream_scene(cfg)
+        em.save_kernel(tmp_path / "whole.bin", em.assemble_kernel(scene, grids))
+        path = tmp_path / "streamed.bin"
+        blocks = em.kernel_stream(scene, grids).saved_to(path).blocks
+        next(blocks)
+        assert not path.exists()  # replaced only once the last block is drawn
+        for _ in blocks:
+            pass
+        assert path.read_bytes() == (tmp_path / "whole.bin").read_bytes()
+        assert list(tmp_path.glob(".*.tmp")) == []
+
+    def test_stream_left_undrawn_keeps_the_old_file(self, small_scene, tmp_path):
+        scene, grids = small_scene
+        path = tmp_path / "kernel.bin"
+        path.write_bytes(b"old")
+        blocks = em.kernel_stream(scene, grids).saved_to(path).blocks
+        next(blocks)
+        blocks.close()
+        assert path.read_bytes() == b"old"
+        assert list(tmp_path.glob(".*.tmp")) == []
 
 
 def oracle_plane_entries(scene, grids):

@@ -662,6 +662,13 @@ class TestHadamardRoute:
         assert folded_shapes <= {symmetry.aperture_shape[::-1]}
 
 
+STREAMED_SCENES_PLAIN = pytest.mark.parametrize(
+    "cfg",
+    [desk_config(), desk_config(n_target_x=15, n_target_y=15, n_ris_x=33, n_ris_y=33), volume_config()],
+    ids=["desk", "odd-15-33", "volume"],
+)
+
+
 class TestSelfContainedInverse:
     """The inverse keeps its sector blocks, formed once, and never the kernel."""
 
@@ -691,22 +698,46 @@ class TestSelfContainedInverse:
         assert np.shares_memory(sector.block, entries)
 
     def test_blocks_are_formed_once_per_inverse(self, desk_scene, tmp_path, monkeypatch):
+        # decomposed from the stream of the kernel's rows, the profiles exported in the
+        # realization pass, and every reader that maps back to the aperture later on
         calls = []
 
         def counted(kernel, _original=rs._sector_blocks):
-            calls.append(kernel.shape)
+            calls.append((type(kernel), kernel.shape))
             return _original(kernel)
 
         monkeypatch.setattr(rs, "_sector_blocks", counted)
         scene, grids = desk_scene
-        inv = rs.tikhonov_inverse(em.kernel_2d(scene, grids), 1e-12)
+        inv = rs.tikhonov_inverse(em.kernel_stream(scene, grids), 1e-12)
         masks = md.ideal_masks(scene, grids, 256)
         misfit = rs.RealizedMisfit(inv, masks, 1.0)
-        realized = rs.realize_masks(inv, masks, 1.0, [misfit.add])
+        with rs.profile_writer(tmp_path / "profiles.bin", inv, masks.count, "f") as profiles:
+            realized = rs.realize_masks(inv, masks, 1.0, [misfit.add, profiles])
         rs.synthesis_profiles(inv, masks, 1.0)
         inv.apply(masks.vectors[:3].T)
         rs.write_synthesis_summary(tmp_path / "synthesis.txt", inv, realized, misfit.values)
-        assert calls == [(scene.n_target, scene.n_ris)]
+        assert calls == [(em.KernelStream, (scene.n_target, scene.n_ris))]
+
+    @STREAMED_SCENES_PLAIN
+    @pytest.mark.parametrize("rows_per_block", [1, 3, None], ids=["row", "three-rows", "default"])
+    def test_streamed_kernel_decomposes_to_the_same_bits(self, cfg, rows_per_block, monkeypatch):
+        # the quadrant rows arrive in blocks that need not hold whole target lines
+        scene = sc.validate_scene(cfg)
+        grids = sc.sample_grids(scene)
+        stored = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12)
+        if rows_per_block is not None:
+            monkeypatch.setattr(em, "_CHUNK_ENTRIES", rows_per_block * scene.n_ris)
+        streamed = rs.tikhonov_inverse(em.kernel_stream(scene, grids), 1e-12)
+        assert len(streamed.sectors) == len(stored.sectors)
+        for a, b in zip(stored.sectors, streamed.sectors):
+            for name in ("block", "u", "sigma", "inv_sigma"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    def test_stored_rows_that_miss_the_quadrant_are_rejected(self, desk_scene):
+        kernel = em.kernel_2d(*desk_scene)
+        short = dataclasses.replace(kernel, stored=kernel.stored[:-1])
+        with pytest.raises(DimensionMismatch, match="mirror quadrant"):
+            rs.tikhonov_inverse(short, 1e-12)
 
     def test_inverse_holds_only_its_blocks_and_u(self, desk_scene):
         # the desk kernel alone (4 MiB) is four times its blocks and exceeds the slack
@@ -818,6 +849,72 @@ class TestStreamedExports:
         assert list(tmp_path.glob(".*.tmp")) == []
 
 
+LAYOUT_SCENES = pytest.mark.parametrize(
+    "cfg, threshold_factor",
+    [
+        (desk_config(n_target_x=15, n_target_y=15, n_ris_x=33, n_ris_y=33), rs.DEFAULT_THRESHOLD_FACTOR),
+        (desk_config(), 6e6),
+        (volume_config(), rs.DEFAULT_THRESHOLD_FACTOR),
+    ],
+    ids=["odd-15-33", "low-rank", "volume"],
+)
+
+
+class TestOneArrayLayout:
+    """A realization pass stages c at the tail of the array whose head takes the
+    kept rows; every reader sees the bits that separate arrays give."""
+
+    @LAYOUT_SCENES
+    @pytest.mark.parametrize("chunk", [None, 4096], ids=["default-blocks", "small-blocks"])
+    def test_readers_see_what_separate_arrays_give(self, cfg, threshold_factor, chunk, tmp_path, monkeypatch):
+        if chunk is not None:  # many blocks, whose rows of profiles and of masks do not line up
+            monkeypatch.setattr(rs, "_CHUNK_ENTRIES", chunk)
+        scene = sc.validate_scene(cfg)
+        grids = sc.sample_grids(scene)
+        inv = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12, threshold_factor)
+        masks = md.ideal_masks(scene, grids, 256)
+        if threshold_factor != rs.DEFAULT_THRESHOLD_FACTOR:
+            assert 0 < 2 * inv.retained_rank < scene.n_target  # c is shorter than u
+        # the coefficients staged alone, in an array of their own
+        fresh = np.empty((masks.count, inv.retained_rank), dtype=complex)
+        rs._stage_coefficients(inv, rs._folded_factors(inv), masks, fresh)
+        right = [(f.u * f.sigma).T for f in rs._folded_factors(inv)]
+        budget = np.sqrt(scene.n_ris * 1.5)
+        seen = []
+
+        def reader(rows, block, norms, c):
+            seen.append((rows, block.copy(), norms.copy(), c.copy()))
+
+        with rs.profile_writer(tmp_path / "p.bin", inv, masks.count, "f") as profiles:
+            realized = rs.realize_masks(inv, masks, 1.5, [reader, profiles])
+        assert seen[-1][0].stop == masks.count and (chunk is None or len(seen) >= 2)
+        for rows, block, norms, c in seen:
+            parts = fresh[rows].view(np.float64)
+            assert norms.tobytes() == np.sqrt(np.einsum("ik,ik->i", parts, parts)).tobytes()
+            scaled = fresh[rows] * (budget / norms)[:, None]
+            assert c.tobytes() == scaled.tobytes()
+            mapped = np.empty_like(block)
+            rs._map_rows(scaled, right, rs._target_shape(inv), mapped)
+            assert block.tobytes() == mapped.tobytes()
+            kept = block if masks.kind == md.KIND_MASK3D else np.abs(block)
+            assert realized.stored[rows].tobytes() == kept.tobytes()
+        assert realized.solution_norms.tobytes() == np.concatenate([norms for _, _, norms, _ in seen]).tobytes()
+        profiles = rs.synthesis_profiles(inv, masks, 1.5)
+        header = f"kind=profiles count={masks.count} points={scene.n_ris} fingerprint=f\n".encode()
+        assert (tmp_path / "p.bin").read_bytes() == header + profiles.astype("<c16").tobytes()
+
+    @LAYOUT_SCENES
+    def test_kept_rows_share_the_staging_array(self, cfg, threshold_factor):
+        scene = sc.validate_scene(cfg)
+        grids = sc.sample_grids(scene)
+        inv = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12, threshold_factor)
+        realized = rs.realize_masks(inv, md.ideal_masks(scene, grids, 256), 1.0)
+        held = realized.stored.base
+        width = scene.n_target if realized.kind == md.KIND_MASK3D else -(-scene.n_target // 2)
+        assert held.dtype == np.complex128 and held.size == 256 * max(inv.retained_rank, width)
+        assert realized.stored.flags.c_contiguous and not realized.stored.flags.writeable
+
+
 class TestInverseWithoutBlocks:
     """An inverse without its sector blocks realizes masks alike and maps nothing back to the aperture."""
 
@@ -888,6 +985,17 @@ class TestPeakMemory:
         peak, profiles = peak_traced_bytes(lambda: rs.synthesis_profiles(inv, stored, 1.0))
         assert peak <= profiles.nbytes + self.SLACK
 
+    def test_streamed_inverse_never_holds_the_quadrant(self):
+        # at 64^2 x 32^2 the stored quadrant and the sector blocks are 16 MiB each;
+        # decomposed from the stream of the kernel's rows, the inverse holds the
+        # blocks, a few row blocks of assembly and the SVD's temporaries
+        scene = sc.validate_scene(desk_config(n_target_x=32, n_target_y=32, n_ris_x=64, n_ris_y=64))
+        grids = sc.sample_grids(scene)
+        peak, inv = peak_traced_bytes(lambda: rs.tikhonov_inverse(em.kernel_stream(scene, grids), 1e-12))
+        blocks = sum(s.block.nbytes for s in inv.sectors)
+        quadrant = math.prod(inv.symmetry.quadrant_shape) * scene.n_ris * 16
+        assert peak < blocks + quadrant
+
     @pytest.mark.parametrize(
         "cfg",
         [desk_config(), desk_config(n_target_x=15, n_target_y=15, n_ris_x=33, n_ris_y=33)],
@@ -925,7 +1033,13 @@ class TestPeakMemory:
         # the previous block's result is already freed
         inv, masks = desk_synthesis
         factors = rs._folded_factors(inv)
-        peak, c = peak_traced_bytes(lambda: rs._stage_coefficients(inv, factors, masks, inv.retained_rank))
+
+        def staged():
+            c = np.empty((masks.count, inv.retained_rank), dtype=complex)
+            rs._stage_coefficients(inv, factors, masks, c)
+            return c
+
+        peak, c = peak_traced_bytes(staged)
         assert peak <= c.nbytes + (5 << 19)
 
     def test_designed_export_forms_one_block_at_a_time(self, desk_synthesis, tmp_path):
@@ -949,9 +1063,10 @@ class TestPeakMemory:
 
     def test_realized_plane_set_never_holds_its_complex_stack(self):
         # at desk scale and z' = 0.5 (sum r_s = 173 of M = 256), realizing a set with
-        # its fields and then reading its moments holds the magnitudes u (2 MiB), the
-        # staged coefficients (2.7 MiB) and a few of the pass's blocks: less than the
-        # complex (I, M) stack and u (6 MiB) that a realized plane set once held
+        # its fields and then reading its moments holds one array of the staged
+        # coefficients (2.7 MiB), whose head then takes the magnitudes u (2 MiB), and
+        # the staging's two column blocks: less than the complex (I, M) stack and u
+        # (6 MiB) that a realized plane set once held
         scene = sc.validate_scene(desk_config(0.5))
         grids = sc.sample_grids(scene)
         inv = rs.tikhonov_inverse(em.kernel_2d(scene, grids), 1e-12)
@@ -967,18 +1082,20 @@ class TestPeakMemory:
         count, points = ideal.count, ideal.points
         magnitudes, stack = count * points * 8, count * points * 16
         coefficients = count * inv.retained_rank * 16
-        block = count * points // rs._REALIZE_BLOCKS * 16
-        assert peak <= magnitudes + coefficients + 5 * block < stack + magnitudes
+        # u is written over c, so the pass holds no more than staging c does
+        # (test_designed_coefficients_hold_two_blocks_beside_their_output)
+        assert peak <= coefficients + (5 << 19) < stack + magnitudes
         assert u is realized.stored and not np.iscomplexobj(u)
 
     def test_many_masks_need_no_coefficient_stack(self, desk_synthesis, desk_scene):
-        # at I = 4,096 a realized plane set keeps its magnitudes (8 MiB) and stages
-        # its coefficients alone (16 MiB at sum r_s = 256); a complex (I, M) stack
-        # kept beside them would alone exceed the slack (16 MiB)
+        # at I = 4,096 a realized plane set stages its coefficients (16 MiB at
+        # sum r_s = 256) in one array and writes its magnitudes (8 MiB) over them, so
+        # the pass peaks below the two side by side; a complex (I, M) stack (16 MiB)
+        # beside them would exceed the slack many times
         inv, _ = desk_synthesis
         masks = md.ideal_masks(*desk_scene, 4096)
         peak, realized = peak_traced_bytes(lambda: rs.realize_masks(inv, masks, 1.0))
         coefficients = masks.count * inv.retained_rank * 16
-        assert peak <= coefficients + realized.stored.nbytes + self.SLACK
+        assert peak <= coefficients + (4 << 20) < coefficients + realized.stored.nbytes
         peak, profiles = peak_traced_bytes(lambda: rs.synthesis_profiles(inv, masks, 1.0))
         assert peak <= profiles.nbytes + self.SLACK
