@@ -11,8 +11,6 @@ from .em_core import (
     assemble_kernel,
     green_tensor,
     incident_current,
-    kernel_2d,
-    kernel_3d,
     kernel_stream,
     load_kernel,
     psf_vector,

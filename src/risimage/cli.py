@@ -73,7 +73,8 @@ def _add_scene_options(parser: argparse.ArgumentParser, required: bool = True) -
 
 
 def _add_plan_options(parser: argparse.ArgumentParser) -> None:
-    """Options whose defaults are the :class:`ExperimentPlan` defaults."""
+    """Options whose defaults are the :class:`ExperimentPlan` defaults, but
+    for ``-I`` (:func:`_measurement_count`)."""
     parser.add_argument("--target", help="built-in name or target file")
     parser.add_argument("-I", "--measurements", type=int, help="mask count")
     parser.add_argument("--snr-db", type=float, help="receiver SNR (omit for noiseless)")
@@ -148,13 +149,15 @@ def cmd_kernel(args) -> int:
         kernel = em_core.load_kernel(out, scene, grids)
         print(f"cache hit: {out} ({_kernel_label(kernel)})")
         return 0
-    kernel = em_core.assemble_kernel(scene, grids)
-    em_core.save_kernel(out, kernel)
+    # the stored rows go to the file as they are assembled, so the kernel never exists whole
+    kernel = em_core.kernel_stream(scene, grids).saved_to(out)
+    for _ in kernel.blocks:
+        pass
     print(f"assembled {_kernel_label(kernel)} kernel -> {out}")
     return 0
 
 
-def _kernel_label(kernel: em_core.KernelMatrix) -> str:
+def _kernel_label(kernel: em_core.KernelMatrix | em_core.KernelStream) -> str:
     """Kind and shape, marked when synthesis can split the kernel into mirror
     sectors, and when it can split them further under the x <-> y swap."""
     symmetry = kernel.symmetry
@@ -248,8 +251,10 @@ def cmd_reconstruct(args) -> int:
 def _plan_from_args(args, sweep: bool) -> ExperimentPlan:
     """The plan the options describe. An option sets the plan field of its
     name (``--output`` sets ``output_dir``), and one left out keeps the
-    field's default; a sweep reads its comma lists as a plan file does, and
-    a list beside the single value it replaces is a :class:`MalformedConfig`."""
+    field's default, except ``-I``: without it the mask count is the
+    smallest Hadamard order above the sample count (:func:`_measurement_count`),
+    not the plan default. A sweep reads its comma lists as a plan file does,
+    and a list beside the single value it replaces is a :class:`MalformedConfig`."""
     if sweep:
         replaced = (
             ("--snr-sweep", args.snr_sweep, "--snr-db", args.snr_db),

@@ -7,9 +7,10 @@ its aperture sample and target point only through their offset, times the
 aperture current, so assembly evaluates the entry formula once per distinct
 offset in each target slice and gathers the matrix from that table a block of
 target rows at a time. Those blocks are handed over as they are formed
-(:class:`KernelStream`): a reader that needs each row once, as the
-decomposition does, takes the stream, so the kernel never exists whole, and
-:func:`assemble_kernel` collects it into a :class:`KernelMatrix`.
+(:func:`kernel_stream`, whose kind the scene's target picks): a reader that
+needs each row once, as the decomposition and the kernel file do, takes the
+stream, so the kernel never exists whole, and :func:`assemble_kernel`
+collects it into a :class:`KernelMatrix`.
 
 A plane kernel carries its mirror structure (:class:`MirrorSymmetry`): both
 grids are centred on the origin and an entry depends on the aperture sample
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -39,11 +40,10 @@ from .errors import (
     CoincidentPoints,
     DimensionMismatch,
     KernelSizeError,
-    KindMismatch,
     MissingFile,
     NonFiniteKernel,
 )
-from .scene import PLANE_2D, VOLUME_3D, SampleGrids, ValidatedScene
+from .scene import SampleGrids, ValidatedScene
 
 KIND_Z2D = "Z_2d"
 KIND_Y3D = "Y_3d"
@@ -240,9 +240,8 @@ def _assemble(
 ) -> KernelStream:
     """The row-block loop behind every kernel, as a stream of its stored rows.
 
-    Checks at once that the scene's target suits ``kind`` and that the full
-    kernel fits under :data:`ENTRY_CAP`; the rows are formed as the stream
-    is drawn. Per target slice at height z,
+    Checks at once that the full kernel fits under :data:`ENTRY_CAP`; the
+    rows are formed as the stream is drawn. Per target slice at height z,
     ``offset_tables(dx, dy, z, r)`` evaluates the entry formula on the
     (Ky, Kx) table of distinct offsets (``dx`` (1, Kx), ``dy`` (Ky, 1), ``r``
     their lengths) and returns T tables of that shape. The stored rows are
@@ -261,9 +260,6 @@ def _assemble(
     plane target.
     """
     cfg = scene.config
-    target_kind = PLANE_2D if kind == KIND_Z2D else VOLUME_3D
-    if cfg.target_kind != target_kind:
-        raise KindMismatch(f"a {kind} kernel needs target_kind={target_kind!r}")
     ris = grids.ris_points
     targets = grids.target_points
     n_rows, n_cols = targets.shape[0], ris.shape[0]
@@ -335,11 +331,6 @@ def _plane_rows(scene: ValidatedScene, grids: SampleGrids) -> KernelStream:
         return -(1.0 + 1j * k * r) / (4.0 * math.pi * r**3) * cell * z_prime * np.exp(-1j * k * r)
 
     return _assemble(scene, grids, KIND_Z2D, offset_tables)
-
-
-def kernel_2d(scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
-    """Assemble the plane-target kernel (:func:`_plane_rows`)."""
-    return _plane_rows(scene, grids).collect()
 
 
 def psf_vector(scene: ValidatedScene, target_points: np.ndarray) -> np.ndarray:
@@ -415,14 +406,10 @@ def _volume_rows(scene: ValidatedScene, grids: SampleGrids) -> KernelStream:
     return _assemble(scene, grids, KIND_Y3D, offset_tables, row_weights)
 
 
-def kernel_3d(scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
-    """Assemble the volume-target kernel (:func:`_volume_rows`)."""
-    return _volume_rows(scene, grids).collect()
-
-
 def kernel_stream(scene: ValidatedScene, grids: SampleGrids) -> KernelStream:
-    """The stored rows of the kernel of the kind matching the scene's target,
-    as they are assembled (:class:`KernelStream`)."""
+    """The stored rows of the scene's kernel as they are assembled
+    (:class:`KernelStream`): the plane kernel (:func:`_plane_rows`) or the
+    volume kernel (:func:`_volume_rows`), as the scene's target picks."""
     return _volume_rows(scene, grids) if scene.is_3d else _plane_rows(scene, grids)
 
 
@@ -441,34 +428,12 @@ def assemble_kernel(scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
 # holds its quadrant rows while its header names the full (M, N).
 
 
-def write_complex_file(
-    path: str | Path,
-    header: str,
-    values: np.ndarray | Iterable[np.ndarray],
-    shape: tuple[int, int] | None = None,
-) -> None:
-    """Write an ASCII header line and little-endian complex128 body atomically.
-
-    ``values`` is one array, or an iterable of (rows, cols) blocks of rows
-    whose rows add up to the (rows, cols) ``shape`` the header names, each
-    written before the next is drawn, so a stream can reuse one buffer
-    (:func:`complex_file_writer`).
-    """
-    if isinstance(values, np.ndarray):
-        values, shape = (values,), values.shape
-    elif shape is None:
-        raise ValueError("a stream of blocks needs the shape its header names")
-    with complex_file_writer(path, header, shape) as write:
-        for block in values:
-            write(block)
-            del block  # freed before the next one is drawn
-
-
 @contextmanager
 def complex_file_writer(
     path: str | Path, header: str, shape: tuple[int, int]
 ) -> Iterator[Callable[[np.ndarray], None]]:
-    """The :func:`write_complex_file` layout, its body handed over a block at a time.
+    """Write an ASCII ``header`` line and a little-endian complex128 (rows,
+    cols) body of ``shape``, handed over a block of rows at a time.
 
     The context gives ``write(block)``, which writes one (rows, cols) block
     of rows before it returns, so a caller can reuse one buffer. The bytes go
@@ -508,13 +473,15 @@ def _kernel_header(kernel: KernelMatrix | KernelStream) -> str:
 
 
 def save_kernel(path: str | Path, kernel: KernelMatrix) -> None:
-    write_complex_file(path, _kernel_header(kernel), kernel.stored)
+    """Write the rows ``kernel`` stores, as one block (:func:`complex_file_writer`)."""
+    with complex_file_writer(path, _kernel_header(kernel), kernel.stored.shape) as write:
+        write(kernel.stored)
 
 
 def read_complex_file(
     path: str | Path, shape_keys: tuple[str, str], body_rows: int | None = None
 ) -> tuple[str, str, np.ndarray]:
-    """Read a file written by :func:`write_complex_file`.
+    """Read a file written by :func:`complex_file_writer`.
 
     The header is ``key=value`` pairs that include ``kind``, ``fingerprint``
     and the two integer dimensions named by ``shape_keys``; returns the kind,

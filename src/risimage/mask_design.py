@@ -90,6 +90,8 @@ class MaskSet:
     def __post_init__(self):
         if (self.stored is None) == (self.design is None):
             raise ValueError("a mask set holds exactly one of stored vectors and a design")
+        if self.kind not in (KIND_MASK2D, KIND_MASK3D):
+            raise KindMismatch(f"a mask set is of kind {KIND_MASK2D!r} or {KIND_MASK3D!r}, got {self.kind!r}")
         if self.design is not None:
             check_measurement_count(*self.design)
 
@@ -422,14 +424,16 @@ def mask_covariance(masks: MaskSet, ref_index: int) -> np.ndarray:
 
 # --- disk export ----------------------------------------------------------------
 #
-# The ``em_core.write_complex_file`` layout with the header line
-# "kind=<kind> count=<I> points=<M> fingerprint=<hex>\n", one vector set per
+# The ``em_core.complex_file_writer`` layout with the header line
+# "kind=<kind> count=<I> points=<M> fingerprint=<hex>\n", one vector set
+# (masks, or the profiles that ``ris_synthesis.profile_writer`` exports) per
 # file.
 
 
 def mask_file_writer(path: str | Path, kind: str, shape: tuple[int, int], fingerprint: str):
-    """An export of ``kind`` masks of ``shape`` (I, M), written a block of rows
-    at a time through ``write(block)`` (:func:`em_core.complex_file_writer`)."""
+    """An export of ``kind`` vectors of ``shape`` (count, points), written a
+    block of rows at a time through ``write(block)``
+    (:func:`em_core.complex_file_writer`)."""
     header = f"kind={kind} count={shape[0]} points={shape[1]} fingerprint={fingerprint}\n"
     return complex_file_writer(path, header, shape)
 

@@ -118,11 +118,22 @@ def check_seed(seed: int, streams: int) -> None:
 
 
 def check_noise_settings(n0_dbm_per_hz: float, bandwidth_hz: float) -> None:
-    """Reject a non-finite noise density or a bandwidth that is not a finite number > 0."""
+    """Reject a non-finite noise density, a bandwidth that is not a finite
+    number > 0, and a pair whose noise power N0 * B (:func:`noise_power_watts`)
+    is not a finite normal double."""
     if not math.isfinite(n0_dbm_per_hz):
         raise MalformedConfig(f"n0_dbm_per_hz must be a finite number of dBm/Hz, got {n0_dbm_per_hz!r}")
     if not (math.isfinite(bandwidth_hz) and bandwidth_hz > 0.0):
         raise MalformedConfig(f"bandwidth_hz must be a finite number > 0, got {bandwidth_hz!r}")
+    try:
+        power = noise_power_watts(n0_dbm_per_hz, bandwidth_hz)
+    except OverflowError:
+        power = math.inf
+    if not sys.float_info.min <= power < math.inf:
+        raise MalformedConfig(
+            f"n0_dbm_per_hz {n0_dbm_per_hz!r} and bandwidth_hz {bandwidth_hz!r} must give a finite "
+            "normal noise power N0 * B"
+        )
 
 
 def check_snr(snr_db: float | None) -> None:

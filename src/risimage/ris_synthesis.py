@@ -79,9 +79,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .em_core import KIND_Y3D, KIND_Z2D, KernelMatrix, KernelStream, MirrorSymmetry, complex_file_writer
+from .em_core import KIND_Y3D, KIND_Z2D, KernelMatrix, KernelStream, MirrorSymmetry
 from .errors import DimensionMismatch, KindMismatch, MalformedConfig, SvdFailure, ZeroSolution
-from .mask_design import KIND_MASK2D, KIND_MASK3D, MaskSet, project
+from .mask_design import KIND_MASK2D, KIND_MASK3D, MaskSet, mask_file_writer, project
 
 TRUNCATE_SIGMA_SQ = "sigma_sq"  # drop modes with sigma^2 < factor * gamma (default)
 TRUNCATE_SIGMA = "sigma"  # drop modes with sigma < factor * gamma (literal reading)
@@ -753,7 +753,7 @@ def profile_writer(path: str | Path, inv: RegularizedInverse, count: int, finger
     array; rows of c that do not fill such a block wait in a small buffer.
     The (I, N) profiles never exist whole, and c is not staged again. The
     file replaces ``path`` when the context ends; a pass that fails leaves
-    any earlier file in place (:func:`em_core.complex_file_writer`).
+    any earlier file in place (:func:`mask_design.mask_file_writer`).
     """
     right, shape, phase = _aperture_factors(inv)
     n = inv.shape[1]
@@ -761,8 +761,7 @@ def profile_writer(path: str | Path, inv: RegularizedInverse, count: int, finger
     waiting = np.empty((step, inv.retained_rank), dtype=np.complex128)
     profiles = np.empty((step, n), dtype=np.complex128)
     filled = 0
-    header = f"kind=profiles count={count} points={n} fingerprint={fingerprint}\n"
-    with complex_file_writer(path, header, (count, n)) as write:
+    with mask_file_writer(path, "profiles", (count, n), fingerprint) as write:
 
         def flush(c: np.ndarray) -> None:
             rows = profiles[: len(c)]

@@ -75,7 +75,7 @@ class DeskPipeline:
     def inverse(self, z_prime):
         if z_prime not in self.inverses:
             scene, grids = self.scene(z_prime)
-            kernel = em.kernel_2d(scene, grids)
+            kernel = em.assemble_kernel(scene, grids)
             self.kernels[z_prime] = kernel
             self.inverses[z_prime] = rs.tikhonov_inverse(kernel, DESK_GAMMA)
         return self.kernels[z_prime], self.inverses[z_prime]
@@ -165,10 +165,10 @@ def test_c02_tikhonov_matches_normal_equations():
 def test_c03_kernel_single_point_oracles():
     plane = sc.validate_scene(small_config())
     plane_grids = sc.sample_grids(plane)
-    z_kernel = em.kernel_2d(plane, plane_grids)
+    z_kernel = em.assemble_kernel(plane, plane_grids)
     volume = sc.validate_scene(volume_config(n_xy=4, n_z=2))
     volume_grids = sc.sample_grids(volume)
-    y_kernel = em.kernel_3d(volume, volume_grids)
+    y_kernel = em.assemble_kernel(volume, volume_grids)
 
     rng = np.random.default_rng(3)
     worst = 0.0
@@ -205,7 +205,7 @@ def test_c03_kernel_single_point_oracles():
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
         r_r = r_p + rng.uniform(0.2, 1.0) * direction
-        tensor = em.green_tensor(r_r, r_p[None, :], k)[0]  # the tensor kernel_3d uses
+        tensor = em.green_tensor(r_r, r_p[None, :], k)[0]  # the tensor assemble_kernel uses
         fd = np.empty((3, 3), dtype=complex)
         for a in range(3):
             for b in range(3):
@@ -234,7 +234,7 @@ def test_c04_two_path_volume_consistency():
     # full desk-scale voxel grid: 8x8x4 = 256 voxels against 1024 samples
     scene = sc.validate_scene(volume_config(n_xy=8, n_z=4, n_ris=32))
     grids = sc.sample_grids(scene)
-    kernel = em.kernel_3d(scene, grids)
+    kernel = em.assemble_kernel(scene, grids)
     cfg = scene.config
     k = scene.wavenumber
     rng = np.random.default_rng(8)
@@ -247,7 +247,7 @@ def test_c04_two_path_volume_consistency():
         direct = k**2 * np.sum(chi * (kernel.entries @ p)) * grids.target_cell_measure
         contracted = 0.0
         for m in voxels:
-            # second path: scalar oracles only, sharing no code with kernel_3d
+            # second path: scalar oracles only, sharing no code with assemble_kernel
             point = grids.target_points[m]
             g_row = oracle_green_row(cfg, cfg.receiver_pos, point)
             e_vec = oracle_e_field(cfg, grids.ris_points, grids.ris_cell_area, p, point)
@@ -377,7 +377,7 @@ def test_c08_singular_spectrum_staircase():
     for z_prime in DESK_Z_VALUES:
         scene = sc.validate_scene(desk_proportional_config(z_prime))
         grids = sc.sample_grids(scene)
-        spectrum = np.linalg.svd(em.kernel_2d(scene, grids).entries, compute_uv=False)
+        spectrum = np.linalg.svd(em.assemble_kernel(scene, grids).entries, compute_uv=False)
         ranks.append(int(np.count_nonzero(spectrum > 1e-3 * spectrum[0])))
         if z_prime == DESK_Z_VALUES[1]:
             decay_mid = spectrum[0] / spectrum[199]

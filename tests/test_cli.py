@@ -24,6 +24,8 @@ from risimage import runner as rn
 from risimage import scene as sc
 from risimage.targets import resolve_target, write_pgm
 
+from conftest import peak_traced_bytes
+
 SCENE_TEXT = """
 wavelength = 0.01
 ris_len_x = 0.25
@@ -91,7 +93,8 @@ class TestKernelVerb:
         grids = sc.sample_grids(scene)
         out = tmp_path / "kernel.bin"
         header = f"kind=Z_2d m={scene.n_target} n={scene.n_ris} fingerprint={scene.fingerprint}\n"
-        em_core.write_complex_file(out, header, em_core.kernel_2d(scene, grids).entries)
+        with em_core.complex_file_writer(out, header, (scene.n_target, scene.n_ris)) as write:
+            write(em_core.assemble_kernel(scene, grids).entries)
         assert cli.main(["kernel", "--scene", str(scene_file), "--output", str(out)]) == 2
         assert "CacheMismatch" in capsys.readouterr().err
         assert cli.main(["kernel", "--scene", str(scene_file), "--output", str(out), "--force"]) == 0
@@ -112,6 +115,48 @@ class TestKernelVerb:
         out = tmp_path / "kernel.bin"
         assert cli.main(["kernel", "--scene", str(scene_file), *overrides, "--output", str(out)]) == 0
         assert label in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"n_ris_x": 32, "n_ris_y": 32, "n_target_x": 16, "n_target_y": 16},
+            {"target_len_y": 0.1},
+            {"n_ris_x": 33, "n_ris_y": 33, "n_target_x": 15, "n_target_y": 15},
+            {"target_kind": "volume3d", "n_target_x": 2, "n_target_y": 2, "n_target_z": 2, "target_depth": 0.0625},
+        ],
+        ids=["desk", "oblong", "odd-15-33", "volume"],
+    )
+    def test_streamed_file_holds_the_saved_kernel(self, scene_file, tmp_path, overrides):
+        sets = [a for key, value in overrides.items() for a in ("--set", f"{key}={value}")]
+        out = tmp_path / "kernel.bin"
+        assert cli.main(["kernel", "--scene", str(scene_file), *sets, "--output", str(out)]) == 0
+        scene = sc.validate_scene(dataclasses.replace(sc.load_scene_config(scene_file), **overrides))
+        em_core.save_kernel(tmp_path / "whole.bin", em_core.assemble_kernel(scene, sc.sample_grids(scene)))
+        assert out.read_bytes() == (tmp_path / "whole.bin").read_bytes()
+        assert not list(tmp_path.glob(".*.tmp"))
+
+    def test_build_never_holds_the_quadrant(self, scene_file, tmp_path):
+        # at 64^2 x 32^2 the stored quadrant is 16 MiB; the file takes it a row block at a time
+        sizes = [f"{key}={n}" for key, n in (("n_ris_x", 64), ("n_ris_y", 64), ("n_target_x", 32), ("n_target_y", 32))]
+        argv = ["kernel", "--scene", str(scene_file), *(a for s in sizes for a in ("--set", s))]
+        peak, code = peak_traced_bytes(lambda: cli.main([*argv, "--output", str(tmp_path / "kernel.bin")]))
+        assert code == 0
+        quadrant = 16 * 16 * 64 * 64 * 16
+        assert (tmp_path / "kernel.bin").stat().st_size > quadrant
+        assert peak < quadrant // 2
+
+    def test_failing_forced_build_leaves_the_old_file(self, tmp_path, capsys):
+        scene_path = tmp_path / "volume.cfg"
+        scene_path.write_text(TestVolumeVerbs.VOLUME_SCENE)
+        out = tmp_path / "kernel.bin"
+        assert cli.main(["kernel", "--scene", str(scene_path), "--output", str(out)]) == 0
+        old = out.read_bytes()
+        argv = ["kernel", "--scene", str(scene_path), *TestBadInput.OVERFLOWING_VOLUME, "--output", str(out)]
+        assert cli.main([*argv, "--force"]) == 2
+        assert "NonFiniteKernel" in capsys.readouterr().err
+        assert out.read_bytes() == old
+        assert not list(tmp_path.glob(".*.tmp"))
 
 
 class TestMasksVerb:
@@ -694,6 +739,17 @@ class TestBadInput:
         assert "MalformedConfig" in capsys.readouterr().err
         assert not (tmp_path / "p").exists()
 
+    @pytest.mark.parametrize("n0", ["5000", "-5000"], ids=["overflow", "underflow"])
+    def test_noise_power_out_of_range_in_plan_file(self, scene_file, tmp_path, capsys, n0):
+        # N0 * B overflows (a traceback) or underflows to 0.0 (a noisy point measured without noise)
+        plan_path = tmp_path / "plan.cfg"
+        entries = f"noise_mode = absolute\nn0_dbm_per_hz = {n0}\nsnr_values = 20\n"
+        plan_path.write_text(f"scene = {scene_file.name}\n{entries}output_dir = {tmp_path / 'p'}\n")
+        assert cli.main(["sweep", "--plan", str(plan_path)]) == 2
+        err = capsys.readouterr().err
+        assert "MalformedConfig" in err and f"n0_dbm_per_hz {float(n0)!r} and bandwidth_hz 1000000.0" in err
+        assert not (tmp_path / "p").exists()
+
     @pytest.mark.parametrize("verb", ["run", "measure", "synthesize"])
     def test_negative_gamma_flag(self, scene_file, tmp_path, capsys, verb):
         code = cli.main(
@@ -1044,6 +1100,17 @@ class TestBadInput:
         assert "KindMismatch" in capsys.readouterr().err
         assert not list(tmp_path.glob("estimate*"))
 
+    def test_profile_export_is_no_mask_set(self, scene_file, tmp_path, capsys):
+        synth = tmp_path / "synth"
+        common = ["--scene", str(scene_file), "-I", "128"]
+        assert cli.main(["synthesize", *common, "--output", str(synth)]) == 0
+        records = tmp_path / "records.csv"
+        assert cli.main(["measure", *common, "--output", str(records)]) == 0
+        argv = ["reconstruct", *common, "--records", str(records), "--masks", str(synth / "profiles.bin")]
+        assert cli.main([*argv, "--output", str(tmp_path / "estimate.pgm")]) == 2
+        assert "KindMismatch" in capsys.readouterr().err
+        assert not list(tmp_path.glob("estimate*"))
+
     def test_scene_outside_the_near_field_exits_2_before_any_directory(self, scene_file, tmp_path, capsys):
         # validate rejects the scene itself, so run and sweep do too
         scene_argv = ["--scene", str(scene_file), "--set", "target_distance=30"]
@@ -1105,7 +1172,8 @@ class TestRunnerInternals:
         cached = tmp_path / "cache" / "kernels" / f"kernel_{scene.fingerprint[:16]}.bin"
         cached.parent.mkdir(parents=True)
         header = f"kind=Z_2d m={scene.n_target} n={scene.n_ris} fingerprint={scene.fingerprint}\n"
-        em_core.write_complex_file(cached, header, em_core.kernel_2d(scene, sc.sample_grids(scene)).entries)
+        with em_core.complex_file_writer(cached, header, (scene.n_target, scene.n_ris)) as write:
+            write(em_core.assemble_kernel(scene, sc.sample_grids(scene)).entries)
         stale = dataclasses.replace(plan, keep_artifacts=True, output_dir=str(tmp_path / "cache"))
 
         result = rn.run_plan(stale)

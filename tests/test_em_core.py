@@ -13,7 +13,6 @@ from risimage.errors import (
     CoincidentPoints,
     DimensionMismatch,
     KernelSizeError,
-    KindMismatch,
     MalformedConfig,
     NonFiniteKernel,
 )
@@ -131,7 +130,7 @@ class TestIncidentCurrent:
 
 
 def assert_plane_entries_match_oracle(scene, grids, seed):
-    kernel = em.kernel_2d(scene, grids)
+    kernel = em.assemble_kernel(scene, grids)
     rng = np.random.default_rng(seed)
     for _ in range(100):
         m = int(rng.integers(grids.target_points.shape[0]))
@@ -143,7 +142,7 @@ def assert_plane_entries_match_oracle(scene, grids, seed):
 
 
 def assert_volume_entries_match_oracle(scene, grids, seed):
-    kernel = em.kernel_3d(scene, grids)
+    kernel = em.assemble_kernel(scene, grids)
     rng = np.random.default_rng(seed)
     receiver = scene.config.receiver_pos
     for _ in range(100):
@@ -158,7 +157,7 @@ def assert_volume_entries_match_oracle(scene, grids, seed):
 def assert_two_path_consistency(scene, grids, seed):
     # contrast-weighted receiver sum equals the Green-row contraction of
     # the aperture field components, voxel by voxel
-    kernel = em.kernel_3d(scene, grids)
+    kernel = em.assemble_kernel(scene, grids)
     rng = np.random.default_rng(seed)
     cfg = scene.config
     k = scene.wavenumber
@@ -213,7 +212,7 @@ class TestKernel2d:
 
     def test_entries_finite_and_nonzero(self, desk_scene):
         scene, grids = desk_scene
-        kernel = em.kernel_2d(scene, grids)
+        kernel = em.assemble_kernel(scene, grids)
         assert np.all(np.isfinite(kernel.entries))
         assert np.all(np.abs(kernel.entries) > 0.0)
 
@@ -222,7 +221,7 @@ class TestKernel2d:
         # pair of (target, aperture) points has equal magnitude
         scene = sc.validate_scene(small_config())
         grids = sc.sample_grids(scene)
-        kernel = em.kernel_2d(scene, grids)
+        kernel = em.assemble_kernel(scene, grids)
         x_t = grids.target_points[:, 0]
         x_r = grids.ris_points[:, 0]
         m_pos = int(np.argmax(x_t))
@@ -240,19 +239,14 @@ class TestKernel2d:
         centre_n = 16 * 8 + 8
         z_near = oracle_z_entry(near.config, g_near.target_points[centre_m], g_near.ris_points[centre_n], g_near.ris_cell_area)
         z_far = oracle_z_entry(far.config, g_far.target_points[centre_m], g_far.ris_points[centre_n], g_far.ris_cell_area)
-        assert em.kernel_2d(near, g_near).entries[centre_m, centre_n] == pytest.approx(z_near, rel=1e-12)
+        assert em.assemble_kernel(near, g_near).entries[centre_m, centre_n] == pytest.approx(z_near, rel=1e-12)
         assert abs(z_far) / abs(z_near) == pytest.approx(0.5, rel=0.05)
 
     def test_sizing_cap_raises_before_allocation(self, small_scene, monkeypatch):
         scene, grids = small_scene
         monkeypatch.setattr(em, "ENTRY_CAP", 100)
         with pytest.raises(KernelSizeError):
-            em.kernel_2d(scene, grids)
-
-    def test_kind_mismatch(self, volume_scene):
-        scene, grids = volume_scene
-        with pytest.raises(KindMismatch):
-            em.kernel_2d(scene, grids)
+            em.assemble_kernel(scene, grids)
 
 
 class TestPsf:
@@ -347,7 +341,7 @@ class TestKernel3d:
 
     def test_zero_coefficients_zero_field(self, volume_scene):
         scene, grids = volume_scene
-        kernel = em.kernel_3d(scene, grids)
+        kernel = em.assemble_kernel(scene, grids)
         np.testing.assert_array_equal(kernel.entries @ np.zeros(scene.n_ris), 0.0)
 
     def test_two_path_consistency(self, volume_scene):
@@ -385,10 +379,16 @@ def test_kernel_independent_of_row_blocks(request, monkeypatch, fixture):
     np.testing.assert_array_equal(em.assemble_kernel(scene, grids).entries, whole)
 
 
+def write_file(path, header, values):
+    """A binary file whose body is the one array ``values``."""
+    with em.complex_file_writer(path, header, values.shape) as write:
+        write(values)
+
+
 class TestKernelCache:
     def test_round_trip(self, small_scene, tmp_path):
         scene, grids = small_scene
-        kernel = em.kernel_2d(scene, grids)
+        kernel = em.assemble_kernel(scene, grids)
         path = tmp_path / "kernel.bin"
         em.save_kernel(path, kernel)
         loaded = em.load_kernel(path, scene, grids)
@@ -398,7 +398,7 @@ class TestKernelCache:
     def test_fingerprint_mismatch_rejected(self, small_scene, tmp_path):
         scene, grids = small_scene
         path = tmp_path / "kernel.bin"
-        em.save_kernel(path, em.kernel_2d(scene, grids))
+        em.save_kernel(path, em.assemble_kernel(scene, grids))
         other = sc.validate_scene(small_config(z_prime=0.25))
         with pytest.raises(CacheMismatch):
             em.load_kernel(path, other, sc.sample_grids(other))
@@ -406,7 +406,7 @@ class TestKernelCache:
     def test_overlong_body_rejected(self, small_scene, tmp_path):
         scene, grids = small_scene
         path = tmp_path / "kernel.bin"
-        em.save_kernel(path, em.kernel_2d(scene, grids))
+        em.save_kernel(path, em.assemble_kernel(scene, grids))
         path.write_bytes(path.read_bytes() + bytes(16))
         with pytest.raises(CacheMismatch):
             em.load_kernel(path, scene, grids)
@@ -421,7 +421,7 @@ class TestKernelCache:
     def test_loaded_entries_are_read_only(self, small_scene, tmp_path):
         scene, grids = small_scene
         path = tmp_path / "kernel.bin"
-        em.save_kernel(path, em.kernel_2d(scene, grids))
+        em.save_kernel(path, em.assemble_kernel(scene, grids))
         entries = em.load_kernel(path, scene, grids).entries
         assert entries.dtype == np.complex128 and not entries.flags.writeable
 
@@ -431,7 +431,7 @@ class TestKernelCache:
         values = (rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))).astype(dtype).T
         assert not values.flags.c_contiguous
         header = "kind=t count=3 points=5 fingerprint=f\n"
-        em.write_complex_file(tmp_path / "v.bin", header, values)
+        write_file(tmp_path / "v.bin", header, values)
         body = (tmp_path / "v.bin").read_bytes()[len(header) :]
         assert body == np.ascontiguousarray(values, dtype="<c16").tobytes()
         kind, fingerprint, loaded = em.read_complex_file(tmp_path / "v.bin", ("count", "points"))
@@ -441,7 +441,7 @@ class TestKernelCache:
     def test_truncated_body_rejected(self, small_scene, tmp_path):
         scene, grids = small_scene
         path = tmp_path / "kernel.bin"
-        em.save_kernel(path, em.kernel_2d(scene, grids))
+        em.save_kernel(path, em.assemble_kernel(scene, grids))
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(CacheMismatch):
@@ -449,7 +449,7 @@ class TestKernelCache:
 
 
 class TestStreamedWrite:
-    """``write_complex_file`` takes row blocks and stays atomic."""
+    """``complex_file_writer`` takes row blocks and stays atomic."""
 
     HEADER = "kind=t count=6 points=3 fingerprint=f\n"
 
@@ -460,7 +460,7 @@ class TestStreamedWrite:
 
     def old_file(self, tmp_path):
         path = tmp_path / "v.bin"
-        em.write_complex_file(path, self.HEADER, 2.0 * self.values())
+        write_file(path, self.HEADER, 2.0 * self.values())
         return path, path.read_bytes()
 
     @staticmethod
@@ -471,32 +471,20 @@ class TestStreamedWrite:
     def test_blocks_write_the_bytes_of_the_whole_array(self, tmp_path):
         values = self.values()
         buffer = np.empty((4, 3), dtype=complex)
-
-        def reused():  # each block overwrites the last one's buffer
-            for start in range(0, 6, 4):
+        write_file(tmp_path / "a.bin", self.HEADER, values)
+        with em.complex_file_writer(tmp_path / "b.bin", self.HEADER, (6, 3)) as write:
+            for start in range(0, 6, 4):  # each block overwrites the last one's buffer
                 rows = buffer[: len(values[start : start + 4])]
                 rows[...] = values[start : start + 4]
-                yield rows
-
-        em.write_complex_file(tmp_path / "a.bin", self.HEADER, values)
-        em.write_complex_file(tmp_path / "b.bin", self.HEADER, reused(), (6, 3))
+                write(rows)
         assert (tmp_path / "b.bin").read_bytes() == (tmp_path / "a.bin").read_bytes()
-
-    def test_stream_needs_its_shape(self, tmp_path):
-        with pytest.raises(ValueError):
-            em.write_complex_file(tmp_path / "v.bin", self.HEADER, iter([self.values()]))
-        assert list(tmp_path.iterdir()) == []
 
     def test_failing_stream_leaves_the_old_file(self, tmp_path):
         path, old = self.old_file(tmp_path)
-        values = self.values()
-
-        def failing():
-            yield values[:2]
-            raise ZeroDivisionError("block 1")
-
         with pytest.raises(ZeroDivisionError):
-            em.write_complex_file(path, self.HEADER, failing(), (6, 3))
+            with em.complex_file_writer(path, self.HEADER, (6, 3)) as write:
+                write(self.values()[:2])
+                raise ZeroDivisionError("block 1")
         self.assert_untouched(path, old)
 
     @pytest.mark.parametrize(
@@ -506,9 +494,10 @@ class TestStreamedWrite:
     )
     def test_blocks_that_miss_the_header_leave_the_old_file(self, tmp_path, shapes):
         path, old = self.old_file(tmp_path)
-        blocks = [self.values()[:rows, :cols] for rows, cols in shapes]
         with pytest.raises(DimensionMismatch):
-            em.write_complex_file(path, self.HEADER, iter(blocks), (6, 3))
+            with em.complex_file_writer(path, self.HEADER, (6, 3)) as write:
+                for rows, cols in shapes:
+                    write(self.values()[:rows, :cols])
         self.assert_untouched(path, old)
 
 
@@ -539,10 +528,8 @@ class TestKernelStream:
         assert np.concatenate(blocks).tobytes() == kernel.stored.tobytes()
         assert list(stream.blocks) == []  # drawn once
 
-    def test_kind_and_size_are_checked_before_any_row(self, small_scene, monkeypatch):
+    def test_size_is_checked_before_any_row(self, small_scene, monkeypatch):
         scene, grids = small_scene
-        with pytest.raises(KindMismatch):
-            em._volume_rows(scene, grids)
         monkeypatch.setattr(em, "ENTRY_CAP", scene.n_target * scene.n_ris - 1)
         with pytest.raises(KernelSizeError):
             em.kernel_stream(scene, grids)
@@ -609,7 +596,7 @@ class TestStoredQuadrant:
     @QUADRANT_GRIDS
     def test_stores_about_a_quarter_of_the_entries(self, target, aperture):
         scene, grids = quadrant_scene(target, aperture)
-        kernel = em.kernel_2d(scene, grids)
+        kernel = em.assemble_kernel(scene, grids)
         (nx, ny), n = target, scene.n_ris
         quadrant_rows = (nx - nx // 2) * (ny - ny // 2)
         assert kernel.stored.shape == (quadrant_rows, n)
@@ -622,7 +609,7 @@ class TestStoredQuadrant:
     @QUADRANT_GRIDS
     def test_every_row_is_a_mirrored_quadrant_row_times_the_current(self, target, aperture):
         scene, grids = quadrant_scene(target, aperture)
-        kernel = em.kernel_2d(scene, grids)
+        kernel = em.assemble_kernel(scene, grids)
         (nx, ny), (ax, ay) = target, aperture
         ex, ey = nx - nx // 2, ny - ny // 2
         current = em.incident_current(scene, grids.ris_points[:, 1]).reshape(ay, ax)
@@ -640,7 +627,7 @@ class TestStoredQuadrant:
     @QUADRANT_GRIDS
     def test_entries_match_the_closed_form(self, target, aperture):
         scene, grids = quadrant_scene(target, aperture)
-        entries = em.kernel_2d(scene, grids).entries
+        entries = em.assemble_kernel(scene, grids).entries
         expected = oracle_plane_entries(scene, grids)
         np.testing.assert_allclose(entries, expected, rtol=1e-12, atol=0)
 
@@ -648,9 +635,9 @@ class TestStoredQuadrant:
     def test_entries_match_every_row_evaluated(self, target, aperture, monkeypatch):
         # without its mirror structure the kernel evaluates and stores every row
         scene, grids = quadrant_scene(target, aperture)
-        entries = em.kernel_2d(scene, grids).entries
+        entries = em.assemble_kernel(scene, grids).entries
         monkeypatch.setattr(em, "_mirror_symmetry", lambda *_: None)
-        evaluated = em.kernel_2d(scene, grids).stored
+        evaluated = em.assemble_kernel(scene, grids).stored
         (nx, ny), (ax, ay) = target, aperture
         centres = (
             grids.target_points[:nx, 0],
@@ -667,7 +654,7 @@ class TestStoredQuadrant:
     @QUADRANT_GRIDS
     def test_cache_round_trip_stores_the_quadrant(self, target, aperture, tmp_path):
         scene, grids = quadrant_scene(target, aperture)
-        kernel = em.kernel_2d(scene, grids)
+        kernel = em.assemble_kernel(scene, grids)
         path = tmp_path / "kernel.bin"
         em.save_kernel(path, kernel)
         header = path.read_bytes().split(b"\n", 1)[0]
@@ -681,16 +668,16 @@ class TestStoredQuadrant:
     def test_full_size_file_is_rejected(self, small_scene, tmp_path):
         # a file holding every row, as plane kernel files once did
         scene, grids = small_scene
-        kernel = em.kernel_2d(scene, grids)
+        kernel = em.assemble_kernel(scene, grids)
         path = tmp_path / "kernel.bin"
         header = f"kind=Z_2d m={scene.n_target} n={scene.n_ris} fingerprint={scene.fingerprint}\n"
-        em.write_complex_file(path, header, kernel.entries)
+        write_file(path, header, kernel.entries)
         with pytest.raises(CacheMismatch, match="body holds"):
             em.load_kernel(path, scene, grids)
 
     def test_volume_kernel_stores_every_row(self, volume_scene, tmp_path):
         scene, grids = volume_scene
-        kernel = em.kernel_3d(scene, grids)
+        kernel = em.assemble_kernel(scene, grids)
         assert kernel.symmetry is None
         assert kernel.entries is kernel.stored
         assert kernel.stored.shape == (scene.n_target, scene.n_ris)

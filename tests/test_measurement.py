@@ -120,14 +120,14 @@ class TestReceiverField3d:
 
     def test_air_scatters_nothing(self, volume_scene):
         scene, grids = volume_scene
-        kernel = em.kernel_3d(scene, grids)
+        kernel = em.assemble_kernel(scene, grids)
         target = ms.make_target_3d(np.zeros(scene.n_target, dtype=complex), (2, 2, 2))
         p = np.ones(scene.n_ris, dtype=complex)
         assert self.field(scene, grids, kernel, p, target) == 0.0
 
     def test_linear_in_contrast(self, volume_scene):
         scene, grids = volume_scene
-        kernel = em.kernel_3d(scene, grids)
+        kernel = em.assemble_kernel(scene, grids)
         rng = np.random.default_rng(2)
         chi = rng.standard_normal(scene.n_target) + 1j * rng.standard_normal(scene.n_target)
         p = rng.standard_normal(scene.n_ris) + 1j * rng.standard_normal(scene.n_ris)
@@ -263,6 +263,13 @@ class TestNoiseModel:
         meas = ms.measure(fields, masks.kind, 20.0, seed=4)
         assert len(meas) == 1024
         assert built == [((), {"key": 4})]
+
+    def test_noise_power_must_be_a_finite_normal_double(self):
+        ms.check_noise_settings(ms.DEFAULT_N0_DBM_PER_HZ, ms.DEFAULT_BANDWIDTH_HZ)
+        # 10^497 W overflows; 10^-503 W underflows to 0.0, and 10^-300 W * 1e-10 Hz is subnormal
+        for n0, bandwidth in ((5000.0, 1e6), (-5000.0, 1e6), (-2970.0, 1e-10)):
+            with pytest.raises(MalformedConfig, match=rf"{n0!r}.*{bandwidth!r}"):
+                ms.check_noise_settings(n0, bandwidth)
 
     def test_every_stream_key_must_fit_128_bits(self):
         ms.check_seed(ms.SEED_LIMIT - 3, streams=3)

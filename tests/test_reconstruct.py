@@ -71,7 +71,7 @@ class TestMaskMoments:
     def test_realized_masks_keep_the_whole_array_bits(self, small_scene):
         # the realization pass keeps |realized| bit for bit, and the moments read it in place
         scene, grids = small_scene
-        inv = rs.tikhonov_inverse(em.kernel_2d(scene, grids), 1e-12)
+        inv = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12)
         realized, values = realize_with_values(inv, md.ideal_masks(scene, grids, 1024), 1.0)
         u, c_values, power = realized.moments
         np.testing.assert_array_equal(u, np.abs(values))
@@ -102,7 +102,7 @@ class TestMaskMoments:
         # the first reconstruct reads them in place and sums their squares in blocks,
         # and later ones reuse the moments
         scene, grids = desk_scene
-        inv = rs.tikhonov_inverse(em.kernel_2d(scene, grids), 1e-12)
+        inv = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12)
         ideal = md.ideal_masks(scene, grids, 1024)
         values = np.zeros(scene.n_target)
         values[::3] = 1.0
@@ -169,7 +169,7 @@ class TestReconstruct2d:
         # scaling all realized masks (and hence the measured fields) by a
         # positive factor cancels between the numerator and the variance
         scene, grids = small_scene
-        kernel = em.kernel_2d(scene, grids)
+        kernel = em.assemble_kernel(scene, grids)
         from risimage import ris_synthesis as rs
 
         inv = rs.tikhonov_inverse(kernel, 1e-12)

@@ -187,7 +187,7 @@ class TestSynthesize:
 class TestRealizeMasks:
     def test_realized_count_and_profiles(self, small_scene):
         scene, grids = small_scene
-        kernel = em.kernel_2d(scene, grids)
+        kernel = em.assemble_kernel(scene, grids)
         inv = rs.tikhonov_inverse(kernel, 1e-12)
         masks = md.ideal_masks(scene, grids, 128)
         realized = rs.realize_masks(inv, masks, scene.config.amplification)
@@ -213,7 +213,7 @@ class TestRealizeMasks:
 
     def test_kind_mismatch(self, small_scene):
         scene, grids = small_scene
-        kernel = em.kernel_2d(scene, grids)
+        kernel = em.assemble_kernel(scene, grids)
         inv = rs.tikhonov_inverse(kernel, 1e-12)
         masks = md.MaskSet(kind=md.KIND_MASK3D, stored=np.ones((4, scene.n_target), dtype=complex))
         with pytest.raises(KindMismatch):
@@ -222,7 +222,7 @@ class TestRealizeMasks:
     def test_first_mask_realizes_well_at_nearest_distance(self):
         scene = sc.validate_scene(desk_config(z_prime=0.125))
         grids = sc.sample_grids(scene)
-        kernel = em.kernel_2d(scene, grids)
+        kernel = em.assemble_kernel(scene, grids)
         inv = rs.tikhonov_inverse(kernel, 1e-12)
         masks = md.ideal_masks(scene, grids, 1024)
         realized = rs.realize_masks(inv, masks, 1.0)
@@ -234,7 +234,7 @@ class TestRealizeMasks:
         # central pixel stays below 0.2 of the peak beyond one resolution length
         scene = sc.validate_scene(desk_config(z_prime=0.125))
         grids = sc.sample_grids(scene)
-        kernel = em.kernel_2d(scene, grids)
+        kernel = em.assemble_kernel(scene, grids)
         inv = rs.tikhonov_inverse(kernel, 1e-12)
         masks = rs.realize_masks(inv, md.ideal_masks(scene, grids, 1024), 1.0)
         centre = 8 * 16 + 8
@@ -249,7 +249,7 @@ class TestRealizeMasks:
         for z_prime in (0.125, 0.25, 0.5):
             scene = sc.validate_scene(desk_config(z_prime=z_prime))
             grids = sc.sample_grids(scene)
-            kernel = em.kernel_2d(scene, grids)
+            kernel = em.assemble_kernel(scene, grids)
             inv = rs.tikhonov_inverse(kernel, 1e-12)
             masks = md.ideal_masks(scene, grids, 256)
             realized = rs.realize_masks(inv, masks, 1.0)
@@ -264,7 +264,7 @@ class TestRealizeMasks:
 class TestSpectrum:
     def test_profile_export_and_summary(self, small_scene, tmp_path):
         scene, grids = small_scene
-        kernel = em.kernel_2d(scene, grids)
+        kernel = em.assemble_kernel(scene, grids)
         inv = rs.tikhonov_inverse(kernel, 1e-12)
         masks = md.ideal_masks(scene, grids, 128)
         misfit = rs.RealizedMisfit(inv, masks, 1.0)
@@ -280,7 +280,7 @@ class TestSpectrum:
 
     def test_summary_lists_sector_sizes(self, small_scene, tmp_path):
         scene, grids = small_scene
-        inv = rs.tikhonov_inverse(em.kernel_2d(scene, grids), 1e-12)
+        inv = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12)
         masks = md.ideal_masks(scene, grids, 128)
         misfit = rs.RealizedMisfit(inv, masks, 1.0)
         realized = rs.realize_masks(inv, masks, 1.0, [misfit.add])
@@ -345,7 +345,7 @@ class TestTwoPathSynthesis:
     def test_desk_profiles_meet_power_budget(self):
         scene = sc.validate_scene(desk_config(z_prime=0.125))
         grids = sc.sample_grids(scene)
-        kernel = em.kernel_2d(scene, grids)
+        kernel = em.assemble_kernel(scene, grids)
         inv = rs.tikhonov_inverse(kernel, 1e-12)
         masks = md.ideal_masks(scene, grids, 256)
         profiles = rs.synthesis_profiles(inv, masks, 1.0)
@@ -416,7 +416,7 @@ class TestMirrorSectors:
         )
         scene = sc.validate_scene(cfg)
         grids = sc.sample_grids(scene)
-        kernel = em.kernel_2d(scene, grids)
+        kernel = em.assemble_kernel(scene, grids)
         bare = KernelMatrix(stored=kernel.entries, kind=kernel.kind, fingerprint=kernel.fingerprint)
         sectors = rs.tikhonov_inverse(kernel, 1e-12)
         identity = rs.tikhonov_inverse(bare, 1e-12)
@@ -479,7 +479,7 @@ class TestMirrorSectors:
     def test_grids_without_the_swap_keep_four_mirror_sectors(self, cfg, monkeypatch):
         scene = sc.validate_scene(cfg)
         grids = sc.sample_grids(scene)
-        kernel = em.kernel_2d(scene, grids)
+        kernel = em.assemble_kernel(scene, grids)
         assert not kernel.symmetry.swap
         factors = record_svd_shapes(monkeypatch)
         inv = rs.tikhonov_inverse(kernel, 1e-12)
@@ -496,7 +496,7 @@ class TestMirrorSectors:
     @pytest.mark.parametrize("n, n_ris", [(4, 8), (5, 7)], ids=["even", "odd"])
     def test_square_scene_decomposes_the_five_d4_blocks(self, n, n_ris, monkeypatch):
         scene = sc.validate_scene(desk_config(n_target_x=n, n_target_y=n, n_ris_x=n_ris, n_ris_y=n_ris))
-        kernel = em.kernel_2d(scene, sc.sample_grids(scene))
+        kernel = em.assemble_kernel(scene, sc.sample_grids(scene))
         assert kernel.symmetry.swap
         factors = record_svd_shapes(monkeypatch)
         inv = rs.tikhonov_inverse(kernel, 1e-12)
@@ -527,7 +527,7 @@ class TestMirrorSectors:
     )
     def test_retained_rank_matches_the_dense_oracle(self, cfg):
         scene = sc.validate_scene(cfg)
-        kernel = em.kernel_2d(scene, sc.sample_grids(scene))
+        kernel = em.assemble_kernel(scene, sc.sample_grids(scene))
         assert kernel.symmetry.swap
         sigma = np.linalg.svd(kernel.entries, compute_uv=False)
         dense_rank = int(np.count_nonzero(sigma**2 >= rs.DEFAULT_THRESHOLD_FACTOR * 1e-12))
@@ -535,7 +535,7 @@ class TestMirrorSectors:
 
     def test_cached_kernel_regains_its_symmetry(self, small_scene, tmp_path):
         scene, grids = small_scene
-        kernel = em.kernel_2d(scene, grids)
+        kernel = em.assemble_kernel(scene, grids)
         em.save_kernel(tmp_path / "k.bin", kernel)
         restored = em.load_kernel(tmp_path / "k.bin", scene, grids)
         assert restored.symmetry.target_shape == kernel.symmetry.target_shape == (8, 8)
@@ -552,7 +552,7 @@ class TestMirrorSectors:
         scene = sc.validate_scene(
             desk_config(n_target_x=target[0], n_target_y=target[1], n_ris_x=aperture[0], n_ris_y=aperture[1])
         )
-        kernel = em.kernel_2d(scene, sc.sample_grids(scene))
+        kernel = em.assemble_kernel(scene, sc.sample_grids(scene))
         blocks = rs._sector_blocks(kernel)
         weighted = kernel.entries * kernel.symmetry.phase.conj()
         for (px, py), block in zip(rs._PARITIES, blocks):
@@ -585,7 +585,7 @@ class TestMirrorSectors:
     def test_volume_kernel_is_one_identity_sector(self, tmp_path):
         scene = sc.validate_scene(volume_config())
         grids = sc.sample_grids(scene)
-        kernel = em.kernel_3d(scene, grids)
+        kernel = em.assemble_kernel(scene, grids)
         assert kernel.symmetry is None
         em.save_kernel(tmp_path / "k.bin", kernel)
         assert em.load_kernel(tmp_path / "k.bin", scene, grids).symmetry is None
@@ -599,7 +599,7 @@ class TestMirrorSectors:
 def desk_synthesis(desk_scene):
     """The desk scene's inverse at gamma 1e-12 and 1,024 ideal masks."""
     scene, grids = desk_scene
-    inv = rs.tikhonov_inverse(em.kernel_2d(scene, grids), 1e-12)
+    inv = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12)
     return inv, md.ideal_masks(scene, grids, 1024)
 
 
@@ -674,7 +674,7 @@ class TestSelfContainedInverse:
 
     def test_plane_kernel_is_released_after_decomposition(self, desk_scene):
         scene, grids = desk_scene
-        kernel = em.kernel_2d(scene, grids)
+        kernel = em.assemble_kernel(scene, grids)
         stored = weakref.ref(kernel.stored)
         inv = rs.tikhonov_inverse(kernel, 1e-12)
         del kernel
@@ -686,7 +686,7 @@ class TestSelfContainedInverse:
 
     def test_volume_inverse_keeps_the_entries_as_its_block(self):
         scene = sc.validate_scene(volume_config())
-        kernel = em.kernel_3d(scene, sc.sample_grids(scene))
+        kernel = em.assemble_kernel(scene, sc.sample_grids(scene))
         (sector,) = rs.tikhonov_inverse(kernel, 1e-12).sectors
         assert sector.block is kernel.entries
 
@@ -734,7 +734,7 @@ class TestSelfContainedInverse:
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
     def test_stored_rows_that_miss_the_quadrant_are_rejected(self, desk_scene):
-        kernel = em.kernel_2d(*desk_scene)
+        kernel = em.assemble_kernel(*desk_scene)
         short = dataclasses.replace(kernel, stored=kernel.stored[:-1])
         with pytest.raises(DimensionMismatch, match="mirror quadrant"):
             rs.tikhonov_inverse(short, 1e-12)
@@ -744,7 +744,7 @@ class TestSelfContainedInverse:
         scene, grids = desk_scene
         tracemalloc.start()
         try:
-            inv = rs.tikhonov_inverse(em.kernel_2d(scene, grids), 1e-12)
+            inv = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12)
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]
         finally:
@@ -931,7 +931,7 @@ class TestInverseWithoutBlocks:
 
     def test_releases_the_blocks_and_copies_nothing_else(self, desk_scene):
         scene, grids = desk_scene
-        inv = rs.tikhonov_inverse(em.kernel_2d(scene, grids), 1e-12)
+        inv = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12)
         blocks = [weakref.ref(s.block) for s in inv.sectors]
         factors = [(s.u, s.sigma, s.inv_sigma) for s in inv.sectors]
         inv = inv.without_blocks()
@@ -1005,7 +1005,7 @@ class TestPeakMemory:
         # beyond the blocks: two buffers of one folded line and that line's weights,
         # never a copy of the quadrant (about the blocks' size)
         scene = sc.validate_scene(cfg)
-        kernel = em.kernel_2d(scene, sc.sample_grids(scene))
+        kernel = em.assemble_kernel(scene, sc.sample_grids(scene))
         peak, blocks = peak_traced_bytes(lambda: rs._sector_blocks(kernel))
         assert peak <= sum(block.nbytes for block in blocks) + (1 << 20)
 
@@ -1069,7 +1069,7 @@ class TestPeakMemory:
         # (6 MiB) that a realized plane set once held
         scene = sc.validate_scene(desk_config(0.5))
         grids = sc.sample_grids(scene)
-        inv = rs.tikhonov_inverse(em.kernel_2d(scene, grids), 1e-12)
+        inv = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12)
         ideal = md.ideal_masks(scene, grids, 1024)
         target = ms.make_target_2d((np.arange(scene.n_target) % 3 == 0).astype(float), (16, 16))
 

@@ -1,0 +1,104 @@
+"""Digest every output file of the risimage chain, to show that a change keeps every byte.
+
+For each seed, in this process through ``risimage.cli.main``:
+
+* the four benchmark workloads of ``perfbench/workloads.py`` are swept from
+  their plan files, ``desk-artifacts`` twice into one directory, so that the
+  second sweep reads the kernel cache the first one wrote;
+* the step verbs ``kernel``, ``masks``, ``synthesize``, ``measure`` and
+  ``reconstruct`` run on the desk scene and on the ``volume-zsweep`` scene,
+  with the workload's noise seed.
+
+Then ``sha256  path`` is printed for every output file, its path relative to
+the output directory, in sorted order. ``timings.csv`` holds wall times and is
+skipped; ``config_snapshot.txt`` is hashed without its ``plan.output_dir``
+line, which names the directory. Run from the repository root:
+
+    python3 tools/output_digests.py --seeds 3 8 > change.txt
+    python3 tools/output_digests.py --seeds 3 8 --src ../parent/src > parent.txt
+    diff parent.txt change.txt
+
+BLAS runs on at most 2 threads, as in the benchmark.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+STEP_SCENES = ("desk-snr-dense", "volume-zsweep")  # the desk scene and the volume scene
+
+
+def run_seed(cli, workloads, seed: int, inputs: Path, outputs: Path) -> None:
+    """Every workload's sweep for ``seed``, and the step verbs on the scenes of :data:`STEP_SCENES`."""
+    for name, workload in workloads.WORKLOADS.items():
+        plan, noise_seed = workloads.write_inputs(workload, seed, inputs / name, outputs / name)
+        for _ in range(2 if name == "desk-artifacts" else 1):
+            run(cli, ["sweep", "--plan", str(plan)])
+        if name in STEP_SCENES:
+            run_steps(cli, plan.parent / "scene.txt", noise_seed, outputs / f"steps-{name}")
+
+
+def run_steps(cli, scene: Path, noise_seed: int, out: Path) -> None:
+    """The step verbs in order, each reading what the one before it wrote."""
+    common = ["--scene", str(scene), "--target", "block"]
+    run(cli, ["kernel", "--scene", str(scene), "--output", str(out / "kernel.bin")])
+    run(cli, ["masks", *common, "--output", str(out / "masks.bin")])
+    run(cli, ["synthesize", *common, "--output", str(out / "synth")])
+    records = out / "records.csv"
+    run(cli, ["measure", *common, "--snr-db", "20", "--seed", str(noise_seed), "--output", str(records)])
+    masks = str(out / "synth" / "masks_realized.bin")
+    run(cli, ["reconstruct", *common, "--records", str(records), "--masks", masks, "--output", str(out / "estimate.pgm")])
+
+
+def run(cli, argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"risimage {' '.join(argv)} exited {code}")
+
+
+def digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.name == "config_snapshot.txt":
+        lines = data.splitlines(keepends=True)
+        data = b"".join(line for line in lines if not line.startswith(b"plan.output_dir"))
+    return hashlib.sha256(data).hexdigest()
+
+
+def listing(outputs: Path) -> list[str]:
+    files = sorted(p for p in outputs.rglob("*") if p.is_file() and p.name != "timings.csv")
+    return [f"{digest(p)}  {p.relative_to(outputs).as_posix()}" for p in files]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", required=True, help="workload seeds")
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="risimage sources to run")
+    args = parser.parse_args(argv)
+
+    # BLAS reads its thread count once, when numpy is first imported
+    threads = str(min(2, len(os.sched_getaffinity(0))))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = threads
+    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
+    import workloads
+    from risimage import cli
+
+    with tempfile.TemporaryDirectory(prefix="output-digests-") as work:
+        inputs, outputs = Path(work, "inputs"), Path(work, "outputs")
+        for seed in args.seeds:
+            run_seed(cli, workloads, seed, inputs / f"seed-{seed}", outputs / f"seed-{seed}")
+        print("\n".join(listing(outputs)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
