@@ -56,6 +56,9 @@ ENTRY_CAP = 1 << 26
 # temporary stays near 512 KiB: a sweep that frees one distance's kernel before
 # building the next then reuses heap memory instead of faulting in fresh pages.
 _CHUNK_ENTRIES = 1 << 15
+# A periodic file body is copied on from its first period through one buffer
+# of this many bytes (256 KiB), the size of a mask export's row block.
+_COPY_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -430,37 +433,51 @@ def assemble_kernel(scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
 
 @contextmanager
 def complex_file_writer(
-    path: str | Path, header: str, shape: tuple[int, int]
+    path: str | Path, header: str, shape: tuple[int, int], period: int | None = None
 ) -> Iterator[Callable[[np.ndarray], None]]:
     """Write an ASCII ``header`` line and a little-endian complex128 (rows,
     cols) body of ``shape``, handed over a block of rows at a time.
 
     The context gives ``write(block)``, which writes one (rows, cols) block
-    of rows before it returns, so a caller can reuse one buffer. The bytes go
-    to a temporary file in the same directory, which replaces ``path`` when
-    the context ends: a reader sees the old file or the whole new one, never
-    a partial write. If the context raises, or the blocks do not add up to
-    ``shape`` (:class:`DimensionMismatch`), the temporary file is removed and
-    the old file stays. Each block is written from its array's own buffer,
-    so C-ordered little-endian complex128 values are not copied.
+    of rows before it returns, so a caller can reuse one buffer. With a
+    ``period`` that divides the row count, the blocks add up to that many
+    rows, and row i of the body is row i mod ``period``: the period's bytes
+    are copied on from the file itself, :data:`_COPY_BYTES` at a time. The
+    bytes go to a temporary file in the same directory, which replaces
+    ``path`` when the context ends: a reader sees the old file or the whole
+    new one, never a partial write. If the context raises, or the blocks do
+    not add up (:class:`DimensionMismatch`), the temporary file is removed
+    and the old file stays. Each block is written from its array's own
+    buffer, so C-ordered little-endian complex128 values are not copied.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    period = shape[0] if period is None else period
+    if period != shape[0] and (period <= 0 or shape[0] % period):
+        raise DimensionMismatch(f"a period of {period} rows does not divide the {shape[0]} rows of the body")
     rows = 0
 
     def write(block: np.ndarray) -> None:
         nonlocal rows
         rows += len(block)
-        if block.shape[1:] != shape[1:] or rows > shape[0]:
-            raise DimensionMismatch(f"a {block.shape} block does not fit the {shape} body")
+        if block.shape[1:] != shape[1:] or rows > period:
+            raise DimensionMismatch(f"a {block.shape} block does not fit the {period} rows of the {shape} body")
         fh.write(np.ascontiguousarray(block, dtype="<c16").data)
 
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(header.encode("ascii"))
+        with open(tmp, "w+b") as fh:
+            start = fh.write(header.encode("ascii"))
             yield write
-            if rows != shape[0]:
-                raise DimensionMismatch(f"blocks of {rows} rows for the {shape[0]} rows of the header")
+            if rows != period:
+                raise DimensionMismatch(f"blocks of {rows} rows for the {period} rows of the body's period")
+            end = fh.tell()
+            buffer = memoryview(bytearray(max(1, min(_COPY_BYTES, end - start))))
+            for _ in range(shape[0] // period - 1):
+                for offset in range(start, end, len(buffer)):
+                    fh.seek(offset)
+                    chunk = buffer[: fh.readinto(buffer[: end - offset])]
+                    fh.seek(0, os.SEEK_END)
+                    fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

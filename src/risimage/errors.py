@@ -70,7 +70,12 @@ class SvdFailure(ImagingError, RuntimeError):
 
 
 class ZeroSolution(ImagingError, ValueError):
-    """Regularized inversion produced an identically zero coefficient vector."""
+    """Regularized inversion produced an identically zero coefficient vector,
+    first for the row ``mask`` of a mask set."""
+
+    def __init__(self, message: str, mask: int):
+        super().__init__(message)
+        self.mask = mask
 
 
 class KindMismatch(ImagingError, ValueError):

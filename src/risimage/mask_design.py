@@ -17,13 +17,21 @@ volume, is its design, the pair (I, M), and its phase profile: it stores no
 (I, M) array, and :func:`design_amplitudes` forms the rows of the pattern
 that a reader asks for, when its ``vectors`` are read or a block of rows at
 a time by :meth:`MaskSet.row_blocks`.
+
+A design of I masks over M points has only min(I, J) distinct rows, J the
+smallest power of two above M (:func:`distinct_row_count`): for I <= J its
+rows are the first I of one sequence that depends only on M, and for
+I >= 2J they are the first J repeated, since H[i, j] = H[i mod J, j] for
+every column j < J. So a set is read, transformed and realized over its
+distinct rows only, and a stored set may hold one period of its masks
+(:attr:`MaskSet.repeats`).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
 
@@ -75,6 +83,13 @@ class MaskSet:
     ``MaskSet(kind, stored=masks.vectors)`` keeps one for repeated reads.
     Measuring a designed set, realizing it and exporting it form it a block
     of rows at a time (:meth:`row_blocks`), or not at all (:func:`project`).
+
+    A set's rows repeat its :attr:`distinct_rows`: a designed set's first
+    min(I, J) rows, or the rows ``stored`` holds, which a stored set repeats
+    ``repeats`` times (row i of the set is ``stored[i % len(stored)]``).
+    ``moments``, :meth:`row_blocks` and :func:`project` read those rows only,
+    and ``ris_synthesis.realize_masks`` realizes them and returns a set that
+    repeats them.
     The generating coefficient vectors are not kept:
     ``ris_synthesis.synthesis_profiles`` forms them from the inverse when
     they are exported. ``moments`` are computed on first read and kept; a
@@ -86,10 +101,13 @@ class MaskSet:
     design: tuple[int, int] | None = None  # (I, M) of a Hadamard design
     phase: np.ndarray | None = None  # (M,) common phase profile (designed plane sets)
     solution_norms: np.ndarray | None = None  # (I,)
+    repeats: int = 1  # times a stored set repeats its rows
 
     def __post_init__(self):
         if (self.stored is None) == (self.design is None):
             raise ValueError("a mask set holds exactly one of stored vectors and a design")
+        if self.repeats < 1 or (self.design is not None and self.repeats != 1):
+            raise ValueError("only a stored set repeats its rows, a whole number of times")
         if self.kind not in (KIND_MASK2D, KIND_MASK3D):
             raise KindMismatch(f"a mask set is of kind {KIND_MASK2D!r} or {KIND_MASK3D!r}, got {self.kind!r}")
         if self.design is not None:
@@ -97,21 +115,38 @@ class MaskSet:
 
     @property
     def count(self) -> int:
-        return self._shape[0]
+        return self.design[0] if self.stored is None else len(self.stored) * self.repeats
 
     @property
     def points(self) -> int:
-        return self._shape[1]
+        return self.design[1] if self.stored is None else self.stored.shape[1]
 
     @property
-    def _shape(self) -> tuple[int, int]:
-        return self.stored.shape if self.design is None else self.design
+    def distinct_rows(self) -> int:
+        """R: the rows the set is read over, of which row i of the set is row i mod R."""
+        return distinct_row_count(*self.design) if self.stored is None else len(self.stored)
 
     @property
     def vectors(self) -> np.ndarray:
-        """The (I, M) masks: ``stored``, or the designed stack formed anew,
-        which only the reader keeps."""
-        return self.stored if self.design is None else self._designed()
+        """The (I, M) masks: ``stored``, or a stack formed anew, which only
+        the reader keeps, of a designed set or a stored set that repeats its
+        rows."""
+        if self.stored is None:
+            return self._designed()
+        return self.stored if self.repeats == 1 else _read_only(np.tile(self.stored, (self.repeats, 1)))
+
+    def first(self, count: int) -> MaskSet:
+        """The set of this set's first ``count`` masks, ``count`` at most
+        :attr:`count` and a multiple of R when above it: a view of a prefix
+        of the distinct rows, or those rows repeated, with their solution
+        norms."""
+        if self.stored is None:
+            return replace(self, design=(count, self.points))
+        norms = None if self.solution_norms is None else self.solution_norms[:count]
+        distinct = self.distinct_rows
+        if count > distinct:
+            return replace(self, solution_norms=norms, repeats=count // distinct)
+        return replace(self, stored=self.stored[:count], solution_norms=norms, repeats=1)
 
     @property
     def magnitudes_only(self) -> bool:
@@ -120,17 +155,19 @@ class MaskSet:
         return self.kind == KIND_MASK2D and self.stored is not None and not np.iscomplexobj(self.stored)
 
     def block(self, rows: slice) -> np.ndarray:
-        """``vectors[rows]``: a view of a stored set's rows, or only those
-        rows of a designed set, formed anew."""
-        return self.stored[rows] if self.design is None else self._designed(rows)
+        """``vectors[rows]``: a view of rows that a stored set holds, or
+        only those rows, formed anew."""
+        if self.stored is None:
+            return self._designed(rows)
+        if self.repeats == 1:
+            return self.stored[rows]
+        return self.stored[np.arange(self.count)[rows] % len(self.stored)]
 
     def _designed(self, rows: slice = slice(None)) -> np.ndarray:
         """The designed masks at ``rows``, pattern * e^{j phase}, or the
         pattern as complex without a phase: a new read-only array."""
         pattern = design_amplitudes(*self.design, rows)
-        stack = pattern.astype(np.complex128) if self.phase is None else pattern * self._phasor
-        stack.setflags(write=False)
-        return stack
+        return _read_only(pattern.astype(np.complex128) if self.phase is None else pattern * self._phasor)
 
     @cached_property
     def _phasor(self) -> np.ndarray:
@@ -138,9 +175,9 @@ class MaskSet:
         return np.exp(1j * self.phase)
 
     def row_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
-        """``vectors`` a block of rows at a time: (rows, vectors[rows]) with
-        blocks of about ``_CHUNK_ENTRIES / 4`` entries, as a reader may keep
-        a few block-sized temporaries.
+        """The :attr:`distinct_rows` a block of rows at a time: (rows,
+        vectors[rows]) with blocks of about ``_CHUNK_ENTRIES / 4`` entries,
+        as a reader may keep a few block-sized temporaries.
 
         A stored set yields views of its stack. A designed set forms only
         each block's rows of the pattern, times e^{j phase}, the same bits as
@@ -148,9 +185,9 @@ class MaskSet:
         never exists whole.
         """
         step = max(1, _CHUNK_ENTRIES // (4 * max(self.points, 1)))
-        for start in range(0, self.count, step):
-            rows = slice(start, start + step)
-            yield rows, self.block(rows)
+        for start in range(0, self.distinct_rows, step):
+            rows = slice(start, min(start + step, self.distinct_rows))
+            yield rows, self._designed(rows) if self.stored is None else self.stored[rows]
 
     @cached_property
     def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -162,7 +199,9 @@ class MaskSet:
         itself, so the quarter-delta covariance stays exact, or the stored
         magnitudes, read in place (a plane set that stores complex masks
         raises :class:`KindMismatch`); and the (possibly complex)
-        coefficient of a volume mask. c is the diagonal of
+        coefficient of a volume mask. u holds the :attr:`distinct_rows`
+        only, as a mean over one period is the mean over every row; a
+        correlation folds its measurements onto them. c is the diagonal of
         the mask covariance from plain (unconjugated) products, as the
         correlation reconstruction demands: complex-valued for distorted
         volume masks, exactly 1/4 for ideal ones. The squares are summed a
@@ -172,10 +211,11 @@ class MaskSet:
         """
         if self.count == 0:
             raise EmptyMaskSet("mask set has no measurements")
+        distinct = slice(0, self.distinct_rows)
         if self.kind != KIND_MASK2D or self.magnitudes_only:
-            u = self.vectors
+            u = self.stored if self.design is None else self._designed(distinct)
         elif self.design is not None:
-            u = design_amplitudes(*self.design)
+            u = design_amplitudes(*self.design, distinct)
         else:
             raise KindMismatch(
                 "a plane reconstruction reads mask magnitudes, and this set stores complex mask "
@@ -185,6 +225,11 @@ class MaskSet:
         c_values = square_mean - u.mean(axis=0) ** 2
         power = _row_mean(u, lambda block: np.abs(block) ** 2) if np.iscomplexobj(u) else square_mean
         return u, c_values, power
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
 
 
 def _row_mean(u: np.ndarray, term) -> np.ndarray:
@@ -265,6 +310,18 @@ def hadamard_columns(n_measurements: int, n_points: int) -> slice | np.ndarray:
     if n_points < n_measurements:
         return slice(1, n_points + 1)
     return np.arange(1, n_points + 1) % n_measurements
+
+
+def distinct_row_count(n_measurements: int, n_points: int) -> int:
+    """How many rows of ``design_amplitudes(n_measurements, n_points)`` are
+    distinct: min(I, J), J the smallest power of two above the point count.
+
+    Row i of the design is row i mod J of the J-row design: Sylvester's
+    H[i, j] depends on i mod J for every column j < J, and the points take
+    columns 1..M, below J (with I = M the last point takes column 0, which
+    is 1 on every row i < I as H[i, I] is).
+    """
+    return min(n_measurements, 1 << n_points.bit_length())
 
 
 def check_measurement_count(n_measurements: int, n_points: int) -> None:
@@ -363,14 +420,16 @@ def ideal_masks(
 def project(masks: MaskSet | np.ndarray, factors: Iterable[np.ndarray], out: np.ndarray) -> None:
     """Write vectors @ [F_1 ... F_k] into the leading sum r_k columns of ``out``.
 
-    ``masks`` is a mask set or a plain (I, M) array, each factor an (M, r_k)
-    matrix and ``out`` an (I, width >= sum r_k) array. The factors are drawn
+    ``masks`` is a mask set, whose R :attr:`~MaskSet.distinct_rows` are
+    multiplied, or a plain (R, M) array, each factor an (M, r_k) matrix and
+    ``out`` an array of at least R rows and sum r_k columns, whose first R
+    rows take the product. The factors are drawn
     one at a time, and each is used up before the next is drawn, so a
     generator need hold only one. A designed set (one that carries a
     ``design``) never forms its vectors: mask i is
-    (1 + H[i, col(m)]) / 2 e^{j phi_m} with col(m) = (m + 1) mod I, so with
-    T = H_I scatter(e^{j phi} F / 2), where scatter puts row m of F at row
-    col(m), row i of the product is T[0] + T[i] (row 0 of H_I is all ones).
+    (1 + H[i, col(m)]) / 2 e^{j phi_m} with col(m) = (m + 1) mod R, so with
+    T = H_R scatter(e^{j phi} F / 2), where scatter puts row m of F at row
+    col(m), row i of the product is T[0] + T[i] (row 0 of H_R is all ones).
     The scattered factors are staged in ``out`` and transformed there a block
     of columns at a time (:func:`hadamard_transform`), all factors in one
     pass. Any other set is multiplied a block of rows at a time.
@@ -386,7 +445,7 @@ def project(masks: MaskSet | np.ndarray, factors: Iterable[np.ndarray], out: np.
             lo = hi
             del factor  # freed before the next one is drawn
         return
-    count, points = masks.design
+    count, points = masks.distinct_rows, masks.points
     half_phase = np.full(points, 0.5) if masks.phase is None else 0.5 * masks._phasor
     columns = hadamard_columns(count, points)
     lo = 0
@@ -395,7 +454,7 @@ def project(masks: MaskSet | np.ndarray, factors: Iterable[np.ndarray], out: np.
         out[columns, lo:hi] = factor * half_phase[:, None]
         lo = hi
         del factor  # freed before the next one is drawn
-    stage = out[:, :lo]
+    stage = out[:count, :lo]
     if points < count:  # rows no point scatters to
         stage[0] = 0.0
         stage[points + 1 :] = 0.0
@@ -430,18 +489,22 @@ def mask_covariance(masks: MaskSet, ref_index: int) -> np.ndarray:
 # file.
 
 
-def mask_file_writer(path: str | Path, kind: str, shape: tuple[int, int], fingerprint: str):
+def mask_file_writer(
+    path: str | Path, kind: str, shape: tuple[int, int], fingerprint: str, period: int | None = None
+):
     """An export of ``kind`` vectors of ``shape`` (count, points), written a
-    block of rows at a time through ``write(block)``
-    (:func:`em_core.complex_file_writer`)."""
+    block of rows at a time through ``write(block)``, the rows of one
+    ``period`` only when the set repeats them (:func:`em_core.complex_file_writer`)."""
     header = f"kind={kind} count={shape[0]} points={shape[1]} fingerprint={fingerprint}\n"
-    return complex_file_writer(path, header, shape)
+    return complex_file_writer(path, header, shape, period)
 
 
 def save_mask_vectors(path: str | Path, masks: MaskSet, fingerprint: str) -> None:
     """Export ``masks`` a block of rows at a time (:meth:`MaskSet.row_blocks`),
-    so a designed set's (I, M) stack is never formed whole."""
-    with mask_file_writer(path, masks.kind, (masks.count, masks.points), fingerprint) as write:
+    so a designed set's (I, M) stack is never formed whole, and a set's
+    distinct rows are formed once however often the file repeats them."""
+    shape = (masks.count, masks.points)
+    with mask_file_writer(path, masks.kind, shape, fingerprint, masks.distinct_rows) as write:
         for _, block in masks.row_blocks():
             write(block)
 

@@ -169,8 +169,9 @@ class ReceiverFields:
     and point spread function weight it on its way to the receiver. Volume
     targets: the Born field k^2 times the voxel volume times the
     contrast-weighted sum of the mask. :meth:`add` takes the complex masks
-    of some rows (from :meth:`MaskSet.row_blocks`, or as a reader of
-    ``ris_synthesis.realize_masks``); :meth:`fields` returns them all.
+    of some of the set's distinct rows (from :meth:`MaskSet.row_blocks`, or
+    as a reader of ``ris_synthesis.realize_masks``); :meth:`fields` returns
+    every row's, as row i has the field of distinct row i mod R.
     Raises :class:`DimensionMismatch` or :class:`KindMismatch` for masks
     that do not fit the target, and :class:`WavenumberOverflow` for a volume
     scene whose k^2 overflows.
@@ -191,7 +192,8 @@ class ReceiverFields:
                 raise KindMismatch("volume masks require a volume target")
             self.weights = target.values
             self.factor = scene.wavenumber_squared * scene.target_cell_measure
-        self._products = np.empty(masks.count, dtype=np.complex128)
+        self._products = np.empty(masks.distinct_rows, dtype=np.complex128)
+        self._repeats = masks.count // masks.distinct_rows
 
     def add(self, rows: slice, block: np.ndarray, *_) -> None:
         """Take the masks ``block`` of the set's ``rows``."""
@@ -199,8 +201,9 @@ class ReceiverFields:
 
     def fields(self) -> np.ndarray:
         """Every row's field, a new read-only array, which every measurement
-        of the same set can share (:func:`measure`)."""
-        fields = self.factor * self._products
+        of the same set, or of a set of its first rows, can share
+        (:func:`measure`)."""
+        fields = np.tile(self.factor * self._products, self._repeats)
         fields.setflags(write=False)
         return fields
 
@@ -296,6 +299,9 @@ def records_to_csv(path: str | Path, meas: Measurements) -> None:
 
 
 def records_from_csv(path: str | Path) -> Measurements:
+    """Read a file written by :func:`records_to_csv`. A cell that is not a
+    finite number (``nan``, ``inf``, or one that overflows, like ``1e400``)
+    raises :class:`MalformedRecords` naming its row and column."""
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -306,18 +312,27 @@ def records_from_csv(path: str | Path) -> Measurements:
         raise MissingFile(f"no such measurement file: {path}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise MalformedRecords(f"{path}: not a measurement CSV file: {exc}") from exc
+
+    def number(index: int, column: str) -> float:
+        text = rows[index][column]
+        try:
+            value = float(text)
+        except (ValueError, TypeError) as exc:  # a non-numeric cell, or None in a short row
+            raise MalformedRecords(f"{path}: unreadable measurement row {index}, column {column}: {exc}") from exc
+        if not math.isfinite(value):
+            raise MalformedRecords(f"{path}: row {index}, column {column} is {text!r}, not a finite number")
+        return value
+
+    noiseless, noisy = [], []
+    for index, row in enumerate(rows):
+        noiseless.append(complex(number(index, "re_noiseless"), number(index, "im_noiseless")))
+        value = number(index, "value_noisy_or_re")
+        noisy.append(complex(value, number(index, "im_if_3d")) if row["im_if_3d"] else value)
+    noise_variance = number(0, "sigma2") if rows else 0.0
     try:
-        noiseless = [complex(float(row["re_noiseless"]), float(row["im_noiseless"])) for row in rows]
-        noisy = [
-            complex(float(row["value_noisy_or_re"]), float(row["im_if_3d"]))
-            if row["im_if_3d"]
-            else float(row["value_noisy_or_re"])
-            for row in rows
-        ]
-        noise_variance = float(rows[0]["sigma2"]) if rows else 0.0
         seed = int(rows[0]["seed"]) if rows else 0
-    except (ValueError, TypeError) as exc:  # a non-numeric cell, or None in a short row
-        raise MalformedRecords(f"{path}: unreadable measurement row: {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise MalformedRecords(f"{path}: unreadable measurement row 0, column seed: {exc}") from exc
     return Measurements(
         noiseless=np.array(noiseless, dtype=np.complex128),
         noisy=np.array(noisy),

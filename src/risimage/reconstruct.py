@@ -52,14 +52,22 @@ def _correlate(
     values: np.ndarray, masks: MaskSet, kind: str, scale: np.ndarray | float
 ) -> ReconstructionResult:
     """estimate_m = sum_i (v_i - <v>) u_i(m) / (I c_m scale_m) from the
-    ``kind`` masks' moments, zero where the mask variance is zero."""
+    ``kind`` masks' moments, zero where the mask variance is zero.
+
+    The moments hold the R distinct rows of the set, whose row i is row
+    i mod R, so the centred measurements are folded onto them first and the
+    product runs over R rows: sum_r (sum_k (v_{r+kR} - <v>)) u_r(m).
+    """
     if masks.kind != kind:
         raise KindMismatch(f"expected {kind} masks, got {masks.kind}")
     if len(values) != masks.count:
         raise DimensionMismatch(f"{len(values)} measurements for {masks.count} masks")
     vectors, c_values, power = masks.moments
     flagged = zero_variance_flags(c_values, power)
-    numerator = (values - values.mean()) @ vectors
+    centred = values - values.mean()
+    if len(vectors) < len(centred):
+        centred = centred.reshape(-1, len(vectors)).sum(axis=0)
+    numerator = centred @ vectors
     estimate = np.zeros(masks.points, dtype=numerator.dtype)
     live = ~flagged
     denominator = len(values) * c_values * scale

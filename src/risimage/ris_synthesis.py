@@ -546,8 +546,8 @@ def tikhonov_inverse(
 def _stage_coefficients(
     inv: RegularizedInverse, factors: list[_Factor], masks: MaskSet | np.ndarray, out: np.ndarray
 ) -> None:
-    """Stage the coefficients c of every mask in the leading sum r_s columns
-    of ``out`` (I, width).
+    """Stage the coefficients c of every distinct mask (``MaskSet.distinct_rows``)
+    in the leading sum r_s columns of the first rows of ``out``.
 
     Per sector c_s = lambda_s (w_s U_s)^H fold_s(b) = b @ A_s over the
     retained modes, with A_s = conj(w_s U_s) lambda_s gathered onto the grid
@@ -594,7 +594,8 @@ def _scaled_rows(
         if budget is not None:
             zero = np.flatnonzero(norms == 0.0)
             if zero.size:
-                raise ZeroSolution(f"mask {start + int(zero[0])} lies outside the retained kernel range")
+                mask = start + int(zero[0])
+                raise ZeroSolution(f"mask {mask} lies outside the retained kernel range", mask)
             c *= (budget / norms)[:, None]
         yield slice(start, start + len(c)), norms, c
 
@@ -647,24 +648,31 @@ def _solutions(
     """Regularized solutions (I, N), C-ordered, for a mask set or the rows of an (I, M) array.
 
     The coefficients of :func:`_stage_coefficients` are staged in the
-    output's leading columns, and each block of rows is overwritten with its
-    solutions, mapped per sector through :func:`_aperture_factors`, unfolded
-    on the aperture side and multiplied by the conjugate J_x phase. With a
-    ``budget``, every solution is scaled to norm ``budget``.
+    leading columns of the output's first R rows, one per distinct mask,
+    and each block of rows is overwritten with its solutions, mapped per
+    sector through :func:`_aperture_factors`, unfolded on the aperture side
+    and multiplied by the conjugate J_x phase; a set that repeats its rows
+    then has the R solutions copied on. With a ``budget``, every solution is
+    scaled to norm ``budget``.
     """
     n = inv.shape[1]
-    out = np.empty((masks.count if isinstance(masks, MaskSet) else len(masks), n), dtype=np.complex128)
+    count, distinct = (masks.count, masks.distinct_rows) if isinstance(masks, MaskSet) else (len(masks),) * 2
+    out = np.empty((count, n), dtype=np.complex128)
     _stage_coefficients(inv, _folded_factors(inv), masks, out)
     right, shape, phase = _aperture_factors(inv)
-    for rows, _, c in _scaled_rows(out[:, : inv.retained_rank], max(1, _CHUNK_ENTRIES // n), budget):
+    staged = out[:distinct, : inv.retained_rank]
+    for rows, _, c in _scaled_rows(staged, max(1, _CHUNK_ENTRIES // n), budget):
         _map_rows(c, right, shape, out[rows], phase)  # over the block's own coefficients
+    out.reshape(count // distinct, distinct, n)[1:] = out[:distinct]
     return out
 
 
 def realize_masks(
     inv: RegularizedInverse, masks: MaskSet, amplification: float, readers: Iterable[Reader] = ()
 ) -> MaskSet:
-    """The masks that power-normalised synthesized profiles produce.
+    """The masks that power-normalised synthesized profiles produce, for
+    the R distinct rows of ``masks`` (``MaskSet.distinct_rows``): the new
+    set stores R rows and repeats them as ``masks`` does.
 
     With the coefficients c of :func:`_stage_coefficients`, the solution
     norm is ||c|| and the realized mask is the unfolded U diag(sigma) c,
@@ -680,13 +688,13 @@ def realize_masks(
     done, where they overlap only rows of c already read. A volume set keeps
     its complex masks; a plane set only their magnitudes
     (``MaskSet.magnitudes_only``), half a complex row each, so the array is
-    I x max(sum r_s, ceil(M / 2)) complex entries, not c beside the
+    R x max(sum r_s, ceil(M / 2)) complex entries, not c beside the
     magnitudes. Returns the new set.
     """
     if _KERNEL_TO_MASK_KIND.get(inv.kind) != masks.kind:
         raise KindMismatch(f"kernel kind {inv.kind!r} cannot realize {masks.kind!r} masks")
     n_targets, n_samples = inv.shape
-    count, rank = masks.count, inv.retained_rank
+    count, rank = masks.distinct_rows, inv.retained_rank
     keeps_values = masks.kind == KIND_MASK3D
     held = np.empty(count * max(rank, n_targets if keeps_values else -(-n_targets // 2)), dtype=np.complex128)
     staged = held[len(held) - count * rank :].reshape(count, rank)
@@ -711,18 +719,21 @@ def realize_masks(
         else:
             np.abs(block, out=stored[rows])
     stored.setflags(write=False)
-    return replace(masks, stored=stored, design=None, phase=None, solution_norms=norms)
+    repeats = masks.count // count
+    norms = np.tile(norms, repeats)
+    return replace(masks, stored=stored, design=None, phase=None, solution_norms=norms, repeats=repeats)
 
 
 class RealizedMisfit:
     """``values[i]`` = ||realized_i * norm_i / sqrt(N * P_I) - ideal_i|| / ||ideal_i||,
     how far each unnormalised realized mask misses its ``ideal`` one, taken
-    by :meth:`add` as a reader of :func:`realize_masks`."""
+    by :meth:`add` as a reader of :func:`realize_masks`: one value per
+    distinct row of ``ideal``."""
 
     def __init__(self, inv: RegularizedInverse, ideal: MaskSet, amplification: float):
         self.ideal = ideal
         self.budget = np.sqrt(inv.shape[1] * amplification)
-        self.values = np.empty(ideal.count)
+        self.values = np.empty(ideal.distinct_rows)
 
     def add(self, rows: slice, block: np.ndarray, norms: np.ndarray, _coefficients: np.ndarray) -> None:
         """Take the realized masks ``block`` of ``rows`` and their solution ``norms``."""
@@ -736,15 +747,21 @@ def synthesis_profiles(inv: RegularizedInverse, masks: MaskSet, amplification: f
 
     Each row has ||p||^2 = N * amplification; for the ideal set, K p is the
     matching realized mask that :func:`realize_masks` hands to its readers.
+    Only the distinct rows of ``masks`` are solved for; a set that repeats
+    them gets its solutions copied on.
     """
     n_samples = inv.shape[1]
     return _solutions(inv, masks, np.sqrt(n_samples * amplification))
 
 
 @contextmanager
-def profile_writer(path: str | Path, inv: RegularizedInverse, count: int, fingerprint: str) -> Iterator[Reader]:
+def profile_writer(
+    path: str | Path, inv: RegularizedInverse, count: int, fingerprint: str, period: int | None = None
+) -> Iterator[Reader]:
     """A reader of :func:`realize_masks` that exports the ``count`` profiles
-    of its pass, in the binary layout of mask exports.
+    of its pass, in the binary layout of mask exports. With a ``period``,
+    the pass realizes that many distinct rows, which the file repeats
+    (:func:`mask_design.mask_file_writer`).
 
     Each block's budget-scaled coefficients c are mapped onto the aperture
     (:func:`_aperture_factors`) and written, in blocks of rows of about
@@ -757,11 +774,11 @@ def profile_writer(path: str | Path, inv: RegularizedInverse, count: int, finger
     """
     right, shape, phase = _aperture_factors(inv)
     n = inv.shape[1]
-    step = min(max(1, _CHUNK_ENTRIES // n), count)
+    step = min(max(1, _CHUNK_ENTRIES // n), count if period is None else period)
     waiting = np.empty((step, inv.retained_rank), dtype=np.complex128)
     profiles = np.empty((step, n), dtype=np.complex128)
     filled = 0
-    with mask_file_writer(path, "profiles", (count, n), fingerprint) as write:
+    with mask_file_writer(path, "profiles", (count, n), fingerprint, period) as write:
 
         def flush(c: np.ndarray) -> None:
             rows = profiles[: len(c)]
@@ -797,15 +814,15 @@ def save_profiles(
     """Export the profiles of :func:`synthesis_profiles` for the ideal
     ``masks`` through :func:`profile_writer`, without realizing them.
 
-    The coefficients c (I, sum r_s) are staged once
+    The coefficients c (R, sum r_s) of the distinct masks are staged once
     (:func:`_stage_coefficients`) and handed over a block of rows at a time,
     so the (I, N) profiles never exist whole; the bytes are those of the
     whole array. A failing block leaves any earlier file in place.
     """
     n = inv.shape[1]
-    staged = np.empty((masks.count, inv.retained_rank), dtype=np.complex128)
+    staged = np.empty((masks.distinct_rows, inv.retained_rank), dtype=np.complex128)
     _stage_coefficients(inv, _folded_factors(inv), masks, staged)
-    with profile_writer(path, inv, masks.count, fingerprint) as add:
+    with profile_writer(path, inv, masks.count, fingerprint, masks.distinct_rows) as add:
         for rows, norms, c in _scaled_rows(staged, max(1, _CHUNK_ENTRIES // n), np.sqrt(n * amplification)):
             add(rows, None, norms, c)
 
@@ -819,8 +836,10 @@ def write_synthesis_summary(
 
     ``realized_rel_err_mean`` and ``_max`` summarise ``rel_err``, the
     misfits taken in the realization pass (:class:`RealizedMisfit`), so the
-    summary reads no mask.
+    summary reads no mask; the misfits of a set's distinct rows stand for
+    every row that repeats them.
     """
+    rel_err = np.tile(rel_err, realized.count // len(rel_err))
     sigma, inv_sigma = inv.sigma, inv.inv_sigma
     retained = sigma[inv_sigma > 0.0]
     lines = [

@@ -2,11 +2,11 @@
 
 A plan expands into the Cartesian product of target distances, measurement
 counts, and SNR settings, run one point at a time in that nesting order: a
-distance builds its kernel and regularized inverse once, a mask count at it
-builds its mask set once, and the SNR points, which differ only in noise,
-reuse them. Everything derived from the plan seed is deterministic: re-running a
-plan reproduces the metrics CSV byte for byte (wall-clock timings therefore
-live in a separate file).
+distance builds its kernel and regularized inverse once, its mask counts share
+one mask set, and the SNR points, which differ only in noise, reuse them.
+Everything derived from the plan seed is deterministic: re-running a plan
+reproduces the metrics CSV byte for byte (wall-clock timings therefore live
+in a separate file).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import os
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, fields
 from itertools import groupby
 from operator import attrgetter
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import em_core, mask_design, measurement, reconstruct, ris_synthesis
-from .errors import CacheMismatch, ImagingError, MalformedConfig
+from .errors import CacheMismatch, ImagingError, MalformedConfig, ZeroSolution
 from .mask_design import MaskSet
 from .measurement import TargetModel
 from .scene import (
@@ -184,13 +184,21 @@ def _shared_builds(
     ``(scene, grids, target, psf, masks, inv, noiseless)`` or the error that
     stopped one of those builds. A distance's scene, grids, target and PSF
     are built once, its kernel and regularized inverse once, at the first
-    mask count that needs them. Each mask set's noiseless receiver fields are
-    computed once, for every SNR point measured from it, a realized set's in
-    its realization pass; the set keeps its own moments for reconstruction
-    (``MaskSet.moments``). Under ``keep_artifacts`` each mask set is
-    exported as it is built (:func:`export_synthesis`);
-    otherwise the inverse drops its sector blocks once it is built, since
-    realizing masks reads only its target-side factors.
+    mask count that needs them.
+
+    A design's rows repeat (``mask_design.distinct_row_count``), so the mask
+    counts at a distance share one mask set, built for the largest of them
+    (:func:`_mask_set`), whose noiseless receiver fields are computed once
+    for every SNR point, a realized set's in its realization pass. Each
+    count's set is its first rows (``MaskSet.first``), its fields their
+    prefix, and it keeps its own moments for reconstruction
+    (``MaskSet.moments``). A realization that fails with
+    :class:`ZeroSolution` at mask r fails only the counts above r: the
+    largest count up to r is built alone for the rest. Under
+    ``keep_artifacts`` each count builds its own set, as its exports are
+    readers of that realization pass (:func:`export_synthesis`); otherwise
+    the inverse drops its sector blocks once it is built, since realizing
+    masks reads only its target-side factors.
     """
     cache_dir = result.run_dir / "kernels" if plan.keep_artifacts else None
     artifact_dir = result.run_dir / "artifacts" if plan.keep_artifacts else None
@@ -204,41 +212,71 @@ def _shared_builds(
         except ImagingError as exc:
             yield at_distance, exc
             continue
-        fp = scene.fingerprint
-        amplification = scene.config.amplification
         inv = None
-        for count, group in groupby(at_distance, key=attrgetter("n_measurements")):
-            group = list(group)
-            stem = f"{fp[:16]}_I{count}"
-            try:
-                masks = ideal = mask_design.ideal_masks(scene, grids, count, plan.phase_mode)
-                if artifact_dir is not None:
-                    mask_design.save_mask_vectors(artifact_dir / f"masks_ideal_{stem}.bin", ideal, fp)
-                if plan.ideal_masks:
-                    noiseless = measurement.noiseless_fields(scene, grids, ideal, target)
+
+        def inverse() -> ris_synthesis.RegularizedInverse:
+            nonlocal inv
+            if inv is None:
+                kernel, built = _load_or_build_kernel(scene, grids, cache_dir)
+                result.kernel_builds += built
+                inv = ris_synthesis.tikhonov_inverse(
+                    kernel, at_distance[0].gamma, plan.threshold_factor, plan.truncation_mode
+                )
+                del kernel  # the inverse holds its sector blocks, not the kernel or its rows
+                if artifact_dir is None:  # no profile maps back to the aperture
+                    inv = inv.without_blocks()
+            return inv
+
+        groups = [(count, list(points)) for count, points in groupby(at_distance, key=attrgetter("n_measurements"))]
+        for shared_by in [groups] if artifact_dir is None else [[group] for group in groups]:
+            mask_set, largest = None, max(count for count, _ in shared_by)
+            while mask_set is None and largest:
+                try:
+                    mask_set = _mask_set(plan, scene, grids, target, largest, inverse, artifact_dir)
+                except ZeroSolution as exc:  # the masks before exc.mask are realizable
+                    error, largest = exc, max((c for c, _ in shared_by if c <= exc.mask), default=0)
+                except ImagingError as exc:
+                    error, largest = exc, 0
+            for count, group in shared_by:
+                if count > largest:
+                    yield group, error
                 else:
-                    if inv is None:
-                        kernel, built = _load_or_build_kernel(scene, grids, cache_dir)
-                        result.kernel_builds += built
-                        inv = ris_synthesis.tikhonov_inverse(
-                            kernel, group[0].gamma, plan.threshold_factor, plan.truncation_mode
-                        )
-                        del kernel  # the inverse holds its sector blocks, not the kernel or its rows
-                        if artifact_dir is None:  # no profile maps back to the aperture
-                            inv = inv.without_blocks()
-                    receiver = measurement.ReceiverFields(scene, grids, ideal, target)
-                    if artifact_dir is None:
-                        masks = ris_synthesis.realize_masks(inv, ideal, amplification, [receiver.add])
-                    else:
-                        masks = export_synthesis(
-                            artifact_dir, f"_{stem}", fp, inv, ideal, amplification, [receiver.add]
-                        )
-                    noiseless = receiver.fields()
-            except ImagingError as exc:
-                yield group, exc
-                continue
-            del ideal  # a realized set no longer needs the design while its points run
-            yield group, (scene, grids, target, psf, masks, inv, noiseless)
+                    masks, noiseless = mask_set
+                    yield group, (scene, grids, target, psf, masks.first(count), inv, noiseless[:count])
+                    del masks, noiseless
+            # dropped before the next set, or the next distance's kernel, is built
+            del mask_set
+
+
+def _mask_set(
+    plan: ExperimentPlan,
+    scene: ValidatedScene,
+    grids: SampleGrids,
+    target: TargetModel,
+    count: int,
+    inverse: Callable[[], ris_synthesis.RegularizedInverse],
+    artifact_dir: Path | None,
+) -> tuple[MaskSet, np.ndarray]:
+    """The set of ``count`` masks that points measure, and its noiseless
+    receiver fields: the designed set under ``ideal_masks``, or the set that
+    ``inverse()`` realizes from it, with the fields taken in the realization
+    pass. With an ``artifact_dir``, the designed set is exported there, and
+    the realized one by :func:`export_synthesis`."""
+    fp = scene.fingerprint
+    stem = f"{fp[:16]}_I{count}"
+    ideal = mask_design.ideal_masks(scene, grids, count, plan.phase_mode)
+    if artifact_dir is not None:
+        mask_design.save_mask_vectors(artifact_dir / f"masks_ideal_{stem}.bin", ideal, fp)
+    if plan.ideal_masks:
+        return ideal, measurement.noiseless_fields(scene, grids, ideal, target)
+    inv = inverse()
+    receiver = measurement.ReceiverFields(scene, grids, ideal, target)
+    amplification = scene.config.amplification
+    if artifact_dir is None:
+        masks = ris_synthesis.realize_masks(inv, ideal, amplification, [receiver.add])
+    else:
+        masks = export_synthesis(artifact_dir, f"_{stem}", fp, inv, ideal, amplification, [receiver.add])
+    return masks, receiver.fields()
 
 
 def export_synthesis(
@@ -247,12 +285,15 @@ def export_synthesis(
     """Realize ``ideal`` and write its realized masks, coefficient profiles
     and synthesis summary to ``directory``, each file stem ending in
     ``suffix``; the masks, the profiles and the summary's misfit are readers
-    of the realization pass, beside ``readers``. Returns the realized set."""
+    of the realization pass, beside ``readers``. The pass realizes the
+    distinct rows of ``ideal``, which the files repeat. Returns the realized
+    set."""
     misfit = ris_synthesis.RealizedMisfit(inv, ideal, amplification)
     masks_path, profiles_path = (directory / f"{stem}{suffix}.bin" for stem in ("masks_realized", "profiles"))
+    period = ideal.distinct_rows
     with (
-        mask_design.mask_file_writer(masks_path, ideal.kind, (ideal.count, ideal.points), fp) as write,
-        ris_synthesis.profile_writer(profiles_path, inv, ideal.count, fp) as profiles,
+        mask_design.mask_file_writer(masks_path, ideal.kind, (ideal.count, ideal.points), fp, period) as write,
+        ris_synthesis.profile_writer(profiles_path, inv, ideal.count, fp, period) as profiles,
     ):
         realized = ris_synthesis.realize_masks(
             inv, ideal, amplification, (*readers, misfit.add, lambda _rows, block, *_: write(block), profiles)

@@ -19,6 +19,8 @@ BUILTIN_NAMES = ("block", "checkerboard", "letters-seu")
 
 # Grey levels of every image this package writes.
 PGM_MAXVAL = 255
+# The text of each grey level, indexed by the level.
+_LEVELS = np.array([str(level) for level in range(PGM_MAXVAL + 1)], dtype=object)
 
 _SEU_ROWS = (
     ".####.#####.#...#",
@@ -71,7 +73,7 @@ def write_pgm(path: str | Path, image: np.ndarray, comment: str | None = None) -
         lines.append(f"# {comment}")
     lines.append(f"{image.shape[1]} {image.shape[0]}")
     lines.append(str(PGM_MAXVAL))
-    lines.extend(" ".join(str(v) for v in row) for row in image)
+    lines.extend(" ".join(row) for row in _LEVELS[image].tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -142,10 +142,14 @@ def realize_with_values(inv, masks, amplification, readers=()):
 
     A realized plane set keeps only the magnitudes of its masks, so tests that
     compare the complex masks read them here, as the fields and the export do.
+    The pass hands over the set's distinct rows, which the array repeats.
     """
     values = np.empty((masks.count, masks.points), dtype=complex)
 
     def keep(rows, block, *_):
         values[rows] = block
 
-    return rs.realize_masks(inv, masks, amplification, [*readers, keep]), values
+    realized = rs.realize_masks(inv, masks, amplification, [*readers, keep])
+    distinct = realized.distinct_rows
+    values.reshape(-1, distinct, masks.points)[1:] = values[:distinct]
+    return realized, values

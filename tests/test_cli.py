@@ -22,6 +22,7 @@ from risimage import reconstruct as rc
 from risimage import ris_synthesis as rs
 from risimage import runner as rn
 from risimage import scene as sc
+from risimage.errors import ZeroSolution
 from risimage.targets import resolve_target, write_pgm
 
 from conftest import peak_traced_bytes
@@ -263,7 +264,7 @@ class TestMeasureReconstructVerbs:
         monkeypatch.setattr(md.MaskSet, "_designed", counting_form)
         argv = ["sweep", "--scene", str(scene_file), "--ideal-masks", "--i-sweep", "128,256"]
         assert cli.main([*argv, "--snr-sweep", "none,10,20", "--output", str(tmp_path / "s")]) == 0
-        assert formed == [(128, 64), (256, 64)]
+        assert formed == [(128, 64)]  # the 128 distinct rows that both counts read, once
 
 
 class TestSynthesizeVerb:
@@ -1027,6 +1028,32 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "MalformedRecords" in err and str(records) in err
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("column", ["re_noiseless", "im_noiseless", "value_noisy_or_re", "im_if_3d", "sigma2"])
+    def test_non_finite_records_are_malformed(self, tmp_path, capsys, column, text):
+        # a volume's records fill every numeric column; sigma2 is read from the first row
+        scene_path = tmp_path / "volume.cfg"
+        scene_path.write_text(TestVolumeVerbs.VOLUME_SCENE)
+        common = ["--scene", str(scene_path), "-I", "16"]
+        records, masks = tmp_path / "records.csv", tmp_path / "masks.bin"
+        assert cli.main(["measure", *common, "--ideal-masks", "--snr-db", "20", "--output", str(records)]) == 0
+        assert cli.main(["masks", *common, "--output", str(masks)]) == 0
+        with open(records, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[0][column] = text
+        with open(records, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        argv = ["reconstruct", *common, "--records", str(records), "--masks", str(masks)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([*argv, "--output", str(tmp_path / "e.pgm")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "MalformedRecords" in err and f"row 0, column {column}" in err
+        assert not list(tmp_path.glob("e*.pgm"))
+
     @pytest.mark.parametrize("calibration", ["max1", "lsq"])
     def test_volume_masks_for_another_depth(self, tmp_path, capsys, calibration):
         # a 2x2x2 volume reconstructed from a mask export of a 2x2x4 one
@@ -1235,7 +1262,8 @@ class TestRunnerInternals:
         )
         result = rn.run_plan(plan)
         assert all(p.error is None for p in result.points) and len(result.points) == 12
-        assert moments == fields == [64, 128, 64, 128]
+        assert moments == [64, 128, 64, 128]
+        assert fields == [128, 128]  # one realized set per distance: I = 64 reads its first rows
 
     def test_cached_plane_kernel_keeps_its_mirror_sectors(self, scene_file, tmp_path, monkeypatch):
         sector_counts = []
@@ -1415,7 +1443,7 @@ class TestRunnerInternals:
         )
         result = rn.run_plan(plan)
         assert all(p.error is None for p in result.points)
-        assert calls == {"ideal_masks": 4, "tikhonov_inverse": 2}
+        assert calls == {"ideal_masks": 2, "tikhonov_inverse": 2}  # I = 128 is a prefix of I = 256
 
     def test_snapshot_records_numpy_and_blas(self, scene_file, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -1476,9 +1504,64 @@ class TestRunnerInternals:
         )
         result = rn.run_plan(plan)
         assert all(p.error is None for p in result.points)
-        assert len(inverses) == 4
+        assert len(inverses) == 2  # one realization per distance
         assert all(s.block is None for inv in inverses for s in inv.sectors)
         assert all(inv.shape == (64, 256) for inv in inverses)
+
+    def test_one_realization_per_distance_for_unsorted_counts(self, scene_file, tmp_path, monkeypatch):
+        # M = 64, so J = 128: I = 1,024 and I = 256 both repeat the same 128 rows
+        realized = []
+
+        def recorded(inv, masks, *args, _original=rs.realize_masks, **kwargs):
+            realized.append((masks.count, masks.distinct_rows))
+            return _original(inv, masks, *args, **kwargs)
+
+        monkeypatch.setattr(rs, "realize_masks", recorded)
+        cfg = sc.load_scene_config(scene_file)
+        plan = rn.ExperimentPlan(
+            scene=cfg,
+            i_values=(1024, 256),
+            snr_values=(None, 20.0),
+            z_values=(0.125, 0.15),
+            output_dir=str(tmp_path / "both"),
+        )
+        assert all(p.error is None for p in rn.run_plan(plan).points)
+        assert realized == [(1024, 128), (1024, 128)]
+        # each count scores, without noise, what a plan of that count alone scores
+        # (a noisy point's seed follows its index in the plan)
+        for count in (1024, 256):
+            alone = dataclasses.replace(plan, i_values=(count,), output_dir=str(tmp_path / f"I{count}"))
+            rn.run_plan(alone)
+            rows, expected = (
+                [(r["z_prime"], r["nmse"]) for r in read_metrics(tmp_path / run) if (r["snr_db"], r["I"]) == ("", str(count))]
+                for run in (f"I{count}", "both")
+            )
+            assert len(rows) == 2 and rows == expected
+
+    def test_zero_solution_fails_only_the_counts_that_reach_its_mask(self, scene_file, tmp_path, monkeypatch):
+        # mask 100 of the 128 distinct rows has no solution: I = 64 never reaches it
+        realized = []
+
+        def failing(inv, masks, *args, _original=rs.realize_masks, **kwargs):
+            realized.append(masks.count)
+            if masks.distinct_rows > 100:
+                raise ZeroSolution("mask 100 lies outside the retained kernel range", 100)
+            return _original(inv, masks, *args, **kwargs)
+
+        monkeypatch.setattr(rs, "realize_masks", failing)
+        cfg = sc.load_scene_config(scene_file)
+        plan = rn.ExperimentPlan(
+            scene=cfg, i_values=(256, 64, 128), snr_values=(None, 20.0), output_dir=str(tmp_path / "zero")
+        )
+        result = rn.run_plan(plan)
+        assert realized == [256, 64]
+        failed = {p.n_measurements for p in result.points if p.error is not None}
+        assert failed == {256, 128}
+        assert all(p.error.startswith("ZeroSolution: mask 100 ") for p in result.points if p.error)
+        alone = dataclasses.replace(plan, i_values=(64,), snr_values=(None,), output_dir=str(tmp_path / "I64"))
+        rn.run_plan(alone)
+        (expected,) = (float(row["nmse"]) for row in read_metrics(tmp_path / "I64"))
+        assert [p.nmse for p in result.points if p.n_measurements == 64 and p.snr_db is None] == [expected]
 
     def test_kept_artifacts_keep_the_blocks_and_the_profile_bytes(self, scene_file, tmp_path, monkeypatch):
         inverses = self.record_inverses(monkeypatch)

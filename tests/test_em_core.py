@@ -501,6 +501,24 @@ class TestStreamedWrite:
         self.assert_untouched(path, old)
 
 
+    def test_a_period_is_copied_on_in_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(em, "_COPY_BYTES", 40)  # chunks that split rows
+        values = self.values()
+        write_file(tmp_path / "a.bin", self.HEADER, np.tile(values[:2], (3, 1)))
+        with em.complex_file_writer(tmp_path / "b.bin", self.HEADER, (6, 3), period=2) as write:
+            write(values[:1])
+            write(values[1:2])
+        assert (tmp_path / "b.bin").read_bytes() == (tmp_path / "a.bin").read_bytes()
+
+    @pytest.mark.parametrize("period, rows", [(2, 6), (2, 1), (4, 4)], ids=["past-the-period", "short", "not-dividing"])
+    def test_a_period_the_blocks_miss_leaves_the_old_file(self, tmp_path, period, rows):
+        path, old = self.old_file(tmp_path)
+        with pytest.raises(DimensionMismatch):
+            with em.complex_file_writer(path, self.HEADER, (6, 3), period=period) as write:
+                write(self.values()[:rows])
+        self.assert_untouched(path, old)
+
+
 STREAM_SCENES = pytest.mark.parametrize(
     "cfg",
     [desk_config(), desk_config(n_target_x=15, n_target_y=15, n_ris_x=33, n_ris_y=33), volume_config()],

@@ -145,6 +145,68 @@ class TestDesignAmplitudes:
                 md.check_measurement_count(count, points)
 
 
+class TestDistinctRows:
+    """A design of I masks over M points has min(I, J) distinct rows, J the
+    smallest power of two above M: its rows are a prefix or a period of them."""
+
+    @pytest.mark.parametrize("points", [64, 200, 255, 256, 1024])
+    def test_rows_are_a_prefix_or_a_period_of_one_sequence(self, points):
+        period = 1 << points.bit_length()
+        sequence = md.design_amplitudes(period, points)
+        count = max(4, 1 << (points - 1).bit_length())  # the smallest usable count
+        while count <= 8 * period:
+            distinct = md.distinct_row_count(count, points)
+            assert distinct == min(count, period)
+            for start in range(0, count, period):  # one period at a time, never the whole design
+                rows = md.design_amplitudes(count, points, slice(start, start + period))
+                assert np.array_equal(rows, sequence[: len(rows)])
+            count *= 2
+
+    def test_a_stored_set_repeats_its_rows(self):
+        rows = np.arange(12.0).reshape(4, 3) + 1j
+        masks = md.MaskSet(kind=md.KIND_MASK3D, stored=rows, repeats=3)
+        assert (masks.count, masks.points, masks.distinct_rows) == (12, 3, 4)
+        whole = np.tile(rows, (3, 1))
+        assert np.array_equal(masks.vectors, whole) and not masks.vectors.flags.writeable
+        assert np.array_equal(masks.block(slice(3, 9)), whole[3:9])
+        assert [(r, b.tolist()) for r, b in masks.row_blocks()] == [(slice(0, 4), rows.tolist())]
+        assert masks.moments[0] is rows  # the moments read the stored rows in place
+        np.testing.assert_allclose(masks.moments[1], md.MaskSet(kind=masks.kind, stored=whole).moments[1], rtol=1e-15)
+
+    def test_first_masks_are_a_prefix_or_the_period(self):
+        rows = np.arange(12.0).reshape(4, 3)
+        masks = md.MaskSet(kind=md.KIND_MASK2D, stored=rows, solution_norms=np.arange(8.0), repeats=2)
+        prefix, repeated = masks.first(2), masks.first(8)
+        assert np.shares_memory(prefix.stored, rows) and prefix.count == 2 and prefix.repeats == 1
+        assert prefix.solution_norms.tolist() == [0.0, 1.0]
+        assert repeated.stored is rows and repeated.count == 8 and repeated.solution_norms.tolist() == list(range(8))
+        designed = md.MaskSet(kind=md.KIND_MASK3D, design=(1024, 8)).first(64)
+        assert designed.design == (64, 8) and designed.distinct_rows == 16
+
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_a_set_repeats_its_rows_a_whole_number_of_times(self, repeats):
+        with pytest.raises(ValueError, match="repeats"):
+            md.MaskSet(kind=md.KIND_MASK2D, stored=np.ones((4, 3)), repeats=repeats)
+        with pytest.raises(ValueError, match="repeats"):
+            md.MaskSet(kind=md.KIND_MASK2D, design=(8, 3), repeats=2)
+
+    def test_designed_export_forms_its_distinct_rows_once(self, tmp_path, monkeypatch):
+        masks = md.MaskSet(kind=md.KIND_MASK3D, design=(1024, 8))
+        formed = []
+        form = md.MaskSet._designed
+
+        def recording(masks, rows=slice(None)):
+            stack = form(masks, rows)
+            formed.append(len(stack))
+            return stack
+
+        monkeypatch.setattr(md.MaskSet, "_designed", recording)
+        md.save_mask_vectors(tmp_path / "m.bin", masks, "f")
+        assert formed == [16]
+        kind, vectors, _ = md.load_mask_vectors(tmp_path / "m.bin")
+        assert vectors.shape == (1024, 8) and vectors.tobytes() == form(masks).tobytes()
+
+
 class TestDesignPhases2d:
     def test_centre_value(self):
         # odd grid puts a sample exactly at the expansion point (0, 0, z')
@@ -269,8 +331,9 @@ class TestProject:
 
         monkeypatch.setattr(md.MaskSet, "_designed", refuse)
         monkeypatch.setattr(md, "design_amplitudes", refuse)
-        out = self.projected(masks, 128, factors)
-        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+        distinct = masks.distinct_rows  # 16 of the volume's 128 rows: the rest repeat them
+        out = self.projected(masks, distinct, factors)
+        np.testing.assert_allclose(out, expected[:distinct], rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
     @pytest.mark.parametrize("fixture", ["small_scene", "volume_scene"])
@@ -291,10 +354,10 @@ class TestProject:
                 yield copy
                 del copy
 
-        out = np.empty((128, 9), dtype=complex)
+        out = np.empty((masks.distinct_rows, 9), dtype=complex)
         md.project(masks, one_at_a_time(), out)
         assert alive_at_draw == [0, 0, 0]
-        expected = masks.vectors @ np.concatenate(factors, axis=1)
+        expected = masks.vectors[: masks.distinct_rows] @ np.concatenate(factors, axis=1)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 

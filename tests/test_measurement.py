@@ -144,7 +144,7 @@ class TestFieldsInRowBlocks:
     @pytest.mark.parametrize("designed", [True, False], ids=["designed", "stored"])
     def test_fields_match_the_whole_stack(self, fixture, designed, request, monkeypatch):
         scene, grids = request.getfixturevalue(fixture)
-        monkeypatch.setattr(md, "_CHUNK_ENTRIES", 4096)  # a few rows per block
+        monkeypatch.setattr(md, "_CHUNK_ENTRIES", 16 * scene.n_target)  # four rows per block
         masks = md.ideal_masks(scene, grids, 1024)
         stack = masks.vectors
         if not designed:
@@ -169,8 +169,8 @@ class TestFieldsInRowBlocks:
         monkeypatch.setattr(md.MaskSet, "_designed", recording)
         fields = ms.noiseless_fields(scene, grids, masks, target)
         assert fields.tobytes() == expected.tobytes()
-        if designed:  # several blocks, never the whole stack
-            assert sum(formed) == masks.count and max(formed) < masks.count
+        if designed:  # several blocks of the distinct rows, which the fields repeat
+            assert sum(formed) == masks.distinct_rows and max(formed) < masks.distinct_rows
         else:
             assert formed == []
 

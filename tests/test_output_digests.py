@@ -22,3 +22,15 @@ def test_two_runs_list_the_same_digests():
     for expected in ("seed-3/plane-64/metrics.csv", "seed-3/steps-volume-zsweep/kernel.bin"):
         assert expected in paths
     assert not any(path.endswith("timings.csv") for path in paths)
+
+
+def test_comparing_the_sources_with_themselves_lists_nothing():
+    src = str(TOOL.parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, str(TOOL), "--seeds", "3", "--compare-src", src],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ""

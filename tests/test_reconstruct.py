@@ -74,9 +74,10 @@ class TestMaskMoments:
         inv = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12)
         realized, values = realize_with_values(inv, md.ideal_masks(scene, grids, 1024), 1.0)
         u, c_values, power = realized.moments
-        np.testing.assert_array_equal(u, np.abs(values))
+        distinct = np.abs(values[: realized.distinct_rows])  # the 128 rows that 1,024 repeat
+        np.testing.assert_array_equal(u, distinct)
         assert np.shares_memory(u, realized.stored)
-        expected_c, expected_power = self.whole_array_moments(np.abs(values))
+        expected_c, expected_power = self.whole_array_moments(distinct)
         np.testing.assert_array_equal(c_values, expected_c)
         np.testing.assert_array_equal(power, expected_power)
 
@@ -304,6 +305,36 @@ class TestReconstruct3d:
         wider = md.MaskSet(kind=masks.kind, stored=np.ones((16, 2 * scene.n_target), dtype=complex))
         with pytest.raises(DimensionMismatch):
             rc.reconstruct_3d(scene, meas, wider)
+
+
+class TestFoldedCorrelation:
+    """A set that repeats its rows correlates over one period of them, after
+    folding the measurements onto it, as the whole tiled set would."""
+
+    @pytest.mark.parametrize("kind", [md.KIND_MASK2D, md.KIND_MASK3D])
+    @pytest.mark.parametrize("repeats", [1, 2, 8])
+    def test_matches_the_tiled_set(self, kind, repeats):
+        rng = np.random.default_rng(repeats)
+        rows = rng.uniform(0.1, 1.0, (32, 12))
+        if kind == md.KIND_MASK3D:
+            rows = rows * np.exp(1j * rng.uniform(0, 1, rows.shape))
+        periodic = md.MaskSet(kind=kind, stored=rows, repeats=repeats)
+        tiled = md.MaskSet(kind=kind, stored=np.tile(rows, (repeats, 1)))
+        noisy = rng.standard_normal(32 * repeats) + 5.0
+        if kind == md.KIND_MASK3D:
+            noisy = noisy + 1j * rng.standard_normal(32 * repeats)
+        values = (periodic.moments[0], tiled.moments[0])
+        assert values[0] is rows and len(values[1]) == 32 * repeats
+        scale = np.linspace(1.0, 2.0, 12)
+        folded, whole = (rc._correlate(noisy, masks, kind, scale) for masks in (periodic, tiled))
+        np.testing.assert_allclose(folded.estimate, whole.estimate, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(folded.c_values, whole.c_values, rtol=1e-13)
+        assert np.array_equal(folded.flagged, whole.flagged)
+
+    def test_count_must_match_every_row(self):
+        periodic = md.MaskSet(kind=md.KIND_MASK2D, stored=np.ones((4, 3)), repeats=2)
+        with pytest.raises(DimensionMismatch, match="4 measurements for 8 masks"):
+            rc._correlate(np.ones(4), periodic, md.KIND_MASK2D, 1.0)
 
 
 class TestNmse:

@@ -849,6 +849,45 @@ class TestStreamedExports:
         assert list(tmp_path.glob(".*.tmp")) == []
 
 
+class TestPeriodicSets:
+    """A designed set of I >= 2J masks is realized over its J distinct rows,
+    and every reader of all I rows sees them repeated."""
+
+    def test_matches_a_realization_of_every_row(self, desk_synthesis, desk_scene):
+        inv, _ = desk_synthesis
+        designed = md.ideal_masks(*desk_scene, 2048)
+        seen = []
+        periodic = rs.realize_masks(inv, designed, 1.5, [lambda rows, *_: seen.append(rows)])
+        assert seen[0].start == 0 and seen[-1].stop == designed.distinct_rows == 512
+        assert periodic.stored.shape == (512, 256) and periodic.repeats == 4 and periodic.count == 2048
+        every = rs.realize_masks(inv, md.MaskSet(kind=designed.kind, stored=designed.vectors), 1.5)
+        assert every.stored.shape == (2048, 256) and every.repeats == 1
+        scale = np.abs(every.stored).max()
+        np.testing.assert_allclose(periodic.vectors, every.stored, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(periodic.solution_norms, every.solution_norms, rtol=1e-12)
+
+    def test_exports_repeat_the_period_byte_for_byte(self, tmp_path):
+        scene = sc.validate_scene(volume_config())
+        grids = sc.sample_grids(scene)
+        inv = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12)
+        ideal = md.ideal_masks(scene, grids, 256)
+        period = ideal.distinct_rows
+        realized = rn.export_synthesis(tmp_path, "", "f", inv, ideal, 1.5)
+        assert period == 16 and realized.stored.shape == (period, scene.n_target)
+        for name, columns in (("masks_realized", scene.n_target), ("profiles", scene.n_ris)):
+            _, vectors, _ = md.load_mask_vectors(tmp_path / f"{name}.bin")
+            assert vectors.shape == (256, columns)
+            first = vectors[:period].tobytes()
+            assert all(vectors[k : k + period].tobytes() == first for k in range(period, 256, period))
+        _, masks, _ = md.load_mask_vectors(tmp_path / "masks_realized.bin")
+        assert masks.tobytes() == realized.vectors.tobytes()
+        _, profiles, _ = md.load_mask_vectors(tmp_path / "profiles.bin")
+        assert profiles.tobytes() == rs.synthesis_profiles(inv, ideal, 1.5).tobytes()
+        lines = (tmp_path / "synthesis.txt").read_text().splitlines()
+        norms = [line for line in lines if line.startswith("solution_norm[")]
+        assert len(norms) == 256 and norms[period].split(" = ")[1] == norms[0].split(" = ")[1]
+
+
 LAYOUT_SCENES = pytest.mark.parametrize(
     "cfg, threshold_factor",
     [
@@ -868,15 +907,17 @@ class TestOneArrayLayout:
     @pytest.mark.parametrize("chunk", [None, 4096], ids=["default-blocks", "small-blocks"])
     def test_readers_see_what_separate_arrays_give(self, cfg, threshold_factor, chunk, tmp_path, monkeypatch):
         if chunk is not None:  # many blocks, whose rows of profiles and of masks do not line up
-            monkeypatch.setattr(rs, "_CHUNK_ENTRIES", chunk)
+            # the volume's 16 distinct rows of 8 points span several blocks only at a smaller chunk
+            monkeypatch.setattr(rs, "_CHUNK_ENTRIES", chunk // 32 if cfg.target_kind == sc.VOLUME_3D else chunk)
         scene = sc.validate_scene(cfg)
         grids = sc.sample_grids(scene)
         inv = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12, threshold_factor)
         masks = md.ideal_masks(scene, grids, 256)
         if threshold_factor != rs.DEFAULT_THRESHOLD_FACTOR:
             assert 0 < 2 * inv.retained_rank < scene.n_target  # c is shorter than u
-        # the coefficients staged alone, in an array of their own
-        fresh = np.empty((masks.count, inv.retained_rank), dtype=complex)
+        # the coefficients staged alone, in an array of their own: one row per
+        # distinct mask (16 of the volume's 256, which repeat them)
+        fresh = np.empty((masks.distinct_rows, inv.retained_rank), dtype=complex)
         rs._stage_coefficients(inv, rs._folded_factors(inv), masks, fresh)
         right = [(f.u * f.sigma).T for f in rs._folded_factors(inv)]
         budget = np.sqrt(scene.n_ris * 1.5)
@@ -885,9 +926,9 @@ class TestOneArrayLayout:
         def reader(rows, block, norms, c):
             seen.append((rows, block.copy(), norms.copy(), c.copy()))
 
-        with rs.profile_writer(tmp_path / "p.bin", inv, masks.count, "f") as profiles:
+        with rs.profile_writer(tmp_path / "p.bin", inv, masks.count, "f", masks.distinct_rows) as profiles:
             realized = rs.realize_masks(inv, masks, 1.5, [reader, profiles])
-        assert seen[-1][0].stop == masks.count and (chunk is None or len(seen) >= 2)
+        assert seen[-1][0].stop == masks.distinct_rows and (chunk is None or len(seen) >= 2)
         for rows, block, norms, c in seen:
             parts = fresh[rows].view(np.float64)
             assert norms.tobytes() == np.sqrt(np.einsum("ik,ik->i", parts, parts)).tobytes()
@@ -898,7 +939,8 @@ class TestOneArrayLayout:
             assert block.tobytes() == mapped.tobytes()
             kept = block if masks.kind == md.KIND_MASK3D else np.abs(block)
             assert realized.stored[rows].tobytes() == kept.tobytes()
-        assert realized.solution_norms.tobytes() == np.concatenate([norms for _, _, norms, _ in seen]).tobytes()
+        seen_norms = np.concatenate([norms for _, _, norms, _ in seen])
+        assert realized.solution_norms.tobytes() == np.tile(seen_norms, realized.repeats).tobytes()
         profiles = rs.synthesis_profiles(inv, masks, 1.5)
         header = f"kind=profiles count={masks.count} points={scene.n_ris} fingerprint=f\n".encode()
         assert (tmp_path / "p.bin").read_bytes() == header + profiles.astype("<c16").tobytes()
@@ -911,7 +953,8 @@ class TestOneArrayLayout:
         realized = rs.realize_masks(inv, md.ideal_masks(scene, grids, 256), 1.0)
         held = realized.stored.base
         width = scene.n_target if realized.kind == md.KIND_MASK3D else -(-scene.n_target // 2)
-        assert held.dtype == np.complex128 and held.size == 256 * max(inv.retained_rank, width)
+        size = realized.distinct_rows * max(inv.retained_rank, width)
+        assert held.dtype == np.complex128 and held.size == size
         assert realized.stored.flags.c_contiguous and not realized.stored.flags.writeable
 
 
@@ -1088,14 +1131,16 @@ class TestPeakMemory:
         assert u is realized.stored and not np.iscomplexobj(u)
 
     def test_many_masks_need_no_coefficient_stack(self, desk_synthesis, desk_scene):
-        # at I = 4,096 a realized plane set stages its coefficients (16 MiB at
-        # sum r_s = 256) in one array and writes its magnitudes (8 MiB) over them, so
-        # the pass peaks below the two side by side; a complex (I, M) stack (16 MiB)
-        # beside them would exceed the slack many times
+        # at I = 4,096 only R = 512 masks are distinct: a realized plane set stages
+        # their coefficients (2 MiB at sum r_s = 256) in one array, writes their
+        # magnitudes over them and transforms two column blocks; the coefficients
+        # of all 4,096 masks (16 MiB) or a complex (I, M) stack (16 MiB) would
+        # exceed that many times
         inv, _ = desk_synthesis
         masks = md.ideal_masks(*desk_scene, 4096)
         peak, realized = peak_traced_bytes(lambda: rs.realize_masks(inv, masks, 1.0))
-        coefficients = masks.count * inv.retained_rank * 16
-        assert peak <= coefficients + (4 << 20) < coefficients + realized.stored.nbytes
+        assert realized.stored.shape == (masks.distinct_rows, masks.points) == (512, 256)
+        coefficients = masks.distinct_rows * inv.retained_rank * 16
+        assert peak <= coefficients + (5 << 19) < masks.count * inv.retained_rank * 16
         peak, profiles = peak_traced_bytes(lambda: rs.synthesis_profiles(inv, masks, 1.0))
         assert peak <= profiles.nbytes + self.SLACK

@@ -184,3 +184,28 @@ class TestGridImage:
         tg.write_grid_image(tmp_path / "grid.pgm", grid)
         image, _ = tg.read_pgm(tmp_path / "grid.pgm")
         assert image[8 - 1 - 5, 2] == 255  # y flips into rows from the top
+
+
+class TestWritePgm:
+    @staticmethod
+    def formatted_one_value_at_a_time(image, comment):
+        """The P2 text with each pixel formatted on its own, by ``str``."""
+        lines = ["P2", f"# {comment}", f"{image.shape[1]} {image.shape[0]}", str(tg.PGM_MAXVAL)]
+        lines.extend(" ".join(str(v) for v in row) for row in image.tolist())
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "image",
+        [
+            np.random.default_rng(5).integers(0, 256, (16, 16)),
+            np.random.default_rng(6).integers(0, 256, (7, 33)),
+            np.random.default_rng(7).integers(0, 256, (1, 9)),
+            np.random.default_rng(8).integers(0, 256, (9, 1)),
+            np.zeros((4, 5), dtype=int),
+            np.full((5, 4), 255),
+        ],
+        ids=["random", "random-wide", "one-row", "one-column", "all-0", "all-255"],
+    )
+    def test_bytes_match_formatting_each_value(self, image, tmp_path):
+        tg.write_pgm(tmp_path / "img.pgm", image, comment="c")
+        assert (tmp_path / "img.pgm").read_text() == self.formatted_one_value_at_a_time(image, "c")

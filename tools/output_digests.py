@@ -18,6 +18,11 @@ line, which names the directory. Run from the repository root:
     python3 tools/output_digests.py --seeds 3 8 --src ../parent/src > parent.txt
     diff parent.txt change.txt
 
+or, in one step, list only the paths whose digests differ or that one side
+lacks, and exit 1 if there are any:
+
+    python3 tools/output_digests.py --seeds 3 8 --compare-src ../parent/src
+
 BLAS runs on at most 2 threads, as in the benchmark.
 """
 
@@ -28,6 +33,7 @@ import contextlib
 import hashlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -78,11 +84,42 @@ def listing(outputs: Path) -> list[str]:
     return [f"{digest(p)}  {p.relative_to(outputs).as_posix()}" for p in files]
 
 
+def digests_of(src: Path, seeds: list[int]) -> dict[str, str]:
+    """The listing of the sources ``src``, from a process of their own: path -> digest."""
+    argv = [sys.executable, __file__, "--seeds", *map(str, seeds), "--src", str(src)]
+    done = subprocess.run(argv, capture_output=True, text=True, check=True)
+    return {path: digest for digest, path in (line.split("  ", 1) for line in done.stdout.splitlines())}
+
+
+def compare(src: Path, other: Path, seeds: list[int]) -> int:
+    """Print each path whose digest differs between the two sources, or that
+    one of them lacks, marked ``changed``, ``only <src>`` or ``only <other>``;
+    return 1 if there is any, else 0."""
+    ours, theirs = digests_of(src, seeds), digests_of(other, seeds)
+    differ = 0
+    for path in sorted(ours.keys() | theirs.keys()):
+        if path not in theirs:
+            print(f"only {src}  {path}")
+        elif path not in ours:
+            print(f"only {other}  {path}")
+        elif ours[path] != theirs[path]:
+            print(f"changed  {path}")
+        else:
+            continue
+        differ = 1
+    return differ
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", required=True, help="workload seeds")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="risimage sources to run")
+    parser.add_argument(
+        "--compare-src", type=Path, metavar="DIR", help="list only the outputs that differ from those of DIR"
+    )
     args = parser.parse_args(argv)
+    if args.compare_src is not None:
+        return compare(args.src, args.compare_src, args.seeds)
 
     # BLAS reads its thread count once, when numpy is first imported
     threads = str(min(2, len(os.sched_getaffinity(0))))
