@@ -31,6 +31,7 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -56,9 +57,6 @@ ENTRY_CAP = 1 << 26
 # temporary stays near 512 KiB: a sweep that frees one distance's kernel before
 # building the next then reuses heap memory instead of faulting in fresh pages.
 _CHUNK_ENTRIES = 1 << 15
-# A periodic file body is copied on from its first period through one buffer
-# of this many bytes (256 KiB), the size of a mask export's row block.
-_COPY_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -441,46 +439,80 @@ def complex_file_writer(
     The context gives ``write(block)``, which writes one (rows, cols) block
     of rows before it returns, so a caller can reuse one buffer. With a
     ``period`` that divides the row count, the blocks add up to that many
-    rows, and row i of the body is row i mod ``period``: the period's bytes
-    are copied on from the file itself, :data:`_COPY_BYTES` at a time. The
-    bytes go to a temporary file in the same directory, which replaces
-    ``path`` when the context ends: a reader sees the old file or the whole
-    new one, never a partial write. If the context raises, or the blocks do
-    not add up (:class:`DimensionMismatch`), the temporary file is removed
-    and the old file stays. Each block is written from its array's own
-    buffer, so C-ordered little-endian complex128 values are not copied.
+    rows, and row i of the body is row i mod ``period``: each block is
+    written at every offset where its rows repeat. The bytes go to a
+    temporary file in the same directory, which replaces ``path`` when the
+    context ends: a reader sees the old file or the whole new one, never a
+    partial write. If the context raises, a write comes up short
+    (:class:`OSError`), or the blocks do not add up
+    (:class:`DimensionMismatch`), the temporary file is removed and the old
+    file stays. Each block is written from its array's own buffer, so
+    C-ordered little-endian complex128 values are not copied.
+
+    The temporary file is given its final size before the first block
+    (``os.posix_fallocate``, where the platform has it), so its blocks are
+    allocated when it replaces the old file: ext4 starts writing back a file
+    whose blocks are still to be allocated when it is renamed over another,
+    and that would hold up the caller. An :class:`OSError` from the
+    allocation, such as a full disk, fails the write like any other.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     period = shape[0] if period is None else period
     if period != shape[0] and (period <= 0 or shape[0] % period):
         raise DimensionMismatch(f"a period of {period} rows does not divide the {shape[0]} rows of the body")
+    head = header.encode("ascii")
+    row_bytes = 16 * shape[1]
+    size = len(head) + row_bytes * shape[0]
     rows = 0
+
+    def write_at(data, offset: int) -> None:
+        written = os.pwrite(fd, data, offset)
+        if written != len(data):
+            raise OSError(f"wrote {written} of {len(data)} bytes at offset {offset} of {tmp}")
 
     def write(block: np.ndarray) -> None:
         nonlocal rows
-        rows += len(block)
-        if block.shape[1:] != shape[1:] or rows > period:
+        if block.shape[1:] != shape[1:] or rows + len(block) > period:
             raise DimensionMismatch(f"a {block.shape} block does not fit the {period} rows of the {shape} body")
-        fh.write(np.ascontiguousarray(block, dtype="<c16").data)
+        data = np.ascontiguousarray(block, dtype="<c16").reshape(-1).view(np.uint8)
+        for offset in range(len(head) + rows * row_bytes, size, max(period * row_bytes, 1)):
+            write_at(data, offset)
+        rows += len(block)
 
     try:
-        with open(tmp, "w+b") as fh:
-            start = fh.write(header.encode("ascii"))
+        with open(tmp, "wb", buffering=0) as fh:
+            fd = fh.fileno()
+            if hasattr(os, "posix_fallocate") and size:
+                os.posix_fallocate(fd, 0, size)
+            write_at(head, 0)
             yield write
             if rows != period:
                 raise DimensionMismatch(f"blocks of {rows} rows for the {period} rows of the body's period")
-            end = fh.tell()
-            buffer = memoryview(bytearray(max(1, min(_COPY_BYTES, end - start))))
-            for _ in range(shape[0] // period - 1):
-                for offset in range(start, end, len(buffer)):
-                    fh.seek(offset)
-                    chunk = buffer[: fh.readinto(buffer[: end - offset])]
-                    fh.seek(0, os.SEEK_END)
-                    fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
+
+
+@contextmanager
+def text_file_writer(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """A text file handle that writes ``path`` anew, ``newline`` as for :func:`open`.
+
+    The old file is removed first and the new one created in its place,
+    never truncated: ext4 starts writing back a file that was truncated to
+    nothing when it is closed, and that would hold up the caller. While it
+    is written, a reader finds no file or a part of the new one. If the
+    context or the closing raises, the part written is removed.
+    """
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    fh = open(path, "x", newline=newline)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        path.unlink(missing_ok=True)
         raise
 
 

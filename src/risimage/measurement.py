@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import VACUUM_PERMITTIVITY
-from .em_core import psf_vector
+from .em_core import psf_vector, text_file_writer
 from .errors import DimensionMismatch, EmptySet, KindMismatch, MalformedConfig, MalformedRecords, MissingFile
 from .mask_design import KIND_MASK2D, MaskSet
 from .scene import PLANE_2D, VOLUME_3D, SampleGrids, ValidatedScene
@@ -284,7 +284,7 @@ def records_to_csv(path: str | Path, meas: Measurements) -> None:
     stream key on every row.
     """
     variance = repr(meas.noise_variance)
-    with open(path, "w", newline="") as fh:
+    with text_file_writer(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_FIELDS)
         rows = zip(meas.noiseless.tolist(), meas.noisy.tolist())

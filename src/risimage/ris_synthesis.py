@@ -79,7 +79,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .em_core import KIND_Y3D, KIND_Z2D, KernelMatrix, KernelStream, MirrorSymmetry
+from .em_core import KIND_Y3D, KIND_Z2D, KernelMatrix, KernelStream, MirrorSymmetry, text_file_writer
 from .errors import DimensionMismatch, KindMismatch, MalformedConfig, SvdFailure, ZeroSolution
 from .mask_design import KIND_MASK2D, KIND_MASK3D, MaskSet, mask_file_writer, project
 
@@ -857,4 +857,5 @@ def write_synthesis_summary(
         for k, (s, block) in enumerate(zip(inv.sectors, inv._blocks()))
     )
     lines.extend(f"solution_norm[{i}] = {norm!r}" for i, norm in enumerate(realized.solution_norms))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with text_file_writer(path) as fh:
+        fh.write("\n".join(lines) + "\n")

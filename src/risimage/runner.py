@@ -416,7 +416,8 @@ def run_plan(plan: ExperimentPlan) -> RunResult:
     )
     errors = [f"point {p.index}: {p.error}" for p in result.points if p.error is not None]
     if errors:
-        (run_dir / "errors.log").write_text("\n".join(errors) + "\n")
+        with em_core.text_file_writer(run_dir / "errors.log") as fh:
+            fh.write("\n".join(errors) + "\n")
     return result
 
 
@@ -446,7 +447,8 @@ def _write_snapshot(path: Path, plan: ExperimentPlan) -> None:
     lines.append(f"env.numpy = {np.__version__!r}")
     lines.append(f"env.blas = {_blas_name()!r}")
     lines.extend(f"env.{var} = {os.environ.get(var)!r}" for var in _BLAS_THREAD_VARS)
-    path.write_text("\n".join(lines) + "\n")
+    with em_core.text_file_writer(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _csv_value(value) -> str:
@@ -459,7 +461,7 @@ def _csv_value(value) -> str:
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """Write ``header`` and then ``rows``, each cell through :func:`_csv_value`."""
-    with open(path, "w", newline="") as fh:
+    with em_core.text_file_writer(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([_csv_value(value) for value in row] for row in rows)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .em_core import text_file_writer
 from .errors import MalformedImage, MalformedVolume, MissingFile, SizeMismatch
 from .measurement import TargetModel, contrast_from_materials, make_target_2d, make_target_3d
 from .scene import ValidatedScene
@@ -74,7 +75,8 @@ def write_pgm(path: str | Path, image: np.ndarray, comment: str | None = None) -
     lines.append(f"{image.shape[1]} {image.shape[0]}")
     lines.append(str(PGM_MAXVAL))
     lines.extend(" ".join(row) for row in _LEVELS[image].tolist())
-    Path(path).write_text("\n".join(lines) + "\n")
+    with text_file_writer(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_grid_image(path: str | Path, grid: np.ndarray) -> None:

@@ -1,7 +1,9 @@
 """Field quantities and kernels against independently coded scalar oracles."""
 
 import cmath
+import errno
 import math
+import os
 
 import numpy as np
 import pytest
@@ -501,14 +503,57 @@ class TestStreamedWrite:
         self.assert_untouched(path, old)
 
 
-    def test_a_period_is_copied_on_in_chunks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(em, "_COPY_BYTES", 40)  # chunks that split rows
-        values = self.values()
-        write_file(tmp_path / "a.bin", self.HEADER, np.tile(values[:2], (3, 1)))
-        with em.complex_file_writer(tmp_path / "b.bin", self.HEADER, (6, 3), period=2) as write:
-            write(values[:1])
-            write(values[1:2])
-        assert (tmp_path / "b.bin").read_bytes() == (tmp_path / "a.bin").read_bytes()
+    @pytest.mark.parametrize("period", [None, 4, 2], ids=["plain", "2-periods", "4-periods"])
+    def test_each_block_is_written_at_every_period(self, tmp_path, period):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+        header = "kind=t count=8 points=3 fingerprint=f\n"
+        rows = 8 if period is None else period
+        path = tmp_path / "b.bin"
+        write_file(path, header + "longer\n", np.tile(values, (2, 1)))  # an old file larger than the new one
+        with em.complex_file_writer(path, header, (8, 3), period=period) as write:
+            for start in range(rows):  # one row a block: each offset is its own
+                write(values[start : start + 1])
+        write_file(tmp_path / "a.bin", header, np.tile(values[:rows], (8 // rows, 1)))
+        assert path.stat().st_size == len(header) + 16 * 8 * 3
+        assert path.read_bytes() == (tmp_path / "a.bin").read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "posix_fallocate"), reason="the platform has no posix_fallocate")
+    def test_the_temporary_file_has_its_final_size_before_any_block(self, tmp_path):
+        path, _ = self.old_file(tmp_path)
+        with em.complex_file_writer(path, self.HEADER, (6, 3), period=2) as write:
+            (tmp,) = tmp_path.glob(".v.bin.*.tmp")
+            assert tmp.stat().st_size == len(self.HEADER) + 16 * 6 * 3
+            write(self.values()[:2])
+
+    @pytest.mark.parametrize("short", [0, 1], ids=["header", "block"])
+    def test_a_short_write_leaves_the_old_file(self, tmp_path, monkeypatch, short):
+        path, old = self.old_file(tmp_path)
+        calls = []
+
+        def pwrite(fd, data, offset, _original=os.pwrite):
+            calls.append(offset)
+            if len(calls) - 1 == short:  # this call writes one byte less
+                data = data[:-1]
+            return _original(fd, data, offset)
+
+        monkeypatch.setattr(em.os, "pwrite", pwrite)
+        with pytest.raises(OSError, match="wrote"):
+            with em.complex_file_writer(path, self.HEADER, (6, 3)) as write:
+                write(self.values())
+        self.assert_untouched(path, old)
+
+    def test_a_failing_allocation_leaves_the_old_file(self, tmp_path, monkeypatch):
+        path, old = self.old_file(tmp_path)
+
+        def full(fd, offset, length):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(em.os, "posix_fallocate", full, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            with em.complex_file_writer(path, self.HEADER, (6, 3)) as write:
+                write(self.values())
+        self.assert_untouched(path, old)
 
     @pytest.mark.parametrize("period, rows", [(2, 6), (2, 1), (4, 4)], ids=["past-the-period", "short", "not-dividing"])
     def test_a_period_the_blocks_miss_leaves_the_old_file(self, tmp_path, period, rows):
@@ -517,6 +562,41 @@ class TestStreamedWrite:
             with em.complex_file_writer(path, self.HEADER, (6, 3), period=period) as write:
                 write(self.values()[:rows])
         self.assert_untouched(path, old)
+
+
+class TestTextWriter:
+    """``text_file_writer`` removes the old file and creates the new one in its place."""
+
+    def test_a_shorter_text_leaves_exactly_its_bytes(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("a much longer old text\n" * 4)
+        with em.text_file_writer(path) as fh:
+            fh.write("new\n")
+        assert path.read_bytes() == b"new\n"
+
+    def test_newline_is_passed_to_open(self, tmp_path):
+        path = tmp_path / "out.csv"
+        with em.text_file_writer(path, newline="") as fh:
+            fh.write("a,b\r\n")
+        assert path.read_bytes() == b"a,b\r\n"
+
+    def test_the_old_file_is_replaced_not_truncated(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with open(path) as old:
+            with em.text_file_writer(path) as fh:
+                fh.write("new\n")
+            assert old.read() == "old\n"  # a reader of the old file keeps what it opened
+        assert path.read_text() == "new\n"
+
+    def test_a_failing_write_removes_the_part_written(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with pytest.raises(ZeroDivisionError):
+            with em.text_file_writer(path) as fh:
+                fh.write("part")
+                raise ZeroDivisionError
+        assert not path.exists()
 
 
 STREAM_SCENES = pytest.mark.parametrize(

@@ -3,8 +3,9 @@
 For each seed, in this process through ``risimage.cli.main``:
 
 * the four benchmark workloads of ``perfbench/workloads.py`` are swept from
-  their plan files, ``desk-artifacts`` twice into one directory, so that the
-  second sweep reads the kernel cache the first one wrote;
+  their plan files, each twice into one directory, so that the second sweep
+  replaces every file the first one wrote (and ``desk-artifacts`` reads the
+  kernel cache the first one wrote);
 * the step verbs ``kernel``, ``masks``, ``synthesize``, ``measure`` and
   ``reconstruct`` run on the desk scene and on the ``volume-zsweep`` scene,
   with the workload's noise seed.
@@ -46,7 +47,7 @@ def run_seed(cli, workloads, seed: int, inputs: Path, outputs: Path) -> None:
     """Every workload's sweep for ``seed``, and the step verbs on the scenes of :data:`STEP_SCENES`."""
     for name, workload in workloads.WORKLOADS.items():
         plan, noise_seed = workloads.write_inputs(workload, seed, inputs / name, outputs / name)
-        for _ in range(2 if name == "desk-artifacts" else 1):
+        for _ in range(2):
             run(cli, ["sweep", "--plan", str(plan)])
         if name in STEP_SCENES:
             run_steps(cli, plan.parent / "scene.txt", noise_seed, outputs / f"steps-{name}")
