@@ -312,66 +312,65 @@ def cmd_sweep(args) -> int:
     return _print_run(run_plan(_plan_from_args(args, sweep=True)))
 
 
-def _kernel_options(p: argparse.ArgumentParser) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="risimage",
+        description="Virtual-mask computational imaging simulator",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("validate", help="check scene invariants and report resolution")
+    _add_scene_options(p)
+    p.set_defaults(func=cmd_validate)
+
+    p = sub.add_parser("kernel", help="assemble the propagation kernel and cache it")
     _add_scene_options(p)
     p.add_argument("--output", required=True, help="kernel cache file")
     p.add_argument("--force", action="store_true", help="reassemble even if cached")
+    p.set_defaults(func=cmd_kernel)
 
-
-def _step_options(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("masks", help="design ideal masks and export them")
     _add_scene_options(p)
     _add_plan_options(p)
+    p.set_defaults(func=cmd_masks)
 
+    p = sub.add_parser("synthesize", help="compute coefficient profiles realizing the masks")
+    _add_scene_options(p)
+    _add_plan_options(p)
+    p.set_defaults(func=cmd_synthesize)
 
-def _reconstruct_options(p: argparse.ArgumentParser) -> None:
-    _step_options(p)
+    p = sub.add_parser("measure", help="simulate noisy measurements to CSV")
+    _add_scene_options(p)
+    _add_plan_options(p)
+    p.set_defaults(func=cmd_measure)
+
+    p = sub.add_parser("reconstruct", help="reconstruct from measurement CSV + mask export")
+    _add_scene_options(p)
+    _add_plan_options(p)
     p.add_argument("--records", required=True, help="measurement CSV")
     p.add_argument("--masks", required=True, help="mask vector export used for the measurement")
+    p.set_defaults(func=cmd_reconstruct)
 
+    p = sub.add_parser("run", help="end-to-end single experiment")
+    _add_scene_options(p)
+    _add_plan_options(p)
+    p.set_defaults(func=cmd_run)
 
-def _sweep_options(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("sweep", help="plan-driven sweep over I / SNR / target distance")
     p.add_argument("--plan", help="plan file (takes no scene, plan or sweep option but --output)")
     _add_scene_options(p, required=False)
     _add_plan_options(p)
     p.add_argument("--i-sweep", help="comma list of measurement counts")
     p.add_argument("--snr-sweep", help="comma list of SNR values in dB ('none' = noiseless)")
     p.add_argument("--z-sweep", help="comma list of target distances in m")
+    p.set_defaults(func=cmd_sweep)
 
-
-# verb: (help, command, adds the verb's options to its subparser)
-_VERBS = {
-    "validate": ("check scene invariants and report resolution", cmd_validate, _add_scene_options),
-    "kernel": ("assemble the propagation kernel and cache it", cmd_kernel, _kernel_options),
-    "masks": ("design ideal masks and export them", cmd_masks, _step_options),
-    "synthesize": ("compute coefficient profiles realizing the masks", cmd_synthesize, _step_options),
-    "measure": ("simulate noisy measurements to CSV", cmd_measure, _step_options),
-    "reconstruct": ("reconstruct from measurement CSV + mask export", cmd_reconstruct, _reconstruct_options),
-    "run": ("end-to-end single experiment", cmd_run, _step_options),
-    "sweep": ("plan-driven sweep over I / SNR / target distance", cmd_sweep, _sweep_options),
-}
-
-
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser of every verb. Each verb's subparser is registered, with
-    its help, but when ``argv`` starts with a verb only that verb's options
-    are added, as no other subparser will parse anything."""
-    parser = argparse.ArgumentParser(
-        prog="risimage",
-        description="Virtual-mask computational imaging simulator",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    verb = argv[0] if argv and argv[0] in _VERBS else None
-    for name, (help_text, command, add_options) in _VERBS.items():
-        p = sub.add_parser(name, help=help_text)
-        if verb in (None, name):
-            add_options(p)
-        p.set_defaults(func=command)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ImagingError, OSError) as exc:  # OSError: an unusable path given by the user

@@ -25,6 +25,7 @@ matrix: every other row is a mirror image of one of them
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 from collections.abc import Callable, Iterator
@@ -431,7 +432,7 @@ def assemble_kernel(scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
 
 @contextmanager
 def complex_file_writer(
-    path: str | Path, header: str, shape: tuple[int, int], period: int | None = None
+    path: str | Path, header: str, shape: tuple[int, int], period: int | None = None, preallocate: bool = False
 ) -> Iterator[Callable[[np.ndarray], None]]:
     """Write an ASCII ``header`` line and a little-endian complex128 (rows,
     cols) body of ``shape``, handed over a block of rows at a time.
@@ -449,12 +450,17 @@ def complex_file_writer(
     file stays. Each block is written from its array's own buffer, so
     C-ordered little-endian complex128 values are not copied.
 
-    The temporary file is given its final size before the first block
-    (``os.posix_fallocate``, where the platform has it), so its blocks are
-    allocated when it replaces the old file: ext4 starts writing back a file
-    whose blocks are still to be allocated when it is renamed over another,
-    and that would hold up the caller. An :class:`OSError` from the
-    allocation, such as a full disk, fails the write like any other.
+    With ``preallocate``, the temporary file is given its final size before
+    the first block (``os.posix_fallocate``, where the platform has it), so
+    its blocks are allocated when it replaces the old file: ext4 starts
+    writing back a file whose blocks are still to be allocated when it is
+    renamed over another, and that would hold up the caller. A file system
+    that cannot preallocate (``EINVAL``, ``EOPNOTSUPP``) gets the file
+    written without it; any other :class:`OSError` from the allocation, such
+    as a full disk, fails the write like any other. Without that writeback a
+    crash can leave the renamed file at its full length with a body of
+    zeros, so a file whose length is its only check, the kernel cache, is
+    not preallocated.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -483,8 +489,12 @@ def complex_file_writer(
     try:
         with open(tmp, "wb", buffering=0) as fh:
             fd = fh.fileno()
-            if hasattr(os, "posix_fallocate") and size:
-                os.posix_fallocate(fd, 0, size)
+            if preallocate and hasattr(os, "posix_fallocate") and size:
+                try:
+                    os.posix_fallocate(fd, 0, size)
+                except OSError as exc:
+                    if exc.errno not in (errno.EINVAL, errno.EOPNOTSUPP):
+                        raise
             write_at(head, 0)
             yield write
             if rows != period:

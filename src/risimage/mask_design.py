@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
 
@@ -93,8 +93,7 @@ class MaskSet:
     The generating coefficient vectors are not kept:
     ``ris_synthesis.synthesis_profiles`` forms them from the inverse when
     they are exported. ``moments`` are computed on first read and kept; a
-    set made by ``dataclasses.replace`` starts without them, and one made by
-    :meth:`first` that holds all R distinct rows reads its parent's.
+    set made by ``dataclasses.replace`` starts without them.
     """
 
     kind: str  # KIND_MASK2D | KIND_MASK3D
@@ -103,8 +102,6 @@ class MaskSet:
     phase: np.ndarray | None = None  # (M,) common phase profile (designed plane sets)
     solution_norms: np.ndarray | None = None  # (I,)
     repeats: int = 1  # times a stored set repeats its rows
-    # the set whose distinct rows, and so whose moments, this one shares (``first``)
-    _moments_of: MaskSet | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.stored is None) == (self.design is None):
@@ -142,20 +139,14 @@ class MaskSet:
         """The set of this set's first ``count`` masks, ``count`` at most
         :attr:`count` and a multiple of R when above it: a view of a prefix
         of the distinct rows, or those rows repeated, with their solution
-        norms. A set of at least R masks has this set's distinct rows, so it
-        reads this set's moments instead of computing its own."""
-        distinct = self.distinct_rows
+        norms."""
         if self.stored is None:
-            subset = replace(self, design=(count, self.points))
-        else:
-            norms = None if self.solution_norms is None else self.solution_norms[:count]
-            if count > distinct:
-                subset = replace(self, solution_norms=norms, repeats=count // distinct)
-            else:
-                subset = replace(self, stored=self.stored[:count], solution_norms=norms, repeats=1)
-        if count >= distinct:
-            object.__setattr__(subset, "_moments_of", self if self._moments_of is None else self._moments_of)
-        return subset
+            return replace(self, design=(count, self.points))
+        norms = None if self.solution_norms is None else self.solution_norms[:count]
+        distinct = self.distinct_rows
+        if count > distinct:
+            return replace(self, solution_norms=norms, repeats=count // distinct)
+        return replace(self, stored=self.stored[:count], solution_norms=norms, repeats=1)
 
     @property
     def magnitudes_only(self) -> bool:
@@ -220,8 +211,6 @@ class MaskSet:
         """
         if self.count == 0:
             raise EmptyMaskSet("mask set has no measurements")
-        if self._moments_of is not None:
-            return self._moments_of.moments
         distinct = slice(0, self.distinct_rows)
         if self.kind != KIND_MASK2D or self.magnitudes_only:
             u = self.stored if self.design is None else self._designed(distinct)
@@ -505,9 +494,10 @@ def mask_file_writer(
 ):
     """An export of ``kind`` vectors of ``shape`` (count, points), written a
     block of rows at a time through ``write(block)``, the rows of one
-    ``period`` only when the set repeats them (:func:`em_core.complex_file_writer`)."""
+    ``period`` only when the set repeats them (:func:`em_core.complex_file_writer`,
+    preallocated)."""
     header = f"kind={kind} count={shape[0]} points={shape[1]} fingerprint={fingerprint}\n"
-    return complex_file_writer(path, header, shape, period)
+    return complex_file_writer(path, header, shape, period, preallocate=True)
 
 
 def save_mask_vectors(path: str | Path, masks: MaskSet, fingerprint: str) -> None:

@@ -1,11 +1,8 @@
 """Command-line verbs, plan files, run directories, and their determinism."""
 
-import argparse
-import contextlib
 import csv
 import dataclasses
 import errno
-import io
 import functools
 import math
 import os
@@ -30,7 +27,7 @@ from risimage import scene as sc
 from risimage.errors import ZeroSolution
 from risimage.targets import resolve_target, write_pgm
 
-from conftest import desk_config, peak_traced_bytes
+from conftest import peak_traced_bytes
 
 SCENE_TEXT = """
 wavelength = 0.01
@@ -92,19 +89,6 @@ class TestKernelVerb:
         assert "assembled" in capsys.readouterr().out
         assert cli.main(["kernel", "--scene", str(scene_file), "--output", str(out)]) == 0
         assert "cache hit" in capsys.readouterr().out
-
-    def test_a_full_disk_exits_2_and_keeps_the_old_file(self, scene_file, tmp_path, monkeypatch, capsys):
-        out = tmp_path / "kernel.bin"
-        out.write_bytes(b"old")
-
-        def full(fd, offset, length):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(em_core.os, "posix_fallocate", full, raising=False)
-        assert cli.main(["kernel", "--scene", str(scene_file), "--output", str(out), "--force"]) == 2
-        assert "No space left on device" in capsys.readouterr().err
-        assert out.read_bytes() == b"old"
-        assert list(tmp_path.glob(".*.tmp")) == []
 
     def test_full_size_plane_kernel_file_exits_2_unless_forced(self, scene_file, tmp_path, capsys):
         # plane kernel files once held every row; such a file is stale, not a cache hit
@@ -185,6 +169,19 @@ class TestMasksVerb:
         kind, vectors, _ = md.load_mask_vectors(out)
         assert kind == md.KIND_MASK2D
         assert vectors.shape == (128, 64)
+
+    def test_a_full_disk_exits_2_and_keeps_the_old_file(self, scene_file, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "masks.bin"
+        out.write_bytes(b"old")
+
+        def full(fd, offset, length):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(em_core.os, "posix_fallocate", full, raising=False)
+        assert cli.main(["masks", "--scene", str(scene_file), "-I", "128", "--output", str(out)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert out.read_bytes() == b"old"
+        assert list(tmp_path.glob(".*.tmp")) == []
 
 
 class TestMeasureReconstructVerbs:
@@ -1185,50 +1182,6 @@ class TestBadInput:
         assert not out.exists()
 
 
-class TestParser:
-    """``build_parser(argv)`` adds only the options of the verb ``argv`` names."""
-
-    ARGV = {
-        "validate": ["validate", "--scene", "s.cfg", "--set", "n_ris_x=8", "--set", "n_ris_y=8"],
-        "kernel": ["kernel", "--scene", "s.cfg", "--output", "k.bin", "--force"],
-        "masks": ["masks", "--scene", "s.cfg", "-I", "64", "--phase-mode", "exact", "--output", "m.bin"],
-        "synthesize": ["synthesize", "--scene", "s.cfg", "--target", "block", "--gamma", "1e-3", "--output", "d"],
-        "measure": ["measure", "--scene", "s.cfg", "--snr-db", "20", "--seed", "3", "--noise-mode", "absolute"],
-        "reconstruct": ["reconstruct", "--scene", "s.cfg", "--records", "r.csv", "--masks", "m.bin", "--calibration", "lsq"],
-        "run": ["run", "--scene", "s.cfg", "--ideal-masks", "--keep-artifacts", "--truncation-mode", "sigma"],
-        "sweep": ["sweep", "--scene", "s.cfg", "--i-sweep", "64,128", "--z-sweep", "0.1,0.2", "--output", "o"],
-    }
-
-    @staticmethod
-    def help_text(parser, argv):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
-            parser.parse_args(argv)
-        return out.getvalue()
-
-    def test_every_verb_has_an_argv(self):
-        assert set(self.ARGV) == set(cli._VERBS)
-
-    @pytest.mark.parametrize("verb", sorted(ARGV))
-    def test_the_verb_parses_as_with_every_option(self, verb):
-        argv = self.ARGV[verb]
-        assert cli.build_parser(argv).parse_args(argv) == cli.build_parser().parse_args(argv)
-        assert self.help_text(cli.build_parser([verb]), [verb, "--help"]) == self.help_text(
-            cli.build_parser(), [verb, "--help"]
-        )
-
-    def test_other_verbs_get_no_options(self):
-        (sub,) = [a for a in cli.build_parser(["run"])._actions if isinstance(a, argparse._SubParsersAction)]
-        assert [a.dest for a in sub.choices["sweep"]._actions] == ["help"]
-        assert "--plan" in self.help_text(cli.build_parser(["sweep"]), ["sweep", "--help"])
-
-    @pytest.mark.parametrize("argv", [[], ["--help"], ["no-such-verb"]], ids=["none", "help", "unknown"])
-    def test_without_a_verb_every_option_is_built(self, argv):
-        assert cli.build_parser(argv).format_help() == cli.build_parser().format_help()
-        (sub,) = [a for a in cli.build_parser(argv)._actions if isinstance(a, argparse._SubParsersAction)]
-        assert all(len(p._actions) > 1 for p in sub.choices.values())
-
-
 class TestSweepingAgain:
     """A sweep into the directory of an earlier one replaces every file with
     what a sweep into a fresh directory writes."""
@@ -1334,36 +1287,12 @@ class TestRunnerInternals:
         assert masks.magnitudes_only and not any(np.iscomplexobj(v) for v in held)
         assert np.shares_memory(masks.moments[0], masks.stored)
 
-    def test_counts_above_r_share_the_moments_of_their_rows(self, tmp_path, monkeypatch):
-        # desk: M = 256, J = R = 512, so I = 1024 and 2048 both repeat the same 512 rows
-        def sweep(i_values, out):
-            plan = rn.ExperimentPlan(
-                scene=desk_config(), target="block", i_values=i_values, snr_values=(None,), output_dir=str(out)
-            )
-            assert all(p.error is None for p in rn.run_plan(plan).points)
-
-        summed = []
-
-        def counted(u, term, _original=md._row_mean):
-            summed.append(len(u))
-            return _original(u, term)
-
-        monkeypatch.setattr(md, "_row_mean", counted)
-        sweep((1024, 2048), tmp_path / "both")
-        assert summed == [512]
-        monkeypatch.undo()
-        for index, count in enumerate((1024, 2048)):
-            sweep((count,), tmp_path / f"I{count}")
-            alone = (tmp_path / f"I{count}" / "estimate_000.pgm").read_bytes()
-            assert (tmp_path / "both" / f"estimate_{index:03d}.pgm").read_bytes() == alone
-
     def test_moments_and_fields_once_per_mask_set(self, scene_file, tmp_path, monkeypatch):
         # two distances x two mask counts x three SNR points: four mask sets
         moments, fields = [], []
 
         def counted_moments(masks, _original=md.MaskSet.moments.func):
-            if masks._moments_of is None:  # computed here, not read from the set it shares rows with
-                moments.append(masks.count)
+            moments.append(masks.count)
             return _original(masks)
 
         def counted_fields(receiver, _original=ms.ReceiverFields.fields):

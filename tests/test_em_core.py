@@ -449,6 +449,25 @@ class TestKernelCache:
         with pytest.raises(CacheMismatch):
             em.load_kernel(path, scene, grids)
 
+    @pytest.mark.parametrize("streamed", [False, True], ids=["saved", "streamed"])
+    def test_cache_is_not_preallocated_so_a_short_body_shows(self, small_scene, tmp_path, monkeypatch, streamed):
+        # a preallocated file renamed before writeback can survive a crash at
+        # full length with zeros for a body; the loader checks only the length
+        scene, grids = small_scene
+        path = tmp_path / "kernel.bin"
+        calls = []
+        monkeypatch.setattr(em.os, "posix_fallocate", lambda *args: calls.append(args), raising=False)
+        if streamed:
+            for _ in em.kernel_stream(scene, grids).saved_to(path).blocks:
+                pass
+        else:
+            em.save_kernel(path, em.assemble_kernel(scene, grids))
+        assert calls == []
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(CacheMismatch):
+            em.load_kernel(path, scene, grids)
+
 
 class TestStreamedWrite:
     """``complex_file_writer`` takes row blocks and stays atomic."""
@@ -521,7 +540,7 @@ class TestStreamedWrite:
     @pytest.mark.skipif(not hasattr(os, "posix_fallocate"), reason="the platform has no posix_fallocate")
     def test_the_temporary_file_has_its_final_size_before_any_block(self, tmp_path):
         path, _ = self.old_file(tmp_path)
-        with em.complex_file_writer(path, self.HEADER, (6, 3), period=2) as write:
+        with em.complex_file_writer(path, self.HEADER, (6, 3), period=2, preallocate=True) as write:
             (tmp,) = tmp_path.glob(".v.bin.*.tmp")
             assert tmp.stat().st_size == len(self.HEADER) + 16 * 6 * 3
             write(self.values()[:2])
@@ -551,9 +570,25 @@ class TestStreamedWrite:
 
         monkeypatch.setattr(em.os, "posix_fallocate", full, raising=False)
         with pytest.raises(OSError, match="No space"):
-            with em.complex_file_writer(path, self.HEADER, (6, 3)) as write:
+            with em.complex_file_writer(path, self.HEADER, (6, 3), preallocate=True) as write:
                 write(self.values())
         self.assert_untouched(path, old)
+
+    @pytest.mark.parametrize("code", [errno.EINVAL, errno.EOPNOTSUPP], ids=["EINVAL", "EOPNOTSUPP"])
+    @pytest.mark.parametrize("period", [None, 2], ids=["plain", "3-periods"])
+    def test_a_file_system_that_cannot_preallocate_gets_the_same_bytes(self, tmp_path, monkeypatch, code, period):
+        path, _ = self.old_file(tmp_path)
+        rows = 6 if period is None else period
+        write_file(tmp_path / "a.bin", self.HEADER, np.tile(self.values()[:rows], (6 // rows, 1)))
+
+        def unsupported(fd, offset, length):
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(em.os, "posix_fallocate", unsupported, raising=False)
+        with em.complex_file_writer(path, self.HEADER, (6, 3), period=period, preallocate=True) as write:
+            write(self.values()[:rows])
+        assert path.read_bytes() == (tmp_path / "a.bin").read_bytes()
+        assert list(tmp_path.glob(".*.tmp")) == []
 
     @pytest.mark.parametrize("period, rows", [(2, 6), (2, 1), (4, 4)], ids=["past-the-period", "short", "not-dividing"])
     def test_a_period_the_blocks_miss_leaves_the_old_file(self, tmp_path, period, rows):
