@@ -238,7 +238,7 @@ class KernelStream:
 
 
 def _assemble(
-    scene: ValidatedScene, grids: SampleGrids, kind: str, offset_tables, row_weights=None
+    scene: ValidatedScene, grids: SampleGrids, kind: str, offset_tables, weights: np.ndarray | None = None
 ) -> KernelStream:
     """The row-block loop behind every kernel, as a stream of its stored rows.
 
@@ -248,10 +248,10 @@ def _assemble(
     (Ky, Kx) table of distinct offsets (``dx`` (1, Kx), ``dy`` (Ky, 1), ``r``
     their lengths) and returns T tables of that shape. The stored rows are
     then formed a block at a time: entry (m, n) is J_x(n) times the table
-    entry at the offset of (m, n), or, with ``row_weights(rows)`` giving a
-    (len(rows), T) array, times the row's weighted sum of the T table
-    entries. A plane kernel stores only the table entries of its mirror
-    quadrant's pixels, without J_x (:class:`KernelMatrix`).
+    entry at the offset of (m, n), or, with ``weights`` giving an (M, T)
+    array, times the row's weighted sum of the T table entries. A plane
+    kernel stores only the table entries of its mirror quadrant's pixels,
+    without J_x (:class:`KernelMatrix`).
 
     The distinct offsets are the floats target - aperture along x and along
     y, so any pitches work: on commensurate grids they form a lattice much
@@ -304,11 +304,11 @@ def _assemble(
                 local = np.arange(start, stop)
                 index = col_y[local // width] + col_x[local % width]
                 block = tables[0].take(index)
-                if row_weights is not None:  # a volume kernel, whose stored rows are its target rows
-                    weights = row_weights(slice(first + start, first + stop))
-                    block *= weights[:, :1]
+                if weights is not None:  # a volume kernel, whose stored rows are its target rows
+                    rows = weights[first + start : first + stop]
+                    block *= rows[:, :1]
                     for t in range(1, tables.shape[0]):
-                        block += weights[:, t : t + 1] * tables[t].take(index)
+                        block += rows[:, t : t + 1] * tables[t].take(index)
                 if symmetry is None:
                     block *= jx
                 yield block
@@ -401,11 +401,9 @@ def _volume_rows(scene: ValidatedScene, grids: SampleGrids) -> KernelStream:
         t_xz = common * (near * z * dx)
         return np.stack([t_xx, t_xy, t_xz])
 
-    def row_weights(rows):
-        # receiver Green-tensor x-row of each target row
-        return green_tensor(receiver, targets[rows], k)[:, 0]
-
-    return _assemble(scene, grids, KIND_Y3D, offset_tables, row_weights)
+    # receiver Green-tensor x-row of each target row
+    weights = green_tensor(receiver, targets, k)[:, 0]
+    return _assemble(scene, grids, KIND_Y3D, offset_tables, weights)
 
 
 def kernel_stream(scene: ValidatedScene, grids: SampleGrids) -> KernelStream:

@@ -36,7 +36,14 @@ four sectors either way.
 
 Only the target-side factors U and sigma of each block are kept. A wide
 block B = R^T Q^T (QR of B^T) shares them with its square triangular factor
-R^T, so the SVD runs on that factor. Every mask b gives per sector
+R^T, so the SVD runs on that factor. A block wide enough for two pieces of
+max(4M, ``_CHUNK_ENTRIES`` / M) aperture columns (about 1 MiB a piece), so
+at least eight times wider than tall, is factored as a tall-skinny QR over
+those pieces (:func:`_spectral_factor`): each piece gives its own triangular
+factor, and one more QR of those factors stacked gives R, so no QR copies
+the whole block. A narrower block, as a plane sector about four times wider
+than tall is, is one piece, its R from one QR of B^T. Every mask b gives
+per sector
 c_s = lambda_s U_s^H fold_s(b) over the retained modes, whose norm ||c|| is
 the solution norm ||p||. That is b @ A_s with A_s = conj(unfold_s(w_s U_s))
 lambda_s, the retained columns of U_s put onto the grid by a signed row
@@ -95,9 +102,11 @@ _KERNEL_TO_MASK_KIND = {KIND_Z2D: KIND_MASK2D, KIND_Y3D: KIND_MASK3D}
 _PARITIES = ((0, 0), (1, 0), (0, 1), (1, 1))
 _HALF = math.sqrt(0.5)
 # Coefficients are mapped back in blocks of rows whose output holds about
-# this many entries (1 MiB). Realized masks go in blocks of a sixteenth of
-# the set, so a block's temporaries stay small beside what the set keeps,
-# but of at least a quarter of that (256 KiB), as small products are slow.
+# this many entries (1 MiB), and a wide block is factored in aperture pieces
+# of about as many (:func:`_spectral_factor`). Realized masks go in blocks of
+# a sixteenth of the set, so a block's temporaries stay small beside what the
+# set keeps, but of at least a quarter of that (256 KiB), as small products
+# are slow.
 _CHUNK_ENTRIES = 1 << 16
 _REALIZE_BLOCKS = 16
 # sigma**2 overflows at and above this singular value.
@@ -399,13 +408,23 @@ def _spectral_factor(entries: np.ndarray) -> np.ndarray:
 
     For a wide M x N block that is the M x M factor R^T of B^T = Q R
     (B B^H = R^T conj(R), as Q^H Q = I), so the SVD never touches an N-long
-    dimension; otherwise the block itself. ``entries.T`` is a view, so no
-    conjugated copy of the block is made.
+    dimension; otherwise the block itself. The QR runs on B^T in pieces of
+    at least max(4M, ``_CHUNK_ENTRIES`` / M) of its rows (``np.linspace``
+    bounds), a tall-skinny QR (Demmel, Grigori, Hoemmen & Langou, SIAM J.
+    Sci. Comput. 34(1), 2012): each piece gives its M x M triangular factor
+    R_i, and the QR of the R_i stacked gives R, since B^T = diag(Q_i)
+    [R_1; R_2; ...]. So each copy the QR makes of its input is one piece,
+    about 1 MiB, never the whole block. A block narrower than two pieces is
+    one piece, its R from one QR of B^T, as a plane sector's is. ``entries.T``
+    is a view, so no conjugated copy of the block is made.
     """
     m, n = entries.shape
-    if m < n:
-        return np.linalg.qr(entries.T, mode="r").T
-    return entries
+    if m >= n:
+        return entries
+    pieces = max(1, n // max(4 * m, _CHUNK_ENTRIES // max(m, 1)))
+    bounds = np.linspace(0, n, pieces + 1).astype(int)
+    factors = [np.linalg.qr(entries[:, a:b].T, mode="r") for a, b in zip(bounds[:-1], bounds[1:])]
+    return (factors[0] if pieces == 1 else np.linalg.qr(np.concatenate(factors), mode="r")).T
 
 
 def _left_svd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

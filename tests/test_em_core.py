@@ -349,6 +349,34 @@ class TestKernel3d:
     def test_two_path_consistency(self, volume_scene):
         assert_two_path_consistency(*volume_scene, seed=23)
 
+    @pytest.mark.parametrize("fixture", ["volume_scene", "skewed_volume_scene"])
+    def test_receiver_weights_evaluated_once(self, request, monkeypatch, fixture):
+        scene, grids = request.getfixturevalue(fixture)
+        calls = []
+        green_tensor = em.green_tensor
+
+        def counted(observation, sources, k):
+            calls.append(len(sources))
+            return green_tensor(observation, sources, k)
+
+        monkeypatch.setattr(em, "green_tensor", counted)
+        monkeypatch.setattr(em, "_CHUNK_ENTRIES", 1)  # one row per block
+        em.kernel_stream(scene, grids).collect()
+        assert calls == [scene.n_target]
+
+    @pytest.mark.parametrize("fixture", ["volume_scene", "skewed_volume_scene"])
+    def test_stored_rows_match_per_row_weights(self, request, monkeypatch, fixture):
+        # the weights of all rows at once are those of each row on its own, bit for bit
+        scene, grids = request.getfixturevalue(fixture)
+        whole = em.kernel_stream(scene, grids).collect().entries
+        green_tensor = em.green_tensor
+
+        def per_row(observation, sources, k):
+            return np.concatenate([green_tensor(observation, sources[m : m + 1], k) for m in range(len(sources))])
+
+        monkeypatch.setattr(em, "green_tensor", per_row)
+        np.testing.assert_array_equal(em.kernel_stream(scene, grids).collect().entries, whole)
+
 
 class TestIncommensuratePitches:
     """Kernels whose target pitch is no integer multiple of the aperture pitch."""

@@ -19,7 +19,12 @@ def test_two_runs_list_the_same_digests():
     first = digests(3)
     assert first == digests(3)
     paths = [line.split("  ", 1)[1] for line in first]
-    for expected in ("seed-3/plane-64/metrics.csv", "seed-3/steps-volume-zsweep/kernel.bin"):
+    for expected in (
+        "seed-3/plane-64/metrics.csv",
+        "seed-3/steps-volume-zsweep/kernel.bin",
+        "seed-3/steps-desk-snr-dense/ideal/metrics.csv",
+        "seed-3/steps-volume-zsweep/ideal/metrics.csv",
+    ):
         assert expected in paths
     assert not any(path.endswith("timings.csv") for path in paths)
 

@@ -397,6 +397,99 @@ def mirror_basis(n, parity):
     return basis
 
 
+def one_qr_factor(block):
+    """The spectral factor from one QR of the whole block: the oracle of the pieced one."""
+    m, n = block.shape
+    return np.linalg.qr(block.T, mode="r").T if m < n else block
+
+
+class TestPiecedFactor:
+    """``_spectral_factor`` factors a block much wider than tall in aperture pieces."""
+
+    @pytest.fixture(scope="class")
+    def zsweep_scenes(self):
+        """The ``volume-zsweep`` benchmark scene (64 voxels, 64 x 64 aperture) at two distances."""
+        scenes = []
+        for z_prime in (0.125, 0.4):
+            scene = sc.validate_scene(volume_config(z_prime, n_xy=4, n_z=4, n_ris=64))
+            scenes.append((scene, sc.sample_grids(scene)))
+        return scenes
+
+    def test_matches_one_qr_on_the_volume_zsweep_scene(self, zsweep_scenes, monkeypatch):
+        for scene, grids in zsweep_scenes:
+            kernel = em.assemble_kernel(scene, grids)
+            assert kernel.entries.shape == (64, 4096)
+            pieced = rs.tikhonov_inverse(kernel, 1e-12)
+            with monkeypatch.context() as patch:
+                patch.setattr(rs, "_spectral_factor", one_qr_factor)
+                whole = rs.tikhonov_inverse(kernel, 1e-12)
+            np.testing.assert_allclose(pieced.sigma, whole.sigma, rtol=0, atol=1e-13 * whole.sigma[0])
+            assert pieced.retained_rank == whole.retained_rank
+            masks = md.ideal_masks(scene, grids, 128)
+            _, values = realize_with_values(pieced, masks, scene.config.amplification)
+            _, expected = realize_with_values(whole, masks, scene.config.amplification)
+            np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    def test_no_qr_input_exceeds_a_chunk(self, zsweep_scenes, monkeypatch):
+        scene, grids = zsweep_scenes[0]
+        kernel = em.assemble_kernel(scene, grids)
+        sizes = []
+        qr = np.linalg.qr
+
+        def spy(a, mode="reduced"):
+            sizes.append(np.asarray(a).size)
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        rs.tikhonov_inverse(kernel, 1e-12)
+        assert sizes == [rs._CHUNK_ENTRIES] * 4 + [4 * 64 * 64]
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            desk_config(),
+            desk_config(n_ris_x=64, n_ris_y=64, n_target_x=32, n_target_y=32),
+            volume_config(n_xy=4, n_z=4, n_ris=32),
+        ],
+        ids=["desk", "plane-64", "desk-volume"],
+    )
+    def test_plane_sectors_and_desk_blocks_are_one_qr(self, config, monkeypatch):
+        scene = sc.validate_scene(config)
+        kernel = em.assemble_kernel(scene, sc.sample_grids(scene))
+        factored = []
+        spectral_factor = rs._spectral_factor
+
+        def keep(block):
+            factored.append((block, spectral_factor(block)))
+            return factored[-1][1]
+
+        monkeypatch.setattr(rs, "_spectral_factor", keep)
+        rs.tikhonov_inverse(kernel, 1e-12)
+        assert len(factored) == (1 if scene.is_3d else 5)
+        for block, factor in factored:
+            assert block.shape[0] < block.shape[1]
+            assert factor.tobytes() == one_qr_factor(block).tobytes()
+
+    def test_uneven_pieces_keep_the_gram_matrix(self, monkeypatch):
+        monkeypatch.setattr(rs, "_CHUNK_ENTRIES", 64)
+        block = random_kernel(np.random.default_rng(3), 8, 1000).entries  # 31 pieces of 32 or 33 columns
+        factor = rs._spectral_factor(block)
+        assert factor.shape == (8, 8)
+        gram = block @ block.conj().T
+        np.testing.assert_allclose(factor @ factor.conj().T, gram, rtol=0, atol=1e-13 * np.abs(gram).max())
+        np.testing.assert_allclose(
+            np.linalg.svd(factor, compute_uv=False), np.linalg.svd(block, compute_uv=False), rtol=1e-13
+        )
+
+    @pytest.mark.parametrize("chunk", [rs._CHUNK_ENTRIES, 4])
+    def test_a_block_without_rows(self, chunk, monkeypatch):
+        monkeypatch.setattr(rs, "_CHUNK_ENTRIES", chunk)
+        factor = rs._spectral_factor(np.zeros((0, 16), dtype=complex))
+        assert factor.shape == (0, 0)
+        u, sigma = rs._left_svd(np.zeros((0, 16), dtype=complex))
+        assert u.shape == (0, 0) and sigma.shape == (0,)
+
+
 class TestMirrorSectors:
     """A plane kernel's four mirror sectors against the same entries as one identity sector."""
 

@@ -7,8 +7,9 @@ For each seed, in this process through ``risimage.cli.main``:
   replaces every file the first one wrote (and ``desk-artifacts`` reads the
   kernel cache the first one wrote);
 * the step verbs ``kernel``, ``masks``, ``synthesize``, ``measure`` and
-  ``reconstruct`` run on the desk scene and on the ``volume-zsweep`` scene,
-  with the workload's noise seed.
+  ``reconstruct``, and ``run --ideal-masks`` (into ``ideal/``), run on the
+  desk scene and on the ``volume-zsweep`` scene, with the workload's noise
+  seed.
 
 Then ``sha256  path`` is printed for every output file, its path relative to
 the output directory, in sorted order. ``timings.csv`` holds wall times and is
@@ -54,15 +55,18 @@ def run_seed(cli, workloads, seed: int, inputs: Path, outputs: Path) -> None:
 
 
 def run_steps(cli, scene: Path, noise_seed: int, out: Path) -> None:
-    """The step verbs in order, each reading what the one before it wrote."""
+    """The step verbs in order, each reading what the one before it wrote,
+    then a ``run`` on the ideal masks."""
     common = ["--scene", str(scene), "--target", "block"]
     run(cli, ["kernel", "--scene", str(scene), "--output", str(out / "kernel.bin")])
     run(cli, ["masks", *common, "--output", str(out / "masks.bin")])
     run(cli, ["synthesize", *common, "--output", str(out / "synth")])
     records = out / "records.csv"
-    run(cli, ["measure", *common, "--snr-db", "20", "--seed", str(noise_seed), "--output", str(records)])
+    noise = ["--snr-db", "20", "--seed", str(noise_seed)]
+    run(cli, ["measure", *common, *noise, "--output", str(records)])
     masks = str(out / "synth" / "masks_realized.bin")
     run(cli, ["reconstruct", *common, "--records", str(records), "--masks", masks, "--output", str(out / "estimate.pgm")])
+    run(cli, ["run", *common, "--ideal-masks", *noise, "--output", str(out / "ideal")])
 
 
 def run(cli, argv: list[str]) -> None:
