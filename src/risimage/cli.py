@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import shutil
 import sys
 from pathlib import Path
 
@@ -313,50 +315,55 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse makes a help formatter for every argument it adds, and each one
+    # looks up the terminal width unless given one: look it up once, as they would
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="risimage",
         description="Virtual-mask computational imaging simulator",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, formatter_class=formatter)
 
-    p = sub.add_parser("validate", help="check scene invariants and report resolution")
+    p = add_parser("validate", help="check scene invariants and report resolution")
     _add_scene_options(p)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("kernel", help="assemble the propagation kernel and cache it")
+    p = add_parser("kernel", help="assemble the propagation kernel and cache it")
     _add_scene_options(p)
     p.add_argument("--output", required=True, help="kernel cache file")
     p.add_argument("--force", action="store_true", help="reassemble even if cached")
     p.set_defaults(func=cmd_kernel)
 
-    p = sub.add_parser("masks", help="design ideal masks and export them")
+    p = add_parser("masks", help="design ideal masks and export them")
     _add_scene_options(p)
     _add_plan_options(p)
     p.set_defaults(func=cmd_masks)
 
-    p = sub.add_parser("synthesize", help="compute coefficient profiles realizing the masks")
+    p = add_parser("synthesize", help="compute coefficient profiles realizing the masks")
     _add_scene_options(p)
     _add_plan_options(p)
     p.set_defaults(func=cmd_synthesize)
 
-    p = sub.add_parser("measure", help="simulate noisy measurements to CSV")
+    p = add_parser("measure", help="simulate noisy measurements to CSV")
     _add_scene_options(p)
     _add_plan_options(p)
     p.set_defaults(func=cmd_measure)
 
-    p = sub.add_parser("reconstruct", help="reconstruct from measurement CSV + mask export")
+    p = add_parser("reconstruct", help="reconstruct from measurement CSV + mask export")
     _add_scene_options(p)
     _add_plan_options(p)
     p.add_argument("--records", required=True, help="measurement CSV")
     p.add_argument("--masks", required=True, help="mask vector export used for the measurement")
     p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("run", help="end-to-end single experiment")
+    p = add_parser("run", help="end-to-end single experiment")
     _add_scene_options(p)
     _add_plan_options(p)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("sweep", help="plan-driven sweep over I / SNR / target distance")
+    p = add_parser("sweep", help="plan-driven sweep over I / SNR / target distance")
     p.add_argument("--plan", help="plan file (takes no scene, plan or sweep option but --output)")
     _add_scene_options(p, required=False)
     _add_plan_options(p)

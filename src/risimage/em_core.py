@@ -58,26 +58,30 @@ ENTRY_CAP = 1 << 26
 # temporary stays near 512 KiB: a sweep that frees one distance's kernel before
 # building the next then reuses heap memory instead of faulting in fresh pages.
 _CHUNK_ENTRIES = 1 << 15
+# Entries of numpy's ufunc buffers in the passes over kernel rows
+# (:func:`small_ufunc_buffers`); numpy's default is 8,192.
+_UFUNC_BUFFER = 1 << 10
 
 
 @dataclass(frozen=True)
 class MirrorSymmetry:
-    """Mirror structure of a plane kernel K = F diag(current), current = J_x.
+    """Mirror structure of a plane kernel K = F diag(J_x), J_x = amplitude * phase.
 
     Both grids are cell-centred on the origin with flat index ``ix + nx * iy``,
     and F(m, n) depends only on the distance from aperture sample n to pixel m,
     so F is unchanged when the x-mirror (or the y-mirror) is applied to both
-    grids at once. ``current`` is J_x at each aperture sample, a real
-    constant times ``phase``, its unit phase ramp along y. ``swap`` is set
-    when each grid's x coordinates are the same array as its y coordinates:
-    F is then also unchanged when x and y swap on both grids, and the mirrors
-    and the swap generate the dihedral group D4.
+    grids at once. J_x at each aperture sample is the real ``amplitude``
+    (:func:`incident_current`, any nonzero sign) times ``phase``, its unit
+    phase ramp along y. ``swap`` is set when each grid's x coordinates are
+    the same array as its y coordinates: F is then also unchanged when x and
+    y swap on both grids, and the mirrors and the swap generate the dihedral
+    group D4.
     """
 
     target_shape: tuple[int, int]  # (nx, ny)
     aperture_shape: tuple[int, int]  # (Nx, Ny)
     phase: np.ndarray  # (N,) complex128, |phase| = 1
-    current: np.ndarray  # (N,) complex128 J_x
+    amplitude: float  # real factor of J_x
     swap: bool = False
 
     @property
@@ -99,8 +103,9 @@ class KernelMatrix:
     (:class:`MirrorSymmetry`) at the pixels of the mirror quadrant, quadrant
     row ``ix + ex * iy``, and no J_x factor. Reading ``entries`` then forms
     the full matrix anew: every row is a mirrored quadrant row (the x-mirror
-    reverses the aperture x order, the y-mirror the y order) times J_x, so
-    only the reader keeps it. Read-only after assembly.
+    reverses the aperture x order, the y-mirror the y order) times
+    J_x = ``amplitude * phase``, the product :func:`incident_current` takes,
+    so only the reader keeps it. Read-only after assembly.
     """
 
     stored: np.ndarray  # (M, N) complex128, or (ex * ey, N) quadrant rows of F
@@ -129,9 +134,26 @@ class KernelMatrix:
         full[:ey, ex:] = full[:ey, : nx - ex][:, ::-1, :, ::-1]
         full[ey:] = full[: ny - ey][::-1, :, ::-1, :]
         full = full.reshape(nx * ny, ax * ay)
-        full *= self.symmetry.current
+        full *= self.symmetry.amplitude * self.symmetry.phase
         full.setflags(write=False)
         return full
+
+
+@contextmanager
+def small_ufunc_buffers() -> Iterator[None]:
+    """numpy's ufunc buffers of :data:`_UFUNC_BUFFER` entries within the context.
+
+    numpy stages each strided or broadcast ufunc operand in a buffer, by
+    default of 8,192 entries (128 KiB of complex128) allocated anew per
+    call; 1,024 keeps the temporaries of a pass over kernel rows small and
+    the calls faster. The size is restored when the context ends, so the
+    context must not span a ``yield``.
+    """
+    size = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        yield
+    finally:
+        np.setbufsize(size)
 
 
 def incident_current(scene: ValidatedScene, y: np.ndarray) -> np.ndarray:
@@ -142,9 +164,12 @@ def incident_current(scene: ValidatedScene, y: np.ndarray) -> np.ndarray:
     (2 E0 / eta) cos(theta_in) exp(-j k sin(theta_in) y), evaluated at every
     ordinate of ``y``.
     """
+    return _incident_amplitude(scene) * _incident_phase(scene, y)
+
+
+def _incident_amplitude(scene: ValidatedScene) -> float:
     cfg = scene.config
-    amplitude = 2.0 * cfg.incident_amplitude / FREE_SPACE_IMPEDANCE * math.cos(cfg.incident_elevation)
-    return amplitude * _incident_phase(scene, y)
+    return 2.0 * cfg.incident_amplitude / FREE_SPACE_IMPEDANCE * math.cos(cfg.incident_elevation)
 
 
 def _incident_phase(scene: ValidatedScene, y: np.ndarray) -> np.ndarray:
@@ -165,9 +190,7 @@ def _mirror_symmetry(scene: ValidatedScene, grids: SampleGrids) -> MirrorSymmetr
         return None
     cfg = scene.config
     phase = _incident_phase(scene, grids.ris_points[:, 1])
-    current = incident_current(scene, grids.ris_points[:, 1])
-    for values in (phase, current):
-        values.setflags(write=False)
+    phase.setflags(write=False)
     swap = _same_axes(grids.target_points, cfg.n_target_x, scene.n_target) and _same_axes(
         grids.ris_points, cfg.n_ris_x, scene.n_ris
     )
@@ -175,7 +198,7 @@ def _mirror_symmetry(scene: ValidatedScene, grids: SampleGrids) -> MirrorSymmetr
         target_shape=(cfg.n_target_x, cfg.n_target_y),
         aperture_shape=(cfg.n_ris_x, cfg.n_ris_y),
         phase=phase,
-        current=current,
+        amplitude=_incident_amplitude(scene),
         swap=swap,
     )
 
@@ -185,6 +208,14 @@ def _axis_offsets(targets: np.ndarray, aperture: np.ndarray) -> tuple[np.ndarray
     (len(targets), len(aperture)) index of each pair's offset in them."""
     values, index = np.unique(targets[:, None] - aperture[None, :], return_inverse=True)
     return values, index.reshape(targets.size, aperture.size)
+
+
+def _table_index(y_index: np.ndarray, x_index: np.ndarray, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
+    """Flat offset-table index (len(iy), N) of the target pixels (iy, ix) of
+    one slice against every aperture sample, from the per-axis indices of
+    :func:`_axis_offsets` (``y_index`` times the table's row length): entry
+    (i, jx + Nx * jy) is y_index[iy_i, jy] + x_index[ix_i, jx]."""
+    return (y_index[iy][:, :, None] + x_index[ix][:, None, :]).reshape(len(iy), -1)
 
 
 def _stored_rows(symmetry: MirrorSymmetry | None, n_rows: int) -> int:
@@ -247,11 +278,13 @@ def _assemble(
     ``offset_tables(dx, dy, z, r)`` evaluates the entry formula on the
     (Ky, Kx) table of distinct offsets (``dx`` (1, Kx), ``dy`` (Ky, 1), ``r``
     their lengths) and returns T tables of that shape. The stored rows are
-    then formed a block at a time: entry (m, n) is J_x(n) times the table
-    entry at the offset of (m, n), or, with ``weights`` giving an (M, T)
-    array, times the row's weighted sum of the T table entries. A plane
-    kernel stores only the table entries of its mirror quadrant's pixels,
-    without J_x (:class:`KernelMatrix`).
+    then formed a block at a time, gathered through the flat table index of
+    :func:`_table_index`: entry (m, n) is J_x(n) times the table entry at
+    the offset of (m, n), or, with ``weights`` giving an (M, T) array, times
+    the row's weighted sum of the T table entries. A plane kernel stores
+    only the table entries of its mirror quadrant's pixels, without J_x
+    (:class:`KernelMatrix`). Tables and blocks are formed with small ufunc
+    buffers (:func:`small_ufunc_buffers`).
 
     The distinct offsets are the floats target - aperture along x and along
     y, so any pitches work: on commensurate grids they form a lattice much
@@ -279,10 +312,7 @@ def _assemble(
         n_ris_x = cfg.n_ris_x
         dx, x_index = _axis_offsets(targets[:nx, 0], ris[:n_ris_x, 0])
         dy, y_index = _axis_offsets(targets[:n_slice:nx, 1], ris[::n_ris_x, 1])
-        # flat table index of (target row, aperture column), split into its x and y parts
-        cols = np.arange(n_cols)
-        col_x = x_index[:, cols % n_ris_x]
-        col_y = y_index[:, cols // n_ris_x] * dx.size
+        y_index *= dx.size  # the y part of a flat table index
         dx, dy = dx[None, :], dy[:, None]
         planar = dx**2 + dy**2
 
@@ -290,9 +320,11 @@ def _assemble(
         width, height = (nx, cfg.n_target_y) if symmetry is None else symmetry.quadrant_shape
         n_stored = width * height
         step = max(1, _CHUNK_ENTRIES // n_cols)
+        terms = None if weights is None else np.empty((min(step, n_rows), n_cols), dtype=np.complex128)
         for first in range(0, n_rows // n_slice * n_stored, n_stored):
             z = targets[first // n_stored * n_slice, 2] - ris[0, 2]
-            with np.errstate(all="ignore"):  # an overflow leaves a non-finite entry, checked next
+            # an overflow leaves a non-finite entry, checked next
+            with small_ufunc_buffers(), np.errstate(all="ignore"):
                 tables = offset_tables(dx, dy, z, np.sqrt(planar + z**2)).reshape(-1, planar.size)
             if not np.isfinite(tables).all():
                 raise NonFiniteKernel(
@@ -301,16 +333,18 @@ def _assemble(
                 )
             for start in range(0, n_stored, step):
                 stop = min(start + step, n_stored)
-                local = np.arange(start, stop)
-                index = col_y[local // width] + col_x[local % width]
-                block = tables[0].take(index)
-                if weights is not None:  # a volume kernel, whose stored rows are its target rows
-                    rows = weights[first + start : first + stop]
-                    block *= rows[:, :1]
-                    for t in range(1, tables.shape[0]):
-                        block += rows[:, t : t + 1] * tables[t].take(index)
-                if symmetry is None:
-                    block *= jx
+                with small_ufunc_buffers():
+                    index = _table_index(y_index, x_index, *np.divmod(np.arange(start, stop), width))
+                    block = tables[0].take(index)
+                    if weights is not None:  # a volume kernel, whose stored rows are its target rows
+                        rows, term = weights[first + start : first + stop], terms[: stop - start]
+                        block *= rows[:, :1]
+                        for t in range(1, tables.shape[0]):
+                            tables[t].take(index, out=term, mode="clip")  # valid indices: no staging copy
+                            term *= rows[:, t : t + 1]
+                            block += term
+                    if symmetry is None:
+                        block *= jx
                 yield block
 
     return KernelStream(
@@ -389,17 +423,33 @@ def _volume_rows(scene: ValidatedScene, grids: SampleGrids) -> KernelStream:
     k = scene.wavenumber
     targets = grids.target_points
     receiver = np.asarray(scene.config.receiver_pos, dtype=float)
-    prefactor = -1j * FREE_SPACE_IMPEDANCE / (4.0 * math.pi * k) * grids.ris_cell_area
+    # the prefactor -j eta dA / (4 pi k) is j p, p real
+    p = -FREE_SPACE_IMPEDANCE / (4.0 * math.pi * k) * grids.ris_cell_area
 
     def offset_tables(dx, dy, z, r):
-        # E-field integrand factors of the x-directed aperture current
+        # E-field integrand factors of the x-directed aperture current, in real arithmetic:
+        # with a = j p e^{-jkr} / r^3 = p (sin kr + j cos kr) / r^3,
+        # t_xx = a ((kr^2 - 1 - jkr) + n dx^2), t_xy = a n dy dx, t_xz = a n z dx,
+        # n = (3 - kr^2 + 3jkr) / r^2
         kr = k * r
-        near = (3.0 + 3j * kr - kr**2) / r**5
-        common = prefactor * np.exp(-1j * kr)
-        t_xx = common * ((-1.0 - 1j * kr + kr**2) / r**3 + near * dx**2)
-        t_xy = common * (near * dy * dx)
-        t_xz = common * (near * z * dx)
-        return np.stack([t_xx, t_xy, t_xz])
+        inv_r2 = 1.0 / (r * r)
+        a_scale = p * inv_r2 / r
+        a_re, a_im = np.sin(kr), np.cos(kr)
+        a_re *= a_scale
+        a_im *= a_scale
+        n_re = (3.0 - kr * kr) * inv_r2
+        n_im = 3.0 * kr * inv_r2
+        an_re = a_re * n_re - a_im * n_im
+        an_im = a_re * n_im + a_im * n_re
+        far_re = kr * kr - 1.0
+        tables = np.empty((3,) + r.shape, dtype=np.complex128)
+        dx2 = dx * dx
+        tables[0].real = a_re * far_re + a_im * kr + an_re * dx2
+        tables[0].imag = a_im * far_re - a_re * kr + an_im * dx2
+        for table, offsets in zip(tables[1:], (dy * dx, z * dx)):
+            np.multiply(an_re, offsets, out=table.real)
+            np.multiply(an_im, offsets, out=table.imag)
+        return tables
 
     # receiver Green-tensor x-row of each target row
     weights = green_tensor(receiver, targets, k)[:, 0]

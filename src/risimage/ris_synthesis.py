@@ -16,10 +16,13 @@ identity, so with the weight 1/sqrt(2) per pair it is orthonormal and its own
 inverse. A grid folded along x and y keeps each axis's even part in its head
 and its odd part in its tail read backwards (:func:`_part`), and in that
 basis K is block diagonal with four sectors of about M/4 x N/4 (symmetry-
-adapted block diagonalisation). Each sector block is a weighted view of one
-quarter of the target rows folded over the aperture, so the full kernel is
-never folded. Any other kernel, volume kernels included, is one identity
-sector holding K itself and goes through the same code.
+adapted block diagonalisation). Each sector block is a times one quarter of
+the target rows of F folded over the aperture and weighted, so the full
+kernel is never folded, and neither J_x nor its phase is ever applied to
+those rows: J_x times the conjugate phase is a. The blocks are folded
+straight from the rows as they arrive (:func:`_sector_blocks`). Any other
+kernel, volume kernels included, is one identity sector holding K itself
+and goes through the same code.
 
 When each grid has the same coordinates along x as along y, F is also
 unchanged when x and y swap on both grids, and the mirrors and the swap
@@ -86,7 +89,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .em_core import KIND_Y3D, KIND_Z2D, KernelMatrix, KernelStream, MirrorSymmetry, text_file_writer
+from .em_core import (
+    KIND_Y3D,
+    KIND_Z2D,
+    KernelMatrix,
+    KernelStream,
+    MirrorSymmetry,
+    small_ufunc_buffers,
+    text_file_writer,
+)
 from .errors import DimensionMismatch, KindMismatch, MalformedConfig, SvdFailure, ZeroSolution
 from .mask_design import KIND_MASK2D, KIND_MASK3D, MaskSet, mask_file_writer, project
 
@@ -275,12 +286,18 @@ def _sector_unfold(parts: Iterator[np.ndarray], shape: tuple[int, int] | None, o
     _butterfly(y_line(ny - ny // 2), y_line(ny // 2), -2, out.reshape(lead + (ny, nx)))
 
 
-def _pair_norms(n: int, parity: int) -> np.ndarray:
-    """Orthonormalising weight of one axis's even (0) or odd (1) part:
-    1/sqrt(2) per mirror pair, 1 for an odd length's centre line."""
+def _folded_norms(n: int) -> np.ndarray:
+    """Orthonormalising weight of each line of an axis of length ``n``, in
+    the folded layout of :func:`_part` or in grid order alike: 1/sqrt(2) per
+    mirror pair, 1 for an odd length's centre line."""
     norms = np.full(n, _HALF)
     norms[n // 2 : n - n // 2] = 1.0
-    return norms[_part(n, parity)]
+    return norms
+
+
+def _pair_norms(n: int, parity: int) -> np.ndarray:
+    """Orthonormalising weight of one axis's even (0) or odd (1) part."""
+    return _folded_norms(n)[_part(n, parity)]
 
 
 def _sector_norms(shape: tuple[int, int] | None) -> list[np.ndarray | None]:
@@ -344,17 +361,23 @@ def _sector_blocks(kernel: KernelMatrix | KernelStream) -> list[np.ndarray]:
 
     Block s is Q_s^T K diag(conj phase) P_s for the sector's orthonormal
     target and aperture bases Q_s and P_s; the phase factor drops out of the
-    left singular vectors and values. Since F is mirror-invariant, the
-    target-side fold of a row reduces to the weight 1 / w_s on its quadrant
-    row, so only the quadrant rows the kernel stores are read, in order, from
-    a stored kernel or a streamed one alike: each line of them (one iy) is
-    multiplied by J_x into one buffer as its rows arrive, then by the
-    conjugate phase, and folded over the aperture, along y and then x, and
-    each block takes its rows of that line as a weighted copy of one
-    :func:`_part` view. So no copy of the quadrant is made, and a streamed
-    kernel's rows are each dropped once their line is folded. Every block is
-    read-only; the identity sector's is the kernel's entries (collected from
-    a stream), or a view of them when the caller's entries are writable.
+    left singular vectors and values, and what is left of J_x is its real
+    amplitude a (``MirrorSymmetry.amplitude``, of either sign), so block s
+    is a Q_s^T F P_s. Since F is mirror-invariant, the target-side fold of a
+    row reduces to the weight 1 / w_s on its quadrant row, so only the
+    quadrant rows the kernel stores are read, in order, from a stored kernel
+    or a streamed one alike. Each run of them within one line (one iy) is
+    folded over the aperture along y, as it arrives, into one buffer of at
+    most a line, and scaled there by a times the aperture weight over the
+    target weight; the fold along x then writes its sums straight into
+    those rows of the x-even blocks and its differences into the x-odd
+    ones. So no copy of the quadrant is made, no second buffer of a line is
+    held, and a streamed kernel's rows are each dropped once folded. Every
+    block is read-only; the identity sector's is the kernel's entries
+    (collected from a stream), or a view of them when the caller's entries
+    are writable. The folds run with small ufunc buffers
+    (``em_core.small_ufunc_buffers``), so their strided operands add no
+    temporaries of note.
     """
     symmetry = kernel.symmetry
     if symmetry is None:
@@ -364,40 +387,44 @@ def _sector_blocks(kernel: KernelMatrix | KernelStream) -> list[np.ndarray]:
         return [block]
     (nx, ny), (ax, ay) = symmetry.target_shape, symmetry.aperture_shape
     ex, ey = symmetry.quadrant_shape
-    conj_phase = symmetry.phase.conj().reshape(ay, ax)
-    line, folded = (np.empty((ex, ay, ax), dtype=np.complex128) for _ in range(2))
-    blocks, parts = [], []
-    for (px, py), t_norms, a_norms in zip(
-        _PARITIES, _sector_norms(symmetry.target_shape), _sector_norms(symmetry.aperture_shape)
-    ):
-        rows_x, rows_y = (ex, nx - ex)[px], (ey, ny - ey)[py]
-        cols = (slice(0, rows_x), _part(ay, py), _part(ax, px))
-        a_weights = a_norms.reshape(line[cols].shape[1:])
-        blocks.append(np.empty((t_norms.size, a_norms.size), dtype=line.dtype))
-        rows = blocks[-1].reshape((rows_y, rows_x) + a_weights.shape)
-        parts.append((rows, cols, a_weights, t_norms.reshape(rows_y, rows_x, 1, 1)))
+    hx = ax // 2
+    # a line's entries, folded along y, are scaled by a times the aperture weight over the
+    # target weight: per quadrant pixel a / w_t times 1/sqrt(2) for the x pairs, per folded
+    # aperture row its weight; the x centre column, of weight 1, takes sqrt(2) more
+    pixel_scales = symmetry.amplitude * _HALF / np.outer(_folded_norms(ny)[:ey], _folded_norms(nx)[:ex])
+    row_norms = _folded_norms(ay)
+    folded = np.empty((ex, ay, ax), dtype=np.complex128)
+    blocks, rows = [], {}
+    for px, py in _PARITIES:
+        shape = ((ey, ny - ey)[py], (ex, nx - ex)[px], (ay - ay // 2, ay // 2)[py], (ax - hx, hx)[px])
+        blocks.append(np.empty((shape[0] * shape[1], shape[2] * shape[3]), dtype=np.complex128))
+        rows[px, py] = blocks[-1].reshape(shape)
 
-    def lines() -> Iterator[int]:
-        """Fill ``line`` with each quadrant line times J_x; yield its iy."""
-        flat, iy, at = line.reshape(ex, ax * ay), 0, 0
-        for block in (kernel.blocks if isinstance(kernel, KernelStream) else (kernel.stored,)):
-            while len(block):
-                take, block = block[: ex - at], block[ex - at :]
-                np.multiply(take, symmetry.current, out=flat[at : at + len(take)])
-                at += len(take)
-                if at == ex:
-                    yield iy
-                    iy, at = iy + 1, 0
-        if (iy, at) != (ey, 0):
-            raise DimensionMismatch(f"{iy * ex + at} stored kernel rows for a {ex} x {ey} mirror quadrant")
+    def fold(iy: int, ix: int, run: np.ndarray) -> None:
+        """Fold the quadrant rows ``run`` of line iy, from pixel ix on, into the blocks."""
+        ys = folded[: len(run)]
+        _fold(run.reshape(ys.shape), -2, ys)
+        ys *= np.multiply.outer(pixel_scales[iy, ix : ix + len(run)], row_norms)[:, :, None]
+        for py in (0, 1):
+            if iy >= len(rows[0, py]):
+                continue
+            even, odd = (rows[px, py][iy, ix : ix + len(run)] for px in (0, 1))
+            line = ys[:, _part(ay, py)]
+            head, tail = line[..., :hx], line[..., _part(ax, 1)]
+            np.add(head, tail, out=even[..., :hx])
+            np.multiply(line[..., hx : ax - hx], math.sqrt(2.0), out=even[..., hx:])
+            np.subtract(head[: len(odd)], tail[: len(odd)], out=odd)
 
-    for iy in lines():
-        line *= conj_phase
-        _fold(line, -2, folded)
-        _fold(folded, -1, line)
-        for rows, cols, a_weights, t_weights in parts:
-            if iy < len(rows):
-                np.multiply(line[cols], a_weights / t_weights[iy], out=rows[iy])
+    iy, ix, beyond = 0, 0, 0
+    with small_ufunc_buffers():
+        for block in kernel.blocks if isinstance(kernel, KernelStream) else (kernel.stored,):
+            while len(block) and iy < ey:
+                run, block = block[: ex - ix], block[ex - ix :]
+                fold(iy, ix, run)
+                iy, ix = (iy + 1, 0) if ix + len(run) == ex else (iy, ix + len(run))
+            beyond += len(block)
+    if (iy, ix, beyond) != (ey, 0, 0):
+        raise DimensionMismatch(f"{iy * ex + ix + beyond} stored kernel rows for a {ex} x {ey} mirror quadrant")
     for block in blocks:
         block.setflags(write=False)
     return blocks

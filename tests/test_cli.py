@@ -1,5 +1,6 @@
 """Command-line verbs, plan files, run directories, and their determinism."""
 
+import argparse
 import csv
 import dataclasses
 import errno
@@ -57,6 +58,41 @@ def scene_file(tmp_path):
 def read_metrics(run_dir):
     with open(Path(run_dir) / "metrics.csv", newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def help_text(argv, capsys):
+    with pytest.raises(SystemExit) as done:
+        cli.main(argv)
+    assert done.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestHelp:
+    @pytest.mark.parametrize("columns", ["52", "80", "131"])
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]], ids=["risimage", "sweep"])
+    def test_help_is_that_of_the_default_formatter(self, argv, columns, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", columns)
+        built = help_text(argv, capsys)
+        init = argparse.HelpFormatter.__init__
+
+        def default_width(self, prog, indent_increment=2, max_help_position=24, width=None):
+            init(self, prog, indent_increment, max_help_position)  # the terminal width, looked up anew
+
+        monkeypatch.setattr(argparse.HelpFormatter, "__init__", default_width)
+        assert built.startswith("usage: risimage")
+        assert built.encode() == help_text(argv, capsys).encode()
+
+    def test_the_terminal_width_is_looked_up_once_per_parser(self, monkeypatch):
+        calls = []
+        size = shutil.get_terminal_size
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return size(*args, **kwargs)
+
+        monkeypatch.setattr(shutil, "get_terminal_size", counted)
+        cli.build_parser().parse_args(["sweep", "--plan", "plan.txt"])
+        assert len(calls) == 1
 
 
 class TestValidateVerb:

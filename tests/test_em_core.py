@@ -409,6 +409,41 @@ def test_kernel_independent_of_row_blocks(request, monkeypatch, fixture):
     np.testing.assert_array_equal(em.assemble_kernel(scene, grids).entries, whole)
 
 
+def old_table_index(y_index, x_index, iy, ix):
+    """The gather index as formed from (target line, aperture column) tables
+    of each axis, gathered per pixel and added."""
+    n_ris_x = x_index.shape[1]
+    cols = np.arange(y_index.shape[1] * n_ris_x)
+    col_x = x_index[:, cols % n_ris_x]
+    col_y = y_index[:, cols // n_ris_x]
+    return col_y[iy] + col_x[ix]
+
+
+GATHER_CONFIGS = {
+    "odd-plane": lambda: desk_config(n_target_x=15, n_target_y=15, n_ris_x=33, n_ris_y=33),
+    "odd-volume": lambda: volume_config(n_xy=3, n_z=3, n_ris=15),
+    "line-plane": lambda: desk_config(n_target_x=1, n_target_y=4, n_ris_x=1, n_ris_y=6),
+    "line-volume": lambda: volume_config(n_xy=1, n_target_y=3, n_z=2, n_ris=6),
+}
+
+
+@pytest.mark.parametrize(
+    "name", ["desk_scene", "volume_scene", "skewed_plane_scene", "skewed_volume_scene", *GATHER_CONFIGS]
+)
+def test_stored_rows_match_the_two_dimensional_gather_index(request, monkeypatch, name):
+    # the broadcast index of each row block gathers the bits the per-axis tables did,
+    # on commensurate, incommensurate, odd and one-line grids
+    if name in GATHER_CONFIGS:
+        scene = sc.validate_scene(GATHER_CONFIGS[name]())
+        grids = sc.sample_grids(scene)
+    else:
+        scene, grids = request.getfixturevalue(name)
+    stored = em.assemble_kernel(scene, grids).stored
+    assert np.all(np.isfinite(stored)) and np.count_nonzero(stored) == stored.size
+    monkeypatch.setattr(em, "_table_index", old_table_index)
+    np.testing.assert_array_equal(em.assemble_kernel(scene, grids).stored, stored)
+
+
 def write_file(path, header, values):
     """A binary file whose body is the one array ``values``."""
     with em.complex_file_writer(path, header, values.shape) as write:
@@ -694,6 +729,16 @@ class TestKernelStream:
         monkeypatch.setattr(em, "ENTRY_CAP", scene.n_target * scene.n_ris - 1)
         with pytest.raises(KernelSizeError):
             em.kernel_stream(scene, grids)
+
+    @pytest.mark.parametrize("fixture", ["small_scene", "volume_scene"])
+    def test_a_waiting_stream_leaves_numpy_settings_alone(self, request, fixture):
+        # blocks are formed with small ufunc buffers, restored before each is handed over
+        default = np.getbufsize()
+        stream = em.kernel_stream(*request.getfixturevalue(fixture))
+        next(stream.blocks)
+        assert np.getbufsize() == default
+        list(stream.blocks)
+        assert np.getbufsize() == default
 
     def test_non_finite_entries_raise_before_their_rows(self):
         # a valid scene whose offset tables overflow in kr**2

@@ -1,5 +1,6 @@
 """``tools/output_digests.py``: the byte-identity listing of every output file."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -39,3 +40,60 @@ def test_comparing_the_sources_with_themselves_lists_nothing():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == ""
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("output_digests", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+METRICS_HEADER = "I,snr_db,z_prime,gamma,nmse,retained_rank,seed\n"
+
+
+def write_tree(root, metrics_rows, extra=None):
+    (root / "seed-3" / "plane").mkdir(parents=True)
+    (root / "seed-3" / "plane" / "metrics.csv").write_text(METRICS_HEADER + "".join(metrics_rows))
+    for name, text in (extra or {}).items():
+        (root / "seed-3" / name).write_text(text)
+    return root
+
+
+def test_changed_metrics_report_the_nmse_change_and_the_exact_columns(tmp_path, capsys):
+    tool = load_tool()
+    theirs = write_tree(
+        tmp_path / "theirs",
+        ["256,20,0.125,1e-12,0.5,64,7\n", "256,20,0.25,1e-12,0.25,60,8\n"],
+        {"a.txt": "a", "gone.txt": "g"},
+    )
+    ours = write_tree(
+        tmp_path / "ours",
+        ["256,20,0.125,1e-12,0.5000000000015,64,7\n", "256,20,0.25,1e-12,0.25,60,8\n"],
+        {"a.txt": "a", "new.txt": "n"},
+    )
+    assert tool.compare_outputs(ours, theirs, "ours", "theirs") == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "only theirs  seed-3/gone.txt",
+        "only ours  seed-3/new.txt",
+        "changed  seed-3/plane/metrics.csv",
+        "    largest relative nmse change 3e-12; gamma, retained_rank, seed match",
+    ]
+    assert tool.compare_outputs(theirs, theirs, "theirs", "theirs") == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_metrics_change_names_the_exact_columns_that_differ(tmp_path):
+    tool = load_tool()
+    theirs = write_tree(tmp_path / "theirs", ["256,none,0.125,1e-12,0.5,64,7\n", "256,20,0.25,1e-12,0.0,60,8\n"])
+    ours = write_tree(tmp_path / "ours", ["256,none,0.125,1e-10,0.5,63,7\n", "256,20,0.25,1e-12,0.0,60,8\n"])
+    path = "seed-3/plane/metrics.csv"
+    assert tool.metrics_change(ours / path, theirs / path) == (
+        "largest relative nmse change 0; gamma, retained_rank differ"
+    )
+    shorter = write_tree(tmp_path / "shorter", ["256,none,0.125,1e-12,0.5,64,7\n"])
+    assert tool.metrics_change(shorter / path, theirs / path) == "1 rows against 2"
+    zero = write_tree(tmp_path / "zero", ["256,none,0.125,1e-12,0.5,64,7\n", "256,20,0.25,1e-12,1e-30,60,8\n"])
+    assert tool.metrics_change(zero / path, theirs / path) == (
+        "largest relative nmse change inf; gamma, retained_rank, seed match"
+    )

@@ -397,6 +397,19 @@ def mirror_basis(n, parity):
     return basis
 
 
+def assert_blocks_match_the_dense_bases(kernel, target, aperture):
+    """Each sector block of a plane kernel is Q_s^T K diag(conj phase) P_s in the
+    dense even/odd bases of :func:`mirror_basis`."""
+    weighted = kernel.entries * kernel.symmetry.phase.conj()
+    for (px, py), block in zip(rs._PARITIES, rs._sector_blocks(kernel)):
+        # flat index ix + nx * iy, x fastest, on both sides
+        q = np.kron(mirror_basis(target[1], py), mirror_basis(target[0], px))
+        p = np.kron(mirror_basis(aperture[1], py), mirror_basis(aperture[0], px))
+        expected = q.T @ weighted @ p
+        assert block.shape == expected.shape
+        np.testing.assert_allclose(block, expected, rtol=0, atol=1e-13 * np.abs(kernel.entries).max())
+
+
 def one_qr_factor(block):
     """The spectral factor from one QR of the whole block: the oracle of the pieced one."""
     m, n = block.shape
@@ -645,16 +658,36 @@ class TestMirrorSectors:
         scene = sc.validate_scene(
             desk_config(n_target_x=target[0], n_target_y=target[1], n_ris_x=aperture[0], n_ris_y=aperture[1])
         )
-        kernel = em.assemble_kernel(scene, sc.sample_grids(scene))
-        blocks = rs._sector_blocks(kernel)
-        weighted = kernel.entries * kernel.symmetry.phase.conj()
-        for (px, py), block in zip(rs._PARITIES, blocks):
-            # flat index ix + nx * iy, x fastest, on both sides
-            q = np.kron(mirror_basis(target[1], py), mirror_basis(target[0], px))
-            p = np.kron(mirror_basis(aperture[1], py), mirror_basis(aperture[0], px))
-            expected = q.T @ weighted @ p
-            assert block.shape == expected.shape
-            np.testing.assert_allclose(block, expected, rtol=0, atol=1e-13 * np.abs(kernel.entries).max())
+        assert_blocks_match_the_dense_bases(em.assemble_kernel(scene, sc.sample_grids(scene)), target, aperture)
+
+    @pytest.mark.parametrize(
+        "target, aperture",
+        [((3, 4), (6, 7)), ((5, 5), (7, 7)), ((4, 4), (8, 8))],
+        ids=["mixed", "odd", "even"],
+    )
+    def test_a_negative_amplitude_keeps_its_sign(self, target, aperture, tmp_path):
+        # J_x = a * phase with a < 0: the blocks carry a itself, so taking |J_x| for it
+        # would flip every block and every exported profile
+        scene = sc.validate_scene(
+            desk_config(
+                n_target_x=target[0],
+                n_target_y=target[1],
+                n_ris_x=aperture[0],
+                n_ris_y=aperture[1],
+                incident_amplitude=-2.5,
+            )
+        )
+        grids = sc.sample_grids(scene)
+        kernel = em.assemble_kernel(scene, grids)
+        assert kernel.symmetry.amplitude < 0
+        assert_blocks_match_the_dense_bases(kernel, target, aperture)
+
+        inv = rs.tikhonov_inverse(kernel, 1e-12)
+        masks = md.ideal_masks(scene, grids, minimal_count(scene.n_target))
+        _, values = realize_with_values(inv, masks, 1.5)
+        rs.save_profiles(tmp_path / "p.bin", inv, masks, 1.5, scene.fingerprint)
+        _, profiles, _ = md.load_mask_vectors(tmp_path / "p.bin")
+        np.testing.assert_allclose(kernel.entries @ profiles.T, values.T, rtol=0, atol=1e-10 * np.abs(values).max())
 
     @pytest.mark.parametrize("n", range(1, 8))
     @pytest.mark.parametrize("axis", [-1, -2])
@@ -831,6 +864,12 @@ class TestSelfContainedInverse:
         short = dataclasses.replace(kernel, stored=kernel.stored[:-1])
         with pytest.raises(DimensionMismatch, match="mirror quadrant"):
             rs.tikhonov_inverse(short, 1e-12)
+
+    def test_stored_rows_beyond_the_quadrant_are_rejected(self, desk_scene):
+        kernel = em.assemble_kernel(*desk_scene)
+        long = dataclasses.replace(kernel, stored=np.concatenate([kernel.stored, kernel.stored[:3]]))
+        with pytest.raises(DimensionMismatch, match=f"{len(kernel.stored) + 3} stored kernel rows"):
+            rs.tikhonov_inverse(long, 1e-12)
 
     def test_inverse_holds_only_its_blocks_and_u(self, desk_scene):
         # the desk kernel alone (4 MiB) is four times its blocks and exceeds the slack
@@ -1144,6 +1183,16 @@ class TestPeakMemory:
         kernel = em.assemble_kernel(scene, sc.sample_grids(scene))
         peak, blocks = peak_traced_bytes(lambda: rs._sector_blocks(kernel))
         assert peak <= sum(block.nbytes for block in blocks) + (1 << 20)
+
+    def test_sector_blocks_stage_at_most_one_line(self):
+        # at 64^2 x 32^2 the blocks are 16 MiB and a line of quadrant rows 1 MiB: each
+        # line is folded along y into one buffer and from there straight into the blocks
+        scene = sc.validate_scene(desk_config(n_target_x=32, n_target_y=32, n_ris_x=64, n_ris_y=64))
+        kernel = em.assemble_kernel(scene, sc.sample_grids(scene))
+        line = kernel.symmetry.quadrant_shape[0] * scene.n_ris * 16
+        assert line == 1 << 20
+        peak, blocks = peak_traced_bytes(lambda: rs._sector_blocks(kernel))
+        assert peak <= sum(block.nbytes for block in blocks) + line + (256 << 10)
 
     def test_designed_plane_set_holds_no_complex_stack(self, desk_scene):
         # the {0,1} pattern alone would be 2 MiB at I = 1,024, M = 256, the complex stack 4 MiB

@@ -25,6 +25,10 @@ lacks, and exit 1 if there are any:
 
     python3 tools/output_digests.py --seeds 3 8 --compare-src ../parent/src
 
+Under each ``metrics.csv`` that differs, that listing also gives the largest
+relative change of its ``nmse`` column and says whether its ``gamma``,
+``retained_rank`` and ``seed`` columns match.
+
 BLAS runs on at most 2 threads, as in the benchmark.
 """
 
@@ -32,16 +36,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
+import math
+import multiprocessing
 import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STEP_SCENES = ("desk-snr-dense", "volume-zsweep")  # the desk scene and the volume scene
+EXACT_METRICS = ("gamma", "retained_rank", "seed")  # metrics.csv columns a numerical change keeps
 
 
 def run_seed(cli, workloads, seed: int, inputs: Path, outputs: Path) -> None:
@@ -89,30 +96,77 @@ def listing(outputs: Path) -> list[str]:
     return [f"{digest(p)}  {p.relative_to(outputs).as_posix()}" for p in files]
 
 
-def digests_of(src: Path, seeds: list[int]) -> dict[str, str]:
-    """The listing of the sources ``src``, from a process of their own: path -> digest."""
-    argv = [sys.executable, __file__, "--seeds", *map(str, seeds), "--src", str(src)]
-    done = subprocess.run(argv, capture_output=True, text=True, check=True)
-    return {path: digest for digest, path in (line.split("  ", 1) for line in done.stdout.splitlines())}
+def produce(src: Path, seeds: list[int], outputs: Path) -> None:
+    """Every output of the sources ``src`` for ``seeds``, written under ``outputs``."""
+    # BLAS reads its thread count once, when numpy is first imported
+    threads = str(min(2, len(os.sched_getaffinity(0))))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = threads
+    sys.path[:0] = [str(src.resolve()), str(ROOT / "perfbench")]
+    import workloads
+    from risimage import cli
+
+    with tempfile.TemporaryDirectory(prefix="output-digests-inputs-") as inputs:
+        for seed in seeds:
+            run_seed(cli, workloads, seed, Path(inputs, f"seed-{seed}"), outputs / f"seed-{seed}")
 
 
-def compare(src: Path, other: Path, seeds: list[int]) -> int:
-    """Print each path whose digest differs between the two sources, or that
-    one of them lacks, marked ``changed``, ``only <src>`` or ``only <other>``;
-    return 1 if there is any, else 0."""
-    ours, theirs = digests_of(src, seeds), digests_of(other, seeds)
+def produce_apart(src: Path, seeds: list[int], outputs: Path) -> None:
+    """:func:`produce` in a new interpreter of its own, so each source tree is imported afresh."""
+    child = multiprocessing.get_context("spawn").Process(target=produce, args=(src, seeds, outputs))
+    child.start()
+    child.join()
+    if child.exitcode != 0:
+        raise SystemExit(f"the outputs of {src} could not be produced (exit code {child.exitcode})")
+
+
+def metrics_change(ours: Path, theirs: Path) -> str:
+    """How the ``metrics.csv`` ``ours`` differs from ``theirs``: the largest
+    relative change of its ``nmse`` column, taken against ``theirs``, and
+    which of :data:`EXACT_METRICS` differ."""
+    ours_rows, theirs_rows = (list(csv.DictReader(path.read_text().splitlines())) for path in (ours, theirs))
+    if len(ours_rows) != len(theirs_rows):
+        return f"{len(ours_rows)} rows against {len(theirs_rows)}"
+    worst = 0.0
+    for mine, base in zip(ours_rows, theirs_rows):
+        new, old = float(mine["nmse"]), float(base["nmse"])
+        if new != old and not (math.isnan(new) and math.isnan(old)):
+            worst = max(worst, abs(new - old) / abs(old) if old else math.inf)
+    differ = [key for key in EXACT_METRICS if any(a[key] != b[key] for a, b in zip(ours_rows, theirs_rows))]
+    exact = f"{', '.join(differ)} differ" if differ else f"{', '.join(EXACT_METRICS)} match"
+    return f"largest relative nmse change {worst:.3g}; {exact}"
+
+
+def compare_outputs(ours: Path, theirs: Path, ours_name: str, theirs_name: str) -> int:
+    """Print each output path whose digest differs between the trees ``ours``
+    and ``theirs``, or that one of them lacks, marked ``changed``, ``only
+    <ours_name>`` or ``only <theirs_name>``, with the :func:`metrics_change`
+    of a changed ``metrics.csv`` on an indented line; return 1 if there is
+    any, else 0."""
+    mine, base = (dict(line.split("  ", 1)[::-1] for line in listing(tree)) for tree in (ours, theirs))
     differ = 0
-    for path in sorted(ours.keys() | theirs.keys()):
-        if path not in theirs:
-            print(f"only {src}  {path}")
-        elif path not in ours:
-            print(f"only {other}  {path}")
-        elif ours[path] != theirs[path]:
+    for path in sorted(mine.keys() | base.keys()):
+        if path not in base:
+            print(f"only {ours_name}  {path}")
+        elif path not in mine:
+            print(f"only {theirs_name}  {path}")
+        elif mine[path] != base[path]:
             print(f"changed  {path}")
+            if Path(path).name == "metrics.csv":
+                print(f"    {metrics_change(ours / path, theirs / path)}")
         else:
             continue
         differ = 1
     return differ
+
+
+def compare(src: Path, other: Path, seeds: list[int]) -> int:
+    """:func:`compare_outputs` of the outputs of the sources ``src`` and ``other``."""
+    with tempfile.TemporaryDirectory(prefix="output-digests-") as work:
+        ours, theirs = Path(work, "ours"), Path(work, "theirs")
+        produce_apart(src, seeds, ours)
+        produce_apart(other, seeds, theirs)
+        return compare_outputs(ours, theirs, str(src), str(other))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -126,19 +180,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.compare_src is not None:
         return compare(args.src, args.compare_src, args.seeds)
 
-    # BLAS reads its thread count once, when numpy is first imported
-    threads = str(min(2, len(os.sched_getaffinity(0))))
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = threads
-    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
-    import workloads
-    from risimage import cli
-
-    with tempfile.TemporaryDirectory(prefix="output-digests-") as work:
-        inputs, outputs = Path(work, "inputs"), Path(work, "outputs")
-        for seed in args.seeds:
-            run_seed(cli, workloads, seed, inputs / f"seed-{seed}", outputs / f"seed-{seed}")
-        print("\n".join(listing(outputs)))
+    with tempfile.TemporaryDirectory(prefix="output-digests-") as outputs:
+        produce(args.src, args.seeds, Path(outputs))
+        print("\n".join(listing(Path(outputs))))
     return 0
 
 
