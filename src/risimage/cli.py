@@ -148,28 +148,28 @@ def cmd_kernel(args) -> int:
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     if out.exists() and not args.force:
-        kernel = em_core.load_kernel(out, scene, grids)
-        print(f"cache hit: {out} ({_kernel_label(kernel)})")
+        # a hit is checked by the file's header and size: the body is not read
+        kind, symmetry = em_core.check_kernel_file(out, scene, grids)
+        print(f"cache hit: {out} ({_kernel_label(kind, (scene.n_target, scene.n_ris), symmetry)})")
         return 0
     # the stored rows go to the file as they are assembled, so the kernel never exists whole
     kernel = em_core.kernel_stream(scene, grids).saved_to(out)
     for _ in kernel.blocks:
         pass
-    print(f"assembled {_kernel_label(kernel)} kernel -> {out}")
+    print(f"assembled {_kernel_label(kernel.kind, kernel.shape, kernel.symmetry)} kernel -> {out}")
     return 0
 
 
-def _kernel_label(kernel: em_core.KernelMatrix | em_core.KernelStream) -> str:
-    """Kind and shape, marked when synthesis can split the kernel into mirror
-    sectors, and when it can split them further under the x <-> y swap."""
-    symmetry = kernel.symmetry
-    if symmetry is None:
+def _kernel_label(kind: str, shape: tuple[int, int], symmetry: em_core.MirrorSymmetry | None) -> str:
+    """Kind and shape, marked when synthesis can split a plane kernel into
+    mirror sectors, and when it can split them further under the x <-> y swap."""
+    if symmetry is None or symmetry.weights is not None:
         marked = ""
     elif symmetry.swap:
         marked = ", mirror- and swap-symmetric"
     else:
         marked = ", mirror-symmetric"
-    return f"{kernel.kind} {kernel.shape[0]}x{kernel.shape[1]}{marked}"
+    return f"{kind} {shape[0]}x{shape[1]}{marked}"
 
 
 def cmd_masks(args) -> int:

@@ -12,15 +12,20 @@ needs each row once, as the decomposition and the kernel file do, takes the
 stream, so the kernel never exists whole, and :func:`assemble_kernel`
 collects it into a :class:`KernelMatrix`.
 
-A plane kernel carries its mirror structure (:class:`MirrorSymmetry`): both
-grids are centred on the origin and an entry depends on the aperture sample
-only through its distance to the pixel and the phase of J_x, so synthesis can
-split the kernel into the even/odd sectors of the x- and y-mirrors, and, when
-each grid has the same coordinates along x as along y, further under the
-swap of x and y. The same structure lets a plane kernel store only the
-phase-free rows of one mirror quadrant of its pixels, about a quarter of the
-matrix: every other row is a mirror image of one of them
-(:class:`KernelMatrix`).
+Every kernel carries its mirror structure (:class:`MirrorSymmetry`): both
+grids are centred on the origin, and a kernel is a sum of offset tables,
+each row weighted, times J_x. A plane kernel has one table, whose entry
+depends on the aperture sample only through its distance to the pixel, and
+no weights, so synthesis can split the kernel into the even/odd sectors of
+the x- and y-mirrors, and, when each grid has the same coordinates along x
+as along y, further under the swap of x and y. A volume kernel has the three
+E-field tables of the x-directed current, each even or odd under each
+mirror, weighted per voxel by the receiver's Green row: the weights break
+the mirror symmetry of the kernel, not that of its tables. The same
+structure lets a kernel store only the phase-free, unweighted rows of one
+mirror quadrant of each table, about a quarter of a plane kernel and three
+quarters of a volume kernel: every other row of a table is a mirror image of
+one of them, up to the sign of the table's parity (:class:`KernelMatrix`).
 """
 
 from __future__ import annotations
@@ -51,7 +56,8 @@ KIND_Z2D = "Z_2d"
 KIND_Y3D = "Y_3d"
 
 # Complex128 entries; 2**26 entries is ~1 GiB. Checked on the full M x N before a
-# kernel is allocated, though a plane kernel stores only about a quarter of them,
+# kernel is allocated, though a kernel stores only about a quarter (plane) or three
+# quarters (volume) of them,
 # and on I x M before any (I, M) mask array exists (mask_design).
 ENTRY_CAP = 1 << 26
 # Kernels are assembled in row blocks of about this many entries, so each
@@ -61,20 +67,31 @@ _CHUNK_ENTRIES = 1 << 15
 # Entries of numpy's ufunc buffers in the passes over kernel rows
 # (:func:`small_ufunc_buffers`); numpy's default is 8,192.
 _UFUNC_BUFFER = 1 << 10
+# The (x, y) parities of a volume kernel's three E-field tables t_xx, t_xy and
+# t_xz under the x- and y-mirrors, 0 even and 1 odd: t_xx is even in both
+# offsets, t_xy odd in both, t_xz odd in x only.
+TABLE_PARITIES = ((0, 0), (1, 1), (1, 0))
 
 
 @dataclass(frozen=True)
 class MirrorSymmetry:
-    """Mirror structure of a plane kernel K = F diag(J_x), J_x = amplitude * phase.
+    """Mirror structure of a kernel K = (sum_t D_t F_t) diag(J_x), J_x = amplitude * phase.
 
-    Both grids are cell-centred on the origin with flat index ``ix + nx * iy``,
-    and F(m, n) depends only on the distance from aperture sample n to pixel m,
-    so F is unchanged when the x-mirror (or the y-mirror) is applied to both
-    grids at once. J_x at each aperture sample is the real ``amplitude``
-    (:func:`incident_current`, any nonzero sign) times ``phase``, its unit
-    phase ramp along y. ``swap`` is set when each grid's x coordinates are
-    the same array as its y coordinates: F is then also unchanged when x and
-    y swap on both grids, and the mirrors and the swap generate the dihedral
+    Both grids are cell-centred on the origin with flat index ``ix + nx * iy``
+    (plus ``nx * ny * iz`` over the slices of a volume), and each table
+    F_t(m, n) depends only on the offset from aperture sample n to point m
+    within m's slice, so F_t is unchanged when the x-mirror (or the
+    y-mirror) is applied to both grids at once, up to the sign of its parity
+    (:attr:`tables`). A plane kernel has one even table, whose entry depends
+    only on the distance, and no D_t. A volume kernel has the three E-field
+    tables of :data:`TABLE_PARITIES`, and D_t holds ``weights[t]``, the
+    receiver Green-row entry of table t at each of the M target points:
+    those break the mirror symmetry of K, not that of its tables. J_x at each
+    aperture sample is the real ``amplitude`` (:func:`incident_current`, any
+    nonzero sign) times ``phase``, its unit phase ramp along y. ``swap`` is
+    set for a plane kernel whose grids each have the same array of x
+    coordinates as of y coordinates: F is then also unchanged when x and y
+    swap on both grids, and the mirrors and the swap generate the dihedral
     group D4.
     """
 
@@ -83,6 +100,7 @@ class MirrorSymmetry:
     phase: np.ndarray  # (N,) complex128, |phase| = 1
     amplitude: float  # real factor of J_x
     swap: bool = False
+    weights: np.ndarray | None = None  # (3, M) complex128 D_t of a volume kernel
 
     @property
     def quadrant_shape(self) -> tuple[int, int]:
@@ -91,24 +109,42 @@ class MirrorSymmetry:
         nx, ny = self.target_shape
         return nx - nx // 2, ny - ny // 2
 
+    @property
+    def tables(self) -> tuple[tuple[int, int], ...]:
+        """The (x, y) mirror parity of each table."""
+        return ((0, 0),) if self.weights is None else TABLE_PARITIES
+
+    @property
+    def depth(self) -> int:
+        """Target slices: one for a plane kernel."""
+        return 1 if self.weights is None else self.weights.shape[1] // math.prod(self.target_shape)
+
+    @property
+    def stored_rows(self) -> int:
+        """Rows the kernel stores: the mirror quadrant's of each table in each slice."""
+        return len(self.tables) * self.depth * math.prod(self.quadrant_shape)
+
 
 @dataclass(frozen=True)
 class KernelMatrix:
     """Discretised propagation operator from aperture samples to target samples.
 
     ``entries[m, n]`` maps the reflection coefficient at aperture sample n to
-    the field quantity at target sample m. ``symmetry`` is set for plane
-    kernels and None for anything else, and says what ``stored`` holds:
-    without it, the (M, N) matrix itself; with it, only the rows of F
-    (:class:`MirrorSymmetry`) at the pixels of the mirror quadrant, quadrant
-    row ``ix + ex * iy``, and no J_x factor. Reading ``entries`` then forms
-    the full matrix anew: every row is a mirrored quadrant row (the x-mirror
-    reverses the aperture x order, the y-mirror the y order) times
-    J_x = ``amplitude * phase``, the product :func:`incident_current` takes,
-    so only the reader keeps it. Read-only after assembly.
+    the field quantity at target sample m. ``symmetry`` is the kernel's
+    mirror structure, or None for a matrix without one, and says what
+    ``stored`` holds: without it, the (M, N) matrix itself; with it, only
+    the rows of each table F_t (:class:`MirrorSymmetry`) at the pixels of the
+    mirror quadrant, without D_t or J_x: per slice, the quadrant rows
+    ``ix + ex * iy`` of each table in turn. Reading ``entries`` then forms
+    the full matrix anew: every row of a table is a mirrored quadrant row
+    (the x-mirror reverses the aperture x order, the y-mirror the y order),
+    negated under a mirror the table is odd in; the tables are summed with
+    their weights and multiplied by J_x = ``amplitude * phase``, the product
+    :func:`incident_current` takes, so only the reader keeps it. Read-only
+    after assembly.
     """
 
-    stored: np.ndarray  # (M, N) complex128, or (ex * ey, N) quadrant rows of F
+    stored: np.ndarray  # (M, N) complex128, or (T * depth * ex * ey, N) quadrant rows of T tables
     kind: str  # KIND_Z2D | KIND_Y3D
     fingerprint: str
     symmetry: MirrorSymmetry | None = None
@@ -118,25 +154,42 @@ class KernelMatrix:
         """(M, N) of the full matrix, whatever is stored."""
         if self.symmetry is None:
             return self.stored.shape
-        nx, ny = self.symmetry.target_shape
-        return nx * ny, self.stored.shape[1]
+        return math.prod(self.symmetry.target_shape) * self.symmetry.depth, self.stored.shape[1]
 
     @property
     def entries(self) -> np.ndarray:
         """The (M, N) matrix: ``stored`` itself, or a new read-only array
-        formed from the quadrant rows of a plane kernel."""
-        if self.symmetry is None:
+        formed from the quadrant rows of the tables."""
+        symmetry = self.symmetry
+        if symmetry is None:
             return self.stored
-        (nx, ny), (ax, ay) = self.symmetry.target_shape, self.symmetry.aperture_shape
-        ex, ey = self.symmetry.quadrant_shape
-        full = np.empty((ny, nx, ay, ax), dtype=np.complex128)
-        full[:ey, :ex] = self.stored.reshape(ey, ex, ay, ax)
-        full[:ey, ex:] = full[:ey, : nx - ex][:, ::-1, :, ::-1]
-        full[ey:] = full[: ny - ey][::-1, :, ::-1, :]
-        full = full.reshape(nx * ny, ax * ay)
-        full *= self.symmetry.amplitude * self.symmetry.phase
-        full.setflags(write=False)
-        return full
+        (nx, ny), (ax, ay) = symmetry.target_shape, symmetry.aperture_shape
+        ex, ey = symmetry.quadrant_shape
+        depth, tables = symmetry.depth, symmetry.tables
+        quadrants = self.stored.reshape(depth, len(tables), ey, ex, ay, ax)
+        entries = full = np.empty((depth, ny, nx, ay, ax), dtype=np.complex128)
+        for t, (px, py) in enumerate(tables):
+            if t == 1:
+                full = np.empty_like(entries)
+            full[:, :ey, :ex] = quadrants[:, t]
+            _mirror(full[:, :ey, : nx - ex][:, :, ::-1, :, ::-1], px, full[:, :ey, ex:])
+            _mirror(full[:, : ny - ey][:, ::-1, :, ::-1, :], py, full[:, ey:])
+            if symmetry.weights is not None:
+                full *= symmetry.weights[t].reshape(depth, ny, nx, 1, 1)
+                if t:
+                    entries += full
+        entries = entries.reshape(-1, ax * ay)
+        entries *= symmetry.amplitude * symmetry.phase
+        entries.setflags(write=False)
+        return entries
+
+
+def _mirror(image: np.ndarray, parity: int, out: np.ndarray) -> None:
+    """Write a mirror ``image`` into ``out``, negated for an odd ``parity``."""
+    if parity:
+        np.negative(image, out=out)
+    else:
+        out[...] = image
 
 
 @contextmanager
@@ -182,17 +235,28 @@ def _same_axes(points: np.ndarray, nx: int, n_slice: int) -> bool:
     return np.array_equal(points[:nx, 0], points[:n_slice:nx, 1])
 
 
-def _mirror_symmetry(scene: ValidatedScene, grids: SampleGrids) -> MirrorSymmetry | None:
-    """Mirror structure of ``scene``'s plane kernel; None for a volume kernel,
-    whose receiver Green row per voxel breaks the mirror symmetry. The swap
-    is read off the grids themselves, not off the configuration."""
-    if scene.is_3d:
-        return None
+def _mirror_symmetry(scene: ValidatedScene, grids: SampleGrids) -> MirrorSymmetry:
+    """Mirror structure of ``scene``'s kernel (:class:`MirrorSymmetry`).
+
+    A volume kernel's receiver Green row per voxel breaks the mirror
+    symmetry of the kernel, so it comes as the weights of the three tables,
+    which keep it: the x-row of the Green tensor from each target point to
+    the receiver. Nor is the kernel swap-symmetric, as t_xx is not. A plane
+    kernel's swap is read off the grids themselves, not off the
+    configuration.
+    """
     cfg = scene.config
     phase = _incident_phase(scene, grids.ris_points[:, 1])
     phase.setflags(write=False)
-    swap = _same_axes(grids.target_points, cfg.n_target_x, scene.n_target) and _same_axes(
-        grids.ris_points, cfg.n_ris_x, scene.n_ris
+    weights = None
+    if scene.is_3d:
+        receiver = np.asarray(cfg.receiver_pos, dtype=float)
+        weights = green_tensor(receiver, grids.target_points, scene.wavenumber)[:, 0].T.copy()
+        weights.setflags(write=False)
+    swap = (
+        weights is None
+        and _same_axes(grids.target_points, cfg.n_target_x, scene.n_target)
+        and _same_axes(grids.ris_points, cfg.n_ris_x, scene.n_ris)
     )
     return MirrorSymmetry(
         target_shape=(cfg.n_target_x, cfg.n_target_y),
@@ -200,6 +264,7 @@ def _mirror_symmetry(scene: ValidatedScene, grids: SampleGrids) -> MirrorSymmetr
         phase=phase,
         amplitude=_incident_amplitude(scene),
         swap=swap,
+        weights=weights,
     )
 
 
@@ -219,9 +284,9 @@ def _table_index(y_index: np.ndarray, x_index: np.ndarray, iy: np.ndarray, ix: n
 
 
 def _stored_rows(symmetry: MirrorSymmetry | None, n_rows: int) -> int:
-    """Rows a kernel of ``n_rows`` target rows stores: all of them, or its
-    mirror quadrant's."""
-    return n_rows if symmetry is None else math.prod(symmetry.quadrant_shape)
+    """Rows a kernel of ``n_rows`` target rows stores: all of them, or those
+    its mirror structure says."""
+    return n_rows if symmetry is None else symmetry.stored_rows
 
 
 @dataclass(frozen=True)
@@ -268,22 +333,19 @@ class KernelStream:
         return replace(self, blocks=written())
 
 
-def _assemble(
-    scene: ValidatedScene, grids: SampleGrids, kind: str, offset_tables, weights: np.ndarray | None = None
-) -> KernelStream:
+def _assemble(scene: ValidatedScene, grids: SampleGrids, kind: str, offset_tables) -> KernelStream:
     """The row-block loop behind every kernel, as a stream of its stored rows.
 
     Checks at once that the full kernel fits under :data:`ENTRY_CAP`; the
     rows are formed as the stream is drawn. Per target slice at height z,
     ``offset_tables(dx, dy, z, r)`` evaluates the entry formula on the
     (Ky, Kx) table of distinct offsets (``dx`` (1, Kx), ``dy`` (Ky, 1), ``r``
-    their lengths) and returns T tables of that shape. The stored rows are
-    then formed a block at a time, gathered through the flat table index of
-    :func:`_table_index`: entry (m, n) is J_x(n) times the table entry at
-    the offset of (m, n), or, with ``weights`` giving an (M, T) array, times
-    the row's weighted sum of the T table entries. A plane kernel stores
-    only the table entries of its mirror quadrant's pixels, without J_x
-    (:class:`KernelMatrix`). Tables and blocks are formed with small ufunc
+    their lengths) and returns the kernel's T tables of that shape
+    (``MirrorSymmetry.tables``). The stored rows of each table, those of the
+    mirror quadrant's pixels (:class:`KernelMatrix`), are then gathered a
+    block at a time through the flat table index of :func:`_table_index`:
+    entry (m, n) is the table entry at the offset of (m, n), without the
+    row's weight or J_x. Tables and blocks are formed with small ufunc
     buffers (:func:`small_ufunc_buffers`).
 
     The distinct offsets are the floats target - aperture along x and along
@@ -291,8 +353,8 @@ def _assemble(
     smaller than the kernel, and on incommensurate ones a slice's table is
     still no larger than that slice's kernel rows. A table entry that is not
     a finite number raises :class:`NonFiniteKernel` before any row of its
-    slice is handed over. The stream carries the mirror structure for a
-    plane target.
+    slice is handed over. The stream carries the mirror structure; a plane
+    kernel without one stores every row times J_x.
     """
     cfg = scene.config
     ris = grids.ris_points
@@ -306,7 +368,6 @@ def _assemble(
     symmetry = _mirror_symmetry(scene, grids)
 
     def blocks() -> Iterator[np.ndarray]:
-        jx = incident_current(scene, ris[:, 1])
         # 1-D coordinates of the x-fastest, then y, then z grids
         nx, n_slice = cfg.n_target_x, cfg.n_target_x * cfg.n_target_y
         n_ris_x = cfg.n_ris_x
@@ -320,9 +381,8 @@ def _assemble(
         width, height = (nx, cfg.n_target_y) if symmetry is None else symmetry.quadrant_shape
         n_stored = width * height
         step = max(1, _CHUNK_ENTRIES // n_cols)
-        terms = None if weights is None else np.empty((min(step, n_rows), n_cols), dtype=np.complex128)
-        for first in range(0, n_rows // n_slice * n_stored, n_stored):
-            z = targets[first // n_stored * n_slice, 2] - ris[0, 2]
+        for first in range(0, n_rows, n_slice):
+            z = targets[first, 2] - ris[0, 2]
             # an overflow leaves a non-finite entry, checked next
             with small_ufunc_buffers(), np.errstate(all="ignore"):
                 tables = offset_tables(dx, dy, z, np.sqrt(planar + z**2)).reshape(-1, planar.size)
@@ -331,21 +391,14 @@ def _assemble(
                     f"kernel entries at wavelength {cfg.wavelength!r} m and {float(z)!r} m from the "
                     "aperture are not finite numbers"
                 )
-            for start in range(0, n_stored, step):
-                stop = min(start + step, n_stored)
-                with small_ufunc_buffers():
-                    index = _table_index(y_index, x_index, *np.divmod(np.arange(start, stop), width))
-                    block = tables[0].take(index)
-                    if weights is not None:  # a volume kernel, whose stored rows are its target rows
-                        rows, term = weights[first + start : first + stop], terms[: stop - start]
-                        block *= rows[:, :1]
-                        for t in range(1, tables.shape[0]):
-                            tables[t].take(index, out=term, mode="clip")  # valid indices: no staging copy
-                            term *= rows[:, t : t + 1]
-                            block += term
-                    if symmetry is None:
-                        block *= jx
-                yield block
+            for table in tables:
+                for start in range(0, n_stored, step):
+                    pixels = np.divmod(np.arange(start, min(start + step, n_stored)), width)
+                    with small_ufunc_buffers():
+                        block = table.take(_table_index(y_index, x_index, *pixels))
+                        if symmetry is None:
+                            block *= incident_current(scene, ris[:, 1])
+                    yield block
 
     return KernelStream(
         kind=kind, fingerprint=scene.fingerprint, symmetry=symmetry, shape=(n_rows, n_cols), blocks=blocks()
@@ -418,11 +471,11 @@ def _volume_rows(scene: ValidatedScene, grids: SampleGrids) -> KernelStream:
     Entry (m, n) combines the three aperture E-field integrands at voxel m with
     the receiver Green-tensor row, so that ``entries @ p`` gives the per-voxel
     coefficient whose contrast-weighted sum (times k^2 and the voxel volume)
-    is the received x-polarised field.
+    is the received x-polarised field. The stream holds the integrand tables'
+    quadrant rows; the Green rows come with the mirror structure
+    (:func:`_mirror_symmetry`), which ``KernelMatrix.entries`` weights them by.
     """
     k = scene.wavenumber
-    targets = grids.target_points
-    receiver = np.asarray(scene.config.receiver_pos, dtype=float)
     # the prefactor -j eta dA / (4 pi k) is j p, p real
     p = -FREE_SPACE_IMPEDANCE / (4.0 * math.pi * k) * grids.ris_cell_area
 
@@ -451,9 +504,7 @@ def _volume_rows(scene: ValidatedScene, grids: SampleGrids) -> KernelStream:
             np.multiply(an_im, offsets, out=table.imag)
         return tables
 
-    # receiver Green-tensor x-row of each target row
-    weights = green_tensor(receiver, targets, k)[:, 0]
-    return _assemble(scene, grids, KIND_Y3D, offset_tables, weights)
+    return _assemble(scene, grids, KIND_Y3D, offset_tables)
 
 
 def kernel_stream(scene: ValidatedScene, grids: SampleGrids) -> KernelStream:
@@ -474,8 +525,10 @@ def assemble_kernel(scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
 # fingerprint=<hex>\n" for kernels) followed by row-major little-endian
 # complex128 entries (re, im float64 pairs). Mask and profile exports use the
 # same layout with ``count``/``points`` as the dimensions. A kernel file's body
-# is what the kernel stores (``KernelMatrix.stored``), so a plane kernel's body
-# holds its quadrant rows while its header names the full (M, N).
+# is what the kernel stores (``KernelMatrix.stored``), so its body holds the
+# quadrant rows of its tables while its header names the full (M, N); a volume
+# kernel's header adds "tables=3" before the fingerprint, which a volume file
+# of the weighted-row layout lacks, as some grids give both layouts one length.
 
 
 @contextmanager
@@ -574,9 +627,15 @@ def text_file_writer(path: str | Path, newline: str | None = None) -> Iterator[T
         raise
 
 
+def _table_count(symmetry: MirrorSymmetry | None) -> dict[str, str]:
+    """The header key of a volume kernel file: the number of its tables."""
+    return {} if symmetry is None or symmetry.weights is None else {"tables": str(len(symmetry.tables))}
+
+
 def _kernel_header(kernel: KernelMatrix | KernelStream) -> str:
     m, n = kernel.shape
-    return f"kind={kernel.kind} m={m} n={n} fingerprint={kernel.fingerprint}\n"
+    tables = "".join(f"{key}={value} " for key, value in _table_count(kernel.symmetry).items())
+    return f"kind={kernel.kind} m={m} n={n} {tables}fingerprint={kernel.fingerprint}\n"
 
 
 def save_kernel(path: str | Path, kernel: KernelMatrix) -> None:
@@ -586,14 +645,20 @@ def save_kernel(path: str | Path, kernel: KernelMatrix) -> None:
 
 
 def read_complex_file(
-    path: str | Path, shape_keys: tuple[str, str], body_rows: int | None = None
-) -> tuple[str, str, np.ndarray]:
+    path: str | Path,
+    shape_keys: tuple[str, str],
+    body_rows: int | None = None,
+    read_body: bool = True,
+    expected: dict[str, str] | None = None,
+) -> tuple[str, str, np.ndarray | None]:
     """Read a file written by :func:`complex_file_writer`.
 
     The header is ``key=value`` pairs that include ``kind``, ``fingerprint``
     and the two integer dimensions named by ``shape_keys``; returns the kind,
     the fingerprint and the read-only (rows, cols) complex128 body. The body
-    holds the header's rows, or ``body_rows`` rows when given.
+    holds the header's rows, or ``body_rows`` rows when given, and the
+    header must hold the ``expected`` pairs. Without ``read_body``, the body's
+    length is checked but the body is not read, and None stands for it.
     """
     try:
         fh = open(path, "rb")
@@ -615,6 +680,11 @@ def read_complex_file(
         body_bytes = os.fstat(fh.fileno()).st_size - len(header)
         if body_bytes != 16 * rows * cols:
             raise CacheMismatch(f"{path} body holds {body_bytes} bytes, expected {16 * rows * cols}")
+        for key, value in (expected or {}).items():
+            if meta.get(key) != value:
+                raise CacheMismatch(f"header {header!r} of {path} does not give {key}={value}")
+        if not read_body:
+            return kind, fingerprint, None
         values = np.empty((rows, cols), dtype="<c16")
         if fh.readinto(values.reshape(-1).view(np.uint8)) != body_bytes:
             raise CacheMismatch(f"{path} changed while it was read")
@@ -623,18 +693,39 @@ def read_complex_file(
     return kind, fingerprint, values
 
 
-def load_kernel(path: str | Path, scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
-    """Read ``scene``'s kernel from a file written by :func:`save_kernel`.
-
-    Raises :class:`CacheMismatch` for an unreadable or truncated file, for
-    another scene's kernel, and for a plane kernel file whose body holds the
-    full matrix instead of the quadrant rows, which is rejected before its
-    body is read; a plane kernel comes back with its mirror structure.
-    """
+def _kernel_file(
+    path: str | Path, scene: ValidatedScene, grids: SampleGrids, read_body: bool
+) -> tuple[str, np.ndarray | None, MirrorSymmetry]:
+    """The kind, the stored rows (None without ``read_body``) and the mirror
+    structure of ``scene``'s kernel in ``path``, checked as :func:`load_kernel` says."""
     symmetry = _mirror_symmetry(scene, grids)
-    kind, fp, stored = read_complex_file(path, ("m", "n"), _stored_rows(symmetry, scene.n_target))
+    rows = _stored_rows(symmetry, scene.n_target)
+    kind, fp, stored = read_complex_file(path, ("m", "n"), rows, read_body, _table_count(symmetry))
     if kind not in (KIND_Z2D, KIND_Y3D):
         raise CacheMismatch(f"unknown kernel kind {kind!r}")
     if fp != scene.fingerprint:
         raise CacheMismatch(f"kernel cache fingerprint {fp} does not match the scene ({scene.fingerprint})")
-    return KernelMatrix(stored=stored, kind=kind, fingerprint=fp, symmetry=symmetry)
+    return kind, stored, symmetry
+
+
+def load_kernel(path: str | Path, scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
+    """Read ``scene``'s kernel from a file written by :func:`save_kernel`.
+
+    Raises :class:`CacheMismatch` for an unreadable or truncated file, for
+    another scene's kernel, and for a kernel file whose body holds the rows
+    of an older layout (a plane kernel's full matrix instead of its quadrant
+    rows, a volume kernel's weighted rows instead of its tables' quadrant
+    rows), which is rejected by its length, or for a volume kernel by its
+    header's missing table count, before its body is read; the kernel comes
+    back with its mirror structure.
+    """
+    kind, stored, symmetry = _kernel_file(path, scene, grids, read_body=True)
+    return KernelMatrix(stored=stored, kind=kind, fingerprint=scene.fingerprint, symmetry=symmetry)
+
+
+def check_kernel_file(path: str | Path, scene: ValidatedScene, grids: SampleGrids) -> tuple[str, MirrorSymmetry]:
+    """The kind and mirror structure of ``scene``'s kernel in ``path``, from
+    the file's header and size alone: the body is never read, and the file
+    is rejected as :func:`load_kernel` would reject it."""
+    kind, _, symmetry = _kernel_file(path, scene, grids, read_body=False)
+    return kind, symmetry

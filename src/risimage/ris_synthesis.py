@@ -20,9 +20,9 @@ adapted block diagonalisation). Each sector block is a times one quarter of
 the target rows of F folded over the aperture and weighted, so the full
 kernel is never folded, and neither J_x nor its phase is ever applied to
 those rows: J_x times the conjugate phase is a. The blocks are folded
-straight from the rows as they arrive (:func:`_sector_blocks`). Any other
-kernel, volume kernels included, is one identity sector holding K itself
-and goes through the same code.
+straight from the rows as they arrive (:func:`_sector_blocks`). A kernel
+without mirror structure is one identity sector holding K itself and goes
+through the same code.
 
 When each grid has the same coordinates along x as along y, F is also
 unchanged when x and y swap on both grids, and the mirrors and the swap
@@ -37,6 +37,23 @@ mixed-parity one once, and each part's U is put back together in its mirror
 sector's own row basis: everything after the decomposition sees the same
 four sectors either way.
 
+A volume kernel K = (sum_t D_t F_t) J_x weights each target row of its
+three E-field tables F_t by the receiver's Green row (``em_core``), which
+breaks the mirror symmetry of K, but each table keeps it up to the sign of
+its parity pi_t: t_xx is even/even, t_xy odd/odd and t_xz odd/even. So the
+aperture still splits into the four mirror sectors: each table's stored
+quadrant rows folded over the aperture give one stack X_s of 3M/4 rows per
+aperture sector s (:func:`_table_stacks`), and K diag(conj phase) P_s =
+W_s X_s, where W_s is a D_t times the +-1 mirror expansion of the quadrant
+for the target parity s + pi_t (:func:`_table_weights`), one entry per
+table in each row. With S_s the small triangular factor of X_s
+(X_s X_s^H = S_s S_s^H), K K^H = L L^H for L = [W_s S_s]_s, so U and sigma
+come from one QR of L^T and an M x M SVD (:func:`_table_spectrum`; Chan's
+R-SVD, ACM TOMS 8(1), 1982). The target side stays one sector, which
+realizes masks with no fold or unfold, and the stacks are the block that
+maps solutions back to the aperture. There is no swap split, as t_xx is not
+swap-symmetric.
+
 Only the target-side factors U and sigma of each block are kept. A wide
 block B = R^T Q^T (QR of B^T) shares them with its square triangular factor
 R^T, so the SVD runs on that factor. A block wide enough for two pieces of
@@ -44,9 +61,10 @@ max(4M, ``_CHUNK_ENTRIES`` / M) aperture columns (about 1 MiB a piece), so
 at least eight times wider than tall, is factored as a tall-skinny QR over
 those pieces (:func:`_spectral_factor`): each piece gives its own triangular
 factor, and one more QR of those factors stacked gives R, so no QR copies
-the whole block. A narrower block, as a plane sector about four times wider
-than tall is, is one piece, its R from one QR of B^T. Every mask b gives
-per sector
+the whole block. A narrower block is one piece, its R from one QR of B^T:
+a plane sector is about four times wider than tall, and a
+``volume-zsweep`` stack (48 x 1,024) narrower than two pieces of 1,365
+columns. Every mask b gives per sector
 c_s = lambda_s U_s^H fold_s(b) over the retained modes, whose norm ||c|| is
 the solution norm ||p||. That is b @ A_s with A_s = conj(unfold_s(w_s U_s))
 lambda_s, the retained columns of U_s put onto the grid by a signed row
@@ -63,8 +81,9 @@ at the tail of the array whose head then takes what the set keeps, the
 magnitudes of a plane set or the masks of a volume set, so the two never
 exist side by side. The coefficient profiles p are unfolded on the aperture
 side from V_s c_s, with V_s = B_s^H U_s / sigma_s built per sector from the
-block the inverse keeps, so a profile is never formed through a dense K^H
-product. :meth:`apply` and :func:`synthesis_profiles` form them whole; the
+block the inverse keeps (for a volume kernel, X_s^H W_s^H U / sigma per
+aperture sector, unfolded onto the aperture once), so a profile is never
+formed through a dense K^H product. :meth:`apply` and :func:`synthesis_profiles` form them whole; the
 export is one more reader of the realization pass (:func:`profile_writer`),
 which maps the budget-scaled c of each block, so it stages no c of its own
 and the (I, N) profiles never exist whole. The blocks are formed once, at
@@ -120,6 +139,10 @@ _HALF = math.sqrt(0.5)
 # are slow.
 _CHUNK_ENTRIES = 1 << 16
 _REALIZE_BLOCKS = 16
+# A volume kernel's aperture fold (:func:`_table_stacks`): row s, in ``_PARITIES``
+# order, takes a quadrant sample's images (itself, its y-mirror, its x-mirror,
+# both) into sector s, each pair weighted 1/sqrt(2) along each axis.
+_IMAGE_MAP = 0.5 * np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=np.float64)
 # sigma**2 overflows at and above this singular value.
 _SIGMA_LIMIT = math.sqrt(sys.float_info.max)
 
@@ -133,8 +156,9 @@ class Sector:
     """One diagonal block of the kernel and its regularized spectrum.
 
     ``block`` (rows, cols) is the read-only block itself (:func:`_sector_blocks`),
-    which maps solutions back to the aperture side, or None once the inverse
-    has dropped it (:meth:`RegularizedInverse.without_blocks`). ``u`` (rows, K) and
+    for a volume kernel its stacked tables (:func:`_table_stacks`), which
+    maps solutions back to the aperture side, or None once the inverse has
+    dropped it (:meth:`RegularizedInverse.without_blocks`). ``u`` (rows, K) and
     ``sigma`` (K,) are its left singular vectors and singular values,
     descending; ``inv_sigma`` holds sigma / (sigma^2 + gamma) for retained
     values and exactly zero for truncated ones, which come last since sigma
@@ -156,8 +180,9 @@ class RegularizedInverse:
     """Truncated-SVD Tikhonov pseudo-inverse of a propagation kernel.
 
     ``kind``, ``symmetry`` and ``shape`` (M, N) are the kernel's; ``sectors``
-    follow ``_PARITIES`` order for a kernel with mirror structure and are one
-    identity sector otherwise; ``retained_rank`` sums their retained modes.
+    follow ``_PARITIES`` order for a plane kernel with mirror structure and
+    are one target-side sector otherwise (for a volume kernel, over its four
+    aperture sectors); ``retained_rank`` sums their retained modes.
     The kernel itself is not kept, and neither are the right singular
     vectors: each sector's block maps back to the aperture side where a
     solution is needed (:meth:`apply`, :func:`synthesis_profiles`,
@@ -335,7 +360,9 @@ def _sector_gathers(shape: tuple[int, int] | None) -> list[tuple[np.ndarray, np.
 
 
 def _target_shape(inv: RegularizedInverse) -> tuple[int, int] | None:
-    return inv.symmetry.target_shape if inv.symmetry is not None else None
+    """The target grid a plane inverse's sectors fold; None for one target-side sector."""
+    symmetry = inv.symmetry
+    return symmetry.target_shape if symmetry is not None and symmetry.weights is None else None
 
 
 class _Factor(NamedTuple):
@@ -373,18 +400,20 @@ def _sector_blocks(kernel: KernelMatrix | KernelStream) -> list[np.ndarray]:
     those rows of the x-even blocks and its differences into the x-odd
     ones. So no copy of the quadrant is made, no second buffer of a line is
     held, and a streamed kernel's rows are each dropped once folded. Every
-    block is read-only; the identity sector's is the kernel's entries
-    (collected from a stream), or a view of them when the caller's entries
-    are writable. The folds run with small ufunc buffers
+    block is read-only; the identity sector's is the kernel's entries, or a
+    view of them when the caller's entries are writable. The folds run with small ufunc buffers
     (``em_core.small_ufunc_buffers``), so their strided operands add no
-    temporaries of note.
+    temporaries of note. A volume kernel's one block is its stacked tables
+    (:func:`_table_stacks`).
     """
     symmetry = kernel.symmetry
-    if symmetry is None:
-        entries = (kernel.collect() if isinstance(kernel, KernelStream) else kernel).entries
+    if symmetry is None:  # a hand-built kernel: every stream carries its mirror structure
+        entries = kernel.entries
         block = entries.view() if entries.flags.writeable else entries
         block.setflags(write=False)
         return [block]
+    if symmetry.weights is not None:
+        return [_table_stacks(kernel)]
     (nx, ny), (ax, ay) = symmetry.target_shape, symmetry.aperture_shape
     ex, ey = symmetry.quadrant_shape
     hx = ax // 2
@@ -428,6 +457,123 @@ def _sector_blocks(kernel: KernelMatrix | KernelStream) -> list[np.ndarray]:
     for block in blocks:
         block.setflags(write=False)
     return blocks
+
+
+def _aperture_sectors(shape: tuple[int, int]) -> list[tuple[int, int]]:
+    """The (x, y) extent of each aperture sector's folded grid, in
+    ``_PARITIES`` order: each axis's even part, centre line included, or its
+    odd part."""
+    ax, ay = shape
+    return [((ax - ax // 2, ax // 2)[px], (ay - ay // 2, ay // 2)[py]) for px, py in _PARITIES]
+
+
+def _sector_bounds(shape: tuple[int, int]) -> list[tuple[int, int]]:
+    """The columns of each aperture sector in a volume kernel's stacks (:func:`_table_stacks`)."""
+    ends = np.cumsum([0] + [x * y for x, y in _aperture_sectors(shape)])
+    return list(zip(ends[:-1].tolist(), ends[1:].tolist()))
+
+
+def _table_stacks(kernel: KernelMatrix | KernelStream) -> np.ndarray:
+    """A volume kernel's stored rows folded over the aperture: the stacks X_s.
+
+    Row j of the (rows, N) result is stored row j (``KernelMatrix.stored``)
+    in the orthonormal mirror basis P of the aperture, the columns of each
+    aperture sector s together in ``_PARITIES`` order (:func:`_sector_bounds`),
+    each sector's grid folded as :func:`_part` lays it out. Each block of
+    rows is folded as it arrives: the four mirror images of every quadrant
+    aperture sample are gathered into one contiguous array, and one real
+    product with the weighted 4 x 4 map :data:`_IMAGE_MAP` takes the sums
+    and differences of all four at once, so no strided or reversed view of
+    a row is read. An even aperture's four sectors are each a quadrant, so
+    the product is written straight into the stacks; an odd one's odd parts
+    leave the centre lines out. Read-only.
+    """
+    symmetry = kernel.symmetry
+    (ax, ay), n = symmetry.aperture_shape, kernel.shape[1]
+    shapes = _aperture_sectors((ax, ay))
+    ex, ey = shapes[0]
+    # each quadrant sample, its y-mirror, its x-mirror and both
+    xs, ys = (np.arange(ex), ax - 1 - np.arange(ex)), (np.arange(ey), ay - 1 - np.arange(ey))
+    images = np.stack([(y[:, None] * ax + x).ravel() for x in xs for y in ys])
+    total = symmetry.stored_rows
+    stacks = np.empty((total, n), dtype=np.complex128)
+    sectors = [stacks[:, lo:hi].reshape(total, y, x) for (lo, hi), (x, y) in zip(_sector_bounds((ax, ay)), shapes)]
+    direct = ax % 2 == 0 and ay % 2 == 0
+    # the images of a step of rows take about 512 KiB, as do their folds for an odd aperture
+    step = max(1, _CHUNK_ENTRIES // max(2 * n, 1))
+    gathered = np.empty((step, 4, ey * ex), dtype=np.complex128)
+    folded = None if direct else np.empty_like(gathered)
+    filled = 0
+    for block in kernel.blocks if isinstance(kernel, KernelStream) else (kernel.stored,):
+        for start in range(0, len(block), step):
+            part = block[start : start + step]
+            rows = slice(filled, filled + len(part))
+            if rows.stop > total:
+                raise DimensionMismatch(f"more stored kernel rows than the {total} quadrant rows of the tables")
+            images_of = gathered[: len(part)]
+            part.take(images, axis=1, out=images_of, mode="clip")  # valid indices: no staging copy
+            # an odd length's centre line is its own mirror image: its sum of two
+            # takes 1/2 where a pair's takes 1/sqrt(2)
+            lines = images_of.reshape(len(part), 4, ey, ex)
+            if ax % 2:
+                lines[..., ex - 1] *= _HALF
+            if ay % 2:
+                lines[..., ey - 1, :] *= _HALF
+            out = stacks[rows] if direct else folded[: len(part)]
+            np.matmul(_IMAGE_MAP, images_of.view(np.float64), out=out.view(np.float64).reshape(len(part), 4, -1))
+            if not direct:
+                for sector, (x, y), parts in zip(sectors, shapes, out.reshape(len(part), 4, ey, ex).swapaxes(0, 1)):
+                    sector[rows] = parts[:, :y, :x]
+            filled = rows.stop
+    if filled != total:
+        raise DimensionMismatch(f"{filled} stored kernel rows for the {total} quadrant rows of the tables")
+    stacks.setflags(write=False)
+    return stacks
+
+
+def _table_weights(symmetry: MirrorSymmetry) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
+    """The sparse factor W_s with K diag(conj phase) P_s = W_s X_s of a volume
+    kernel, per aperture sector s.
+
+    Row m of F_t P_s is the stack row (:func:`_table_stacks`) of m's mirror
+    image in the quadrant of table t, times +-1: a mirror that takes the
+    quadrant point to m gives -1 where the target parity s + parity(t) is
+    odd. So W_s has one entry per table in each row: returns ``rows[t]``,
+    the stack row of each target point for table t, and ``weights[s][t]``,
+    the entry, the sign times a * D_t (``MirrorSymmetry.weights``).
+    """
+    (nx, ny), (ex, ey), tables = symmetry.target_shape, symmetry.quadrant_shape, symmetry.tables
+    iz, iy, ix = np.indices((symmetry.depth, ny, nx)).reshape(3, -1)
+    qx, qy = np.minimum(ix, nx - 1 - ix), np.minimum(iy, ny - 1 - iy)
+    mirrored_x, mirrored_y = ix >= ex, iy >= ey
+    rows = [((iz * len(tables) + t) * ey + qy) * ex + qx for t in range(len(tables))]
+    scaled = symmetry.amplitude * symmetry.weights
+    weights = []
+    for px, py in _PARITIES:
+        flips = [(mirrored_x & bool(px ^ tx)) ^ (mirrored_y & bool(py ^ ty)) for tx, ty in tables]
+        weights.append([np.where(flip, -w, w) for flip, w in zip(flips, scaled)])
+    return rows, weights
+
+
+def _table_spectrum(symmetry: MirrorSymmetry, stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left singular vectors and singular values, descending, of a volume kernel.
+
+    K K^H = sum_s (W_s X_s)(W_s X_s)^H over the aperture sectors
+    (:func:`_table_weights`), and X_s X_s^H = S_s S_s^H with S_s the small
+    triangular factor of the stack (:func:`_spectral_factor`), so
+    K K^H = L L^H with L = [W_s S_s]_s, at most M x 3M, whose SVD gives U and
+    sigma. W_s S_s is gathered row by row, never formed through a dense W_s.
+    """
+    rows, weights = _table_weights(symmetry)
+    parts = []
+    for (lo, hi), sector in zip(_sector_bounds(symmetry.aperture_shape), weights):
+        factor = _spectral_factor(stacks[:, lo:hi])
+        part = factor[rows[0]]
+        part *= sector[0][:, None]
+        for row, weight in zip(rows[1:], sector[1:]):
+            part += weight[:, None] * factor[row]
+        parts.append(part)
+    return _left_svd(np.concatenate(parts, axis=1))
 
 
 def _spectral_factor(entries: np.ndarray) -> np.ndarray:
@@ -519,13 +665,17 @@ def _sector_spectra(kernel: KernelMatrix | KernelStream, blocks: list[np.ndarray
     """Left singular vectors and singular values, descending, of each of the
     kernel's ``blocks`` (:func:`_sector_blocks`).
 
-    Under the swap, the even-even and odd-odd blocks split into their
-    symmetric and antisymmetric parts (:func:`_swap_sector`), and the swap
-    carries the (x-odd, y-even) block onto the (x-even, y-odd) one with the
-    row and column quadrants transposed: that sector takes the same sigma
-    and the same U with its rows transposed.
+    A volume kernel's one block, its stacks, goes through
+    :func:`_table_spectrum`. Under the swap, the even-even and odd-odd
+    blocks split into their symmetric and antisymmetric parts
+    (:func:`_swap_sector`), and the swap carries the (x-odd, y-even) block
+    onto the (x-even, y-odd) one with the row and column quadrants
+    transposed: that sector takes the same sigma and the same U with its
+    rows transposed.
     """
     symmetry = kernel.symmetry
+    if symmetry is not None and symmetry.weights is not None:
+        return [_table_spectrum(symmetry, blocks[0])]
     if symmetry is None or not symmetry.swap:
         return [_left_svd(block) for block in blocks]
     n, n_cols = symmetry.target_shape[0], symmetry.aperture_shape[0]
@@ -677,6 +827,8 @@ def _aperture_factors(
     """
     symmetry = inv.symmetry
     shape = symmetry.aperture_shape if symmetry is not None else None
+    if symmetry is not None and symmetry.weights is not None:
+        return [_table_factor(inv)], None, symmetry.phase.conj()
     factors = []
     for sector, block, norms in zip(inv.sectors, inv._blocks(), _sector_norms(shape)):
         r = sector.retained
@@ -686,6 +838,36 @@ def _aperture_factors(
             w_t *= norms
         factors.append(w_t)
     return factors, shape, symmetry.phase.conj() if symmetry is not None else None
+
+
+def _table_factor(inv: RegularizedInverse) -> np.ndarray:
+    """The one factor of :func:`_aperture_factors` for a volume inverse: the
+    transpose of K^H U[:, :r] / sigma before the J_x phase, (r, N) on the
+    aperture grid. Per aperture sector s that is X_s^H (W_s^H U / sigma)
+    times the aperture fold weights, the target-side factor W_s
+    (:func:`_table_weights`) summed into the stack rows first, so no (M, N)
+    product is formed; the sectors are unfolded onto the grid once, here,
+    so a coefficient row maps onto its solution in one product."""
+    (sector,) = inv.sectors
+    stacks = inv._blocks()[0]
+    r = sector.retained
+    scaled = sector.u[:, :r] / sector.sigma[:r]
+    rows, weights = _table_weights(inv.symmetry)
+    shape = inv.symmetry.aperture_shape
+
+    def parts() -> Iterator[np.ndarray]:
+        for (lo, hi), sector_weights, norms in zip(_sector_bounds(shape), weights, _sector_norms(shape)):
+            left = np.zeros((len(stacks), r), dtype=np.complex128)  # W_s^H U / sigma
+            for row, weight in zip(rows, sector_weights):
+                np.add.at(left, row, weight.conj()[:, None] * scaled)
+            w_t = left.conj().T @ stacks[:, lo:hi]
+            np.conjugate(w_t, out=w_t)
+            w_t *= norms
+            yield w_t
+
+    factor = np.empty((r, stacks.shape[1]), dtype=np.complex128)
+    _sector_unfold(parts(), shape, factor)
+    return factor
 
 
 def _solutions(
@@ -899,7 +1081,7 @@ def write_synthesis_summary(
         f"realized_rel_err_max = {float(rel_err.max())!r}",
     ]
     lines.extend(
-        f"sector[{k}] = {block.shape[0]}x{block.shape[1]} retained={s.retained}"
+        f"sector[{k}] = {s.u.shape[0]}x{block.shape[1]} retained={s.retained}"
         for k, (s, block) in enumerate(zip(inv.sectors, inv._blocks()))
     )
     lines.extend(f"solution_norm[{i}] = {norm!r}" for i, norm in enumerate(realized.solution_norms))

@@ -175,6 +175,19 @@ class TestKernelVerb:
         assert out.read_bytes() == (tmp_path / "whole.bin").read_bytes()
         assert not list(tmp_path.glob(".*.tmp"))
 
+    def test_cache_hit_reads_no_body(self, scene_file, tmp_path, capsys):
+        # at 64^2 x 32^2 the stored quadrant is 16 MiB; a hit is checked by the header and the size
+        sizes = [f"{key}={n}" for key, n in (("n_ris_x", 64), ("n_ris_y", 64), ("n_target_x", 32), ("n_target_y", 32))]
+        argv = ["kernel", "--scene", str(scene_file), *(a for s in sizes for a in ("--set", s))]
+        argv += ["--output", str(tmp_path / "kernel.bin")]
+        assert cli.main(argv) == 0
+        body = 16 * 16 * 64 * 64 * 16
+        assert (tmp_path / "kernel.bin").stat().st_size > body
+        capsys.readouterr()
+        peak, code = peak_traced_bytes(lambda: cli.main(argv))
+        assert code == 0 and "cache hit" in capsys.readouterr().out
+        assert peak < body // 32  # the grids and the parse, not the body
+
     def test_build_never_holds_the_quadrant(self, scene_file, tmp_path):
         # at 64^2 x 32^2 the stored quadrant is 16 MiB; the file takes it a row block at a time
         sizes = [f"{key}={n}" for key, n in (("n_ris_x", 64), ("n_ris_y", 64), ("n_target_x", 32), ("n_target_y", 32))]
@@ -352,6 +365,66 @@ class TestVolumeVerbs:
     VOLUME_SCENE = SCENE_TEXT.replace("n_target_x = 8", "n_target_x = 2").replace(
         "n_target_y = 8", "n_target_y = 2"
     ) + "target_kind = volume3d\nn_target_z = 2\ntarget_depth = 0.0625\n"
+
+    @staticmethod
+    def volume_scene(tmp_path):
+        path = tmp_path / "volume.cfg"
+        path.write_text(TestVolumeVerbs.VOLUME_SCENE)
+        scene = sc.validate_scene(sc.load_scene_config(path))
+        return path, scene, sc.sample_grids(scene)
+
+    @staticmethod
+    def write_old_volume_file(path, scene, grids):
+        """A volume kernel file holding every weighted row, as volume kernel files once did."""
+        header = f"kind=Y_3d m={scene.n_target} n={scene.n_ris} fingerprint={scene.fingerprint}\n"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with em_core.complex_file_writer(path, header, (scene.n_target, scene.n_ris)) as write:
+            write(em_core.assemble_kernel(scene, grids).entries)
+        return header
+
+    def test_old_volume_kernel_file_exits_2_unless_forced(self, tmp_path, capsys):
+        scene_path, scene, grids = self.volume_scene(tmp_path)
+        out = tmp_path / "kernel.bin"
+        header = self.write_old_volume_file(out, scene, grids)
+        argv = ["kernel", "--scene", str(scene_path), "--output", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "CacheMismatch" in err and "body holds" in err
+        assert cli.main([*argv, "--force"]) == 0
+        assert "assembled Y_3d 8x256 kernel" in capsys.readouterr().out
+        # three tables' quadrant rows (one pixel of the 2 x 2 slice) in each of 2 slices
+        assert out.stat().st_size == len(header) + len("tables=3 ") + 16 * 3 * 2 * scene.n_ris
+        assert cli.main(argv) == 0
+        assert "cache hit" in capsys.readouterr().out
+
+    def test_old_volume_kernel_cache_is_rebuilt(self, tmp_path):
+        scene_path, scene, grids = self.volume_scene(tmp_path)
+        config = sc.load_scene_config(scene_path)
+        plan = rn.ExperimentPlan(scene=config, i_values=(16,), output_dir=str(tmp_path / "fresh"))
+        rn.run_plan(plan)
+        cached = tmp_path / "cache" / "kernels" / f"kernel_{scene.fingerprint[:16]}.bin"
+        header = self.write_old_volume_file(cached, scene, grids)
+        stale = dataclasses.replace(plan, keep_artifacts=True, output_dir=str(tmp_path / "cache"))
+
+        result = rn.run_plan(stale)
+        assert result.kernel_builds == 1 and result.points[0].error is None
+        assert cached.stat().st_size == len(header) + len("tables=3 ") + 16 * 3 * 2 * scene.n_ris
+        metrics = (tmp_path / "cache" / "metrics.csv").read_bytes()
+        assert metrics == (tmp_path / "fresh" / "metrics.csv").read_bytes()
+        assert rn.run_plan(stale).kernel_builds == 0
+
+    def test_exported_profiles_realize_the_exported_masks(self, tmp_path):
+        # the kernel maps each exported profile onto its exported realized mask
+        scene_path, scene, grids = self.volume_scene(tmp_path)
+        argv = ["run", "--scene", str(scene_path), "-I", "16", "--keep-artifacts", "--output", str(tmp_path / "run")]
+        assert cli.main(argv) == 0
+        (profiles_path,) = (tmp_path / "run" / "artifacts").glob("profiles_*.bin")
+        (masks_path,) = (tmp_path / "run" / "artifacts").glob("masks_realized_*.bin")
+        _, profiles, _ = md.load_mask_vectors(profiles_path)
+        _, masks, _ = md.load_mask_vectors(masks_path)
+        assert profiles.shape == (16, scene.n_ris) and masks.shape == (16, scene.n_target)
+        realized = em_core.assemble_kernel(scene, grids).entries @ profiles.T
+        np.testing.assert_allclose(realized, masks.T, rtol=0, atol=1e-12 * np.abs(masks).max())
 
     def test_measure_reconstruct_round_trip_3d(self, tmp_path, capsys):
         scene_path = tmp_path / "volume.cfg"

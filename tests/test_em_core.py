@@ -438,8 +438,13 @@ def test_stored_rows_match_the_two_dimensional_gather_index(request, monkeypatch
         grids = sc.sample_grids(scene)
     else:
         scene, grids = request.getfixturevalue(name)
-    stored = em.assemble_kernel(scene, grids).stored
-    assert np.all(np.isfinite(stored)) and np.count_nonzero(stored) == stored.size
+    kernel = em.assemble_kernel(scene, grids)
+    stored = kernel.stored
+    # every entry of the even table t_xx (a plane kernel's only table) is nonzero; the odd
+    # tables t_xy and t_xz of a volume vanish where the x or y offset does, as on odd grids
+    (ex, ey), tables = kernel.symmetry.quadrant_shape, kernel.symmetry.tables
+    even = stored.reshape(kernel.symmetry.depth, len(tables), ex * ey, -1)[:, 0]
+    assert np.all(np.isfinite(stored)) and np.count_nonzero(even) == even.size
     monkeypatch.setattr(em, "_table_index", old_table_index)
     np.testing.assert_array_equal(em.assemble_kernel(scene, grids).stored, stored)
 
@@ -511,6 +516,30 @@ class TestKernelCache:
         path.write_bytes(data[:-16])
         with pytest.raises(CacheMismatch):
             em.load_kernel(path, scene, grids)
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["truncated", "overlong", "other-scene", "unknown-kind", "unreadable-header"],
+    )
+    def test_the_header_check_rejects_what_loading_rejects(self, small_scene, tmp_path, damage):
+        # a cache hit of the kernel verb reads only the header and the size
+        scene, grids = small_scene
+        path = tmp_path / "kernel.bin"
+        em.save_kernel(path, em.assemble_kernel(scene, grids))
+        assert em.check_kernel_file(path, scene, grids)[0] == em.KIND_Z2D
+        data = path.read_bytes()
+        header, body = data.split(b"\n", 1)
+        damaged = {
+            "truncated": data[:-16],
+            "overlong": data + bytes(16),
+            "other-scene": header.replace(scene.fingerprint.encode(), b"0" * 64) + b"\n" + body,
+            "unknown-kind": header.replace(b"Z_2d", b"Q_9d") + b"\n" + body,
+            "unreadable-header": header.replace(b"m=", b"rows=") + b"\n" + body,
+        }[damage]
+        path.write_bytes(damaged)
+        for check in (em.load_kernel, em.check_kernel_file):
+            with pytest.raises(CacheMismatch):
+                check(path, scene, grids)
 
     @pytest.mark.parametrize("streamed", [False, True], ids=["saved", "streamed"])
     def test_cache_is_not_preallocated_so_a_short_body_shows(self, small_scene, tmp_path, monkeypatch, streamed):
@@ -796,6 +825,18 @@ def quadrant_scene(target, aperture):
     return scene, sc.sample_grids(scene)
 
 
+VOLUME_GRIDS = pytest.mark.parametrize(
+    "cfg",
+    [
+        volume_config(),
+        volume_config(n_xy=3, n_target_y=5, n_z=2, n_ris_x=33, n_ris_y=31),
+        volume_config(n_xy=1, n_target_y=3, n_z=2, n_ris=6),
+        volume_config(incident_amplitude=-2.5),
+    ],
+    ids=["desk-volume", "odd-3x5x2-33x31", "line", "negative-amplitude"],
+)
+
+
 class TestStoredQuadrant:
     """A plane kernel stores the phase-free rows of its mirror quadrant; ``entries`` forms the rest."""
 
@@ -881,11 +922,71 @@ class TestStoredQuadrant:
         with pytest.raises(CacheMismatch, match="body holds"):
             em.load_kernel(path, scene, grids)
 
-    def test_volume_kernel_stores_every_row(self, volume_scene, tmp_path):
-        scene, grids = volume_scene
+    @VOLUME_GRIDS
+    def test_volume_kernel_stores_the_quadrant_rows_of_its_tables(self, cfg, tmp_path):
+        scene = sc.validate_scene(cfg)
+        grids = sc.sample_grids(scene)
         kernel = em.assemble_kernel(scene, grids)
-        assert kernel.symmetry is None
-        assert kernel.entries is kernel.stored
-        assert kernel.stored.shape == (scene.n_target, scene.n_ris)
-        em.save_kernel(tmp_path / "kernel.bin", kernel)
-        np.testing.assert_array_equal(em.load_kernel(tmp_path / "kernel.bin", scene, grids).entries, kernel.entries)
+        symmetry = kernel.symmetry
+        assert symmetry.tables == em.TABLE_PARITIES and not symmetry.swap
+        assert symmetry.weights.shape == (3, scene.n_target) and symmetry.depth == cfg.n_target_z
+        (nx, ny), (ex, ey) = symmetry.target_shape, symmetry.quadrant_shape
+        assert kernel.stored.shape == (3 * ex * ey * cfg.n_target_z, scene.n_ris)
+        assert kernel.shape == kernel.entries.shape == (nx * ny * cfg.n_target_z, scene.n_ris)
+        assert not kernel.stored.flags.writeable and not kernel.entries.flags.writeable
+        path = tmp_path / "kernel.bin"
+        em.save_kernel(path, kernel)
+        header = path.read_bytes().split(b"\n", 1)[0]
+        expected = f"kind=Y_3d m={scene.n_target} n={scene.n_ris} tables=3 fingerprint={scene.fingerprint}"
+        assert header == expected.encode()
+        assert path.stat().st_size == len(header) + 1 + kernel.stored.nbytes
+        loaded = em.load_kernel(path, scene, grids)
+        np.testing.assert_array_equal(loaded.stored, kernel.stored)
+        np.testing.assert_array_equal(loaded.symmetry.weights, symmetry.weights)
+        np.testing.assert_array_equal(loaded.entries, kernel.entries)
+
+    @VOLUME_GRIDS
+    def test_volume_entries_match_a_row_by_row_oracle(self, cfg):
+        # each row from the Green tensor to the receiver and the closed-form E-field
+        # factors at every aperture sample, with the current J_x
+        scene = sc.validate_scene(cfg)
+        grids = sc.sample_grids(scene)
+        entries = em.assemble_kernel(scene, grids).entries
+        k = 2.0 * math.pi / cfg.wavelength
+        ris = grids.ris_points
+        jx = np.array([oracle_jx(cfg, y) for y in ris[:, 1]])
+        for m, point in enumerate(grids.target_points):
+            weights = em.green_tensor(np.asarray(cfg.receiver_pos, dtype=float), point[None, :], k)[0, 0]
+            diff = point - ris
+            r = np.sqrt(np.einsum("ni,ni->n", diff, diff))
+            kr = k * r
+            near = (3.0 + 3j * kr - kr**2) / r**5
+            t_xx = (-1.0 - 1j * kr + kr**2) / r**3 + near * diff[:, 0] ** 2
+            factors = (t_xx, near * diff[:, 1] * diff[:, 0], near * point[2] * diff[:, 0])
+            common = -1j * ETA / (4.0 * math.pi * k) * grids.ris_cell_area * jx * np.exp(-1j * kr)
+            row = common * sum(w * factor for w, factor in zip(weights, factors))
+            np.testing.assert_allclose(entries[m], row, rtol=0, atol=1e-12 * np.abs(row).max())
+
+    @pytest.mark.parametrize(
+        "cfg, reason",
+        [(volume_config(), "body holds"), (volume_config(n_xy=4, n_target_y=3), "does not give tables=3")],
+        ids=["longer", "as-long"],
+    )
+    def test_old_volume_file_is_rejected_before_its_body_is_read(self, cfg, reason, tmp_path, monkeypatch):
+        # a file holding every weighted row, as volume kernel files once did; on a 4 x 3
+        # target, 3 tables of a 2 x 2 quadrant are as many rows, so only the header tells
+        scene = sc.validate_scene(cfg)
+        grids = sc.sample_grids(scene)
+        path = tmp_path / "kernel.bin"
+        header = f"kind=Y_3d m={scene.n_target} n={scene.n_ris} fingerprint={scene.fingerprint}\n"
+        write_file(path, header, em.assemble_kernel(scene, grids).entries)
+        empty = np.empty
+
+        def no_body(shape, dtype=float, *args, **kwargs):
+            assert np.dtype(dtype) != np.dtype("<c16"), "the body was allocated to be read"
+            return empty(shape, dtype, *args, **kwargs)
+
+        monkeypatch.setattr(em.np, "empty", no_body)
+        for check in (em.load_kernel, em.check_kernel_file):
+            with pytest.raises(CacheMismatch, match=reason):
+                check(path, scene, grids)

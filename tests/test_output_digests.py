@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
 
 
@@ -25,6 +27,8 @@ def test_two_runs_list_the_same_digests():
         "seed-3/steps-volume-zsweep/kernel.bin",
         "seed-3/steps-desk-snr-dense/ideal/metrics.csv",
         "seed-3/steps-volume-zsweep/ideal/metrics.csv",
+        "seed-3/steps-volume-odd/kernel.bin",
+        "seed-3/steps-volume-odd/synth/profiles.bin",
     ):
         assert expected in paths
     assert not any(path.endswith("timings.csv") for path in paths)
@@ -97,3 +101,25 @@ def test_metrics_change_names_the_exact_columns_that_differ(tmp_path):
     assert tool.metrics_change(zero / path, theirs / path) == (
         "largest relative nmse change inf; gamma, retained_rank, seed match"
     )
+
+
+def write_bin(path, header, values):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(header + b"\n" + np.asarray(values, dtype="<c16").tobytes())
+
+
+def test_changed_exports_report_the_header_and_the_largest_element_change(tmp_path, capsys):
+    tool = load_tool()
+    header = b"kind=profiles count=1 points=2 fingerprint=f"
+    theirs, ours = tmp_path / "theirs", tmp_path / "ours"
+    write_bin(theirs / "seed-3" / "a.bin", header, [2.0, 1j])
+    write_bin(ours / "seed-3" / "a.bin", header, [2.0 + 1e-12, 1j])
+    write_bin(theirs / "seed-3" / "k.bin", header, [1.0, 2.0, 3.0])
+    write_bin(ours / "seed-3" / "k.bin", header.replace(b"count=1", b"count=2"), [1.0, 2.0])
+    assert tool.compare_outputs(ours, theirs, "ours", "theirs") == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "changed  seed-3/a.bin",
+        "    header matches; largest relative element change 5e-13",
+        "changed  seed-3/k.bin",
+        "    header differs; bodies of 32 and 48 bytes",
+    ]

@@ -371,6 +371,19 @@ def dense_svd_solutions(kernel, masks, gamma):
     return kernel.entries.conj().T @ (u @ (weights[:, None] * (u.conj().T @ masks.vectors.T)))
 
 
+def record_qr_sizes(monkeypatch):
+    """Route ``np.linalg.qr`` through a recorder; returns the list of input sizes it fills."""
+    sizes = []
+    qr = np.linalg.qr
+
+    def spy(a, mode="reduced"):
+        sizes.append(np.asarray(a).size)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    return sizes
+
+
 def record_svd_shapes(monkeypatch):
     """Route ``np.linalg.svd`` through a recorder; returns the list of input shapes it fills."""
     shapes = []
@@ -420,42 +433,42 @@ class TestPiecedFactor:
     """``_spectral_factor`` factors a block much wider than tall in aperture pieces."""
 
     @pytest.fixture(scope="class")
-    def zsweep_scenes(self):
-        """The ``volume-zsweep`` benchmark scene (64 voxels, 64 x 64 aperture) at two distances."""
-        scenes = []
-        for z_prime in (0.125, 0.4):
-            scene = sc.validate_scene(volume_config(z_prime, n_xy=4, n_z=4, n_ris=64))
-            scenes.append((scene, sc.sample_grids(scene)))
-        return scenes
+    def wide_kernel(self):
+        """A 64 x 4,096 kernel without mirror structure whose singular values fall from 1 to 1e-4."""
+        rng = np.random.default_rng(29)
+        left, _ = np.linalg.qr(rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+        right, _ = np.linalg.qr(rng.standard_normal((4096, 64)) + 1j * rng.standard_normal((4096, 64)))
+        entries = (left * np.logspace(0.0, -4.0, 64)) @ right.conj().T
+        entries.setflags(write=False)
+        return KernelMatrix(stored=entries, kind=em.KIND_Z2D, fingerprint="wide")
 
-    def test_matches_one_qr_on_the_volume_zsweep_scene(self, zsweep_scenes, monkeypatch):
-        for scene, grids in zsweep_scenes:
-            kernel = em.assemble_kernel(scene, grids)
-            assert kernel.entries.shape == (64, 4096)
-            pieced = rs.tikhonov_inverse(kernel, 1e-12)
-            with monkeypatch.context() as patch:
-                patch.setattr(rs, "_spectral_factor", one_qr_factor)
-                whole = rs.tikhonov_inverse(kernel, 1e-12)
-            np.testing.assert_allclose(pieced.sigma, whole.sigma, rtol=0, atol=1e-13 * whole.sigma[0])
-            assert pieced.retained_rank == whole.retained_rank
-            masks = md.ideal_masks(scene, grids, 128)
-            _, values = realize_with_values(pieced, masks, scene.config.amplification)
-            _, expected = realize_with_values(whole, masks, scene.config.amplification)
-            np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+    def test_matches_one_qr_on_a_64_by_4096_block(self, wide_kernel, monkeypatch):
+        pieced = rs.tikhonov_inverse(wide_kernel, 1e-12)
+        with monkeypatch.context() as patch:
+            patch.setattr(rs, "_spectral_factor", one_qr_factor)
+            whole = rs.tikhonov_inverse(wide_kernel, 1e-12)
+        np.testing.assert_allclose(pieced.sigma, whole.sigma, rtol=0, atol=1e-13 * whole.sigma[0])
+        assert pieced.retained_rank == whole.retained_rank
+        rng = np.random.default_rng(31)
+        vectors = rng.standard_normal((128, 64)) + 1j * rng.standard_normal((128, 64))
+        masks = md.MaskSet(kind=md.KIND_MASK2D, stored=vectors)
+        _, values = realize_with_values(pieced, masks, 1.0)
+        _, expected = realize_with_values(whole, masks, 1.0)
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
-    def test_no_qr_input_exceeds_a_chunk(self, zsweep_scenes, monkeypatch):
-        scene, grids = zsweep_scenes[0]
-        kernel = em.assemble_kernel(scene, grids)
-        sizes = []
-        qr = np.linalg.qr
-
-        def spy(a, mode="reduced"):
-            sizes.append(np.asarray(a).size)
-            return qr(a, mode=mode)
-
-        monkeypatch.setattr(np.linalg, "qr", spy)
-        rs.tikhonov_inverse(kernel, 1e-12)
+    def test_no_qr_input_exceeds_a_chunk(self, wide_kernel, monkeypatch):
+        sizes = record_qr_sizes(monkeypatch)
+        rs.tikhonov_inverse(wide_kernel, 1e-12)
         assert sizes == [rs._CHUNK_ENTRIES] * 4 + [4 * 64 * 64]
+
+    def test_the_volume_zsweep_scene_is_never_pieced(self, monkeypatch):
+        # its 64 x 4,096 kernel is factored as four 48 x 1,024 stacks and their
+        # 64 x 192 product, each one QR
+        scene = sc.validate_scene(volume_config(n_xy=4, n_z=4, n_ris=64))
+        kernel = em.assemble_kernel(scene, sc.sample_grids(scene))
+        sizes = record_qr_sizes(monkeypatch)
+        rs.tikhonov_inverse(kernel, 1e-12)
+        assert sizes == [48 * 1024] * 4 + [192 * 64]
 
     @pytest.mark.parametrize(
         "config",
@@ -478,7 +491,8 @@ class TestPiecedFactor:
 
         monkeypatch.setattr(rs, "_spectral_factor", keep)
         rs.tikhonov_inverse(kernel, 1e-12)
-        assert len(factored) == (1 if scene.is_3d else 5)
+        # the five D4 blocks, or a volume's four stacks and their product
+        assert len(factored) == 5
         for block, factor in factored:
             assert block.shape[0] < block.shape[1]
             assert factor.tobytes() == one_qr_factor(block).tobytes()
@@ -708,17 +722,75 @@ class TestMirrorSectors:
         expected[h : n - h] = v[h : n - h]
         np.testing.assert_allclose(twice, expected, rtol=0, atol=1e-15 * np.abs(expected).max())
 
-    def test_volume_kernel_is_one_identity_sector(self, tmp_path):
+    def test_volume_kernel_is_one_target_sector_over_four_aperture_stacks(self, tmp_path, monkeypatch):
         scene = sc.validate_scene(volume_config())
         grids = sc.sample_grids(scene)
         kernel = em.assemble_kernel(scene, grids)
-        assert kernel.symmetry is None
+        assert kernel.symmetry.weights is not None and not kernel.symmetry.swap
         em.save_kernel(tmp_path / "k.bin", kernel)
-        assert em.load_kernel(tmp_path / "k.bin", scene, grids).symmetry is None
+        restored = em.load_kernel(tmp_path / "k.bin", scene, grids).symmetry
+        np.testing.assert_array_equal(restored.weights, kernel.symmetry.weights)
+        svd_shapes = record_svd_shapes(monkeypatch)
         inv = rs.tikhonov_inverse(kernel, 1e-12)
-        assert len(inv.sectors) == 1
-        assert inv.sectors[0].u.shape[0] == scene.n_target
-        assert inv.sectors[0].block.shape[1] == scene.n_ris
+        (sector,) = inv.sectors
+        assert sector.u.shape == (scene.n_target, scene.n_target)
+        assert sector.block.shape == (len(kernel.stored), scene.n_ris) == (3 * 2, 256)
+        assert svd_shapes == [(scene.n_target, scene.n_target)]  # one SVD, of L's square factor
+        assert rs._target_shape(inv) is None  # masks are realized without a fold or an unfold
+
+
+VOLUME_DECOMPOSITIONS = pytest.mark.parametrize(
+    "cfg",
+    [
+        volume_config(n_xy=3, n_target_y=5, n_z=2, n_ris_x=33, n_ris_y=31),
+        volume_config(n_xy=1, n_target_y=3, n_z=2),
+        volume_config(incident_amplitude=-2.5),
+        volume_config(0.4, n_xy=4, n_z=4, n_ris=32),
+    ],
+    ids=["odd-3x5x2-33x31", "one-column", "negative-amplitude", "desk-volume-0.4"],
+)
+
+
+class TestVolumeDecomposition:
+    """A volume kernel decomposed through the mirror sectors of its three tables."""
+
+    @VOLUME_DECOMPOSITIONS
+    def test_matches_the_dense_svd(self, cfg):
+        scene = sc.validate_scene(cfg)
+        kernel = em.assemble_kernel(scene, sc.sample_grids(scene))
+        u, sigma, _ = np.linalg.svd(kernel.entries, full_matrices=False)
+        inv = rs.tikhonov_inverse(kernel, 1e-12)
+        (sector,) = inv.sectors
+        np.testing.assert_allclose(sector.sigma, sigma, rtol=0, atol=1e-13 * sigma[0])
+        r = inv.retained_rank
+        assert r == np.count_nonzero(sigma**2 >= rs.DEFAULT_THRESHOLD_FACTOR * 1e-12)
+        retained = sector.u[:, :r] @ sector.u[:, :r].conj().T
+        np.testing.assert_allclose(retained, u[:, :r] @ u[:, :r].conj().T, rtol=0, atol=1e-12)
+
+    def test_a_kernel_too_large_to_square_still_fails(self):
+        scene = sc.validate_scene(volume_config(incident_amplitude=1e200))
+        kernel = em.kernel_stream(scene, sc.sample_grids(scene))
+        with pytest.raises(SvdFailure, match="incident_amplitude"):
+            rs.tikhonov_inverse(kernel, 1e-12)
+
+    def test_never_holds_an_m_by_n_array(self):
+        # the 64 x 4,096 volume-zsweep kernel is 4 MiB and its stacks 3 MiB: beyond the
+        # stacks the decomposition holds what draining the stream holds, and a gathered
+        # block of rows, never a kernel-sized array
+        scene = sc.validate_scene(volume_config(0.1, n_xy=4, n_z=4, n_ris=64))
+        grids = sc.sample_grids(scene)
+
+        def drain():
+            for _ in em.kernel_stream(scene, grids).blocks:
+                pass
+
+        stream, _ = peak_traced_bytes(drain)
+        peak, inv = peak_traced_bytes(lambda: rs.tikhonov_inverse(em.kernel_stream(scene, grids), 1e-12))
+        (sector,) = inv.sectors
+        kernel_bytes = 16 * scene.n_target * scene.n_ris
+        assert peak <= sector.block.nbytes + stream + (1 << 20) < sector.block.nbytes + kernel_bytes
+        held = [sector.block, sector.u, sector.sigma, sector.inv_sigma]
+        assert all(a.shape != inv.shape for a in held)
 
 
 @pytest.fixture(scope="module")
@@ -810,11 +882,30 @@ class TestSelfContainedInverse:
         assert not any(s.block.flags.writeable for s in inv.sectors)
         assert inv.shape == (scene.n_target, scene.n_ris)
 
-    def test_volume_inverse_keeps_the_entries_as_its_block(self):
-        scene = sc.validate_scene(volume_config())
+    @pytest.mark.parametrize(
+        "cfg",
+        [volume_config(), volume_config(n_xy=3, n_target_y=5, n_z=2, n_ris_x=7, n_ris_y=6)],
+        ids=["desk-volume", "odd-3x5x2-7x6"],
+    )
+    def test_volume_inverse_keeps_its_folded_table_rows_as_its_block(self, cfg):
+        # the stored rows in the orthonormal mirror basis of the aperture, sector after sector
+        scene = sc.validate_scene(cfg)
         kernel = em.assemble_kernel(scene, sc.sample_grids(scene))
         (sector,) = rs.tikhonov_inverse(kernel, 1e-12).sectors
-        assert sector.block is kernel.entries
+        assert not sector.block.flags.writeable and not np.shares_memory(sector.block, kernel.stored)
+        ax, ay = kernel.symmetry.aperture_shape
+        basis = np.concatenate(
+            [np.kron(mirror_basis(ay, py), mirror_basis(ax, px)) for px, py in rs._PARITIES], axis=1
+        )
+        expected = kernel.stored @ basis
+        np.testing.assert_allclose(sector.block, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("rows", [-1, 3], ids=["short", "long"])
+    def test_volume_rows_that_miss_the_tables_are_rejected(self, volume_scene, rows):
+        kernel = em.assemble_kernel(*volume_scene)
+        stored = kernel.stored[:rows] if rows < 0 else np.concatenate([kernel.stored, kernel.stored[:rows]])
+        with pytest.raises(DimensionMismatch, match="quadrant rows of the tables"):
+            rs.tikhonov_inverse(dataclasses.replace(kernel, stored=stored), 1e-12)
 
     def test_writable_entries_stay_writable_to_their_owner(self):
         entries = np.eye(3, dtype=complex)

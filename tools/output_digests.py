@@ -9,7 +9,8 @@ For each seed, in this process through ``risimage.cli.main``:
 * the step verbs ``kernel``, ``masks``, ``synthesize``, ``measure`` and
   ``reconstruct``, and ``run --ideal-masks`` (into ``ideal/``), run on the
   desk scene and on the ``volume-zsweep`` scene, with the workload's noise
-  seed.
+  seed, and on a volume scene of odd counts (:data:`ODD_VOLUME`, into
+  ``steps-volume-odd``) with the ``volume-zsweep`` noise seed.
 
 Then ``sha256  path`` is printed for every output file, its path relative to
 the output directory, in sorted order. ``timings.csv`` holds wall times and is
@@ -27,7 +28,9 @@ lacks, and exit 1 if there are any:
 
 Under each ``metrics.csv`` that differs, that listing also gives the largest
 relative change of its ``nmse`` column and says whether its ``gamma``,
-``retained_rank`` and ``seed`` columns match.
+``retained_rank`` and ``seed`` columns match; under each binary export
+(``.bin``) that differs, whether its header line matches and the largest
+relative change of its complex entries, max |delta| / max |x|.
 
 BLAS runs on at most 2 threads, as in the benchmark.
 """
@@ -48,17 +51,25 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STEP_SCENES = ("desk-snr-dense", "volume-zsweep")  # the desk scene and the volume scene
+# the volume-zsweep scene with odd aperture and target counts: 33 x 31 aperture, 3 x 5 x 2 target
+ODD_VOLUME = {"n_ris_x": 33, "n_ris_y": 31, "n_target_x": 3, "n_target_y": 5, "n_target_z": 2}
 EXACT_METRICS = ("gamma", "retained_rank", "seed")  # metrics.csv columns a numerical change keeps
 
 
 def run_seed(cli, workloads, seed: int, inputs: Path, outputs: Path) -> None:
-    """Every workload's sweep for ``seed``, and the step verbs on the scenes of :data:`STEP_SCENES`."""
+    """Every workload's sweep for ``seed``, and the step verbs on the scenes of
+    :data:`STEP_SCENES` and on :data:`ODD_VOLUME`."""
     for name, workload in workloads.WORKLOADS.items():
         plan, noise_seed = workloads.write_inputs(workload, seed, inputs / name, outputs / name)
         for _ in range(2):
             run(cli, ["sweep", "--plan", str(plan)])
         if name in STEP_SCENES:
             run_steps(cli, plan.parent / "scene.txt", noise_seed, outputs / f"steps-{name}")
+        if name == "volume-zsweep":
+            odd = inputs / "volume-odd.txt"
+            scene = {**workload.scene, **ODD_VOLUME}
+            odd.write_text("".join(f"{key} = {value}\n" for key, value in scene.items()))
+            run_steps(cli, odd, noise_seed, outputs / "steps-volume-odd")
 
 
 def run_steps(cli, scene: Path, noise_seed: int, out: Path) -> None:
@@ -137,12 +148,31 @@ def metrics_change(ours: Path, theirs: Path) -> str:
     return f"largest relative nmse change {worst:.3g}; {exact}"
 
 
+def binary_change(ours: Path, theirs: Path) -> str:
+    """How the binary export ``ours`` differs from ``theirs``: whether the
+    header lines match, and the largest change of an entry relative to the
+    largest entry of ``theirs``, max |delta| / max |x|, when the bodies hold
+    as many entries. numpy is imported here, after :func:`produce` has set
+    the BLAS thread count."""
+    import numpy as np
+
+    (head, body), (base_head, base_body) = (path.read_bytes().split(b"\n", 1) for path in (ours, theirs))
+    header = "header matches" if head == base_head else "header differs"
+    if len(body) != len(base_body) or len(body) % 16:
+        return f"{header}; bodies of {len(body)} and {len(base_body)} bytes"
+    new, old = (np.frombuffer(data, dtype="<c16") for data in (body, base_body))
+    scale = np.abs(old).max(initial=0.0)
+    worst = np.abs(new - old).max(initial=0.0)
+    relative = worst / scale if scale else (math.inf if worst else 0.0)
+    return f"{header}; largest relative element change {relative:.3g}"
+
+
 def compare_outputs(ours: Path, theirs: Path, ours_name: str, theirs_name: str) -> int:
     """Print each output path whose digest differs between the trees ``ours``
     and ``theirs``, or that one of them lacks, marked ``changed``, ``only
     <ours_name>`` or ``only <theirs_name>``, with the :func:`metrics_change`
-    of a changed ``metrics.csv`` on an indented line; return 1 if there is
-    any, else 0."""
+    of a changed ``metrics.csv`` or the :func:`binary_change` of a changed
+    ``.bin`` export on an indented line; return 1 if there is any, else 0."""
     mine, base = (dict(line.split("  ", 1)[::-1] for line in listing(tree)) for tree in (ours, theirs))
     differ = 0
     for path in sorted(mine.keys() | base.keys()):
@@ -154,6 +184,8 @@ def compare_outputs(ours: Path, theirs: Path, ours_name: str, theirs_name: str) 
             print(f"changed  {path}")
             if Path(path).name == "metrics.csv":
                 print(f"    {metrics_change(ours / path, theirs / path)}")
+            elif Path(path).suffix == ".bin":
+                print(f"    {binary_change(ours / path, theirs / path)}")
         else:
             continue
         differ = 1
