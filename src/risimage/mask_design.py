@@ -267,16 +267,17 @@ def hadamard(order: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _kronecker_factors(order: int) -> tuple[np.ndarray, np.ndarray]:
     """H_a and H_b, read-only float64, with H_order = H_a (x) H_b and
-    a = 2^floor(log2(order) / 2)."""
+    a = 2^floor(log2(order) / 2); H_1 = [1] for order 2."""
     a = 1 << (order.bit_length() - 1) // 2
-    factors = hadamard(a).astype(np.float64), hadamard(order // a).astype(np.float64)
+    h_a = hadamard(a) if a > 1 else np.ones((1, 1))
+    factors = h_a.astype(np.float64), hadamard(order // a).astype(np.float64)
     for factor in factors:
         factor.setflags(write=False)
     return factors
 
 
 def hadamard_transform(values: np.ndarray) -> np.ndarray:
-    """H_I @ values for a real or complex (I, ...) array, I a power of two >= 4.
+    """H_I @ values for a real or complex (I, ...) array, I a power of two >= 2.
 
     Sylvester's construction gives H_I = H_a (x) H_b for any split I = a b
     into powers of two; with a = 2^floor(log2(I) / 2) both factors are small,

@@ -19,10 +19,12 @@ basis K is block diagonal with four sectors of about M/4 x N/4 (symmetry-
 adapted block diagonalisation). Each sector block is a times one quarter of
 the target rows of F folded over the aperture and weighted, so the full
 kernel is never folded, and neither J_x nor its phase is ever applied to
-those rows: J_x times the conjugate phase is a. The blocks are folded
-straight from the rows as they arrive (:func:`_sector_blocks`). A kernel
-without mirror structure is one identity sector holding K itself and goes
-through the same code.
+those rows: J_x times the conjugate phase is a. The stored quadrant rows
+are folded over the aperture as they arrive, by the one fold that volume
+kernels use too (:func:`_table_stacks`), and each block is a row-scaled
+view of its aperture sector's columns there (:func:`_sector_blocks`). A
+kernel without mirror structure is one identity sector holding K itself and
+goes through the same code.
 
 When each grid has the same coordinates along x as along y, F is also
 unchanged when x and y swap on both grids, and the mirrors and the swap
@@ -42,11 +44,11 @@ three E-field tables F_t by the receiver's Green row (``em_core``), which
 breaks the mirror symmetry of K, but each table keeps it up to the sign of
 its parity pi_t: t_xx is even/even, t_xy odd/odd and t_xz odd/even. So the
 aperture still splits into the four mirror sectors: each table's stored
-quadrant rows folded over the aperture give one stack X_s of 3M/4 rows per
-aperture sector s (:func:`_table_stacks`), and K diag(conj phase) P_s =
-W_s X_s, where W_s is a D_t times the +-1 mirror expansion of the quadrant
-for the target parity s + pi_t (:func:`_table_weights`), one entry per
-table in each row. With S_s the small triangular factor of X_s
+quadrant rows folded over the aperture, as a plane kernel's are, give one
+stack X_s of 3M/4 rows per aperture sector s (:func:`_table_stacks`), and
+K diag(conj phase) P_s = W_s X_s, where W_s is a D_t times the +-1 mirror
+expansion of the quadrant for the target parity s + pi_t
+(:func:`_table_weights`), one entry per table in each row. With S_s the small triangular factor of X_s
 (X_s X_s^H = S_s S_s^H), K K^H = L L^H for L = [W_s S_s]_s, so U and sigma
 come from one QR of L^T and an M x M SVD (:func:`_table_spectrum`; Chan's
 R-SVD, ACM TOMS 8(1), 1982). The target side stays one sector, which
@@ -114,7 +116,6 @@ from .em_core import (
     KernelMatrix,
     KernelStream,
     MirrorSymmetry,
-    small_ufunc_buffers,
     text_file_writer,
 )
 from .errors import DimensionMismatch, KindMismatch, MalformedConfig, SvdFailure, ZeroSolution
@@ -139,9 +140,10 @@ _HALF = math.sqrt(0.5)
 # are slow.
 _CHUNK_ENTRIES = 1 << 16
 _REALIZE_BLOCKS = 16
-# A volume kernel's aperture fold (:func:`_table_stacks`): row s, in ``_PARITIES``
-# order, takes a quadrant sample's images (itself, its y-mirror, its x-mirror,
-# both) into sector s, each pair weighted 1/sqrt(2) along each axis.
+# The aperture fold of every kernel with mirror structure (:func:`_table_stacks`):
+# row s, in ``_PARITIES`` order, takes a quadrant sample's images (itself, its
+# y-mirror, its x-mirror, both) into sector s, each pair weighted 1/sqrt(2)
+# along each axis.
 _IMAGE_MAP = 0.5 * np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=np.float64)
 # sigma**2 overflows at and above this singular value.
 _SIGMA_LIMIT = math.sqrt(sys.float_info.max)
@@ -155,10 +157,11 @@ Reader = Callable[[slice, np.ndarray, np.ndarray, np.ndarray], None]
 class Sector:
     """One diagonal block of the kernel and its regularized spectrum.
 
-    ``block`` (rows, cols) is the read-only block itself (:func:`_sector_blocks`),
-    for a volume kernel its stacked tables (:func:`_table_stacks`), which
-    maps solutions back to the aperture side, or None once the inverse has
-    dropped it (:meth:`RegularizedInverse.without_blocks`). ``u`` (rows, K) and
+    ``block`` (rows, cols) is the read-only block itself (:func:`_sector_blocks`):
+    for a plane kernel a view of one aperture sector's columns of the folded
+    stored rows (:func:`_table_stacks`), for a volume kernel those stacks
+    whole. It maps solutions back to the aperture side, or is None once the
+    inverse has dropped it (:meth:`RegularizedInverse.without_blocks`). ``u`` (rows, K) and
     ``sigma`` (K,) are its left singular vectors and singular values,
     descending; ``inv_sigma`` holds sigma / (sigma^2 + gamma) for retained
     values and exactly zero for truncated ones, which come last since sigma
@@ -274,20 +277,12 @@ def _butterfly(even: np.ndarray, odd: np.ndarray, axis: int, out: np.ndarray) ->
     """The unnormalised mirror map along ``axis``, written into ``out``, which
     must not overlap the inputs: even_i + odd_i at i and even_i - odd_i at
     n-1-i for i < n // 2; an odd length's centre line copies the last even
-    index. It folds a grid (:func:`_fold`) and unfolds the parts alike."""
+    index. It unfolds the parts of a folded grid (:func:`_sector_unfold`)."""
     h, n = odd.shape[axis], out.shape[axis]
     paired = even[_along(axis, slice(0, h))]
     np.add(paired, odd, out=out[_along(axis, slice(0, h))])
     np.subtract(paired, odd, out=out[_along(axis, _part(n, 1))])
     out[_along(axis, slice(h, n - h))] = even[_along(axis, slice(h, None))]
-
-
-def _fold(values: np.ndarray, axis: int, out: np.ndarray) -> None:
-    """Mirror parts of ``values`` along ``axis``, written into ``out`` in the
-    folded layout of :func:`_part`: v_i + v_{n-1-i} at i, v_i - v_{n-1-i} at
-    n-1-i, the centre line unchanged."""
-    n = values.shape[axis]
-    _butterfly(values[_along(axis, _part(n, 0))], values[_along(axis, _part(n, 1))], axis, out)
 
 
 def _sector_unfold(parts: Iterator[np.ndarray], shape: tuple[int, int] | None, out: np.ndarray) -> None:
@@ -311,18 +306,12 @@ def _sector_unfold(parts: Iterator[np.ndarray], shape: tuple[int, int] | None, o
     _butterfly(y_line(ny - ny // 2), y_line(ny // 2), -2, out.reshape(lead + (ny, nx)))
 
 
-def _folded_norms(n: int) -> np.ndarray:
-    """Orthonormalising weight of each line of an axis of length ``n``, in
-    the folded layout of :func:`_part` or in grid order alike: 1/sqrt(2) per
-    mirror pair, 1 for an odd length's centre line."""
+def _pair_norms(n: int, parity: int) -> np.ndarray:
+    """Orthonormalising weight of each line of one axis's even (0) or odd (1)
+    part: 1/sqrt(2) per mirror pair, 1 for an odd length's centre line."""
     norms = np.full(n, _HALF)
     norms[n // 2 : n - n // 2] = 1.0
-    return norms
-
-
-def _pair_norms(n: int, parity: int) -> np.ndarray:
-    """Orthonormalising weight of one axis's even (0) or odd (1) part."""
-    return _folded_norms(n)[_part(n, parity)]
+    return norms[_part(n, parity)]
 
 
 def _sector_norms(shape: tuple[int, int] | None) -> list[np.ndarray | None]:
@@ -391,20 +380,15 @@ def _sector_blocks(kernel: KernelMatrix | KernelStream) -> list[np.ndarray]:
     left singular vectors and values, and what is left of J_x is its real
     amplitude a (``MirrorSymmetry.amplitude``, of either sign), so block s
     is a Q_s^T F P_s. Since F is mirror-invariant, the target-side fold of a
-    row reduces to the weight 1 / w_s on its quadrant row, so only the
-    quadrant rows the kernel stores are read, in order, from a stored kernel
-    or a streamed one alike. Each run of them within one line (one iy) is
-    folded over the aperture along y, as it arrives, into one buffer of at
-    most a line, and scaled there by a times the aperture weight over the
-    target weight; the fold along x then writes its sums straight into
-    those rows of the x-even blocks and its differences into the x-odd
-    ones. So no copy of the quadrant is made, no second buffer of a line is
-    held, and a streamed kernel's rows are each dropped once folded. Every
-    block is read-only; the identity sector's is the kernel's entries, or a
-    view of them when the caller's entries are writable. The folds run with small ufunc buffers
-    (``em_core.small_ufunc_buffers``), so their strided operands add no
-    temporaries of note. A volume kernel's one block is its stacked tables
-    (:func:`_table_stacks`).
+    row reduces to the weight 1 / w_s on its quadrant row, so block s is
+    a / w_s times the quadrant rows of the sector folded over the aperture:
+    the rows of aperture sector s in the stored rows' stacks
+    (:func:`_table_stacks`), scaled in place, so every block is a view of
+    one array. An odd target's x-odd sectors leave each line's centre pixel
+    out, so their rows are first moved up line by line within their own
+    columns. A volume kernel's one block is its stacks. Every block is
+    read-only; the identity sector's is the kernel's entries, or a view of
+    them when the caller's entries are writable.
     """
     symmetry = kernel.symmetry
     if symmetry is None:  # a hand-built kernel: every stream carries its mirror structure
@@ -412,49 +396,22 @@ def _sector_blocks(kernel: KernelMatrix | KernelStream) -> list[np.ndarray]:
         block = entries.view() if entries.flags.writeable else entries
         block.setflags(write=False)
         return [block]
+    stacks = _table_stacks(kernel)
     if symmetry.weights is not None:
-        return [_table_stacks(kernel)]
-    (nx, ny), (ax, ay) = symmetry.target_shape, symmetry.aperture_shape
-    ex, ey = symmetry.quadrant_shape
-    hx = ax // 2
-    # a line's entries, folded along y, are scaled by a times the aperture weight over the
-    # target weight: per quadrant pixel a / w_t times 1/sqrt(2) for the x pairs, per folded
-    # aperture row its weight; the x centre column, of weight 1, takes sqrt(2) more
-    pixel_scales = symmetry.amplitude * _HALF / np.outer(_folded_norms(ny)[:ey], _folded_norms(nx)[:ex])
-    row_norms = _folded_norms(ay)
-    folded = np.empty((ex, ay, ax), dtype=np.complex128)
-    blocks, rows = [], {}
-    for px, py in _PARITIES:
-        shape = ((ey, ny - ey)[py], (ex, nx - ex)[px], (ay - ay // 2, ay // 2)[py], (ax - hx, hx)[px])
-        blocks.append(np.empty((shape[0] * shape[1], shape[2] * shape[3]), dtype=np.complex128))
-        rows[px, py] = blocks[-1].reshape(shape)
-
-    def fold(iy: int, ix: int, run: np.ndarray) -> None:
-        """Fold the quadrant rows ``run`` of line iy, from pixel ix on, into the blocks."""
-        ys = folded[: len(run)]
-        _fold(run.reshape(ys.shape), -2, ys)
-        ys *= np.multiply.outer(pixel_scales[iy, ix : ix + len(run)], row_norms)[:, :, None]
-        for py in (0, 1):
-            if iy >= len(rows[0, py]):
-                continue
-            even, odd = (rows[px, py][iy, ix : ix + len(run)] for px in (0, 1))
-            line = ys[:, _part(ay, py)]
-            head, tail = line[..., :hx], line[..., _part(ax, 1)]
-            np.add(head, tail, out=even[..., :hx])
-            np.multiply(line[..., hx : ax - hx], math.sqrt(2.0), out=even[..., hx:])
-            np.subtract(head[: len(odd)], tail[: len(odd)], out=odd)
-
-    iy, ix, beyond = 0, 0, 0
-    with small_ufunc_buffers():
-        for block in kernel.blocks if isinstance(kernel, KernelStream) else (kernel.stored,):
-            while len(block) and iy < ey:
-                run, block = block[: ex - ix], block[ex - ix :]
-                fold(iy, ix, run)
-                iy, ix = (iy + 1, 0) if ix + len(run) == ex else (iy, ix + len(run))
-            beyond += len(block)
-    if (iy, ix, beyond) != (ey, 0, 0):
-        raise DimensionMismatch(f"{iy * ex + ix + beyond} stored kernel rows for a {ex} x {ey} mirror quadrant")
-    for block in blocks:
+        stacks.setflags(write=False)
+        return [stacks]
+    (nx, ny), (ex, ey) = symmetry.target_shape, symmetry.quadrant_shape
+    hx = nx // 2
+    blocks = []
+    for (px, py), norms, (lo, hi) in zip(_PARITIES, _sector_norms((nx, ny)), _sector_bounds(symmetry.aperture_shape)):
+        band = stacks[:, lo:hi]
+        if px and hx < ex:  # an odd line's centre pixel has no x-odd part
+            for iy in range(1, (ey, ny - ey)[py]):
+                band[iy * hx : (iy + 1) * hx] = band[iy * ex : iy * ex + hx]
+        block = band[: len(norms)]
+        block *= (symmetry.amplitude / norms)[:, None]
+        blocks.append(block)
+    for block in (stacks, *blocks):
         block.setflags(write=False)
     return blocks
 
@@ -468,13 +425,13 @@ def _aperture_sectors(shape: tuple[int, int]) -> list[tuple[int, int]]:
 
 
 def _sector_bounds(shape: tuple[int, int]) -> list[tuple[int, int]]:
-    """The columns of each aperture sector in a volume kernel's stacks (:func:`_table_stacks`)."""
+    """The columns of each aperture sector in the folded stored rows (:func:`_table_stacks`)."""
     ends = np.cumsum([0] + [x * y for x, y in _aperture_sectors(shape)])
     return list(zip(ends[:-1].tolist(), ends[1:].tolist()))
 
 
 def _table_stacks(kernel: KernelMatrix | KernelStream) -> np.ndarray:
-    """A volume kernel's stored rows folded over the aperture: the stacks X_s.
+    """The kernel's stored rows folded over the aperture: the stacks X_s.
 
     Row j of the (rows, N) result is stored row j (``KernelMatrix.stored``)
     in the orthonormal mirror basis P of the aperture, the columns of each
@@ -486,7 +443,11 @@ def _table_stacks(kernel: KernelMatrix | KernelStream) -> np.ndarray:
     and differences of all four at once, so no strided or reversed view of
     a row is read. An even aperture's four sectors are each a quadrant, so
     the product is written straight into the stacks; an odd one's odd parts
-    leave the centre lines out. Read-only.
+    leave the centre lines out, so the product goes through a second buffer.
+    The rows are folded in steps whose buffers hold about 512 KiB together,
+    and never more rows than the quadrant has. Raises
+    :class:`DimensionMismatch` unless there are as many rows as the mirror
+    quadrant has, and counts those beyond it without folding them.
     """
     symmetry = kernel.symmetry
     (ax, ay), n = symmetry.aperture_shape, kernel.shape[1]
@@ -499,17 +460,14 @@ def _table_stacks(kernel: KernelMatrix | KernelStream) -> np.ndarray:
     stacks = np.empty((total, n), dtype=np.complex128)
     sectors = [stacks[:, lo:hi].reshape(total, y, x) for (lo, hi), (x, y) in zip(_sector_bounds((ax, ay)), shapes)]
     direct = ax % 2 == 0 and ay % 2 == 0
-    # the images of a step of rows take about 512 KiB, as do their folds for an odd aperture
-    step = max(1, _CHUNK_ENTRIES // max(2 * n, 1))
+    step = max(1, min(total, _CHUNK_ENTRIES // max((2 if direct else 4) * n, 1)))
     gathered = np.empty((step, 4, ey * ex), dtype=np.complex128)
     folded = None if direct else np.empty_like(gathered)
     filled = 0
     for block in kernel.blocks if isinstance(kernel, KernelStream) else (kernel.stored,):
-        for start in range(0, len(block), step):
-            part = block[start : start + step]
-            rows = slice(filled, filled + len(part))
-            if rows.stop > total:
-                raise DimensionMismatch(f"more stored kernel rows than the {total} quadrant rows of the tables")
+        for start in range(0, min(len(block), total - filled), step):
+            part = block[start : min(start + step, total - filled)]
+            rows = slice(filled + start, filled + start + len(part))
             images_of = gathered[: len(part)]
             part.take(images, axis=1, out=images_of, mode="clip")  # valid indices: no staging copy
             # an odd length's centre line is its own mirror image: its sum of two
@@ -524,10 +482,9 @@ def _table_stacks(kernel: KernelMatrix | KernelStream) -> np.ndarray:
             if not direct:
                 for sector, (x, y), parts in zip(sectors, shapes, out.reshape(len(part), 4, ey, ex).swapaxes(0, 1)):
                     sector[rows] = parts[:, :y, :x]
-            filled = rows.stop
+        filled += len(block)
     if filled != total:
-        raise DimensionMismatch(f"{filled} stored kernel rows for the {total} quadrant rows of the tables")
-    stacks.setflags(write=False)
+        raise DimensionMismatch(f"{filled} stored kernel rows for the {total} rows of the mirror quadrant")
     return stacks
 
 

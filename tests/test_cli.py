@@ -579,6 +579,19 @@ class TestRunVerb:
         assert cli.main(args + ["--output", str(dir_b)]) == 0
         assert (dir_a / "metrics.csv").read_bytes() == (dir_b / "metrics.csv").read_bytes()
 
+    @pytest.mark.parametrize("count", ["4", "8"])
+    def test_one_pixel_target_fails_on_its_zero_mask(self, scene_file, tmp_path, capsys, count):
+        # one point on Hadamard column 1 leaves a design of two distinct rows, the
+        # second all zero: no profile realizes it, whatever the mask count
+        one_pixel = ["--scene", str(scene_file), "--set", "n_target_x=1", "--set", "n_target_y=1", "-I", count]
+        zero_mask = "ZeroSolution: mask 1 lies outside the retained kernel range"
+        assert cli.main(["run", *one_pixel, "--output", str(tmp_path / "run")]) == 1
+        assert (tmp_path / "run" / "errors.log").read_text() == f"point 0: {zero_mask}\n"
+        assert cli.main(["synthesize", *one_pixel, "--output", str(tmp_path / "synth")]) == 2
+        assert f"error: {zero_mask}" in capsys.readouterr().err
+        assert cli.main(["run", *one_pixel, "--ideal-masks", "--output", str(tmp_path / "ideal")]) == 0
+        assert float(read_metrics(tmp_path / "ideal")[0]["nmse"]) == 0.0
+
 
 class TestSweepVerb:
     def test_more_measurements_lower_nmse(self, scene_file, tmp_path):

@@ -13,6 +13,10 @@ directory, one that exits 0 or 1 scores its points with finite NMSEs and logs
 each point without a score as an ``ImagingError`` subclass, and it exits 1
 only when no point is scored. Fixed seeds and a fixed example budget keep the
 cases the same on every run.
+
+One more property draws small plane and volume scenes, square or not, of odd
+and even counts, and checks every structured decomposition route against
+``np.linalg.svd`` of the dense kernel.
 """
 
 import contextlib
@@ -22,11 +26,17 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from risimage import cli, errors
-from risimage.runner import ExperimentPlan
-from risimage.scene import read_fields
+from risimage import em_core as em
+from risimage import mask_design as md
+from risimage import ris_synthesis as rs
+from risimage.runner import ExperimentPlan, default_gamma
+from risimage.scene import read_fields, sample_grids, validate_scene
+
+from conftest import DESK_Z_VALUES, desk_config, realize_with_values, volume_config
 
 PLANE_SCENE = """
 wavelength = 0.01
@@ -215,3 +225,79 @@ def test_volume_scene_inputs(scene_argv, flags):
 @given(entries=plan_entries())
 def test_plan_file_inputs(entries):
     check_plan_case(entries)
+
+
+# Small plane and volume scenes for the decomposition property: square ones take
+# the D4 swap split, and each side's count may be odd or even.
+ELEVATIONS = (0.0, 30.0, 55.0)
+
+
+@st.composite
+def mirror_scenes(draw):
+    square = draw(st.booleans())
+    tx, ax = draw(st.integers(1, 7)), draw(st.integers(2, 12))
+    ty, ay = (tx, ax) if square else (draw(st.integers(1, 7)), draw(st.integers(2, 12)))
+    keys = dict(
+        n_target_x=tx,
+        n_target_y=ty,
+        n_ris_x=ax,
+        n_ris_y=ay,
+        incident_elevation=math.radians(draw(st.sampled_from(ELEVATIONS))),
+        incident_amplitude=draw(st.sampled_from([1.0, -2.5])),
+    )
+    z_prime = draw(st.sampled_from(DESK_Z_VALUES))
+    if draw(st.booleans()):
+        return volume_config(z_prime, n_z=draw(st.integers(1, 3)), **keys)
+    return desk_config(z_prime, **keys)
+
+
+def grid_factors(inv) -> np.ndarray:
+    """The retained columns of U on the target grid, every sector's unfolded."""
+    gathers = rs._sector_gathers(rs._target_shape(inv))
+    columns = []
+    for factor, gather in zip(rs._folded_factors(inv), gathers):
+        if gather is None:
+            columns.append(factor.u)
+        elif factor.sigma.size:  # a sector may have no rows to gather from
+            columns.append(gather[1][:, None] * factor.u[gather[0]])
+    return np.concatenate(columns, axis=1)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(cfg=mirror_scenes(), seed=st.integers(0, 2**32 - 1))
+def test_mirror_decompositions_match_the_dense_svd(cfg, seed):
+    """Every structured route (plane sectors, with or without the swap split, and
+    volume table stacks) gives the dense SVD's spectrum, retained projector and
+    realized masks."""
+    scene = validate_scene(cfg)
+    grids = sample_grids(scene)
+    kernel = em.assemble_kernel(scene, grids)
+    gamma = default_gamma(cfg.target_distance)
+    inv = rs.tikhonov_inverse(kernel, gamma)
+    u, sigma, vh = np.linalg.svd(kernel.entries, full_matrices=False)
+
+    size = max(len(sigma), len(inv.sigma))
+    expected, got = np.zeros(size), np.zeros(size)
+    expected[: len(sigma)], got[: len(inv.sigma)] = sigma, inv.sigma
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * sigma[0])
+
+    r = inv.retained_rank
+    assert r == np.count_nonzero(sigma**2 >= rs.DEFAULT_THRESHOLD_FACTOR * gamma)
+    retained = grid_factors(inv)
+    projector = u[:, :r] @ u[:, :r].conj().T
+    # a retained subspace is determined to about the backward error over its gap
+    # to the first dropped value (Davis & Kahan): 1e-12 holds where that gap is wide
+    gap = sigma[r - 1] - (sigma[r] if r < len(sigma) else 0.0)
+    bound = max(1e-12, 1e-14 * sigma[0] / gap)
+    np.testing.assert_allclose(retained @ retained.conj().T, projector, rtol=0, atol=bound)
+
+    rng = np.random.default_rng(seed)
+    shape = (8, scene.n_target)
+    kind = md.KIND_MASK3D if kernel.symmetry.weights is not None else md.KIND_MASK2D
+    masks = md.MaskSet(kind, stored=rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    _, values = realize_with_values(inv, masks, 1.0)
+    coefficients = (sigma / (sigma**2 + gamma))[:r, None] * (u[:, :r].conj().T @ masks.stored.T)
+    profiles = vh[:r].conj().T @ coefficients
+    profiles *= np.sqrt(scene.n_ris) / np.linalg.norm(profiles, axis=0)
+    dense = (kernel.entries @ profiles).T
+    np.testing.assert_allclose(values, dense, rtol=0, atol=1e-10 * np.abs(dense).max())

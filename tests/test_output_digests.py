@@ -29,6 +29,9 @@ def test_two_runs_list_the_same_digests():
         "seed-3/steps-volume-zsweep/ideal/metrics.csv",
         "seed-3/steps-volume-odd/kernel.bin",
         "seed-3/steps-volume-odd/synth/profiles.bin",
+        "seed-3/steps-plane-odd/kernel.bin",
+        "seed-3/steps-plane-odd/synth/profiles.bin",
+        "seed-3/steps-plane-odd/ideal/metrics.csv",
     ):
         assert expected in paths
     assert not any(path.endswith("timings.csv") for path in paths)

@@ -705,13 +705,17 @@ class TestMirrorSectors:
 
     @pytest.mark.parametrize("n", range(1, 8))
     @pytest.mark.parametrize("axis", [-1, -2])
-    def test_fold_twice_doubles_each_pair_and_keeps_the_centre(self, n, axis):
+    def test_butterfly_twice_doubles_each_pair_and_keeps_the_centre(self, n, axis):
         rng = np.random.default_rng(n)
         shape = (3, n, 5) if axis == -2 else (3, 5, n)
         values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         once, twice = np.empty_like(values), np.empty_like(values)
-        rs._fold(values, axis, once)
-        rs._fold(once, axis, twice)
+
+        def butterfly(v, out):  # the map on the parts a folded grid keeps (:func:`rs._part`)
+            rs._butterfly(v[rs._along(axis, rs._part(n, 0))], v[rs._along(axis, rs._part(n, 1))], axis, out)
+
+        butterfly(values, once)
+        butterfly(once, twice)
         v, once, twice = (np.moveaxis(a, axis, 0) for a in (values, once, twice))
         h = n // 2
         # the folded layout: v_i + v_{n-1-i} in the head, v_i - v_{n-1-i} in the tail read backwards
@@ -839,25 +843,24 @@ class TestHadamardRoute:
             rs.synthesis_profiles(inv, designed, 1.5), profiles, rtol=0, atol=1e-12 * np.abs(profiles).max()
         )
 
-    def test_designed_sets_never_fold_the_mask_stack(self, desk_synthesis, monkeypatch):
+    def test_designed_sets_never_fold_the_mask_stack(self, desk_synthesis, monkeypatch, tmp_path):
         inv, masks = desk_synthesis
-        symmetry = inv.symmetry
-        folded_shapes = set()
-        fold = rs._fold
+        folds = []
 
-        def recording_fold(values, axis, out):
-            folded_shapes.add(values.shape)
-            fold(values, axis, out)
+        def recording_stacks(kernel, _original=rs._table_stacks):
+            folds.append(kernel.shape)
+            return _original(kernel)
 
-        monkeypatch.setattr(rs, "_fold", recording_fold)
-        rs.realize_masks(inv, masks, 1.0)
-        rs.synthesis_profiles(inv, masks, 1.0)
+        monkeypatch.setattr(rs, "_table_stacks", recording_stacks)
         stored = dataclasses.replace(masks, stored=masks.vectors, design=None)
-        rs.realize_masks(inv, stored, 1.0)
-        rs.synthesis_profiles(inv, stored, 1.0)
-        # the blocks were folded at decomposition; nothing of the target grid is ever folded
-        assert symmetry.target_shape[::-1] not in folded_shapes
-        assert folded_shapes <= {symmetry.aperture_shape[::-1]}
+        for mask_set in (masks, stored):
+            rs.realize_masks(inv, mask_set, 1.0)
+            rs.synthesis_profiles(inv, mask_set, 1.0)
+            rs.save_profiles(tmp_path / "p.bin", inv, mask_set, 1.0, "f")
+            with rs.profile_writer(tmp_path / "q.bin", inv, mask_set.count, "f", mask_set.distinct_rows) as profiles:
+                rs.realize_masks(inv, mask_set, 1.0, [profiles])
+        # the kernel was folded at decomposition; nothing is folded once masks are realized
+        assert folds == []
 
 
 STREAMED_SCENES_PLAIN = pytest.mark.parametrize(
@@ -899,13 +902,6 @@ class TestSelfContainedInverse:
         )
         expected = kernel.stored @ basis
         np.testing.assert_allclose(sector.block, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
-
-    @pytest.mark.parametrize("rows", [-1, 3], ids=["short", "long"])
-    def test_volume_rows_that_miss_the_tables_are_rejected(self, volume_scene, rows):
-        kernel = em.assemble_kernel(*volume_scene)
-        stored = kernel.stored[:rows] if rows < 0 else np.concatenate([kernel.stored, kernel.stored[:rows]])
-        with pytest.raises(DimensionMismatch, match="quadrant rows of the tables"):
-            rs.tikhonov_inverse(dataclasses.replace(kernel, stored=stored), 1e-12)
 
     def test_writable_entries_stay_writable_to_their_owner(self):
         entries = np.eye(3, dtype=complex)
@@ -950,17 +946,14 @@ class TestSelfContainedInverse:
             for name in ("block", "u", "sigma", "inv_sigma"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
-    def test_stored_rows_that_miss_the_quadrant_are_rejected(self, desk_scene):
-        kernel = em.assemble_kernel(*desk_scene)
-        short = dataclasses.replace(kernel, stored=kernel.stored[:-1])
-        with pytest.raises(DimensionMismatch, match="mirror quadrant"):
-            rs.tikhonov_inverse(short, 1e-12)
-
-    def test_stored_rows_beyond_the_quadrant_are_rejected(self, desk_scene):
-        kernel = em.assemble_kernel(*desk_scene)
-        long = dataclasses.replace(kernel, stored=np.concatenate([kernel.stored, kernel.stored[:3]]))
-        with pytest.raises(DimensionMismatch, match=f"{len(kernel.stored) + 3} stored kernel rows"):
-            rs.tikhonov_inverse(long, 1e-12)
+    @pytest.mark.parametrize("rows", [-1, 3], ids=["short", "long"])
+    @pytest.mark.parametrize("scene_fixture", ["desk_scene", "volume_scene"], ids=["plane", "volume"])
+    def test_stored_rows_that_miss_the_quadrant_are_rejected(self, request, scene_fixture, rows):
+        kernel = em.assemble_kernel(*request.getfixturevalue(scene_fixture))
+        stored = kernel.stored[:rows] if rows < 0 else np.concatenate([kernel.stored, kernel.stored[:rows]])
+        message = f"{len(stored)} stored kernel rows for the {len(kernel.stored)} rows of the mirror quadrant"
+        with pytest.raises(DimensionMismatch, match=message):
+            rs.tikhonov_inverse(dataclasses.replace(kernel, stored=stored), 1e-12)
 
     def test_inverse_holds_only_its_blocks_and_u(self, desk_scene):
         # the desk kernel alone (4 MiB) is four times its blocks and exceeds the slack
@@ -1284,6 +1277,24 @@ class TestPeakMemory:
         assert line == 1 << 20
         peak, blocks = peak_traced_bytes(lambda: rs._sector_blocks(kernel))
         assert peak <= sum(block.nbytes for block in blocks) + line + (256 << 10)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            desk_config(n_target_x=5, n_target_y=4, n_ris_x=7, n_ris_y=6),
+            volume_config(n_xy=3, n_target_y=5, n_z=2, n_ris_x=7, n_ris_y=6),
+        ],
+        ids=["odd-5x4-7x6", "odd-3x5x2-7x6"],
+    )
+    def test_small_kernels_stage_a_small_fold(self, cfg):
+        # the fold's two buffers take the four images of a step of rows, 1.3 KiB a
+        # row here, and a step never exceeds the stored rows: buffers sized from N
+        # alone would stage about 1 MiB above these few KiB
+        scene = sc.validate_scene(cfg)
+        kernel = em.assemble_kernel(scene, sc.sample_grids(scene))
+        peak, stacks = peak_traced_bytes(lambda: rs._table_stacks(kernel))
+        assert stacks.shape == (kernel.symmetry.stored_rows, scene.n_ris)
+        assert peak <= stacks.nbytes + len(stacks) * (4 << 10)
 
     def test_designed_plane_set_holds_no_complex_stack(self, desk_scene):
         # the {0,1} pattern alone would be 2 MiB at I = 1,024, M = 256, the complex stack 4 MiB

@@ -9,8 +9,8 @@ For each seed, in this process through ``risimage.cli.main``:
 * the step verbs ``kernel``, ``masks``, ``synthesize``, ``measure`` and
   ``reconstruct``, and ``run --ideal-masks`` (into ``ideal/``), run on the
   desk scene and on the ``volume-zsweep`` scene, with the workload's noise
-  seed, and on a volume scene of odd counts (:data:`ODD_VOLUME`, into
-  ``steps-volume-odd``) with the ``volume-zsweep`` noise seed.
+  seed, and on each scene's variant of odd counts (:data:`ODD_SCENES`, into
+  ``steps-plane-odd`` and ``steps-volume-odd``) with the same noise seed.
 
 Then ``sha256  path`` is printed for every output file, its path relative to
 the output directory, in sorted order. ``timings.csv`` holds wall times and is
@@ -50,26 +50,31 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-STEP_SCENES = ("desk-snr-dense", "volume-zsweep")  # the desk scene and the volume scene
-# the volume-zsweep scene with odd aperture and target counts: 33 x 31 aperture, 3 x 5 x 2 target
-ODD_VOLUME = {"n_ris_x": 33, "n_ris_y": 31, "n_target_x": 3, "n_target_y": 5, "n_target_z": 2}
+# the scenes the step verbs run on, the desk scene and the volume scene, each with its variant
+# of odd aperture and target counts: a 15 x 15 target over 33 x 33, and 3 x 5 x 2 over 33 x 31
+ODD_SCENES = {
+    "desk-snr-dense": ("steps-plane-odd", {"n_ris_x": 33, "n_ris_y": 33, "n_target_x": 15, "n_target_y": 15}),
+    "volume-zsweep": (
+        "steps-volume-odd",
+        {"n_ris_x": 33, "n_ris_y": 31, "n_target_x": 3, "n_target_y": 5, "n_target_z": 2},
+    ),
+}
 EXACT_METRICS = ("gamma", "retained_rank", "seed")  # metrics.csv columns a numerical change keeps
 
 
 def run_seed(cli, workloads, seed: int, inputs: Path, outputs: Path) -> None:
     """Every workload's sweep for ``seed``, and the step verbs on the scenes of
-    :data:`STEP_SCENES` and on :data:`ODD_VOLUME`."""
+    :data:`ODD_SCENES` and on their variants of odd counts."""
     for name, workload in workloads.WORKLOADS.items():
         plan, noise_seed = workloads.write_inputs(workload, seed, inputs / name, outputs / name)
         for _ in range(2):
             run(cli, ["sweep", "--plan", str(plan)])
-        if name in STEP_SCENES:
+        if name in ODD_SCENES:
             run_steps(cli, plan.parent / "scene.txt", noise_seed, outputs / f"steps-{name}")
-        if name == "volume-zsweep":
-            odd = inputs / "volume-odd.txt"
-            scene = {**workload.scene, **ODD_VOLUME}
-            odd.write_text("".join(f"{key} = {value}\n" for key, value in scene.items()))
-            run_steps(cli, odd, noise_seed, outputs / "steps-volume-odd")
+            label, counts = ODD_SCENES[name]
+            odd = inputs / f"{label}.txt"
+            odd.write_text("".join(f"{key} = {value}\n" for key, value in {**workload.scene, **counts}.items()))
+            run_steps(cli, odd, noise_seed, outputs / label)
 
 
 def run_steps(cli, scene: Path, noise_seed: int, out: Path) -> None:
