@@ -110,13 +110,15 @@ def _measurement_count(args, scene) -> int:
     return count
 
 
-def _step_plan(args) -> tuple[ExperimentPlan, ValidatedScene]:
+def _step_plan(args, synthesis: bool | None = None) -> tuple[ExperimentPlan, ValidatedScene]:
     """A step verb's options as a validated one-point plan, and its validated scene.
 
-    The plan rules of ``run`` apply to every verb that takes plan options.
+    The plan rules of ``run`` apply to every verb that takes plan options;
+    ``synthesis`` says whether the verb realizes masks, by default unless
+    ``--ideal-masks`` (``ExperimentPlan.validate``).
     """
     plan = _plan_from_args(args, sweep=False)
-    plan.validate()
+    plan.validate(synthesis)
     return plan, validate_scene(plan.scene)
 
 
@@ -173,7 +175,7 @@ def _kernel_label(kind: str, shape: tuple[int, int], symmetry: em_core.MirrorSym
 
 
 def cmd_masks(args) -> int:
-    plan, scene = _step_plan(args)
+    plan, scene = _step_plan(args, synthesis=False)
     grids = sample_grids(scene)
     masks = _ideal_masks(plan, scene, grids)
     out = Path(plan.output_dir)
@@ -193,7 +195,7 @@ def _inverse(plan: ExperimentPlan, scene, grids) -> ris_synthesis.RegularizedInv
 
 
 def cmd_synthesize(args) -> int:
-    plan, scene = _step_plan(args)
+    plan, scene = _step_plan(args, synthesis=True)
     grids = sample_grids(scene)
     ideal = _ideal_masks(plan, scene, grids)
     inv = _inverse(plan, scene, grids)
@@ -230,7 +232,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    plan, scene = _step_plan(args)
+    plan, scene = _step_plan(args, synthesis=False)
     grids = sample_grids(scene)
     meas = measurement.records_from_csv(args.records)
     kind, vectors, fp = mask_design.load_mask_vectors(args.masks)
@@ -314,7 +316,50 @@ def cmd_sweep(args) -> int:
     return _print_run(run_plan(_plan_from_args(args, sweep=True)))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _kernel_options(parser: argparse.ArgumentParser) -> None:
+    _add_scene_options(parser)
+    parser.add_argument("--output", required=True, help="kernel cache file")
+    parser.add_argument("--force", action="store_true", help="reassemble even if cached")
+
+
+def _step_options(parser: argparse.ArgumentParser) -> None:
+    _add_scene_options(parser)
+    _add_plan_options(parser)
+
+
+def _reconstruct_options(parser: argparse.ArgumentParser) -> None:
+    _step_options(parser)
+    parser.add_argument("--records", required=True, help="measurement CSV")
+    parser.add_argument("--masks", required=True, help="mask vector export used for the measurement")
+
+
+def _sweep_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--plan", help="plan file (takes no scene, plan or sweep option but --output)")
+    _add_scene_options(parser, required=False)
+    _add_plan_options(parser)
+    parser.add_argument("--i-sweep", help="comma list of measurement counts")
+    parser.add_argument("--snr-sweep", help="comma list of SNR values in dB ('none' = noiseless)")
+    parser.add_argument("--z-sweep", help="comma list of target distances in m")
+
+
+# verb -> (help, adds the verb's options, runs it), in help order
+VERBS = {
+    "validate": ("check scene invariants and report resolution", _add_scene_options, cmd_validate),
+    "kernel": ("assemble the propagation kernel and cache it", _kernel_options, cmd_kernel),
+    "masks": ("design ideal masks and export them", _step_options, cmd_masks),
+    "synthesize": ("compute coefficient profiles realizing the masks", _step_options, cmd_synthesize),
+    "measure": ("simulate noisy measurements to CSV", _step_options, cmd_measure),
+    "reconstruct": ("reconstruct from measurement CSV + mask export", _reconstruct_options, cmd_reconstruct),
+    "run": ("end-to-end single experiment", _step_options, cmd_run),
+    "sweep": ("plan-driven sweep over I / SNR / target distance", _sweep_options, cmd_sweep),
+}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or, given one of :data:`VERBS`, a parser
+    with that verb's subparser alone. It parses, helps and fails on that
+    verb's command lines as the full parser does: its usage line lists every
+    verb."""
     # argparse makes a help formatter for every argument it adds, and each one
     # looks up the terminal width unless given one: look it up once, as they would
     formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
@@ -323,60 +368,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Virtual-mask computational imaging simulator",
         formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    add_parser = functools.partial(sub.add_parser, formatter_class=formatter)
-
-    p = add_parser("validate", help="check scene invariants and report resolution")
-    _add_scene_options(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = add_parser("kernel", help="assemble the propagation kernel and cache it")
-    _add_scene_options(p)
-    p.add_argument("--output", required=True, help="kernel cache file")
-    p.add_argument("--force", action="store_true", help="reassemble even if cached")
-    p.set_defaults(func=cmd_kernel)
-
-    p = add_parser("masks", help="design ideal masks and export them")
-    _add_scene_options(p)
-    _add_plan_options(p)
-    p.set_defaults(func=cmd_masks)
-
-    p = add_parser("synthesize", help="compute coefficient profiles realizing the masks")
-    _add_scene_options(p)
-    _add_plan_options(p)
-    p.set_defaults(func=cmd_synthesize)
-
-    p = add_parser("measure", help="simulate noisy measurements to CSV")
-    _add_scene_options(p)
-    _add_plan_options(p)
-    p.set_defaults(func=cmd_measure)
-
-    p = add_parser("reconstruct", help="reconstruct from measurement CSV + mask export")
-    _add_scene_options(p)
-    _add_plan_options(p)
-    p.add_argument("--records", required=True, help="measurement CSV")
-    p.add_argument("--masks", required=True, help="mask vector export used for the measurement")
-    p.set_defaults(func=cmd_reconstruct)
-
-    p = add_parser("run", help="end-to-end single experiment")
-    _add_scene_options(p)
-    _add_plan_options(p)
-    p.set_defaults(func=cmd_run)
-
-    p = add_parser("sweep", help="plan-driven sweep over I / SNR / target distance")
-    p.add_argument("--plan", help="plan file (takes no scene, plan or sweep option but --output)")
-    _add_scene_options(p, required=False)
-    _add_plan_options(p)
-    p.add_argument("--i-sweep", help="comma list of measurement counts")
-    p.add_argument("--snr-sweep", help="comma list of SNR values in dB ('none' = noiseless)")
-    p.add_argument("--z-sweep", help="comma list of target distances in m")
-    p.set_defaults(func=cmd_sweep)
-
+    # the full parser names the verbs from its subparsers; one verb's must list them all
+    listed = None if verb is None else "{" + ",".join(VERBS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
+    for name, (help_text, add_options, func) in VERBS.items():
+        if verb in (None, name):
+            p = sub.add_parser(name, help=help_text, formatter_class=formatter)
+            add_options(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a command line that starts with a verb needs only that verb's parser
+    parser = build_parser(argv[0] if argv and argv[0] in VERBS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -275,6 +275,35 @@ def _axis_offsets(targets: np.ndarray, aperture: np.ndarray) -> tuple[np.ndarray
     return values, index.reshape(targets.size, aperture.size)
 
 
+def _magnitude_expansion(dx: np.ndarray, dy: np.ndarray) -> tuple:
+    """The distinct |dx| and |dy| of a (len(dy), len(dx)) offset table, the
+    flat index of each signed offset's magnitude in the table over them, and
+    the sign bits of dx (1, len(dx)) and dy (len(dy), 1), for the mirror
+    parities of :func:`_expand_table`."""
+    (x_magnitudes, x_index), (y_magnitudes, y_index) = (
+        np.unique(np.abs(offsets), return_inverse=True) for offsets in (dx, dy)
+    )
+    expand = (y_index[:, None] * x_magnitudes.size + x_index[None, :]).reshape(-1)
+    return x_magnitudes, y_magnitudes, expand, (np.signbit(dx)[None, :], np.signbit(dy)[:, None])
+
+
+def _expand_table(
+    table: np.ndarray, expand: np.ndarray, signs: tuple[np.ndarray, np.ndarray], parity: tuple[int, int]
+) -> np.ndarray:
+    """The flat table over signed offsets from ``table`` over their
+    magnitudes (:func:`_magnitude_expansion`): each entry gathered from its
+    magnitude's, and negated where the offset's sign is odd under the
+    table's (x, y) ``parity``. The formulas read an offset only through its
+    square or a product with it, so this gives the bits of evaluating the
+    signed offsets themselves, signed zeros included."""
+    signed = table.take(expand)
+    (x_negative, y_negative), (px, py) = signs, parity
+    flip = (x_negative & bool(px)) ^ (y_negative & bool(py))
+    if flip.any():
+        np.negative(signed, out=signed, where=flip.reshape(-1))
+    return signed
+
+
 def _table_index(y_index: np.ndarray, x_index: np.ndarray, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
     """Flat offset-table index (len(iy), N) of the target pixels (iy, ix) of
     one slice against every aperture sample, from the per-axis indices of
@@ -374,13 +403,26 @@ def _assemble(scene: ValidatedScene, grids: SampleGrids, kind: str, offset_table
         dx, x_index = _axis_offsets(targets[:nx, 0], ris[:n_ris_x, 0])
         dy, y_index = _axis_offsets(targets[:n_slice:nx, 1], ris[::n_ris_x, 1])
         y_index *= dx.size  # the y part of a flat table index
-        dx, dy = dx[None, :], dy[:, None]
+        # the tables are evaluated on the offset magnitudes and expanded by their parities
+        x_magnitudes, y_magnitudes, expand, signs = _magnitude_expansion(dx, dy)
+        dx, dy = x_magnitudes[None, :], y_magnitudes[:, None]
         planar = dx**2 + dy**2
+        parities = ((0, 0),) if symmetry is None else symmetry.tables
 
         # the pixels stored per slice: a quadrant of ex x ey, or all nx x ny
         width, height = (nx, cfg.n_target_y) if symmetry is None else symmetry.quadrant_shape
         n_stored = width * height
         step = max(1, _CHUNK_ENTRIES // n_cols)
+        starts = range(0, n_stored, step)
+
+        def index(start: int) -> np.ndarray:
+            pixels = np.divmod(np.arange(start, min(start + step, n_stored)), width)
+            return _table_index(y_index, x_index, *pixels)
+
+        # every slice and table gathers through the same pixel blocks' indices: a kernel
+        # with more than one keeps them, one that reads each once forms it as it goes
+        n_reads = len(parities) * (n_rows // n_slice)
+        indices = [index(start) for start in starts] if n_reads > 1 else None
         for first in range(0, n_rows, n_slice):
             z = targets[first, 2] - ris[0, 2]
             # an overflow leaves a non-finite entry, checked next
@@ -391,11 +433,11 @@ def _assemble(scene: ValidatedScene, grids: SampleGrids, kind: str, offset_table
                     f"kernel entries at wavelength {cfg.wavelength!r} m and {float(z)!r} m from the "
                     "aperture are not finite numbers"
                 )
-            for table in tables:
-                for start in range(0, n_stored, step):
-                    pixels = np.divmod(np.arange(start, min(start + step, n_stored)), width)
+            for table, parity in zip(tables, parities):
+                table = _expand_table(table, expand, signs, parity)
+                for k, start in enumerate(starts):
                     with small_ufunc_buffers():
-                        block = table.take(_table_index(y_index, x_index, *pixels))
+                        block = table.take(index(start) if indices is None else indices[k])
                         if symmetry is None:
                             block *= incident_current(scene, ris[:, 1])
                     yield block

@@ -43,6 +43,7 @@ from .errors import (
     EmptyMaskSet,
     InsufficientMeasurements,
     KindMismatch,
+    MalformedConfig,
     MaskSetSizeError,
     UnsupportedOrder,
 )
@@ -347,6 +348,23 @@ def check_measurement_count(n_measurements: int, n_points: int) -> None:
         raise MaskSetSizeError(
             f"{n_measurements} masks over {n_points} points would hold {n_measurements * n_points} "
             f"entries, above the cap of {ENTRY_CAP}; use fewer masks or a coarser target grid"
+        )
+
+
+def check_realizable(n_points: int) -> None:
+    """Reject a target of one or two points for synthesis (:class:`MalformedConfig`).
+
+    Its design has a row that is zero at every point: row J - 1, J the
+    smallest power of two above the point count, as points 1 and 2 take
+    columns 1 and 2, where H[J - 1, j] = -1 (row 1 of J = 2, row 3 of
+    J = 4). No coefficient profile realizes a zero mask. From three points
+    on, column 3 is +1 wherever columns 1 and 2 are -1, so no row is zero.
+    """
+    if n_points <= 2:
+        raise MalformedConfig(
+            f"a target of {n_points} sample point{'s' if n_points > 1 else ''} cannot be synthesized: "
+            f"design row {(1 << n_points.bit_length()) - 1} is zero at every point, and no profile "
+            "realizes it; use ideal masks or at least 3 target points"
         )
 
 

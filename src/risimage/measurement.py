@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,16 +82,31 @@ class Measurements:
 
     ``noisy`` holds detected magnitudes (float) for plane targets and complex
     fields for volume targets; ``noiseless`` is always the complex field.
-    Every row shares ``noise_variance`` and the noise stream key ``seed``.
+    Every row shares ``noise_variance`` and the noise stream key ``seed``. A
+    stack of sets measured from the same fields (:func:`stack`) has a
+    leading set axis on ``noisy``, and a tuple of each set's variance and
+    seed.
     """
 
     noiseless: np.ndarray  # (I,) complex128
-    noisy: np.ndarray  # (I,) float64 or complex128
-    noise_variance: float
-    seed: int
+    noisy: np.ndarray  # (I,) or (P, I), float64 or complex128
+    noise_variance: float | tuple[float, ...]
+    seed: int | tuple[int, ...]
 
     def __len__(self) -> int:
-        return self.noisy.shape[0]
+        """Measurements per set."""
+        return self.noisy.shape[-1]
+
+
+def stack(sets: Sequence[Measurements]) -> Measurements:
+    """Measurement sets taken from the same noiseless fields as one stack,
+    which a reconstruction estimates a row per set."""
+    return Measurements(
+        noiseless=sets[0].noiseless,
+        noisy=np.stack([meas.noisy for meas in sets]),
+        noise_variance=tuple(meas.noise_variance for meas in sets),
+        seed=tuple(meas.seed for meas in sets),
+    )
 
 
 def noise_variance(noiseless_fields: np.ndarray, snr_db: float) -> float:

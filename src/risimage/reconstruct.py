@@ -29,9 +29,13 @@ _FLAG_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Estimated target grid plus the mask variance and flags behind it."""
+    """Estimated target grid plus the mask variance and flags behind it.
 
-    estimate: np.ndarray  # (M,) float (plane) or complex (volume)
+    ``estimate`` has a row per measurement set of a stack (:func:`_correlate`),
+    which share the flags and variance of their one mask set.
+    """
+
+    estimate: np.ndarray  # (M,) or (P, M), float (plane) or complex (volume)
     c_values: np.ndarray  # (M,) empirical mask variance used
     flagged: np.ndarray  # (M,) bool, True where unreconstructable
 
@@ -54,24 +58,31 @@ def _correlate(
     """estimate_m = sum_i (v_i - <v>) u_i(m) / (I c_m scale_m) from the
     ``kind`` masks' moments, zero where the mask variance is zero.
 
-    The moments hold the R distinct rows of the set, whose row i is row
-    i mod R, so the centred measurements are folded onto them first and the
-    product runs over R rows: sum_r (sum_k (v_{r+kR} - <v>)) u_r(m).
+    ``values`` is one set of I measurements, or a (P, I) stack of P sets
+    taken through the same masks, estimated row by row: the moments, flags
+    and denominator are formed once for the stack, and each row is centred
+    and folded along its own axis. The moments hold the R distinct rows of
+    the set, whose row i is row i mod R, so the centred measurements are
+    folded onto them first and the product runs over R rows:
+    sum_r (sum_k (v_{r+kR} - <v>)) u_r(m). Each row's product is its own
+    matrix-vector product, so a row of a stack sums in the order of a set
+    estimated alone.
     """
     if masks.kind != kind:
         raise KindMismatch(f"expected {kind} masks, got {masks.kind}")
-    if len(values) != masks.count:
-        raise DimensionMismatch(f"{len(values)} measurements for {masks.count} masks")
+    count = values.shape[-1]
+    if count != masks.count:
+        raise DimensionMismatch(f"{count} measurements for {masks.count} masks")
     vectors, c_values, power = masks.moments
     flagged = zero_variance_flags(c_values, power)
-    centred = values - values.mean()
-    if len(vectors) < len(centred):
-        centred = centred.reshape(-1, len(vectors)).sum(axis=0)
-    numerator = centred @ vectors
-    estimate = np.zeros(masks.points, dtype=numerator.dtype)
+    centred = values - values.mean(axis=-1, keepdims=True)
+    if len(vectors) < count:
+        centred = centred.reshape(*values.shape[:-1], -1, len(vectors)).sum(axis=-2)
     live = ~flagged
-    denominator = len(values) * c_values * scale
-    estimate[live] = numerator[live] / denominator[live]
+    denominator = (count * c_values * scale)[live]
+    estimate = np.zeros(values.shape[:-1] + (masks.points,), dtype=np.result_type(centred, vectors))
+    for row, out in zip(centred.reshape(-1, len(vectors)), estimate.reshape(-1, masks.points)):
+        out[live] = (row @ vectors)[live] / denominator
     return ReconstructionResult(estimate=estimate, c_values=c_values, flagged=flagged)
 
 
@@ -83,10 +94,11 @@ def reconstruct_2d(
     """Recover a plane target's coverage map from detected magnitudes.
 
     estimate_m = sum_i (|E_i| - <|E|>) u_i(m) / (I c_m |K_m|) with u the mask
-    amplitudes. Invariant under adding a constant to every measurement and
-    under positive rescaling of all masks (the scaling cancels against c).
-    Raises :class:`KindMismatch` for complex records, which a volume's
-    measurement keeps.
+    amplitudes; a stack of measurement sets (:func:`measurement.stack`)
+    gives one estimate row per set. Invariant under adding a constant to
+    every measurement and under positive rescaling of all masks (the scaling
+    cancels against c). Raises :class:`KindMismatch` for complex records,
+    which a volume's measurement keeps.
     """
     if np.iscomplexobj(meas.noisy):
         raise KindMismatch("plane reconstruction needs detected magnitudes, got complex fields")
@@ -105,11 +117,11 @@ def reconstruct_3d(
 ) -> ReconstructionResult:
     """Recover a volume target's complex contrast from complex fields.
 
-    estimate_m = sum_i (E_i - <E>) B_i(m) / (I c_m k^2), plain products.
-    Raises :class:`KindMismatch` for real records, which a plane's
-    measurement detects, :class:`DimensionMismatch` unless the masks
-    cover the scene's voxels, and :class:`WavenumberOverflow` when the
-    scene's k^2 overflows.
+    estimate_m = sum_i (E_i - <E>) B_i(m) / (I c_m k^2), plain products; a
+    stack of measurement sets gives one estimate row per set. Raises
+    :class:`KindMismatch` for real records, which a plane's measurement
+    detects, :class:`DimensionMismatch` unless the masks cover the scene's
+    voxels, and :class:`WavenumberOverflow` when the scene's k^2 overflows.
     """
     if not np.iscomplexobj(meas.noisy):
         raise KindMismatch("volume reconstruction needs complex fields, got detected magnitudes")

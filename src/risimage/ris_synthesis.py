@@ -1041,6 +1041,7 @@ def write_synthesis_summary(
         f"sector[{k}] = {s.u.shape[0]}x{block.shape[1]} retained={s.retained}"
         for k, (s, block) in enumerate(zip(inv.sectors, inv._blocks()))
     )
-    lines.extend(f"solution_norm[{i}] = {norm!r}" for i, norm in enumerate(realized.solution_norms))
+    # Python floats, whose repr is a bare number under every numpy version
+    lines.extend(f"solution_norm[{i}] = {norm!r}" for i, norm in enumerate(realized.solution_norms.tolist()))
     with text_file_writer(path) as fh:
         fh.write("\n".join(lines) + "\n")

@@ -1,9 +1,10 @@
 """Experiment orchestration: plans, sweeps, caching, and run-directory output.
 
 A plan expands into the Cartesian product of target distances, measurement
-counts, and SNR settings, run one point at a time in that nesting order: a
-distance builds its kernel and regularized inverse once, its mask counts share
-one mask set, and the SNR points, which differ only in noise, reuse them.
+counts, and SNR settings, run in that nesting order: a distance builds its
+kernel and regularized inverse once, its mask counts share one mask set, and
+the SNR points, which differ only in noise, reuse them and are reconstructed
+together, as one stack of their measurements.
 Everything derived from the plan seed is deterministic: re-running a plan
 reproduces the metrics CSV byte for byte (wall-clock timings therefore live
 in a separate file).
@@ -90,11 +91,14 @@ class ExperimentPlan:
     def resolved_z_values(self) -> tuple[float, ...]:
         return self.z_values if self.z_values else (self.scene.target_distance,)
 
-    def validate(self) -> None:
+    def validate(self, synthesis: bool | None = None) -> None:
         """Reject every bad plan value before anything runs. Without
         ``z_values`` the scene is validated whole at its own distance; with
         them, the bounds that depend on the target distance are checked per
-        point, so a swept distance outside them fails only its own points."""
+        point, so a swept distance outside them fails only its own points.
+        ``synthesis`` says whether masks are to be realized, by default
+        unless ``ideal_masks``: a target too small to realize any design
+        (``mask_design.check_realizable``) is then rejected too."""
         if self.z_values:
             check_scene_dimensions(self.scene)
             for z_prime in self.z_values:
@@ -107,6 +111,10 @@ class ExperimentPlan:
         # this same rule at every point
         for count in self.i_values:
             mask_design.check_measurement_count(count, self.scene.n_target)
+        if synthesis is None:
+            synthesis = not self.ideal_masks
+        if synthesis:
+            mask_design.check_realizable(self.scene.n_target)
         if not self.snr_values:
             raise MalformedConfig("snr_values must be nonempty")
         # every sweep point draws its noise from its own stream, seed + index
@@ -302,25 +310,37 @@ def export_synthesis(
     return realized
 
 
+def _estimates(scene: ValidatedScene, grids: SampleGrids, psf, meas, masks: MaskSet) -> np.ndarray:
+    """Reconstruct ``meas``, one measurement set or a stack of them
+    (``measurement.stack``), by the scene's kind (``psf`` is the plane PSF,
+    ``None`` for a volume), and remove the cell measure: an estimate row per
+    set."""
+    if scene.is_3d:
+        result = reconstruct.reconstruct_3d(scene, meas, masks)
+    else:
+        result = reconstruct.reconstruct_2d(meas, masks, psf)
+    # Remove the known physical cell measure before any calibration.
+    return result.estimate / grids.target_cell_measure
+
+
+def _calibrated(estimate: np.ndarray, calibration: str, truth: np.ndarray) -> tuple[np.ndarray, float]:
+    calibrated = reconstruct.calibrate_estimate(estimate, calibration, truth)
+    return calibrated, reconstruct.nmse(truth, calibrated)
+
+
 def score(
     scene: ValidatedScene, grids: SampleGrids, psf, meas, masks: MaskSet, calibration: str, truth: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Reconstruct ``meas`` by the scene's kind (``psf`` is the plane PSF,
     ``None`` for a volume), remove the cell measure, calibrate against
     ``truth`` and return the calibrated estimate and its NMSE."""
-    if scene.is_3d:
-        result = reconstruct.reconstruct_3d(scene, meas, masks)
-    else:
-        result = reconstruct.reconstruct_2d(meas, masks, psf)
-    # Remove the known physical cell measure before any calibration.
-    scaled = result.estimate / grids.target_cell_measure
-    calibrated = reconstruct.calibrate_estimate(scaled, calibration, truth)
-    return calibrated, reconstruct.nmse(truth, calibrated)
+    return _calibrated(_estimates(scene, grids, psf, meas, masks), calibration, truth)
 
 
-def _score_point(
+def _score_group(
     plan: ExperimentPlan,
-    point: PointResult,
+    group: list[PointResult],
+    lap: Callable[[], float],
     scene: ValidatedScene,
     grids: SampleGrids,
     target: TargetModel,
@@ -329,26 +349,72 @@ def _score_point(
     inv: ris_synthesis.RegularizedInverse | None,
     noiseless: np.ndarray,
 ) -> None:
-    """Measure ``masks``, whose ``noiseless`` receiver fields the group shares,
-    then reconstruct and score one point and write its estimate images."""
-    try:
-        meas = measurement.measure(
-            noiseless,
-            masks.kind,
-            point.snr_db,
-            point.seed,
-            noise_mode=plan.noise_mode,
-            n0_dbm_per_hz=plan.n0_dbm_per_hz,
-            bandwidth_hz=plan.bandwidth_hz,
-        )
-        calibrated, point.nmse = score(scene, grids, psf, meas, masks, plan.calibration, target.values)
-    except ImagingError as exc:
-        point.error = _error_text(exc)
+    """Score the points of one distance and mask count, whose ``masks`` and
+    ``noiseless`` receiver fields they share.
+
+    Each point is measured from its own noise stream, the stack of their
+    measurements is reconstructed in one pass, and each row is then
+    calibrated and scored as :func:`score` would a point alone, and its
+    estimate images written. An error of one point's measurement or score
+    (a :class:`NonFiniteScore`, say) fails that point; one of the
+    reconstruction fails every point of the stack. Each point's
+    ``wall_ms`` gains its own measure, score and images, and the group's
+    first point the shared reconstruction (``lap()`` gives the
+    milliseconds since its last call).
+    """
+    measured = []
+    for point in group:
+        try:
+            meas = measurement.measure(
+                noiseless,
+                masks.kind,
+                point.snr_db,
+                point.seed,
+                noise_mode=plan.noise_mode,
+                n0_dbm_per_hz=plan.n0_dbm_per_hz,
+                bandwidth_hz=plan.bandwidth_hz,
+            )
+        except ImagingError as exc:
+            point.error = _error_text(exc)
+        else:
+            measured.append((point, meas))
+        point.wall_ms += lap()
+    if not measured:
         return
-    point.retained_rank = inv.retained_rank if inv is not None else None
-    write_estimate_images(
-        Path(plan.output_dir) / f"estimate_{point.index:03d}.pgm", calibrated, target.grid_shape
-    )
+    points, sets = zip(*measured)
+    try:
+        estimates = _estimates(scene, grids, psf, measurement.stack(sets), masks)
+    except ImagingError as exc:
+        for point in points:
+            point.error = _error_text(exc)
+        return
+    finally:
+        group[0].wall_ms += lap()
+    for point, estimate in zip(points, estimates):
+        try:
+            calibrated, point.nmse = _calibrated(estimate, plan.calibration, target.values)
+        except ImagingError as exc:
+            point.error = _error_text(exc)
+        else:
+            point.retained_rank = inv.retained_rank if inv is not None else None
+            write_estimate_images(
+                Path(plan.output_dir) / f"estimate_{point.index:03d}.pgm", calibrated, target.grid_shape
+            )
+        point.wall_ms += lap()
+
+
+def _stopwatch() -> Callable[[], float]:
+    """A lap timer: each call returns the milliseconds since the one before
+    (or since the timer was made)."""
+    last = time.perf_counter()
+
+    def lap() -> float:
+        nonlocal last
+        now = time.perf_counter()
+        elapsed, last = (now - last) * 1000.0, now
+        return elapsed
+
+    return lap
 
 
 def plan_points(plan: ExperimentPlan) -> list[PointResult]:
@@ -388,16 +454,15 @@ def run_plan(plan: ExperimentPlan) -> RunResult:
         (run_dir / "artifacts").mkdir(exist_ok=True)
 
     result = RunResult(run_dir=run_dir, points=plan_points(plan), kernel_builds=0)
-    started = time.perf_counter()
+    lap = _stopwatch()
     for group, shared in _shared_builds(plan, result):
-        for point in group:
-            if isinstance(shared, ImagingError):
+        # a group's first point also waited for the builds its group shares
+        group[0].wall_ms += lap()
+        if isinstance(shared, ImagingError):
+            for point in group:
                 point.error = _error_text(shared)
-            else:
-                _score_point(plan, point, *shared)
-            # a group's first point also waited for the builds its group shares
-            now = time.perf_counter()
-            point.wall_ms, started = (now - started) * 1000.0, now
+        else:
+            _score_group(plan, group, lap, *shared)
         # drop this group's kernel and masks before the next group is built
         del shared
 

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 import weakref
 from pathlib import Path
@@ -25,10 +26,10 @@ from risimage import reconstruct as rc
 from risimage import ris_synthesis as rs
 from risimage import runner as rn
 from risimage import scene as sc
-from risimage.errors import ZeroSolution
+from risimage.errors import EmptySet, KindMismatch, ZeroSolution
 from risimage.targets import resolve_target, write_pgm
 
-from conftest import peak_traced_bytes
+from conftest import peak_traced_bytes, small_config, volume_config
 
 SCENE_TEXT = """
 wavelength = 0.01
@@ -93,6 +94,51 @@ class TestHelp:
         monkeypatch.setattr(shutil, "get_terminal_size", counted)
         cli.build_parser().parse_args(["sweep", "--plan", "plan.txt"])
         assert len(calls) == 1
+
+
+def parser_output(parser, argv, capsys):
+    """The exit code and the bytes of stdout and stderr of ``parser`` on ``argv``."""
+    with pytest.raises(SystemExit) as done:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return done.value.code, captured.out.encode(), captured.err.encode()
+
+
+class TestVerbParser:
+    """``main`` builds the subparser of the verb it is given alone."""
+
+    @pytest.mark.parametrize("verb", list(cli.VERBS))
+    def test_help_and_errors_match_the_full_parser(self, verb, capsys):
+        one = cli.build_parser(verb)
+        (subparsers,) = [action for action in one._actions if isinstance(action, argparse._SubParsersAction)]
+        assert list(subparsers.choices) == [verb]
+        # the verb's help, an option it lacks, and a bad value or an option it lacks
+        for argv in ([verb, "--help"], [verb, "--bogus", "1"], [verb, "-I", "x"]):
+            assert parser_output(one, argv, capsys) == parser_output(cli.build_parser(), argv, capsys)
+
+    def test_main_builds_only_the_verb_it_runs(self, scene_file, monkeypatch):
+        built = []
+
+        def recorded(verb=None, _original=cli.build_parser):
+            built.append(verb)
+            return _original(verb)
+
+        monkeypatch.setattr(cli, "build_parser", recorded)
+        assert cli.main(["validate", "--scene", str(scene_file)]) == 0
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        with pytest.raises(SystemExit):
+            cli.main(["bogus"])
+        assert built == ["validate", None, None]
+
+    @pytest.mark.parametrize("argv", [["bogus", "--scene", "s.cfg"], [], ["--scene", "s.cfg"]])
+    def test_an_unknown_or_missing_verb_fails_as_before(self, argv, capsys):
+        with pytest.raises(SystemExit) as done:
+            cli.main(argv)
+        assert done.value.code == 2
+        err = capsys.readouterr().err.encode()
+        assert (2, b"", err) == parser_output(cli.build_parser(), argv, capsys)
+        assert b"{validate,kernel,masks,synthesize,measure,reconstruct,run,sweep}" in err
 
 
 class TestValidateVerb:
@@ -580,17 +626,33 @@ class TestRunVerb:
         assert (dir_a / "metrics.csv").read_bytes() == (dir_b / "metrics.csv").read_bytes()
 
     @pytest.mark.parametrize("count", ["4", "8"])
-    def test_one_pixel_target_fails_on_its_zero_mask(self, scene_file, tmp_path, capsys, count):
-        # one point on Hadamard column 1 leaves a design of two distinct rows, the
-        # second all zero: no profile realizes it, whatever the mask count
-        one_pixel = ["--scene", str(scene_file), "--set", "n_target_x=1", "--set", "n_target_y=1", "-I", count]
-        zero_mask = "ZeroSolution: mask 1 lies outside the retained kernel range"
-        assert cli.main(["run", *one_pixel, "--output", str(tmp_path / "run")]) == 1
-        assert (tmp_path / "run" / "errors.log").read_text() == f"point 0: {zero_mask}\n"
-        assert cli.main(["synthesize", *one_pixel, "--output", str(tmp_path / "synth")]) == 2
-        assert f"error: {zero_mask}" in capsys.readouterr().err
-        assert cli.main(["run", *one_pixel, "--ideal-masks", "--output", str(tmp_path / "ideal")]) == 0
-        assert float(read_metrics(tmp_path / "ideal")[0]["nmse"]) == 0.0
+    @pytest.mark.parametrize("pixels, zero_row", [(1, 1), (2, 3)])
+    def test_one_or_two_pixel_target_is_rejected_before_any_build(
+        self, scene_file, tmp_path, capsys, count, pixels, zero_row
+    ):
+        # one point on Hadamard column 1 (two on columns 1 and 2) leaves a design row that
+        # is zero at every point, whatever the mask count: no profile realizes it
+        small = ["--scene", str(scene_file), "--set", f"n_target_x={pixels}", "--set", "n_target_y=1", "-I", count]
+        message = (
+            f"error: MalformedConfig: a target of {pixels} sample point{'s' if pixels > 1 else ''} cannot be "
+            f"synthesized: design row {zero_row} is zero at every point, and no profile realizes it; "
+            "use ideal masks or at least 3 target points\n"
+        )
+        for verb in ("run", "synthesize", "measure"):
+            assert cli.main([verb, *small, "--output", str(tmp_path / verb)]) == 2
+            assert capsys.readouterr().err == message
+            assert not (tmp_path / verb).exists()
+        # the ideal masks need no synthesis
+        assert cli.main(["masks", *small, "--output", str(tmp_path / "masks.bin")]) == 0
+        assert cli.main(["measure", *small, "--ideal-masks", "--output", str(tmp_path / "records.csv")]) == 0
+        assert cli.main(["run", *small, "--ideal-masks", "--output", str(tmp_path / "ideal")]) == 0
+        nmse = float(read_metrics(tmp_path / "ideal")[0]["nmse"])
+        assert nmse == 0.0 if pixels == 1 else nmse < 1e-20
+
+    def test_three_pixel_target_is_synthesized(self, scene_file, tmp_path):
+        three = ["--scene", str(scene_file), "--set", "n_target_x=3", "--set", "n_target_y=1", "-I", "4"]
+        assert cli.main(["run", *three, "--output", str(tmp_path / "run")]) == 0
+        assert read_metrics(tmp_path / "run")[0]["nmse"] != ""
 
 
 class TestSweepVerb:
@@ -1386,14 +1448,14 @@ class TestRunnerInternals:
     @pytest.mark.parametrize("keep_artifacts", [False, True], ids=["plain", "artifacts"])
     def test_scored_plane_set_holds_only_its_magnitudes(self, scene_file, tmp_path, monkeypatch, keep_artifacts):
         # the fields, the export and the summary read the realized masks in their
-        # realization pass, so the set every point scores holds no complex array
+        # realization pass, so the set the points are reconstructed from holds no complex array
         scored = []
 
-        def recorded(*args, _original=rn.score):
-            scored.append(args[4])
-            return _original(*args)
+        def recorded(meas, masks, psf, _original=rc.reconstruct_2d):
+            scored.append((meas.noisy.shape, masks))
+            return _original(meas, masks, psf)
 
-        monkeypatch.setattr(rn, "score", recorded)
+        monkeypatch.setattr(rc, "reconstruct_2d", recorded)
         plan = rn.ExperimentPlan(
             scene=sc.load_scene_config(scene_file),
             i_values=(128,),
@@ -1402,8 +1464,9 @@ class TestRunnerInternals:
             output_dir=str(tmp_path / "run"),
         )
         assert all(p.error is None for p in rn.run_plan(plan).points)
-        assert len(scored) == 2 and scored[0] is scored[1]
-        masks = scored[0]
+        # both SNR points are reconstructed in one pass, as a stack of their two sets
+        ((shape, masks),) = scored
+        assert shape == (2, 128)
         held = [v for v in vars(masks).values() if isinstance(v, np.ndarray)]
         held += list(masks.moments)
         assert masks.magnitudes_only and not any(np.iscomplexobj(v) for v in held)
@@ -1763,6 +1826,123 @@ class TestRunnerInternals:
         assert cli.main(argv) == 0
         (inv,) = inverses
         assert [s.block is not None for s in inv.sectors] == [blocks] * 4
+
+
+def scored_alone(plan, out_dir):
+    """Each point of ``plan`` measured and scored alone, by one-row
+    ``measurement.measure`` and ``runner.score``, its images written to
+    ``out_dir``: {index: nmse}."""
+    out_dir.mkdir()
+    result = rn.RunResult(run_dir=out_dir, points=rn.plan_points(plan), kernel_builds=0)
+    scores = {}
+    for group, (scene, grids, target, psf, masks, _inv, noiseless) in rn._shared_builds(plan, result):
+        for point in group:
+            meas = ms.measure(noiseless, masks.kind, point.snr_db, point.seed, noise_mode=plan.noise_mode)
+            calibrated, scores[point.index] = rn.score(scene, grids, psf, meas, masks, plan.calibration, target.values)
+            rn.write_estimate_images(out_dir / f"estimate_{point.index:03d}.pgm", calibrated, target.grid_shape)
+    return scores
+
+
+def estimate_files(run_dir):
+    return {p.name: p.read_bytes() for p in sorted(Path(run_dir).glob("estimate_*.pgm"))}
+
+
+class TestGroupScoring:
+    """The SNR points of one distance and mask count are reconstructed as one stack."""
+
+    # 8 x 8 plane pixels and 2 x 2 x 2 voxels; the larger mask count folds 4 periods of
+    # distinct rows, the smaller none
+    PLANS = {
+        "plane": dict(scene=small_config(), i_values=(64, 512)),
+        "volume": dict(scene=volume_config(), i_values=(16, 64)),
+    }
+
+    @pytest.mark.parametrize("calibration", ["max1", "lsq", "none"])
+    @pytest.mark.parametrize("kind", ["plane", "volume"])
+    def test_every_point_scores_as_it_would_alone(self, tmp_path, kind, calibration):
+        plan = rn.ExperimentPlan(
+            **self.PLANS[kind],
+            snr_values=(None, 0.0, 10.0, 20.0, 40.0),
+            calibration=calibration,
+            seed=5,
+            output_dir=str(tmp_path / "run"),
+        )
+        reconstructed = []
+        with pytest.MonkeyPatch.context() as patch:
+            name = "reconstruct_3d" if kind == "volume" else "reconstruct_2d"
+
+            def counted(*args, _original=getattr(rc, name)):
+                reconstructed.append(args)
+                return _original(*args)
+
+            patch.setattr(rc, name, counted)
+            result = rn.run_plan(plan)
+        assert len(reconstructed) == 2  # one pass per mask count
+        alone = scored_alone(plan, tmp_path / "alone")
+        assert [p.error for p in result.points] == [None] * 10
+        assert [p.nmse for p in result.points] == [alone[p.index] for p in result.points]
+        assert estimate_files(tmp_path / "run") == estimate_files(tmp_path / "alone")
+        assert len(estimate_files(tmp_path / "run")) == 10 * (1 if kind == "plane" else 4)
+
+    def test_an_overflowing_score_fails_only_its_point(self, tmp_path):
+        # uncalibrated, noise at -3070 dB scales that point's estimate until its squared error overflows
+        plan = rn.ExperimentPlan(
+            scene=small_config(),
+            i_values=(128,),
+            snr_values=(None, 20.0, -3070.0, 10.0),
+            calibration="none",
+            output_dir=str(tmp_path / "run"),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = rn.run_plan(plan)
+        errors = [p.error for p in result.points]
+        assert errors[2].startswith("NonFiniteScore: ") and errors[:2] + errors[3:] == [None] * 3
+        alone = scored_alone(dataclasses.replace(plan, snr_values=(None, 20.0, -3060.0, 10.0)), tmp_path / "alone")
+        assert [result.points[i].nmse for i in (0, 1, 3)] == [alone[i] for i in (0, 1, 3)]
+        assert sorted(estimate_files(tmp_path / "run")) == ["estimate_000.pgm", "estimate_001.pgm", "estimate_003.pgm"]
+        assert (tmp_path / "run" / "errors.log").read_text() == f"point 2: {errors[2]}\n"
+
+    def test_a_failed_measurement_leaves_the_rest_of_its_group(self, tmp_path, monkeypatch):
+        plan = rn.ExperimentPlan(
+            scene=small_config(), i_values=(128,), snr_values=(None, 20.0, 10.0), output_dir=str(tmp_path / "run")
+        )
+        alone = scored_alone(plan, tmp_path / "alone")
+
+        def failing(fields, kind, snr_db, seed, _original=ms.measure, **options):
+            if snr_db == 20.0:
+                raise EmptySet("no records")
+            return _original(fields, kind, snr_db, seed, **options)
+
+        monkeypatch.setattr(ms, "measure", failing)
+        result = rn.run_plan(plan)
+        assert [p.error for p in result.points] == [None, "EmptySet: no records", None]
+        assert [result.points[i].nmse for i in (0, 2)] == [alone[0], alone[2]]
+
+    def test_a_failed_reconstruction_fails_its_whole_group(self, tmp_path, monkeypatch):
+        def failing(meas, masks, psf):
+            raise KindMismatch(f"{len(meas.noisy)} sets")
+
+        monkeypatch.setattr(rc, "reconstruct_2d", failing)
+        plan = rn.ExperimentPlan(
+            scene=small_config(), i_values=(64, 128), snr_values=(None, 20.0, 10.0), output_dir=str(tmp_path / "run")
+        )
+        result = rn.run_plan(plan)
+        assert [p.error for p in result.points] == ["KindMismatch: 3 sets"] * 6
+        assert all(p.nmse is None and p.retained_rank is None for p in result.points)
+        assert estimate_files(tmp_path / "run") == {}
+
+    def test_each_point_books_its_own_work(self, tmp_path):
+        plan = rn.ExperimentPlan(
+            scene=small_config(), i_values=(128,), snr_values=(None, 20.0, 10.0), output_dir=str(tmp_path / "run")
+        )
+        started = time.perf_counter()
+        result = rn.run_plan(plan)
+        total_ms = (time.perf_counter() - started) * 1000.0
+        walls = [p.wall_ms for p in result.points]
+        # the first point also waited for the kernel, the inverse, the masks and the reconstruction
+        assert all(wall > 0.0 for wall in walls) and walls[0] > max(walls[1:])
+        assert sum(walls) <= total_ms
 
 
 class TestVolumeRun:

@@ -449,6 +449,44 @@ def test_stored_rows_match_the_two_dimensional_gather_index(request, monkeypatch
     np.testing.assert_array_equal(em.assemble_kernel(scene, grids).stored, stored)
 
 
+def signed_offsets(dx, dy):
+    """The expansion of tables evaluated on the signed offsets themselves: each
+    offset its own entry, none negated."""
+    unsigned = (np.zeros((1, dx.size), dtype=bool), np.zeros((dy.size, 1), dtype=bool))
+    return dx, dy, np.arange(dx.size * dy.size), unsigned
+
+
+@pytest.mark.parametrize(
+    "name", ["desk_scene", "volume_scene", "skewed_plane_scene", "skewed_volume_scene", *GATHER_CONFIGS]
+)
+def test_tables_on_offset_magnitudes_keep_the_signed_bits(request, monkeypatch, name):
+    # even tables read an offset through its square and odd ones through products with
+    # it, so their parity signs expand the magnitudes' tables exactly, signed zeros too
+    if name in GATHER_CONFIGS:
+        scene = sc.validate_scene(GATHER_CONFIGS[name]())
+        grids = sc.sample_grids(scene)
+    else:
+        scene, grids = request.getfixturevalue(name)
+    stored = em.assemble_kernel(scene, grids).stored
+    monkeypatch.setattr(em, "_magnitude_expansion", signed_offsets)
+    assert em.assemble_kernel(scene, grids).stored.tobytes() == stored.tobytes()
+
+
+def test_magnitude_expansion_negates_by_parity():
+    dx, dy = np.array([-2.0, -0.0, 0.0, 2.0, 3.0]), np.array([-1.0, 1.0])
+    x_magnitudes, y_magnitudes, expand, signs = em._magnitude_expansion(dx, dy)
+    assert x_magnitudes.tolist() == [0.0, 2.0, 3.0] and y_magnitudes.tolist() == [1.0]
+    table = (x_magnitudes[None, :] + 10.0 * y_magnitudes[:, None] + 1j).reshape(-1)
+    # negated where dx is negative (-0.0 too) under an odd x parity, where dy is under an odd y parity
+    x_negative, y_negative = np.array([[1, 1, 0, 0, 0]], dtype=bool), np.array([[1], [0]], dtype=bool)
+    for px, py in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        signed = em._expand_table(table, expand, signs, (px, py)).reshape(2, 5)
+        expected = np.broadcast_to(np.abs(dx)[None, :] + 10.0 + 1j, (2, 5)).copy()
+        negated = (x_negative & bool(px)) ^ (y_negative & bool(py))
+        expected[negated] = -expected[negated]
+        assert signed.tobytes() == expected.tobytes()
+
+
 def write_file(path, header, values):
     """A binary file whose body is the one array ``values``."""
     with em.complex_file_writer(path, header, values.shape) as write:

@@ -32,6 +32,8 @@ def test_two_runs_list_the_same_digests():
         "seed-3/steps-plane-odd/kernel.bin",
         "seed-3/steps-plane-odd/synth/profiles.bin",
         "seed-3/steps-plane-odd/ideal/metrics.csv",
+        "seed-3/volume-snr/metrics.csv",
+        "seed-3/volume-snr/estimate_002_slice3_im.pgm",
     ):
         assert expected in paths
     assert not any(path.endswith("timings.csv") for path in paths)

@@ -337,6 +337,47 @@ class TestFoldedCorrelation:
             rc._correlate(np.ones(4), periodic, md.KIND_MASK2D, 1.0)
 
 
+class TestStackedCorrelation:
+    """A (P, I) stack of measurement sets estimates each row with the bits of that set alone."""
+
+    @pytest.mark.parametrize("kind", [md.KIND_MASK2D, md.KIND_MASK3D])
+    @pytest.mark.parametrize("repeats", [1, 2, 8])
+    def test_rows_keep_the_bits_of_sets_alone(self, kind, repeats):
+        rng = np.random.default_rng(repeats)
+        rows = rng.uniform(0.1, 1.0, (32, 12))
+        noisy = rng.standard_normal((5, 32 * repeats)) + 5.0
+        if kind == md.KIND_MASK3D:
+            rows = rows * np.exp(1j * rng.uniform(0, 1, rows.shape))
+            noisy = noisy + 1j * rng.standard_normal(noisy.shape)
+        rows[:, 3] = 0.5  # a flagged point
+        masks = md.MaskSet(kind=kind, stored=rows, repeats=repeats)
+        scale = np.linspace(1.0, 2.0, 12)
+        stacked = rc._correlate(noisy, masks, kind, scale)
+        assert stacked.estimate.shape == (5, 12) and stacked.flagged.tolist() == [False] * 3 + [True] + [False] * 8
+        for row, values in zip(stacked.estimate, noisy):
+            alone = rc._correlate(values, masks, kind, scale)
+            assert alone.estimate.tobytes() == row.tobytes()
+            assert np.array_equal(alone.flagged, stacked.flagged)
+
+    def test_a_stack_of_measurements_reconstructs_per_set(self, small_scene):
+        scene, grids = small_scene
+        masks = md.ideal_masks(scene, grids, 128)
+        target = ms.make_target_2d(np.eye(8).reshape(-1), (8, 8))
+        fields = ms.noiseless_fields(scene, grids, masks, target)
+        sets = [ms.measure(fields, masks.kind, snr_db, seed) for seed, snr_db in enumerate((None, 0.0, 20.0))]
+        psf = em.psf_vector(scene, grids.target_points)
+        stack = ms.stack(sets)
+        assert stack.noisy.shape == (3, 128) and len(stack) == 128 and stack.seed == (0, 1, 2)
+        stacked = rc.reconstruct_2d(stack, masks, psf).estimate
+        for row, meas in zip(stacked, sets):
+            assert row.tobytes() == rc.reconstruct_2d(meas, masks, psf).estimate.tobytes()
+
+    def test_count_must_match_every_set(self):
+        masks = md.MaskSet(kind=md.KIND_MASK2D, stored=np.ones((4, 3)), repeats=2)
+        with pytest.raises(DimensionMismatch, match="4 measurements for 8 masks"):
+            rc._correlate(np.ones((3, 4)), masks, md.KIND_MASK2D, 1.0)
+
+
 class TestNmse:
     def test_perfect_estimate(self):
         t = np.array([1.0, 0.0, 2.0])

@@ -278,6 +278,22 @@ class TestSpectrum:
         assert f"retained_rank = {inv.retained_rank}" in text
         assert "solution_norm[0]" in text
 
+    def test_summary_values_are_plain_numbers(self, small_scene, tmp_path):
+        # every number reads back with float(), whatever the numpy version's scalar repr
+        scene, grids = small_scene
+        inv = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12)
+        masks = md.ideal_masks(scene, grids, 128)
+        misfit = rs.RealizedMisfit(inv, masks, 1.0)
+        realized = rs.realize_masks(inv, masks, 1.0, [misfit.add])
+        rs.write_synthesis_summary(tmp_path / "s.txt", inv, realized, misfit.values)
+        values = dict(line.split(" = ", 1) for line in (tmp_path / "s.txt").read_text().splitlines())
+        assert values.pop("truncation_mode") == inv.truncation_mode
+        sectors = [key for key in values if key.startswith("sector[")]
+        assert len(sectors) == len(inv.sectors) and all(values.pop(key).endswith("retained=16") for key in sectors)
+        numbers = {key: float(value) for key, value in values.items()}
+        norms = [numbers[f"solution_norm[{i}]"] for i in range(realized.count)]
+        assert norms == realized.solution_norms.tolist() and len(numbers) == 7 + realized.count
+
     def test_summary_lists_sector_sizes(self, small_scene, tmp_path):
         scene, grids = small_scene
         inv = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12)

@@ -10,7 +10,11 @@ For each seed, in this process through ``risimage.cli.main``:
   ``reconstruct``, and ``run --ideal-masks`` (into ``ideal/``), run on the
   desk scene and on the ``volume-zsweep`` scene, with the workload's noise
   seed, and on each scene's variant of odd counts (:data:`ODD_SCENES`, into
-  ``steps-plane-odd`` and ``steps-volume-odd``) with the same noise seed.
+  ``steps-plane-odd`` and ``steps-volume-odd``) with the same noise seed;
+* the ``volume-zsweep`` scene is swept at its own distance over the SNR
+  values none, 0 and 20 dB (into ``volume-snr``), so that one group of
+  volume points is reconstructed together, as the benchmark's volume
+  sweep, one point per distance, never does.
 
 Then ``sha256  path`` is printed for every output file, its path relative to
 the output directory, in sorted order. ``timings.csv`` holds wall times and is
@@ -69,6 +73,10 @@ def run_seed(cli, workloads, seed: int, inputs: Path, outputs: Path) -> None:
         plan, noise_seed = workloads.write_inputs(workload, seed, inputs / name, outputs / name)
         for _ in range(2):
             run(cli, ["sweep", "--plan", str(plan)])
+        if name == "volume-zsweep":
+            scene = ["--scene", str(plan.parent / "scene.txt"), "-I", str(workload.i_values[0])]
+            snr = ["--snr-sweep", "none,0,20", "--seed", str(noise_seed)]
+            run(cli, ["sweep", *scene, *snr, "--output", str(outputs / "volume-snr")])
         if name in ODD_SCENES:
             run_steps(cli, plan.parent / "scene.txt", noise_seed, outputs / f"steps-{name}")
             label, counts = ODD_SCENES[name]
