@@ -149,29 +149,26 @@ def cmd_kernel(args) -> int:
     grids = sample_grids(scene)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    if out.exists() and not args.force:
-        # a hit is checked by the file's header and size: the body is not read
-        kind, symmetry = em_core.check_kernel_file(out, scene, grids)
-        print(f"cache hit: {out} ({_kernel_label(kind, (scene.n_target, scene.n_ris), symmetry)})")
-        return 0
-    # the stored rows go to the file as they are assembled, so the kernel never exists whole
+    # the stored rows go to the file as they are assembled, so the kernel never
+    # exists whole; the file replaces any old one once the last row is written
     kernel = em_core.kernel_stream(scene, grids).saved_to(out)
     for _ in kernel.blocks:
         pass
-    print(f"assembled {_kernel_label(kernel.kind, kernel.shape, kernel.symmetry)} kernel -> {out}")
+    print(f"assembled {_kernel_label(kernel)} kernel -> {out}")
     return 0
 
 
-def _kernel_label(kind: str, shape: tuple[int, int], symmetry: em_core.MirrorSymmetry | None) -> str:
+def _kernel_label(kernel: em_core.KernelStream) -> str:
     """Kind and shape, marked when synthesis can split a plane kernel into
     mirror sectors, and when it can split them further under the x <-> y swap."""
+    symmetry = kernel.symmetry
     if symmetry is None or symmetry.weights is not None:
         marked = ""
     elif symmetry.swap:
         marked = ", mirror- and swap-symmetric"
     else:
         marked = ", mirror-symmetric"
-    return f"{kind} {shape[0]}x{shape[1]}{marked}"
+    return f"{kernel.kind} {kernel.shape[0]}x{kernel.shape[1]}{marked}"
 
 
 def cmd_masks(args) -> int:
@@ -202,7 +199,7 @@ def cmd_synthesize(args) -> int:
     out_dir = Path(plan.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     fp = scene.fingerprint
-    realized = export_synthesis(out_dir, "", fp, inv, ideal, scene.config.amplification)
+    realized = export_synthesis(out_dir, [(ideal.count, "")], fp, inv, ideal, scene.config.amplification)
     mask_design.save_mask_vectors(out_dir / "masks_ideal.bin", ideal, fp)
     print(
         f"synthesized {realized.count} profiles (retained rank {inv.retained_rank}, "
@@ -318,8 +315,7 @@ def cmd_sweep(args) -> int:
 
 def _kernel_options(parser: argparse.ArgumentParser) -> None:
     _add_scene_options(parser)
-    parser.add_argument("--output", required=True, help="kernel cache file")
-    parser.add_argument("--force", action="store_true", help="reassemble even if cached")
+    parser.add_argument("--output", required=True, help="kernel export file")
 
 
 def _step_options(parser: argparse.ArgumentParser) -> None:
@@ -345,7 +341,7 @@ def _sweep_options(parser: argparse.ArgumentParser) -> None:
 # verb -> (help, adds the verb's options, runs it), in help order
 VERBS = {
     "validate": ("check scene invariants and report resolution", _add_scene_options, cmd_validate),
-    "kernel": ("assemble the propagation kernel and cache it", _kernel_options, cmd_kernel),
+    "kernel": ("assemble the propagation kernel and export it", _kernel_options, cmd_kernel),
     "masks": ("design ideal masks and export them", _step_options, cmd_masks),
     "synthesize": ("compute coefficient profiles realizing the masks", _step_options, cmd_synthesize),
     "measure": ("simulate noisy measurements to CSV", _step_options, cmd_measure),

@@ -561,7 +561,7 @@ def assemble_kernel(scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
     return kernel_stream(scene, grids).collect()
 
 
-# --- disk cache ---------------------------------------------------------------
+# --- binary files -------------------------------------------------------------
 #
 # One ASCII header line of key=value pairs ("kind=<kind> m=<M> n=<N>
 # fingerprint=<hex>\n" for kernels) followed by row-major little-endian
@@ -602,8 +602,8 @@ def complex_file_writer(
     written without it; any other :class:`OSError` from the allocation, such
     as a full disk, fails the write like any other. Without that writeback a
     crash can leave the renamed file at its full length with a body of
-    zeros, so a file whose length is its only check, the kernel cache, is
-    not preallocated.
+    zeros, so a kernel export, whose length is all :func:`load_kernel`
+    checks of its body, is not preallocated.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -690,17 +690,16 @@ def read_complex_file(
     path: str | Path,
     shape_keys: tuple[str, str],
     body_rows: int | None = None,
-    read_body: bool = True,
     expected: dict[str, str] | None = None,
-) -> tuple[str, str, np.ndarray | None]:
+) -> tuple[str, str, np.ndarray]:
     """Read a file written by :func:`complex_file_writer`.
 
     The header is ``key=value`` pairs that include ``kind``, ``fingerprint``
     and the two integer dimensions named by ``shape_keys``; returns the kind,
     the fingerprint and the read-only (rows, cols) complex128 body. The body
     holds the header's rows, or ``body_rows`` rows when given, and the
-    header must hold the ``expected`` pairs. Without ``read_body``, the body's
-    length is checked but the body is not read, and None stands for it.
+    header must hold the ``expected`` pairs; both are checked before the
+    body is read.
     """
     try:
         fh = open(path, "rb")
@@ -725,29 +724,12 @@ def read_complex_file(
         for key, value in (expected or {}).items():
             if meta.get(key) != value:
                 raise CacheMismatch(f"header {header!r} of {path} does not give {key}={value}")
-        if not read_body:
-            return kind, fingerprint, None
         values = np.empty((rows, cols), dtype="<c16")
         if fh.readinto(values.reshape(-1).view(np.uint8)) != body_bytes:
             raise CacheMismatch(f"{path} changed while it was read")
     values = values.astype(np.complex128, copy=False)
     values.setflags(write=False)
     return kind, fingerprint, values
-
-
-def _kernel_file(
-    path: str | Path, scene: ValidatedScene, grids: SampleGrids, read_body: bool
-) -> tuple[str, np.ndarray | None, MirrorSymmetry]:
-    """The kind, the stored rows (None without ``read_body``) and the mirror
-    structure of ``scene``'s kernel in ``path``, checked as :func:`load_kernel` says."""
-    symmetry = _mirror_symmetry(scene, grids)
-    rows = _stored_rows(symmetry, scene.n_target)
-    kind, fp, stored = read_complex_file(path, ("m", "n"), rows, read_body, _table_count(symmetry))
-    if kind not in (KIND_Z2D, KIND_Y3D):
-        raise CacheMismatch(f"unknown kernel kind {kind!r}")
-    if fp != scene.fingerprint:
-        raise CacheMismatch(f"kernel cache fingerprint {fp} does not match the scene ({scene.fingerprint})")
-    return kind, stored, symmetry
 
 
 def load_kernel(path: str | Path, scene: ValidatedScene, grids: SampleGrids) -> KernelMatrix:
@@ -761,13 +743,11 @@ def load_kernel(path: str | Path, scene: ValidatedScene, grids: SampleGrids) -> 
     header's missing table count, before its body is read; the kernel comes
     back with its mirror structure.
     """
-    kind, stored, symmetry = _kernel_file(path, scene, grids, read_body=True)
+    symmetry = _mirror_symmetry(scene, grids)
+    rows = _stored_rows(symmetry, scene.n_target)
+    kind, fp, stored = read_complex_file(path, ("m", "n"), rows, _table_count(symmetry))
+    if kind not in (KIND_Z2D, KIND_Y3D):
+        raise CacheMismatch(f"unknown kernel kind {kind!r}")
+    if fp != scene.fingerprint:
+        raise CacheMismatch(f"kernel file fingerprint {fp} does not match the scene ({scene.fingerprint})")
     return KernelMatrix(stored=stored, kind=kind, fingerprint=scene.fingerprint, symmetry=symmetry)
-
-
-def check_kernel_file(path: str | Path, scene: ValidatedScene, grids: SampleGrids) -> tuple[str, MirrorSymmetry]:
-    """The kind and mirror structure of ``scene``'s kernel in ``path``, from
-    the file's header and size alone: the body is never read, and the file
-    is rejected as :func:`load_kernel` would reject it."""
-    kind, _, symmetry = _kernel_file(path, scene, grids, read_body=False)
-    return kind, symmetry

@@ -50,7 +50,7 @@ class MaskSetSizeError(ImagingError, MemoryError):
 
 
 class CacheMismatch(ImagingError, ValueError):
-    """A cached artifact does not belong to the requested scene."""
+    """A binary export is unreadable, truncated, or not of the requested scene."""
 
 
 class UnsupportedOrder(ImagingError, ValueError):

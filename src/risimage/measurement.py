@@ -297,8 +297,11 @@ def records_to_csv(path: str | Path, meas: Measurements) -> None:
     """RFC-4180 CSV; the noisy value is one column for magnitudes, two for fields.
 
     The ``sigma2`` and ``seed`` columns repeat the set-wide variance and
-    stream key on every row.
+    stream key on every row. A stack of sets (:func:`stack`) has no such
+    columns: it raises :class:`DimensionMismatch` before ``path`` is touched.
     """
+    if meas.noisy.ndim != 1:
+        raise DimensionMismatch(f"records hold one measurement set, not a stack of {len(meas.noisy)}")
     variance = repr(meas.noise_variance)
     with text_file_writer(path, newline="") as fh:
         writer = csv.writer(fh)

@@ -1,4 +1,4 @@
-"""Experiment orchestration: plans, sweeps, caching, and run-directory output.
+"""Experiment orchestration: plans, sweeps, and run-directory output.
 
 A plan expands into the Cartesian product of target distances, measurement
 counts, and SNR settings, run in that nesting order: a distance builds its
@@ -16,6 +16,7 @@ import csv
 import os
 import time
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from itertools import groupby
 from operator import attrgetter
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import em_core, mask_design, measurement, reconstruct, ris_synthesis
-from .errors import CacheMismatch, ImagingError, MalformedConfig, ZeroSolution
+from .errors import ImagingError, MalformedConfig, ZeroSolution
 from .mask_design import MaskSet
 from .measurement import TargetModel
 from .scene import (
@@ -159,30 +160,6 @@ def _error_text(exc: ImagingError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _load_or_build_kernel(
-    scene: ValidatedScene, grids: SampleGrids, cache_dir: Path | None
-) -> tuple[em_core.KernelMatrix | em_core.KernelStream, bool]:
-    """The scene's kernel from the disk cache, or a fresh build, and whether it was built.
-
-    A build is the stream of the kernel's stored rows, which the inverse
-    takes as they are assembled, so the kernel never exists whole; with a
-    cache directory, the stream writes its rows to the cache file as they are
-    drawn. A cache file that does not load (truncated, stale, or another
-    scene's) is rebuilt and rewritten rather than failing the point.
-    """
-    cache_file = cache_dir / f"kernel_{scene.fingerprint[:16]}.bin" if cache_dir else None
-    if cache_file is not None and cache_file.exists():
-        try:
-            return em_core.load_kernel(cache_file, scene, grids), False
-        except CacheMismatch:
-            pass  # rebuilt and rewritten below
-    kernel = em_core.kernel_stream(scene, grids)
-    if cache_file is not None:
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
-        kernel = kernel.saved_to(cache_file)
-    return kernel, True
-
-
 def _shared_builds(
     plan: ExperimentPlan, result: RunResult
 ) -> Iterator[tuple[list[PointResult], tuple | ImagingError]]:
@@ -191,8 +168,10 @@ def _shared_builds(
     Yields ``(group, shared)`` in plan order, where ``shared`` is
     ``(scene, grids, target, psf, masks, inv, noiseless)`` or the error that
     stopped one of those builds. A distance's scene, grids, target and PSF
-    are built once, its kernel and regularized inverse once, at the first
-    mask count that needs them.
+    are built once, and its kernel and regularized inverse once, at the
+    first mask count that needs them: the inverse is decomposed from the
+    stream of the kernel's rows as they are assembled, so the kernel never
+    exists whole.
 
     A design's rows repeat (``mask_design.distinct_row_count``), so the mask
     counts at a distance share one mask set, built for the largest of them
@@ -203,12 +182,11 @@ def _shared_builds(
     (``MaskSet.moments``). A realization that fails with
     :class:`ZeroSolution` at mask r fails only the counts above r: the
     largest count up to r is built alone for the rest. Under
-    ``keep_artifacts`` each count builds its own set, as its exports are
-    readers of that realization pass (:func:`export_synthesis`); otherwise
-    the inverse drops its sector blocks once it is built, since realizing
+    ``keep_artifacts`` every count's exports read that one realization pass
+    (:func:`export_synthesis`), which needs the inverse's sector blocks;
+    otherwise the inverse drops them once it is built, since realizing
     masks reads only its target-side factors.
     """
-    cache_dir = result.run_dir / "kernels" if plan.keep_artifacts else None
     artifact_dir = result.run_dir / "artifacts" if plan.keep_artifacts else None
     for z_prime, at_distance in groupby(result.points, key=attrgetter("z_prime")):
         at_distance = list(at_distance)
@@ -225,8 +203,8 @@ def _shared_builds(
         def inverse() -> ris_synthesis.RegularizedInverse:
             nonlocal inv
             if inv is None:
-                kernel, built = _load_or_build_kernel(scene, grids, cache_dir)
-                result.kernel_builds += built
+                result.kernel_builds += 1
+                kernel = em_core.kernel_stream(scene, grids)
                 inv = ris_synthesis.tikhonov_inverse(
                     kernel, at_distance[0].gamma, plan.threshold_factor, plan.truncation_mode
                 )
@@ -236,24 +214,25 @@ def _shared_builds(
             return inv
 
         groups = [(count, list(points)) for count, points in groupby(at_distance, key=attrgetter("n_measurements"))]
-        for shared_by in [groups] if artifact_dir is None else [[group] for group in groups]:
-            mask_set, largest = None, max(count for count, _ in shared_by)
-            while mask_set is None and largest:
-                try:
-                    mask_set = _mask_set(plan, scene, grids, target, largest, inverse, artifact_dir)
-                except ZeroSolution as exc:  # the masks before exc.mask are realizable
-                    error, largest = exc, max((c for c, _ in shared_by if c <= exc.mask), default=0)
-                except ImagingError as exc:
-                    error, largest = exc, 0
-            for count, group in shared_by:
-                if count > largest:
-                    yield group, error
-                else:
-                    masks, noiseless = mask_set
-                    yield group, (scene, grids, target, psf, masks.first(count), inv, noiseless[:count])
-                    del masks, noiseless
-            # dropped before the next set, or the next distance's kernel, is built
-            del mask_set
+        counts = list(dict.fromkeys(count for count, _ in groups))
+        mask_set, largest = None, max(counts)
+        while mask_set is None and largest:
+            built = [count for count in counts if count <= largest]
+            try:
+                mask_set = _mask_set(plan, scene, grids, target, built, inverse, artifact_dir)
+            except ZeroSolution as exc:  # the masks before exc.mask are realizable
+                error, largest = exc, max((count for count in counts if count <= exc.mask), default=0)
+            except ImagingError as exc:
+                error, largest = exc, 0
+        for count, group in groups:
+            if count > largest:
+                yield group, error
+            else:
+                masks, noiseless = mask_set
+                yield group, (scene, grids, target, psf, masks.first(count), inv, noiseless[:count])
+                del masks, noiseless
+        # dropped before the next distance's kernel is built
+        del mask_set
 
 
 def _mask_set(
@@ -261,20 +240,22 @@ def _mask_set(
     scene: ValidatedScene,
     grids: SampleGrids,
     target: TargetModel,
-    count: int,
+    counts: list[int],
     inverse: Callable[[], ris_synthesis.RegularizedInverse],
     artifact_dir: Path | None,
 ) -> tuple[MaskSet, np.ndarray]:
-    """The set of ``count`` masks that points measure, and its noiseless
-    receiver fields: the designed set under ``ideal_masks``, or the set that
-    ``inverse()`` realizes from it, with the fields taken in the realization
-    pass. With an ``artifact_dir``, the designed set is exported there, and
-    the realized one by :func:`export_synthesis`."""
+    """The set of masks that points measure, sized for the largest of
+    ``counts``, and its noiseless receiver fields: the designed set under
+    ``ideal_masks``, or the set that ``inverse()`` realizes from it, with the
+    fields taken in the realization pass. With an ``artifact_dir``, each
+    count's designed set is exported there, and its realized one by
+    :func:`export_synthesis`, from the same pass."""
     fp = scene.fingerprint
-    stem = f"{fp[:16]}_I{count}"
-    ideal = mask_design.ideal_masks(scene, grids, count, plan.phase_mode)
+    ideal = mask_design.ideal_masks(scene, grids, max(counts), plan.phase_mode)
+    exports = [(count, f"_{fp[:16]}_I{count}") for count in counts]
     if artifact_dir is not None:
-        mask_design.save_mask_vectors(artifact_dir / f"masks_ideal_{stem}.bin", ideal, fp)
+        for count, suffix in exports:
+            mask_design.save_mask_vectors(artifact_dir / f"masks_ideal{suffix}.bin", ideal.first(count), fp)
     if plan.ideal_masks:
         return ideal, measurement.noiseless_fields(scene, grids, ideal, target)
     inv = inverse()
@@ -283,30 +264,54 @@ def _mask_set(
     if artifact_dir is None:
         masks = ris_synthesis.realize_masks(inv, ideal, amplification, [receiver.add])
     else:
-        masks = export_synthesis(artifact_dir, f"_{stem}", fp, inv, ideal, amplification, [receiver.add])
+        masks = export_synthesis(artifact_dir, exports, fp, inv, ideal, amplification, [receiver.add])
     return masks, receiver.fields()
 
 
+def _leading(kept: int, reader: ris_synthesis.Reader) -> ris_synthesis.Reader:
+    """``reader`` of a realization pass that takes only the pass's first ``kept`` rows."""
+
+    def read(rows: slice, block: np.ndarray, norms: np.ndarray, c: np.ndarray) -> None:
+        taken = min(rows.stop, kept) - rows.start
+        if taken > 0:
+            reader(slice(rows.start, rows.start + taken), block[:taken], norms[:taken], c[:taken])
+
+    return read
+
+
 def export_synthesis(
-    directory: Path, suffix: str, fp: str, inv, ideal: MaskSet, amplification: float, readers: Iterable = ()
+    directory: Path,
+    exports: Iterable[tuple[int, str]],
+    fp: str,
+    inv,
+    ideal: MaskSet,
+    amplification: float,
+    readers: Iterable = (),
 ) -> MaskSet:
-    """Realize ``ideal`` and write its realized masks, coefficient profiles
-    and synthesis summary to ``directory``, each file stem ending in
-    ``suffix``; the masks, the profiles and the summary's misfit are readers
-    of the realization pass, beside ``readers``. The pass realizes the
-    distinct rows of ``ideal``, which the files repeat. Returns the realized
-    set."""
+    """Realize ``ideal`` in one pass and write, for each ``(count, suffix)``
+    of ``exports``, the realized masks, coefficient profiles and synthesis
+    summary of its first ``count`` masks to ``directory``, each file stem
+    ending in ``suffix``. The masks, the profiles and the summary's misfit
+    are readers of the realization pass, beside ``readers``; a count's
+    writers read its distinct rows, the first
+    ``ideal.first(count).distinct_rows`` of the pass, which its files
+    repeat. Returns the realized set."""
     misfit = ris_synthesis.RealizedMisfit(inv, ideal, amplification)
-    masks_path, profiles_path = (directory / f"{stem}{suffix}.bin" for stem in ("masks_realized", "profiles"))
-    period = ideal.distinct_rows
-    with (
-        mask_design.mask_file_writer(masks_path, ideal.kind, (ideal.count, ideal.points), fp, period) as write,
-        ris_synthesis.profile_writer(profiles_path, inv, ideal.count, fp, period) as profiles,
-    ):
-        realized = ris_synthesis.realize_masks(
-            inv, ideal, amplification, (*readers, misfit.add, lambda _rows, block, *_: write(block), profiles)
-        )
-    ris_synthesis.write_synthesis_summary(directory / f"synthesis{suffix}.txt", inv, realized, misfit.values)
+    exports = [(count, suffix, ideal.first(count).distinct_rows) for count, suffix in exports]
+    readers = [*readers, misfit.add]
+    with ExitStack() as files:
+        for count, suffix, period in exports:
+            masks_path, profiles_path = (directory / f"{stem}{suffix}.bin" for stem in ("masks_realized", "profiles"))
+            write = files.enter_context(
+                mask_design.mask_file_writer(masks_path, ideal.kind, (count, ideal.points), fp, period)
+            )
+            profiles = files.enter_context(ris_synthesis.profile_writer(profiles_path, inv, count, fp, period))
+            readers.append(_leading(period, lambda _rows, block, *_, write=write: write(block)))
+            readers.append(_leading(period, profiles))
+        realized = ris_synthesis.realize_masks(inv, ideal, amplification, readers)
+    for count, suffix, period in exports:
+        summary = directory / f"synthesis{suffix}.txt"
+        ris_synthesis.write_synthesis_summary(summary, inv, realized.first(count), misfit.values[:period])
     return realized
 
 

@@ -26,10 +26,10 @@ from risimage import reconstruct as rc
 from risimage import ris_synthesis as rs
 from risimage import runner as rn
 from risimage import scene as sc
-from risimage.errors import EmptySet, KindMismatch, ZeroSolution
+from risimage.errors import CacheMismatch, EmptySet, KindMismatch, ZeroSolution
 from risimage.targets import resolve_target, write_pgm
 
-from conftest import peak_traced_bytes, small_config, volume_config
+from conftest import desk_config, peak_traced_bytes, small_config, volume_config
 
 SCENE_TEXT = """
 wavelength = 0.01
@@ -165,28 +165,25 @@ class TestValidateVerb:
 
 
 class TestKernelVerb:
-    def test_assemble_then_cache_hit(self, scene_file, tmp_path, capsys):
-        out = tmp_path / "kernel.bin"
-        assert cli.main(["kernel", "--scene", str(scene_file), "--output", str(out)]) == 0
-        assert "assembled" in capsys.readouterr().out
-        assert cli.main(["kernel", "--scene", str(scene_file), "--output", str(out)]) == 0
-        assert "cache hit" in capsys.readouterr().out
-
-    def test_full_size_plane_kernel_file_exits_2_unless_forced(self, scene_file, tmp_path, capsys):
-        # plane kernel files once held every row; such a file is stale, not a cache hit
+    def test_full_size_plane_kernel_file_is_replaced(self, scene_file, tmp_path, capsys):
+        # plane kernel files once held every row; the verb writes the quadrant rows over such a file
         scene = sc.validate_scene(sc.load_scene_config(scene_file))
         grids = sc.sample_grids(scene)
         out = tmp_path / "kernel.bin"
         header = f"kind=Z_2d m={scene.n_target} n={scene.n_ris} fingerprint={scene.fingerprint}\n"
         with em_core.complex_file_writer(out, header, (scene.n_target, scene.n_ris)) as write:
             write(em_core.assemble_kernel(scene, grids).entries)
-        assert cli.main(["kernel", "--scene", str(scene_file), "--output", str(out)]) == 2
-        assert "CacheMismatch" in capsys.readouterr().err
-        assert cli.main(["kernel", "--scene", str(scene_file), "--output", str(out), "--force"]) == 0
+        assert cli.main(["kernel", "--scene", str(scene_file), "--output", str(out)]) == 0
         assert "assembled" in capsys.readouterr().out
         assert out.stat().st_size == len(header) + 16 * (scene.n_target // 4) * scene.n_ris
-        assert cli.main(["kernel", "--scene", str(scene_file), "--output", str(out)]) == 0
-        assert "cache hit" in capsys.readouterr().out
+        em_core.load_kernel(out, scene, grids)
+
+    def test_force_is_no_longer_an_option(self, scene_file, tmp_path, capsys):
+        out = tmp_path / "kernel.bin"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["kernel", "--scene", str(scene_file), "--output", str(out), "--force"])
+        assert exit_info.value.code == 2
+        assert "--force" in capsys.readouterr().err and not out.exists()
 
     @pytest.mark.parametrize(
         "overrides, label",
@@ -221,19 +218,6 @@ class TestKernelVerb:
         assert out.read_bytes() == (tmp_path / "whole.bin").read_bytes()
         assert not list(tmp_path.glob(".*.tmp"))
 
-    def test_cache_hit_reads_no_body(self, scene_file, tmp_path, capsys):
-        # at 64^2 x 32^2 the stored quadrant is 16 MiB; a hit is checked by the header and the size
-        sizes = [f"{key}={n}" for key, n in (("n_ris_x", 64), ("n_ris_y", 64), ("n_target_x", 32), ("n_target_y", 32))]
-        argv = ["kernel", "--scene", str(scene_file), *(a for s in sizes for a in ("--set", s))]
-        argv += ["--output", str(tmp_path / "kernel.bin")]
-        assert cli.main(argv) == 0
-        body = 16 * 16 * 64 * 64 * 16
-        assert (tmp_path / "kernel.bin").stat().st_size > body
-        capsys.readouterr()
-        peak, code = peak_traced_bytes(lambda: cli.main(argv))
-        assert code == 0 and "cache hit" in capsys.readouterr().out
-        assert peak < body // 32  # the grids and the parse, not the body
-
     def test_build_never_holds_the_quadrant(self, scene_file, tmp_path):
         # at 64^2 x 32^2 the stored quadrant is 16 MiB; the file takes it a row block at a time
         sizes = [f"{key}={n}" for key, n in (("n_ris_x", 64), ("n_ris_y", 64), ("n_target_x", 32), ("n_target_y", 32))]
@@ -244,14 +228,14 @@ class TestKernelVerb:
         assert (tmp_path / "kernel.bin").stat().st_size > quadrant
         assert peak < quadrant // 2
 
-    def test_failing_forced_build_leaves_the_old_file(self, tmp_path, capsys):
+    def test_failing_build_leaves_the_old_file(self, tmp_path, capsys):
         scene_path = tmp_path / "volume.cfg"
         scene_path.write_text(TestVolumeVerbs.VOLUME_SCENE)
         out = tmp_path / "kernel.bin"
         assert cli.main(["kernel", "--scene", str(scene_path), "--output", str(out)]) == 0
         old = out.read_bytes()
         argv = ["kernel", "--scene", str(scene_path), *TestBadInput.OVERFLOWING_VOLUME, "--output", str(out)]
-        assert cli.main([*argv, "--force"]) == 2
+        assert cli.main(argv) == 2
         assert "NonFiniteKernel" in capsys.readouterr().err
         assert out.read_bytes() == old
         assert not list(tmp_path.glob(".*.tmp"))
@@ -428,36 +412,17 @@ class TestVolumeVerbs:
             write(em_core.assemble_kernel(scene, grids).entries)
         return header
 
-    def test_old_volume_kernel_file_exits_2_unless_forced(self, tmp_path, capsys):
+    def test_old_volume_kernel_file_is_replaced(self, tmp_path, capsys):
         scene_path, scene, grids = self.volume_scene(tmp_path)
         out = tmp_path / "kernel.bin"
         header = self.write_old_volume_file(out, scene, grids)
-        argv = ["kernel", "--scene", str(scene_path), "--output", str(out)]
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert "CacheMismatch" in err and "body holds" in err
-        assert cli.main([*argv, "--force"]) == 0
+        with pytest.raises(CacheMismatch, match="body holds"):
+            em_core.load_kernel(out, scene, grids)
+        assert cli.main(["kernel", "--scene", str(scene_path), "--output", str(out)]) == 0
         assert "assembled Y_3d 8x256 kernel" in capsys.readouterr().out
         # three tables' quadrant rows (one pixel of the 2 x 2 slice) in each of 2 slices
         assert out.stat().st_size == len(header) + len("tables=3 ") + 16 * 3 * 2 * scene.n_ris
-        assert cli.main(argv) == 0
-        assert "cache hit" in capsys.readouterr().out
-
-    def test_old_volume_kernel_cache_is_rebuilt(self, tmp_path):
-        scene_path, scene, grids = self.volume_scene(tmp_path)
-        config = sc.load_scene_config(scene_path)
-        plan = rn.ExperimentPlan(scene=config, i_values=(16,), output_dir=str(tmp_path / "fresh"))
-        rn.run_plan(plan)
-        cached = tmp_path / "cache" / "kernels" / f"kernel_{scene.fingerprint[:16]}.bin"
-        header = self.write_old_volume_file(cached, scene, grids)
-        stale = dataclasses.replace(plan, keep_artifacts=True, output_dir=str(tmp_path / "cache"))
-
-        result = rn.run_plan(stale)
-        assert result.kernel_builds == 1 and result.points[0].error is None
-        assert cached.stat().st_size == len(header) + len("tables=3 ") + 16 * 3 * 2 * scene.n_ris
-        metrics = (tmp_path / "cache" / "metrics.csv").read_bytes()
-        assert metrics == (tmp_path / "fresh" / "metrics.csv").read_bytes()
-        assert rn.run_plan(stale).kernel_builds == 0
+        em_core.load_kernel(out, scene, grids)
 
     def test_exported_profiles_realize_the_exported_masks(self, tmp_path):
         # the kernel maps each exported profile onto its exported realized mask
@@ -1023,8 +988,7 @@ class TestBadInput:
         assert len(errors) == 1 and "NonFiniteKernel" in errors[0] and "wavelength 1e-154 m" in errors[0]
 
     def test_non_finite_kernel_leaves_no_cache_file(self, tmp_path):
-        # the kernel streams into the cache file as the inverse draws it, so a
-        # build that fails part way writes nothing
+        # the kernel streams into the inverse, never to a file
         scene_path = tmp_path / "volume.cfg"
         scene_path.write_text(TestVolumeVerbs.VOLUME_SCENE)
         argv = ["run", "--scene", str(scene_path), *self.OVERFLOWING_VOLUME, "-I", "16", "--keep-artifacts"]
@@ -1032,7 +996,7 @@ class TestBadInput:
             warnings.simplefilter("error")
             assert cli.main([*argv, "--output", str(tmp_path / "r")]) == 1
         assert "NonFiniteKernel" in (tmp_path / "r" / "errors.log").read_text()
-        assert list((tmp_path / "r" / "kernels").iterdir()) == []
+        assert not (tmp_path / "r" / "kernels").exists()
 
     def test_overflowing_wavenumber_fails_its_ideal_point(self, tmp_path):
         # ideal masks skip the kernel, so the Born field scale k**2 is the first to overflow
@@ -1402,49 +1366,76 @@ class TestSweepingAgain:
         assert not list(run_dir.rglob(".*.tmp"))
 
 
-class TestRunnerInternals:
-    def test_truncated_kernel_cache_is_rebuilt(self, scene_file, tmp_path):
+class TestArtifactsOnlyObserve:
+    """``keep_artifacts`` changes which files a run writes, never what it computes."""
+
+    def test_metrics_and_estimates_do_not_depend_on_it(self, tmp_path):
+        # each distance realizes one mask set for both counts, with or without exports
+        for name, keep in (("plain", False), ("kept", True)):
+            plan = rn.ExperimentPlan(
+                scene=desk_config(),
+                target="block",
+                i_values=(256, 1024),
+                snr_values=(None, 20.0),
+                z_values=(0.125, 0.25),
+                seed=7,
+                keep_artifacts=keep,
+                output_dir=str(tmp_path / name),
+            )
+            result = rn.run_plan(plan)
+            assert all(p.error is None for p in result.points) and result.kernel_builds == 2
+        names = sorted(p.name for p in (tmp_path / "plain").iterdir() if p.suffix in (".csv", ".pgm"))
+        assert len(names) == 10 and "metrics.csv" in names
+        for name in names:
+            if name != "timings.csv":
+                assert (tmp_path / "kept" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+    def test_a_corrupt_kernel_file_in_the_run_dir_is_ignored(self, scene_file, tmp_path):
         plan = rn.ExperimentPlan(
             scene=sc.load_scene_config(scene_file),
-            target="block",
             i_values=(128,),
-            snr_values=(None,),
+            snr_values=(None, 20.0),
             keep_artifacts=True,
-            output_dir=str(tmp_path / "cache"),
-        )
-        assert rn.run_plan(plan).kernel_builds == 1
-        (cached,) = (tmp_path / "cache" / "kernels").glob("kernel_*.bin")
-        intact = cached.read_bytes()
-        cached.write_bytes(intact[: len(intact) // 2])
-
-        result = rn.run_plan(plan)
-        assert result.points[0].error is None
-        assert result.kernel_builds == 1
-        assert cached.read_bytes() == intact
-        assert not list((tmp_path / "cache").rglob("*.tmp"))
-        assert rn.run_plan(plan).kernel_builds == 0
-
-    def test_full_size_plane_kernel_cache_is_rebuilt(self, scene_file, tmp_path):
-        # a cache file written when plane kernels stored every row
-        plan = rn.ExperimentPlan(
-            scene=sc.load_scene_config(scene_file), i_values=(128,), output_dir=str(tmp_path / "fresh")
+            output_dir=str(tmp_path / "clean"),
         )
         rn.run_plan(plan)
         scene = sc.validate_scene(plan.scene)
-        cached = tmp_path / "cache" / "kernels" / f"kernel_{scene.fingerprint[:16]}.bin"
-        cached.parent.mkdir(parents=True)
-        header = f"kind=Z_2d m={scene.n_target} n={scene.n_ris} fingerprint={scene.fingerprint}\n"
-        with em_core.complex_file_writer(cached, header, (scene.n_target, scene.n_ris)) as write:
-            write(em_core.assemble_kernel(scene, sc.sample_grids(scene)).entries)
-        stale = dataclasses.replace(plan, keep_artifacts=True, output_dir=str(tmp_path / "cache"))
+        # a kernel file of the scene, of the right length, with the sign of a middle entry flipped
+        old = tmp_path / "used" / "kernels" / f"kernel_{scene.fingerprint[:16]}.bin"
+        old.parent.mkdir(parents=True)
+        em_core.save_kernel(old, em_core.assemble_kernel(scene, sc.sample_grids(scene)))
+        data = bytearray(old.read_bytes())
+        header = data.index(b"\n") + 1
+        data[header + (len(data) - header) // 32 * 16 + 7] ^= 0x80
+        old.write_bytes(bytes(data))
 
-        result = rn.run_plan(stale)
-        assert result.kernel_builds == 1 and result.points[0].error is None
-        assert cached.stat().st_size == len(header) + 16 * (scene.n_target // 4) * scene.n_ris
-        metrics = (tmp_path / "cache" / "metrics.csv").read_bytes()
-        assert metrics == (tmp_path / "fresh" / "metrics.csv").read_bytes()
-        assert rn.run_plan(stale).kernel_builds == 0
+        result = rn.run_plan(dataclasses.replace(plan, output_dir=str(tmp_path / "used")))
+        assert all(p.error is None for p in result.points) and result.kernel_builds == 1
+        assert (tmp_path / "used" / "metrics.csv").read_bytes() == (tmp_path / "clean" / "metrics.csv").read_bytes()
+        assert old.read_bytes() == bytes(data)
+        assert [p.name for p in old.parent.iterdir()] == [old.name]
 
+    def test_each_count_exports_the_leading_rows_of_the_shared_pass(self, scene_file, tmp_path):
+        # 64 target points: I = 64 realizes 64 distinct rows, I = 128 and 256 the same 128
+        plan = rn.ExperimentPlan(
+            scene=sc.load_scene_config(scene_file),
+            i_values=(64, 128, 256),
+            keep_artifacts=True,
+            output_dir=str(tmp_path / "run"),
+        )
+        assert all(p.error is None for p in rn.run_plan(plan).points)
+        artifacts = tmp_path / "run" / "artifacts"
+        for stem in ("masks_realized", "profiles"):
+            (largest,) = artifacts.glob(f"{stem}_*_I256.bin")
+            body = largest.read_bytes().split(b"\n", 1)[1]
+            for count in (64, 128):
+                (export,) = artifacts.glob(f"{stem}_*_I{count}.bin")
+                head, rows = export.read_bytes().split(b"\n", 1)
+                assert f" count={count} ".encode() in head
+                assert rows == body[: len(rows)] and len(rows) == len(body) * count // 256
+
+
+class TestRunnerInternals:
     @pytest.mark.parametrize("keep_artifacts", [False, True], ids=["plain", "artifacts"])
     def test_scored_plane_set_holds_only_its_magnitudes(self, scene_file, tmp_path, monkeypatch, keep_artifacts):
         # the fields, the export and the summary read the realized masks in their
@@ -1501,7 +1492,7 @@ class TestRunnerInternals:
         assert moments == [64, 128, 64, 128]
         assert fields == [128, 128]  # one realized set per distance: I = 64 reads its first rows
 
-    def test_cached_plane_kernel_keeps_its_mirror_sectors(self, scene_file, tmp_path, monkeypatch):
+    def test_rerun_plane_kernel_keeps_its_mirror_sectors(self, scene_file, tmp_path, monkeypatch):
         sector_counts = []
 
         def recorded(*args, _original=rs.tikhonov_inverse, **kwargs):
@@ -1517,7 +1508,7 @@ class TestRunnerInternals:
             output_dir=str(tmp_path / "cache"),
         )
         builds = [rn.run_plan(plan).kernel_builds for _ in range(2)]
-        assert builds == [1, 0]  # the second run loads the kernel from the cache
+        assert builds == [1, 1]  # a run into a used directory builds its kernel too
         assert sector_counts == [4, 4]
 
     @staticmethod
@@ -1576,8 +1567,8 @@ class TestRunnerInternals:
 
     def test_kernel_is_freed_once_decomposed(self, scene_file, tmp_path, monkeypatch):
         # the inverse is decomposed from the stream of the kernel's rows and keeps its
-        # sector blocks, so no kernel row outlives tikhonov_inverse; each set's profiles
-        # are written once, in its realization pass
+        # sector blocks, so no kernel row outlives tikhonov_inverse; each count's profiles
+        # are written once, in the one realization pass of its distance
         drawn, alive = self.record_live_kernel_rows(monkeypatch)
         plan = rn.ExperimentPlan(
             scene=sc.load_scene_config(scene_file),
@@ -1588,7 +1579,7 @@ class TestRunnerInternals:
         )
         result = rn.run_plan(plan)
         assert all(p.error is None for p in result.points) and result.kernel_builds == 2
-        assert drawn and alive == [("profile_writer", 0), ("realize_masks", 0)] * 4
+        assert drawn and alive == [("profile_writer", 0), ("profile_writer", 0), ("realize_masks", 0)] * 2
         assert len(list((tmp_path / "sweep" / "artifacts").glob("profiles_*.bin"))) == 4
 
     def test_synthesize_verb_frees_the_kernel_once_decomposed(self, scene_file, tmp_path, monkeypatch):
@@ -1700,7 +1691,7 @@ class TestRunnerInternals:
         assert rn.default_gamma(8.0) == 1e-15
         assert rn.default_gamma(0.125) == 1e-12  # desk distances clamp to the near band
 
-    def test_keep_artifacts_exports_masks_profiles_and_kernels(self, scene_file, tmp_path):
+    def test_keep_artifacts_exports_masks_and_profiles(self, scene_file, tmp_path):
         plan = rn.ExperimentPlan(
             scene=sc.load_scene_config(scene_file),
             target="block",
@@ -1716,7 +1707,7 @@ class TestRunnerInternals:
         assert any(n.startswith("masks_realized_") for n in names)
         assert any(n.startswith("profiles_") for n in names)
         assert any(n.startswith("synthesis_") for n in names)
-        assert list((tmp_path / "keep" / "kernels").glob("kernel_*.bin"))
+        assert not (tmp_path / "keep" / "kernels").exists()
 
     @staticmethod
     def record_inverses(monkeypatch) -> list:
@@ -1774,7 +1765,10 @@ class TestRunnerInternals:
             )
             assert len(rows) == 2 and rows == expected
 
-    def test_zero_solution_fails_only_the_counts_that_reach_its_mask(self, scene_file, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("keep_artifacts", [False, True], ids=["plain", "artifacts"])
+    def test_zero_solution_fails_only_the_counts_that_reach_its_mask(
+        self, scene_file, tmp_path, monkeypatch, keep_artifacts
+    ):
         # mask 100 of the 128 distinct rows has no solution: I = 64 never reaches it
         realized = []
 
@@ -1787,10 +1781,18 @@ class TestRunnerInternals:
         monkeypatch.setattr(rs, "realize_masks", failing)
         cfg = sc.load_scene_config(scene_file)
         plan = rn.ExperimentPlan(
-            scene=cfg, i_values=(256, 64, 128), snr_values=(None, 20.0), output_dir=str(tmp_path / "zero")
+            scene=cfg,
+            i_values=(256, 64, 128),
+            snr_values=(None, 20.0),
+            keep_artifacts=keep_artifacts,
+            output_dir=str(tmp_path / "zero"),
         )
         result = rn.run_plan(plan)
         assert realized == [256, 64]
+        if keep_artifacts:  # the failed pass leaves no export, only the designed sets
+            names = sorted(p.name.split("_I")[-1] for p in (tmp_path / "zero" / "artifacts").iterdir())
+            assert names == ["128.bin", "256.bin", "64.bin", "64.bin", "64.bin", "64.txt"]
+            assert not list((tmp_path / "zero").rglob("*.tmp"))
         failed = {p.n_measurements for p in result.points if p.error is not None}
         assert failed == {256, 128}
         assert all(p.error.startswith("ZeroSolution: mask 100 ") for p in result.points if p.error)

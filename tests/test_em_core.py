@@ -559,12 +559,11 @@ class TestKernelCache:
         "damage",
         ["truncated", "overlong", "other-scene", "unknown-kind", "unreadable-header"],
     )
-    def test_the_header_check_rejects_what_loading_rejects(self, small_scene, tmp_path, damage):
-        # a cache hit of the kernel verb reads only the header and the size
+    def test_damaged_kernel_file_is_rejected(self, small_scene, tmp_path, damage):
         scene, grids = small_scene
         path = tmp_path / "kernel.bin"
         em.save_kernel(path, em.assemble_kernel(scene, grids))
-        assert em.check_kernel_file(path, scene, grids)[0] == em.KIND_Z2D
+        assert em.load_kernel(path, scene, grids).kind == em.KIND_Z2D
         data = path.read_bytes()
         header, body = data.split(b"\n", 1)
         damaged = {
@@ -575,9 +574,8 @@ class TestKernelCache:
             "unreadable-header": header.replace(b"m=", b"rows=") + b"\n" + body,
         }[damage]
         path.write_bytes(damaged)
-        for check in (em.load_kernel, em.check_kernel_file):
-            with pytest.raises(CacheMismatch):
-                check(path, scene, grids)
+        with pytest.raises(CacheMismatch):
+            em.load_kernel(path, scene, grids)
 
     @pytest.mark.parametrize("streamed", [False, True], ids=["saved", "streamed"])
     def test_cache_is_not_preallocated_so_a_short_body_shows(self, small_scene, tmp_path, monkeypatch, streamed):
@@ -1025,6 +1023,5 @@ class TestStoredQuadrant:
             return empty(shape, dtype, *args, **kwargs)
 
         monkeypatch.setattr(em.np, "empty", no_body)
-        for check in (em.load_kernel, em.check_kernel_file):
-            with pytest.raises(CacheMismatch, match=reason):
-                check(path, scene, grids)
+        with pytest.raises(CacheMismatch, match=reason):
+            em.load_kernel(path, scene, grids)

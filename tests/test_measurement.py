@@ -11,7 +11,7 @@ from risimage import mask_design as md
 from risimage import measurement as ms
 from risimage import ris_synthesis as rs
 from risimage import scene as sc
-from risimage.errors import EmptySet, KindMismatch, MalformedConfig
+from risimage.errors import DimensionMismatch, EmptySet, KindMismatch, MalformedConfig
 
 from conftest import realize_with_values
 
@@ -359,6 +359,17 @@ class TestMeasurementCsv:
         ms.records_to_csv(path, meas)
         loaded = ms.records_from_csv(path)
         assert loaded.noisy.tolist() == meas.noisy.tolist()
+
+    @pytest.mark.parametrize("kind", [md.KIND_MASK2D, md.KIND_MASK3D])
+    def test_a_stack_of_sets_is_rejected_before_writing(self, tmp_path, kind):
+        # one row per mask carries one set's noisy value, variance and seed
+        fields = np.linspace(1.0, 2.0, 8) * (1.0 + 1.0j)
+        sets = ms.stack([ms.measure(fields, kind, 10.0, seed=seed) for seed in (4, 5)])
+        path = tmp_path / "records.csv"
+        path.write_text("old")
+        with pytest.raises(DimensionMismatch, match="stack of 2"):
+            ms.records_to_csv(path, sets)
+        assert path.read_text() == "old"
 
     def test_rfc4180_line_endings(self, small_scene, tmp_path):
         scene, grids = small_scene

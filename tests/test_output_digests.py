@@ -34,8 +34,14 @@ def test_two_runs_list_the_same_digests():
         "seed-3/steps-plane-odd/ideal/metrics.csv",
         "seed-3/volume-snr/metrics.csv",
         "seed-3/volume-snr/estimate_002_slice3_im.pgm",
+        "seed-3/desk-counts/metrics.csv",
+        "seed-3/desk-counts/estimate_007.pgm",
     ):
         assert expected in paths
+    for stem in ("masks_ideal", "masks_realized", "profiles", "synthesis"):
+        for count in (256, 1024):  # one export of each count at each of the two distances
+            assert sum(f"desk-counts/artifacts/{stem}_" in p and f"_I{count}." in p for p in paths) == 2
+    assert not any("/kernels/" in path for path in paths)
     assert not any(path.endswith("timings.csv") for path in paths)
 
 

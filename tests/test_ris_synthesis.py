@@ -1072,11 +1072,11 @@ class TestStreamedExports:
         kernel = KernelMatrix(stored=np.diag([1.0, 0.0]).astype(complex), kind=em.KIND_Z2D, fingerprint="t")
         inv = rs.tikhonov_inverse(kernel, 1e-6)
         vectors = np.tile(np.array([1.0, 1.0 + 0.0j]), (8, 1))
-        rn.export_synthesis(tmp_path, "", "t", inv, md.MaskSet(kind=md.KIND_MASK2D, stored=vectors), 1.0)
+        rn.export_synthesis(tmp_path, [(8, "")], "t", inv, md.MaskSet(kind=md.KIND_MASK2D, stored=vectors), 1.0)
         old = (tmp_path / "masks_realized.bin").read_bytes()
         vectors[5] = [0.0, 1.0]
         with pytest.raises(ZeroSolution, match="mask 5 "):
-            rn.export_synthesis(tmp_path, "", "t", inv, md.MaskSet(kind=md.KIND_MASK2D, stored=vectors), 1.0)
+            rn.export_synthesis(tmp_path, [(8, "")], "t", inv, md.MaskSet(kind=md.KIND_MASK2D, stored=vectors), 1.0)
         assert (tmp_path / "masks_realized.bin").read_bytes() == old
         assert list(tmp_path.glob(".*.tmp")) == []
 
@@ -1104,7 +1104,7 @@ class TestPeriodicSets:
         inv = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12)
         ideal = md.ideal_masks(scene, grids, 256)
         period = ideal.distinct_rows
-        realized = rn.export_synthesis(tmp_path, "", "f", inv, ideal, 1.5)
+        realized = rn.export_synthesis(tmp_path, [(256, "")], "f", inv, ideal, 1.5)
         assert period == 16 and realized.stored.shape == (period, scene.n_target)
         for name, columns in (("masks_realized", scene.n_target), ("profiles", scene.n_ris)):
             _, vectors, _ = md.load_mask_vectors(tmp_path / f"{name}.bin")

@@ -4,8 +4,11 @@ For each seed, in this process through ``risimage.cli.main``:
 
 * the four benchmark workloads of ``perfbench/workloads.py`` are swept from
   their plan files, each twice into one directory, so that the second sweep
-  replaces every file the first one wrote (and ``desk-artifacts`` reads the
-  kernel cache the first one wrote);
+  replaces every file the first one wrote;
+* the desk scene is swept with ``--keep-artifacts`` over two mask counts
+  (256 and 1024) at two distances (into ``desk-counts``), so that the
+  exports of several counts, read from one realization pass per distance,
+  are digested too;
 * the step verbs ``kernel``, ``masks``, ``synthesize``, ``measure`` and
   ``reconstruct``, and ``run --ideal-masks`` (into ``ideal/``), run on the
   desk scene and on the ``volume-zsweep`` scene, with the workload's noise
@@ -67,12 +70,17 @@ EXACT_METRICS = ("gamma", "retained_rank", "seed")  # metrics.csv columns a nume
 
 
 def run_seed(cli, workloads, seed: int, inputs: Path, outputs: Path) -> None:
-    """Every workload's sweep for ``seed``, and the step verbs on the scenes of
-    :data:`ODD_SCENES` and on their variants of odd counts."""
+    """Every workload's sweep for ``seed``, the desk sweep over two counts
+    with artifacts, and the step verbs on the scenes of :data:`ODD_SCENES`
+    and on their variants of odd counts."""
     for name, workload in workloads.WORKLOADS.items():
         plan, noise_seed = workloads.write_inputs(workload, seed, inputs / name, outputs / name)
         for _ in range(2):
             run(cli, ["sweep", "--plan", str(plan)])
+        if name == "desk-artifacts":
+            scene = ["--scene", str(plan.parent / "scene.txt"), "--target", "block", "--keep-artifacts"]
+            axes = ["--i-sweep", "256,1024", "--z-sweep", "0.125,0.25", "--snr-sweep", "none,20"]
+            run(cli, ["sweep", *scene, *axes, "--seed", str(noise_seed), "--output", str(outputs / "desk-counts")])
         if name == "volume-zsweep":
             scene = ["--scene", str(plan.parent / "scene.txt"), "-I", str(workload.i_values[0])]
             snr = ["--snr-sweep", "none,0,20", "--seed", str(noise_seed)]
