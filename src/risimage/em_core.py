@@ -580,18 +580,20 @@ def complex_file_writer(
     """Write an ASCII ``header`` line and a little-endian complex128 (rows,
     cols) body of ``shape``, handed over a block of rows at a time.
 
-    The context gives ``write(block)``, which writes one (rows, cols) block
-    of rows before it returns, so a caller can reuse one buffer. With a
-    ``period`` that divides the row count, the blocks add up to that many
-    rows, and row i of the body is row i mod ``period``: each block is
-    written at every offset where its rows repeat. The bytes go to a
-    temporary file in the same directory, which replaces ``path`` when the
-    context ends: a reader sees the old file or the whole new one, never a
-    partial write. If the context raises, a write comes up short
-    (:class:`OSError`), or the blocks do not add up
-    (:class:`DimensionMismatch`), the temporary file is removed and the old
-    file stays. Each block is written from its array's own buffer, so
-    C-ordered little-endian complex128 values are not copied.
+    The context gives ``write(block, start)``, which writes one (rows, cols)
+    block of rows from row ``start`` on before it returns, so a caller can
+    reuse one buffer, and blocks may come in any row order; without a
+    ``start`` a block follows the one before. With a ``period`` that divides
+    the row count, the blocks cover that many rows, and row i of the body is
+    row i mod ``period``: each block is written at every offset where its
+    rows repeat. The bytes go to a temporary file in the same directory,
+    which replaces ``path`` when the context ends: a reader sees the old
+    file or the whole new one, never a partial write. If the context raises,
+    a write comes up short (:class:`OSError`), or the blocks do not write
+    every row of the period exactly once (:class:`DimensionMismatch`), the
+    temporary file is removed and the old file stays. Each block is written
+    from its array's own buffer, so C-ordered little-endian complex128
+    values are not copied.
 
     With ``preallocate``, the temporary file is given its final size before
     the first block (``os.posix_fallocate``, where the platform has it), so
@@ -613,21 +615,28 @@ def complex_file_writer(
     head = header.encode("ascii")
     row_bytes = 16 * shape[1]
     size = len(head) + row_bytes * shape[0]
-    rows = 0
+    written = np.zeros(period, dtype=bool)
+    rows = 0  # where a block without a start goes
 
     def write_at(data, offset: int) -> None:
-        written = os.pwrite(fd, data, offset)
-        if written != len(data):
-            raise OSError(f"wrote {written} of {len(data)} bytes at offset {offset} of {tmp}")
+        count = os.pwrite(fd, data, offset)
+        if count != len(data):
+            raise OSError(f"wrote {count} of {len(data)} bytes at offset {offset} of {tmp}")
 
-    def write(block: np.ndarray) -> None:
+    def write(block: np.ndarray, start: int | None = None) -> None:
         nonlocal rows
-        if block.shape[1:] != shape[1:] or rows + len(block) > period:
-            raise DimensionMismatch(f"a {block.shape} block does not fit the {period} rows of the {shape} body")
+        start = rows if start is None else start
+        stop = start + len(block)
+        if block.shape[1:] != shape[1:] or not 0 <= start <= stop <= period or written[start:stop].any():
+            raise DimensionMismatch(
+                f"a {block.shape} block at row {start} does not fit the rows still to write "
+                f"of the {period}-row period of the {shape} body"
+            )
         data = np.ascontiguousarray(block, dtype="<c16").reshape(-1).view(np.uint8)
-        for offset in range(len(head) + rows * row_bytes, size, max(period * row_bytes, 1)):
+        for offset in range(len(head) + start * row_bytes, size, max(period * row_bytes, 1)):
             write_at(data, offset)
-        rows += len(block)
+        written[start:stop] = True
+        rows = stop
 
     try:
         with open(tmp, "wb", buffering=0) as fh:
@@ -640,8 +649,10 @@ def complex_file_writer(
                         raise
             write_at(head, 0)
             yield write
-            if rows != period:
-                raise DimensionMismatch(f"blocks of {rows} rows for the {period} rows of the body's period")
+            if not written.all():
+                raise DimensionMismatch(
+                    f"blocks of {np.count_nonzero(written)} rows for the {period} rows of the body's period"
+                )
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -24,7 +24,10 @@ rows are the first I of one sequence that depends only on M, and for
 I >= 2J they are the first J repeated, since H[i, j] = H[i mod J, j] for
 every column j < J. So a set is read, transformed and realized over its
 distinct rows only, and a stored set may hold one period of its masks
-(:attr:`MaskSet.repeats`).
+(:attr:`MaskSet.repeats`). When M is a power of two and I >= 2M, R = 2M
+and the rows pair (:attr:`MaskSet.paired`): the last point alone takes
+column M, so row i + M is row i with that point switched off, and
+:func:`project` transforms the first M rows only.
 """
 
 from __future__ import annotations
@@ -93,8 +96,9 @@ class MaskSet:
     repeats them.
     The generating coefficient vectors are not kept:
     ``ris_synthesis.synthesis_profiles`` forms them from the inverse when
-    they are exported. ``moments`` are computed on first read and kept; a
-    set made by ``dataclasses.replace`` starts without them.
+    they are exported. ``moments`` are computed on first read and kept, and
+    shared with every set of the same distinct rows that :meth:`first`
+    makes; a set made by ``dataclasses.replace`` starts without them.
     """
 
     kind: str  # KIND_MASK2D | KIND_MASK3D
@@ -128,6 +132,15 @@ class MaskSet:
         return distinct_row_count(*self.design) if self.stored is None else len(self.stored)
 
     @property
+    def paired(self) -> bool:
+        """Whether a designed set's R distinct rows come in pairs: R = 2M,
+        with M a power of two and I >= 2M, so the last point takes column
+        R/2, which is +1 on the rows below it and -1 on the rows from it on,
+        while every other column repeats with period R/2. Row i + R/2 is then
+        row i with its last point switched off (:func:`project`)."""
+        return self.design is not None and self.points > 1 and self.distinct_rows == 2 * self.points
+
+    @property
     def vectors(self) -> np.ndarray:
         """The (I, M) masks: ``stored``, or a stack formed anew, which only
         the reader keeps, of a designed set or a stored set that repeats its
@@ -140,14 +153,20 @@ class MaskSet:
         """The set of this set's first ``count`` masks, ``count`` at most
         :attr:`count` and a multiple of R when above it: a view of a prefix
         of the distinct rows, or those rows repeated, with their solution
-        norms."""
-        if self.stored is None:
-            return replace(self, design=(count, self.points))
-        norms = None if self.solution_norms is None else self.solution_norms[:count]
+        norms. A set of all R distinct rows shares this set's ``moments``,
+        which either of them computes at most once."""
         distinct = self.distinct_rows
-        if count > distinct:
-            return replace(self, solution_norms=norms, repeats=count // distinct)
-        return replace(self, stored=self.stored[:count], solution_norms=norms, repeats=1)
+        norms = None if self.solution_norms is None else self.solution_norms[:count]
+        if self.stored is None:
+            first = replace(self, design=(count, self.points))
+        elif count > distinct:
+            first = replace(self, solution_norms=norms, repeats=count // distinct)
+        else:
+            first = replace(self, stored=self.stored[:count], solution_norms=norms, repeats=1)
+        if count >= distinct:  # the same distinct rows, so the same moments
+            cached = [self.moments] if "moments" in self.__dict__ else []
+            first.__dict__["_shared_moments"] = self.__dict__.setdefault("_shared_moments", cached)
+        return first
 
     @property
     def magnitudes_only(self) -> bool:
@@ -210,6 +229,12 @@ class MaskSet:
         never exists whole and the rows are added in the same order as
         numpy's axis-0 sum of the whole array.
         """
+        shared = self.__dict__.get("_shared_moments", [])
+        if not shared:
+            shared.append(self._moments())
+        return shared[0]
+
+    def _moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self.count == 0:
             raise EmptyMaskSet("mask set has no measurements")
         distinct = slice(0, self.distinct_rows)
@@ -436,7 +461,7 @@ def ideal_masks(
     return MaskSet(kind=KIND_MASK3D if scene.is_3d else KIND_MASK2D, design=design, phase=phase)
 
 
-def project(masks: MaskSet | np.ndarray, factors: Iterable[np.ndarray], out: np.ndarray) -> None:
+def project(masks: MaskSet | np.ndarray, factors: Iterable[np.ndarray], out: np.ndarray) -> np.ndarray | None:
     """Write vectors @ [F_1 ... F_k] into the leading sum r_k columns of ``out``.
 
     ``masks`` is a mask set, whose R :attr:`~MaskSet.distinct_rows` are
@@ -452,6 +477,14 @@ def project(masks: MaskSet | np.ndarray, factors: Iterable[np.ndarray], out: np.
     The scattered factors are staged in ``out`` and transformed there a block
     of columns at a time (:func:`hadamard_transform`), all factors in one
     pass. Any other set is multiplied a block of rows at a time.
+
+    A set whose rows pair (:attr:`MaskSet.paired`) has only its first
+    h = R/2 rows written, and ``out`` needs only h rows. Sylvester's
+    H_R = H_2 (x) H_h splits the last point's column h off: with T_h the
+    order-h transform of the other M - 1 points and v = e^{j phi_{M-1}}
+    F[M-1], row i < h of the product is T_h[0] + T_h[i] + v and row i + h
+    is T_h[0] + T_h[i], so the transform has half the order, and v is
+    returned: row i + h is row i - v. Returns None for any other set.
     """
     if not (isinstance(masks, MaskSet) and masks.design is not None):
         vectors = masks.stored if isinstance(masks, MaskSet) else masks
@@ -463,27 +496,38 @@ def project(masks: MaskSet | np.ndarray, factors: Iterable[np.ndarray], out: np.
                 out[start : start + step, lo:hi] = vectors[start : start + step] @ factor
             lo = hi
             del factor  # freed before the next one is drawn
-        return
-    count, points = masks.distinct_rows, masks.points
-    half_phase = np.full(points, 0.5) if masks.phase is None else 0.5 * masks._phasor
-    columns = hadamard_columns(count, points)
-    lo = 0
+        return None
+    paired = masks.paired
+    order, scattered = masks.distinct_rows, masks.points
+    if paired:  # the last point's column, order / 2, is split off
+        order, scattered = order // 2, scattered - 1
+    phasor = np.ones(masks.points) if masks.phase is None else masks._phasor
+    half_phase = 0.5 * phasor[:scattered, None]
+    columns = hadamard_columns(order, scattered)
+    lo, last_rows = 0, [np.zeros(0, dtype=np.complex128)]
     for factor in factors:
         hi = lo + factor.shape[1]
-        out[columns, lo:hi] = factor * half_phase[:, None]
+        out[columns, lo:hi] = factor[:scattered] * half_phase
+        if paired:
+            last_rows.append(factor[scattered] * phasor[scattered])
         lo = hi
         del factor  # freed before the next one is drawn
-    stage = out[:count, :lo]
-    if points < count:  # rows no point scatters to
+    partner = np.concatenate(last_rows) if paired else None
+    stage = out[:order, :lo]
+    if scattered < order:  # rows no point scatters to
         stage[0] = 0.0
-        stage[points + 1 :] = 0.0
-    step = max(1, _CHUNK_ENTRIES // count)
+        stage[scattered + 1 :] = 0.0
+    step = max(1, _CHUNK_ENTRIES // order)
     for start in range(0, stage.shape[1], step):
         block = slice(start, start + step)
         transformed = hadamard_transform(stage[:, block])
-        transformed += transformed[0].copy()
+        first = transformed[0].copy()
+        if partner is not None:
+            first += partner[block]
+        transformed += first
         stage[:, block] = transformed
         del transformed  # freed before the next block is transformed
+    return partner
 
 
 def mask_covariance(masks: MaskSet, ref_index: int) -> np.ndarray:
@@ -512,9 +556,9 @@ def mask_file_writer(
     path: str | Path, kind: str, shape: tuple[int, int], fingerprint: str, period: int | None = None
 ):
     """An export of ``kind`` vectors of ``shape`` (count, points), written a
-    block of rows at a time through ``write(block)``, the rows of one
-    ``period`` only when the set repeats them (:func:`em_core.complex_file_writer`,
-    preallocated)."""
+    block of rows at a time through ``write(block, start)``, in any row
+    order, the rows of one ``period`` only when the set repeats them
+    (:func:`em_core.complex_file_writer`, preallocated)."""
     header = f"kind={kind} count={shape[0]} points={shape[1]} fingerprint={fingerprint}\n"
     return complex_file_writer(path, header, shape, period, preallocate=True)
 
@@ -525,8 +569,8 @@ def save_mask_vectors(path: str | Path, masks: MaskSet, fingerprint: str) -> Non
     distinct rows are formed once however often the file repeats them."""
     shape = (masks.count, masks.points)
     with mask_file_writer(path, masks.kind, shape, fingerprint, masks.distinct_rows) as write:
-        for _, block in masks.row_blocks():
-            write(block)
+        for rows, block in masks.row_blocks():
+            write(block, rows.start)
 
 
 def load_mask_vectors(path: str | Path) -> tuple[str, np.ndarray, str]:

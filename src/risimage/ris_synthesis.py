@@ -73,15 +73,20 @@ lambda_s, the retained columns of U_s put onto the grid by a signed row
 gather, so the masks are never folded: one ``mask_design.project`` call
 forms b @ [A_1 ... A_k] for every mask into the leading columns of an
 array, whichever kind of set it is (a designed set never builds its (I, M)
-mask stack there). A block of rows at a time, c is then scaled onto the
-power budget by its norms ||c|| (:func:`_scaled_rows`) and mapped
-(:func:`_map_rows`). The realized mask K p = U diag(sigma) c is unfolded on
-the target side into one reused buffer, and every reader of the complex
-masks (receiver fields, the export, the summary's misfit) takes each block
-in that pass (:func:`realize_masks`), so they never exist whole. c is staged
-at the tail of the array whose head then takes what the set keeps, the
-magnitudes of a plane set or the masks of a volume set, so the two never
-exist side by side. The coefficient profiles p are unfolded on the aperture
+mask stack there). Every norm ||c|| is formed first, and then, a block of
+rows at a time, c is mapped (:func:`_map_rows`) and scaled onto the power
+budget. The realized mask K p = U diag(sigma) c is unfolded on the target
+side into one reused buffer, and every reader of the complex masks
+(receiver fields, the export, the summary's misfit) takes each block in
+that pass (:func:`realize_masks`), so they never exist whole. A designed
+set of M = 2^k points and at least 2M masks has R = 2M distinct rows in
+pairs: row i + M is row i with its last point switched off
+(``MaskSet.paired``), so c_{i+M} = c_i - v for one row v, and only the
+first M rows are staged, by a Hadamard transform of order M, and mapped;
+each partner mask is its row's unscaled mask minus the one mapped row of
+v. c is staged at the tail of the array whose head then takes what the
+set keeps, the magnitudes of a plane set or the masks of a volume set, so
+the two never exist side by side. The coefficient profiles p are unfolded on the aperture
 side from V_s c_s, with V_s = B_s^H U_s / sigma_s built per sector from the
 block the inverse keeps (for a volume kernel, X_s^H W_s^H U / sigma per
 aperture sector, unfolded onto the aperture once), so a profile is never
@@ -116,6 +121,7 @@ from .em_core import (
     KernelMatrix,
     KernelStream,
     MirrorSymmetry,
+    small_ufunc_buffers,
     text_file_writer,
 )
 from .errors import DimensionMismatch, KindMismatch, MalformedConfig, SvdFailure, ZeroSolution
@@ -149,7 +155,7 @@ _IMAGE_MAP = 0.5 * np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -
 _SIGMA_LIMIT = math.sqrt(sys.float_info.max)
 
 # What :func:`realize_masks` hands each block of realized rows to:
-# reader(rows, block, norms, coefficients).
+# reader(rows, block, norms, coefficients), the blocks not always in row order.
 Reader = Callable[[slice, np.ndarray, np.ndarray, np.ndarray], None]
 
 
@@ -698,7 +704,7 @@ def tikhonov_inverse(
 
 def _stage_coefficients(
     inv: RegularizedInverse, factors: list[_Factor], masks: MaskSet | np.ndarray, out: np.ndarray
-) -> None:
+) -> np.ndarray | None:
     """Stage the coefficients c of every distinct mask (``MaskSet.distinct_rows``)
     in the leading sum r_s columns of the first rows of ``out``.
 
@@ -707,7 +713,10 @@ def _stage_coefficients(
     (:func:`_sector_gathers`); one ``mask_design.project`` call fills the
     columns sector after sector, for a mask set or a plain (I, M) stack of
     right-hand sides. The A_s are formed one at a time as ``project`` draws
-    them, so only one is alive at once. Raises :class:`DimensionMismatch`
+    them, so only one is alive at once. A set whose rows pair
+    (``MaskSet.paired``) has only its first R/2 rows staged
+    (:func:`_staged_rows`), and the row v with c_{i+R/2} = c_i - v is
+    returned; None for any other set. Raises :class:`DimensionMismatch`
     unless the masks have length M.
     """
     points = masks.points if isinstance(masks, MaskSet) else masks.shape[1]
@@ -727,30 +736,65 @@ def _stage_coefficients(
                 weighted *= signs[:, None]
             yield weighted
 
-    project(masks, gathered(), out)
+    return project(masks, gathered(), out)
 
 
-def _scaled_rows(
-    staged: np.ndarray, step: int, budget: float | None = None
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """The staged coefficients c (I, sum r_s) in blocks of ``step`` rows.
+def _staged_rows(masks: MaskSet | np.ndarray) -> int:
+    """The rows of c that :func:`_stage_coefficients` stages: the R distinct
+    rows, or R/2 of a set whose rows pair."""
+    if not isinstance(masks, MaskSet):
+        return len(masks)
+    return masks.distinct_rows // 2 if masks.paired else masks.distinct_rows
 
-    Yields each block's rows, its norms ||c|| per row and its coefficients,
-    a view of ``staged``. With a ``budget``, they are first scaled in place
-    by budget / ||c||, so no pass over a mapped output rescales it, and a
-    zero ||c|| raises :class:`ZeroSolution`.
+
+def _pass_step(count: int, points: int) -> int:
+    """Rows per block of a pass over ``count`` distinct rows of ``points``
+    entries: a sixteenth of the set, but at least a quarter of
+    ``_CHUNK_ENTRIES`` entries and at most all of them."""
+    chunk = min(_CHUNK_ENTRIES, max(_CHUNK_ENTRIES // 4, count * points // _REALIZE_BLOCKS))
+    return max(1, chunk // points)
+
+
+def _pair_blocks(
+    staged: np.ndarray, partner: np.ndarray | None, step: int
+) -> Iterator[list[tuple[slice, np.ndarray]]]:
+    """The staged coefficients c in blocks of ``step`` rows, each with its partner rows.
+
+    Yields [(rows, c)], c a view of ``staged``, and for a set whose rows pair
+    (``partner`` the row v of :func:`_stage_coefficients`) also
+    (rows + h, c - v), h = len(staged), formed in one reused buffer that is
+    valid until the next block. The partner rows are formed before the
+    block is yielded, so its consumer may overwrite c.
     """
-    for start in range(0, len(staged), step):
+    half = len(staged)
+    buffer = None if partner is None else np.empty((min(step, half), staged.shape[1]), dtype=np.complex128)
+    for start in range(0, half, step):
         c = staged[start : start + step]
-        parts = c.view(np.float64)
-        norms = np.sqrt(np.einsum("ik,ik->i", parts, parts))
-        if budget is not None:
-            zero = np.flatnonzero(norms == 0.0)
-            if zero.size:
-                mask = start + int(zero[0])
-                raise ZeroSolution(f"mask {mask} lies outside the retained kernel range", mask)
-            c *= (budget / norms)[:, None]
-        yield slice(start, start + len(c)), norms, c
+        rows = slice(start, start + len(c))
+        if buffer is None:
+            yield [(rows, c)]
+            continue
+        pair = buffer[: len(c)]
+        np.subtract(c, partner, out=pair)
+        yield [(rows, c), (slice(rows.start + half, rows.stop + half), pair)]
+
+
+def _budget_scales(
+    staged: np.ndarray, partner: np.ndarray | None, step: int, budget: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The norm ||c|| of every row of :func:`_pair_blocks`, all R of them
+    indexed by row, and budget / ||c||; a zero ||c|| raises
+    :class:`ZeroSolution`, naming the lowest such row."""
+    norms = np.empty(len(staged) * (1 if partner is None else 2))
+    for parts in _pair_blocks(staged, partner, step):
+        for rows, c in parts:
+            values = c.view(np.float64)
+            norms[rows] = np.sqrt(np.einsum("ik,ik->i", values, values))
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        mask = int(zero[0])
+        raise ZeroSolution(f"mask {mask} lies outside the retained kernel range", mask)
+    return norms, budget / norms
 
 
 def _map_rows(
@@ -769,7 +813,7 @@ def _map_rows(
         out *= phase
 
 
-def _aperture_factors(
+def aperture_factors(
     inv: RegularizedInverse,
 ) -> tuple[list[np.ndarray], tuple[int, int] | None, np.ndarray | None]:
     """What :func:`_map_rows` needs to map coefficients c onto solutions: per
@@ -798,7 +842,7 @@ def _aperture_factors(
 
 
 def _table_factor(inv: RegularizedInverse) -> np.ndarray:
-    """The one factor of :func:`_aperture_factors` for a volume inverse: the
+    """The one factor of :func:`aperture_factors` for a volume inverse: the
     transpose of K^H U[:, :r] / sigma before the J_x phase, (r, N) on the
     aperture grid. Per aperture sector s that is X_s^H (W_s^H U / sigma)
     times the aperture fold weights, the target-side factor W_s
@@ -833,23 +877,40 @@ def _solutions(
     """Regularized solutions (I, N), C-ordered, for a mask set or the rows of an (I, M) array.
 
     The coefficients of :func:`_stage_coefficients` are staged in the
-    leading columns of the output's first R rows, one per distinct mask,
-    and each block of rows is overwritten with its solutions, mapped per
-    sector through :func:`_aperture_factors`, unfolded on the aperture side
-    and multiplied by the conjugate J_x phase; a set that repeats its rows
-    then has the R solutions copied on. With a ``budget``, every solution is
-    scaled to norm ``budget``.
+    leading columns of the output's first rows, and go in the row blocks of
+    a realization pass (:func:`_pair_blocks`), partner rows included, as
+    :func:`realize_masks` hands them to :func:`profile_writer`. With a
+    ``budget``, each is scaled by budget / ||c|| (:func:`_budget_scales`),
+    so every solution has norm ``budget``. Each block is written over its
+    rows with its solutions, mapped per sector through
+    :func:`aperture_factors` in the pieces that :func:`profile_writer`
+    maps, unfolded on the aperture side and multiplied by the conjugate J_x
+    phase, so an export holds the bits of this array. A set that repeats
+    its rows then has the R solutions copied on.
     """
-    n = inv.shape[1]
+    n_targets, n = inv.shape
     count, distinct = (masks.count, masks.distinct_rows) if isinstance(masks, MaskSet) else (len(masks),) * 2
     out = np.empty((count, n), dtype=np.complex128)
-    _stage_coefficients(inv, _folded_factors(inv), masks, out)
-    right, shape, phase = _aperture_factors(inv)
-    staged = out[:distinct, : inv.retained_rank]
-    for rows, _, c in _scaled_rows(staged, max(1, _CHUNK_ENTRIES // n), budget):
-        _map_rows(c, right, shape, out[rows], phase)  # over the block's own coefficients
+    partner = _stage_coefficients(inv, _folded_factors(inv), masks, out)
+    right, shape, phase = aperture_factors(inv)
+    staged = out[: _staged_rows(masks), : inv.retained_rank]
+    step, piece = _pass_step(distinct, n_targets), _profile_rows(n)
+    scales = None if budget is None else _budget_scales(staged, partner, step, budget)[1]
+    for parts in _pair_blocks(staged, partner, step):
+        for rows, c in parts:
+            if scales is not None:
+                c *= scales[rows, None]
+            solutions = out[rows]  # over the block's own coefficients, or below the staged rows
+            for start in range(0, len(c), piece):
+                _map_rows(c[start : start + piece], right, shape, solutions[start : start + piece], phase)
     out.reshape(count // distinct, distinct, n)[1:] = out[:distinct]
     return out
+
+
+def _profile_rows(n_samples: int) -> int:
+    """Rows of the pieces that coefficients are mapped onto profiles in: about
+    ``_CHUNK_ENTRIES`` entries, counted from the first row of each block."""
+    return max(1, _CHUNK_ENTRIES // n_samples)
 
 
 def realize_masks(
@@ -861,48 +922,71 @@ def realize_masks(
 
     With the coefficients c of :func:`_stage_coefficients`, the solution
     norm is ||c|| and the realized mask is the unfolded U diag(sigma) c,
-    scaled onto the power budget. A block of rows at a time, c is scaled
-    onto the budget (:func:`_scaled_rows`) and mapped into one reused buffer
-    (:func:`_map_rows`), which goes to each of ``readers`` as
-    ``reader(rows, block, norms, coefficients)``: the slice it covers, its
-    complex masks, their solution norms and their budget-scaled c, valid
-    until the reader returns. So a set's complex masks never exist whole.
+    scaled onto the power budget. Every norm is formed before any row is
+    mapped, so a zero one raises :class:`ZeroSolution` naming the lowest
+    such row before any reader runs. Then, a block of rows at a time, c is
+    mapped (:func:`_map_rows`) into one reused buffer and scaled there by
+    budget / ||c||, and c itself is scaled alike. The block goes to each
+    of ``readers`` as ``reader(rows, block, norms, coefficients)``: the
+    slice it covers, its complex masks, their solution norms and their
+    budget-scaled c, valid until the reader returns. So a set's complex
+    masks never exist whole.
+
+    A set whose rows pair (``MaskSet.paired``) stages and maps only its
+    first h = R/2 rows: partner row i + h has c_i - v, so its unscaled
+    realized mask is P_i - q, with P_i that of row i and q = unfold(v U
+    diag(sigma)) mapped once, and only the sector products of h rows and
+    their unfold are formed. Each block of rows goes to the readers, then
+    its partner rows, with their own ``rows`` slice: readers must place
+    rows by that slice, not by arrival order.
 
     One array holds c and what the set keeps: c is staged at its tail, and
     the kept rows are written from its head once the block's readers are
     done, where they overlap only rows of c already read. A volume set keeps
     its complex masks; a plane set only their magnitudes
-    (``MaskSet.magnitudes_only``), half a complex row each, so the array is
-    R x max(sum r_s, ceil(M / 2)) complex entries, not c beside the
-    magnitudes. Returns the new set.
+    (``MaskSet.magnitudes_only``), w = ceil(M / 2) complex entries a row,
+    so the array is (R - h) w + h max(sum r_s, w) complex entries, h the
+    staged rows, not c beside the magnitudes. Returns the new set.
     """
     if _KERNEL_TO_MASK_KIND.get(inv.kind) != masks.kind:
         raise KindMismatch(f"kernel kind {inv.kind!r} cannot realize {masks.kind!r} masks")
     n_targets, n_samples = inv.shape
-    count, rank = masks.distinct_rows, inv.retained_rank
+    count, half, rank = masks.distinct_rows, _staged_rows(masks), inv.retained_rank
     keeps_values = masks.kind == KIND_MASK3D
-    held = np.empty(count * max(rank, n_targets if keeps_values else -(-n_targets // 2)), dtype=np.complex128)
-    staged = held[len(held) - count * rank :].reshape(count, rank)
+    width = n_targets if keeps_values else -(-n_targets // 2)
+    held = np.empty((count - half) * width + half * max(rank, width), dtype=np.complex128)
+    staged = held[len(held) - half * rank :].reshape(half, rank)
     stored = (held if keeps_values else held.view(np.float64))[: count * n_targets].reshape(count, n_targets)
     factors = _folded_factors(inv)
-    _stage_coefficients(inv, factors, masks, staged)
+    partner = _stage_coefficients(inv, factors, masks, staged)
     right = [(f.u * f.sigma).T for f in factors]
     del factors
-    chunk = min(_CHUNK_ENTRIES, max(_CHUNK_ENTRIES // 4, count * n_targets // _REALIZE_BLOCKS))
-    step = max(1, chunk // n_targets)
-    buffer = np.empty((min(step, count), n_targets), dtype=np.complex128)
-    norms = np.empty(count)
-    for rows, block_norms, c in _scaled_rows(staged, step, np.sqrt(n_samples * amplification)):
-        block = buffer[: len(c)]
-        _map_rows(c, right, _target_shape(inv), block)
-        norms[rows] = block_norms
-        for reader in readers:
-            reader(rows, block, block_norms, c)
-        # only now: these rows of the head overlap rows of c, but none not yet read
-        if keeps_values:
-            stored[rows] = block
-        else:
-            np.abs(block, out=stored[rows])
+    shape = _target_shape(inv)
+    step = _pass_step(count, n_targets)
+    norms, scales = _budget_scales(staged, partner, step, np.sqrt(n_samples * amplification))
+    buffers = np.empty((1 if partner is None else 2, min(step, half), n_targets), dtype=np.complex128)
+    if partner is not None:
+        partner_mask = np.empty((1, n_targets), dtype=np.complex128)
+        _map_rows(partner[None], right, shape, partner_mask)
+    for parts in _pair_blocks(staged, partner, step):
+        lower = parts[0][1]
+        blocks = buffers[:, : len(lower)]
+        with small_ufunc_buffers():
+            _map_rows(lower, right, shape, blocks[0])
+            if partner is not None:
+                np.subtract(blocks[0], partner_mask, out=blocks[1])
+            for (rows, c), block in zip(parts, blocks):
+                scale = scales[rows, None]
+                block *= scale
+                c *= scale
+        for (rows, c), block in zip(parts, blocks):
+            for reader in readers:
+                reader(rows, block, norms[rows], c)
+            # only now: these rows of the head overlap rows of c, but none not yet read
+            if keeps_values:
+                stored[rows] = block
+            else:
+                np.abs(block, out=stored[rows])
     stored.setflags(write=False)
     repeats = masks.count // count
     norms = np.tile(norms, repeats)
@@ -941,7 +1025,12 @@ def synthesis_profiles(inv: RegularizedInverse, masks: MaskSet, amplification: f
 
 @contextmanager
 def profile_writer(
-    path: str | Path, inv: RegularizedInverse, count: int, fingerprint: str, period: int | None = None
+    path: str | Path,
+    inv: RegularizedInverse,
+    count: int,
+    fingerprint: str,
+    period: int | None = None,
+    factors: tuple | None = None,
 ) -> Iterator[Reader]:
     """A reader of :func:`realize_masks` that exports the ``count`` profiles
     of its pass, in the binary layout of mask exports. With a ``period``,
@@ -949,44 +1038,30 @@ def profile_writer(
     (:func:`mask_design.mask_file_writer`).
 
     Each block's budget-scaled coefficients c are mapped onto the aperture
-    (:func:`_aperture_factors`) and written, in blocks of rows of about
-    ``_CHUNK_ENTRIES`` entries counted from the first row, as
-    :func:`synthesis_profiles` maps them, so the bytes are those of the whole
-    array; rows of c that do not fill such a block wait in a small buffer.
-    The (I, N) profiles never exist whole, and c is not staged again. The
-    file replaces ``path`` when the context ends; a pass that fails leaves
-    any earlier file in place (:func:`mask_design.mask_file_writer`).
+    through ``factors``, those of :func:`aperture_factors`, formed here
+    unless given, so the writers of one pass can share them. The rows are
+    mapped and written at their own row offset, whatever order the blocks
+    come in, in pieces of about ``_CHUNK_ENTRIES`` entries counted from each
+    block's first row, as :func:`synthesis_profiles` maps them, so the bytes
+    are those of the whole array. The (I, N) profiles never exist whole,
+    and c is not staged again. The file replaces ``path`` when the context
+    ends; a pass that fails leaves any earlier file in place
+    (:func:`mask_design.mask_file_writer`).
     """
-    right, shape, phase = _aperture_factors(inv)
+    right, shape, phase = aperture_factors(inv) if factors is None else factors
     n = inv.shape[1]
-    step = min(max(1, _CHUNK_ENTRIES // n), count if period is None else period)
-    waiting = np.empty((step, inv.retained_rank), dtype=np.complex128)
-    profiles = np.empty((step, n), dtype=np.complex128)
-    filled = 0
+    step = _profile_rows(n)
+    profiles = np.empty((min(step, count if period is None else period), n), dtype=np.complex128)
     with mask_file_writer(path, "profiles", (count, n), fingerprint, period) as write:
 
-        def flush(c: np.ndarray) -> None:
-            rows = profiles[: len(c)]
-            _map_rows(c, right, shape, rows, phase)
-            write(rows)
-
-        def add(_rows: slice, _block: np.ndarray, _norms: np.ndarray, c: np.ndarray) -> None:
-            nonlocal filled
-            while len(c):
-                if filled == 0 and len(c) >= step:  # a whole block, mapped where it is
-                    flush(c[:step])
-                    c = c[step:]
-                    continue
-                take = min(step - filled, len(c))
-                waiting[filled : filled + take] = c[:take]
-                filled, c = filled + take, c[take:]
-                if filled == step:
-                    flush(waiting)
-                    filled = 0
+        def add(rows: slice, _block: np.ndarray, _norms: np.ndarray, c: np.ndarray) -> None:
+            for start in range(0, len(c), step):
+                part = c[start : start + step]
+                piece = profiles[: len(part)]
+                _map_rows(part, right, shape, piece, phase)
+                write(piece, rows.start + start)
 
         yield add
-        if filled:
-            flush(waiting[:filled])
 
 
 def save_profiles(
@@ -997,19 +1072,13 @@ def save_profiles(
     fingerprint: str,
 ) -> None:
     """Export the profiles of :func:`synthesis_profiles` for the ideal
-    ``masks`` through :func:`profile_writer`, without realizing them.
-
-    The coefficients c (R, sum r_s) of the distinct masks are staged once
-    (:func:`_stage_coefficients`) and handed over a block of rows at a time,
-    so the (I, N) profiles never exist whole; the bytes are those of the
-    whole array. A failing block leaves any earlier file in place.
+    ``masks``: one realization pass (:func:`realize_masks`) whose one reader
+    is :func:`profile_writer`, so the (I, N) profiles never exist whole and
+    the bytes are those of the whole array. A failing pass leaves any
+    earlier file in place.
     """
-    n = inv.shape[1]
-    staged = np.empty((masks.distinct_rows, inv.retained_rank), dtype=np.complex128)
-    _stage_coefficients(inv, _folded_factors(inv), masks, staged)
     with profile_writer(path, inv, masks.count, fingerprint, masks.distinct_rows) as add:
-        for rows, norms, c in _scaled_rows(staged, max(1, _CHUNK_ENTRIES // n), np.sqrt(n * amplification)):
-            add(rows, None, norms, c)
+        realize_masks(inv, masks, amplification, [add])
 
 
 def write_synthesis_summary(

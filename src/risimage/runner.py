@@ -295,18 +295,23 @@ def export_synthesis(
     are readers of the realization pass, beside ``readers``; a count's
     writers read its distinct rows, the first
     ``ideal.first(count).distinct_rows`` of the pass, which its files
-    repeat. Returns the realized set."""
+    repeat, each row at its own offset, and every count's profiles are
+    mapped through the one set of aperture factors of the pass. Returns the
+    realized set."""
     misfit = ris_synthesis.RealizedMisfit(inv, ideal, amplification)
     exports = [(count, suffix, ideal.first(count).distinct_rows) for count, suffix in exports]
     readers = [*readers, misfit.add]
+    factors = ris_synthesis.aperture_factors(inv)
     with ExitStack() as files:
         for count, suffix, period in exports:
             masks_path, profiles_path = (directory / f"{stem}{suffix}.bin" for stem in ("masks_realized", "profiles"))
             write = files.enter_context(
                 mask_design.mask_file_writer(masks_path, ideal.kind, (count, ideal.points), fp, period)
             )
-            profiles = files.enter_context(ris_synthesis.profile_writer(profiles_path, inv, count, fp, period))
-            readers.append(_leading(period, lambda _rows, block, *_, write=write: write(block)))
+            profiles = files.enter_context(
+                ris_synthesis.profile_writer(profiles_path, inv, count, fp, period, factors)
+            )
+            readers.append(_leading(period, lambda rows, block, *_, write=write: write(block, rows.start)))
             readers.append(_leading(period, profiles))
         realized = ris_synthesis.realize_masks(inv, ideal, amplification, readers)
     for count, suffix, period in exports:

@@ -1390,6 +1390,36 @@ class TestArtifactsOnlyObserve:
             if name != "timings.csv":
                 assert (tmp_path / "kept" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
+    def test_each_distance_forms_one_set_of_aperture_factors(self, scene_file, tmp_path, monkeypatch):
+        # two counts at two distances: each count's profile writer maps through the
+        # factors of its distance's one pass, and the I = 128 export holds the bytes
+        # that save_profiles writes for its set
+        calls = []
+
+        def counted(inv, _original=rs.aperture_factors):
+            calls.append(inv.shape)
+            return _original(inv)
+
+        monkeypatch.setattr(rs, "aperture_factors", counted)
+        cfg = sc.load_scene_config(scene_file)
+        plan = rn.ExperimentPlan(
+            scene=cfg,
+            i_values=(64, 128),
+            z_values=(0.125, 0.15),
+            keep_artifacts=True,
+            output_dir=str(tmp_path / "run"),
+        )
+        assert all(p.error is None for p in rn.run_plan(plan).points)
+        assert len(calls) == 2
+        for z_prime in plan.z_values:
+            scene = sc.validate_scene(sc.with_target_distance(cfg, z_prime))
+            grids = sc.sample_grids(scene)
+            inv = rs.tikhonov_inverse(em_core.kernel_stream(scene, grids), rn.default_gamma(z_prime))
+            expected = tmp_path / "profiles.bin"
+            rs.save_profiles(expected, inv, md.ideal_masks(scene, grids, 128), cfg.amplification, scene.fingerprint)
+            written = tmp_path / "run" / "artifacts" / f"profiles_{scene.fingerprint[:16]}_I128.bin"
+            assert written.read_bytes() == expected.read_bytes()
+
     def test_a_corrupt_kernel_file_in_the_run_dir_is_ignored(self, scene_file, tmp_path):
         plan = rn.ExperimentPlan(
             scene=sc.load_scene_config(scene_file),
@@ -1462,6 +1492,35 @@ class TestRunnerInternals:
         held += list(masks.moments)
         assert masks.magnitudes_only and not any(np.iscomplexobj(v) for v in held)
         assert np.shares_memory(masks.moments[0], masks.stored)
+
+    def test_counts_of_the_same_distinct_rows_share_their_moments(self, tmp_path, monkeypatch):
+        # 256 target points: I = 1,024 and 2,048 both repeat the same 512 realized
+        # rows, whose moments each distance computes once
+        computed = []
+
+        def counted(masks, _original=md.MaskSet._moments):
+            computed.append((masks.count, masks.distinct_rows))
+            return _original(masks)
+
+        monkeypatch.setattr(md.MaskSet, "_moments", counted)
+        plan = rn.ExperimentPlan(
+            scene=desk_config(),
+            i_values=(1024, 2048),
+            snr_values=(None, 20.0),
+            z_values=(0.125, 0.25),
+            seed=5,
+            output_dir=str(tmp_path / "run"),
+        )
+        assert all(p.error is None for p in rn.run_plan(plan).points)
+        assert computed == [(1024, 512)] * 2
+        monkeypatch.undo()
+        # the noiseless metrics of each count swept alone
+        for count in plan.i_values:
+            alone = dataclasses.replace(plan, i_values=(count,), output_dir=str(tmp_path / f"I{count}"))
+            rn.run_plan(alone)
+            runs = (read_metrics(tmp_path / "run"), read_metrics(tmp_path / f"I{count}"))
+            together, apart = ([r["nmse"] for r in rows if r["I"] == str(count) and not r["snr_db"]] for rows in runs)
+            assert len(together) == 2 and together == apart
 
     def test_moments_and_fields_once_per_mask_set(self, scene_file, tmp_path, monkeypatch):
         # two distances x two mask counts x three SNR points: four mask sets

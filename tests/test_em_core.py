@@ -650,6 +650,31 @@ class TestStreamedWrite:
         self.assert_untouched(path, old)
 
 
+    @pytest.mark.parametrize(
+        "period, blocks",
+        [(None, [(0, 1), (3, 4), (1, 3), (4, 6)]), (2, [(1, 2), (0, 1)])],
+        ids=["pairs", "3-periods-reversed"],
+    )
+    def test_blocks_out_of_row_order_write_the_bytes_of_the_whole_array(self, tmp_path, period, blocks):
+        # each block of rows and then its partner rows, as a realization pass hands them
+        values = self.values()
+        rows = 6 if period is None else period
+        write_file(tmp_path / "a.bin", self.HEADER, np.tile(values[:rows], (6 // rows, 1)))
+        with em.complex_file_writer(tmp_path / "b.bin", self.HEADER, (6, 3), period=period) as write:
+            for start, stop in blocks:
+                write(values[start:stop], start)
+        assert (tmp_path / "b.bin").read_bytes() == (tmp_path / "a.bin").read_bytes()
+
+    @pytest.mark.parametrize("second", [(3, 6), (-1, 2), (5, 7)], ids=["overlapping", "negative", "past-the-end"])
+    def test_a_block_off_the_rows_still_to_write_leaves_the_old_file(self, tmp_path, second):
+        path, old = self.old_file(tmp_path)
+        with pytest.raises(DimensionMismatch):
+            with em.complex_file_writer(path, self.HEADER, (6, 3)) as write:
+                write(self.values()[:4], 0)
+                start, stop = second
+                write(self.values()[: stop - start], start)
+        self.assert_untouched(path, old)
+
     @pytest.mark.parametrize("period", [None, 4, 2], ids=["plain", "2-periods", "4-periods"])
     def test_each_block_is_written_at_every_period(self, tmp_path, period):
         rng = np.random.default_rng(5)

@@ -16,7 +16,9 @@ cases the same on every run.
 
 One more property draws small plane and volume scenes, square or not, of odd
 and even counts, and checks every structured decomposition route against
-``np.linalg.svd`` of the dense kernel.
+``np.linalg.svd`` of the dense kernel. Another draws targets of a power-of-two
+point count M with 2M or 4M masks, whose design pairs its rows, and checks
+the paired realization against that of the same rows stored.
 """
 
 import contextlib
@@ -301,3 +303,45 @@ def test_mirror_decompositions_match_the_dense_svd(cfg, seed):
     profiles *= np.sqrt(scene.n_ris) / np.linalg.norm(profiles, axis=0)
     dense = (kernel.entries @ profiles).T
     np.testing.assert_allclose(values, dense, rtol=0, atol=1e-10 * np.abs(dense).max())
+
+
+@st.composite
+def paired_designs(draw):
+    """A small plane target of 2 to 8 points a side, or a volume of 1 to 4,
+    with a power-of-two point count M >= 4, and a mask count of 2M or 4M."""
+    keys = dict(
+        n_ris_x=draw(st.integers(6, 12)),
+        n_ris_y=draw(st.integers(6, 12)),
+        incident_elevation=math.radians(draw(st.sampled_from(ELEVATIONS))),
+    )
+    z_prime = draw(st.sampled_from(DESK_Z_VALUES))
+    if draw(st.booleans()):
+        sides = st.sampled_from([1, 2, 4])
+        tx, ty, tz = draw(sides), draw(sides), draw(sides)
+        if tx * ty * tz < 4:
+            tz = 4
+        cfg = volume_config(z_prime, n_z=tz, n_target_x=tx, n_target_y=ty, **keys)
+    else:
+        sides = st.sampled_from([2, 4, 8])
+        cfg = desk_config(z_prime, n_target_x=draw(sides), n_target_y=draw(sides), **keys)
+    return cfg, draw(st.sampled_from([2, 4]))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(design=paired_designs())
+def test_paired_realization_matches_the_stored_rows(design):
+    """A designed set of R = 2M rows stages and maps only its first M and forms
+    each partner row from its row and one constant row; realized from the same
+    rows stored, which do not pair, it gives the same masks and norms."""
+    cfg, multiple = design
+    scene = validate_scene(cfg)
+    grids = sample_grids(scene)
+    inv = rs.tikhonov_inverse(em.kernel_stream(scene, grids), default_gamma(cfg.target_distance))
+    designed = md.ideal_masks(scene, grids, multiple * scene.n_target)
+    distinct = designed.distinct_rows
+    stored = md.MaskSet(designed.kind, stored=designed.vectors[:distinct])
+    assert designed.paired and distinct == 2 * scene.n_target and not stored.paired
+    (paired, paired_values), (plain, plain_values) = (realize_with_values(inv, m, 1.5) for m in (designed, stored))
+    scale = np.abs(plain_values).max()
+    np.testing.assert_allclose(paired_values[:distinct], plain_values, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(paired.solution_norms[:distinct], plain.solution_norms, rtol=1e-12)

@@ -291,11 +291,16 @@ class TestProject:
 
     @staticmethod
     def projected(masks, count, factors, extra=3):
-        # the trailing columns past sum r_k must come back untouched
+        # the trailing columns past sum r_k must come back untouched, and so must
+        # the rows from R/2 on of a set whose rows pair, whose row i + R/2 is row i - v
         width = sum(f.shape[1] for f in factors)
         out = np.full((count, width + extra), 7.0 + 7.0j)
-        md.project(masks, factors, out)
+        partner = md.project(masks, factors, out)
         np.testing.assert_array_equal(out[:, width:], 7.0 + 7.0j)
+        if partner is not None:
+            half = masks.distinct_rows // 2
+            np.testing.assert_array_equal(out[half:], 7.0 + 7.0j)
+            out[half:, :width] = out[:half, :width] - partner
         return out[:, :width]
 
     @pytest.mark.parametrize(
@@ -355,8 +360,12 @@ class TestProject:
                 del copy
 
         out = np.empty((masks.distinct_rows, 9), dtype=complex)
-        md.project(masks, one_at_a_time(), out)
+        partner = md.project(masks, one_at_a_time(), out)
         assert alive_at_draw == [0, 0, 0]
+        assert (partner is not None) == designed  # 128 masks over 64 or 8 points pair their rows
+        if partner is not None:
+            half = masks.distinct_rows // 2
+            out[half:] = out[:half] - partner
         expected = masks.vectors[: masks.distinct_rows] @ np.concatenate(factors, axis=1)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 

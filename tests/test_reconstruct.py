@@ -89,6 +89,26 @@ class TestMaskMoments:
         assert "moments" not in scaled.__dict__
         np.testing.assert_allclose(scaled.moments[1], 9.0 * first[1], rtol=1e-12)
 
+    def test_sets_of_the_same_distinct_rows_share_them(self, monkeypatch):
+        computed = []
+
+        def counted(masks, _original=md.MaskSet._moments):
+            computed.append(masks.count)
+            return _original(masks)
+
+        monkeypatch.setattr(md.MaskSet, "_moments", counted)
+        masks = md.MaskSet(kind=md.KIND_MASK2D, stored=np.arange(12.0).reshape(4, 3), repeats=4)
+        twice, once, prefix = masks.first(8), masks.first(4), masks.first(2)
+        assert twice.moments is once.moments is masks.moments is masks.first(16).moments
+        assert prefix.moments is not masks.moments
+        assert computed == [8, 2]
+        again = masks.first(8)
+        assert again.moments is masks.moments and computed == [8, 2]
+        designed = md.MaskSet(kind=md.KIND_MASK2D, design=(64, 3), phase=np.zeros(3))
+        first = designed.moments
+        assert designed.first(32).moments is designed.first(4).moments is first and computed == [8, 2, 64]
+        assert dataclasses.replace(twice, repeats=2).moments is not first
+
     def test_empty_set_rejected(self):
         with pytest.raises(EmptyMaskSet):
             md.MaskSet(kind=md.KIND_MASK2D, stored=np.zeros((0, 4), dtype=complex)).moments

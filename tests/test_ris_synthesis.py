@@ -176,6 +176,24 @@ class TestSynthesize:
         with pytest.raises(ZeroSolution, match="mask 5 "):
             rs.realize_masks(inv, masks, 1.0)
 
+    def test_paired_pass_names_an_upper_row_before_any_reader(self, monkeypatch):
+        # 8 masks over 4 points pair their rows: row i + 4 is row i with point 3
+        # off. With only points 2 and 3 in range, rows 5 and 6 are zero there,
+        # rows 0..4 are not; in blocks of one row the pass names row 5 before any
+        # reader sees a block (gamma 1 keeps every value dyadic, so the zeros are exact)
+        monkeypatch.setattr(rs, "_CHUNK_ENTRIES", 4)
+        kernel = KernelMatrix(stored=np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex), kind=em.KIND_Z2D, fingerprint="t")
+        inv = rs.tikhonov_inverse(kernel, 1.0)
+        masks = md.MaskSet(kind=md.KIND_MASK2D, design=(8, 4), phase=np.zeros(4))
+        assert masks.paired and rs._pass_step(masks.distinct_rows, masks.points) == 1
+        seen = []
+        with pytest.raises(ZeroSolution, match="mask 5 ") as caught:
+            rs.realize_masks(inv, masks, 1.0, [lambda rows, *_: seen.append(rows)])
+        assert caught.value.mask == 5 and seen == []
+        stored = md.MaskSet(kind=md.KIND_MASK2D, stored=masks.vectors)
+        with pytest.raises(ZeroSolution, match="mask 5 "):
+            rs.realize_masks(inv, stored, 1.0)
+
     def test_wrong_length_rejected(self):
         rng = np.random.default_rng(6)
         kernel = random_kernel(rng, 8, 12)
@@ -1051,7 +1069,8 @@ class TestStreamedExports:
         assert f"realized_rel_err_max = {float(rel_err.max())!r}" in lines
 
     def test_zero_solution_mid_stream_leaves_the_old_file(self, monkeypatch, tmp_path):
-        # blocks of two rows: mask 5 fails the third block, after two were written
+        # blocks of two rows: mask 5, in the third block, has a zero norm, which
+        # the pass finds before it writes any block
         monkeypatch.setattr(rs, "_CHUNK_ENTRIES", 4)
         kernel = KernelMatrix(stored=np.diag([1.0, 0.0]).astype(complex), kind=em.KIND_Z2D, fingerprint="t")
         inv = rs.tikhonov_inverse(kernel, 1e-6)
@@ -1067,7 +1086,7 @@ class TestStreamedExports:
 
     def test_zero_solution_mid_pass_leaves_the_old_realized_export(self, monkeypatch, tmp_path):
         # the realized masks are written by a reader of the realization pass: a mask
-        # that fails its block after two blocks were written leaves the old file
+        # with a zero norm in the third block leaves the old file
         monkeypatch.setattr(rs, "_CHUNK_ENTRIES", 4)
         kernel = KernelMatrix(stored=np.diag([1.0, 0.0]).astype(complex), kind=em.KIND_Z2D, fingerprint="t")
         inv = rs.tikhonov_inverse(kernel, 1e-6)
@@ -1079,6 +1098,37 @@ class TestStreamedExports:
             rn.export_synthesis(tmp_path, [(8, "")], "t", inv, md.MaskSet(kind=md.KIND_MASK2D, stored=vectors), 1.0)
         assert (tmp_path / "masks_realized.bin").read_bytes() == old
         assert list(tmp_path.glob(".*.tmp")) == []
+
+
+class TestPairedWriters:
+    """A pass hands each block of staged rows and then its partner rows, and the
+    writers place every block at its own row offset."""
+
+    def test_blocks_in_any_row_order_write_the_same_bytes(self, desk_synthesis, tmp_path):
+        inv, masks = desk_synthesis  # 1,024 masks over 256 points: 512 distinct rows in pairs
+        period = masks.distinct_rows
+        blocks = []
+
+        def record(rows, block, norms, c):
+            blocks.append((rows, block.copy(), norms.copy(), c.copy()))
+
+        rs.realize_masks(inv, masks, 1.5, [record])
+        starts = [rows.start for rows, *_ in blocks]
+        assert masks.paired and starts != sorted(starts) and starts[1] == period // 2
+        factors = rs.aperture_factors(inv)
+        orders = {"rows": sorted(blocks, key=lambda b: b[0].start), "reversed": blocks[::-1]}
+        for name, order in orders.items():
+            shape = (masks.count, masks.points)
+            with md.mask_file_writer(tmp_path / f"m-{name}.bin", masks.kind, shape, "f", period) as write:
+                with rs.profile_writer(tmp_path / f"p-{name}.bin", inv, masks.count, "f", period, factors) as add:
+                    for rows, block, norms, c in order:
+                        write(block, rows.start)
+                        add(rows, block, norms, c)
+        for stem in ("m", "p"):
+            assert (tmp_path / f"{stem}-rows.bin").read_bytes() == (tmp_path / f"{stem}-reversed.bin").read_bytes()
+        profiles = rs.synthesis_profiles(inv, masks, 1.5)
+        header = f"kind=profiles count={masks.count} points={inv.shape[1]} fingerprint=f\n".encode()
+        assert (tmp_path / "p-reversed.bin").read_bytes() == header + profiles.astype("<c16").tobytes()
 
 
 class TestPeriodicSets:
@@ -1148,10 +1198,19 @@ class TestOneArrayLayout:
         if threshold_factor != rs.DEFAULT_THRESHOLD_FACTOR:
             assert 0 < 2 * inv.retained_rank < scene.n_target  # c is shorter than u
         # the coefficients staged alone, in an array of their own: one row per
-        # distinct mask (16 of the volume's 256, which repeat them)
+        # distinct mask (16 of the volume's 256, which repeat them); the volume's
+        # rows pair, so its first 8 are staged and row i + 8 has c_i - v
         fresh = np.empty((masks.distinct_rows, inv.retained_rank), dtype=complex)
-        rs._stage_coefficients(inv, rs._folded_factors(inv), masks, fresh)
+        partner = rs._stage_coefficients(inv, rs._folded_factors(inv), masks, fresh)
+        half = rs._staged_rows(masks)
+        assert (partner is not None) == (cfg.target_kind == sc.VOLUME_3D) == (half < masks.distinct_rows)
         right = [(f.u * f.sigma).T for f in rs._folded_factors(inv)]
+        shape = rs._target_shape(inv)
+        unscaled = np.empty((masks.distinct_rows, scene.n_target), dtype=complex)
+        if partner is not None:
+            np.subtract(fresh[:half], partner, out=fresh[half:])
+            partner_mask = np.empty((1, scene.n_target), dtype=complex)
+            rs._map_rows(partner[None], right, shape, partner_mask)
         budget = np.sqrt(scene.n_ris * 1.5)
         seen = []
 
@@ -1161,17 +1220,24 @@ class TestOneArrayLayout:
         with rs.profile_writer(tmp_path / "p.bin", inv, masks.count, "f", masks.distinct_rows) as profiles:
             realized = rs.realize_masks(inv, masks, 1.5, [reader, profiles])
         assert seen[-1][0].stop == masks.distinct_rows and (chunk is None or len(seen) >= 2)
+        assert sorted(r for rows, *_ in seen for r in range(rows.start, rows.stop)) == list(range(len(fresh)))
         for rows, block, norms, c in seen:
             parts = fresh[rows].view(np.float64)
             assert norms.tobytes() == np.sqrt(np.einsum("ik,ik->i", parts, parts)).tobytes()
             scaled = fresh[rows] * (budget / norms)[:, None]
             assert c.tobytes() == scaled.tobytes()
-            mapped = np.empty_like(block)
-            rs._map_rows(scaled, right, rs._target_shape(inv), mapped)
-            assert block.tobytes() == mapped.tobytes()
+            # the staged rows are mapped unscaled and then scaled; a partner row is its
+            # row's unscaled mask minus the mapped v, then scaled
+            if rows.start < half:
+                rs._map_rows(fresh[rows], right, shape, unscaled[rows])
+            else:
+                np.subtract(unscaled[rows.start - half : rows.stop - half], partner_mask, out=unscaled[rows])
+            assert block.tobytes() == (unscaled[rows] * (budget / norms)[:, None]).tobytes()
             kept = block if masks.kind == md.KIND_MASK3D else np.abs(block)
             assert realized.stored[rows].tobytes() == kept.tobytes()
-        seen_norms = np.concatenate([norms for _, _, norms, _ in seen])
+        seen_norms = np.empty(masks.distinct_rows)
+        for rows, _, norms, _ in seen:
+            seen_norms[rows] = norms
         assert realized.solution_norms.tobytes() == np.tile(seen_norms, realized.repeats).tobytes()
         profiles = rs.synthesis_profiles(inv, masks, 1.5)
         header = f"kind=profiles count={masks.count} points={scene.n_ris} fingerprint=f\n".encode()
@@ -1182,10 +1248,14 @@ class TestOneArrayLayout:
         scene = sc.validate_scene(cfg)
         grids = sc.sample_grids(scene)
         inv = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12, threshold_factor)
-        realized = rs.realize_masks(inv, md.ideal_masks(scene, grids, 256), 1.0)
+        masks = md.ideal_masks(scene, grids, 256)
+        realized = rs.realize_masks(inv, masks, 1.0)
         held = realized.stored.base
         width = scene.n_target if realized.kind == md.KIND_MASK3D else -(-scene.n_target // 2)
-        size = realized.distinct_rows * max(inv.retained_rank, width)
+        # c of the h staged rows, at the tail, beside the kept rows from h on
+        half = rs._staged_rows(masks)
+        assert half == (8 if realized.kind == md.KIND_MASK3D else realized.distinct_rows)
+        size = (realized.distinct_rows - half) * width + half * max(inv.retained_rank, width)
         assert held.dtype == np.complex128 and held.size == size
         assert realized.stored.flags.c_contiguous and not realized.stored.flags.writeable
 
