@@ -45,7 +45,7 @@ from .reconstruct import (
 from .ris_synthesis import (
     RegularizedInverse,
     realize_masks,
-    synthesis_profiles,
+    save_profiles,
     tikhonov_inverse,
 )
 from .runner import ExperimentPlan, default_gamma, load_plan, run_plan

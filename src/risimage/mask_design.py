@@ -95,10 +95,11 @@ class MaskSet:
     and ``ris_synthesis.realize_masks`` realizes them and returns a set that
     repeats them.
     The generating coefficient vectors are not kept:
-    ``ris_synthesis.synthesis_profiles`` forms them from the inverse when
-    they are exported. ``moments`` are computed on first read and kept, and
-    shared with every set of the same distinct rows that :meth:`first`
-    makes; a set made by ``dataclasses.replace`` starts without them.
+    ``ris_synthesis.profile_writer`` maps them from the inverse, a block of
+    rows at a time, when they are exported. ``moments`` are computed on
+    first read and kept, and shared with every set of the same distinct
+    rows that :meth:`first` makes; a set made by ``dataclasses.replace``
+    starts without them.
     """
 
     kind: str  # KIND_MASK2D | KIND_MASK3D

@@ -86,19 +86,22 @@ first M rows are staged, by a Hadamard transform of order M, and mapped;
 each partner mask is its row's unscaled mask minus the one mapped row of
 v. c is staged at the tail of the array whose head then takes what the
 set keeps, the magnitudes of a plane set or the masks of a volume set, so
-the two never exist side by side. The coefficient profiles p are unfolded on the aperture
-side from V_s c_s, with V_s = B_s^H U_s / sigma_s built per sector from the
-block the inverse keeps (for a volume kernel, X_s^H W_s^H U / sigma per
-aperture sector, unfolded onto the aperture once), so a profile is never
-formed through a dense K^H product. :meth:`apply` and :func:`synthesis_profiles` form them whole; the
-export is one more reader of the realization pass (:func:`profile_writer`),
-which maps the budget-scaled c of each block, so it stages no c of its own
-and the (I, N) profiles never exist whole. The blocks are formed once, at
-decomposition, from the kernel's stored rows or from the stream of them as
-they are assembled (``em_core.KernelStream``), so a streamed kernel never
-exists whole, and the inverse holds no reference to the kernel. Realizing
-masks reads only U, sigma and lambda, so a caller that maps no solution
-back to the aperture drops the blocks
+the two never exist side by side.
+
+The coefficient profiles p are unfolded on the aperture side from V_s c_s,
+with V_s = B_s^H U_s / sigma_s built per sector from the block the inverse
+keeps (for a volume kernel, X_s^H W_s^H U / sigma per aperture sector,
+unfolded onto the aperture once), so a profile is never formed through a
+dense K^H product. A mask set's profiles come only from its export, one
+more reader of the realization pass (:func:`profile_writer`), which maps
+the budget-scaled c of each block, so it stages no c of its own and the
+(I, N) profiles never exist whole; :meth:`RegularizedInverse.apply` maps
+the unscaled c of its right-hand sides in one product. The blocks are
+formed once, at decomposition, from the kernel's stored rows or from the
+stream of them as they are assembled (``em_core.KernelStream``), so a
+streamed kernel never exists whole, and the inverse holds no reference to
+the kernel. Realizing masks reads only U, sigma and lambda, so a caller
+that maps no solution back to the aperture drops the blocks
 (:meth:`RegularizedInverse.without_blocks`), which are about the kernel's
 size.
 """
@@ -194,9 +197,8 @@ class RegularizedInverse:
     aperture sectors); ``retained_rank`` sums their retained modes.
     The kernel itself is not kept, and neither are the right singular
     vectors: each sector's block maps back to the aperture side where a
-    solution is needed (:meth:`apply`, :func:`synthesis_profiles`,
-    :func:`profile_writer` and the sector lines of
-    :func:`write_synthesis_summary`). An inverse without its blocks
+    solution is needed (:meth:`apply`, :func:`profile_writer` and the
+    sector lines of :func:`write_synthesis_summary`). An inverse without its blocks
     (:meth:`without_blocks`) still realizes masks, and those readers raise
     ``ValueError`` on it.
     """
@@ -244,11 +246,17 @@ class RegularizedInverse:
         """Regularized solution V Lambda U^H rhs for one vector or a stack.
 
         Evaluated sector by sector as V_s c_s with c_s = lambda_s U_s^H rhs_s
-        over the retained modes and V_s = B_s^H U_s / sigma_s, unfolded on
-        the aperture side (:func:`_solutions`).
+        over the retained modes (:func:`_stage_coefficients`, staged in the
+        leading columns of the solutions) and V_s = B_s^H U_s / sigma_s,
+        unfolded on the aperture side (:func:`aperture_factors`), in one
+        product for every right-hand side.
         """
         rhs = np.asarray(rhs, dtype=np.complex128)
-        solution = _solutions(self, rhs.reshape(rhs.shape[0], -1).T)  # (k, N)
+        vectors = rhs.reshape(rhs.shape[0], -1).T  # (k, M)
+        solution = np.empty((len(vectors), self.shape[1]), dtype=np.complex128)
+        _stage_coefficients(self, _folded_factors(self), vectors, solution)
+        right, shape, phase = aperture_factors(self)
+        _map_rows(solution[:, : self.retained_rank], right, shape, solution, phase)
         return solution[0] if rhs.ndim == 1 else solution.T
 
 
@@ -739,11 +747,9 @@ def _stage_coefficients(
     return project(masks, gathered(), out)
 
 
-def _staged_rows(masks: MaskSet | np.ndarray) -> int:
+def _staged_rows(masks: MaskSet) -> int:
     """The rows of c that :func:`_stage_coefficients` stages: the R distinct
     rows, or R/2 of a set whose rows pair."""
-    if not isinstance(masks, MaskSet):
-        return len(masks)
     return masks.distinct_rows // 2 if masks.paired else masks.distinct_rows
 
 
@@ -871,48 +877,6 @@ def _table_factor(inv: RegularizedInverse) -> np.ndarray:
     return factor
 
 
-def _solutions(
-    inv: RegularizedInverse, masks: MaskSet | np.ndarray, budget: float | None = None
-) -> np.ndarray:
-    """Regularized solutions (I, N), C-ordered, for a mask set or the rows of an (I, M) array.
-
-    The coefficients of :func:`_stage_coefficients` are staged in the
-    leading columns of the output's first rows, and go in the row blocks of
-    a realization pass (:func:`_pair_blocks`), partner rows included, as
-    :func:`realize_masks` hands them to :func:`profile_writer`. With a
-    ``budget``, each is scaled by budget / ||c|| (:func:`_budget_scales`),
-    so every solution has norm ``budget``. Each block is written over its
-    rows with its solutions, mapped per sector through
-    :func:`aperture_factors` in the pieces that :func:`profile_writer`
-    maps, unfolded on the aperture side and multiplied by the conjugate J_x
-    phase, so an export holds the bits of this array. A set that repeats
-    its rows then has the R solutions copied on.
-    """
-    n_targets, n = inv.shape
-    count, distinct = (masks.count, masks.distinct_rows) if isinstance(masks, MaskSet) else (len(masks),) * 2
-    out = np.empty((count, n), dtype=np.complex128)
-    partner = _stage_coefficients(inv, _folded_factors(inv), masks, out)
-    right, shape, phase = aperture_factors(inv)
-    staged = out[: _staged_rows(masks), : inv.retained_rank]
-    step, piece = _pass_step(distinct, n_targets), _profile_rows(n)
-    scales = None if budget is None else _budget_scales(staged, partner, step, budget)[1]
-    for parts in _pair_blocks(staged, partner, step):
-        for rows, c in parts:
-            if scales is not None:
-                c *= scales[rows, None]
-            solutions = out[rows]  # over the block's own coefficients, or below the staged rows
-            for start in range(0, len(c), piece):
-                _map_rows(c[start : start + piece], right, shape, solutions[start : start + piece], phase)
-    out.reshape(count // distinct, distinct, n)[1:] = out[:distinct]
-    return out
-
-
-def _profile_rows(n_samples: int) -> int:
-    """Rows of the pieces that coefficients are mapped onto profiles in: about
-    ``_CHUNK_ENTRIES`` entries, counted from the first row of each block."""
-    return max(1, _CHUNK_ENTRIES // n_samples)
-
-
 def realize_masks(
     inv: RegularizedInverse, masks: MaskSet, amplification: float, readers: Iterable[Reader] = ()
 ) -> MaskSet:
@@ -1011,18 +975,6 @@ class RealizedMisfit:
         self.values[rows] = np.linalg.norm(fitted - ideal_rows, axis=1) / np.linalg.norm(ideal_rows, axis=1)
 
 
-def synthesis_profiles(inv: RegularizedInverse, masks: MaskSet, amplification: float) -> np.ndarray:
-    """Power-normalised coefficient vectors (I, N), C-ordered, realizing each mask of ``masks``.
-
-    Each row has ||p||^2 = N * amplification; for the ideal set, K p is the
-    matching realized mask that :func:`realize_masks` hands to its readers.
-    Only the distinct rows of ``masks`` are solved for; a set that repeats
-    them gets its solutions copied on.
-    """
-    n_samples = inv.shape[1]
-    return _solutions(inv, masks, np.sqrt(n_samples * amplification))
-
-
 @contextmanager
 def profile_writer(
     path: str | Path,
@@ -1042,15 +994,14 @@ def profile_writer(
     unless given, so the writers of one pass can share them. The rows are
     mapped and written at their own row offset, whatever order the blocks
     come in, in pieces of about ``_CHUNK_ENTRIES`` entries counted from each
-    block's first row, as :func:`synthesis_profiles` maps them, so the bytes
-    are those of the whole array. The (I, N) profiles never exist whole,
-    and c is not staged again. The file replaces ``path`` when the context
-    ends; a pass that fails leaves any earlier file in place
-    (:func:`mask_design.mask_file_writer`).
+    block's first row, so a pass writes the same bytes in any block order.
+    The (I, N) profiles never exist whole, and c is not staged again. The
+    file replaces ``path`` when the context ends; a pass that fails leaves
+    any earlier file in place (:func:`mask_design.mask_file_writer`).
     """
     right, shape, phase = aperture_factors(inv) if factors is None else factors
     n = inv.shape[1]
-    step = _profile_rows(n)
+    step = max(1, _CHUNK_ENTRIES // n)
     profiles = np.empty((min(step, count if period is None else period), n), dtype=np.complex128)
     with mask_file_writer(path, "profiles", (count, n), fingerprint, period) as write:
 
@@ -1071,11 +1022,13 @@ def save_profiles(
     amplification: float,
     fingerprint: str,
 ) -> None:
-    """Export the profiles of :func:`synthesis_profiles` for the ideal
-    ``masks``: one realization pass (:func:`realize_masks`) whose one reader
-    is :func:`profile_writer`, so the (I, N) profiles never exist whole and
-    the bytes are those of the whole array. A failing pass leaves any
-    earlier file in place.
+    """Export the power-normalised coefficient profiles (I, N) that realize
+    the ideal ``masks``: every row has ||p||^2 = N * amplification, and
+    K p is the realized mask that :func:`realize_masks` hands to its
+    readers. One realization pass whose one reader is
+    :func:`profile_writer`, so the profiles never exist whole; a set that
+    repeats its distinct rows has their profiles repeated. A failing pass
+    leaves any earlier file in place.
     """
     with profile_writer(path, inv, masks.count, fingerprint, masks.distinct_rows) as add:
         realize_masks(inv, masks, amplification, [add])

@@ -17,6 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from risimage import mask_design as md
 from risimage import ris_synthesis as rs
 from risimage import scene as sc
 
@@ -153,3 +154,14 @@ def realize_with_values(inv, masks, amplification, readers=()):
     distinct = realized.distinct_rows
     values.reshape(-1, distinct, masks.points)[1:] = values[:distinct]
     return realized, values
+
+
+def exported_profiles(tmp_path, inv, masks, amplification):
+    """The (I, N) coefficient profiles of ``masks``, as ``save_profiles``
+    exports them to ``tmp_path / "profiles.bin"`` and ``load_mask_vectors``
+    reads them back: the one route by which profiles of a mask set are formed."""
+    path = tmp_path / "profiles.bin"
+    rs.save_profiles(path, inv, masks, amplification, "f")
+    kind, profiles, _ = md.load_mask_vectors(path)
+    assert kind == "profiles"
+    return profiles

@@ -375,9 +375,9 @@ class TestSynthesizeVerb:
 
 
     @pytest.mark.parametrize("volume", [False, True], ids=["plane", "volume"])
-    def test_profiles_of_the_pass_are_the_whole_array_solutions(self, tmp_path, volume):
-        # the profiles are written by a reader of the realization pass, from the c it
-        # scaled there; they hold the bytes of the (I, N) solutions formed whole
+    def test_profiles_of_the_verb_are_those_save_profiles_writes(self, tmp_path, volume):
+        # the verb's profiles are written by a reader of the pass that also takes its
+        # realized masks; they hold the bytes of the export of the same set alone
         scene_path = tmp_path / "scene.cfg"
         scene_path.write_text(TestVolumeVerbs.VOLUME_SCENE if volume else SCENE_TEXT)
         count = 16 if volume else 128
@@ -386,9 +386,10 @@ class TestSynthesizeVerb:
         scene = sc.validate_scene(sc.load_scene_config(scene_path))
         grids = sc.sample_grids(scene)
         inv = rs.tikhonov_inverse(em_core.assemble_kernel(scene, grids), rn.default_gamma(scene.config.target_distance))
-        profiles = rs.synthesis_profiles(inv, md.ideal_masks(scene, grids, count), scene.config.amplification)
-        header = f"kind=profiles count={count} points={scene.n_ris} fingerprint={scene.fingerprint}\n".encode()
-        assert (tmp_path / "s" / "profiles.bin").read_bytes() == header + profiles.astype("<c16").tobytes()
+        expected = tmp_path / "expected.bin"
+        ideal = md.ideal_masks(scene, grids, count)
+        rs.save_profiles(expected, inv, ideal, scene.config.amplification, scene.fingerprint)
+        assert (tmp_path / "s" / "profiles.bin").read_bytes() == expected.read_bytes()
 
 
 class TestVolumeVerbs:
@@ -2080,3 +2081,19 @@ class TestBlasThreads:
             exact = ("I", "snr_db", "z_prime", "gamma", "retained_rank", "seed")
             assert [row_one[key] for key in exact] == [row_two[key] for key in exact]
             assert float(row_two["nmse"]) == pytest.approx(float(row_one["nmse"]), rel=1e-11, abs=0.0)
+
+
+class TestReadme:
+    README = Path(__file__).resolve().parent.parent / "README.md"
+
+    def test_library_example_runs(self, tmp_path, monkeypatch, capsys):
+        # the fenced Python block under "## Library", run on the desk scene of the verbs
+        library = self.README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+        block = library.split("```python\n", 1)[1].split("\n```", 1)[0]
+        (tmp_path / "scene.cfg").write_text(SCENE_TEXT)
+        monkeypatch.chdir(tmp_path)
+        exec(compile(block, str(self.README), "exec"), {"__name__": "readme_library"})
+        printed = capsys.readouterr().out.split()
+        assert len(printed) == 1 and math.isfinite(float(printed[0]))
+        kind, profiles, _ = md.load_mask_vectors(tmp_path / "profiles.bin")
+        assert kind == "profiles" and profiles.shape == (1024, 256)

@@ -19,7 +19,14 @@ from risimage import scene as sc
 from risimage.em_core import KernelMatrix
 from risimage.errors import DimensionMismatch, KindMismatch, MalformedConfig, SvdFailure, ZeroSolution
 
-from conftest import desk_config, normalized_inner, peak_traced_bytes, realize_with_values, volume_config
+from conftest import (
+    desk_config,
+    exported_profiles,
+    normalized_inner,
+    peak_traced_bytes,
+    realize_with_values,
+    volume_config,
+)
 
 
 def random_kernel(rng, m, n, kind=em.KIND_Z2D):
@@ -129,39 +136,39 @@ class TestTikhonovInverse:
             assert objective(solution + 1e-3 * direction) > base
 
 
-def profile(inv, mask, amplification):
-    """Power-normalised coefficient vector realizing one plane mask."""
+def profile(tmp_path, inv, mask, amplification):
+    """Power-normalised coefficient vector realizing one plane mask, as exported."""
     masks = md.MaskSet(kind=md.KIND_MASK2D, stored=np.asarray(mask)[None, :])
-    return rs.synthesis_profiles(inv, masks, amplification)[0]
+    return exported_profiles(tmp_path, inv, masks, amplification)[0]
 
 
 class TestSynthesize:
-    def test_power_budget_exact(self):
+    def test_power_budget_exact(self, tmp_path):
         rng = np.random.default_rng(4)
         kernel = random_kernel(rng, 8, 12)
         inv = rs.tikhonov_inverse(kernel, 1e-6)
         mask = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        values = profile(inv, mask, amplification=1.5)
+        values = profile(tmp_path, inv, mask, amplification=1.5)
         assert np.linalg.norm(values) ** 2 == pytest.approx(12 * 1.5, rel=1e-12)
 
-    def test_positive_rescale_invariance(self):
+    def test_positive_rescale_invariance(self, tmp_path):
         rng = np.random.default_rng(5)
         kernel = random_kernel(rng, 8, 12)
         inv = rs.tikhonov_inverse(kernel, 1e-6)
         mask = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        a = profile(inv, mask, 1.0)
-        b = profile(inv, 3.7 * mask, 1.0)
+        a = profile(tmp_path, inv, mask, 1.0)
+        b = profile(tmp_path, inv, 3.7 * mask, 1.0)
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
-    def test_zero_solution_rejected(self):
+    def test_zero_solution_rejected(self, tmp_path):
         kernel = KernelMatrix(
             stored=np.diag([1.0, 0.0]).astype(complex), kind=em.KIND_Z2D, fingerprint="t"
         )
         inv = rs.tikhonov_inverse(kernel, 1e-6)
         with pytest.raises(ZeroSolution):
-            profile(inv, np.array([0.0, 1.0 + 0.0j]), 1.0)
+            profile(tmp_path, inv, np.array([0.0, 1.0 + 0.0j]), 1.0)
 
-    def test_zero_solution_names_its_mask_past_the_first_block(self, monkeypatch):
+    def test_zero_solution_names_its_mask_past_the_first_block(self, monkeypatch, tmp_path):
         # blocks of two rows: mask 5 is the second row of the third block
         monkeypatch.setattr(rs, "_CHUNK_ENTRIES", 4)
         kernel = KernelMatrix(
@@ -172,7 +179,7 @@ class TestSynthesize:
         vectors[5] = [0.0, 1.0]
         masks = md.MaskSet(kind=md.KIND_MASK2D, stored=vectors)
         with pytest.raises(ZeroSolution, match="mask 5 "):
-            rs.synthesis_profiles(inv, masks, 1.0)
+            exported_profiles(tmp_path, inv, masks, 1.0)
         with pytest.raises(ZeroSolution, match="mask 5 "):
             rs.realize_masks(inv, masks, 1.0)
 
@@ -194,23 +201,23 @@ class TestSynthesize:
         with pytest.raises(ZeroSolution, match="mask 5 "):
             rs.realize_masks(inv, stored, 1.0)
 
-    def test_wrong_length_rejected(self):
+    def test_wrong_length_rejected(self, tmp_path):
         rng = np.random.default_rng(6)
         kernel = random_kernel(rng, 8, 12)
         inv = rs.tikhonov_inverse(kernel, 1e-6)
         with pytest.raises(DimensionMismatch):
-            profile(inv, np.ones(9, dtype=complex), 1.0)
+            profile(tmp_path, inv, np.ones(9, dtype=complex), 1.0)
 
 
 class TestRealizeMasks:
-    def test_realized_count_and_profiles(self, small_scene):
+    def test_realized_count_and_profiles(self, small_scene, tmp_path):
         scene, grids = small_scene
         kernel = em.assemble_kernel(scene, grids)
         inv = rs.tikhonov_inverse(kernel, 1e-12)
         masks = md.ideal_masks(scene, grids, 128)
         realized = rs.realize_masks(inv, masks, scene.config.amplification)
         assert realized.vectors.shape == (128, scene.n_target)
-        profiles = rs.synthesis_profiles(inv, masks, scene.config.amplification)
+        profiles = exported_profiles(tmp_path, inv, masks, scene.config.amplification)
         assert profiles.shape == (128, scene.n_ris)
         norms = np.linalg.norm(profiles, axis=1) ** 2
         np.testing.assert_allclose(norms, scene.n_ris * scene.config.amplification, rtol=1e-12)
@@ -289,8 +296,11 @@ class TestSpectrum:
         realized = rs.realize_masks(inv, masks, 1.0, [misfit.add])
         rs.save_profiles(tmp_path / "profiles.bin", inv, masks, 1.0, scene.fingerprint)
         kind, vectors, fp = md.load_mask_vectors(tmp_path / "profiles.bin")
-        assert kind == "profiles"
-        np.testing.assert_array_equal(vectors, rs.synthesis_profiles(inv, masks, 1.0))
+        assert kind == "profiles" and fp == scene.fingerprint
+        # each row is the regularized solution of its mask, scaled onto the power budget
+        solutions = inv.apply(masks.vectors.T).T
+        expected = np.sqrt(scene.n_ris) * solutions / np.linalg.norm(solutions, axis=1)[:, None]
+        np.testing.assert_allclose(vectors, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
         rs.write_synthesis_summary(tmp_path / "summary.txt", inv, realized, misfit.values)
         text = (tmp_path / "summary.txt").read_text()
         assert f"retained_rank = {inv.retained_rank}" in text
@@ -356,7 +366,7 @@ class TestTwoPathSynthesis:
 
     @settings(max_examples=30, deadline=None)
     @given(shape=kernel_shapes, seed=st.integers(0, 2**16), gamma=st.sampled_from([1e-8, 1e-4, 1e-1]))
-    def test_u_only_route_matches_full_svd(self, shape, seed, gamma):
+    def test_u_only_route_matches_full_svd(self, shape, seed, gamma, tmp_path_factory):
         m, n = shape
         rng = np.random.default_rng(seed)
         kernel = random_kernel(rng, m, n)
@@ -370,19 +380,19 @@ class TestTwoPathSynthesis:
         ideal = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
         masks = md.MaskSet(kind=md.KIND_MASK2D, stored=ideal)
         realized, values = realize_with_values(inv, masks, 1.5)
-        profiles = rs.synthesis_profiles(inv, masks, 1.5)
+        profiles = exported_profiles(tmp_path_factory.mktemp("u-only"), inv, masks, 1.5)
         explicit = (kernel.entries @ profiles.T).T
         np.testing.assert_allclose(values, explicit, rtol=0, atol=1e-10 * np.abs(explicit).max())
         direct_norms = np.linalg.norm(inv.apply(ideal.T), axis=0)
         np.testing.assert_allclose(realized.solution_norms, direct_norms, rtol=1e-12)
 
-    def test_desk_profiles_meet_power_budget(self):
+    def test_desk_profiles_meet_power_budget(self, tmp_path):
         scene = sc.validate_scene(desk_config(z_prime=0.125))
         grids = sc.sample_grids(scene)
         kernel = em.assemble_kernel(scene, grids)
         inv = rs.tikhonov_inverse(kernel, 1e-12)
         masks = md.ideal_masks(scene, grids, 256)
-        profiles = rs.synthesis_profiles(inv, masks, 1.0)
+        profiles = exported_profiles(tmp_path, inv, masks, 1.0)
         norms = np.linalg.norm(profiles, axis=1) ** 2
         np.testing.assert_allclose(norms, scene.n_ris * 1.0, rtol=1e-12)
 
@@ -397,7 +407,7 @@ class TestTwoPathSynthesis:
         np.testing.assert_allclose(solution, [2.0 / (4.0 + 1e-6), 0, 0, 0, 0], atol=1e-15)
 
 
-def dense_svd_solutions(kernel, masks, gamma):
+def dense_svd_oracle(kernel, masks, gamma):
     """Oracle: K^H U diag(lambda / sigma) U^H b from one full SVD of the entries."""
     u, sigma, _ = np.linalg.svd(kernel.entries, full_matrices=False)
     keep = sigma**2 >= rs.DEFAULT_THRESHOLD_FACTOR * gamma
@@ -560,7 +570,7 @@ class TestMirrorSectors:
         ids=["mixed", "odd", "even"],
     )
     @pytest.mark.parametrize("elevation_deg", [0.0, 30.0])
-    def test_sectors_match_identity_sector(self, target, aperture, elevation_deg):
+    def test_sectors_match_identity_sector(self, target, aperture, elevation_deg, tmp_path):
         cfg = desk_config(
             n_target_x=target[0],
             n_target_y=target[1],
@@ -588,9 +598,9 @@ class TestMirrorSectors:
         scale = np.abs(dense_values).max()
         np.testing.assert_allclose(folded_values, dense_values, rtol=0, atol=1e-10 * scale)
         np.testing.assert_allclose(folded.solution_norms, dense.solution_norms, rtol=1e-12)
-        profiles = rs.synthesis_profiles(identity, masks, 1.0)
+        profiles = exported_profiles(tmp_path, identity, masks, 1.0)
         np.testing.assert_allclose(
-            rs.synthesis_profiles(sectors, masks, 1.0), profiles, rtol=0, atol=1e-12 * np.abs(profiles).max()
+            exported_profiles(tmp_path, sectors, masks, 1.0), profiles, rtol=0, atol=1e-12 * np.abs(profiles).max()
         )
 
     @pytest.mark.parametrize(
@@ -603,13 +613,13 @@ class TestMirrorSectors:
         ],
         ids=["mixed", "odd", "even", "volume"],
     )
-    def test_solutions_match_dense_svd_oracle(self, cfg):
+    def test_apply_and_export_match_dense_svd_oracle(self, cfg, tmp_path):
         scene = sc.validate_scene(cfg)
         grids = sc.sample_grids(scene)
         kernel = em.assemble_kernel(scene, grids)
         inv = rs.tikhonov_inverse(kernel, 1e-12)
         masks = md.ideal_masks(scene, grids, 64)
-        expected = dense_svd_solutions(kernel, masks, 1e-12)  # (N, I)
+        expected = dense_svd_oracle(kernel, masks, 1e-12)  # (N, I)
         solutions = inv.apply(masks.vectors.T)
         np.testing.assert_allclose(solutions, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
         norms = np.linalg.norm(solutions, axis=0)
@@ -617,7 +627,7 @@ class TestMirrorSectors:
         np.testing.assert_allclose(norms, realized.solution_norms, rtol=1e-12)
 
         expected = (np.sqrt(scene.n_ris) * expected / np.linalg.norm(expected, axis=0)).T
-        profiles = rs.synthesis_profiles(inv, masks, 1.0)
+        profiles = exported_profiles(tmp_path, inv, masks, 1.0)
         assert profiles.flags.c_contiguous
         np.testing.assert_allclose(profiles, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
 
@@ -640,7 +650,7 @@ class TestMirrorSectors:
         assert len(factors) == len(inv.sectors) == 4
 
         masks = md.ideal_masks(scene, grids, 64)
-        expected = dense_svd_solutions(kernel, masks, 1e-12)
+        expected = dense_svd_oracle(kernel, masks, 1e-12)
         np.testing.assert_allclose(
             inv.apply(masks.vectors.T), expected, rtol=0, atol=1e-10 * np.abs(expected).max()
         )
@@ -858,7 +868,7 @@ class TestHadamardRoute:
         ids=["mixed", "odd", "even", "line", "volume"],
     )
     @pytest.mark.parametrize("count", ["minimal", 1024])
-    def test_matches_fold_route(self, cfg, count):
+    def test_matches_fold_route(self, cfg, count, tmp_path):
         # the even grid and the volume have a power-of-two sample count, so
         # their minimal set wraps the last point onto the all-ones column
         scene = sc.validate_scene(cfg)
@@ -872,9 +882,9 @@ class TestHadamardRoute:
         scale = np.abs(slow_values).max()
         np.testing.assert_allclose(fast_values, slow_values, rtol=0, atol=1e-12 * scale)
         np.testing.assert_allclose(fast.solution_norms, slow.solution_norms, rtol=1e-12)
-        profiles = rs.synthesis_profiles(inv, folded, 1.5)
+        profiles = exported_profiles(tmp_path, inv, folded, 1.5)
         np.testing.assert_allclose(
-            rs.synthesis_profiles(inv, designed, 1.5), profiles, rtol=0, atol=1e-12 * np.abs(profiles).max()
+            exported_profiles(tmp_path, inv, designed, 1.5), profiles, rtol=0, atol=1e-12 * np.abs(profiles).max()
         )
 
     def test_designed_sets_never_fold_the_mask_stack(self, desk_synthesis, monkeypatch, tmp_path):
@@ -889,7 +899,7 @@ class TestHadamardRoute:
         stored = dataclasses.replace(masks, stored=masks.vectors, design=None)
         for mask_set in (masks, stored):
             rs.realize_masks(inv, mask_set, 1.0)
-            rs.synthesis_profiles(inv, mask_set, 1.0)
+            inv.apply(mask_set.vectors[:3].T)
             rs.save_profiles(tmp_path / "p.bin", inv, mask_set, 1.0, "f")
             with rs.profile_writer(tmp_path / "q.bin", inv, mask_set.count, "f", mask_set.distinct_rows) as profiles:
                 rs.realize_masks(inv, mask_set, 1.0, [profiles])
@@ -960,7 +970,7 @@ class TestSelfContainedInverse:
         misfit = rs.RealizedMisfit(inv, masks, 1.0)
         with rs.profile_writer(tmp_path / "profiles.bin", inv, masks.count, "f") as profiles:
             realized = rs.realize_masks(inv, masks, 1.0, [misfit.add, profiles])
-        rs.synthesis_profiles(inv, masks, 1.0)
+        rs.save_profiles(tmp_path / "saved.bin", inv, masks, 1.0, "f")
         inv.apply(masks.vectors[:3].T)
         rs.write_synthesis_summary(tmp_path / "synthesis.txt", inv, realized, misfit.values)
         assert calls == [(em.KernelStream, (scene.n_target, scene.n_ris))]
@@ -989,9 +999,17 @@ class TestSelfContainedInverse:
         with pytest.raises(DimensionMismatch, match=message):
             rs.tikhonov_inverse(dataclasses.replace(kernel, stored=stored), 1e-12)
 
-    def test_inverse_holds_only_its_blocks_and_u(self, desk_scene):
-        # the desk kernel alone (4 MiB) is four times its blocks and exceeds the slack
-        scene, grids = desk_scene
+    @pytest.mark.parametrize(
+        "cfg",
+        [desk_config(), desk_config(n_target_x=15, n_target_y=15, n_ris_x=33, n_ris_y=33)],
+        ids=["desk", "odd-15-33"],
+    )
+    def test_inverse_holds_only_its_blocks_and_u(self, cfg):
+        # the desk kernel alone (4 MiB) is four times its blocks and exceeds the slack;
+        # a block is a view, so each array it views is counted once, whole: an odd
+        # target's blocks leave quadrant rows of that array out, which it still holds
+        scene = sc.validate_scene(cfg)
+        grids = sc.sample_grids(scene)
         tracemalloc.start()
         try:
             inv = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12)
@@ -999,8 +1017,11 @@ class TestSelfContainedInverse:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        kept = sum(s.block.nbytes + s.u.nbytes for s in inv.sectors)
-        assert held <= kept + (1 << 20)
+        owners = {}
+        for array in (a for s in inv.sectors for a in (s.block, s.u)):
+            owner = array if array.base is None else array.base
+            owners[id(owner)] = owner.nbytes
+        assert held <= sum(owners.values()) + (1 << 20)
 
 
 STREAMED_SCENES = pytest.mark.parametrize(
@@ -1043,9 +1064,13 @@ class TestStreamedExports:
         _, inv, masks = self.synthesis(cfg)
         assert rs._CHUNK_ENTRIES // inv.shape[1] < masks.count // 4  # at least four blocks
         rs.save_profiles(tmp_path / "p.bin", inv, masks, 1.5, "f")
-        profiles = rs.synthesis_profiles(inv, masks, 1.5)
-        expected = self.header("profiles", *profiles.shape) + profiles.astype("<c16").tobytes()
-        assert (tmp_path / "p.bin").read_bytes() == expected
+        # the whole (I, N) array of solutions, each scaled onto the power budget
+        solutions = inv.apply(masks.vectors.T).T
+        expected = np.sqrt(inv.shape[1] * 1.5) * solutions / np.linalg.norm(solutions, axis=1)[:, None]
+        head, body = (tmp_path / "p.bin").read_bytes().split(b"\n", 1)
+        assert head + b"\n" == self.header("profiles", *expected.shape)
+        profiles = np.frombuffer(body, dtype="<c16").reshape(expected.shape)
+        np.testing.assert_allclose(profiles, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
     @STREAMED_SCENES
     def test_ideal_export_matches_the_designed_stack(self, cfg, small_blocks, tmp_path):
@@ -1126,9 +1151,8 @@ class TestPairedWriters:
                         add(rows, block, norms, c)
         for stem in ("m", "p"):
             assert (tmp_path / f"{stem}-rows.bin").read_bytes() == (tmp_path / f"{stem}-reversed.bin").read_bytes()
-        profiles = rs.synthesis_profiles(inv, masks, 1.5)
-        header = f"kind=profiles count={masks.count} points={inv.shape[1]} fingerprint=f\n".encode()
-        assert (tmp_path / "p-reversed.bin").read_bytes() == header + profiles.astype("<c16").tobytes()
+        rs.save_profiles(tmp_path / "saved.bin", inv, masks, 1.5, "f")
+        assert (tmp_path / "p-reversed.bin").read_bytes() == (tmp_path / "saved.bin").read_bytes()
 
 
 class TestPeriodicSets:
@@ -1163,8 +1187,8 @@ class TestPeriodicSets:
             assert all(vectors[k : k + period].tobytes() == first for k in range(period, 256, period))
         _, masks, _ = md.load_mask_vectors(tmp_path / "masks_realized.bin")
         assert masks.tobytes() == realized.vectors.tobytes()
-        _, profiles, _ = md.load_mask_vectors(tmp_path / "profiles.bin")
-        assert profiles.tobytes() == rs.synthesis_profiles(inv, ideal, 1.5).tobytes()
+        rs.save_profiles(tmp_path / "saved.bin", inv, ideal, 1.5, "f")
+        assert (tmp_path / "profiles.bin").read_bytes() == (tmp_path / "saved.bin").read_bytes()
         lines = (tmp_path / "synthesis.txt").read_text().splitlines()
         norms = [line for line in lines if line.startswith("solution_norm[")]
         assert len(norms) == 256 and norms[period].split(" = ")[1] == norms[0].split(" = ")[1]
@@ -1239,9 +1263,8 @@ class TestOneArrayLayout:
         for rows, _, norms, _ in seen:
             seen_norms[rows] = norms
         assert realized.solution_norms.tobytes() == np.tile(seen_norms, realized.repeats).tobytes()
-        profiles = rs.synthesis_profiles(inv, masks, 1.5)
-        header = f"kind=profiles count={masks.count} points={scene.n_ris} fingerprint=f\n".encode()
-        assert (tmp_path / "p.bin").read_bytes() == header + profiles.astype("<c16").tobytes()
+        rs.save_profiles(tmp_path / "saved.bin", inv, masks, 1.5, "f")
+        assert (tmp_path / "p.bin").read_bytes() == (tmp_path / "saved.bin").read_bytes()
 
     @LAYOUT_SCENES
     def test_kept_rows_share_the_staging_array(self, cfg, threshold_factor):
@@ -1294,7 +1317,6 @@ class TestInverseWithoutBlocks:
         realized = rs.realize_masks(bare, masks, 1.0, [misfit.add])
         calls = (
             lambda: bare.apply(masks.vectors[0]),
-            lambda: rs.synthesis_profiles(bare, masks, 1.0),
             lambda: rs.save_profiles(tmp_path / "p.bin", bare, masks, 1.0, "f"),
             lambda: rs.write_synthesis_summary(tmp_path / "s.txt", bare, realized, misfit.values),
         )
@@ -1309,12 +1331,6 @@ class TestPeakMemory:
 
     SLACK = 8 << 20
 
-    def test_profiles_need_little_beyond_their_output(self, desk_synthesis):
-        inv, masks = desk_synthesis
-        peak, profiles = peak_traced_bytes(lambda: rs.synthesis_profiles(inv, masks, 1.0))
-        assert profiles.shape == (1024, 1024)
-        assert peak <= profiles.nbytes + self.SLACK
-
     def test_realize_needs_little_beyond_its_output(self, desk_synthesis):
         inv, masks = desk_synthesis
         peak, realized = peak_traced_bytes(lambda: rs.realize_masks(inv, masks, 1.0))
@@ -1327,8 +1343,6 @@ class TestPeakMemory:
         peak, realized = peak_traced_bytes(lambda: rs.realize_masks(inv, stored, 1.0))
         assert realized.vectors.shape == (1024, 256)
         assert peak <= realized.vectors.nbytes + self.SLACK
-        peak, profiles = peak_traced_bytes(lambda: rs.synthesis_profiles(inv, stored, 1.0))
-        assert peak <= profiles.nbytes + self.SLACK
 
     def test_streamed_inverse_never_holds_the_quadrant(self):
         # at 64^2 x 32^2 the stored quadrant and the sector blocks are 16 MiB each;
@@ -1391,15 +1405,23 @@ class TestPeakMemory:
         held = [v for v in vars(masks).values() if isinstance(v, np.ndarray)]
         assert [v.shape for v in held] == [(256,)]  # the phase profile only
 
-    def test_profile_export_holds_one_block_beside_the_coefficients(self, desk_synthesis, tmp_path):
-        # the whole (I, N) profile array alone is 16 MiB at I = N = 1,024; beyond the
-        # coefficients and the one reused block: the aperture factors (1 MiB here)
-        # and one block's unfold temporaries
+    @pytest.mark.parametrize("case", ["designed", "stored", "designed-4096"])
+    def test_profile_export_holds_one_block_beside_the_coefficients(self, case, desk_synthesis, desk_scene, tmp_path):
+        # the whole (I, N) profile array alone is 16 MiB at I = N = 1,024 (64 MiB at
+        # I = 4,096), and no set's export needs more than that array and the slack;
+        # the designed I = 1,024 set holds, beyond the coefficients and the one reused
+        # block, only the aperture factors (1 MiB here) and one block's unfold temporaries
         inv, masks = desk_synthesis
+        if case == "stored":  # forms the (1024, 256) stack once
+            masks = dataclasses.replace(masks, stored=masks.vectors, design=None)
+        elif case == "designed-4096":
+            masks = md.ideal_masks(*desk_scene, 4096)
         peak, _ = peak_traced_bytes(lambda: rs.save_profiles(tmp_path / "p.bin", inv, masks, 1.0, "f"))
-        coefficients = masks.count * inv.retained_rank * 16
-        block = (rs._CHUNK_ENTRIES // inv.shape[1]) * inv.shape[1] * 16
-        assert peak <= coefficients + block + (3 << 20)
+        assert peak <= masks.count * inv.shape[1] * 16 + self.SLACK
+        if case == "designed":
+            coefficients = masks.count * inv.retained_rank * 16
+            block = (rs._CHUNK_ENTRIES // inv.shape[1]) * inv.shape[1] * 16
+            assert peak <= coefficients + block + (3 << 20)
 
     def test_designed_coefficients_hold_two_blocks_beside_their_output(self, desk_synthesis):
         # a block of columns is 1 MiB at I = 1,024: the transform's two products, while
@@ -1472,5 +1494,3 @@ class TestPeakMemory:
         assert realized.stored.shape == (masks.distinct_rows, masks.points) == (512, 256)
         coefficients = masks.distinct_rows * inv.retained_rank * 16
         assert peak <= coefficients + (5 << 19) < masks.count * inv.retained_rank * 16
-        peak, profiles = peak_traced_bytes(lambda: rs.synthesis_profiles(inv, masks, 1.0))
-        assert peak <= profiles.nbytes + self.SLACK
