@@ -57,13 +57,12 @@ KIND_Y3D = "Y_3d"
 
 # Complex128 entries; 2**26 entries is ~1 GiB. Checked on the full M x N before a
 # kernel is allocated, though a kernel stores only about a quarter (plane) or three
-# quarters (volume) of them,
-# and on I x M before any (I, M) mask array exists (mask_design).
+# quarters (volume) of them; on I and on R x M, R the distinct rows a mask set holds
+# and realizes, and on I x M before any (I, M) mask array is formed (mask_design).
 ENTRY_CAP = 1 << 26
-# Kernels are assembled in row blocks of about this many entries, so each
-# temporary stays near 512 KiB: a sweep that frees one distance's kernel before
-# building the next then reuses heap memory instead of faulting in fresh pages.
-_CHUNK_ENTRIES = 1 << 15
+# Every pass over the rows of an array works in blocks of at most this many
+# entries (1 MiB of complex128), sized by :func:`block_rows`.
+BLOCK_ENTRIES = 1 << 16
 # Entries of numpy's ufunc buffers in the passes over kernel rows
 # (:func:`small_ufunc_buffers`); numpy's default is 8,192.
 _UFUNC_BUFFER = 1 << 10
@@ -71,6 +70,18 @@ _UFUNC_BUFFER = 1 << 10
 # t_xz under the x- and y-mirrors, 0 even and 1 odd: t_xx is even in both
 # offsets, t_xy odd in both, t_xz odd in x only.
 TABLE_PARITIES = ((0, 0), (1, 1), (1, 0))
+
+
+def block_rows(row_entries: int, held: int) -> int:
+    """Rows per block of a pass over rows of ``row_entries`` entries that walks
+    ``held`` entries in all: a sixteenth of them, so a block's temporaries stay
+    small beside what the pass holds, but at least a quarter of
+    :data:`BLOCK_ENTRIES`, as small products are slow, and at most all of it;
+    and at least one row. This is the one block-size rule: the kernel's row
+    blocks, the aperture fold, mask rows, moments, projections, the
+    realization pass and the profile export all take their step from it."""
+    entries = min(BLOCK_ENTRIES, max(BLOCK_ENTRIES // 4, held // 16))
+    return max(1, entries // max(row_entries, 1))
 
 
 @dataclass(frozen=True)
@@ -412,7 +423,7 @@ def _assemble(scene: ValidatedScene, grids: SampleGrids, kind: str, offset_table
         # the pixels stored per slice: a quadrant of ex x ey, or all nx x ny
         width, height = (nx, cfg.n_target_y) if symmetry is None else symmetry.quadrant_shape
         n_stored = width * height
-        step = max(1, _CHUNK_ENTRIES // n_cols)
+        step = block_rows(n_cols, n_stored * n_cols)
         starts = range(0, n_stored, step)
 
         def index(start: int) -> np.ndarray:

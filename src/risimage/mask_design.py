@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .em_core import ENTRY_CAP, complex_file_writer, read_complex_file
+from .em_core import ENTRY_CAP, block_rows, complex_file_writer, read_complex_file
 from .errors import (
     DimensionMismatch,
     EmptyMaskSet,
@@ -57,13 +57,6 @@ KIND_MASK3D = "mask3d"
 
 PHASE_TAYLOR = "taylor"
 PHASE_EXACT = "exact"
-
-
-# Stored sets go through :func:`project` in blocks of rows, and designed sets
-# in blocks of columns, whose output holds about this many entries (1 MiB);
-# mask moments are summed in blocks of rows of about this many entries, and
-# :meth:`MaskSet.row_blocks` yields blocks of a quarter of it.
-_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -143,12 +136,10 @@ class MaskSet:
 
     @property
     def vectors(self) -> np.ndarray:
-        """The (I, M) masks: ``stored``, or a stack formed anew, which only
-        the reader keeps, of a designed set or a stored set that repeats its
-        rows."""
-        if self.stored is None:
-            return self._designed()
-        return self.stored if self.repeats == 1 else _read_only(np.tile(self.stored, (self.repeats, 1)))
+        """The (I, M) masks: ``stored``, or a stack formed anew (:meth:`block`),
+        which only the reader keeps, of a designed set or a stored set that
+        repeats its rows."""
+        return self.stored if self.stored is not None and self.repeats == 1 else _read_only(self.block(slice(None)))
 
     def first(self, count: int) -> MaskSet:
         """The set of this set's first ``count`` masks, ``count`` at most
@@ -177,11 +168,15 @@ class MaskSet:
 
     def block(self, rows: slice) -> np.ndarray:
         """``vectors[rows]``: a view of rows that a stored set holds, or
-        only those rows, formed anew."""
+        only those rows, formed anew; rows of more than ``em_core.ENTRY_CAP``
+        entries raise :class:`MaskSetSizeError` before they are formed."""
+        if self.stored is not None and self.repeats == 1:
+            return self.stored[rows]
+        formed = len(range(self.count)[rows])
+        if formed * self.points > ENTRY_CAP:
+            raise MaskSetSizeError(f"{formed} mask rows of {self.points} points are above the cap of {ENTRY_CAP}")
         if self.stored is None:
             return self._designed(rows)
-        if self.repeats == 1:
-            return self.stored[rows]
         return self.stored[np.arange(self.count)[rows] % len(self.stored)]
 
     def _designed(self, rows: slice = slice(None)) -> np.ndarray:
@@ -197,15 +192,14 @@ class MaskSet:
 
     def row_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
         """The :attr:`distinct_rows` a block of rows at a time: (rows,
-        vectors[rows]) with blocks of about ``_CHUNK_ENTRIES / 4`` entries,
-        as a reader may keep a few block-sized temporaries.
+        vectors[rows]) in blocks of ``em_core.block_rows`` over those rows.
 
         A stored set yields views of its stack. A designed set forms only
         each block's rows of the pattern, times e^{j phase}, the same bits as
         the matching rows of ``vectors`` (:meth:`block`), so its (I, M) stack
         never exists whole.
         """
-        step = max(1, _CHUNK_ENTRIES // (4 * max(self.points, 1)))
+        step = block_rows(self.points, self.distinct_rows * self.points)
         for start in range(0, self.distinct_rows, step):
             rows = slice(start, min(start + step, self.distinct_rows))
             yield rows, self._designed(rows) if self.stored is None else self.stored[rows]
@@ -260,14 +254,15 @@ def _read_only(values: np.ndarray) -> np.ndarray:
 
 
 def _row_mean(u: np.ndarray, term) -> np.ndarray:
-    """The mean over the rows of ``term(u)``, formed a block of rows at a time.
+    """The mean over the rows of ``term(u)``, formed a block of rows at a
+    time (``em_core.block_rows``).
 
     Each block's terms follow the running sum in one array whose axis-0 sum
     carries the total on, so the rows are added one after another, as numpy
     sums axis 0 of a C-ordered (I, M) array: the result is bit for bit
     ``term(u).mean(axis=0)``.
     """
-    step = max(1, _CHUNK_ENTRIES // max(u.shape[1], 1))
+    step = block_rows(u.shape[1], u.size)
     total = None
     for start in range(0, len(u), step):
         terms = term(u[start : start + step])
@@ -355,9 +350,11 @@ def distinct_row_count(n_measurements: int, n_points: int) -> int:
 def check_measurement_count(n_measurements: int, n_points: int) -> None:
     """Reject a measurement count that is not a power of two >= 4
     (:class:`UnsupportedOrder`), that is below the ``n_points`` target
-    samples it must encode (:class:`InsufficientMeasurements`), or whose
-    (count, n_points) mask stack would hold more than ``em_core.ENTRY_CAP``
-    entries (:class:`MaskSetSizeError`)."""
+    samples it must encode (:class:`InsufficientMeasurements`), or that is
+    above ``em_core.ENTRY_CAP`` or whose R distinct rows
+    (:func:`distinct_row_count`) would hold more entries than it
+    (:class:`MaskSetSizeError`): a set is held, realized and reconstructed
+    over its R rows only, while its fields, noise and records are I long."""
     if not (
         isinstance(n_measurements, int)
         and n_measurements >= 4
@@ -370,10 +367,10 @@ def check_measurement_count(n_measurements: int, n_points: int) -> None:
         raise InsufficientMeasurements(
             f"{n_measurements} measurements cannot encode {n_points} sample points"
         )
-    if n_measurements * n_points > ENTRY_CAP:
+    if n_measurements > ENTRY_CAP or distinct_row_count(n_measurements, n_points) * n_points > ENTRY_CAP:
         raise MaskSetSizeError(
-            f"{n_measurements} masks over {n_points} points would hold {n_measurements * n_points} "
-            f"entries, above the cap of {ENTRY_CAP}; use fewer masks or a coarser target grid"
+            f"{n_measurements} masks over {n_points} points, or their distinct rows, are above the cap of "
+            f"{ENTRY_CAP} entries; use fewer masks or a coarser target grid"
         )
 
 
@@ -489,7 +486,7 @@ def project(masks: MaskSet | np.ndarray, factors: Iterable[np.ndarray], out: np.
     """
     if not (isinstance(masks, MaskSet) and masks.design is not None):
         vectors = masks.stored if isinstance(masks, MaskSet) else masks
-        step = max(1, _CHUNK_ENTRIES // out.shape[1])
+        step = block_rows(out.shape[1], len(vectors) * out.shape[1])
         lo = 0
         for factor in factors:
             hi = lo + factor.shape[1]
@@ -518,7 +515,7 @@ def project(masks: MaskSet | np.ndarray, factors: Iterable[np.ndarray], out: np.
     if scattered < order:  # rows no point scatters to
         stage[0] = 0.0
         stage[scattered + 1 :] = 0.0
-    step = max(1, _CHUNK_ENTRIES // order)
+    step = block_rows(order, stage.size)
     for start in range(0, stage.shape[1], step):
         block = slice(start, start + step)
         transformed = hadamard_transform(stage[:, block])

@@ -59,7 +59,7 @@ swap-symmetric.
 Only the target-side factors U and sigma of each block are kept. A wide
 block B = R^T Q^T (QR of B^T) shares them with its square triangular factor
 R^T, so the SVD runs on that factor. A block wide enough for two pieces of
-max(4M, ``_CHUNK_ENTRIES`` / M) aperture columns (about 1 MiB a piece), so
+max(4M, ``em_core.BLOCK_ENTRIES`` / M) aperture columns (about 1 MiB a piece), so
 at least eight times wider than tall, is factored as a tall-skinny QR over
 those pieces (:func:`_spectral_factor`): each piece gives its own triangular
 factor, and one more QR of those factors stacked gives R, so no QR copies
@@ -74,9 +74,10 @@ gather, so the masks are never folded: one ``mask_design.project`` call
 forms b @ [A_1 ... A_k] for every mask into the leading columns of an
 array, whichever kind of set it is (a designed set never builds its (I, M)
 mask stack there). Every norm ||c|| is formed first, and then, a block of
-rows at a time, c is mapped (:func:`_map_rows`) and scaled onto the power
-budget. The realized mask K p = U diag(sigma) c is unfolded on the target
-side into one reused buffer, and every reader of the complex masks
+rows at a time (``em_core.block_rows``, as in every row-block pass), c is
+mapped (:func:`_map_rows`) and scaled onto the power budget. The realized
+mask K p = U diag(sigma) c is unfolded on the target side into one reused
+buffer, and every reader of the complex masks
 (receiver fields, the export, the summary's misfit) takes each block in
 that pass (:func:`realize_masks`), so they never exist whole. A designed
 set of M = 2^k points and at least 2M masks has R = 2M distinct rows in
@@ -118,6 +119,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import em_core
 from .em_core import (
     KIND_Y3D,
     KIND_Z2D,
@@ -141,14 +143,6 @@ _KERNEL_TO_MASK_KIND = {KIND_Z2D: KIND_MASK2D, KIND_Y3D: KIND_MASK3D}
 # Sector order: (x parity, y parity), 0 even and 1 odd.
 _PARITIES = ((0, 0), (1, 0), (0, 1), (1, 1))
 _HALF = math.sqrt(0.5)
-# Coefficients are mapped back in blocks of rows whose output holds about
-# this many entries (1 MiB), and a wide block is factored in aperture pieces
-# of about as many (:func:`_spectral_factor`). Realized masks go in blocks of
-# a sixteenth of the set, so a block's temporaries stay small beside what the
-# set keeps, but of at least a quarter of that (256 KiB), as small products
-# are slow.
-_CHUNK_ENTRIES = 1 << 16
-_REALIZE_BLOCKS = 16
 # The aperture fold of every kernel with mirror structure (:func:`_table_stacks`):
 # row s, in ``_PARITIES`` order, takes a quadrant sample's images (itself, its
 # y-mirror, its x-mirror, both) into sector s, each pair weighted 1/sqrt(2)
@@ -458,8 +452,9 @@ def _table_stacks(kernel: KernelMatrix | KernelStream) -> np.ndarray:
     a row is read. An even aperture's four sectors are each a quadrant, so
     the product is written straight into the stacks; an odd one's odd parts
     leave the centre lines out, so the product goes through a second buffer.
-    The rows are folded in steps whose buffers hold about 512 KiB together,
-    and never more rows than the quadrant has. Raises
+    The rows are folded in steps of ``em_core.block_rows`` over the stacks,
+    counting both buffers of an odd aperture's rows, and never more rows
+    than the quadrant has. Raises
     :class:`DimensionMismatch` unless there are as many rows as the mirror
     quadrant has, and counts those beyond it without folding them.
     """
@@ -474,7 +469,7 @@ def _table_stacks(kernel: KernelMatrix | KernelStream) -> np.ndarray:
     stacks = np.empty((total, n), dtype=np.complex128)
     sectors = [stacks[:, lo:hi].reshape(total, y, x) for (lo, hi), (x, y) in zip(_sector_bounds((ax, ay)), shapes)]
     direct = ax % 2 == 0 and ay % 2 == 0
-    step = max(1, min(total, _CHUNK_ENTRIES // max((2 if direct else 4) * n, 1)))
+    step = min(total, em_core.block_rows(n if direct else 2 * n, total * n))
     gathered = np.empty((step, 4, ey * ex), dtype=np.complex128)
     folded = None if direct else np.empty_like(gathered)
     filled = 0
@@ -553,19 +548,21 @@ def _spectral_factor(entries: np.ndarray) -> np.ndarray:
     For a wide M x N block that is the M x M factor R^T of B^T = Q R
     (B B^H = R^T conj(R), as Q^H Q = I), so the SVD never touches an N-long
     dimension; otherwise the block itself. The QR runs on B^T in pieces of
-    at least max(4M, ``_CHUNK_ENTRIES`` / M) of its rows (``np.linspace``
+    at least max(4M, ``em_core.BLOCK_ENTRIES`` / M) of its rows (``np.linspace``
     bounds), a tall-skinny QR (Demmel, Grigori, Hoemmen & Langou, SIAM J.
     Sci. Comput. 34(1), 2012): each piece gives its M x M triangular factor
     R_i, and the QR of the R_i stacked gives R, since B^T = diag(Q_i)
     [R_1; R_2; ...]. So each copy the QR makes of its input is one piece,
-    about 1 MiB, never the whole block. A block narrower than two pieces is
+    about 1 MiB, never the whole block. The piece width decides the bits of
+    sigma, not only memory, so it reads the constant rather than
+    ``em_core.block_rows``. A block narrower than two pieces is
     one piece, its R from one QR of B^T, as a plane sector's is. ``entries.T``
     is a view, so no conjugated copy of the block is made.
     """
     m, n = entries.shape
     if m >= n:
         return entries
-    pieces = max(1, n // max(4 * m, _CHUNK_ENTRIES // max(m, 1)))
+    pieces = max(1, n // max(4 * m, em_core.BLOCK_ENTRIES // max(m, 1)))
     bounds = np.linspace(0, n, pieces + 1).astype(int)
     factors = [np.linalg.qr(entries[:, a:b].T, mode="r") for a, b in zip(bounds[:-1], bounds[1:])]
     return (factors[0] if pieces == 1 else np.linalg.qr(np.concatenate(factors), mode="r")).T
@@ -753,14 +750,6 @@ def _staged_rows(masks: MaskSet) -> int:
     return masks.distinct_rows // 2 if masks.paired else masks.distinct_rows
 
 
-def _pass_step(count: int, points: int) -> int:
-    """Rows per block of a pass over ``count`` distinct rows of ``points``
-    entries: a sixteenth of the set, but at least a quarter of
-    ``_CHUNK_ENTRIES`` entries and at most all of them."""
-    chunk = min(_CHUNK_ENTRIES, max(_CHUNK_ENTRIES // 4, count * points // _REALIZE_BLOCKS))
-    return max(1, chunk // points)
-
-
 def _pair_blocks(
     staged: np.ndarray, partner: np.ndarray | None, step: int
 ) -> Iterator[list[tuple[slice, np.ndarray]]]:
@@ -926,7 +915,7 @@ def realize_masks(
     right = [(f.u * f.sigma).T for f in factors]
     del factors
     shape = _target_shape(inv)
-    step = _pass_step(count, n_targets)
+    step = em_core.block_rows(n_targets, count * n_targets)
     norms, scales = _budget_scales(staged, partner, step, np.sqrt(n_samples * amplification))
     buffers = np.empty((1 if partner is None else 2, min(step, half), n_targets), dtype=np.complex128)
     if partner is not None:
@@ -993,16 +982,17 @@ def profile_writer(
     through ``factors``, those of :func:`aperture_factors`, formed here
     unless given, so the writers of one pass can share them. The rows are
     mapped and written at their own row offset, whatever order the blocks
-    come in, in pieces of about ``_CHUNK_ENTRIES`` entries counted from each
-    block's first row, so a pass writes the same bytes in any block order.
+    come in, in pieces of ``em_core.block_rows`` over the profile rows of
+    one period, counted from each block's first row, so a pass writes the
+    same bytes in any block order.
     The (I, N) profiles never exist whole, and c is not staged again. The
     file replaces ``path`` when the context ends; a pass that fails leaves
     any earlier file in place (:func:`mask_design.mask_file_writer`).
     """
     right, shape, phase = aperture_factors(inv) if factors is None else factors
     n = inv.shape[1]
-    step = max(1, _CHUNK_ENTRIES // n)
-    profiles = np.empty((min(step, count if period is None else period), n), dtype=np.complex128)
+    step = em_core.block_rows(n, (period or count) * n)
+    profiles = np.empty((min(step, period or count), n), dtype=np.complex128)
     with mask_file_writer(path, "profiles", (count, n), fingerprint, period) as write:
 
         def add(rows: slice, _block: np.ndarray, _norms: np.ndarray, c: np.ndarray) -> None:

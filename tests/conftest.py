@@ -17,6 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from risimage import em_core as em
 from risimage import mask_design as md
 from risimage import ris_synthesis as rs
 from risimage import scene as sc
@@ -89,6 +90,26 @@ def small_scene():
 def volume_scene():
     scene = sc.validate_scene(volume_config())
     return scene, sc.sample_grids(scene)
+
+
+@pytest.fixture
+def force_block_rows(monkeypatch):
+    """``force(rows, width, held)`` sets ``em_core.BLOCK_ENTRIES`` so that
+    ``em_core.block_rows(width, held)`` gives ``rows``: the pass over rows of
+    ``width`` entries that walks ``held`` entries goes ``rows`` at a time, and
+    every other pass takes blocks of about as many entries. Without ``held``
+    the constant is ``rows * width``, which a pass that walks at least 16
+    times that many entries takes whole. Returns the constant."""
+
+    def force(rows, width, held=None):
+        entries = rows * width
+        if held is not None and held // 16 < entries:
+            entries *= 4  # the pass's blocks are a quarter of the constant
+        monkeypatch.setattr(em, "BLOCK_ENTRIES", entries)
+        assert held is None or em.block_rows(width, held) == rows
+        return entries
+
+    return force
 
 
 def published_config(**overrides):

@@ -1318,6 +1318,16 @@ class TestBadInput:
         assert (out / "errors.log").read_text().startswith("point 0: NearFieldViolation: ")
         assert [row["nmse"] != "" for row in read_metrics(out)] == [False, True]
 
+    def test_mask_count_capped_by_its_distinct_rows_runs(self, scene_file, tmp_path):
+        # 2^19 masks over the desk's 256 points: I x M is twice the entry cap, but the
+        # set holds and realizes its R = 512 distinct rows, and I itself is below the cap
+        desk = ["--set", "n_target_x=16", "--set", "n_target_y=16", "--set", "n_ris_x=32", "--set", "n_ris_y=32"]
+        out = tmp_path / "many"
+        argv = ["run", "--scene", str(scene_file), *desk, "-I", str(2**19), "--output", str(out)]
+        assert cli.main(argv) == 0
+        (row,) = read_metrics(out)
+        assert row["I"] == str(2**19) and math.isfinite(float(row["nmse"]))
+
     def test_huge_mask_count_exits_2_before_any_mask_array(self, scene_file, tmp_path, capsys, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("a mask set was built")
@@ -1365,6 +1375,40 @@ class TestSweepingAgain:
         for path in exports:  # each body as long as its header says
             md.load_mask_vectors(run_dir / path)
         assert not list(run_dir.rglob(".*.tmp"))
+
+
+class TestBlockSizeIsInert:
+    """The block size of every row-block pass (``em_core.block_rows``) moves a
+    run's outputs in their last bits at most: BLAS may sum a row in another
+    order in a block of another size, so this checks a tolerance, not bytes."""
+
+    def test_small_blocks_keep_metrics_and_exports(self, tmp_path, force_block_rows):
+        def sweep(name):
+            plan = rn.ExperimentPlan(
+                scene=desk_config(),
+                target="block",
+                i_values=(256, 1024),
+                snr_values=(None,),
+                z_values=(0.125, 0.25),
+                keep_artifacts=True,
+                output_dir=str(tmp_path / name),
+            )
+            assert all(p.error is None for p in rn.run_plan(plan).points)
+            return tmp_path / name
+
+        default = sweep("default")
+        force_block_rows(3, 256)  # three rows of the desk's 256 points, one kernel or profile row
+        small = sweep("small")
+        nmse = [[float(row["nmse"]) for row in read_metrics(run)] for run in (default, small)]
+        np.testing.assert_allclose(nmse[1], nmse[0], rtol=1e-12, atol=0)
+        exports = sorted(path.name for path in (default / "artifacts").glob("*.bin"))
+        assert len(exports) == 12
+        assert exports == sorted(path.name for path in (small / "artifacts").glob("*.bin"))
+        for name in exports:
+            kind, expected, _ = md.load_mask_vectors(default / "artifacts" / name)
+            other, values, _ = md.load_mask_vectors(small / "artifacts" / name)
+            assert kind == other and values.shape == expected.shape
+            np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
 class TestArtifactsOnlyObserve:

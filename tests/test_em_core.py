@@ -350,7 +350,7 @@ class TestKernel3d:
         assert_two_path_consistency(*volume_scene, seed=23)
 
     @pytest.mark.parametrize("fixture", ["volume_scene", "skewed_volume_scene"])
-    def test_receiver_weights_evaluated_once(self, request, monkeypatch, fixture):
+    def test_receiver_weights_evaluated_once(self, request, monkeypatch, fixture, force_block_rows):
         scene, grids = request.getfixturevalue(fixture)
         calls = []
         green_tensor = em.green_tensor
@@ -360,7 +360,7 @@ class TestKernel3d:
             return green_tensor(observation, sources, k)
 
         monkeypatch.setattr(em, "green_tensor", counted)
-        monkeypatch.setattr(em, "_CHUNK_ENTRIES", 1)  # one row per block
+        force_block_rows(1, scene.n_ris)  # one row per block
         em.kernel_stream(scene, grids).collect()
         assert calls == [scene.n_target]
 
@@ -401,11 +401,11 @@ class TestIncommensuratePitches:
 @pytest.mark.parametrize(
     "fixture", ["small_scene", "volume_scene", "skewed_plane_scene", "skewed_volume_scene"]
 )
-def test_kernel_independent_of_row_blocks(request, monkeypatch, fixture):
+def test_kernel_independent_of_row_blocks(request, force_block_rows, fixture):
     # kernels are assembled in row blocks; one row per block gives the same bits
     scene, grids = request.getfixturevalue(fixture)
     whole = em.assemble_kernel(scene, grids).entries
-    monkeypatch.setattr(em, "_CHUNK_ENTRIES", 1)
+    force_block_rows(1, scene.n_ris)
     np.testing.assert_array_equal(em.assemble_kernel(scene, grids).entries, whole)
 
 

@@ -139,10 +139,26 @@ class TestDesignAmplitudes:
             md.design_amplitudes(12, 4)
 
     def test_mask_count_above_the_entry_cap(self):
-        md.check_measurement_count(em.ENTRY_CAP // 64, 64)  # exactly at the cap
-        for count, points in ((em.ENTRY_CAP // 32, 64), (2**40, 16), (2**30, 64)):
+        # the cap bounds I, and the R x M distinct rows a set holds and realizes
+        # (R = min(I, J), J = 128 at M = 64 and 16,384 at M = 8,192), not I x M
+        md.check_measurement_count(2**21, 64)  # R x M = 8,192 entries
+        md.check_measurement_count(em.ENTRY_CAP, 64)  # I exactly at the cap
+        md.check_measurement_count(8192, 8192)  # R x M exactly at the cap
+        for count, points in ((2 * em.ENTRY_CAP, 64), (16384, 8192), (2**40, 16), (2**30, 64)):
             with pytest.raises(MaskSetSizeError, match="above the cap"):
                 md.check_measurement_count(count, points)
+
+    def test_no_stack_above_the_entry_cap_is_formed(self):
+        # a valid set of 2^21 masks over 64 points holds its 128 distinct rows; its
+        # (I, M) stack would hold 2^27 entries, so reading it raises before any array
+        masks = md.MaskSet(kind=md.KIND_MASK3D, design=(2**21, 64))
+        assert masks.distinct_rows == 128
+        peak, _ = peak_traced_bytes(lambda: pytest.raises(MaskSetSizeError, lambda: masks.vectors))
+        assert peak < 1 << 20
+        repeated = md.MaskSet(kind=md.KIND_MASK3D, stored=masks.block(slice(0, 128)), repeats=2**14)
+        with pytest.raises(MaskSetSizeError, match="above the cap"):
+            repeated.vectors
+        assert masks.first(128).vectors.shape == (128, 64)
 
 
 class TestDistinctRows:
@@ -308,15 +324,18 @@ class TestProject:
         [("small_scene", 128), ("small_scene", 64), ("volume_scene", 16), ("volume_scene", 8)],
         ids=["plane", "plane-wrap", "volume", "volume-wrap"],
     )
-    @pytest.mark.parametrize("chunk", [1 << 16, 64])
-    def test_matches_the_formed_stack(self, fixture, count, chunk, request, monkeypatch):
-        # with I = M the last point wraps onto the all-ones column 0; the
-        # small chunk splits both the row and the column blocks
-        monkeypatch.setattr(md, "_CHUNK_ENTRIES", chunk)
+    @pytest.mark.parametrize("small_blocks", [False, True], ids=["default-blocks", "small-blocks"])
+    def test_matches_the_formed_stack(self, fixture, count, small_blocks, request, force_block_rows):
+        # with I = M the last point wraps onto the all-ones column 0; small
+        # blocks split both the row and the column blocks
         scene, grids = request.getfixturevalue(fixture)
         masks = md.ideal_masks(scene, grids, count)
         assert (masks.phase is None) == scene.is_3d
         factors = self.factors(masks.points, [5, 0, 3, 9])
+        if small_blocks:  # a stored set one row of ``out`` at a time, a transform one or two columns
+            force_block_rows(1, 20, count * 20)
+            order = masks.distinct_rows // (2 if masks.paired else 1)
+            assert em.block_rows(order, order * 17) <= 2
         expected = masks.vectors @ np.concatenate(factors, axis=1)
         stored = masks.vectors.copy()
         for source in (masks, md.MaskSet(kind=masks.kind, stored=stored), stored):

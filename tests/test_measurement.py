@@ -142,10 +142,10 @@ class TestFieldsInRowBlocks:
 
     @pytest.mark.parametrize("fixture", ["desk_scene", "volume_scene"])
     @pytest.mark.parametrize("designed", [True, False], ids=["designed", "stored"])
-    def test_fields_match_the_whole_stack(self, fixture, designed, request, monkeypatch):
+    def test_fields_match_the_whole_stack(self, fixture, designed, request, monkeypatch, force_block_rows):
         scene, grids = request.getfixturevalue(fixture)
-        monkeypatch.setattr(md, "_CHUNK_ENTRIES", 16 * scene.n_target)  # four rows per block
         masks = md.ideal_masks(scene, grids, 1024)
+        force_block_rows(4, scene.n_target, masks.distinct_rows * scene.n_target)  # four rows per block
         stack = masks.vectors
         if not designed:
             masks = md.MaskSet(kind=masks.kind, stored=stack * np.exp(0.3j))
@@ -170,7 +170,7 @@ class TestFieldsInRowBlocks:
         fields = ms.noiseless_fields(scene, grids, masks, target)
         assert fields.tobytes() == expected.tobytes()
         if designed:  # several blocks of the distinct rows, which the fields repeat
-            assert sum(formed) == masks.distinct_rows and max(formed) < masks.distinct_rows
+            assert sum(formed) == masks.distinct_rows and max(formed) == 4 < masks.distinct_rows
         else:
             assert formed == []
 

@@ -53,10 +53,13 @@ class TestMaskMoments:
         power = np.mean(np.abs(u) ** 2, axis=0) if np.iscomplexobj(u) else square_mean
         return c_values, power
 
-    @pytest.mark.parametrize("chunk", [1 << 16, 300, 37, 1])
+    @pytest.mark.parametrize("rows", [None, 8, 3, 1], ids=["default", "8-rows", "3-rows", "row"])
     @pytest.mark.parametrize("kind", [md.KIND_MASK2D, md.KIND_MASK3D])
-    def test_blocked_sums_keep_the_whole_array_bits(self, kind, chunk, monkeypatch):
-        monkeypatch.setattr(md, "_CHUNK_ENTRIES", chunk)
+    def test_blocked_sums_keep_the_whole_array_bits(self, kind, rows, force_block_rows):
+        if rows is None:  # one block of all 257 rows
+            assert em.block_rows(37, 257 * 37) >= 257
+        else:
+            force_block_rows(rows, 37, 257 * 37)
         rng = np.random.default_rng(3)
         vectors = rng.standard_normal((257, 37)) + 1j * rng.standard_normal((257, 37))
         # a plane set keeps the magnitudes its reconstruction reads

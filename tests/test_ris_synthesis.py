@@ -168,9 +168,9 @@ class TestSynthesize:
         with pytest.raises(ZeroSolution):
             profile(tmp_path, inv, np.array([0.0, 1.0 + 0.0j]), 1.0)
 
-    def test_zero_solution_names_its_mask_past_the_first_block(self, monkeypatch, tmp_path):
+    def test_zero_solution_names_its_mask_past_the_first_block(self, force_block_rows, tmp_path):
         # blocks of two rows: mask 5 is the second row of the third block
-        monkeypatch.setattr(rs, "_CHUNK_ENTRIES", 4)
+        force_block_rows(2, 2, 8 * 2)
         kernel = KernelMatrix(
             stored=np.diag([1.0, 0.0]).astype(complex), kind=em.KIND_Z2D, fingerprint="t"
         )
@@ -183,16 +183,16 @@ class TestSynthesize:
         with pytest.raises(ZeroSolution, match="mask 5 "):
             rs.realize_masks(inv, masks, 1.0)
 
-    def test_paired_pass_names_an_upper_row_before_any_reader(self, monkeypatch):
+    def test_paired_pass_names_an_upper_row_before_any_reader(self, force_block_rows):
         # 8 masks over 4 points pair their rows: row i + 4 is row i with point 3
         # off. With only points 2 and 3 in range, rows 5 and 6 are zero there,
         # rows 0..4 are not; in blocks of one row the pass names row 5 before any
         # reader sees a block (gamma 1 keeps every value dyadic, so the zeros are exact)
-        monkeypatch.setattr(rs, "_CHUNK_ENTRIES", 4)
+        force_block_rows(1, 4, 8 * 4)
         kernel = KernelMatrix(stored=np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex), kind=em.KIND_Z2D, fingerprint="t")
         inv = rs.tikhonov_inverse(kernel, 1.0)
         masks = md.MaskSet(kind=md.KIND_MASK2D, design=(8, 4), phase=np.zeros(4))
-        assert masks.paired and rs._pass_step(masks.distinct_rows, masks.points) == 1
+        assert masks.paired and em.block_rows(masks.points, masks.distinct_rows * masks.points) == 1
         seen = []
         with pytest.raises(ZeroSolution, match="mask 5 ") as caught:
             rs.realize_masks(inv, masks, 1.0, [lambda rows, *_: seen.append(rows)])
@@ -501,9 +501,10 @@ class TestPiecedFactor:
         np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
     def test_no_qr_input_exceeds_a_chunk(self, wide_kernel, monkeypatch):
+        # pieces of max(4 * 64, BLOCK_ENTRIES / 64) = 1,024 columns of the 64 rows
         sizes = record_qr_sizes(monkeypatch)
         rs.tikhonov_inverse(wide_kernel, 1e-12)
-        assert sizes == [rs._CHUNK_ENTRIES] * 4 + [4 * 64 * 64]
+        assert sizes == [em.BLOCK_ENTRIES] * 4 + [4 * 64 * 64]
 
     def test_the_volume_zsweep_scene_is_never_pieced(self, monkeypatch):
         # its 64 x 4,096 kernel is factored as four 48 x 1,024 stacks and their
@@ -541,8 +542,8 @@ class TestPiecedFactor:
             assert block.shape[0] < block.shape[1]
             assert factor.tobytes() == one_qr_factor(block).tobytes()
 
-    def test_uneven_pieces_keep_the_gram_matrix(self, monkeypatch):
-        monkeypatch.setattr(rs, "_CHUNK_ENTRIES", 64)
+    def test_uneven_pieces_keep_the_gram_matrix(self, force_block_rows):
+        force_block_rows(32, 8)  # pieces of 32 columns of the 8 rows
         block = random_kernel(np.random.default_rng(3), 8, 1000).entries  # 31 pieces of 32 or 33 columns
         factor = rs._spectral_factor(block)
         assert factor.shape == (8, 8)
@@ -552,9 +553,10 @@ class TestPiecedFactor:
             np.linalg.svd(factor, compute_uv=False), np.linalg.svd(block, compute_uv=False), rtol=1e-13
         )
 
-    @pytest.mark.parametrize("chunk", [rs._CHUNK_ENTRIES, 4])
-    def test_a_block_without_rows(self, chunk, monkeypatch):
-        monkeypatch.setattr(rs, "_CHUNK_ENTRIES", chunk)
+    @pytest.mark.parametrize("piece", [None, 4], ids=["default-pieces", "4-column-pieces"])
+    def test_a_block_without_rows(self, piece, force_block_rows):
+        if piece is not None:
+            force_block_rows(piece, 1)
         factor = rs._spectral_factor(np.zeros((0, 16), dtype=complex))
         assert factor.shape == (0, 0)
         u, sigma = rs._left_svd(np.zeros((0, 16), dtype=complex))
@@ -977,13 +979,13 @@ class TestSelfContainedInverse:
 
     @STREAMED_SCENES_PLAIN
     @pytest.mark.parametrize("rows_per_block", [1, 3, None], ids=["row", "three-rows", "default"])
-    def test_streamed_kernel_decomposes_to_the_same_bits(self, cfg, rows_per_block, monkeypatch):
+    def test_streamed_kernel_decomposes_to_the_same_bits(self, cfg, rows_per_block, force_block_rows):
         # the quadrant rows arrive in blocks that need not hold whole target lines
         scene = sc.validate_scene(cfg)
         grids = sc.sample_grids(scene)
         stored = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12)
-        if rows_per_block is not None:
-            monkeypatch.setattr(em, "_CHUNK_ENTRIES", rows_per_block * scene.n_ris)
+        if rows_per_block is not None:  # per slice the kernel walks its quadrant's rows
+            force_block_rows(rows_per_block, scene.n_ris, math.prod(stored.symmetry.quadrant_shape) * scene.n_ris)
         streamed = rs.tikhonov_inverse(em.kernel_stream(scene, grids), 1e-12)
         assert len(streamed.sectors) == len(stored.sectors)
         for a, b in zip(stored.sectors, streamed.sectors):
@@ -1042,12 +1044,6 @@ class TestStreamedExports:
 
     COUNT = 256
 
-    @pytest.fixture
-    def small_blocks(self, monkeypatch):
-        # a few rows per block on every scene: profiles, mask rows and coefficients alike
-        monkeypatch.setattr(rs, "_CHUNK_ENTRIES", 4096)
-        monkeypatch.setattr(md, "_CHUNK_ENTRIES", 4096)
-
     @staticmethod
     def synthesis(cfg):
         scene = sc.validate_scene(cfg)
@@ -1060,9 +1056,12 @@ class TestStreamedExports:
         return f"kind={kind} count={count} points={points} fingerprint=f\n".encode()
 
     @STREAMED_SCENES
-    def test_profiles_match_the_whole_array(self, cfg, small_blocks, tmp_path):
+    def test_profiles_match_the_whole_array(self, cfg, force_block_rows, tmp_path):
         _, inv, masks = self.synthesis(cfg)
-        assert rs._CHUNK_ENTRIES // inv.shape[1] < masks.count // 4  # at least four blocks
+        # four rows per block, at least four blocks of the distinct rows the export repeats
+        n = inv.shape[1]
+        force_block_rows(4, n, masks.distinct_rows * n)
+        assert masks.distinct_rows >= 4 * 4
         rs.save_profiles(tmp_path / "p.bin", inv, masks, 1.5, "f")
         # the whole (I, N) array of solutions, each scaled onto the power budget
         solutions = inv.apply(masks.vectors.T).T
@@ -1073,16 +1072,18 @@ class TestStreamedExports:
         np.testing.assert_allclose(profiles, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
     @STREAMED_SCENES
-    def test_ideal_export_matches_the_designed_stack(self, cfg, small_blocks, tmp_path):
+    def test_ideal_export_matches_the_designed_stack(self, cfg, force_block_rows, tmp_path):
         _, _, masks = self.synthesis(cfg)
+        force_block_rows(4, masks.points, masks.distinct_rows * masks.points)
         md.save_mask_vectors(tmp_path / "m.bin", masks, "f")
         stack = masks.vectors  # the whole stack, formed on read
         expected = self.header(masks.kind, *stack.shape) + stack.astype("<c16").tobytes()
         assert (tmp_path / "m.bin").read_bytes() == expected
 
     @STREAMED_SCENES
-    def test_summary_matches_the_whole_array_formula(self, cfg, small_blocks, tmp_path):
+    def test_summary_matches_the_whole_array_formula(self, cfg, force_block_rows, tmp_path):
         _, inv, ideal = self.synthesis(cfg)
+        force_block_rows(4, ideal.points, ideal.distinct_rows * ideal.points)
         misfit = rs.RealizedMisfit(inv, ideal, 1.5)
         realized, values = realize_with_values(inv, ideal, 1.5, [misfit.add])
         rs.write_synthesis_summary(tmp_path / "s.txt", inv, realized, misfit.values)
@@ -1093,10 +1094,10 @@ class TestStreamedExports:
         assert f"realized_rel_err_mean = {float(rel_err.mean())!r}" in lines
         assert f"realized_rel_err_max = {float(rel_err.max())!r}" in lines
 
-    def test_zero_solution_mid_stream_leaves_the_old_file(self, monkeypatch, tmp_path):
+    def test_zero_solution_mid_stream_leaves_the_old_file(self, force_block_rows, tmp_path):
         # blocks of two rows: mask 5, in the third block, has a zero norm, which
         # the pass finds before it writes any block
-        monkeypatch.setattr(rs, "_CHUNK_ENTRIES", 4)
+        force_block_rows(2, 2, 8 * 2)
         kernel = KernelMatrix(stored=np.diag([1.0, 0.0]).astype(complex), kind=em.KIND_Z2D, fingerprint="t")
         inv = rs.tikhonov_inverse(kernel, 1e-6)
         vectors = np.tile(np.array([1.0, 1.0 + 0.0j]), (8, 1))
@@ -1109,10 +1110,10 @@ class TestStreamedExports:
         assert path.read_bytes() == old
         assert list(tmp_path.glob(".*.tmp")) == []
 
-    def test_zero_solution_mid_pass_leaves_the_old_realized_export(self, monkeypatch, tmp_path):
+    def test_zero_solution_mid_pass_leaves_the_old_realized_export(self, force_block_rows, tmp_path):
         # the realized masks are written by a reader of the realization pass: a mask
         # with a zero norm in the third block leaves the old file
-        monkeypatch.setattr(rs, "_CHUNK_ENTRIES", 4)
+        force_block_rows(2, 2, 8 * 2)
         kernel = KernelMatrix(stored=np.diag([1.0, 0.0]).astype(complex), kind=em.KIND_Z2D, fingerprint="t")
         inv = rs.tikhonov_inverse(kernel, 1e-6)
         vectors = np.tile(np.array([1.0, 1.0 + 0.0j]), (8, 1))
@@ -1210,15 +1211,20 @@ class TestOneArrayLayout:
     kept rows; every reader sees the bits that separate arrays give."""
 
     @LAYOUT_SCENES
-    @pytest.mark.parametrize("chunk", [None, 4096], ids=["default-blocks", "small-blocks"])
-    def test_readers_see_what_separate_arrays_give(self, cfg, threshold_factor, chunk, tmp_path, monkeypatch):
-        if chunk is not None:  # many blocks, whose rows of profiles and of masks do not line up
-            # the volume's 16 distinct rows of 8 points span several blocks only at a smaller chunk
-            monkeypatch.setattr(rs, "_CHUNK_ENTRIES", chunk // 32 if cfg.target_kind == sc.VOLUME_3D else chunk)
+    @pytest.mark.parametrize("small_blocks", [False, True], ids=["default-blocks", "small-blocks"])
+    def test_readers_see_what_separate_arrays_give(
+        self, cfg, threshold_factor, small_blocks, tmp_path, force_block_rows
+    ):
         scene = sc.validate_scene(cfg)
         grids = sc.sample_grids(scene)
         inv = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12, threshold_factor)
         masks = md.ideal_masks(scene, grids, 256)
+        count = masks.distinct_rows
+        if small_blocks and scene.is_3d:  # the 8 staged rows of the volume's 16 in two blocks
+            force_block_rows(4, scene.n_target, count * scene.n_target)
+        elif small_blocks:  # many blocks, whose rows of profiles (5) and of masks (16) do not line up
+            force_block_rows(5, scene.n_ris, count * scene.n_ris)
+            assert em.block_rows(scene.n_target, count * scene.n_target) == 16
         if threshold_factor != rs.DEFAULT_THRESHOLD_FACTOR:
             assert 0 < 2 * inv.retained_rank < scene.n_target  # c is shorter than u
         # the coefficients staged alone, in an array of their own: one row per
@@ -1243,7 +1249,7 @@ class TestOneArrayLayout:
 
         with rs.profile_writer(tmp_path / "p.bin", inv, masks.count, "f", masks.distinct_rows) as profiles:
             realized = rs.realize_masks(inv, masks, 1.5, [reader, profiles])
-        assert seen[-1][0].stop == masks.distinct_rows and (chunk is None or len(seen) >= 2)
+        assert seen[-1][0].stop == masks.distinct_rows and (not small_blocks or len(seen) >= 4)
         assert sorted(r for rows, *_ in seen for r in range(rows.start, rows.stop)) == list(range(len(fresh)))
         for rows, block, norms, c in seen:
             parts = fresh[rows].view(np.float64)
@@ -1420,7 +1426,7 @@ class TestPeakMemory:
         assert peak <= masks.count * inv.shape[1] * 16 + self.SLACK
         if case == "designed":
             coefficients = masks.count * inv.retained_rank * 16
-            block = (rs._CHUNK_ENTRIES // inv.shape[1]) * inv.shape[1] * 16
+            block = em.block_rows(inv.shape[1], masks.distinct_rows * inv.shape[1]) * inv.shape[1] * 16
             assert peak <= coefficients + block + (3 << 20)
 
     def test_designed_coefficients_hold_two_blocks_beside_their_output(self, desk_synthesis):
@@ -1456,13 +1462,14 @@ class TestPeakMemory:
         peak, _ = peak_traced_bytes(lambda: rs.write_synthesis_summary(summary, inv, realized, misfit.values))
         assert peak <= 1 << 18
 
-    def test_realized_plane_set_never_holds_its_complex_stack(self):
-        # at desk scale and z' = 0.5 (sum r_s = 173 of M = 256), realizing a set with
-        # its fields and then reading its moments holds one array of the staged
-        # coefficients (2.7 MiB), whose head then takes the magnitudes u (2 MiB), and
-        # the staging's two column blocks: less than the complex (I, M) stack and u
-        # (6 MiB) that a realized plane set once held
-        scene = sc.validate_scene(desk_config(0.5))
+    @pytest.mark.parametrize("z_prime", [0.5, 0.125])
+    def test_realized_plane_set_never_holds_its_complex_stack(self, z_prime):
+        # at desk scale and z' = 0.5 (sum r_s = 173 of M = 256) or 0.125 (all 256),
+        # realizing a set with its fields and then reading its moments holds one
+        # array of the staged coefficients, whose head then takes the magnitudes u,
+        # and the staging's two column blocks: less than the complex (I, M) stack and
+        # u (6 MiB) that a realized plane set once held
+        scene = sc.validate_scene(desk_config(z_prime))
         grids = sc.sample_grids(scene)
         inv = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12)
         ideal = md.ideal_masks(scene, grids, 1024)
@@ -1479,8 +1486,15 @@ class TestPeakMemory:
         coefficients = count * inv.retained_rank * 16
         # u is written over c, so the pass holds no more than staging c does
         # (test_designed_coefficients_hold_two_blocks_beside_their_output)
-        assert peak <= coefficients + (5 << 19) < stack + magnitudes
+        assert peak <= coefficients + (5 << 19)
         assert u is realized.stored and not np.iscomplexobj(u)
+        # the one array (1.5 MiB at z' = 0.125: R = 512 rows, h = 256 of them staged,
+        # w = 128 complex entries of magnitudes a row), and beside it at most 1.75 MiB:
+        # the folded factors, one block of the pass, and the staging's column blocks of
+        # a sixteenth of the staged c, not 1 MiB blocks (3.78 MiB in all at z' = 0.125)
+        half, width = rs._staged_rows(ideal), -(-points // 2)
+        held = ((ideal.distinct_rows - half) * width + half * max(inv.retained_rank, width)) * 16
+        assert peak <= held + (7 << 18) < stack + magnitudes
 
     def test_many_masks_need_no_coefficient_stack(self, desk_synthesis, desk_scene):
         # at I = 4,096 only R = 512 masks are distinct: a realized plane set stages
