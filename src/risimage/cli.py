@@ -173,6 +173,7 @@ def _kernel_label(kernel: em_core.KernelStream) -> str:
 
 def cmd_masks(args) -> int:
     plan, scene = _step_plan(args, synthesis=False)
+    plan.check_exports(synthesis=False)
     grids = sample_grids(scene)
     masks = _ideal_masks(plan, scene, grids)
     out = Path(plan.output_dir)
@@ -193,6 +194,7 @@ def _inverse(plan: ExperimentPlan, scene, grids) -> ris_synthesis.RegularizedInv
 
 def cmd_synthesize(args) -> int:
     plan, scene = _step_plan(args, synthesis=True)
+    plan.check_exports(synthesis=True)
     grids = sample_grids(scene)
     ideal = _ideal_masks(plan, scene, grids)
     inv = _inverse(plan, scene, grids)
@@ -218,9 +220,17 @@ def cmd_measure(args) -> int:
     else:  # fields come from the realization pass; no profile is exported, so the sector blocks go
         inv = _inverse(plan, scene, grids).without_blocks()
         receiver = measurement.ReceiverFields(scene, grids, masks, target)
-        ris_synthesis.realize_masks(inv, masks, scene.config.amplification, [receiver.add])
+        ris_synthesis.realize_masks(inv, masks, scene.config.amplification, [receiver.add], coefficients=False)
         fields = receiver.fields()
-    meas = measurement.measure(fields, masks.kind, plan.snr_values[0], plan.seed, noise_mode=plan.noise_mode)
+    meas = measurement.measure(
+        fields,
+        masks.kind,
+        plan.snr_values[0],
+        plan.seed,
+        noise_mode=plan.noise_mode,
+        n0_dbm_per_hz=plan.n0_dbm_per_hz,
+        bandwidth_hz=plan.bandwidth_hz,
+    )
     out = Path(plan.output_dir)
     out.parent.mkdir(parents=True, exist_ok=True)
     measurement.records_to_csv(out, meas)

@@ -34,7 +34,7 @@ import errno
 import math
 import os
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TextIO
@@ -680,14 +680,15 @@ def text_file_writer(path: str | Path, newline: str | None = None) -> Iterator[T
     is written, a reader finds no file or a part of the new one. If the
     context or the closing raises, the part written is removed.
     """
-    path = Path(path)
-    path.unlink(missing_ok=True)
+    with suppress(FileNotFoundError):
+        os.unlink(path)
     fh = open(path, "x", newline=newline)
     try:
         with fh:
             yield fh
     except BaseException:
-        path.unlink(missing_ok=True)
+        with suppress(FileNotFoundError):
+            os.unlink(path)
         raise
 
 

@@ -374,6 +374,18 @@ def check_measurement_count(n_measurements: int, n_points: int) -> None:
         )
 
 
+def check_export_size(count: int, width: int) -> None:
+    """Reject an export of ``count`` vectors of ``width`` entries, a file of
+    count x width complex entries, above ``em_core.ENTRY_CAP`` entries
+    (:class:`MaskSetSizeError`): its file is given its whole size before
+    the first row is written (:func:`mask_file_writer`)."""
+    if count * width > ENTRY_CAP:
+        raise MaskSetSizeError(
+            f"an export of {count} vectors of {width} entries is above the cap of {ENTRY_CAP} entries; "
+            "use fewer masks or coarser grids"
+        )
+
+
 def check_realizable(n_points: int) -> None:
     """Reject a target of one or two points for synthesis (:class:`MalformedConfig`).
 

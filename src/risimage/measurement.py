@@ -21,7 +21,15 @@ import numpy as np
 
 from .constants import VACUUM_PERMITTIVITY
 from .em_core import psf_vector, text_file_writer
-from .errors import DimensionMismatch, EmptySet, KindMismatch, MalformedConfig, MalformedRecords, MissingFile
+from .errors import (
+    DimensionMismatch,
+    EmptySet,
+    ImagingError,
+    KindMismatch,
+    MalformedConfig,
+    MalformedRecords,
+    MissingFile,
+)
 from .mask_design import KIND_MASK2D, MaskSet
 from .scene import PLANE_2D, VOLUME_3D, SampleGrids, ValidatedScene
 
@@ -78,43 +86,40 @@ def make_target_3d(contrast: np.ndarray, grid_shape: tuple[int, int, int]) -> Ta
 
 @dataclass(frozen=True)
 class Measurements:
-    """One simulated measurement set, one row per mask.
+    """Simulated measurement sets taken from one set of noiseless fields.
 
     ``noisy`` holds detected magnitudes (float) for plane targets and complex
-    fields for volume targets; ``noiseless`` is always the complex field.
-    Every row shares ``noise_variance`` and the noise stream key ``seed``. A
-    stack of sets measured from the same fields (:func:`stack`) has a
-    leading set axis on ``noisy``, and a tuple of each set's variance and
-    seed.
+    fields for volume targets, one entry per mask; ``noiseless`` is always
+    the complex field. One set has an (I,) ``noisy``, its ``noise_variance``
+    and its noise stream key ``seed``. A stack of sets (:func:`measure` of
+    several SNR values and seeds) has a leading set axis on ``noisy``, a
+    tuple of each set's variance and seed, and in ``errors`` one entry per
+    set asked for: None for a set that is a row of the stack, else the
+    :class:`ImagingError` that stopped its measurement.
     """
 
     noiseless: np.ndarray  # (I,) complex128
     noisy: np.ndarray  # (I,) or (P, I), float64 or complex128
     noise_variance: float | tuple[float, ...]
     seed: int | tuple[int, ...]
+    errors: tuple[ImagingError | None, ...] = ()
 
     def __len__(self) -> int:
         """Measurements per set."""
         return self.noisy.shape[-1]
 
 
-def stack(sets: Sequence[Measurements]) -> Measurements:
-    """Measurement sets taken from the same noiseless fields as one stack,
-    which a reconstruction estimates a row per set."""
-    return Measurements(
-        noiseless=sets[0].noiseless,
-        noisy=np.stack([meas.noisy for meas in sets]),
-        noise_variance=tuple(meas.noise_variance for meas in sets),
-        seed=tuple(meas.seed for meas in sets),
-    )
+def signal_power(noiseless_fields: np.ndarray) -> np.float64:
+    """Mean power of the receiver fields; :class:`EmptySet` for no fields."""
+    fields = np.asarray(noiseless_fields)
+    if fields.size == 0:
+        raise EmptySet("SNR is undefined over an empty measurement set")
+    return np.mean(np.abs(fields) ** 2)
 
 
 def noise_variance(noiseless_fields: np.ndarray, snr_db: float) -> float:
     """Variance giving the requested receiver SNR against the mean signal power."""
-    fields = np.asarray(noiseless_fields)
-    if fields.size == 0:
-        raise EmptySet("SNR is undefined over an empty measurement set")
-    return float(np.mean(np.abs(fields) ** 2) / 10.0 ** (snr_db / 10.0))
+    return float(signal_power(noiseless_fields) / 10.0 ** (snr_db / 10.0))
 
 
 def noise_power_watts(n0_dbm_per_hz: float = DEFAULT_N0_DBM_PER_HZ, bandwidth_hz: float = DEFAULT_BANDWIDTH_HZ) -> float:
@@ -165,16 +170,20 @@ def check_snr(snr_db: float | None) -> None:
         raise MalformedConfig(f"snr_db must be none or give a finite normal power ratio, got {snr_db!r}")
 
 
-def complex_noise(variance: float, seed: int, count: int) -> np.ndarray:
-    """``count`` circularly-symmetric complex Gaussian draws, one per measurement.
+def complex_noise(variance: float, seed: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``count`` circularly-symmetric complex Gaussian draws, one per measurement,
+    written into ``out`` (a contiguous (count,) complex128 row) when given.
 
     One Philox stream keyed by the seed and consumed in order, so draw i
     depends only on (seed, i); bit-reproducible and exactly homogeneous in
-    sqrt(variance).
+    sqrt(variance). The unit normals fill the real and imaginary parts of
+    each draw in turn, in place, and are then scaled.
     """
+    out = np.empty(count, dtype=np.complex128) if out is None else out
     rng = np.random.Generator(np.random.Philox(key=seed))
-    re, im = rng.standard_normal((count, 2)).T
-    return math.sqrt(variance / 2.0) * (re + 1j * im)
+    rng.standard_normal(out=out.view(np.float64))
+    out *= math.sqrt(variance / 2.0)
+    return out
 
 
 class ReceiverFields:
@@ -211,9 +220,14 @@ class ReceiverFields:
         self._products = np.empty(masks.distinct_rows, dtype=np.complex128)
         self._repeats = masks.count // masks.distinct_rows
 
-    def add(self, rows: slice, block: np.ndarray, *_) -> None:
-        """Take the masks ``block`` of the set's ``rows``."""
-        self._products[rows] = block @ self.weights
+    def add(self, rows: slice, block: np.ndarray, scales: np.ndarray | None = None, *_) -> None:
+        """Take the masks ``block`` of the set's ``rows``, each times its
+        entry of ``scales`` when given (a realization pass hands over unit-
+        budget masks and their budget scales)."""
+        products = block @ self.weights
+        if scales is not None:
+            products *= scales
+        self._products[rows] = products
 
     def fields(self) -> np.ndarray:
         """Every row's field, a new read-only array, which every measurement
@@ -250,42 +264,67 @@ def noiseless_fields(
 def measure(
     fields: np.ndarray,
     mask_kind: str,
-    snr_db: float | None,
-    seed: int,
+    snr_db: float | None | Sequence[float | None],
+    seed: int | Sequence[int],
     noise_mode: str = NOISE_RELATIVE,
     n0_dbm_per_hz: float = DEFAULT_N0_DBM_PER_HZ,
     bandwidth_hz: float = DEFAULT_BANDWIDTH_HZ,
 ) -> Measurements:
-    """Simulate the full measurement set from its noiseless ``fields``.
+    """Simulate measurement sets from their noiseless ``fields``: one set for
+    one ``snr_db`` and ``seed``, or, for equal-length sequences of them, a
+    stack with a row per set (:class:`Measurements`). One set is a stack of
+    one, measured alike.
 
     ``fields`` come from :func:`noiseless_fields` of a set of ``mask_kind``
     masks, and are computed once for every SNR and seed measured from that
-    set. Plane masks (``KIND_MASK2D``) detect the magnitude of each noisy
-    field; volume masks keep the complex field. ``snr_db=None`` disables
-    noise. In ``relative`` mode the variance is set from the requested SNR
-    against the simulated signal power; in ``absolute`` mode it is the
-    thermal power N0 * B. Deterministic under a fixed seed.
+    set; their signal power is taken once per call. Each set's noise comes
+    from its own stream (:func:`complex_noise`) into its own row, so a row
+    of a stack holds the bits of its set measured alone. Plane masks
+    (``KIND_MASK2D``) detect the magnitude of each noisy field, in one pass
+    over the stack; volume masks keep the complex field. An SNR of None
+    disables noise. In ``relative`` mode the variance is set from the
+    requested SNR against the simulated signal power; in ``absolute`` mode
+    it is the thermal power N0 * B. An :class:`ImagingError` of one set's
+    variance or noise fails that set alone: a stack leaves it out of its
+    rows and keeps the error in ``errors``; one set raises it.
+    Deterministic under a fixed seed.
     """
-    if snr_db is None:
-        variance = 0.0
-    elif noise_mode == NOISE_RELATIVE:
-        variance = noise_variance(fields, snr_db)
-    elif noise_mode == NOISE_ABSOLUTE:
-        variance = noise_power_watts(n0_dbm_per_hz, bandwidth_hz)
-    else:
+    stacked = isinstance(seed, Sequence)
+    snr_values, seeds = (snr_db, seed) if stacked else ((snr_db,), (seed,))
+    if len(snr_values) != len(seeds):
+        raise ValueError(f"{len(snr_values)} SNR values for {len(seeds)} seeds")
+    if noise_mode not in (NOISE_RELATIVE, NOISE_ABSOLUTE):
         raise ValueError(f"unknown noise mode {noise_mode!r}")
-
-    noise = complex_noise(variance, seed, fields.shape[0]) if variance > 0.0 else 0.0
-    noisy = fields + noise
+    noisy = np.zeros((len(seeds), len(fields)), dtype=np.complex128)
+    power, variances, errors = None, [], []
+    for row, snr, key in zip(noisy, snr_values, seeds):
+        try:
+            if snr is None:
+                variance = 0.0
+            elif noise_mode == NOISE_RELATIVE:
+                power = signal_power(fields) if power is None else power
+                variance = float(power / 10.0 ** (snr / 10.0))
+            else:
+                variance = noise_power_watts(n0_dbm_per_hz, bandwidth_hz)
+            if variance > 0.0:
+                complex_noise(variance, key, len(fields), out=row)
+        except ImagingError as exc:
+            errors.append(exc)
+        else:
+            errors.append(None)
+            variances.append(variance)
+    if not stacked and errors[0] is not None:
+        raise errors[0]
+    measured = [index for index, error in enumerate(errors) if error is None]
+    noisy = noisy[measured] if len(measured) < len(seeds) else noisy
+    noisy += fields
     if mask_kind == KIND_MASK2D:
         # hypot matches Python's abs(complex) bit for bit; np.abs does not
         noisy = np.hypot(noisy.real, noisy.imag)
-    return Measurements(
-        noiseless=fields,
-        noisy=noisy,
-        noise_variance=float(variance),
-        seed=seed,
-    )
+    if not stacked:
+        return Measurements(noiseless=fields, noisy=noisy[0], noise_variance=variances[0], seed=seed)
+    kept = tuple(seeds[index] for index in measured)
+    return Measurements(fields, noisy, tuple(variances), kept, tuple(errors))
 
 
 # --- CSV export ------------------------------------------------------------------
@@ -297,7 +336,7 @@ def records_to_csv(path: str | Path, meas: Measurements) -> None:
     """RFC-4180 CSV; the noisy value is one column for magnitudes, two for fields.
 
     The ``sigma2`` and ``seed`` columns repeat the set-wide variance and
-    stream key on every row. A stack of sets (:func:`stack`) has no such
+    stream key on every row. A stack of sets (:func:`measure`) has no such
     columns: it raises :class:`DimensionMismatch` before ``path`` is touched.
     """
     if meas.noisy.ndim != 1:

@@ -94,7 +94,7 @@ def reconstruct_2d(
     """Recover a plane target's coverage map from detected magnitudes.
 
     estimate_m = sum_i (|E_i| - <|E|>) u_i(m) / (I c_m |K_m|) with u the mask
-    amplitudes; a stack of measurement sets (:func:`measurement.stack`)
+    amplitudes; a stack of measurement sets (:func:`measurement.measure`)
     gives one estimate row per set. Invariant under adding a constant to
     every measurement and under positive rescaling of all masks (the scaling
     cancels against c). Raises :class:`KindMismatch` for complex records,
@@ -130,55 +130,72 @@ def reconstruct_3d(
     return _correlate(meas.noisy.astype(np.complex128), masks, KIND_MASK3D, scene.wavenumber_squared)
 
 
-def nmse(truth: np.ndarray, estimate: np.ndarray) -> float:
+def nmse(truth: np.ndarray, estimate: np.ndarray) -> float | np.ndarray:
     """Normalised mean square error ||t - t_hat||^2 / ||t||^2 over flat grids.
 
-    Unreconstructable points count as zeros in the estimate. Raises
-    :class:`NonFiniteScore` when a sum overflows (an estimate scaled by
-    overwhelming noise and not calibrated) or the NMSE is otherwise not a
-    finite number.
+    Unreconstructable points count as zeros in the estimate. A (P, M) stack
+    of estimates gives a (P,) array, each row's NMSE the bits of that row
+    scored alone: a row is summed along its own contiguous axis, in the
+    order of a one-row sum. A truth power that overflows raises
+    :class:`NonFiniteScore`; so does the NMSE of one estimate when its sum
+    overflows (an estimate scaled by overwhelming noise and not calibrated)
+    or it is otherwise not a finite number (:func:`finite_score`), a check
+    that a stack leaves to each row.
     """
     truth = np.asarray(truth).reshape(-1)
-    estimate = np.asarray(estimate).reshape(-1)
-    if truth.shape != estimate.shape:
+    estimate = np.asarray(estimate)
+    stacked = estimate.ndim == 2
+    if not stacked:
+        estimate = estimate.reshape(-1)
+    if truth.shape != estimate.shape[-1:]:
         raise DimensionMismatch(f"truth {truth.shape} vs estimate {estimate.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         denominator = float(np.sum(np.abs(truth) ** 2))
         if denominator == 0.0:
             raise ZeroTruth("NMSE is undefined for an all-zero truth grid")
-        error = float(np.sum(np.abs(truth - estimate) ** 2) / denominator)
-    if not (math.isfinite(error) and math.isfinite(denominator)):
-        raise NonFiniteScore(f"NMSE is {error!r}: the squared error or the truth power overflows")
+        errors = np.sum(np.abs(truth - estimate) ** 2, axis=-1) / denominator
+    if not math.isfinite(denominator):
+        raise NonFiniteScore(f"the truth power {denominator!r} overflows, so no NMSE is a finite number")
+    return errors if stacked else finite_score(float(errors))
+
+
+def finite_score(error: float) -> float:
+    """``error``, one NMSE of :func:`nmse`, or :class:`NonFiniteScore` when
+    it is not a finite number."""
+    if not math.isfinite(error):
+        raise NonFiniteScore(f"NMSE is {error!r}: the squared error overflows")
     return error
 
 
 def calibrate_estimate(
     estimate: np.ndarray, mode: str, truth: np.ndarray | None = None
 ) -> np.ndarray:
-    """Put an estimate on a comparable scale before scoring.
+    """Put an estimate, or each row of a (P, M) stack of them, on a
+    comparable scale before scoring; a row of a stack gets the bits of
+    that row calibrated alone.
 
     ``none`` is the identity, ``max1`` divides by the peak value, ``lsq`` fits
     the single scalar minimising the squared error to the truth (test-only,
-    needs a truth grid of the estimate's size, else :class:`DimensionMismatch`).
+    needs a truth grid of one estimate's size, else :class:`DimensionMismatch`).
     """
     estimate = np.asarray(estimate)
     if mode == CALIBRATE_NONE:
         return estimate.copy()
     if mode == CALIBRATE_MAX1:
-        peak = np.abs(estimate).max() if np.iscomplexobj(estimate) else estimate.max()
-        return estimate / peak if peak > 0 else estimate.copy()
+        peak = (np.abs(estimate) if np.iscomplexobj(estimate) else estimate).max(axis=-1, keepdims=True)
+        return np.divide(estimate, peak, out=estimate.copy(), where=peak > 0)
     if mode == CALIBRATE_LSQ:
         if truth is None:
             raise ValueError("lsq calibration needs the truth grid")
-        truth = np.asarray(truth)
-        if truth.size != estimate.size:
-            raise DimensionMismatch(f"truth of {truth.size} points vs estimate of {estimate.size}")
-        truth = truth.reshape(estimate.shape)
-        power = np.vdot(estimate, estimate)
-        if power == 0:
-            return estimate.copy()
-        scale = np.vdot(estimate, truth) / power
-        if not (np.iscomplexobj(estimate) or np.iscomplexobj(truth)):
-            scale = scale.real
-        return scale * estimate
+        truth = np.asarray(truth).reshape(-1)
+        if truth.size != estimate.shape[-1]:
+            raise DimensionMismatch(f"truth of {truth.size} points vs estimate of {estimate.shape[-1]}")
+        calibrated = np.empty(estimate.shape, dtype=np.result_type(estimate, truth))
+        for row, out in zip(estimate.reshape(-1, truth.size), calibrated.reshape(-1, truth.size)):
+            power = np.vdot(row, row)
+            scale = np.vdot(row, truth) / power if power != 0 else 1.0
+            if not (np.iscomplexobj(row) or np.iscomplexobj(truth)):
+                scale = scale.real
+            np.multiply(scale, row, out=out)
+        return calibrated
     raise ValueError(f"unknown calibration mode {mode!r}")

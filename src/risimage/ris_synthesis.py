@@ -75,11 +75,13 @@ forms b @ [A_1 ... A_k] for every mask into the leading columns of an
 array, whichever kind of set it is (a designed set never builds its (I, M)
 mask stack there). Every norm ||c|| is formed first, and then, a block of
 rows at a time (``em_core.block_rows``, as in every row-block pass), c is
-mapped (:func:`_map_rows`) and scaled onto the power budget. The realized
-mask K p = U diag(sigma) c is unfolded on the target side into one reused
-buffer, and every reader of the complex masks
-(receiver fields, the export, the summary's misfit) takes each block in
-that pass (:func:`realize_masks`), so they never exist whole. A designed
+mapped (:func:`_map_rows`). The unit-budget mask U diag(sigma) c is
+unfolded on the target side into one reused buffer, and every reader of
+the complex masks (receiver fields, the export, the summary's misfit)
+takes each block in that pass, with each row's budget scale
+s = sqrt(N P_I) / ||c||, which makes it the realized mask K p
+(:func:`realize_masks`), so they never exist whole and none is scaled
+for the readers. A designed
 set of M = 2^k points and at least 2M masks has R = 2M distinct rows in
 pairs: row i + M is row i with its last point switched off
 (``MaskSet.paired``), so c_{i+M} = c_i - v for one row v, and only the
@@ -95,7 +97,7 @@ keeps (for a volume kernel, X_s^H W_s^H U / sigma per aperture sector,
 unfolded onto the aperture once), so a profile is never formed through a
 dense K^H product. A mask set's profiles come only from its export, one
 more reader of the realization pass (:func:`profile_writer`), which maps
-the budget-scaled c of each block, so it stages no c of its own and the
+each block's c scaled onto the budget, so it stages no c of its own and the
 (I, N) profiles never exist whole; :meth:`RegularizedInverse.apply` maps
 the unscaled c of its right-hand sides in one product. The blocks are
 formed once, at decomposition, from the kernel's stored rows or from the
@@ -152,8 +154,10 @@ _IMAGE_MAP = 0.5 * np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -
 _SIGMA_LIMIT = math.sqrt(sys.float_info.max)
 
 # What :func:`realize_masks` hands each block of realized rows to:
-# reader(rows, block, norms, coefficients), the blocks not always in row order.
-Reader = Callable[[slice, np.ndarray, np.ndarray, np.ndarray], None]
+# reader(rows, masks, scales, coefficients), the unit-budget masks and
+# coefficients of the rows (or None for coefficients the pass does not form)
+# and each row's budget scale, the blocks not always in row order.
+Reader = Callable[[slice, np.ndarray, np.ndarray, np.ndarray | None], None]
 
 
 @dataclass(frozen=True)
@@ -751,26 +755,27 @@ def _staged_rows(masks: MaskSet) -> int:
 
 
 def _pair_blocks(
-    staged: np.ndarray, partner: np.ndarray | None, step: int
-) -> Iterator[list[tuple[slice, np.ndarray]]]:
+    staged: np.ndarray, partner: np.ndarray | None, step: int, formed: bool = True
+) -> Iterator[list[tuple[slice, np.ndarray | None]]]:
     """The staged coefficients c in blocks of ``step`` rows, each with its partner rows.
 
     Yields [(rows, c)], c a view of ``staged``, and for a set whose rows pair
     (``partner`` the row v of :func:`_stage_coefficients`) also
     (rows + h, c - v), h = len(staged), formed in one reused buffer that is
-    valid until the next block. The partner rows are formed before the
-    block is yielded, so its consumer may overwrite c.
+    valid until the next block, or None in its place unless ``formed``.
+    The partner rows are formed before the block is yielded, so its
+    consumer may overwrite c.
     """
     half = len(staged)
-    buffer = None if partner is None else np.empty((min(step, half), staged.shape[1]), dtype=np.complex128)
+    formed = formed and partner is not None
+    buffer = np.empty((min(step, half), staged.shape[1]), dtype=np.complex128) if formed else None
     for start in range(0, half, step):
         c = staged[start : start + step]
         rows = slice(start, start + len(c))
-        if buffer is None:
+        if partner is None:
             yield [(rows, c)]
             continue
-        pair = buffer[: len(c)]
-        np.subtract(c, partner, out=pair)
+        pair = None if buffer is None else np.subtract(c, partner, out=buffer[: len(c)])
         yield [(rows, c), (slice(rows.start + half, rows.stop + half), pair)]
 
 
@@ -867,39 +872,47 @@ def _table_factor(inv: RegularizedInverse) -> np.ndarray:
 
 
 def realize_masks(
-    inv: RegularizedInverse, masks: MaskSet, amplification: float, readers: Iterable[Reader] = ()
+    inv: RegularizedInverse,
+    masks: MaskSet,
+    amplification: float,
+    readers: Iterable[Reader] = (),
+    coefficients: bool = True,
 ) -> MaskSet:
     """The masks that power-normalised synthesized profiles produce, for
     the R distinct rows of ``masks`` (``MaskSet.distinct_rows``): the new
     set stores R rows and repeats them as ``masks`` does.
 
     With the coefficients c of :func:`_stage_coefficients`, the solution
-    norm is ||c|| and the realized mask is the unfolded U diag(sigma) c,
-    scaled onto the power budget. Every norm is formed before any row is
-    mapped, so a zero one raises :class:`ZeroSolution` naming the lowest
-    such row before any reader runs. Then, a block of rows at a time, c is
-    mapped (:func:`_map_rows`) into one reused buffer and scaled there by
-    budget / ||c||, and c itself is scaled alike. The block goes to each
-    of ``readers`` as ``reader(rows, block, norms, coefficients)``: the
-    slice it covers, its complex masks, their solution norms and their
-    budget-scaled c, valid until the reader returns. So a set's complex
-    masks never exist whole.
+    norm is ||c||, the budget scale s = sqrt(N * P_I) / ||c||, and the
+    realized mask is s times the unit-budget mask P, the unfolded
+    U diag(sigma) c. Every norm is formed before any row is mapped, so a
+    zero one raises :class:`ZeroSolution` naming the lowest such row before
+    any reader runs. Then, a block of rows at a time, c is mapped
+    (:func:`_map_rows`) into one reused buffer, and the block goes to each
+    of ``readers`` as ``reader(rows, masks, scales, coefficients)``: the
+    slice it covers, its unit-budget masks P, their scales s and their
+    unscaled c, valid until the reader returns, so a reader applies s to
+    what it keeps and nothing is scaled for the readers; a set's complex
+    masks never exist whole. Without ``coefficients`` the readers get None
+    in place of c, and partner rows' c is not formed.
 
     A set whose rows pair (``MaskSet.paired``) stages and maps only its
-    first h = R/2 rows: partner row i + h has c_i - v, so its unscaled
-    realized mask is P_i - q, with P_i that of row i and q = unfold(v U
-    diag(sigma)) mapped once, and only the sector products of h rows and
-    their unfold are formed. Each block of rows goes to the readers, then
-    its partner rows, with their own ``rows`` slice: readers must place
-    rows by that slice, not by arrival order.
+    first h = R/2 rows: partner row i + h has c_i - v, so its unit-budget
+    mask is P_i - q, with P_i that of row i and q = unfold(v U diag(sigma))
+    mapped once, and only the sector products of h rows and their unfold
+    are formed. Each block of rows goes to the readers, then its partner
+    rows, with their own ``rows`` slice: readers must place rows by that
+    slice, not by arrival order.
 
     One array holds c and what the set keeps: c is staged at its tail, and
-    the kept rows are written from its head once the block's readers are
-    done, where they overlap only rows of c already read. A volume set keeps
-    its complex masks; a plane set only their magnitudes
-    (``MaskSet.magnitudes_only``), w = ceil(M / 2) complex entries a row,
-    so the array is (R - h) w + h max(sum r_s, w) complex entries, h the
-    staged rows, not c beside the magnitudes. Returns the new set.
+    the kept rows, P s of a volume set or the magnitudes |P s| of a plane
+    set (``MaskSet.magnitudes_only``), those of the exported masks, are
+    written from its head once the block's readers are done, where they
+    overlap only rows of c already read; a plane block is scaled as real
+    and imaginary parts in its buffer first. A plane set keeps
+    w = ceil(M / 2) complex entries a row, so the array is (R - h) w +
+    h max(sum r_s, w) complex entries, h the staged rows, not c beside the
+    magnitudes. Returns the new set.
     """
     if _KERNEL_TO_MASK_KIND.get(inv.kind) != masks.kind:
         raise KindMismatch(f"kernel kind {inv.kind!r} cannot realize {masks.kind!r} masks")
@@ -921,25 +934,24 @@ def realize_masks(
     if partner is not None:
         partner_mask = np.empty((1, n_targets), dtype=np.complex128)
         _map_rows(partner[None], right, shape, partner_mask)
-    for parts in _pair_blocks(staged, partner, step):
+    for parts in _pair_blocks(staged, partner, step, formed=coefficients):
         lower = parts[0][1]
         blocks = buffers[:, : len(lower)]
         with small_ufunc_buffers():
             _map_rows(lower, right, shape, blocks[0])
             if partner is not None:
                 np.subtract(blocks[0], partner_mask, out=blocks[1])
-            for (rows, c), block in zip(parts, blocks):
-                scale = scales[rows, None]
-                block *= scale
-                c *= scale
         for (rows, c), block in zip(parts, blocks):
             for reader in readers:
-                reader(rows, block, norms[rows], c)
+                reader(rows, block, scales[rows], c if coefficients else None)
             # only now: these rows of the head overlap rows of c, but none not yet read
-            if keeps_values:
-                stored[rows] = block
-            else:
-                np.abs(block, out=stored[rows])
+            with small_ufunc_buffers():
+                if keeps_values:
+                    np.multiply(block, scales[rows, None], out=stored[rows])
+                else:  # |P s| of the exported P s; the readers are done with the block
+                    reals = block.view(np.float64)
+                    reals *= scales[rows, None]
+                    np.abs(block, out=stored[rows])
     stored.setflags(write=False)
     repeats = masks.count // count
     norms = np.tile(norms, repeats)
@@ -947,21 +959,19 @@ def realize_masks(
 
 
 class RealizedMisfit:
-    """``values[i]`` = ||realized_i * norm_i / sqrt(N * P_I) - ideal_i|| / ||ideal_i||,
-    how far each unnormalised realized mask misses its ``ideal`` one, taken
-    by :meth:`add` as a reader of :func:`realize_masks`: one value per
+    """``values[i]`` = ||P_i - ideal_i|| / ||ideal_i||, how far each
+    unit-budget realized mask P_i misses its ``ideal`` one, taken by
+    :meth:`add` as a reader of :func:`realize_masks`: one value per
     distinct row of ``ideal``."""
 
-    def __init__(self, inv: RegularizedInverse, ideal: MaskSet, amplification: float):
+    def __init__(self, ideal: MaskSet):
         self.ideal = ideal
-        self.budget = np.sqrt(inv.shape[1] * amplification)
         self.values = np.empty(ideal.distinct_rows)
 
-    def add(self, rows: slice, block: np.ndarray, norms: np.ndarray, _coefficients: np.ndarray) -> None:
-        """Take the realized masks ``block`` of ``rows`` and their solution ``norms``."""
+    def add(self, rows: slice, masks: np.ndarray, *_) -> None:
+        """Take the unit-budget realized ``masks`` of ``rows``."""
         ideal_rows = self.ideal.block(rows)
-        fitted = block * (norms / self.budget)[:, None]
-        self.values[rows] = np.linalg.norm(fitted - ideal_rows, axis=1) / np.linalg.norm(ideal_rows, axis=1)
+        self.values[rows] = np.linalg.norm(masks - ideal_rows, axis=1) / np.linalg.norm(ideal_rows, axis=1)
 
 
 @contextmanager
@@ -978,13 +988,14 @@ def profile_writer(
     the pass realizes that many distinct rows, which the file repeats
     (:func:`mask_design.mask_file_writer`).
 
-    Each block's budget-scaled coefficients c are mapped onto the aperture
-    through ``factors``, those of :func:`aperture_factors`, formed here
-    unless given, so the writers of one pass can share them. The rows are
-    mapped and written at their own row offset, whatever order the blocks
-    come in, in pieces of ``em_core.block_rows`` over the profile rows of
-    one period, counted from each block's first row, so a pass writes the
-    same bytes in any block order.
+    Each block's coefficients c are scaled onto the power budget in a small
+    buffer and mapped onto the aperture through ``factors``, those of
+    :func:`aperture_factors`, formed here unless given, so the writers of
+    one pass can share them. The rows are scaled, mapped and written at
+    their own row offset, whatever order the blocks come in, in pieces of
+    ``em_core.block_rows`` over the profile rows of one period, counted
+    from each block's first row, so a pass writes the same bytes in any
+    block order.
     The (I, N) profiles never exist whole, and c is not staged again. The
     file replaces ``path`` when the context ends; a pass that fails leaves
     any earlier file in place (:func:`mask_design.mask_file_writer`).
@@ -992,14 +1003,18 @@ def profile_writer(
     right, shape, phase = aperture_factors(inv) if factors is None else factors
     n = inv.shape[1]
     step = em_core.block_rows(n, (period or count) * n)
-    profiles = np.empty((min(step, period or count), n), dtype=np.complex128)
+    rows_held = min(step, period or count)
+    profiles = np.empty((rows_held, n), dtype=np.complex128)
+    scaled = np.empty((rows_held, inv.retained_rank), dtype=np.complex128)
     with mask_file_writer(path, "profiles", (count, n), fingerprint, period) as write:
 
-        def add(rows: slice, _block: np.ndarray, _norms: np.ndarray, c: np.ndarray) -> None:
+        def add(rows: slice, _masks: np.ndarray, scales: np.ndarray, c: np.ndarray) -> None:
             for start in range(0, len(c), step):
                 part = c[start : start + step]
+                with small_ufunc_buffers():
+                    budget = np.multiply(part, scales[start : start + step, None], out=scaled[: len(part)])
                 piece = profiles[: len(part)]
-                _map_rows(part, right, shape, piece, phase)
+                _map_rows(budget, right, shape, piece, phase)
                 write(piece, rows.start + start)
 
         yield add
@@ -1014,11 +1029,11 @@ def save_profiles(
 ) -> None:
     """Export the power-normalised coefficient profiles (I, N) that realize
     the ideal ``masks``: every row has ||p||^2 = N * amplification, and
-    K p is the realized mask that :func:`realize_masks` hands to its
-    readers. One realization pass whose one reader is
-    :func:`profile_writer`, so the profiles never exist whole; a set that
-    repeats its distinct rows has their profiles repeated. A failing pass
-    leaves any earlier file in place.
+    K p is the realized mask, s P of the unit-budget mask P and the scale s
+    that :func:`realize_masks` hands to its readers. One realization pass
+    whose one reader is :func:`profile_writer`, so the profiles never exist
+    whole; a set that repeats its distinct rows has their profiles
+    repeated. A failing pass leaves any earlier file in place.
     """
     with profile_writer(path, inv, masks.count, fingerprint, masks.distinct_rows) as add:
         realize_masks(inv, masks, amplification, [add])

@@ -116,6 +116,8 @@ class ExperimentPlan:
             synthesis = not self.ideal_masks
         if synthesis:
             mask_design.check_realizable(self.scene.n_target)
+        if self.keep_artifacts:
+            self.check_exports(synthesis)
         if not self.snr_values:
             raise MalformedConfig("snr_values must be nonempty")
         # every sweep point draws its noise from its own stream, seed + index
@@ -131,6 +133,18 @@ class ExperimentPlan:
         for key, allowed in PLAN_MODES.items():
             if getattr(self, key) not in allowed:
                 raise MalformedConfig(f"{key} must be one of {allowed}, got {getattr(self, key)!r}")
+
+
+    def check_exports(self, synthesis: bool) -> None:
+        """Reject mask counts whose exports would each hold more than
+        ``em_core.ENTRY_CAP`` entries (``mask_design.check_export_size``):
+        the ideal and realized masks, count x M, and with ``synthesis`` the
+        coefficient profiles, count x N."""
+        n_ris = self.scene.n_ris_x * self.scene.n_ris_y
+        widths = (self.scene.n_target, n_ris) if synthesis else (self.scene.n_target,)
+        for count in self.i_values:
+            for width in widths:
+                mask_design.check_export_size(count, width)
 
 
 @dataclass
@@ -262,7 +276,7 @@ def _mask_set(
     receiver = measurement.ReceiverFields(scene, grids, ideal, target)
     amplification = scene.config.amplification
     if artifact_dir is None:
-        masks = ris_synthesis.realize_masks(inv, ideal, amplification, [receiver.add])
+        masks = ris_synthesis.realize_masks(inv, ideal, amplification, [receiver.add], coefficients=False)
     else:
         masks = export_synthesis(artifact_dir, exports, fp, inv, ideal, amplification, [receiver.add])
     return masks, receiver.fields()
@@ -271,10 +285,10 @@ def _mask_set(
 def _leading(kept: int, reader: ris_synthesis.Reader) -> ris_synthesis.Reader:
     """``reader`` of a realization pass that takes only the pass's first ``kept`` rows."""
 
-    def read(rows: slice, block: np.ndarray, norms: np.ndarray, c: np.ndarray) -> None:
+    def read(rows: slice, block: np.ndarray, scales: np.ndarray, c: np.ndarray) -> None:
         taken = min(rows.stop, kept) - rows.start
         if taken > 0:
-            reader(slice(rows.start, rows.start + taken), block[:taken], norms[:taken], c[:taken])
+            reader(slice(rows.start, rows.start + taken), block[:taken], scales[:taken], c[:taken])
 
     return read
 
@@ -295,12 +309,25 @@ def export_synthesis(
     are readers of the realization pass, beside ``readers``; a count's
     writers read its distinct rows, the first
     ``ideal.first(count).distinct_rows`` of the pass, which its files
-    repeat, each row at its own offset, and every count's profiles are
-    mapped through the one set of aperture factors of the pass. Returns the
-    realized set."""
-    misfit = ris_synthesis.RealizedMisfit(inv, ideal, amplification)
+    repeat, each row at its own offset. Each block's masks are scaled onto
+    the power budget once, into one buffer that every count's mask file
+    reads, and every count's profiles are mapped through the one set of
+    aperture factors of the pass. Returns the realized set."""
+    misfit = ris_synthesis.RealizedMisfit(ideal)
     exports = [(count, suffix, ideal.first(count).distinct_rows) for count, suffix in exports]
-    readers = [*readers, misfit.add]
+    mask_writers = []
+    scaled = np.empty((0, ideal.points), dtype=np.complex128)
+
+    def write_masks(rows: slice, block: np.ndarray, scales: np.ndarray, c: np.ndarray) -> None:
+        nonlocal scaled
+        if len(scaled) < len(block):
+            scaled = np.empty_like(block)
+        with em_core.small_ufunc_buffers():
+            budget = np.multiply(block, scales[:, None], out=scaled[: len(block)])
+        for writer in mask_writers:
+            writer(rows, budget, scales, c)
+
+    readers = [*readers, misfit.add, write_masks]
     factors = ris_synthesis.aperture_factors(inv)
     with ExitStack() as files:
         for count, suffix, period in exports:
@@ -311,7 +338,7 @@ def export_synthesis(
             profiles = files.enter_context(
                 ris_synthesis.profile_writer(profiles_path, inv, count, fp, period, factors)
             )
-            readers.append(_leading(period, lambda rows, block, *_, write=write: write(block, rows.start)))
+            mask_writers.append(_leading(period, lambda rows, block, *_, write=write: write(block, rows.start)))
             readers.append(_leading(period, profiles))
         realized = ris_synthesis.realize_masks(inv, ideal, amplification, readers)
     for count, suffix, period in exports:
@@ -322,7 +349,7 @@ def export_synthesis(
 
 def _estimates(scene: ValidatedScene, grids: SampleGrids, psf, meas, masks: MaskSet) -> np.ndarray:
     """Reconstruct ``meas``, one measurement set or a stack of them
-    (``measurement.stack``), by the scene's kind (``psf`` is the plane PSF,
+    (``measurement.measure``), by the scene's kind (``psf`` is the plane PSF,
     ``None`` for a volume), and remove the cell measure: an estimate row per
     set."""
     if scene.is_3d:
@@ -333,18 +360,15 @@ def _estimates(scene: ValidatedScene, grids: SampleGrids, psf, meas, masks: Mask
     return result.estimate / grids.target_cell_measure
 
 
-def _calibrated(estimate: np.ndarray, calibration: str, truth: np.ndarray) -> tuple[np.ndarray, float]:
-    calibrated = reconstruct.calibrate_estimate(estimate, calibration, truth)
-    return calibrated, reconstruct.nmse(truth, calibrated)
-
-
 def score(
     scene: ValidatedScene, grids: SampleGrids, psf, meas, masks: MaskSet, calibration: str, truth: np.ndarray
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Reconstruct ``meas`` by the scene's kind (``psf`` is the plane PSF,
     ``None`` for a volume), remove the cell measure, calibrate against
-    ``truth`` and return the calibrated estimate and its NMSE."""
-    return _calibrated(_estimates(scene, grids, psf, meas, masks), calibration, truth)
+    ``truth`` and return the calibrated estimate and its NMSE: a row and an
+    NMSE per set of a stack (``reconstruct.nmse``)."""
+    calibrated = reconstruct.calibrate_estimate(_estimates(scene, grids, psf, meas, masks), calibration, truth)
+    return calibrated, reconstruct.nmse(truth, calibrated)
 
 
 def _score_group(
@@ -360,55 +384,53 @@ def _score_group(
     noiseless: np.ndarray,
 ) -> None:
     """Score the points of one distance and mask count, whose ``masks`` and
-    ``noiseless`` receiver fields they share.
+    ``noiseless`` receiver fields they share, as one stack.
 
-    Each point is measured from its own noise stream, the stack of their
-    measurements is reconstructed in one pass, and each row is then
-    calibrated and scored as :func:`score` would a point alone, and its
-    estimate images written. An error of one point's measurement or score
-    (a :class:`NonFiniteScore`, say) fails that point; one of the
-    reconstruction fails every point of the stack. Each point's
-    ``wall_ms`` gains its own measure, score and images, and the group's
-    first point the shared reconstruction (``lap()`` gives the
-    milliseconds since its last call).
+    Each point is measured from its own noise stream into its own row of
+    one stack (``measurement.measure``), and the stack is reconstructed,
+    calibrated and scored in one pass (:func:`score`), each row with the
+    bits of its point scored alone; then each point's estimate images are
+    written. An error of one point's measurement, or an NMSE that is not a
+    finite number, fails that point; an error of the reconstruction or the
+    calibration fails every point of the stack. The group's first point
+    books the shared measure and score in its ``wall_ms`` (``lap()`` gives
+    the milliseconds since its last call), and each point its own images.
     """
-    measured = []
-    for point in group:
-        try:
-            meas = measurement.measure(
-                noiseless,
-                masks.kind,
-                point.snr_db,
-                point.seed,
-                noise_mode=plan.noise_mode,
-                n0_dbm_per_hz=plan.n0_dbm_per_hz,
-                bandwidth_hz=plan.bandwidth_hz,
-            )
-        except ImagingError as exc:
-            point.error = _error_text(exc)
+    meas = measurement.measure(
+        noiseless,
+        masks.kind,
+        [point.snr_db for point in group],
+        [point.seed for point in group],
+        noise_mode=plan.noise_mode,
+        n0_dbm_per_hz=plan.n0_dbm_per_hz,
+        bandwidth_hz=plan.bandwidth_hz,
+    )
+    points = []
+    for point, error in zip(group, meas.errors):
+        if error is None:
+            points.append(point)
         else:
-            measured.append((point, meas))
-        point.wall_ms += lap()
-    if not measured:
+            point.error = _error_text(error)
+    if not points:
+        group[0].wall_ms += lap()
         return
-    points, sets = zip(*measured)
     try:
-        estimates = _estimates(scene, grids, psf, measurement.stack(sets), masks)
+        estimates, errors = score(scene, grids, psf, meas, masks, plan.calibration, target.values)
     except ImagingError as exc:
         for point in points:
             point.error = _error_text(exc)
         return
     finally:
         group[0].wall_ms += lap()
-    for point, estimate in zip(points, estimates):
+    for point, estimate, error in zip(points, estimates, errors.tolist()):
         try:
-            calibrated, point.nmse = _calibrated(estimate, plan.calibration, target.values)
+            point.nmse = reconstruct.finite_score(error)
         except ImagingError as exc:
             point.error = _error_text(exc)
         else:
             point.retained_rank = inv.retained_rank if inv is not None else None
             write_estimate_images(
-                Path(plan.output_dir) / f"estimate_{point.index:03d}.pgm", calibrated, target.grid_shape
+                os.path.join(plan.output_dir, f"estimate_{point.index:03d}.pgm"), estimate, target.grid_shape
             )
         point.wall_ms += lap()
 
@@ -542,7 +564,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows([_csv_value(value) for value in row] for row in rows)
 
 
-def write_estimate_images(path: Path, estimate: np.ndarray, grid_shape: tuple[int, ...]) -> None:
+def write_estimate_images(path: str | Path, estimate: np.ndarray, grid_shape: tuple[int, ...]) -> None:
     """Write a flat estimate as grey-level images.
 
     A plane grid (nx, ny) goes to ``path`` itself; a volume (nx, ny, nz) goes
@@ -554,10 +576,11 @@ def write_estimate_images(path: Path, estimate: np.ndarray, grid_shape: tuple[in
         return
     nx, ny, nz = grid_shape
     volume = estimate.reshape(nz, ny, nx)
+    stem = os.path.splitext(path)[0]
     for iz in range(nz):
         slice_grid = volume[iz].T  # [ix, iy]
-        write_grid_image(path.with_name(f"{path.stem}_slice{iz}_re.pgm"), slice_grid.real)
-        write_grid_image(path.with_name(f"{path.stem}_slice{iz}_im.pgm"), slice_grid.imag)
+        write_grid_image(f"{stem}_slice{iz}_re.pgm", slice_grid.real)
+        write_grid_image(f"{stem}_slice{iz}_im.pgm", slice_grid.imag)
 
 
 # --- plan files --------------------------------------------------------------------

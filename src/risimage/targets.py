@@ -7,6 +7,7 @@ writers flip rows accordingly so pictures look the way they were drawn.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,13 @@ BUILTIN_NAMES = ("block", "checkerboard", "letters-seu")
 
 # Grey levels of every image this package writes.
 PGM_MAXVAL = 255
-# The text of each grey level, indexed by the level.
-_LEVELS = np.array([str(level) for level in range(PGM_MAXVAL + 1)], dtype=object)
+# The text of each grey level and the separator after it, indexed by the
+# level: a space within a row, then (from PGM_MAXVAL + 1 on) a newline that
+# ends the row.
+_LEVELS = np.array(
+    [f"{level} " for level in range(PGM_MAXVAL + 1)] + [f"{level}\n" for level in range(PGM_MAXVAL + 1)],
+    dtype=object,
+)
 
 _SEU_ROWS = (
     ".####.#####.#...#",
@@ -69,28 +75,39 @@ def write_pgm(path: str | Path, image: np.ndarray, comment: str | None = None) -
         raise MalformedImage(f"expected a nonempty 2D image, got shape {image.shape}")
     if image.min() < 0 or image.max() > PGM_MAXVAL:  # read_pgm would reject the file
         raise MalformedImage(f"pixel values outside 0..{PGM_MAXVAL}")
-    lines = ["P2"]
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(f"{image.shape[1]} {image.shape[0]}")
-    lines.append(str(PGM_MAXVAL))
-    lines.extend(" ".join(row) for row in _LEVELS[image].tolist())
+    _write_levels(path, image.copy(), comment)
+
+
+def _write_levels(path: str | Path, levels: np.ndarray, comment: str | None) -> None:
+    """Write ``levels``, a nonempty (rows, cols) int64 array in 0..PGM_MAXVAL
+    that this call changes, as ASCII PGM: the header lines, then a line of
+    space-separated levels per row, taken from their precomputed text in one
+    join, written anew (``em_core.text_file_writer``)."""
+    rows, cols = levels.shape
+    levels[:, -1] += PGM_MAXVAL + 1  # the last level of a row ends it
+    header = f"P2\n# {comment}\n" if comment else "P2\n"
     with text_file_writer(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{header}{cols} {rows}\n{PGM_MAXVAL}\n" + "".join(_LEVELS[levels].ravel().tolist()))
 
 
 def write_grid_image(path: str | Path, grid: np.ndarray) -> None:
     """Map a real-valued (nx, ny) target grid linearly onto 0..PGM_MAXVAL grey levels.
 
     The min/max of the mapping are recorded in a comment so values stay
-    recoverable; the y axis is flipped into image rows.
+    recoverable; the y axis is flipped into image rows. A grid whose span
+    max - min is finite maps into 0..PGM_MAXVAL and is written as it is;
+    any other goes through the checks of :func:`write_pgm`.
     """
     grid = np.asarray(grid, dtype=float)
     low, high = float(grid.min()), float(grid.max())
     span = high - low
     scaled = np.zeros_like(grid) if span == 0.0 else (grid - low) / span * PGM_MAXVAL
     image = np.rint(scaled.T[::-1, :]).astype(np.int64)  # (ny, nx), row 0 = top
-    write_pgm(path, image, comment=f"min={low!r} max={high!r}")
+    comment = f"min={low!r} max={high!r}"
+    if math.isfinite(span):
+        _write_levels(path, image, comment)
+    else:
+        write_pgm(path, image, comment)
 
 
 def _nearest_resample(image: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

@@ -159,8 +159,9 @@ def peak_traced_bytes(fn):
 
 def realize_with_values(inv, masks, amplification, readers=()):
     """``realize_masks`` of ``masks`` with ``readers``, and the complex realized
-    masks its pass hands to every reader, copied block by block into one
-    (I, M) array.
+    masks of its pass, each unit-budget mask its readers get times its
+    budget scale, as the mask export writes them, copied block by block into
+    one (I, M) array.
 
     A realized plane set keeps only the magnitudes of its masks, so tests that
     compare the complex masks read them here, as the fields and the export do.
@@ -168,8 +169,8 @@ def realize_with_values(inv, masks, amplification, readers=()):
     """
     values = np.empty((masks.count, masks.points), dtype=complex)
 
-    def keep(rows, block, *_):
-        values[rows] = block
+    def keep(rows, block, scales, _coefficients):
+        np.multiply(block, scales[:, None], out=values[rows])
 
     realized = rs.realize_masks(inv, masks, amplification, [*readers, keep])
     distinct = realized.distinct_rows

@@ -26,7 +26,7 @@ from risimage import reconstruct as rc
 from risimage import ris_synthesis as rs
 from risimage import runner as rn
 from risimage import scene as sc
-from risimage.errors import CacheMismatch, EmptySet, KindMismatch, ZeroSolution
+from risimage.errors import CacheMismatch, EmptySet, KindMismatch, MaskSetSizeError, ZeroSolution
 from risimage.targets import resolve_target, write_pgm
 
 from conftest import desk_config, peak_traced_bytes, small_config, volume_config
@@ -539,6 +539,22 @@ class TestStepVerbParity:
         argv = ["reconstruct", *common, "--records", str(tmp_path / "records.csv"), "--masks", masks]
         assert cli.main([*argv, "--output", str(tmp_path / "estimate.pgm")]) == 0
         assert calls == ["reconstruct_2d"]
+
+    def test_measure_verb_takes_the_plan_noise_settings(self, scene_file, tmp_path, monkeypatch):
+        # no flag sets the thermal noise density or bandwidth, so the plan is given them here
+        step_plan = cli._step_plan
+
+        def with_noise(args, synthesis=None):
+            plan, scene = step_plan(args, synthesis)
+            return dataclasses.replace(plan, n0_dbm_per_hz=-150.0, bandwidth_hz=2e6), scene
+
+        monkeypatch.setattr(cli, "_step_plan", with_noise)
+        records = tmp_path / "records.csv"
+        noise = ["--snr-db", "20", "--noise-mode", "absolute", "--seed", "4"]
+        argv = ["measure", "--scene", str(scene_file), "-I", "128", *noise, "--output", str(records)]
+        assert cli.main(argv) == 0
+        meas = ms.records_from_csv(records)
+        assert meas.noise_variance == ms.noise_power_watts(-150.0, 2e6) and meas.seed == 4
 
     def test_options_left_out_keep_the_plan_defaults(self, scene_file):
         args = cli.build_parser().parse_args(["run", "--scene", str(scene_file), "-I", "128"])
@@ -1328,6 +1344,40 @@ class TestBadInput:
         (row,) = read_metrics(out)
         assert row["I"] == str(2**19) and math.isfinite(float(row["nmse"]))
 
+    DESK = ["--set", "n_target_x=16", "--set", "n_target_y=16", "--set", "n_ris_x=32", "--set", "n_ris_y=32"]
+
+    @pytest.mark.parametrize(
+        "verb, count",
+        # 2^17 profiles of the desk's 1,024 aperture samples hold 2^27 entries, twice
+        # the entry cap; so do 2^19 masks over its 256 target points
+        [("run", 2**17), ("sweep", 2**17), ("synthesize", 2**17), ("masks", 2**19)],
+    )
+    def test_exports_above_the_entry_cap_exit_2_before_any_file(self, scene_file, tmp_path, capsys, verb, count):
+        out = tmp_path / "exports"
+        argv = [verb, "--scene", str(scene_file), *self.DESK, "-I", str(count), "--output", str(out / "file")]
+        if verb in ("run", "sweep"):
+            argv.append("--keep-artifacts")
+        assert cli.main(argv) == 2
+        assert "MaskSetSizeError" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_export_cap_is_checked_on_each_export_of_the_plan(self, scene_file):
+        # the desk's 256 target points and 1,024 aperture samples: count x width at the cap passes
+        scene = sc.load_scene_config(scene_file)
+        desk = dataclasses.replace(scene, n_target_x=16, n_target_y=16, n_ris_x=32, n_ris_y=32)
+        plan = rn.ExperimentPlan(scene=desk, i_values=(256, 2**16), keep_artifacts=True)
+        plan.validate()
+        md.check_export_size(em_core.ENTRY_CAP // 1024, 1024)
+        with pytest.raises(MaskSetSizeError):
+            md.check_export_size(em_core.ENTRY_CAP // 1024 + 1, 1024)
+        with pytest.raises(MaskSetSizeError, match="131072 vectors of 1024 entries"):
+            dataclasses.replace(plan, i_values=(256, 2**17)).validate()
+        # without artifacts nothing is exported; ideal masks export no profiles, only count x M
+        dataclasses.replace(plan, i_values=(2**17,), keep_artifacts=False).validate()
+        dataclasses.replace(plan, i_values=(2**18,), ideal_masks=True).validate()
+        with pytest.raises(MaskSetSizeError, match="524288 vectors of 256 entries"):
+            dataclasses.replace(plan, i_values=(2**19,), ideal_masks=True).validate()
+
     def test_huge_mask_count_exits_2_before_any_mask_array(self, scene_file, tmp_path, capsys, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("a mask set was built")
@@ -2015,15 +2065,19 @@ class TestGroupScoring:
         )
         alone = scored_alone(plan, tmp_path / "alone")
 
-        def failing(fields, kind, snr_db, seed, _original=ms.measure, **options):
-            if snr_db == 20.0:
+        # the 20 dB point's noise stream fails while the stack is measured
+        def failing(variance, seed, count, out=None, _original=ms.complex_noise):
+            if seed == plan.seed + 1:
                 raise EmptySet("no records")
-            return _original(fields, kind, snr_db, seed, **options)
+            return _original(variance, seed, count, out=out)
 
-        monkeypatch.setattr(ms, "measure", failing)
+        monkeypatch.setattr(ms, "complex_noise", failing)
         result = rn.run_plan(plan)
         assert [p.error for p in result.points] == [None, "EmptySet: no records", None]
         assert [result.points[i].nmse for i in (0, 2)] == [alone[0], alone[2]]
+        assert estimate_files(tmp_path / "run") == {
+            name: data for name, data in estimate_files(tmp_path / "alone").items() if name != "estimate_001.pgm"
+        }
 
     def test_a_failed_reconstruction_fails_its_whole_group(self, tmp_path, monkeypatch):
         def failing(meas, masks, psf):

@@ -188,10 +188,19 @@ class TestFieldsOfRealizedSets:
         else:
             target = checker_target(scene)
         receiver = ms.ReceiverFields(scene, grids, ideal, target)
-        realized, values = realize_with_values(inv, ideal, 1.0, [receiver.add])
-        stack = md.MaskSet(kind=ideal.kind, stored=values)
-        expected = ms.noiseless_fields(scene, grids, stack, target)
-        assert receiver.fields().tobytes() == expected.tobytes()
+        unit = np.empty((ideal.distinct_rows, scene.n_target), dtype=complex)
+        scales = np.empty(ideal.distinct_rows)
+
+        def keep(rows, block, block_scales, _coefficients):
+            unit[rows], scales[rows] = block, block_scales
+
+        realized, values = realize_with_values(inv, ideal, 1.0, [receiver.add, keep])
+        # each field is the unit-budget mask's, times its budget scale
+        expected = receiver.factor * ((unit @ receiver.weights) * scales)
+        assert receiver.fields().tobytes() == np.tile(expected, realized.repeats).tobytes()
+        # and within the rounding of the scaling, that of the realized mask
+        whole = ms.noiseless_fields(scene, grids, md.MaskSet(kind=ideal.kind, stored=values), target)
+        np.testing.assert_allclose(receiver.fields(), whole, rtol=0, atol=1e-13 * np.abs(whole).max())
         assert realized.magnitudes_only != scene.is_3d
 
     def test_magnitudes_give_no_fields(self, small_scene):
@@ -334,6 +343,80 @@ class TestMeasure:
         assert meas.noise_variance == pytest.approx(ms.noise_power_watts())
 
 
+class TestStackedMeasure:
+    """A stack of sets measured in one call holds in each row the bits of its set measured alone."""
+
+    @pytest.mark.parametrize("kind", [md.KIND_MASK2D, md.KIND_MASK3D])
+    @pytest.mark.parametrize("noise_mode", [ms.NOISE_RELATIVE, ms.NOISE_ABSOLUTE])
+    def test_each_row_is_its_set_measured_alone(self, kind, noise_mode, tmp_path):
+        rng = np.random.default_rng(6)
+        fields = 1e-6 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
+        # thermal noise of -150 dBm/Hz over 2 MHz, 2e-12 W, is about the fields' power
+        options = dict(noise_mode=noise_mode, n0_dbm_per_hz=-150.0, bandwidth_hz=2e6)
+        snr_values, seeds = [None, 0.0, 20.0, 40.0], [7, 8, 9, ms.SEED_LIMIT - 1]
+        stack = ms.measure(fields, kind, snr_values, seeds, **options)
+        assert stack.noisy.shape == (4, 64) and len(stack) == 64
+        assert stack.errors == (None,) * 4 and stack.seed == tuple(seeds) and stack.noiseless is fields
+        for row, variance, snr_db, seed in zip(stack.noisy, stack.noise_variance, snr_values, seeds):
+            alone = ms.measure(fields, kind, snr_db, seed, **options)
+            assert row.tobytes() == alone.noisy.tobytes() and variance == alone.noise_variance
+            one = ms.Measurements(noiseless=fields, noisy=row, noise_variance=variance, seed=seed)
+            ms.records_to_csv(tmp_path / "row.csv", one)
+            ms.records_to_csv(tmp_path / "alone.csv", alone)
+            assert (tmp_path / "row.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+        # the noiseless row detects the fields themselves, the others their own noise
+        assert stack.noise_variance[0] == 0.0
+        expected = np.hypot(fields.real, fields.imag) if kind == md.KIND_MASK2D else fields
+        assert stack.noisy[0].tobytes() == (expected + 0.0).tobytes()
+        if noise_mode == ms.NOISE_ABSOLUTE:
+            assert stack.noise_variance[1:] == (ms.noise_power_watts(-150.0, 2e6),) * 3
+        assert len({row.tobytes() for row in stack.noisy}) == 4
+
+    def test_signal_power_and_streams_once_per_stack(self, monkeypatch):
+        fields = np.linspace(1.0, 2.0, 32) * (1.0 + 0.5j)
+        powers, keys = [], []
+        signal_power, philox = ms.signal_power, np.random.Philox
+
+        def counted_power(values):
+            powers.append(values)
+            return signal_power(values)
+
+        def counted_philox(*args, **kwargs):
+            keys.append(kwargs["key"])
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(ms, "signal_power", counted_power)
+        monkeypatch.setattr(np.random, "Philox", counted_philox)
+        ms.measure(fields, md.KIND_MASK2D, [None, 10.0, 20.0, 30.0], [4, 5, 6, 7])
+        assert len(powers) == 1 and powers[0] is fields
+        assert keys == [5, 6, 7]  # a noiseless set draws nothing
+
+    def test_a_failed_set_leaves_the_others(self, monkeypatch):
+        fields = np.linspace(1.0, 2.0, 32) * (1.0 + 0.5j)
+        snr_values, seeds = [None, 10.0, 20.0], [4, 5, 6]
+        expected = ms.measure(fields, md.KIND_MASK3D, snr_values, seeds)
+        original = ms.complex_noise
+
+        def failing(variance, seed, count, out=None):
+            if seed == 5:
+                raise EmptySet("no stream")
+            return original(variance, seed, count, out=out)
+
+        monkeypatch.setattr(ms, "complex_noise", failing)
+        stack = ms.measure(fields, md.KIND_MASK3D, snr_values, seeds)
+        assert [str(error) if error else None for error in stack.errors] == [None, "no stream", None]
+        assert stack.seed == (4, 6) and stack.noise_variance == expected.noise_variance[::2]
+        assert stack.noisy.tobytes() == expected.noisy[::2].tobytes()
+        with pytest.raises(EmptySet, match="no stream"):
+            ms.measure(fields, md.KIND_MASK3D, 10.0, 5)
+
+    def test_empty_fields_fail_only_the_noisy_sets(self):
+        empty = np.zeros(0, dtype=complex)
+        stack = ms.measure(empty, md.KIND_MASK2D, [None, 10.0], [1, 2])
+        assert stack.errors[0] is None and isinstance(stack.errors[1], EmptySet)
+        assert stack.noisy.shape == (1, 0) and stack.seed == (1,)
+
+
 class TestMeasurementCsv:
     def test_round_trip_2d(self, small_scene, tmp_path):
         scene, grids = small_scene
@@ -364,7 +447,7 @@ class TestMeasurementCsv:
     def test_a_stack_of_sets_is_rejected_before_writing(self, tmp_path, kind):
         # one row per mask carries one set's noisy value, variance and seed
         fields = np.linspace(1.0, 2.0, 8) * (1.0 + 1.0j)
-        sets = ms.stack([ms.measure(fields, kind, 10.0, seed=seed) for seed in (4, 5)])
+        sets = ms.measure(fields, kind, [10.0, 10.0], [4, 5])
         path = tmp_path / "records.csv"
         path.write_text("old")
         with pytest.raises(DimensionMismatch, match="stack of 2"):

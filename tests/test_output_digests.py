@@ -36,6 +36,9 @@ def test_two_runs_list_the_same_digests():
         "seed-3/volume-snr/estimate_002_slice3_im.pgm",
         "seed-3/desk-counts/metrics.csv",
         "seed-3/desk-counts/estimate_007.pgm",
+        "seed-3/desk-none/metrics.csv",
+        "seed-3/desk-lsq/estimate_003.pgm",
+        "seed-3/desk-absolute/metrics.csv",
     ):
         assert expected in paths
     for stem in ("masks_ideal", "masks_realized", "profiles", "synthesis"):

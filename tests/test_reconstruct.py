@@ -389,7 +389,7 @@ class TestStackedCorrelation:
         fields = ms.noiseless_fields(scene, grids, masks, target)
         sets = [ms.measure(fields, masks.kind, snr_db, seed) for seed, snr_db in enumerate((None, 0.0, 20.0))]
         psf = em.psf_vector(scene, grids.target_points)
-        stack = ms.stack(sets)
+        stack = ms.measure(fields, masks.kind, [None, 0.0, 20.0], [0, 1, 2])
         assert stack.noisy.shape == (3, 128) and len(stack) == 128 and stack.seed == (0, 1, 2)
         stacked = rc.reconstruct_2d(stack, masks, psf).estimate
         for row, meas in zip(stacked, sets):
@@ -444,6 +444,43 @@ class TestNmse:
     def test_largest_finite_nmse_keeps_its_formula(self):
         truth, estimate = np.ones(64), 1e152 * np.linspace(1.0, 2.0, 64)
         assert rc.nmse(truth, estimate) == float(np.sum(np.abs(truth - estimate) ** 2) / 64.0)
+
+
+class TestStackedScoring:
+    """A (P, M) stack of estimates is calibrated and scored row by row, each row
+    with the bits of that row alone."""
+
+    @pytest.mark.parametrize("mode", [rc.CALIBRATE_NONE, rc.CALIBRATE_MAX1, rc.CALIBRATE_LSQ])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_each_row_scores_as_it_would_alone(self, mode, kind):
+        rng = np.random.default_rng(12)
+        shape = (5, 1000)  # long enough for numpy's pairwise sums to split
+        stack = rng.standard_normal(shape)
+        truth = (rng.random(1000) < 0.3).astype(float)
+        if kind == "complex":
+            stack = stack + 1j * rng.standard_normal(shape)
+            truth = truth * (1.0 - 0.5j)
+        stack[1] = 0.0  # no peak and no power: left as it is
+        stack[2] = -np.abs(stack[2])  # a real row's peak is not positive
+        calibrated = rc.calibrate_estimate(stack, mode, truth)
+        errors = rc.nmse(truth, calibrated)
+        assert calibrated.shape == shape and errors.shape == (5,)
+        for row, scaled, error in zip(stack, calibrated, errors):
+            alone = rc.calibrate_estimate(row, mode, truth)
+            assert scaled.tobytes() == alone.tobytes()
+            assert error == rc.nmse(truth, alone)
+
+    def test_a_row_that_overflows_is_left_to_its_point(self):
+        truth = np.ones(64)
+        stack = np.vstack([np.linspace(1.0, 2.0, 64), 1e160 * np.linspace(1.0, 2.0, 64)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            errors = rc.nmse(truth, stack)
+        assert errors[0] == rc.nmse(truth, stack[0]) and errors[1] == np.inf
+        with pytest.raises(NonFiniteScore):
+            rc.finite_score(float(errors[1]))
+        with pytest.raises(NonFiniteScore, match="truth power"):
+            rc.nmse(np.full(4, 1e160), np.ones((2, 4)))
 
 
 class TestCalibrate:

@@ -292,7 +292,7 @@ class TestSpectrum:
         kernel = em.assemble_kernel(scene, grids)
         inv = rs.tikhonov_inverse(kernel, 1e-12)
         masks = md.ideal_masks(scene, grids, 128)
-        misfit = rs.RealizedMisfit(inv, masks, 1.0)
+        misfit = rs.RealizedMisfit(masks)
         realized = rs.realize_masks(inv, masks, 1.0, [misfit.add])
         rs.save_profiles(tmp_path / "profiles.bin", inv, masks, 1.0, scene.fingerprint)
         kind, vectors, fp = md.load_mask_vectors(tmp_path / "profiles.bin")
@@ -311,7 +311,7 @@ class TestSpectrum:
         scene, grids = small_scene
         inv = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12)
         masks = md.ideal_masks(scene, grids, 128)
-        misfit = rs.RealizedMisfit(inv, masks, 1.0)
+        misfit = rs.RealizedMisfit(masks)
         realized = rs.realize_masks(inv, masks, 1.0, [misfit.add])
         rs.write_synthesis_summary(tmp_path / "s.txt", inv, realized, misfit.values)
         values = dict(line.split(" = ", 1) for line in (tmp_path / "s.txt").read_text().splitlines())
@@ -326,7 +326,7 @@ class TestSpectrum:
         scene, grids = small_scene
         inv = rs.tikhonov_inverse(em.assemble_kernel(scene, grids), 1e-12)
         masks = md.ideal_masks(scene, grids, 128)
-        misfit = rs.RealizedMisfit(inv, masks, 1.0)
+        misfit = rs.RealizedMisfit(masks)
         realized = rs.realize_masks(inv, masks, 1.0, [misfit.add])
         rs.write_synthesis_summary(tmp_path / "s.txt", inv, realized, misfit.values)
         lines = [line for line in (tmp_path / "s.txt").read_text().splitlines() if line.startswith("sector[")]
@@ -340,7 +340,7 @@ class TestSpectrum:
         inv = rs.tikhonov_inverse(kernel, 1e-6)
         ideal = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
         masks = md.MaskSet(kind=md.KIND_MASK2D, stored=ideal)
-        misfit = rs.RealizedMisfit(inv, masks, 2.0)
+        misfit = rs.RealizedMisfit(masks)
         realized = rs.realize_masks(inv, masks, 2.0, [misfit.add])
         rs.write_synthesis_summary(tmp_path / "summary.txt", inv, realized, misfit.values)
         values = dict(
@@ -969,7 +969,7 @@ class TestSelfContainedInverse:
         scene, grids = desk_scene
         inv = rs.tikhonov_inverse(em.kernel_stream(scene, grids), 1e-12)
         masks = md.ideal_masks(scene, grids, 256)
-        misfit = rs.RealizedMisfit(inv, masks, 1.0)
+        misfit = rs.RealizedMisfit(masks)
         with rs.profile_writer(tmp_path / "profiles.bin", inv, masks.count, "f") as profiles:
             realized = rs.realize_masks(inv, masks, 1.0, [misfit.add, profiles])
         rs.save_profiles(tmp_path / "saved.bin", inv, masks, 1.0, "f")
@@ -1084,11 +1084,16 @@ class TestStreamedExports:
     def test_summary_matches_the_whole_array_formula(self, cfg, force_block_rows, tmp_path):
         _, inv, ideal = self.synthesis(cfg)
         force_block_rows(4, ideal.points, ideal.distinct_rows * ideal.points)
-        misfit = rs.RealizedMisfit(inv, ideal, 1.5)
-        realized, values = realize_with_values(inv, ideal, 1.5, [misfit.add])
+        misfit = rs.RealizedMisfit(ideal)
+        unit = np.empty((ideal.distinct_rows, ideal.points), dtype=complex)
+
+        def keep(rows, masks, *_):
+            unit[rows] = masks
+
+        realized = rs.realize_masks(inv, ideal, 1.5, [misfit.add, keep])
         rs.write_synthesis_summary(tmp_path / "s.txt", inv, realized, misfit.values)
-        budget = np.sqrt(inv.shape[1] * 1.5)
-        fitted = values * (realized.solution_norms / budget)[:, None]
+        # the unit-budget masks the pass hands over, each row repeated as the set repeats it
+        fitted = np.tile(unit, (realized.repeats, 1))
         rel_err = np.linalg.norm(fitted - ideal.vectors, axis=1) / np.linalg.norm(ideal.vectors, axis=1)
         lines = (tmp_path / "s.txt").read_text().splitlines()
         assert f"realized_rel_err_mean = {float(rel_err.mean())!r}" in lines
@@ -1135,8 +1140,8 @@ class TestPairedWriters:
         period = masks.distinct_rows
         blocks = []
 
-        def record(rows, block, norms, c):
-            blocks.append((rows, block.copy(), norms.copy(), c.copy()))
+        def record(rows, block, scales, c):
+            blocks.append((rows, block.copy(), scales.copy(), c.copy()))
 
         rs.realize_masks(inv, masks, 1.5, [record])
         starts = [rows.start for rows, *_ in blocks]
@@ -1147,9 +1152,9 @@ class TestPairedWriters:
             shape = (masks.count, masks.points)
             with md.mask_file_writer(tmp_path / f"m-{name}.bin", masks.kind, shape, "f", period) as write:
                 with rs.profile_writer(tmp_path / f"p-{name}.bin", inv, masks.count, "f", period, factors) as add:
-                    for rows, block, norms, c in order:
+                    for rows, block, scales, c in order:
                         write(block, rows.start)
-                        add(rows, block, norms, c)
+                        add(rows, block, scales, c)
         for stem in ("m", "p"):
             assert (tmp_path / f"{stem}-rows.bin").read_bytes() == (tmp_path / f"{stem}-reversed.bin").read_bytes()
         rs.save_profiles(tmp_path / "saved.bin", inv, masks, 1.5, "f")
@@ -1244,31 +1249,30 @@ class TestOneArrayLayout:
         budget = np.sqrt(scene.n_ris * 1.5)
         seen = []
 
-        def reader(rows, block, norms, c):
-            seen.append((rows, block.copy(), norms.copy(), c.copy()))
+        def reader(rows, block, scales, c):
+            seen.append((rows, block.copy(), scales.copy(), c.copy()))
 
         with rs.profile_writer(tmp_path / "p.bin", inv, masks.count, "f", masks.distinct_rows) as profiles:
             realized = rs.realize_masks(inv, masks, 1.5, [reader, profiles])
         assert seen[-1][0].stop == masks.distinct_rows and (not small_blocks or len(seen) >= 4)
         assert sorted(r for rows, *_ in seen for r in range(rows.start, rows.stop)) == list(range(len(fresh)))
-        for rows, block, norms, c in seen:
-            parts = fresh[rows].view(np.float64)
-            assert norms.tobytes() == np.sqrt(np.einsum("ik,ik->i", parts, parts)).tobytes()
-            scaled = fresh[rows] * (budget / norms)[:, None]
-            assert c.tobytes() == scaled.tobytes()
-            # the staged rows are mapped unscaled and then scaled; a partner row is its
-            # row's unscaled mask minus the mapped v, then scaled
+        parts = fresh.view(np.float64)
+        norms = np.sqrt(np.einsum("ik,ik->i", parts, parts))
+        for rows, block, scales, c in seen:
+            # the readers get the unscaled c and the unit-budget masks, and each row's budget scale
+            assert scales.tobytes() == (budget / norms[rows]).tobytes()
+            assert c.tobytes() == fresh[rows].tobytes()
+            # the staged rows are mapped; a partner row is its row's mask minus the mapped v
             if rows.start < half:
                 rs._map_rows(fresh[rows], right, shape, unscaled[rows])
             else:
                 np.subtract(unscaled[rows.start - half : rows.stop - half], partner_mask, out=unscaled[rows])
-            assert block.tobytes() == (unscaled[rows] * (budget / norms)[:, None]).tobytes()
-            kept = block if masks.kind == md.KIND_MASK3D else np.abs(block)
+            assert block.tobytes() == unscaled[rows].tobytes()
+            # the set keeps the masks scaled onto the budget, or their magnitudes
+            scaled = unscaled[rows] * scales[:, None]
+            kept = scaled if masks.kind == md.KIND_MASK3D else np.abs(scaled)
             assert realized.stored[rows].tobytes() == kept.tobytes()
-        seen_norms = np.empty(masks.distinct_rows)
-        for rows, _, norms, _ in seen:
-            seen_norms[rows] = norms
-        assert realized.solution_norms.tobytes() == np.tile(seen_norms, realized.repeats).tobytes()
+        assert realized.solution_norms.tobytes() == np.tile(norms, realized.repeats).tobytes()
         rs.save_profiles(tmp_path / "saved.bin", inv, masks, 1.5, "f")
         assert (tmp_path / "p.bin").read_bytes() == (tmp_path / "saved.bin").read_bytes()
 
@@ -1319,7 +1323,7 @@ class TestInverseWithoutBlocks:
     def test_aperture_readers_raise(self, desk_synthesis, tmp_path):
         inv, masks = desk_synthesis
         bare = inv.without_blocks()
-        misfit = rs.RealizedMisfit(bare, masks, 1.0)
+        misfit = rs.RealizedMisfit(masks)
         realized = rs.realize_masks(bare, masks, 1.0, [misfit.add])
         calls = (
             lambda: bare.apply(masks.vectors[0]),
@@ -1455,7 +1459,7 @@ class TestPeakMemory:
         # exceeds its share; the summary itself then reads no mask at all
         inv, masks = desk_synthesis
         plain, _ = peak_traced_bytes(lambda: rs.realize_masks(inv, masks, 1.0))
-        misfit = rs.RealizedMisfit(inv, masks, 1.0)
+        misfit = rs.RealizedMisfit(masks)
         peak, realized = peak_traced_bytes(lambda: rs.realize_masks(inv, masks, 1.0, [misfit.add]))
         assert peak <= plain + (1 << 20)
         summary = tmp_path / "s.txt"

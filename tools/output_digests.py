@@ -17,7 +17,13 @@ For each seed, in this process through ``risimage.cli.main``:
 * the ``volume-zsweep`` scene is swept at its own distance over the SNR
   values none, 0 and 20 dB (into ``volume-snr``), so that one group of
   volume points is reconstructed together, as the benchmark's volume
-  sweep, one point per distance, never does.
+  sweep, one point per distance, never does;
+* the desk scene is swept at 256 masks over noiseless and noisy points
+  together, once under each of the calibrations ``none`` and ``lsq``
+  (into ``desk-none`` and ``desk-lsq``), and over noise of absolute power
+  from a plan file, which alone sets the noise density (into
+  ``desk-absolute``), so that every branch of a group's stacked
+  measurement and scoring is digested.
 
 Then ``sha256  path`` is printed for every output file, its path relative to
 the output directory, in sorted order. ``timings.csv`` holds wall times and is
@@ -71,8 +77,9 @@ EXACT_METRICS = ("gamma", "retained_rank", "seed")  # metrics.csv columns a nume
 
 def run_seed(cli, workloads, seed: int, inputs: Path, outputs: Path) -> None:
     """Every workload's sweep for ``seed``, the desk sweep over two counts
-    with artifacts, and the step verbs on the scenes of :data:`ODD_SCENES`
-    and on their variants of odd counts."""
+    with artifacts, the desk groups of :func:`run_scoring`, and the step
+    verbs on the scenes of :data:`ODD_SCENES` and on their variants of odd
+    counts."""
     for name, workload in workloads.WORKLOADS.items():
         plan, noise_seed = workloads.write_inputs(workload, seed, inputs / name, outputs / name)
         for _ in range(2):
@@ -85,12 +92,30 @@ def run_seed(cli, workloads, seed: int, inputs: Path, outputs: Path) -> None:
             scene = ["--scene", str(plan.parent / "scene.txt"), "-I", str(workload.i_values[0])]
             snr = ["--snr-sweep", "none,0,20", "--seed", str(noise_seed)]
             run(cli, ["sweep", *scene, *snr, "--output", str(outputs / "volume-snr")])
+        if name == "desk-snr-dense":
+            run_scoring(cli, plan.parent / "scene.txt", noise_seed, inputs, outputs)
         if name in ODD_SCENES:
             run_steps(cli, plan.parent / "scene.txt", noise_seed, outputs / f"steps-{name}")
             label, counts = ODD_SCENES[name]
             odd = inputs / f"{label}.txt"
             odd.write_text("".join(f"{key} = {value}\n" for key, value in {**workload.scene, **counts}.items()))
             run_steps(cli, odd, noise_seed, outputs / label)
+
+
+def run_scoring(cli, scene: Path, noise_seed: int, inputs: Path, outputs: Path) -> None:
+    """The desk groups of noiseless and noisy points under the calibrations
+    ``none`` and ``lsq``, and the group of absolute noise; N0 = -80 dBm/Hz
+    over 1 MHz is about 11 dB below the desk's receiver power."""
+    common = ["--scene", str(scene), "--target", "block", "-I", "256", "--seed", str(noise_seed)]
+    for calibration in ("none", "lsq"):
+        out = str(outputs / f"desk-{calibration}")
+        run(cli, ["sweep", *common, "--snr-sweep", "none,10,none,30", "--calibration", calibration, "--output", out])
+    plan = inputs / "desk-absolute.txt"
+    plan.write_text(
+        f"scene = {scene}\ntarget = block\ni_values = 256\nsnr_values = none,20,10\nnoise_mode = absolute\n"
+        f"n0_dbm_per_hz = -80.0\nseed = {noise_seed}\noutput_dir = {outputs / 'desk-absolute'}\n"
+    )
+    run(cli, ["sweep", "--plan", str(plan)])
 
 
 def run_steps(cli, scene: Path, noise_seed: int, out: Path) -> None:
