@@ -220,7 +220,7 @@ def cmd_measure(args) -> int:
     else:  # fields come from the realization pass; no profile is exported, so the sector blocks go
         inv = _inverse(plan, scene, grids).without_blocks()
         receiver = measurement.ReceiverFields(scene, grids, masks, target)
-        ris_synthesis.realize_masks(inv, masks, scene.config.amplification, [receiver.add], coefficients=False)
+        ris_synthesis.realize_masks(inv, masks, scene.config.amplification, [receiver.add])
         fields = receiver.fields()
     meas = measurement.measure(
         fields,

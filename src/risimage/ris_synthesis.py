@@ -155,9 +155,9 @@ _SIGMA_LIMIT = math.sqrt(sys.float_info.max)
 
 # What :func:`realize_masks` hands each block of realized rows to:
 # reader(rows, masks, scales, coefficients), the unit-budget masks and
-# coefficients of the rows (or None for coefficients the pass does not form)
-# and each row's budget scale, the blocks not always in row order.
-Reader = Callable[[slice, np.ndarray, np.ndarray, np.ndarray | None], None]
+# coefficients of the rows and each row's budget scale, the blocks not
+# always in row order.
+Reader = Callable[[slice, np.ndarray, np.ndarray, np.ndarray], None]
 
 
 @dataclass(frozen=True)
@@ -755,27 +755,26 @@ def _staged_rows(masks: MaskSet) -> int:
 
 
 def _pair_blocks(
-    staged: np.ndarray, partner: np.ndarray | None, step: int, formed: bool = True
-) -> Iterator[list[tuple[slice, np.ndarray | None]]]:
+    staged: np.ndarray, partner: np.ndarray | None, step: int
+) -> Iterator[list[tuple[slice, np.ndarray]]]:
     """The staged coefficients c in blocks of ``step`` rows, each with its partner rows.
 
     Yields [(rows, c)], c a view of ``staged``, and for a set whose rows pair
     (``partner`` the row v of :func:`_stage_coefficients`) also
     (rows + h, c - v), h = len(staged), formed in one reused buffer that is
-    valid until the next block, or None in its place unless ``formed``.
-    The partner rows are formed before the block is yielded, so its
-    consumer may overwrite c.
+    valid until the next block. The partner rows are formed before the
+    block is yielded, so its consumer may overwrite c.
     """
     half = len(staged)
-    formed = formed and partner is not None
-    buffer = np.empty((min(step, half), staged.shape[1]), dtype=np.complex128) if formed else None
+    buffer = None if partner is None else np.empty((min(step, half), staged.shape[1]), dtype=np.complex128)
     for start in range(0, half, step):
         c = staged[start : start + step]
         rows = slice(start, start + len(c))
-        if partner is None:
+        if buffer is None:
             yield [(rows, c)]
             continue
-        pair = None if buffer is None else np.subtract(c, partner, out=buffer[: len(c)])
+        pair = buffer[: len(c)]
+        np.subtract(c, partner, out=pair)
         yield [(rows, c), (slice(rows.start + half, rows.stop + half), pair)]
 
 
@@ -876,7 +875,6 @@ def realize_masks(
     masks: MaskSet,
     amplification: float,
     readers: Iterable[Reader] = (),
-    coefficients: bool = True,
 ) -> MaskSet:
     """The masks that power-normalised synthesized profiles produce, for
     the R distinct rows of ``masks`` (``MaskSet.distinct_rows``): the new
@@ -893,8 +891,7 @@ def realize_masks(
     slice it covers, its unit-budget masks P, their scales s and their
     unscaled c, valid until the reader returns, so a reader applies s to
     what it keeps and nothing is scaled for the readers; a set's complex
-    masks never exist whole. Without ``coefficients`` the readers get None
-    in place of c, and partner rows' c is not formed.
+    masks never exist whole.
 
     A set whose rows pair (``MaskSet.paired``) stages and maps only its
     first h = R/2 rows: partner row i + h has c_i - v, so its unit-budget
@@ -934,7 +931,7 @@ def realize_masks(
     if partner is not None:
         partner_mask = np.empty((1, n_targets), dtype=np.complex128)
         _map_rows(partner[None], right, shape, partner_mask)
-    for parts in _pair_blocks(staged, partner, step, formed=coefficients):
+    for parts in _pair_blocks(staged, partner, step):
         lower = parts[0][1]
         blocks = buffers[:, : len(lower)]
         with small_ufunc_buffers():
@@ -943,7 +940,7 @@ def realize_masks(
                 np.subtract(blocks[0], partner_mask, out=blocks[1])
         for (rows, c), block in zip(parts, blocks):
             for reader in readers:
-                reader(rows, block, scales[rows], c if coefficients else None)
+                reader(rows, block, scales[rows], c)
             # only now: these rows of the head overlap rows of c, but none not yet read
             with small_ufunc_buffers():
                 if keeps_values:

@@ -276,7 +276,7 @@ def _mask_set(
     receiver = measurement.ReceiverFields(scene, grids, ideal, target)
     amplification = scene.config.amplification
     if artifact_dir is None:
-        masks = ris_synthesis.realize_masks(inv, ideal, amplification, [receiver.add], coefficients=False)
+        masks = ris_synthesis.realize_masks(inv, ideal, amplification, [receiver.add])
     else:
         masks = export_synthesis(artifact_dir, exports, fp, inv, ideal, amplification, [receiver.add])
     return masks, receiver.fields()
@@ -309,25 +309,23 @@ def export_synthesis(
     are readers of the realization pass, beside ``readers``; a count's
     writers read its distinct rows, the first
     ``ideal.first(count).distinct_rows`` of the pass, which its files
-    repeat, each row at its own offset. Each block's masks are scaled onto
-    the power budget once, into one buffer that every count's mask file
-    reads, and every count's profiles are mapped through the one set of
-    aperture factors of the pass. Returns the realized set."""
+    repeat, each row at its own offset. A count's mask writer scales each
+    block onto the power budget into one buffer of the pass's block size,
+    and every count's profiles are mapped through the one set of aperture
+    factors of the pass. Returns the realized set."""
     misfit = ris_synthesis.RealizedMisfit(ideal)
     exports = [(count, suffix, ideal.first(count).distinct_rows) for count, suffix in exports]
-    mask_writers = []
-    scaled = np.empty((0, ideal.points), dtype=np.complex128)
+    distinct, points = ideal.distinct_rows, ideal.points
+    scaled = np.empty((min(em_core.block_rows(points, distinct * points), distinct), points), dtype=np.complex128)
 
-    def write_masks(rows: slice, block: np.ndarray, scales: np.ndarray, c: np.ndarray) -> None:
-        nonlocal scaled
-        if len(scaled) < len(block):
-            scaled = np.empty_like(block)
-        with em_core.small_ufunc_buffers():
-            budget = np.multiply(block, scales[:, None], out=scaled[: len(block)])
-        for writer in mask_writers:
-            writer(rows, budget, scales, c)
+    def mask_writer(write) -> ris_synthesis.Reader:
+        def add(rows: slice, block: np.ndarray, scales: np.ndarray, _c: np.ndarray) -> None:
+            with em_core.small_ufunc_buffers():
+                write(np.multiply(block, scales[:, None], out=scaled[: len(block)]), rows.start)
 
-    readers = [*readers, misfit.add, write_masks]
+        return add
+
+    readers = [*readers, misfit.add]
     factors = ris_synthesis.aperture_factors(inv)
     with ExitStack() as files:
         for count, suffix, period in exports:
@@ -338,8 +336,7 @@ def export_synthesis(
             profiles = files.enter_context(
                 ris_synthesis.profile_writer(profiles_path, inv, count, fp, period, factors)
             )
-            mask_writers.append(_leading(period, lambda rows, block, *_, write=write: write(block, rows.start)))
-            readers.append(_leading(period, profiles))
+            readers += [_leading(period, mask_writer(write)), _leading(period, profiles)]
         realized = ris_synthesis.realize_masks(inv, ideal, amplification, readers)
     for count, suffix, period in exports:
         summary = directory / f"synthesis{suffix}.txt"

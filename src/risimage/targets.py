@@ -7,7 +7,6 @@ writers flip rows accordingly so pictures look the way they were drawn.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import numpy as np
@@ -69,21 +68,17 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
 
 
 def write_pgm(path: str | Path, image: np.ndarray, comment: str | None = None) -> None:
-    """Write an (rows, cols) integer array in 0..PGM_MAXVAL as ASCII PGM (P2)."""
+    """Write an (rows, cols) integer array in 0..PGM_MAXVAL as ASCII PGM (P2):
+    the header lines, then a line of space-separated levels per row, taken
+    from their precomputed text in one join, written anew
+    (``em_core.text_file_writer``)."""
     image = np.asarray(image, dtype=np.int64)
     if image.ndim != 2 or image.size == 0:
         raise MalformedImage(f"expected a nonempty 2D image, got shape {image.shape}")
     if image.min() < 0 or image.max() > PGM_MAXVAL:  # read_pgm would reject the file
         raise MalformedImage(f"pixel values outside 0..{PGM_MAXVAL}")
-    _write_levels(path, image.copy(), comment)
-
-
-def _write_levels(path: str | Path, levels: np.ndarray, comment: str | None) -> None:
-    """Write ``levels``, a nonempty (rows, cols) int64 array in 0..PGM_MAXVAL
-    that this call changes, as ASCII PGM: the header lines, then a line of
-    space-separated levels per row, taken from their precomputed text in one
-    join, written anew (``em_core.text_file_writer``)."""
-    rows, cols = levels.shape
+    rows, cols = image.shape
+    levels = image.copy()
     levels[:, -1] += PGM_MAXVAL + 1  # the last level of a row ends it
     header = f"P2\n# {comment}\n" if comment else "P2\n"
     with text_file_writer(path) as fh:
@@ -94,20 +89,14 @@ def write_grid_image(path: str | Path, grid: np.ndarray) -> None:
     """Map a real-valued (nx, ny) target grid linearly onto 0..PGM_MAXVAL grey levels.
 
     The min/max of the mapping are recorded in a comment so values stay
-    recoverable; the y axis is flipped into image rows. A grid whose span
-    max - min is finite maps into 0..PGM_MAXVAL and is written as it is;
-    any other goes through the checks of :func:`write_pgm`.
+    recoverable; the y axis is flipped into image rows.
     """
     grid = np.asarray(grid, dtype=float)
     low, high = float(grid.min()), float(grid.max())
     span = high - low
     scaled = np.zeros_like(grid) if span == 0.0 else (grid - low) / span * PGM_MAXVAL
     image = np.rint(scaled.T[::-1, :]).astype(np.int64)  # (ny, nx), row 0 = top
-    comment = f"min={low!r} max={high!r}"
-    if math.isfinite(span):
-        _write_levels(path, image, comment)
-    else:
-        write_pgm(path, image, comment)
+    write_pgm(path, image, comment=f"min={low!r} max={high!r}")
 
 
 def _nearest_resample(image: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
