@@ -17,14 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import em_core, mask_design, measurement, ris_synthesis
+from . import em_core, mask_design, measurement, reconstruct
 from .errors import ImagingError, MalformedConfig
 from .runner import (
     PLAN_MODES,
     ExperimentPlan,
+    build_mask_set,
     export_synthesis,
     load_plan,
     plan_points,
+    regularized_inverse,
     run_plan,
     score,
     write_estimate_images,
@@ -183,21 +185,12 @@ def cmd_masks(args) -> int:
     return 0
 
 
-def _inverse(plan: ExperimentPlan, scene, grids) -> ris_synthesis.RegularizedInverse:
-    """The regularized inverse of the scene's kernel, decomposed from the
-    stream of its rows; it holds its sector blocks, so the kernel never
-    exists whole."""
-    gamma = plan_points(plan)[0].gamma  # the fallback run uses
-    kernel = em_core.kernel_stream(scene, grids)
-    return ris_synthesis.tikhonov_inverse(kernel, gamma, plan.threshold_factor, plan.truncation_mode)
-
-
 def cmd_synthesize(args) -> int:
     plan, scene = _step_plan(args, synthesis=True)
     plan.check_exports(synthesis=True)
     grids = sample_grids(scene)
     ideal = _ideal_masks(plan, scene, grids)
-    inv = _inverse(plan, scene, grids)
+    inv = regularized_inverse(plan, scene, grids, plan_points(plan)[0].gamma)
     out_dir = Path(plan.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     fp = scene.fingerprint
@@ -214,27 +207,28 @@ def cmd_measure(args) -> int:
     plan, scene = _step_plan(args)
     grids = sample_grids(scene)
     target = resolve_target(plan.target, scene)
-    masks = _ideal_masks(plan, scene, grids)
-    if plan.ideal_masks:
-        fields = measurement.noiseless_fields(scene, grids, masks, target)
-    else:  # fields come from the realization pass; no profile is exported, so the sector blocks go
-        inv = _inverse(plan, scene, grids).without_blocks()
-        receiver = measurement.ReceiverFields(scene, grids, masks, target)
-        ris_synthesis.realize_masks(inv, masks, scene.config.amplification, [receiver.add])
-        fields = receiver.fields()
+    (point,) = plan_points(plan)
+
+    def inverse():  # no profile is exported, so the sector blocks go
+        return regularized_inverse(plan, scene, grids, point.gamma).without_blocks()
+
+    # the point's masks and fields are built, and measured as a stack of one, as a sweep's are
+    masks, fields = build_mask_set(plan, scene, grids, target, [point.n_measurements], inverse, None)
     meas = measurement.measure(
         fields,
         masks.kind,
-        plan.snr_values[0],
-        plan.seed,
+        [point.snr_db],
+        [point.seed],
         noise_mode=plan.noise_mode,
         n0_dbm_per_hz=plan.n0_dbm_per_hz,
         bandwidth_hz=plan.bandwidth_hz,
     )
+    if meas.errors[0] is not None:
+        raise meas.errors[0]
     out = Path(plan.output_dir)
     out.parent.mkdir(parents=True, exist_ok=True)
     measurement.records_to_csv(out, meas)
-    print(f"measured {len(meas)} records (sigma2 {meas.noise_variance!r}) -> {out}")
+    print(f"measured {len(meas)} records (sigma2 {meas.noise_variance[0]!r}) -> {out}")
     return 0
 
 
@@ -250,10 +244,11 @@ def cmd_reconstruct(args) -> int:
     masks = mask_design.MaskSet(kind=kind, stored=vectors)
     psf = None if scene.is_3d else em_core.psf_vector(scene, grids.target_points)
     target = resolve_target(plan.target, scene)
-    calibrated, error = score(scene, grids, psf, meas, masks, plan.calibration, target.values)
+    calibrated, errors = score(scene, grids, psf, meas, masks, plan.calibration, target.values)
+    error = reconstruct.finite_score(errors.tolist()[0])
     out = Path(plan.output_dir)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_estimate_images(out, calibrated, target.grid_shape)
+    write_estimate_images(out, calibrated[0], target.grid_shape)
     print(f"nmse = {error!r}")
     print(f"estimate written -> {out}")
     return 0

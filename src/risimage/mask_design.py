@@ -471,14 +471,13 @@ def ideal_masks(
     return MaskSet(kind=KIND_MASK3D if scene.is_3d else KIND_MASK2D, design=design, phase=phase)
 
 
-def project(masks: MaskSet | np.ndarray, factors: Iterable[np.ndarray], out: np.ndarray) -> np.ndarray | None:
+def project(masks: MaskSet, factors: Iterable[np.ndarray], out: np.ndarray) -> np.ndarray | None:
     """Write vectors @ [F_1 ... F_k] into the leading sum r_k columns of ``out``.
 
-    ``masks`` is a mask set, whose R :attr:`~MaskSet.distinct_rows` are
-    multiplied, or a plain (R, M) array, each factor an (M, r_k) matrix and
-    ``out`` an array of at least R rows and sum r_k columns, whose first R
-    rows take the product. The factors are drawn
-    one at a time, and each is used up before the next is drawn, so a
+    The R :attr:`~MaskSet.distinct_rows` of ``masks`` are multiplied, each
+    factor an (M, r_k) matrix and ``out`` an array of at least R rows and
+    sum r_k columns, whose first R rows take the product. The factors are
+    drawn one at a time, and each is used up before the next is drawn, so a
     generator need hold only one. A designed set (one that carries a
     ``design``) never forms its vectors: mask i is
     (1 + H[i, col(m)]) / 2 e^{j phi_m} with col(m) = (m + 1) mod R, so with
@@ -496,8 +495,8 @@ def project(masks: MaskSet | np.ndarray, factors: Iterable[np.ndarray], out: np.
     is T_h[0] + T_h[i], so the transform has half the order, and v is
     returned: row i + h is row i - v. Returns None for any other set.
     """
-    if not (isinstance(masks, MaskSet) and masks.design is not None):
-        vectors = masks.stored if isinstance(masks, MaskSet) else masks
+    if masks.design is None:
+        vectors = masks.stored
         step = block_rows(out.shape[1], len(vectors) * out.shape[1])
         lo = 0
         for factor in factors:

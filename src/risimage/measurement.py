@@ -86,23 +86,22 @@ def make_target_3d(contrast: np.ndarray, grid_shape: tuple[int, int, int]) -> Ta
 
 @dataclass(frozen=True)
 class Measurements:
-    """Simulated measurement sets taken from one set of noiseless fields.
+    """A stack of simulated measurement sets taken from one set of noiseless
+    fields (:func:`measure`).
 
-    ``noisy`` holds detected magnitudes (float) for plane targets and complex
-    fields for volume targets, one entry per mask; ``noiseless`` is always
-    the complex field. One set has an (I,) ``noisy``, its ``noise_variance``
-    and its noise stream key ``seed``. A stack of sets (:func:`measure` of
-    several SNR values and seeds) has a leading set axis on ``noisy``, a
-    tuple of each set's variance and seed, and in ``errors`` one entry per
-    set asked for: None for a set that is a row of the stack, else the
-    :class:`ImagingError` that stopped its measurement.
+    ``noisy`` has a row per measured set, of detected magnitudes (float) for
+    plane targets or complex fields for volume targets, one entry per mask;
+    ``noiseless`` is always the complex field. ``noise_variance`` and
+    ``seed`` hold each row's variance and noise stream key, and ``errors``
+    one entry per set asked for: None for a set that is a row of the stack,
+    else the :class:`ImagingError` that stopped its measurement.
     """
 
     noiseless: np.ndarray  # (I,) complex128
-    noisy: np.ndarray  # (I,) or (P, I), float64 or complex128
-    noise_variance: float | tuple[float, ...]
-    seed: int | tuple[int, ...]
-    errors: tuple[ImagingError | None, ...] = ()
+    noisy: np.ndarray  # (P, I), float64 or complex128
+    noise_variance: tuple[float, ...]
+    seed: tuple[int, ...]
+    errors: tuple[ImagingError | None, ...]
 
     def __len__(self) -> int:
         """Measurements per set."""
@@ -220,13 +219,12 @@ class ReceiverFields:
         self._products = np.empty(masks.distinct_rows, dtype=np.complex128)
         self._repeats = masks.count // masks.distinct_rows
 
-    def add(self, rows: slice, block: np.ndarray, scales: np.ndarray | None = None, *_) -> None:
+    def add(self, rows: slice, block: np.ndarray, scales: np.ndarray, *_) -> None:
         """Take the masks ``block`` of the set's ``rows``, each times its
-        entry of ``scales`` when given (a realization pass hands over unit-
-        budget masks and their budget scales)."""
+        entry of ``scales`` (a realization pass hands over unit-budget masks
+        and their budget scales; :func:`noiseless_fields` scales by ones)."""
         products = block @ self.weights
-        if scales is not None:
-            products *= scales
+        products *= scales
         self._products[rows] = products
 
     def fields(self) -> np.ndarray:
@@ -257,40 +255,36 @@ def noiseless_fields(
             "field; a realized set's fields come from its realization (realize_masks readers)"
         )
     for rows, block in masks.row_blocks():
-        fields.add(rows, block)
+        fields.add(rows, block, np.ones(len(block)))
     return fields.fields()
 
 
 def measure(
     fields: np.ndarray,
     mask_kind: str,
-    snr_db: float | None | Sequence[float | None],
-    seed: int | Sequence[int],
+    snr_values: Sequence[float | None],
+    seeds: Sequence[int],
     noise_mode: str = NOISE_RELATIVE,
     n0_dbm_per_hz: float = DEFAULT_N0_DBM_PER_HZ,
     bandwidth_hz: float = DEFAULT_BANDWIDTH_HZ,
 ) -> Measurements:
-    """Simulate measurement sets from their noiseless ``fields``: one set for
-    one ``snr_db`` and ``seed``, or, for equal-length sequences of them, a
-    stack with a row per set (:class:`Measurements`). One set is a stack of
-    one, measured alike.
+    """Simulate measurement sets from their noiseless ``fields``, one for
+    each SNR of ``snr_values`` and seed of the equal-length ``seeds``, as a
+    stack with a row per set (:class:`Measurements`).
 
     ``fields`` come from :func:`noiseless_fields` of a set of ``mask_kind``
     masks, and are computed once for every SNR and seed measured from that
     set; their signal power is taken once per call. Each set's noise comes
     from its own stream (:func:`complex_noise`) into its own row, so a row
-    of a stack holds the bits of its set measured alone. Plane masks
+    holds the bits of its set measured in a stack of one. Plane masks
     (``KIND_MASK2D``) detect the magnitude of each noisy field, in one pass
     over the stack; volume masks keep the complex field. An SNR of None
     disables noise. In ``relative`` mode the variance is set from the
     requested SNR against the simulated signal power; in ``absolute`` mode
     it is the thermal power N0 * B. An :class:`ImagingError` of one set's
-    variance or noise fails that set alone: a stack leaves it out of its
-    rows and keeps the error in ``errors``; one set raises it.
-    Deterministic under a fixed seed.
+    variance or noise fails that set alone: it is left out of the rows, and
+    its error kept in ``errors``. Deterministic under a fixed seed.
     """
-    stacked = isinstance(seed, Sequence)
-    snr_values, seeds = (snr_db, seed) if stacked else ((snr_db,), (seed,))
     if len(snr_values) != len(seeds):
         raise ValueError(f"{len(snr_values)} SNR values for {len(seeds)} seeds")
     if noise_mode not in (NOISE_RELATIVE, NOISE_ABSOLUTE):
@@ -313,16 +307,12 @@ def measure(
         else:
             errors.append(None)
             variances.append(variance)
-    if not stacked and errors[0] is not None:
-        raise errors[0]
     measured = [index for index, error in enumerate(errors) if error is None]
     noisy = noisy[measured] if len(measured) < len(seeds) else noisy
     noisy += fields
     if mask_kind == KIND_MASK2D:
         # hypot matches Python's abs(complex) bit for bit; np.abs does not
         noisy = np.hypot(noisy.real, noisy.imag)
-    if not stacked:
-        return Measurements(noiseless=fields, noisy=noisy[0], noise_variance=variances[0], seed=seed)
     kept = tuple(seeds[index] for index in measured)
     return Measurements(fields, noisy, tuple(variances), kept, tuple(errors))
 
@@ -333,33 +323,36 @@ _CSV_FIELDS = ["index", "re_noiseless", "im_noiseless", "value_noisy_or_re", "im
 
 
 def records_to_csv(path: str | Path, meas: Measurements) -> None:
-    """RFC-4180 CSV; the noisy value is one column for magnitudes, two for fields.
+    """RFC-4180 CSV of a stack of one measurement set (:func:`measure`); the
+    noisy value is one column for magnitudes, two for fields.
 
-    The ``sigma2`` and ``seed`` columns repeat the set-wide variance and
-    stream key on every row. A stack of sets (:func:`measure`) has no such
+    The ``sigma2`` and ``seed`` columns repeat the set's variance and stream
+    key on every row. A stack of any other number of sets has no such
     columns: it raises :class:`DimensionMismatch` before ``path`` is touched.
     """
-    if meas.noisy.ndim != 1:
+    if len(meas.noisy) != 1:
         raise DimensionMismatch(f"records hold one measurement set, not a stack of {len(meas.noisy)}")
-    variance = repr(meas.noise_variance)
+    variance, seed = repr(meas.noise_variance[0]), meas.seed[0]
     with text_file_writer(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_FIELDS)
-        rows = zip(meas.noiseless.tolist(), meas.noisy.tolist())
+        rows = zip(meas.noiseless.tolist(), meas.noisy[0].tolist())
         for index, (noiseless, noisy) in enumerate(rows):
             if isinstance(noisy, complex):
                 noisy_re, noisy_im = repr(noisy.real), repr(noisy.imag)
             else:
                 noisy_re, noisy_im = repr(noisy), ""
-            writer.writerow(
-                [index, repr(noiseless.real), repr(noiseless.imag), noisy_re, noisy_im, variance, meas.seed]
-            )
+            writer.writerow([index, repr(noiseless.real), repr(noiseless.imag), noisy_re, noisy_im, variance, seed])
 
 
 def records_from_csv(path: str | Path) -> Measurements:
-    """Read a file written by :func:`records_to_csv`. A cell that is not a
-    finite number (``nan``, ``inf``, or one that overflows, like ``1e400``)
-    raises :class:`MalformedRecords` naming its row and column."""
+    """Read a file written by :func:`records_to_csv`, as a stack of its one
+    set. Raises :class:`MalformedRecords` naming the row for a row that does
+    not hold the header's cells or whose ``index`` is not its position, and
+    naming its row and column for a cell that is not a finite number
+    (``nan``, ``inf``, or one that overflows, like ``1e400``). The variance
+    and seed are read from the first row: files written before a set took
+    one stream key hold a key per row."""
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -375,7 +368,7 @@ def records_from_csv(path: str | Path) -> Measurements:
         text = rows[index][column]
         try:
             value = float(text)
-        except (ValueError, TypeError) as exc:  # a non-numeric cell, or None in a short row
+        except ValueError as exc:
             raise MalformedRecords(f"{path}: unreadable measurement row {index}, column {column}: {exc}") from exc
         if not math.isfinite(value):
             raise MalformedRecords(f"{path}: row {index}, column {column} is {text!r}, not a finite number")
@@ -383,17 +376,23 @@ def records_from_csv(path: str | Path) -> Measurements:
 
     noiseless, noisy = [], []
     for index, row in enumerate(rows):
+        # DictReader keys a longer row's extra cells by None and fills a shorter one's with None
+        if None in row or None in row.values():
+            raise MalformedRecords(f"{path}: measurement row {index} does not hold the {len(_CSV_FIELDS)} header cells")
+        if row["index"] != str(index):
+            raise MalformedRecords(f"{path}: measurement row {index} has index {row['index']!r}, not its position")
         noiseless.append(complex(number(index, "re_noiseless"), number(index, "im_noiseless")))
         value = number(index, "value_noisy_or_re")
         noisy.append(complex(value, number(index, "im_if_3d")) if row["im_if_3d"] else value)
     noise_variance = number(0, "sigma2") if rows else 0.0
     try:
         seed = int(rows[0]["seed"]) if rows else 0
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise MalformedRecords(f"{path}: unreadable measurement row 0, column seed: {exc}") from exc
     return Measurements(
         noiseless=np.array(noiseless, dtype=np.complex128),
-        noisy=np.array(noisy),
-        noise_variance=noise_variance,
-        seed=seed,
+        noisy=np.array([noisy]),
+        noise_variance=(noise_variance,),
+        seed=(seed,),
+        errors=(None,),
     )

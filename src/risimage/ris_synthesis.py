@@ -244,15 +244,17 @@ class RegularizedInverse:
         """Regularized solution V Lambda U^H rhs for one vector or a stack.
 
         Evaluated sector by sector as V_s c_s with c_s = lambda_s U_s^H rhs_s
-        over the retained modes (:func:`_stage_coefficients`, staged in the
-        leading columns of the solutions) and V_s = B_s^H U_s / sigma_s,
+        over the retained modes (:func:`_stage_coefficients` of the
+        right-hand sides held as a stored mask set, staged in the leading
+        columns of the solutions) and V_s = B_s^H U_s / sigma_s,
         unfolded on the aperture side (:func:`aperture_factors`), in one
         product for every right-hand side.
         """
         rhs = np.asarray(rhs, dtype=np.complex128)
         vectors = rhs.reshape(rhs.shape[0], -1).T  # (k, M)
         solution = np.empty((len(vectors), self.shape[1]), dtype=np.complex128)
-        _stage_coefficients(self, _folded_factors(self), vectors, solution)
+        staged = MaskSet(kind=_KERNEL_TO_MASK_KIND[self.kind], stored=vectors)
+        _stage_coefficients(self, _folded_factors(self), staged, solution)
         right, shape, phase = aperture_factors(self)
         _map_rows(solution[:, : self.retained_rank], right, shape, solution, phase)
         return solution[0] if rhs.ndim == 1 else solution.T
@@ -712,7 +714,7 @@ def tikhonov_inverse(
 
 
 def _stage_coefficients(
-    inv: RegularizedInverse, factors: list[_Factor], masks: MaskSet | np.ndarray, out: np.ndarray
+    inv: RegularizedInverse, factors: list[_Factor], masks: MaskSet, out: np.ndarray
 ) -> np.ndarray | None:
     """Stage the coefficients c of every distinct mask (``MaskSet.distinct_rows``)
     in the leading sum r_s columns of the first rows of ``out``.
@@ -720,18 +722,16 @@ def _stage_coefficients(
     Per sector c_s = lambda_s (w_s U_s)^H fold_s(b) = b @ A_s over the
     retained modes, with A_s = conj(w_s U_s) lambda_s gathered onto the grid
     (:func:`_sector_gathers`); one ``mask_design.project`` call fills the
-    columns sector after sector, for a mask set or a plain (I, M) stack of
-    right-hand sides. The A_s are formed one at a time as ``project`` draws
-    them, so only one is alive at once. A set whose rows pair
+    columns sector after sector. The A_s are formed one at a time as
+    ``project`` draws them, so only one is alive at once. A set whose rows pair
     (``MaskSet.paired``) has only its first R/2 rows staged
     (:func:`_staged_rows`), and the row v with c_{i+R/2} = c_i - v is
     returned; None for any other set. Raises :class:`DimensionMismatch`
     unless the masks have length M.
     """
-    points = masks.points if isinstance(masks, MaskSet) else masks.shape[1]
     m = inv.shape[0]
-    if points != m:
-        raise DimensionMismatch(f"vectors of length {points} do not match M={m}")
+    if masks.points != m:
+        raise DimensionMismatch(f"vectors of length {masks.points} do not match M={m}")
 
     def gathered() -> Iterator[np.ndarray]:
         for factor, gather in zip(factors, _sector_gathers(_target_shape(inv))):

@@ -189,7 +189,7 @@ def _shared_builds(
 
     A design's rows repeat (``mask_design.distinct_row_count``), so the mask
     counts at a distance share one mask set, built for the largest of them
-    (:func:`_mask_set`), whose noiseless receiver fields are computed once
+    (:func:`build_mask_set`), whose noiseless receiver fields are computed once
     for every SNR point, a realized set's in its realization pass. Each
     count's set is its first rows (``MaskSet.first``), its fields their
     prefix, and it keeps its own moments for reconstruction
@@ -218,11 +218,7 @@ def _shared_builds(
             nonlocal inv
             if inv is None:
                 result.kernel_builds += 1
-                kernel = em_core.kernel_stream(scene, grids)
-                inv = ris_synthesis.tikhonov_inverse(
-                    kernel, at_distance[0].gamma, plan.threshold_factor, plan.truncation_mode
-                )
-                del kernel  # the inverse holds its sector blocks, not the kernel or its rows
+                inv = regularized_inverse(plan, scene, grids, at_distance[0].gamma)
                 if artifact_dir is None:  # no profile maps back to the aperture
                     inv = inv.without_blocks()
             return inv
@@ -233,7 +229,7 @@ def _shared_builds(
         while mask_set is None and largest:
             built = [count for count in counts if count <= largest]
             try:
-                mask_set = _mask_set(plan, scene, grids, target, built, inverse, artifact_dir)
+                mask_set = build_mask_set(plan, scene, grids, target, built, inverse, artifact_dir)
             except ZeroSolution as exc:  # the masks before exc.mask are realizable
                 error, largest = exc, max((count for count in counts if count <= exc.mask), default=0)
             except ImagingError as exc:
@@ -249,7 +245,18 @@ def _shared_builds(
         del mask_set
 
 
-def _mask_set(
+def regularized_inverse(
+    plan: ExperimentPlan, scene: ValidatedScene, grids: SampleGrids, gamma: float
+) -> ris_synthesis.RegularizedInverse:
+    """The regularized inverse at weight ``gamma`` of the scene's kernel,
+    decomposed from the stream of its rows as they are assembled, so the
+    kernel never exists whole; the inverse holds its sector blocks, not the
+    kernel or its rows."""
+    kernel = em_core.kernel_stream(scene, grids)
+    return ris_synthesis.tikhonov_inverse(kernel, gamma, plan.threshold_factor, plan.truncation_mode)
+
+
+def build_mask_set(
     plan: ExperimentPlan,
     scene: ValidatedScene,
     grids: SampleGrids,
@@ -344,28 +351,21 @@ def export_synthesis(
     return realized
 
 
-def _estimates(scene: ValidatedScene, grids: SampleGrids, psf, meas, masks: MaskSet) -> np.ndarray:
-    """Reconstruct ``meas``, one measurement set or a stack of them
-    (``measurement.measure``), by the scene's kind (``psf`` is the plane PSF,
-    ``None`` for a volume), and remove the cell measure: an estimate row per
-    set."""
+def score(
+    scene: ValidatedScene, grids: SampleGrids, psf, meas, masks: MaskSet, calibration: str, truth: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reconstruct the stack of measurement sets ``meas``
+    (``measurement.measure``) by the scene's kind (``psf`` is the plane PSF,
+    ``None`` for a volume), remove the cell measure, calibrate against
+    ``truth`` and return the calibrated estimates and their NMSEs, a row and
+    an NMSE per set (``reconstruct.nmse``)."""
     if scene.is_3d:
         result = reconstruct.reconstruct_3d(scene, meas, masks)
     else:
         result = reconstruct.reconstruct_2d(meas, masks, psf)
     # Remove the known physical cell measure before any calibration.
-    return result.estimate / grids.target_cell_measure
-
-
-def score(
-    scene: ValidatedScene, grids: SampleGrids, psf, meas, masks: MaskSet, calibration: str, truth: np.ndarray
-) -> tuple[np.ndarray, float | np.ndarray]:
-    """Reconstruct ``meas`` by the scene's kind (``psf`` is the plane PSF,
-    ``None`` for a volume), remove the cell measure, calibrate against
-    ``truth`` and return the calibrated estimate and its NMSE: a row and an
-    NMSE per set of a stack (``reconstruct.nmse``)."""
-    calibrated = reconstruct.calibrate_estimate(_estimates(scene, grids, psf, meas, masks), calibration, truth)
-    return calibrated, reconstruct.nmse(truth, calibrated)
+    estimates = reconstruct.calibrate_estimate(result.estimate / grids.target_cell_measure, calibration, truth)
+    return estimates, reconstruct.nmse(truth, estimates)
 
 
 def _score_group(

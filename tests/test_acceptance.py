@@ -94,11 +94,11 @@ class DeskPipeline:
         masks, values = self.synthesized(z_prime, count)
         target = tg.builtin_target(target_name, scene)
         fields = ms.noiseless_fields(scene, grids, md.MaskSet(kind=masks.kind, stored=values), target)
-        meas = ms.measure(fields, masks.kind, snr_db, seed)
+        meas = ms.measure(fields, masks.kind, [snr_db], [seed])
         psf = em.psf_vector(scene, grids.target_points)
         result = rc.reconstruct_2d(meas, masks, psf)
         calibrated = rc.calibrate_estimate(
-            result.estimate / grids.target_cell_measure, rc.CALIBRATE_LSQ, target.values
+            result.estimate[0] / grids.target_cell_measure, rc.CALIBRATE_LSQ, target.values
         )
         return rc.nmse(target.values, calibrated)
 
@@ -279,9 +279,9 @@ def test_c05_ideal_mask_exact_recovery(tmp_path):
             if not values.any():
                 continue
             target = ms.make_target_2d(values, (n, n))
-            meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, None, 0)
+            meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, [None], [0])
             result = rc.reconstruct_2d(meas, masks, psf)
-            calibrated = rc.calibrate_estimate(result.estimate, rc.CALIBRATE_MAX1)
+            calibrated = rc.calibrate_estimate(result.estimate[0], rc.CALIBRATE_MAX1)
             worst_2d = max(worst_2d, rc.nmse(values, calibrated))
 
     # the same bypass through the CLI flag itself
@@ -324,9 +324,9 @@ def test_c05_ideal_mask_exact_recovery(tmp_path):
     double[[2, 7]] = [1.5 - 0.5j, 0.75 + 0.25j]
     for chi in (single, double):
         target = ms.make_target_3d(chi, (2, 2, 2))
-        meas = ms.measure(ms.noiseless_fields(scene3, grids3, masks3, target), masks3.kind, None, 0)
+        meas = ms.measure(ms.noiseless_fields(scene3, grids3, masks3, target), masks3.kind, [None], [0])
         result = rc.reconstruct_3d(scene3, meas, masks3)
-        worst_3d = max(worst_3d, rc.nmse(chi, result.estimate / grids3.target_cell_measure))
+        worst_3d = max(worst_3d, rc.nmse(chi, result.estimate[0] / grids3.target_cell_measure))
 
     ok = worst_2d < 1e-6 and code == 0 and cli_nmse < 1e-6 and worst_3d < 1e-6
     report(
@@ -398,8 +398,8 @@ def test_c09_mask_scaling_invariance(desk):
     scaled = md.MaskSet(kind=masks.kind, stored=3.7 * values)
     target = tg.builtin_target("block", scene)
     psf = em.psf_vector(scene, grids.target_points)
-    records_base = ms.measure(ms.noiseless_fields(scene, grids, measured, target), masks.kind, 20.0, seed=0)
-    records_scaled = ms.measure(ms.noiseless_fields(scene, grids, scaled, target), scaled.kind, 20.0, seed=0)
+    records_base = ms.measure(ms.noiseless_fields(scene, grids, measured, target), masks.kind, [20.0], [0])
+    records_scaled = ms.measure(ms.noiseless_fields(scene, grids, scaled, target), scaled.kind, [20.0], [0])
     estimate_base = rc.reconstruct_2d(records_base, masks, psf).estimate
     scaled_magnitudes = md.MaskSet(kind=masks.kind, stored=np.abs(scaled.vectors))
     estimate_scaled = rc.reconstruct_2d(records_scaled, scaled_magnitudes, psf).estimate

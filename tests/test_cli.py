@@ -343,7 +343,7 @@ class TestMeasureReconstructVerbs:
         stored = md.MaskSet(kind=md.KIND_MASK2D, stored=amplitudes * np.exp(1j * phase)[None, :])
         target = resolve_target("block", scene)
         fields = ms.noiseless_fields(scene, grids, stored, target)
-        ms.records_to_csv(tmp_path / "expected.csv", ms.measure(fields, stored.kind, 20.0, 3))
+        ms.records_to_csv(tmp_path / "expected.csv", ms.measure(fields, stored.kind, [20.0], [3]))
         assert records_path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_ideal_masks_form_their_stack_once_per_group(self, scene_file, tmp_path, monkeypatch):
@@ -554,7 +554,7 @@ class TestStepVerbParity:
         argv = ["measure", "--scene", str(scene_file), "-I", "128", *noise, "--output", str(records)]
         assert cli.main(argv) == 0
         meas = ms.records_from_csv(records)
-        assert meas.noise_variance == ms.noise_power_watts(-150.0, 2e6) and meas.seed == 4
+        assert meas.noise_variance == (ms.noise_power_watts(-150.0, 2e6),) and meas.seed == (4,)
 
     def test_options_left_out_keep_the_plan_defaults(self, scene_file):
         args = cli.build_parser().parse_args(["run", "--scene", str(scene_file), "-I", "128"])
@@ -1034,7 +1034,7 @@ class TestBadInput:
         assert cli.main(["measure", *common, "--ideal-masks", "--output", str(records)]) == 2
         assert "WavenumberOverflow" in capsys.readouterr().err and not records.exists()
         # records of a finite field, reconstructed at the same wavelength
-        ms.records_to_csv(records, ms.measure(np.full(16, 1.0 + 1.0j), md.KIND_MASK3D, None, 0))
+        ms.records_to_csv(records, ms.measure(np.full(16, 1.0 + 1.0j), md.KIND_MASK3D, [None], [0]))
         assert cli.main(["masks", *common, "--output", str(tmp_path / "masks.bin")]) == 0
         argv = ["reconstruct", *common, "--records", str(records), "--masks", str(tmp_path / "masks.bin")]
         assert cli.main([*argv, "--output", str(tmp_path / "estimate.pgm")]) == 2
@@ -1186,27 +1186,48 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "MissingFile" in err and str(missing) in err
 
-    @pytest.mark.parametrize("damage", ["non-numeric cell", "short row", "header"])
+    @pytest.mark.parametrize(
+        "damage",
+        ["non-numeric cell", "short row", "header", "later row cut to 4 cells", "extra cell", "rows swapped"],
+    )
     def test_malformed_records_file(self, scene_file, tmp_path, capsys, damage):
         common = ["--scene", str(scene_file), "-I", "128"]
         records, masks = tmp_path / "records.csv", tmp_path / "masks.bin"
         assert cli.main(["measure", *common, "--ideal-masks", "--output", str(records)]) == 0
         assert cli.main(["masks", *common, "--output", str(masks)]) == 0
-        header, first, *rest = records.read_text().splitlines()
+        header, first, second, *rest = records.read_text().splitlines()
         cells = first.split(",")
+        row = None  # the row the error names, when it names one
         if damage == "non-numeric cell":
             first = ",".join([cells[0], "abc", *cells[2:]])
         elif damage == "short row":
             first = ",".join(cells[:3])
+        elif damage == "later row cut to 4 cells":
+            second, row = ",".join(second.split(",")[:4]), 1
+        elif damage == "extra cell":
+            first, row = ",".join([*cells, "0.0", "0.0"]), 0
+        elif damage == "rows swapped":
+            first, second, row = second, first, 0
         else:
             header = header.replace("sigma2", "variance")
-        records.write_text("\n".join([header, first, *rest]) + "\n")
+        records.write_text("\n".join([header, first, second, *rest]) + "\n")
         code = cli.main(
             ["reconstruct", *common, "--records", str(records), "--masks", str(masks), "--output", str(tmp_path / "e.pgm")]
         )
         assert code == 2
         err = capsys.readouterr().err
         assert "MalformedRecords" in err and str(records) in err
+        assert row is None or f"measurement row {row} " in err
+        assert not (tmp_path / "e.pgm").exists()
+
+    def test_records_with_a_stream_key_per_row_still_load(self, tmp_path):
+        # files written before a set took one stream key hold seed ^ i in row i
+        path = tmp_path / "records.csv"
+        ms.records_to_csv(path, ms.measure(np.linspace(1.0, 2.0, 4) + 0.5j, md.KIND_MASK2D, [20.0], [6]))
+        header, *rows = path.read_text().splitlines()
+        rows = [",".join([*row.split(",")[:-1], str(6 ^ i)]) for i, row in enumerate(rows)]
+        path.write_text("\r\n".join([header, *rows]) + "\r\n")
+        assert ms.records_from_csv(path).seed == (6,)
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
     @pytest.mark.parametrize("column", ["re_noiseless", "im_noiseless", "value_noisy_or_re", "im_if_3d", "sigma2"])
@@ -1993,9 +2014,10 @@ def scored_alone(plan, out_dir):
     scores = {}
     for group, (scene, grids, target, psf, masks, _inv, noiseless) in rn._shared_builds(plan, result):
         for point in group:
-            meas = ms.measure(noiseless, masks.kind, point.snr_db, point.seed, noise_mode=plan.noise_mode)
-            calibrated, scores[point.index] = rn.score(scene, grids, psf, meas, masks, plan.calibration, target.values)
-            rn.write_estimate_images(out_dir / f"estimate_{point.index:03d}.pgm", calibrated, target.grid_shape)
+            meas = ms.measure(noiseless, masks.kind, [point.snr_db], [point.seed], noise_mode=plan.noise_mode)
+            calibrated, errors = rn.score(scene, grids, psf, meas, masks, plan.calibration, target.values)
+            scores[point.index] = errors.tolist()[0]
+            rn.write_estimate_images(out_dir / f"estimate_{point.index:03d}.pgm", calibrated[0], target.grid_shape)
     return scores
 
 

@@ -337,8 +337,7 @@ class TestProject:
             order = masks.distinct_rows // (2 if masks.paired else 1)
             assert em.block_rows(order, order * 17) <= 2
         expected = masks.vectors @ np.concatenate(factors, axis=1)
-        stored = masks.vectors.copy()
-        for source in (masks, md.MaskSet(kind=masks.kind, stored=stored), stored):
+        for source in (masks, md.MaskSet(kind=masks.kind, stored=masks.vectors.copy())):
             np.testing.assert_allclose(
                 self.projected(source, count, factors), expected, rtol=0, atol=1e-12 * np.abs(expected).max()
             )

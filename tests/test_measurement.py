@@ -269,7 +269,7 @@ class TestNoiseModel:
 
         monkeypatch.setattr(np.random, "Philox", counting_philox)
         fields = ms.noiseless_fields(scene, grids, masks, checker_target(scene))
-        meas = ms.measure(fields, masks.kind, 20.0, seed=4)
+        meas = ms.measure(fields, masks.kind, [20.0], [4])
         assert len(meas) == 1024
         assert built == [((), {"key": 4})]
 
@@ -292,8 +292,8 @@ class TestMeasure:
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128)
         target = checker_target(scene)
-        a = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, 20.0, seed=5)
-        b = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, 20.0, seed=5)
+        a = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, [20.0], [5])
+        b = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, [20.0], [5])
         assert a.noisy.tolist() == b.noisy.tolist()
         assert a.noiseless.tolist() == b.noiseless.tolist()
 
@@ -301,18 +301,18 @@ class TestMeasure:
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128)
         target = checker_target(scene)
-        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, 300.0, seed=0)
-        for noisy, noiseless in zip(meas.noisy.tolist(), meas.noiseless.tolist()):
+        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, [300.0], [0])
+        for noisy, noiseless in zip(meas.noisy[0].tolist(), meas.noiseless.tolist()):
             assert noisy == pytest.approx(abs(noiseless), rel=1e-10)
 
     def test_noiseless_mode(self, small_scene):
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128)
         target = checker_target(scene)
-        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, None, seed=0)
-        assert meas.noise_variance == 0.0
+        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, [None], [0])
+        assert meas.noise_variance == (0.0,)
         # Python's abs of a complex is the detector reference, bit for bit
-        pairs = zip(meas.noisy.tolist(), meas.noiseless.tolist())
+        pairs = zip(meas.noisy[0].tolist(), meas.noiseless.tolist())
         assert all(noisy == abs(noiseless) for noisy, noiseless in pairs)
 
     def test_magnitudes_invariant_under_global_phase(self, small_scene):
@@ -321,8 +321,8 @@ class TestMeasure:
         masks = md.ideal_masks(scene, grids, 128)
         rotated = md.MaskSet(kind=masks.kind, stored=masks.vectors * np.exp(0.7j))
         target = checker_target(scene)
-        a = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, None, seed=0)
-        b = ms.measure(ms.noiseless_fields(scene, grids, rotated, target), rotated.kind, None, seed=0)
+        a = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, [None], [0])
+        b = ms.measure(ms.noiseless_fields(scene, grids, rotated, target), rotated.kind, [None], [0])
         np.testing.assert_allclose(a.noisy, b.noisy, rtol=1e-12)
 
     def test_volume_records_are_complex(self, volume_scene):
@@ -331,20 +331,20 @@ class TestMeasure:
         chi = np.zeros(scene.n_target, dtype=complex)
         chi[3] = 1.0
         target = ms.make_target_3d(chi, (2, 2, 2))
-        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, 20.0, seed=1)
-        assert all(isinstance(noisy, complex) for noisy in meas.noisy.tolist())
+        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, [20.0], [1])
+        assert all(isinstance(noisy, complex) for noisy in meas.noisy[0].tolist())
 
     def test_absolute_noise_mode_uses_thermal_power(self, small_scene):
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128)
         target = checker_target(scene)
         fields = ms.noiseless_fields(scene, grids, masks, target)
-        meas = ms.measure(fields, masks.kind, 20.0, seed=0, noise_mode=ms.NOISE_ABSOLUTE)
-        assert meas.noise_variance == pytest.approx(ms.noise_power_watts())
+        meas = ms.measure(fields, masks.kind, [20.0], [0], noise_mode=ms.NOISE_ABSOLUTE)
+        assert meas.noise_variance[0] == pytest.approx(ms.noise_power_watts())
 
 
 class TestStackedMeasure:
-    """A stack of sets measured in one call holds in each row the bits of its set measured alone."""
+    """A stack of sets measured in one call holds in each row the bits of its set measured in a stack of one."""
 
     @pytest.mark.parametrize("kind", [md.KIND_MASK2D, md.KIND_MASK3D])
     @pytest.mark.parametrize("noise_mode", [ms.NOISE_RELATIVE, ms.NOISE_ABSOLUTE])
@@ -358,9 +358,9 @@ class TestStackedMeasure:
         assert stack.noisy.shape == (4, 64) and len(stack) == 64
         assert stack.errors == (None,) * 4 and stack.seed == tuple(seeds) and stack.noiseless is fields
         for row, variance, snr_db, seed in zip(stack.noisy, stack.noise_variance, snr_values, seeds):
-            alone = ms.measure(fields, kind, snr_db, seed, **options)
-            assert row.tobytes() == alone.noisy.tobytes() and variance == alone.noise_variance
-            one = ms.Measurements(noiseless=fields, noisy=row, noise_variance=variance, seed=seed)
+            alone = ms.measure(fields, kind, [snr_db], [seed], **options)
+            assert row.tobytes() == alone.noisy[0].tobytes() and (variance,) == alone.noise_variance
+            one = ms.Measurements(fields, row[None], (variance,), (seed,), (None,))
             ms.records_to_csv(tmp_path / "row.csv", one)
             ms.records_to_csv(tmp_path / "alone.csv", alone)
             assert (tmp_path / "row.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
@@ -407,8 +407,9 @@ class TestStackedMeasure:
         assert [str(error) if error else None for error in stack.errors] == [None, "no stream", None]
         assert stack.seed == (4, 6) and stack.noise_variance == expected.noise_variance[::2]
         assert stack.noisy.tobytes() == expected.noisy[::2].tobytes()
-        with pytest.raises(EmptySet, match="no stream"):
-            ms.measure(fields, md.KIND_MASK3D, 10.0, 5)
+        # a stack of one failed set has no rows
+        one = ms.measure(fields, md.KIND_MASK3D, [10.0], [5])
+        assert one.noisy.shape == (0, 32) and one.seed == () and str(one.errors[0]) == "no stream"
 
     def test_empty_fields_fail_only_the_noisy_sets(self):
         empty = np.zeros(0, dtype=complex)
@@ -422,13 +423,13 @@ class TestMeasurementCsv:
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128)
         target = checker_target(scene)
-        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, 15.0, seed=2)
+        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, [15.0], [2])
         path = tmp_path / "records.csv"
         ms.records_to_csv(path, meas)
         loaded = ms.records_from_csv(path)
         assert loaded.noisy.tolist() == meas.noisy.tolist()
         assert loaded.noiseless.tolist() == meas.noiseless.tolist()
-        assert loaded.seed == meas.seed == 2
+        assert loaded.seed == meas.seed == (2,) and loaded.errors == (None,)
         assert loaded.noise_variance == meas.noise_variance
 
     def test_round_trip_3d(self, volume_scene, tmp_path):
@@ -437,7 +438,7 @@ class TestMeasurementCsv:
         chi = np.zeros(scene.n_target, dtype=complex)
         chi[2] = 0.5 + 0.1j
         target = ms.make_target_3d(chi, (2, 2, 2))
-        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, 10.0, seed=3)
+        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, [10.0], [3])
         path = tmp_path / "records.csv"
         ms.records_to_csv(path, meas)
         loaded = ms.records_from_csv(path)
@@ -452,13 +453,18 @@ class TestMeasurementCsv:
         path.write_text("old")
         with pytest.raises(DimensionMismatch, match="stack of 2"):
             ms.records_to_csv(path, sets)
+        # nor does a stack of one set whose measurement failed
+        failed = ms.measure(np.zeros(0, dtype=complex), kind, [10.0], [4])
+        assert isinstance(failed.errors[0], EmptySet)
+        with pytest.raises(DimensionMismatch, match="stack of 0"):
+            ms.records_to_csv(path, failed)
         assert path.read_text() == "old"
 
     def test_rfc4180_line_endings(self, small_scene, tmp_path):
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128)
         fields = ms.noiseless_fields(scene, grids, masks, checker_target(scene))
-        meas = ms.measure(fields, masks.kind, None, seed=0)
+        meas = ms.measure(fields, masks.kind, [None], [0])
         path = tmp_path / "records.csv"
         ms.records_to_csv(path, meas)
         assert b"\r\n" in path.read_bytes()

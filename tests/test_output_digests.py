@@ -44,8 +44,36 @@ def test_two_runs_list_the_same_digests():
     for stem in ("masks_ideal", "masks_realized", "profiles", "synthesis"):
         for count in (256, 1024):  # one export of each count at each of the two distances
             assert sum(f"desk-counts/artifacts/{stem}_" in p and f"_I{count}." in p for p in paths) == 2
+    for steps in ("steps-desk-snr-dense", "steps-volume-zsweep", "steps-plane-odd", "steps-volume-odd"):
+        verbs = ("kernel", "masks", "synthesize", "measure", "reconstruct", "measure-ideal", "reconstruct-ideal", "run")
+        assert {p for p in paths if p.startswith(f"seed-3/{steps}/") and p.endswith(".stdout")} == {
+            f"seed-3/{steps}/{verb}.stdout" for verb in verbs
+        }
+        assert f"seed-3/{steps}/records-ideal.csv" in paths
+    assert "seed-3/steps-desk-snr-dense/estimate-ideal.pgm" in paths
+    assert "seed-3/steps-volume-zsweep/estimate-ideal_slice0_re.pgm" in paths
     assert not any("/kernels/" in path for path in paths)
     assert not any(path.endswith("timings.csv") for path in paths)
+
+
+def test_step_verb_stdout_names_no_output_directory(tmp_path):
+    tool = load_tool()
+    scene = tmp_path / "scene.txt"
+    scene.write_text(
+        "wavelength = 0.01\nris_len_x = 0.25\nris_len_y = 0.25\n"
+        "target_len_x = 0.125\ntarget_len_y = 0.125\ntarget_distance = 0.125\n"
+        "incident_elevation = 30\nreceiver_x = 5.0\nreceiver_y = 5.0\nreceiver_z = -1.25\n"
+        "n_ris_x = 16\nn_ris_y = 16\nn_target_x = 8\nn_target_y = 8\n"
+    )
+    from risimage import cli
+
+    out = tmp_path / "steps"
+    tool.run_steps(cli, scene, 4, out)
+    measured = (out / "measure-ideal.stdout").read_text()
+    assert measured.startswith("measured 128 records (sigma2 ") and measured.endswith(" -> <out>/records-ideal.csv\n")
+    nmse, written = (out / "reconstruct-ideal.stdout").read_text().splitlines()
+    assert float(nmse.removeprefix("nmse = ")) < 1.0 and written == "estimate written -> <out>/estimate-ideal.pgm"
+    assert not any(str(tmp_path) in path.read_text() for path in out.glob("*.stdout"))
 
 
 def test_comparing_the_sources_with_themselves_lists_nothing():

@@ -19,7 +19,7 @@ from conftest import peak_traced_bytes, realize_with_values, small_config
 
 
 def run_2d(scene, grids, masks, target, snr_db=None, seed=0):
-    meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, snr_db, seed)
+    meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, [snr_db], [seed])
     psf = em.psf_vector(scene, grids.target_points)
     return meas, rc.reconstruct_2d(meas, masks, psf)
 
@@ -133,7 +133,7 @@ class TestMaskMoments:
         target = ms.make_target_2d(values, (16, 16))
         receiver = ms.ReceiverFields(scene, grids, ideal, target)
         realized = rs.realize_masks(inv, ideal, 1.0, [receiver.add])
-        meas = ms.measure(receiver.fields(), realized.kind, 20.0, 0)
+        meas = ms.measure(receiver.fields(), realized.kind, [20.0], [0])
         psf = em.psf_vector(scene, grids.target_points)
         magnitudes = realized.count * realized.points * 8
         peak, first = peak_traced_bytes(lambda: rc.reconstruct_2d(meas, realized, psf))
@@ -155,14 +155,12 @@ class TestReconstruct2d:
         target = ms.make_target_2d(values, (4, 4))
         _, result = run_2d(scene, grids, masks, target)
         scale = grids.target_cell_measure * abs(1.0 - scene.config.reflection_coeff)
-        np.testing.assert_allclose(result.estimate / scale, values, atol=1e-10)
+        np.testing.assert_allclose(result.estimate[0] / scale, values, atol=1e-10)
 
     def test_equal_measurements_give_zero_grid(self, small_scene):
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128)
-        meas = ms.Measurements(
-            noiseless=np.full(128, 1 + 0j), noisy=np.full(128, 2.5), noise_variance=0.0, seed=0
-        )
+        meas = ms.Measurements(np.full(128, 1 + 0j), np.full((1, 128), 2.5), (0.0,), (0,), (None,))
         psf = em.psf_vector(scene, grids.target_points)
         result = rc.reconstruct_2d(meas, masks, psf)
         np.testing.assert_array_equal(result.estimate, 0.0)
@@ -208,8 +206,8 @@ class TestReconstruct2d:
         # relative to the estimate's peak, as criterion 9: a per-pixel rtol
         # fails on near-zero pixels for some seeds
         for seed in range(40):
-            rec_a = ms.measure(ms.noiseless_fields(scene, grids, measured, target), masks.kind, 20.0, seed=seed)
-            rec_b = ms.measure(ms.noiseless_fields(scene, grids, scaled, target), scaled.kind, 20.0, seed=seed)
+            rec_a = ms.measure(ms.noiseless_fields(scene, grids, measured, target), masks.kind, [20.0], [seed])
+            rec_b = ms.measure(ms.noiseless_fields(scene, grids, scaled, target), scaled.kind, [20.0], [seed])
             est_a = rc.reconstruct_2d(rec_a, masks, psf).estimate
             est_b = rc.reconstruct_2d(rec_b, scaled_magnitudes, psf).estimate
             np.testing.assert_allclose(est_b, est_a, rtol=0, atol=1e-12 * np.abs(est_a).max())
@@ -218,7 +216,7 @@ class TestReconstruct2d:
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128)
         fields = np.full(128, 1 + 1j)
-        meas = ms.Measurements(noiseless=fields, noisy=fields, noise_variance=0.0, seed=0)
+        meas = ms.Measurements(fields, fields[None], (0.0,), (0,), (None,))
         with pytest.raises(KindMismatch):
             rc.reconstruct_2d(meas, masks, em.psf_vector(scene, grids.target_points))
 
@@ -228,9 +226,7 @@ class TestReconstruct2d:
         psf = em.psf_vector(scene, grids.target_points)
         with pytest.raises(DimensionMismatch):
             rc.reconstruct_2d(
-                ms.Measurements(
-                    noiseless=np.zeros(0, complex), noisy=np.zeros(0), noise_variance=0.0, seed=0
-                ),
+                ms.Measurements(np.zeros(0, complex), np.zeros((1, 0)), (0.0,), (0,), (None,)),
                 masks,
                 psf,
             )
@@ -253,10 +249,10 @@ def test_arbitrary_binary_targets_recovered_exactly(data):
     )
     values = np.array(bits, dtype=float)
     target = ms.make_target_2d(values, (n, n))
-    meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, None, 0)
+    meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, [None], [0])
     psf = em.psf_vector(scene, grids.target_points)
     result = rc.reconstruct_2d(meas, masks, psf)
-    calibrated = rc.calibrate_estimate(result.estimate, rc.CALIBRATE_MAX1)
+    calibrated = rc.calibrate_estimate(result.estimate[0], rc.CALIBRATE_MAX1)
     assert rc.nmse(values, calibrated) < 1e-6
 
 
@@ -267,17 +263,17 @@ class TestReconstruct3d:
         chi = np.zeros(scene.n_target, dtype=complex)
         chi[5] = 1.0
         target = ms.make_target_3d(chi, (2, 2, 2))
-        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, None, 0)
+        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, [None], [0])
         result = rc.reconstruct_3d(scene, meas, masks)
         np.testing.assert_allclose(
-            result.estimate / grids.target_cell_measure, chi, atol=1e-10
+            result.estimate[0] / grids.target_cell_measure, chi, atol=1e-10
         )
 
     def test_zero_contrast_recovers_zero(self, volume_scene):
         scene, grids = volume_scene
         masks = md.ideal_masks(scene, grids, 16)
         target = ms.make_target_3d(np.zeros(scene.n_target, dtype=complex), (2, 2, 2))
-        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, None, 0)
+        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, [None], [0])
         result = rc.reconstruct_3d(scene, meas, masks)
         np.testing.assert_allclose(result.estimate, 0.0, atol=1e-20)
 
@@ -296,9 +292,9 @@ class TestReconstruct3d:
         chi = np.zeros(scene.n_target, dtype=complex)
         chi[voxel] = 1.3 - 0.4j
         target = ms.make_target_3d(chi, (2, 2, 2))
-        meas = ms.measure(ms.noiseless_fields(scene, grids, distorted, target), distorted.kind, None, 0)
+        meas = ms.measure(ms.noiseless_fields(scene, grids, distorted, target), distorted.kind, [None], [0])
         result = rc.reconstruct_3d(scene, meas, distorted)
-        recovered = result.estimate / grids.target_cell_measure
+        recovered = result.estimate[0] / grids.target_cell_measure
         assert recovered[voxel] == pytest.approx(chi[voxel], rel=1e-10)
 
     def test_field_offset_invariance(self, volume_scene):
@@ -307,7 +303,7 @@ class TestReconstruct3d:
         chi = np.zeros(scene.n_target, dtype=complex)
         chi[[1, 6]] = [0.8, 0.3 - 0.2j]
         target = ms.make_target_3d(chi, (2, 2, 2))
-        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, None, 0)
+        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, [None], [0])
         shifted = dataclasses.replace(meas, noisy=meas.noisy + (2.0 - 1.0j))
         base = rc.reconstruct_3d(scene, meas, masks)
         moved = rc.reconstruct_3d(scene, shifted, masks)
@@ -316,7 +312,7 @@ class TestReconstruct3d:
     def test_real_records_rejected(self, volume_scene):
         scene, grids = volume_scene
         masks = md.ideal_masks(scene, grids, 16)
-        meas = ms.Measurements(noiseless=np.ones(16, complex), noisy=np.ones(16), noise_variance=0.0, seed=0)
+        meas = ms.Measurements(np.ones(16, complex), np.ones((1, 16)), (0.0,), (0,), (None,))
         with pytest.raises(KindMismatch):
             rc.reconstruct_3d(scene, meas, masks)
 
@@ -324,7 +320,7 @@ class TestReconstruct3d:
         scene, grids = volume_scene
         masks = md.ideal_masks(scene, grids, 16)
         target = ms.make_target_3d(np.ones(scene.n_target, dtype=complex), (2, 2, 2))
-        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, None, 0)
+        meas = ms.measure(ms.noiseless_fields(scene, grids, masks, target), masks.kind, [None], [0])
         wider = md.MaskSet(kind=masks.kind, stored=np.ones((16, 2 * scene.n_target), dtype=complex))
         with pytest.raises(DimensionMismatch):
             rc.reconstruct_3d(scene, meas, wider)
@@ -387,13 +383,13 @@ class TestStackedCorrelation:
         masks = md.ideal_masks(scene, grids, 128)
         target = ms.make_target_2d(np.eye(8).reshape(-1), (8, 8))
         fields = ms.noiseless_fields(scene, grids, masks, target)
-        sets = [ms.measure(fields, masks.kind, snr_db, seed) for seed, snr_db in enumerate((None, 0.0, 20.0))]
+        sets = [ms.measure(fields, masks.kind, [snr_db], [seed]) for seed, snr_db in enumerate((None, 0.0, 20.0))]
         psf = em.psf_vector(scene, grids.target_points)
         stack = ms.measure(fields, masks.kind, [None, 0.0, 20.0], [0, 1, 2])
         assert stack.noisy.shape == (3, 128) and len(stack) == 128 and stack.seed == (0, 1, 2)
         stacked = rc.reconstruct_2d(stack, masks, psf).estimate
         for row, meas in zip(stacked, sets):
-            assert row.tobytes() == rc.reconstruct_2d(meas, masks, psf).estimate.tobytes()
+            assert row.tobytes() == rc.reconstruct_2d(meas, masks, psf).estimate[0].tobytes()
 
     def test_count_must_match_every_set(self):
         masks = md.MaskSet(kind=md.KIND_MASK2D, stored=np.ones((4, 3)), repeats=2)

@@ -10,10 +10,14 @@ For each seed, in this process through ``risimage.cli.main``:
   exports of several counts, read from one realization pass per distance,
   are digested too;
 * the step verbs ``kernel``, ``masks``, ``synthesize``, ``measure`` and
-  ``reconstruct``, and ``run --ideal-masks`` (into ``ideal/``), run on the
-  desk scene and on the ``volume-zsweep`` scene, with the workload's noise
-  seed, and on each scene's variant of odd counts (:data:`ODD_SCENES`, into
-  ``steps-plane-odd`` and ``steps-volume-odd``) with the same noise seed;
+  ``reconstruct``, then ``measure --ideal-masks`` and ``reconstruct``
+  against the ideal mask export, and ``run --ideal-masks`` (into
+  ``ideal/``), run on the desk scene and on the ``volume-zsweep`` scene,
+  with the workload's noise seed, and on each scene's variant of odd counts
+  (:data:`ODD_SCENES`, into ``steps-plane-odd`` and ``steps-volume-odd``)
+  with the same noise seed; what each of them prints goes to a
+  ``<verb>.stdout`` file beside its outputs, so the digests cover the
+  ``nmse =`` and ``sigma2`` lines too;
 * the ``volume-zsweep`` scene is swept at its own distance over the SNR
   values none, 0 and 20 dB (into ``volume-snr``), so that one group of
   volume points is reconstructed together, as the benchmark's volume
@@ -120,24 +124,41 @@ def run_scoring(cli, scene: Path, noise_seed: int, inputs: Path, outputs: Path) 
 
 def run_steps(cli, scene: Path, noise_seed: int, out: Path) -> None:
     """The step verbs in order, each reading what the one before it wrote,
-    then a ``run`` on the ideal masks."""
+    then ``measure --ideal-masks`` and ``reconstruct`` against the ideal
+    mask export, and a ``run`` on the ideal masks. Each one's stdout is
+    written to ``<name>.stdout`` in ``out``, with ``out`` itself replaced by
+    ``<out>``."""
     common = ["--scene", str(scene), "--target", "block"]
-    run(cli, ["kernel", "--scene", str(scene), "--output", str(out / "kernel.bin")])
-    run(cli, ["masks", *common, "--output", str(out / "masks.bin")])
-    run(cli, ["synthesize", *common, "--output", str(out / "synth")])
-    records = out / "records.csv"
     noise = ["--snr-db", "20", "--seed", str(noise_seed)]
-    run(cli, ["measure", *common, *noise, "--output", str(records)])
-    masks = str(out / "synth" / "masks_realized.bin")
-    run(cli, ["reconstruct", *common, "--records", str(records), "--masks", masks, "--output", str(out / "estimate.pgm")])
-    run(cli, ["run", *common, "--ideal-masks", *noise, "--output", str(out / "ideal")])
+    records, ideal_records = str(out / "records.csv"), str(out / "records-ideal.csv")
+    steps = {
+        "kernel": ["kernel", "--scene", str(scene), "--output", str(out / "kernel.bin")],
+        "masks": ["masks", *common, "--output", str(out / "masks.bin")],
+        "synthesize": ["synthesize", *common, "--output", str(out / "synth")],
+        "measure": ["measure", *common, *noise, "--output", records],
+        "reconstruct": [
+            "reconstruct", *common, "--records", records, "--masks", str(out / "synth" / "masks_realized.bin"),
+            "--output", str(out / "estimate.pgm"),
+        ],
+        "measure-ideal": ["measure", *common, "--ideal-masks", *noise, "--output", ideal_records],
+        "reconstruct-ideal": [
+            "reconstruct", *common, "--records", ideal_records, "--masks", str(out / "masks.bin"),
+            "--output", str(out / "estimate-ideal.pgm"),
+        ],
+        "run": ["run", *common, "--ideal-masks", *noise, "--output", str(out / "ideal")],
+    }
+    out.mkdir(parents=True, exist_ok=True)
+    for name, argv in steps.items():
+        (out / f"{name}.stdout").write_text(run(cli, argv).replace(str(out), "<out>"))
 
 
-def run(cli, argv: list[str]) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
+def run(cli, argv: list[str]) -> str:
+    """What ``risimage argv`` prints; exits unless it exits 0."""
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
         code = cli.main(argv)
     if code != 0:
         raise SystemExit(f"risimage {' '.join(argv)} exited {code}")
+    return printed.getvalue()
 
 
 def digest(path: Path) -> str:
