@@ -25,6 +25,7 @@ from .runner import (
     build_mask_set,
     export_synthesis,
     load_plan,
+    measure_points,
     plan_points,
     regularized_inverse,
     run_plan,
@@ -214,17 +215,7 @@ def cmd_measure(args) -> int:
 
     # the point's masks and fields are built, and measured as a stack of one, as a sweep's are
     masks, fields = build_mask_set(plan, scene, grids, target, [point.n_measurements], inverse, None)
-    meas = measurement.measure(
-        fields,
-        masks.kind,
-        [point.snr_db],
-        [point.seed],
-        noise_mode=plan.noise_mode,
-        n0_dbm_per_hz=plan.n0_dbm_per_hz,
-        bandwidth_hz=plan.bandwidth_hz,
-    )
-    if meas.errors[0] is not None:
-        raise meas.errors[0]
+    meas = measure_points(plan, [point], fields, masks.kind)
     out = Path(plan.output_dir)
     out.parent.mkdir(parents=True, exist_ok=True)
     measurement.records_to_csv(out, meas)

@@ -24,7 +24,6 @@ from .em_core import psf_vector, text_file_writer
 from .errors import (
     DimensionMismatch,
     EmptySet,
-    ImagingError,
     KindMismatch,
     MalformedConfig,
     MalformedRecords,
@@ -92,16 +91,13 @@ class Measurements:
     ``noisy`` has a row per measured set, of detected magnitudes (float) for
     plane targets or complex fields for volume targets, one entry per mask;
     ``noiseless`` is always the complex field. ``noise_variance`` and
-    ``seed`` hold each row's variance and noise stream key, and ``errors``
-    one entry per set asked for: None for a set that is a row of the stack,
-    else the :class:`ImagingError` that stopped its measurement.
+    ``seed`` hold each row's variance and noise stream key.
     """
 
     noiseless: np.ndarray  # (I,) complex128
     noisy: np.ndarray  # (P, I), float64 or complex128
     noise_variance: tuple[float, ...]
     seed: tuple[int, ...]
-    errors: tuple[ImagingError | None, ...]
 
     def __len__(self) -> int:
         """Measurements per set."""
@@ -281,40 +277,32 @@ def measure(
     over the stack; volume masks keep the complex field. An SNR of None
     disables noise. In ``relative`` mode the variance is set from the
     requested SNR against the simulated signal power; in ``absolute`` mode
-    it is the thermal power N0 * B. An :class:`ImagingError` of one set's
-    variance or noise fails that set alone: it is left out of the rows, and
-    its error kept in ``errors``. Deterministic under a fixed seed.
+    it is the thermal power N0 * B. Raises :class:`EmptySet` for empty
+    ``fields`` when any set is noisy, as their signal power is undefined.
+    Deterministic under a fixed seed.
     """
     if len(snr_values) != len(seeds):
         raise ValueError(f"{len(snr_values)} SNR values for {len(seeds)} seeds")
     if noise_mode not in (NOISE_RELATIVE, NOISE_ABSOLUTE):
         raise ValueError(f"unknown noise mode {noise_mode!r}")
     noisy = np.zeros((len(seeds), len(fields)), dtype=np.complex128)
-    power, variances, errors = None, [], []
+    power, variances = None, []
     for row, snr, key in zip(noisy, snr_values, seeds):
-        try:
-            if snr is None:
-                variance = 0.0
-            elif noise_mode == NOISE_RELATIVE:
-                power = signal_power(fields) if power is None else power
-                variance = float(power / 10.0 ** (snr / 10.0))
-            else:
-                variance = noise_power_watts(n0_dbm_per_hz, bandwidth_hz)
-            if variance > 0.0:
-                complex_noise(variance, key, len(fields), out=row)
-        except ImagingError as exc:
-            errors.append(exc)
+        if snr is None:
+            variance = 0.0
+        elif noise_mode == NOISE_RELATIVE:
+            power = signal_power(fields) if power is None else power
+            variance = float(power / 10.0 ** (snr / 10.0))
         else:
-            errors.append(None)
-            variances.append(variance)
-    measured = [index for index, error in enumerate(errors) if error is None]
-    noisy = noisy[measured] if len(measured) < len(seeds) else noisy
+            variance = noise_power_watts(n0_dbm_per_hz, bandwidth_hz)
+        if variance > 0.0:
+            complex_noise(variance, key, len(fields), out=row)
+        variances.append(variance)
     noisy += fields
     if mask_kind == KIND_MASK2D:
         # hypot matches Python's abs(complex) bit for bit; np.abs does not
         noisy = np.hypot(noisy.real, noisy.imag)
-    kept = tuple(seeds[index] for index in measured)
-    return Measurements(fields, noisy, tuple(variances), kept, tuple(errors))
+    return Measurements(fields, noisy, tuple(variances), tuple(seeds))
 
 
 # --- CSV export ------------------------------------------------------------------
@@ -394,5 +382,4 @@ def records_from_csv(path: str | Path) -> Measurements:
         noisy=np.array([noisy]),
         noise_variance=(noise_variance,),
         seed=(seed,),
-        errors=(None,),
     )

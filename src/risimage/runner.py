@@ -351,6 +351,24 @@ def export_synthesis(
     return realized
 
 
+def measure_points(
+    plan: ExperimentPlan, points: list[PointResult], fields: np.ndarray, mask_kind: str
+) -> measurement.Measurements:
+    """The measurement sets of ``points`` as one stack, a row per point from
+    its own SNR and noise stream, all taken from the noiseless receiver
+    ``fields`` of one set of ``mask_kind`` masks under the plan's noise
+    settings (``measurement.measure``)."""
+    return measurement.measure(
+        fields,
+        mask_kind,
+        [point.snr_db for point in points],
+        [point.seed for point in points],
+        noise_mode=plan.noise_mode,
+        n0_dbm_per_hz=plan.n0_dbm_per_hz,
+        bandwidth_hz=plan.bandwidth_hz,
+    )
+
+
 def score(
     scene: ValidatedScene, grids: SampleGrids, psf, meas, masks: MaskSet, calibration: str, truth: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -384,42 +402,25 @@ def _score_group(
     ``noiseless`` receiver fields they share, as one stack.
 
     Each point is measured from its own noise stream into its own row of
-    one stack (``measurement.measure``), and the stack is reconstructed,
+    one stack (:func:`measure_points`), and the stack is reconstructed,
     calibrated and scored in one pass (:func:`score`), each row with the
     bits of its point scored alone; then each point's estimate images are
-    written. An error of one point's measurement, or an NMSE that is not a
-    finite number, fails that point; an error of the reconstruction or the
-    calibration fails every point of the stack. The group's first point
-    books the shared measure and score in its ``wall_ms`` (``lap()`` gives
-    the milliseconds since its last call), and each point its own images.
+    written. An NMSE that is not a finite number fails its point; an error
+    of the measurement, the reconstruction or the calibration fails every
+    point of the stack. The group's first point books the shared measure
+    and score in its ``wall_ms`` (``lap()`` gives the milliseconds since its
+    last call), and each point its own images.
     """
-    meas = measurement.measure(
-        noiseless,
-        masks.kind,
-        [point.snr_db for point in group],
-        [point.seed for point in group],
-        noise_mode=plan.noise_mode,
-        n0_dbm_per_hz=plan.n0_dbm_per_hz,
-        bandwidth_hz=plan.bandwidth_hz,
-    )
-    points = []
-    for point, error in zip(group, meas.errors):
-        if error is None:
-            points.append(point)
-        else:
-            point.error = _error_text(error)
-    if not points:
-        group[0].wall_ms += lap()
-        return
     try:
+        meas = measure_points(plan, group, noiseless, masks.kind)
         estimates, errors = score(scene, grids, psf, meas, masks, plan.calibration, target.values)
     except ImagingError as exc:
-        for point in points:
+        for point in group:
             point.error = _error_text(exc)
         return
     finally:
         group[0].wall_ms += lap()
-    for point, estimate, error in zip(points, estimates, errors.tolist()):
+    for point, estimate, error in zip(group, estimates, errors.tolist()):
         try:
             point.nmse = reconstruct.finite_score(error)
         except ImagingError as exc:

@@ -418,6 +418,8 @@ def parse_key_values(text: str) -> dict[str, str]:
             raise MalformedConfig(f"line {lineno}: empty key or value in {raw!r}")
         if key in values:
             raise MalformedConfig(f"line {lineno}: duplicate key {key!r}")
+        if "\0" in value:  # no path, name or number holds one
+            raise MalformedConfig(f"line {lineno}: the value of {key!r} holds a NUL byte")
         values[key] = value
     return values
 

@@ -790,6 +790,18 @@ class TestBadInput:
         assert error in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("key", ["scene", "output_dir", "target"])
+    def test_nul_byte_in_a_plan_value(self, scene_file, tmp_path, capsys, key):
+        entries = {"scene": scene_file.name, "output_dir": str(tmp_path / "p"), "target": "block"}
+        entries[key] = entries[key][:3] + "\x00" + entries[key][3:]
+        plan_path = tmp_path / "plan.cfg"
+        plan_path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+        assert cli.main(["sweep", "--plan", str(plan_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: MalformedConfig: ") and f"{key!r} holds a NUL byte" in err
+        assert "Traceback" not in err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["plan.cfg", "scene.cfg"]
+
     def test_non_positive_distance_in_plan(self, scene_file, tmp_path, capsys):
         plan_path = tmp_path / "plan.cfg"
         plan_path.write_text(f"scene = {scene_file.name}\nz_values = -0.1\noutput_dir = {tmp_path / 'p'}\n")
@@ -2007,14 +2019,14 @@ class TestRunnerInternals:
 
 def scored_alone(plan, out_dir):
     """Each point of ``plan`` measured and scored alone, by one-row
-    ``measurement.measure`` and ``runner.score``, its images written to
+    ``runner.measure_points`` and ``runner.score``, its images written to
     ``out_dir``: {index: nmse}."""
     out_dir.mkdir()
     result = rn.RunResult(run_dir=out_dir, points=rn.plan_points(plan), kernel_builds=0)
     scores = {}
     for group, (scene, grids, target, psf, masks, _inv, noiseless) in rn._shared_builds(plan, result):
         for point in group:
-            meas = ms.measure(noiseless, masks.kind, [point.snr_db], [point.seed], noise_mode=plan.noise_mode)
+            meas = rn.measure_points(plan, [point], noiseless, masks.kind)
             calibrated, errors = rn.score(scene, grids, psf, meas, masks, plan.calibration, target.values)
             scores[point.index] = errors.tolist()[0]
             rn.write_estimate_images(out_dir / f"estimate_{point.index:03d}.pgm", calibrated[0], target.grid_shape)
@@ -2081,25 +2093,30 @@ class TestGroupScoring:
         assert sorted(estimate_files(tmp_path / "run")) == ["estimate_000.pgm", "estimate_001.pgm", "estimate_003.pgm"]
         assert (tmp_path / "run" / "errors.log").read_text() == f"point 2: {errors[2]}\n"
 
-    def test_a_failed_measurement_leaves_the_rest_of_its_group(self, tmp_path, monkeypatch):
+    def test_a_failed_measurement_fails_its_whole_group(self, tmp_path, monkeypatch):
+        # the noise stream of the I = 128 group's 20 dB point fails while that group is measured
         plan = rn.ExperimentPlan(
-            scene=small_config(), i_values=(128,), snr_values=(None, 20.0, 10.0), output_dir=str(tmp_path / "run")
+            scene=small_config(), i_values=(64, 128), snr_values=(None, 20.0, 10.0), output_dir=str(tmp_path / "run")
         )
         alone = scored_alone(plan, tmp_path / "alone")
 
-        # the 20 dB point's noise stream fails while the stack is measured
         def failing(variance, seed, count, out=None, _original=ms.complex_noise):
-            if seed == plan.seed + 1:
+            if seed == plan.seed + 4:
                 raise EmptySet("no records")
             return _original(variance, seed, count, out=out)
 
         monkeypatch.setattr(ms, "complex_noise", failing)
         result = rn.run_plan(plan)
-        assert [p.error for p in result.points] == [None, "EmptySet: no records", None]
-        assert [result.points[i].nmse for i in (0, 2)] == [alone[0], alone[2]]
+        assert [p.error for p in result.points] == [None] * 3 + ["EmptySet: no records"] * 3
+        assert all(p.nmse is None and p.retained_rank is None for p in result.points[3:])
+        # the other mask count's group scores as it would alone
+        assert [p.nmse for p in result.points[:3]] == [alone[i] for i in range(3)]
         assert estimate_files(tmp_path / "run") == {
-            name: data for name, data in estimate_files(tmp_path / "alone").items() if name != "estimate_001.pgm"
+            name: data for name, data in estimate_files(tmp_path / "alone").items() if name < "estimate_003"
         }
+        assert (tmp_path / "run" / "errors.log").read_text() == "".join(
+            f"point {i}: EmptySet: no records\n" for i in range(3, 6)
+        )
 
     def test_a_failed_reconstruction_fails_its_whole_group(self, tmp_path, monkeypatch):
         def failing(meas, masks, psf):

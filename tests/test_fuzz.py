@@ -172,13 +172,16 @@ def check_case(scene_text: str, scene_argv: list[str], flags: list[str]) -> None
 
 
 # A valid plan on the plane scene, and the keys a case replaces with numbers,
-# words or lists with an empty item.
+# words, words holding a NUL byte or lists with an empty item.
 VALID_PLAN = {"target": "block", "i_values": "32", "snr_values": "none, 20", "seed": "3"}
 PLAN_KEYS = [
     "i_values", "snr_values", "z_values", "gamma", "threshold_factor", "seed",
     "ideal_masks", "keep_artifacts", "calibration", "n0_dbm_per_hz", "bandwidth_hz",
 ]
-PLAN_WORDS = ["none", "None", "yes", "maybe", "true", "0", "32,", ",20", "32,,64", "none,", "20, none", "32, 64"]
+PLAN_WORDS = [
+    "none", "None", "yes", "maybe", "true", "0", "32,", ",20", "32,,64", "none,", "20, none", "32, 64",
+    "32\x00", "none\x00", "max1\x00", "20,\x00",
+]
 
 
 @st.composite

@@ -356,11 +356,11 @@ class TestStackedMeasure:
         snr_values, seeds = [None, 0.0, 20.0, 40.0], [7, 8, 9, ms.SEED_LIMIT - 1]
         stack = ms.measure(fields, kind, snr_values, seeds, **options)
         assert stack.noisy.shape == (4, 64) and len(stack) == 64
-        assert stack.errors == (None,) * 4 and stack.seed == tuple(seeds) and stack.noiseless is fields
+        assert stack.seed == tuple(seeds) and stack.noiseless is fields
         for row, variance, snr_db, seed in zip(stack.noisy, stack.noise_variance, snr_values, seeds):
             alone = ms.measure(fields, kind, [snr_db], [seed], **options)
             assert row.tobytes() == alone.noisy[0].tobytes() and (variance,) == alone.noise_variance
-            one = ms.Measurements(fields, row[None], (variance,), (seed,), (None,))
+            one = ms.Measurements(fields, row[None], (variance,), (seed,))
             ms.records_to_csv(tmp_path / "row.csv", one)
             ms.records_to_csv(tmp_path / "alone.csv", alone)
             assert (tmp_path / "row.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
@@ -391,31 +391,12 @@ class TestStackedMeasure:
         assert len(powers) == 1 and powers[0] is fields
         assert keys == [5, 6, 7]  # a noiseless set draws nothing
 
-    def test_a_failed_set_leaves_the_others(self, monkeypatch):
-        fields = np.linspace(1.0, 2.0, 32) * (1.0 + 0.5j)
-        snr_values, seeds = [None, 10.0, 20.0], [4, 5, 6]
-        expected = ms.measure(fields, md.KIND_MASK3D, snr_values, seeds)
-        original = ms.complex_noise
-
-        def failing(variance, seed, count, out=None):
-            if seed == 5:
-                raise EmptySet("no stream")
-            return original(variance, seed, count, out=out)
-
-        monkeypatch.setattr(ms, "complex_noise", failing)
-        stack = ms.measure(fields, md.KIND_MASK3D, snr_values, seeds)
-        assert [str(error) if error else None for error in stack.errors] == [None, "no stream", None]
-        assert stack.seed == (4, 6) and stack.noise_variance == expected.noise_variance[::2]
-        assert stack.noisy.tobytes() == expected.noisy[::2].tobytes()
-        # a stack of one failed set has no rows
-        one = ms.measure(fields, md.KIND_MASK3D, [10.0], [5])
-        assert one.noisy.shape == (0, 32) and one.seed == () and str(one.errors[0]) == "no stream"
-
-    def test_empty_fields_fail_only_the_noisy_sets(self):
+    def test_empty_fields_fail_when_any_set_is_noisy(self):
         empty = np.zeros(0, dtype=complex)
-        stack = ms.measure(empty, md.KIND_MASK2D, [None, 10.0], [1, 2])
-        assert stack.errors[0] is None and isinstance(stack.errors[1], EmptySet)
-        assert stack.noisy.shape == (1, 0) and stack.seed == (1,)
+        with pytest.raises(EmptySet):
+            ms.measure(empty, md.KIND_MASK2D, [None, 10.0], [1, 2])
+        stack = ms.measure(empty, md.KIND_MASK2D, [None, None], [1, 2])
+        assert stack.noisy.shape == (2, 0) and stack.seed == (1, 2) and stack.noise_variance == (0.0, 0.0)
 
 
 class TestMeasurementCsv:
@@ -429,7 +410,7 @@ class TestMeasurementCsv:
         loaded = ms.records_from_csv(path)
         assert loaded.noisy.tolist() == meas.noisy.tolist()
         assert loaded.noiseless.tolist() == meas.noiseless.tolist()
-        assert loaded.seed == meas.seed == (2,) and loaded.errors == (None,)
+        assert loaded.seed == meas.seed == (2,)
         assert loaded.noise_variance == meas.noise_variance
 
     def test_round_trip_3d(self, volume_scene, tmp_path):
@@ -453,11 +434,6 @@ class TestMeasurementCsv:
         path.write_text("old")
         with pytest.raises(DimensionMismatch, match="stack of 2"):
             ms.records_to_csv(path, sets)
-        # nor does a stack of one set whose measurement failed
-        failed = ms.measure(np.zeros(0, dtype=complex), kind, [10.0], [4])
-        assert isinstance(failed.errors[0], EmptySet)
-        with pytest.raises(DimensionMismatch, match="stack of 0"):
-            ms.records_to_csv(path, failed)
         assert path.read_text() == "old"
 
     def test_rfc4180_line_endings(self, small_scene, tmp_path):

@@ -160,7 +160,7 @@ class TestReconstruct2d:
     def test_equal_measurements_give_zero_grid(self, small_scene):
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128)
-        meas = ms.Measurements(np.full(128, 1 + 0j), np.full((1, 128), 2.5), (0.0,), (0,), (None,))
+        meas = ms.Measurements(np.full(128, 1 + 0j), np.full((1, 128), 2.5), (0.0,), (0,))
         psf = em.psf_vector(scene, grids.target_points)
         result = rc.reconstruct_2d(meas, masks, psf)
         np.testing.assert_array_equal(result.estimate, 0.0)
@@ -216,7 +216,7 @@ class TestReconstruct2d:
         scene, grids = small_scene
         masks = md.ideal_masks(scene, grids, 128)
         fields = np.full(128, 1 + 1j)
-        meas = ms.Measurements(fields, fields[None], (0.0,), (0,), (None,))
+        meas = ms.Measurements(fields, fields[None], (0.0,), (0,))
         with pytest.raises(KindMismatch):
             rc.reconstruct_2d(meas, masks, em.psf_vector(scene, grids.target_points))
 
@@ -226,7 +226,7 @@ class TestReconstruct2d:
         psf = em.psf_vector(scene, grids.target_points)
         with pytest.raises(DimensionMismatch):
             rc.reconstruct_2d(
-                ms.Measurements(np.zeros(0, complex), np.zeros((1, 0)), (0.0,), (0,), (None,)),
+                ms.Measurements(np.zeros(0, complex), np.zeros((1, 0)), (0.0,), (0,)),
                 masks,
                 psf,
             )
@@ -312,7 +312,7 @@ class TestReconstruct3d:
     def test_real_records_rejected(self, volume_scene):
         scene, grids = volume_scene
         masks = md.ideal_masks(scene, grids, 16)
-        meas = ms.Measurements(np.ones(16, complex), np.ones((1, 16)), (0.0,), (0,), (None,))
+        meas = ms.Measurements(np.ones(16, complex), np.ones((1, 16)), (0.0,), (0,))
         with pytest.raises(KindMismatch):
             rc.reconstruct_3d(scene, meas, masks)
 
