@@ -233,9 +233,8 @@ def cmd_reconstruct(args) -> int:
     if kind == mask_design.KIND_MASK2D:  # a plane reconstruction reads only the mask magnitudes
         vectors = np.abs(vectors)
     masks = mask_design.MaskSet(kind=kind, stored=vectors)
-    psf = None if scene.is_3d else em_core.psf_vector(scene, grids.target_points)
     target = resolve_target(plan.target, scene)
-    calibrated, errors = score(scene, grids, psf, meas, masks, plan.calibration, target.values)
+    calibrated, errors = score(scene, grids, meas, masks, plan.calibration, target.values)
     error = reconstruct.finite_score(errors.tolist()[0])
     out = Path(plan.output_dir)
     out.parent.mkdir(parents=True, exist_ok=True)

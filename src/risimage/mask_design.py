@@ -89,10 +89,9 @@ class MaskSet:
     repeats them.
     The generating coefficient vectors are not kept:
     ``ris_synthesis.profile_writer`` maps them from the inverse, a block of
-    rows at a time, when they are exported. ``moments`` are computed on
-    first read and kept, and shared with every set of the same distinct
-    rows that :meth:`first` makes; a set made by ``dataclasses.replace``
-    starts without them.
+    rows at a time, when they are exported. Each set computes its own
+    ``moments`` on first read and keeps them; a set made by :meth:`first`
+    or ``dataclasses.replace`` starts without them.
     """
 
     kind: str  # KIND_MASK2D | KIND_MASK3D
@@ -145,20 +144,14 @@ class MaskSet:
         """The set of this set's first ``count`` masks, ``count`` at most
         :attr:`count` and a multiple of R when above it: a view of a prefix
         of the distinct rows, or those rows repeated, with their solution
-        norms. A set of all R distinct rows shares this set's ``moments``,
-        which either of them computes at most once."""
+        norms."""
         distinct = self.distinct_rows
         norms = None if self.solution_norms is None else self.solution_norms[:count]
         if self.stored is None:
-            first = replace(self, design=(count, self.points))
-        elif count > distinct:
-            first = replace(self, solution_norms=norms, repeats=count // distinct)
-        else:
-            first = replace(self, stored=self.stored[:count], solution_norms=norms, repeats=1)
-        if count >= distinct:  # the same distinct rows, so the same moments
-            cached = [self.moments] if "moments" in self.__dict__ else []
-            first.__dict__["_shared_moments"] = self.__dict__.setdefault("_shared_moments", cached)
-        return first
+            return replace(self, design=(count, self.points))
+        if count > distinct:
+            return replace(self, solution_norms=norms, repeats=count // distinct)
+        return replace(self, stored=self.stored[:count], solution_norms=norms, repeats=1)
 
     @property
     def magnitudes_only(self) -> bool:
@@ -224,12 +217,6 @@ class MaskSet:
         never exists whole and the rows are added in the same order as
         numpy's axis-0 sum of the whole array.
         """
-        shared = self.__dict__.get("_shared_moments", [])
-        if not shared:
-            shared.append(self._moments())
-        return shared[0]
-
-    def _moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self.count == 0:
             raise EmptyMaskSet("mask set has no measurements")
         distinct = slice(0, self.distinct_rows)

@@ -1,10 +1,12 @@
 """Experiment orchestration: plans, sweeps, and run-directory output.
 
 A plan expands into the Cartesian product of target distances, measurement
-counts, and SNR settings, run in that nesting order: a distance builds its
-kernel and regularized inverse once, its mask counts share one mask set, and
-the SNR points, which differ only in noise, reuse them and are reconstructed
-together, as one stack of their measurements.
+counts, and SNR settings, run in that nesting order, one call of
+``_run_distance`` per distance: a distance builds its kernel and regularized
+inverse once, its mask counts share one mask set, each count taking its
+first rows and computing its own moments from them, and the SNR points,
+which differ only in noise, reuse them and are reconstructed together, as
+one stack of their measurements.
 Everything derived from the plan seed is deterministic: re-running a plan
 reproduces the metrics CSV byte for byte (wall-clock timings therefore live
 in a separate file).
@@ -15,7 +17,7 @@ from __future__ import annotations
 import csv
 import os
 import time
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from itertools import groupby
@@ -170,79 +172,95 @@ class RunResult:
     kernel_builds: int
 
 
-def _error_text(exc: ImagingError) -> str:
-    return f"{type(exc).__name__}: {exc}"
+def _run_distance(plan: ExperimentPlan, points: list[PointResult], result: RunResult, lap: Callable[[], float]) -> None:
+    """Run the ``points`` of one distance, in plan order.
 
-
-def _shared_builds(
-    plan: ExperimentPlan, result: RunResult
-) -> Iterator[tuple[list[PointResult], tuple | ImagingError]]:
-    """Build what each run of points at one distance and mask count shares.
-
-    Yields ``(group, shared)`` in plan order, where ``shared`` is
-    ``(scene, grids, target, psf, masks, inv, noiseless)`` or the error that
-    stopped one of those builds. A distance's scene, grids, target and PSF
-    are built once, and its kernel and regularized inverse once, at the
-    first mask count that needs them: the inverse is decomposed from the
-    stream of the kernel's rows as they are assembled, so the kernel never
-    exists whole.
-
-    A design's rows repeat (``mask_design.distinct_row_count``), so the mask
-    counts at a distance share one mask set, built for the largest of them
-    (:func:`build_mask_set`), whose noiseless receiver fields are computed once
-    for every SNR point, a realized set's in its realization pass. Each
-    count's set is its first rows (``MaskSet.first``), its fields their
-    prefix, and it keeps its own moments for reconstruction
-    (``MaskSet.moments``). A realization that fails with
-    :class:`ZeroSolution` at mask r fails only the counts above r: the
-    largest count up to r is built alone for the rest. Under
-    ``keep_artifacts`` every count's exports read that one realization pass
+    The distance's scene, grids and target are built once, and its kernel
+    and regularized inverse once, when its masks first need them: the
+    inverse is decomposed from the stream of the kernel's rows as they are
+    assembled, so the kernel never exists whole. Under ``keep_artifacts``
+    every count's exports read one realization pass
     (:func:`export_synthesis`), which needs the inverse's sector blocks;
     otherwise the inverse drops them once it is built, since realizing
     masks reads only its target-side factors.
+
+    A design's rows repeat (``mask_design.distinct_row_count``), so the mask
+    counts share one mask set, built for the largest of them
+    (:func:`build_mask_set`), whose noiseless receiver fields are computed
+    once for every SNR point, a realized set's in its realization pass.
+    Each count's set is its first rows (``MaskSet.first``), which computes
+    its own moments, and its fields their prefix. A realization that fails
+    with :class:`ZeroSolution` at mask r fails only the counts above r: the
+    largest count up to r is built alone for the rest.
+
+    The points of one count are measured from their own noise streams into
+    the rows of one stack (:func:`measure_points`), which is reconstructed,
+    calibrated and scored in one pass (:func:`score`), each row with the
+    bits of its point scored alone; then each point's estimate images are
+    written. An error of a build fails every point that needs it, an error
+    of the measurement, the reconstruction or the calibration every point
+    of its count, and an NMSE that is not a finite number its own point.
+    A count's first point books in its ``wall_ms`` the builds before it and
+    its count's measure and score (``lap()`` gives the milliseconds since
+    its last call), and each point its own images.
     """
+
+    def fail(failed: list[PointResult], exc: ImagingError) -> None:
+        for point in failed:
+            point.error = f"{type(exc).__name__}: {exc}"
+
+    try:
+        scene = validate_scene(with_target_distance(plan.scene, points[0].z_prime))
+        grids = sample_grids(scene)
+        target = resolve_target(plan.target, scene)
+    except ImagingError as exc:
+        points[0].wall_ms += lap()
+        fail(points, exc)
+        return
     artifact_dir = result.run_dir / "artifacts" if plan.keep_artifacts else None
-    for z_prime, at_distance in groupby(result.points, key=attrgetter("z_prime")):
-        at_distance = list(at_distance)
+    inv = None
+
+    def inverse() -> ris_synthesis.RegularizedInverse:
+        nonlocal inv
+        if inv is None:
+            result.kernel_builds += 1
+            inv = regularized_inverse(plan, scene, grids, points[0].gamma)
+            if artifact_dir is None:  # no profile maps back to the aperture
+                inv = inv.without_blocks()
+        return inv
+
+    groups = [(count, list(group)) for count, group in groupby(points, key=attrgetter("n_measurements"))]
+    counts = list(dict.fromkeys(count for count, _ in groups))
+    mask_set, largest = None, max(counts)
+    while mask_set is None and largest:
+        built = [count for count in counts if count <= largest]
         try:
-            scene = validate_scene(with_target_distance(plan.scene, z_prime))
-            grids = sample_grids(scene)
-            target = resolve_target(plan.target, scene)
-            psf = None if scene.is_3d else em_core.psf_vector(scene, grids.target_points)
+            mask_set, fields = build_mask_set(plan, scene, grids, target, built, inverse, artifact_dir)
+        except ZeroSolution as exc:  # the masks before exc.mask are realizable
+            error, largest = exc, max((count for count in counts if count <= exc.mask), default=0)
         except ImagingError as exc:
-            yield at_distance, exc
-            continue
-        inv = None
-
-        def inverse() -> ris_synthesis.RegularizedInverse:
-            nonlocal inv
-            if inv is None:
-                result.kernel_builds += 1
-                inv = regularized_inverse(plan, scene, grids, at_distance[0].gamma)
-                if artifact_dir is None:  # no profile maps back to the aperture
-                    inv = inv.without_blocks()
-            return inv
-
-        groups = [(count, list(points)) for count, points in groupby(at_distance, key=attrgetter("n_measurements"))]
-        counts = list(dict.fromkeys(count for count, _ in groups))
-        mask_set, largest = None, max(counts)
-        while mask_set is None and largest:
-            built = [count for count in counts if count <= largest]
-            try:
-                mask_set = build_mask_set(plan, scene, grids, target, built, inverse, artifact_dir)
-            except ZeroSolution as exc:  # the masks before exc.mask are realizable
-                error, largest = exc, max((count for count in counts if count <= exc.mask), default=0)
-            except ImagingError as exc:
-                error, largest = exc, 0
-        for count, group in groups:
+            error, largest = exc, 0
+    for count, group in groups:
+        try:
             if count > largest:
-                yield group, error
+                raise error
+            masks = mask_set.first(count)
+            meas = measure_points(plan, group, fields[:count], masks.kind)
+            estimates, errors = score(scene, grids, meas, masks, plan.calibration, target.values)
+        except ImagingError as exc:
+            fail(group, exc)
+            continue
+        finally:
+            group[0].wall_ms += lap()
+        for point, estimate, nmse in zip(group, estimates, errors.tolist()):
+            try:
+                point.nmse = reconstruct.finite_score(nmse)
+            except ImagingError as exc:
+                fail([point], exc)
             else:
-                masks, noiseless = mask_set
-                yield group, (scene, grids, target, psf, masks.first(count), inv, noiseless[:count])
-                del masks, noiseless
-        # dropped before the next distance's kernel is built
-        del mask_set
+                point.retained_rank = inv.retained_rank if inv is not None else None
+                write_estimate_images(result.run_dir / f"estimate_{point.index:03d}.pgm", estimate, target.grid_shape)
+            point.wall_ms += lap()
 
 
 def regularized_inverse(
@@ -370,67 +388,20 @@ def measure_points(
 
 
 def score(
-    scene: ValidatedScene, grids: SampleGrids, psf, meas, masks: MaskSet, calibration: str, truth: np.ndarray
+    scene: ValidatedScene, grids: SampleGrids, meas, masks: MaskSet, calibration: str, truth: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reconstruct the stack of measurement sets ``meas``
-    (``measurement.measure``) by the scene's kind (``psf`` is the plane PSF,
-    ``None`` for a volume), remove the cell measure, calibrate against
+    (``measurement.measure``) by the scene's kind, a plane through its PSF
+    (``em_core.psf_vector``), remove the cell measure, calibrate against
     ``truth`` and return the calibrated estimates and their NMSEs, a row and
     an NMSE per set (``reconstruct.nmse``)."""
     if scene.is_3d:
         result = reconstruct.reconstruct_3d(scene, meas, masks)
     else:
-        result = reconstruct.reconstruct_2d(meas, masks, psf)
+        result = reconstruct.reconstruct_2d(meas, masks, em_core.psf_vector(scene, grids.target_points))
     # Remove the known physical cell measure before any calibration.
     estimates = reconstruct.calibrate_estimate(result.estimate / grids.target_cell_measure, calibration, truth)
     return estimates, reconstruct.nmse(truth, estimates)
-
-
-def _score_group(
-    plan: ExperimentPlan,
-    group: list[PointResult],
-    lap: Callable[[], float],
-    scene: ValidatedScene,
-    grids: SampleGrids,
-    target: TargetModel,
-    psf: np.ndarray | None,
-    masks: MaskSet,
-    inv: ris_synthesis.RegularizedInverse | None,
-    noiseless: np.ndarray,
-) -> None:
-    """Score the points of one distance and mask count, whose ``masks`` and
-    ``noiseless`` receiver fields they share, as one stack.
-
-    Each point is measured from its own noise stream into its own row of
-    one stack (:func:`measure_points`), and the stack is reconstructed,
-    calibrated and scored in one pass (:func:`score`), each row with the
-    bits of its point scored alone; then each point's estimate images are
-    written. An NMSE that is not a finite number fails its point; an error
-    of the measurement, the reconstruction or the calibration fails every
-    point of the stack. The group's first point books the shared measure
-    and score in its ``wall_ms`` (``lap()`` gives the milliseconds since its
-    last call), and each point its own images.
-    """
-    try:
-        meas = measure_points(plan, group, noiseless, masks.kind)
-        estimates, errors = score(scene, grids, psf, meas, masks, plan.calibration, target.values)
-    except ImagingError as exc:
-        for point in group:
-            point.error = _error_text(exc)
-        return
-    finally:
-        group[0].wall_ms += lap()
-    for point, estimate, error in zip(group, estimates, errors.tolist()):
-        try:
-            point.nmse = reconstruct.finite_score(error)
-        except ImagingError as exc:
-            point.error = _error_text(exc)
-        else:
-            point.retained_rank = inv.retained_rank if inv is not None else None
-            write_estimate_images(
-                os.path.join(plan.output_dir, f"estimate_{point.index:03d}.pgm"), estimate, target.grid_shape
-            )
-        point.wall_ms += lap()
 
 
 def _stopwatch() -> Callable[[], float]:
@@ -472,9 +443,11 @@ def run_plan(plan: ExperimentPlan) -> RunResult:
     """Execute every sweep point in plan order and write the run directory.
 
     Contents: resolved config snapshot, metrics.csv (deterministic given the
-    seed), timings.csv, one estimate image per point (per slice and component
-    for volumes), errors.log for failed points, and mask/profile exports when
-    ``keep_artifacts`` is set.
+    seed), timings.csv, one estimate image per scored point (per slice and
+    component for volumes), errors.log for failed points, and mask/profile
+    exports when ``keep_artifacts`` is set. A run into a used directory
+    removes the errors.log of an earlier run when no point fails, and the
+    estimate images of an earlier run at the index of each point that fails.
     """
     plan.validate()
     run_dir = Path(plan.output_dir)
@@ -485,16 +458,8 @@ def run_plan(plan: ExperimentPlan) -> RunResult:
 
     result = RunResult(run_dir=run_dir, points=plan_points(plan), kernel_builds=0)
     lap = _stopwatch()
-    for group, shared in _shared_builds(plan, result):
-        # a group's first point also waited for the builds its group shares
-        group[0].wall_ms += lap()
-        if isinstance(shared, ImagingError):
-            for point in group:
-                point.error = _error_text(shared)
-        else:
-            _score_group(plan, group, lap, *shared)
-        # drop this group's kernel and masks before the next group is built
-        del shared
+    for _, points in groupby(result.points, key=attrgetter("z_prime")):
+        _run_distance(plan, list(points), result, lap)
 
     _write_csv(
         run_dir / "metrics.csv",
@@ -509,10 +474,18 @@ def run_plan(plan: ExperimentPlan) -> RunResult:
         TIMINGS_FIELDS,
         ((p.n_measurements, p.snr_db, p.z_prime, f"{p.wall_ms:.3f}") for p in result.points),
     )
-    errors = [f"point {p.index}: {p.error}" for p in result.points if p.error is not None]
-    if errors:
+    failed = [p for p in result.points if p.error is not None]
+    for p in failed:  # drop the images that an earlier run into this directory wrote for it
+        stem = f"estimate_{p.index:03d}"
+        (run_dir / f"{stem}.pgm").unlink(missing_ok=True)
+        for part in ("re", "im"):
+            for stale in run_dir.glob(f"{stem}_slice*_{part}.pgm"):
+                stale.unlink()
+    if failed:
         with em_core.text_file_writer(run_dir / "errors.log") as fh:
-            fh.write("\n".join(errors) + "\n")
+            fh.write("".join(f"point {p.index}: {p.error}\n" for p in failed))
+    else:
+        (run_dir / "errors.log").unlink(missing_ok=True)
     return result
 
 

@@ -1459,6 +1459,46 @@ class TestSweepingAgain:
             md.load_mask_vectors(run_dir / path)
         assert not list(run_dir.rglob(".*.tmp"))
 
+    def test_a_rerun_keeps_no_failure_record_or_image_of_an_earlier_run(self, scene_file, tmp_path):
+        # z' = 30 m is beyond the desk's 25 m Rayleigh distance, so its points fail
+        out = tmp_path / "run"
+        common = ["sweep", "--scene", str(scene_file), "-I", "128", "--output", str(out)]
+        assert cli.main([*common, "--snr-sweep", "none,20", "--z-sweep", "0.125,30,0.25"]) == 0
+        log = (out / "errors.log").read_text().splitlines()
+        assert [line.split(":")[0] for line in log] == ["point 2", "point 3"]
+        assert cli.main(common) == 0
+        assert len(read_metrics(out)) == 1 and not (out / "errors.log").exists()
+        # points 0 and 1 now fail, and drop the images of the first sweep's points 0 and 1;
+        # points 4 and 5 are beyond this sweep's points, so theirs stay
+        assert cli.main([*common, "--snr-sweep", "none,20", "--z-sweep", "30,0.125"]) == 0
+        names = sorted(p.name for p in out.glob("estimate_*"))
+        assert names == [f"estimate_00{i}.pgm" for i in (2, 3, 4, 5)]
+
+    def test_a_failed_point_removes_only_its_own_images(self, tmp_path):
+        # index 100 fails in the rerun: estimate_100.pgm goes, estimate_1000.pgm stays
+        plan = rn.ExperimentPlan(
+            scene=small_config(), i_values=(128,), snr_values=(None,) * 50, output_dir=str(tmp_path / "run")
+        )
+        assert all(p.error is None for p in rn.run_plan(dataclasses.replace(plan, z_values=(0.125, 0.15, 0.2))).points)
+        for name in ("estimate_1000.pgm", "estimate_1001.pgm", "estimate_100_other.pgm"):
+            shutil.copy(tmp_path / "run" / "estimate_100.pgm", tmp_path / "run" / name)
+        result = rn.run_plan(dataclasses.replace(plan, z_values=(0.125, 0.15, 30.0)))
+        assert [p.index for p in result.points if p.error is not None] == list(range(100, 150))
+        names = sorted(p.name for p in (tmp_path / "run").glob("estimate_*"))
+        assert names == [f"estimate_{i:03d}.pgm" for i in range(100)] + [
+            "estimate_1000.pgm", "estimate_1001.pgm", "estimate_100_other.pgm"
+        ]
+
+    def test_a_failed_volume_point_removes_its_slice_images(self, tmp_path):
+        plan = rn.ExperimentPlan(scene=volume_config(), i_values=(16,), output_dir=str(tmp_path / "run"))
+        assert all(p.error is None for p in rn.run_plan(dataclasses.replace(plan, z_values=(0.125, 0.15))).points)
+        slices = [f"estimate_{i:03d}_slice{z}_{part}.pgm" for i in (0, 1) for z in (0, 1) for part in ("im", "re")]
+        assert sorted(p.name for p in (tmp_path / "run").glob("estimate_*")) == slices
+        result = rn.run_plan(dataclasses.replace(plan, z_values=(30.0, 0.15)))
+        assert [p.error is None for p in result.points] == [False, True]
+        assert sorted(p.name for p in (tmp_path / "run").glob("estimate_*")) == slices[4:]
+        assert (tmp_path / "run" / "errors.log").read_text().startswith("point 0: NearFieldViolation: ")
+
 
 class TestBlockSizeIsInert:
     """The block size of every row-block pass (``em_core.block_rows``) moves a
@@ -1621,16 +1661,18 @@ class TestRunnerInternals:
         assert masks.magnitudes_only and not any(np.iscomplexobj(v) for v in held)
         assert np.shares_memory(masks.moments[0], masks.stored)
 
-    def test_counts_of_the_same_distinct_rows_share_their_moments(self, tmp_path, monkeypatch):
+    def test_counts_of_the_same_distinct_rows_compute_their_own_moments(self, tmp_path, monkeypatch):
         # 256 target points: I = 1,024 and 2,048 both repeat the same 512 realized
-        # rows, whose moments each distance computes once
+        # rows, and each count's set computes their moments once
         computed = []
 
-        def counted(masks, _original=md.MaskSet._moments):
+        def counted_moments(masks, _original=md.MaskSet.moments.func):
             computed.append((masks.count, masks.distinct_rows))
             return _original(masks)
 
-        monkeypatch.setattr(md.MaskSet, "_moments", counted)
+        counted = functools.cached_property(counted_moments)
+        counted.__set_name__(md.MaskSet, "moments")
+        monkeypatch.setattr(md.MaskSet, "moments", counted)
         plan = rn.ExperimentPlan(
             scene=desk_config(),
             i_values=(1024, 2048),
@@ -1640,7 +1682,7 @@ class TestRunnerInternals:
             output_dir=str(tmp_path / "run"),
         )
         assert all(p.error is None for p in rn.run_plan(plan).points)
-        assert computed == [(1024, 512)] * 2
+        assert computed == [(1024, 512), (2048, 512)] * 2
         monkeypatch.undo()
         # the noiseless metrics of each count swept alone
         for count in plan.i_values:
@@ -2019,15 +2061,25 @@ class TestRunnerInternals:
 
 def scored_alone(plan, out_dir):
     """Each point of ``plan`` measured and scored alone, by one-row
-    ``runner.measure_points`` and ``runner.score``, its images written to
-    ``out_dir``: {index: nmse}."""
+    ``runner.measure_points`` and ``runner.score`` on the first rows of its
+    distance's mask set (``runner.build_mask_set`` over the plan's counts),
+    its images written to ``out_dir``: {index: nmse}."""
     out_dir.mkdir()
-    result = rn.RunResult(run_dir=out_dir, points=rn.plan_points(plan), kernel_builds=0)
     scores = {}
-    for group, (scene, grids, target, psf, masks, _inv, noiseless) in rn._shared_builds(plan, result):
-        for point in group:
-            meas = rn.measure_points(plan, [point], noiseless, masks.kind)
-            calibrated, errors = rn.score(scene, grids, psf, meas, masks, plan.calibration, target.values)
+    for z_prime in plan.resolved_z_values():
+        points = [point for point in rn.plan_points(plan) if point.z_prime == z_prime]
+        scene = sc.validate_scene(sc.with_target_distance(plan.scene, z_prime))
+        grids = sc.sample_grids(scene)
+        target = resolve_target(plan.target, scene)
+
+        def inverse(scene=scene, grids=grids, gamma=points[0].gamma):
+            return rn.regularized_inverse(plan, scene, grids, gamma).without_blocks()
+
+        mask_set, fields = rn.build_mask_set(plan, scene, grids, target, list(plan.i_values), inverse, None)
+        for point in points:
+            masks = mask_set.first(point.n_measurements)
+            meas = rn.measure_points(plan, [point], fields[: point.n_measurements], masks.kind)
+            calibrated, errors = rn.score(scene, grids, meas, masks, plan.calibration, target.values)
             scores[point.index] = errors.tolist()[0]
             rn.write_estimate_images(out_dir / f"estimate_{point.index:03d}.pgm", calibrated[0], target.grid_shape)
     return scores

@@ -7,8 +7,8 @@ target, or over a 2x2x2 volume), overrides one or two of its keys and draws
 plane scene and runs ``sweep --plan``. The invariant, whatever the input:
 nothing is raised (warnings are errors under the project's pytest settings);
 ``validate`` exits 0 or 2, and when it exits 2 so does ``run``, before making
-its run directory; a plan value that the field reader rejects makes ``sweep``
-exit 2 with ``MalformedConfig``; a run or sweep that exits 2 makes no run
+its run directory; a plan value that the field reader rejects, or that holds
+a NUL byte, makes ``sweep`` exit 2 with ``MalformedConfig``; a run or sweep that exits 2 makes no run
 directory, one that exits 0 or 1 scores its points with finite NMSEs and logs
 each point without a score as an ``ImagingError`` subclass, and it exits 1
 only when no point is scored. Fixed seeds and a fixed example budget keep the
@@ -29,7 +29,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from risimage import cli, errors
 from risimage import em_core as em
@@ -192,9 +192,10 @@ def plan_entries(draw) -> dict[str, str]:
 
 
 def check_plan_case(entries: dict[str, str]) -> None:
+    # a NUL byte in any value is rejected as the plan file is read (scene.parse_key_values)
+    rejected = any("\x00" in value for value in entries.values())
     try:
         read_fields(ExperimentPlan, entries, "plan")
-        rejected = False
     except errors.MalformedConfig:
         rejected = True
     with tempfile.TemporaryDirectory() as tmp:
@@ -228,6 +229,8 @@ def test_volume_scene_inputs(scene_argv, flags):
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(entries=plan_entries())
+@example(entries={"calibration": "max1\x00"})  # a NUL in a str field, which read_fields takes as it is
+@example(entries={"target": "block\x00"})
 def test_plan_file_inputs(entries):
     check_plan_case(entries)
 

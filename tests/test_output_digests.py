@@ -10,6 +10,15 @@ import numpy as np
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
 
 
+# an 8 x 8 target under a 16 x 16 aperture of 0.25 m at 1 cm: the Rayleigh distance is 25 m
+SCENE_TEXT = (
+    "wavelength = 0.01\nris_len_x = 0.25\nris_len_y = 0.25\n"
+    "target_len_x = 0.125\ntarget_len_y = 0.125\ntarget_distance = 0.125\n"
+    "incident_elevation = 30\nreceiver_x = 5.0\nreceiver_y = 5.0\nreceiver_z = -1.25\n"
+    "n_ris_x = 16\nn_ris_y = 16\nn_target_x = 8\nn_target_y = 8\n"
+)
+
+
 def digests(seed: int) -> list[str]:
     done = subprocess.run(
         [sys.executable, str(TOOL), "--seeds", str(seed)], capture_output=True, text=True, timeout=300
@@ -39,6 +48,10 @@ def test_two_runs_list_the_same_digests():
         "seed-3/desk-none/metrics.csv",
         "seed-3/desk-lsq/estimate_003.pgm",
         "seed-3/desk-absolute/metrics.csv",
+        "seed-3/desk-far/metrics.csv",
+        "seed-3/desk-far/errors.log",
+        "seed-3/desk-far/estimate_011.pgm",
+        "seed-3/desk-far.stdout",
     ):
         assert expected in paths
     for stem in ("masks_ideal", "masks_realized", "profiles", "synthesis"):
@@ -52,6 +65,7 @@ def test_two_runs_list_the_same_digests():
         assert f"seed-3/{steps}/records-ideal.csv" in paths
     assert "seed-3/steps-desk-snr-dense/estimate-ideal.pgm" in paths
     assert "seed-3/steps-volume-zsweep/estimate-ideal_slice0_re.pgm" in paths
+    assert not any(path.startswith(f"seed-3/desk-far/estimate_00{i}") for i in (4, 5, 6, 7) for path in paths)
     assert not any("/kernels/" in path for path in paths)
     assert not any(path.endswith("timings.csv") for path in paths)
 
@@ -59,12 +73,7 @@ def test_two_runs_list_the_same_digests():
 def test_step_verb_stdout_names_no_output_directory(tmp_path):
     tool = load_tool()
     scene = tmp_path / "scene.txt"
-    scene.write_text(
-        "wavelength = 0.01\nris_len_x = 0.25\nris_len_y = 0.25\n"
-        "target_len_x = 0.125\ntarget_len_y = 0.125\ntarget_distance = 0.125\n"
-        "incident_elevation = 30\nreceiver_x = 5.0\nreceiver_y = 5.0\nreceiver_z = -1.25\n"
-        "n_ris_x = 16\nn_ris_y = 16\nn_target_x = 8\nn_target_y = 8\n"
-    )
+    scene.write_text(SCENE_TEXT)
     from risimage import cli
 
     out = tmp_path / "steps"
@@ -74,6 +83,23 @@ def test_step_verb_stdout_names_no_output_directory(tmp_path):
     nmse, written = (out / "reconstruct-ideal.stdout").read_text().splitlines()
     assert float(nmse.removeprefix("nmse = ")) < 1.0 and written == "estimate written -> <out>/estimate-ideal.pgm"
     assert not any(str(tmp_path) in path.read_text() for path in out.glob("*.stdout"))
+
+
+def test_far_sweep_stdout_names_its_failed_points_and_no_output_directory(tmp_path):
+    tool = load_tool()
+    scene = tmp_path / "scene.txt"
+    scene.write_text(SCENE_TEXT)
+    from risimage import cli
+
+    tool.run_far(cli, scene, 4, tmp_path)
+    *points, summary = (tmp_path / "desk-far.stdout").read_text().splitlines()
+    failed = [": ERROR NearFieldViolation: " in line for line in points]
+    assert failed == [4 <= i < 8 for i in range(12)]
+    assert all(": nmse=" in line for line, error in zip(points, failed) if not error)
+    assert summary == "metrics -> <out>/metrics.csv (kernel builds: 2)"
+    assert str(tmp_path) not in (tmp_path / "desk-far.stdout").read_text()
+    log = (tmp_path / "desk-far" / "errors.log").read_text().splitlines()
+    assert [line.split(":")[0] for line in log] == [f"point {i}" for i in range(4, 8)]
 
 
 def test_comparing_the_sources_with_themselves_lists_nothing():
@@ -142,6 +168,14 @@ def test_metrics_change_names_the_exact_columns_that_differ(tmp_path):
     zero = write_tree(tmp_path / "zero", ["256,none,0.125,1e-12,0.5,64,7\n", "256,20,0.25,1e-12,1e-30,60,8\n"])
     assert tool.metrics_change(zero / path, theirs / path) == (
         "largest relative nmse change inf; gamma, retained_rank, seed match"
+    )
+    # a failed point has an empty nmse cell: against itself no change, against a score an infinite one
+    failed = write_tree(tmp_path / "failed", ["256,none,0.125,1e-12,0.5,64,7\n", "256,20,0.25,1e-12,,,8\n"])
+    assert tool.metrics_change(failed / path, failed / path) == (
+        "largest relative nmse change 0; gamma, retained_rank, seed match"
+    )
+    assert tool.metrics_change(failed / path, theirs / path) == (
+        "largest relative nmse change inf; retained_rank differ"
     )
 
 

@@ -1,6 +1,7 @@
 """Correlation reconstruction, NMSE, calibration, and their invariants."""
 
 import dataclasses
+import functools
 import warnings
 
 import numpy as np
@@ -92,25 +93,32 @@ class TestMaskMoments:
         assert "moments" not in scaled.__dict__
         np.testing.assert_allclose(scaled.moments[1], 9.0 * first[1], rtol=1e-12)
 
-    def test_sets_of_the_same_distinct_rows_share_them(self, monkeypatch):
+    def test_sets_of_the_same_distinct_rows_compute_their_own(self, monkeypatch):
         computed = []
 
-        def counted(masks, _original=md.MaskSet._moments):
+        def counted_moments(masks, _original=md.MaskSet.moments.func):
             computed.append(masks.count)
             return _original(masks)
 
-        monkeypatch.setattr(md.MaskSet, "_moments", counted)
+        counted = functools.cached_property(counted_moments)
+        counted.__set_name__(md.MaskSet, "moments")
+        monkeypatch.setattr(md.MaskSet, "moments", counted)
         masks = md.MaskSet(kind=md.KIND_MASK2D, stored=np.arange(12.0).reshape(4, 3), repeats=4)
-        twice, once, prefix = masks.first(8), masks.first(4), masks.first(2)
-        assert twice.moments is once.moments is masks.moments is masks.first(16).moments
-        assert prefix.moments is not masks.moments
-        assert computed == [8, 2]
-        again = masks.first(8)
-        assert again.moments is masks.moments and computed == [8, 2]
+        sets = [masks.first(8), masks.first(4), masks.first(16), masks]
+        for each in sets:  # computed on first read and kept by each set alone
+            assert each.moments is each.moments
+        assert computed == [8, 4, 16, 16]
+        for each in sets[:-1]:  # the parent's distinct rows, so the parent's bits
+            for value, parent in zip(each.moments, masks.moments):
+                np.testing.assert_array_equal(value, parent)
+        alone = md.MaskSet(kind=md.KIND_MASK2D, stored=masks.stored[:2])
+        np.testing.assert_array_equal(masks.first(2).moments[1], alone.moments[1])
         designed = md.MaskSet(kind=md.KIND_MASK2D, design=(64, 3), phase=np.zeros(3))
-        first = designed.moments
-        assert designed.first(32).moments is designed.first(4).moments is first and computed == [8, 2, 64]
-        assert dataclasses.replace(twice, repeats=2).moments is not first
+        halves = designed.first(32)
+        assert halves.moments is not designed.moments and computed[-2:] == [32, 64]
+        for value, parent in zip(halves.moments, designed.moments):
+            np.testing.assert_array_equal(value, parent)
+        assert "moments" not in dataclasses.replace(sets[0], repeats=2).__dict__
 
     def test_empty_set_rejected(self):
         with pytest.raises(EmptyMaskSet):

@@ -9,6 +9,12 @@ For each seed, in this process through ``risimage.cli.main``:
   (256 and 1024) at two distances (into ``desk-counts``), so that the
   exports of several counts, read from one realization pass per distance,
   are digested too;
+* the desk scene is swept twice over the same two counts, noiseless and at
+  20 dB, at the distances 0.125, 30 and 0.25 (into ``desk-far``), the
+  middle one beyond the scene's near field, so that the points it fails
+  are digested too: their empty ``nmse`` cells, ``errors.log``, and what
+  the second sweep prints, in ``desk-far.stdout`` with the directory
+  replaced by ``<out>``;
 * the step verbs ``kernel``, ``masks``, ``synthesize``, ``measure`` and
   ``reconstruct``, then ``measure --ideal-masks`` and ``reconstruct``
   against the ideal mask export, and ``run --ideal-masks`` (into
@@ -81,7 +87,8 @@ EXACT_METRICS = ("gamma", "retained_rank", "seed")  # metrics.csv columns a nume
 
 def run_seed(cli, workloads, seed: int, inputs: Path, outputs: Path) -> None:
     """Every workload's sweep for ``seed``, the desk sweep over two counts
-    with artifacts, the desk groups of :func:`run_scoring`, and the step
+    with artifacts, the desk sweep of :func:`run_far` whose middle distance
+    fails, the desk groups of :func:`run_scoring`, and the step
     verbs on the scenes of :data:`ODD_SCENES` and on their variants of odd
     counts."""
     for name, workload in workloads.WORKLOADS.items():
@@ -92,6 +99,7 @@ def run_seed(cli, workloads, seed: int, inputs: Path, outputs: Path) -> None:
             scene = ["--scene", str(plan.parent / "scene.txt"), "--target", "block", "--keep-artifacts"]
             axes = ["--i-sweep", "256,1024", "--z-sweep", "0.125,0.25", "--snr-sweep", "none,20"]
             run(cli, ["sweep", *scene, *axes, "--seed", str(noise_seed), "--output", str(outputs / "desk-counts")])
+            run_far(cli, plan.parent / "scene.txt", noise_seed, outputs)
         if name == "volume-zsweep":
             scene = ["--scene", str(plan.parent / "scene.txt"), "-I", str(workload.i_values[0])]
             snr = ["--snr-sweep", "none,0,20", "--seed", str(noise_seed)]
@@ -104,6 +112,18 @@ def run_seed(cli, workloads, seed: int, inputs: Path, outputs: Path) -> None:
             odd = inputs / f"{label}.txt"
             odd.write_text("".join(f"{key} = {value}\n" for key, value in {**workload.scene, **counts}.items()))
             run_steps(cli, odd, noise_seed, outputs / label)
+
+
+def run_far(cli, scene: Path, noise_seed: int, outputs: Path) -> None:
+    """The desk sweep whose middle distance, 30 m, is beyond the scene's
+    25 m Rayleigh distance, swept twice into ``desk-far``; the second
+    sweep's stdout goes to ``desk-far.stdout``."""
+    out = outputs / "desk-far"
+    axes = ["--i-sweep", "256,1024", "--snr-sweep", "none,20", "--z-sweep", "0.125,30.0,0.25"]
+    argv = ["sweep", "--scene", str(scene), "--target", "block", *axes, "--seed", str(noise_seed), "--output", str(out)]
+    for _ in range(2):
+        printed = run(cli, argv)
+    (outputs / "desk-far.stdout").write_text(printed.replace(str(out), "<out>"))
 
 
 def run_scoring(cli, scene: Path, noise_seed: int, inputs: Path, outputs: Path) -> None:
@@ -201,14 +221,17 @@ def produce_apart(src: Path, seeds: list[int], outputs: Path) -> None:
 def metrics_change(ours: Path, theirs: Path) -> str:
     """How the ``metrics.csv`` ``ours`` differs from ``theirs``: the largest
     relative change of its ``nmse`` column, taken against ``theirs``, and
-    which of :data:`EXACT_METRICS` differ."""
+    which of :data:`EXACT_METRICS` differ. A failed point's ``nmse`` cell is
+    empty, and a score where the other side has none is an infinite change."""
     ours_rows, theirs_rows = (list(csv.DictReader(path.read_text().splitlines())) for path in (ours, theirs))
     if len(ours_rows) != len(theirs_rows):
         return f"{len(ours_rows)} rows against {len(theirs_rows)}"
     worst = 0.0
     for mine, base in zip(ours_rows, theirs_rows):
-        new, old = float(mine["nmse"]), float(base["nmse"])
-        if new != old and not (math.isnan(new) and math.isnan(old)):
+        new, old = (float(row["nmse"]) if row["nmse"] else None for row in (mine, base))
+        if (new is None) != (old is None):
+            worst = math.inf
+        elif new is not None and new != old and not (math.isnan(new) and math.isnan(old)):
             worst = max(worst, abs(new - old) / abs(old) if old else math.inf)
     differ = [key for key in EXACT_METRICS if any(a[key] != b[key] for a, b in zip(ours_rows, theirs_rows))]
     exact = f"{', '.join(differ)} differ" if differ else f"{', '.join(EXACT_METRICS)} match"
